@@ -128,14 +128,14 @@ fn run_backend_once(
     for i in 0..spec.messages {
         let slot = usize::try_from(i).expect("tier sizes fit usize");
         let at = SimTime::from_units(i as f64);
-        let msg = Message {
-            id: MessageId(i),
-            from: users[(slot + 1) % users.len()].clone(),
-            to: users[slot % users.len()].clone(),
-            subject: "bench".into(),
-            body: format!("durability workload {seed}/{i}"),
-            submitted_at: at,
-        };
+        let msg = Message::new(
+            MessageId(i),
+            users[(slot + 1) % users.len()].clone(),
+            users[slot % users.len()].clone(),
+            "bench",
+            format!("durability workload {seed}/{i}"),
+            at,
+        );
         assert!(store.deposit(msg, at), "workload ids are unique");
     }
     let deposit_ms = ms(t0);

@@ -1,9 +1,10 @@
 //! Mail messages and their delivery lifecycle.
 
 use std::fmt;
+use std::sync::Arc;
 
 use lems_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::name::MailName;
 
@@ -42,8 +43,18 @@ impl MessageIdGen {
 /// The user interface composes and formats the message (§2); by the time it
 /// reaches a mail server it carries sender, recipient, body, and the
 /// submission timestamp used for latency accounting.
+///
+/// A message does not change after submission, and a copy of it sits in
+/// every probe, retry task, journal entry, mailbox slot and drain
+/// reservation along its way. `Message` is therefore a handle on one
+/// shared [`MessageData`]: `clone` bumps a reference count, and the fields
+/// read through the handle (`msg.id`, `msg.to`).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Message(Arc<MessageData>);
+
+/// The contents of a [`Message`].
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct Message {
+pub struct MessageData {
     /// Unique id.
     pub id: MessageId,
     /// Fully qualified sender name.
@@ -69,14 +80,23 @@ impl Message {
         body: impl Into<String>,
         submitted_at: SimTime,
     ) -> Self {
-        Message {
+        Message(Arc::new(MessageData {
             id,
             from,
             to,
             subject: subject.into(),
             body: body.into(),
             submitted_at,
-        }
+        }))
+    }
+
+    /// This message re-addressed to `to` (a §3.1.4 redirect); everything
+    /// else, the id included, is kept.
+    pub fn redirected(&self, to: MailName) -> Message {
+        Message(Arc::new(MessageData {
+            to,
+            ..MessageData::clone(&self.0)
+        }))
     }
 
     /// Approximate wire size in bytes (headers + body), used by cost
@@ -87,6 +107,32 @@ impl Message {
             + self.subject.len()
             + self.body.len()
             + 64 // fixed envelope overhead
+    }
+}
+
+impl std::ops::Deref for Message {
+    type Target = MessageData;
+
+    fn deref(&self) -> &MessageData {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Message {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl Serialize for Message {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.0.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for Message {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        MessageData::deserialize(deserializer).map(|data| Message(Arc::new(data)))
     }
 }
 

@@ -11,10 +11,13 @@
 //! alphanumerics plus `-` and `_` inside tokens and use `.` as the
 //! delimiter.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Error produced when parsing or validating a [`MailName`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -36,7 +39,15 @@ pub enum ParseNameError {
         /// The offending character.
         ch: char,
     },
+    /// The three tokens together exceed [`MAX_NAME_BYTES`].
+    TooLong {
+        /// Combined byte length of the tokens.
+        bytes: usize,
+    },
 }
+
+/// Longest name accepted, as the combined byte length of its tokens.
+pub const MAX_NAME_BYTES: usize = u16::MAX as usize;
 
 impl fmt::Display for ParseNameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -50,6 +61,9 @@ impl fmt::Display for ParseNameError {
             }
             ParseNameError::InvalidCharacter { level, ch } => {
                 write!(f, "invalid character {ch:?} in {level} component")
+            }
+            ParseNameError::TooLong { bytes } => {
+                write!(f, "name of {bytes} bytes exceeds {MAX_NAME_BYTES}")
             }
         }
     }
@@ -96,6 +110,15 @@ fn validate_token(token: &str, level: NameLevel) -> Result<(), ParseNameError> {
 /// fixed location; under System 2 it is only the user's *primary* location
 /// — the user may connect from any host of the region (§3.2.1).
 ///
+/// A name is the key of every table a host or server touches, so it is one
+/// shared immutable buffer `region\x01host\x01user`: `clone` bumps a
+/// reference count, and equality and ordering are one byte comparison of
+/// the buffers. The separator sorts below every token character, so that
+/// comparison orders names exactly as the tuple `(region, host, user)`
+/// does: where one token is a proper prefix of the other, the shorter
+/// one's separator meets a token character and loses, as the shorter
+/// string would.
+///
 /// # Examples
 ///
 /// ```
@@ -108,12 +131,19 @@ fn validate_token(token: &str, level: NameLevel) -> Result<(), ParseNameError> {
 /// assert_eq!(n.to_string(), "east.vax1.alice");
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct MailName {
-    region: String,
-    host: String,
-    user: String,
+    /// `region SEP host SEP user`.
+    buf: Arc<str>,
+    /// Byte length of the region token.
+    region_len: u32,
+    /// Byte offset of the user token.
+    user_start: u32,
 }
+
+/// Joins the tokens inside the buffer; below every character
+/// [`validate_token`] admits.
+const SEP: char = '\u{1}';
 
 impl MailName {
     /// Builds a name from validated tokens.
@@ -121,31 +151,43 @@ impl MailName {
     /// # Errors
     ///
     /// Returns [`ParseNameError`] if any token is empty or contains a
-    /// character outside `[A-Za-z0-9_-]`.
+    /// character outside `[A-Za-z0-9_-]`, or if the tokens together are
+    /// longer than [`MAX_NAME_BYTES`].
     pub fn new(region: &str, host: &str, user: &str) -> Result<Self, ParseNameError> {
         validate_token(region, NameLevel::Region)?;
         validate_token(host, NameLevel::Host)?;
         validate_token(user, NameLevel::User)?;
+        let bytes = region.len() + host.len() + user.len();
+        if bytes > MAX_NAME_BYTES {
+            return Err(ParseNameError::TooLong { bytes });
+        }
+        let mut buf = String::with_capacity(bytes + 2);
+        buf.push_str(region);
+        buf.push(SEP);
+        buf.push_str(host);
+        buf.push(SEP);
+        let user_start = buf.len() as u32;
+        buf.push_str(user);
         Ok(MailName {
-            region: region.to_owned(),
-            host: host.to_owned(),
-            user: user.to_owned(),
+            buf: buf.into(),
+            region_len: region.len() as u32,
+            user_start,
         })
     }
 
     /// The region token.
     pub fn region(&self) -> &str {
-        &self.region
+        &self.buf[..self.region_len as usize]
     }
 
     /// The host token (primary location under System 2).
     pub fn host(&self) -> &str {
-        &self.host
+        &self.buf[self.region_len as usize + 1..self.user_start as usize - 1]
     }
 
     /// The user token.
     pub fn user(&self) -> &str {
-        &self.user
+        &self.buf[self.user_start as usize..]
     }
 
     /// A copy of this name relocated to a new region and host — the rename
@@ -155,23 +197,63 @@ impl MailName {
     ///
     /// Returns [`ParseNameError`] if the new tokens are invalid.
     pub fn relocated(&self, region: &str, host: &str) -> Result<MailName, ParseNameError> {
-        MailName::new(region, host, &self.user)
+        MailName::new(region, host, self.user())
     }
 
     /// True if both names are in the same region.
     pub fn same_region(&self, other: &MailName) -> bool {
-        self.region == other.region
+        self.region() == other.region()
     }
 
     /// True if both names share region and host.
     pub fn same_host(&self, other: &MailName) -> bool {
-        self.region == other.region && self.host == other.host
+        // The shared prefix `region SEP host SEP` ends where the user starts.
+        self.buf.as_bytes()[..self.user_start as usize]
+            == other.buf.as_bytes()[..other.user_start as usize]
+    }
+}
+
+// The offsets follow from the buffer (the separator occurs nowhere else),
+// so comparing, ordering and hashing the buffer alone is consistent.
+impl PartialEq for MailName {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf == other.buf
+    }
+}
+
+impl Eq for MailName {}
+
+impl PartialOrd for MailName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MailName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.buf.cmp(&other.buf)
+    }
+}
+
+impl Hash for MailName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.buf.hash(state);
+    }
+}
+
+impl fmt::Debug for MailName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MailName")
+            .field("region", &self.region())
+            .field("host", &self.host())
+            .field("user", &self.user())
+            .finish()
     }
 }
 
 impl fmt::Display for MailName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}.{}", self.region, self.host, self.user)
+        write!(f, "{}.{}.{}", self.region(), self.host(), self.user())
     }
 }
 
@@ -184,6 +266,32 @@ impl FromStr for MailName {
             return Err(ParseNameError::WrongComponentCount { found: parts.len() });
         }
         MailName::new(parts[0], parts[1], parts[2])
+    }
+}
+
+/// The serialised shape of a [`MailName`]: `{region, host, user}`.
+#[derive(Serialize, Deserialize)]
+struct NameTokens {
+    region: String,
+    host: String,
+    user: String,
+}
+
+impl Serialize for MailName {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        NameTokens {
+            region: self.region().to_owned(),
+            host: self.host().to_owned(),
+            user: self.user().to_owned(),
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for MailName {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let t = NameTokens::deserialize(deserializer)?;
+        MailName::new(&t.region, &t.host, &t.user).map_err(serde::de::Error::custom)
     }
 }
 
@@ -229,6 +337,13 @@ mod tests {
             })
         );
         assert!("é.b.c".parse::<MailName>().is_err());
+        let long = "u".repeat(MAX_NAME_BYTES);
+        assert_eq!(
+            MailName::new("r", "h", &long),
+            Err(ParseNameError::TooLong {
+                bytes: MAX_NAME_BYTES + 2
+            })
+        );
     }
 
     #[test]
@@ -250,7 +365,79 @@ mod tests {
         assert!(e.to_string().contains("host"));
     }
 
+    /// Pins the serialised shape: the three tokens by name, nothing about
+    /// the in-memory buffer.
+    #[test]
+    fn serde_shape_is_the_three_tokens() {
+        let n: MailName = "west.pc-7.bob_2".parse().unwrap();
+        let json = serde_json::to_string(&n).unwrap();
+        assert_eq!(json, r#"{"region":"west","host":"pc-7","user":"bob_2"}"#);
+        let back: MailName = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, n);
+        assert_eq!(back.host(), "pc-7");
+        assert!(
+            serde_json::from_str::<MailName>(r#"{"region":"a.b","host":"h","user":"u"}"#).is_err()
+        );
+    }
+
+    fn hash_of<T: Hash>(v: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// `MailName` must compare as the tuple of its tokens does, including
+    /// where one token is a proper prefix of the other.
+    fn assert_agrees_with_tuple(a: [&str; 3], b: [&str; 3]) {
+        let (na, nb) = (
+            MailName::new(a[0], a[1], a[2]).unwrap(),
+            MailName::new(b[0], b[1], b[2]).unwrap(),
+        );
+        assert_eq!(na.cmp(&nb), a.cmp(&b), "{na} vs {nb}");
+        assert_eq!(na == nb, a == b, "{na} vs {nb}");
+        assert_eq!(hash_of(&na) == hash_of(&nb), a == b, "{na} vs {nb}");
+    }
+
+    #[test]
+    fn prefix_tokens_order_like_the_tuple() {
+        // '-' is the lowest token character; the separator must still
+        // sort below it.
+        assert_agrees_with_tuple(["a", "h", "u"], ["a-b", "h", "u"]);
+        assert_agrees_with_tuple(["r", "a", "z"], ["r", "a-", "a"]);
+        assert_agrees_with_tuple(["r", "h", "u"], ["r", "h", "u-"]);
+        assert_agrees_with_tuple(["ab", "c", "u"], ["a", "bc", "u"]);
+        assert_agrees_with_tuple(["a", "b", "c"], ["a", "b", "c"]);
+    }
+
     proptest! {
+        /// `Ord`, `Eq` and `Hash` agree with the `(region, host, user)`
+        /// tuple. Tokens are drawn so that prefixes and equal tokens occur.
+        #[test]
+        fn ord_eq_hash_agree_with_tuple(
+            a in proptest::collection::vec("[A-Za-z0-9_-]{1,12}", 3),
+            b in proptest::collection::vec("[A-Za-z0-9_-]{1,12}", 3),
+            share in 0usize..4,
+            cut in 0usize..12,
+        ) {
+            // Make `b` share its first `share` tokens with `a`, and the
+            // next one a prefix of `a`'s.
+            let mut b = b;
+            let shared = share.min(3);
+            b[..shared].clone_from_slice(&a[..shared]);
+            if share < 3 {
+                let keep = (cut % a[share].len()) + 1;
+                b[share] = a[share][..keep].to_owned();
+            }
+            assert_agrees_with_tuple(
+                [&a[0], &a[1], &a[2]],
+                [&b[0], &b[1], &b[2]],
+            );
+            assert_agrees_with_tuple(
+                [&b[0], &b[1], &b[2]],
+                [&a[0], &a[1], &a[2]],
+            );
+        }
+
         /// Every syntactically valid triple survives a display/parse round
         /// trip.
         #[test]

@@ -109,16 +109,15 @@ impl StoreState {
     /// reservations first). Nothing is released until
     /// [`StoreState::release_drained`].
     pub fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        let fresh: Vec<Message> = self
+        let fresh = self
             .mailboxes
             .get_mut(owner)
             .map(Mailbox::drain)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|s| s.message)
-            .collect();
+            .unwrap_or_default();
+        // The (possibly empty) reservation entry is part of the state a
+        // snapshot records, so it is created even when nothing is stored.
         let pending = self.pending.entry(owner.clone()).or_default();
-        pending.extend(fresh);
+        pending.extend(fresh.into_iter().map(|s| s.message));
         pending.clone()
     }
 
@@ -137,12 +136,13 @@ impl StoreState {
     /// Releases acknowledged ids from `owner`'s reservation buffer,
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let acked: BTreeSet<MessageId> = ids.iter().copied().collect();
         let Some(pending) = self.pending.get_mut(owner) else {
             return 0;
         };
+        let mut acked = ids.to_vec();
+        acked.sort_unstable();
         let before = pending.len();
-        pending.retain(|m| !acked.contains(&m.id));
+        pending.retain(|m| acked.binary_search(&m.id).is_err());
         (before - pending.len()) as u64
     }
 

@@ -7,7 +7,7 @@
 //! region, the premise behind the paper's region-first forwarding).
 
 use lems_net::topology::RegionId;
-use lems_sim::rng::SimRng;
+use lems_sim::rng::{SimRng, WeightTable};
 use lems_sim::time::{SimDuration, SimTime};
 
 use crate::user::UserId;
@@ -159,11 +159,22 @@ pub fn generate(
         weight[idx] = 1.0 / ((rank + 1) as f64).powf(cfg.zipf_exponent);
     }
 
-    // Per-region index for local draws.
+    // Candidate lists for a draw: everyone (in popularity order) and, for
+    // local draws, each region. A list's weight table is built once, not
+    // per draw.
+    let weighted = |members: Vec<usize>| {
+        let table = WeightTable::new(members.iter().map(|&c| weight[c]).collect());
+        (members, table)
+    };
     let mut regions = std::collections::BTreeMap::<RegionId, Vec<usize>>::new();
     for (i, &(_, r)) in population.iter().enumerate() {
         regions.entry(r).or_default().push(i);
     }
+    let regions: std::collections::BTreeMap<RegionId, _> = regions
+        .into_iter()
+        .map(|(r, members)| (r, weighted(members)))
+        .collect();
+    let everyone = weighted(perm);
 
     let mut events = Vec::new();
     let mut sends = 0;
@@ -174,13 +185,12 @@ pub fn generate(
         let mut t = SimTime::ZERO + rng.exp_duration(cfg.mean_interarrival);
         while t < cfg.horizon {
             let local = rng.chance(cfg.local_bias);
-            let candidates: &[usize] = if local { &regions[&region] } else { &perm };
+            let (candidates, table) = if local { &regions[&region] } else { &everyone };
             // Weighted pick excluding self; retry a few times then fall back
             // to any other user.
             let mut to_idx = None;
             for _ in 0..8 {
-                let w: Vec<f64> = candidates.iter().map(|&c| weight[c]).collect();
-                let pick = candidates[rng.weighted_index(&w)];
+                let pick = candidates[rng.weighted_draw(table)];
                 if pick != i {
                     to_idx = Some(pick);
                     break;

@@ -516,8 +516,10 @@ impl<M> Ctx<'_, M> {
 pub struct ActorSim<M> {
     core: Core<M>,
     actors: Vec<Option<Box<dyn Actor<Msg = M>>>>,
-    started: Vec<bool>,
-    running: bool,
+    /// Actors below this index have had `on_start`. Actors are only ever
+    /// appended and started in index order, so one index says which are
+    /// still waiting.
+    first_unstarted: usize,
 }
 
 impl<M: 'static> ActorSim<M> {
@@ -526,8 +528,7 @@ impl<M: 'static> ActorSim<M> {
         ActorSim {
             core: Core::new(seed),
             actors: Vec::new(),
-            started: Vec::new(),
-            running: false,
+            first_unstarted: 0,
         }
     }
 
@@ -601,7 +602,6 @@ impl<M: 'static> ActorSim<M> {
         self.core.prof.register_kind(actor.kind());
         self.actors.push(Some(Box::new(actor)));
         self.core.down.push(false);
-        self.started.push(false);
         id
     }
 
@@ -707,11 +707,10 @@ impl<M: 'static> ActorSim<M> {
     }
 
     fn start_pending(&mut self) {
-        for idx in 0..self.actors.len() {
-            if !self.started[idx] {
-                self.started[idx] = true;
-                self.with_actor(ActorId(idx), Actor::on_start);
-            }
+        while self.first_unstarted < self.actors.len() {
+            let id = ActorId(self.first_unstarted);
+            self.first_unstarted += 1;
+            self.with_actor(id, Actor::on_start);
         }
     }
 
@@ -729,9 +728,6 @@ impl<M: 'static> ActorSim<M> {
 
     /// Processes one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        if !self.running {
-            self.running = true;
-        }
         self.start_pending();
         let Some((at, ev)) = self.core.pop_next() else {
             return false;
@@ -907,6 +903,51 @@ mod tests {
                 (SimTime::from_units(2.0), 10)
             ]
         );
+    }
+
+    /// Logs every callback in order; arms a timer from `on_start`.
+    #[derive(Default)]
+    struct Lifecycle {
+        log: Vec<&'static str>,
+    }
+    impl Actor for Lifecycle {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            self.log.push("start");
+            ctx.set_timer(unit(1.0), 0);
+        }
+        fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {
+            self.log.push("message");
+        }
+        fn on_timer(&mut self, _id: TimerId, _tag: u64, _c: &mut Ctx<'_, u32>) {
+            self.log.push("timer");
+        }
+    }
+
+    #[test]
+    fn late_actor_starts_once_before_its_first_event() {
+        let mut sim = ActorSim::new(1);
+        let early = sim.add_actor(Lifecycle::default());
+        sim.inject(early, 1, unit(2.0));
+        sim.run_until(SimTime::from_units(5.0));
+
+        // Added after the run began, with a message due at the current
+        // instant: `on_start` must still come first.
+        let late = sim.add_actor(Lifecycle::default());
+        sim.inject(late, 2, SimDuration::ZERO);
+        assert!(sim.step());
+        let l: &Lifecycle = sim.actor(late).unwrap();
+        assert_eq!(l.log, vec!["start", "message"]);
+
+        sim.inject(early, 3, unit(3.0));
+        sim.run_to_quiescence();
+        for (id, expect) in [
+            (early, vec!["start", "timer", "message", "message"]),
+            (late, vec!["start", "message", "timer"]),
+        ] {
+            let a: &Lifecycle = sim.actor(id).unwrap();
+            assert_eq!(a.log, expect);
+        }
     }
 
     /// Sends two messages to `target` back-to-back, the second with a

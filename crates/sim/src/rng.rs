@@ -175,18 +175,18 @@ impl SimRng {
     /// Panics if `weights` is empty, contains a negative/non-finite value,
     /// or sums to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(
-            !weights.is_empty(),
-            "weighted_index needs at least one weight"
-        );
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w >= 0.0 && w.is_finite(), "weights must be finite and >= 0");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weights must not all be zero");
+        let total = checked_total(weights);
+        self.scan_weights(weights, total)
+    }
+
+    /// [`SimRng::weighted_index`] over a prepared [`WeightTable`]: the same
+    /// single uniform draw and the same scan, without validating and
+    /// summing the weights again.
+    pub fn weighted_draw(&mut self, table: &WeightTable) -> usize {
+        self.scan_weights(&table.weights, table.total)
+    }
+
+    fn scan_weights(&mut self, weights: &[f64], total: f64) -> usize {
         let mut target = self.inner.gen::<f64>() * total;
         for (i, &w) in weights.iter().enumerate() {
             if target < w {
@@ -196,6 +196,43 @@ impl SimRng {
         }
         weights.len() - 1
     }
+}
+
+/// A weight list validated and summed once, for a caller that draws from
+/// it many times ([`SimRng::weighted_draw`]).
+#[derive(Clone, Debug)]
+pub struct WeightTable {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightTable {
+    /// Validates and sums `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`SimRng::weighted_index`].
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total = checked_total(&weights);
+        WeightTable { weights, total }
+    }
+}
+
+/// The sum of a valid weight list, added in list order.
+fn checked_total(weights: &[f64]) -> f64 {
+    assert!(
+        !weights.is_empty(),
+        "weighted_index needs at least one weight"
+    );
+    let total: f64 = weights
+        .iter()
+        .map(|&w| {
+            assert!(w >= 0.0 && w.is_finite(), "weights must be finite and >= 0");
+            w
+        })
+        .sum();
+    assert!(total > 0.0, "weights must not all be zero");
+    total
 }
 
 impl RngCore for SimRng {

@@ -22,7 +22,7 @@
 //! [`FailurePlan`]: lems_sim::failure::FailurePlan
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use lems_core::directory::Directory;
@@ -211,11 +211,29 @@ fn bounce_code(reason: BounceReason) -> u64 {
 /// Per-user state kept by the host actor.
 #[derive(Clone, Debug)]
 struct UiUser {
+    /// This user's index in [`HostActor::check_slots`]; the tag of their
+    /// retrieval timers.
+    slot: usize,
     authorities: AuthorityList,
     last_checking_time: SimTime,
     previously_unavailable: BTreeSet<NodeId>,
     retrieval: Option<RetrievalSession>,
     pending_check: bool,
+}
+
+impl UiUser {
+    /// A user who has never checked mail; the slot is given by the host
+    /// that adopts them ([`HostActor::adopt_user`]).
+    fn new(authorities: AuthorityList) -> Self {
+        UiUser {
+            slot: 0,
+            authorities,
+            last_checking_time: SimTime::ZERO,
+            previously_unavailable: BTreeSet::new(),
+            retrieval: None,
+            pending_check: false,
+        }
+    }
 }
 
 /// Session-layer configuration for a deployment: how request/response
@@ -258,7 +276,7 @@ impl SessionConfig {
 #[derive(Clone, Debug)]
 struct RetrievalSession {
     /// Servers of the authority list still to probe in the walk phase.
-    walk_remaining: Vec<NodeId>,
+    walk_remaining: VecDeque<NodeId>,
     /// Servers to sweep afterwards (previously unavailable, not probed in
     /// this walk).
     sweep_remaining: Vec<NodeId>,
@@ -283,7 +301,7 @@ struct SubmitTask {
     current: NodeId,
     /// Probes already sent to `current`.
     attempts: u32,
-    remaining: Vec<NodeId>,
+    remaining: VecDeque<NodeId>,
     timer: TimerId,
 }
 
@@ -292,13 +310,16 @@ pub struct HostActor {
     node: NodeId,
     transport: Rc<Transport>,
     users: BTreeMap<MailName, UiUser>,
+    /// The user each retrieval-timer tag stands for ([`UiUser::slot`]).
+    /// Append-only: a user who migrated away leaves a slot whose name no
+    /// longer resolves in `users`.
+    check_slots: Vec<MailName>,
     // Actor bookkeeping uses ordered maps throughout: iteration order feeds
     // protocol decisions, and hash-order iteration would make replays
     // diverge between runs (enforced by `lems-check -- lint`).
     submits: BTreeMap<MessageId, SubmitTask>,
     id_gen: Rc<RefCell<MessageIdGen>>,
     stats: SharedStats,
-    timer_purpose: BTreeMap<TimerId, TimerPurpose>,
     /// Notifications received (user -> count) — the alert signal of
     /// §3.1.2c.
     pub alerts: BTreeMap<MailName, u64>,
@@ -310,13 +331,19 @@ pub struct HostActor {
     pub metrics: MetricsRegistry,
 }
 
-#[derive(Clone, Debug)]
-enum TimerPurpose {
-    SubmitTimeout(MessageId),
-    RetrieveTimeout(MailName),
-}
+/// Timer tags say what a host timer is for without a side table: a submit
+/// timeout carries its message id, a retrieve timeout this bit plus the
+/// checking user's slot.
+const RETRIEVE_TAG: u64 = 1 << 63;
 
 impl HostActor {
+    /// Adopts `ui` under `name`, giving it a timer slot on this host.
+    fn adopt_user(&mut self, name: MailName, mut ui: UiUser) {
+        ui.slot = self.check_slots.len();
+        self.check_slots.push(name.clone());
+        self.users.insert(name, ui);
+    }
+
     fn timeout_for(&self, server: NodeId) -> SimDuration {
         let rtt = self.transport.delay(self.node, server) * 2;
         rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK)
@@ -350,16 +377,12 @@ impl HostActor {
             SpanStage::Submitted,
             site(self.node),
         );
-        if !self.users.contains_key(&msg.from) {
+        let Some(user) = self.users.get(&msg.from) else {
             // Sender not homed here; count as bounce at source.
             self.bounce_here(msg.id, BounceReason::UnknownRecipient, ctx.now());
             return;
-        }
-        let remaining: Vec<NodeId> = self
-            .users
-            .get(&msg.from)
-            .map(|u| u.authorities.servers().to_vec())
-            .unwrap_or_default();
+        };
+        let remaining: VecDeque<NodeId> = user.authorities.servers().iter().copied().collect();
         {
             let mut st = self.stats.borrow_mut();
             st.submitted += 1;
@@ -372,14 +395,13 @@ impl HostActor {
     fn submit_next(
         &mut self,
         msg: Message,
-        mut remaining: Vec<NodeId>,
+        mut remaining: VecDeque<NodeId>,
         ctx: &mut Ctx<'_, MailMsg>,
     ) {
-        if remaining.is_empty() {
+        let Some(server) = remaining.pop_front() else {
             self.bounce_here(msg.id, BounceReason::AllServersDown, ctx.now());
             return;
-        }
-        let server = remaining.remove(0);
+        };
         self.submit_probe(msg, server, 0, remaining, ctx);
     }
 
@@ -390,7 +412,7 @@ impl HostActor {
         msg: Message,
         server: NodeId,
         attempt: u32,
-        remaining: Vec<NodeId>,
+        remaining: VecDeque<NodeId>,
         ctx: &mut Ctx<'_, MailMsg>,
     ) {
         {
@@ -425,8 +447,6 @@ impl HostActor {
             SimDuration::ZERO,
         );
         let timer = ctx.set_timer(timeout, msg.id.0);
-        self.timer_purpose
-            .insert(timer, TimerPurpose::SubmitTimeout(msg.id));
         self.submits.insert(
             msg.id,
             SubmitTask {
@@ -440,7 +460,7 @@ impl HostActor {
     }
 
     fn start_check(&mut self, user_name: &MailName, ctx: &mut Ctx<'_, MailMsg>) {
-        let Some(user) = self.users.get_mut(&user_name.clone()) else {
+        let Some(user) = self.users.get_mut(user_name) else {
             return;
         };
         if user.retrieval.is_some() {
@@ -454,7 +474,7 @@ impl HostActor {
                 .open(ctx.now(), SpanStage::CheckStarted, site(self.node));
         self.metrics.inc("checks_started");
         let session = RetrievalSession {
-            walk_remaining: user.authorities.servers().to_vec(),
+            walk_remaining: user.authorities.servers().iter().copied().collect(),
             sweep_remaining: Vec::new(),
             probed: BTreeSet::new(),
             polls: 0,
@@ -465,13 +485,13 @@ impl HostActor {
             span,
         };
         user.retrieval = Some(session);
-        self.advance_retrieval(user_name.clone(), ctx);
+        self.advance_retrieval(user_name, ctx);
     }
 
     /// Drives the session state machine: probe next server or finish.
-    fn advance_retrieval(&mut self, user_name: MailName, ctx: &mut Ctx<'_, MailMsg>) {
+    fn advance_retrieval(&mut self, user_name: &MailName, ctx: &mut Ctx<'_, MailMsg>) {
         let node = self.node;
-        let Some(user) = self.users.get_mut(&user_name) else {
+        let Some(user) = self.users.get_mut(user_name) else {
             return;
         };
         let Some(session) = user.retrieval.as_mut() else {
@@ -491,9 +511,12 @@ impl HostActor {
                 .collect();
         }
 
-        let next = if !session.finished_walk_early && !session.walk_remaining.is_empty() {
-            Some(session.walk_remaining.remove(0))
+        let walk_next = if session.finished_walk_early {
+            None
         } else {
+            session.walk_remaining.pop_front()
+        };
+        let next = walk_next.or_else(|| {
             // Sweep phase.
             loop {
                 match session.sweep_remaining.pop() {
@@ -501,7 +524,7 @@ impl HostActor {
                     other => break other,
                 }
             }
-        };
+        });
 
         match next {
             Some(server) => {
@@ -535,10 +558,8 @@ impl HostActor {
                     },
                     SimDuration::ZERO,
                 );
-                let timer = ctx.set_timer(timeout, 0);
+                let timer = ctx.set_timer(timeout, RETRIEVE_TAG | user.slot as u64);
                 session.current = Some((server, timer));
-                self.timer_purpose
-                    .insert(timer, TimerPurpose::RetrieveTimeout(user_name));
             }
             None => {
                 // Session complete.
@@ -565,7 +586,7 @@ impl HostActor {
                     ctx.now().duration_since(started).as_units(),
                 );
                 if std::mem::take(&mut user.pending_check) {
-                    self.start_check(&user_name, ctx);
+                    self.start_check(user_name, ctx);
                 }
             }
         }
@@ -592,7 +613,6 @@ impl Actor for HostActor {
             MailMsg::SubmitAck { id } => {
                 if let Some(task) = self.submits.remove(&id) {
                     ctx.cancel_timer(task.timer);
-                    self.timer_purpose.remove(&task.timer);
                     // Store-and-forward responsibility now rests with the
                     // accepting server.
                     self.spans.borrow_mut().record_keyed(
@@ -683,12 +703,11 @@ impl Actor for HostActor {
                     return;
                 };
                 ctx.cancel_timer(timer);
-                self.timer_purpose.remove(&timer);
                 user.previously_unavailable.remove(&server);
                 if user.last_checking_time > last_start_time {
                     session.finished_walk_early = true;
                 }
-                self.advance_retrieval(user_name, ctx);
+                self.advance_retrieval(&user_name, ctx);
             }
             // Server-bound traffic; a host receiving these ignores them.
             MailMsg::Submit { .. }
@@ -699,84 +718,93 @@ impl Actor for HostActor {
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
-        match self.timer_purpose.remove(&id) {
-            Some(TimerPurpose::SubmitTimeout(mid)) => {
-                let Some(task) = self.submits.remove(&mid) else {
-                    return;
-                };
-                if task.timer != id {
-                    // Stale timer from a superseded probe.
-                    self.submits.insert(mid, task);
-                    return;
-                }
-                if self.retry.exhausted(task.attempts) {
-                    // Retry budget for this server spent: fall back to the
-                    // next authority server.
-                    self.submit_next(task.msg, task.remaining, ctx);
-                } else {
-                    self.submit_probe(task.msg, task.current, task.attempts, task.remaining, ctx);
-                }
-            }
-            Some(TimerPurpose::RetrieveTimeout(user_name)) => {
-                let node = self.node;
-                let Some(user) = self.users.get_mut(&user_name) else {
-                    return;
-                };
-                let Some(session) = user.retrieval.as_mut() else {
-                    return;
-                };
-                let Some((server, timer)) = session.current.take() else {
-                    return;
-                };
-                if timer != id {
-                    // Stale timer from a superseded probe.
-                    session.current = Some((server, timer));
-                    return;
-                }
-                if self.retry.exhausted(session.attempts) {
-                    // Retry budget spent: the server is unresponsive.
-                    // Record it for future sweeps — the paper's
-                    // PreviouslyUnavailableServers, now driven by real
-                    // timeouts rather than oracle knowledge — and move on.
-                    user.previously_unavailable.insert(server);
-                    self.advance_retrieval(user_name, ctx);
-                } else {
-                    // Retransmit to the same server with backoff.
-                    let attempt = session.attempts;
-                    session.attempts += 1;
-                    let base = {
-                        let rtt = self.transport.delay(node, server) * 2;
-                        rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK)
-                    };
-                    let timeout = self.retry.timeout(base, attempt, ctx.rng());
-                    self.transport.send(
-                        ctx,
-                        node,
-                        server,
-                        MailMsg::Retrieve {
-                            user: user_name.clone(),
-                            reply_to: node,
-                        },
-                        SimDuration::ZERO,
-                    );
-                    let new_timer = ctx.set_timer(timeout, 0);
-                    session.current = Some((server, new_timer));
-                    self.stats.borrow_mut().retransmits += 1;
-                    self.metrics.inc("retransmits");
-                    self.spans.borrow_mut().record(
-                        ctx.now(),
-                        session.span,
-                        SpanStage::Probe,
-                        site(node),
-                        site(server),
-                        u64::from(attempt),
-                    );
-                    self.timer_purpose
-                        .insert(new_timer, TimerPurpose::RetrieveTimeout(user_name));
-                }
-            }
-            None => {}
+    fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+        if tag & RETRIEVE_TAG == 0 {
+            self.on_submit_timeout(id, MessageId(tag), ctx);
+        } else if let Some(user_name) = self.check_slots.get((tag & !RETRIEVE_TAG) as usize) {
+            self.on_retrieve_timeout(id, user_name.clone(), ctx);
+        }
+    }
+}
+
+impl HostActor {
+    fn on_submit_timeout(&mut self, id: TimerId, mid: MessageId, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(task) = self.submits.remove(&mid) else {
+            return;
+        };
+        if task.timer != id {
+            // Stale timer from a superseded probe.
+            self.submits.insert(mid, task);
+            return;
+        }
+        if self.retry.exhausted(task.attempts) {
+            // Retry budget for this server spent: fall back to the
+            // next authority server.
+            self.submit_next(task.msg, task.remaining, ctx);
+        } else {
+            self.submit_probe(task.msg, task.current, task.attempts, task.remaining, ctx);
+        }
+    }
+
+    fn on_retrieve_timeout(
+        &mut self,
+        id: TimerId,
+        user_name: MailName,
+        ctx: &mut Ctx<'_, MailMsg>,
+    ) {
+        let node = self.node;
+        let Some(user) = self.users.get_mut(&user_name) else {
+            return;
+        };
+        let Some(session) = user.retrieval.as_mut() else {
+            return;
+        };
+        let Some((server, timer)) = session.current.take() else {
+            return;
+        };
+        if timer != id {
+            // Stale timer from a superseded probe.
+            session.current = Some((server, timer));
+            return;
+        }
+        if self.retry.exhausted(session.attempts) {
+            // Retry budget spent: the server is unresponsive.
+            // Record it for future sweeps — the paper's
+            // PreviouslyUnavailableServers, now driven by real
+            // timeouts rather than oracle knowledge — and move on.
+            user.previously_unavailable.insert(server);
+            self.advance_retrieval(&user_name, ctx);
+        } else {
+            // Retransmit to the same server with backoff.
+            let attempt = session.attempts;
+            session.attempts += 1;
+            let base = {
+                let rtt = self.transport.delay(node, server) * 2;
+                rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK)
+            };
+            let timeout = self.retry.timeout(base, attempt, ctx.rng());
+            self.transport.send(
+                ctx,
+                node,
+                server,
+                MailMsg::Retrieve {
+                    user: user_name,
+                    reply_to: node,
+                },
+                SimDuration::ZERO,
+            );
+            let new_timer = ctx.set_timer(timeout, RETRIEVE_TAG | user.slot as u64);
+            session.current = Some((server, new_timer));
+            self.stats.borrow_mut().retransmits += 1;
+            self.metrics.inc("retransmits");
+            self.spans.borrow_mut().record(
+                ctx.now(),
+                session.span,
+                SpanStage::Probe,
+                site(node),
+                site(server),
+                u64::from(attempt),
+            );
         }
     }
 }
@@ -789,7 +817,7 @@ struct ForwardTask {
     current: NodeId,
     /// Probes already sent to `current`.
     attempts: u32,
-    remaining: Vec<NodeId>,
+    remaining: VecDeque<NodeId>,
     timer: TimerId,
     hops_left: u32,
 }
@@ -936,11 +964,10 @@ impl ServerActor {
                     NO_NODE,
                     resolved(ResolveCode::LocalAuthority),
                 );
-                let candidates: Vec<NodeId> = self
-                    .resolver
-                    .view()
-                    .lookup(&msg.to)
-                    .map_or_else(|| vec![self.node], |rec| rec.authorities.servers().to_vec());
+                let candidates: VecDeque<NodeId> = match self.resolver.view().lookup(&msg.to) {
+                    Some(rec) => rec.authorities.servers().iter().copied().collect(),
+                    None => VecDeque::from([self.node]),
+                };
                 self.forward_next(msg, candidates, hops_left - 1, ctx);
             }
             Resolution::RegionalAuthority(list) => {
@@ -952,7 +979,7 @@ impl ServerActor {
                     NO_NODE,
                     resolved(ResolveCode::RegionalAuthority),
                 );
-                let candidates: Vec<NodeId> = list.servers().to_vec();
+                let candidates = list.servers().iter().copied().collect();
                 self.forward_next(msg, candidates, hops_left - 1, ctx);
             }
             Resolution::ForwardToRegion { servers, .. } => {
@@ -968,7 +995,7 @@ impl ServerActor {
                 // recipient region": try them nearest-first.
                 let mut candidates = servers;
                 candidates.sort_by_key(|&s| self.transport.delay(self.node, s));
-                self.forward_next(msg, candidates, hops_left - 1, ctx);
+                self.forward_next(msg, candidates.into(), hops_left - 1, ctx);
             }
             Resolution::UnknownRegion => {
                 self.spans.borrow_mut().record_keyed(
@@ -992,9 +1019,7 @@ impl ServerActor {
                     .map(|r| r.new_name.clone());
                 match redirect_to {
                     Some(new_name) => {
-                        let mut rewritten = msg;
-                        rewritten.to = new_name;
-                        self.route(rewritten, hops_left - 1, ctx);
+                        self.route(msg.redirected(new_name), hops_left - 1, ctx);
                     }
                     None => {
                         self.spans.borrow_mut().record_keyed(
@@ -1015,15 +1040,14 @@ impl ServerActor {
     fn forward_next(
         &mut self,
         msg: Message,
-        mut remaining: Vec<NodeId>,
+        mut remaining: VecDeque<NodeId>,
         hops_left: u32,
         ctx: &mut Ctx<'_, MailMsg>,
     ) {
-        if remaining.is_empty() {
+        let Some(target) = remaining.pop_front() else {
             self.bounce(msg.id, BounceReason::AllServersDown, ctx.now());
             return;
-        }
-        let target = remaining.remove(0);
+        };
         if target == self.node {
             // This server is the first (still-reachable) authority in the
             // walk: deposit here. The mailbox record supersedes the
@@ -1042,7 +1066,7 @@ impl ServerActor {
         msg: Message,
         target: NodeId,
         attempt: u32,
-        remaining: Vec<NodeId>,
+        remaining: VecDeque<NodeId>,
         hops_left: u32,
         ctx: &mut Ctx<'_, MailMsg>,
     ) {
@@ -1415,15 +1439,12 @@ impl Deployment {
         );
         let (assignment, _report) = solve(&problem, cfg.balance);
 
-        let mut transport = Transport::new(topology.graph());
         let mut sim: ActorSim<MailMsg> = ActorSim::new(cfg.seed);
         let stats: SharedStats = Rc::new(RefCell::new(DeliveryStats::default()));
         let spans: SharedSpans = Rc::new(RefCell::new(SpanLog::disabled()));
         let id_gen = Rc::new(RefCell::new(MessageIdGen::new()));
         let redirects = Rc::new(RefCell::new(crate::migrate::RedirectTable::new()));
         let recoveries: SharedRecoveries = Rc::new(RefCell::new(Vec::new()));
-        // One shared stand-in transport until the fully-bound one exists.
-        let placeholder_transport = Rc::new(Transport::new(topology.graph()));
 
         // Directory + region naming: region token is "r<id>".
         let mut directory = Directory::new();
@@ -1434,9 +1455,21 @@ impl Deployment {
         let server_nodes: Vec<NodeId> = problem.servers.iter().map(|(n, _)| *n).collect();
         let host_nodes: Vec<NodeId> = problem.hosts.iter().map(|h| h.node).collect();
 
-        // Register users and build authority lists.
+        // Actors hold the transport from birth, so it is bound before they
+        // exist: the engine numbers actors in registration order, servers
+        // first, then hosts (checked as each one is added).
+        let mut transport = Transport::new(topology.graph());
+        for (i, &node) in server_nodes.iter().chain(&host_nodes).enumerate() {
+            transport.bind(node, ActorId(sim.actor_count() + i));
+        }
+        let transport = Rc::new(transport);
+
+        // Register users and build authority lists; each host's users are
+        // collected here so that wiring a host does not search all users.
         let mut users: BTreeMap<MailName, NodeId> = BTreeMap::new();
+        let mut users_by_host: Vec<Vec<(MailName, AuthorityList)>> = Vec::new();
         for (i, &host) in host_nodes.iter().enumerate() {
+            let mut host_users = Vec::new();
             let per_user_server = assignment.server_of_users(i);
             let ranking = crate::assign::server_ranking(&problem, &assignment, i);
             for (k, &primary_idx) in per_user_server.iter().enumerate() {
@@ -1455,11 +1488,14 @@ impl Deployment {
                         list.push(server_nodes[j]);
                     }
                 }
+                let authorities = AuthorityList::new(list);
                 directory
-                    .register(name.clone(), host, AuthorityList::new(list))
+                    .register(name.clone(), host, authorities.clone())
                     .expect("unique generated names");
-                users.insert(name, host);
+                users.insert(name.clone(), host);
+                host_users.push((name, authorities));
             }
+            users_by_host.push(host_users);
         }
 
         // Per-server views and region tables.
@@ -1503,7 +1539,7 @@ impl Deployment {
             );
             let actor = ServerActor {
                 node: s,
-                transport: Rc::clone(&placeholder_transport), // replaced below
+                transport: Rc::clone(&transport),
                 resolver,
                 store: lems_store::make_store(&cfg.durability),
                 last_start_time: SimTime::ZERO,
@@ -1522,62 +1558,33 @@ impl Deployment {
                 metrics: MetricsRegistry::new(),
             };
             let id = sim.add_actor(actor);
-            transport.bind(s, id);
+            assert_eq!(transport.actor_of(s), Ok(id), "server bound ahead of time");
             server_actors.insert(s, id);
         }
 
         // Spawn host actors.
         let mut host_actors = BTreeMap::new();
-        for &h in &host_nodes {
-            let mut ui_users = BTreeMap::new();
-            for (name, &home) in &users {
-                if home == h {
-                    // Every user in `users` was registered in the loop above.
-                    let Some(rec) = directory.by_name(name) else {
-                        continue;
-                    };
-                    ui_users.insert(
-                        name.clone(),
-                        UiUser {
-                            authorities: rec.authorities.clone(),
-                            last_checking_time: SimTime::ZERO,
-                            previously_unavailable: BTreeSet::new(),
-                            retrieval: None,
-                            pending_check: false,
-                        },
-                    );
-                }
-            }
-            let actor = HostActor {
+        for (&h, host_users) in host_nodes.iter().zip(users_by_host) {
+            let mut actor = HostActor {
                 node: h,
-                transport: Rc::clone(&placeholder_transport), // replaced below
-                users: ui_users,
+                transport: Rc::clone(&transport),
+                users: BTreeMap::new(),
+                check_slots: Vec::new(),
                 submits: BTreeMap::new(),
                 id_gen: Rc::clone(&id_gen),
                 stats: Rc::clone(&stats),
-                timer_purpose: BTreeMap::new(),
                 alerts: BTreeMap::new(),
                 server_proc: cfg.server_spec.proc_time,
                 retry: cfg.session.retry,
                 spans: Rc::clone(&spans),
                 metrics: MetricsRegistry::new(),
             };
+            for (name, authorities) in host_users {
+                actor.adopt_user(name, UiUser::new(authorities));
+            }
             let id = sim.add_actor(actor);
-            transport.bind(h, id);
+            assert_eq!(transport.actor_of(h), Ok(id), "host bound ahead of time");
             host_actors.insert(h, id);
-        }
-
-        // Now that all bindings exist, share the final transport.
-        let transport = Rc::new(transport);
-        for (&_node, &aid) in &server_actors {
-            if let Some(a) = sim.actor_mut::<ServerActor>(aid) {
-                a.transport = Rc::clone(&transport);
-            }
-        }
-        for (&_node, &aid) in &host_actors {
-            if let Some(a) = sim.actor_mut::<HostActor>(aid) {
-                a.transport = Rc::clone(&transport);
-            }
         }
 
         let host_region = host_nodes
@@ -1776,7 +1783,7 @@ impl Deployment {
             ui.pending_check = false;
             let new_aid = self.host_actors[&new_host];
             if let Some(h) = self.sim.actor_mut::<HostActor>(new_aid) {
-                h.users.insert(new_name.clone(), ui);
+                h.adopt_user(new_name.clone(), ui);
             }
         }
         self.users.insert(new_name.clone(), new_host);
