@@ -1,5 +1,5 @@
-//! SIM: sim-kernel throughput — calendar queue vs the retained ordered-map
-//! kernel, plus sharded-dispatch thread scaling, behind the committed
+//! SIM: sim-kernel throughput — the calendar queue in isolation (hold
+//! model) and end to end through actor dispatch, behind the committed
 //! `BENCH_sim.json` document.
 //!
 //! ```sh
@@ -23,8 +23,8 @@ use std::process::ExitCode;
 use lems_bench::emit::{gate_sim_times, json_flag, Report, SimBench};
 use lems_bench::render::{f1, Table};
 use lems_bench::sim_exp::{
-    full_actor_tiers, full_hold_tiers, full_shard_tiers, hold_child_main, measure_prof_overhead,
-    prof_gate_tier, run_suite, smoke_actor_tiers, smoke_hold_tiers, smoke_shard_tiers,
+    full_actor_tiers, full_hold_tiers, hold_child_main, measure_prof_overhead, prof_gate_tier,
+    run_suite, smoke_actor_tiers, smoke_hold_tiers,
 };
 
 struct Args {
@@ -97,27 +97,15 @@ fn main() -> ExitCode {
     };
 
     let doc = if args.smoke {
-        run_suite(
-            &smoke_hold_tiers(),
-            &smoke_actor_tiers(),
-            &smoke_shard_tiers(),
-            args.seed,
-            true,
-        )
+        run_suite(&smoke_hold_tiers(), &smoke_actor_tiers(), args.seed, true)
     } else {
-        run_suite(
-            &full_hold_tiers(),
-            &full_actor_tiers(),
-            &full_shard_tiers(),
-            args.seed,
-            true,
-        )
+        run_suite(&full_hold_tiers(), &full_actor_tiers(), args.seed, true)
     };
 
     let mut report = Report::new(
         "sim",
         format!(
-            "SIM — kernel throughput: calendar queue, pooled dispatch, sharded merge (seed {})",
+            "SIM — kernel throughput: calendar queue, pooled dispatch (seed {})",
             doc.seed
         ),
     );
@@ -140,60 +128,10 @@ fn main() -> ExitCode {
     }
     report.table("sim_tiers", &t);
 
-    // Speedup notes: calendar vs baseline per tier (hold and actor tiers
-    // run both engines over digest-identical work).
-    for label in doc
-        .tiers
-        .iter()
-        .filter(|t| t.engine == "baseline")
-        .map(|t| t.label.clone())
-        .collect::<Vec<_>>()
-    {
-        let cal = doc
-            .tiers
-            .iter()
-            .find(|t| t.label == label && t.engine == "calendar");
-        let base = doc
-            .tiers
-            .iter()
-            .find(|t| t.label == label && t.engine == "baseline");
-        if let (Some(cal), Some(base)) = (cal, base) {
-            if base.events_per_sec > 0.0 {
-                report.note(format!(
-                    "tier {}: calendar kernel runs {:.2}x the ordered-map kernel \
-                     ({:.0} vs {:.0} events/s) over a digest-identical event stream",
-                    label,
-                    cal.events_per_sec / base.events_per_sec,
-                    cal.events_per_sec,
-                    base.events_per_sec
-                ));
-            }
-        }
-    }
-    for tier in doc
-        .tiers
-        .iter()
-        .filter(|t| t.engine.starts_with("sharded-"))
-    {
-        if tier.threads > 1 {
-            if let Some(one) = doc
-                .tiers
-                .iter()
-                .find(|t| t.label == tier.label && t.threads == 1)
-            {
-                report.note(format!(
-                    "tier {}: {} threads run {:.2}x the 1-thread sharded engine, \
-                     digest-identical",
-                    tier.label,
-                    tier.threads,
-                    tier.events_per_sec / one.events_per_sec.max(f64::MIN_POSITIVE)
-                ));
-            }
-        }
-    }
     report.note(format!(
-        "peak RSS {} KiB; determinism contract: equal digests within every \
-         tier (asserted during the run, pinned by tests/kernel_equivalence.rs)",
+        "peak RSS {} KiB; determinism contract: every repetition of a tier \
+         digests identically (asserted during the run); hold digests are \
+         comparable against the committed BENCH_sim.json",
         doc.peak_rss_kib
     ));
 

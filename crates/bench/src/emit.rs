@@ -332,18 +332,18 @@ impl StoreBench {
     }
 }
 
-/// One engine's measurements at one tier of the sim-kernel throughput
-/// experiment (`BENCH_sim.json`).
+/// The measurements at one tier of the sim-kernel throughput experiment
+/// (`BENCH_sim.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimTier {
-    /// Tier label (`hold-smoke-1m`, `hold-10m`, `actor-10m`, `shard-2m`).
+    /// Tier label (`hold-smoke-1m`, `hold-10m`, `actor-10m`).
     pub label: String,
-    /// Engine measured: `calendar` (the current kernel), `baseline` (the
-    /// retained pre-refactor ordered-map kernel), or `sharded-<n>`.
+    /// Event queue measured: always `calendar`. With `label` it is the
+    /// key [`gate_sim_times`] matches rows on.
     pub engine: String,
-    /// Worker threads (1 for the sequential engines).
+    /// Worker threads: always 1, the engine is single-threaded.
     pub threads: usize,
-    /// Steady pending-event population (hold/actor tiers; 0 for sharded).
+    /// Steady pending-event population.
     pub pending: u64,
     /// Actors in the mesh (0 for the raw hold tiers).
     pub actors: u64,
@@ -354,12 +354,12 @@ pub struct SimTier {
     /// `events / wall_ms` as events per second — the headline throughput.
     pub events_per_sec: f64,
     /// Determinism fingerprint (hex): the pop-stream digest for hold
-    /// tiers, the trace digest for sharded tiers. Equal digests across
-    /// engines/thread counts prove the speedup measured identical work.
+    /// tiers, the delivered count for actor tiers. A rerun that digests
+    /// differently did different work, so its wall time is not comparable.
     pub digest: String,
 }
 
-/// The `BENCH_sim.json` document: per-tier, per-engine kernel throughput.
+/// The `BENCH_sim.json` document: per-tier kernel throughput.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimBench {
     /// Schema version (see [`BENCH_SCHEMA_VERSION`]).
@@ -371,9 +371,7 @@ pub struct SimBench {
     /// Peak resident set of the measuring process, KiB (`VmHWM`; 0 where
     /// `/proc` is unavailable).
     pub peak_rss_kib: u64,
-    /// Per-tier measurements: hold tiers first (calendar before baseline
-    /// within a tier), then actor tiers, then sharded tiers by ascending
-    /// thread count.
+    /// Per-tier measurements: hold tiers first, then actor tiers.
     pub tiers: Vec<SimTier>,
 }
 
@@ -677,12 +675,12 @@ mod tests {
     fn sim_doc_round_trips() {
         let d = sim_doc(vec![
             sim_tier("hold-smoke-1m", "calendar", 100.0),
-            sim_tier("hold-smoke-1m", "baseline", 700.0),
+            sim_tier("actor-smoke-500k", "calendar", 700.0),
         ]);
         let back: SimBench = serde_json::from_str(&d.to_json()).expect("round-trip");
         assert_eq!(back.schema_version, BENCH_SCHEMA_VERSION);
         assert_eq!(back.tiers.len(), 2);
-        assert_eq!(back.tiers[1].engine, "baseline");
+        assert_eq!(back.tiers[1].label, "actor-smoke-500k");
         assert_eq!(back.peak_rss_kib, 123_456);
         assert_eq!(d.to_json(), back.to_json());
     }
@@ -691,13 +689,14 @@ mod tests {
     fn sim_gate_matches_on_label_and_engine() {
         let base = sim_doc(vec![
             sim_tier("a", "calendar", 10.0),
-            sim_tier("a", "baseline", 70.0),
+            sim_tier("a", "other", 70.0),
         ]);
-        // The calendar engine regresses; the baseline engine is fine;
-        // tier `b` has no baseline entry and a sub-2ms tier is floored.
+        // `a/calendar` regresses; `a/other` is a different row and is
+        // fine; tier `b` has no baseline entry and a sub-2ms tier is
+        // floored.
         let cur = sim_doc(vec![
             sim_tier("a", "calendar", 15.0),
-            sim_tier("a", "baseline", 70.0),
+            sim_tier("a", "other", 70.0),
             sim_tier("b", "calendar", 99.0),
             sim_tier("floored", "calendar", 1.9),
         ]);

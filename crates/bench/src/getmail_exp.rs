@@ -14,10 +14,9 @@ use lems_net::generators::fig1;
 use lems_net::graph::NodeId;
 use lems_sim::actor::ActorId;
 use lems_sim::failure::FailurePlan;
-use lems_sim::metrics::MetricsRegistry;
+use lems_sim::metrics::{MetricsRegistry, Summary};
 use lems_sim::rng::SimRng;
 use lems_sim::span::SpanLog;
-use lems_sim::stats::Summary;
 use lems_sim::time::{SimDuration, SimTime};
 use lems_syntax::actors::{Deployment, DeploymentConfig, ServerFailurePlan};
 use lems_syntax::getmail::{poll_all, GetMailState, PlanStore};

@@ -1,28 +1,22 @@
-//! Experiment SIM: sim-kernel throughput — the calendar-queue hot path
-//! against the pre-refactor ordered-map kernel, and the sharded dispatcher's
-//! thread scaling, behind the committed `BENCH_sim.json`.
+//! Experiment SIM: sim-kernel throughput — the calendar-queue hot path in
+//! isolation and end to end through actor dispatch, behind the committed
+//! `BENCH_sim.json`.
 //!
-//! Three tier families:
+//! Two tier families:
 //!
 //! * **hold** — the classic hold model run directly on [`EventQueue`]: a
 //!   large steady pending set where every pop is followed by a push at
-//!   `popped + jitter`. This isolates the future-event list, which is where
-//!   the kernel refactor claims its win; both backends must produce the
-//!   identical `(time, seq)` pop stream (asserted via digest) so the
-//!   speedup is measured over byte-identical work.
-//! * **actor** — the same comparison end-to-end through [`ActorSim`]
-//!   dispatch (boxed handlers, FIFO lanes, counters), calendar vs the
-//!   retained baseline queue.
-//! * **shard** — [`ShardedSim`] under compute-heavy handlers on wide
-//!   same-instant batches at 1, 2, and 8 threads; every thread count must
-//!   digest identically (asserted) — the scaling numbers are only
-//!   meaningful because the work is proven to be the same.
+//!   `popped + jitter`. This isolates the future-event list. Each tier's
+//!   row carries an FNV digest of the complete `(time, seq)` pop stream, so
+//!   a queue change that reorders anything shows up as a digest change
+//!   against the committed document.
+//! * **actor** — the same kernel end to end through [`ActorSim`] dispatch
+//!   (boxed handlers, FIFO lanes, counters).
 
 use std::time::Instant;
 
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
 use lems_sim::queue::EventQueue;
-use lems_sim::shard::ShardedSim;
 use lems_sim::time::{SimDuration, SimTime};
 
 use crate::emit::{SimBench, SimTier, BENCH_SCHEMA_VERSION};
@@ -42,7 +36,7 @@ pub struct HoldTierSpec {
     pub spread: u64,
 }
 
-/// One actor-dispatch tier (calendar vs baseline queue, end to end).
+/// One actor-dispatch tier (the kernel end to end).
 #[derive(Clone, Copy, Debug)]
 pub struct ActorTierSpec {
     /// Tier label.
@@ -53,19 +47,6 @@ pub struct ActorTierSpec {
     pub in_flight: u64,
     /// Event budget per run.
     pub events: u64,
-}
-
-/// One sharded-dispatch tier.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardTierSpec {
-    /// Tier label.
-    pub label: &'static str,
-    /// Actors sharing each instant.
-    pub actors: usize,
-    /// Event budget per run.
-    pub events: u64,
-    /// Thread counts to measure (each must digest identically).
-    pub threads: &'static [usize],
 }
 
 /// The CI smoke ladder: small enough for the gate job, large enough
@@ -82,9 +63,8 @@ pub fn smoke_hold_tiers() -> Vec<HoldTierSpec> {
 
 /// The full committed hold ladder: a million-pending sparse tier, a
 /// duplicate-heavy tier where thousands of events share each instant, and
-/// the deep tier behind the headline speedup claim — 32 million pending
-/// events, where the ordered map pays a ~25-level descent with cold nodes
-/// per operation while the calendar's per-event work stays flat.
+/// a deep tier — 24 million pending events, a multi-gigabyte structure
+/// where every pop touches cold memory.
 pub fn full_hold_tiers() -> Vec<HoldTierSpec> {
     let mut tiers = smoke_hold_tiers();
     tiers.push(HoldTierSpec {
@@ -101,7 +81,7 @@ pub fn full_hold_tiers() -> Vec<HoldTierSpec> {
     });
     tiers.push(HoldTierSpec {
         label: "hold-10m-deep",
-        pending: 32_000_000,
+        pending: 24_000_000,
         events: 10_000_000,
         spread: 12_000,
     });
@@ -143,26 +123,6 @@ pub fn full_actor_tiers() -> Vec<ActorTierSpec> {
     tiers
 }
 
-/// Smoke sharded tier.
-pub fn smoke_shard_tiers() -> Vec<ShardTierSpec> {
-    vec![ShardTierSpec {
-        label: "shard-smoke-100k",
-        actors: 64,
-        events: 100_000,
-        threads: &[1, 2],
-    }]
-}
-
-/// Full sharded ladder.
-pub fn full_shard_tiers() -> Vec<ShardTierSpec> {
-    vec![ShardTierSpec {
-        label: "shard-2m",
-        actors: 256,
-        events: 2_000_000,
-        threads: &[1, 2, 8],
-    }]
-}
-
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1_000.0
 }
@@ -179,9 +139,7 @@ fn per_sec(events: u64, wall_ms: f64) -> f64 {
 /// over three runs. With process-isolated hold measurements the heap
 /// layout is reproducible run to run, so min-of-3 only has to absorb
 /// external interference (scheduler preemption, other tenants).
-fn reps_for(_events: u64) -> u32 {
-    3
-}
+const REPS: u32 = 3;
 
 /// Hold tiers with multi-gigabyte pending sets get two extra repetitions:
 /// their timed cycle is one long cold-memory walk, maximally exposed to
@@ -191,8 +149,20 @@ fn hold_reps_for(spec: &HoldTierSpec) -> u32 {
     if spec.pending >= 8_000_000 {
         5
     } else {
-        reps_for(spec.events)
+        REPS
     }
+}
+
+/// Runs `run` `reps` times and keeps the minimum wall time, asserting that
+/// every repetition returns the same fingerprint.
+fn min_wall(reps: u32, mut run: impl FnMut() -> (f64, u64)) -> (f64, u64) {
+    let (mut wall, fingerprint) = run();
+    for _ in 1..reps {
+        let (w, f) = run();
+        assert_eq!(f, fingerprint, "repetitions are deterministic");
+        wall = wall.min(w);
+    }
+    (wall, fingerprint)
 }
 
 /// Peak resident set of this process so far, in KiB (`VmHWM`), or 0 where
@@ -230,9 +200,8 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// A realistic event footprint: the kernel's own `Ev<M>` (discriminant,
 /// actor ids, a message payload) is this order of magnitude, not a bare
-/// integer. Payload size is where the two backends differ structurally —
-/// the ordered map copies payloads through every node shift and split,
-/// the calendar writes each into a pool slot exactly once.
+/// integer. The calendar writes each payload into a pool slot exactly
+/// once; only 24-byte index entries get sorted and shuffled.
 #[derive(Clone, Copy)]
 struct HoldEvent([u64; 8]);
 
@@ -266,18 +235,13 @@ fn hold_run(mut q: EventQueue<HoldEvent>, spec: &HoldTierSpec, seed: u64) -> (f6
 /// One hold measurement in this process: fill + timed cycle on a fresh
 /// queue. Returns wall time, pop-stream digest, and the process's peak
 /// RSS so far in KiB.
-fn hold_measure_in_process(spec: &HoldTierSpec, engine: &str, seed: u64) -> (f64, u64, u64) {
-    let q = if engine == "calendar" {
-        EventQueue::with_capacity(spec.pending)
-    } else {
-        EventQueue::baseline()
-    };
-    let (wall, digest) = hold_run(q, spec, seed);
+fn hold_measure_in_process(spec: &HoldTierSpec, seed: u64) -> (f64, u64, u64) {
+    let (wall, digest) = hold_run(EventQueue::with_capacity(spec.pending), spec, seed);
     (wall, digest, peak_rss_kib())
 }
 
 /// Environment handshake for process-isolated hold measurements:
-/// `engine:pending:events:spread:seed`.
+/// `pending:events:spread:seed`.
 pub const HOLD_CHILD_ENV: &str = "LEMS_SIM_HOLD_CHILD";
 
 /// Child-process hook for binaries that use [`run_hold_tier_isolated`]:
@@ -290,7 +254,6 @@ pub fn hold_child_main() -> bool {
         return false;
     };
     let mut parts = v.split(':');
-    let engine = parts.next().unwrap_or_default().to_owned();
     let mut num = || -> u64 {
         parts
             .next()
@@ -304,7 +267,7 @@ pub fn hold_child_main() -> bool {
         spread: num(),
     };
     let seed = num();
-    let (wall, digest, rss) = hold_measure_in_process(&spec, &engine, seed);
+    let (wall, digest, rss) = hold_measure_in_process(&spec, seed);
     println!("{wall:.6} {digest} {rss}");
     true
 }
@@ -312,21 +275,18 @@ pub fn hold_child_main() -> bool {
 /// One process-isolated hold measurement: re-executes the current binary
 /// with the [`HOLD_CHILD_ENV`] handshake so the fill + timed cycle runs on
 /// a pristine heap. In-process repetitions contaminate each other through
-/// recycled allocator pages — whichever engine runs *later* rebuilds its
-/// multi-gigabyte structure over pages the earlier one already faulted in,
-/// and min-of-N then reports that engine's warmed reps (worth ~20% to the
-/// ordered map at the deep tier). A fresh process per measurement makes
-/// both engines equally cold and the heap layout reproducible. Requires
-/// the calling binary to invoke [`hold_child_main`] before anything else.
-fn hold_measure_isolated(spec: &HoldTierSpec, engine: &str, seed: u64) -> (f64, u64, u64) {
+/// recycled allocator pages — a later repetition rebuilds its
+/// multi-gigabyte structure over pages an earlier one already faulted in,
+/// and min-of-N then reports the warmed reps. A fresh process per
+/// measurement makes every repetition equally cold and the heap layout
+/// reproducible. Requires the calling binary to invoke [`hold_child_main`]
+/// before anything else.
+fn hold_measure_isolated(spec: &HoldTierSpec, seed: u64) -> (f64, u64, u64) {
     let exe = std::env::current_exe().expect("resolve current executable");
     let out = std::process::Command::new(exe)
         .env(
             HOLD_CHILD_ENV,
-            format!(
-                "{engine}:{}:{}:{}:{seed}",
-                spec.pending, spec.events, spec.spread
-            ),
+            format!("{}:{}:{}:{seed}", spec.pending, spec.events, spec.spread),
         )
         .stderr(std::process::Stdio::inherit())
         .output()
@@ -349,65 +309,49 @@ fn hold_measure_isolated(spec: &HoldTierSpec, engine: &str, seed: u64) -> (f64, 
     (wall, digest, rss)
 }
 
-/// Runs one hold tier on both backends (`calendar` first, then
-/// `baseline`), asserting the pop streams are byte-identical. `measure`
-/// supplies each repetition's wall time, digest, and peak RSS; the tier
-/// keeps the minimum wall time, and the largest RSS any measurement saw is
-/// returned alongside the tiers.
+/// The `engine` label every row carries: there is one queue, and committed
+/// documents name it.
+const ENGINE: &str = "calendar";
+
+/// Runs one hold tier. `measure` supplies each repetition's wall time,
+/// digest, and peak RSS; the tier keeps the minimum wall time, and the
+/// largest RSS any measurement saw is returned alongside it.
 fn hold_tier_with(
     spec: &HoldTierSpec,
     seed: u64,
-    mut measure: impl FnMut(&HoldTierSpec, &str, u64) -> (f64, u64, u64),
-) -> (Vec<SimTier>, u64) {
-    let mut out = Vec::new();
-    let mut digests = Vec::new();
+    mut measure: impl FnMut(&HoldTierSpec, u64) -> (f64, u64, u64),
+) -> (SimTier, u64) {
     let mut max_rss = 0u64;
-    for engine in ["calendar", "baseline"] {
-        let mut best: Option<(f64, u64)> = None;
-        for _ in 0..hold_reps_for(spec) {
-            let (wall, digest, rss) = measure(spec, engine, seed);
-            max_rss = max_rss.max(rss);
-            best = Some(match best {
-                None => (wall, digest),
-                Some((w, d)) => {
-                    assert_eq!(d, digest, "hold runs are deterministic");
-                    (w.min(wall), d)
-                }
-            });
-        }
-        let (wall_ms, digest) = best.expect("at least one repetition runs");
-        digests.push(digest);
-        out.push(SimTier {
-            label: spec.label.to_owned(),
-            engine: engine.to_owned(),
-            threads: 1,
-            pending: spec.pending as u64,
-            actors: 0,
-            events: spec.events,
-            wall_ms,
-            events_per_sec: per_sec(spec.events, wall_ms),
-            digest: format!("{digest:#018x}"),
-        });
-    }
-    assert_eq!(
-        digests[0], digests[1],
-        "{}: calendar and baseline pop streams must be byte-identical",
-        spec.label
-    );
-    (out, max_rss)
+    let (wall_ms, digest) = min_wall(hold_reps_for(spec), || {
+        let (wall, digest, rss) = measure(spec, seed);
+        max_rss = max_rss.max(rss);
+        (wall, digest)
+    });
+    let tier = SimTier {
+        label: spec.label.to_owned(),
+        engine: ENGINE.to_owned(),
+        threads: 1,
+        pending: spec.pending as u64,
+        actors: 0,
+        events: spec.events,
+        wall_ms,
+        events_per_sec: per_sec(spec.events, wall_ms),
+        digest: format!("{digest:#018x}"),
+    };
+    (tier, max_rss)
 }
 
 /// In-process hold tier: every repetition shares this process's heap.
-/// Used by tests and oracles; the committed bench numbers come from
+/// Used by tests; the committed bench numbers come from
 /// [`run_hold_tier_isolated`] instead.
-pub fn run_hold_tier(spec: &HoldTierSpec, seed: u64) -> Vec<SimTier> {
+pub fn run_hold_tier(spec: &HoldTierSpec, seed: u64) -> SimTier {
     hold_tier_with(spec, seed, hold_measure_in_process).0
 }
 
-/// Process-isolated hold tier: each repetition of each engine runs in a
-/// fresh child process (see [`hold_measure_isolated`]). Returns the tiers
-/// plus the largest peak RSS any child reported.
-pub fn run_hold_tier_isolated(spec: &HoldTierSpec, seed: u64) -> (Vec<SimTier>, u64) {
+/// Process-isolated hold tier: each repetition runs in a fresh child
+/// process (see [`hold_measure_isolated`]). Returns the tier plus the
+/// largest peak RSS any child reported.
+pub fn run_hold_tier_isolated(spec: &HoldTierSpec, seed: u64) -> (SimTier, u64) {
     hold_tier_with(spec, seed, hold_measure_isolated)
 }
 
@@ -454,48 +398,21 @@ fn actor_run(sim: &mut ActorSim<u64>, spec: &ActorTierSpec) -> (f64, u64) {
     (wall, sim.counters().delivered.get())
 }
 
-/// Runs one actor tier end to end on both kernels, asserting equal
-/// delivery counts (the workloads are identical by construction).
-pub fn run_actor_tier(spec: &ActorTierSpec, seed: u64) -> Vec<SimTier> {
-    let mut out = Vec::new();
-    let mut delivered_seen = Vec::new();
-    for engine in ["calendar", "baseline"] {
-        let mut best: Option<(f64, u64)> = None;
-        for _ in 0..reps_for(spec.events) {
-            let mut sim = if engine == "calendar" {
-                ActorSim::new(seed)
-            } else {
-                ActorSim::new_with_baseline_queue(seed)
-            };
-            let (wall, delivered) = actor_run(&mut sim, spec);
-            best = Some(match best {
-                None => (wall, delivered),
-                Some((w, d)) => {
-                    assert_eq!(d, delivered, "actor runs are deterministic");
-                    (w.min(wall), d)
-                }
-            });
-        }
-        let (wall_ms, delivered) = best.expect("at least one repetition runs");
-        delivered_seen.push(delivered);
-        out.push(SimTier {
-            label: spec.label.to_owned(),
-            engine: engine.to_owned(),
-            threads: 1,
-            pending: spec.in_flight,
-            actors: spec.actors as u64,
-            events: delivered,
-            wall_ms,
-            events_per_sec: per_sec(delivered, wall_ms),
-            digest: format!("{delivered:#018x}"),
-        });
+/// Runs one actor tier end to end, keeping the minimum wall time over the
+/// repetitions.
+pub fn run_actor_tier(spec: &ActorTierSpec, seed: u64) -> SimTier {
+    let (wall_ms, delivered) = min_wall(REPS, || actor_run(&mut ActorSim::new(seed), spec));
+    SimTier {
+        label: spec.label.to_owned(),
+        engine: ENGINE.to_owned(),
+        threads: 1,
+        pending: spec.in_flight,
+        actors: spec.actors as u64,
+        events: delivered,
+        wall_ms,
+        events_per_sec: per_sec(delivered, wall_ms),
+        digest: format!("{delivered:#018x}"),
     }
-    assert_eq!(
-        delivered_seen[0], delivered_seen[1],
-        "{}: both kernels must process identical workloads",
-        spec.label
-    );
-    out
 }
 
 /// One paired profiling-overhead measurement: the same actor tier timed
@@ -573,116 +490,6 @@ pub fn measure_prof_overhead(spec: &ActorTierSpec, seed: u64, reps: u32) -> Prof
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded dispatch: thread scaling on compute-heavy wide instants.
-// ---------------------------------------------------------------------------
-
-/// ~a microsecond of real per-event work — the regime the sharded engine
-/// exists for, where handler compute dwarfs queue bookkeeping. An FNV
-/// chain the optimizer cannot elide because the result routes the next
-/// hop.
-fn spin(mut x: u64) -> u64 {
-    for _ in 0..512 {
-        x ^= x >> 33;
-        x = x.wrapping_mul(0x1000_0000_01b3);
-    }
-    x
-}
-
-/// Compute-heavy forwarder on a grid-quantized delay lattice, so every
-/// instant carries a wide batch for the sharded engine to fan out.
-struct Cruncher {
-    n: usize,
-    acc: u64,
-}
-
-impl Actor for Cruncher {
-    type Msg = u64;
-    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-        let me = ctx.me().0 as u64;
-        for k in 1..=8u64 {
-            ctx.send(
-                ActorId(((me + k) as usize) % self.n),
-                me.wrapping_mul(k),
-                SimDuration::from_ticks(250_000 * (1 + (me + k) % 4)),
-            );
-        }
-    }
-    fn on_message(&mut self, _from: ActorId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-        let hashed = spin(msg);
-        self.acc ^= hashed;
-        let me = ctx.me().0 as u64;
-        let to = ActorId(((me + 1 + hashed % 11) as usize) % self.n);
-        ctx.send(
-            to,
-            hashed,
-            SimDuration::from_ticks(250_000 * (1 + hashed % 4)),
-        );
-    }
-}
-
-fn shard_run(spec: &ShardTierSpec, seed: u64, threads: usize) -> (f64, u64, u64) {
-    let mut sim: ShardedSim<u64> = ShardedSim::new(seed, threads);
-    sim.enable_trace(1 << 16);
-    for _ in 0..spec.actors {
-        sim.add_actor(Cruncher {
-            n: spec.actors,
-            acc: 0,
-        });
-    }
-    let t0 = Instant::now();
-    let quiesced = sim.run_to_quiescence_bounded(spec.events);
-    let wall = ms(t0);
-    assert!(
-        !quiesced,
-        "forwarding traffic must keep the budget saturated"
-    );
-    let delivered = sim.counters().delivered.get();
-    let digest = sim.trace().digest();
-    (wall, delivered, digest)
-}
-
-/// Runs one sharded tier at every configured thread count, asserting the
-/// trace digests are identical across counts.
-pub fn run_shard_tier(spec: &ShardTierSpec, seed: u64) -> Vec<SimTier> {
-    let mut out = Vec::new();
-    let mut pinned: Option<u64> = None;
-    for &threads in spec.threads {
-        let mut best: Option<(f64, u64, u64)> = None;
-        for _ in 0..reps_for(spec.events) {
-            let (wall, delivered, digest) = shard_run(spec, seed, threads);
-            best = Some(match best {
-                None => (wall, delivered, digest),
-                Some((w, d, g)) => {
-                    assert_eq!(g, digest, "sharded runs are deterministic");
-                    (w.min(wall), d, g)
-                }
-            });
-        }
-        let (wall_ms, delivered, digest) = best.expect("at least one repetition runs");
-        match pinned {
-            None => pinned = Some(digest),
-            Some(p) => assert_eq!(
-                p, digest,
-                "{}: {threads} thread(s) diverged from the 1-thread digest",
-                spec.label
-            ),
-        }
-        out.push(SimTier {
-            label: spec.label.to_owned(),
-            engine: format!("sharded-{threads}"),
-            threads,
-            pending: 0,
-            actors: spec.actors as u64,
-            events: delivered,
-            wall_ms,
-            events_per_sec: per_sec(delivered, wall_ms),
-            digest: format!("{digest:#018x}"),
-        });
-    }
-    out
-}
-
 /// Runs the given ladders and assembles the `BENCH_sim.json` document.
 ///
 /// With `isolate_hold`, every hold repetition runs in a fresh child
@@ -692,7 +499,6 @@ pub fn run_shard_tier(spec: &ShardTierSpec, seed: u64) -> Vec<SimTier> {
 pub fn run_suite(
     hold: &[HoldTierSpec],
     actor: &[ActorTierSpec],
-    shard: &[ShardTierSpec],
     seed: u64,
     isolate_hold: bool,
 ) -> SimBench {
@@ -705,13 +511,10 @@ pub fn run_suite(
             (run_hold_tier(spec, seed), 0)
         };
         child_rss = child_rss.max(rss);
-        tiers.extend(t);
+        tiers.push(t);
     }
     for spec in actor {
-        tiers.extend(run_actor_tier(spec, seed));
-    }
-    for spec in shard {
-        tiers.extend(run_shard_tier(spec, seed));
+        tiers.push(run_actor_tier(spec, seed));
     }
     SimBench {
         schema_version: BENCH_SCHEMA_VERSION,
@@ -727,34 +530,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hold_tier_pins_identical_pop_streams() {
+    fn hold_tier_reports_one_calendar_row() {
         let spec = HoldTierSpec {
             label: "test-hold",
             pending: 2_000,
             events: 20_000,
             spread: 5_000,
         };
-        let tiers = run_hold_tier(&spec, 7);
-        assert_eq!(tiers.len(), 2);
-        assert_eq!(tiers[0].engine, "calendar");
-        assert_eq!(tiers[1].engine, "baseline");
-        assert_eq!(tiers[0].digest, tiers[1].digest);
-        assert_eq!(tiers[0].events, 20_000);
-        assert!(tiers[0].events_per_sec > 0.0);
+        let tier = run_hold_tier(&spec, 7);
+        assert_eq!(tier.engine, "calendar");
+        assert_eq!(tier.events, 20_000);
+        assert!(tier.events_per_sec > 0.0);
+    }
+
+    /// The pop stream of the smoke hold tier, pinned: this is the digest
+    /// the calendar queue and the `BTreeMap` queue it replaced both
+    /// produced while the bench still ran the two side by side (the
+    /// `hold-smoke-1m` rows of `BENCH_sim.json` up to PR 12).
+    #[test]
+    fn hold_smoke_pop_stream_is_pinned() {
+        let (_, digest, _) = hold_measure_in_process(&smoke_hold_tiers()[0], 42);
+        assert_eq!(digest, 0x9255_209d_8be5_60c8);
     }
 
     #[test]
-    fn actor_tier_processes_identical_workloads() {
+    fn actor_tier_saturates_its_budget() {
         let spec = ActorTierSpec {
             label: "test-actor",
             actors: 8,
             in_flight: 64,
             events: 10_000,
         };
-        let tiers = run_actor_tier(&spec, 7);
-        assert_eq!(tiers.len(), 2);
-        assert_eq!(tiers[0].events, tiers[1].events);
-        assert!(tiers[0].events >= 10_000);
+        let tier = run_actor_tier(&spec, 7);
+        assert_eq!(tier.engine, "calendar");
+        assert!(tier.events >= 10_000);
     }
 
     #[test]
@@ -769,21 +578,6 @@ mod tests {
         assert!(o.off_ms > 0.0 && o.on_ms > 0.0);
         assert!(o.dispatches >= 10_000, "profiler saw the whole run");
         assert!(o.overhead_frac.is_finite());
-    }
-
-    #[test]
-    fn shard_tier_digests_are_thread_invariant() {
-        let spec = ShardTierSpec {
-            label: "test-shard",
-            actors: 16,
-            events: 5_000,
-            threads: &[1, 2, 8],
-        };
-        let tiers = run_shard_tier(&spec, 7);
-        assert_eq!(tiers.len(), 3);
-        assert_eq!(tiers[0].digest, tiers[1].digest);
-        assert_eq!(tiers[1].digest, tiers[2].digest);
-        assert_eq!(tiers[2].engine, "sharded-8");
     }
 
     #[test]

@@ -27,9 +27,8 @@ use lems_net::graph::NodeId;
 use lems_net::topology::Topology;
 use lems_net::transport::Transport;
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
-use lems_sim::metrics::MetricsRegistry;
+use lems_sim::metrics::{MetricsRegistry, Summary};
 use lems_sim::session::RetryPolicy;
-use lems_sim::stats::Summary;
 use lems_sim::time::{SimDuration, SimTime};
 use lems_store::DurabilityConfig;
 

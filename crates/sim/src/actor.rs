@@ -16,12 +16,11 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::linkfault::LinkFaultPlan;
+use crate::metrics::Counter;
 use crate::prof::{Prof, ProfEvent, ProfSample};
 use crate::queue::{EventQueue, QueueStats};
 use crate::rng::SimRng;
 use crate::sched::{ReadyEvent, ReadyKind, Scheduler};
-use crate::shard::{Effect, ShardScratch};
-use crate::stats::Counter;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceKind};
 
@@ -51,16 +50,6 @@ impl std::fmt::Display for ActorId {
 /// by timer.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerId(u64);
-
-impl TimerId {
-    /// Namespaced timer ids for the sharded engine: each actor draws from
-    /// its own counter, packed above bit 40 by actor index so ids armed
-    /// concurrently on different shards can never collide with each other
-    /// (or with the sequential engine's dense ids in any realistic run).
-    pub(crate) fn namespaced(actor: usize, n: u64) -> TimerId {
-        TimerId(((actor as u64).wrapping_add(1) << 40) | (n & ((1 << 40) - 1)))
-    }
-}
 
 /// A simulated node: reacts to messages and timers via `&mut self`.
 ///
@@ -109,7 +98,7 @@ pub trait Actor: std::any::Any {
     }
 }
 
-pub(crate) enum Ev<M> {
+enum Ev<M> {
     Deliver {
         from: ActorId,
         to: ActorId,
@@ -153,31 +142,26 @@ pub struct SimCounters {
 }
 
 /// Engine internals shared with handlers through [`Ctx`].
-///
-/// Crate-visible so the sharded engine ([`crate::shard::ShardedSim`]) can
-/// reuse the exact same enqueue/send/timer semantics when it commits
-/// buffered effects — byte-identity between the two engines rests on both
-/// running this code.
-pub(crate) struct Core<M> {
-    pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<Ev<M>>,
-    pub(crate) down: Vec<bool>,
-    pub(crate) cancelled: HashSet<TimerId>,
-    pub(crate) next_timer: u64,
-    pub(crate) fifo: bool,
-    pub(crate) last_arrival: HashMap<(ActorId, ActorId), SimTime>,
-    pub(crate) counters: SimCounters,
-    pub(crate) trace: Trace,
-    pub(crate) rng: SimRng,
-    pub(crate) link_faults: Option<LinkFaultPlan>,
-    pub(crate) fault_rng: SimRng,
-    pub(crate) scheduler: Option<Box<dyn Scheduler>>,
-    pub(crate) prof: Prof,
+struct Core<M> {
+    now: SimTime,
+    queue: EventQueue<Ev<M>>,
+    down: Vec<bool>,
+    cancelled: HashSet<TimerId>,
+    next_timer: u64,
+    fifo: bool,
+    last_arrival: HashMap<(ActorId, ActorId), SimTime>,
+    counters: SimCounters,
+    trace: Trace,
+    rng: SimRng,
+    link_faults: Option<LinkFaultPlan>,
+    fault_rng: SimRng,
+    scheduler: Option<Box<dyn Scheduler>>,
+    prof: Prof,
 }
 
 impl<M> Core<M> {
     /// Engine state with all defaults, randomness derived from `seed`.
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Core {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -199,7 +183,7 @@ impl<M> Core<M> {
     }
 
     /// Queues a message for delivery after `delay` (FIFO clamp + trace).
-    pub(crate) fn enqueue(&mut self, from: ActorId, to: ActorId, msg: M, delay: SimDuration) {
+    fn enqueue(&mut self, from: ActorId, to: ActorId, msg: M, delay: SimDuration) {
         let mut at = self.now + delay;
         // External injections model independent workload arrivals, not a
         // physical link, so they are exempt from FIFO clamping.
@@ -216,7 +200,7 @@ impl<M> Core<M> {
         self.queue.push(at, Ev::Deliver { from, to, msg });
     }
 
-    pub(crate) fn send(&mut self, from: ActorId, to: ActorId, msg: M, delay: SimDuration)
+    fn send(&mut self, from: ActorId, to: ActorId, msg: M, delay: SimDuration)
     where
         M: Clone,
     {
@@ -265,7 +249,7 @@ impl<M> Core<M> {
         self.enqueue(from, to, msg, delay);
     }
 
-    pub(crate) fn set_timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) -> TimerId {
+    fn set_timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) -> TimerId {
         let id = TimerId(self.next_timer);
         self.next_timer += 1;
         self.queue
@@ -330,56 +314,17 @@ impl<M> Core<M> {
 
 /// Handler-side view of the engine: clock, messaging, timers, randomness.
 ///
-/// A `Ctx` is backed either by the live sequential engine (effects apply
-/// immediately) or, under [`crate::shard::ShardedSim`], by a per-shard
-/// scratch that buffers effects for an ordered commit on the coordinator.
-/// Actor code cannot tell the difference — that opacity is what lets the
-/// same `Actor` implementation run on both engines.
+/// Effects apply to the engine immediately, in the order the handler
+/// issues them.
 pub struct Ctx<'a, M> {
-    inner: CtxInner<'a, M>,
+    core: &'a mut Core<M>,
     me: ActorId,
-}
-
-enum CtxInner<'a, M> {
-    /// Sequential engine: effects act on the core directly.
-    Live(&'a mut Core<M>),
-    /// Sharded engine: effects buffer into the shard scratch and are
-    /// replayed in deterministic `(time, seq)` order at commit.
-    Shard(ShardScratch<'a, M>),
-}
-
-impl<'a, M> Ctx<'a, M> {
-    pub(crate) fn live(core: &'a mut Core<M>, me: ActorId) -> Self {
-        Ctx {
-            inner: CtxInner::Live(core),
-            me,
-        }
-    }
-
-    pub(crate) fn shard(scratch: ShardScratch<'a, M>, me: ActorId) -> Self {
-        Ctx {
-            inner: CtxInner::Shard(scratch),
-            me,
-        }
-    }
-
-    /// Consumes a shard-backed context, returning the effects the handler
-    /// buffered (empty for a live context — the effects already applied).
-    pub(crate) fn into_effects(self) -> Vec<Effect<M>> {
-        match self.inner {
-            CtxInner::Live(_) => Vec::new(),
-            CtxInner::Shard(scratch) => scratch.effects,
-        }
-    }
 }
 
 impl<M> Ctx<'_, M> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Live(core) => core.now,
-            CtxInner::Shard(s) => s.now,
-        }
+        self.core.now
     }
 
     /// The id of the actor whose handler is running.
@@ -397,86 +342,41 @@ impl<M> Ctx<'_, M> {
     where
         M: Clone,
     {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.send(self.me, to, msg, delay),
-            CtxInner::Shard(s) => s.effects.push(Effect::Send { to, msg, delay }),
-        }
+        self.core.send(self.me, to, msg, delay);
     }
 
     /// Sends `msg` to the actor itself after `delay` — a convenience for
     /// modelling local processing stages. Self-sends never traverse a link,
     /// so link faults do not apply.
     pub fn send_self(&mut self, msg: M, delay: SimDuration) {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.enqueue(self.me, self.me, msg, delay),
-            CtxInner::Shard(s) => s.effects.push(Effect::SendSelf { msg, delay }),
-        }
+        self.core.enqueue(self.me, self.me, msg, delay);
     }
 
     /// Arms a timer that fires after `delay`, delivering `tag` to
     /// [`Actor::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        match &mut self.inner {
-            CtxInner::Live(core) => core.set_timer(self.me, delay, tag),
-            CtxInner::Shard(s) => {
-                let id = TimerId::namespaced(s.actor_idx, *s.next_timer);
-                *s.next_timer += 1;
-                s.effects.push(Effect::SetTimer { id, delay, tag });
-                id
-            }
-        }
+        self.core.set_timer(self.me, delay, tag)
     }
 
     /// Cancels a pending timer. Cancelling an already-fired or foreign timer
     /// is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        match &mut self.inner {
-            CtxInner::Live(core) => {
-                core.cancelled.insert(id);
-            }
-            CtxInner::Shard(s) => {
-                // Recorded locally so a timer firing later in the same
-                // frozen batch (same shard) sees the cancellation, and as
-                // an effect so the commit makes it globally durable.
-                s.local_cancelled.push(id);
-                s.effects.push(Effect::CancelTimer { id });
-            }
-        }
+        self.core.cancelled.insert(id);
     }
 
-    /// Deterministic randomness.
-    ///
-    /// On the sequential engine this is a single stream scoped to the whole
-    /// simulation; under the sharded engine each actor draws from its own
-    /// forked stream (a per-actor function of the root seed), which is what
-    /// keeps parallel runs independent of thread count. Code that must
-    /// produce byte-identical runs on *both* engines should avoid ambient
-    /// draws or derive its own forked streams.
+    /// Deterministic randomness: a single stream scoped to the whole
+    /// simulation, drawn in handler execution order.
     pub fn rng(&mut self) -> &mut SimRng {
-        match &mut self.inner {
-            CtxInner::Live(core) => &mut core.rng,
-            CtxInner::Shard(s) => s.rng,
-        }
+        &mut self.core.rng
     }
 
     /// True if `actor` is currently crashed.
     ///
     /// Real mail software cannot ask this oracle; it exists for workload
     /// drivers and for assertions in tests. Protocol actors should rely on
-    /// timeouts instead. Under the sharded engine, the answer for *other*
-    /// actors reflects the batch-start snapshot (same-instant cross-shard
-    /// crashes are outside the sharded contract).
+    /// timeouts instead.
     pub fn is_down(&self, actor: ActorId) -> bool {
-        match &self.inner {
-            CtxInner::Live(core) => core.down.get(actor.0).copied().unwrap_or(false),
-            CtxInner::Shard(s) => {
-                if actor.0 == s.actor_idx {
-                    s.down_self
-                } else {
-                    s.shared_down.get(actor.0).copied().unwrap_or(false)
-                }
-            }
-        }
+        self.core.down.get(actor.0).copied().unwrap_or(false)
     }
 }
 
@@ -530,17 +430,6 @@ impl<M: 'static> ActorSim<M> {
             actors: Vec::new(),
             first_unstarted: 0,
         }
-    }
-
-    /// Creates an engine on the baseline (pre-calendar) event-queue
-    /// backend. Identical semantics to [`ActorSim::new`] — the backends
-    /// pop in the same `(time, seq)` order — retained so benchmarks can
-    /// measure the old queue and differential tests can cross-check whole
-    /// runs, not just queue operations.
-    pub fn new_with_baseline_queue(seed: u64) -> Self {
-        let mut sim = ActorSim::new(seed);
-        sim.core.queue = EventQueue::baseline();
-        sim
     }
 
     /// Disables per-pair FIFO delivery, allowing messages to reorder when
@@ -720,7 +609,10 @@ impl<M: 'static> ActorSim<M> {
         f: impl FnOnce(&mut dyn Actor<Msg = M>, &mut Ctx<'_, M>) -> R,
     ) -> Option<R> {
         let mut boxed = self.actors.get_mut(id.0)?.take()?;
-        let mut ctx = Ctx::live(&mut self.core, id);
+        let mut ctx = Ctx {
+            core: &mut self.core,
+            me: id,
+        };
         let out = f(boxed.as_mut(), &mut ctx);
         self.actors[id.0] = Some(boxed);
         Some(out)

@@ -6,30 +6,27 @@
 //! crate provides that simulator as a reusable library:
 //!
 //! * [`time`] — integer simulated time in paper "time units";
-//! * [`queue`] — the future-event list with deterministic FIFO tie-breaks,
-//!   backed by an amortized-O(1) calendar queue (with the previous ordered
-//!   map retained as a differential oracle);
+//! * [`queue`] — the future-event list with deterministic FIFO tie-breaks:
+//!   an amortized-O(1) calendar queue;
 //! * [`pool`] — the generation-checked payload slab behind the queue;
-//! * [`kernel`] — a minimal closure-driven event kernel;
 //! * [`actor`] — message-passing actors with timers, matching the delivery
 //!   model assumed by the paper (finite, in-sequence, error-free links);
 //! * [`failure`] — planned and random crash/repair injection;
 //! * [`sched`] — pluggable schedulers: FIFO replay, seeded schedule
 //!   fuzzing, and exhaustive small-scope interleaving exploration;
-//! * [`shard`] — parallel actor execution (frozen batch → ordered commit)
-//!   that is byte-identical to the sequential engine at any thread count;
 //! * [`prof`] — a deterministic kernel profiler (dispatch attribution,
-//!   queue health, shard batch stats) that changes no output byte;
+//!   queue health) that changes no output byte;
 //! * [`rng`] — seeded, forkable randomness so runs reproduce exactly;
-//! * [`stats`] — counters, time-weighted gauges, summaries, histograms;
 //! * [`trace`] — bounded in-memory event tracing;
 //! * [`span`] — causal message-lifecycle spans with a conservation auditor;
-//! * [`metrics`] — per-actor registries of counters, gauges, and
-//!   log-scale latency histograms, mergeable across actors and threads.
+//! * [`metrics`] — counters, summaries, time-weighted gauges, log-scale
+//!   latency histograms, and the per-actor registries that name and merge
+//!   them.
 //!
 //! Everything is deterministic by construction: a run is a pure function of
-//! its seed and configuration. The default engines are single-threaded; the
-//! [`shard`] engine adds worker threads without changing any output byte.
+//! its seed and configuration. There is one engine, [`actor::ActorSim`],
+//! and it is single-threaded: every event of every experiment pops from the
+//! one calendar queue and runs its handler on the calling thread.
 //!
 //! # Examples
 //!
@@ -58,7 +55,6 @@
 
 pub mod actor;
 pub mod failure;
-pub mod kernel;
 pub mod linkfault;
 pub mod metrics;
 pub mod pool;
@@ -67,9 +63,7 @@ pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod session;
-pub mod shard;
 pub mod span;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
@@ -78,15 +72,13 @@ pub mod prelude {
     pub use crate::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
     pub use crate::failure::{FailureError, FailurePlan};
     pub use crate::linkfault::{LinkFaultPlan, LinkProfile};
-    pub use crate::metrics::MetricsRegistry;
+    pub use crate::metrics::{Counter, LogHistogram, MetricsRegistry, Summary, TimeWeighted};
     pub use crate::rng::SimRng;
     pub use crate::sched::{
         ExploreBounds, Explorer, FifoScheduler, RandomScheduler, ReplayScheduler, Schedule,
         Scheduler,
     };
     pub use crate::session::RetryPolicy;
-    pub use crate::shard::ShardedSim;
     pub use crate::span::{SpanEvent, SpanId, SpanLog, SpanStage};
-    pub use crate::stats::{Counter, Histogram, LogHistogram, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};
 }

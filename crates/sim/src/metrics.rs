@@ -1,13 +1,15 @@
-//! A per-actor metrics registry: named counters, time-weighted gauges, and
-//! log-scale latency histograms.
+//! Measurement: counters, summaries, time-weighted gauges, log-scale
+//! histograms, and the per-actor [`MetricsRegistry`] that names them.
+//!
+//! The experiments in `lems-bench` report polls per retrieval, delivery
+//! latencies, server utilizations, and broadcast costs; the primitives here
+//! collect those observations inside simulations without imposing any I/O.
 //!
 //! Each instrumented actor owns one [`MetricsRegistry`]; a deployment
 //! collects the per-actor registries under scope names like `server:n4`
 //! and [`MetricsRegistry::merge`] folds them into fleet-wide aggregates —
-//! counters add, histograms add bucket-wise (see
-//! [`crate::stats::LogHistogram::merge`]), and the same fold works across
-//! `balance_par` worker threads because merging is associative and
-//! commutative.
+//! counters add, histograms add bucket-wise (see [`LogHistogram::merge`]);
+//! merging is associative and commutative, so the fold order is free.
 //!
 //! Keys are `&'static str` and storage is `BTreeMap`, so iteration order —
 //! and therefore any export built from it — is deterministic.
@@ -15,8 +17,457 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::stats::{LogHistogram, TimeWeighted};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
+
+/// A monotonically increasing event counter.
+///
+/// # Examples
+///
+/// ```
+/// use lems_sim::metrics::Counter;
+///
+/// let mut polls = Counter::default();
+/// polls.inc();
+/// polls.add(2);
+/// assert_eq!(polls.get(), 3);
+/// ```
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counter(u64);
+
+impl Counter {
+    /// Creates a counter at zero.
+    pub const fn new() -> Self {
+        Counter(0)
+    }
+
+    /// Increments by one.
+    pub fn inc(&mut self) {
+        self.0 += 1;
+    }
+
+    /// Increments by `n`.
+    pub fn add(&mut self, n: u64) {
+        self.0 += n;
+    }
+
+    /// Current value.
+    pub const fn get(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+impl fmt::Display for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+/// Running mean/min/max/variance over a stream of `f64` observations
+/// (Welford's algorithm; numerically stable, O(1) memory).
+///
+/// # Examples
+///
+/// ```
+/// use lems_sim::metrics::Summary;
+///
+/// let mut s = Summary::default();
+/// for x in [1.0, 2.0, 3.0, 4.0] {
+///     s.observe(x);
+/// }
+/// assert_eq!(s.mean(), 2.5);
+/// assert_eq!(s.min(), Some(1.0));
+/// assert_eq!(s.max(), Some(4.0));
+/// ```
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Summary {
+    count: u64,
+    mean: f64,
+    m2: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Summary {
+    /// Creates an empty summary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite.
+    pub fn observe(&mut self, x: f64) {
+        assert!(x.is_finite(), "Summary::observe requires finite values");
+        if self.count == 0 {
+            self.min = x;
+            self.max = x;
+        } else {
+            self.min = self.min.min(x);
+            self.max = self.max.max(x);
+        }
+        self.count += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+    }
+
+    /// Records a duration observation in paper time units.
+    pub fn observe_duration(&mut self, d: SimDuration) {
+        self.observe(d.as_units());
+    }
+
+    /// Number of observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Arithmetic mean (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.mean
+        }
+    }
+
+    /// Population variance (0.0 with fewer than two observations).
+    pub fn variance(&self) -> f64 {
+        if self.count < 2 {
+            0.0
+        } else {
+            self.m2 / self.count as f64
+        }
+    }
+
+    /// Population standard deviation.
+    pub fn stddev(&self) -> f64 {
+        self.variance().sqrt()
+    }
+
+    /// Smallest observation, if any.
+    pub fn min(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.min)
+    }
+
+    /// Largest observation, if any.
+    pub fn max(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.max)
+    }
+
+    /// Merges another summary into this one (parallel Welford merge).
+    pub fn merge(&mut self, other: &Summary) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        self.mean += delta * n2 / total;
+        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+}
+
+impl fmt::Display for Summary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "n={} mean={:.4} sd={:.4} min={:.4} max={:.4}",
+            self.count,
+            self.mean(),
+            self.stddev(),
+            self.min().unwrap_or(0.0),
+            self.max().unwrap_or(0.0)
+        )
+    }
+}
+
+/// A time-weighted gauge: tracks a piecewise-constant value (queue length,
+/// number of users assigned to a server, up/down state) and reports its
+/// time-average.
+///
+/// # Examples
+///
+/// ```
+/// use lems_sim::metrics::TimeWeighted;
+/// use lems_sim::time::SimTime;
+///
+/// let mut g = TimeWeighted::new(SimTime::ZERO, 0.0);
+/// g.set(SimTime::from_units(2.0), 10.0); // 0.0 for 2 units
+/// g.set(SimTime::from_units(4.0), 0.0);  // 10.0 for 2 units
+/// assert_eq!(g.average(SimTime::from_units(4.0)), 5.0);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct TimeWeighted {
+    last_change: SimTime,
+    current: f64,
+    weighted_sum: f64,
+    origin: SimTime,
+}
+
+impl TimeWeighted {
+    /// Starts tracking at `start` with initial value `value`.
+    pub fn new(start: SimTime, value: f64) -> Self {
+        TimeWeighted {
+            last_change: start,
+            current: value,
+            weighted_sum: 0.0,
+            origin: start,
+        }
+    }
+
+    /// Updates the value at instant `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` precedes the previous update.
+    pub fn set(&mut self, now: SimTime, value: f64) {
+        assert!(
+            now >= self.last_change,
+            "TimeWeighted updates must be in time order"
+        );
+        self.weighted_sum += self.current * now.duration_since(self.last_change).as_units();
+        self.last_change = now;
+        self.current = value;
+    }
+
+    /// Adds `delta` to the current value at instant `now`.
+    pub fn add(&mut self, now: SimTime, delta: f64) {
+        let next = self.current + delta;
+        self.set(now, next);
+    }
+
+    /// The current value.
+    pub fn current(&self) -> f64 {
+        self.current
+    }
+
+    /// Time-average of the value from the start of tracking until `now`.
+    /// Returns the current value if no time has elapsed.
+    pub fn average(&self, now: SimTime) -> f64 {
+        let span = now.duration_since(self.origin).as_units();
+        if span <= 0.0 {
+            return self.current;
+        }
+        let tail = self.current * now.duration_since(self.last_change).as_units();
+        (self.weighted_sum + tail) / span
+    }
+}
+
+/// A fixed-bucket log-scale histogram for latency-style observations whose
+/// interesting behavior lives in the tail: bucket edges grow geometrically,
+/// so relative quantile error is bounded by the growth factor across the
+/// whole range instead of degrading at the high end like a uniform layout.
+///
+/// Buckets with the same `(first_edge, growth, buckets)` shape merge
+/// losslessly across actors.
+///
+/// # Examples
+///
+/// ```
+/// use lems_sim::metrics::LogHistogram;
+///
+/// let mut h = LogHistogram::latency();
+/// for x in [0.3, 1.0, 2.0, 4.0, 250.0] {
+///     h.observe(x);
+/// }
+/// assert_eq!(h.count(), 5);
+/// assert_eq!(h.max(), Some(250.0));
+/// assert!(h.quantile(0.5).unwrap() >= 1.0);
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct LogHistogram {
+    /// Upper edge of bucket 0; buckets below cover `[0, first_edge)`.
+    first_edge: f64,
+    /// Ratio between consecutive bucket edges (> 1).
+    growth: f64,
+    bins: Vec<u64>,
+    overflow: u64,
+    count: u64,
+    sum: f64,
+    max: f64,
+}
+
+impl LogHistogram {
+    /// Creates a log-scale histogram: bucket `i` covers
+    /// `[first_edge * growth^(i-1), first_edge * growth^i)` with bucket 0
+    /// absorbing everything below `first_edge`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buckets == 0`, `first_edge` is not positive and finite,
+    /// or `growth <= 1`.
+    pub fn new(first_edge: f64, growth: f64, buckets: usize) -> Self {
+        assert!(buckets > 0, "log histogram needs at least one bucket");
+        assert!(
+            first_edge > 0.0 && first_edge.is_finite(),
+            "first bucket edge must be positive and finite"
+        );
+        assert!(
+            growth > 1.0 && growth.is_finite(),
+            "bucket growth factor must exceed 1"
+        );
+        LogHistogram {
+            first_edge,
+            growth,
+            bins: vec![0; buckets],
+            overflow: 0,
+            count: 0,
+            sum: 0.0,
+            max: 0.0,
+        }
+    }
+
+    /// The default latency layout: 64 buckets from 0.5 paper-time units
+    /// growing by `2^(1/4)` per bucket (≈19% relative quantile error),
+    /// covering roughly `[0.5, 32768)` units before overflow.
+    pub fn latency() -> Self {
+        LogHistogram::new(0.5, std::f64::consts::SQRT_2.sqrt(), 64)
+    }
+
+    /// Records one observation. Negative values clamp into bucket 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite.
+    pub fn observe(&mut self, x: f64) {
+        assert!(
+            x.is_finite(),
+            "LogHistogram::observe requires finite values"
+        );
+        if self.count == 0 || x > self.max {
+            self.max = x;
+        }
+        self.count += 1;
+        self.sum += x;
+        let idx = self.bucket_of(x);
+        if idx < self.bins.len() {
+            self.bins[idx] += 1;
+        } else {
+            self.overflow += 1;
+        }
+    }
+
+    /// Records a duration observation in paper time units.
+    pub fn observe_duration(&mut self, d: SimDuration) {
+        self.observe(d.as_units());
+    }
+
+    /// The bucket index `x` falls into (may be `bins.len()` = overflow).
+    fn bucket_of(&self, x: f64) -> usize {
+        if x < self.first_edge {
+            return 0;
+        }
+        // Edge of bucket i is first_edge * growth^i; invert via log.
+        let i = ((x / self.first_edge).ln() / self.growth.ln()).floor();
+        1 + i as usize
+    }
+
+    /// Upper edge of bucket `i`.
+    pub fn bucket_edge(&self, i: usize) -> f64 {
+        self.first_edge * self.growth.powi(i as i32)
+    }
+
+    /// Total observations (including overflow).
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Observations beyond the last bucket.
+    pub fn overflow(&self) -> u64 {
+        self.overflow
+    }
+
+    /// Per-bucket counts.
+    pub fn bins(&self) -> &[u64] {
+        &self.bins
+    }
+
+    /// Sum of all observations.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Mean of all observations (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Largest observation seen (exact, not bucketed), if any.
+    pub fn max(&self) -> Option<f64> {
+        (self.count > 0).then_some(self.max)
+    }
+
+    /// Estimates quantile `q` in `[0, 1]`; returns `None` when empty.
+    /// Reports the upper edge of the bucket holding the target rank;
+    /// overflow observations report as the exact maximum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside `[0, 1]`.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
+        if self.count == 0 {
+            return None;
+        }
+        let target = (q * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, &c) in self.bins.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                return Some(self.bucket_edge(i));
+            }
+        }
+        Some(self.max)
+    }
+
+    /// True if `other` has the same bucket layout and can merge losslessly.
+    pub fn same_layout(&self, other: &LogHistogram) -> bool {
+        self.bins.len() == other.bins.len()
+            && self.first_edge == other.first_edge
+            && self.growth == other.growth
+    }
+
+    /// Merges another histogram into this one (associative, commutative).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layouts differ (see [`LogHistogram::same_layout`]).
+    pub fn merge(&mut self, other: &LogHistogram) {
+        assert!(
+            self.same_layout(other),
+            "LogHistogram::merge requires identical bucket layouts"
+        );
+        if other.count > 0 && (self.count == 0 || other.max > self.max) {
+            self.max = other.max;
+        }
+        for (b, &o) in self.bins.iter_mut().zip(&other.bins) {
+            *b += o;
+        }
+        self.overflow += other.overflow;
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+}
 
 /// Named counters, gauges, and histograms for one actor (or one merged
 /// scope).
@@ -156,6 +607,176 @@ impl fmt::Display for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn counter_basics() {
+        let mut c = Counter::new();
+        assert_eq!(c.get(), 0);
+        c.inc();
+        c.add(4);
+        assert_eq!(c.get(), 5);
+        assert_eq!(format!("{c}"), "5");
+    }
+
+    #[test]
+    fn summary_statistics() {
+        let mut s = Summary::new();
+        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            s.observe(x);
+        }
+        assert!((s.mean() - 5.0).abs() < 1e-12);
+        assert!((s.stddev() - 2.0).abs() < 1e-12);
+        assert_eq!(s.min(), Some(2.0));
+        assert_eq!(s.max(), Some(9.0));
+    }
+
+    #[test]
+    fn summary_merge_matches_sequential() {
+        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
+        let mut whole = Summary::new();
+        for &x in &data {
+            whole.observe(x);
+        }
+        let mut left = Summary::new();
+        let mut right = Summary::new();
+        for &x in &data[..37] {
+            left.observe(x);
+        }
+        for &x in &data[37..] {
+            right.observe(x);
+        }
+        left.merge(&right);
+        assert_eq!(left.count(), whole.count());
+        assert!((left.mean() - whole.mean()).abs() < 1e-9);
+        assert!((left.variance() - whole.variance()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn time_weighted_average() {
+        let mut g = TimeWeighted::new(SimTime::ZERO, 1.0);
+        g.set(SimTime::from_units(1.0), 3.0);
+        g.add(SimTime::from_units(3.0), -2.0); // value 1.0 from t=3
+                                               // [0,1): 1.0, [1,3): 3.0, [3,5): 1.0 => (1 + 6 + 2)/5 = 1.8
+        assert!((g.average(SimTime::from_units(5.0)) - 1.8).abs() < 1e-9);
+        assert_eq!(g.current(), 1.0);
+    }
+
+    #[test]
+    fn time_weighted_empty_span() {
+        let g = TimeWeighted::new(SimTime::from_units(2.0), 7.0);
+        assert_eq!(g.average(SimTime::from_units(2.0)), 7.0);
+    }
+
+    #[test]
+    fn summary_variance_exact_on_known_stream() {
+        // Population variance of [1..=8] is 5.25; mean 4.5. Welford must
+        // reproduce both exactly (small integers are exact in f64).
+        let mut s = Summary::new();
+        for x in 1..=8 {
+            s.observe(f64::from(x));
+        }
+        assert_eq!(s.count(), 8);
+        assert!((s.mean() - 4.5).abs() < 1e-12);
+        assert!((s.variance() - 5.25).abs() < 1e-12);
+        // Constant stream: variance exactly zero, no drift.
+        let mut c = Summary::new();
+        for _ in 0..1000 {
+            c.observe(3.75);
+        }
+        assert_eq!(c.mean(), 3.75);
+        assert!(c.variance().abs() < 1e-18);
+    }
+
+    #[test]
+    fn summary_variance_merge_of_disjoint_halves() {
+        // Merging [0,0,0,0] and [10,10,10,10]: mean 5, variance 25.
+        let mut lo = Summary::new();
+        let mut hi = Summary::new();
+        for _ in 0..4 {
+            lo.observe(0.0);
+            hi.observe(10.0);
+        }
+        lo.merge(&hi);
+        assert_eq!(lo.count(), 8);
+        assert!((lo.mean() - 5.0).abs() < 1e-12);
+        assert!((lo.variance() - 25.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn log_histogram_exact_quantiles_and_max() {
+        // Powers of two land exactly on bucket boundaries of a growth-2
+        // layout: value 2^k falls in the bucket whose upper edge is
+        // 2^(k+1).
+        let mut h = LogHistogram::new(1.0, 2.0, 12);
+        for k in 0..10 {
+            h.observe(f64::from(1u32 << k)); // 1, 2, 4, ..., 512
+        }
+        assert_eq!(h.count(), 10);
+        assert_eq!(h.overflow(), 0);
+        assert_eq!(h.max(), Some(512.0));
+        // Rank 5 of 10 (q=0.5) is value 16 -> bucket edge 32.
+        assert_eq!(h.quantile(0.5), Some(32.0));
+        // q=1.0 is the last bucket holding data: value 512 -> edge 1024.
+        assert_eq!(h.quantile(1.0), Some(1024.0));
+        // Everything below the first edge clamps into bucket 0.
+        let mut lo = LogHistogram::new(1.0, 2.0, 4);
+        lo.observe(0.0);
+        lo.observe(-3.0);
+        assert_eq!(lo.bins()[0], 2);
+        assert_eq!(lo.quantile(0.5), Some(1.0));
+    }
+
+    #[test]
+    fn log_histogram_merge_is_associative() {
+        let mk = |xs: &[f64]| {
+            let mut h = LogHistogram::latency();
+            for &x in xs {
+                h.observe(x);
+            }
+            h
+        };
+        let a = mk(&[0.1, 1.0, 7.0]);
+        let b = mk(&[2.0, 2.0, 90.0]);
+        let c = mk(&[0.4, 400.0, 1e6]); // 1e6 overflows the latency layout
+                                        // (a ⊕ b) ⊕ c
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        // a ⊕ (b ⊕ c)
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut right = a.clone();
+        right.merge(&bc);
+        assert_eq!(left.bins(), right.bins());
+        assert_eq!(left.count(), right.count());
+        assert_eq!(left.overflow(), right.overflow());
+        assert_eq!(left.max(), right.max());
+        assert!((left.sum() - right.sum()).abs() < 1e-6);
+        // And both equal observing the whole stream directly.
+        let whole = mk(&[0.1, 1.0, 7.0, 2.0, 2.0, 90.0, 0.4, 400.0, 1e6]);
+        assert_eq!(left.bins(), whole.bins());
+        assert_eq!(left.count(), whole.count());
+        assert_eq!(left.overflow(), whole.overflow());
+        assert_eq!(left.max(), whole.max());
+        for q in [0.5, 0.9, 0.99] {
+            assert_eq!(left.quantile(q), whole.quantile(q), "q={q}");
+        }
+    }
+
+    proptest! {
+        /// Summary mean is always within [min, max].
+        #[test]
+        fn summary_mean_bounded(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
+            let mut s = Summary::new();
+            for &x in &xs {
+                s.observe(x);
+            }
+            prop_assert!(s.mean() >= s.min().unwrap() - 1e-9);
+            prop_assert!(s.mean() <= s.max().unwrap() + 1e-9);
+            prop_assert!(s.variance() >= -1e-9);
+        }
+    }
 
     #[test]
     fn counters_accumulate() {

@@ -4,33 +4,27 @@
 //! Two events scheduled for the same instant fire in the order they were
 //! scheduled. This is what makes same-seed runs byte-for-byte reproducible.
 //!
-//! # Backends
+//! # Structure
 //!
-//! The queue pops in exactly `(time, sequence)` order under either of two
-//! interchangeable backends:
+//! The queue is a bucketed *calendar queue* in the style of Brown (CACM
+//! 1988), rebuilt here for the mail simulations' hot path. Time is divided
+//! into power-of-two-wide *days*; each day hashes onto a ring of buckets.
+//! The current day is kept extracted into a sorted `front` vector consumed
+//! by a cursor, so `pop`, `peek_time` and the same-instant
+//! [`ready`](EventQueue::ready) view are O(1) and allocation-free in steady
+//! state. Pushes binary-insert into the front (same day) or append to a
+//! bucket (later day); days beyond the ring spill into a small ordered
+//! overflow map. Payloads live in a generation-checked
+//! [`Pool`](crate::pool::Pool), so the structures that get sorted and
+//! shuffled are 24-byte index entries, and freed slots recycle without
+//! touching the allocator. The ring resizes (and re-picks its day width from
+//! the observed inter-event gaps) when the pending count outgrows or
+//! undershoots it, keeping inserts and pops amortized O(1).
 //!
-//! * **Calendar** (default, [`EventQueue::new`]) — a bucketed *calendar
-//!   queue* in the style of Brown (CACM 1988), rebuilt here for the mail
-//!   simulations' hot path. Time is divided into power-of-two-wide *days*;
-//!   each day hashes onto a ring of buckets. The current day is kept
-//!   extracted into a sorted `front` vector consumed by a cursor, so
-//!   `pop`, `peek_time` and the same-instant [`ready`](EventQueue::ready)
-//!   view are O(1) and allocation-free in steady state. Pushes binary-insert
-//!   into the front (same day) or append to a bucket (later day); days
-//!   beyond the ring spill into a small ordered overflow map. Payloads live
-//!   in a generation-checked [`Pool`](crate::pool::Pool), so the structures
-//!   that get sorted and shuffled are 24-byte index entries, and freed slots
-//!   recycle without touching the allocator. The ring resizes (and re-picks
-//!   its day width from the observed inter-event gaps) when the pending
-//!   count outgrows or undershoots it, keeping inserts and pops amortized
-//!   O(1) where the previous ordered-map backend paid O(log n) per event.
+//! Pop order is exactly `(time, sequence)`; `tests/queue_differential.rs`
+//! crosses every operation against a `BTreeMap` model of that contract.
 //!
-//! * **Baseline** ([`EventQueue::baseline`]) — the previous
-//!   `BTreeMap<(time, seq), E>` implementation, kept as the differential
-//!   oracle for the calendar backend (`tests/queue_differential.rs`) and as
-//!   the measured before-side of the kernel throughput benchmark.
-//!
-//! Both backends expose the *ready set* — every event scheduled for the
+//! The queue exposes the *ready set* — every event scheduled for the
 //! earliest pending instant — so a [`Scheduler`](crate::sched::Scheduler)
 //! can pick which one fires next during schedule exploration.
 
@@ -94,10 +88,6 @@ struct Calendar<E> {
 }
 
 impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar::with_capacity(0)
-    }
-
     fn with_capacity(capacity: usize) -> Self {
         Calendar {
             pool: Pool::with_capacity(capacity),
@@ -364,17 +354,8 @@ fn estimate_shift(entries: &mut [Entry], current: u32) -> u32 {
     bits.clamp(1, MAX_SHIFT)
 }
 
-enum Backend<E> {
-    Calendar(Calendar<E>),
-    Baseline(BTreeMap<(SimTime, EventSeq), E>),
-}
-
 /// A point-in-time structural snapshot of an [`EventQueue`], for the
 /// kernel profiler ([`prof`](crate::prof)) and queue-health telemetry.
-///
-/// On the baseline backend only `depth` is meaningful; the calendar
-/// structure fields and pool counters stay zero (trees have no ring, no
-/// pool).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct QueueStats {
     /// Pending events.
@@ -420,7 +401,7 @@ pub struct QueueStats {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    cal: Calendar<E>,
     next_seq: u64,
 }
 
@@ -431,43 +412,24 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the calendar backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            backend: Backend::Calendar(Calendar::new()),
-            next_seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 
-    /// Creates an empty calendar-backed queue whose payload pool is
-    /// pre-sized for `capacity` simultaneously-pending events.
+    /// Creates an empty queue whose payload pool is pre-sized for
+    /// `capacity` simultaneously-pending events.
     ///
     /// Steady-state scheduling never allocates once the pool has warmed up
     /// to the peak pending count; pre-sizing reaches that state in one
     /// contiguous allocation instead of a doubling ladder, which matters
     /// for multi-gigabyte pending sets where reallocation churn fragments
-    /// the slab across the address space. (The baseline ordered map has no
-    /// equivalent: trees allocate per node, by construction.)
+    /// the slab across the address space.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            backend: Backend::Calendar(Calendar::with_capacity(capacity)),
+            cal: Calendar::with_capacity(capacity),
             next_seq: 0,
         }
-    }
-
-    /// Creates an empty queue on the baseline ordered-map backend: the
-    /// pre-calendar implementation, kept as the differential-test oracle
-    /// and as the before-side of throughput benchmarks.
-    pub fn baseline() -> Self {
-        EventQueue {
-            backend: Backend::Baseline(BTreeMap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// True when this queue runs the baseline ordered-map backend.
-    pub fn is_baseline(&self) -> bool {
-        matches!(self.backend, Backend::Baseline(_))
     }
 
     /// Schedules `event` to fire at `at`. Returns the sequence number
@@ -475,12 +437,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) -> EventSeq {
         let seq = EventSeq(self.next_seq);
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(at.as_ticks(), seq.0, event),
-            Backend::Baseline(m) => {
-                m.insert((at, seq), event);
-            }
-        }
+        self.cal.push(at.as_ticks(), seq.0, event);
         seq
     }
 
@@ -492,57 +449,43 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event together with its sequence
     /// number.
     pub fn pop_with_seq(&mut self) -> Option<(SimTime, EventSeq, E)> {
-        match &mut self.backend {
-            Backend::Calendar(c) => c
-                .pop()
-                .map(|(t, s, e)| (SimTime::from_ticks(t), EventSeq(s), e)),
-            Backend::Baseline(m) => m.pop_first().map(|((at, seq), e)| (at, seq, e)),
-        }
+        self.cal
+            .pop()
+            .map(|(t, s, e)| (SimTime::from_ticks(t), EventSeq(s), e))
     }
 
     /// The firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.peek().map(|e| SimTime::from_ticks(e.ticks)),
-            Backend::Baseline(m) => m.first_key_value().map(|((at, _), _)| *at),
-        }
+        self.cal.peek().map(|e| SimTime::from_ticks(e.ticks))
     }
 
     /// Iterates over the *ready set*: every event scheduled for the earliest
     /// pending instant, in scheduling (sequence) order. Empty when the queue
     /// is empty.
     ///
-    /// The view borrows payloads in place — nothing is cloned or moved, on
-    /// either backend.
+    /// The view borrows payloads in place — nothing is cloned or moved.
     pub fn ready(&self) -> impl Iterator<Item = (SimTime, EventSeq, &E)> {
-        match &self.backend {
-            Backend::Calendar(c) => ReadyIter::Calendar {
-                pool: &c.pool,
-                rest: c.front[c.cursor..].iter(),
-                head: c.peek().map_or(0, |e| e.ticks),
-            },
-            Backend::Baseline(m) => ReadyIter::Baseline {
-                head: m.first_key_value().map(|((at, _), _)| *at),
-                iter: m.iter(),
-            },
-        }
+        let c = &self.cal;
+        let head = c.peek().map_or(0, |e| e.ticks);
+        c.front[c.cursor..].iter().map_while(move |e| {
+            if e.ticks != head {
+                return None;
+            }
+            c.pool
+                .get(e.slot)
+                .map(|p| (SimTime::from_ticks(e.ticks), EventSeq(e.seq), p))
+        })
     }
 
     /// Removes a specific event by its firing time and sequence number.
     /// Used by schedulers to fire a ready event other than the head.
     pub fn remove(&mut self, at: SimTime, seq: EventSeq) -> Option<E> {
-        match &mut self.backend {
-            Backend::Calendar(c) => c.remove(at.as_ticks(), seq.0),
-            Backend::Baseline(m) => m.remove(&(at, seq)),
-        }
+        self.cal.remove(at.as_ticks(), seq.0)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len,
-            Backend::Baseline(m) => m.len(),
-        }
+        self.cal.len
     }
 
     /// True when no events are pending.
@@ -555,86 +498,34 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// A structural snapshot for queue-health telemetry. See
-    /// [`QueueStats`] for the baseline backend's reduced coverage.
+    /// A structural snapshot for queue-health telemetry.
     pub fn stats(&self) -> QueueStats {
-        match &self.backend {
-            Backend::Calendar(c) => {
-                let pool = c.pool.stats();
-                QueueStats {
-                    depth: c.len,
-                    front: c.front.len().saturating_sub(c.cursor),
-                    in_buckets: c.in_buckets,
-                    overflow: c.overflow.len(),
-                    buckets: c.buckets.len(),
-                    resizes: c.resizes,
-                    pool_live: pool.live,
-                    pool_capacity: pool.capacity,
-                    pool_hits: pool.hits,
-                    pool_misses: pool.misses,
-                    pool_grows: pool.grows,
-                }
-            }
-            Backend::Baseline(m) => QueueStats {
-                depth: m.len(),
-                ..QueueStats::default()
-            },
+        let c = &self.cal;
+        let pool = c.pool.stats();
+        QueueStats {
+            depth: c.len,
+            front: c.front.len().saturating_sub(c.cursor),
+            in_buckets: c.in_buckets,
+            overflow: c.overflow.len(),
+            buckets: c.buckets.len(),
+            resizes: c.resizes,
+            pool_live: pool.live,
+            pool_capacity: pool.capacity,
+            pool_hits: pool.hits,
+            pool_misses: pool.misses,
+            pool_grows: pool.grows,
         }
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Calendar(c) => c.clear(),
-            Backend::Baseline(m) => m.clear(),
-        }
-    }
-}
-
-enum ReadyIter<'a, E> {
-    Calendar {
-        pool: &'a Pool<E>,
-        rest: std::slice::Iter<'a, Entry>,
-        head: u64,
-    },
-    Baseline {
-        head: Option<SimTime>,
-        iter: std::collections::btree_map::Iter<'a, (SimTime, EventSeq), E>,
-    },
-}
-
-impl<'a, E> Iterator for ReadyIter<'a, E> {
-    type Item = (SimTime, EventSeq, &'a E);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            ReadyIter::Calendar { pool, rest, head } => {
-                let e = rest.next()?;
-                if e.ticks != *head {
-                    return None;
-                }
-                pool.get(e.slot)
-                    .map(|p| (SimTime::from_ticks(e.ticks), EventSeq(e.seq), p))
-            }
-            ReadyIter::Baseline { head, iter } => {
-                let (&(at, seq), e) = iter.next()?;
-                if Some(at) != *head {
-                    return None;
-                }
-                Some((at, seq, e))
-            }
-        }
+        self.cal.clear();
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.backend {
-            Backend::Calendar(_) => "calendar",
-            Backend::Baseline(_) => "baseline",
-        };
         f.debug_struct("EventQueue")
-            .field("backend", &backend)
             .field("pending", &self.len())
             .field("scheduled_total", &self.next_seq)
             .finish_non_exhaustive()
@@ -646,72 +537,61 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn both() -> [EventQueue<i32>; 2] {
-        [EventQueue::new(), EventQueue::baseline()]
-    }
-
     #[test]
     fn orders_by_time() {
-        for mut q in both() {
-            q.push(SimTime::from_ticks(30), 3);
-            q.push(SimTime::from_ticks(10), 1);
-            q.push(SimTime::from_ticks(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-        }
+        let mut q: EventQueue<i32> = EventQueue::new();
+        q.push(SimTime::from_ticks(30), 3);
+        q.push(SimTime::from_ticks(10), 1);
+        q.push(SimTime::from_ticks(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn fifo_within_same_instant() {
-        for mut q in both() {
-            let t = SimTime::from_ticks(5);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        let mut q: EventQueue<i32> = EventQueue::new();
+        let t = SimTime::from_ticks(5);
+        for i in 0..100 {
+            q.push(t, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_and_len() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime::from_ticks(7), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_ticks(7)));
-            assert_eq!(q.len(), 1);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 1);
-        }
+        let mut q: EventQueue<i32> = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::from_ticks(7), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(7)));
+        assert_eq!(q.len(), 1);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 1);
     }
 
     #[test]
     fn ready_set_covers_exactly_the_earliest_instant() {
-        for backend in [EventQueue::new(), EventQueue::baseline()] {
-            let mut q = backend;
-            q.push(SimTime::from_ticks(5), "a");
-            q.push(SimTime::from_ticks(5), "b");
-            q.push(SimTime::from_ticks(9), "c");
-            let ready: Vec<&str> = q.ready().map(|(_, _, e)| *e).collect();
-            assert_eq!(ready, vec!["a", "b"]);
-        }
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ticks(5), "a");
+        q.push(SimTime::from_ticks(5), "b");
+        q.push(SimTime::from_ticks(9), "c");
+        let ready: Vec<&str> = q.ready().map(|(_, _, e)| *e).collect();
+        assert_eq!(ready, vec!["a", "b"]);
     }
 
     #[test]
     fn remove_targets_a_specific_entry() {
-        for backend in [EventQueue::new(), EventQueue::baseline()] {
-            let mut q = backend;
-            let t = SimTime::from_ticks(5);
-            q.push(t, "a");
-            let seq_b = q.push(t, "b");
-            q.push(t, "c");
-            assert_eq!(q.remove(t, seq_b), Some("b"));
-            assert_eq!(q.remove(t, seq_b), None);
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec!["a", "c"]);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ticks(5);
+        q.push(t, "a");
+        let seq_b = q.push(t, "b");
+        q.push(t, "c");
+        assert_eq!(q.remove(t, seq_b), Some("b"));
+        assert_eq!(q.remove(t, seq_b), None);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["a", "c"]);
     }
 
     #[test]
@@ -799,37 +679,6 @@ mod tests {
         assert_eq!(drained.depth, 0);
         assert_eq!(drained.pool_live, 0);
         assert!(drained.resizes >= s.resizes, "shrink also counts");
-
-        let mut b = EventQueue::baseline();
-        b.push(SimTime::from_ticks(1), 1u64);
-        assert_eq!(b.stats().depth, 1);
-        assert_eq!(b.stats().buckets, 0, "baseline reports no calendar fields");
-    }
-
-    #[test]
-    fn interleaved_push_pop_tracks_baseline() {
-        // A quick deterministic differential check; the exhaustive
-        // command-sequence version lives in tests/queue_differential.rs.
-        let mut cal = EventQueue::new();
-        let mut base = EventQueue::baseline();
-        let mut x = 9u64;
-        for round in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let t = SimTime::from_ticks((x >> 33) % 500_000);
-            cal.push(t, round);
-            base.push(t, round);
-            if x.is_multiple_of(3) {
-                assert_eq!(cal.pop_with_seq(), base.pop_with_seq());
-            }
-            assert_eq!(cal.peek_time(), base.peek_time());
-            assert_eq!(cal.len(), base.len());
-        }
-        while !base.is_empty() {
-            assert_eq!(cal.pop_with_seq(), base.pop_with_seq());
-        }
-        assert!(cal.pop().is_none());
     }
 
     proptest! {

@@ -66,29 +66,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent stream from a numeric salt — the indexed
-    /// counterpart of [`SimRng::fork`], for per-actor or per-shard streams
-    /// where the discriminant is a dense integer rather than a label.
-    ///
-    /// Like `fork`, this does not consume randomness from `self`: the
-    /// stream for a given salt is the same regardless of draw order or of
-    /// which other salts were forked.
-    pub fn fork_u64(&self, salt: u64) -> SimRng {
-        // FNV-1a over the salt's little-endian bytes, mixed exactly as the
-        // labelled fork mixes, so `fork_u64(n)` and `fork(label)` draw from
-        // disjoint families unless the label collides byte-for-byte.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in salt.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let derived = h ^ self.seed.rotate_left(17);
-        SimRng {
-            inner: StdRng::seed_from_u64(derived),
-            seed: derived,
-        }
-    }
-
     /// Uniform draw from a range.
     ///
     /// # Panics

@@ -1,11 +1,12 @@
-//! Differential test battery: the calendar-queue backend against the
-//! baseline ordered-map oracle.
+//! Differential test battery: the calendar [`EventQueue`] against an
+//! ordered-map model of its contract.
 //!
-//! [`EventQueue::baseline`] is the pre-calendar `BTreeMap<(time, seq), E>`
-//! implementation, kept in-tree precisely so this suite can drive both
-//! backends through identical command sequences and demand identical
-//! observable behaviour at every step: pop order, peek, ready-set contents,
-//! targeted removal, lengths, and final drain.
+//! [`Model`] below is the reference implementation — a
+//! `BTreeMap<(time, seq), payload>`, which is what the queue was before the
+//! calendar structure replaced it. It lives here, not in the production
+//! type, so this suite can drive both through identical command sequences
+//! and demand identical observable behaviour at every step: pop order,
+//! peek, ready-set contents, targeted removal, lengths, and final drain.
 //!
 //! The command generator is weighted to hit the calendar queue's structural
 //! edges:
@@ -17,21 +18,65 @@
 //! * interleaved pops/removals/clears — front-cursor maintenance, ring
 //!   growth and shrink mid-sequence.
 
-use lems_sim::queue::{EventQueue, EventSeq};
+use std::collections::BTreeMap;
+
+use lems_sim::queue::{EventQueue, EventSeq, QueueStats};
 use lems_sim::time::SimTime;
 use proptest::prelude::*;
+
+/// The queue's contract, stated as an ordered map: events fire in
+/// `(time, sequence)` order and sequence numbers count every push.
+#[derive(Default)]
+struct Model {
+    map: BTreeMap<(SimTime, EventSeq), u64>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, at: SimTime, payload: u64) -> EventSeq {
+        let seq = EventSeq(self.next_seq);
+        self.next_seq += 1;
+        self.map.insert((at, seq), payload);
+        seq
+    }
+
+    fn pop_with_seq(&mut self) -> Option<(SimTime, EventSeq, u64)> {
+        self.map.pop_first().map(|((at, seq), e)| (at, seq, e))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.pop_with_seq().map(|(at, _, e)| (at, e))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.map.first_key_value().map(|((at, _), _)| *at)
+    }
+
+    fn ready(&self) -> Vec<(SimTime, u64, u64)> {
+        let head = self.peek_time();
+        self.map
+            .iter()
+            .take_while(|((at, _), _)| Some(*at) == head)
+            .map(|(&(at, seq), &e)| (at, seq.0, e))
+            .collect()
+    }
+
+    fn remove(&mut self, at: SimTime, seq: EventSeq) -> Option<u64> {
+        self.map.remove(&(at, seq))
+    }
+}
 
 #[derive(Clone, Debug)]
 enum Cmd {
     /// Schedule the next payload at this tick.
     Push(u64),
-    /// Pop the earliest event; both backends must agree on time and payload.
+    /// Pop the earliest event; queue and model must agree on time and payload.
     Pop,
     /// Pop with the sequence number exposed.
     PopWithSeq,
     /// Remove a previously pushed (time, seq) entry, selected by index into
-    /// the push history (possibly already popped/removed — both backends
-    /// must then agree it is gone).
+    /// the push history (possibly already popped/removed — both must then
+    /// agree it is gone).
     Remove(usize),
     /// Snapshot the full same-instant ready set.
     Ready,
@@ -68,75 +113,106 @@ fn decode(op: u32, raw: u64, idx: usize) -> Cmd {
     }
 }
 
-/// Runs one command sequence through both backends, asserting equal
-/// observables after every command, then drains both to empty.
-fn run_differential(cmds: &[Cmd]) {
+/// Runs one command sequence through the queue and the model, asserting
+/// equal observables after every command, then drains both to empty.
+/// Returns the peak pending count and the queue's final structure snapshot.
+fn run_differential(cmds: &[Cmd]) -> (usize, QueueStats) {
     let mut cal: EventQueue<u64> = EventQueue::new();
-    let mut base: EventQueue<u64> = EventQueue::baseline();
-    assert!(!cal.is_baseline());
-    assert!(base.is_baseline());
+    let mut model = Model::default();
     let mut payload: u64 = 0;
     let mut history: Vec<(SimTime, EventSeq)> = Vec::new();
+    let mut peak = 0;
 
     for c in cmds {
         match c {
             Cmd::Push(t) => {
                 let at = SimTime::from_ticks(*t);
                 let s1 = cal.push(at, payload);
-                let s2 = base.push(at, payload);
+                let s2 = model.push(at, payload);
                 assert_eq!(s1, s2, "seq assignment must match");
                 history.push((at, s1));
                 payload += 1;
             }
             Cmd::Pop => {
-                assert_eq!(cal.pop(), base.pop());
+                assert_eq!(cal.pop(), model.pop());
             }
             Cmd::PopWithSeq => {
-                assert_eq!(cal.pop_with_seq(), base.pop_with_seq());
+                assert_eq!(cal.pop_with_seq(), model.pop_with_seq());
             }
             Cmd::Remove(i) => {
                 if !history.is_empty() {
                     let (at, seq) = history[i % history.len()];
-                    assert_eq!(cal.remove(at, seq), base.remove(at, seq));
+                    assert_eq!(cal.remove(at, seq), model.remove(at, seq));
                 }
             }
             Cmd::Ready => {
                 let r1: Vec<(SimTime, u64, u64)> =
                     cal.ready().map(|(at, s, e)| (at, s.0, *e)).collect();
-                let r2: Vec<(SimTime, u64, u64)> =
-                    base.ready().map(|(at, s, e)| (at, s.0, *e)).collect();
-                assert_eq!(r1, r2, "ready sets must match");
+                assert_eq!(r1, model.ready(), "ready sets must match");
             }
             Cmd::Peek => {
-                assert_eq!(cal.peek_time(), base.peek_time());
+                assert_eq!(cal.peek_time(), model.peek_time());
             }
             Cmd::Clear => {
                 cal.clear();
-                base.clear();
+                model.map.clear();
             }
         }
-        assert_eq!(cal.len(), base.len());
-        assert_eq!(cal.is_empty(), base.is_empty());
-        assert_eq!(cal.peek_time(), base.peek_time());
-        assert_eq!(cal.scheduled_total(), base.scheduled_total());
+        assert_eq!(cal.len(), model.map.len());
+        assert_eq!(cal.is_empty(), model.map.is_empty());
+        assert_eq!(cal.peek_time(), model.peek_time());
+        assert_eq!(cal.scheduled_total(), model.next_seq);
+        peak = peak.max(cal.len());
     }
 
     // Final drain: the complete remaining order must agree.
     loop {
         let a = cal.pop_with_seq();
-        let b = base.pop_with_seq();
+        let b = model.pop_with_seq();
         assert_eq!(a, b);
         if b.is_none() {
             break;
         }
     }
+    (peak, cal.stats())
+}
+
+/// One long deterministic sequence, so the structural paths the short
+/// random cases only graze — ring growth over many doublings, shrink on
+/// the way back down, overflow spill with a deep ring — are crossed against
+/// the model on every run. Three LCG-driven phases over the same `decode`:
+/// fill (no clears, pushes outnumber pops), drain (pops, removals, probes),
+/// then the full opcode mix including clears.
+#[test]
+fn long_seeded_sequence_matches_model_at_depth() {
+    let mut x: u64 = 42;
+    let mut draw = || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        x >> 16
+    };
+    let mut cmds = Vec::with_capacity(120_000);
+    for (n, ops) in [(60_000, 0..15u32), (40_000, 8..15), (20_000, 0..16)] {
+        for _ in 0..n {
+            let op = ops.start + (draw() % u64::from(ops.end - ops.start)) as u32;
+            cmds.push(decode(op, draw(), draw() as usize));
+        }
+    }
+    let (peak, stats) = run_differential(&cmds);
+    assert!(peak >= 4_096, "fill phase reached depth {peak}");
+    assert!(
+        stats.resizes >= 16,
+        "ring grew and shrank: {} resizes",
+        stats.resizes
+    );
 }
 
 proptest! {
-    /// Random command sequences: every observable identical on both
-    /// backends, step by step.
+    /// Random command sequences: every observable identical on queue and
+    /// model, step by step.
     #[test]
-    fn calendar_matches_baseline_oracle(
+    fn calendar_matches_model(
         raw in proptest::collection::vec((0u32..16, 0u64..=u64::MAX, 0usize..1_000_000), 1..400),
     ) {
         let cmds: Vec<Cmd> = raw.into_iter().map(|(op, r, i)| decode(op, r, i)).collect();

@@ -38,10 +38,9 @@ use lems_net::transport::Transport;
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
 use lems_sim::failure::{FailureError, Outage};
 use lems_sim::linkfault::{LinkFaultPlan, LinkProfile};
-use lems_sim::metrics::MetricsRegistry;
+use lems_sim::metrics::{MetricsRegistry, Summary};
 use lems_sim::session::RetryPolicy;
 use lems_sim::span::{BounceCode, ResolveCode, SpanId, SpanLog, SpanStage, NO_NODE};
-use lems_sim::stats::Summary;
 use lems_sim::time::{SimDuration, SimTime};
 use lems_store::DurabilityConfig;
 

@@ -2,7 +2,7 @@
 //!
 //! The sim kernel's refactor safety net: every audit scenario family
 //! (steady/failover/chaos/durability), the explore s1/s2 kernels, and a
-//! kernel-level shard battery are pinned byte-identical — by trace digest —
+//! kernel-level feature battery are pinned byte-identical — by trace digest —
 //! to `GOLDEN_kernel_digests.txt`, which was generated on the pre-refactor
 //! engine (PR 8, `BTreeMap` event queue, sequential dispatch) and is
 //! committed. A kernel change that reorders, retimes, drops, or duplicates
@@ -10,15 +10,13 @@
 //!
 //! Two evidence layers:
 //!
-//! 1. **Sequential pins** — the full production scenarios (which hold
-//!    non-`Send` `Rc` state and therefore always run sequentially) replayed
-//!    on the current kernel must digest equal to the committed values.
-//! 2. **Shard battery** — kernel-level scenarios with `Send` actors
-//!    covering every engine feature (FIFO lanes, timers + cancellation,
-//!    crash/recover windows, link faults with drop/dup/jitter). Each is
-//!    pinned to its committed sequential digest *and* required to digest
-//!    equal when run on [`ShardedSim`] at thread counts 1, 2, and 8 — the
-//!    thread-count-invariance contract.
+//! 1. **Production scenarios** — the full audit and explore scenarios
+//!    replayed on the current kernel must digest equal to the committed
+//!    values.
+//! 2. **Kernel battery** — small kernel-level scenarios that between them
+//!    cover every engine feature (FIFO lanes, timers + cancellation,
+//!    crash/recover windows, link faults with drop/dup/jitter), so a
+//!    divergence points at the feature rather than at a mail protocol.
 //!
 //! Regenerate the golden file (only after an *intentional* semantic
 //! change, with the diff reviewed) via:
@@ -32,12 +30,9 @@ use std::path::PathBuf;
 
 use lems_check::explore::kernel_fifo_digests;
 use lems_check::scenarios;
-use lems_sim::actor::SimCounters;
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
 use lems_sim::linkfault::{LinkFaultPlan, LinkProfile};
-use lems_sim::shard::ShardedSim;
 use lems_sim::time::{SimDuration, SimTime};
-use lems_sim::trace::Trace;
 
 /// Event budget for one battery run — far above what any scenario needs,
 /// so exhaustion means a runaway loop, not a tight limit.
@@ -82,15 +77,13 @@ fn assert_pinned(golden: &BTreeMap<String, u64>, name: &str, digest: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard battery: kernel-level scenarios with `Send` actors.
+// Kernel battery.
 //
-// These exercise every engine feature that the sharded dispatcher must
-// reproduce: same-instant contention on FIFO lanes, self-sends, timers
-// armed/cancelled (including a same-instant in-batch cancellation), crash
-// and recovery windows with traffic in flight, and link faults drawing
-// drop/dup/jitter decisions from the engine's fault stream. Handlers draw
-// no ambient randomness (`Ctx::rng`), which is exactly the sharded
-// engine's determinism contract — see DESIGN.md §13.
+// These exercise every engine feature: same-instant contention on FIFO
+// lanes, self-sends, timers armed/cancelled (including a cancellation by a
+// same-instant earlier timer), crash and recovery windows with traffic in
+// flight, and link faults drawing drop/dup/jitter decisions from the
+// engine's fault stream.
 // ---------------------------------------------------------------------------
 
 fn unit(u: f64) -> SimDuration {
@@ -99,87 +92,6 @@ fn unit(u: f64) -> SimDuration {
 
 fn t(u: f64) -> SimTime {
     SimTime::from_units(u)
-}
-
-/// The engine surface a battery scenario needs, implemented by both the
-/// sequential and the sharded engine so one builder populates either.
-trait BatteryEngine {
-    fn add<A: Actor<Msg = Msg> + Send + 'static>(&mut self, actor: A) -> ActorId;
-    fn inject_msg(&mut self, to: ActorId, msg: Msg, delay: SimDuration);
-    fn crash_at(&mut self, actor: ActorId, at: SimTime);
-    fn recover_at(&mut self, actor: ActorId, at: SimTime);
-    fn faults(&mut self, plan: LinkFaultPlan);
-    fn trace_all(&mut self);
-    fn run_bounded(&mut self, max_events: u64) -> bool;
-    fn counters(&self) -> &SimCounters;
-    fn trace(&self) -> &Trace;
-    fn clock(&self) -> SimTime;
-}
-
-impl BatteryEngine for ActorSim<Msg> {
-    fn add<A: Actor<Msg = Msg> + Send + 'static>(&mut self, actor: A) -> ActorId {
-        self.add_actor(actor)
-    }
-    fn inject_msg(&mut self, to: ActorId, msg: Msg, delay: SimDuration) {
-        self.inject(to, msg, delay);
-    }
-    fn crash_at(&mut self, actor: ActorId, at: SimTime) {
-        self.schedule_crash(actor, at);
-    }
-    fn recover_at(&mut self, actor: ActorId, at: SimTime) {
-        self.schedule_recover(actor, at);
-    }
-    fn faults(&mut self, plan: LinkFaultPlan) {
-        self.set_link_faults(plan);
-    }
-    fn trace_all(&mut self) {
-        self.enable_trace(usize::MAX);
-    }
-    fn run_bounded(&mut self, max_events: u64) -> bool {
-        self.run_to_quiescence_bounded(max_events)
-    }
-    fn counters(&self) -> &SimCounters {
-        ActorSim::counters(self)
-    }
-    fn trace(&self) -> &Trace {
-        ActorSim::trace(self)
-    }
-    fn clock(&self) -> SimTime {
-        self.now()
-    }
-}
-
-impl BatteryEngine for ShardedSim<Msg> {
-    fn add<A: Actor<Msg = Msg> + Send + 'static>(&mut self, actor: A) -> ActorId {
-        self.add_actor(actor)
-    }
-    fn inject_msg(&mut self, to: ActorId, msg: Msg, delay: SimDuration) {
-        self.inject(to, msg, delay);
-    }
-    fn crash_at(&mut self, actor: ActorId, at: SimTime) {
-        self.schedule_crash(actor, at);
-    }
-    fn recover_at(&mut self, actor: ActorId, at: SimTime) {
-        self.schedule_recover(actor, at);
-    }
-    fn faults(&mut self, plan: LinkFaultPlan) {
-        self.set_link_faults(plan);
-    }
-    fn trace_all(&mut self) {
-        self.enable_trace(usize::MAX);
-    }
-    fn run_bounded(&mut self, max_events: u64) -> bool {
-        self.run_to_quiescence_bounded(max_events)
-    }
-    fn counters(&self) -> &SimCounters {
-        ShardedSim::counters(self)
-    }
-    fn trace(&self) -> &Trace {
-        ShardedSim::trace(self)
-    }
-    fn clock(&self) -> SimTime {
-        self.now()
-    }
 }
 
 /// Battery message: `(ttl << 8) | hop-salt`, packed so forwarding rules are
@@ -195,8 +107,8 @@ fn with_ttl(m: Msg, ttl: u64) -> Msg {
 }
 
 /// Quantized mesh delays: a small set of grid-aligned values so many
-/// events share instants (same-instant batches are where scheduling
-/// freedom — and therefore shard-merge bugs — live).
+/// events share instants (same-instant ties are where ordering bugs
+/// live).
 fn mesh_delay(a: u64, b: u64) -> SimDuration {
     unit(0.25 * (1.0 + ((a * 7 + b * 3) % 4) as f64))
 }
@@ -241,18 +153,18 @@ impl Actor for MeshActor {
 
 /// `mesh-burst`: 8 mesh actors, FIFO links, plus one injection to an
 /// unregistered id (the dropped-unknown path).
-fn mesh_burst(sim: &mut impl BatteryEngine) {
+fn mesh_burst(sim: &mut ActorSim<Msg>) {
     for _ in 0..8 {
-        sim.add(MeshActor { n: 8, received: 0 });
+        sim.add_actor(MeshActor { n: 8, received: 0 });
     }
-    sim.inject_msg(ActorId(999), with_ttl(0, 1), unit(1.0));
-    sim.inject_msg(ActorId(0), with_ttl(5, 12), unit(0.5));
-    sim.trace_all();
+    sim.inject(ActorId(999), with_ttl(0, 1), unit(1.0));
+    sim.inject(ActorId(0), with_ttl(5, 12), unit(0.5));
+    sim.enable_trace(usize::MAX);
 }
 
 /// Arms periodic timers, re-arms across rounds, and cancels: one timer
 /// cancelled at arm time, and a same-instant pair where the earlier-seq
-/// timer's handler cancels the later-seq one *in the same batch*.
+/// timer's handler cancels the later-seq one *at the same instant*.
 struct TimerActor {
     n: usize,
     rounds: u64,
@@ -273,7 +185,7 @@ impl Actor for TimerActor {
         let stillborn = ctx.set_timer(unit(2.0), TAG_DOOMED);
         ctx.cancel_timer(stillborn);
         // Same-instant pair: KILLER (earlier seq) fires first at t=3 and
-        // cancels DOOMED (later seq, same instant) from inside the batch.
+        // cancels DOOMED (later seq, same instant).
         ctx.set_timer(unit(3.0), TAG_KILLER);
         self.doomed = Some(ctx.set_timer(unit(3.0), TAG_DOOMED));
     }
@@ -308,16 +220,16 @@ impl Actor for TimerActor {
 }
 
 /// `timer-cancel`: 6 timer actors ticking, re-arming, and cancelling.
-fn timer_cancel(sim: &mut impl BatteryEngine) {
+fn timer_cancel(sim: &mut ActorSim<Msg>) {
     for _ in 0..6 {
-        sim.add(TimerActor {
+        sim.add_actor(TimerActor {
             n: 6,
             rounds: 0,
             doomed: None,
             fired_tags: 0,
         });
     }
-    sim.trace_all();
+    sim.enable_trace(usize::MAX);
 }
 
 /// Mesh actor that announces its recovery to two neighbours.
@@ -346,63 +258,51 @@ impl Actor for ChurnActor {
 
 /// `crash-churn`: 8 churn actors under two staggered crash/recover waves
 /// with mesh traffic in flight — deliveries into the windows drop.
-fn crash_churn(sim: &mut impl BatteryEngine) {
+fn crash_churn(sim: &mut ActorSim<Msg>) {
     for _ in 0..8 {
-        sim.add(ChurnActor {
+        sim.add_actor(ChurnActor {
             inner: MeshActor { n: 8, received: 0 },
         });
     }
     for i in 0..4usize {
         let a = ActorId(i);
-        sim.crash_at(a, t(2.0 + 0.5 * i as f64));
-        sim.recover_at(a, t(6.0 + 0.5 * i as f64));
-        sim.crash_at(a, t(9.0 + 0.25 * i as f64));
-        sim.recover_at(a, t(12.0 + 0.25 * i as f64));
+        sim.schedule_crash(a, t(2.0 + 0.5 * i as f64));
+        sim.schedule_recover(a, t(6.0 + 0.5 * i as f64));
+        sim.schedule_crash(a, t(9.0 + 0.25 * i as f64));
+        sim.schedule_recover(a, t(12.0 + 0.25 * i as f64));
     }
-    sim.trace_all();
+    sim.enable_trace(usize::MAX);
 }
 
 /// `chaos-links`: the mesh under a lossy, duplicating, jittery default
 /// profile plus one hard outage window — every fault draw comes from the
 /// engine's dedicated fault stream.
-fn chaos_links(sim: &mut impl BatteryEngine) {
+fn chaos_links(sim: &mut ActorSim<Msg>) {
     for _ in 0..8 {
-        sim.add(MeshActor { n: 8, received: 0 });
+        sim.add_actor(MeshActor { n: 8, received: 0 });
     }
     let mut plan = LinkFaultPlan::new().with_default_profile(
         LinkProfile::new(0.15, 0.05, unit(0.5)).expect("probabilities are in range"),
     );
     plan.add_link_outage(ActorId(0), ActorId(1), t(1.0), t(4.0))
         .expect("window is well-formed");
-    sim.faults(plan);
-    sim.trace_all();
+    sim.set_link_faults(plan);
+    sim.enable_trace(usize::MAX);
 }
 
-/// The battery scenario names; [`populate`] builds each one.
+/// The battery scenario names; [`battery`] builds each one.
 const BATTERY: [&str; 4] = ["mesh-burst", "timer-cancel", "crash-churn", "chaos-links"];
 
-/// Populates `sim` with the named battery scenario.
-fn populate(name: &str, sim: &mut impl BatteryEngine) {
+/// Builds the named battery scenario.
+fn battery(name: &str, seed: u64) -> ActorSim<Msg> {
+    let mut sim = ActorSim::new(seed);
     match name {
-        "mesh-burst" => mesh_burst(sim),
-        "timer-cancel" => timer_cancel(sim),
-        "crash-churn" => crash_churn(sim),
-        "chaos-links" => chaos_links(sim),
+        "mesh-burst" => mesh_burst(&mut sim),
+        "timer-cancel" => timer_cancel(&mut sim),
+        "crash-churn" => crash_churn(&mut sim),
+        "chaos-links" => chaos_links(&mut sim),
         other => panic!("unknown battery scenario `{other}`"),
     }
-}
-
-/// Builds the named scenario on the sequential engine.
-fn battery_seq(name: &str, seed: u64) -> ActorSim<Msg> {
-    let mut sim = ActorSim::new(seed);
-    populate(name, &mut sim);
-    sim
-}
-
-/// Builds the named scenario on the sharded engine.
-fn battery_sharded(name: &str, seed: u64, threads: usize) -> ShardedSim<Msg> {
-    let mut sim = ShardedSim::new(seed, threads);
-    populate(name, &mut sim);
     sim
 }
 
@@ -410,9 +310,9 @@ fn battery_sharded(name: &str, seed: u64, threads: usize) -> ShardedSim<Msg> {
 /// folded with every counter and the final clock, so a divergence in any
 /// observable — event stream, drop accounting, timer suppression, end time
 /// — changes the digest.
-fn battery_digest(sim: &mut impl BatteryEngine) -> u64 {
+fn battery_digest(sim: &mut ActorSim<Msg>) -> u64 {
     assert!(
-        sim.run_bounded(BATTERY_BUDGET),
+        sim.run_to_quiescence_bounded(BATTERY_BUDGET),
         "battery scenario failed to quiesce"
     );
     let c = sim.counters();
@@ -427,7 +327,7 @@ fn battery_digest(sim: &mut impl BatteryEngine) -> u64 {
         c.timers_suppressed.get(),
         c.crashes.get(),
         c.recoveries.get(),
-        sim.clock().as_ticks(),
+        sim.now().as_ticks(),
     ] {
         h ^= x;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -466,36 +366,12 @@ fn explore_kernels_match_pre_refactor_digests() {
 }
 
 #[test]
-fn shard_battery_sequential_matches_pre_refactor_digests() {
+fn kernel_battery_matches_pre_refactor_digests() {
     let golden = load_golden();
     for name in BATTERY {
         for seed in SEEDS {
-            let digest = battery_digest(&mut battery_seq(name, seed));
+            let digest = battery_digest(&mut battery(name, seed));
             assert_pinned(&golden, &format!("battery/{name}@{seed}"), digest);
-        }
-    }
-}
-
-/// The thread-count-invariance contract: every battery scenario, run on
-/// the sharded engine at 1, 2, and 8 threads, must reproduce the committed
-/// pre-refactor sequential digest byte for byte.
-#[test]
-fn shard_battery_is_thread_count_invariant() {
-    let golden = load_golden();
-    for name in BATTERY {
-        for seed in SEEDS {
-            for threads in [1, 2, 8] {
-                let digest = battery_digest(&mut battery_sharded(name, seed, threads));
-                let key = format!("battery/{name}@{seed}");
-                let Some(&expected) = golden.get(&key) else {
-                    panic!("no committed digest for `{key}`");
-                };
-                assert_eq!(
-                    digest, expected,
-                    "`{name}` seed {seed} at {threads} thread(s) diverged from the \
-                     sequential digest: got {digest:#018x}, pinned {expected:#018x}"
-                );
-            }
         }
     }
 }
@@ -526,7 +402,7 @@ fn regenerate_golden_digests() {
     }
     for name in BATTERY {
         for seed in SEEDS {
-            let digest = battery_digest(&mut battery_seq(name, seed));
+            let digest = battery_digest(&mut battery(name, seed));
             lines.push(format!("battery/{name}@{seed} {digest:#018x}"));
         }
     }
