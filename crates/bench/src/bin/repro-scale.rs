@@ -84,8 +84,8 @@ fn main() -> ExitCode {
     let mut report = Report::new(
         "scale",
         format!(
-            "SCALE — §3.1.1 assignment pipeline at size (seed {}, {} thread(s))",
-            assign.seed, assign.threads
+            "SCALE — §3.1.1 assignment pipeline at size (seed {})",
+            assign.seed
         ),
     );
 
@@ -97,7 +97,6 @@ fn main() -> ExitCode {
         "matrix ms",
         "classic ms",
         "sync ms",
-        "par ms",
         "passes",
         "moves",
         "rho max",
@@ -113,7 +112,6 @@ fn main() -> ExitCode {
             f1(tier.matrix_build_ms),
             tier.classic_ms.map_or_else(|| "-".into(), f1),
             f1(tier.sync_ms),
-            f1(tier.par_ms),
             tier.passes.to_string(),
             tier.moves.to_string(),
             f3(tier.rho_max),
@@ -152,10 +150,7 @@ fn main() -> ExitCode {
         ]);
     }
     report.table("getmail_tiers", &g);
-    report.note(
-        "determinism contract: same seed => same digest at any thread count \
-         (tests/assign_differential.rs)",
-    );
+    report.note("determinism contract: same seed => same digest (tests/assign_differential.rs)");
 
     report.emit(args.json);
 

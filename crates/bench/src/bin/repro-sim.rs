@@ -111,13 +111,12 @@ fn main() -> ExitCode {
     );
 
     let mut t = Table::new(vec![
-        "tier", "engine", "threads", "pending", "actors", "events", "wall ms", "events/s", "digest",
+        "tier", "engine", "pending", "actors", "events", "wall ms", "events/s", "digest",
     ]);
     for tier in &doc.tiers {
         t.row(vec![
             tier.label.clone(),
             tier.engine.clone(),
-            tier.threads.to_string(),
             tier.pending.to_string(),
             tier.actors.to_string(),
             tier.events.to_string(),

@@ -177,14 +177,10 @@ pub struct AssignTier {
     /// re-evaluation per tentative move); `None` above the sizes where it
     /// is tractable.
     pub classic_ms: Option<f64>,
-    /// Wall time for the sequential synchronous-pass solver, milliseconds.
+    /// Wall time for the scaled synchronous-pass solver, milliseconds.
     pub sync_ms: f64,
-    /// Wall time for the parallel synchronous-pass solver, milliseconds.
-    pub par_ms: f64,
-    /// `classic_ms / par_ms` where the classic solver ran.
+    /// `classic_ms / sync_ms` where the classic solver ran.
     pub speedup_vs_classic: Option<f64>,
-    /// `sync_ms / par_ms` (≈1 on a single-core machine by design).
-    pub speedup_vs_sync: f64,
     /// Synchronous passes to convergence.
     pub passes: u64,
     /// Accepted transfers.
@@ -196,7 +192,7 @@ pub struct AssignTier {
     /// Final objective `Σ A_ij · TC_ij`.
     pub total_cost: f64,
     /// FNV-1a fingerprint of the final assignment (hex) — the determinism
-    /// contract: same seed, same digest, at any thread count.
+    /// contract: same seed, same digest.
     pub digest: String,
 }
 
@@ -233,8 +229,6 @@ pub struct AssignBench {
     pub experiment: String,
     /// RNG seed the topologies were generated from.
     pub seed: u64,
-    /// Worker threads the parallel paths actually used.
-    pub threads: usize,
     /// Per-tier measurements, smallest tier first.
     pub tiers: Vec<AssignTier>,
 }
@@ -248,8 +242,6 @@ pub struct GetMailBench {
     pub experiment: String,
     /// RNG seed the topologies were generated from.
     pub seed: u64,
-    /// Worker threads the parallel paths actually used.
-    pub threads: usize,
     /// Per-tier measurements, smallest tier first.
     pub tiers: Vec<GetMailTier>,
 }
@@ -341,8 +333,6 @@ pub struct SimTier {
     /// Event queue measured: always `calendar`. With `label` it is the
     /// key [`gate_sim_times`] matches rows on.
     pub engine: String,
-    /// Worker threads: always 1, the engine is single-threaded.
-    pub threads: usize,
     /// Steady pending-event population.
     pub pending: u64,
     /// Actors in the mesh (0 for the raw hold tiers).
@@ -400,9 +390,9 @@ pub struct Regression {
 }
 
 /// The CI smoke gate: compares current assignment wall times against a
-/// committed baseline, flagging any tier whose `sync_ms`/`par_ms` grew by
-/// more than `tolerance` (e.g. `0.25` = +25%). Tiers present on only one
-/// side are ignored (the smoke run measures a subset). Timings under two
+/// committed baseline, flagging any tier whose `sync_ms` grew by more than
+/// `tolerance` (e.g. `0.25` = +25%). Tiers present on only one side are
+/// ignored (the smoke run measures a subset). Timings under two
 /// milliseconds are skipped — at that scale scheduler jitter, not code,
 /// dominates.
 pub fn gate_wall_times(
@@ -415,18 +405,14 @@ pub fn gate_wall_times(
         let Some(base) = baseline.tiers.iter().find(|t| t.label == cur.label) else {
             continue;
         };
-        for (metric, b, c) in [
-            ("sync_ms", base.sync_ms, cur.sync_ms),
-            ("par_ms", base.par_ms, cur.par_ms),
-        ] {
-            if b >= 2.0 && c > b * (1.0 + tolerance) {
-                out.push(Regression {
-                    label: cur.label.clone(),
-                    metric,
-                    baseline_ms: b,
-                    current_ms: c,
-                });
-            }
+        let (b, c) = (base.sync_ms, cur.sync_ms);
+        if b >= 2.0 && c > b * (1.0 + tolerance) {
+            out.push(Regression {
+                label: cur.label.clone(),
+                metric: "sync_ms",
+                baseline_ms: b,
+                current_ms: c,
+            });
         }
     }
     out
@@ -496,7 +482,7 @@ pub fn gate_sim_times(baseline: &SimBench, current: &SimBench, tolerance: f64) -
 mod tests {
     use super::*;
 
-    fn tier(label: &str, sync_ms: f64, par_ms: f64) -> AssignTier {
+    fn tier(label: &str, sync_ms: f64) -> AssignTier {
         AssignTier {
             label: label.to_owned(),
             users: 100,
@@ -506,9 +492,7 @@ mod tests {
             init_ms: 0.1,
             classic_ms: Some(1.0),
             sync_ms,
-            par_ms,
             speedup_vs_classic: Some(1.0),
-            speedup_vs_sync: 1.0,
             passes: 3,
             moves: 10,
             rho_max: 0.9,
@@ -523,7 +507,6 @@ mod tests {
             schema_version: BENCH_SCHEMA_VERSION,
             experiment: "assign-scale".into(),
             seed: 42,
-            threads: 1,
             tiers,
         }
     }
@@ -549,7 +532,7 @@ mod tests {
 
     #[test]
     fn bench_doc_round_trips() {
-        let d = doc(vec![tier("fig1", 5.0, 5.0)]);
+        let d = doc(vec![tier("fig1", 5.0)]);
         let json = d.to_json();
         let back: AssignBench = serde_json::from_str(&json).expect("round-trip");
         assert_eq!(back.schema_version, BENCH_SCHEMA_VERSION);
@@ -560,24 +543,20 @@ mod tests {
 
     #[test]
     fn gate_flags_only_real_regressions() {
-        let base = doc(vec![tier("a", 10.0, 10.0), tier("b", 1.0, 1.0)]);
-        // Tier `a` par_ms regressed 50%; tier `b` is under the jitter
-        // floor; tier `c` has no baseline.
-        let cur = doc(vec![
-            tier("a", 10.0, 15.0),
-            tier("b", 1.9, 1.9),
-            tier("c", 99.0, 99.0),
-        ]);
+        let base = doc(vec![tier("a", 10.0), tier("b", 1.0)]);
+        // Tier `a` regressed 50%; tier `b` is under the jitter floor;
+        // tier `c` has no baseline.
+        let cur = doc(vec![tier("a", 15.0), tier("b", 1.9), tier("c", 99.0)]);
         let regressions = gate_wall_times(&base, &cur, 0.25);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].label, "a");
-        assert_eq!(regressions[0].metric, "par_ms");
+        assert_eq!(regressions[0].metric, "sync_ms");
     }
 
     #[test]
     fn gate_accepts_within_tolerance() {
-        let base = doc(vec![tier("a", 10.0, 10.0)]);
-        let cur = doc(vec![tier("a", 12.0, 12.0)]);
+        let base = doc(vec![tier("a", 10.0)]);
+        let cur = doc(vec![tier("a", 12.0)]);
         assert!(gate_wall_times(&base, &cur, 0.25).is_empty());
     }
 
@@ -651,7 +630,6 @@ mod tests {
         SimTier {
             label: label.to_owned(),
             engine: engine.to_owned(),
-            threads: 1,
             pending: 50_000,
             actors: 0,
             events: 1_000_000,

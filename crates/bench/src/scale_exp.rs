@@ -2,13 +2,12 @@
 //! `BENCH_assign.json` / `BENCH_getmail.json`.
 //!
 //! Each size tier generates a deterministic multi-region topology, builds
-//! the shared [`CostMatrix`] once, runs the scaled solvers (sequential and
-//! parallel — byte-identical by construction), optionally cross-times the
-//! paper's classic solver where it is still tractable, and then builds the
-//! §3.2.3 authority lists and samples GetMail retrievals off the final
-//! assignment. Wall times go into the committed `BENCH_*.json` artifacts;
-//! everything except wall time is a pure function of the seed (the digest
-//! fields are the proof).
+//! the shared [`CostMatrix`] once, runs the scaled solver, optionally
+//! cross-times the paper's classic solver where it is still tractable, and
+//! then builds the §3.2.3 authority lists and samples GetMail retrievals
+//! off the final assignment. Wall times go into the committed
+//! `BENCH_*.json` artifacts; everything except wall time is a pure function
+//! of the seed (the digest fields are the proof).
 //!
 //! [`CostMatrix`]: lems_net::cost_matrix::CostMatrix
 
@@ -23,8 +22,8 @@ use lems_sim::failure::FailurePlan;
 use lems_sim::rng::SimRng;
 use lems_sim::time::SimTime;
 use lems_syntax::assign::{
-    authority_lists, balance, initialize, Assignment, AssignmentProblem, BalanceOptions,
-    ScaleOptions, ScaleReport,
+    authority_lists, balance, balance_sync, initialize, Assignment, AssignmentProblem,
+    BalanceOptions, ScaleOptions, ScaleReport,
 };
 use lems_syntax::cost::{CostModel, ServerSpec};
 use lems_syntax::getmail::{GetMailState, PlanStore};
@@ -127,12 +126,11 @@ pub struct TierOutput {
     pub assign: AssignTier,
     /// GetMail-side measurements.
     pub getmail: GetMailTier,
-    /// The solved problem (sequential/parallel agree; this is the shared
-    /// result).
+    /// The solved problem.
     pub problem: AssignmentProblem,
     /// The final assignment.
     pub assignment: Assignment,
-    /// The parallel solver's report (trace included).
+    /// The scaled solver's report (trace included).
     pub report: ScaleReport,
 }
 
@@ -233,24 +231,11 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierOutput {
 
     let opts = ScaleOptions::default();
 
-    let ((a_sync, r_sync), sync_ms) = best_ms(|| {
+    let ((assignment, report), sync_ms) = best_ms(|| {
         let mut a = initial.clone();
-        let r = lems_syntax::assign::balance_sync(&problem, &mut a, opts);
+        let r = balance_sync(&problem, &mut a, opts);
         (a, r)
     });
-
-    let ((a_par, r_par), par_ms) = best_ms(|| {
-        let mut a = initial.clone();
-        let r = lems_syntax::assign::balance_par(&problem, &mut a, opts);
-        (a, r)
-    });
-
-    assert_eq!(
-        a_sync, a_par,
-        "parallel solver diverged from sequential on tier {}",
-        spec.label
-    );
-    assert_eq!(r_sync.cost_trace, r_par.cost_trace);
 
     let classic_ms = if spec.run_classic {
         let t0 = Instant::now();
@@ -268,9 +253,9 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierOutput {
         None
     };
 
-    let loads = a_par.loads();
+    let loads = assignment.loads();
     let rhos: Vec<f64> = (0..problem.server_count())
-        .map(|j| a_par.utilization(&problem, j))
+        .map(|j| assignment.utilization(&problem, j))
         .collect();
     let rho_max = rhos.iter().copied().fold(0.0_f64, f64::max);
     let rho_min = rhos.iter().copied().fold(f64::INFINITY, f64::min);
@@ -284,15 +269,13 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierOutput {
         init_ms,
         classic_ms,
         sync_ms,
-        par_ms,
-        speedup_vs_classic: classic_ms.map(|c| c / par_ms.max(1e-9)),
-        speedup_vs_sync: sync_ms / par_ms.max(1e-9),
-        passes: r_par.passes,
-        moves: r_par.moves,
+        speedup_vs_classic: classic_ms.map(|c| c / sync_ms.max(1e-9)),
+        passes: report.passes,
+        moves: report.moves,
         rho_max,
         rho_spread: rho_max - rho_min,
-        total_cost: r_par.final_cost,
-        digest: format!("{:016x}", a_par.digest()),
+        total_cost: report.final_cost,
+        digest: format!("{:016x}", assignment.digest()),
     };
     debug_assert_eq!(
         loads.iter().map(|&l| u64::from(l)).sum::<u64>(),
@@ -300,7 +283,7 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierOutput {
     );
 
     let t0 = Instant::now();
-    let lists = authority_lists(&problem, &a_par, LIST_LEN);
+    let lists = authority_lists(&problem, &assignment, LIST_LEN);
     let build_ms = ms(t0);
 
     let getmail = GetMailTier {
@@ -318,8 +301,8 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierOutput {
         assign,
         getmail,
         problem,
-        assignment: a_par,
-        report: r_par,
+        assignment,
+        report,
     }
 }
 
@@ -361,20 +344,17 @@ pub fn run_suite(tiers: &[TierSpec], seed: u64) -> (AssignBench, GetMailBench) {
         assign_tiers.push(out.assign);
         getmail_tiers.push(out.getmail);
     }
-    let threads = rayon::current_num_threads();
     (
         AssignBench {
             schema_version: BENCH_SCHEMA_VERSION,
             experiment: "assign-scale".into(),
             seed,
-            threads,
             tiers: assign_tiers,
         },
         GetMailBench {
             schema_version: BENCH_SCHEMA_VERSION,
             experiment: "getmail-scale".into(),
             seed,
-            threads,
             tiers: getmail_tiers,
         },
     )
@@ -416,7 +396,6 @@ mod tests {
         assert_eq!(assign.tiers.len(), 2);
         assert_eq!(getmail.tiers.len(), 2);
         assert_eq!(assign.experiment, "assign-scale");
-        assert!(assign.threads >= 1);
         for t in &assign.tiers {
             assert!(
                 t.rho_max < 0.999,

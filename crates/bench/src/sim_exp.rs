@@ -330,7 +330,6 @@ fn hold_tier_with(
     let tier = SimTier {
         label: spec.label.to_owned(),
         engine: ENGINE.to_owned(),
-        threads: 1,
         pending: spec.pending as u64,
         actors: 0,
         events: spec.events,
@@ -405,7 +404,6 @@ pub fn run_actor_tier(spec: &ActorTierSpec, seed: u64) -> SimTier {
     SimTier {
         label: spec.label.to_owned(),
         engine: ENGINE.to_owned(),
-        threads: 1,
         pending: spec.in_flight,
         actors: spec.actors as u64,
         events: delivered,

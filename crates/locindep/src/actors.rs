@@ -698,11 +698,19 @@ impl RoamDeployment {
         assert_eq!(hosts.len(), users_per_host.len(), "population misaligned");
 
         let subgroups = SubgroupMap::new(groups, servers.clone());
-        let mut transport = Transport::new(topology.graph());
         let mut sim: ActorSim<RoamMsg> = ActorSim::new(seed);
+        // Bind every node to the actor id it is about to get (ids are
+        // handed out in registration order: servers first, then hosts), so
+        // the one all-pairs table is built once and every actor holds the
+        // bound transport from the start.
+        let mut transport = Transport::new(topology.graph());
+        for (i, &node) in servers.iter().chain(&hosts).enumerate() {
+            transport.bind(node, ActorId(sim.actor_count() + i));
+        }
+        let transport = Rc::new(transport);
         let stats: SharedStats = Rc::new(RefCell::new(RoamStats::default()));
         let id_gen = Rc::new(RefCell::new(MessageIdGen::new()));
-        let dist = topology.distances();
+        let dist = transport.distances();
 
         // Users and their primary hosts (encoded in the name).
         let mut users: BTreeMap<MailName, NodeId> = BTreeMap::new();
@@ -716,12 +724,11 @@ impl RoamDeployment {
         }
         let primary_hosts: BTreeMap<MailName, NodeId> = users.clone();
 
-        let placeholder_transport = Rc::new(Transport::new(topology.graph()));
         let mut server_actors = BTreeMap::new();
         for &s in &servers {
             let actor = RoamServer {
                 node: s,
-                transport: Rc::clone(&placeholder_transport),
+                transport: Rc::clone(&transport),
                 subgroups: subgroups.clone(),
                 peers: servers.clone(),
                 primary_hosts: primary_hosts.clone(),
@@ -736,7 +743,7 @@ impl RoamDeployment {
                 metrics: MetricsRegistry::new(),
             };
             let id = sim.add_actor(actor);
-            transport.bind(s, id);
+            assert_eq!(transport.actor_of(s), Ok(id), "server bound ahead of time");
             server_actors.insert(s, id);
         }
 
@@ -754,7 +761,7 @@ impl RoamDeployment {
                 node: h,
                 nearest_server: nearest,
                 server_ring: ring,
-                transport: Rc::clone(&placeholder_transport),
+                transport: Rc::clone(&transport),
                 id_gen: Rc::clone(&id_gen),
                 stats: Rc::clone(&stats),
                 retry: RetryPolicy::default_session(),
@@ -764,20 +771,8 @@ impl RoamDeployment {
                 metrics: MetricsRegistry::new(),
             };
             let id = sim.add_actor(actor);
-            transport.bind(h, id);
+            assert_eq!(transport.actor_of(h), Ok(id), "host bound ahead of time");
             host_actors.insert(h, id);
-        }
-
-        let transport = Rc::new(transport);
-        for &aid in server_actors.values() {
-            if let Some(a) = sim.actor_mut::<RoamServer>(aid) {
-                a.transport = Rc::clone(&transport);
-            }
-        }
-        for &aid in host_actors.values() {
-            if let Some(a) = sim.actor_mut::<RoamHost>(aid) {
-                a.transport = Rc::clone(&transport);
-            }
         }
 
         RoamDeployment {

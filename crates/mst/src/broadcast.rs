@@ -242,17 +242,22 @@ pub fn simulate_broadcast(
         "adjacency must cover every node"
     );
     let mut sim: ActorSim<BcastMsg> = ActorSim::new(cfg.seed);
+    // Bind every node to the actor id it is about to get (the engine hands
+    // ids out in registration order), so the one all-pairs table is built
+    // once and every actor holds the bound transport from the start.
     let mut transport = Transport::new(g);
+    for (i, n) in g.nodes().enumerate() {
+        transport.bind(n, ActorId(sim.actor_count() + i));
+    }
+    let transport = Rc::new(transport);
     let result: Rc<RefCell<Option<(Aggregate, SimTime)>>> = Rc::new(RefCell::new(None));
 
     let timeouts = subtree_timeouts(g, tree_adjacency, cfg.root, cfg.grace);
-    // One shared placeholder until the bound transport is installed.
-    let placeholder = Rc::new(Transport::new(g));
     let mut actor_ids = Vec::with_capacity(g.node_count());
     for n in g.nodes() {
         let node = BcastNode {
             node: n,
-            transport: Rc::clone(&placeholder),
+            transport: Rc::clone(&transport),
             neighbors: tree_adjacency[n.0].clone(),
             local_matches: cfg.local_matches.get(n.0).copied().unwrap_or(0),
             parent: None,
@@ -264,14 +269,8 @@ pub fn simulate_broadcast(
             is_root: n == cfg.root,
         };
         let aid = sim.add_actor(node);
-        transport.bind(n, aid);
+        assert_eq!(transport.actor_of(n), Ok(aid), "node bound ahead of time");
         actor_ids.push(aid);
-    }
-    let transport = Rc::new(transport);
-    for &aid in &actor_ids {
-        if let Some(node) = sim.actor_mut::<BcastNode>(aid) {
-            node.transport = Rc::clone(&transport);
-        }
     }
 
     // Apply failures: node i <-> actor_ids[i].

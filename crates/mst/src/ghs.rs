@@ -581,39 +581,34 @@ impl GhsSim {
             g.has_distinct_weights(),
             "GHS requires distinct edge weights; use Graph::with_distinct_weights"
         );
+        if let Some(init) = initiators {
+            assert!(!init.is_empty(), "GHS needs at least one initiator");
+        }
 
         let mut sim: ActorSim<Env> = ActorSim::new(seed);
+        // Actors are created in node order, so NodeId(i) <-> ActorId(i):
+        // bind ahead of spawning, so the one all-pairs table is built once
+        // and every node holds the bound transport from the start.
         let mut transport = Transport::new(g);
+        for (i, n) in g.nodes().enumerate() {
+            transport.bind(n, ActorId(sim.actor_count() + i));
+        }
+        let transport = Rc::new(transport);
         let stats = Rc::new(RefCell::new(GhsStats::default()));
 
-        // Create actors in node order so NodeId(i) <-> ActorId(i). One
-        // shared placeholder transport stands in until the fully-bound
-        // transport replaces it below (building a Transport computes
-        // all-pairs shortest paths; doing that once, not per actor,
-        // matters on large worlds).
-        let placeholder = Rc::new(Transport::new(g));
         let mut actor_ids = Vec::with_capacity(g.node_count());
         for n in g.nodes() {
             let neighbors: Vec<(NodeId, Weight)> = g
                 .neighbors(n)
                 .map(|(m, eid)| (m, g.edge(eid).weight))
                 .collect();
-            let node = GhsNode::new(n, &neighbors, Rc::clone(&placeholder), Rc::clone(&stats));
-            let aid = sim.add_actor(node);
-            transport.bind(n, aid);
-            actor_ids.push(aid);
-        }
-        let transport = Rc::new(transport);
-        if let Some(init) = initiators {
-            assert!(!init.is_empty(), "GHS needs at least one initiator");
-        }
-        for (i, &aid) in actor_ids.iter().enumerate() {
-            if let Some(node) = sim.actor_mut::<GhsNode>(aid) {
-                node.transport = Rc::clone(&transport);
-                if let Some(init) = initiators {
-                    node.spontaneous = init.contains(&NodeId(i));
-                }
+            let mut node = GhsNode::new(n, &neighbors, Rc::clone(&transport), Rc::clone(&stats));
+            if let Some(init) = initiators {
+                node.spontaneous = init.contains(&n);
             }
+            let aid = sim.add_actor(node);
+            assert_eq!(transport.actor_of(n), Ok(aid), "node bound ahead of time");
+            actor_ids.push(aid);
         }
 
         let mut weights = BTreeMap::new();

@@ -10,12 +10,10 @@
 //!
 //! [`CostMatrix`] computes exactly the host→server block: one Dijkstra per
 //! *server* (servers are the smaller side by an order of magnitude),
-//! fanned out across threads, stored as a single flat `Vec<f64>` in
-//! host-major order. Build once, share everywhere.
+//! stored as a single flat `Vec<f64>` in host-major order. Build once,
+//! share everywhere.
 //!
 //! [`DistanceTable`]: crate::shortest_path::DistanceTable
-
-use rayon::prelude::*;
 
 use crate::shortest_path::dijkstra;
 use crate::topology::Topology;
@@ -47,8 +45,7 @@ pub struct CostMatrix {
 impl CostMatrix {
     /// Builds the matrix for `topology`'s hosts × servers (both in node
     /// order, matching [`Topology::hosts`] / [`Topology::servers`]). Runs
-    /// one Dijkstra per server, fanned out across available threads; the
-    /// result is independent of the thread count.
+    /// one Dijkstra per server.
     ///
     /// # Panics
     ///
@@ -57,27 +54,15 @@ impl CostMatrix {
     pub fn build(topology: &Topology) -> Self {
         let host_nodes = topology.hosts();
         let server_nodes = topology.servers();
-        let columns: Vec<Vec<f64>> = server_nodes
-            .par_iter()
-            .map(|&s| {
-                let sp = dijkstra(topology.graph(), s);
-                host_nodes
-                    .iter()
-                    .map(|&h| {
-                        let w = sp.distance(h);
-                        assert!(!w.is_infinite(), "host {h} cannot reach server {s}");
-                        w.as_units()
-                    })
-                    .collect()
-            })
-            .collect();
-
         let servers = server_nodes.len();
         let hosts = host_nodes.len();
         let mut costs = vec![0.0; hosts * servers];
-        for (j, col) in columns.iter().enumerate() {
-            for (i, &c) in col.iter().enumerate() {
-                costs[i * servers + j] = c;
+        for (j, &s) in server_nodes.iter().enumerate() {
+            let sp = dijkstra(topology.graph(), s);
+            for (i, &h) in host_nodes.iter().enumerate() {
+                let w = sp.distance(h);
+                assert!(!w.is_infinite(), "host {h} cannot reach server {s}");
+                costs[i * servers + j] = w.as_units();
             }
         }
         CostMatrix {
@@ -251,18 +236,6 @@ mod tests {
                 assert_eq!(m.cost(i, j), d.distance(h, s).as_units());
             }
         }
-    }
-
-    #[test]
-    fn build_is_thread_count_independent() {
-        // The shimmed rayon honours RAYON_NUM_THREADS, but the contract
-        // here is stronger: the matrix must be a pure function of the
-        // topology. Two consecutive builds must agree exactly.
-        let mut rng = SimRng::seed(4);
-        let t = multi_region(&mut rng, &MultiRegionConfig::default());
-        let a = CostMatrix::build(&t);
-        let b = CostMatrix::build(&t);
-        assert_eq!(a, b);
     }
 
     #[test]

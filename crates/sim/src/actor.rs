@@ -148,7 +148,6 @@ struct Core<M> {
     down: Vec<bool>,
     cancelled: HashSet<TimerId>,
     next_timer: u64,
-    fifo: bool,
     last_arrival: HashMap<(ActorId, ActorId), SimTime>,
     counters: SimCounters,
     trace: Trace,
@@ -168,7 +167,6 @@ impl<M> Core<M> {
             down: Vec::new(),
             cancelled: HashSet::new(),
             next_timer: 0,
-            fifo: true,
             last_arrival: HashMap::new(),
             counters: SimCounters::default(),
             trace: Trace::disabled(),
@@ -187,7 +185,7 @@ impl<M> Core<M> {
         let mut at = self.now + delay;
         // External injections model independent workload arrivals, not a
         // physical link, so they are exempt from FIFO clamping.
-        if self.fifo && from != ActorId::EXTERNAL {
+        if from != ActorId::EXTERNAL {
             // Clamp so a later send on the same ordered pair never overtakes
             // an earlier one ("without error and in sequence").
             let last = self.last_arrival.entry((from, to)).or_insert(SimTime::ZERO);
@@ -276,7 +274,7 @@ impl<M> Core<M> {
         for (at, seq, ev) in self.queue.ready() {
             let (kind, target, from) = match ev {
                 Ev::Deliver { from, to, .. } => {
-                    if self.fifo && *from != ActorId::EXTERNAL && !lanes.insert((*from, *to)) {
+                    if *from != ActorId::EXTERNAL && !lanes.insert((*from, *to)) {
                         // Not the lane head: an older message on the same
                         // ordered pair must fire first.
                         continue;
@@ -432,13 +430,6 @@ impl<M: 'static> ActorSim<M> {
         }
     }
 
-    /// Disables per-pair FIFO delivery, allowing messages to reorder when
-    /// delays differ.
-    pub fn without_fifo_links(mut self) -> Self {
-        self.core.fifo = false;
-        self
-    }
-
     /// Enables bounded in-memory event tracing (for debugging and tests).
     pub fn with_trace(mut self, capacity: usize) -> Self {
         self.core.trace = Trace::bounded(capacity);
@@ -527,11 +518,6 @@ impl<M: 'static> ActorSim<M> {
         self.core.link_faults = Some(plan);
     }
 
-    /// Removes the link-fault plan; subsequent sends travel a perfect wire.
-    pub fn clear_link_faults(&mut self) {
-        self.core.link_faults = None;
-    }
-
     /// Installs (or replaces) the event [`Scheduler`] consulted whenever
     /// two or more events are ready at the same instant. Without one, the
     /// engine fires events in scheduling order ([`FifoScheduler`]
@@ -540,11 +526,6 @@ impl<M: 'static> ActorSim<M> {
     /// [`FifoScheduler`]: crate::sched::FifoScheduler
     pub fn set_scheduler(&mut self, scheduler: Box<dyn Scheduler>) {
         self.core.scheduler = Some(scheduler);
-    }
-
-    /// Removes the scheduler; the engine reverts to plain FIFO order.
-    pub fn clear_scheduler(&mut self) {
-        self.core.scheduler = None;
     }
 
     /// The installed link-fault plan, if any.
@@ -866,16 +847,6 @@ mod tests {
         assert_eq!(rec.seen[0].1, 1);
         assert_eq!(rec.seen[1].1, 2);
         assert_eq!(rec.seen[1].0, SimTime::from_units(5.0), "clamped to FIFO");
-    }
-
-    #[test]
-    fn without_fifo_allows_overtaking() {
-        let mut sim = ActorSim::new(1).without_fifo_links();
-        let r = sim.add_actor(Recorder::default());
-        let _ = sim.add_actor(BurstSender { target: r });
-        sim.run_to_quiescence();
-        let rec: &Recorder = sim.actor(r).unwrap();
-        assert_eq!(rec.seen[0].1, 2);
     }
 
     #[test]

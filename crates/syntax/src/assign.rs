@@ -29,22 +29,21 @@
 //! [`balance`] re-evaluates the full objective on every tentative move —
 //! `O(hosts × servers)` per transfer — which is perfect for auditing the
 //! paper's 6-host example and hopeless at a million users. The scaled
-//! solver ([`balance_sync`] / [`balance_par`], shared options in
-//! [`ScaleOptions`]) runs *synchronous passes* instead:
+//! solver ([`balance_sync`], options in [`ScaleOptions`]) runs
+//! *synchronous passes* instead:
 //!
 //! 1. **Evaluate** — against loads frozen at the start of the pass, each
 //!    host independently proposes moving users off its most expensive
 //!    current server to the destination with the best exact marginal
-//!    cost change (a pure function, fanned out across threads by
-//!    [`balance_par`]);
+//!    cost change;
 //! 2. **Merge** — proposals are applied in host-index order, each
 //!    re-validated against *current* loads with an `O(1)` exact cost
 //!    delta ([`transfer_delta`]) and dropped if it no longer improves
 //!    the objective.
 //!
-//! Because evaluation is pure and the merge is sequential in a fixed
-//! order, [`balance_par`] is byte-identical to [`balance_sync`] at any
-//! thread count — `tests/assign_differential.rs` enforces this.
+//! Both solvers are single-threaded: §3.1.1's one named speed-up is
+//! batching, and a thread fan-out of the evaluate step measured 0.75–1.11×
+//! (DESIGN.md §13), so there is none.
 
 use lems_net::cost_matrix::CostMatrix;
 use lems_net::graph::NodeId;
@@ -521,8 +520,7 @@ pub fn solve(p: &AssignmentProblem, opts: BalanceOptions) -> (Assignment, Balanc
     (a, report)
 }
 
-/// Options for the scaled synchronous solver ([`balance_sync`] /
-/// [`balance_par`]).
+/// Options for the scaled synchronous solver ([`balance_sync`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleOptions {
     /// Users moved per accepted transfer (with a fall-back retry of 1, so
@@ -530,9 +528,6 @@ pub struct ScaleOptions {
     pub batch: u32,
     /// Safety bound on synchronous passes.
     pub max_passes: u64,
-    /// Worker threads for the evaluation fan-out; `0` means use the
-    /// runtime's thread count. The result is identical for every value.
-    pub threads: usize,
 }
 
 impl Default for ScaleOptions {
@@ -540,7 +535,6 @@ impl Default for ScaleOptions {
         ScaleOptions {
             batch: 64,
             max_passes: 100_000,
-            threads: 0,
         }
     }
 }
@@ -691,54 +685,6 @@ fn dest_unit_terms(p: &AssignmentProblem, a: &Assignment) -> Vec<f64> {
         .collect()
 }
 
-fn eval_hosts_sequential(
-    p: &AssignmentProblem,
-    a: &Assignment,
-    srv_term: &[f64],
-    dest_term1: &[f64],
-    lo: usize,
-    hi: usize,
-    batch: u32,
-) -> Vec<MoveProposal> {
-    (lo..hi)
-        .filter_map(|i| propose_move(p, a, srv_term, dest_term1, i, batch))
-        .collect()
-}
-
-fn eval_hosts_parallel(
-    p: &AssignmentProblem,
-    a: &Assignment,
-    srv_term: &[f64],
-    dest_term1: &[f64],
-    batch: u32,
-    threads: usize,
-) -> Vec<MoveProposal> {
-    use rayon::prelude::*;
-
-    let n = p.host_count();
-    let workers = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    if workers <= 1 || n < 2 {
-        return eval_hosts_sequential(p, a, srv_term, dest_term1, 0, n, batch);
-    }
-    let chunk = n.div_ceil(workers);
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    // Each range is evaluated against the same frozen state (pure); the
-    // flatten preserves host order, so the merge below sees the exact
-    // sequence the sequential evaluator would produce.
-    let per_range: Vec<Vec<MoveProposal>> = ranges
-        .par_iter()
-        .map(|&(lo, hi)| eval_hosts_sequential(p, a, srv_term, dest_term1, lo, hi, batch))
-        .collect();
-    per_range.into_iter().flatten().collect()
-}
-
 /// Deterministic merge: applies proposals in host-index order, each
 /// re-validated with [`transfer_delta`] against *current* loads (earlier
 /// merges may have invalidated it). Falls back from the batch size to a
@@ -771,12 +717,9 @@ fn merge_proposals(
     changed
 }
 
-fn run_synced(
-    p: &AssignmentProblem,
-    a: &mut Assignment,
-    opts: ScaleOptions,
-    parallel: bool,
-) -> ScaleReport {
+/// The scaled §3.1.1 solver: synchronous evaluate-then-merge passes (see
+/// the module docs) until a pass accepts no move.
+pub fn balance_sync(p: &AssignmentProblem, a: &mut Assignment, opts: ScaleOptions) -> ScaleReport {
     assert!(opts.batch >= 1, "batch must be at least 1");
     let initial = a.total_cost(p);
     let mut report = ScaleReport {
@@ -790,11 +733,9 @@ fn run_synced(
         report.passes += 1;
         let srv_term = server_terms(p, a);
         let dest_term1 = dest_unit_terms(p, a);
-        let proposals = if parallel {
-            eval_hosts_parallel(p, a, &srv_term, &dest_term1, opts.batch, opts.threads)
-        } else {
-            eval_hosts_sequential(p, a, &srv_term, &dest_term1, 0, p.host_count(), opts.batch)
-        };
+        let proposals: Vec<MoveProposal> = (0..p.host_count())
+            .filter_map(|i| propose_move(p, a, &srv_term, &dest_term1, i, opts.batch))
+            .collect();
         let changed = merge_proposals(p, a, &proposals, &mut report);
         report.final_cost = a.total_cost(p);
         report.cost_trace.push(report.final_cost);
@@ -805,30 +746,10 @@ fn run_synced(
     report
 }
 
-/// Sequential reference implementation of the synchronous-pass solver —
-/// the ground truth [`balance_par`] must match byte for byte.
-pub fn balance_sync(p: &AssignmentProblem, a: &mut Assignment, opts: ScaleOptions) -> ScaleReport {
-    run_synced(p, a, opts, false)
-}
-
-/// Parallel synchronous-pass solver: per-host move evaluation fans out
-/// across threads; the deterministic merge keeps the result byte-identical
-/// to [`balance_sync`] at any thread count (including 1).
-pub fn balance_par(p: &AssignmentProblem, a: &mut Assignment, opts: ScaleOptions) -> ScaleReport {
-    run_synced(p, a, opts, true)
-}
-
 /// Convenience: initialise then [`balance_sync`].
 pub fn solve_sync(p: &AssignmentProblem, opts: ScaleOptions) -> (Assignment, ScaleReport) {
     let mut a = initialize(p);
     let report = balance_sync(p, &mut a, opts);
-    (a, report)
-}
-
-/// Convenience: initialise then [`balance_par`].
-pub fn solve_par(p: &AssignmentProblem, opts: ScaleOptions) -> (Assignment, ScaleReport) {
-    let mut a = initialize(p);
-    let report = balance_par(p, &mut a, opts);
     (a, report)
 }
 
@@ -1014,35 +935,12 @@ mod tests {
     }
 
     #[test]
-    fn scaled_solver_matches_parallel_on_fig1() {
+    fn scaled_solver_reaches_a_fixpoint_on_fig1() {
         let p = fig1_problem();
-        let (a_sync, r_sync) = solve_sync(&p, ScaleOptions::default());
-        let (a_par, r_par) = solve_par(&p, ScaleOptions::default());
-        assert_eq!(a_sync, a_par);
-        assert_eq!(a_sync.digest(), a_par.digest());
-        assert_eq!(r_sync.cost_trace, r_par.cost_trace);
-        assert_eq!(r_sync.moves, r_par.moves);
-        // The scaled solver reaches a valid fixpoint on the paper example.
-        assert_eq!(a_sync.loads().iter().sum::<u32>(), 270);
-        assert!(a_sync.overloaded(&p).is_empty());
-        assert!(r_sync.final_cost < r_sync.initial_cost);
-    }
-
-    #[test]
-    fn scaled_solver_is_thread_count_independent() {
-        let p = fig1_problem();
-        let base = solve_par(&p, ScaleOptions::default());
-        for threads in [1, 2, 3, 8] {
-            let got = solve_par(
-                &p,
-                ScaleOptions {
-                    threads,
-                    ..ScaleOptions::default()
-                },
-            );
-            assert_eq!(base.0, got.0, "threads={threads}");
-            assert_eq!(base.1.cost_trace, got.1.cost_trace, "threads={threads}");
-        }
+        let (a, r) = solve_sync(&p, ScaleOptions::default());
+        assert_eq!(a.loads().iter().sum::<u32>(), 270);
+        assert!(a.overloaded(&p).is_empty());
+        assert!(r.final_cost < r.initial_cost);
     }
 
     #[test]

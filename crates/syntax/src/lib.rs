@@ -48,8 +48,8 @@ pub use actors::{
     ServerFailurePlan, SessionConfig,
 };
 pub use assign::{
-    balance, balance_par, balance_sync, initialize, solve, solve_par, solve_sync, Assignment,
-    AssignmentProblem, BalanceOptions, BalanceReport, ScaleOptions, ScaleReport,
+    balance, balance_sync, initialize, solve, solve_sync, Assignment, AssignmentProblem,
+    BalanceOptions, BalanceReport, ScaleOptions, ScaleReport,
 };
 pub use cache::{CacheStats, ResolutionCache};
 pub use cost::{CostModel, ServerSpec};

@@ -1,17 +1,15 @@
-//! Differential harness for the scaled §3.1.1 assignment solver: the
-//! deterministic parallel solver (`solve_par`) must be **byte-identical**
-//! to the synchronous reference (`solve_sync`) on every topology, at any
-//! worker count — same assignment, same digest, same per-pass cost trace.
-//!
-//! Covers ≥20 seeded random multi-region topologies from 6 hosts up to
-//! 2 000 hosts, plus the paper's exact Fig. 1 worked example (Tables 1
-//! and 2) run through the scale path (`CostMatrix` + `from_matrix`).
+//! Differential harness for the scaled §3.1.1 assignment solver
+//! (`solve_sync`): the paper's exact Fig. 1 worked example run through the
+//! scale path (`CostMatrix` + `from_matrix`) must reproduce Table 1 and
+//! land within 5 % of the classic Table 2 solver's objective, and the
+//! solved-assignment invariants must hold on ≥20 seeded random
+//! multi-region topologies from 6 hosts up to 2 000 hosts.
 
 use lems::net::cost_matrix::CostMatrix;
 use lems::net::generators::{fig1, multi_region, MultiRegionConfig};
 use lems::sim::rng::SimRng;
 use lems::syntax::assign::{self, ScaleOptions};
-use lems::syntax::{initialize, solve_par, solve_sync, Assignment, AssignmentProblem};
+use lems::syntax::{initialize, solve_sync, Assignment, AssignmentProblem};
 use lems::syntax::{CostModel, ServerSpec};
 
 /// One randomized differential case: a seeded multi-region topology with
@@ -96,26 +94,6 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn assert_identical(
-    label: &str,
-    (a, ra): &(Assignment, assign::ScaleReport),
-    (b, rb): &(Assignment, assign::ScaleReport),
-) {
-    assert_eq!(a, b, "{label}: assignments diverged");
-    assert_eq!(a.digest(), b.digest(), "{label}: digests diverged");
-    assert_eq!(ra.passes, rb.passes, "{label}: pass counts diverged");
-    assert_eq!(ra.moves, rb.moves, "{label}: move counts diverged");
-    assert_eq!(
-        ra.cost_trace, rb.cost_trace,
-        "{label}: per-pass cost traces diverged"
-    );
-    assert_eq!(
-        ra.final_cost.to_bits(),
-        rb.final_cost.to_bits(),
-        "{label}: final costs diverged"
-    );
-}
-
 fn solved_invariants(label: &str, p: &AssignmentProblem, a: &Assignment) {
     for i in 0..p.host_count() {
         let placed: u32 = (0..p.server_count()).map(|j| a.count(i, j)).sum();
@@ -169,11 +147,7 @@ fn fig1_table2_balancing_through_scaled_solver() {
         ServerSpec::paper_example(),
         CostModel::paper_example(),
     );
-    let sync = solve_sync(&p, ScaleOptions::default());
-    let par = solve_par(&p, ScaleOptions::default());
-    assert_identical("fig1", &sync, &par);
-
-    let (a, report) = sync;
+    let (a, report) = solve_sync(&p, ScaleOptions::default());
     // Table 2's qualitative contract: all 270 users placed, S2's overload
     // drained below the M/M/1 cutoff, objective strictly improved.
     assert_eq!(a.loads().iter().sum::<u32>(), 270);
@@ -186,7 +160,7 @@ fn fig1_table2_balancing_through_scaled_solver() {
 }
 
 #[test]
-fn sequential_and_parallel_agree_on_twenty_seeded_topologies() {
+fn solved_invariants_hold_on_twenty_seeded_topologies() {
     let cases = cases();
     assert!(cases.len() >= 20);
     for c in &cases {
@@ -197,39 +171,12 @@ fn sequential_and_parallel_agree_on_twenty_seeded_topologies() {
             p.host_count(),
             p.server_count()
         );
-        let sync = solve_sync(&p, ScaleOptions::default());
-        // Force genuine multi-worker evaluation even on a single-CPU
-        // machine: `threads` overrides the rayon pool size.
-        let par = solve_par(
-            &p,
-            ScaleOptions {
-                threads: 3,
-                ..ScaleOptions::default()
-            },
-        );
-        assert_identical(&label, &sync, &par);
-        solved_invariants(&label, &p, &sync.0);
+        let (a, report) = solve_sync(&p, ScaleOptions::default());
+        solved_invariants(&label, &p, &a);
         assert!(
-            sync.1.passes > 0 && !sync.1.cost_trace.is_empty(),
+            report.passes > 0 && !report.cost_trace.is_empty(),
             "{label}: solver did no work"
         );
-    }
-}
-
-#[test]
-fn worker_count_never_changes_the_result() {
-    let c = Case::new(77, 6, 20, 3, 30);
-    let p = c.build();
-    let baseline = solve_sync(&p, ScaleOptions::default());
-    for threads in [1usize, 2, 3, 4, 8] {
-        let par = solve_par(
-            &p,
-            ScaleOptions {
-                threads,
-                ..ScaleOptions::default()
-            },
-        );
-        assert_identical(&format!("threads={threads}"), &baseline, &par);
     }
 }
 
@@ -238,7 +185,7 @@ fn digest_is_seed_sensitive() {
     // Same seed twice => same digest; different seed => (here) different.
     let d = |seed| {
         let p = Case::new(seed, 4, 10, 3, 30).build();
-        solve_par(&p, ScaleOptions::default()).0.digest()
+        solve_sync(&p, ScaleOptions::default()).0.digest()
     };
     assert_eq!(d(5), d(5));
     assert_ne!(d(5), d(6));

@@ -5,8 +5,6 @@
 //! * with capacity available, no server is left over `max_load`, and the
 //!   ρ ≤ 0.99 M/M/1 cap is respected;
 //! * the per-pass cost trace is monotonically non-increasing;
-//! * the deterministic parallel solver agrees with the synchronous
-//!   reference on every sampled instance;
 //! * add-user / delete-user reconfiguration preserves all of the above.
 
 use proptest::prelude::*;
@@ -15,7 +13,7 @@ use lems::net::generators::{fig1, multi_region, MultiRegionConfig};
 use lems::sim::rng::SimRng;
 use lems::syntax::assign::ScaleOptions;
 use lems::syntax::{
-    initialize, solve_par, solve_sync, Assignment, AssignmentProblem, BalanceOptions, CostModel,
+    initialize, solve_sync, Assignment, AssignmentProblem, BalanceOptions, CostModel,
     Reconfigurator, ScaleReport, ServerSpec,
 };
 
@@ -78,16 +76,12 @@ fn trace_monotone(report: &ScaleReport) -> Result<(), String> {
 
 proptest! {
     /// Scaled-solver invariants on random Fig. 1 populations: users
-    /// conserved, monotone trace, sync ≡ par, and — with capacity
-    /// available — no overloaded server and ρ below the cutoff.
+    /// conserved, monotone trace, and — with capacity available — no
+    /// overloaded server and ρ below the cutoff.
     #[test]
     fn scaled_solver_invariants(users in proptest::collection::vec(1u32..45, 6)) {
         let p = fig1_problem(&users);
         let (a, report) = solve_sync(&p, ScaleOptions::default());
-        let (ap, rp) = solve_par(&p, ScaleOptions { threads: 2, ..ScaleOptions::default() });
-        prop_assert_eq!(&a, &ap, "parallel solver diverged from reference");
-        prop_assert_eq!(&report.cost_trace, &rp.cost_trace);
-
         prop_assert!(populations_conserved(&p, &a).is_ok(),
             "{:?}", populations_conserved(&p, &a));
         prop_assert!(trace_monotone(&report).is_ok(), "{:?}", trace_monotone(&report));
@@ -111,7 +105,7 @@ proptest! {
         seed in 0u64..4096, hosts_per_region in 4usize..12
     ) {
         let p = random_problem(seed, hosts_per_region);
-        let (a, report) = solve_par(&p, ScaleOptions::default());
+        let (a, report) = solve_sync(&p, ScaleOptions::default());
         prop_assert!(populations_conserved(&p, &a).is_ok(),
             "{:?}", populations_conserved(&p, &a));
         prop_assert!(trace_monotone(&report).is_ok(), "{:?}", trace_monotone(&report));
