@@ -217,7 +217,9 @@ impl MailName {
 // so comparing, ordering and hashing the buffer alone is consistent.
 impl PartialEq for MailName {
     fn eq(&self, other: &Self) -> bool {
-        self.buf == other.buf
+        // A clone shares its original's buffer, and most names compared
+        // for equality are clones of one another.
+        Arc::ptr_eq(&self.buf, &other.buf) || self.buf == other.buf
     }
 }
 

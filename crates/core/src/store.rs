@@ -36,11 +36,10 @@ use crate::name::MailName;
 /// live operation did, which is what makes recovery exact.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StoreState {
-    /// Per-user mailboxes (stable storage of §3.1.2c).
-    pub mailboxes: BTreeMap<MailName, Mailbox>,
-    /// Messages handed to a retrieval session but not yet acknowledged
-    /// (the reliable-retrieval reservation buffer).
-    pub pending: BTreeMap<MailName, Vec<Message>>,
+    /// What this server holds per user, one entry (and so one name walk
+    /// per operation) for the mailbox and the reservation buffer both.
+    /// Read through [`StoreState::mailboxes`] / [`StoreState::pending`].
+    owners: BTreeMap<MailName, OwnerEntry>,
     /// Forwards this server has acknowledged upstream but not yet settled
     /// downstream, keyed by message id, with the hop budget they carried.
     pub forwards: BTreeMap<MessageId, (Message, u32)>,
@@ -49,7 +48,99 @@ pub struct StoreState {
     pub deposited: BTreeSet<MessageId>,
 }
 
+/// One user's durable state. The two `Option`s are two independent facts a
+/// snapshot records: a mailbox exists once the user was ever deposited to,
+/// a reservation buffer (possibly empty) once they ever checked. An entry
+/// is only created to set one of them, and neither is ever unset.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct OwnerEntry {
+    /// Stable storage of §3.1.2c.
+    mailbox: Option<Mailbox>,
+    /// Messages handed to a retrieval session but not yet acknowledged
+    /// (the reliable-retrieval reservation buffer).
+    reserved: Option<Vec<Message>>,
+}
+
+/// A read-only, name-ordered view of one kind of per-user state
+/// ([`StoreState::mailboxes`], [`StoreState::pending`]): the users that
+/// have it, skipping those that only have the other kind.
+#[derive(Clone, Copy, Debug)]
+pub struct OwnerView<'a, T> {
+    owners: &'a BTreeMap<MailName, OwnerEntry>,
+    pick: fn(&OwnerEntry) -> Option<&T>,
+}
+
+/// The mailboxes of a store, by owner.
+pub type Mailboxes<'a> = OwnerView<'a, Mailbox>;
+/// The reservation buffers of a store, by owner.
+pub type PendingDrain<'a> = OwnerView<'a, Vec<Message>>;
+
+impl<'a, T: 'a> OwnerView<'a, T> {
+    /// `owner`'s value, if they have one.
+    pub fn get(&self, owner: &MailName) -> Option<&'a T> {
+        self.owners.get(owner).and_then(self.pick)
+    }
+
+    /// `(owner, value)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a MailName, &'a T)> + 'a {
+        let pick = self.pick;
+        self.owners
+            .iter()
+            .filter_map(move |(owner, entry)| Some((owner, pick(entry)?)))
+    }
+
+    /// Owners in name order.
+    pub fn keys(&self) -> impl Iterator<Item = &'a MailName> + 'a {
+        self.iter().map(|(owner, _)| owner)
+    }
+
+    /// Values in owner-name order.
+    pub fn values(&self) -> impl Iterator<Item = &'a T> + 'a {
+        self.iter().map(|(_, value)| value)
+    }
+}
+
+impl<T> std::ops::Index<&MailName> for OwnerView<'_, T> {
+    type Output = T;
+
+    /// # Panics
+    /// When `owner` has no value in this view (as `BTreeMap`'s index does).
+    fn index(&self, owner: &MailName) -> &T {
+        self.get(owner).expect("no entry for this owner")
+    }
+}
+
 impl StoreState {
+    /// Per-user mailboxes (stable storage of §3.1.2c).
+    pub fn mailboxes(&self) -> Mailboxes<'_> {
+        OwnerView {
+            owners: &self.owners,
+            pick: |entry| entry.mailbox.as_ref(),
+        }
+    }
+
+    /// Per-user reservation buffers: drained but not yet acknowledged.
+    pub fn pending(&self) -> PendingDrain<'_> {
+        OwnerView {
+            owners: &self.owners,
+            pick: |entry| entry.reserved.as_ref(),
+        }
+    }
+
+    /// `owner`'s mailbox, created on first use.
+    fn mailbox_mut(&mut self, owner: MailName) -> &mut Mailbox {
+        self.owners
+            .entry(owner.clone())
+            .or_default()
+            .mailbox
+            .get_or_insert_with(|| Mailbox::new(owner))
+    }
+
+    /// `owner`'s mailbox, if one exists.
+    fn existing_mailbox_mut(&mut self, owner: &MailName) -> Option<&mut Mailbox> {
+        self.owners.get_mut(owner)?.mailbox.as_mut()
+    }
+
     /// Restores one snapshot chunk of `owner`'s mailbox during recovery
     /// replay: re-deposits each message at its original deposit time,
     /// creating the mailbox if needed. Bypasses the dedup ledger —
@@ -60,10 +151,7 @@ impl StoreState {
         owner: MailName,
         messages: impl IntoIterator<Item = (Message, SimTime)>,
     ) {
-        let mb = self
-            .mailboxes
-            .entry(owner.clone())
-            .or_insert_with(|| Mailbox::new(owner));
+        let mb = self.mailbox_mut(owner);
         for (m, at) in messages {
             mb.deposit(m, at);
         }
@@ -79,10 +167,20 @@ impl StoreState {
         retrieved: u64,
         expired: u64,
     ) {
-        self.mailboxes
-            .entry(owner.clone())
-            .or_insert_with(|| Mailbox::new(owner))
+        self.mailbox_mut(owner)
             .restore_ledger(deposited, retrieved, expired);
+    }
+
+    /// Restores one snapshot chunk of `owner`'s reservation buffer during
+    /// recovery replay. An empty chunk still creates the (empty) buffer:
+    /// that the user has checked before is part of the recorded state.
+    pub fn restore_snapshot_pending(&mut self, owner: MailName, messages: Vec<Message>) {
+        self.owners
+            .entry(owner)
+            .or_default()
+            .reserved
+            .get_or_insert_with(Vec::new)
+            .extend(messages);
     }
 
     /// Deposits `message` into its recipient's mailbox at `now`. Returns
@@ -91,11 +189,7 @@ impl StoreState {
         if !self.deposited.insert(message.id) {
             return false;
         }
-        let owner = message.to.clone();
-        self.mailboxes
-            .entry(owner.clone())
-            .or_insert_with(|| Mailbox::new(owner))
-            .deposit(message, now);
+        self.mailbox_mut(message.to.clone()).deposit(message, now);
         true
     }
 
@@ -109,23 +203,19 @@ impl StoreState {
     /// reservations first). Nothing is released until
     /// [`StoreState::release_drained`].
     pub fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        let fresh = self
-            .mailboxes
-            .get_mut(owner)
-            .map(Mailbox::drain)
-            .unwrap_or_default();
-        // The (possibly empty) reservation entry is part of the state a
-        // snapshot records, so it is created even when nothing is stored.
-        let pending = self.pending.entry(owner.clone()).or_default();
-        pending.extend(fresh.into_iter().map(|s| s.message));
-        pending.clone()
+        // One walk for a user seen before — nearly every call, and nearly
+        // every one of those finds nothing and returns an unallocated
+        // `Vec`. Only a first contact clones the name and walks again.
+        if let Some(entry) = self.owners.get_mut(owner) {
+            return entry.reserve();
+        }
+        self.owners.entry(owner.clone()).or_default().reserve()
     }
 
     /// Legacy destructive retrieval: removes and returns `owner`'s stored
     /// messages outright.
     pub fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message> {
-        self.mailboxes
-            .get_mut(owner)
+        self.existing_mailbox_mut(owner)
             .map(Mailbox::drain)
             .unwrap_or_default()
             .into_iter()
@@ -136,7 +226,11 @@ impl StoreState {
     /// Releases acknowledged ids from `owner`'s reservation buffer,
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let Some(pending) = self.pending.get_mut(owner) else {
+        let Some(pending) = self
+            .owners
+            .get_mut(owner)
+            .and_then(|entry| entry.reserved.as_mut())
+        else {
             return 0;
         };
         let mut acked = ids.to_vec();
@@ -148,14 +242,15 @@ impl StoreState {
 
     /// Removes one message from `owner`'s mailbox by id.
     pub fn remove(&mut self, owner: &MailName, id: MessageId) -> Option<Message> {
-        self.mailboxes.get_mut(owner)?.remove(id).map(|s| s.message)
+        self.existing_mailbox_mut(owner)?
+            .remove(id)
+            .map(|s| s.message)
     }
 
     /// Expires messages deposited before `cutoff` from `owner`'s mailbox,
     /// returning how many were reclaimed.
     pub fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize {
-        self.mailboxes
-            .get_mut(owner)
+        self.existing_mailbox_mut(owner)
             .map_or(0, |m| m.expire_older_than(cutoff))
     }
 
@@ -181,9 +276,31 @@ impl StoreState {
 
     /// Messages currently held: mailboxes plus reservation buffers.
     pub fn storage_messages(&self) -> u64 {
-        let boxed: usize = self.mailboxes.values().map(Mailbox::len).sum();
-        let reserved: usize = self.pending.values().map(Vec::len).sum();
-        (boxed + reserved) as u64
+        (self.mailbox_messages() + self.pending_messages()) as u64
+    }
+
+    /// Messages currently in mailboxes.
+    pub fn mailbox_messages(&self) -> usize {
+        self.mailboxes().values().map(Mailbox::len).sum()
+    }
+
+    /// Messages currently in reservation buffers.
+    pub fn pending_messages(&self) -> usize {
+        self.pending().values().map(Vec::len).sum()
+    }
+}
+
+impl OwnerEntry {
+    /// Moves everything in the mailbox into the reservation buffer and
+    /// returns the full reserved list. The (possibly empty) buffer is
+    /// created even when nothing is stored: it is part of the state a
+    /// snapshot records.
+    fn reserve(&mut self) -> Vec<Message> {
+        let reserved = self.reserved.get_or_insert_with(Vec::new);
+        if let Some(mailbox) = self.mailbox.as_mut() {
+            reserved.extend(mailbox.drain().into_iter().map(|s| s.message));
+        }
+        reserved.clone()
     }
 }
 
@@ -313,10 +430,10 @@ pub trait MailStore: std::fmt::Debug {
     fn settle_forward(&mut self, id: MessageId);
 
     /// Current mailboxes (read-only view for audits and metrics).
-    fn mailboxes(&self) -> &BTreeMap<MailName, Mailbox>;
+    fn mailboxes(&self) -> Mailboxes<'_>;
 
     /// Current reservation buffers (read-only view).
-    fn pending_drain(&self) -> &BTreeMap<MailName, Vec<Message>>;
+    fn pending_drain(&self) -> PendingDrain<'_>;
 
     /// The server crashed at `now`: apply the backend's loss model.
     fn crash(&mut self, now: SimTime);
@@ -434,12 +551,12 @@ impl MailStore for MemStore {
         self.state.settle_forward(id);
     }
 
-    fn mailboxes(&self) -> &BTreeMap<MailName, Mailbox> {
-        &self.state.mailboxes
+    fn mailboxes(&self) -> Mailboxes<'_> {
+        self.state.mailboxes()
     }
 
-    fn pending_drain(&self) -> &BTreeMap<MailName, Vec<Message>> {
-        &self.state.pending
+    fn pending_drain(&self) -> PendingDrain<'_> {
+        self.state.pending()
     }
 
     fn crash(&mut self, _now: SimTime) {
@@ -454,8 +571,8 @@ impl MailStore for MemStore {
         RecoveryReport {
             backend: self.backend(),
             replayed_records: 0,
-            recovered_messages: self.state.mailboxes.values().map(|m| m.len() as u64).sum(),
-            recovered_pending: self.state.pending.values().map(|p| p.len() as u64).sum(),
+            recovered_messages: self.state.mailbox_messages() as u64,
+            recovered_pending: self.state.pending_messages() as u64,
             recovered_forwards: if self.stable {
                 self.state.forwards.len() as u64
             } else {

@@ -41,7 +41,8 @@ pub struct Transport {
     edge_weights: HashMap<(NodeId, NodeId), SimDuration>,
     adjacency: Vec<Vec<NodeId>>,
     node_to_actor: Vec<Option<ActorId>>,
-    actor_to_node: HashMap<ActorId, NodeId>,
+    /// Indexed by actor id — the engine hands those out densely.
+    actor_to_node: Vec<Option<NodeId>>,
     /// Sends that failed because of a bad binding or missing edge. A
     /// correctly built deployment never increments this; tests assert it
     /// stays zero instead of relying on a panic deep inside an actor.
@@ -73,7 +74,7 @@ impl Transport {
             edge_weights,
             adjacency,
             node_to_actor: vec![None; g.node_count()],
-            actor_to_node: HashMap::new(),
+            actor_to_node: Vec::new(),
             wiring_errors: Cell::new(0),
             link_outages: RefCell::new(BTreeMap::new()),
         }
@@ -83,7 +84,8 @@ impl Transport {
     ///
     /// # Panics
     ///
-    /// Panics if the node is out of range or either side is already bound.
+    /// Panics if the node is out of range, either side is already bound, or
+    /// `actor` is [`ActorId::EXTERNAL`].
     pub fn bind(&mut self, node: NodeId, actor: ActorId) {
         assert!(node.0 < self.node_to_actor.len(), "unknown node {node}");
         assert!(
@@ -91,11 +93,15 @@ impl Transport {
             "node {node} already bound"
         );
         assert!(
-            !self.actor_to_node.contains_key(&actor),
-            "actor {actor} already bound"
+            actor != ActorId::EXTERNAL,
+            "the external sender has no node"
         );
+        assert!(self.node_of(actor).is_none(), "actor {actor} already bound");
         self.node_to_actor[node.0] = Some(actor);
-        self.actor_to_node.insert(actor, node);
+        if self.actor_to_node.len() <= actor.0 {
+            self.actor_to_node.resize(actor.0 + 1, None);
+        }
+        self.actor_to_node[actor.0] = Some(node);
     }
 
     /// The actor bound to `node`.
@@ -113,7 +119,7 @@ impl Transport {
 
     /// The node bound to `actor`, if any.
     pub fn node_of(&self, actor: ActorId) -> Option<NodeId> {
-        self.actor_to_node.get(&actor).copied()
+        self.actor_to_node.get(actor.0).copied().flatten()
     }
 
     /// End-to-end delay along the shortest path between two nodes.

@@ -10,13 +10,16 @@
 //! Gallager's MST algorithm): messages travel independently in both
 //! directions on an edge and arrive after an unpredictable but finite delay,
 //! *without error and in sequence*. In-sequence (FIFO) delivery per ordered
-//! actor pair is enforced by default and can be disabled for experiments
-//! that want reordering.
+//! actor pair is always enforced: a send is clamped to arrive no earlier
+//! than the previous send on the same pair, and a [`Scheduler`] only ever
+//! sees the oldest pending message of each pair.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::linkfault::LinkFaultPlan;
 use crate::metrics::Counter;
+use crate::pool::Handle;
 use crate::prof::{Prof, ProfEvent, ProfSample};
 use crate::queue::{EventQueue, QueueStats};
 use crate::rng::SimRng;
@@ -46,10 +49,17 @@ impl std::fmt::Display for ActorId {
 
 /// Handle to a pending timer, used for cancellation.
 ///
-/// Ordered so actors can key deterministic (`BTreeMap`) bookkeeping tables
-/// by timer.
+/// Ordered by arming order, so actors can key deterministic (`BTreeMap`)
+/// bookkeeping tables by timer.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    /// Arming order; unique per engine, and first so it decides `Ord`.
+    seq: u64,
+    /// Where the pending timer event sits in the queue's payload pool.
+    /// Generation-checked: dead once the timer has popped, even if the
+    /// slot has been recycled since.
+    slot: Handle,
+}
 
 /// A simulated node: reacts to messages and timers via `&mut self`.
 ///
@@ -108,6 +118,9 @@ enum Ev<M> {
         actor: ActorId,
         id: TimerId,
         tag: u64,
+        /// Set by [`Ctx::cancel_timer`]; the event still pops at its
+        /// instant and is counted as suppressed.
+        cancelled: bool,
     },
     Crash {
         actor: ActorId,
@@ -115,6 +128,31 @@ enum Ev<M> {
     Recover {
         actor: ActorId,
     },
+}
+
+/// Hasher for the `(from, to)` FIFO-clamp table: one multiply-xor round per
+/// actor index. The keys are dense engine-assigned ids, never outside
+/// input, and the table is never iterated, so neither SipHash's collision
+/// resistance nor a stable iteration order is needed.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.0 = (self.0.rotate_left(32) ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by low bits and tags by high bits; fold so
+        // both see the whole product.
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 /// Counters describing one simulation run.
@@ -146,9 +184,10 @@ struct Core<M> {
     now: SimTime,
     queue: EventQueue<Ev<M>>,
     down: Vec<bool>,
-    cancelled: HashSet<TimerId>,
     next_timer: u64,
-    last_arrival: HashMap<(ActorId, ActorId), SimTime>,
+    /// Latest arrival scheduled per ordered `(from, to)` pair — the FIFO
+    /// clamp. Looked up once per send and never iterated.
+    last_arrival: HashMap<(ActorId, ActorId), SimTime, BuildHasherDefault<PairHasher>>,
     counters: SimCounters,
     trace: Trace,
     rng: SimRng,
@@ -165,9 +204,8 @@ impl<M> Core<M> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             down: Vec::new(),
-            cancelled: HashSet::new(),
             next_timer: 0,
-            last_arrival: HashMap::new(),
+            last_arrival: HashMap::default(),
             counters: SimCounters::default(),
             trace: Trace::disabled(),
             rng: SimRng::seed(seed).fork("actor-sim"),
@@ -248,11 +286,31 @@ impl<M> Core<M> {
     }
 
     fn set_timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) -> TimerId {
-        let id = TimerId(self.next_timer);
+        let seq = self.next_timer;
         self.next_timer += 1;
-        self.queue
-            .push(self.now + delay, Ev::Timer { actor, id, tag });
-        id
+        let slot = self.queue.push_with(self.now + delay, |slot| Ev::Timer {
+            actor,
+            id: TimerId { seq, slot },
+            tag,
+            cancelled: false,
+        });
+        TimerId { seq, slot }
+    }
+
+    /// Marks `actor`'s pending timer `id` cancelled where it sits in the
+    /// queue. A fired timer's handle is dead, so its id reaches nothing.
+    fn cancel_timer(&mut self, actor: ActorId, id: TimerId) {
+        if let Some(Ev::Timer {
+            actor: owner,
+            id: pending,
+            cancelled,
+            ..
+        }) = self.queue.get_mut(id.slot)
+        {
+            if *owner == actor && *pending == id {
+                *cancelled = true;
+            }
+        }
     }
 
     /// Removes and returns the next event to fire.
@@ -333,9 +391,9 @@ impl<M> Ctx<'_, M> {
     /// Sends `msg` to `to`, arriving after `delay`.
     ///
     /// The delay models transmission + propagation on the path between the
-    /// two nodes; the network substrate computes it from topology. With FIFO
-    /// links enabled (the default) arrival order per ordered pair matches
-    /// send order even if later sends carry smaller delays.
+    /// two nodes; the network substrate computes it from topology. Links
+    /// are FIFO: arrival order per ordered pair matches send order even if
+    /// later sends carry smaller delays.
     pub fn send(&mut self, to: ActorId, msg: M, delay: SimDuration)
     where
         M: Clone,
@@ -359,7 +417,7 @@ impl<M> Ctx<'_, M> {
     /// Cancels a pending timer. Cancelling an already-fired or foreign timer
     /// is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancelled.insert(id);
+        self.core.cancel_timer(self.me, id);
     }
 
     /// Deterministic randomness: a single stream scoped to the whole
@@ -629,8 +687,12 @@ impl<M: 'static> ActorSim<M> {
                     Some((to.0, ProfEvent::Deliver))
                 }
             }
-            Ev::Timer { actor, id, tag } => {
-                let cancelled = self.core.cancelled.remove(&id);
+            Ev::Timer {
+                actor,
+                id,
+                tag,
+                cancelled,
+            } => {
                 if cancelled || actor.0 >= self.actors.len() || self.core.down[actor.0] {
                     self.core.counters.timers_suppressed.inc();
                     Some((actor.0, ProfEvent::TimerSuppressed))
@@ -885,6 +947,89 @@ mod tests {
         let _ = sim.add_actor(TimerSetter);
         sim.run_to_quiescence();
         assert_eq!(sim.counters().timers_fired.get(), 1);
+        assert_eq!(sim.counters().timers_suppressed.get(), 1);
+    }
+
+    /// Message 0 arms timer 1; any other message cancels that timer's id
+    /// (a foreign id when sent to a second instance). With `chain`, timer
+    /// 1's handler arms timer 2.
+    #[derive(Default)]
+    struct Rearm {
+        chain: bool,
+        first: Option<TimerId>,
+        fired: Vec<u64>,
+    }
+    impl Actor for Rearm {
+        type Msg = Option<TimerId>;
+        fn on_message(&mut self, _f: ActorId, m: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
+            match m {
+                None => self.first = Some(ctx.set_timer(unit(1.0), 1)),
+                Some(id) => ctx.cancel_timer(id),
+            }
+        }
+        fn on_timer(&mut self, _id: TimerId, tag: u64, ctx: &mut Ctx<'_, Self::Msg>) {
+            self.fired.push(tag);
+            if self.chain && tag == 1 {
+                ctx.set_timer(unit(5.0), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn cancel_after_fire_is_inert() {
+        let mut sim = ActorSim::new(1);
+        let a = sim.add_actor(Rearm::default());
+        sim.inject(a, None, SimDuration::ZERO);
+        sim.run_to_quiescence();
+        let id = sim.actor::<Rearm>(a).unwrap().first.unwrap();
+        sim.inject(a, Some(id), SimDuration::ZERO);
+        sim.run_to_quiescence();
+        assert_eq!(sim.actor::<Rearm>(a).unwrap().fired, vec![1]);
+        assert_eq!(sim.counters().timers_suppressed.get(), 0);
+        assert_eq!(sim.queue_stats().pool_live, 0, "nothing left behind");
+    }
+
+    #[test]
+    fn stale_timer_id_cannot_cancel_a_timer_that_recycled_its_slot() {
+        let mut sim = ActorSim::new(1);
+        let a = sim.add_actor(Rearm {
+            chain: true,
+            ..Rearm::default()
+        });
+        sim.inject(a, None, SimDuration::ZERO);
+        // Deliver (arms timer 1), then timer 1 fires and its handler arms
+        // timer 2 — into the pool slot timer 1 just vacated.
+        assert!(sim.step() && sim.step());
+        let stale = sim.actor::<Rearm>(a).unwrap().first.unwrap();
+        sim.inject(a, Some(stale), SimDuration::ZERO);
+        sim.run_to_quiescence();
+        assert_eq!(sim.actor::<Rearm>(a).unwrap().fired, vec![1, 2]);
+        assert_eq!(sim.counters().timers_suppressed.get(), 0);
+        assert_eq!(
+            sim.queue_stats().pool_capacity,
+            2,
+            "timers 1 and 2 shared a slot; the cancel message took the second"
+        );
+    }
+
+    #[test]
+    fn foreign_timer_cannot_be_cancelled() {
+        let mut sim = ActorSim::new(1);
+        let owner = sim.add_actor(Rearm::default());
+        let other = sim.add_actor(Rearm::default());
+        sim.inject(owner, None, SimDuration::ZERO);
+        assert!(sim.step());
+        let id = sim.actor::<Rearm>(owner).unwrap().first.unwrap();
+        sim.inject(other, Some(id), SimDuration::ZERO);
+        sim.run_to_quiescence();
+        assert_eq!(sim.actor::<Rearm>(owner).unwrap().fired, vec![1]);
+        // The owner itself can.
+        sim.inject(owner, None, SimDuration::ZERO);
+        assert!(sim.step());
+        let id = sim.actor::<Rearm>(owner).unwrap().first.unwrap();
+        sim.inject(owner, Some(id), SimDuration::ZERO);
+        sim.run_to_quiescence();
+        assert_eq!(sim.actor::<Rearm>(owner).unwrap().fired, vec![1]);
         assert_eq!(sim.counters().timers_suppressed.get(), 1);
     }
 

@@ -11,10 +11,10 @@
 //! counters add, histograms add bucket-wise (see [`LogHistogram::merge`]);
 //! merging is associative and commutative, so the fold order is free.
 //!
-//! Keys are `&'static str` and storage is `BTreeMap`, so iteration order —
-//! and therefore any export built from it — is deterministic.
+//! Keys are `&'static str` and each table is kept sorted by name, so
+//! iteration order — and therefore any export built from it — is
+//! deterministic.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -488,9 +488,53 @@ impl LogHistogram {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, TimeWeighted>,
-    histograms: BTreeMap<&'static str, LogHistogram>,
+    counters: NameTable<u64>,
+    gauges: NameTable<TimeWeighted>,
+    histograms: NameTable<LogHistogram>,
+}
+
+/// A handful of values keyed by metric name, kept sorted by name.
+///
+/// An actor records under a dozen string literals, millions of times. The
+/// same literal is the same pointer, so the hot lookup is a scan for the
+/// key's address; only a name not found that way (first touch, a merge, or
+/// an equal literal from another crate) is compared as text.
+#[derive(Clone, Debug)]
+struct NameTable<T>(Vec<(&'static str, T)>);
+
+impl<T> Default for NameTable<T> {
+    fn default() -> Self {
+        NameTable(Vec::new())
+    }
+}
+
+impl<T> NameTable<T> {
+    fn get(&self, name: &str) -> Option<&T> {
+        let i = self.0.binary_search_by(|(k, _)| (*k).cmp(name)).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The value under `name`, inserted from `init` on first touch.
+    fn slot(&mut self, name: &'static str, init: impl FnOnce() -> T) -> &mut T {
+        let same_literal = |(k, _): &(&'static str, T)| {
+            std::ptr::eq(k.as_ptr(), name.as_ptr()) && k.len() == name.len()
+        };
+        let i = match self.0.iter().position(same_literal) {
+            Some(i) => i,
+            None => match self.0.binary_search_by(|(k, _)| (*k).cmp(name)) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.0.insert(i, (name, init()));
+                    i
+                }
+            },
+        };
+        &mut self.0[i].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &T)> + '_ {
+        self.0.iter().map(|(k, v)| (*k, v))
+    }
 }
 
 impl MetricsRegistry {
@@ -506,7 +550,7 @@ impl MetricsRegistry {
 
     /// Increments counter `name` by `n`.
     pub fn counter_add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        *self.counters.slot(name, || 0) += n;
     }
 
     /// Current value of counter `name` (0 if never touched).
@@ -519,8 +563,7 @@ impl MetricsRegistry {
     /// (see [`TimeWeighted::set`]).
     pub fn gauge_add(&mut self, now: SimTime, name: &'static str, delta: f64) {
         self.gauges
-            .entry(name)
-            .or_insert_with(|| TimeWeighted::new(SimTime::ZERO, 0.0))
+            .slot(name, || TimeWeighted::new(SimTime::ZERO, 0.0))
             .add(now, delta);
     }
 
@@ -528,8 +571,7 @@ impl MetricsRegistry {
     /// from `SimTime::ZERO` on first touch.
     pub fn gauge_set(&mut self, now: SimTime, name: &'static str, value: f64) {
         self.gauges
-            .entry(name)
-            .or_insert_with(|| TimeWeighted::new(SimTime::ZERO, 0.0))
+            .slot(name, || TimeWeighted::new(SimTime::ZERO, 0.0))
             .set(now, value);
     }
 
@@ -543,10 +585,7 @@ impl MetricsRegistry {
     /// all registries share that layout, so cross-actor merges are always
     /// compatible.
     pub fn observe(&mut self, name: &'static str, x: f64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(LogHistogram::latency)
-            .observe(x);
+        self.histograms.slot(name, LogHistogram::latency).observe(x);
     }
 
     /// The histogram named `name`, if it was ever touched.
@@ -556,22 +595,22 @@ impl MetricsRegistry {
 
     /// Iterates counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        self.counters.iter().map(|(k, &v)| (k, v))
     }
 
     /// Iterates gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, &TimeWeighted)> + '_ {
-        self.gauges.iter().map(|(&k, v)| (k, v))
+        self.gauges.iter()
     }
 
     /// Iterates histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> + '_ {
-        self.histograms.iter().map(|(&k, v)| (k, v))
+        self.histograms.iter()
     }
 
     /// True if nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.0.is_empty() && self.gauges.0.is_empty() && self.histograms.0.is_empty()
     }
 
     /// Folds `other` into this registry: counters add and histograms merge
@@ -584,10 +623,7 @@ impl MetricsRegistry {
             self.counter_add(name, v);
         }
         for (name, h) in other.histograms() {
-            self.histograms
-                .entry(name)
-                .or_insert_with(LogHistogram::latency)
-                .merge(h);
+            self.histograms.slot(name, LogHistogram::latency).merge(h);
         }
     }
 }
@@ -597,9 +633,9 @@ impl fmt::Display for MetricsRegistry {
         write!(
             f,
             "{} counter(s), {} gauge(s), {} histogram(s)",
-            self.counters.len(),
-            self.gauges.len(),
-            self.histograms.len()
+            self.counters.0.len(),
+            self.gauges.0.len(),
+            self.histograms.0.len()
         )
     }
 }
@@ -789,6 +825,23 @@ mod tests {
         assert_eq!(m.counter("c"), 0);
         let names: Vec<_> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
+    }
+
+    /// The pointer scan is only a shortcut: equal text under two addresses
+    /// is one counter, and insertion order never shows in iteration order.
+    #[test]
+    fn equal_names_at_distinct_addresses_share_one_counter() {
+        let heap: &'static str = Box::leak(String::from("polls").into_boxed_str());
+        let literal: &'static str = "polls";
+        assert!(!std::ptr::eq(heap.as_ptr(), literal.as_ptr()));
+        let mut m = MetricsRegistry::new();
+        m.inc("zeta");
+        m.inc(literal);
+        m.inc(heap);
+        m.inc("alpha");
+        assert_eq!(m.counter("polls"), 2);
+        let names: Vec<_> = m.counters().collect();
+        assert_eq!(names, vec![("alpha", 1), ("polls", 2), ("zeta", 1)]);
     }
 
     #[test]

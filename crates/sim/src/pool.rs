@@ -16,7 +16,7 @@
 /// Handles are `Copy` and 8 bytes: a slot index plus the slot generation
 /// observed at insert time. A handle is *live* until the value is taken;
 /// afterwards every access through it returns `None`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Handle {
     index: u32,
     gen: u32,
@@ -108,24 +108,33 @@ impl<T> Pool<T> {
 
     /// Stores `val`, recycling a freed slot when one exists.
     pub fn insert(&mut self, val: T) -> Handle {
+        self.insert_with(|_| val)
+    }
+
+    /// Stores the value `make` builds from the handle it will live under —
+    /// for values that must know their own handle (a timer event carries
+    /// the id that cancels it).
+    pub fn insert_with(&mut self, make: impl FnOnce(Handle) -> T) -> Handle {
         self.live += 1;
         if let Some(index) = self.free.pop() {
             self.hits += 1;
             let slot = &mut self.slots[index as usize];
-            slot.val = Some(val);
-            return Handle {
+            let h = Handle {
                 index,
                 gen: slot.gen,
             };
+            slot.val = Some(make(h));
+            return h;
         }
         self.misses += 1;
         let index = u32::try_from(self.slots.len()).unwrap_or(u32::MAX);
         debug_assert!(index != u32::MAX, "pool exceeded u32 slot space");
+        let h = Handle { index, gen: 0 };
         self.slots.push(Slot {
             gen: 0,
-            val: Some(val),
+            val: Some(make(h)),
         });
-        Handle { index, gen: 0 }
+        h
     }
 
     fn slot_of(&self, h: Handle) -> Option<&Slot<T>> {

@@ -213,14 +213,15 @@ impl<E> Calendar<E> {
         }
     }
 
-    fn push(&mut self, ticks: u64, seq: u64, event: E) {
-        let slot = self.pool.insert(event);
+    fn push(&mut self, ticks: u64, seq: u64, make: impl FnOnce(Handle) -> E) -> Handle {
+        let slot = self.pool.insert_with(make);
         self.len += 1;
         self.place(Entry { ticks, seq, slot });
         self.maintain_front();
         if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
             self.resize(self.buckets.len() * 2);
         }
+        slot
     }
 
     fn pop(&mut self) -> Option<(u64, u64, E)> {
@@ -435,10 +436,27 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at `at`. Returns the sequence number
     /// assigned to the event (useful for cancellation bookkeeping).
     pub fn push(&mut self, at: SimTime, event: E) -> EventSeq {
-        let seq = EventSeq(self.next_seq);
+        self.schedule(at, |_| event).0
+    }
+
+    /// Schedules the event `make` builds from the pool [`Handle`] it is
+    /// stored under, and returns that handle: [`EventQueue::get_mut`]
+    /// reaches the pending event through it until the event is popped or
+    /// removed, after which the handle is dead.
+    pub fn push_with(&mut self, at: SimTime, make: impl FnOnce(Handle) -> E) -> Handle {
+        self.schedule(at, make).1
+    }
+
+    fn schedule(&mut self, at: SimTime, make: impl FnOnce(Handle) -> E) -> (EventSeq, Handle) {
+        let seq = self.next_seq;
         self.next_seq += 1;
-        self.cal.push(at.as_ticks(), seq.0, event);
-        seq
+        (EventSeq(seq), self.cal.push(at.as_ticks(), seq, make))
+    }
+
+    /// The still-pending event stored under `h`, or `None` once it has
+    /// fired, been removed, or the queue was cleared.
+    pub fn get_mut(&mut self, h: Handle) -> Option<&mut E> {
+        self.cal.pool.get_mut(h)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.

@@ -13,12 +13,11 @@
 //! mailbox becomes many bounded records, never one giant rewrite) and
 //! deletes the older segments.
 
-use std::collections::BTreeMap;
-
-use lems_core::mailbox::Mailbox;
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, RecoveryReport, StoreMetrics, StoreState};
+use lems_core::store::{
+    MailStore, Mailboxes, PendingDrain, RecoveryReport, StoreMetrics, StoreState,
+};
 use lems_sim::time::SimTime;
 
 use crate::codec::{self, Record};
@@ -118,7 +117,7 @@ pub fn apply(state: &mut StoreState, record: Record) -> Applied {
             Applied::None
         }
         Record::SnapshotPending { owner, messages } => {
-            state.pending.entry(owner).or_default().extend(messages);
+            state.restore_snapshot_pending(owner, messages);
             Applied::None
         }
         Record::SnapshotForwards { entries } => {
@@ -294,13 +293,8 @@ impl WalStore {
         let report = RecoveryReport {
             backend: "wal",
             replayed_records: replay.records,
-            recovered_messages: replay
-                .state
-                .mailboxes
-                .values()
-                .map(|m| m.len() as u64)
-                .sum(),
-            recovered_pending: replay.state.pending.values().map(|p| p.len() as u64).sum(),
+            recovered_messages: replay.state.mailbox_messages() as u64,
+            recovered_pending: replay.state.pending_messages() as u64,
             recovered_forwards: replay.state.forwards.len() as u64,
             lost_messages: lost,
             torn_bytes: replay.torn_bytes,
@@ -358,7 +352,7 @@ impl WalStore {
     fn compact(&mut self) {
         let chunk = self.cfg.chunk_messages.max(1);
         let mut records: Vec<Record> = Vec::new();
-        for (owner, mb) in &self.state.mailboxes {
+        for (owner, mb) in self.state.mailboxes().iter() {
             for slice in mb.peek().chunks(chunk).filter(|slice| !slice.is_empty()) {
                 records.push(Record::SnapshotMailbox {
                     owner: owner.clone(),
@@ -375,7 +369,7 @@ impl WalStore {
                 expired: mb.expired_total(),
             });
         }
-        for (owner, pending) in &self.state.pending {
+        for (owner, pending) in self.state.pending().iter() {
             if pending.is_empty() {
                 // A drained-but-fully-acked buffer is still part of the
                 // state shape; replay must recreate the (empty) entry.
@@ -529,12 +523,12 @@ impl MailStore for WalStore {
         self.log_and_apply(Record::SettleForward { id });
     }
 
-    fn mailboxes(&self) -> &BTreeMap<MailName, Mailbox> {
-        &self.state.mailboxes
+    fn mailboxes(&self) -> Mailboxes<'_> {
+        self.state.mailboxes()
     }
 
-    fn pending_drain(&self) -> &BTreeMap<MailName, Vec<Message>> {
-        &self.state.pending
+    fn pending_drain(&self) -> PendingDrain<'_> {
+        self.state.pending()
     }
 
     fn crash(&mut self, _now: SimTime) {

@@ -94,6 +94,136 @@ fn run_op(
     }
 }
 
+/// Runs `ops` against a one-segment WAL and an in-memory oracle, then
+/// crashes at *every byte prefix* of the log: replay must yield exactly the
+/// state after the complete records in that prefix, and the full log the
+/// oracle. Returns the log's bytes and the final state.
+fn crash_at_every_prefix(ops: &[(u8, u64, u64)]) -> (Vec<u8>, StoreState) {
+    let cfg = WalConfig {
+        segment_bytes: u64::MAX, // keep one segment so prefixes are meaningful
+        sync: SyncPolicy::PerRecord,
+        ..WalConfig::default()
+    };
+    let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+    let mut oracle = StoreState::default();
+    let mut gen = MessageIdGen::new();
+    for (op, who, val) in ops {
+        run_op(&mut store, &mut oracle, &mut gen, *op, *who, *val);
+    }
+    assert_eq!(store.state(), &oracle);
+
+    // Reconstruct the log bytes and the state after each record.
+    let bytes = store.read_segment(0).unwrap();
+    let mut snapshots: Vec<StoreState> = vec![StoreState::default()];
+    let replayed = codec::replay_segment(&bytes, 0, |rec| {
+        let mut next = snapshots.last().cloned().unwrap_or_default();
+        apply(&mut next, rec);
+        snapshots.push(next);
+    })
+    .unwrap();
+    assert!(replayed.tail.is_none());
+    assert_eq!(snapshots.last().unwrap(), &oracle);
+
+    // Crash at every byte prefix: replay tolerating a torn tail must
+    // land exactly on a record boundary's state.
+    for cut in 0..=bytes.len() {
+        let mut state = StoreState::default();
+        let seg = codec::replay_segment(&bytes[..cut], 0, |rec| {
+            apply(&mut state, rec);
+        })
+        .unwrap();
+        assert_eq!(&state, &snapshots[seg.records as usize]);
+    }
+    (bytes, oracle)
+}
+
+/// A user who only ever checked (alice), one who was only ever deposited
+/// to (bob), and one with both (carol): `(op, user, val)` as `run_op`
+/// reads them.
+const SHAPE_SCRIPT: &[(u8, u64, u64)] = &[
+    (3, 0, 1), // alice checks: an empty reservation buffer, no mailbox
+    (0, 1, 2), // bob is deposited to (id 0): a mailbox, no buffer
+    (0, 2, 3), // carol is deposited to (id 1) ...
+    (3, 2, 4), // ... checks ...
+    (4, 2, 1), // ... and acks ids 1-3: mailbox and (empty) buffer
+    (0, 1, 5), // bob again (id 2)
+    (3, 0, 6), // alice again
+    (0, 2, 7), // carol holds one undrained message (id 3)
+];
+
+/// Length of the log `SHAPE_SCRIPT` writes. Keeping a user's mailbox and
+/// reservation buffer in one store entry must not move a log byte; this
+/// is what the two-map `StoreState` wrote for the same script.
+const SHAPE_SCRIPT_LOG_BYTES: usize = 604;
+
+/// Total segment bytes after `SHAPE_SCRIPT` × 12 through a WAL that
+/// rotates every 256 bytes and compacts past two segments — snapshot
+/// records included, so this pins what compaction writes for an entry
+/// with only one of its two halves.
+const SHAPE_SCRIPT_COMPACTED_BYTES: u64 = 6203;
+
+/// Which of its two halves each user's store entry has.
+fn assert_shape(state: &StoreState) {
+    let (alice, bob, carol) = (user(0), user(1), user(2));
+    assert!(
+        state.mailboxes().get(&alice).is_none(),
+        "never deposited to"
+    );
+    assert_eq!(state.pending().get(&alice), Some(&Vec::new()));
+    assert!(state.mailboxes().get(&bob).is_some());
+    assert!(state.pending().get(&bob).is_none(), "never checked");
+    assert!(state.mailboxes().get(&carol).is_some());
+    assert!(state.pending().get(&carol).is_some());
+    assert_eq!(
+        state.mailboxes().keys().collect::<Vec<_>>(),
+        [&bob, &carol],
+        "views skip entries that lack their half, in name order"
+    );
+    assert_eq!(state.pending().keys().collect::<Vec<_>>(), [&alice, &carol]);
+}
+
+#[test]
+fn checked_only_and_deposited_only_users_survive_every_prefix() {
+    let (bytes, state) = crash_at_every_prefix(SHAPE_SCRIPT);
+    assert_shape(&state);
+    assert_eq!(bytes.len(), SHAPE_SCRIPT_LOG_BYTES);
+}
+
+#[test]
+fn checked_only_and_deposited_only_users_survive_compaction() {
+    let cfg = WalConfig {
+        segment_bytes: 256,
+        chunk_messages: 2,
+        max_segments: 2,
+        sync: SyncPolicy::PerRecord,
+        ..WalConfig::default()
+    };
+    let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+    let mut oracle = StoreState::default();
+    let mut gen = MessageIdGen::new();
+    for _ in 0..12 {
+        for &(op, who, val) in SHAPE_SCRIPT {
+            run_op(&mut store, &mut oracle, &mut gen, op, who, val);
+        }
+    }
+    assert!(store.compactions() > 0, "small segments must compact");
+    assert_shape(store.state());
+    assert_eq!(store.wal_bytes(), SHAPE_SCRIPT_COMPACTED_BYTES);
+
+    let live = store.state().clone();
+    store.crash(SimTime::from_units(1000.0));
+    let report = store.recover(SimTime::from_units(1001.0));
+    assert_eq!(report.lost_messages, 0);
+    assert_eq!(
+        store.state(),
+        &live,
+        "snapshot + tail replay to the live state"
+    );
+    assert_eq!(store.state(), &oracle);
+    assert_eq!(report.recovered_messages, live.mailbox_messages() as u64);
+    assert_eq!(report.recovered_pending, live.pending_messages() as u64);
+}
+
 proptest! {
     /// Single-segment WAL: after any operation mix, recovery from a crash
     /// at *every byte prefix* of the log yields exactly the state after
@@ -103,41 +233,7 @@ proptest! {
     fn crash_at_every_prefix_recovers_record_boundary_state(
         ops in proptest::collection::vec((0u8..9, 0u64..6, 0u64..40), 1..24)
     ) {
-        let cfg = WalConfig {
-            segment_bytes: u64::MAX, // keep one segment so prefixes are meaningful
-            sync: SyncPolicy::PerRecord,
-            ..WalConfig::default()
-        };
-        let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
-        let mut oracle = StoreState::default();
-        let mut gen = MessageIdGen::new();
-        for (op, who, val) in &ops {
-            run_op(&mut store, &mut oracle, &mut gen, *op, *who, *val);
-        }
-        prop_assert_eq!(store.state(), &oracle);
-
-        // Reconstruct the log bytes and the state after each record.
-        let bytes = store.read_segment(0).unwrap();
-        let mut snapshots: Vec<StoreState> = vec![StoreState::default()];
-        let replayed = codec::replay_segment(&bytes, 0, |rec| {
-            let mut next = snapshots.last().cloned().unwrap_or_default();
-            apply(&mut next, rec);
-            snapshots.push(next);
-        })
-        .unwrap();
-        prop_assert!(replayed.tail.is_none());
-        prop_assert_eq!(snapshots.last().unwrap(), &oracle);
-
-        // Crash at every byte prefix: replay tolerating a torn tail must
-        // land exactly on a record boundary's state.
-        for cut in 0..=bytes.len() {
-            let mut state = StoreState::default();
-            let seg = codec::replay_segment(&bytes[..cut], 0, |rec| {
-                apply(&mut state, rec);
-            })
-            .unwrap();
-            prop_assert_eq!(&state, &snapshots[seg.records as usize]);
-        }
+        crash_at_every_prefix(&ops);
     }
 
     /// Multi-segment WAL with rotation and chunked compaction active:

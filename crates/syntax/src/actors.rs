@@ -110,6 +110,9 @@ pub enum MailMsg {
         user: MailName,
         /// Host node to reply to.
         reply_to: NodeId,
+        /// Opaque to the server, which echoes it in the reply: where the
+        /// host keeps this user's session.
+        session: u32,
     },
     /// Server -> UI: stored mail plus the server's `LastStartTime`.
     RetrieveReply {
@@ -119,6 +122,9 @@ pub enum MailMsg {
         messages: Vec<Message>,
         /// The server's `LastStartTime`.
         last_start_time: SimTime,
+        /// The request's `session`, echoed. A hint only: the host checks
+        /// it against `user` before trusting it.
+        session: u32,
     },
     /// UI -> server: the listed drained messages arrived safely; the
     /// server may release its drain buffer for them. Without this ack a
@@ -210,9 +216,8 @@ fn bounce_code(reason: BounceReason) -> u64 {
 /// Per-user state kept by the host actor.
 #[derive(Clone, Debug)]
 struct UiUser {
-    /// This user's index in [`HostActor::check_slots`]; the tag of their
-    /// retrieval timers.
-    slot: usize,
+    /// Never changed after [`UiUser::new`]: an in-flight
+    /// [`RetrievalSession`] indexes into it.
     authorities: AuthorityList,
     last_checking_time: SimTime,
     previously_unavailable: BTreeSet<NodeId>,
@@ -221,11 +226,9 @@ struct UiUser {
 }
 
 impl UiUser {
-    /// A user who has never checked mail; the slot is given by the host
-    /// that adopts them ([`HostActor::adopt_user`]).
+    /// A user who has never checked mail.
     fn new(authorities: AuthorityList) -> Self {
         UiUser {
-            slot: 0,
             authorities,
             last_checking_time: SimTime::ZERO,
             previously_unavailable: BTreeSet::new(),
@@ -271,16 +274,19 @@ impl SessionConfig {
     }
 }
 
-/// An in-flight asynchronous GetMail walk.
+/// An in-flight asynchronous GetMail walk. Holds no heap until a server
+/// that timed out on an earlier check needs sweeping.
 #[derive(Clone, Debug)]
 struct RetrievalSession {
-    /// Servers of the authority list still to probe in the walk phase.
-    walk_remaining: VecDeque<NodeId>,
+    /// How many servers of the user's authority list the walk phase has
+    /// probed: its next probe is `servers[walked]`.
+    walked: usize,
     /// Servers to sweep afterwards (previously unavailable, not probed in
     /// this walk).
     sweep_remaining: Vec<NodeId>,
-    /// Servers probed during this check.
-    probed: BTreeSet<NodeId>,
+    /// Servers the sweep probed. With `servers[..walked]`, every server
+    /// probed during this check.
+    swept: Vec<NodeId>,
     polls: u32,
     current: Option<(NodeId, TimerId)>,
     /// Probes already sent to the current server (session-layer attempts).
@@ -289,6 +295,66 @@ struct RetrievalSession {
     finished_walk_early: bool,
     /// The lifecycle span covering this check.
     span: SpanId,
+}
+
+impl RetrievalSession {
+    fn new(check_started: SimTime, span: SpanId) -> Self {
+        RetrievalSession {
+            walked: 0,
+            sweep_remaining: Vec::new(),
+            swept: Vec::new(),
+            polls: 0,
+            current: None,
+            attempts: 0,
+            check_started,
+            finished_walk_early: false,
+            span,
+        }
+    }
+
+    /// True if this check has already probed `server`.
+    fn probed(&self, servers: &[NodeId], server: NodeId) -> bool {
+        servers[..self.walked].contains(&server) || self.swept.contains(&server)
+    }
+
+    /// The next server to probe, or `None` when the check is complete: the
+    /// authority list `servers` in order until a reply ends the walk early,
+    /// then every server of `previously_unavailable` this check has not
+    /// probed yet.
+    ///
+    /// Each server returned is counted in `polls` — distinct servers
+    /// probed, the paper's GetMail cost metric; session-layer
+    /// retransmissions to the same server are counted in `retransmits`
+    /// instead.
+    fn next_server(
+        &mut self,
+        servers: &[NodeId],
+        previously_unavailable: &BTreeSet<NodeId>,
+    ) -> Option<NodeId> {
+        let walk_over = self.finished_walk_early || self.walked == servers.len();
+        let next = if walk_over {
+            if self.sweep_remaining.is_empty() {
+                self.sweep_remaining = previously_unavailable
+                    .iter()
+                    .copied()
+                    .filter(|&s| !self.probed(servers, s))
+                    .collect();
+            }
+            let next = loop {
+                match self.sweep_remaining.pop() {
+                    Some(s) if self.probed(servers, s) => {}
+                    other => break other,
+                }
+            };
+            self.swept.extend(next);
+            next
+        } else {
+            self.walked += 1;
+            Some(servers[self.walked - 1])
+        };
+        self.polls += u32::from(next.is_some());
+        next
+    }
 }
 
 /// An in-flight submission (connection-setup walk over the sender's
@@ -308,11 +374,14 @@ struct SubmitTask {
 pub struct HostActor {
     node: NodeId,
     transport: Rc<Transport>,
-    users: BTreeMap<MailName, UiUser>,
-    /// The user each retrieval-timer tag stands for ([`UiUser::slot`]).
-    /// Append-only: a user who migrated away leaves a slot whose name no
-    /// longer resolves in `users`.
-    check_slots: Vec<MailName>,
+    /// Every user ever adopted, by slot. A slot index is what retrieval
+    /// timers carry as their tag and `Retrieve` as its `session`, so the
+    /// list is append-only: a user who migrated away leaves a slot with no
+    /// `ui`.
+    users: Vec<UserSlot>,
+    /// Name -> live slot, for what arrives by name (`DoSend`, `DoCheck`,
+    /// a reply whose `session` does not check out).
+    slot_of: BTreeMap<MailName, usize>,
     // Actor bookkeeping uses ordered maps throughout: iteration order feeds
     // protocol decisions, and hash-order iteration would make replays
     // diverge between runs (enforced by `lems-check -- lint`).
@@ -330,17 +399,48 @@ pub struct HostActor {
     pub metrics: MetricsRegistry,
 }
 
+/// One adopted user of a host.
+struct UserSlot {
+    name: MailName,
+    /// `None` once the user has migrated away.
+    ui: Option<UiUser>,
+}
+
 /// Timer tags say what a host timer is for without a side table: a submit
 /// timeout carries its message id, a retrieve timeout this bit plus the
 /// checking user's slot.
 const RETRIEVE_TAG: u64 = 1 << 63;
 
 impl HostActor {
-    /// Adopts `ui` under `name`, giving it a timer slot on this host.
-    fn adopt_user(&mut self, name: MailName, mut ui: UiUser) {
-        ui.slot = self.check_slots.len();
-        self.check_slots.push(name.clone());
-        self.users.insert(name, ui);
+    /// Adopts `ui` under `name`, giving it a slot on this host.
+    fn adopt_user(&mut self, name: MailName, ui: UiUser) {
+        let slot = self.users.len();
+        if let Some(old) = self.slot_of.insert(name.clone(), slot) {
+            self.users[old].ui = None;
+        }
+        self.users.push(UserSlot { name, ui: Some(ui) });
+    }
+
+    /// Hands `name`'s interface state over to another host (§3.1.4).
+    fn release_user(&mut self, name: &MailName) -> Option<UiUser> {
+        let slot = self.slot_of.remove(name)?;
+        self.users[slot].ui.take()
+    }
+
+    /// The live slot of `user`, whose reply echoed `session`. The token is
+    /// trusted only as far as the name stored in that slot agrees with it
+    /// (one pointer compare: the echoed name is a clone of the slot's);
+    /// anything else — out of range, another user's slot, a slot vacated
+    /// by migration — is resolved by name, exactly as if no token existed.
+    fn slot_for(&self, session: u32, user: &MailName) -> Option<usize> {
+        let hinted = session as usize;
+        match self.users.get(hinted) {
+            Some(slot) if slot.ui.is_some() && slot.name == *user => {
+                debug_assert_eq!(self.slot_of.get(user), Some(&hinted));
+                Some(hinted)
+            }
+            _ => self.slot_of.get(user).copied(),
+        }
     }
 
     fn timeout_for(&self, server: NodeId) -> SimDuration {
@@ -376,7 +476,11 @@ impl HostActor {
             SpanStage::Submitted,
             site(self.node),
         );
-        let Some(user) = self.users.get(&msg.from) else {
+        let Some(user) = self
+            .slot_of
+            .get(&msg.from)
+            .and_then(|&slot| self.users[slot].ui.as_ref())
+        else {
             // Sender not homed here; count as bounce at source.
             self.bounce_here(msg.id, BounceReason::UnknownRecipient, ctx.now());
             return;
@@ -458,8 +562,8 @@ impl HostActor {
         );
     }
 
-    fn start_check(&mut self, user_name: &MailName, ctx: &mut Ctx<'_, MailMsg>) {
-        let Some(user) = self.users.get_mut(user_name) else {
+    fn start_check(&mut self, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(user) = self.users[slot].ui.as_mut() else {
             return;
         };
         if user.retrieval.is_some() {
@@ -472,66 +576,23 @@ impl HostActor {
                 .borrow_mut()
                 .open(ctx.now(), SpanStage::CheckStarted, site(self.node));
         self.metrics.inc("checks_started");
-        let session = RetrievalSession {
-            walk_remaining: user.authorities.servers().iter().copied().collect(),
-            sweep_remaining: Vec::new(),
-            probed: BTreeSet::new(),
-            polls: 0,
-            current: None,
-            attempts: 0,
-            check_started: ctx.now(),
-            finished_walk_early: false,
-            span,
-        };
-        user.retrieval = Some(session);
-        self.advance_retrieval(user_name, ctx);
+        user.retrieval = Some(RetrievalSession::new(ctx.now(), span));
+        self.advance_retrieval(slot, ctx);
     }
 
     /// Drives the session state machine: probe next server or finish.
-    fn advance_retrieval(&mut self, user_name: &MailName, ctx: &mut Ctx<'_, MailMsg>) {
+    fn advance_retrieval(&mut self, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
         let node = self.node;
-        let Some(user) = self.users.get_mut(user_name) else {
+        let UserSlot { name, ui } = &mut self.users[slot];
+        let Some(user) = ui.as_mut() else {
             return;
         };
         let Some(session) = user.retrieval.as_mut() else {
             return;
         };
 
-        // Move to the sweep phase when the walk is done: sweep previously
-        // unavailable servers not already probed this check.
-        if (session.walk_remaining.is_empty() || session.finished_walk_early)
-            && session.sweep_remaining.is_empty()
-        {
-            session.sweep_remaining = user
-                .previously_unavailable
-                .iter()
-                .copied()
-                .filter(|s| !session.probed.contains(s))
-                .collect();
-        }
-
-        let walk_next = if session.finished_walk_early {
-            None
-        } else {
-            session.walk_remaining.pop_front()
-        };
-        let next = walk_next.or_else(|| {
-            // Sweep phase.
-            loop {
-                match session.sweep_remaining.pop() {
-                    Some(s) if session.probed.contains(&s) => {}
-                    other => break other,
-                }
-            }
-        });
-
-        match next {
+        match session.next_server(user.authorities.servers(), &user.previously_unavailable) {
             Some(server) => {
-                // `polls` counts distinct servers probed (the paper's
-                // GetMail cost metric); session-layer retransmissions to
-                // the same server are counted in `retransmits` instead.
-                session.polls += 1;
-                session.probed.insert(server);
                 session.attempts = 1;
                 self.spans.borrow_mut().record(
                     ctx.now(),
@@ -552,12 +613,13 @@ impl HostActor {
                     node,
                     server,
                     MailMsg::Retrieve {
-                        user: user_name.clone(),
+                        user: name.clone(),
                         reply_to: node,
+                        session: slot as u32,
                     },
                     SimDuration::ZERO,
                 );
-                let timer = ctx.set_timer(timeout, RETRIEVE_TAG | user.slot as u64);
+                let timer = ctx.set_timer(timeout, RETRIEVE_TAG | slot as u64);
                 session.current = Some((server, timer));
             }
             None => {
@@ -585,7 +647,7 @@ impl HostActor {
                     ctx.now().duration_since(started).as_units(),
                 );
                 if std::mem::take(&mut user.pending_check) {
-                    self.start_check(user_name, ctx);
+                    self.start_check(slot, ctx);
                 }
             }
         }
@@ -607,7 +669,9 @@ impl Actor for HostActor {
                 self.start_submit(m, ctx);
             }
             MailMsg::DoCheck { user } => {
-                self.start_check(&user, ctx);
+                if let Some(&slot) = self.slot_of.get(&user) {
+                    self.start_check(slot, ctx);
+                }
             }
             MailMsg::SubmitAck { id } => {
                 if let Some(task) = self.submits.remove(&id) {
@@ -632,15 +696,17 @@ impl Actor for HostActor {
                 user: user_name,
                 messages,
                 last_start_time,
+                session,
             } => {
                 let now = ctx.now();
+                let server_node = self.transport.node_of(from);
                 // Ack first, unconditionally — even for stale replies after
                 // a timeout. The messages are physically at this host, so
                 // the server must release its drain buffer; failing to ack
                 // a stale reply would make the server re-send (and the UI
                 // re-discard) them forever.
                 if !messages.is_empty() {
-                    if let Some(server_node) = self.transport.node_of(from) {
+                    if let Some(server_node) = server_node {
                         self.transport.send(
                             ctx,
                             self.node,
@@ -660,7 +726,7 @@ impl Actor for HostActor {
                 // mail on any stale-reply race (the exact loss class the
                 // trace auditor checks for).
                 {
-                    let server_site = self.transport.node_of(from).map_or(NO_NODE, site);
+                    let server_site = server_node.map_or(NO_NODE, site);
                     let mut st = self.stats.borrow_mut();
                     let mut spans = self.spans.borrow_mut();
                     for m in &messages {
@@ -692,7 +758,10 @@ impl Actor for HostActor {
                         }
                     }
                 }
-                let Some(user) = self.users.get_mut(&user_name) else {
+                let Some(slot) = self.slot_for(session, &user_name) else {
+                    return;
+                };
+                let Some(user) = self.users[slot].ui.as_mut() else {
                     return;
                 };
                 let Some(session) = user.retrieval.as_mut() else {
@@ -706,7 +775,7 @@ impl Actor for HostActor {
                 if user.last_checking_time > last_start_time {
                     session.finished_walk_early = true;
                 }
-                self.advance_retrieval(&user_name, ctx);
+                self.advance_retrieval(slot, ctx);
             }
             // Server-bound traffic; a host receiving these ignores them.
             MailMsg::Submit { .. }
@@ -720,8 +789,8 @@ impl Actor for HostActor {
     fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
         if tag & RETRIEVE_TAG == 0 {
             self.on_submit_timeout(id, MessageId(tag), ctx);
-        } else if let Some(user_name) = self.check_slots.get((tag & !RETRIEVE_TAG) as usize) {
-            self.on_retrieve_timeout(id, user_name.clone(), ctx);
+        } else {
+            self.on_retrieve_timeout(id, (tag & !RETRIEVE_TAG) as usize, ctx);
         }
     }
 }
@@ -745,14 +814,13 @@ impl HostActor {
         }
     }
 
-    fn on_retrieve_timeout(
-        &mut self,
-        id: TimerId,
-        user_name: MailName,
-        ctx: &mut Ctx<'_, MailMsg>,
-    ) {
+    fn on_retrieve_timeout(&mut self, id: TimerId, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
         let node = self.node;
-        let Some(user) = self.users.get_mut(&user_name) else {
+        let Some(UserSlot {
+            name,
+            ui: Some(user),
+        }) = self.users.get_mut(slot)
+        else {
             return;
         };
         let Some(session) = user.retrieval.as_mut() else {
@@ -772,7 +840,7 @@ impl HostActor {
             // PreviouslyUnavailableServers, now driven by real
             // timeouts rather than oracle knowledge — and move on.
             user.previously_unavailable.insert(server);
-            self.advance_retrieval(&user_name, ctx);
+            self.advance_retrieval(slot, ctx);
         } else {
             // Retransmit to the same server with backoff.
             let attempt = session.attempts;
@@ -787,12 +855,13 @@ impl HostActor {
                 node,
                 server,
                 MailMsg::Retrieve {
-                    user: user_name,
+                    user: name.clone(),
                     reply_to: node,
+                    session: slot as u32,
                 },
                 SimDuration::ZERO,
             );
-            let new_timer = ctx.set_timer(timeout, RETRIEVE_TAG | user.slot as u64);
+            let new_timer = ctx.set_timer(timeout, RETRIEVE_TAG | slot as u64);
             session.current = Some((server, new_timer));
             self.stats.borrow_mut().retransmits += 1;
             self.metrics.inc("retransmits");
@@ -845,8 +914,6 @@ pub struct ServerActor {
     /// with the process and recovery re-routes from the journal (see
     /// [`Actor::on_recover`]).
     forwards: BTreeMap<MessageId, ForwardTask>,
-    /// Home host of each user in this region (for notifications).
-    home_hosts: BTreeMap<MailName, NodeId>,
     /// The §3.1.4 redirect table, shared across servers (migrated users'
     /// old names forward to their new names while the entry lives).
     redirects: Rc<RefCell<crate::migrate::RedirectTable>>,
@@ -897,7 +964,19 @@ impl ServerActor {
             NO_NODE,
             0,
         );
-        if let Some(&host) = self.home_hosts.get(&user) {
+        // Whom to alert is in the record this server holds as the user's
+        // authority. A deposit only ever happens at an authority; the one
+        // way to find no record is a walk that outlived the name (the user
+        // migrated away mid-flight), and then nobody is left to alert.
+        let home_host = self.resolver.view().lookup(&user).map(|rec| rec.home_host);
+        debug_assert!(
+            !matches!(
+                self.resolver.resolve(&user),
+                Resolution::RegionalAuthority(_)
+            ),
+            "deposit for a live name at a server that is not its authority"
+        );
+        if let Some(host) = home_host {
             self.stats.borrow_mut().notifications += 1;
             self.metrics.inc("notifications");
             self.spans.borrow_mut().record_keyed(
@@ -954,7 +1033,7 @@ impl ServerActor {
         }
         let resolved = |code: ResolveCode| -> u64 { code.as_detail() };
         match self.resolver.resolve(&msg.to) {
-            Resolution::LocalAuthority => {
+            Resolution::LocalAuthority(rec) => {
                 self.spans.borrow_mut().record_keyed(
                     ctx.now(),
                     msg.id.0,
@@ -963,10 +1042,7 @@ impl ServerActor {
                     NO_NODE,
                     resolved(ResolveCode::LocalAuthority),
                 );
-                let candidates: VecDeque<NodeId> = match self.resolver.view().lookup(&msg.to) {
-                    Some(rec) => rec.authorities.servers().iter().copied().collect(),
-                    None => VecDeque::from([self.node]),
-                };
+                let candidates = rec.authorities.servers().iter().copied().collect();
                 self.forward_next(msg, candidates, hops_left - 1, ctx);
             }
             Resolution::RegionalAuthority(list) => {
@@ -992,7 +1068,7 @@ impl ServerActor {
                 );
                 // "the message is transmitted to one of the servers in the
                 // recipient region": try them nearest-first.
-                let mut candidates = servers;
+                let mut candidates = servers.to_vec();
                 candidates.sort_by_key(|&s| self.transport.delay(self.node, s));
                 self.forward_next(msg, candidates.into(), hops_left - 1, ctx);
             }
@@ -1194,7 +1270,11 @@ impl Actor for ServerActor {
                     );
                 }
             }
-            MailMsg::Retrieve { user, reply_to } => {
+            MailMsg::Retrieve {
+                user,
+                reply_to,
+                session,
+            } => {
                 self.metrics.inc("retrieve_requests");
                 let messages: Vec<Message> = if self.reliable_retrieval {
                     // Reserve the drain: messages move from the mailbox to
@@ -1221,6 +1301,7 @@ impl Actor for ServerActor {
                         user,
                         messages,
                         last_start_time: self.last_start_time,
+                        session,
                     },
                     self.proc(),
                 );
@@ -1508,18 +1589,12 @@ impl Deployment {
         }
         let mut region_index_by_region: BTreeMap<RegionId, BTreeMap<MailName, AuthorityList>> =
             BTreeMap::new();
-        let mut home_hosts_by_region: BTreeMap<RegionId, BTreeMap<MailName, NodeId>> =
-            BTreeMap::new();
         for rec in directory.iter() {
             let region = topology.region(rec.home_host);
             region_index_by_region
                 .entry(region)
                 .or_default()
                 .insert(rec.name.clone(), rec.authorities.clone());
-            home_hosts_by_region
-                .entry(region)
-                .or_default()
-                .insert(rec.name.clone(), rec.home_host);
         }
 
         // Spawn server actors.
@@ -1545,10 +1620,6 @@ impl Deployment {
                 proc_time: cfg.server_spec.proc_time,
                 stats: Rc::clone(&stats),
                 forwards: BTreeMap::new(),
-                home_hosts: home_hosts_by_region
-                    .get(&region)
-                    .cloned()
-                    .unwrap_or_default(),
                 redirects: Rc::clone(&redirects),
                 retry: cfg.session.retry,
                 reliable_retrieval: cfg.session.reliable_retrieval,
@@ -1567,8 +1638,8 @@ impl Deployment {
             let mut actor = HostActor {
                 node: h,
                 transport: Rc::clone(&transport),
-                users: BTreeMap::new(),
-                check_slots: Vec::new(),
+                users: Vec::new(),
+                slot_of: BTreeMap::new(),
                 submits: BTreeMap::new(),
                 id_gen: Rc::clone(&id_gen),
                 stats: Rc::clone(&stats),
@@ -1764,8 +1835,6 @@ impl Deployment {
                 if new_rec.authorities.contains(server.node) {
                     server.resolver.view_mut().upsert(new_rec.clone());
                 }
-                server.home_hosts.remove(old_name);
-                server.home_hosts.insert(new_name.clone(), new_host);
             }
         }
 
@@ -1774,7 +1843,7 @@ impl Deployment {
             let old_aid = self.host_actors[&old_host];
             self.sim
                 .actor_mut::<HostActor>(old_aid)
-                .and_then(|h| h.users.remove(old_name))
+                .and_then(|h| h.release_user(old_name))
         });
         if let Some(mut ui) = moved {
             // The move is also a fresh start for retrieval bookkeeping.
@@ -1890,7 +1959,7 @@ impl Deployment {
         let mut out = Vec::new();
         for (&node, &aid) in &self.server_actors {
             if let Some(s) = self.sim.actor::<ServerActor>(aid) {
-                for (owner, mb) in s.store.mailboxes() {
+                for (owner, mb) in s.store.mailboxes().iter() {
                     for stored in mb.peek() {
                         let auth = self
                             .directory
@@ -1901,7 +1970,7 @@ impl Deployment {
                     }
                 }
                 // Drained-but-unacked mail is still the server's to lose.
-                for (owner, pending) in s.store.pending_drain() {
+                for (owner, pending) in s.store.pending_drain().iter() {
                     for message in pending {
                         let auth = self
                             .directory
@@ -2661,5 +2730,206 @@ mod tests {
             )
         }
         assert_eq!(run(false), run(true));
+    }
+
+    /// The `VecDeque` + `BTreeSet` walk that [`RetrievalSession`] replaced,
+    /// kept as the oracle for `index_walk_matches_the_queue_and_set_walk`.
+    struct QueueSetWalk {
+        walk_remaining: VecDeque<NodeId>,
+        sweep_remaining: Vec<NodeId>,
+        probed: BTreeSet<NodeId>,
+        polls: u32,
+        finished_walk_early: bool,
+    }
+
+    impl QueueSetWalk {
+        fn next_server(&mut self, previously_unavailable: &BTreeSet<NodeId>) -> Option<NodeId> {
+            if (self.walk_remaining.is_empty() || self.finished_walk_early)
+                && self.sweep_remaining.is_empty()
+            {
+                self.sweep_remaining = previously_unavailable
+                    .iter()
+                    .copied()
+                    .filter(|s| !self.probed.contains(s))
+                    .collect();
+            }
+            let walk_next = if self.finished_walk_early {
+                None
+            } else {
+                self.walk_remaining.pop_front()
+            };
+            let next = walk_next.or_else(|| loop {
+                match self.sweep_remaining.pop() {
+                    Some(s) if self.probed.contains(&s) => {}
+                    other => break other,
+                }
+            });
+            if let Some(server) = next {
+                self.polls += 1;
+                self.probed.insert(server);
+            }
+            next
+        }
+    }
+
+    proptest::proptest! {
+        /// Same probe order, same `polls`, same `previously_unavailable`
+        /// afterwards, whatever the authority list, the servers that timed
+        /// out on earlier checks, and what each probe of this check meets:
+        /// a reply (0), a reply that ends the walk early (1), a timeout (2).
+        #[test]
+        fn index_walk_matches_the_queue_and_set_walk(
+            order in proptest::collection::vec(0u32..1_000, 8),
+            list_len in 1usize..=5,
+            unavailable in proptest::collection::vec(0usize..8, 0..6),
+            outcomes in proptest::collection::vec(0u8..3, 0..12),
+        ) {
+            use proptest::prelude::*;
+            // 1-5 distinct servers out of 8, in an order the sort keys pick.
+            let mut servers: Vec<NodeId> = (0..8).map(NodeId).collect();
+            servers.sort_by_key(|s| order[s.0]);
+            servers.truncate(list_len);
+            let unavailable: BTreeSet<NodeId> = unavailable.into_iter().map(NodeId).collect();
+
+            let mut new = RetrievalSession::new(SimTime::ZERO, SpanId(0));
+            let mut new_unavailable = unavailable.clone();
+            let mut old = QueueSetWalk {
+                walk_remaining: servers.iter().copied().collect(),
+                sweep_remaining: Vec::new(),
+                probed: BTreeSet::new(),
+                polls: 0,
+                finished_walk_early: false,
+            };
+            let mut old_unavailable = unavailable;
+
+            // Every server is probed at most once, so the walk ends.
+            let mut outcomes = outcomes.into_iter().chain(std::iter::repeat(0));
+            for _ in 0..=8 {
+                let probe = new.next_server(&servers, &new_unavailable);
+                prop_assert_eq!(probe, old.next_server(&old_unavailable));
+                let Some(server) = probe else { break };
+                match outcomes.next() {
+                    Some(2) => {
+                        new_unavailable.insert(server);
+                        old_unavailable.insert(server);
+                    }
+                    outcome => {
+                        new_unavailable.remove(&server);
+                        old_unavailable.remove(&server);
+                        if outcome == Some(1) {
+                            new.finished_walk_early = true;
+                            old.finished_walk_early = true;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(new.next_server(&servers, &new_unavailable), None);
+            prop_assert_eq!(new.polls, old.polls);
+            prop_assert_eq!(new_unavailable, old_unavailable);
+        }
+    }
+
+    /// Two users of one host, and that host's actor id.
+    fn housemates(d: &Deployment) -> (MailName, MailName, ActorId) {
+        let names = d.user_names();
+        let (a, b) = (names[0].clone(), names[1].clone());
+        assert_eq!(d.users[&a], d.users[&b], "generated names sort by host");
+        let host = d.host_actor(d.users[&a]).unwrap();
+        (a, b, host)
+    }
+
+    #[test]
+    fn session_token_is_checked_against_the_name() {
+        let mut d = small_deployment(41);
+        let (alice, bob, host) = housemates(&d);
+        let h: &mut HostActor = d.sim.actor_mut(host).unwrap();
+        let (a, b) = (h.slot_of[&alice], h.slot_of[&bob]);
+        assert_ne!(a, b);
+
+        assert_eq!(h.slot_for(b as u32, &bob), Some(b), "the honest token");
+        assert_eq!(h.slot_for(a as u32, &bob), Some(b), "another user's slot");
+        assert_eq!(h.slot_for(u32::MAX, &bob), Some(b), "out of range");
+        let stranger: MailName = "r0.H1.nobody".parse().unwrap();
+        assert_eq!(
+            h.slot_for(b as u32, &stranger),
+            None,
+            "name is the authority"
+        );
+
+        // Bob migrates away: his slot stays (timers may still name it) but
+        // no token or name reaches it.
+        let ui = h.release_user(&bob).unwrap();
+        assert_eq!(h.slot_for(b as u32, &bob), None);
+        // ... and back: a new slot, which the stale token resolves to.
+        h.adopt_user(bob.clone(), ui);
+        let b2 = h.slot_of[&bob];
+        assert_ne!(b2, b);
+        assert_eq!(h.slot_for(b as u32, &bob), Some(b2));
+    }
+
+    /// A reply carrying another user's session token is credited to the
+    /// user it names, never to the slot it points at.
+    #[test]
+    fn forged_session_cannot_credit_another_user() {
+        let mut d = small_deployment(42);
+        let (alice, bob, host) = housemates(&d);
+        d.check_at(t(1.0), &alice);
+        d.check_at(t(1.0), &bob);
+        // Both `DoCheck`s: each user now has a first probe in flight.
+        assert!(d.sim.step() && d.sim.step());
+        let probing = |d: &Deployment, who: &MailName| {
+            let h: &HostActor = d.sim.actor(host).unwrap();
+            let ui = h.users[h.slot_of[who]].ui.as_ref().unwrap();
+            ui.retrieval.as_ref().and_then(|s| s.current).map(|c| c.0)
+        };
+        let (alice_first, bob_first) = (probing(&d, &alice), probing(&d, &bob));
+        assert!(alice_first.is_some() && bob_first.is_some());
+
+        let alice_slot = d.sim.actor::<HostActor>(host).unwrap().slot_of[&alice];
+        d.sim.inject(
+            host,
+            MailMsg::RetrieveReply {
+                user: bob.clone(),
+                messages: Vec::new(),
+                last_start_time: SimTime::ZERO,
+                session: alice_slot as u32,
+            },
+            SimDuration::ZERO,
+        );
+        assert!(d.sim.step());
+        assert_eq!(probing(&d, &alice), alice_first, "alice's probe untouched");
+        assert_ne!(probing(&d, &bob), bob_first, "bob's walk moved on");
+
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert_eq!(d.stats.borrow().retrieval_polls.count(), 2);
+    }
+
+    /// Duplicated and jittered replies reach the host out of step with its
+    /// sessions. Every token-resolved reply is checked against the name map
+    /// in debug builds (`slot_for`), so a clean run here is a run whose
+    /// ledgers equal one that ignored the token.
+    #[test]
+    fn duplicated_replies_resolve_as_by_name() {
+        let mut d = small_deployment(43);
+        let names = d.user_names();
+        let chaos = LinkChaos::new(
+            LinkProfile::new(0.0, 0.5, SimDuration::from_units(3.0)).unwrap(),
+            t(400.0),
+        );
+        d.apply_link_chaos(&chaos).unwrap();
+        for (i, to) in names.iter().enumerate() {
+            d.send_at(t(1.0 + i as f64), &names[(i + 5) % names.len()], to);
+            d.check_at(t(60.0 + i as f64), to);
+            d.check_at(t(61.0 + i as f64), to);
+        }
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert!(d.sim.counters().duplicated.get() > 0);
+        let st = d.stats.borrow();
+        assert_eq!(st.submitted, names.len() as u64);
+        assert_eq!(st.ledger_retrieved, st.ledger_submitted);
+        assert_eq!(st.retrieved, st.submitted, "duplicates counted once");
+        assert_eq!(st.retrieval_polls.count(), 2 * names.len() as u64);
+        drop(st);
+        assert_eq!(d.mail_in_storage(), 0);
     }
 }

@@ -13,25 +13,28 @@ use std::collections::BTreeMap;
 
 use lems_core::directory::ServerView;
 use lems_core::name::MailName;
-use lems_core::user::AuthorityList;
+use lems_core::user::{AuthorityList, UserRecord};
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
 
-/// What one resolution step decided.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Resolution {
-    /// This server is an authority for the name: deliver here.
-    LocalAuthority,
+/// What one resolution step decided, borrowing what it found from the
+/// resolver's tables: one step is one table walk, and the caller needs no
+/// second lookup to act on the answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Resolution<'a> {
+    /// This server is an authority for the name: deliver here. Carries the
+    /// record this server holds for the user.
+    LocalAuthority(&'a UserRecord),
     /// The name belongs to this region; its authority servers are known
     /// directly (regional replication).
-    RegionalAuthority(AuthorityList),
+    RegionalAuthority(&'a AuthorityList),
     /// The name belongs to another region; forward to one of that region's
     /// servers and resolve there.
     ForwardToRegion {
         /// The recipient's region.
         region: RegionId,
         /// Known servers of that region, nearest-first as configured.
-        servers: Vec<NodeId>,
+        servers: &'a [NodeId],
     },
     /// The region token does not map to any known region — undeliverable.
     UnknownRegion,
@@ -112,23 +115,23 @@ impl SyntaxResolver {
     }
 
     /// Resolves `name` one step, per §3.1.2b.
-    pub fn resolve(&self, name: &MailName) -> Resolution {
+    pub fn resolve(&self, name: &MailName) -> Resolution<'_> {
         let Some(target_region) = self.view.region_of_name(name.region()) else {
             return Resolution::UnknownRegion;
         };
         if target_region == self.region {
-            if self.view.is_authority_for(name) {
-                return Resolution::LocalAuthority;
+            if let Some(record) = self.view.lookup(name) {
+                return Resolution::LocalAuthority(record);
             }
             match self.region_index.get(name) {
-                Some(list) => Resolution::RegionalAuthority(list.clone()),
+                Some(list) => Resolution::RegionalAuthority(list),
                 None => Resolution::UnknownUser,
             }
         } else {
             match self.region_servers.get(&target_region) {
                 Some(servers) if !servers.is_empty() => Resolution::ForwardToRegion {
                     region: target_region,
-                    servers: servers.clone(),
+                    servers,
                 },
                 _ => Resolution::UnknownRegion,
             }
@@ -185,10 +188,13 @@ mod tests {
     #[test]
     fn local_authority_resolves_immediately() {
         let r = resolver();
-        assert_eq!(
-            r.resolve(&name("east.h1.alice")),
-            Resolution::LocalAuthority
-        );
+        match r.resolve(&name("east.h1.alice")) {
+            Resolution::LocalAuthority(rec) => {
+                assert_eq!(rec.name, name("east.h1.alice"));
+                assert_eq!(rec.home_host, NodeId(10));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

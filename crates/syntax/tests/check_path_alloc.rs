@@ -1,0 +1,109 @@
+//! Pins the allocation cost of the empty GetMail check.
+//!
+//! The paper's protocol result is that GetMail polls about one server per
+//! check, which makes "a user checks and finds nothing" the operation a
+//! mail system runs most. Once every table entry a check touches exists
+//! (the store's per-user entry, the kernel's FIFO clamp rows), a further
+//! empty check must not allocate: the host finds
+//! the user by slot, the session walks the authority list by index, the
+//! server's drain returns an unallocated `Vec`, and cancelling the timeout
+//! flips a flag in the pooled timer event.
+//!
+//! CI runs this against the release build (the claim is about optimised
+//! code); the budget holds in a debug build too.
+//!
+//! Lives in `tests/` (its own crate) because `lems-syntax` forbids the
+//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
+//! zero_alloc.rs` pattern.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lems_net::generators::fig1;
+use lems_sim::time::SimTime;
+use lems_syntax::actors::{Deployment, DeploymentConfig};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+struct Counting;
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is a
+// plain relaxed atomic with no allocation of its own.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Further empty checks measured after the warm-up.
+const CHECKS: u64 = 2_000;
+
+#[test]
+fn warmed_up_empty_check_allocates_almost_nothing() {
+    let f = fig1();
+    let mut d = Deployment::build(
+        &f.topology,
+        &[2, 2, 2, 2, 2, 2],
+        &DeploymentConfig {
+            seed: 15,
+            ..DeploymentConfig::default()
+        },
+    );
+    let users = d.user_names();
+
+    // Checks come one every 2 units from now on, round-robin over the
+    // users: a user's next check starts well after their previous one
+    // finished (no two coalesce), and a few users' checks overlap at any
+    // instant. Returns when the last of them is long done.
+    let mut next = 0usize;
+    let mut schedule = |d: &mut Deployment, checks: u64| {
+        let start = d.sim.now().as_units() + 1.0;
+        for i in 0..checks {
+            let at = SimTime::from_units(start + i as f64 * 2.0);
+            d.check_at(at, &users[next % users.len()]);
+            next += 1;
+        }
+        SimTime::from_units(start + checks as f64 * 2.0 + 100.0)
+    };
+
+    // Warm-up: two checks per user. The first walks the whole authority
+    // list and creates every store entry; the second is the steady
+    // one-poll check.
+    let warm_until = schedule(&mut d, 2 * users.len() as u64);
+    d.sim.run_until(warm_until);
+    let polls_before = d.stats.borrow().retrieval_polls.count();
+
+    // Injecting allocates (the queue grows to hold the schedule); only the
+    // run is measured.
+    let until = schedule(&mut d, CHECKS);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    d.sim.run_until(until);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    let st = d.stats.borrow();
+    assert_eq!(st.retrieval_polls.count() - polls_before, CHECKS);
+    assert_eq!(st.retrieved, 0, "every check was an empty one");
+    // The slack is for the calendar queue: the schedule is injected up
+    // front, so the ring shrinks a dozen times as it drains and each
+    // rebuild frees and regrows bucket vectors (374 allocations at this
+    // seed; one allocation per check would read 2 000). Before the
+    // slot-indexed check path the same run allocated 4 374 times: a
+    // `VecDeque` and a `BTreeSet` node per session, and the cancelled-timer
+    // set's rehashes.
+    let budget = CHECKS / 4;
+    assert!(
+        allocs < budget,
+        "{CHECKS} warmed-up empty checks allocated {allocs} times (budget {budget})"
+    );
+}
