@@ -11,8 +11,6 @@
 //!   however deeply nested, including `#[test]` functions);
 //! * `# Panics`-documented functions (the rustdoc contract that makes a
 //!   panic site vetted-by-review rather than a lint violation);
-//! * the per-crate item graph behind the `rng-fork-discipline` taint
-//!   pass (fn definitions, signatures, call sites);
 //! * the enum/match inventory behind `event-match-exhaustive`.
 //!
 //! This is deliberately *not* a full Rust parser: it tracks exactly the
@@ -54,9 +52,6 @@ pub struct Scope {
     /// True for functions whose doc comment carries a `# Panics`
     /// section (inherited check: see [`ParsedFile::panics_documented_at`]).
     pub panics_documented: bool,
-    /// Token range of a fn's signature: everything after the name
-    /// (generics, params, return type, where clause), `[start, end)`.
-    pub sig: (usize, usize),
     /// Token range of the braced body *contents*, `[start, end)`
     /// (exclusive of the braces themselves).
     pub body: (usize, usize),
@@ -134,7 +129,6 @@ impl ParsedFile {
                 line: 1,
                 is_test: false,
                 panics_documented: false,
-                sig: (0, 0),
                 body: (0, tokens.len()),
             }],
             ..ParsedFile::default()
@@ -415,15 +409,7 @@ impl Parser<'_> {
             return (i + 1).min(end);
         }
         let close = self.balanced(i, end, '{', '}');
-        let scope = self.push_scope(
-            parent,
-            ScopeKind::Mod,
-            name,
-            line,
-            pending,
-            (0, 0),
-            (i + 1, close),
-        );
+        let scope = self.push_scope(parent, ScopeKind::Mod, name, line, pending, (i + 1, close));
         self.items(i + 1, close, scope);
         close + 1
     }
@@ -436,8 +422,7 @@ impl Parser<'_> {
             .filter(|t| t.kind == TokKind::Ident || t.kind == TokKind::RawIdent)
             .map(|t| t.text.clone())
             .unwrap_or_default();
-        let sig_start = kw + 2;
-        let mut i = sig_start;
+        let mut i = kw + 2;
         if self.toks.get(i).is_some_and(|t| t.is_punct('<')) {
             i = self.skip_generics(i, end);
         }
@@ -461,15 +446,7 @@ impl Parser<'_> {
             return (i + 1).min(end);
         }
         let close = self.balanced(i, end, '{', '}');
-        let scope = self.push_scope(
-            parent,
-            ScopeKind::Fn,
-            name,
-            line,
-            pending,
-            (sig_start, i),
-            (i + 1, close),
-        );
+        let scope = self.push_scope(parent, ScopeKind::Fn, name, line, pending, (i + 1, close));
         self.items(i + 1, close, scope);
         close + 1
     }
@@ -515,7 +492,7 @@ impl Parser<'_> {
             return (i + 1).min(end);
         }
         let close = self.balanced(i, end, '{', '}');
-        let scope = self.push_scope(parent, kind, name, line, pending, (0, 0), (i + 1, close));
+        let scope = self.push_scope(parent, kind, name, line, pending, (i + 1, close));
         self.items(i + 1, close, scope);
         close + 1
     }
@@ -602,7 +579,6 @@ impl Parser<'_> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn push_scope(
         &mut self,
         parent: usize,
@@ -610,7 +586,6 @@ impl Parser<'_> {
         name: String,
         line: u32,
         pending: &Pending,
-        sig: (usize, usize),
         body: (usize, usize),
     ) -> usize {
         self.pf.scopes.push(Scope {
@@ -620,7 +595,6 @@ impl Parser<'_> {
             line,
             is_test: pending.test || self.pf.scopes[parent].is_test,
             panics_documented: pending.panics_doc,
-            sig,
             body,
         });
         self.pf.scopes.len() - 1

@@ -1,25 +1,21 @@
 //! # lems-check — correctness tooling for the lems workspace
 //!
-//! Two analysis layers over the deterministic mail simulator:
+//! Static and dynamic checks over the deterministic mail simulator:
 //!
-//! * [`lint`] — a dependency-free static analysis engine over
+//! * [`lint`] — a dependency-free static lint pass over
 //!   `crates/*/src`: a hand-rolled Rust lexer ([`lex`]) and item parser
-//!   ([`items`]) feed scope-aware rules that enforce the workspace's
-//!   determinism and robustness invariants — no `unwrap`/`expect`/
+//!   ([`items`]) feed token and scope rules that fence the workspace's
+//!   determinism and robustness perimeters — no `unwrap`/`expect`/
 //!   `panic!` in non-test library code (with a vetted, versioned
-//!   allowlist), no wall-clock or ambient randomness inside sim-driven
-//!   crates, no hash-ordered collections in actor decision paths — plus
-//!   semantic lints built on a third, flow-aware layer: a statement/
-//!   expression parser ([`expr`]), per-fn control-flow graphs ([`cfg`]),
-//!   and a worklist dataflow engine with fn summaries ([`flow`]). The
-//!   flow rules are `determinism-taint` (nondeterminism sources must not
-//!   reach emission or scheduling sinks), `store-mutation-discipline`
-//!   (durable state only moves through `MailStore`),
-//!   `no-ignored-store-errors` (store/WAL `Result`s must be consumed),
-//!   `rng-fork-discipline` (every RNG draw descends from the seeded
-//!   fork tree), and `event-match-exhaustive` (protocol-enum variants
-//!   vs actor `match` arms). Reports render as text, schema-versioned
-//!   JSON ([`report`]), or GitHub error annotations.
+//!   allowlist); no wall clock, ambient randomness, hash-ordered
+//!   collection or thread fan-out nameable inside sim-driven crates; no
+//!   discarded value in the store perimeter; every RNG forked from the
+//!   seeded tree; every protocol-enum variant named by its handler's
+//!   `match`. What needs no lint is left to the compiler: `Mailbox`
+//!   mutators are private to `lems-core`, and a dropped store `Result`
+//!   is a build error there and in `lems-store`. Reports render as
+//!   text, schema-versioned JSON ([`report`]), or GitHub error
+//!   annotations.
 //! * [`audit`] — a [`TraceAuditor`](audit::TraceAuditor) that consumes
 //!   [`lems_sim::trace`] event streams and asserts the engine's
 //!   conservation laws (every send terminates in exactly one deliver or
@@ -47,10 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod cfg;
 pub mod explore;
-pub mod expr;
-pub mod flow;
 pub mod items;
 pub mod lex;
 pub mod lint;

@@ -1,23 +1,28 @@
-//! Scope-aware, flow-aware static lint pass over the workspace sources
-//! (engine v3).
+//! Scope-aware static lint pass over the workspace sources (engine v4).
 //!
-//! The engine has three layers, all dependency-free (the build is
-//! offline): [`crate::lex`] turns each file into a token stream with
-//! line spans — raw strings, nested block comments, char-vs-lifetime,
-//! `r#` idents all handled — [`crate::items`] recovers the item
-//! shape on top of it: module/fn/impl nesting, `#[cfg(test)]`
-//! inheritance, `# Panics` doc contracts, enum definitions, `type Msg`
-//! protocol declarations, and `match` arms — and, new in v3, a flow
-//! layer: [`crate::expr`] parses fn bodies into statement trees,
-//! [`crate::cfg`] lowers them to per-fn control-flow graphs, and
-//! [`crate::flow`] runs a worklist taint analysis over them with fn
-//! summaries iterated to fixpoint through each crate's call graph.
-//! Rules run over tokens, scopes, and dataflow facts instead of
-//! needle-matching blanked text, which kills the v1 false-negative
-//! classes (needles split across lines, test masks lost across nested
-//! `mod` blocks), the v1 false positives (needles inside identifiers or
-//! literals), and the v2 blind spot of taint that crosses statements or
-//! helper fns.
+//! Two dependency-free layers (the build is offline): [`crate::lex`]
+//! turns each file into a token stream with line spans — raw strings,
+//! nested block comments, char-vs-lifetime, `r#` idents all handled —
+//! and [`crate::items`] recovers the item shape on top of it:
+//! module/fn/impl nesting, `#[cfg(test)]` inheritance, `# Panics` doc
+//! contracts, enum definitions, `type Msg` protocol declarations, and
+//! `match` arms. Every rule is a token or scope check over those two.
+//!
+//! The engine fences perimeters; it does not track flows. What v3's
+//! statement parser, CFG builder and taint framework approximated is now
+//! either a fact the compiler checks or a ban on naming the source at
+//! all, each at least as strict as the flow rule it replaced:
+//!
+//! * durable mailbox/ledger state moves only through `MailStore`
+//!   because `Mailbox`'s constructor and mutators are `pub(crate)` in
+//!   `lems-core` (pinned by `compile_fail` doctests on `Mailbox`);
+//! * a store/WAL `Result` dropped as a bare statement is a build error
+//!   (`#![deny(unused_must_use)]` on `lems-core` and `lems-store`), and
+//!   the two shapes `must_use` cannot see are banned by
+//!   `no-ignored-store-errors` below;
+//! * no nondeterministic value can reach a simulation sink because no
+//!   nondeterminism source can be named in sim-driven code
+//!   (`no-wall-clock`, `no-hash-collections`).
 //!
 //! ## Rules
 //!
@@ -31,63 +36,41 @@
 //!   may fail fast; and a panic site inside a function whose doc
 //!   comment carries a `# Panics` section is vetted by that documented
 //!   contract (the inverse of `clippy::missing_panics_doc`).
-//! * **`no-wall-clock`** (v3) — crates that run *inside* the simulation
-//!   (`sim`, `syntax`, `locindep`, `mst`) must not read `SystemTime`,
-//!   `Instant`, or `thread_rng`: all time comes from `sim::time` and
-//!   all randomness from the seeded `sim::rng`, or replays diverge.
-//!   Since v3 this is the syntactic backstop behind `determinism-taint`.
-//! * **`no-hash-collections`** (v3) — actor decision paths (files named
-//!   `actors.rs`) must use ordered collections (`BTreeMap`/`BTreeSet`):
-//!   hash-order iteration is nondeterministic across runs/platforms.
-//!   Since v3 this is the syntactic backstop behind `determinism-taint`,
-//!   which follows actual iteration-order taint in every sim-driven
-//!   file, not just `actors.rs`.
+//! * **`no-wall-clock`**, **`no-hash-collections`**,
+//!   **`no-ambient-parallelism`** — the rows of [`BANNED_IDENTS`]: in
+//!   non-test code of the crates that run *inside* the simulation
+//!   (`sim`, `syntax`, `locindep`, `mst`) these identifiers may not
+//!   appear at all. Time comes from `sim::time`, randomness from the
+//!   seeded `sim::rng`, collections are ordered, and nothing fans out
+//!   over threads — or replays diverge.
 //! * **`no-partial-cmp-sort`** — a `.sort*(…)` call whose comparator
 //!   mentions `partial_cmp` panics on NaN or invites
 //!   `unwrap_or(Ordering::Equal)` hacks that destroy total order; use
-//!   `f64::total_cmp` or an `Ord` key. Applies to test code too, and —
-//!   new in v2 — across line breaks inside the call.
+//!   `f64::total_cmp` or an `Ord` key. Applies to test code too, and
+//!   across line breaks inside the call.
 //! * **`no-unbounded-run`** — outside the `sim` crate, drive
 //!   simulations with `run_to_quiescence_bounded(budget)`, never the
 //!   unbounded `run_to_quiescence()`. Applies to test code too.
-//! * **`no-ambient-parallelism`** — sim-driven crates must not reach
-//!   for `rayon`, `par_iter`, `thread::spawn`, or
-//!   `available_parallelism` without a vetted allowlist entry.
-//! * **`rng-fork-discipline`** — (semantic, v2) every RNG in a
-//!   sim-driven crate must descend from the deployment's seeded fork
-//!   tree. A taint pass over the per-crate item graph flags bare
-//!   `SimRng::seed(…)` roots in non-test code that are not immediately
-//!   `.fork(label)`-chained, and — by iterating fn summaries (does this
-//!   fn return a bare root?) to fixpoint — call sites of helpers that
-//!   launder such roots through a return value. `sim/src/rng.rs` itself
-//!   is the trusted module and exempt.
-//! * **`event-match-exhaustive`** — (semantic, v2) for every protocol
-//!   enum named by a non-test `type Msg = E;` actor impl, the handler
-//!   file's non-test `match`es over `E` must name every variant: a
-//!   catch-all arm silently swallowing unnamed variants is exactly how
-//!   a new event kind gets dropped on the floor. Variants never
-//!   constructed anywhere in the scanned sources are flagged as dead.
-//!   Intentionally ignored variants are spelled `E::A { .. } | … => {}`
-//!   so the ignore list is visible and compiler-checked.
-//! * **`determinism-taint`** — (flow, v3 engine) in non-test code of
-//!   sim-driven crates, no value derived from a nondeterminism source —
-//!   wall-clock reads, `HashMap`/`HashSet` iteration order, ambient
-//!   randomness — may reach an emission or scheduling sink (`send`,
-//!   `record`, `set_timer`, RNG `fork`, …). The taint analysis follows
-//!   `let` chains, loop-carried accumulation, and helper-fn summaries,
-//!   so laundering through a wrapper fn does not hide the flow. The
-//!   trusted `sim/src/rng.rs` module is exempt.
-//! * **`store-mutation-discipline`** — (flow, v3 engine) durable
-//!   mailbox/ledger state may only be mutated inside
-//!   `lems_core::{store,mailbox}`; everywhere else, a mutating call on
-//!   a `Mailbox`-classed value (or a `Mailbox`-valued map, or a bare
-//!   `Mailbox::new`) bypasses the `MailStore` trait — exactly the
-//!   invariant the WAL recovery proofs assume.
-//! * **`no-ignored-store-errors`** — (flow, v3 engine) a `Result` from
-//!   a WAL/segment operation (`append`, `sync`, `create`, `read`, …)
-//!   that is dropped as a bare statement, `let _ =`-discarded, or
-//!   `.ok()`-swallowed in non-test code is a violation: a swallowed
-//!   store error silently diverges the durable state from the log.
+//! * **`rng-fork-discipline`** — every RNG in a sim-driven crate must
+//!   descend from the deployment's seeded fork tree: a bare
+//!   `SimRng::seed(…)` in non-test code that is not immediately
+//!   `.fork(label)`-chained is a finding. A helper can only hand out
+//!   such a root if its own body holds one, and that site is the
+//!   finding. `sim/src/rng.rs` itself is the trusted module and exempt.
+//! * **`event-match-exhaustive`** — for every protocol enum named by a
+//!   non-test `type Msg = E;` actor impl, the handler file's non-test
+//!   `match`es over `E` must name every variant: a catch-all arm
+//!   silently swallowing unnamed variants is exactly how a new event
+//!   kind gets dropped on the floor. Variants never constructed
+//!   anywhere in the scanned sources are flagged as dead. Intentionally
+//!   ignored variants are spelled `E::A { .. } | … => {}` so the ignore
+//!   list is visible and compiler-checked.
+//! * **`no-ignored-store-errors`** — in non-test code of the store
+//!   perimeter (`crates/store/src/**` and `crates/core/src/store.rs`,
+//!   the only files where a `SegmentIo`/`Wal` `Result` exists), `_ =`
+//!   discards and `.ok()` are banned outright, whatever the receiver: a
+//!   swallowed store error silently diverges the durable state from the
+//!   log. Count it (`io_errors`) or propagate it.
 //!
 //! Vetted exceptions live in `lint-allow.txt` at the workspace root;
 //! see [`Allowlist`] for the `rule@version` entry format. Entries that
@@ -100,16 +83,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::expr::{call_sites, Stmt, StmtKind};
-use crate::flow::{self, FnCtx, FnUnit, Summary, TaintConfig, TypeClass, ROOT_MASK};
-use crate::items::{ParsedFile, ScopeKind};
+use crate::items::ParsedFile;
 use crate::lex::{Tok, TokKind};
 
 /// Rule identifier: no panicking constructs in non-test library code.
 pub const RULE_NO_PANIC: &str = "no-panic";
 /// Rule identifier: no wall-clock or ambient randomness in sim-driven code.
 pub const RULE_NO_WALL_CLOCK: &str = "no-wall-clock";
-/// Rule identifier: no hash-ordered collections in actor decision paths.
+/// Rule identifier: no hash-ordered collections in sim-driven code.
 pub const RULE_NO_HASH: &str = "no-hash-collections";
 /// Rule identifier: no sorting through `partial_cmp` (use `total_cmp`/`Ord`).
 pub const RULE_NO_PARTIAL_CMP_SORT: &str = "no-partial-cmp-sort";
@@ -121,11 +102,7 @@ pub const RULE_NO_AMBIENT_PAR: &str = "no-ambient-parallelism";
 pub const RULE_RNG_FORK: &str = "rng-fork-discipline";
 /// Rule identifier: protocol-enum matches must name every variant.
 pub const RULE_EVENT_MATCH: &str = "event-match-exhaustive";
-/// Rule identifier: nondeterminism sources must not reach emission sinks.
-pub const RULE_DETERMINISM_TAINT: &str = "determinism-taint";
-/// Rule identifier: durable state mutates only through `MailStore`.
-pub const RULE_STORE_MUTATION: &str = "store-mutation-discipline";
-/// Rule identifier: store/WAL `Result`s must be consumed.
+/// Rule identifier: no `_ =` / `.ok()` discards in the store perimeter.
 pub const RULE_IGNORED_STORE_ERR: &str = "no-ignored-store-errors";
 
 /// Every rule id with its current version. Allowlist entries pin a
@@ -136,15 +113,13 @@ pub fn rule_versions() -> &'static [(&'static str, u32)] {
     &[
         (RULE_NO_PANIC, 2),
         (RULE_NO_WALL_CLOCK, 3),
-        (RULE_NO_HASH, 3),
+        (RULE_NO_HASH, 4),
         (RULE_NO_PARTIAL_CMP_SORT, 2),
         (RULE_NO_UNBOUNDED_RUN, 2),
         (RULE_NO_AMBIENT_PAR, 2),
-        (RULE_RNG_FORK, 1),
+        (RULE_RNG_FORK, 2),
         (RULE_EVENT_MATCH, 1),
-        (RULE_DETERMINISM_TAINT, 1),
-        (RULE_STORE_MUTATION, 1),
-        (RULE_IGNORED_STORE_ERR, 1),
+        (RULE_IGNORED_STORE_ERR, 2),
     ]
 }
 
@@ -167,6 +142,10 @@ const RNG_MODULE: &str = "crates/sim/src/rng.rs";
 /// `tests/prof_digest.rs` pins that trace digests are identical with
 /// profiling on and off.
 const PROF_MODULE: &str = "crates/sim/src/prof.rs";
+
+/// The only files where a `SegmentIo`/`Wal` `Result` exists
+/// (`MailStore`'s own methods return none).
+const STORE_PERIMETER: &[&str] = &["crates/store/src/", "crates/core/src/store.rs"];
 
 /// One finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -338,18 +317,6 @@ impl Allowlist {
     }
 }
 
-/// Wall-time and coverage of one rule pass, for the `--json` report.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RuleTiming {
-    /// The rule id.
-    pub rule: &'static str,
-    /// Wall time of the pass, microseconds.
-    pub wall_us: u64,
-    /// Files the pass actually looked at (rules scoped to sim-driven
-    /// crates or actor files scan fewer than the whole workspace).
-    pub files_scanned: usize,
-}
-
 /// Outcome of a lint run.
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
@@ -361,8 +328,6 @@ pub struct LintReport {
     pub stale_allows: Vec<String>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Per-rule wall time + coverage, in `rule_versions()` order.
-    pub timings: Vec<RuleTiming>,
 }
 
 impl LintReport {
@@ -384,7 +349,6 @@ struct Ctx {
     rel: String,
     krate: String,
     sim_driven: bool,
-    actor_file: bool,
     panic_exempt: bool,
     pf: ParsedFile,
     lines: Vec<String>,
@@ -395,7 +359,6 @@ impl Ctx {
         let krate = crate_of(rel).unwrap_or("").to_owned();
         Ctx {
             sim_driven: SIM_DRIVEN_CRATES.contains(&krate.as_str()),
-            actor_file: rel.ends_with("/actors.rs"),
             panic_exempt: krate == "bench"
                 || rel.contains("/src/bin/")
                 || rel.ends_with("/src/main.rs"),
@@ -556,90 +519,101 @@ fn no_panic_rule(ctx: &Ctx) -> Vec<Violation> {
     out
 }
 
-/// `no-wall-clock` (v3): the syntactic backstop behind
-/// `determinism-taint` — any mention of a wall-clock/ambient-randomness
-/// source in non-test sim-driven code, flow or no flow.
-fn wall_clock_rule(ctx: &Ctx) -> Vec<Violation> {
-    if !ctx.sim_driven || ctx.rel.ends_with(PROF_MODULE) {
-        return Vec::new();
-    }
-    let toks = &ctx.pf.tokens;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && ["SystemTime", "Instant", "thread_rng"].contains(&t.text.as_str())
-            && !ctx.pf.is_test_at(i)
-        {
-            out.push(
-                ctx.violation(
-                    RULE_NO_WALL_CLOCK,
-                    t.line,
-                    "wall-clock/ambient-randomness source in a sim-driven crate: time comes \
-                 from sim::time, randomness from the seeded sim::rng"
-                        .to_owned(),
-                ),
-            );
-        }
-    }
-    out
+/// One row of the banned-identifier table: in non-test code of
+/// [`SIM_DRIVEN_CRATES`], outside the `exempt` modules, none of `idents`
+/// may appear — whatever the surrounding expression does with it.
+struct Ban {
+    rule: &'static str,
+    /// Bare identifiers, or `a::b` for a two-segment path.
+    idents: &'static [&'static str],
+    /// Trusted modules the ban does not reach.
+    exempt: &'static [&'static str],
+    note: &'static str,
 }
 
-/// `no-hash-collections` (v3): the syntactic backstop for actor files;
-/// `determinism-taint` follows actual iteration-order flow everywhere
-/// else.
-fn hash_rule(ctx: &Ctx) -> Vec<Violation> {
-    if !ctx.actor_file {
-        return Vec::new();
-    }
-    let toks = &ctx.pf.tokens;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && ["HashMap", "HashSet"].contains(&t.text.as_str())
-            && !ctx.pf.is_test_at(i)
-        {
-            out.push(
-                ctx.violation(
-                    RULE_NO_HASH,
-                    t.line,
-                    "hash-ordered collection in an actor decision path: iteration order is \
-                 nondeterministic; use BTreeMap/BTreeSet"
-                        .to_owned(),
-                ),
-            );
-        }
-    }
-    out
-}
+/// `no-wall-clock`, `no-hash-collections`, `no-ambient-parallelism`.
+/// Nothing in the workspace can name `rayon` or a parallel iterator any
+/// more (CI greps `cargo tree` for it), so those idents need no row.
+const BANNED_IDENTS: &[Ban] = &[
+    Ban {
+        rule: RULE_NO_WALL_CLOCK,
+        idents: &["SystemTime", "Instant", "thread_rng"],
+        exempt: &[PROF_MODULE],
+        note: "wall-clock/ambient-randomness source in a sim-driven crate: time comes \
+               from sim::time, randomness from the seeded sim::rng",
+    },
+    Ban {
+        rule: RULE_NO_HASH,
+        idents: &["HashMap", "HashSet"],
+        exempt: &[],
+        note: "hash-ordered collection in a sim-driven crate: iteration order is \
+               nondeterministic; use BTreeMap/BTreeSet",
+    },
+    Ban {
+        rule: RULE_NO_AMBIENT_PAR,
+        idents: &["thread::spawn", "available_parallelism"],
+        exempt: &[],
+        note: "thread fan-out in a sim-driven crate: the simulation is \
+               single-threaded by construction",
+    },
+];
 
-/// `no-ambient-parallelism`: unaudited thread fan-out in sim-driven
-/// non-test code.
-fn ambient_par_rule(ctx: &Ctx) -> Vec<Violation> {
+/// The banned-identifier rules: every [`BANNED_IDENTS`] row that
+/// reaches this file, checked in one pass over its identifiers.
+fn banned_ident_rule(ctx: &Ctx) -> Vec<Violation> {
     if !ctx.sim_driven {
+        return Vec::new();
+    }
+    let bans: Vec<&Ban> = BANNED_IDENTS
+        .iter()
+        .filter(|ban| !ban.exempt.iter().any(|m| ctx.rel.ends_with(m)))
+        .collect();
+    let toks = &ctx.pf.tokens;
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        for ban in &bans {
+            let named = ban.idents.iter().any(|id| match id.split_once("::") {
+                Some((a, b)) => t.text == a && path2(toks, i, a, b).is_some(),
+                None => t.text == *id,
+            });
+            if named && !ctx.pf.is_test_at(i) {
+                out.push(ctx.violation(ban.rule, t.line, ban.note.to_owned()));
+            }
+        }
+    }
+    out
+}
+
+/// `rng-fork-discipline`: bare `SimRng::seed(…)` roots, not
+/// `.fork(…)`-chained, in non-test sim-driven code.
+fn rng_rule(ctx: &Ctx) -> Vec<Violation> {
+    if !ctx.sim_driven || ctx.rel.ends_with(RNG_MODULE) {
         return Vec::new();
     }
     let toks = &ctx.pf.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || ctx.pf.is_test_at(i) {
+        let Some(seed) = path2(toks, i, "SimRng", "seed") else {
             continue;
-        }
-        let par_ident = [
-            "rayon",
-            "par_iter",
-            "into_par_iter",
-            "available_parallelism",
-        ]
-        .contains(&t.text.as_str());
-        let thread_spawn = path2(toks, i, "thread", "spawn").is_some();
-        if par_ident || thread_spawn {
+        };
+        let Some(open) = nc_next(toks, seed).filter(|&j| toks[j].is_punct('(')) else {
+            continue;
+        };
+        let close = close_paren(toks, open);
+        let chained = nc_next(toks, close)
+            .filter(|&j| toks[j].is_punct('.'))
+            .and_then(|j| nc_next(toks, j))
+            .is_some_and(|j| toks[j].is_ident("fork"));
+        if !chained && !ctx.pf.is_test_at(i) {
             out.push(
                 ctx.violation(
-                    RULE_NO_AMBIENT_PAR,
-                    t.line,
-                    "unaudited thread fan-out in a sim-driven crate: parallel merges must \
-                 be vetted order-independent (see lint-allow.txt)"
+                    RULE_RNG_FORK,
+                    toks[i].line,
+                    "fresh RNG root: SimRng::seed(..) without .fork(label) does not descend \
+                 from the deployment's seeded fork tree, so replays diverge"
                         .to_owned(),
                 ),
             );
@@ -648,148 +622,46 @@ fn ambient_par_rule(ctx: &Ctx) -> Vec<Violation> {
     out
 }
 
-/// `rng-fork-discipline`: the taint pass over each sim-driven crate's
-/// item graph. See the module docs for the rule statement.
-fn rng_rule(ctxs: &[Ctx]) -> Vec<Violation> {
-    /// Per-crate summary of a non-test fn whose signature returns `SimRng`.
-    struct FnInfo {
-        file: usize,
-        name: String,
-        body: (usize, usize),
+/// `no-ignored-store-errors`: `_ =` discards and `.ok()` in non-test
+/// code of the store perimeter. Lex-only: the receiver's type is
+/// unknown and unneeded, because inside these files nothing else is
+/// worth discarding either.
+fn ignored_store_errors_rule(ctx: &Ctx) -> Vec<Violation> {
+    if !STORE_PERIMETER.iter().any(|p| ctx.rel.starts_with(p)) {
+        return Vec::new();
     }
-    let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, c) in ctxs.iter().enumerate() {
-        if c.sim_driven && !c.rel.ends_with(RNG_MODULE) && c.rel.starts_with("crates/") {
-            by_crate.entry(&c.krate).or_default().push(i);
-        }
-    }
-
+    let toks = &ctx.pf.tokens;
+    let next_punct = |i: usize, c: char| nc_next(toks, i).filter(|&j| toks[j].is_punct(c));
+    let prev_is = |i: usize, c: char| nc_prev(toks, i).is_some_and(|j| toks[j].is_punct(c));
     let mut out = Vec::new();
-    for files in by_crate.values() {
-        // Direct sites: bare `SimRng::seed(…)` not `.fork(…)`-chained.
-        // (tok index per file, and whether the site is in test code.)
-        let mut bare_sites: Vec<(usize, usize)> = Vec::new();
-        for &fi in files {
-            let toks = &ctxs[fi].pf.tokens;
-            for i in 0..toks.len() {
-                let Some(seed) = path2(toks, i, "SimRng", "seed") else {
-                    continue;
-                };
-                let Some(open) = nc_next(toks, seed).filter(|&j| toks[j].is_punct('(')) else {
-                    continue;
-                };
-                let close = close_paren(toks, open);
-                let chained = nc_next(toks, close)
-                    .filter(|&j| toks[j].is_punct('.'))
-                    .and_then(|j| nc_next(toks, j))
-                    .is_some_and(|j| toks[j].is_ident("fork"));
-                if !chained {
-                    bare_sites.push((fi, i));
+    for (i, t) in toks.iter().enumerate() {
+        // `_ = expr` and `let _ = expr`, but not the `_ =>` match arm;
+        // `let _: T = expr` too.
+        let discard = t.is_ident("_")
+            && (next_punct(i, '=').is_some_and(|eq| next_punct(eq, '>').is_none())
+                || (next_punct(i, ':').is_some()
+                    && nc_prev(toks, i).is_some_and(|j| toks[j].is_ident("let"))));
+        let ok_call = t.is_ident("ok") && prev_is(i, '.') && next_punct(i, '(').is_some();
+        if !(discard || ok_call) || ctx.pf.is_test_at(i) {
+            continue;
+        }
+        out.push(
+            ctx.violation(
+                RULE_IGNORED_STORE_ERR,
+                t.line,
+                if discard {
+                    "`_ =` discards a value in the store perimeter: handle or propagate the \
+                 StoreError — a silently failed store op diverges durable state from the log"
+                } else {
+                    "`.ok()` swallows an error in the store perimeter: a store failure must \
+                 surface (propagate with `?` or count it via io_errors), not vanish into \
+                 an Option"
                 }
-            }
-        }
-        for &(fi, i) in &bare_sites {
-            if !ctxs[fi].pf.is_test_at(i) {
-                out.push(
-                    ctxs[fi].violation(
-                        RULE_RNG_FORK,
-                        ctxs[fi].pf.tokens[i].line,
-                        "fresh RNG root: SimRng::seed(..) without .fork(label) does not descend \
-                     from the deployment's seeded fork tree, so replays diverge"
-                            .to_owned(),
-                    ),
-                );
-            }
-        }
-
-        // Fn summaries: which non-test fns return a bare root? Seeded by
-        // fns whose body holds a bare site; propagated through calls to
-        // other bare-root-returning fns, to fixpoint.
-        let mut fns: Vec<FnInfo> = Vec::new();
-        for &fi in files {
-            for s in &ctxs[fi].pf.scopes {
-                if s.kind == ScopeKind::Fn && !s.is_test && returns_simrng(&ctxs[fi].pf, s.sig) {
-                    fns.push(FnInfo {
-                        file: fi,
-                        name: s.name.clone(),
-                        body: s.body,
-                    });
-                }
-            }
-        }
-        // Seed: fns whose body holds a bare site; propagate through the
-        // crate's name-keyed call graph to fixpoint on the shared flow
-        // framework (the same skeleton `determinism-taint` runs on).
-        let bare_fns = flow::summary_fixpoint(
-            &fns,
-            |f| f.name.as_str(),
-            |f| {
-                bare_sites
-                    .iter()
-                    .any(|&(fi, i)| fi == f.file && f.body.0 <= i && i < f.body.1)
-            },
-            |f| {
-                call_sites(&ctxs[f.file].pf.tokens, f.body)
-                    .into_iter()
-                    .map(|c| c.name)
-                    .collect()
-            },
+                .to_owned(),
+            ),
         );
-
-        // Call sites of bare-root-returning fns, outside test code.
-        for &fi in files {
-            let toks = &ctxs[fi].pf.tokens;
-            for i in 0..toks.len() {
-                let Some(name) = call_of(toks, i) else {
-                    continue;
-                };
-                if bare_fns.contains(name) && !ctxs[fi].pf.is_test_at(i) {
-                    out.push(ctxs[fi].violation(
-                        RULE_RNG_FORK,
-                        toks[i].line,
-                        format!(
-                            "`{name}` returns an unforked RNG root (taint traced to a bare \
-                             SimRng::seed site); draws through it sit outside the fork tree"
-                        ),
-                    ));
-                }
-            }
-        }
     }
     out
-}
-
-/// When `toks[i]` is the callee ident of a call (`name(` not preceded
-/// by `fn`), returns the name.
-fn call_of(toks: &[Tok], i: usize) -> Option<&str> {
-    if toks[i].kind != TokKind::Ident {
-        return None;
-    }
-    let open = nc_next(toks, i)?;
-    if !toks[open].is_punct('(') {
-        return None;
-    }
-    if nc_prev(toks, i).is_some_and(|j| toks[j].is_ident("fn")) {
-        return None;
-    }
-    Some(&toks[i].text)
-}
-
-/// True when a fn signature's return type mentions `SimRng`.
-fn returns_simrng(pf: &ParsedFile, sig: (usize, usize)) -> bool {
-    let toks = &pf.tokens;
-    let mut arrow = None;
-    for i in sig.0..sig.1.min(toks.len()) {
-        if toks[i].is_punct('-') && toks.get(i + 1).is_some_and(|t| t.is_punct('>')) {
-            arrow = Some(i + 2);
-            break;
-        }
-    }
-    arrow.is_some_and(|start| {
-        toks[start..sig.1.min(toks.len())]
-            .iter()
-            .any(|t| t.is_ident("SimRng"))
-    })
 }
 
 /// `event-match-exhaustive`: protocol-enum variants vs handler `match`
@@ -905,523 +777,25 @@ fn event_rule(ctxs: &[Ctx]) -> Vec<Violation> {
     out
 }
 
-/// Taint configuration for `determinism-taint`: the workspace's
-/// nondeterminism sources and its emission/scheduling sinks.
-const TAINT_CONFIG: TaintConfig<'static> = TaintConfig {
-    wall_idents: &["SystemTime", "Instant"],
-    rand_idents: &["thread_rng"],
-    sinks: &[
-        "send",
-        "send_self",
-        "send_at",
-        "set_timer",
-        "inject",
-        "schedule_crash",
-        "schedule_recover",
-        "record",
-        "open_keyed",
-        "fork",
-    ],
-};
-
-/// Files allowed to mutate durable mailbox/ledger state directly: the
-/// module that *defines* the discipline.
-const STORE_TRUSTED: &[&str] = &["crates/core/src/store.rs", "crates/core/src/mailbox.rs"];
-
-/// Mutating methods on a `Mailbox` value.
-const MAILBOX_MUTATORS: &[&str] = &[
-    "deposit",
-    "drain",
-    "remove",
-    "expire_older_than",
-    "restore_ledger",
-];
-
-/// Mutating methods on a `Mailbox`-valued map (the ledger itself).
-const MAP_MUTATORS: &[&str] = &[
-    "insert",
-    "remove",
-    "entry",
-    "clear",
-    "get_mut",
-    "values_mut",
-    "retain",
-];
-
-/// WAL/segment operations whose `Result` must be consumed.
-const FALLIBLE_STORE_OPS: &[&str] = &[
-    "create",
-    "append",
-    "sync",
-    "truncate",
-    "delete",
-    "read",
-    "replay",
-    "read_segment",
-    "reopen",
-];
-
-/// Shared flow-layer preparation: every fn parsed, lowered to a CFG,
-/// and class-annotated, plus per-crate struct-field class tables (with
-/// `core`'s fields visible from every crate, since `StoreState` and
-/// `Mailbox` cross crate boundaries).
-struct FlowPrep {
-    units: Vec<FnUnit>,
-    fields: BTreeMap<String, BTreeMap<String, TypeClass>>,
-}
-
-impl FlowPrep {
-    fn build(ctxs: &[Ctx]) -> FlowPrep {
-        let mut fields: BTreeMap<String, BTreeMap<String, TypeClass>> = BTreeMap::new();
-        let mut storeio_by_file: Vec<BTreeSet<String>> = Vec::with_capacity(ctxs.len());
-        for ctx in ctxs {
-            let sg = flow::storeio_generics(&ctx.pf.tokens);
-            if ctx.rel.starts_with("crates/") {
-                let table = flow::field_classes(&ctx.pf.tokens, &sg);
-                let slot = fields.entry(ctx.krate.clone()).or_default();
-                for (k, v) in table {
-                    slot.entry(k).or_insert(v);
-                }
-            }
-            storeio_by_file.push(sg);
-        }
-        let core: Vec<(String, TypeClass)> = fields
-            .get("core")
-            .map(|t| t.iter().map(|(k, &v)| (k.clone(), v)).collect())
-            .unwrap_or_default();
-        for ctx in ctxs {
-            fields.entry(ctx.krate.clone()).or_default();
-        }
-        for (krate, table) in &mut fields {
-            if krate != "core" {
-                for (k, v) in &core {
-                    table.entry(k.clone()).or_insert(*v);
-                }
-            }
-        }
-        let mut units = Vec::new();
-        for (i, ctx) in ctxs.iter().enumerate() {
-            if !ctx.rel.starts_with("crates/") {
-                continue;
-            }
-            if let Some(table) = fields.get(&ctx.krate) {
-                units.extend(flow::fn_units(i, &ctx.pf, table, &storeio_by_file[i]));
-            }
-        }
-        FlowPrep { units, fields }
-    }
-
-    fn fcx<'a>(&'a self, ctxs: &'a [Ctx], u: &'a FnUnit) -> Option<FnCtx<'a>> {
-        let c = &ctxs[u.file];
-        let fields = self.fields.get(&c.krate)?;
-        Some(FnCtx {
-            toks: &c.pf.tokens,
-            body: &u.body,
-            cfg: &u.cfg,
-            params: &u.params,
-            classes: &u.classes,
-            fields,
-        })
-    }
-}
-
-/// `determinism-taint`: worklist taint from nondeterminism sources to
-/// emission/scheduling sinks, with helper-fn summaries per crate.
-fn determinism_rule(ctxs: &[Ctx], prep: &FlowPrep) -> Vec<Violation> {
-    let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (ui, u) in prep.units.iter().enumerate() {
-        let c = &ctxs[u.file];
-        if c.sim_driven
-            && !c.rel.ends_with(RNG_MODULE)
-            && !c.rel.ends_with(PROF_MODULE)
-            && !u.is_test
-        {
-            by_crate.entry(&c.krate).or_default().push(ui);
-        }
-    }
-    let mut out = Vec::new();
-    for uis in by_crate.values() {
-        // Iterate fn summaries to fixpoint through the crate's call
-        // graph, so taint laundered through helpers still lands.
-        let mut summaries: BTreeMap<String, Summary> = BTreeMap::new();
-        loop {
-            let mut changed = false;
-            for &ui in uis {
-                let u = &prep.units[ui];
-                let Some(fcx) = prep.fcx(ctxs, u) else {
-                    continue;
-                };
-                let f = flow::taint_fn(&fcx, &summaries, &TAINT_CONFIG);
-                let prev = summaries.get(&u.name).copied().unwrap_or_default();
-                let merged = Summary {
-                    ret_roots: prev.ret_roots | f.summary.ret_roots,
-                    param_to_ret: prev.param_to_ret | f.summary.param_to_ret,
-                    param_to_sink: prev.param_to_sink | f.summary.param_to_sink,
-                };
-                if merged != prev {
-                    summaries.insert(u.name.clone(), merged);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        for &ui in uis {
-            let u = &prep.units[ui];
-            let Some(fcx) = prep.fcx(ctxs, u) else {
-                continue;
-            };
-            let toks = &ctxs[u.file].pf.tokens;
-            let mut seen = BTreeSet::new();
-            for hit in flow::taint_fn(&fcx, &summaries, &TAINT_CONFIG).hits {
-                if !seen.insert(hit.at) {
-                    continue;
-                }
-                let roots = flow::root_names(hit.bits & ROOT_MASK).join(", ");
-                out.push(ctxs[u.file].violation(
-                    RULE_DETERMINISM_TAINT,
-                    toks[hit.at].line,
-                    format!(
-                        "nondeterministic value ({roots}) flows into `{}`: anything emitted \
-                         or scheduled must derive from sim time, the seeded RNG, or ordered \
-                         collections, or replays diverge",
-                        hit.sink
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// `store-mutation-discipline`: direct durable-state mutation outside
-/// the trusted `lems_core::{store,mailbox}` modules.
-fn store_mutation_rule(ctxs: &[Ctx], prep: &FlowPrep) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for u in &prep.units {
-        if u.is_test {
-            continue;
-        }
-        let c = &ctxs[u.file];
-        if !c.rel.starts_with("crates/") || STORE_TRUSTED.iter().any(|t| c.rel.ends_with(t)) {
-            continue;
-        }
-        let Some(fields) = prep.fields.get(&c.krate) else {
-            continue;
-        };
-        let toks = &c.pf.tokens;
-        let class_of = |name: &str| {
-            u.classes
-                .get(name)
-                .copied()
-                .or_else(|| fields.get(name).copied())
-                .unwrap_or(TypeClass::Other)
-        };
-        for call in call_sites(toks, u.body_range) {
-            let recv_class = call
-                .recv
-                .map_or(TypeClass::Other, |r| class_of(&toks[r].text));
-            let name = call.name.as_str();
-            if MAILBOX_MUTATORS.contains(&name) && recv_class == TypeClass::Mailbox {
-                out.push(c.violation(
-                    RULE_STORE_MUTATION,
-                    toks[call.at].line,
-                    format!(
-                        "direct Mailbox mutation (`.{name}`) outside lems_core::{{store,\
-                         mailbox}}: durable state must move through MailStore methods or \
-                         crash recovery diverges from the Ideal model"
-                    ),
-                ));
-            } else if MAP_MUTATORS.contains(&name) && recv_class == TypeClass::MailboxMap {
-                out.push(c.violation(
-                    RULE_STORE_MUTATION,
-                    toks[call.at].line,
-                    format!(
-                        "direct ledger mutation (`.{name}` on a Mailbox map) outside \
-                         lems_core::{{store,mailbox}}: route the operation through MailStore"
-                    ),
-                ));
-            } else if name == "new" && call.path_qual.as_deref() == Some("Mailbox") {
-                out.push(
-                    c.violation(
-                        RULE_STORE_MUTATION,
-                        toks[call.at].line,
-                        "Mailbox::new outside lems_core::{store,mailbox}: mailboxes are created \
-                     by the store on first deposit, never ad hoc"
-                            .to_owned(),
-                    ),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// True when no unclosed bracket opens between `lo` and `at` — i.e. the
-/// token at `at` sits at the statement's own nesting depth, not inside
-/// another call's argument list.
-fn at_depth0(toks: &[Tok], lo: usize, at: usize) -> bool {
-    let mut depth = 0i32;
-    for t in toks.iter().take(at).skip(lo) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        }
-    }
-    depth == 0
-}
-
-/// `no-ignored-store-errors`: a WAL/segment `Result` dropped, `let _ =`
-/// discarded, or `.ok()`-swallowed in non-test code.
-fn ignored_store_errors_rule(ctxs: &[Ctx], prep: &FlowPrep) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for u in &prep.units {
-        if u.is_test {
-            continue;
-        }
-        let c = &ctxs[u.file];
-        if !c.rel.starts_with("crates/") {
-            continue;
-        }
-        let Some(fields) = prep.fields.get(&c.krate) else {
-            continue;
-        };
-        let toks = &c.pf.tokens;
-        let class_of = |name: &str| {
-            u.classes
-                .get(name)
-                .copied()
-                .or_else(|| fields.get(name).copied())
-                .unwrap_or(TypeClass::Other)
-        };
-        let mut stmts: Vec<&Stmt> = Vec::new();
-        u.body.walk(&mut |s| stmts.push(s));
-        for call in call_sites(toks, u.body_range) {
-            let name = call.name.as_str();
-            let recv_class = call
-                .recv
-                .map_or(TypeClass::Other, |r| class_of(&toks[r].text));
-            let is_method_op = FALLIBLE_STORE_OPS.contains(&name)
-                && matches!(recv_class, TypeClass::StoreIo | TypeClass::Wal);
-            let is_path_op = (name == "open"
-                && matches!(
-                    call.path_qual.as_deref(),
-                    Some("Wal" | "WalStore" | "FileSegments")
-                ))
-                || name == "replay_segment";
-            if !is_method_op && !is_path_op {
-                continue;
-            }
-            let close = call.args.1; // index of the call's `)`
-            match nc_next(toks, close) {
-                Some(j) if toks[j].is_punct('?') => continue, // propagated
-                Some(j) if toks[j].is_punct('.') => {
-                    // Chained. `.ok()` with nothing after it converts
-                    // the Result to an Option and drops the error.
-                    let swallowed = nc_next(toks, j)
-                        .filter(|&m| toks[m].is_ident("ok"))
-                        .and_then(|m| nc_next(toks, m))
-                        .filter(|&p| toks[p].is_punct('('))
-                        .map(|p| close_paren(toks, p))
-                        .is_some_and(|ocl| {
-                            !nc_next(toks, ocl)
-                                .is_some_and(|p| toks[p].is_punct('.') || toks[p].is_punct('?'))
-                        });
-                    if swallowed {
-                        out.push(c.violation(
-                            RULE_IGNORED_STORE_ERR,
-                            toks[call.at].line,
-                            format!(
-                                "`.ok()` swallows the StoreError from `{name}`: a store \
-                                 failure must surface (propagate with `?` or count it via \
-                                 io_errors), not vanish into an Option"
-                            ),
-                        ));
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-            // Not chained, not propagated: flag the two discard shapes.
-            let Some(stmt) = stmts
-                .iter()
-                .filter(|s| s.range.0 <= call.at && call.at < s.range.1)
-                .min_by_key(|s| s.range.1 - s.range.0)
-            else {
-                continue;
-            };
-            match &stmt.kind {
-                StmtKind::Let {
-                    pat,
-                    init: Some(init),
-                    ..
-                } => {
-                    let wildcard = pat.1 == pat.0 + 1 && toks[pat.0].is_ident("_");
-                    if wildcard && at_depth0(toks, init.0, call.at) {
-                        out.push(c.violation(
-                            RULE_IGNORED_STORE_ERR,
-                            toks[call.at].line,
-                            format!(
-                                "`let _ =` discards the Result of `{name}`: handle or \
-                                 propagate the StoreError — a silently failed store op \
-                                 diverges durable state from the log"
-                            ),
-                        ));
-                    }
-                }
-                StmtKind::Expr { range } => {
-                    let ends_semi =
-                        range.1 >= 1 && range.1 <= toks.len() && toks[range.1 - 1].is_punct(';');
-                    if ends_semi && at_depth0(toks, range.0, call.at) {
-                        out.push(c.violation(
-                            RULE_IGNORED_STORE_ERR,
-                            toks[call.at].line,
-                            format!(
-                                "Result of `{name}` dropped as a bare statement: handle or \
-                                 propagate the StoreError — a silently failed store op \
-                                 diverges durable state from the log"
-                            ),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-/// Analyses a set of sources together (cross-file rules see the whole
-/// set). Each entry is `(workspace-relative path, source text)`.
+/// Analyses a set of sources together (`event-match-exhaustive` looks
+/// across the files of a crate). Each entry is `(workspace-relative
+/// path, source text)`.
 pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Violation> {
-    analyze_sources_timed(files).0
-}
-
-/// Microseconds elapsed since `t0`, saturating.
-fn elapsed_us(t0: std::time::Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// [`analyze_sources`] plus per-rule wall-time/coverage counters, in
-/// [`rule_versions`] order. The flow-layer preparation (statement
-/// parsing, CFG lowering, class tables) is charged to the first flow
-/// rule, `determinism-taint`.
-pub fn analyze_sources_timed(files: &[(&str, &str)]) -> (Vec<Violation>, Vec<RuleTiming>) {
-    use std::time::Instant;
+    const PER_FILE: &[fn(&Ctx) -> Vec<Violation>] = &[
+        no_panic_rule,
+        banned_ident_rule,
+        partial_cmp_rule,
+        unbounded_run_rule,
+        rng_rule,
+        ignored_store_errors_rule,
+    ];
     let ctxs: Vec<Ctx> = files.iter().map(|&(rel, src)| Ctx::new(rel, src)).collect();
-    let n_all = ctxs.len();
-    let n_crates = ctxs.iter().filter(|c| c.rel.starts_with("crates/")).count();
-    let n_sim = ctxs.iter().filter(|c| c.sim_driven).count();
-    let n_actor = ctxs.iter().filter(|c| c.actor_file).count();
-    let n_taint = ctxs
-        .iter()
-        .filter(|c| c.sim_driven && !c.rel.ends_with(RNG_MODULE) && !c.rel.ends_with(PROF_MODULE))
-        .count();
-
-    let mut out: Vec<Violation> = Vec::new();
-    let mut timings: Vec<RuleTiming> = Vec::new();
-    let pass = |rule: &'static str,
-                files_scanned: usize,
-                out: &mut Vec<Violation>,
-                timings: &mut Vec<RuleTiming>,
-                f: &dyn Fn(&[Ctx]) -> Vec<Violation>| {
-        let t0 = Instant::now();
-        let vs = f(&ctxs);
-        timings.push(RuleTiming {
-            rule,
-            wall_us: elapsed_us(t0),
-            files_scanned,
-        });
-        out.extend(vs);
-    };
-
-    let per_file = |f: fn(&Ctx) -> Vec<Violation>| {
-        move |cs: &[Ctx]| cs.iter().flat_map(f).collect::<Vec<Violation>>()
-    };
-    pass(
-        RULE_NO_PANIC,
-        n_all,
-        &mut out,
-        &mut timings,
-        &per_file(no_panic_rule),
-    );
-    pass(
-        RULE_NO_WALL_CLOCK,
-        n_sim,
-        &mut out,
-        &mut timings,
-        &per_file(wall_clock_rule),
-    );
-    pass(
-        RULE_NO_HASH,
-        n_actor,
-        &mut out,
-        &mut timings,
-        &per_file(hash_rule),
-    );
-    pass(
-        RULE_NO_PARTIAL_CMP_SORT,
-        n_all,
-        &mut out,
-        &mut timings,
-        &per_file(partial_cmp_rule),
-    );
-    pass(
-        RULE_NO_UNBOUNDED_RUN,
-        n_all,
-        &mut out,
-        &mut timings,
-        &per_file(unbounded_run_rule),
-    );
-    pass(
-        RULE_NO_AMBIENT_PAR,
-        n_sim,
-        &mut out,
-        &mut timings,
-        &per_file(ambient_par_rule),
-    );
-    pass(RULE_RNG_FORK, n_taint, &mut out, &mut timings, &rng_rule);
-    pass(
-        RULE_EVENT_MATCH,
-        n_crates,
-        &mut out,
-        &mut timings,
-        &event_rule,
-    );
-
-    // Flow rules share one prep; its cost lands on determinism-taint.
-    let t0 = Instant::now();
-    let prep = FlowPrep::build(&ctxs);
-    let vs = determinism_rule(&ctxs, &prep);
-    timings.push(RuleTiming {
-        rule: RULE_DETERMINISM_TAINT,
-        wall_us: elapsed_us(t0),
-        files_scanned: n_taint,
-    });
-    out.extend(vs);
-
-    let t0 = Instant::now();
-    let vs = store_mutation_rule(&ctxs, &prep);
-    timings.push(RuleTiming {
-        rule: RULE_STORE_MUTATION,
-        wall_us: elapsed_us(t0),
-        files_scanned: n_crates,
-    });
-    out.extend(vs);
-
-    let t0 = Instant::now();
-    let vs = ignored_store_errors_rule(&ctxs, &prep);
-    timings.push(RuleTiming {
-        rule: RULE_IGNORED_STORE_ERR,
-        wall_us: elapsed_us(t0),
-        files_scanned: n_crates,
-    });
-    out.extend(vs);
-
+    let mut out = event_rule(&ctxs);
+    for ctx in &ctxs {
+        out.extend(PER_FILE.iter().flat_map(|rule| rule(ctx)));
+    }
     out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    (out, timings)
+    out
 }
 
 /// Scans one file's contents; `rel_path` is workspace-relative with
@@ -1486,13 +860,11 @@ pub fn lint_workspace(root: &Path, allow: &Allowlist) -> io::Result<LintReport> 
         .iter()
         .map(|(r, s)| (r.as_str(), s.as_str()))
         .collect();
-    let (violations, timings) = analyze_sources_timed(&refs);
     let mut report = LintReport {
         files_scanned: sources.len(),
-        timings,
         ..LintReport::default()
     };
-    for v in violations {
+    for v in analyze_sources(&refs) {
         let raw = sources
             .iter()
             .find(|(r, _)| *r == v.path)
@@ -1630,12 +1002,20 @@ mod tests {
     }
 
     #[test]
-    fn hash_collections_fire_only_in_actor_files() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u32, u32> }\n";
-        let vs = scan_source("crates/syntax/src/actors.rs", src);
-        assert_eq!(vs.len(), 2);
-        assert!(vs.iter().all(|v| v.rule == RULE_NO_HASH));
-        assert!(scan_source("crates/syntax/src/assign.rs", src).is_empty());
+    fn hash_collections_fire_in_every_sim_driven_file() {
+        let src = concat!(
+            "use std::collections::HashMap;\n",
+            "struct S { m: HashMap<u32, u32> }\n",
+            "#[cfg(test)]\n",
+            "mod tests { fn t() { let _ = std::collections::HashSet::<u32>::new(); } }\n",
+        );
+        for rel in ["crates/syntax/src/actors.rs", "crates/mst/src/ghs.rs"] {
+            let vs = scan_source(rel, src);
+            assert_eq!(vs.len(), 2, "{rel}: test code stays exempt");
+            assert!(vs.iter().all(|v| v.rule == RULE_NO_HASH));
+        }
+        // Setup-time crates outside the simulation hash freely.
+        assert!(scan_source("crates/net/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -1742,8 +1122,11 @@ mod tests {
             "    v.par_iter().map(|&x| x + 1).collect()\n",
             "}\n",
         );
+        // `rayon`/`par_iter` need no row: no workspace crate can name
+        // them, which CI checks on `cargo tree`.
         let vs = scan_source("crates/syntax/src/x.rs", src);
-        assert_eq!(vs.len(), 4);
+        let lines: Vec<u32> = vs.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![3, 4]);
         assert!(vs.iter().all(|v| v.rule == RULE_NO_AMBIENT_PAR));
         // Non-sim-driven crates (net, bench, check) fan out freely.
         assert!(scan_source("crates/net/src/x.rs", src).is_empty());
@@ -1804,7 +1187,9 @@ mod tests {
     }
 
     #[test]
-    fn taint_propagates_through_root_returning_helpers() {
+    fn root_returning_helper_is_flagged_at_its_direct_site() {
+        // A helper can only launder a bare root its own body holds, and
+        // that site is the finding; the call site needs no second one.
         let src = concat!(
             "use lems_sim::rng::SimRng;\n",
             "fn fresh() -> SimRng {\n",
@@ -1816,11 +1201,8 @@ mod tests {
             "}\n",
         );
         let vs = scan_source("crates/locindep/src/x.rs", src);
-        assert_eq!(vs.len(), 2, "the bare root and the laundering call site");
-        assert!(vs.iter().all(|v| v.rule == RULE_RNG_FORK));
-        let lines: Vec<u32> = vs.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![3, 6]);
-        assert!(vs[1].note.contains("fresh"));
+        assert_eq!(vs.len(), 1);
+        assert_eq!((vs[0].rule, vs[0].line), (RULE_RNG_FORK, 3));
     }
 
     #[test]
@@ -2016,237 +1398,220 @@ mod tests {
         assert!(report.files_scanned > 30);
     }
 
-    // ---- determinism-taint negative fixtures -------------------------
+    // ---- the engine-v3 flow fixtures, re-run against the perimeter ----
 
-    fn taint_findings(rel: &str, src: &str) -> Vec<Violation> {
-        scan_source(rel, src)
-            .into_iter()
-            .filter(|v| v.rule == RULE_DETERMINISM_TAINT)
-            .collect()
+    /// The sources the deleted flow rules (`determinism-taint`,
+    /// `store-mutation-discipline`, `no-ignored-store-errors` v1) were
+    /// tested on, kept as inputs: each one a flow rule flagged must
+    /// still be flagged by a surviving rule *at the line that names the
+    /// source*, before any flow starts. The `Mailbox` shapes are not
+    /// here: they are `compile_fail` doctests on `lems_core::Mailbox`.
+    /// `(test the source came from, path scanned as, source, findings)`.
+    type Fixture = (
+        &'static str,
+        &'static str,
+        &'static str,
+        &'static [(u32, &'static str)],
+    );
+
+    const FLOW_FIXTURES: &[Fixture] = &[
+        (
+            "wall_clock_taint_through_helper_fn_reaches_send",
+            "crates/mst/src/x.rs",
+            concat!(
+                "fn stamp() -> u64 {\n",
+                "    let t = std::time::Instant::now();\n",
+                "    t.elapsed().as_nanos() as u64\n",
+                "}\n",
+                "impl Host {\n",
+                "    fn beat(&mut self, ctx: &mut Ctx) {\n",
+                "        let v = stamp();\n",
+                "        self.send(ctx, v);\n",
+                "    }\n",
+                "}\n",
+            ),
+            &[(2, RULE_NO_WALL_CLOCK)],
+        ),
+        (
+            "laundering_through_identity_wrapper_still_fires",
+            "crates/syntax/src/x.rs",
+            concat!(
+                "fn launder(x: u64) -> u64 {\n",
+                "    x\n",
+                "}\n",
+                "impl Host {\n",
+                "    fn beat(&mut self, ctx: &mut Ctx) {\n",
+                "        let t = std::time::Instant::now().elapsed().as_nanos() as u64;\n",
+                "        let v = launder(t);\n",
+                "        self.send(ctx, v);\n",
+                "    }\n",
+                "}\n",
+            ),
+            &[(6, RULE_NO_WALL_CLOCK)],
+        ),
+        (
+            "hash_iteration_order_taints_scheduled_values",
+            "crates/locindep/src/x.rs",
+            concat!(
+                "use std::collections::HashMap;\n",
+                "impl Host {\n",
+                "    fn fanout(&mut self, ctx: &mut Ctx) {\n",
+                "        let peers: HashMap<u64, u64> = HashMap::new();\n",
+                "        for (p, w) in peers.iter() {\n",
+                "            self.send(ctx, *p, *w);\n",
+                "        }\n",
+                "    }\n",
+                "}\n",
+            ),
+            &[(1, RULE_NO_HASH), (4, RULE_NO_HASH), (4, RULE_NO_HASH)],
+        ),
+        (
+            // Was the *clean* fixture: the flow rule let a keyed-only
+            // `HashMap` through. It flips to flagged on purpose — the
+            // perimeter does not ask how the map is used (the one hot
+            // keyed map, `sim/actor.rs`'s `last_arrival`, is the single
+            // vetted `lint-allow.txt` entry).
+            "untainted_and_keyed_flows_stay_clean",
+            "crates/mst/src/x.rs",
+            concat!(
+                "use std::collections::{BTreeMap, HashMap};\n",
+                "impl Host {\n",
+                "    fn fanout(&mut self, ctx: &mut Ctx, now: SimTime) {\n",
+                "        let peers: BTreeMap<u64, u64> = BTreeMap::new();\n",
+                "        for (p, w) in peers.iter() {\n",
+                "            self.send(ctx, *p, *w);\n",
+                "        }\n",
+                "        let cache: HashMap<u64, u64> = HashMap::new();\n",
+                "        if let Some(v) = cache.get(&7) {\n",
+                "            self.send_at(ctx, now, *v);\n",
+                "        }\n",
+                "    }\n",
+                "}\n",
+            ),
+            &[(1, RULE_NO_HASH), (8, RULE_NO_HASH), (8, RULE_NO_HASH)],
+        ),
+        (
+            "taint_rule_skips_test_code",
+            "crates/syntax/src/x.rs",
+            concat!(
+                "#[cfg(test)]\n",
+                "mod tests {\n",
+                "    fn t(h: &mut Host, ctx: &mut Ctx) {\n",
+                "        let t = std::time::Instant::now().elapsed().as_nanos() as u64;\n",
+                "        h.send(ctx, t);\n",
+                "    }\n",
+                "}\n",
+            ),
+            &[],
+        ),
+        (
+            // The eval crate post-processes results outside the simulation.
+            "taint_rule_skips_non_sim_crates",
+            "crates/eval/src/x.rs",
+            concat!(
+                "fn emit(h: &mut Host, ctx: &mut Ctx) {\n",
+                "    let t = std::time::Instant::now().elapsed().as_nanos() as u64;\n",
+                "    h.send(ctx, t);\n",
+                "}\n",
+            ),
+            &[],
+        ),
+        (
+            "mailstore_calls_are_clean",
+            "crates/syntax/src/x.rs",
+            concat!(
+                "use lems_core::store::MailStore;\n",
+                "fn purge(store: &mut dyn MailStore, owner: &MailName, id: MessageId) {\n",
+                "    store.remove(owner, id);\n",
+                "}\n",
+            ),
+            &[],
+        ),
+        (
+            "ok_swallowed_wal_sync_is_flagged",
+            "crates/store/src/x.rs",
+            concat!(
+                "fn flush<S: SegmentIo>(io: &mut S) {\n",
+                "    io.sync(0).ok();\n",
+                "}\n",
+            ),
+            &[(2, RULE_IGNORED_STORE_ERR)],
+        ),
+        (
+            // Line 3, the bare statement, is the compiler's now:
+            // `#![deny(unused_must_use)]` on lems-store and lems-core.
+            "discarded_and_dropped_store_results_are_flagged",
+            "crates/store/src/x.rs",
+            concat!(
+                "fn churn<S: SegmentIo>(io: &mut S, data: &[u8]) {\n",
+                "    let _ = io.append(0, data);\n",
+                "    io.truncate(0, 0);\n",
+                "}\n",
+            ),
+            &[(2, RULE_IGNORED_STORE_ERR)],
+        ),
+        (
+            // Also a former clean fixture: `.ok().map(..)` on line 5
+            // still loses the error, and the token ban says so.
+            "propagated_and_inspected_store_results_are_clean",
+            "crates/store/src/x.rs",
+            concat!(
+                "fn flush<S: SegmentIo>(io: &mut S, data: &[u8]) -> Result<(), StoreError> {\n",
+                "    io.append(0, data)?;\n",
+                "    let r = io.sync(0);\n",
+                "    note_io(&r);\n",
+                "    io.read(0).ok().map(|b| b.len());\n",
+                "    io.sync(0)\n",
+                "}\n",
+            ),
+            &[(5, RULE_IGNORED_STORE_ERR)],
+        ),
+        (
+            "ignored_store_errors_skips_test_code",
+            "crates/store/src/x.rs",
+            concat!(
+                "#[cfg(test)]\n",
+                "mod tests {\n",
+                "    fn t<S: SegmentIo>(io: &mut S) {\n",
+                "        io.sync(0).ok();\n",
+                "        let _ = io.truncate(0, 0);\n",
+                "    }\n",
+                "}\n",
+            ),
+            &[],
+        ),
+    ];
+
+    #[test]
+    fn nothing_the_flow_engine_caught_gets_through() {
+        for &(name, rel, src, want) in FLOW_FIXTURES {
+            let got: Vec<(u32, &str)> = scan_source(rel, src)
+                .iter()
+                .map(|v| (v.line, v.rule))
+                .collect();
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]
-    fn wall_clock_taint_through_helper_fn_reaches_send() {
-        // The syntactic no-wall-clock backstop flags the Instant site;
-        // the taint rule must ALSO catch the flow into the sink, two
-        // fns away, where the backstop sees nothing.
+    fn store_perimeter_is_the_store_crate_and_core_store_only() {
         let src = concat!(
-            "fn stamp() -> u64 {\n",
-            "    let t = std::time::Instant::now();\n",
-            "    t.elapsed().as_nanos() as u64\n",
-            "}\n",
-            "impl Host {\n",
-            "    fn beat(&mut self, ctx: &mut Ctx) {\n",
-            "        let v = stamp();\n",
-            "        self.send(ctx, v);\n",
-            "    }\n",
+            "fn f(r: Result<u32, E>, m: Option<u32>) {\n",
+            "    let _ = r;\n",
+            "    let _: Option<u32> = r.ok();\n",
+            "    _ = m;\n",
+            "    match m { Some(_) => {} _ => {} }\n",
             "}\n",
         );
-        let vs = taint_findings("crates/mst/src/x.rs", src);
-        assert_eq!(vs.len(), 1, "taint flows through the helper summary");
-        assert_eq!(vs[0].line, 8);
-        assert!(vs[0].note.contains("wall-clock"));
-    }
-
-    #[test]
-    fn laundering_through_identity_wrapper_still_fires() {
-        let src = concat!(
-            "fn launder(x: u64) -> u64 {\n",
-            "    x\n",
-            "}\n",
-            "impl Host {\n",
-            "    fn beat(&mut self, ctx: &mut Ctx) {\n",
-            "        let t = std::time::Instant::now().elapsed().as_nanos() as u64;\n",
-            "        let v = launder(t);\n",
-            "        self.send(ctx, v);\n",
-            "    }\n",
-            "}\n",
-        );
-        let vs = taint_findings("crates/syntax/src/x.rs", src);
-        assert_eq!(vs.len(), 1, "param-to-ret summary defeats laundering");
-        assert_eq!(vs[0].line, 8);
-    }
-
-    #[test]
-    fn hash_iteration_order_taints_scheduled_values() {
-        let src = concat!(
-            "use std::collections::HashMap;\n",
-            "impl Host {\n",
-            "    fn fanout(&mut self, ctx: &mut Ctx) {\n",
-            "        let peers: HashMap<u64, u64> = HashMap::new();\n",
-            "        for (p, w) in peers.iter() {\n",
-            "            self.send(ctx, *p, *w);\n",
-            "        }\n",
-            "    }\n",
-            "}\n",
-        );
-        let vs = taint_findings("crates/locindep/src/x.rs", src);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].line, 6);
-        assert!(vs[0].note.contains("hash-iteration-order"));
-    }
-
-    #[test]
-    fn untainted_and_keyed_flows_stay_clean() {
-        // Ordered iteration, keyed hash access, and sim-time values are
-        // all legitimate inputs to a sink.
-        let src = concat!(
-            "use std::collections::{BTreeMap, HashMap};\n",
-            "impl Host {\n",
-            "    fn fanout(&mut self, ctx: &mut Ctx, now: SimTime) {\n",
-            "        let peers: BTreeMap<u64, u64> = BTreeMap::new();\n",
-            "        for (p, w) in peers.iter() {\n",
-            "            self.send(ctx, *p, *w);\n",
-            "        }\n",
-            "        let cache: HashMap<u64, u64> = HashMap::new();\n",
-            "        if let Some(v) = cache.get(&7) {\n",
-            "            self.send_at(ctx, now, *v);\n",
-            "        }\n",
-            "    }\n",
-            "}\n",
-        );
-        assert!(taint_findings("crates/mst/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn taint_rule_skips_test_code_and_non_sim_crates() {
-        let src = concat!(
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    fn t(h: &mut Host, ctx: &mut Ctx) {\n",
-            "        let t = std::time::Instant::now().elapsed().as_nanos() as u64;\n",
-            "        h.send(ctx, t);\n",
-            "    }\n",
-            "}\n",
-        );
-        assert!(taint_findings("crates/syntax/src/x.rs", src).is_empty());
-        let lib_src = concat!(
-            "fn emit(h: &mut Host, ctx: &mut Ctx) {\n",
-            "    let t = std::time::Instant::now().elapsed().as_nanos() as u64;\n",
-            "    h.send(ctx, t);\n",
-            "}\n",
-        );
-        // The eval crate post-processes results outside the simulation.
-        assert!(taint_findings("crates/eval/src/x.rs", lib_src).is_empty());
-    }
-
-    // ---- store-mutation-discipline negative fixtures -----------------
-
-    fn store_findings(rel: &str, src: &str) -> Vec<Violation> {
-        scan_source(rel, src)
-            .into_iter()
-            .filter(|v| v.rule == RULE_STORE_MUTATION)
-            .collect()
-    }
-
-    #[test]
-    fn mailbox_mutation_behind_free_fn_is_flagged() {
-        // Hiding the mutation in a helper that takes `&mut Mailbox`
-        // does not launder it: the param class follows the type.
-        let src = concat!(
-            "use lems_core::mailbox::Mailbox;\n",
-            "fn purge(mb: &mut Mailbox, id: MessageId) {\n",
-            "    mb.remove(id);\n",
-            "}\n",
-        );
-        let vs = store_findings("crates/syntax/src/x.rs", src);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].line, 3);
-    }
-
-    #[test]
-    fn mailbox_map_mutation_and_ad_hoc_construction_are_flagged() {
-        let src = concat!(
-            "use std::collections::BTreeMap;\n",
-            "fn seed(boxes: &mut BTreeMap<MailName, Mailbox>, owner: MailName) {\n",
-            "    boxes.entry(owner.clone()).or_insert_with(|| Mailbox::new(owner));\n",
-            "}\n",
-        );
-        let vs = store_findings("crates/store/src/x.rs", src);
-        assert_eq!(vs.len(), 2, "both the map entry and Mailbox::new fire");
-        assert!(vs.iter().all(|v| v.line == 3));
-    }
-
-    #[test]
-    fn trusted_store_module_and_mailstore_calls_are_clean() {
-        let src = concat!(
-            "use lems_core::mailbox::Mailbox;\n",
-            "fn purge(mb: &mut Mailbox, id: MessageId) {\n",
-            "    mb.remove(id);\n",
-            "}\n",
-        );
-        // The same code inside lems_core::store is the implementation.
-        assert!(store_findings("crates/core/src/store.rs", src).is_empty());
-        // Routing through the MailStore trait is the sanctioned path.
-        let routed = concat!(
-            "use lems_core::store::MailStore;\n",
-            "fn purge(store: &mut dyn MailStore, owner: &MailName, id: MessageId) {\n",
-            "    store.remove(owner, id);\n",
-            "}\n",
-        );
-        assert!(store_findings("crates/syntax/src/x.rs", routed).is_empty());
-    }
-
-    // ---- no-ignored-store-errors negative fixtures -------------------
-
-    fn ignored_findings(rel: &str, src: &str) -> Vec<Violation> {
-        scan_source(rel, src)
-            .into_iter()
-            .filter(|v| v.rule == RULE_IGNORED_STORE_ERR)
-            .collect()
-    }
-
-    #[test]
-    fn ok_swallowed_wal_sync_is_flagged() {
-        let src = concat!(
-            "fn flush<S: SegmentIo>(io: &mut S) {\n",
-            "    io.sync(0).ok();\n",
-            "}\n",
-        );
-        let vs = ignored_findings("crates/store/src/x.rs", src);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].line, 2);
-        assert!(vs[0].note.contains("swallows"));
-    }
-
-    #[test]
-    fn discarded_and_dropped_store_results_are_flagged() {
-        let src = concat!(
-            "fn churn<S: SegmentIo>(io: &mut S, data: &[u8]) {\n",
-            "    let _ = io.append(0, data);\n",
-            "    io.truncate(0, 0);\n",
-            "}\n",
-        );
-        let vs = ignored_findings("crates/store/src/x.rs", src);
-        let lines: Vec<u32> = vs.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![2, 3]);
-    }
-
-    #[test]
-    fn propagated_and_inspected_store_results_are_clean() {
-        let src = concat!(
-            "fn flush<S: SegmentIo>(io: &mut S, data: &[u8]) -> Result<(), StoreError> {\n",
-            "    io.append(0, data)?;\n",
-            "    let r = io.sync(0);\n",
-            "    note_io(&r);\n",
-            "    io.read(0).ok().map(|b| b.len());\n",
-            "    io.sync(0)\n",
-            "}\n",
-        );
-        assert!(ignored_findings("crates/store/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn ignored_store_errors_skips_test_code() {
-        let src = concat!(
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    fn t<S: SegmentIo>(io: &mut S) {\n",
-            "        io.sync(0).ok();\n",
-            "        let _ = io.truncate(0, 0);\n",
-            "    }\n",
-            "}\n",
-        );
-        assert!(ignored_findings("crates/store/src/x.rs", src).is_empty());
+        for rel in ["crates/store/src/wal.rs", "crates/core/src/store.rs"] {
+            let lines: Vec<u32> = scan_source(rel, src).iter().map(|v| v.line).collect();
+            assert_eq!(
+                lines,
+                vec![2, 3, 3, 4],
+                "{rel}: `_ =>` arms are not discards"
+            );
+        }
+        assert!(scan_source("crates/core/src/mailbox.rs", src).is_empty());
+        assert!(scan_source("crates/syntax/src/x.rs", src).is_empty());
     }
 }

@@ -1,8 +1,7 @@
 //! `lems-check` — workspace lint pass and trace-based invariant auditor.
 //!
 //! ```sh
-//! cargo run -p lems-check -- lint [--root <workspace-root>] [--json] [--github] \
-//!     [--no-allow] [--no-timing] [--time-budget-ms <n>]
+//! cargo run -p lems-check -- lint [--root <workspace-root>] [--json] [--github] [--no-allow]
 //! cargo run -p lems-check -- audit [--seed <n>] [scenario ...]
 //! ```
 //!
@@ -21,29 +20,22 @@ const USAGE: &str = "\
 usage: lems-check <command> [options]
 
 commands:
-  lint  [--root <dir>] [--json] [--github] [--no-allow] [--no-timing]
-        [--time-budget-ms <n>]
-                                  scope- and flow-aware static rules over
-                                  crates/*/src
-                                  (syntactic: no-panic, no-wall-clock,
+  lint  [--root <dir>] [--json] [--github] [--no-allow]
+                                  token and scope rules over crates/*/src
+                                  (no-panic, no-wall-clock,
                                    no-hash-collections, no-partial-cmp-sort,
-                                   no-unbounded-run, no-ambient-parallelism;
-                                   semantic: rng-fork-discipline,
-                                   event-match-exhaustive, determinism-taint,
-                                   store-mutation-discipline,
+                                   no-unbounded-run, no-ambient-parallelism,
+                                   rng-fork-discipline,
+                                   event-match-exhaustive,
                                    no-ignored-store-errors;
                                    vetted exceptions in <root>/lint-allow.txt,
                                    pinned as rule@version; stale exceptions
                                    fail the pass;
-                                   --json emits the schema-versioned report
-                                   with per-rule wall-time counters,
-                                   --no-timing omits the timing block so the
-                                   output is byte-stable,
-                                   --time-budget-ms fails the run when the
-                                   whole lint pass exceeds the budget,
+                                   --json emits the schema-versioned report,
+                                   byte-stable for a given tree,
                                    --github emits ::error annotations,
                                    --no-allow ignores the allowlist — the CI
-                                   differential diffs `--json --no-timing`
+                                   differential diffs `--json --no-allow`
                                    output against GOLDEN_lint.json)
   audit [--seed <n>] [--chaos] [--durability] [--trace-out <path>] [name ...]
                                   replay audit scenarios and check the
@@ -115,8 +107,6 @@ fn run_lint(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut github = false;
     let mut no_allow = false;
-    let mut no_timing = false;
-    let mut budget_ms: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -130,14 +120,6 @@ fn run_lint(args: &[String]) -> ExitCode {
             "--json" => json = true,
             "--github" => github = true,
             "--no-allow" => no_allow = true,
-            "--no-timing" => no_timing = true,
-            "--time-budget-ms" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => budget_ms = Some(n),
-                None => {
-                    eprintln!("lems-check lint: --time-budget-ms needs an integer");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 eprintln!("lems-check lint: unknown option `{other}`");
                 return ExitCode::from(2);
@@ -160,7 +142,6 @@ fn run_lint(args: &[String]) -> ExitCode {
             }
         }
     };
-    let t0 = std::time::Instant::now();
     let report = match lint_workspace(&root, &allow) {
         Ok(r) => r,
         Err(e) => {
@@ -168,34 +149,21 @@ fn run_lint(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let over_budget = budget_ms.is_some_and(|b| elapsed_ms > b);
-    if over_budget {
-        // The budget catches pathological slowdowns as the flow engine
-        // grows; report it loudly even in JSON mode (on stderr).
-        eprintln!(
-            "lems-check lint: TIME BUDGET EXCEEDED: pass took {elapsed_ms} ms \
-             (budget {} ms)",
-            budget_ms.unwrap_or(0)
-        );
-    }
+    let verdict = if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
 
     if json || github {
-        let mut doc = LintDoc::from_report(&report, allow.len());
-        if no_timing {
-            doc = doc.without_timing();
-        }
+        let doc = LintDoc::from_report(&report, allow.len());
         if json {
             print!("{}", doc.render_json());
         }
         if github {
             print!("{}", doc.render_github());
         }
-        return if report.is_clean() && !over_budget {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return verdict;
     }
 
     for v in &report.violations {
@@ -204,24 +172,13 @@ fn run_lint(args: &[String]) -> ExitCode {
     for stale in &report.stale_allows {
         println!("stale allowlist entry (matched nothing): {stale}");
     }
-    if !no_timing {
-        for t in &report.timings {
-            println!(
-                "timing: {:<28} {:>8} us  ({} file(s))",
-                t.rule, t.wall_us, t.files_scanned
-            );
-        }
-    }
-    if report.is_clean() && !over_budget {
+    if report.is_clean() {
         println!(
             "lint: {} files clean ({} vetted exception{})",
             report.files_scanned,
             allow.len(),
             if allow.len() == 1 { "" } else { "s" }
         );
-        ExitCode::SUCCESS
-    } else if over_budget {
-        ExitCode::FAILURE
     } else {
         println!(
             "lint: {} violation(s), {} stale exception(s) across {} files",
@@ -229,8 +186,8 @@ fn run_lint(args: &[String]) -> ExitCode {
             report.stale_allows.len(),
             report.files_scanned
         );
-        ExitCode::FAILURE
     }
+    verdict
 }
 
 fn run_audit(args: &[String]) -> ExitCode {

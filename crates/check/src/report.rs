@@ -14,33 +14,12 @@ use serde::{Deserialize, Serialize};
 use crate::lint::LintReport;
 
 /// Schema version of the JSON lint document. Bump on any breaking
-/// change to the field layout below. v2: engine `lint-v3` (flow layer),
-/// three new rules in `rule_versions`, optional `timing` block.
-pub const LINT_SCHEMA_VERSION: u32 = 2;
+/// change to the field layout below. v3: engine `lint-v4` (no flow
+/// layer), two rules fewer in `rule_versions`, no `timing` block.
+pub const LINT_SCHEMA_VERSION: u32 = 3;
 
-/// Wall time + coverage of one rule pass.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RuleTimingDoc {
-    /// Rule id.
-    pub rule: String,
-    /// Wall time of the pass, microseconds.
-    pub wall_us: u64,
-    /// Files the pass looked at (scoped rules scan fewer than the
-    /// whole workspace).
-    pub files_scanned: usize,
-}
-
-/// Per-rule timing block. Omitted entirely under `--no-timing`, so the
-/// golden-differential diff stays byte-stable while the default `--json`
-/// output keeps lint cost visible as the engine grows.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TimingDoc {
-    /// Sum of the per-rule analysis wall times, microseconds (excludes
-    /// file I/O, which the CI budget measures around the whole run).
-    pub total_wall_us: u64,
-    /// One entry per rule, in `rule_versions` order.
-    pub rules: Vec<RuleTimingDoc>,
-}
+/// Engine identifier; bumps when the analysis layers change shape.
+pub const LINT_ENGINE: &str = "lint-v4";
 
 /// One finding in the JSON document.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -75,33 +54,16 @@ pub struct LintDoc {
     pub findings: Vec<Finding>,
     /// Allowlist entries that matched nothing (stale: must be removed).
     pub stale_allows: Vec<String>,
-    /// Per-rule wall-time/coverage counters; `None` under `--no-timing`
-    /// (and then absent from the JSON, keeping golden diffs stable).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub timing: Option<TimingDoc>,
 }
 
 impl LintDoc {
-    /// Builds the document from a finished lint pass. The timing block
-    /// is filled from the report; call [`LintDoc::without_timing`] for
-    /// byte-stable output.
+    /// Builds the document from a finished lint pass. Every field is a
+    /// function of the sources and the allowlist, so the rendering is
+    /// byte-stable and diffable against `GOLDEN_lint.json`.
     pub fn from_report(report: &LintReport, allow_entries: usize) -> LintDoc {
-        let rules: Vec<RuleTimingDoc> = report
-            .timings
-            .iter()
-            .map(|t| RuleTimingDoc {
-                rule: t.rule.to_string(),
-                wall_us: t.wall_us,
-                files_scanned: t.files_scanned,
-            })
-            .collect();
-        let timing = (!rules.is_empty()).then(|| TimingDoc {
-            total_wall_us: rules.iter().map(|r| r.wall_us).sum(),
-            rules,
-        });
         LintDoc {
             schema_version: LINT_SCHEMA_VERSION,
-            engine: "lint-v3".to_string(),
+            engine: LINT_ENGINE.to_string(),
             rule_versions: crate::lint::rule_versions()
                 .iter()
                 .map(|&(rule, version)| (rule.to_string(), version))
@@ -120,15 +82,7 @@ impl LintDoc {
                 })
                 .collect(),
             stale_allows: report.stale_allows.clone(),
-            timing,
         }
-    }
-
-    /// Drops the (nondeterministic) timing block, for output meant to
-    /// be diffed byte-for-byte against `GOLDEN_lint.json`.
-    pub fn without_timing(mut self) -> LintDoc {
-        self.timing = None;
-        self
     }
 
     /// Renders the document as pretty-printed JSON (stable field and
@@ -177,11 +131,6 @@ mod tests {
             }],
             stale_allows: vec!["no-panic@2 gone.rs nothing".to_string()],
             files_scanned: 3,
-            timings: vec![crate::lint::RuleTiming {
-                rule: "no-panic",
-                wall_us: 120,
-                files_scanned: 3,
-            }],
         };
         LintDoc::from_report(&report, 2)
     }
@@ -192,29 +141,13 @@ mod tests {
         let json = doc.render_json();
         let back: LintDoc = serde_json::from_str(&json).expect("valid json");
         assert_eq!(back.schema_version, LINT_SCHEMA_VERSION);
-        assert_eq!(back.engine, "lint-v3");
+        assert_eq!(back.engine, LINT_ENGINE);
         assert_eq!(back.findings[0].rule, "no-panic");
         assert_eq!(back.findings[0].line, 7);
         assert_eq!(back.files_scanned, 3);
         assert_eq!(back.allow_entries, 2);
         assert!(!back.rule_versions.is_empty());
         assert_eq!(back.stale_allows.len(), 1);
-        let timing = back.timing.expect("timing present by default");
-        assert_eq!(timing.total_wall_us, 120);
-        assert_eq!(timing.rules[0].rule, "no-panic");
-        assert_eq!(timing.rules[0].files_scanned, 3);
-    }
-
-    #[test]
-    fn without_timing_omits_the_block_entirely() {
-        let doc = sample().without_timing();
-        let json = doc.render_json();
-        assert!(
-            !json.contains("timing"),
-            "--no-timing output must be byte-stable for golden diffs"
-        );
-        let back: LintDoc = serde_json::from_str(&json).expect("valid json");
-        assert!(back.timing.is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use lems_check::lint::rule_versions;
-use lems_check::report::{LintDoc, LINT_SCHEMA_VERSION};
+use lems_check::report::{LintDoc, LINT_ENGINE, LINT_SCHEMA_VERSION};
 
 fn golden() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../GOLDEN_lint.json");
@@ -22,15 +22,11 @@ fn committed_golden_lint_matches_schema() {
     let doc: LintDoc = serde_json::from_str(&golden())
         .expect("GOLDEN_lint.json must deserialize into report::LintDoc");
     assert_eq!(doc.schema_version, LINT_SCHEMA_VERSION);
-    assert_eq!(doc.engine, "lint-v3");
+    assert_eq!(doc.engine, LINT_ENGINE);
     assert!(doc.files_scanned > 50);
-    // Generated with --no-allow --no-timing: the document vets raw
-    // findings byte-stably, independent of allowlist or machine speed.
+    // Generated with --no-allow: the document vets raw findings,
+    // independent of the allowlist.
     assert_eq!(doc.allow_entries, 0);
-    assert!(
-        doc.timing.is_none(),
-        "golden must be regenerated with --no-timing"
-    );
     assert!(doc.stale_allows.is_empty());
 
     // The rule-version table in the golden must match the binary's: a

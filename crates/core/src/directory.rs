@@ -191,8 +191,8 @@ impl Directory {
     /// Builds the per-server views: each server receives the records of
     /// users whose authority list includes it ("the databases are partially
     /// replicated to increase the availability and the reliability", §2).
-    pub fn partition(&self, servers: &[NodeId]) -> HashMap<NodeId, ServerView> {
-        let mut views: HashMap<NodeId, ServerView> = servers
+    pub fn partition(&self, servers: &[NodeId]) -> BTreeMap<NodeId, ServerView> {
+        let mut views: BTreeMap<NodeId, ServerView> = servers
             .iter()
             .map(|&s| {
                 (

@@ -23,6 +23,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A dropped store/WAL `Result` is a build error, not a lint finding.
+#![deny(unused_must_use)]
 
 pub mod directory;
 pub mod hierarchy;

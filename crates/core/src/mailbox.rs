@@ -25,28 +25,67 @@ pub struct StoredMessage {
 
 /// A user's mailbox on one server.
 ///
+/// Mailboxes are created and mutated only by the [`store`](crate::store)
+/// module: outside `lems-core` a `Mailbox` is a read-only view reached
+/// through [`MailStore::mailboxes`](crate::store::MailStore::mailboxes),
+/// so durable state cannot move except through the store interface.
+///
 /// # Examples
 ///
 /// ```
-/// use lems_core::mailbox::Mailbox;
 /// use lems_core::message::{Message, MessageId};
+/// use lems_core::store::{MailStore, MemStore};
 /// use lems_sim::time::SimTime;
 ///
-/// let owner = "east.vax1.alice".parse()?;
-/// let mut mbox = Mailbox::new(owner);
+/// let owner: lems_core::MailName = "east.vax1.alice".parse()?;
+/// let mut store = MemStore::stable();
 /// let m = Message::new(
 ///     MessageId(0),
 ///     "east.vax1.bob".parse()?,
-///     "east.vax1.alice".parse()?,
+///     owner.clone(),
 ///     "hi", "body", SimTime::ZERO,
 /// );
-/// mbox.deposit(m, SimTime::from_units(1.0));
-/// assert_eq!(mbox.len(), 1);
-/// let drained = mbox.drain();
-/// assert_eq!(drained.len(), 1);
-/// assert!(mbox.is_empty());
+/// store.deposit(m, SimTime::from_units(1.0));
+/// assert_eq!(store.mailboxes()[&owner].len(), 1);
+/// assert_eq!(store.drain_destructive(&owner).len(), 1);
+/// assert!(store.mailboxes()[&owner].is_empty());
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
+///
+/// The mutators are private to this crate. A helper that takes
+/// `&mut Mailbox` cannot launder a removal past the store:
+///
+/// ```compile_fail,E0624
+/// use lems_core::mailbox::Mailbox;
+/// use lems_core::message::MessageId;
+/// fn purge(mb: &mut Mailbox, id: MessageId) {
+///     mb.remove(id);
+/// }
+/// ```
+///
+/// and neither an ad-hoc mailbox nor a hand-built ledger map can exist:
+///
+/// ```compile_fail,E0624
+/// use std::collections::BTreeMap;
+/// use lems_core::{mailbox::Mailbox, MailName};
+/// fn seed(boxes: &mut BTreeMap<MailName, Mailbox>, owner: MailName) {
+///     boxes.entry(owner.clone()).or_insert_with(|| Mailbox::new(owner));
+/// }
+/// ```
+///
+/// The same two helpers compile once they only read:
+///
+/// ```
+/// use std::collections::BTreeMap;
+/// use lems_core::{mailbox::Mailbox, MailName};
+/// fn depth(mb: &mut Mailbox) -> usize {
+///     mb.len()
+/// }
+/// fn total(boxes: &mut BTreeMap<MailName, Mailbox>) -> usize {
+///     boxes.values().map(Mailbox::len).sum()
+/// }
+/// ```
+///
 /// Ledger invariant: every deposited message leaves the mailbox through
 /// exactly one of retrieval (`drain`/`remove`) or expiry
 /// (`expire_older_than`), so at all times
@@ -70,7 +109,7 @@ pub struct Mailbox {
 
 impl Mailbox {
     /// Creates an empty mailbox for `owner`.
-    pub fn new(owner: MailName) -> Self {
+    pub(crate) fn new(owner: MailName) -> Self {
         Mailbox {
             owner,
             stored: Vec::new(),
@@ -86,7 +125,7 @@ impl Mailbox {
     }
 
     /// Stores a message.
-    pub fn deposit(&mut self, message: Message, now: SimTime) {
+    pub(crate) fn deposit(&mut self, message: Message, now: SimTime) {
         self.deposited_total += 1;
         self.stored.push(StoredMessage {
             message,
@@ -112,13 +151,13 @@ impl Mailbox {
 
     /// Removes and returns all stored messages, oldest first — the normal
     /// retrieval path.
-    pub fn drain(&mut self) -> Vec<StoredMessage> {
+    pub(crate) fn drain(&mut self) -> Vec<StoredMessage> {
         self.retrieved_total += self.stored.len() as u64;
         std::mem::take(&mut self.stored)
     }
 
     /// Removes a single message by id, if present.
-    pub fn remove(&mut self, id: MessageId) -> Option<StoredMessage> {
+    pub(crate) fn remove(&mut self, id: MessageId) -> Option<StoredMessage> {
         let idx = self.stored.iter().position(|s| s.message.id == id)?;
         self.retrieved_total += 1;
         Some(self.stored.remove(idx))
@@ -145,7 +184,7 @@ impl Mailbox {
     /// of message archiving and clean-up must be implemented to protect the
     /// servers' storage"). Expired messages count toward `expired_total`,
     /// never `retrieved_total`: nobody read them.
-    pub fn expire_older_than(&mut self, cutoff: SimTime) -> usize {
+    pub(crate) fn expire_older_than(&mut self, cutoff: SimTime) -> usize {
         let before = self.stored.len();
         self.stored.retain(|s| s.deposited_at >= cutoff);
         let expired = before - self.stored.len();
@@ -156,7 +195,7 @@ impl Mailbox {
     /// Restores the ledger counters after a log replay rebuilds this
     /// mailbox from a snapshot (the counters are history, not derivable
     /// from the surviving messages alone).
-    pub fn restore_ledger(&mut self, deposited: u64, retrieved: u64, expired: u64) {
+    pub(crate) fn restore_ledger(&mut self, deposited: u64, retrieved: u64, expired: u64) {
         self.deposited_total = deposited;
         self.retrieved_total = retrieved;
         self.expired_total = expired;

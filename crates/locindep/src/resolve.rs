@@ -10,7 +10,7 @@
 //! responsible server from the hash alone — there is no per-user routing
 //! table to replicate, which is why reconfiguration is cheap (§3.2.3).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lems_core::name::MailName;
 use lems_net::graph::NodeId;
@@ -50,7 +50,7 @@ pub struct LocIndepResolver {
     server: NodeId,
     region: RegionId,
     subgroups: SubgroupMap,
-    region_names: HashMap<String, RegionId>,
+    region_names: BTreeMap<String, RegionId>,
     region_servers: BTreeMap<RegionId, Vec<NodeId>>,
 }
 
@@ -61,7 +61,7 @@ impl LocIndepResolver {
         server: NodeId,
         region: RegionId,
         subgroups: SubgroupMap,
-        region_names: HashMap<String, RegionId>,
+        region_names: BTreeMap<String, RegionId>,
         region_servers: BTreeMap<RegionId, Vec<NodeId>>,
     ) -> Self {
         LocIndepResolver {
@@ -117,7 +117,7 @@ mod tests {
 
     fn resolver_for(server: NodeId) -> LocIndepResolver {
         let subgroups = SubgroupMap::new(8, vec![NodeId(0), NodeId(1)]);
-        let mut region_names = HashMap::new();
+        let mut region_names = BTreeMap::new();
         region_names.insert("east".to_owned(), RegionId(0));
         region_names.insert("west".to_owned(), RegionId(1));
         let mut region_servers = BTreeMap::new();

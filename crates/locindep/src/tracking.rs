@@ -13,7 +13,7 @@
 //! only incurred if a user moves to other locations other than his primary
 //! location".
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use lems_core::name::MailName;
 use lems_net::graph::NodeId;
@@ -50,7 +50,7 @@ pub struct LocateOutcome {
 pub struct RegionTracker {
     servers: Vec<NodeId>,
     /// server -> (user -> current host)
-    known: BTreeMap<NodeId, HashMap<MailName, NodeId>>,
+    known: BTreeMap<NodeId, BTreeMap<MailName, NodeId>>,
     logins: u64,
     total_consults: u64,
 }
@@ -63,7 +63,7 @@ impl RegionTracker {
     /// Panics if `servers` is empty.
     pub fn new(servers: Vec<NodeId>) -> Self {
         assert!(!servers.is_empty(), "region needs at least one server");
-        let known = servers.iter().map(|&s| (s, HashMap::new())).collect();
+        let known = servers.iter().map(|&s| (s, BTreeMap::new())).collect();
         RegionTracker {
             servers,
             known,

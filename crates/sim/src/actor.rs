@@ -14,7 +14,7 @@
 //! than the previous send on the same pair, and a [`Scheduler`] only ever
 //! sees the oldest pending message of each pair.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::linkfault::LinkFaultPlan;
@@ -155,6 +155,11 @@ impl Hasher for PairHasher {
     }
 }
 
+/// The `(from, to)` FIFO-clamp table — the one hash map in sim-driven code,
+/// named in this alias only so its `lint-allow.txt` entry waives nothing else.
+type PairClamp =
+    std::collections::HashMap<(ActorId, ActorId), SimTime, BuildHasherDefault<PairHasher>>;
+
 /// Counters describing one simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct SimCounters {
@@ -187,7 +192,7 @@ struct Core<M> {
     next_timer: u64,
     /// Latest arrival scheduled per ordered `(from, to)` pair — the FIFO
     /// clamp. Looked up once per send and never iterated.
-    last_arrival: HashMap<(ActorId, ActorId), SimTime, BuildHasherDefault<PairHasher>>,
+    last_arrival: PairClamp,
     counters: SimCounters,
     trace: Trace,
     rng: SimRng,
@@ -205,7 +210,7 @@ impl<M> Core<M> {
             queue: EventQueue::new(),
             down: Vec::new(),
             next_timer: 0,
-            last_arrival: HashMap::default(),
+            last_arrival: PairClamp::default(),
             counters: SimCounters::default(),
             trace: Trace::disabled(),
             rng: SimRng::seed(seed).fork("actor-sim"),

@@ -26,8 +26,8 @@
 //! event. The side channel is deliberately *not* part of
 //! [`Prof::samples`]: nothing wall-clock-derived can reach a deterministic
 //! artifact. This module is the single vetted wall-clock site in the
-//! crate (see the `no-wall-clock` / `determinism-taint` trusted-module
-//! exemption in `lems-check`).
+//! crate (see the `no-wall-clock` trusted-module exemption in
+//! `lems-check`).
 
 use crate::queue::QueueStats;
 use crate::time::SimTime;

@@ -13,6 +13,8 @@
 //! mailbox becomes many bounded records, never one giant rewrite) and
 //! deletes the older segments.
 
+use std::cell::Cell;
+
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
 use lems_core::store::{
@@ -157,7 +159,9 @@ pub struct WalStore {
     /// compaction are excluded so a big snapshot does not instantly
     /// re-trigger rotation).
     active_op_bytes: u64,
-    io_errors: u64,
+    /// A `Cell` so the read-only [`MailStore::wal_bytes`] can count a
+    /// failed segment read; the store is single-threaded by construction.
+    io_errors: Cell<u64>,
     records_appended: u64,
     compactions: u64,
     /// Payload bytes appended by live operations (frames, not snapshots).
@@ -190,7 +194,7 @@ impl WalStore {
             state: StoreState::default(),
             active_seq: 0,
             active_op_bytes: 0,
-            io_errors: 0,
+            io_errors: Cell::new(0),
             records_appended: 0,
             compactions: 0,
             appended_bytes: 0,
@@ -310,9 +314,13 @@ impl WalStore {
         Ok(report)
     }
 
+    fn count_io_error(&self) {
+        self.io_errors.set(self.io_errors.get() + 1);
+    }
+
     fn note_io(&mut self, r: &Result<(), StoreError>) {
         if r.is_err() {
-            self.io_errors += 1;
+            self.count_io_error();
         }
     }
 
@@ -546,7 +554,7 @@ impl MailStore for WalStore {
                 // An unreplayable log is a hard fault; surface it as an
                 // empty recovery with the error counted rather than
                 // panicking inside an event handler.
-                self.io_errors += 1;
+                self.count_io_error();
                 RecoveryReport {
                     backend: "wal",
                     lost_messages: self.pre_crash_storage.take().unwrap_or(0),
@@ -563,23 +571,25 @@ impl MailStore for WalStore {
         match self.reopen() {
             Ok(report) => Some(report),
             Err(_) => {
-                self.io_errors += 1;
+                self.count_io_error();
                 None
             }
         }
     }
 
     fn wal_bytes(&self) -> u64 {
-        self.io
-            .list()
-            .into_iter()
-            .filter_map(|seq| self.io.read(seq).ok())
-            .map(|b| b.len() as u64)
-            .sum()
+        let mut total = 0;
+        for seq in self.io.list() {
+            match self.io.read(seq) {
+                Ok(bytes) => total += bytes.len() as u64,
+                Err(_) => self.count_io_error(),
+            }
+        }
+        total
     }
 
     fn io_errors(&self) -> u64 {
-        self.io_errors
+        self.io_errors.get()
     }
 
     fn store_metrics(&self) -> StoreMetrics {
@@ -592,7 +602,7 @@ impl MailStore for WalStore {
             compaction_chunks: self.compaction_chunks,
             replayed_records: self.replayed_records,
             replayed_bytes: self.replayed_bytes,
-            io_errors: self.io_errors,
+            io_errors: self.io_errors.get(),
         }
     }
 }
@@ -758,6 +768,75 @@ mod tests {
         // Live-operation counters survive the crash (they describe the
         // store object's lifetime, not the recovered state).
         assert_eq!(after.appended_records, m.appended_records);
+    }
+
+    /// A device whose `read` fails for segment 0 once `broken` is set.
+    #[derive(Debug)]
+    struct UnreadableFirstSegment {
+        inner: MemSegments,
+        broken: std::rc::Rc<Cell<bool>>,
+    }
+
+    impl SegmentIo for UnreadableFirstSegment {
+        fn create(&mut self, seq: u64) -> Result<(), StoreError> {
+            self.inner.create(seq)
+        }
+        fn append(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.append(seq, bytes)
+        }
+        fn sync(&mut self, seq: u64) -> Result<(), StoreError> {
+            self.inner.sync(seq)
+        }
+        fn truncate(&mut self, seq: u64, len: u64) -> Result<(), StoreError> {
+            self.inner.truncate(seq, len)
+        }
+        fn delete(&mut self, seq: u64) -> Result<(), StoreError> {
+            self.inner.delete(seq)
+        }
+        fn list(&self) -> Vec<u64> {
+            self.inner.list()
+        }
+        fn read(&self, seq: u64) -> Result<Vec<u8>, StoreError> {
+            if seq == 0 && self.broken.get() {
+                return Err(StoreError::Io("segment 0 is unreadable".into()));
+            }
+            self.inner.read(seq)
+        }
+        fn crash(&mut self, torn_tail_bytes: usize) {
+            self.inner.crash(torn_tail_bytes);
+        }
+    }
+
+    #[test]
+    fn wal_bytes_counts_an_unreadable_segment_and_sums_the_rest() {
+        let broken = std::rc::Rc::new(Cell::new(false));
+        let io = UnreadableFirstSegment {
+            inner: MemSegments::new(),
+            broken: std::rc::Rc::clone(&broken),
+        };
+        let mut g = MessageIdGen::new();
+        let mut s = WalStore::open(
+            Box::new(io),
+            WalConfig {
+                segment_bytes: 512,
+                max_segments: 1_000,
+                ..WalConfig::default()
+            },
+        )
+        .unwrap();
+        for i in 0..40 {
+            s.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
+        }
+        assert!(s.segments() >= 3, "the script must span several segments");
+        let first = s.io.read(0).unwrap().len() as u64;
+        let all = s.wal_bytes();
+        assert!(first > 0 && all > first);
+        assert_eq!(s.io_errors(), 0);
+
+        broken.set(true);
+        assert_eq!(s.wal_bytes(), all - first, "readable segments still sum");
+        assert_eq!(s.io_errors(), 1, "the failed read is counted, not hidden");
+        assert_eq!(s.store_metrics().io_errors, 1);
     }
 
     #[test]

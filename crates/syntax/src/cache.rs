@@ -7,7 +7,7 @@
 //! machinery: bounded LRU with an optional time-to-live, explicit
 //! invalidation for reconfiguration events, and hit/miss accounting.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use lems_core::name::MailName;
 use lems_core::user::AuthorityList;
@@ -40,7 +40,7 @@ use lems_sim::time::{SimDuration, SimTime};
 pub struct ResolutionCache {
     capacity: usize,
     ttl: SimDuration,
-    entries: HashMap<MailName, Entry>,
+    entries: BTreeMap<MailName, Entry>,
     /// Monotonic use counter implementing LRU ordering.
     tick: u64,
     stats: CacheStats,
@@ -92,7 +92,7 @@ impl ResolutionCache {
         ResolutionCache {
             capacity,
             ttl,
-            entries: HashMap::with_capacity(capacity),
+            entries: BTreeMap::new(),
             tick: 0,
             stats: CacheStats::default(),
         }

@@ -175,7 +175,7 @@ pub struct PlanStore {
     plan: lems_sim::failure::FailurePlan,
     /// NodeId -> ActorId mapping is identity here: experiments index
     /// servers directly by node.
-    stored: std::collections::HashMap<NodeId, Vec<MessageId>>,
+    stored: std::collections::BTreeMap<NodeId, Vec<MessageId>>,
     deposited: u64,
     lost: u64,
 }
@@ -186,7 +186,7 @@ impl PlanStore {
     pub fn new(plan: lems_sim::failure::FailurePlan) -> Self {
         PlanStore {
             plan,
-            stored: std::collections::HashMap::new(),
+            stored: std::collections::BTreeMap::new(),
             deposited: 0,
             lost: 0,
         }

@@ -13,7 +13,7 @@ use lems::locindep::{
 use lems::net::generators::{multi_region, MultiRegionConfig};
 use lems::net::topology::RegionId;
 use lems::sim::rng::SimRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 fn main() {
     // A two-region world.
@@ -35,7 +35,7 @@ fn main() {
     // Name resolution is hash-based: any server can compute who is
     // responsible for carol, no matter which host she uses today.
     let subgroups = SubgroupMap::new(32, servers.clone());
-    let mut region_names = HashMap::new();
+    let mut region_names = BTreeMap::new();
     region_names.insert("r0".to_owned(), RegionId(0));
     region_names.insert("r1".to_owned(), RegionId(1));
     let mut region_servers = BTreeMap::new();
