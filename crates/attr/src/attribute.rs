@@ -13,10 +13,12 @@
 //! their personal information to specific groups or organizations" —
 //! every attribute carries a [`Visibility`].
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
+
+use crate::fuzzy::lower_into;
 
 /// The attribute vocabulary.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -80,8 +82,10 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Text content, lowercased, if this is a text value.
-    pub fn as_text_lower(&self) -> Option<String> {
+    /// Text content, lowercased, if this is a text value (what the
+    /// reference evaluator in `query::reference` folds with).
+    #[cfg(test)]
+    pub(crate) fn as_text_lower(&self) -> Option<String> {
         match self {
             AttrValue::Text(s) => Some(s.to_lowercase()),
             AttrValue::Number(_) => None,
@@ -135,12 +139,35 @@ pub struct RequesterContext {
 
 impl Visibility {
     /// True if a requester in `ctx` may see an attribute with this
-    /// visibility.
+    /// visibility (organizations compare case-insensitively).
     pub fn allows(&self, ctx: &RequesterContext) -> bool {
-        match self {
+        Requester::new(ctx).sees(self, &mut String::new())
+    }
+}
+
+/// A [`RequesterContext`] folded once, for a pass over many attributes.
+#[derive(Debug)]
+pub(crate) struct Requester {
+    organization_lower: Option<String>,
+}
+
+impl Requester {
+    pub(crate) fn new(ctx: &RequesterContext) -> Self {
+        Requester {
+            organization_lower: ctx.organization.as_deref().map(str::to_lowercase),
+        }
+    }
+
+    /// True if this requester may see an attribute of `visibility`;
+    /// `scratch` is overwritten.
+    pub(crate) fn sees(&self, visibility: &Visibility, scratch: &mut String) -> bool {
+        match visibility {
             Visibility::Public => true,
             Visibility::Organization(org) => {
-                ctx.organization.as_deref().map(str::to_lowercase) == Some(org.to_lowercase())
+                self.organization_lower.as_deref().is_some_and(|mine| {
+                    lower_into(org, scratch);
+                    scratch == mine
+                })
             }
             Visibility::Private => false,
         }
@@ -173,7 +200,9 @@ pub struct Attribute {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct AttributeSet {
-    attrs: BTreeMap<AttrKey, Vec<Attribute>>,
+    /// One allocation per profile: sorted by key, the values of one key in
+    /// the order they were added.
+    attrs: Vec<(AttrKey, Attribute)>,
 }
 
 impl AttributeSet {
@@ -184,15 +213,28 @@ impl AttributeSet {
 
     /// Adds an attribute value under `key`.
     pub fn add(&mut self, key: AttrKey, value: impl Into<AttrValue>, visibility: Visibility) {
-        self.attrs.entry(key).or_default().push(Attribute {
+        let at = self.attrs.partition_point(|(k, _)| *k <= key);
+        let attribute = Attribute {
             value: value.into(),
             visibility,
-        });
+        };
+        self.attrs.insert(at, (key, attribute));
+    }
+
+    /// Where the entries of `key` sit. A profile holds a handful of
+    /// entries, which a scan from the front walks faster than a bisection.
+    fn range(&self, key: &AttrKey) -> Range<usize> {
+        let start = self.attrs.iter().take_while(|(k, _)| k < key).count();
+        let len = self.attrs[start..]
+            .iter()
+            .take_while(|(k, _)| k == key)
+            .count();
+        start..start + len
     }
 
     /// All attributes under `key` (any visibility).
     pub fn values(&self, key: &AttrKey) -> impl Iterator<Item = &Attribute> {
-        self.attrs.get(key).into_iter().flatten()
+        self.attrs[self.range(key)].iter().map(|(_, a)| a)
     }
 
     /// Attributes under `key` visible to `ctx`.
@@ -201,14 +243,16 @@ impl AttributeSet {
         key: &AttrKey,
         ctx: &'a RequesterContext,
     ) -> impl Iterator<Item = &'a AttrValue> {
+        let requester = Requester::new(ctx);
+        let mut scratch = String::new();
         self.values(key)
-            .filter(move |a| a.visibility.allows(ctx))
+            .filter(move |a| requester.sees(&a.visibility, &mut scratch))
             .map(|a| &a.value)
     }
 
     /// Total stored attributes.
     pub fn len(&self) -> usize {
-        self.attrs.values().map(Vec::len).sum()
+        self.attrs.len()
     }
 
     /// True if no attributes are stored.
@@ -218,7 +262,7 @@ impl AttributeSet {
 
     /// Removes every value under `key`; returns how many were removed.
     pub fn remove(&mut self, key: &AttrKey) -> usize {
-        self.attrs.remove(key).map_or(0, |v| v.len())
+        self.attrs.drain(self.range(key)).count()
     }
 }
 
@@ -258,6 +302,58 @@ mod tests {
             1
         );
         assert_eq!(a.visible_values(&AttrKey::Interest, &insider).count(), 0);
+    }
+
+    #[test]
+    fn organizations_fold_unicode_case() {
+        let mut a = AttributeSet::new();
+        a.add(
+            AttrKey::JobTitle,
+            "Professeur",
+            Visibility::Organization("École Normale".into()),
+        );
+        let seen_by = |org: &str| {
+            let ctx = RequesterContext {
+                organization: Some(org.into()),
+            };
+            a.visible_values(&AttrKey::JobTitle, &ctx).count()
+        };
+        assert_eq!(seen_by("éCOLE normale"), 1);
+        assert_eq!(seen_by("Ecole Normale"), 0);
+    }
+
+    #[test]
+    fn entries_sort_by_key_and_keep_insertion_order_within_one() {
+        let mut a = AttributeSet::new();
+        a.add(AttrKey::Interest, "chess", Visibility::Public);
+        a.add(AttrKey::FirstName, "Ada", Visibility::Public);
+        a.add(AttrKey::Interest, "aviation", Visibility::Private);
+        a.add(AttrKey::City, "London", Visibility::Public);
+        a.add(AttrKey::Interest, "bernoulli numbers", Visibility::Public);
+        let interests: Vec<&AttrValue> = a.values(&AttrKey::Interest).map(|x| &x.value).collect();
+        assert_eq!(
+            interests,
+            [
+                &AttrValue::from("chess"),
+                &AttrValue::from("aviation"),
+                &AttrValue::from("bernoulli numbers")
+            ]
+        );
+        assert_eq!(a.values(&AttrKey::Nickname).count(), 0);
+
+        // Equality is per key, whatever order the keys arrived in.
+        let mut b = AttributeSet::new();
+        b.add(AttrKey::City, "London", Visibility::Public);
+        b.add(AttrKey::Interest, "chess", Visibility::Public);
+        b.add(AttrKey::Interest, "aviation", Visibility::Private);
+        b.add(AttrKey::Interest, "bernoulli numbers", Visibility::Public);
+        b.add(AttrKey::FirstName, "Ada", Visibility::Public);
+        assert_eq!(a, b);
+
+        assert_eq!(a.remove(&AttrKey::Interest), 3);
+        assert_eq!(a.remove(&AttrKey::Interest), 0);
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.values(&AttrKey::City).count(), 1);
     }
 
     #[test]

@@ -9,9 +9,68 @@
 //! Two matchers: bounded Levenshtein edit distance, and the classic
 //! Soundex phonetic code (mail-era technology, fitting the paper's
 //! vintage).
+//!
+//! Each matcher has one kernel (`levenshtein`, `soundex_code`) working on
+//! borrowed buffers. A search evaluates a `Needle` — the query side,
+//! prepared once — against hundreds of thousands of stored values through
+//! one reused table row; the public [`edit_distance`], [`soundex`] and
+//! [`classify`] are the same kernels behind throw-away buffers.
 
-/// Levenshtein edit distance between two strings (case-insensitive),
-/// O(|a|·|b|) time, O(min) space.
+/// Writes `s.to_lowercase()` into `out`, reusing its buffer.
+pub(crate) fn lower_into(s: &str, out: &mut String) {
+    out.clear();
+    if s.is_ascii() {
+        out.push_str(s);
+        out.make_ascii_lowercase();
+    } else if s.contains('Σ') {
+        // Final sigma is the one mapping that depends on the neighbouring
+        // characters, and the tables that decide it are private to std.
+        out.push_str(&s.to_lowercase());
+    } else {
+        out.extend(s.chars().flat_map(char::to_lowercase));
+    }
+}
+
+/// Levenshtein distance between `pattern` and the characters of `text`,
+/// exactly as given (callers fold case first) — or, once the distance is
+/// known to exceed `limit`, some lower bound of it that does.
+/// O(|pattern|·|text|) time; the table is kept in `row`, one row as long
+/// as the pattern.
+fn levenshtein(pattern: &[char], text: &str, limit: usize, row: &mut Vec<usize>) -> usize {
+    // The distance is at least the difference in length.
+    let gap = pattern.len().abs_diff(text.chars().count());
+    if gap > limit {
+        return gap;
+    }
+    row.clear();
+    row.extend(0..=pattern.len());
+    for (i, ct) in text.chars().enumerate() {
+        // `row` holds the previous row ahead of the cell being written and
+        // this one behind it; `diagonal` and `left` are the two overwritten
+        // neighbours still needed.
+        let mut diagonal = i;
+        let mut left = i + 1;
+        row[0] = left;
+        let mut row_min = left;
+        for (&cp, cell) in pattern.iter().zip(&mut row[1..]) {
+            let up = *cell;
+            left = (up + 1).min(left + 1).min(diagonal + usize::from(cp != ct));
+            *cell = left;
+            diagonal = up;
+            row_min = row_min.min(left);
+        }
+        // Every cell of a later row is reached from this one by steps that
+        // cost 0 or 1, so the answer is no smaller than this row's minimum.
+        if row_min > limit {
+            return row_min;
+        }
+    }
+    row[pattern.len()]
+}
+
+/// Levenshtein edit distance between two strings (case-insensitive).
+/// O(|a|·|b|) time; beside the lowercased copies of both strings, the
+/// table is kept as one row as long as the shorter of them.
 ///
 /// # Examples
 ///
@@ -23,25 +82,51 @@
 /// assert_eq!(edit_distance("alice", "alice"), 0);
 /// ```
 pub fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.to_lowercase().chars().collect();
-    let b: Vec<char> = b.to_lowercase().chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
+    let (a, b) = (a.to_lowercase(), b.to_lowercase());
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let pattern: Vec<char> = short.chars().collect();
+    levenshtein(&pattern, &long, usize::MAX, &mut Vec::new())
+}
+
+/// The Soundex code of `word` as four ASCII bytes (see [`soundex`]).
+pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
+    fn code(c: u8) -> u8 {
+        match c.to_ascii_lowercase() {
+            b'b' | b'f' | b'p' | b'v' => b'1',
+            b'c' | b'g' | b'j' | b'k' | b'q' | b's' | b'x' | b'z' => b'2',
+            b'd' | b't' => b'3',
+            b'l' => b'4',
+            b'm' | b'n' => b'5',
+            b'r' => b'6',
+            _ => b'0', // vowels, h, w, y: not coded
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    prev[b.len()]
+    // Only ASCII letters count, and no byte of a multi-byte character is
+    // one, so the bytes can be walked directly.
+    let mut letters = word.bytes().filter(u8::is_ascii_alphabetic);
+    let mut out = *b"0000";
+    let Some(first) = letters.next() else {
+        return out;
+    };
+    out[0] = first.to_ascii_uppercase();
+    let mut len = 1;
+    let mut last = code(first);
+    for c in letters {
+        // h/w do not reset the previous code; vowels do.
+        if matches!(c.to_ascii_lowercase(), b'h' | b'w') {
+            continue;
+        }
+        let k = code(c);
+        if k != b'0' && k != last {
+            out[len] = k;
+            len += 1;
+            if len == 4 {
+                break;
+            }
+        }
+        last = k;
+    }
+    out
 }
 
 /// The Soundex phonetic code of a word (classic 4-character form, e.g.
@@ -58,42 +143,7 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 /// assert_ne!(soundex("Smith"), soundex("Jones"));
 /// ```
 pub fn soundex(word: &str) -> String {
-    fn code(c: char) -> u8 {
-        match c.to_ascii_lowercase() {
-            'b' | 'f' | 'p' | 'v' => b'1',
-            'c' | 'g' | 'j' | 'k' | 'q' | 's' | 'x' | 'z' => b'2',
-            'd' | 't' => b'3',
-            'l' => b'4',
-            'm' | 'n' => b'5',
-            'r' => b'6',
-            _ => b'0', // vowels, h, w, y: not coded
-        }
-    }
-    let letters: Vec<char> = word.chars().filter(char::is_ascii_alphabetic).collect();
-    let Some(&first) = letters.first() else {
-        return "0000".to_owned();
-    };
-    let mut out = String::new();
-    out.push(first.to_ascii_uppercase());
-    let mut last = code(first);
-    for &c in &letters[1..] {
-        let k = code(c);
-        // h/w do not reset the previous code; vowels do.
-        if matches!(c.to_ascii_lowercase(), 'h' | 'w') {
-            continue;
-        }
-        if k != b'0' && k != last {
-            out.push(k as char);
-            if out.len() == 4 {
-                break;
-            }
-        }
-        last = k;
-    }
-    while out.len() < 4 {
-        out.push('0');
-    }
-    out
+    soundex_code(word).iter().map(|&b| char::from(b)).collect()
 }
 
 /// How close a candidate string is to a query string.
@@ -116,20 +166,140 @@ impl MatchQuality {
     }
 }
 
+/// The query side of a fuzzy match, with everything that depends on the
+/// query alone computed once.
+#[derive(Debug)]
+pub(crate) struct Needle<'q> {
+    query: &'q str,
+    /// The characters of the lowercased query.
+    chars: Vec<char>,
+    soundex: [u8; 4],
+    max_edits: usize,
+}
+
+impl<'q> Needle<'q> {
+    pub(crate) fn new(query: &'q str, max_edits: usize) -> Self {
+        Needle {
+            query,
+            chars: query.to_lowercase().chars().collect(),
+            soundex: soundex_code(query),
+            max_edits,
+        }
+    }
+
+    /// The edit distance to `lower`, if it is within `max_edits`.
+    fn within(&self, lower: &str, row: &mut Vec<usize>) -> Option<usize> {
+        let k = self.max_edits;
+        Some(levenshtein(&self.chars, lower, k, row)).filter(|&d| d <= k)
+    }
+
+    /// Classifies `candidate`, whose lowercase form the caller supplies as
+    /// `lower` (spelling is compared on that; the exact and phonetic tiers
+    /// see `candidate` itself). `row` is the table's reusable buffer.
+    pub(crate) fn quality(
+        &self,
+        candidate: &str,
+        lower: &str,
+        row: &mut Vec<usize>,
+    ) -> MatchQuality {
+        if self.query.eq_ignore_ascii_case(candidate) {
+            MatchQuality::Exact
+        } else if let Some(d) = self.within(lower, row) {
+            MatchQuality::CloseSpelling(d)
+        } else if self.soundex == soundex_code(candidate) {
+            MatchQuality::SoundsAlike
+        } else {
+            MatchQuality::None
+        }
+    }
+}
+
 /// Classifies how well `candidate` matches `query`, allowing up to
 /// `max_edits` spelling errors before falling back to phonetic matching.
 pub fn classify(query: &str, candidate: &str, max_edits: usize) -> MatchQuality {
-    if query.eq_ignore_ascii_case(candidate) {
-        return MatchQuality::Exact;
+    Needle::new(query, max_edits).quality(candidate, &candidate.to_lowercase(), &mut Vec::new())
+}
+
+/// The three matchers as they stood before the kernels above: a full
+/// two-row table over two fresh `Vec<char>`s, Soundex through a `String`.
+/// Kept as the oracle the kernels are held to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::MatchQuality;
+
+    pub fn edit_distance(a: &str, b: &str) -> usize {
+        let a: Vec<char> = a.to_lowercase().chars().collect();
+        let b: Vec<char> = b.to_lowercase().chars().collect();
+        if a.is_empty() {
+            return b.len();
+        }
+        if b.is_empty() {
+            return a.len();
+        }
+        let mut prev: Vec<usize> = (0..=b.len()).collect();
+        let mut cur = vec![0usize; b.len() + 1];
+        for (i, &ca) in a.iter().enumerate() {
+            cur[0] = i + 1;
+            for (j, &cb) in b.iter().enumerate() {
+                let cost = usize::from(ca != cb);
+                cur[j + 1] = (prev[j + 1] + 1).min(cur[j] + 1).min(prev[j] + cost);
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        prev[b.len()]
     }
-    let d = edit_distance(query, candidate);
-    if d <= max_edits {
-        return MatchQuality::CloseSpelling(d);
+
+    pub fn soundex(word: &str) -> String {
+        fn code(c: char) -> u8 {
+            match c.to_ascii_lowercase() {
+                'b' | 'f' | 'p' | 'v' => b'1',
+                'c' | 'g' | 'j' | 'k' | 'q' | 's' | 'x' | 'z' => b'2',
+                'd' | 't' => b'3',
+                'l' => b'4',
+                'm' | 'n' => b'5',
+                'r' => b'6',
+                _ => b'0',
+            }
+        }
+        let letters: Vec<char> = word.chars().filter(char::is_ascii_alphabetic).collect();
+        let Some(&first) = letters.first() else {
+            return "0000".to_owned();
+        };
+        let mut out = String::new();
+        out.push(first.to_ascii_uppercase());
+        let mut last = code(first);
+        for &c in &letters[1..] {
+            let k = code(c);
+            if matches!(c.to_ascii_lowercase(), 'h' | 'w') {
+                continue;
+            }
+            if k != b'0' && k != last {
+                out.push(k as char);
+                if out.len() == 4 {
+                    break;
+                }
+            }
+            last = k;
+        }
+        while out.len() < 4 {
+            out.push('0');
+        }
+        out
     }
-    if soundex(query) == soundex(candidate) {
-        return MatchQuality::SoundsAlike;
+
+    pub fn classify(query: &str, candidate: &str, max_edits: usize) -> MatchQuality {
+        if query.eq_ignore_ascii_case(candidate) {
+            return MatchQuality::Exact;
+        }
+        let d = edit_distance(query, candidate);
+        if d <= max_edits {
+            return MatchQuality::CloseSpelling(d);
+        }
+        if soundex(query) == soundex(candidate) {
+            return MatchQuality::SoundsAlike;
+        }
+        MatchQuality::None
     }
-    MatchQuality::None
 }
 
 #[cfg(test)]
@@ -148,13 +318,18 @@ mod tests {
 
     #[test]
     fn soundex_classics() {
-        assert_eq!(soundex("Robert"), "R163");
-        assert_eq!(soundex("Rupert"), "R163");
-        assert_eq!(soundex("Ashcraft"), "A261");
-        assert_eq!(soundex("Tymczak"), "T522");
-        assert_eq!(soundex("Pfister"), "P236");
-        assert_eq!(soundex(""), "0000");
-        assert_eq!(soundex("123"), "0000");
+        for (word, code) in [
+            ("Robert", "R163"),
+            ("Rupert", "R163"),
+            ("Ashcraft", "A261"),
+            ("Tymczak", "T522"),
+            ("Pfister", "P236"),
+            ("", "0000"),
+            ("123", "0000"),
+        ] {
+            assert_eq!(soundex(word), code);
+            assert_eq!(soundex_code(word), code.as_bytes(), "{word}");
+        }
     }
 
     #[test]
@@ -169,6 +344,12 @@ mod tests {
         assert_eq!(classify("smith", "jones", 1), MatchQuality::None);
         assert!(classify("a", "b", 1).is_match()); // distance 1
     }
+
+    /// Words over the characters whose lowercase mapping is not one-to-one
+    /// (`ß`, `İ`), depends on the neighbours (`Σ`) or lands in ASCII (the
+    /// Kelvin sign), beside plain ASCII and a Latin-1 pair. Some are
+    /// Soundex letters, some are not.
+    const TRICKY: &str = "[abrRtT ßİΣσςéÉ\u{212a}]{0,6}";
 
     proptest! {
         /// Metric properties: identity, symmetry, triangle inequality.
@@ -193,6 +374,44 @@ mod tests {
             prop_assert_eq!(s.len(), 4);
             if !w.is_empty() {
                 prop_assert!(s.chars().next().unwrap().is_ascii_uppercase());
+            }
+        }
+
+        /// The buffer-reusing fold is `str::to_lowercase`, whatever the
+        /// buffer held before.
+        #[test]
+        fn lower_into_is_to_lowercase(a in TRICKY, b in TRICKY) {
+            let mut out = String::new();
+            for s in [&a, &b, &a] {
+                lower_into(s, &mut out);
+                prop_assert_eq!(&out, &s.to_lowercase());
+            }
+        }
+
+        /// The kernels are the matchers they replaced.
+        #[test]
+        fn kernels_match_the_reference(a in TRICKY, b in TRICKY, k in 0usize..4) {
+            prop_assert_eq!(edit_distance(&a, &b), reference::edit_distance(&a, &b));
+            prop_assert_eq!(soundex(&a), reference::soundex(&a));
+            prop_assert_eq!(classify(&a, &b, k), reference::classify(&a, &b, k));
+        }
+
+        /// Giving up early changes no answer, and one row carried across
+        /// candidates answers as a fresh one does.
+        #[test]
+        fn within_is_edit_distance_at_most_k(
+            query in TRICKY,
+            candidates in collection::vec(TRICKY, 1..6),
+            k in 0usize..4,
+        ) {
+            let needle = Needle::new(&query, k);
+            let mut reused = Vec::new();
+            for c in &candidates {
+                let d = edit_distance(&query, c);
+                let want = (d <= k).then_some(d);
+                let lower = c.to_lowercase();
+                prop_assert_eq!(needle.within(&lower, &mut reused), want);
+                prop_assert_eq!(needle.within(&lower, &mut Vec::new()), want);
             }
         }
     }

@@ -7,14 +7,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::attribute::{AttrKey, AttributeSet, RequesterContext};
-use crate::fuzzy::{classify, MatchQuality};
+use crate::attribute::{AttrKey, AttrValue, AttributeSet, Requester, RequesterContext};
+use crate::fuzzy::{lower_into, Needle};
 
 /// A predicate over one attribute key.
 #[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum Predicate {
     /// Text equals (case-insensitive) or number equals.
-    Equals(crate::attribute::AttrValue),
+    Equals(AttrValue),
     /// Text contains the given (case-insensitive) substring.
     Contains(String),
     /// Text matches with spelling/phonetic tolerance.
@@ -33,33 +33,6 @@ pub enum Predicate {
     },
     /// The key merely exists (with any visible value).
     Exists,
-}
-
-impl Predicate {
-    fn matches(&self, value: &crate::attribute::AttrValue) -> bool {
-        match self {
-            Predicate::Equals(want) => match (want, value) {
-                (crate::attribute::AttrValue::Text(a), crate::attribute::AttrValue::Text(b)) => {
-                    a.eq_ignore_ascii_case(b)
-                }
-                (
-                    crate::attribute::AttrValue::Number(a),
-                    crate::attribute::AttrValue::Number(b),
-                ) => a == b,
-                _ => false,
-            },
-            Predicate::Contains(sub) => value
-                .as_text_lower()
-                .is_some_and(|t| t.contains(&sub.to_lowercase())),
-            Predicate::Fuzzy { query, max_edits } => value
-                .as_text_lower()
-                .is_some_and(|t| classify(query, &t, *max_edits) != MatchQuality::None),
-            Predicate::InRange { lo, hi } => {
-                value.as_number().is_some_and(|n| n >= *lo && n <= *hi)
-            }
-            Predicate::Exists => true,
-        }
-    }
 }
 
 /// A boolean query over attributes.
@@ -101,7 +74,11 @@ impl Query {
     }
 
     /// Evaluates the query against one user's attributes, as seen by
-    /// `ctx` (invisible attributes are as if absent).
+    /// `ctx` (invisible attributes are as if absent). The query is readied
+    /// for this one profile; [`AttributeRegistry::search`] readies it once
+    /// for all of a registry's.
+    ///
+    /// [`AttributeRegistry::search`]: crate::registry::AttributeRegistry::search
     ///
     /// # Examples
     ///
@@ -115,12 +92,7 @@ impl Query {
     /// assert!(q.eval(&a, &RequesterContext::default()));
     /// ```
     pub fn eval(&self, attrs: &AttributeSet, ctx: &RequesterContext) -> bool {
-        match self {
-            Query::Attr(key, pred) => attrs.visible_values(key, ctx).any(|v| pred.matches(v)),
-            Query::All(qs) => qs.iter().all(|q| q.eval(attrs, ctx)),
-            Query::Any(qs) => qs.iter().any(|q| q.eval(attrs, ctx)),
-            Query::Not(q) => !q.eval(attrs, ctx),
-        }
+        PreparedQuery::new(self, ctx).eval(attrs, &mut Scratch::default())
     }
 
     /// Number of predicate leaves (a crude cost measure for the
@@ -134,10 +106,200 @@ impl Query {
     }
 }
 
+/// A [`Predicate`] with its query side folded once. All three text
+/// predicates fold case the same way, with `str::to_lowercase`.
+#[derive(Debug)]
+enum PreparedPredicate<'q> {
+    /// Holds the lowercased text.
+    EqualsText(String),
+    EqualsNumber(i64),
+    /// Holds the lowercased substring.
+    Contains(String),
+    Fuzzy(Needle<'q>),
+    InRange {
+        lo: i64,
+        hi: i64,
+    },
+    Exists,
+}
+
+impl<'q> PreparedPredicate<'q> {
+    fn new(predicate: &'q Predicate) -> Self {
+        match predicate {
+            Predicate::Equals(AttrValue::Text(want)) => Self::EqualsText(want.to_lowercase()),
+            Predicate::Equals(AttrValue::Number(want)) => Self::EqualsNumber(*want),
+            Predicate::Contains(sub) => Self::Contains(sub.to_lowercase()),
+            Predicate::Fuzzy { query, max_edits } => Self::Fuzzy(Needle::new(query, *max_edits)),
+            Predicate::InRange { lo, hi } => Self::InRange { lo: *lo, hi: *hi },
+            Predicate::Exists => Self::Exists,
+        }
+    }
+
+    fn matches(&self, value: &AttrValue, scratch: &mut Scratch) -> bool {
+        match (self, value) {
+            (Self::Exists, _) => true,
+            (Self::EqualsNumber(want), AttrValue::Number(n)) => want == n,
+            (Self::InRange { lo, hi }, AttrValue::Number(n)) => lo <= n && n <= hi,
+            (Self::EqualsText(want), AttrValue::Text(text)) => {
+                lower_into(text, &mut scratch.lower);
+                scratch.lower == *want
+            }
+            (Self::Contains(sub), AttrValue::Text(text)) => {
+                lower_into(text, &mut scratch.lower);
+                scratch.lower.contains(sub.as_str())
+            }
+            (Self::Fuzzy(needle), AttrValue::Text(text)) => {
+                lower_into(text, &mut scratch.lower);
+                needle
+                    .quality(&scratch.lower, &scratch.lower, &mut scratch.row)
+                    .is_match()
+            }
+            // A text predicate never matches a number, nor a numeric one text.
+            (Self::EqualsText(_) | Self::Contains(_) | Self::Fuzzy(_), AttrValue::Number(_))
+            | (Self::EqualsNumber(_) | Self::InRange { .. }, AttrValue::Text(_)) => false,
+        }
+    }
+}
+
+/// The buffers one evaluation pass reuses from value to value: after the
+/// first few profiles a pass allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The lowercased form of the value (or organization) at hand.
+    lower: String,
+    /// The edit-distance table's row.
+    row: Vec<usize>,
+}
+
+/// A [`Query`] and its requester readied for a pass over many profiles:
+/// every needle lowercased, every fuzzy query's characters and Soundex
+/// code computed, and the requester's organization folded, all once.
+#[derive(Debug)]
+pub(crate) struct PreparedQuery<'q> {
+    root: Node<'q>,
+    requester: Requester,
+}
+
+#[derive(Debug)]
+enum Node<'q> {
+    Attr(&'q AttrKey, PreparedPredicate<'q>),
+    All(Vec<Node<'q>>),
+    Any(Vec<Node<'q>>),
+    Not(Box<Node<'q>>),
+}
+
+impl<'q> Node<'q> {
+    fn new(query: &'q Query) -> Self {
+        match query {
+            Query::Attr(key, predicate) => Node::Attr(key, PreparedPredicate::new(predicate)),
+            Query::All(qs) => Node::All(qs.iter().map(Node::new).collect()),
+            Query::Any(qs) => Node::Any(qs.iter().map(Node::new).collect()),
+            Query::Not(q) => Node::Not(Box::new(Node::new(q))),
+        }
+    }
+
+    fn eval(&self, attrs: &AttributeSet, requester: &Requester, scratch: &mut Scratch) -> bool {
+        match self {
+            Node::Attr(key, predicate) => attrs.values(key).any(|a| {
+                requester.sees(&a.visibility, &mut scratch.lower)
+                    && predicate.matches(&a.value, scratch)
+            }),
+            Node::All(nodes) => nodes.iter().all(|n| n.eval(attrs, requester, scratch)),
+            Node::Any(nodes) => nodes.iter().any(|n| n.eval(attrs, requester, scratch)),
+            Node::Not(node) => !node.eval(attrs, requester, scratch),
+        }
+    }
+}
+
+impl<'q> PreparedQuery<'q> {
+    pub(crate) fn new(query: &'q Query, ctx: &RequesterContext) -> Self {
+        PreparedQuery {
+            root: Node::new(query),
+            requester: Requester::new(ctx),
+        }
+    }
+
+    /// Evaluates the query against one user's attributes, as
+    /// [`Query::eval`] does.
+    pub(crate) fn eval(&self, attrs: &AttributeSet, scratch: &mut Scratch) -> bool {
+        self.root.eval(attrs, &self.requester, scratch)
+    }
+}
+
+/// The evaluator as it stood before [`PreparedQuery`]: a fresh lowercase
+/// copy of every value and needle per comparison, `fuzzy::classify` per
+/// fuzzy value, two folded organizations per restricted attribute. Kept as
+/// the oracle the prepared form is held to.
+#[cfg(test)]
+mod reference {
+    use super::{Predicate, Query};
+    use crate::attribute::{AttrValue, AttributeSet, RequesterContext, Visibility};
+    use crate::fuzzy::reference::classify;
+    use crate::fuzzy::MatchQuality;
+
+    /// How `Predicate::Equals` compares two texts: the one thing the
+    /// prepared form changed on purpose.
+    pub type TextEq = fn(&str, &str) -> bool;
+
+    /// What `Equals` did: ASCII-only folding, beside two predicates that
+    /// fold Unicode.
+    pub fn ascii_fold_eq(a: &str, b: &str) -> bool {
+        a.eq_ignore_ascii_case(b)
+    }
+
+    /// What `Equals` does now: the fold `Contains` and `Fuzzy` always used.
+    pub fn unicode_fold_eq(a: &str, b: &str) -> bool {
+        a.to_lowercase() == b.to_lowercase()
+    }
+
+    fn matches(predicate: &Predicate, value: &AttrValue, text_eq: TextEq) -> bool {
+        match predicate {
+            Predicate::Equals(want) => match (want, value) {
+                (AttrValue::Text(a), AttrValue::Text(b)) => text_eq(a, b),
+                (AttrValue::Number(a), AttrValue::Number(b)) => a == b,
+                _ => false,
+            },
+            Predicate::Contains(sub) => value
+                .as_text_lower()
+                .is_some_and(|t| t.contains(&sub.to_lowercase())),
+            Predicate::Fuzzy { query, max_edits } => value
+                .as_text_lower()
+                .is_some_and(|t| classify(query, &t, *max_edits) != MatchQuality::None),
+            Predicate::InRange { lo, hi } => {
+                value.as_number().is_some_and(|n| n >= *lo && n <= *hi)
+            }
+            Predicate::Exists => true,
+        }
+    }
+
+    fn allows(visibility: &Visibility, ctx: &RequesterContext) -> bool {
+        match visibility {
+            Visibility::Public => true,
+            Visibility::Organization(org) => {
+                ctx.organization.as_deref().map(str::to_lowercase) == Some(org.to_lowercase())
+            }
+            Visibility::Private => false,
+        }
+    }
+
+    pub fn eval(q: &Query, attrs: &AttributeSet, ctx: &RequesterContext, text_eq: TextEq) -> bool {
+        match q {
+            Query::Attr(key, predicate) => attrs
+                .values(key)
+                .filter(|a| allows(&a.visibility, ctx))
+                .any(|a| matches(predicate, &a.value, text_eq)),
+            Query::All(qs) => qs.iter().all(|q| eval(q, attrs, ctx, text_eq)),
+            Query::Any(qs) => qs.iter().any(|q| eval(q, attrs, ctx, text_eq)),
+            Query::Not(q) => !eval(q, attrs, ctx, text_eq),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attribute::Visibility;
+    use proptest::prelude::*;
 
     fn profile() -> AttributeSet {
         let mut a = AttributeSet::new();
@@ -214,5 +376,170 @@ mod tests {
         let p = profile();
         assert!(Query::Attr(AttrKey::Expertise, Predicate::Exists).eval(&p, &anon()));
         assert!(!Query::Attr(AttrKey::City, Predicate::Exists).eval(&p, &anon()));
+    }
+
+    #[test]
+    fn equals_folds_case_as_contains_and_fuzzy_do() {
+        let mut school = AttributeSet::new();
+        school.add(AttrKey::Organization, "ÉCOLE", Visibility::Public);
+        let equals = Query::text_eq(AttrKey::Organization, "école");
+        let contains = Query::Attr(AttrKey::Organization, Predicate::Contains("école".into()));
+        let fuzzy = Query::Attr(
+            AttrKey::Organization,
+            Predicate::Fuzzy {
+                query: "école".into(),
+                max_edits: 0,
+            },
+        );
+        for q in [&equals, &contains, &fuzzy] {
+            assert!(q.eval(&school, &anon()), "{q:?}");
+        }
+        // The evaluator this one replaced folded ASCII only, and only here.
+        assert!(!reference::eval(
+            &equals,
+            &school,
+            &anon(),
+            reference::ascii_fold_eq
+        ));
+        assert!(reference::eval(
+            &contains,
+            &school,
+            &anon(),
+            reference::ascii_fold_eq
+        ));
+    }
+
+    /// Reads a generated byte string as a sequence of choices.
+    struct Tape<'a>(std::slice::Iter<'a, u8>);
+
+    impl Tape<'_> {
+        /// The next choice among `n` (the first, once the tape runs out).
+        fn pick(&mut self, n: usize) -> usize {
+            self.0.next().map_or(0, |&b| usize::from(b) % n)
+        }
+
+        fn word(&mut self, words: &[String]) -> String {
+            let word = &words[self.pick(words.len())];
+            match self.pick(3) {
+                0 => word.clone(),
+                1 => word.to_uppercase(),
+                _ => word.to_lowercase(),
+            }
+        }
+
+        fn key(&mut self) -> AttrKey {
+            match self.pick(4) {
+                0 => AttrKey::FirstName,
+                1 => AttrKey::Nickname,
+                2 => AttrKey::City,
+                _ => AttrKey::Custom("x".into()),
+            }
+        }
+
+        fn value(&mut self, words: &[String]) -> AttrValue {
+            match self.pick(4) {
+                0 => AttrValue::Number(self.pick(4) as i64),
+                _ => AttrValue::Text(self.word(words)),
+            }
+        }
+
+        /// Multi-valued keys, every kind of visibility.
+        fn profile(&mut self, words: &[String]) -> AttributeSet {
+            let mut attrs = AttributeSet::new();
+            for _ in 0..self.pick(7) {
+                let visibility = match self.pick(4) {
+                    0 => Visibility::Private,
+                    1 => Visibility::Organization(self.word(words)),
+                    _ => Visibility::Public,
+                };
+                attrs.add(self.key(), self.value(words), visibility);
+            }
+            attrs
+        }
+
+        fn requester(&mut self, words: &[String]) -> RequesterContext {
+            RequesterContext {
+                organization: (self.pick(3) > 0).then(|| self.word(words)),
+            }
+        }
+
+        fn query(&mut self, words: &[String], depth: usize) -> Query {
+            let children = |tape: &mut Self| {
+                (0..tape.pick(4))
+                    .map(|_| tape.query(words, depth + 1))
+                    .collect()
+            };
+            match self.pick(if depth < 3 { 8 } else { 5 }) {
+                0 => Query::Attr(self.key(), Predicate::Equals(self.value(words))),
+                1 => Query::Attr(self.key(), Predicate::Contains(self.word(words))),
+                2 => Query::Attr(
+                    self.key(),
+                    Predicate::Fuzzy {
+                        query: self.word(words),
+                        max_edits: self.pick(4),
+                    },
+                ),
+                3 => {
+                    let lo = self.pick(4) as i64;
+                    let hi = lo + self.pick(3) as i64 - 1;
+                    Query::Attr(self.key(), Predicate::InRange { lo, hi })
+                }
+                4 => Query::Attr(self.key(), Predicate::Exists),
+                5 => Query::All(children(self)),
+                6 => Query::Any(children(self)),
+                _ => Query::Not(Box::new(self.query(words, depth + 1))),
+            }
+        }
+    }
+
+    /// One generated case: a query and a requester against four profiles,
+    /// all drawing on the same few words so that predicates do hit. The
+    /// prepared query must answer as `reference::eval` does with `text_eq`
+    /// for `Equals`, whether its scratch is fresh or has been through
+    /// every earlier profile.
+    fn check_against_reference(words: &[String], choices: &[u8], text_eq: reference::TextEq) {
+        let mut tape = Tape(choices.iter());
+        let query = tape.query(words, 0);
+        let ctx = tape.requester(words);
+        let prepared = PreparedQuery::new(&query, &ctx);
+        let mut reused = Scratch::default();
+        for _ in 0..4 {
+            let profile = tape.profile(words);
+            let want = reference::eval(&query, &profile, &ctx, text_eq);
+            assert_eq!(
+                prepared.eval(&profile, &mut reused),
+                want,
+                "reused scratch: {query:?} as {ctx:?} on {profile:?}"
+            );
+            assert_eq!(
+                query.eval(&profile, &ctx),
+                want,
+                "fresh scratch: {query:?} as {ctx:?} on {profile:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// On every text — `ß` and `İ` lowercase to two characters, `Σ` by
+        /// its neighbours, the Kelvin sign to ASCII `k` — the prepared
+        /// evaluator is the old one with `Equals` folding as `Contains`
+        /// and `Fuzzy` always did.
+        #[test]
+        fn prepared_evaluation_is_the_reference_evaluation(
+            words in collection::vec("[akAK ßİΣσςéÉ\u{212a}]{0,4}", 5),
+            choices in collection::vec(0u8..=255, 96),
+        ) {
+            check_against_reference(&words, &choices, reference::unicode_fold_eq);
+        }
+
+        /// On ASCII text the two notions of case are one: the prepared
+        /// evaluator is the old one, unchanged.
+        #[test]
+        fn on_ascii_text_no_answer_moved(
+            words in collection::vec("[abAB 1]{0,4}", 5),
+            choices in collection::vec(0u8..=255, 96),
+        ) {
+            check_against_reference(&words, &choices, reference::ascii_fold_eq);
+        }
     }
 }

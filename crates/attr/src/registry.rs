@@ -11,7 +11,7 @@ use lems_core::name::MailName;
 use serde::{Deserialize, Serialize};
 
 use crate::attribute::{AttributeSet, RequesterContext};
-use crate::query::Query;
+use crate::query::{PreparedQuery, Query, Scratch};
 
 /// One server's attribute database.
 ///
@@ -75,20 +75,27 @@ impl AttributeRegistry {
         self.profiles.is_empty()
     }
 
-    /// Users whose visible attributes satisfy `query`.
-    pub fn search(&self, query: &Query, ctx: &RequesterContext) -> Vec<&MailName> {
+    /// Users whose visible attributes satisfy `query`, in name order.
+    pub(crate) fn hits<'a, 's, 'q>(
+        &'a self,
+        query: &'s PreparedQuery<'q>,
+        scratch: &'s mut Scratch,
+    ) -> impl Iterator<Item = &'a MailName> + use<'a, 's, 'q> {
         self.profiles
             .iter()
-            .filter(|(_, attrs)| query.eval(attrs, ctx))
+            .filter(move |(_, attrs)| query.eval(attrs, scratch))
             .map(|(name, _)| name)
+    }
+
+    /// Users whose visible attributes satisfy `query`.
+    pub fn search(&self, query: &Query, ctx: &RequesterContext) -> Vec<&MailName> {
+        self.hits(&PreparedQuery::new(query, ctx), &mut Scratch::default())
             .collect()
     }
 
     /// Number of matches only (what convergecast summaries carry).
     pub fn count_matches(&self, query: &Query, ctx: &RequesterContext) -> u64 {
-        self.profiles
-            .values()
-            .filter(|attrs| query.eval(attrs, ctx))
+        self.hits(&PreparedQuery::new(query, ctx), &mut Scratch::default())
             .count() as u64
     }
 }

@@ -18,7 +18,7 @@ use lems_mst::backbone::{build_two_level, TwoLevelMst};
 use lems_mst::broadcast::{simulate_broadcast, BroadcastConfig, RegionCostTable};
 
 use crate::attribute::RequesterContext;
-use crate::query::Query;
+use crate::query::{PreparedQuery, Query, Scratch};
 use crate::registry::AttributeRegistry;
 
 /// A multi-region network of attribute servers glued to its spanning
@@ -27,6 +27,9 @@ use crate::registry::AttributeRegistry;
 pub struct AttributeNetwork {
     topology: Topology,
     two_level: TwoLevelMst,
+    /// `two_level`'s edges as per-node neighbor lists: what a broadcast
+    /// walks.
+    tree_adjacency: Vec<Vec<NodeId>>,
     registries: BTreeMap<NodeId, AttributeRegistry>,
 }
 
@@ -54,12 +57,19 @@ impl AttributeNetwork {
     /// # Panics
     ///
     /// Panics if the topology is disconnected or a region is internally
-    /// disconnected (as [`build_two_level`]).
+    /// disconnected (as [`build_two_level`]), or if a registry is keyed by
+    /// a node the topology does not have: no broadcast could reach it, so
+    /// every search would report its matches as lost.
     pub fn new(topology: Topology, registries: BTreeMap<NodeId, AttributeRegistry>) -> Self {
+        if let Some(&stray) = registries.keys().find(|n| n.0 >= topology.node_count()) {
+            panic!("registry keyed by {stray}, which is not a node of the topology");
+        }
         let two_level = build_two_level(&topology);
+        let tree_adjacency = two_level.adjacency(&topology);
         AttributeNetwork {
             topology,
             two_level,
+            tree_adjacency,
             registries,
         }
     }
@@ -79,17 +89,27 @@ impl AttributeNetwork {
         self.registries.get(&server)
     }
 
+    /// Evaluates `query` once against every profile of every registry:
+    /// the match count of each node (what its convergecast summary
+    /// carries) and the matching users, registry by registry.
+    fn evaluate(&self, query: &Query, ctx: &RequesterContext) -> (Vec<u64>, Vec<&MailName>) {
+        let prepared = PreparedQuery::new(query, ctx);
+        let mut scratch = Scratch::default();
+        let mut counts = vec![0; self.topology.node_count()];
+        let mut hits = Vec::new();
+        for (node, registry) in &self.registries {
+            let before = hits.len();
+            hits.extend(registry.hits(&prepared, &mut scratch));
+            counts[node.0] = (hits.len() - before) as u64;
+        }
+        (counts, hits)
+    }
+
     /// Users matching `query` across all registries (centralized ground
     /// truth — what a failure-free search would find).
     pub fn central_matches(&self, query: &Query, ctx: &RequesterContext) -> Vec<MailName> {
-        let mut out: Vec<MailName> = self
-            .registries
-            .values()
-            .flat_map(|r| r.search(query, ctx).into_iter().cloned())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        let (_, hits) = self.evaluate(query, ctx);
+        distinct(hits).into_iter().cloned().collect()
     }
 
     /// Runs the distributed search from `root` under `plan`'s failures.
@@ -102,28 +122,20 @@ impl AttributeNetwork {
         plan: &FailurePlan,
         seed: u64,
     ) -> Option<SearchOutcome> {
-        let g = self.topology.graph();
-        let adjacency = self.two_level.adjacency(&self.topology);
-        let local_matches: Vec<u64> = (0..g.node_count())
-            .map(|i| {
-                self.registries
-                    .get(&NodeId(i))
-                    .map_or(0, |r| r.count_matches(query, ctx))
-            })
-            .collect();
+        let (local_matches, hits) = self.evaluate(query, ctx);
         let cfg = BroadcastConfig {
             root,
             local_matches,
             grace: SimDuration::from_units(2.0),
             seed,
         };
-        let out = simulate_broadcast(g, &adjacency, &cfg, plan)?;
+        let out = simulate_broadcast(self.topology.graph(), &self.tree_adjacency, &cfg, plan)?;
         Some(SearchOutcome {
             matches: out.aggregate.matches,
             responded: out.aggregate.responded,
             unavailable: out.aggregate.unavailable,
             completed_at: out.completed_at,
-            ground_truth_matches: self.central_matches(query, ctx).len() as u64,
+            ground_truth_matches: distinct(hits).len() as u64,
         })
     }
 
@@ -136,6 +148,16 @@ impl AttributeNetwork {
             self.topology.region(root),
         )
     }
+}
+
+/// The distinct users among `hits`. A user registered at two servers is
+/// one match, which is what lets `ground_truth_matches` expose it: the
+/// distributed count reports two. Each registry contributed a sorted run,
+/// which the stable sort merges instead of sorting afresh.
+fn distinct(mut hits: Vec<&MailName>) -> Vec<&MailName> {
+    hits.sort();
+    hits.dedup();
+    hits
 }
 
 #[cfg(test)]
@@ -219,6 +241,38 @@ mod tests {
             .unwrap();
         assert!(out.matches < out.ground_truth_matches);
         assert!(out.unavailable >= 1);
+    }
+
+    #[test]
+    fn a_user_registered_at_two_servers_shows_as_a_surplus() {
+        let net = network(4);
+        let servers = net.topology().servers();
+        let twice = net.registry(servers[0]).unwrap().clone();
+        let mut registries: BTreeMap<NodeId, AttributeRegistry> = servers
+            .iter()
+            .map(|&s| (s, net.registry(s).unwrap().clone()))
+            .collect();
+        registries.insert(servers[5], twice);
+        let net = AttributeNetwork::new(net.topology().clone(), registries);
+
+        let q = Query::text_eq(AttrKey::Expertise, "mail");
+        let ctx = RequesterContext::default();
+        let out = net
+            .search(servers[0], &q, &ctx, &FailurePlan::new(), 4)
+            .unwrap();
+        // Servers 0 and 5 both answer for `user0`; server 5's own user is gone.
+        assert_eq!(out.matches, 6);
+        assert_eq!(out.ground_truth_matches, 5);
+        assert_eq!(net.central_matches(&q, &ctx).len(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a node of the topology")]
+    fn registry_at_an_unknown_node_is_rejected() {
+        let net = network(5);
+        let stray = NodeId(net.topology().node_count());
+        let registries = BTreeMap::from([(stray, AttributeRegistry::new())]);
+        let _ = AttributeNetwork::new(net.topology().clone(), registries);
     }
 
     #[test]

@@ -1,0 +1,158 @@
+//! Pins the allocation cost of one attribute search.
+//!
+//! §3.3.1 prices a search at the tree it walks: the query goes down every
+//! edge once, each server searches its database, one summary comes back up
+//! every edge. Evaluating a profile must therefore allocate nothing — the
+//! query is prepared once and its scratch buffers are reused from value to
+//! value — which leaves two things that may: the broadcast world (actors,
+//! links, queue: proportional to the nodes of the tree) and the vector of
+//! hits as it doubles. Ten times the profiles on the same topology must
+//! cost the same allocations, give or take those doublings. Before the
+//! prepared evaluator a search allocated about twenty times per profile.
+//!
+//! CI runs this against the release build (the claim is about optimised
+//! code); the budget holds in a debug build too.
+//!
+//! Lives in `tests/` (its own crate) because `lems-attr` forbids the
+//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
+//! zero_alloc.rs` pattern.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lems_attr::attribute::{AttrKey, AttributeSet, RequesterContext, Visibility};
+use lems_attr::query::Query;
+use lems_attr::registry::AttributeRegistry;
+use lems_attr::search::AttributeNetwork;
+use lems_core::name::MailName;
+use lems_net::generators::{multi_region, MultiRegionConfig};
+use lems_net::topology::{NodeKind, Topology};
+use lems_sim::failure::FailurePlan;
+use lems_sim::rng::SimRng;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+struct Counting;
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is a
+// plain relaxed atomic with no allocation of its own.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+const FIRST: [&str; 4] = ["Ada", "Grace", "Alan", "Edsger"];
+const LAST: [&str; 4] = ["Johnson", "Jonsson", "Hopper", "Turing"];
+
+/// Four regions of four hosts and two servers, with the distinct edge
+/// weights a deterministic MST needs.
+fn topology() -> Topology {
+    let raw = multi_region(
+        &mut SimRng::seed(17),
+        &MultiRegionConfig {
+            regions: 4,
+            hosts_per_region: 4,
+            servers_per_region: 2,
+            ..MultiRegionConfig::default()
+        },
+    );
+    let mut t = Topology::new();
+    for n in raw.nodes() {
+        match raw.kind(n) {
+            NodeKind::Host => t.add_host(raw.region(n), raw.name(n)),
+            NodeKind::Server => t.add_server(raw.region(n), raw.name(n)),
+        };
+    }
+    for e in raw.graph().with_distinct_weights().edges() {
+        t.link(e.a, e.b, e.weight);
+    }
+    t
+}
+
+fn network(profiles_per_server: usize) -> AttributeNetwork {
+    let t = topology();
+    let mut rng = SimRng::seed(17).fork("profiles");
+    let mut registries = BTreeMap::new();
+    for s in t.servers() {
+        let mut registry = AttributeRegistry::new();
+        for k in 0..profiles_per_server {
+            let mut a = AttributeSet::new();
+            a.add(AttrKey::FirstName, *rng.pick(&FIRST), Visibility::Public);
+            a.add(AttrKey::LastName, *rng.pick(&LAST), Visibility::Public);
+            a.add(
+                AttrKey::Organization,
+                "DEC",
+                Visibility::Organization("dec".into()),
+            );
+            let name = MailName::new(&format!("r{}", t.region(s).0), t.name(s), &format!("u{k}"))
+                .expect("generated names are valid");
+            registry.upsert(name, a);
+        }
+        registries.insert(s, registry);
+    }
+    AttributeNetwork::new(t, registries)
+}
+
+/// `(allocations, matches)` of one failure-free fuzzy-name search by a
+/// requester whose organization every profile has to be checked against.
+fn one_search(net: &AttributeNetwork) -> (u64, u64) {
+    let root = net.topology().servers()[0];
+    let query = Query::All(vec![
+        Query::name_like("jonson", 1),
+        Query::text_eq(AttrKey::Organization, "dec"),
+    ]);
+    let ctx = RequesterContext {
+        organization: Some("DEC".into()),
+    };
+    let plan = FailurePlan::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = net.search(root, &query, &ctx, &plan, 17);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let out = out.expect("a failure-free search completes");
+    assert_eq!(out.matches, out.ground_truth_matches);
+    assert!(out.matches > 0, "the query exercises no profile");
+    (allocs, out.matches)
+}
+
+#[test]
+fn a_search_allocates_for_the_tree_not_for_the_profiles() {
+    let (small, large) = (network(50), network(500));
+    let nodes = small.topology().node_count() as u64;
+    let (small_allocs, small_hits) = one_search(&small);
+    let (large_allocs, large_hits) = one_search(&large);
+    let doublings = |hits: u64| u64::from(hits.next_power_of_two().ilog2());
+
+    // allocations ≤ a·nodes + b·log₂(hits): the broadcast world is six
+    // allocations a node (131 in all on these 24 nodes: actor, links,
+    // waiting list, queue and timer slots), the hit vector doubles once
+    // per power of two, and the merge sort behind the distinct count
+    // takes one buffer.
+    for (allocs, hits) in [(small_allocs, small_hits), (large_allocs, large_hits)] {
+        let budget = 6 * nodes + 2 * doublings(hits);
+        assert!(
+            allocs <= budget,
+            "a search with {hits} hits over {nodes} nodes allocated {allocs} times (budget {budget})"
+        );
+    }
+    // Ten times the profiles: the same allocations, up to the hit vector's
+    // growth (3 doublings and the sort buffer leaving the stack here).
+    let growth = doublings(large_hits) - doublings(small_hits) + 2;
+    assert!(
+        large_allocs <= small_allocs + growth,
+        "{small_allocs} allocations for {small_hits} hits, {large_allocs} for {large_hits}: \
+         more than the {growth} the hit vector accounts for"
+    );
+}

@@ -20,7 +20,6 @@ use std::rc::Rc;
 use lems_net::graph::Weight;
 use lems_net::graph::{Graph, NodeId};
 use lems_net::shortest_path::DistanceTable;
-use lems_net::transport::Transport;
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
 use lems_sim::failure::FailurePlan;
 use lems_sim::time::{SimDuration, SimTime};
@@ -53,16 +52,20 @@ pub enum BcastMsg {
     Response(Aggregate),
 }
 
-/// One tree node in the broadcast/convergecast protocol.
+/// A tree neighbour: the actor simulating it and the delay across the
+/// edge to it.
+type Link = (ActorId, SimDuration);
+
+/// One tree node in the broadcast/convergecast protocol. The protocol is
+/// hop-by-hop, so a node knows its own tree links and nothing else of the
+/// network.
 struct BcastNode {
-    node: NodeId,
-    transport: Rc<Transport>,
-    neighbors: Vec<NodeId>,
+    links: Vec<Link>,
     /// Matches this node contributes (its local search result).
     local_matches: u64,
     /// Per-child aggregation state for the in-flight query.
-    parent: Option<NodeId>,
-    waiting_children: Vec<NodeId>,
+    parent: Option<Link>,
+    waiting_children: Vec<ActorId>,
     acc: Aggregate,
     timer: Option<TimerId>,
     /// How long to wait for children before marking them unavailable
@@ -83,9 +86,8 @@ impl BcastNode {
         out.matches += self.local_matches;
         if self.is_root {
             *self.result.borrow_mut() = Some((out, ctx.now()));
-        } else if let Some(p) = self.parent {
-            self.transport
-                .send_edge(ctx, self.node, p, BcastMsg::Response(out));
+        } else if let Some((parent, delay)) = self.parent {
+            ctx.send(parent, BcastMsg::Response(out), delay);
         }
     }
 
@@ -102,17 +104,15 @@ impl Actor for BcastNode {
     fn on_message(&mut self, from: ActorId, msg: BcastMsg, ctx: &mut Ctx<'_, BcastMsg>) {
         match msg {
             BcastMsg::Query => {
-                let parent = self.transport.node_of(from);
-                self.parent = parent;
+                // The injected query comes from no neighbour: no parent.
+                self.parent = self.links.iter().copied().find(|&(n, _)| n == from);
                 self.acc = Aggregate::default();
-                self.waiting_children = self
-                    .neighbors
-                    .iter()
-                    .copied()
-                    .filter(|&n| Some(n) != parent)
-                    .collect();
-                for &c in &self.waiting_children.clone() {
-                    self.transport.send_edge(ctx, self.node, c, BcastMsg::Query);
+                self.waiting_children.clear();
+                for &(child, delay) in &self.links {
+                    if child != from {
+                        self.waiting_children.push(child);
+                        ctx.send(child, BcastMsg::Query, delay);
+                    }
                 }
                 if !self.waiting_children.is_empty() {
                     self.timer = Some(ctx.set_timer(self.timeout, 0));
@@ -120,11 +120,8 @@ impl Actor for BcastNode {
                 self.maybe_finish(ctx);
             }
             BcastMsg::Response(agg) => {
-                let Some(child) = self.transport.node_of(from) else {
-                    return;
-                };
-                if let Some(pos) = self.waiting_children.iter().position(|&c| c == child) {
-                    self.waiting_children.remove(pos);
+                if let Some(pos) = self.waiting_children.iter().position(|&c| c == from) {
+                    self.waiting_children.swap_remove(pos);
                     self.acc.merge(agg);
                     self.maybe_finish(ctx);
                 }
@@ -167,26 +164,22 @@ pub struct BroadcastConfig {
     pub seed: u64,
 }
 
-/// Computes each node's timeout from the tree oriented at `root`.
-fn subtree_timeouts(
-    g: &Graph,
-    adj: &[Vec<NodeId>],
-    root: NodeId,
-    grace: SimDuration,
-) -> Vec<SimDuration> {
-    let n = adj.len();
+/// Computes each node's timeout from the tree `links` oriented at `root`
+/// (node `i` is actor `i`).
+fn subtree_timeouts(links: &[Vec<Link>], root: NodeId, grace: SimDuration) -> Vec<SimDuration> {
+    let n = links.len();
     // Orient the tree: compute order by DFS from root.
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut order = Vec::with_capacity(n);
-    let mut stack = vec![root];
+    let mut stack = vec![root.0];
     let mut seen = vec![false; n];
     seen[root.0] = true;
     while let Some(u) = stack.pop() {
         order.push(u);
-        for &v in &adj[u.0] {
-            if !seen[v.0] {
-                seen[v.0] = true;
-                parent[v.0] = Some(u);
+        for &(ActorId(v), _) in &links[u] {
+            if !seen[v] {
+                seen[v] = true;
+                parent[v] = Some(u);
                 stack.push(v);
             }
         }
@@ -195,17 +188,13 @@ fn subtree_timeouts(
     let mut path_delay = vec![SimDuration::ZERO; n];
     let mut height = vec![0u32; n];
     for &u in order.iter().rev() {
-        for &v in &adj[u.0] {
-            if parent[v.0] == Some(u) {
-                // Adjacency was built from this graph, so the edge exists.
-                let Some(eid) = g.edge_between(u, v) else {
-                    continue;
-                };
-                let d = g.edge(eid).weight.as_duration() + path_delay[v.0];
-                if d > path_delay[u.0] {
-                    path_delay[u.0] = d;
+        for &(ActorId(v), delay) in &links[u] {
+            if parent[v] == Some(u) {
+                let d = delay + path_delay[v];
+                if d > path_delay[u] {
+                    path_delay[u] = d;
                 }
-                height[u.0] = height[u.0].max(height[v.0] + 1);
+                height[u] = height[u].max(height[v] + 1);
             }
         }
     }
@@ -229,7 +218,8 @@ pub const BROADCAST_EVENT_BUDGET: u64 = 1_000_000;
 ///
 /// # Panics
 ///
-/// Panics if the adjacency is not shaped for `g`.
+/// Panics if the adjacency is not shaped for `g`, or names a pair of nodes
+/// `g` has no edge between.
 pub fn simulate_broadcast(
     g: &Graph,
     tree_adjacency: &[Vec<NodeId>],
@@ -241,24 +231,28 @@ pub fn simulate_broadcast(
         g.node_count(),
         "adjacency must cover every node"
     );
-    let mut sim: ActorSim<BcastMsg> = ActorSim::new(cfg.seed);
-    // Bind every node to the actor id it is about to get (the engine hands
-    // ids out in registration order), so the one all-pairs table is built
-    // once and every actor holds the bound transport from the start.
-    let mut transport = Transport::new(g);
-    for (i, n) in g.nodes().enumerate() {
-        transport.bind(n, ActorId(sim.actor_count() + i));
-    }
-    let transport = Rc::new(transport);
+    // Node i is actor i: the engine is fresh and hands ids out in
+    // registration order (asserted below). Each node is given the delays of
+    // its own tree edges and nothing else.
+    let links: Vec<Vec<Link>> = g
+        .nodes()
+        .map(|u| {
+            tree_adjacency[u.0]
+                .iter()
+                .map(|&v| match g.edge_between(u, v) {
+                    Some(eid) => (ActorId(v.0), g.edge(eid).weight.as_duration()),
+                    None => panic!("tree adjacency names {u}-{v}, which is not an edge"),
+                })
+                .collect()
+        })
+        .collect();
+    let timeouts = subtree_timeouts(&links, cfg.root, cfg.grace);
     let result: Rc<RefCell<Option<(Aggregate, SimTime)>>> = Rc::new(RefCell::new(None));
 
-    let timeouts = subtree_timeouts(g, tree_adjacency, cfg.root, cfg.grace);
-    let mut actor_ids = Vec::with_capacity(g.node_count());
-    for n in g.nodes() {
-        let node = BcastNode {
-            node: n,
-            transport: Rc::clone(&transport),
-            neighbors: tree_adjacency[n.0].clone(),
+    let mut sim: ActorSim<BcastMsg> = ActorSim::new(cfg.seed);
+    for (n, links) in g.nodes().zip(links) {
+        let aid = sim.add_actor(BcastNode {
+            links,
             local_matches: cfg.local_matches.get(n.0).copied().unwrap_or(0),
             parent: None,
             waiting_children: Vec::new(),
@@ -267,24 +261,22 @@ pub fn simulate_broadcast(
             timeout: timeouts[n.0],
             result: Rc::clone(&result),
             is_root: n == cfg.root,
-        };
-        let aid = sim.add_actor(node);
-        assert_eq!(transport.actor_of(n), Ok(aid), "node bound ahead of time");
-        actor_ids.push(aid);
+        });
+        assert_eq!(aid, ActorId(n.0), "node i is actor i");
     }
 
-    // Apply failures: node i <-> actor_ids[i].
+    // Apply failures (the plan is indexed by node id, which is the actor id).
     for actor in plan.affected_actors() {
-        for o in plan.outages(actor) {
-            if actor.0 < actor_ids.len() {
-                sim.schedule_crash(actor_ids[actor.0], o.down_at);
-                sim.schedule_recover(actor_ids[actor.0], o.up_at);
+        if actor.0 < g.node_count() {
+            for o in plan.outages(actor) {
+                sim.schedule_crash(actor, o.down_at);
+                sim.schedule_recover(actor, o.up_at);
             }
         }
     }
 
     sim.inject(
-        actor_ids[cfg.root.0],
+        ActorId(cfg.root.0),
         BcastMsg::Query,
         SimDuration::from_units(0.001),
     );

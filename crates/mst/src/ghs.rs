@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use lems_net::graph::{Graph, NodeId, Weight};
-use lems_net::transport::Transport;
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
 use lems_sim::metrics::MetricsRegistry;
 
@@ -74,8 +73,8 @@ pub struct Env {
 /// One GHS node.
 pub struct GhsNode {
     node: NodeId,
-    transport: Rc<Transport>,
-    /// Neighbor -> edge weight.
+    /// Neighbor -> edge weight: the node's whole view of the network (GHS
+    /// is hop-by-hop, so the weight is also the delay of every send).
     weights: BTreeMap<NodeId, Weight>,
     edge_state: BTreeMap<NodeId, EdgeState>,
     sleeping: bool,
@@ -102,15 +101,9 @@ pub struct GhsNode {
 }
 
 impl GhsNode {
-    fn new(
-        node: NodeId,
-        neighbors: &[(NodeId, Weight)],
-        transport: Rc<Transport>,
-        stats: Rc<RefCell<GhsStats>>,
-    ) -> Self {
+    fn new(node: NodeId, neighbors: &[(NodeId, Weight)], stats: Rc<RefCell<GhsStats>>) -> Self {
         GhsNode {
             node,
-            transport,
             weights: neighbors.iter().copied().collect(),
             edge_state: neighbors
                 .iter()
@@ -192,15 +185,14 @@ impl GhsNode {
     fn send(&mut self, ctx: &mut Ctx<'_, Env>, to: NodeId, msg: GhsMsg) {
         *self.stats.borrow_mut().sent.entry(msg.kind()).or_insert(0) += 1;
         self.metrics.inc(msg.kind());
-        self.transport.send_edge(
-            ctx,
-            self.node,
-            to,
-            Env {
-                from: self.node,
-                msg,
-            },
-        );
+        // Node i is actor i (asserted at spawn), and the automaton only
+        // ever addresses a neighbor.
+        let delay = self.weights[&to].as_duration();
+        let env = Env {
+            from: self.node,
+            msg,
+        };
+        ctx.send(ActorId(to.0), env, delay);
     }
 
     fn defer(&mut self, from: NodeId, msg: GhsMsg) {
@@ -557,8 +549,8 @@ pub struct GhsSim {
 }
 
 impl GhsSim {
-    /// Spawns one [`GhsNode`] per graph node and wires the transport;
-    /// every node awakens spontaneously.
+    /// Spawns one [`GhsNode`] per graph node, each holding the weights of
+    /// its own edges; every node awakens spontaneously.
     ///
     /// # Panics
     ///
@@ -586,14 +578,6 @@ impl GhsSim {
         }
 
         let mut sim: ActorSim<Env> = ActorSim::new(seed);
-        // Actors are created in node order, so NodeId(i) <-> ActorId(i):
-        // bind ahead of spawning, so the one all-pairs table is built once
-        // and every node holds the bound transport from the start.
-        let mut transport = Transport::new(g);
-        for (i, n) in g.nodes().enumerate() {
-            transport.bind(n, ActorId(sim.actor_count() + i));
-        }
-        let transport = Rc::new(transport);
         let stats = Rc::new(RefCell::new(GhsStats::default()));
 
         let mut actor_ids = Vec::with_capacity(g.node_count());
@@ -602,12 +586,14 @@ impl GhsSim {
                 .neighbors(n)
                 .map(|(m, eid)| (m, g.edge(eid).weight))
                 .collect();
-            let mut node = GhsNode::new(n, &neighbors, Rc::clone(&transport), Rc::clone(&stats));
+            let mut node = GhsNode::new(n, &neighbors, Rc::clone(&stats));
             if let Some(init) = initiators {
                 node.spontaneous = init.contains(&n);
             }
+            // Actors are created in node order in a fresh engine, which is
+            // what lets a node address its neighbor `m` as `ActorId(m.0)`.
             let aid = sim.add_actor(node);
-            assert_eq!(transport.actor_of(n), Ok(aid), "node bound ahead of time");
+            assert_eq!(aid, ActorId(n.0), "node i is actor i");
             actor_ids.push(aid);
         }
 

@@ -1,10 +1,10 @@
 //! Binding between topology nodes and simulation actors.
 //!
 //! A [`Transport`] owns the mapping `NodeId <-> ActorId` plus the network's
-//! distance table, and computes message delays: end-to-end shortest-path
-//! delays for protocols modelled at the session level (mail submission and
-//! retrieval), and single-edge delays for protocols that are explicitly
-//! hop-by-hop (GHS messages travel only between direct neighbors).
+//! distance table, and computes end-to-end shortest-path delays for
+//! protocols modelled at the session level (mail submission and retrieval).
+//! Protocols that are explicitly hop-by-hop (GHS, tree broadcast) do not go
+//! through it: their actors hold the delays of their own links.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -43,9 +43,9 @@ pub struct Transport {
     node_to_actor: Vec<Option<ActorId>>,
     /// Indexed by actor id — the engine hands those out densely.
     actor_to_node: Vec<Option<NodeId>>,
-    /// Sends that failed because of a bad binding or missing edge. A
-    /// correctly built deployment never increments this; tests assert it
-    /// stays zero instead of relying on a panic deep inside an actor.
+    /// Sends that failed because of a bad binding. A correctly built
+    /// deployment never increments this; tests assert it stays zero instead
+    /// of relying on a panic deep inside an actor.
     wiring_errors: Cell<u64>,
     /// Planned per-edge outages (directed). Interior mutability because the
     /// transport is `Rc`-shared across actors once a deployment is built,
@@ -133,18 +133,6 @@ impl Transport {
         w.as_duration()
     }
 
-    /// Delay across the single edge `from`-`to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotAdjacent`] if there is no direct edge.
-    pub fn edge_delay(&self, from: NodeId, to: NodeId) -> Result<SimDuration, NetError> {
-        self.edge_weights
-            .get(&(from, to))
-            .copied()
-            .ok_or(NetError::NotAdjacent(from, to))
-    }
-
     /// The distance table (for cost computations).
     pub fn distances(&self) -> &DistanceTable {
         &self.dist
@@ -172,19 +160,8 @@ impl Transport {
         }
     }
 
-    /// Sends `msg` across the direct edge `from`-`to` (hop-by-hop
-    /// protocols). Non-adjacent nodes or an unbound destination are counted
-    /// in [`Transport::wiring_errors`] and the message is dropped.
-    pub fn send_edge<M: Clone>(&self, ctx: &mut Ctx<'_, M>, from: NodeId, to: NodeId, msg: M) {
-        match (self.edge_delay(from, to), self.actor_of(to)) {
-            (Ok(delay), Ok(actor)) => ctx.send(actor, msg, delay),
-            _ => self.wiring_errors.set(self.wiring_errors.get() + 1),
-        }
-    }
-
-    /// Messages silently dropped by [`Transport::send`] /
-    /// [`Transport::send_edge`] because of a binding or adjacency error.
-    /// Zero on any correctly wired deployment.
+    /// Messages silently dropped by [`Transport::send`] because of a
+    /// binding error. Zero on any correctly wired deployment.
     pub fn wiring_errors(&self) -> u64 {
         self.wiring_errors.get()
     }
@@ -299,17 +276,8 @@ mod tests {
     fn delays_follow_shortest_paths() {
         let tr = Transport::new(&g3());
         assert_eq!(tr.delay(NodeId(0), NodeId(2)).as_units(), 3.0);
-        assert_eq!(tr.edge_delay(NodeId(2), NodeId(1)).unwrap().as_units(), 2.0);
+        assert_eq!(tr.delay(NodeId(2), NodeId(1)).as_units(), 2.0);
         assert_eq!(tr.delay(NodeId(1), NodeId(1)).as_units(), 0.0);
-    }
-
-    #[test]
-    fn edge_delay_requires_adjacency() {
-        let tr = Transport::new(&g3());
-        assert_eq!(
-            tr.edge_delay(NodeId(0), NodeId(2)),
-            Err(crate::error::NetError::NotAdjacent(NodeId(0), NodeId(2)))
-        );
     }
 
     #[test]
