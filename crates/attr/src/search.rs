@@ -60,6 +60,10 @@ impl AttributeNetwork {
     /// disconnected (as [`build_two_level`]), or if a registry is keyed by
     /// a node the topology does not have: no broadcast could reach it, so
     /// every search would report its matches as lost.
+    #[expect(
+        clippy::panic,
+        reason = "a registry no broadcast can reach is a caller bug"
+    )]
     pub fn new(topology: Topology, registries: BTreeMap<NodeId, AttributeRegistry>) -> Self {
         if let Some(&stray) = registries.keys().find(|n| n.0 >= topology.node_count()) {
             panic!("registry keyed by {stray}, which is not a node of the topology");

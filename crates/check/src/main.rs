@@ -1,8 +1,8 @@
-//! `lems-check` — workspace lint pass and trace-based invariant auditor.
+//! `lems-check` — trace-based invariant auditor and schedule explorer.
 //!
 //! ```sh
-//! cargo run -p lems-check -- lint [--root <workspace-root>] [--json] [--github] [--no-allow]
 //! cargo run -p lems-check -- audit [--seed <n>] [scenario ...]
+//! cargo run --release -p lems-check -- explore [--seed <n>] [scenario ...]
 //! ```
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
@@ -12,31 +12,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use lems_check::explore;
-use lems_check::lint::{lint_workspace, Allowlist};
-use lems_check::report::LintDoc;
 use lems_check::scenarios;
 
 const USAGE: &str = "\
 usage: lems-check <command> [options]
 
 commands:
-  lint  [--root <dir>] [--json] [--github] [--no-allow]
-                                  token and scope rules over crates/*/src
-                                  (no-panic, no-wall-clock,
-                                   no-hash-collections, no-partial-cmp-sort,
-                                   no-unbounded-run, no-ambient-parallelism,
-                                   rng-fork-discipline,
-                                   event-match-exhaustive,
-                                   no-ignored-store-errors;
-                                   vetted exceptions in <root>/lint-allow.txt,
-                                   pinned as rule@version; stale exceptions
-                                   fail the pass;
-                                   --json emits the schema-versioned report,
-                                   byte-stable for a given tree,
-                                   --github emits ::error annotations,
-                                   --no-allow ignores the allowlist — the CI
-                                   differential diffs `--json --no-allow`
-                                   output against GOLDEN_lint.json)
   audit [--seed <n>] [--chaos] [--durability] [--trace-out <path>] [name ...]
                                   replay audit scenarios and check the
                                   engine's conservation laws + mail ledgers
@@ -67,7 +48,6 @@ commands:
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
         Some("audit") => run_audit(&args[1..]),
         Some("explore") => run_explore(&args[1..]),
         Some("--help" | "-h") | None => {
@@ -79,115 +59,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// The workspace root: `--root` if given, else the nearest ancestor of the
-/// current directory containing `crates/` (so the binary works from any
-/// crate subdirectory), else the manifest's grandparent (the checkout this
-/// binary was built from).
-fn workspace_root(explicit: Option<PathBuf>) -> Option<PathBuf> {
-    if let Some(root) = explicit {
-        return Some(root);
-    }
-    let mut dir = env::current_dir().ok()?;
-    loop {
-        if dir.join("crates").is_dir() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    let fallback = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    fallback.join("crates").is_dir().then_some(fallback)
-}
-
-fn run_lint(args: &[String]) -> ExitCode {
-    let mut explicit = None;
-    let mut json = false;
-    let mut github = false;
-    let mut no_allow = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => match it.next() {
-                Some(p) => explicit = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("lems-check lint: --root needs a value");
-                    return ExitCode::from(2);
-                }
-            },
-            "--json" => json = true,
-            "--github" => github = true,
-            "--no-allow" => no_allow = true,
-            other => {
-                eprintln!("lems-check lint: unknown option `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let Some(root) = workspace_root(explicit) else {
-        eprintln!("lems-check lint: cannot locate a workspace root (no crates/ found)");
-        return ExitCode::from(2);
-    };
-    let allow = if no_allow {
-        Allowlist::empty()
-    } else {
-        match Allowlist::load(&root) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("lems-check lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    let report = match lint_workspace(&root, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lems-check lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let verdict = if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    };
-
-    if json || github {
-        let doc = LintDoc::from_report(&report, allow.len());
-        if json {
-            print!("{}", doc.render_json());
-        }
-        if github {
-            print!("{}", doc.render_github());
-        }
-        return verdict;
-    }
-
-    for v in &report.violations {
-        println!("{v}");
-    }
-    for stale in &report.stale_allows {
-        println!("stale allowlist entry (matched nothing): {stale}");
-    }
-    if report.is_clean() {
-        println!(
-            "lint: {} files clean ({} vetted exception{})",
-            report.files_scanned,
-            allow.len(),
-            if allow.len() == 1 { "" } else { "s" }
-        );
-    } else {
-        println!(
-            "lint: {} violation(s), {} stale exception(s) across {} files",
-            report.violations.len(),
-            report.stale_allows.len(),
-            report.files_scanned
-        );
-    }
-    verdict
 }
 
 fn run_audit(args: &[String]) -> ExitCode {

@@ -319,6 +319,10 @@ pub fn random_failures(seed: u64) -> ScenarioOutcome {
 /// Panics if the scenario's literal fault parameters are invalid or
 /// name unbound Fig. 1 nodes — a typo in the scenario definition must
 /// abort the checker loudly, not audit a half-built deployment.
+#[expect(
+    clippy::expect_used,
+    reason = "literal scenario parameters: a typo must abort the checker"
+)]
 pub fn chaos_lossy(seed: u64) -> ScenarioOutcome {
     let mut d = fig1_deployment(seed);
     let names = d.user_names();
@@ -376,6 +380,10 @@ pub fn chaos_partition(seed: u64) -> ScenarioOutcome {
 ///
 /// Panics if the scenario's literal fault parameters are invalid or
 /// name unbound Fig. 1 nodes (a typo in the scenario definition).
+#[expect(
+    clippy::expect_used,
+    reason = "literal scenario parameters: a typo must abort the checker"
+)]
 fn chaos_partition_deployment(seed: u64, session: SessionConfig) -> Deployment {
     let f = fig1();
     let mut d = fig1_deployment_with_session(seed, session);
@@ -424,6 +432,10 @@ fn chaos_partition_deployment(seed: u64, session: SessionConfig) -> Deployment {
 ///
 /// Panics if the scenario's literal fault parameters are invalid or
 /// name unbound Fig. 1 nodes (a typo in the scenario definition).
+#[expect(
+    clippy::expect_used,
+    reason = "literal scenario parameters: a typo must abort the checker"
+)]
 pub fn chaos_crash_loss(seed: u64) -> ScenarioOutcome {
     let f = fig1();
     let mut d = fig1_deployment(seed);

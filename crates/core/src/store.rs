@@ -20,6 +20,8 @@
 //!   compaction; a crash keeps exactly the synced prefix (plus an optional
 //!   injected torn tail) and recovery replays it.
 
+#![deny(clippy::let_underscore_must_use)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use lems_sim::time::SimTime;
@@ -105,6 +107,10 @@ impl<T> std::ops::Index<&MailName> for OwnerView<'_, T> {
 
     /// # Panics
     /// When `owner` has no value in this view (as `BTreeMap`'s index does).
+    #[expect(
+        clippy::expect_used,
+        reason = "`Index` cannot return an error; `get` is the fallible form"
+    )]
     fn index(&self, owner: &MailName) -> &T {
         self.get(owner).expect("no entry for this owner")
     }

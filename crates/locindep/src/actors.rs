@@ -318,7 +318,7 @@ pub struct RoamServer {
     primary_hosts: BTreeMap<MailName, NodeId>,
     /// Current locations known to *this* server, with the login
     /// timestamp that produced them (last-writer-wins). Ordered maps keep
-    /// actor state deterministic (see `lems-check -- lint`).
+    /// actor state deterministic (`HashMap` is a `clippy.toml` ban here).
     locations: BTreeMap<MailName, (NodeId, SimTime)>,
     /// Durable mailbox storage behind the [`MailStore`] trait (System-2
     /// servers only ever deposit; retrieval happens at the user's host).
@@ -681,6 +681,10 @@ impl RoamDeployment {
     /// # Panics
     ///
     /// Same conditions as [`RoamDeployment::build`].
+    #[expect(
+        clippy::expect_used,
+        reason = "names are generated here: valid by construction"
+    )]
     pub fn build_with_durability(
         topology: &Topology,
         users_per_host: &[u32],
@@ -803,6 +807,10 @@ impl RoamDeployment {
     ///
     /// Panics if `from` is not a user of the deployment: a typo in a
     /// driver script should fail loudly, not silently drop the send.
+    #[expect(
+        clippy::expect_used,
+        reason = "injecting for an unknown user is a driver bug"
+    )]
     pub fn send_at(&mut self, at: SimTime, from: &MailName, to: &MailName) {
         let host = *self.users.get(from).expect("unknown sender");
         let actor = self.host_actors[&host];

@@ -20,6 +20,24 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::wildcard_enum_match_arm,
+        reason = "the determinism bans of clippy.toml and the match rule fence non-test code"
+    )
+)]
 
 pub mod actors;
 pub mod delivery;

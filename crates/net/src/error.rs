@@ -3,7 +3,7 @@
 //! Historically these lookups panicked on bad input ("unknown node",
 //! "nodes not adjacent", …). Panicking on data that arrives from
 //! configuration or from other layers makes the simulator fragile and is
-//! banned by the workspace lint (`lems-check -- lint`), so the lookups now
+//! denied in library code (`clippy::panic` and family), so the lookups now
 //! return `Result<_, NetError>` and let the caller decide: deployment
 //! builders treat an error as a wiring bug, while the transport send path
 //! converts it into a counted drop.
@@ -21,8 +21,6 @@ pub enum NetError {
     UnboundNode(NodeId),
     /// The node (or actor) already has a binding.
     AlreadyBound(NodeId),
-    /// The two nodes are not joined by a direct edge.
-    NotAdjacent(NodeId, NodeId),
     /// The node is not an endpoint of the edge in question.
     NotAnEndpoint {
         /// The node that was asked about.
@@ -42,7 +40,6 @@ impl fmt::Display for NetError {
             NetError::UnknownNode(n) => write!(f, "unknown node {n}"),
             NetError::UnboundNode(n) => write!(f, "node {n} has no bound actor"),
             NetError::AlreadyBound(n) => write!(f, "node {n} is already bound"),
-            NetError::NotAdjacent(a, b) => write!(f, "{a} and {b} are not adjacent"),
             NetError::NotAnEndpoint { node, a, b } => {
                 write!(f, "{node} is not an endpoint of edge {a}-{b}")
             }
@@ -60,8 +57,8 @@ mod tests {
     #[test]
     fn display_names_the_nodes() {
         assert_eq!(
-            NetError::NotAdjacent(NodeId(1), NodeId(2)).to_string(),
-            "n1 and n2 are not adjacent"
+            NetError::Disconnected(NodeId(1), NodeId(2)).to_string(),
+            "no path between n1 and n2"
         );
         assert_eq!(
             NetError::NotAnEndpoint {

@@ -14,7 +14,6 @@
 //!   reconfiguration, and GetMail authority-list construction;
 //! * [`mst`] — centralized Kruskal/Prim spanning trees, the verification
 //!   oracle for the distributed GHS algorithm in `lems-mst`;
-//! * [`routing`] — next-hop tables for store-and-forward relaying;
 //! * [`topology`] — hosts, servers, and regions on top of the graph;
 //! * [`generators`] — the paper's Fig. 1 / Table 3 worked examples and
 //!   synthetic multi-region networks;
@@ -23,13 +22,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod cost_matrix;
 pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod mst;
-pub mod routing;
 pub mod shortest_path;
 pub mod topology;
 pub mod transport;

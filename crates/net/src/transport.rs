@@ -6,12 +6,10 @@
 //! Protocols that are explicitly hop-by-hop (GHS, tree broadcast) do not go
 //! through it: their actors hold the delays of their own links.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cell::Cell;
 
 use lems_sim::actor::{ActorId, Ctx};
-use lems_sim::failure::Outage;
-use lems_sim::time::{SimDuration, SimTime};
+use lems_sim::time::SimDuration;
 
 use crate::error::NetError;
 use crate::graph::{Graph, NodeId};
@@ -38,8 +36,6 @@ use crate::shortest_path::DistanceTable;
 #[derive(Clone, Debug)]
 pub struct Transport {
     dist: DistanceTable,
-    edge_weights: HashMap<(NodeId, NodeId), SimDuration>,
-    adjacency: Vec<Vec<NodeId>>,
     node_to_actor: Vec<Option<ActorId>>,
     /// Indexed by actor id — the engine hands those out densely.
     actor_to_node: Vec<Option<NodeId>>,
@@ -47,36 +43,16 @@ pub struct Transport {
     /// deployment never increments this; tests assert it stays zero instead
     /// of relying on a panic deep inside an actor.
     wiring_errors: Cell<u64>,
-    /// Planned per-edge outages (directed). Interior mutability because the
-    /// transport is `Rc`-shared across actors once a deployment is built,
-    /// and chaos drivers register outages after that point.
-    link_outages: RefCell<BTreeMap<(NodeId, NodeId), Vec<Outage>>>,
 }
 
 impl Transport {
     /// Builds a transport for `g` (all-pairs distances are precomputed).
     pub fn new(g: &Graph) -> Self {
-        let mut edge_weights = HashMap::with_capacity(g.edge_count() * 2);
-        let mut adjacency = vec![Vec::new(); g.node_count()];
-        for e in g.edges() {
-            let d = e.weight.as_duration();
-            edge_weights.insert((e.a, e.b), d);
-            edge_weights.insert((e.b, e.a), d);
-            adjacency[e.a.0].push(e.b);
-            adjacency[e.b.0].push(e.a);
-        }
-        // Deterministic neighbor order regardless of edge insertion order.
-        for list in &mut adjacency {
-            list.sort_unstable();
-        }
         Transport {
             dist: DistanceTable::build(g),
-            edge_weights,
-            adjacency,
             node_to_actor: vec![None; g.node_count()],
             actor_to_node: Vec::new(),
             wiring_errors: Cell::new(0),
-            link_outages: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -164,94 +140,6 @@ impl Transport {
     /// binding error. Zero on any correctly wired deployment.
     pub fn wiring_errors(&self) -> u64 {
         self.wiring_errors.get()
-    }
-
-    /// Registers an outage for the directed edge `from -> to`, mirroring
-    /// what [`lems_sim::failure::FailurePlan`] records for nodes. The
-    /// transport does not enforce outages (the engine's link-fault plan
-    /// does); it answers ground-truth queries ([`Transport::is_link_up`],
-    /// [`Transport::reachable`]) so experiments can cross-check simulated
-    /// behaviour against the plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotAdjacent`] if there is no direct edge.
-    pub fn add_link_outage(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        outage: Outage,
-    ) -> Result<(), NetError> {
-        if !self.edge_weights.contains_key(&(from, to)) {
-            return Err(NetError::NotAdjacent(from, to));
-        }
-        self.link_outages
-            .borrow_mut()
-            .entry((from, to))
-            .or_default()
-            .push(outage);
-        Ok(())
-    }
-
-    /// Registers `outage` for both directions of the edge `a`-`b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::NotAdjacent`] if there is no direct edge.
-    pub fn add_link_outage_bidi(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        outage: Outage,
-    ) -> Result<(), NetError> {
-        self.add_link_outage(a, b, outage)?;
-        self.add_link_outage(b, a, outage)
-    }
-
-    /// True if the directed edge `from -> to` exists and carries traffic at
-    /// `t` under the registered outages.
-    pub fn is_link_up(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
-        self.edge_weights.contains_key(&(from, to))
-            && self
-                .link_outages
-                .borrow()
-                .get(&(from, to))
-                .is_none_or(|list| !list.iter().any(|o| o.covers(t)))
-    }
-
-    /// Total number of registered directed edge outages.
-    pub fn link_outage_count(&self) -> usize {
-        self.link_outages.borrow().values().map(Vec::len).sum()
-    }
-
-    /// True if a path of up links leads from `from` to `to` at instant `t` —
-    /// the partition ground truth, mirroring what
-    /// [`FailurePlan::is_up`](lems_sim::failure::FailurePlan::is_up) answers
-    /// for nodes. Unknown nodes are unreachable; a node always reaches
-    /// itself.
-    pub fn reachable(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
-        let n = self.adjacency.len();
-        if from.0 >= n || to.0 >= n {
-            return false;
-        }
-        if from == to {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        seen[from.0] = true;
-        let mut frontier = VecDeque::from([from]);
-        while let Some(u) = frontier.pop_front() {
-            for &v in &self.adjacency[u.0] {
-                if !seen[v.0] && self.is_link_up(u, v, t) {
-                    if v == to {
-                        return true;
-                    }
-                    seen[v.0] = true;
-                    frontier.push_back(v);
-                }
-            }
-        }
-        false
     }
 }
 
@@ -344,57 +232,6 @@ mod tests {
         assert!(sim.run_to_quiescence_bounded(EVENT_BUDGET));
         let s: &Src = sim.actor(src_actor).unwrap();
         assert_eq!(s.tr.wiring_errors(), 1);
-    }
-
-    #[test]
-    fn link_outages_answer_ground_truth_queries() {
-        let tr = Transport::new(&g3());
-        let t = SimTime::from_units;
-        let cut = Outage::new(t(5.0), t(9.0)).unwrap();
-        tr.add_link_outage_bidi(NodeId(0), NodeId(1), cut).unwrap();
-        assert!(tr.is_link_up(NodeId(0), NodeId(1), t(4.9)));
-        assert!(!tr.is_link_up(NodeId(0), NodeId(1), t(5.0)));
-        assert!(!tr.is_link_up(NodeId(1), NodeId(0), t(8.9)));
-        assert!(tr.is_link_up(NodeId(0), NodeId(1), t(9.0)));
-        // A pair with no direct edge is never "up".
-        assert!(!tr.is_link_up(NodeId(0), NodeId(2), t(0.0)));
-        assert_eq!(tr.link_outage_count(), 2);
-        assert_eq!(
-            tr.add_link_outage(NodeId(0), NodeId(2), cut),
-            Err(crate::error::NetError::NotAdjacent(NodeId(0), NodeId(2)))
-        );
-    }
-
-    #[test]
-    fn reachable_reflects_partitions() {
-        // Path topology 0-1-2: cutting 0-1 partitions {0} from {1, 2}.
-        let tr = Transport::new(&g3());
-        let t = SimTime::from_units;
-        tr.add_link_outage_bidi(NodeId(0), NodeId(1), Outage::new(t(5.0), t(9.0)).unwrap())
-            .unwrap();
-        assert!(tr.reachable(NodeId(0), NodeId(2), t(4.0)));
-        assert!(!tr.reachable(NodeId(0), NodeId(2), t(6.0)));
-        assert!(!tr.reachable(NodeId(2), NodeId(0), t(6.0)));
-        assert!(
-            tr.reachable(NodeId(1), NodeId(2), t(6.0)),
-            "far side intact"
-        );
-        assert!(
-            tr.reachable(NodeId(0), NodeId(2), t(9.0)),
-            "heals on repair"
-        );
-        assert!(tr.reachable(NodeId(0), NodeId(0), t(6.0)), "self-reachable");
-        assert!(!tr.reachable(NodeId(0), NodeId(99), t(0.0)));
-    }
-
-    #[test]
-    fn asymmetric_cut_blocks_one_direction_only() {
-        let tr = Transport::new(&g3());
-        let t = SimTime::from_units;
-        tr.add_link_outage(NodeId(1), NodeId(2), Outage::new(t(0.0), t(10.0)).unwrap())
-            .unwrap();
-        assert!(!tr.reachable(NodeId(0), NodeId(2), t(1.0)));
-        assert!(tr.reachable(NodeId(2), NodeId(0), t(1.0)));
     }
 
     #[test]

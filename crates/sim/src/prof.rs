@@ -26,8 +26,14 @@
 //! event. The side channel is deliberately *not* part of
 //! [`Prof::samples`]: nothing wall-clock-derived can reach a deterministic
 //! artifact. This module is the single vetted wall-clock site in the
-//! crate (see the `no-wall-clock` trusted-module exemption in
-//! `lems-check`).
+//! crate: the `Instant` ban of `crates/sim/clippy.toml` is waived here
+//! and nowhere else.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "`Wall` laps whole run calls and never enters `Prof::samples` \
+              (tests/prof_digest.rs pins digests identical with profiling on and off)"
+)]
 
 use crate::queue::QueueStats;
 use crate::time::SimTime;

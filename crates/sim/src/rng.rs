@@ -42,6 +42,15 @@ impl SimRng {
         }
     }
 
+    /// The `label` fork of the root stream for `seed` — the only way
+    /// sim-driven code outside this module starts a stream, so every RNG
+    /// there descends from the seeded fork tree ([`SimRng::seed`] is in
+    /// those crates' `clippy.toml` `disallowed-methods`).
+    #[expect(clippy::disallowed_methods, reason = "the fork tree's own root")]
+    pub fn forked(seed: u64, label: &str) -> Self {
+        SimRng::seed(seed).fork(label)
+    }
+
     /// The seed this stream (or its root) was created from.
     pub fn root_seed(&self) -> u64 {
         self.seed

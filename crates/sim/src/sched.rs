@@ -216,7 +216,7 @@ impl RandomScheduler {
     /// Creates a fuzzer whose choices derive from `seed`.
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
-            rng: SimRng::seed(seed).fork("sched-fuzz"),
+            rng: SimRng::forked(seed, "sched-fuzz"),
             log: Rc::new(RefCell::new(Vec::new())),
         }
     }

@@ -19,6 +19,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::let_underscore_must_use
+)]
 // A dropped store/WAL `Result` is a build error, not a lint finding.
 #![deny(unused_must_use)]
 

@@ -439,6 +439,10 @@ pub struct BalanceReport {
 /// Termination: every kept move strictly decreases the objective, and the
 /// (finite) assignment space contains no infinite strictly-decreasing
 /// chain; `max_passes` is a belt-and-braces bound.
+///
+/// # Panics
+///
+/// Panics if `opts.batch` is 0: no move could ever be tried.
 pub fn balance(p: &AssignmentProblem, a: &mut Assignment, opts: BalanceOptions) -> BalanceReport {
     assert!(opts.batch >= 1, "batch must be at least 1");
     let mut report = BalanceReport {
@@ -719,6 +723,10 @@ fn merge_proposals(
 
 /// The scaled §3.1.1 solver: synchronous evaluate-then-merge passes (see
 /// the module docs) until a pass accepts no move.
+///
+/// # Panics
+///
+/// Panics if `opts.batch` is 0: no move could ever be tried.
 pub fn balance_sync(p: &AssignmentProblem, a: &mut Assignment, opts: ScaleOptions) -> ScaleReport {
     assert!(opts.batch >= 1, "batch must be at least 1");
     let initial = a.total_cost(p);

@@ -147,6 +147,11 @@ impl GetMailState {
 }
 
 /// The baseline: poll every authority server, every time.
+///
+/// # Panics
+///
+/// Panics if `authorities` is empty: a user with no authority server has
+/// no mailbox to poll.
 pub fn poll_all(
     authorities: &[NodeId],
     store: &mut impl MailStore,

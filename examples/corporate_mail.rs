@@ -63,7 +63,10 @@ fn main() {
         mail.check_at(SimTime::from_units(900.0 + i as f64), u);
         mail.check_at(SimTime::from_units(950.0 + i as f64), u);
     }
-    mail.sim.run_to_quiescence();
+    assert!(
+        mail.sim.run_to_quiescence_bounded(2_000_000),
+        "the day did not quiesce within 2M events: a retry loop is livelocked"
+    );
 
     let st = mail.stats.borrow();
     println!("submitted:           {}", st.submitted);

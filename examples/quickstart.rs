@@ -31,7 +31,11 @@ fn main() {
     // Alice writes to Bob at t=1; Bob checks his mail at t=50.
     mail.send_at(SimTime::from_units(1.0), &alice, &bob);
     mail.check_at(SimTime::from_units(50.0), &bob);
-    mail.sim.run_to_quiescence();
+    // Bounded, so a livelocked protocol fails loudly instead of spinning.
+    assert!(
+        mail.sim.run_to_quiescence_bounded(100_000),
+        "one send and one check did not quiesce within 100k events"
+    );
 
     let stats = mail.stats.borrow();
     println!("submitted: {}", stats.submitted);
