@@ -106,7 +106,8 @@ impl Dump {
     /// # Errors
     ///
     /// Returns a message naming the offending line on malformed JSON, a
-    /// missing or mismatched header, or an unknown span stage.
+    /// header that is missing, not first, repeated or of another schema
+    /// version, or an unknown span stage.
     pub fn parse(text: &str) -> Result<Dump, String> {
         let mut dump = Dump::default();
         let mut saw_header = false;
@@ -116,6 +117,16 @@ impl Dump {
             }
             let line: ObsLine =
                 serde_json::from_str(raw).map_err(|e| format!("line {}: {e}", i + 1))?;
+            // The header carries the schema version every later line is
+            // read under, so it comes first and only once.
+            if saw_header == matches!(line, ObsLine::Header { .. }) {
+                let why = if saw_header {
+                    "a second Header line"
+                } else {
+                    "the first line must be the Header"
+                };
+                return Err(format!("line {}: {why}", i + 1));
+            }
             match line {
                 ObsLine::Header {
                     schema_version,
@@ -581,7 +592,7 @@ impl Dump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{export_jsonl, RunTelemetry};
+    use crate::export::{export_jsonl, reference_jsonl, RunTelemetry};
     use lems_sim::metrics::MetricsRegistry;
     use lems_sim::span::NO_NODE;
 
@@ -589,7 +600,32 @@ mod tests {
         SimTime::from_units(u)
     }
 
-    fn demo_dump() -> Dump {
+    /// The parts of a run with every record kind ([`RunTelemetry`] only
+    /// borrows them).
+    struct DemoRun {
+        log: SpanLog,
+        scopes: Vec<(String, MetricsRegistry)>,
+        recoveries: Vec<lems_core::store::StoreRecovery>,
+        store: Vec<(String, StoreMetrics)>,
+        profile: Vec<lems_sim::prof::ProfSample>,
+    }
+
+    impl DemoRun {
+        fn telemetry(&self) -> RunTelemetry<'_> {
+            RunTelemetry {
+                run: "demo",
+                seed: 7,
+                finished_at: t(10.0),
+                spans: &self.log,
+                recoveries: &self.recoveries,
+                scopes: &self.scopes,
+                store: &self.store,
+                profile: &self.profile,
+            }
+        }
+    }
+
+    fn demo_run() -> DemoRun {
         let mut log = SpanLog::unbounded();
         let s = log.open_keyed(1, t(1.0), SpanStage::Submitted, 0);
         log.record(t(1.5), s, SpanStage::Probe, 0, 4, 0);
@@ -658,18 +694,36 @@ mod tests {
                 ticks: 0,
             },
         ];
-        let text = export_jsonl(&RunTelemetry {
-            run: "demo",
-            seed: 7,
-            finished_at: t(10.0),
-            spans: &log,
-            recoveries: &recoveries,
-            scopes: &scopes,
-            store: &store,
-            profile: &profile,
-        })
-        .expect("exports");
+        DemoRun {
+            log,
+            scopes,
+            recoveries,
+            store,
+            profile,
+        }
+    }
+
+    fn demo_dump() -> Dump {
+        let text = export_jsonl(&demo_run().telemetry()).expect("exports");
         Dump::parse(&text).expect("parses")
+    }
+
+    /// The exporter writes bytes without building a line; the typed
+    /// rendering it replaced says what those bytes must be, and the
+    /// reader gets the span log back event for event.
+    #[test]
+    fn export_equals_the_typed_rendering_and_parses_back() {
+        let run = demo_run();
+        let text = export_jsonl(&run.telemetry()).expect("exports");
+        assert_eq!(text, reference_jsonl(&run.telemetry()));
+        let kinds = [
+            "Header", "Span", "Recovery", "Counter", "Gauge", "Hist", "Metrics", "Profile",
+        ];
+        for kind in kinds {
+            assert!(text.contains(&format!("{{\"{kind}\":")), "no {kind} line");
+        }
+        let dump = Dump::parse(&text).expect("parses");
+        assert_eq!(dump.spans, run.log.events());
     }
 
     #[test]
@@ -791,5 +845,10 @@ mod tests {
         let bad = good.replace("\"schema_version\":3", "\"schema_version\":99");
         let err = Dump::parse(&bad).expect_err("version mismatch");
         assert!(err.contains("schema version 99"));
+        let counter = "{\"Counter\":{\"scope\":\"s\",\"name\":\"n\",\"value\":1}}\n";
+        let err = Dump::parse(&format!("{counter}{good}")).expect_err("header not first");
+        assert!(err.contains("line 1: the first line must be the Header"));
+        let err = Dump::parse(&format!("\n{good}{counter}{good}")).expect_err("two headers");
+        assert!(err.contains("line 4: a second Header line"));
     }
 }

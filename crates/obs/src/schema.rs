@@ -6,7 +6,9 @@
 //! (`u64`, see [`lems_sim::time::TICKS_PER_UNIT`]) — never wall clock —
 //! so a dump is a pure function of the run that produced it.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
+#[cfg(test)]
+use serde::Serialize;
 
 /// Version stamp carried by every dump's header; bump when a field
 /// changes meaning or disappears (additions are fine).
@@ -21,7 +23,12 @@ pub const OBS_SCHEMA_VERSION: u32 = 3;
 ///
 /// Node fields (`site`, `peer`) carry raw node ids with `u64::MAX` as the
 /// "none" sentinel, mirroring [`lems_sim::span::NO_NODE`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// This is the type the reader deserialises. The exporter writes the same
+/// bytes without building one ([`crate::export`]); `Serialize` is derived
+/// for tests only, as the rendering the exporter is compared with.
+#[derive(Clone, Debug, PartialEq, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 pub enum ObsLine {
     /// First line of every dump: what produced it.
     Header {
