@@ -16,12 +16,10 @@
 use std::fmt;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::fuzzy::lower_into;
 
 /// The attribute vocabulary.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum AttrKey {
     /// Given name.
     FirstName,
@@ -73,7 +71,7 @@ impl fmt::Display for AttrKey {
 }
 
 /// An attribute value.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum AttrValue {
     /// Free text (matched case-insensitively).
     Text(String),
@@ -120,7 +118,7 @@ impl From<i64> for AttrValue {
 }
 
 /// Who may see an attribute.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Visibility {
     /// Anyone.
     Public,
@@ -175,7 +173,7 @@ impl Requester {
 }
 
 /// One stored attribute: value plus visibility.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Attribute {
     /// The value.
     pub value: AttrValue,
@@ -198,7 +196,7 @@ pub struct Attribute {
 /// assert_eq!(a.len(), 3);
 /// assert_eq!(a.values(&AttrKey::FirstName).count(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AttributeSet {
     /// One allocation per profile: sorted by key, the values of one key in
     /// the order they were added.

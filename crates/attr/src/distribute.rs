@@ -14,14 +14,13 @@
 
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
-use serde::{Deserialize, Serialize};
 
 use crate::attribute::RequesterContext;
 use crate::query::Query;
 use crate::search::AttributeNetwork;
 
 /// The pre-send estimate shown to the user.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DistributionEstimate {
     /// `(region, cost)` rows of the §3.3.1B table.
     pub region_costs: Vec<(RegionId, f64)>,

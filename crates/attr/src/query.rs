@@ -5,13 +5,11 @@
 //! attribute predicates; evaluation respects per-attribute visibility and
 //! supports fuzzy name predicates for the directory-lookup application.
 
-use serde::{Deserialize, Serialize};
-
 use crate::attribute::{AttrKey, AttrValue, AttributeSet, Requester, RequesterContext};
 use crate::fuzzy::{lower_into, Needle};
 
 /// A predicate over one attribute key.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Predicate {
     /// Text equals (case-insensitive) or number equals.
     Equals(AttrValue),
@@ -36,7 +34,7 @@ pub enum Predicate {
 }
 
 /// A boolean query over attributes.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Query {
     /// A predicate on one key: satisfied if *any* visible value matches.
     Attr(AttrKey, Predicate),

@@ -8,7 +8,6 @@
 use std::collections::BTreeMap;
 
 use lems_core::name::MailName;
-use serde::{Deserialize, Serialize};
 
 use crate::attribute::{AttributeSet, RequesterContext};
 use crate::query::{PreparedQuery, Query, Scratch};
@@ -34,7 +33,7 @@ use crate::query::{PreparedQuery, Query, Scratch};
 /// assert_eq!(hits.len(), 1);
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AttributeRegistry {
     profiles: BTreeMap<MailName, AttributeSet>,
 }

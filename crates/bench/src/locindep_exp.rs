@@ -194,7 +194,7 @@ pub fn c5_world(seed: u64) -> Topology {
 
 /// One row of the *actor-measured* mobility sweep: the same question as
 /// [`mobility_sweep`], answered by the running System-2 protocol
-/// (`lems_locindep::actors`) instead of the analytic cost model.
+/// (`lems_locindep::roaming_deployment`) instead of the analytic cost model.
 #[derive(Clone, Copy, Debug)]
 pub struct ActorMobilityRow {
     /// Fraction of recipients who roamed before their mail arrived.
@@ -203,7 +203,8 @@ pub struct ActorMobilityRow {
     pub consults_per_message: f64,
     /// Notifications that reached a non-primary host.
     pub roaming_notifications: u64,
-    /// Mean submission-to-notification latency (units).
+    /// Mean submission-to-deposit latency (units); the alert leaves the
+    /// depositing server at that instant unless it has to consult peers.
     pub notify_latency: f64,
 }
 
@@ -216,27 +217,33 @@ pub struct ActorMobilityRow {
 /// consultation or the primary-host default — the §3.2.2c "server has to
 /// consult with other local servers" path.
 pub fn actor_mobility_sweep(fractions: &[f64], seed: u64) -> Vec<ActorMobilityRow> {
-    use lems_locindep::actors::RoamDeployment;
     use lems_sim::time::SimTime;
+    use lems_syntax::DeploymentConfig;
 
     fractions
         .iter()
         .map(|&frac| {
             let mut rng = SimRng::seed(seed).fork(&format!("actor-mob{frac}"));
             let topo = distinct_world(seed, 1, 3, 6);
-            let mut d = RoamDeployment::build(&topo, &[2; 6], 32, seed);
-            let users: Vec<lems_core::name::MailName> = d.users.keys().cloned().collect();
-            let hosts = topo.hosts_in(lems_net::topology::RegionId(0));
+            let cfg = DeploymentConfig {
+                seed,
+                ..DeploymentConfig::default()
+            };
+            let mut d = lems_locindep::roaming_deployment(&topo, &[2; 6], 32, &cfg);
+            let users = d.user_names();
+            let hosts = topo.hosts();
+            let homes: Vec<_> = users
+                .iter()
+                .map(|u| d.directory.by_name(u).expect("registered").home_host)
+                .collect();
 
             // Everyone starts logged in at their primary host.
-            for (i, u) in users.iter().enumerate() {
-                let home = d.users[u];
+            for (i, (u, &home)) in users.iter().zip(&homes).enumerate() {
                 d.login_at(SimTime::from_units(1.0 + i as f64 * 0.1), u, home);
             }
             // A fraction roams to a random other host at t=50.
-            for u in &users {
+            for (u, &home) in users.iter().zip(&homes) {
                 if rng.chance(frac) {
-                    let home = d.users[u];
                     let away = *hosts
                         .iter()
                         .filter(|&&h| h != home)
@@ -255,9 +262,9 @@ pub fn actor_mobility_sweep(fractions: &[f64], seed: u64) -> Vec<ActorMobilityRo
             let st = d.stats.borrow();
             ActorMobilityRow {
                 moved_fraction: frac,
-                consults_per_message: st.consults as f64 / st.stored.max(1) as f64,
-                roaming_notifications: st.notified - st.notified_at_primary,
-                notify_latency: st.notify_latency.mean(),
+                consults_per_message: st.consults as f64 / st.deposited.max(1) as f64,
+                roaming_notifications: st.notifications - st.notified_at_primary,
+                notify_latency: st.delivery_latency.mean(),
             }
         })
         .collect()

@@ -22,12 +22,11 @@
 
 use std::collections::BTreeSet;
 
-use lems_locindep::actors::RoamDeployment;
+use lems_locindep::roaming_deployment;
 use lems_net::generators::{fig1, multi_region, MultiRegionConfig};
 use lems_sim::rng::SimRng;
 use lems_sim::sched::{ExploreBounds, Explorer, ReplayScheduler, Schedule, Scheduler};
 use lems_sim::time::SimTime;
-use lems_sim::trace::Trace;
 use lems_syntax::actors::{Deployment, DeploymentConfig, ServerFailurePlan};
 
 use crate::audit::audit_trace;
@@ -90,36 +89,30 @@ fn t(u: f64) -> SimTime {
     SimTime::from_units(u)
 }
 
-/// FNV-1a over the rendered trace stream: schedules that differ in any
-/// observable event (order, timing, kind, endpoints) differ here. Thin
-/// alias over the kernel's canonical [`Trace::digest`] so explore
-/// fingerprints and the kernel-equivalence pins share one algorithm.
-fn trace_digest(trace: &Trace) -> u64 {
-    trace.digest()
+/// Installs `scheduler` and runs to quiescence within [`RUN_EVENT_BUDGET`].
+fn run_under(d: &mut Deployment, scheduler: impl Scheduler + 'static) -> bool {
+    d.sim.set_scheduler(Box::new(scheduler));
+    d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET)
 }
 
-/// Generic DFS driver: rebuild, install scheduler, run, check, backtrack.
+/// DFS driver: rebuild, install scheduler, run, check, backtrack.
 ///
 /// `check` returns the violated-invariant lines for one terminal state
-/// (empty = clean); `fingerprint` must capture everything `check` looks at,
-/// so replay verification can compare terminal states across runs.
-fn drive<D>(
+/// (empty = clean); [`fingerprint`] captures everything the shipped checks
+/// look at, so replay verification can compare terminal states across runs.
+fn drive(
     name: &'static str,
     description: &'static str,
     bounds: ExploreBounds,
-    build: impl Fn() -> D,
-    install: impl Fn(&mut D, Box<dyn Scheduler>),
-    run: impl Fn(&mut D) -> bool,
-    check: impl Fn(&D, bool) -> Vec<String>,
-    fingerprint: impl Fn(&D) -> u64,
+    build: impl Fn() -> Deployment,
+    check: impl Fn(&Deployment, bool) -> Vec<String>,
 ) -> ExploreOutcome {
     let mut ex = Explorer::new(bounds);
     let mut distinct: BTreeSet<u64> = BTreeSet::new();
     let mut counterexample: Option<Counterexample> = None;
     loop {
         let mut d = build();
-        install(&mut d, Box::new(ex.begin_run()));
-        let quiesced = run(&mut d);
+        let quiesced = run_under(&mut d, ex.begin_run());
         let violations = check(&d, quiesced);
         let print = fingerprint(&d);
         distinct.insert(print);
@@ -129,11 +122,7 @@ fn drive<D>(
             // counterexample must reproduce byte-identically or it is
             // useless as a regression artefact.
             let mut replay = build();
-            install(
-                &mut replay,
-                Box::new(ReplayScheduler::new(schedule.clone())),
-            );
-            let replay_quiesced = run(&mut replay);
+            let replay_quiesced = run_under(&mut replay, ReplayScheduler::new(schedule.clone()));
             let replay_verified =
                 fingerprint(&replay) == print && check(&replay, replay_quiesced) == violations;
             counterexample = Some(Counterexample {
@@ -156,8 +145,8 @@ fn drive<D>(
     }
 }
 
-/// Terminal checks for a System-1 deployment: trace conservation laws,
-/// no-stuck-retry, and no-lost-mail.
+/// Terminal checks for a deployment of either system: trace conservation
+/// laws, no-stuck-retry, and no-lost-mail.
 fn system1_checks(d: &Deployment, quiesced: bool) -> Vec<String> {
     let mut out = Vec::new();
     if !quiesced {
@@ -208,9 +197,9 @@ fn system1_checks(d: &Deployment, quiesced: bool) -> Vec<String> {
     out
 }
 
-fn system1_fingerprint(d: &Deployment) -> u64 {
+fn fingerprint(d: &Deployment) -> u64 {
     let stats = d.stats.borrow();
-    let mut h = trace_digest(d.sim.trace());
+    let mut h = d.sim.trace().digest();
     for x in [
         stats.submitted,
         stats.retrieved,
@@ -262,10 +251,7 @@ pub fn s1_steady(seed: u64, bounds: ExploreBounds) -> ExploreOutcome {
         "System-1, 3 servers, 3 users, coincident send bursts, no failures",
         bounds,
         move || s1_steady_deployment(seed),
-        |d, s| d.sim.set_scheduler(s),
-        |d| d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
         system1_checks,
-        system1_fingerprint,
     )
 }
 
@@ -290,65 +276,8 @@ pub fn s1_crash(seed: u64, bounds: ExploreBounds) -> ExploreOutcome {
         "System-1, 3 servers, coincident send bursts, server 0 down in [6, 40)",
         bounds,
         move || s1_crash_deployment(seed),
-        |d, s| d.sim.set_scheduler(s),
-        |d| d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
         system1_checks,
-        system1_fingerprint,
     )
-}
-
-/// Terminal checks for a System-2 deployment. No faults are injected in
-/// the explore scenario, so every submission must be stored exactly once
-/// (hop-by-hop acks may retransmit; dedup must absorb it) and every
-/// delivery session must converge.
-fn system2_checks(d: &RoamDeployment, quiesced: bool) -> Vec<String> {
-    let mut out = Vec::new();
-    if !quiesced {
-        out.push(format!(
-            "no-stuck-retry: {RUN_EVENT_BUDGET} events processed without quiescence"
-        ));
-    }
-    let trace = audit_trace(d.sim.trace());
-    out.extend(trace.violations.iter().map(|v| format!("trace: {v}")));
-
-    let stats = d.stats.borrow();
-    if stats.delivery_failures != 0 {
-        out.push(format!(
-            "no-lost-mail: {} delivery failure(s) on a fault-free network",
-            stats.delivery_failures
-        ));
-    }
-    if stats.stored != stats.submitted {
-        out.push(format!(
-            "no-lost-mail: submitted {} but stored {} (duplicate or lost deposit)",
-            stats.submitted, stats.stored
-        ));
-    }
-    if d.mail_in_storage() as u64 != stats.stored {
-        out.push(format!(
-            "no-lost-mail: stored counter {} disagrees with {} message(s) in storage",
-            stats.stored,
-            d.mail_in_storage()
-        ));
-    }
-    out
-}
-
-fn system2_fingerprint(d: &RoamDeployment) -> u64 {
-    let stats = d.stats.borrow();
-    let mut h = trace_digest(d.sim.trace());
-    for x in [
-        stats.submitted,
-        stats.stored,
-        stats.notified,
-        stats.consults,
-        stats.retransmits,
-        stats.delivery_failures,
-    ] {
-        h ^= x;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// System-2 (location-independent addressing) shrunk to explorable size:
@@ -356,7 +285,7 @@ fn system2_fingerprint(d: &RoamDeployment) -> u64 {
 /// sends at the same instant, racing the `LocationUpdate` broadcasts
 /// against mail routing — the orderings where mail outruns the location
 /// update are exactly the ones a single seed rarely hits.
-fn s2_roam_deployment(seed: u64) -> RoamDeployment {
+fn s2_roam_deployment(seed: u64) -> Deployment {
     let mut rng = SimRng::seed(seed).fork("explore-s2-topo");
     let topo = multi_region(
         &mut rng,
@@ -367,10 +296,17 @@ fn s2_roam_deployment(seed: u64) -> RoamDeployment {
             ..MultiRegionConfig::default()
         },
     );
-    let mut d = RoamDeployment::build(&topo, &[1, 1, 1], 16, seed);
+    let cfg = DeploymentConfig {
+        seed,
+        ..DeploymentConfig::default()
+    };
+    let mut d = roaming_deployment(&topo, &[1, 1, 1], 16, &cfg);
     d.sim.enable_trace(usize::MAX);
-    let users: Vec<_> = d.users.keys().cloned().collect();
-    let homes: Vec<_> = users.iter().map(|u| d.users[u]).collect();
+    let users = d.user_names();
+    let homes: Vec<_> = users
+        .iter()
+        .filter_map(|u| Some(d.directory.by_name(u)?.home_host))
+        .collect();
     // Everyone logs in at the same instant — at their *neighbour's* host,
     // so location knowledge matters — and the first user immediately
     // mails the other two, racing the location broadcasts.
@@ -380,6 +316,9 @@ fn s2_roam_deployment(seed: u64) -> RoamDeployment {
     d.send_at(t(1.0), &users[0], &users[1]);
     d.send_at(t(1.0), &users[0], &users[2]);
     d.send_at(t(1.0), &users[1], &users[2]);
+    for (i, u) in users.iter().enumerate() {
+        d.check_at(t(120.0 + i as f64), u);
+    }
     d
 }
 
@@ -390,14 +329,35 @@ pub fn s2_roam(seed: u64, bounds: ExploreBounds) -> ExploreOutcome {
         "System-2, 2 servers, 3 roaming users: logins race mail routing",
         bounds,
         move || s2_roam_deployment(seed),
-        |d, s| d.sim.set_scheduler(s),
-        |d| d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
-        system2_checks,
-        system2_fingerprint,
+        system1_checks,
     )
 }
 
-/// Trace digests of the three explore deployments run once each under the
+/// The twin of [`s1_crash`] on the System-2 world: the first server — a
+/// sub-group's only authority and a tracking peer — dies at t=4 with
+/// submissions accepted and login reports, location updates and forwards
+/// in flight, and recovers at t=40, before the check wave.
+fn s2_crash_deployment(seed: u64) -> Deployment {
+    let mut d = s2_roam_deployment(seed);
+    let first = d.problem.servers[0].0;
+    let mut plan = ServerFailurePlan::new();
+    plan.add(first, t(4.0), t(40.0));
+    d.apply_server_failures(&plan);
+    d
+}
+
+/// Exhaustive exploration of the System-2 crash-point scenario.
+pub fn s2_crash(seed: u64, bounds: ExploreBounds) -> ExploreOutcome {
+    drive(
+        "s2-crash",
+        "System-2, 2 servers, 3 roaming users, server 0 down in [4, 40)",
+        bounds,
+        move || s2_crash_deployment(seed),
+        system1_checks,
+    )
+}
+
+/// Trace digests of the four explore deployments run once each under the
 /// default FIFO engine (no scheduler installed). These are the kernel-level
 /// fingerprints `tests/kernel_equivalence.rs` pins against the committed
 /// pre-refactor values: the explore workloads exercise contended
@@ -410,25 +370,16 @@ pub fn s2_roam(seed: u64, bounds: ExploreBounds) -> ExploreOutcome {
 /// the shipped explore scenarios always do, so non-quiescence means the
 /// engine itself regressed.
 pub fn kernel_fifo_digests(seed: u64) -> Vec<(&'static str, u64)> {
-    let mut s1 = s1_steady_deployment(seed);
-    assert!(
-        s1.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
-        "s1-steady failed to quiesce"
-    );
-    let mut s1c = s1_crash_deployment(seed);
-    assert!(
-        s1c.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
-        "s1-crash failed to quiesce"
-    );
-    let mut s2 = s2_roam_deployment(seed);
-    assert!(
-        s2.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
-        "s2-roam failed to quiesce"
-    );
+    let digest = |name, mut d: Deployment| {
+        let quiesced = d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET);
+        assert!(quiesced, "{name} failed to quiesce");
+        (name, d.sim.trace().digest())
+    };
     vec![
-        ("s1-steady", s1.sim.trace().digest()),
-        ("s1-crash", s1c.sim.trace().digest()),
-        ("s2-roam", s2.sim.trace().digest()),
+        digest("s1-steady", s1_steady_deployment(seed)),
+        digest("s1-crash", s1_crash_deployment(seed)),
+        digest("s2-roam", s2_roam_deployment(seed)),
+        digest("s2-crash", s2_crash_deployment(seed)),
     ]
 }
 
@@ -438,6 +389,7 @@ pub fn run_all(seed: u64, bounds: ExploreBounds) -> Vec<ExploreOutcome> {
         s1_steady(seed, bounds),
         s1_crash(seed, bounds),
         s2_roam(seed, bounds),
+        s2_crash(seed, bounds),
     ]
 }
 
@@ -455,16 +407,19 @@ mod tests {
     }
 
     #[test]
-    fn s2_roam_explores_clean() {
-        let o = s2_roam(3, bounds(20_000));
-        assert!(
-            o.is_clean(),
-            "counterexample {:?}",
-            o.counterexample
-                .as_ref()
-                .map(|c| (&c.schedule, &c.violations))
-        );
-        assert!(o.schedules >= 2, "logins/sends must contend");
+    fn s2_roam_and_crash_explore_clean() {
+        for o in [s2_roam(3, bounds(20_000)), s2_crash(3, bounds(20_000))] {
+            assert!(
+                o.is_clean(),
+                "{}: counterexample {:?}",
+                o.name,
+                o.counterexample
+                    .as_ref()
+                    .map(|c| (&c.schedule, &c.violations))
+            );
+            assert!(o.schedules >= 2, "logins/sends must contend");
+            assert!(!o.truncated);
+        }
     }
 
     /// Injected violation: a check that rejects a specific message order
@@ -476,27 +431,24 @@ mod tests {
         let baseline = {
             let mut d = s1_steady_deployment(3);
             assert!(d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET));
-            system1_fingerprint(&d)
+            fingerprint(&d)
         };
         let o = drive(
             "synthetic",
             "synthetic failing check",
             bounds(50),
             || s1_steady_deployment(3),
-            |d, s| d.sim.set_scheduler(s),
-            |d| d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET),
             // "Violation": any terminal state that differs from the FIFO
             // baseline. The very second schedule diverges, so the
             // replay-verification path is exercised for real — on a
             // schedule with a non-trivial branch-choice list.
             move |d, _| {
-                if system1_fingerprint(d) == baseline {
+                if fingerprint(d) == baseline {
                     Vec::new()
                 } else {
                     vec!["synthetic: diverged from the FIFO baseline".into()]
                 }
             },
-            system1_fingerprint,
         );
         let cx = o
             .counterexample

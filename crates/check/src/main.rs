@@ -39,7 +39,7 @@ commands:
                                   deployments, audit each terminal trace, and
                                   print failing schedules as replayable
                                   branch-choice lists
-                                  (scenarios: s1-steady, s1-crash, s2-roam;
+                                  (scenarios: s1-steady, s1-crash, s2-roam, s2-crash;
                                    default: all, seed 3;
                                    --require-exhaustive also fails runs the
                                    bounds truncated)
@@ -209,7 +209,7 @@ fn run_explore(args: &[String]) -> ExitCode {
     if outcomes.is_empty() {
         eprintln!(
             "lems-check explore: no scenario matches {wanted:?} \
-             (have: s1-steady, s1-crash, s2-roam)"
+             (have: s1-steady, s1-crash, s2-roam, s2-crash)"
         );
         return ExitCode::from(2);
     }

@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, HashMap};
 
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
-use serde::{Deserialize, Serialize};
 
 use crate::name::MailName;
 use crate::user::{AuthorityList, UserId, UserRecord};
@@ -69,7 +68,7 @@ impl std::error::Error for DirectoryError {}
 /// assert_eq!(dir.region_of_name("east"), Some(RegionId(0)));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Directory {
     users: Vec<UserRecord>,
     by_name: BTreeMap<MailName, UserId>,
@@ -219,7 +218,7 @@ impl Directory {
 /// The slice of the name database one server holds: records for users it
 /// is an authority for, plus the region routing knowledge every server
 /// replicates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServerView {
     server: NodeId,
     records: BTreeMap<MailName, UserRecord>,

@@ -14,7 +14,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use lems_net::graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::name::{NameLevel, ParseNameError};
 
@@ -32,7 +31,7 @@ use crate::name::{NameLevel, ParseNameError};
 /// assert!(n.starts_with(&"usa.east".parse()?));
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct HierName {
     tokens: Vec<String>,
 }
@@ -168,7 +167,7 @@ impl FromStr for HierName {
 /// assert_eq!(zone_depth, 2);
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ZoneTable {
     root: NodeId,
     zones: BTreeMap<HierName, NodeId>,

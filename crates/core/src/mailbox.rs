@@ -8,18 +8,16 @@
 //! the GetMail algorithm relies on.
 
 use lems_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::message::{Message, MessageId};
 use crate::name::MailName;
 
 /// One message as stored on a server.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StoredMessage {
     /// The message itself.
     pub message: Message,
     /// When the server deposited it.
-    #[serde(skip, default = "SimTime::default")]
     pub deposited_at: SimTime,
 }
 
@@ -97,13 +95,12 @@ pub struct StoredMessage {
 /// `retrieved_total` deliberately counts only messages handed to a user
 /// (drains and targeted removals); expiry is storage reclamation, not
 /// retrieval, and is ledgered separately in `expired_total`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mailbox {
     owner: MailName,
     stored: Vec<StoredMessage>,
     deposited_total: u64,
     retrieved_total: u64,
-    #[serde(default)]
     expired_total: u64,
 }
 

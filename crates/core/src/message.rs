@@ -4,12 +4,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use lems_sim::time::SimTime;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::name::MailName;
 
 /// Globally unique message identifier (unique per simulation run).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MessageId(pub u64);
 
 impl fmt::Display for MessageId {
@@ -53,7 +52,7 @@ impl MessageIdGen {
 pub struct Message(Arc<MessageData>);
 
 /// The contents of a [`Message`].
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MessageData {
     /// Unique id.
     pub id: MessageId,
@@ -66,7 +65,6 @@ pub struct MessageData {
     /// Body text.
     pub body: String,
     /// Simulated instant the user interface submitted the message.
-    #[serde(skip, default = "SimTime::default")]
     pub submitted_at: SimTime,
 }
 
@@ -124,18 +122,6 @@ impl fmt::Debug for Message {
     }
 }
 
-impl Serialize for Message {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for Message {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        MessageData::deserialize(deserializer).map(|data| Message(Arc::new(data)))
-    }
-}
-
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -147,7 +133,7 @@ impl fmt::Display for Message {
 }
 
 /// Where a message currently stands in its lifecycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DeliveryStatus {
     /// Accepted by a mail server, waiting for resolution/forwarding.
     Accepted,
@@ -161,7 +147,7 @@ pub enum DeliveryStatus {
 }
 
 /// Why a message bounced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BounceReason {
     /// The recipient name failed to resolve anywhere.
     UnknownRecipient,

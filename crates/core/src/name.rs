@@ -17,8 +17,6 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// Error produced when parsing or validating a [`MailName`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ParseNameError {
@@ -271,32 +269,6 @@ impl FromStr for MailName {
     }
 }
 
-/// The serialised shape of a [`MailName`]: `{region, host, user}`.
-#[derive(Serialize, Deserialize)]
-struct NameTokens {
-    region: String,
-    host: String,
-    user: String,
-}
-
-impl Serialize for MailName {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        NameTokens {
-            region: self.region().to_owned(),
-            host: self.host().to_owned(),
-            user: self.user().to_owned(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for MailName {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let t = NameTokens::deserialize(deserializer)?;
-        MailName::new(&t.region, &t.host, &t.user).map_err(serde::de::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,21 +337,6 @@ mod tests {
         assert!(e.to_string().contains("three components"));
         let e = "a..c".parse::<MailName>().unwrap_err();
         assert!(e.to_string().contains("host"));
-    }
-
-    /// Pins the serialised shape: the three tokens by name, nothing about
-    /// the in-memory buffer.
-    #[test]
-    fn serde_shape_is_the_three_tokens() {
-        let n: MailName = "west.pc-7.bob_2".parse().unwrap();
-        let json = serde_json::to_string(&n).unwrap();
-        assert_eq!(json, r#"{"region":"west","host":"pc-7","user":"bob_2"}"#);
-        let back: MailName = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, n);
-        assert_eq!(back.host(), "pc-7");
-        assert!(
-            serde_json::from_str::<MailName>(r#"{"region":"a.b","host":"h","user":"u"}"#).is_err()
-        );
     }
 
     fn hash_of<T: Hash>(v: &T) -> u64 {

@@ -3,12 +3,11 @@
 use std::fmt;
 
 use lems_net::graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::name::MailName;
 
 /// Dense user identifier within one deployment.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct UserId(pub usize);
 
 impl fmt::Display for UserId {
@@ -36,7 +35,7 @@ impl fmt::Display for UserId {
 /// assert_eq!(list.len(), 3);
 /// assert_eq!(list.rank_of(NodeId(5)), Some(1));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AuthorityList {
     servers: Vec<NodeId>,
 }
@@ -100,7 +99,7 @@ impl AuthorityList {
 }
 
 /// A registered mail user.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UserRecord {
     /// Dense id.
     pub id: UserId,

@@ -12,7 +12,6 @@
 
 use lems_net::graph::NodeId;
 use lems_net::shortest_path::DistanceTable;
-use serde::{Deserialize, Serialize};
 
 /// Where the recipient currently is, relative to their primary location.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub enum UserLocation {
 }
 
 /// How a cross-region user receives mail sent to their old name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CrossRegionPolicy {
     /// The user remotely logs into the old region; interactive traffic
     /// ("very few characters are packed in every remote-access packet")
@@ -51,7 +50,7 @@ pub enum CrossRegionPolicy {
 }
 
 /// Cost parameters for the accounting.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostParams {
     /// Communication cost of one server consultation, per unit of
     /// distance (a request/response round trip = 2).
@@ -75,7 +74,7 @@ impl Default for CostParams {
 }
 
 /// Cost of delivering one message, broken into the paper's components.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeliveryCost {
     /// Sender's server to recipient's (old-name) authority server.
     pub forward_units: f64,

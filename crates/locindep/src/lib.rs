@@ -11,9 +11,8 @@
 //! * [`resolve`] — the per-server resolution procedure built on it;
 //! * [`tracking`] — cooperative user-location tracking among the region's
 //!   servers (§3.2.2c);
-//! * [`actors`] — the running System-2 protocol: login reporting,
-//!   cooperative location tracking, hash-routed delivery, and
-//!   current-location notification over the simulation engine;
+//! * [`deploy`] — the running System-2 protocol: `lems-syntax`'s mail
+//!   path wired with a hashed placement and login tracking;
 //! * [`delivery`] — delivery-cost accounting, including the
 //!   remote-access / redirect / rename trade-off for cross-region moves
 //!   (§3.2.4) measured by the C5 experiment.
@@ -39,16 +38,16 @@
     )
 )]
 
-pub mod actors;
 pub mod delivery;
+pub mod deploy;
 pub mod resolve;
 pub mod subgroup;
 pub mod tracking;
 
-pub use actors::{RoamDeployment, RoamHost, RoamMsg, RoamServer, RoamStats};
 pub use delivery::{
     delivery_cost, rename_breakeven, CostParams, CrossRegionPolicy, DeliveryCost, UserLocation,
 };
+pub use deploy::roaming_deployment;
 pub use resolve::{LocIndepResolver, Resolution};
 pub use subgroup::{RehashReport, SubgroupMap};
 pub use tracking::{LocateOutcome, RegionTracker};

@@ -34,7 +34,7 @@ use crate::topology::Topology;
 /// // The §3.1.1 example: C(H2, S1) is two time units.
 /// assert_eq!(m[1][0], 2.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostMatrix {
     hosts: usize,
     servers: usize,

@@ -15,9 +15,7 @@ use std::fmt;
 use lems_sim::time::{SimDuration, TICKS_PER_UNIT};
 
 /// Identifies a node within one [`Graph`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -27,9 +25,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifies an edge within one [`Graph`] (index into edge list).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EdgeId(pub usize);
 
 impl fmt::Display for EdgeId {
@@ -49,9 +45,7 @@ impl fmt::Display for EdgeId {
 /// assert_eq!(w.as_units(), 1.5);
 /// assert_eq!((w + w).as_units(), 3.0);
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Weight(pub u64);
 
 impl Weight {

@@ -13,9 +13,7 @@ use crate::graph::{EdgeId, Graph, NodeId, Weight};
 use crate::shortest_path::DistanceTable;
 
 /// Identifies a region (globally unique per §3.1.1).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RegionId(pub usize);
 
 impl fmt::Display for RegionId {

@@ -1,5 +1,5 @@
-//! The simulated System-1 mail system: host (user-interface) and server
-//! actors over the `lems-sim` engine.
+//! The simulated mail system: host (user-interface) and server actors
+//! over the `lems-sim` engine — the one mail path of Systems 1 and 2.
 //!
 //! This module wires the pure algorithms — server assignment
 //! ([`crate::assign`]), syntax-directed resolution ([`crate::resolve`]),
@@ -18,6 +18,14 @@
 //! Failures come from a [`FailurePlan`]; down servers silently drop
 //! traffic, and every recovery bumps the server's `LastStartTime`, exactly
 //! the signal GetMail keys on.
+//!
+//! What §3.2 changes is data, not code: *who a name's servers are* is the
+//! [`Placement`] that [`Deployment::wire`] is handed (the §3.1.1 solution
+//! in [`Deployment::build`], a hashed sub-group server in `lems-locindep`),
+//! and *where the alert goes* is a per-server location table fed by
+//! [`MailMsg::DoLogin`]. With no logins and no tracking peers — every
+//! System-1 deployment — the table is empty and the alert goes to the home
+//! host: System 1 is System 2 in which nobody roams.
 //!
 //! [`FailurePlan`]: lems_sim::failure::FailurePlan
 
@@ -136,6 +144,55 @@ pub enum MailMsg {
         /// Ids received by the host.
         ids: Vec<MessageId>,
     },
+    /// Workload injection: `user` logs on at this host (§3.2.2c), which
+    /// starts serving them if it does not already.
+    DoLogin {
+        /// The user logging in.
+        user: MailName,
+        /// Where their mail is kept, for a host that has to adopt them.
+        authorities: AuthorityList,
+    },
+    /// Host -> server: `user` is now at `host` ("whenever a user logs on to
+    /// a host, the host will inform the nearest active server").
+    LoginReport {
+        /// The user.
+        user: MailName,
+        /// Their current host.
+        host: NodeId,
+        /// When the login happened (hosts and servers share coarsely
+        /// synchronised clocks, the same assumption GetMail makes).
+        at: SimTime,
+    },
+    /// Server -> peer: a [`MailMsg::LoginReport`] passed on ("all servers
+    /// in a region will cooperate to keep track of the movement of users").
+    /// The login's own timestamp travels with it, so facts racing over
+    /// different-length paths resolve last-writer-wins, not last-arrival.
+    LocationUpdate {
+        /// The user.
+        user: MailName,
+        /// Their current host.
+        host: NodeId,
+        /// When the login happened.
+        at: SimTime,
+    },
+    /// Server -> peer: where is `user`? Asked by a depositing server that
+    /// holds no location for the recipient.
+    WhereIs {
+        /// The user sought.
+        user: MailName,
+        /// The deposited message whose alert awaits the answer.
+        pending: MessageId,
+        /// Who is asking.
+        reply_to: NodeId,
+    },
+    /// Peer's answer to [`MailMsg::WhereIs`].
+    LocationReply {
+        /// The message this answers for.
+        pending: MessageId,
+        /// The host and the login time the peer holds, if any — the same
+        /// pair a [`MailMsg::LocationUpdate`] would have carried.
+        found: Option<(NodeId, SimTime)>,
+    },
 }
 
 /// Shared run statistics (single-threaded simulation: `Rc<RefCell<_>>`).
@@ -160,6 +217,17 @@ pub struct DeliveryStats {
     pub retransmits: u64,
     /// Notifications sent to recipient hosts.
     pub notifications: u64,
+    /// Notifications that location tracking (a table entry, or a finished
+    /// round of `WhereIs`) aimed at the user's primary host. Zero without
+    /// tracking, so `notifications - notified_at_primary` counts roaming
+    /// alerts only where servers have peers.
+    pub notified_at_primary: u64,
+    /// `WhereIs` consultations sent to peers (§3.2.2c: "only incurred if a
+    /// user moves").
+    pub consults: u64,
+    /// Deposits with nobody to alert: the depositing server holds no
+    /// record of the recipient.
+    pub unknown_location: u64,
     /// Messages currently sitting in server storage (live gauge).
     pub in_storage_now: u64,
     /// Largest value `in_storage_now` ever reached (§4.4 "storage space
@@ -386,6 +454,11 @@ pub struct HostActor {
     // protocol decisions, and hash-order iteration would make replays
     // diverge between runs (`HashMap` is a `clippy.toml` ban here).
     submits: BTreeMap<MessageId, SubmitTask>,
+    /// Servers this host contacts before a user's own authority list,
+    /// nearest first (§3.2.2a: "a user always contacts the nearest active
+    /// server"). Empty under a §3.1.1 placement, where the user's list is
+    /// the whole connection-setup order.
+    contact: Vec<NodeId>,
     id_gen: Rc<RefCell<MessageIdGen>>,
     stats: SharedStats,
     /// Notifications received (user -> count) — the alert signal of
@@ -410,6 +483,19 @@ struct UserSlot {
 /// timeout carries its message id, a retrieve timeout this bit plus the
 /// checking user's slot.
 const RETRIEVE_TAG: u64 = 1 << 63;
+
+/// Connection-setup order for a user of a host: the host's `contact`
+/// servers, then the user's own authority list.
+fn submit_order<'a>(
+    contact: &'a [NodeId],
+    authorities: &'a AuthorityList,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let own = authorities.servers().iter();
+    contact
+        .iter()
+        .chain(own.filter(move |s| !contact.contains(s)))
+        .copied()
+}
 
 impl HostActor {
     /// Adopts `ui` under `name`, giving it a slot on this host.
@@ -485,7 +571,7 @@ impl HostActor {
             self.bounce_here(msg.id, BounceReason::UnknownRecipient, ctx.now());
             return;
         };
-        let remaining: VecDeque<NodeId> = user.authorities.servers().iter().copied().collect();
+        let remaining: VecDeque<NodeId> = submit_order(&self.contact, &user.authorities).collect();
         {
             let mut st = self.stats.borrow_mut();
             st.submitted += 1;
@@ -692,6 +778,27 @@ impl Actor for HostActor {
                 *self.alerts.entry(user).or_insert(0) += 1;
                 self.metrics.inc("alerts");
             }
+            MailMsg::DoLogin { user, authorities } => {
+                // Report to the server a submission would reach first.
+                if let Some(server) = submit_order(&self.contact, &authorities).next() {
+                    self.transport.send(
+                        ctx,
+                        self.node,
+                        server,
+                        MailMsg::LoginReport {
+                            user: user.clone(),
+                            host: self.node,
+                            at: ctx.now(),
+                        },
+                        SimDuration::ZERO,
+                    );
+                }
+                // "Any host in the region may be used": a visitor gets a
+                // session here, beside the one their home host keeps.
+                if !self.slot_of.contains_key(&user) {
+                    self.adopt_user(user, UiUser::new(authorities));
+                }
+            }
             MailMsg::RetrieveReply {
                 user: user_name,
                 messages,
@@ -782,7 +889,11 @@ impl Actor for HostActor {
             | MailMsg::Forward { .. }
             | MailMsg::ForwardAck { .. }
             | MailMsg::Retrieve { .. }
-            | MailMsg::RetrieveAck { .. } => {}
+            | MailMsg::RetrieveAck { .. }
+            | MailMsg::LoginReport { .. }
+            | MailMsg::LocationUpdate { .. }
+            | MailMsg::WhereIs { .. }
+            | MailMsg::LocationReply { .. } => {}
         }
     }
 
@@ -890,7 +1001,15 @@ struct ForwardTask {
     hops_left: u32,
 }
 
-/// A System-1 mail server.
+/// A deposited message whose alert awaits a peer's [`MailMsg::LocationReply`].
+#[derive(Clone, Debug)]
+struct Lookup {
+    user: MailName,
+    /// How many of `peers` have been asked.
+    asked: usize,
+}
+
+/// A mail server.
 pub struct ServerActor {
     node: NodeId,
     transport: Rc<Transport>,
@@ -914,6 +1033,16 @@ pub struct ServerActor {
     /// with the process and recovery re-routes from the journal (see
     /// [`Actor::on_recover`]).
     forwards: BTreeMap<MessageId, ForwardTask>,
+    /// §3.2.2c tracking: where users last logged in, with the login's own
+    /// timestamp (last writer wins). Process state like `forwards`, and
+    /// empty for good in a deployment where nobody logs in.
+    locations: BTreeMap<MailName, (NodeId, SimTime)>,
+    /// Alerts waiting on a peer's answer. Process state like `forwards`.
+    lookups: BTreeMap<MessageId, Lookup>,
+    /// The servers this one shares location tracking with: told of every
+    /// login reported here, and asked in this order where a recipient is.
+    /// Empty under a §3.1.1 placement.
+    peers: Vec<NodeId>,
     /// The §3.1.4 redirect table, shared across servers (migrated users'
     /// old names forward to their new names while the entry lives).
     redirects: Rc<RefCell<crate::migrate::RedirectTable>>,
@@ -964,11 +1093,6 @@ impl ServerActor {
             NO_NODE,
             0,
         );
-        // Whom to alert is in the record this server holds as the user's
-        // authority. A deposit only ever happens at an authority; the one
-        // way to find no record is a walk that outlived the name (the user
-        // migrated away mid-flight), and then nobody is left to alert.
-        let home_host = self.resolver.view().lookup(&user).map(|rec| rec.home_host);
         debug_assert!(
             !matches!(
                 self.resolver.resolve(&user),
@@ -976,24 +1100,82 @@ impl ServerActor {
             ),
             "deposit for a live name at a server that is not its authority"
         );
-        if let Some(host) = home_host {
-            self.stats.borrow_mut().notifications += 1;
-            self.metrics.inc("notifications");
-            self.spans.borrow_mut().record_keyed(
-                now,
-                id.0,
-                SpanStage::Notified,
-                site(self.node),
-                site(host),
-                0,
-            );
-            self.transport.send(
-                ctx,
-                self.node,
-                host,
-                MailMsg::Notify { user, id },
-                self.proc(),
-            );
+        self.notify(id, Lookup { user, asked: 0 }, ctx);
+    }
+
+    /// Sends the alert signal for deposited message `id`: to the user's
+    /// known location, else — after asking each peer in turn — to the home
+    /// host in the record this server holds as the user's authority ("from
+    /// the user name, the primary location of the user can be obtained",
+    /// §3.2.2c). A deposit only ever happens at an authority; the one way
+    /// to find no record is a walk that outlived the name (the user
+    /// migrated away mid-flight), and then nobody is left to alert.
+    fn notify(&mut self, id: MessageId, mut lookup: Lookup, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(home) = self
+            .resolver
+            .view()
+            .lookup(&lookup.user)
+            .map(|r| r.home_host)
+        else {
+            self.stats.borrow_mut().unknown_location += 1;
+            self.metrics.inc("unknown_location");
+            return;
+        };
+        let known = self.locations.get(&lookup.user).map(|&(host, _)| host);
+        let tracked = known.is_some() || lookup.asked > 0;
+        let host = match (known, self.peers.get(lookup.asked)) {
+            (Some(host), _) => host,
+            (None, None) => home,
+            (None, Some(&peer)) => {
+                self.stats.borrow_mut().consults += 1;
+                self.metrics.inc("consults");
+                let user = lookup.user.clone();
+                lookup.asked += 1;
+                self.lookups.insert(id, lookup);
+                self.transport.send(
+                    ctx,
+                    self.node,
+                    peer,
+                    MailMsg::WhereIs {
+                        user,
+                        pending: id,
+                        reply_to: self.node,
+                    },
+                    self.proc(),
+                );
+                return;
+            }
+        };
+        if tracked && host == home {
+            self.stats.borrow_mut().notified_at_primary += 1;
+            self.metrics.inc("notified_at_primary");
+        }
+        self.stats.borrow_mut().notifications += 1;
+        self.metrics.inc("notifications");
+        self.spans.borrow_mut().record_keyed(
+            ctx.now(),
+            id.0,
+            SpanStage::Notified,
+            site(self.node),
+            site(host),
+            0,
+        );
+        let user = lookup.user;
+        self.transport.send(
+            ctx,
+            self.node,
+            host,
+            MailMsg::Notify { user, id },
+            self.proc(),
+        );
+    }
+
+    /// Applies a location fact if it is newer than what we hold (ties
+    /// break toward the higher host id, deterministically).
+    fn record_location(&mut self, user: MailName, host: NodeId, at: SimTime) {
+        let newer = |&(cur_host, cur_at): &(NodeId, SimTime)| (cur_at, cur_host) < (at, host);
+        if self.locations.get(&user).is_none_or(newer) {
+            self.locations.insert(user, (host, at));
         }
     }
 
@@ -1315,9 +1497,47 @@ impl Actor for ServerActor {
                         .gauge_add(ctx.now(), "storage", -(released as f64));
                 }
             }
+            MailMsg::LoginReport { user, host, at } => {
+                for i in 0..self.peers.len() {
+                    let update = MailMsg::LocationUpdate {
+                        user: user.clone(),
+                        host,
+                        at,
+                    };
+                    self.transport
+                        .send(ctx, self.node, self.peers[i], update, self.proc());
+                }
+                self.record_location(user, host, at);
+            }
+            MailMsg::LocationUpdate { user, host, at } => self.record_location(user, host, at),
+            MailMsg::WhereIs {
+                user,
+                pending,
+                reply_to,
+            } => {
+                let found = self.locations.get(&user).copied();
+                self.transport.send(
+                    ctx,
+                    self.node,
+                    reply_to,
+                    MailMsg::LocationReply { pending, found },
+                    self.proc(),
+                );
+            }
+            MailMsg::LocationReply { pending, found } => {
+                if let Some(lookup) = self.lookups.remove(&pending) {
+                    // The peer's fact merges like any other, so a newer
+                    // `LocationUpdate` that overtook the reply wins.
+                    if let Some((host, at)) = found {
+                        self.record_location(lookup.user.clone(), host, at);
+                    }
+                    self.notify(pending, lookup, ctx);
+                }
+            }
             // Host-bound traffic; a server receiving these ignores them.
             MailMsg::DoSend { .. }
             | MailMsg::DoCheck { .. }
+            | MailMsg::DoLogin { .. }
             | MailMsg::SubmitAck { .. }
             | MailMsg::Notify { .. }
             | MailMsg::RetrieveReply { .. } => {}
@@ -1364,6 +1584,8 @@ impl Actor for ServerActor {
             // task under its tag and does nothing, and timers are not
             // traced, so this cannot perturb the event trace.)
             self.forwards.clear();
+            self.locations.clear();
+            self.lookups.clear();
         }
         // (Earlier revisions always cleared `forwards` here without a
         // durable journal; the trace auditor's conservation check surfaced
@@ -1426,6 +1648,12 @@ impl Actor for ServerActor {
                 self.route(msg, hops_left.max(1), ctx);
             }
         }
+        // A lookup the crash interrupted (none outlives a real process
+        // death) lost its question or its answer while we were down:
+        // alert where the table now says, else ask on.
+        for (id, lookup) in std::mem::take(&mut self.lookups) {
+            self.notify(id, lookup, ctx);
+        }
     }
 }
 
@@ -1462,8 +1690,8 @@ impl Default for DeploymentConfig {
     }
 }
 
-/// A fully wired System-1 deployment: engine, actors, transport, directory,
-/// and statistics.
+/// A fully wired deployment: engine, actors, transport, directory, and
+/// statistics.
 pub struct Deployment {
     /// The simulation engine.
     pub sim: ActorSim<MailMsg>,
@@ -1483,7 +1711,7 @@ pub struct Deployment {
     host_names: BTreeMap<NodeId, String>,
     /// Server node -> actor id.
     server_actors: BTreeMap<NodeId, ActorId>,
-    /// The assignment used to build authority lists.
+    /// The placement's per-host, per-server user counts.
     pub assignment: Assignment,
     /// The assignment problem (for inspecting costs).
     pub problem: AssignmentProblem,
@@ -1496,24 +1724,70 @@ pub struct Deployment {
     pub recoveries: SharedRecoveries,
 }
 
+/// Who serves whom: the input [`Deployment::wire`] turns into actors.
+/// Indices are the problem's — host `i`, server `j`, user `k` of a host.
+#[derive(Clone, Debug)]
+pub struct Placement {
+    /// The world as the §3.1.1 problem describes it (hosts, servers, costs).
+    pub problem: AssignmentProblem,
+    /// How many users of host `i` server `j` serves first.
+    pub assignment: Assignment,
+    /// `authorities[i][k]`: where user `k` of host `i` has mail deposited
+    /// and fetches it, in order.
+    pub authorities: Vec<Vec<AuthorityList>>,
+    /// `contact[i]`: the servers host `i` contacts before a user's own
+    /// list, nearest first (§3.2.2a). Empty lists under §3.1.1.
+    pub contact: Vec<Vec<NodeId>>,
+    /// `peers[j]`: the servers server `j` shares location tracking with
+    /// (§3.2.2c), in the order it asks them. Empty lists under §3.1.1.
+    pub peers: Vec<Vec<NodeId>>,
+}
+
+impl Placement {
+    /// The §3.1.1 placement: authority lists of `list_len` servers drawn
+    /// from a solved assignment; no contact servers, no tracking.
+    fn solved(problem: AssignmentProblem, assignment: Assignment, list_len: usize) -> Self {
+        let server_nodes: Vec<NodeId> = problem.servers.iter().map(|(n, _)| *n).collect();
+        let authorities = (0..problem.host_count())
+            .map(|i| {
+                let ranking = crate::assign::server_ranking(&problem, &assignment, i);
+                let list_for = |&primary_idx: &usize| {
+                    let mut list = vec![server_nodes[primary_idx]];
+                    for &j in &ranking {
+                        if list.len() >= list_len.max(1) {
+                            break;
+                        }
+                        if j != primary_idx {
+                            list.push(server_nodes[j]);
+                        }
+                    }
+                    AuthorityList::new(list)
+                };
+                assignment.server_of_users(i).iter().map(list_for).collect()
+            })
+            .collect();
+        Placement {
+            contact: vec![Vec::new(); problem.host_count()],
+            peers: vec![Vec::new(); problem.server_count()],
+            problem,
+            assignment,
+            authorities,
+        }
+    }
+}
+
 impl Deployment {
     /// Builds a deployment over `topology` with `users_per_host[i]` users on
-    /// the i-th host (topology node order). User names are
-    /// `<region>.<host>.u<k>` from the topology's display names.
-    ///
-    /// Authority lists come from the §3.1.1 assignment: each user's primary
-    /// is their assigned server; secondaries are the next-cheapest servers
-    /// *for their host* at the balanced loads.
+    /// the i-th host (topology node order): solves §3.1.1, draws each user's
+    /// authority list from the solution — primary the assigned server,
+    /// secondaries the next-cheapest servers *for their host* at the
+    /// balanced loads — and [`wire`](Self::wire)s that placement.
     ///
     /// # Panics
     ///
     /// Panics if the topology has no hosts/servers or the population
     /// slice is misaligned — the same conditions as
     /// [`AssignmentProblem::from_topology`].
-    #[expect(
-        clippy::expect_used,
-        reason = "names are generated here: valid and unique by construction"
-    )]
     pub fn build(topology: &Topology, users_per_host: &[u32], cfg: &DeploymentConfig) -> Self {
         let problem = AssignmentProblem::from_topology(
             topology,
@@ -1522,7 +1796,41 @@ impl Deployment {
             cfg.cost_model,
         );
         let (assignment, _report) = solve(&problem, cfg.balance);
+        let placement = Placement::solved(problem, assignment, cfg.authority_list_len);
+        Self::wire(topology, placement, cfg)
+    }
 
+    /// The name [`Deployment::wire`] gives user `k` of `host`:
+    /// `r<region>.<host>.u<k>` from the topology's display names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host's display name is not a valid name token.
+    #[expect(clippy::expect_used, reason = "generator display names are valid")]
+    pub fn user_name(topology: &Topology, host: NodeId, k: usize) -> MailName {
+        let region = format!("r{}", topology.region(host).0);
+        MailName::new(&region, topology.name(host), &format!("u{k}"))
+            .expect("generated names are valid")
+    }
+
+    /// Wires `placement` into running actors, users named by
+    /// [`Deployment::user_name`]. Of `cfg` only the seed, the session layer,
+    /// the durability backend and the servers' processing time are read
+    /// here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement`'s tables are not the size of its problem, or
+    /// the problem's hosts and servers are not `topology`'s.
+    #[expect(clippy::expect_used, reason = "generated names are unique")]
+    pub fn wire(topology: &Topology, placement: Placement, cfg: &DeploymentConfig) -> Self {
+        let Placement {
+            problem,
+            assignment,
+            authorities,
+            contact,
+            peers,
+        } = placement;
         let mut sim: ActorSim<MailMsg> = ActorSim::new(cfg.seed);
         let stats: SharedStats = Rc::new(RefCell::new(DeliveryStats::default()));
         let spans: SharedSpans = Rc::new(RefCell::new(SpanLog::disabled()));
@@ -1538,6 +1846,10 @@ impl Deployment {
 
         let server_nodes: Vec<NodeId> = problem.servers.iter().map(|(n, _)| *n).collect();
         let host_nodes: Vec<NodeId> = problem.hosts.iter().map(|h| h.node).collect();
+        let aligned = authorities.len() == host_nodes.len()
+            && contact.len() == host_nodes.len()
+            && peers.len() == server_nodes.len();
+        assert!(aligned, "placement misaligned with its problem");
 
         // Actors hold the transport from birth, so it is bound before they
         // exist: the engine numbers actors in registration order, servers
@@ -1548,31 +1860,14 @@ impl Deployment {
         }
         let transport = Rc::new(transport);
 
-        // Register users and build authority lists; each host's users are
-        // collected here so that wiring a host does not search all users.
+        // Register users; each host's users are collected here so that
+        // wiring a host does not search all users.
         let mut users: BTreeMap<MailName, NodeId> = BTreeMap::new();
         let mut users_by_host: Vec<Vec<(MailName, AuthorityList)>> = Vec::new();
-        for (i, &host) in host_nodes.iter().enumerate() {
+        for (&host, lists) in host_nodes.iter().zip(authorities) {
             let mut host_users = Vec::new();
-            let per_user_server = assignment.server_of_users(i);
-            let ranking = crate::assign::server_ranking(&problem, &assignment, i);
-            for (k, &primary_idx) in per_user_server.iter().enumerate() {
-                let name = MailName::new(
-                    &format!("r{}", topology.region(host).0),
-                    topology.name(host),
-                    &format!("u{k}"),
-                )
-                .expect("generated names are valid");
-                let mut list = vec![server_nodes[primary_idx]];
-                for &j in &ranking {
-                    if list.len() >= cfg.authority_list_len.max(1) {
-                        break;
-                    }
-                    if j != primary_idx {
-                        list.push(server_nodes[j]);
-                    }
-                }
-                let authorities = AuthorityList::new(list);
+            for (k, authorities) in lists.into_iter().enumerate() {
+                let name = Self::user_name(topology, host, k);
                 directory
                     .register(name.clone(), host, authorities.clone())
                     .expect("unique generated names");
@@ -1603,7 +1898,7 @@ impl Deployment {
 
         // Spawn server actors.
         let mut server_actors = BTreeMap::new();
-        for &s in &server_nodes {
+        for (&s, peers) in server_nodes.iter().zip(peers) {
             let region = topology.region(s);
             let resolver = SyntaxResolver::new(
                 s,
@@ -1624,6 +1919,9 @@ impl Deployment {
                 proc_time: cfg.server_spec.proc_time,
                 stats: Rc::clone(&stats),
                 forwards: BTreeMap::new(),
+                locations: BTreeMap::new(),
+                lookups: BTreeMap::new(),
+                peers,
                 redirects: Rc::clone(&redirects),
                 retry: cfg.session.retry,
                 reliable_retrieval: cfg.session.reliable_retrieval,
@@ -1638,13 +1936,14 @@ impl Deployment {
 
         // Spawn host actors.
         let mut host_actors = BTreeMap::new();
-        for (&h, host_users) in host_nodes.iter().zip(users_by_host) {
+        for ((&h, host_users), contact) in host_nodes.iter().zip(users_by_host).zip(contact) {
             let mut actor = HostActor {
                 node: h,
                 transport: Rc::clone(&transport),
                 users: Vec::new(),
                 slot_of: BTreeMap::new(),
                 submits: BTreeMap::new(),
+                contact,
                 id_gen: Rc::clone(&id_gen),
                 stats: Rc::clone(&stats),
                 alerts: BTreeMap::new(),
@@ -1916,6 +2215,40 @@ impl Deployment {
         let delay = at.duration_since(self.sim.now());
         self.sim
             .inject(actor, MailMsg::DoCheck { user: user.clone() }, delay);
+    }
+
+    /// Injects a login of `user` at `host` at `at` (§3.2.2c). Sends and
+    /// checks injected by name still go through the home host.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the user or the host is unknown.
+    #[expect(
+        clippy::expect_used,
+        reason = "injecting for an unknown user is a driver bug"
+    )]
+    pub fn login_at(&mut self, at: SimTime, user: &MailName, host: NodeId) {
+        let rec = self.directory.by_name(user).expect("unknown user");
+        let login = MailMsg::DoLogin {
+            user: user.clone(),
+            authorities: rec.authorities.clone(),
+        };
+        let delay = at.duration_since(self.sim.now());
+        self.sim.inject(self.host_actors[&host], login, delay);
+    }
+
+    /// Alerts delivered to `user` at `host`.
+    pub fn alerts_at(&self, host: NodeId, user: &MailName) -> u64 {
+        self.host_actor(host)
+            .and_then(|aid| self.sim.actor::<HostActor>(aid))
+            .and_then(|h| h.alerts.get(user).copied())
+            .unwrap_or(0)
+    }
+
+    /// The server `user`'s mail is deposited at while it is up — the head
+    /// of the authority list this deployment was wired with.
+    pub fn responsible_server(&self, user: &MailName) -> Option<NodeId> {
+        Some(self.directory.by_name(user)?.authorities.primary())
     }
 
     /// Applies a failure plan expressed over *server nodes* (host actors
@@ -2200,6 +2533,13 @@ mod tests {
         )
     }
 
+    /// Every queued event carries one: the §3.2.2c vocabulary must not
+    /// widen what System 1 pays per event.
+    #[test]
+    fn mail_msg_stays_64_bytes() {
+        assert_eq!(std::mem::size_of::<MailMsg>(), 64);
+    }
+
     #[test]
     fn build_registers_users_with_authority_lists() {
         let d = small_deployment(1);
@@ -2237,10 +2577,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[7].clone());
         d.send_at(t(1.0), &alice, &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        let host = *d.users.get(&bob).unwrap();
-        let actor = d.host_actor(host).unwrap();
-        let h: &HostActor = d.sim.actor(actor).unwrap();
-        assert_eq!(h.alerts.get(&bob).copied(), Some(1));
+        assert_eq!(d.alerts_at(d.users[&bob], &bob), 1);
     }
 
     #[test]

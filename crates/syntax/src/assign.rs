@@ -48,7 +48,6 @@
 use lems_net::cost_matrix::CostMatrix;
 use lems_net::graph::NodeId;
 use lems_net::topology::{NodeKind, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostModel, ServerSpec};
 
@@ -57,7 +56,7 @@ use crate::cost::{CostModel, ServerSpec};
 const COST_EPS: f64 = 1e-12;
 
 /// A host together with its user population (`N_i`).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HostSpec {
     /// The host's node in the topology.
     pub node: NodeId,
@@ -218,7 +217,7 @@ impl AssignmentProblem {
 }
 
 /// `A_ij`: how many users of each host are assigned to each server.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Assignment {
     counts: Vec<Vec<u32>>,
     loads: Vec<u32>,
@@ -412,7 +411,7 @@ impl Default for BalanceOptions {
 }
 
 /// Outcome of a balancing run.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct BalanceReport {
     /// Full passes over all hosts.
     pub passes: u64,
@@ -559,7 +558,7 @@ pub struct MoveProposal {
 
 /// Outcome of a scaled balancing run, including the per-pass objective
 /// trace used by the monotonicity invariants.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ScaleReport {
     /// Synchronous passes executed.
     pub passes: u64,

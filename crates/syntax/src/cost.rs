@@ -13,8 +13,6 @@
 //! estimate `ρ/(1−ρ)` for server utilisation `ρ = L_j / M_j`, replaced by a
 //! "very large constant" β once the server saturates (`ρ ≥ 0.99`).
 
-use serde::{Deserialize, Serialize};
-
 /// Weights and constants of the connection-cost formula.
 ///
 /// # Examples
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let tc = m.connection_cost(1.0, 0, 100, 0.5);
 /// assert_eq!(tc, 1.0 * 4.0 + (0.0 + 0.5) * 1.0);
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// `W1`: weight on communication time.
     pub w_comm: f64,
@@ -155,7 +153,7 @@ impl CostModel {
 }
 
 /// Static description of one server for assignment purposes.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServerSpec {
     /// `M_j`: maximum number of users assignable to the server.
     pub max_load: u32,

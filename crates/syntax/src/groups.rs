@@ -11,10 +11,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use lems_core::name::MailName;
-use serde::{Deserialize, Serialize};
 
 /// A member of a distribution list.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Member {
     /// A user, by full name.
     User(MailName),
@@ -73,7 +72,7 @@ pub const MAX_EXPANSION_DEPTH: usize = 32;
 /// assert_eq!(members.len(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct GroupTable {
     lists: BTreeMap<String, Vec<Member>>,
 }

@@ -17,7 +17,9 @@
 //!   guarantees;
 //! * [`actors`] — the full simulated system: host/user-interface and
 //!   server actors, connection setup with failover, store-and-forward
-//!   delivery, notifications, and asynchronous GetMail over real timeouts;
+//!   delivery, notifications, and asynchronous GetMail over real timeouts
+//!   — wired from a [`Placement`], so System 2 (`lems-locindep`) runs on
+//!   the same actors with a hashed placement and login tracking;
 //! * [`groups`] — distribution lists with nested expansion (§4.3 group
 //!   naming — the conventional baseline System 3 replaces);
 //! * [`cache`] — the §4.1 "caching capability": LRU+TTL resolution
@@ -63,7 +65,7 @@ pub mod retention;
 
 pub use actors::{
     ChaosError, DeliveryStats, Deployment, DeploymentConfig, LinkChaos, MailMsg, Partition,
-    ServerFailurePlan, SessionConfig,
+    Placement, ServerFailurePlan, SessionConfig,
 };
 pub use assign::{
     balance, balance_sync, initialize, solve, solve_sync, Assignment, AssignmentProblem,

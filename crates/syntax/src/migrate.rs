@@ -15,10 +15,9 @@ use lems_core::name::MailName;
 use lems_core::user::AuthorityList;
 use lems_net::graph::NodeId;
 use lems_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A forwarding entry left behind at the old location.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Redirect {
     /// The name mail may still be addressed to.
     pub old_name: MailName,
@@ -26,7 +25,6 @@ pub struct Redirect {
     pub new_name: MailName,
     /// The entry is honoured until this instant, after which mail to the
     /// old name bounces with a name-change notification.
-    #[serde(skip, default = "SimTime::default")]
     pub expires_at: SimTime,
 }
 

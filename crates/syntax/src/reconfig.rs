@@ -7,7 +7,6 @@
 //! made to tables in all servers").
 
 use lems_net::graph::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::assign::{
     balance, Assignment, AssignmentProblem, BalanceOptions, BalanceReport, HostSpec,
@@ -15,7 +14,7 @@ use crate::assign::{
 use crate::cost::ServerSpec;
 
 /// What a reconfiguration step did.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ReconfigReport {
     /// Users whose server assignment changed.
     pub moved_users: u64,

@@ -10,38 +10,16 @@
 //! archived. All mutation routes through [`MailStore`] — the policy never
 //! touches a [`Mailbox`](lems_core::mailbox::Mailbox) directly, so a
 //! durable backend journals every expiry exactly like a retrieval
-//! (enforced by the `store-mutation-discipline` lint).
+//! (it could not: `Mailbox`'s mutators are `pub(crate)` in `lems-core`).
 
 use lems_core::name::MailName;
 use lems_core::store::MailStore;
 use lems_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
-
-/// Serialize `SimDuration` as fractional time units.
-mod duration_units {
-    use lems_sim::time::SimDuration;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    // serde's `serialize_with` contract passes the field by reference.
-    #[allow(clippy::trivially_copy_pass_by_ref)]
-    pub fn serialize<S: Serializer>(d: &SimDuration, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_f64(d.as_units())
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<SimDuration, D::Error> {
-        let units = f64::deserialize(d)?;
-        if !(units.is_finite() && units >= 0.0) {
-            return Err(serde::de::Error::custom("duration must be finite and >= 0"));
-        }
-        Ok(SimDuration::from_units(units))
-    }
-}
 
 /// Storage bounds for retained mail.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RetentionPolicy {
     /// Messages older than this are archived away from server storage.
-    #[serde(with = "duration_units")]
     pub max_age: SimDuration,
     /// At most this many messages stay per mailbox (oldest leave first).
     pub max_per_mailbox: usize,

@@ -51,8 +51,9 @@ fn steady_fig1(seed: u64) -> Deployment {
     d
 }
 
-/// The digest of the steady Fig. 1 run recorded on the pre-scheduler
-/// engine (timestamp-ordered `BinaryHeap` pop, no scheduler indirection).
+/// The digest of the steady Fig. 1 run, recorded before the engine had a
+/// scheduler hook and reproduced by every kernel since (the calendar
+/// queue included; it is `audit/steady@3` in `GOLDEN_kernel_digests.txt`).
 /// The default `FifoScheduler` path must keep reproducing it byte for
 /// byte.
 #[test]
