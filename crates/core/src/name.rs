@@ -261,11 +261,13 @@ impl FromStr for MailName {
     type Err = ParseNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let parts: Vec<&str> = s.split('.').collect();
-        if parts.len() != 3 {
-            return Err(ParseNameError::WrongComponentCount { found: parts.len() });
+        let mut parts = s.split('.');
+        match (parts.next(), parts.next(), parts.next(), parts.next()) {
+            (Some(region), Some(host), Some(user), None) => MailName::new(region, host, user),
+            _ => Err(ParseNameError::WrongComponentCount {
+                found: s.split('.').count(),
+            }),
         }
-        MailName::new(parts[0], parts[1], parts[2])
     }
 }
 

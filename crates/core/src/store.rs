@@ -30,18 +30,32 @@ use crate::mailbox::Mailbox;
 use crate::message::{Message, MessageId};
 use crate::name::MailName;
 
+/// What a [`MailStore::drain_reserve_at`] caller passes when it holds no
+/// slot for the owner: never the index of one.
+pub const NO_OWNER_SLOT: u32 = u32::MAX;
+
 /// The durable state a server entrusts to its store.
 ///
 /// Both backends (and the WAL replay path) mutate their state exclusively
 /// through this struct's methods, so "what an operation means" is defined
 /// once: a log record replayed during recovery calls the same method the
 /// live operation did, which is what makes recovery exact.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Two states are equal when they hold the same owners with the same
+/// contents, whatever order the owners first appeared in: a state replayed
+/// from a compaction snapshot (written in name order) equals the live one
+/// it was taken from.
+#[derive(Clone, Debug, Default)]
 pub struct StoreState {
-    /// What this server holds per user, one entry (and so one name walk
-    /// per operation) for the mailbox and the reservation buffer both.
-    /// Read through [`StoreState::mailboxes`] / [`StoreState::pending`].
-    owners: BTreeMap<MailName, OwnerEntry>,
+    /// What this server holds per user, one entry for the mailbox and the
+    /// reservation buffer both, in first-contact order. Append-only, so an
+    /// index into it (a *slot*) names the same user for as long as this
+    /// state lives. Read through [`StoreState::mailboxes`] /
+    /// [`StoreState::pending`].
+    owners: Vec<OwnerEntry>,
+    /// Name -> slot, for whoever arrives without a slot or with a wrong
+    /// one; also the name order the views and snapshots are written in.
+    slot_of: BTreeMap<MailName, usize>,
     /// Forwards this server has acknowledged upstream but not yet settled
     /// downstream, keyed by message id, with the hop budget they carried.
     pub forwards: BTreeMap<MessageId, (Message, u32)>,
@@ -50,12 +64,21 @@ pub struct StoreState {
     pub deposited: BTreeSet<MessageId>,
 }
 
+impl PartialEq for StoreState {
+    fn eq(&self, other: &Self) -> bool {
+        self.forwards == other.forwards
+            && self.deposited == other.deposited
+            && self.in_name_order().eq(other.in_name_order())
+    }
+}
+
 /// One user's durable state. The two `Option`s are two independent facts a
 /// snapshot records: a mailbox exists once the user was ever deposited to,
 /// a reservation buffer (possibly empty) once they ever checked. An entry
 /// is only created to set one of them, and neither is ever unset.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 struct OwnerEntry {
+    name: MailName,
     /// Stable storage of §3.1.2c.
     mailbox: Option<Mailbox>,
     /// Messages handed to a retrieval session but not yet acknowledged
@@ -68,7 +91,7 @@ struct OwnerEntry {
 /// have it, skipping those that only have the other kind.
 #[derive(Clone, Copy, Debug)]
 pub struct OwnerView<'a, T> {
-    owners: &'a BTreeMap<MailName, OwnerEntry>,
+    state: &'a StoreState,
     pick: fn(&OwnerEntry) -> Option<&T>,
 }
 
@@ -80,15 +103,15 @@ pub type PendingDrain<'a> = OwnerView<'a, Vec<Message>>;
 impl<'a, T: 'a> OwnerView<'a, T> {
     /// `owner`'s value, if they have one.
     pub fn get(&self, owner: &MailName) -> Option<&'a T> {
-        self.owners.get(owner).and_then(self.pick)
+        self.state.entry(owner).and_then(self.pick)
     }
 
     /// `(owner, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'a MailName, &'a T)> + 'a {
         let pick = self.pick;
-        self.owners
-            .iter()
-            .filter_map(move |(owner, entry)| Some((owner, pick(entry)?)))
+        self.state
+            .in_name_order()
+            .filter_map(move |entry| Some((&entry.name, pick(entry)?)))
     }
 
     /// Owners in name order.
@@ -120,7 +143,7 @@ impl StoreState {
     /// Per-user mailboxes (stable storage of §3.1.2c).
     pub fn mailboxes(&self) -> Mailboxes<'_> {
         OwnerView {
-            owners: &self.owners,
+            state: self,
             pick: |entry| entry.mailbox.as_ref(),
         }
     }
@@ -128,23 +151,79 @@ impl StoreState {
     /// Per-user reservation buffers: drained but not yet acknowledged.
     pub fn pending(&self) -> PendingDrain<'_> {
         OwnerView {
-            owners: &self.owners,
+            state: self,
             pick: |entry| entry.reserved.as_ref(),
         }
     }
 
+    /// Every entry, by owner name.
+    fn in_name_order(&self) -> impl Iterator<Item = &OwnerEntry> {
+        self.slot_of.values().map(|&slot| &self.owners[slot])
+    }
+
+    /// `hint` as a slot, when the slot it names holds `owner`. The hint is
+    /// trusted only as far as the name stored there agrees with it;
+    /// anything else — [`NO_OWNER_SLOT`] or any other index out of range,
+    /// another user's slot, a slot of a state that a crash has since
+    /// rebuilt — is no hint at all.
+    fn hinted(&self, owner: &MailName, hint: u32) -> Option<usize> {
+        let slot = hint as usize;
+        if self.owners.get(slot)?.name != *owner {
+            return None;
+        }
+        debug_assert_eq!(self.slot_of.get(owner), Some(&slot));
+        Some(slot)
+    }
+
+    /// Where `owner`'s entry is, if they have one: by hint, else by name
+    /// exactly as if no hint existed.
+    fn slot(&self, owner: &MailName, hint: u32) -> Option<usize> {
+        self.hinted(owner, hint)
+            .or_else(|| self.slot_of.get(owner).copied())
+    }
+
+    /// Where `owner`'s entry is; on first contact they get the next slot
+    /// and an entry with neither half.
+    fn slot_or_adopt(&mut self, owner: &MailName, hint: u32) -> usize {
+        if let Some(slot) = self.hinted(owner, hint) {
+            return slot;
+        }
+        *self.slot_of.entry(owner.clone()).or_insert_with(|| {
+            self.owners.push(OwnerEntry {
+                name: owner.clone(),
+                mailbox: None,
+                reserved: None,
+            });
+            self.owners.len() - 1
+        })
+    }
+
+    /// `owner`'s entry, if one exists.
+    fn entry(&self, owner: &MailName) -> Option<&OwnerEntry> {
+        Some(&self.owners[*self.slot_of.get(owner)?])
+    }
+
+    /// `owner`'s entry, if one exists.
+    fn existing_entry_mut(&mut self, owner: &MailName) -> Option<&mut OwnerEntry> {
+        Some(&mut self.owners[*self.slot_of.get(owner)?])
+    }
+
+    /// `owner`'s entry, created on first contact.
+    fn entry_mut(&mut self, owner: &MailName) -> &mut OwnerEntry {
+        let slot = self.slot_or_adopt(owner, NO_OWNER_SLOT);
+        &mut self.owners[slot]
+    }
+
     /// `owner`'s mailbox, created on first use.
-    fn mailbox_mut(&mut self, owner: MailName) -> &mut Mailbox {
-        self.owners
-            .entry(owner.clone())
-            .or_default()
+    fn mailbox_mut(&mut self, owner: &MailName) -> &mut Mailbox {
+        self.entry_mut(owner)
             .mailbox
-            .get_or_insert_with(|| Mailbox::new(owner))
+            .get_or_insert_with(|| Mailbox::new(owner.clone()))
     }
 
     /// `owner`'s mailbox, if one exists.
     fn existing_mailbox_mut(&mut self, owner: &MailName) -> Option<&mut Mailbox> {
-        self.owners.get_mut(owner)?.mailbox.as_mut()
+        self.existing_entry_mut(owner)?.mailbox.as_mut()
     }
 
     /// Restores one snapshot chunk of `owner`'s mailbox during recovery
@@ -154,7 +233,7 @@ impl StoreState {
     /// separately (`Record::SnapshotDeposited`).
     pub fn restore_snapshot_chunk(
         &mut self,
-        owner: MailName,
+        owner: &MailName,
         messages: impl IntoIterator<Item = (Message, SimTime)>,
     ) {
         let mb = self.mailbox_mut(owner);
@@ -168,7 +247,7 @@ impl StoreState {
     /// chunk re-deposits made are replaced with the true history).
     pub fn restore_snapshot_ledger(
         &mut self,
-        owner: MailName,
+        owner: &MailName,
         deposited: u64,
         retrieved: u64,
         expired: u64,
@@ -180,10 +259,8 @@ impl StoreState {
     /// Restores one snapshot chunk of `owner`'s reservation buffer during
     /// recovery replay. An empty chunk still creates the (empty) buffer:
     /// that the user has checked before is part of the recorded state.
-    pub fn restore_snapshot_pending(&mut self, owner: MailName, messages: Vec<Message>) {
-        self.owners
-            .entry(owner)
-            .or_default()
+    pub fn restore_snapshot_pending(&mut self, owner: &MailName, messages: Vec<Message>) {
+        self.entry_mut(owner)
             .reserved
             .get_or_insert_with(Vec::new)
             .extend(messages);
@@ -195,7 +272,8 @@ impl StoreState {
         if !self.deposited.insert(message.id) {
             return false;
         }
-        self.mailbox_mut(message.to.clone()).deposit(message, now);
+        let to = message.to.clone();
+        self.mailbox_mut(&to).deposit(message, now);
         true
     }
 
@@ -209,13 +287,31 @@ impl StoreState {
     /// reservations first). Nothing is released until
     /// [`StoreState::release_drained`].
     pub fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        // One walk for a user seen before — nearly every call, and nearly
-        // every one of those finds nothing and returns an unallocated
-        // `Vec`. Only a first contact clones the name and walks again.
-        if let Some(entry) = self.owners.get_mut(owner) {
-            return entry.reserve();
+        self.drain_reserve_at(owner, NO_OWNER_SLOT).0
+    }
+
+    /// [`StoreState::drain_reserve`] for a caller that may know where
+    /// `owner`'s entry is: returns the reserved list and the entry's slot,
+    /// to be passed as `hint` next time. A hint that checks out saves the
+    /// name walk; one that does not costs nothing but that walk (see
+    /// [`MailStore::drain_reserve_at`] for what a hint may and may not do).
+    pub fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
+        let slot = self.slot_or_adopt(owner, hint);
+        (self.owners[slot].reserve(), hint_of(slot))
+    }
+
+    /// What [`StoreState::drain_reserve_at`] would return, when it would
+    /// change nothing: `owner` has checked before and nothing has been
+    /// deposited since. `None` when the drain has work to do — a first
+    /// contact, which creates the reservation buffer, included.
+    pub fn idle_drain(&self, owner: &MailName, hint: u32) -> Option<(Vec<Message>, u32)> {
+        let slot = self.slot(owner, hint)?;
+        let entry = &self.owners[slot];
+        let reserved = entry.reserved.as_ref()?;
+        if entry.mailbox.as_ref().is_some_and(|mb| !mb.is_empty()) {
+            return None;
         }
-        self.owners.entry(owner.clone()).or_default().reserve()
+        Some((reserved.clone(), hint_of(slot)))
     }
 
     /// Legacy destructive retrieval: removes and returns `owner`'s stored
@@ -233,8 +329,7 @@ impl StoreState {
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
         let Some(pending) = self
-            .owners
-            .get_mut(owner)
+            .existing_entry_mut(owner)
             .and_then(|entry| entry.reserved.as_mut())
         else {
             return 0;
@@ -294,6 +389,12 @@ impl StoreState {
     pub fn pending_messages(&self) -> usize {
         self.pending().values().map(Vec::len).sum()
     }
+}
+
+/// `slot` as a hint. A slot past `u32` cannot be hinted at and is found by
+/// name every time.
+fn hint_of(slot: usize) -> u32 {
+    u32::try_from(slot).unwrap_or(NO_OWNER_SLOT)
 }
 
 impl OwnerEntry {
@@ -417,6 +518,18 @@ pub trait MailStore: std::fmt::Debug {
     /// Reliable retrieval: reserve `owner`'s mail, return the reserved list.
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message>;
 
+    /// [`MailStore::drain_reserve`] for a caller that resolves `owner`
+    /// once: returns the reserved list and the slot the store keeps
+    /// `owner` in, which the caller may pass back as `hint` on its next
+    /// call ([`NO_OWNER_SLOT`] when it holds none).
+    ///
+    /// The hint is only a hint. The store uses it when the slot it names
+    /// holds `owner` and otherwise finds `owner` by name, so a stale,
+    /// forged or out-of-range hint costs a name walk and can never reach
+    /// another user's mail; the answer always carries the slot that is
+    /// right now. A crash and recovery may move every owner to a new slot.
+    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32);
+
     /// Destructive retrieval: remove and return `owner`'s mail.
     fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message>;
 
@@ -531,6 +644,10 @@ impl MailStore for MemStore {
 
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
         self.state.drain_reserve(owner)
+    }
+
+    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
+        self.state.drain_reserve_at(owner, hint)
     }
 
     fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message> {
@@ -662,5 +779,71 @@ mod tests {
         let report = s.recover(SimTime::from_units(6.0));
         assert_eq!(report.lost_messages, 0);
         assert_eq!(report.recovered_messages, 4);
+    }
+
+    /// Owners equal whatever order they first appeared in, and the views
+    /// read in name order either way — a state replayed from a name-ordered
+    /// snapshot is the live one.
+    #[test]
+    fn equality_and_views_follow_names_not_slots() {
+        let mut g = MessageIdGen::new();
+        let (a, b, c) = ("east.h.a", "east.h.b", "east.h.c");
+        let (ma, mc) = (msg(&mut g, a), msg(&mut g, c));
+        let name = |s: &str| s.parse::<MailName>().unwrap();
+
+        let mut live = StoreState::default();
+        live.deposit(mc.clone(), SimTime::ZERO);
+        live.drain_reserve(&name(b));
+        live.deposit(ma.clone(), SimTime::ZERO);
+        let mut replayed = StoreState::default();
+        replayed.deposit(ma, SimTime::ZERO);
+        replayed.drain_reserve(&name(b));
+        replayed.deposit(mc, SimTime::ZERO);
+
+        assert_eq!(live, replayed);
+        let keys = |s: &StoreState| s.mailboxes().keys().cloned().collect::<Vec<_>>();
+        assert_eq!(keys(&live), [name(a), name(c)]);
+        assert_eq!(keys(&replayed), keys(&live));
+        assert_eq!(live.pending().keys().collect::<Vec<_>>(), [&name(b)]);
+        // ... though each keeps its owners where they first appeared.
+        assert_eq!(live.idle_drain(&name(b), NO_OWNER_SLOT).unwrap().1, 1);
+        assert_eq!(replayed.drain_reserve_at(&name(c), 0).1, 2);
+
+        replayed.drain_reserve(&name(a));
+        assert_ne!(live, replayed, "a's mail moved to the reservation buffer");
+    }
+
+    /// A hint saves the name walk and decides nothing else: forged, stale
+    /// and out-of-range hints all reach the owner they name.
+    #[test]
+    fn owner_slot_hint_is_checked_against_the_name() {
+        let mut g = MessageIdGen::new();
+        let mut s = MemStore::stable();
+        let alice: MailName = "east.h.alice".parse().unwrap();
+        let bob: MailName = "east.h.bob".parse().unwrap();
+        s.deposit(msg(&mut g, "east.h.alice"), SimTime::ZERO);
+        s.deposit(msg(&mut g, "east.h.bob"), SimTime::ZERO);
+
+        let (mail, a) = s.drain_reserve_at(&alice, NO_OWNER_SLOT);
+        assert_eq!((mail.len(), a), (1, 0));
+        // Bob, claiming alice's slot, gets bob's mail and bob's slot.
+        let (mail, b) = s.drain_reserve_at(&bob, a);
+        assert_eq!(mail.len(), 1);
+        assert_eq!(mail[0].to, bob);
+        assert_eq!(b, 1);
+        // The honest hint and the absurd one answer alike.
+        assert_eq!(s.drain_reserve_at(&bob, b), s.drain_reserve_at(&bob, 7_000));
+        assert_eq!(s.drain_reserve_at(&alice, b).1, a);
+        // First contact by hint: a stranger gets the next slot, whatever
+        // slot they claimed.
+        let carol: MailName = "east.h.carol".parse().unwrap();
+        assert_eq!(s.state().idle_drain(&carol, a), None);
+        assert_eq!(s.drain_reserve_at(&carol, a), (Vec::new(), 2));
+        assert_eq!(s.state().idle_drain(&carol, a), Some((Vec::new(), 2)));
+        assert_eq!(
+            s.state().pending()[&alice].len(),
+            1,
+            "alice's box untouched"
+        );
     }
 }

@@ -1,10 +1,16 @@
 //! [`WalStore`]: the log-structured [`MailStore`] backend.
 //!
 //! Every durable-state mutation is encoded as one [`Record`], framed and
-//! checksummed, appended to the active segment, and *then* applied to the
-//! in-memory [`StoreState`] through [`apply`] — the same function recovery
-//! uses, so a replayed log reconstructs the exact state the live store
-//! held (recovery is exact, not approximate).
+//! checksummed, applied to the in-memory [`StoreState`] through [`apply`]
+//! — the same function recovery uses — and appended to the active segment,
+//! so a replayed log reconstructs the exact state the live store held
+//! (recovery is exact, not approximate).
+//!
+//! The log holds what changed and nothing else: an operation that leaves
+//! the state as it found it (a check that finds nothing new, an
+//! acknowledgement of mail already released, a removal that misses) is
+//! answered from memory and appends no record. Replay stays exact because
+//! the identity is all a skipped record would have applied.
 //!
 //! Segments rotate at a configurable size; when more than
 //! [`WalConfig::max_segments`] accumulate, compaction writes the live
@@ -18,7 +24,7 @@ use std::cell::Cell;
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
 use lems_core::store::{
-    MailStore, Mailboxes, PendingDrain, RecoveryReport, StoreMetrics, StoreState,
+    MailStore, Mailboxes, PendingDrain, RecoveryReport, StoreMetrics, StoreState, NO_OWNER_SLOT,
 };
 use lems_sim::time::SimTime;
 
@@ -75,7 +81,9 @@ pub enum Applied {
     None,
     /// Deposit outcome: `true` when newly stored.
     Deposited(bool),
-    /// Messages returned by a drain.
+    /// The reserved list a reliable drain returned.
+    Reserved(Vec<Message>),
+    /// Messages a destructive drain removed.
     Drained(Vec<Message>),
     /// Reserved messages released.
     Released(u64),
@@ -85,8 +93,28 @@ pub enum Applied {
     Expired(usize),
 }
 
+impl Applied {
+    /// False when the outcome shows the record found nothing to do.
+    /// Outcomes that cannot show it count as changes ([`Applied::None`];
+    /// [`Applied::Reserved`], since a first check reserves nothing and
+    /// still creates the buffer): [`WalStore`] asks the state before it
+    /// builds a record of those kinds.
+    fn changed_state(&self) -> bool {
+        match self {
+            Applied::None | Applied::Reserved(_) => true,
+            Applied::Deposited(fresh) => *fresh,
+            Applied::Drained(messages) => !messages.is_empty(),
+            Applied::Released(n) => *n > 0,
+            Applied::Removed(found) => found.is_some(),
+            Applied::Expired(n) => *n > 0,
+        }
+    }
+}
+
 /// Applies one record to `state`. Live operations and recovery replay both
-/// funnel through here — the single definition of record semantics.
+/// funnel through here — the single definition of record semantics. (The
+/// one live operation that does not, a check that carries an owner-slot
+/// hint, calls the [`StoreState`] method its record maps to here.)
 pub fn apply(state: &mut StoreState, record: Record) -> Applied {
     match record {
         Record::Deposit { message, at } => Applied::Deposited(state.deposit(message, at)),
@@ -94,7 +122,7 @@ pub fn apply(state: &mut StoreState, record: Record) -> Applied {
         Record::Expire { owner, cutoff } => {
             Applied::Expired(state.expire_older_than(&owner, cutoff))
         }
-        Record::DrainReserve { owner } => Applied::Drained(state.drain_reserve(&owner)),
+        Record::DrainReserve { owner } => Applied::Reserved(state.drain_reserve(&owner)),
         Record::DrainDestructive { owner } => Applied::Drained(state.drain_destructive(&owner)),
         Record::Release { owner, ids } => Applied::Released(state.release_drained(&owner, &ids)),
         Record::AcceptForward { message, hops_left } => {
@@ -106,7 +134,7 @@ pub fn apply(state: &mut StoreState, record: Record) -> Applied {
             Applied::None
         }
         Record::SnapshotMailbox { owner, messages } => {
-            state.restore_snapshot_chunk(owner, messages);
+            state.restore_snapshot_chunk(&owner, messages);
             Applied::None
         }
         Record::SnapshotMeta {
@@ -115,11 +143,11 @@ pub fn apply(state: &mut StoreState, record: Record) -> Applied {
             retrieved,
             expired,
         } => {
-            state.restore_snapshot_ledger(owner, deposited, retrieved, expired);
+            state.restore_snapshot_ledger(&owner, deposited, retrieved, expired);
             Applied::None
         }
         Record::SnapshotPending { owner, messages } => {
-            state.restore_snapshot_pending(owner, messages);
+            state.restore_snapshot_pending(&owner, messages);
             Applied::None
         }
         Record::SnapshotForwards { entries } => {
@@ -144,6 +172,8 @@ struct Replay {
     bytes: u64,
     torn_bytes: u64,
     segments: u64,
+    /// Operation-record bytes in the newest segment.
+    active_op_bytes: u64,
     /// (segment, valid prefix length) to truncate away a torn tail.
     trim: Option<(u64, u64)>,
 }
@@ -172,6 +202,9 @@ pub struct WalStore {
     rotations: u64,
     /// Snapshot records written across all compactions.
     compaction_chunks: u64,
+    /// The frame being logged, kept between records so that encoding one
+    /// allocates nothing once this has grown to the largest.
+    frame: Vec<u8>,
     /// Records replayed by recovery and persist/restore scans (lifetime).
     replayed_records: u64,
     /// Bytes scanned by recovery and persist/restore scans (lifetime).
@@ -201,6 +234,7 @@ impl WalStore {
             fsyncs: 0,
             rotations: 0,
             compaction_chunks: 0,
+            frame: Vec::new(),
             replayed_records: 0,
             replayed_bytes: 0,
             pre_crash_storage: None,
@@ -262,6 +296,7 @@ impl WalStore {
             })?;
             out.records += seg.records;
             out.bytes += bytes.len() as u64;
+            out.active_op_bytes = seg.op_bytes;
             if let Some(detail) = seg.tail {
                 if Some(seq) != last {
                     return Err(StoreError::Corrupt {
@@ -288,8 +323,10 @@ impl WalStore {
             self.io.sync(seq)?;
             self.fsyncs += 1;
         }
+        // Appends continue in the newest segment, so it rotates when what
+        // it held before the crash plus what follows reaches the limit.
         self.active_seq = self.io.list().last().copied().unwrap_or(0);
-        self.active_op_bytes = 0;
+        self.active_op_bytes = replay.active_op_bytes;
         let lost = self
             .pre_crash_storage
             .take()
@@ -324,9 +361,11 @@ impl WalStore {
         }
     }
 
-    fn append_frame(&mut self, frame: &[u8]) {
-        let len = frame.len() as u64;
-        let r = self.io.append(self.active_seq, frame);
+    /// Appends the frame buffer to the active segment as one operation
+    /// record.
+    fn append_frame(&mut self) {
+        let len = self.frame.len() as u64;
+        let r = self.io.append(self.active_seq, &self.frame);
         self.note_io(&r);
         if self.cfg.sync == SyncPolicy::PerRecord {
             let r = self.io.sync(self.active_seq);
@@ -412,8 +451,8 @@ impl WalStore {
         }
         self.compaction_chunks += records.len() as u64;
         for rec in &records {
-            let frame = codec::encode_frame(rec);
-            let r = self.io.append(self.active_seq, &frame);
+            codec::encode_frame_into(rec, &mut self.frame);
+            let r = self.io.append(self.active_seq, &self.frame);
             self.note_io(&r);
         }
         let r = self.io.sync(self.active_seq);
@@ -432,7 +471,8 @@ impl WalStore {
         self.compactions += 1;
     }
 
-    /// Encodes, applies, then appends one record.
+    /// Encodes and applies one record, then appends it — unless applying
+    /// it changed nothing, in which case the log does not grow.
     ///
     /// Apply happens before the append so that a rotation/compaction
     /// triggered by this very append snapshots a state that already
@@ -440,10 +480,18 @@ impl WalStore {
     /// segment holding the record's frame while the snapshot predates
     /// its effect, silently losing the operation.
     fn log_and_apply(&mut self, record: Record) -> Applied {
-        let frame = codec::encode_frame(&record);
+        codec::encode_frame_into(&record, &mut self.frame);
         let applied = apply(&mut self.state, record);
-        self.append_frame(&frame);
+        if applied.changed_state() {
+            self.append_frame();
+        }
         applied
+    }
+
+    /// Appends the record of an operation the state has already taken.
+    fn log_applied(&mut self, record: &Record) {
+        codec::encode_frame_into(record, &mut self.frame);
+        self.append_frame();
     }
 }
 
@@ -467,12 +515,22 @@ impl MailStore for WalStore {
     }
 
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        match self.log_and_apply(Record::DrainReserve {
-            owner: owner.clone(),
-        }) {
-            Applied::Drained(v) => v,
-            _ => Vec::new(),
+        self.drain_reserve_at(owner, NO_OWNER_SLOT).0
+    }
+
+    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
+        // The common check: the user has checked before and nothing has
+        // arrived since. Nothing moves, so nothing is logged.
+        if let Some(answer) = self.state.idle_drain(owner, hint) {
+            return answer;
         }
+        // Mail moves, or the buffer is created: the owner is resolved
+        // once, by hint, in the method replay will reach by name.
+        let answer = self.state.drain_reserve_at(owner, hint);
+        self.log_applied(&Record::DrainReserve {
+            owner: owner.clone(),
+        });
+        answer
     }
 
     fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message> {
@@ -711,6 +769,100 @@ mod tests {
         let report = s.recover(SimTime::from_units(1000.0));
         assert_eq!(report.lost_messages, 0);
         assert_eq!(s.state(), &before, "replay must reconstruct exact state");
+    }
+
+    /// What the log holds: appended records, barriers, bytes on the device.
+    fn log_size(s: &WalStore) -> (u64, u64, u64) {
+        let m = s.store_metrics();
+        (m.appended_records, m.fsyncs, s.wal_bytes())
+    }
+
+    #[test]
+    fn an_operation_that_changes_nothing_writes_nothing() {
+        let mut g = MessageIdGen::new();
+        let mut s = mk(WalConfig::default());
+        let owner: MailName = "east.h.u".parse().unwrap();
+
+        // First contact creates the reservation buffer a snapshot records:
+        // logged, though nothing was there to reserve.
+        assert!(s.drain_reserve(&owner).is_empty());
+        assert_eq!(s.records_appended(), 1);
+        let quiet = log_size(&s);
+        for _ in 0..100 {
+            assert!(s.drain_reserve(&owner).is_empty());
+        }
+        assert_eq!(log_size(&s), quiet, "idle checks leave the log alone");
+
+        // A check that finds mail is logged; so is its acknowledgement.
+        s.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(1.0));
+        let reserved = s.drain_reserve(&owner);
+        assert_eq!(reserved.len(), 1);
+        assert_eq!(s.records_appended(), 3);
+        // Unacknowledged, the same list comes back, from memory.
+        let held = log_size(&s);
+        assert_eq!(s.drain_reserve(&owner), reserved);
+        assert_eq!(log_size(&s), held);
+        let ids = [reserved[0].id];
+        assert_eq!(s.release_drained(&owner, &ids), 1);
+        assert_eq!(s.records_appended(), 4);
+
+        // The duplicate acknowledgement, and every other miss.
+        let settled = log_size(&s);
+        assert_eq!(s.release_drained(&owner, &ids), 0);
+        assert_eq!(s.remove(&owner, ids[0]), None);
+        assert_eq!(s.expire_older_than(&owner, SimTime::from_units(9.0)), 0);
+        assert!(s.drain_destructive(&owner).is_empty());
+        let stranger: MailName = "east.h.nobody".parse().unwrap();
+        assert_eq!(s.release_drained(&stranger, &ids), 0);
+        assert!(!s.deposit(reserved[0].clone(), SimTime::from_units(2.0)));
+        s.settle_forward(ids[0]);
+        assert_eq!(log_size(&s), settled);
+
+        // What was skipped is not missed: the log replays to this state.
+        let live = s.state().clone();
+        s.crash(SimTime::from_units(3.0));
+        let report = s.recover(SimTime::from_units(4.0));
+        assert_eq!(report.replayed_records, 4);
+        assert_eq!(s.state(), &live);
+    }
+
+    /// A server that crashes more often than it fills a segment must still
+    /// rotate and compact: what the recovered segment already held counts
+    /// towards its limit.
+    #[test]
+    fn rotation_accounting_survives_crashes() {
+        let mut g = MessageIdGen::new();
+        // The default chunk keeps the (ever-growing) dedup ledger to one
+        // snapshot record, so a snapshot is a handful of records.
+        let cfg = WalConfig {
+            segment_bytes: 512,
+            max_segments: 2,
+            ..WalConfig::default()
+        };
+        let mut s = mk(cfg.clone());
+        let owner: MailName = "east.h.u".parse().unwrap();
+        let mut replayed = Vec::new();
+        for round in 0..200u32 {
+            // Three small records (well under a segment), then a crash.
+            s.deposit(
+                msg(&mut g, "east.h.u"),
+                SimTime::from_units(f64::from(round)),
+            );
+            let ids: Vec<MessageId> = s.drain_reserve(&owner).iter().map(|m| m.id).collect();
+            s.release_drained(&owner, &ids);
+            assert!(s.segments() <= cfg.max_segments + 1);
+            s.crash(SimTime::from_units(f64::from(round) + 0.5));
+            replayed.push(
+                s.recover(SimTime::from_units(f64::from(round) + 0.6))
+                    .replayed_records,
+            );
+        }
+        assert!(s.store_metrics().rotations > 0 && s.compactions() > 0);
+        // Recovery work is bounded by the segment limits, not by history:
+        // the last hundred recoveries replay no more than the first hundred.
+        let (early, late) = replayed.split_at(100);
+        assert!(late.iter().max() <= early.iter().max(), "{replayed:?}");
+        assert_eq!(s.state().deposited.len(), 200);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use lems_core::directory::Directory;
 use lems_core::mailbox::Mailbox;
 use lems_core::message::{BounceReason, Message, MessageId, MessageIdGen};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, StoreMetrics, StoreRecovery};
+use lems_core::store::{MailStore, StoreMetrics, StoreRecovery, NO_OWNER_SLOT};
 use lems_core::user::AuthorityList;
 use lems_net::error::NetError;
 use lems_net::graph::NodeId;
@@ -121,6 +121,10 @@ pub enum MailMsg {
         /// Opaque to the server, which echoes it in the reply: where the
         /// host keeps this user's session.
         session: u32,
+        /// Where this server's last reply said it keeps `user`
+        /// ([`NO_OWNER_SLOT`] before any). A hint only: the store checks
+        /// it against `user` before trusting it.
+        owner_slot: u32,
     },
     /// Server -> UI: stored mail plus the server's `LastStartTime`.
     RetrieveReply {
@@ -133,6 +137,9 @@ pub enum MailMsg {
         /// The request's `session`, echoed. A hint only: the host checks
         /// it against `user` before trusting it.
         session: u32,
+        /// Where the server's store keeps `user` now, for the host to send
+        /// back with its next [`MailMsg::Retrieve`] to this server.
+        owner_slot: u32,
     },
     /// UI -> server: the listed drained messages arrived safely; the
     /// server may release its drain buffer for them. Without this ack a
@@ -287,16 +294,27 @@ struct UiUser {
     /// Never changed after [`UiUser::new`]: an in-flight
     /// [`RetrievalSession`] indexes into it.
     authorities: AuthorityList,
+    /// Per authority server, in list order: the owner slot its last
+    /// `RetrieveReply` carried.
+    owner_slots: Vec<u32>,
     last_checking_time: SimTime,
     previously_unavailable: BTreeSet<NodeId>,
     retrieval: Option<RetrievalSession>,
     pending_check: bool,
 }
 
+/// The owner slot `server` last taught the user with these `authorities`.
+fn owner_slot_at(authorities: &AuthorityList, owner_slots: &[u32], server: NodeId) -> u32 {
+    authorities
+        .rank_of(server)
+        .map_or(NO_OWNER_SLOT, |rank| owner_slots[rank])
+}
+
 impl UiUser {
     /// A user who has never checked mail.
     fn new(authorities: AuthorityList) -> Self {
         UiUser {
+            owner_slots: vec![NO_OWNER_SLOT; authorities.len()],
             authorities,
             last_checking_time: SimTime::ZERO,
             previously_unavailable: BTreeSet::new(),
@@ -702,6 +720,7 @@ impl HostActor {
                         user: name.clone(),
                         reply_to: node,
                         session: slot as u32,
+                        owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
                     },
                     SimDuration::ZERO,
                 );
@@ -804,6 +823,7 @@ impl Actor for HostActor {
                 messages,
                 last_start_time,
                 session,
+                owner_slot,
             } => {
                 let now = ctx.now();
                 let server_node = self.transport.node_of(from);
@@ -871,6 +891,9 @@ impl Actor for HostActor {
                 let Some(user) = self.users[slot].ui.as_mut() else {
                     return;
                 };
+                if let Some(rank) = server_node.and_then(|s| user.authorities.rank_of(s)) {
+                    user.owner_slots[rank] = owner_slot;
+                }
                 let Some(session) = user.retrieval.as_mut() else {
                     return; // stale reply after timeout: already counted above
                 };
@@ -969,6 +992,7 @@ impl HostActor {
                     user: name.clone(),
                     reply_to: node,
                     session: slot as u32,
+                    owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
                 },
                 SimDuration::ZERO,
             );
@@ -1456,15 +1480,16 @@ impl Actor for ServerActor {
                 user,
                 reply_to,
                 session,
+                owner_slot,
             } => {
                 self.metrics.inc("retrieve_requests");
-                let messages: Vec<Message> = if self.reliable_retrieval {
+                let (messages, owner_slot) = if self.reliable_retrieval {
                     // Reserve the drain: messages move from the mailbox to
                     // the (equally durable) drain buffer and are re-sent on
                     // every Retrieve until the host acks them, so a lost
                     // reply never loses mail. The storage gauge is only
                     // decremented at ack time.
-                    self.store.drain_reserve(&user)
+                    self.store.drain_reserve_at(&user, owner_slot)
                 } else {
                     // Legacy destructive drain: if the reply is lost on the
                     // wire, so is the mail.
@@ -1473,7 +1498,7 @@ impl Actor for ServerActor {
                     st.in_storage_now = st.in_storage_now.saturating_sub(fresh.len() as u64);
                     self.metrics
                         .gauge_add(ctx.now(), "storage", -(fresh.len() as f64));
-                    fresh
+                    (fresh, NO_OWNER_SLOT)
                 };
                 self.transport.send(
                     ctx,
@@ -1484,6 +1509,7 @@ impl Actor for ServerActor {
                         messages,
                         last_start_time: self.last_start_time,
                         session,
+                        owner_slot,
                     },
                     self.proc(),
                 );
@@ -2511,6 +2537,7 @@ impl ServerFailurePlan {
 mod tests {
     use super::*;
     use lems_net::generators::fig1;
+    use lems_store::WalConfig;
 
     /// Every test scenario quiesces far below this; exhausting it means
     /// a stuck retry loop, which must fail the test rather than hang it.
@@ -3231,6 +3258,7 @@ mod tests {
                 messages: Vec::new(),
                 last_start_time: SimTime::ZERO,
                 session: alice_slot as u32,
+                owner_slot: NO_OWNER_SLOT,
             },
             SimDuration::ZERO,
         );
@@ -3267,6 +3295,220 @@ mod tests {
         assert_eq!(st.ledger_retrieved, st.ledger_submitted);
         assert_eq!(st.retrieved, st.submitted, "duplicates counted once");
         assert_eq!(st.retrieval_polls.count(), 2 * names.len() as u64);
+        drop(st);
+        assert_eq!(d.mail_in_storage(), 0);
+    }
+
+    /// What `host` has learned of where `server` keeps `user`.
+    fn learned(d: &Deployment, host: ActorId, user: &MailName, server: NodeId) -> u32 {
+        let h: &HostActor = d.sim.actor(host).unwrap();
+        let ui = h.users[h.slot_of[user]].ui.as_ref().unwrap();
+        owner_slot_at(&ui.authorities, &ui.owner_slots, server)
+    }
+
+    /// Where `server`'s store keeps `user`, asked the hint-less way. Only
+    /// for a user with nothing new to drain: then asking changes nothing.
+    fn kept_at(d: &mut Deployment, server: NodeId, user: &MailName) -> u32 {
+        let actor = d.server_actor(server).unwrap();
+        let s: &mut ServerActor = d.sim.actor_mut(actor).unwrap();
+        let (mail, slot) = s.store.drain_reserve_at(user, NO_OWNER_SLOT);
+        assert!(mail.is_empty(), "only ask for an idle user");
+        slot
+    }
+
+    /// The server-side twin of `forged_session_cannot_credit_another_user`:
+    /// a `Retrieve` for bob carrying the slot of alice's box drains bob's.
+    #[test]
+    fn forged_owner_slot_cannot_drain_another_users_box() {
+        let mut d = small_deployment(44);
+        let (alice, bob, host) = housemates(&d);
+        let names = d.user_names();
+        let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
+        assert_eq!(
+            d.directory.by_name(&alice).unwrap().authorities.primary(),
+            primary
+        );
+        d.send_at(t(1.0), &names[5], &alice);
+        d.send_at(t(2.0), &names[5], &bob);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        let server = d.server_actor(primary).unwrap();
+        let held = |d: &Deployment, who: &MailName| {
+            let s: &ServerActor = d.sim.actor(server).unwrap();
+            (
+                s.store.mailboxes()[who].len(),
+                s.store.pending_drain().get(who).map(Vec::len),
+            )
+        };
+        assert_eq!((held(&d, &alice), held(&d, &bob)), ((1, None), (1, None)));
+
+        // Alice's box was created first: slot 0 of this store.
+        let bob_session = d.sim.actor::<HostActor>(host).unwrap().slot_of[&bob] as u32;
+        d.sim.inject(
+            server,
+            MailMsg::Retrieve {
+                user: bob.clone(),
+                reply_to: d.users[&bob],
+                session: bob_session,
+                owner_slot: 0,
+            },
+            SimDuration::ZERO,
+        );
+        assert!(d.sim.step());
+        assert_eq!(held(&d, &alice), (1, None), "alice's box untouched");
+        assert_eq!(held(&d, &bob), (0, Some(1)), "bob's mail reserved for bob");
+
+        // The reply re-teaches the host where bob really is.
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert_eq!(learned(&d, host, &bob, primary), 1);
+        assert_eq!(learned(&d, host, &alice, primary), NO_OWNER_SLOT);
+        let st = d.stats.borrow();
+        assert_eq!(st.retrieved, 1);
+        assert!(
+            st.ledger_retrieved.iter().all(|id| id.0 == 1),
+            "bob's message"
+        );
+    }
+
+    /// A slot the store never had, and one a crash took away (a volatile
+    /// store forgets every owner), both resolve by name; each reply teaches
+    /// the slot that is right now.
+    #[test]
+    fn out_of_range_and_vacated_owner_slots_resolve_by_name() {
+        let f = fig1();
+        let mut d = Deployment::build(
+            &f.topology,
+            &[2, 2, 2, 2, 2, 2],
+            &DeploymentConfig {
+                seed: 45,
+                durability: DurabilityConfig::Volatile,
+                ..DeploymentConfig::default()
+            },
+        );
+        let (alice, bob, host) = housemates(&d);
+        let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
+        let mut plan = ServerFailurePlan::new();
+        plan.add(primary, t(100.0), t(110.0));
+        d.apply_server_failures(&plan);
+
+        // Out of range: the store is empty when bob first asks.
+        let server = d.server_actor(primary).unwrap();
+        let bob_session = d.sim.actor::<HostActor>(host).unwrap().slot_of[&bob] as u32;
+        d.sim.inject(
+            server,
+            MailMsg::Retrieve {
+                user: bob.clone(),
+                reply_to: d.users[&bob],
+                session: bob_session,
+                owner_slot: 9_999,
+            },
+            SimDuration::ZERO,
+        );
+        d.check_at(t(10.0), &alice);
+        d.sim.run_until(t(90.0));
+        assert_eq!(learned(&d, host, &bob, primary), 0);
+        assert_eq!(learned(&d, host, &alice, primary), 1);
+
+        // The crash empties the store; alice comes back first and takes
+        // the slot bob's hint still names.
+        d.check_at(t(120.0), &alice);
+        d.check_at(t(130.0), &bob);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert_eq!(learned(&d, host, &alice, primary), 0);
+        assert_eq!(learned(&d, host, &bob, primary), 1);
+        assert_eq!(kept_at(&mut d, primary, &bob), 1);
+        assert_eq!(d.stats.borrow().retrieval_polls.count(), 3);
+    }
+
+    /// The twin of `duplicated_replies_resolve_as_by_name`: replies that
+    /// arrive twice, late and out of order all carry the slot the store
+    /// answered with, so whichever lands last the host holds the right one.
+    #[test]
+    fn duplicated_replies_teach_the_same_owner_slot() {
+        let mut d = small_deployment(43);
+        let names = d.user_names();
+        let chaos = LinkChaos::new(
+            LinkProfile::new(0.0, 0.5, SimDuration::from_units(3.0)).unwrap(),
+            t(400.0),
+        );
+        d.apply_link_chaos(&chaos).unwrap();
+        for (i, to) in names.iter().enumerate() {
+            d.send_at(t(1.0 + i as f64), &names[(i + 5) % names.len()], to);
+            d.check_at(t(60.0 + i as f64), to);
+            d.check_at(t(61.0 + i as f64), to);
+        }
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert!(d.sim.counters().duplicated.get() > 0);
+        assert_eq!(d.mail_in_storage(), 0);
+        for user in &names {
+            let host = d.host_actor(d.users[user]).unwrap();
+            let authorities = d.directory.by_name(user).unwrap().authorities.clone();
+            for &server in authorities.servers() {
+                let taught = learned(&d, host, user, server);
+                assert_ne!(taught, NO_OWNER_SLOT, "the first check walks every server");
+                assert_eq!(taught, kept_at(&mut d, server, user), "{user} at {server}");
+            }
+        }
+    }
+
+    /// A WAL store that crashes comes back with its owners where the log
+    /// puts them — after a compaction, in name order. The first `Retrieve`
+    /// with the pre-crash hint (now alice's slot) still returns bob's mail,
+    /// and teaches the slot the next one finds him in.
+    #[test]
+    fn stale_owner_slot_after_wal_recovery_is_retaught() {
+        let f = fig1();
+        let mut d = Deployment::build(
+            &f.topology,
+            &[2, 2, 2, 2, 2, 2],
+            &DeploymentConfig {
+                seed: 46,
+                // Every record rotates and compacts: recovery replays a
+                // snapshot, which lists owners by name.
+                durability: DurabilityConfig::Wal(WalConfig {
+                    segment_bytes: 64,
+                    max_segments: 1,
+                    ..WalConfig::default()
+                }),
+                ..DeploymentConfig::default()
+            },
+        );
+        let (alice, bob, host) = housemates(&d);
+        let names = d.user_names();
+        let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
+        let mut plan = ServerFailurePlan::new();
+        plan.add(primary, t(150.0), t(160.0));
+        d.apply_server_failures(&plan);
+
+        // Bob's box is created before alice's.
+        d.send_at(t(1.0), &names[5], &bob);
+        d.send_at(t(10.0), &names[5], &alice);
+        d.check_at(t(50.0), &bob);
+        d.check_at(t(51.0), &alice);
+        d.send_at(t(100.0), &names[5], &bob);
+        d.sim.run_until(t(170.0));
+        assert_eq!(d.recoveries.borrow().len(), 1);
+        assert_eq!(learned(&d, host, &bob, primary), 0, "the pre-crash hint");
+        assert_eq!(learned(&d, host, &alice, primary), 1);
+        assert_eq!(kept_at(&mut d, primary, &alice), 0, "alice sorts first");
+
+        d.check_at(t(200.0), &bob);
+        d.sim.run_until(t(290.0));
+        assert_eq!(
+            d.stats.borrow().retrieved,
+            3,
+            "bob's second message arrived"
+        );
+        assert_eq!(learned(&d, host, &bob, primary), 1, "re-taught");
+
+        // The next one is found where the hint says.
+        d.send_at(t(300.0), &names[5], &bob);
+        d.check_at(t(350.0), &bob);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert_eq!(learned(&d, host, &bob, primary), 1);
+        assert_eq!(kept_at(&mut d, primary, &bob), 1);
+        let st = d.stats.borrow();
+        assert_eq!((st.retrieved, st.bounced), (4, 0));
+        assert_eq!(st.ledger_retrieved, st.ledger_submitted);
         drop(st);
         assert_eq!(d.mail_in_storage(), 0);
     }
