@@ -1,39 +1,30 @@
-//! Convenience: run every repro experiment in sequence (the same code the
-//! individual `repro-*` binaries call), printing section markers. Useful
-//! for regenerating `artifacts/` wholesale. A `--json` flag is forwarded
-//! to every child, so each experiment emits its machine-readable form.
+//! Convenience: run every repro experiment in sequence (the binaries
+//! themselves, in the order `cat artifacts/repro-*.txt` lists them), so
+//! `repro-all | diff - <(cat artifacts/repro-*.txt)` is empty exactly when
+//! every artifact is current.
 
 use std::process::Command;
 
 fn main() {
-    let bins: [(&str, &[&str]); 13] = [
-        ("repro-fig1", &[]),
-        ("repro-table1-2", &[]),
-        ("repro-table3", &[]),
-        ("repro-fig2", &[]),
-        ("repro-getmail", &[]),
-        ("repro-mst-cost", &[]),
-        ("repro-attr-cost", &[]),
-        ("repro-locindep", &[]),
-        ("repro-assign-ablate", &[]),
-        ("repro-cache", &[]),
-        ("repro-scorecard", &[]),
-        ("repro-scale", &["--smoke"]),
-        ("repro-store", &["--smoke"]),
+    let bins = [
+        "repro-assign-ablate",
+        "repro-attr-cost",
+        "repro-cache",
+        "repro-fig1",
+        "repro-fig2",
+        "repro-getmail",
+        "repro-locindep",
+        "repro-mst-cost",
+        "repro-scale",
+        "repro-scorecard",
+        "repro-table1-2",
+        "repro-table3",
     ];
-    let forward: Vec<String> = std::env::args().skip(1).filter(|a| a == "--json").collect();
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
     let mut failed = Vec::new();
-    for (bin, extra) in bins {
-        println!("\n================================================================");
-        println!("== {bin}");
-        println!("================================================================\n");
-        let status = Command::new(dir.join(bin))
-            .args(extra)
-            .args(&forward)
-            .status();
-        match status {
+    for bin in bins {
+        match Command::new(dir.join(bin)).status() {
             Ok(s) if s.success() => {}
             other => {
                 eprintln!("!! {bin} failed: {other:?}");
@@ -45,5 +36,4 @@ fn main() {
         eprintln!("\nfailed experiments: {failed:?}");
         std::process::exit(1);
     }
-    println!("\nall experiments completed.");
 }

@@ -4,14 +4,10 @@
 //! reconvergence.
 
 use lems_bench::assign_exp::{add_server_reconvergence, batch_ablation, weight_ablation};
-use lems_bench::emit::{json_flag, Report};
-use lems_bench::render::{f1, f3, Table};
+use lems_bench::render::{f1, f3, Report, Table};
 
 fn main() {
-    let mut report = Report::new(
-        "assign-ablate",
-        "C6 — assignment-algorithm ablations (Fig. 1 scenario)",
-    );
+    let mut report = Report::new("C6 — assignment-algorithm ablations (Fig. 1 scenario)");
 
     report.note("C6a: batch size vs convergence effort");
     let rows = batch_ablation(&[1, 2, 4, 8, 16, 32]);
@@ -24,7 +20,7 @@ fn main() {
             f1(r.final_cost),
         ]);
     }
-    report.table("batch_ablation", &t);
+    report.table(&t);
     report.note("shape check: moves drop sharply with batch size at (near-)equal final cost.");
 
     report.note("C6b: weight sensitivity (W1 = communication, W2 = processing)");
@@ -45,7 +41,7 @@ fn main() {
             r.split_hosts.to_string(),
         ]);
     }
-    report.table("weight_ablation", &t);
+    report.table(&t);
     report.note(
         "shape check: processing-heavy weights tighten load balance;\n\
          communication-heavy weights pin users to nearby servers.",
@@ -53,19 +49,16 @@ fn main() {
 
     report.note("C6c: add-server reconvergence (4th server adjacent to the hot spot)");
     let r = add_server_reconvergence();
-    report.kv(
-        "add_server",
-        vec![
-            ("moved users".into(), r.moved_users.to_string()),
-            ("new server load".into(), r.new_server_load.to_string()),
-            ("cost before".into(), f1(r.cost_before)),
-            ("cost after".into(), f1(r.cost_after)),
-        ],
-    );
+    report.kv(&[
+        ("moved users".into(), r.moved_users.to_string()),
+        ("new server load".into(), r.new_server_load.to_string()),
+        ("cost before".into(), f1(r.cost_before)),
+        ("cost after".into(), f1(r.cost_after)),
+    ]);
     report.note(
         "(paper §3.1.3c: 'the server assignment procedure is performed to\n\
          redistribute the load so that some users are assigned to the new server')",
     );
 
-    report.emit(json_flag());
+    report.print();
 }

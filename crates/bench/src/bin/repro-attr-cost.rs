@@ -9,9 +9,8 @@ use lems_attr::query::Query;
 use lems_attr::registry::AttributeRegistry;
 use lems_attr::search::AttributeNetwork;
 use lems_attr::{distribute, estimate};
-use lems_bench::emit::{json_flag, Report};
 use lems_bench::mst_exp::distinct_world;
-use lems_bench::render::{f1, Table};
+use lems_bench::render::{f1, Report, Table};
 
 fn main() {
     let t = distinct_world(11, 5, 3, 3);
@@ -34,19 +33,16 @@ fn main() {
     let root = net.topology().servers()[0];
     let query = Query::text_eq(AttrKey::Interest, "opera");
 
-    let mut report = Report::new(
-        "attr-cost",
-        format!(
-            "C4 — §3.3.1B cost table from region {}",
-            net.topology().region(root)
-        ),
-    );
+    let mut report = Report::new(format!(
+        "C4 — §3.3.1B cost table from region {}",
+        net.topology().region(root)
+    ));
     let est = estimate(&net, root, &query);
     let mut table = Table::new(vec!["region", "delivery cost (u)"]);
     for &(r, c) in &est.region_costs {
         table.row(vec![format!("{r}"), f1(c)]);
     }
-    report.table("region_costs", &table);
+    report.table(&table);
     report.note(format!(
         "total = {} units; search charge estimate = {} units",
         f1(est.total_cost),
@@ -73,7 +69,7 @@ fn main() {
             f1(out.cost),
         ]);
     }
-    report.table("budget_walk", &walk);
+    report.table(&walk);
 
     let full = distribute(&net, root, &query, &ctx, None);
     report.note(format!(
@@ -83,5 +79,5 @@ fn main() {
         f1(full.cost)
     ));
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -3,14 +3,10 @@
 //! invalidation costs.
 
 use lems_bench::cache_exp::{invalidation_cost, sweep};
-use lems_bench::emit::{json_flag, Report};
-use lems_bench::render::{f3, Table};
+use lems_bench::render::{f3, Report, Table};
 
 fn main() {
-    let mut report = Report::new(
-        "cache",
-        "C8 — resolution caching (500 names, 20k lookups per point)",
-    );
+    let mut report = Report::new("C8 — resolution caching (500 names, 20k lookups per point)");
     let rows = sweep(
         500,
         20_000,
@@ -27,7 +23,7 @@ fn main() {
             f3(r.evictions_per_k),
         ]);
     }
-    report.table("capacity_sweep", &t);
+    report.table(&t);
     report.note("shape checks:");
     report.note("  - hit rate rises with capacity at fixed skew;");
     report.note("  - skewed (Zipf) popularity makes small caches effective —");
@@ -40,5 +36,5 @@ fn main() {
         100.0 * frac
     ));
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -3,17 +3,13 @@
 //! assignment algorithm.
 
 use lems_bench::assign_exp::fig1_problem;
-use lems_bench::emit::{json_flag, Report};
-use lems_bench::render::{f1, Table};
+use lems_bench::render::{f1, Report, Table};
 
 fn main() {
     let (scenario, problem) = fig1_problem();
     let t = &scenario.topology;
 
-    let mut report = Report::new(
-        "fig1",
-        "FIG1 — topology and user distribution (reconstruction)",
-    );
+    let mut report = Report::new("FIG1 — topology and user distribution (reconstruction)");
     report.note(format!(
         "nodes: {} ({} hosts, {} servers), links: {} (all 1.0 unit)",
         t.node_count(),
@@ -29,13 +25,13 @@ fn main() {
             format!("{}", e.weight),
         ]);
     }
-    report.table("links", &links);
+    report.table(&links);
 
     let mut users = Table::new(vec!["host", "users"]);
     for (h, &n) in scenario.hosts.iter().zip(&scenario.users_per_host) {
         users.row(vec![t.name(*h).to_owned(), n.to_string()]);
     }
-    report.table("users_per_host", &users);
+    report.table(&users);
     report.note(format!(
         "total users: {}",
         scenario.users_per_host.iter().sum::<u32>()
@@ -51,11 +47,11 @@ fn main() {
             f1(problem.comm[i][2]),
         ]);
     }
-    report.table("cost_matrix", &c);
+    report.table(&c);
     report.note(format!(
         "paper check: C(H2,S1) = {} units (the §3.1.1 example says 2).",
         f1(problem.comm[1][0])
     ));
 
-    report.emit(json_flag());
+    report.print();
 }

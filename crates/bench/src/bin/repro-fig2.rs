@@ -1,18 +1,14 @@
 //! FIG2: the backbone MST + local MSTs of §3.3.1A(ii), built by the real
 //! distributed GHS protocol and checked against the centralized planner.
 
-use lems_bench::emit::{json_flag, Report};
 use lems_bench::mst_exp::fig2;
-use lems_bench::render::{f1, Table};
+use lems_bench::render::{f1, Report, Table};
 
 fn main() {
     let r = fig2(3);
     let t = &r.topology;
 
-    let mut report = Report::new(
-        "fig2",
-        "FIG2 — backbone MST over gateways + local MST per region",
-    );
+    let mut report = Report::new("FIG2 — backbone MST over gateways + local MST per region");
     report.note(format!(
         "world: {} regions, {} nodes, {} edges; gateways: {}",
         t.region_ids().len(),
@@ -31,7 +27,7 @@ fn main() {
             ]);
         }
         report.note(format!("region {region}:"));
-        report.table(&format!("local_mst_r{region}"), &table);
+        report.table(&table);
     }
 
     let mut bb = Table::new(vec!["backbone edge", "regions", "weight"]);
@@ -44,7 +40,7 @@ fn main() {
         ]);
     }
     report.note("backbone:");
-    report.table("backbone_mst", &bb);
+    report.table(&bb);
 
     report.note(format!("spans the whole network: {}", r.two_level.spans(t)));
     report.note(format!(
@@ -61,5 +57,5 @@ fn main() {
     ));
     report.note("distributed construction == centralized Kruskal planner: verified");
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -4,20 +4,16 @@
 //! approximately one under normal conditions" and "no messages will be
 //! lost even when some servers fail").
 
-use lems_bench::emit::{json_flag, trace_out_flag, Report};
 use lems_bench::getmail_exp::{full_stack_traced, sweep, GetMailSweepConfig};
-use lems_bench::render::{f3, Table};
+use lems_bench::render::{f3, Report, Table};
 use lems_obs::export::{export_jsonl, RunTelemetry};
 
 fn main() {
     let cfg = GetMailSweepConfig::default();
-    let mut report = Report::new(
-        "getmail",
-        format!(
-            "C1/C2 — GetMail vs poll-all ({} users x {} units per point, {}-server authority lists)",
-            cfg.users, cfg.horizon, cfg.servers
-        ),
-    );
+    let mut report = Report::new(format!(
+        "C1/C2 — GetMail vs poll-all ({} users x {} units per point, {}-server authority lists)",
+        cfg.users, cfg.horizon, cfg.servers
+    ));
 
     let availabilities = [1.0, 0.99, 0.95, 0.9, 0.8, 0.7];
     let rows = sweep(&availabilities, &cfg);
@@ -42,7 +38,7 @@ fn main() {
             r.undeliverable.to_string(),
         ]);
     }
-    report.table("availability_sweep", &t);
+    report.table(&t);
     report.note("shape checks:");
     report.note("  - polls -> 1 as availability -> 1 (paper: 'approximately one')");
     report.note("  - poll-all always pays the full list length");
@@ -50,20 +46,23 @@ fn main() {
 
     report.note("full-stack cross-check (actor pipeline, Fig. 1 network, 95% availability):");
     let (fs, telemetry) = full_stack_traced(0.95, 7);
-    report.kv(
-        "full_stack",
-        vec![
-            ("polls/check".into(), format!("{:.3}", fs.polls_mean)),
-            ("submitted".into(), fs.submitted.to_string()),
-            ("retrieved".into(), fs.retrieved.to_string()),
-            ("bounced".into(), fs.bounced.to_string()),
-            ("unaccounted".into(), fs.outstanding.to_string()),
-        ],
-    );
+    report.kv(&[
+        ("polls/check".into(), format!("{:.3}", fs.polls_mean)),
+        ("submitted".into(), fs.submitted.to_string()),
+        ("retrieved".into(), fs.retrieved.to_string()),
+        ("bounced".into(), fs.bounced.to_string()),
+        ("unaccounted".into(), fs.outstanding.to_string()),
+    ]);
 
     // `--trace-out <path>`: dump the full-stack run's spans and metrics
     // for `lems-trace timeline/servers/summary/audit`.
-    if let Some(path) = trace_out_flag() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let trace_out = args
+        .iter()
+        .position(|a| a == "--trace-out")
+        .and_then(|i| args.get(i + 1))
+        .map(std::path::PathBuf::from);
+    if let Some(path) = trace_out {
         let text = export_jsonl(&RunTelemetry {
             run: "getmail-full-stack",
             seed: telemetry.seed,
@@ -79,5 +78,5 @@ fn main() {
         report.note(format!("telemetry written to {}", path.display()));
     }
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -3,14 +3,13 @@
 //! (§3.2.4), and the rehash-vs-reassign reconfiguration comparison
 //! (§3.2.3c).
 
-use lems_bench::emit::{json_flag, Report};
 use lems_bench::locindep_exp::{
     actor_mobility_sweep, mobility_sweep, policy_comparison, reconfig_comparison,
 };
-use lems_bench::render::{f1, f3, Table};
+use lems_bench::render::{f1, f3, Report, Table};
 
 fn main() {
-    let mut report = Report::new("locindep", "C5 — location-independent access overheads");
+    let mut report = Report::new("C5 — location-independent access overheads");
 
     report.note("mobility sweep (two-region world, 400 sampled deliveries per point):");
     let rows = mobility_sweep(&[0.0, 0.1, 0.25, 0.5, 0.75, 1.0], 1);
@@ -26,7 +25,7 @@ fn main() {
             f3(r.mean_consults),
         ]);
     }
-    report.table("mobility_sweep", &t);
+    report.table(&t);
     report.note(
         "shape check: consult cost is 0 at fraction 0 ('overhead is only\n\
          incurred if a user moves') and grows with mobility.",
@@ -34,14 +33,11 @@ fn main() {
 
     report.note("cross-region policies for one migrant (per-message cost):");
     let p = policy_comparison(2);
-    report.kv(
-        "policy_comparison",
-        vec![
-            ("remote access (u)".into(), f1(p.remote_access)),
-            ("redirect (u)".into(), f1(p.redirect)),
-            ("rename (u)".into(), f1(p.rename)),
-        ],
-    );
+    report.kv(&[
+        ("remote access (u)".into(), f1(p.remote_access)),
+        ("redirect (u)".into(), f1(p.redirect)),
+        ("rename (u)".into(), f1(p.rename)),
+    ]);
     match p.breakeven_messages {
         Some(n) => report.note(format!(
             "renaming pays for itself after {n} redirected message(s)\n\
@@ -66,7 +62,7 @@ fn main() {
             f3(r.notify_latency),
         ]);
     }
-    report.table("actor_mobility_sweep", &t2);
+    report.table(&t2);
     report.note(
         "shape check: cooperative LocationUpdate broadcasts keep consults near\n\
          zero even under mobility; alerts follow the user off their primary host.",
@@ -84,5 +80,5 @@ fn main() {
     ));
     report.note("  (paper: System 2's 'reconfiguration can be done easily without much overhead')");
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -2,15 +2,12 @@
 //! network grows, with GHS construction cost and a live convergecast
 //! (§3.3.1A-B), plus the failure-resilience companion.
 
-use lems_bench::emit::{json_flag, Report};
 use lems_bench::mst_exp::{c3_sweep, convergecast_resilience};
-use lems_bench::render::{f1, f3, Table};
+use lems_bench::render::{f1, f3, Report, Table};
 
 fn main() {
-    let mut report = Report::new(
-        "mst-cost",
-        "C3 — broadcast cost scaling (per point: fresh multi-region world)",
-    );
+    let mut report =
+        Report::new("C3 — broadcast cost scaling (per point: fresh multi-region world)");
     let rows = c3_sweep(&[2, 4, 8, 12, 16], 1);
     let mut t = Table::new(vec![
         "regions",
@@ -38,7 +35,7 @@ fn main() {
             f1(r.completed_units),
         ]);
     }
-    report.table("size_sweep", &t);
+    report.table(&t);
     report.note("shape checks:");
     report.note("  - MST cost < flooding cost at every size, gap grows with size");
     report.note("  - MST cost <= unicast sum (shared prefixes are paid once)");
@@ -46,18 +43,15 @@ fn main() {
 
     report.note("failure resilience (one tree neighbor of the root dead):");
     let r = convergecast_resilience(4);
-    report.kv(
-        "resilience",
-        vec![
-            ("full coverage".into(), r.full_coverage.to_string()),
-            ("degraded coverage".into(), r.degraded_coverage.to_string()),
-            (
-                "unavailable subtrees marked".into(),
-                r.unavailable_marks.to_string(),
-            ),
-        ],
-    );
+    report.kv(&[
+        ("full coverage".into(), r.full_coverage.to_string()),
+        ("degraded coverage".into(), r.degraded_coverage.to_string()),
+        (
+            "unavailable subtrees marked".into(),
+            r.unavailable_marks.to_string(),
+        ),
+    ]);
     report.note("(the paper: parents 'time out … and the unavailable estimates can be marked so')");
 
-    report.emit(json_flag());
+    report.print();
 }

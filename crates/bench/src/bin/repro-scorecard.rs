@@ -1,14 +1,14 @@
 //! C7: the §4 criteria scorecard — efficiency, reliability, flexibility,
 //! cost — for all three designs on a common scenario.
 
-use lems_bench::emit::{json_flag, Report};
+use lems_bench::render::Report;
 use lems_eval::criteria::{rank, CriteriaWeights};
 use lems_eval::report::{comparison_table, to_json};
 
 use lems_bench::scorecard_exp::scorecards;
 
 fn main() {
-    let mut report = Report::new("scorecard", "C7 — §4 criteria scorecard");
+    let mut report = Report::new("C7 — §4 criteria scorecard");
     let cards = scorecards(5);
     report.note(comparison_table(&cards));
     report.note("reading guide (the paper's trade-off in §4):");
@@ -43,8 +43,8 @@ fn main() {
             .collect();
         pairs.push((label.to_owned(), order.join("  >  ")));
     }
-    report.kv("weighted_rankings", pairs);
+    report.kv(&pairs);
     report.note(format!("JSON artifact:\n{}", to_json(&cards)));
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -3,17 +3,14 @@
 //! constants W1=4, W2=1, z=0.5, M=100.
 
 use lems_bench::assign_exp::{fig1_problem, fig1_rankings, render_assignment, tables_1_and_2};
-use lems_bench::emit::{json_flag, Report};
-use lems_bench::render::f1;
+use lems_bench::render::{f1, Report};
 
 fn main() {
     let (scenario, problem) = fig1_problem();
     let (initial, balanced, balance_report) = tables_1_and_2();
 
-    let mut report = Report::new(
-        "table1-2",
-        "TABLE 1 + TABLE 2 — initial and balanced server assignment (Fig. 1)",
-    );
+    let mut report =
+        Report::new("TABLE 1 + TABLE 2 — initial and balanced server assignment (Fig. 1)");
 
     report.note("TABLE 1 — initial server assignment (nearest server, zero-load costs)");
     report.note(render_assignment(&scenario, &problem, &initial));
@@ -21,16 +18,13 @@ fn main() {
 
     report.note("TABLE 2 — final load distribution after balancing");
     report.note(render_assignment(&scenario, &problem, &balanced));
-    report.kv(
-        "balancing",
-        vec![
-            ("passes".into(), balance_report.passes.to_string()),
-            ("accepted moves".into(), balance_report.moves.to_string()),
-            ("undone".into(), balance_report.undone.to_string()),
-            ("initial cost".into(), f1(balance_report.initial_cost)),
-            ("final cost".into(), f1(balance_report.final_cost)),
-        ],
-    );
+    report.kv(&[
+        ("passes".into(), balance_report.passes.to_string()),
+        ("accepted moves".into(), balance_report.moves.to_string()),
+        ("undone".into(), balance_report.undone.to_string()),
+        ("initial cost".into(), f1(balance_report.initial_cost)),
+        ("final cost".into(), f1(balance_report.final_cost)),
+    ]);
 
     let split = (0..problem.host_count())
         .filter(|&i| {
@@ -54,5 +48,5 @@ fn main() {
         report.note(format!("  {host}: {}", servers.join(" > ")));
     }
 
-    report.emit(json_flag());
+    report.print();
 }

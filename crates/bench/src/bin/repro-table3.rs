@@ -3,15 +3,14 @@
 //! does to it.
 
 use lems_bench::assign_exp::{render_assignment, table3_problem};
-use lems_bench::emit::{json_flag, Report};
-use lems_bench::render::f1;
+use lems_bench::render::{f1, Report};
 use lems_syntax::assign::{initialize, solve, BalanceOptions};
 
 fn main() {
     let (scenario, problem) = table3_problem();
     let initial = initialize(&problem);
 
-    let mut report = Report::new("table3", "TABLE 3 — initial server assignment (100/100/20)");
+    let mut report = Report::new("TABLE 3 — initial server assignment (100/100/20)");
     report.note(render_assignment(&scenario, &problem, &initial));
     report.note("paper: H1->S1 100, H2->S2 100, H3->S3 20.");
 
@@ -28,5 +27,5 @@ fn main() {
         balance_report.moves,
     ));
 
-    report.emit(json_flag());
+    report.print();
 }

@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of *"Designing Large Electronic
 //! Mail Systems"* (Bahaa-El-Din & Yuen, ICDCS 1988) plus the paper's
 //! quantitative claims; see `DESIGN.md` for the experiment index
-//! (FIG1/FIG2, T1–T3, C1–C7) and the `repro-*` binaries for the runnable
+//! (FIG1/FIG2, T1–T3, C1–C8) and the `repro-*` binaries for the runnable
 //! entry points.
 
 #![forbid(unsafe_code)]
@@ -15,12 +15,9 @@
 
 pub mod assign_exp;
 pub mod cache_exp;
-pub mod emit;
 pub mod getmail_exp;
 pub mod locindep_exp;
 pub mod mst_exp;
 pub mod render;
 pub mod scale_exp;
 pub mod scorecard_exp;
-pub mod sim_exp;
-pub mod store_exp;

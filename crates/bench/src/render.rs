@@ -1,4 +1,6 @@
-//! Plain-text table rendering for the `repro-*` binaries.
+//! Plain-text rendering for the `repro-*` binaries: a [`Table`] pads its
+//! columns, a [`Report`] is the text one experiment prints — the one code
+//! path from experiment data to `artifacts/<name>.txt`.
 
 use std::fmt::Write;
 
@@ -48,16 +50,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// The column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// True if no data rows were added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -90,6 +82,67 @@ impl Table {
             line(row, &mut out);
         }
         out
+    }
+}
+
+/// What one `repro-*` binary prints: a title, then prose lines, tables
+/// and key/value groups in the order they were added.
+///
+/// # Examples
+///
+/// ```
+/// use lems_bench::render::{Report, Table};
+///
+/// let mut r = Report::new("DEMO — heading");
+/// r.note("a prose line");
+/// let mut t = Table::new(vec!["k", "v"]);
+/// t.row(vec!["a".into(), "1".into()]);
+/// r.table(&t);
+/// r.kv(&[("sum".into(), "1".into())]);
+/// assert!(r.text().starts_with("DEMO — heading\n\na prose line\n\n"));
+/// assert!(r.text().ends_with("  sum = 1\n"));
+/// ```
+#[derive(Clone, Debug)]
+pub struct Report {
+    text: String,
+}
+
+impl Report {
+    /// Starts a report with its heading and a blank line.
+    pub fn new(title: impl Into<String>) -> Self {
+        let mut text = title.into();
+        text.push_str("\n\n");
+        Report { text }
+    }
+
+    /// Appends a prose line (headings, shape checks, paper quotes).
+    pub fn note(&mut self, text: impl AsRef<str>) {
+        self.text.push_str(text.as_ref());
+        self.text.push('\n');
+    }
+
+    /// Appends a table, set off by a blank line on either side.
+    pub fn table(&mut self, table: &Table) {
+        self.text.push('\n');
+        self.text.push_str(&table.render());
+        self.text.push('\n');
+    }
+
+    /// Appends named scalar results, one indented `key = value` a line.
+    pub fn kv(&mut self, pairs: &[(String, String)]) {
+        for (k, v) in pairs {
+            let _ = writeln!(self.text, "  {k} = {v}");
+        }
+    }
+
+    /// Everything added so far.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Writes the report to stdout.
+    pub fn print(&self) {
+        print!("{}", self.text);
     }
 }
 

@@ -1,17 +1,15 @@
-//! SCALE: the million-user §3.1.1 assignment pipeline behind
-//! `BENCH_assign.json` / `BENCH_getmail.json`.
+//! SCALE: the §3.1.1 assignment pipeline from the Fig. 1 example to a
+//! million users, behind `artifacts/repro-scale.txt`.
 //!
 //! Each size tier generates a deterministic multi-region topology, builds
-//! the shared [`CostMatrix`] once, runs the scaled solver, optionally
-//! cross-times the paper's classic solver where it is still tractable, and
-//! then builds the §3.2.3 authority lists and samples GetMail retrievals
-//! off the final assignment. Wall times go into the committed
-//! `BENCH_*.json` artifacts; everything except wall time is a pure function
-//! of the seed (the digest fields are the proof).
+//! the shared [`CostMatrix`] once, runs the scaled solver, and then builds
+//! the §3.2.3 authority lists and samples GetMail retrievals off the final
+//! assignment. Every field of a [`TierRow`] is a pure function of the seed
+//! (the digests are the proof), so the table is pinned by bytes; how long
+//! the solver takes is the `syntax.assign_*` rows of the `benchmark/`
+//! ladder, not this module's business.
 //!
 //! [`CostMatrix`]: lems_net::cost_matrix::CostMatrix
-
-use std::time::Instant;
 
 use lems_core::message::MessageId;
 use lems_net::cost_matrix::CostMatrix;
@@ -22,13 +20,10 @@ use lems_sim::failure::FailurePlan;
 use lems_sim::rng::SimRng;
 use lems_sim::time::SimTime;
 use lems_syntax::assign::{
-    authority_lists, balance, balance_sync, initialize, Assignment, AssignmentProblem,
-    BalanceOptions, ScaleOptions, ScaleReport,
+    authority_lists, balance_sync, initialize, AssignmentProblem, ScaleOptions,
 };
 use lems_syntax::cost::{CostModel, ServerSpec};
 use lems_syntax::getmail::{GetMailState, PlanStore};
-
-use crate::emit::{AssignBench, AssignTier, GetMailBench, GetMailTier, BENCH_SCHEMA_VERSION};
 
 /// How a tier's topology is generated.
 #[derive(Clone, Copy, Debug)]
@@ -53,47 +48,37 @@ pub enum TierTopology {
 /// One size tier of the scale experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct TierSpec {
-    /// Tier label carried into the JSON documents.
+    /// Tier label, the first column of both tables. It also names the
+    /// tier's RNG fork, so renaming a tier moves its digests.
     pub label: &'static str,
     /// Topology recipe.
     pub topology: TierTopology,
-    /// Whether the classic (full-recompute) solver is timed too — it is
-    /// `O(hosts × servers)` per tentative move, so only small tiers can
-    /// afford it.
-    pub run_classic: bool,
 }
 
 /// Authority-list length used by every tier's GetMail stage.
 pub const LIST_LEN: usize = 3;
 
-/// The CI smoke subset: Fig. 1 plus the ~50k-user tier, small enough for
-/// a sub-minute gate run.
-pub fn smoke_tiers() -> Vec<TierSpec> {
-    vec![
-        TierSpec {
-            label: "fig1",
-            topology: TierTopology::Fig1,
-            run_classic: true,
-        },
-        TierSpec {
-            label: "smoke-50k",
-            topology: TierTopology::MultiRegion {
-                regions: 25,
-                hosts_per_region: 40,
-                servers_per_region: 2,
-                users_per_host: 50,
-                server_capacity: 1_250,
-            },
-            run_classic: true,
-        },
-    ]
-}
+/// The seed `repro-scale` runs at.
+pub const SEED: u64 = 42;
 
-/// The full tier ladder, up to a million users on 10k hosts and 500
-/// servers.
-pub fn full_tiers() -> Vec<TierSpec> {
-    let mut tiers = smoke_tiers();
-    tiers.push(TierSpec {
+/// The tier ladder: Fig. 1, then 50k, 200k and a million users (the last
+/// on 10k hosts and 500 servers).
+pub const TIERS: [TierSpec; 4] = [
+    TierSpec {
+        label: "fig1",
+        topology: TierTopology::Fig1,
+    },
+    TierSpec {
+        label: "smoke-50k",
+        topology: TierTopology::MultiRegion {
+            regions: 25,
+            hosts_per_region: 40,
+            servers_per_region: 2,
+            users_per_host: 50,
+            server_capacity: 1_250,
+        },
+    },
+    TierSpec {
         label: "200k",
         topology: TierTopology::MultiRegion {
             regions: 50,
@@ -102,9 +87,8 @@ pub fn full_tiers() -> Vec<TierSpec> {
             users_per_host: 50,
             server_capacity: 1_250,
         },
-        run_classic: false,
-    });
-    tiers.push(TierSpec {
+    },
+    TierSpec {
         label: "1m",
         topology: TierTopology::MultiRegion {
             regions: 50,
@@ -113,25 +97,36 @@ pub fn full_tiers() -> Vec<TierSpec> {
             users_per_host: 100,
             server_capacity: 2_500,
         },
-        run_classic: false,
-    });
-    tiers
-}
+    },
+];
 
-/// Everything one tier produced: the JSON rows plus the problem and final
-/// assignment for callers that want to keep digging.
-#[derive(Debug)]
-pub struct TierOutput {
-    /// Assignment-side measurements.
-    pub assign: AssignTier,
-    /// GetMail-side measurements.
-    pub getmail: GetMailTier,
-    /// The solved problem.
-    pub problem: AssignmentProblem,
-    /// The final assignment.
-    pub assignment: Assignment,
-    /// The scaled solver's report (trace included).
-    pub report: ScaleReport,
+/// What one tier produced. Same `seed` ⇒ same row, field for field.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TierRow {
+    /// Tier label.
+    pub label: &'static str,
+    /// Total users assigned.
+    pub users: u64,
+    /// Hosts in the topology.
+    pub hosts: usize,
+    /// Servers in the topology.
+    pub servers: usize,
+    /// Synchronous passes to convergence.
+    pub passes: u64,
+    /// Accepted transfers.
+    pub moves: u64,
+    /// Maximum final server utilisation ρ.
+    pub rho_max: f64,
+    /// Spread `max ρ − min ρ` across servers after balancing.
+    pub rho_spread: f64,
+    /// Final objective `Σ A_ij · TC_ij`.
+    pub total_cost: f64,
+    /// FNV-1a fingerprint of the final assignment.
+    pub assign_digest: u64,
+    /// Mean polls per retrieval over the sampled GetMail runs.
+    pub polls_mean: f64,
+    /// FNV-1a fingerprint over every authority list's node ids.
+    pub lists_digest: u64,
 }
 
 fn tier_topology(spec: &TierSpec, seed: u64) -> (Topology, Vec<u32>, ServerSpec) {
@@ -165,30 +160,6 @@ fn tier_topology(spec: &TierSpec, seed: u64) -> (Topology, Vec<u32>, ServerSpec)
     }
 }
 
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Runs `f` once for its result, then re-times it up to two more times and
-/// keeps the minimum wall time. Small tiers finish within a few
-/// milliseconds — right at the scheduler's jitter floor — and the CI perf
-/// gate compares these numbers, so a single cold sample is too noisy.
-/// Tiers past 200 ms are stable relative to the gate tolerance and are
-/// not re-run.
-fn best_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let out = f();
-    let mut best = ms(t0);
-    if best < 200.0 {
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            let _ = f();
-            best = best.min(ms(t0));
-        }
-    }
-    (out, best)
-}
-
 /// FNV-1a over a flat sequence of node ids.
 fn lists_digest(lists: &[Vec<NodeId>]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -208,101 +179,49 @@ fn lists_digest(lists: &[Vec<NodeId>]) -> u64 {
     h
 }
 
-/// Runs one tier end to end. Deterministic modulo the `*_ms` wall times:
-/// same `seed` ⇒ same digests, loads, costs, and traces.
-pub fn run_tier(spec: &TierSpec, seed: u64) -> TierOutput {
+/// Runs one tier end to end: topology → [`CostMatrix`] → `initialize` →
+/// `balance_sync` → `authority_lists` → sampled polls.
+pub fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
     let (topology, users_per_host, server_spec) = tier_topology(spec, seed);
-
-    let t0 = Instant::now();
-    let matrix = CostMatrix::build(&topology);
-    let matrix_build_ms = ms(t0);
-
     let problem = AssignmentProblem::from_matrix(
         &topology,
-        matrix,
+        CostMatrix::build(&topology),
         &users_per_host,
         server_spec,
         CostModel::paper_example(),
     );
 
-    let t0 = Instant::now();
-    let initial = initialize(&problem);
-    let init_ms = ms(t0);
+    let mut assignment = initialize(&problem);
+    let report = balance_sync(&problem, &mut assignment, ScaleOptions::default());
 
-    let opts = ScaleOptions::default();
+    let users = u64::from(problem.total_users());
+    debug_assert_eq!(
+        assignment
+            .loads()
+            .iter()
+            .map(|&l| u64::from(l))
+            .sum::<u64>(),
+        users
+    );
+    let rhos = (0..problem.server_count()).map(|j| assignment.utilization(&problem, j));
+    let rho_max = rhos.clone().fold(0.0_f64, f64::max);
+    let rho_min = rhos.fold(f64::INFINITY, f64::min);
 
-    let ((assignment, report), sync_ms) = best_ms(|| {
-        let mut a = initial.clone();
-        let r = balance_sync(&problem, &mut a, opts);
-        (a, r)
-    });
+    let lists = authority_lists(&problem, &assignment, LIST_LEN);
 
-    let classic_ms = if spec.run_classic {
-        let t0 = Instant::now();
-        let mut a_classic = initial.clone();
-        let _ = balance(
-            &problem,
-            &mut a_classic,
-            BalanceOptions {
-                batch: opts.batch,
-                ..BalanceOptions::default()
-            },
-        );
-        Some(ms(t0))
-    } else {
-        None
-    };
-
-    let loads = assignment.loads();
-    let rhos: Vec<f64> = (0..problem.server_count())
-        .map(|j| assignment.utilization(&problem, j))
-        .collect();
-    let rho_max = rhos.iter().copied().fold(0.0_f64, f64::max);
-    let rho_min = rhos.iter().copied().fold(f64::INFINITY, f64::min);
-
-    let assign = AssignTier {
-        label: spec.label.to_owned(),
-        users: u64::from(problem.total_users()),
+    TierRow {
+        label: spec.label,
+        users,
         hosts: problem.host_count(),
         servers: problem.server_count(),
-        matrix_build_ms,
-        init_ms,
-        classic_ms,
-        sync_ms,
-        speedup_vs_classic: classic_ms.map(|c| c / sync_ms.max(1e-9)),
         passes: report.passes,
         moves: report.moves,
         rho_max,
         rho_spread: rho_max - rho_min,
         total_cost: report.final_cost,
-        digest: format!("{:016x}", assignment.digest()),
-    };
-    debug_assert_eq!(
-        loads.iter().map(|&l| u64::from(l)).sum::<u64>(),
-        assign.users
-    );
-
-    let t0 = Instant::now();
-    let lists = authority_lists(&problem, &assignment, LIST_LEN);
-    let build_ms = ms(t0);
-
-    let getmail = GetMailTier {
-        label: spec.label.to_owned(),
-        users: assign.users,
-        hosts: assign.hosts,
-        servers: assign.servers,
-        list_len: LIST_LEN,
-        build_ms,
+        assign_digest: assignment.digest(),
         polls_mean: sample_polls(&lists, seed),
-        digest: format!("{:016x}", lists_digest(&lists)),
-    };
-
-    TierOutput {
-        assign,
-        getmail,
-        problem,
-        assignment,
-        report,
+        lists_digest: lists_digest(&lists),
     }
 }
 
@@ -335,79 +254,27 @@ fn sample_polls(lists: &[Vec<NodeId>], seed: u64) -> f64 {
     polls as f64 / samples.max(1) as f64
 }
 
-/// Runs a tier list into the two `BENCH_*.json` documents.
-pub fn run_suite(tiers: &[TierSpec], seed: u64) -> (AssignBench, GetMailBench) {
-    let mut assign_tiers = Vec::new();
-    let mut getmail_tiers = Vec::new();
-    for spec in tiers {
-        let out = run_tier(spec, seed);
-        assign_tiers.push(out.assign);
-        getmail_tiers.push(out.getmail);
-    }
-    (
-        AssignBench {
-            schema_version: BENCH_SCHEMA_VERSION,
-            experiment: "assign-scale".into(),
-            seed,
-            tiers: assign_tiers,
-        },
-        GetMailBench {
-            schema_version: BENCH_SCHEMA_VERSION,
-            experiment: "getmail-scale".into(),
-            seed,
-            tiers: getmail_tiers,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fig1_tier_matches_paper_shape() {
-        let spec = &smoke_tiers()[0];
-        let out = run_tier(spec, 42);
-        assert_eq!(out.assign.users, 270);
-        assert_eq!(out.assign.hosts, 6);
-        assert_eq!(out.assign.servers, 3);
-        assert!(out.assign.rho_max <= 1.0);
-        assert!(out.assign.classic_ms.is_some());
-        assert_eq!(out.getmail.polls_mean, 1.0);
-        assert_eq!(out.getmail.list_len, LIST_LEN);
+        let row = run_tier(&TIERS[0], SEED);
+        assert_eq!((row.users, row.hosts, row.servers), (270, 6, 3));
+        assert!(row.rho_max <= 1.0);
+        assert_eq!(row.polls_mean, 1.0);
     }
 
     #[test]
     fn tiers_are_deterministic_across_runs() {
-        let spec = &smoke_tiers()[1];
-        let a = run_tier(spec, 42);
-        let b = run_tier(spec, 42);
-        assert_eq!(a.assign.digest, b.assign.digest);
-        assert_eq!(a.getmail.digest, b.getmail.digest);
-        assert_eq!(a.report.cost_trace, b.report.cost_trace);
+        let spec = &TIERS[1];
+        let a = run_tier(spec, SEED);
+        assert_eq!(a, run_tier(spec, SEED));
+        assert_eq!((a.users, a.hosts, a.servers), (50_000, 1_000, 50));
+        assert!(a.rho_max < 0.999, "a server was left at the wall");
+        assert!(a.total_cost > 0.0);
         // A different seed lands elsewhere.
-        let c = run_tier(spec, 43);
-        assert_ne!(a.assign.digest, c.assign.digest);
-    }
-
-    #[test]
-    fn smoke_suite_builds_well_formed_docs() {
-        let (assign, getmail) = run_suite(&smoke_tiers(), 42);
-        assert_eq!(assign.tiers.len(), 2);
-        assert_eq!(getmail.tiers.len(), 2);
-        assert_eq!(assign.experiment, "assign-scale");
-        for t in &assign.tiers {
-            assert!(
-                t.rho_max < 0.999,
-                "tier {} left a server at the wall",
-                t.label
-            );
-            assert!(t.total_cost > 0.0);
-            assert_eq!(t.digest.len(), 16);
-        }
-        let smoke = &assign.tiers[1];
-        assert_eq!(smoke.users, 50_000);
-        assert_eq!(smoke.hosts, 1_000);
-        assert_eq!(smoke.servers, 50);
+        assert_ne!(a.assign_digest, run_tier(spec, SEED + 1).assign_digest);
     }
 }
