@@ -22,6 +22,13 @@ pub struct Handle {
     gen: u32,
 }
 
+impl Handle {
+    /// The slot this handle names, as [`Pool::at`] and [`Pool::at_mut`] take it.
+    pub(crate) fn index(self) -> u32 {
+        self.index
+    }
+}
+
 struct Slot<T> {
     gen: u32,
     val: Option<T>,
@@ -154,6 +161,20 @@ impl<T> Pool<T> {
             .get_mut(h.index as usize)
             .filter(|s| s.gen == h.gen)
             .and_then(|s| s.val.as_mut())
+    }
+
+    /// The live value in slot `index` and the handle it lives under — for a
+    /// structure threaded through the slots themselves, which links them by
+    /// bare index. `None` for a free slot or an index beyond the slab.
+    pub(crate) fn at(&self, index: u32) -> Option<(Handle, &T)> {
+        let slot = self.slots.get(index as usize)?;
+        let gen = slot.gen;
+        slot.val.as_ref().map(|val| (Handle { index, gen }, val))
+    }
+
+    /// The live value in slot `index`, mutably; `None` as for [`Pool::at`].
+    pub(crate) fn at_mut(&mut self, index: u32) -> Option<&mut T> {
+        self.slots.get_mut(index as usize)?.val.as_mut()
     }
 
     /// Removes and returns the value behind `h`, freeing its slot under a

@@ -11,15 +11,22 @@
 //! into power-of-two-wide *days*; each day hashes onto a ring of buckets.
 //! The current day is kept extracted into a sorted `front` vector consumed
 //! by a cursor, so `pop`, `peek_time` and the same-instant
-//! [`ready`](EventQueue::ready) view are O(1) and allocation-free in steady
-//! state. Pushes binary-insert into the front (same day) or append to a
-//! bucket (later day); days beyond the ring spill into a small ordered
-//! overflow map. Payloads live in a generation-checked
-//! [`Pool`](crate::pool::Pool), so the structures that get sorted and
-//! shuffled are 24-byte index entries, and freed slots recycle without
-//! touching the allocator. The ring resizes (and re-picks its day width from
-//! the observed inter-event gaps) when the pending count outgrows or
-//! undershoots it, keeping inserts and pops amortized O(1).
+//! [`ready`](EventQueue::ready) view are O(1) and allocation-free. Pushes
+//! binary-insert into the front (same day) or link onto a bucket's chain
+//! (later day); days beyond the ring spill into a small ordered overflow
+//! map. Payloads live in a generation-checked [`Pool`](crate::pool::Pool)
+//! beside their `(ticks, seq)` key and a `next` index, and a bucket is just
+//! the `u32` index of its first slot: the chain runs through the pool's own
+//! slots, so filing an event under a later day is two stores and never an
+//! allocation, however cold the bucket. Freed slots recycle without touching
+//! the allocator. The ring resizes (and re-picks its day width from the
+//! observed inter-event gaps) when the pending count outgrows or undershoots
+//! it, keeping inserts and pops amortized O(1).
+//!
+//! What allocates, then, is the pool's slab growing to the peak pending
+//! count, the `front` vector growing to the busiest day, and the O(log n)
+//! ring rebuilds — nothing per bucket and nothing per event
+//! (`tests/zero_alloc.rs` counts it on a cold ring).
 //!
 //! Pop order is exactly `(time, sequence)`; `tests/queue_differential.rs`
 //! crosses every operation against a `BTreeMap` model of that contract.
@@ -38,8 +45,8 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct EventSeq(pub u64);
 
-/// A 24-byte index entry: where and when, with the payload parked in the
-/// pool behind a generation-checked handle.
+/// A 24-byte index entry of the sorted front: where and when, with the
+/// payload parked in the pool behind a generation-checked handle.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
     ticks: u64,
@@ -51,6 +58,32 @@ impl Entry {
     fn key(&self) -> (u64, u64) {
         (self.ticks, self.seq)
     }
+}
+
+/// What a pool slot holds: the payload, its key, and the link to the next
+/// slot of the same bucket (meaningful only while the entry is in the ring).
+struct Node<E> {
+    ticks: u64,
+    seq: u64,
+    next: u32,
+    val: E,
+}
+
+/// End of a bucket chain; an empty bucket's head.
+const NIL: u32 = u32::MAX;
+
+/// The entries chained from slot `head` on, in chain order.
+fn chain<E>(pool: &Pool<Node<E>>, head: u32) -> impl Iterator<Item = Entry> + '_ {
+    let mut cur = head;
+    std::iter::from_fn(move || {
+        let (slot, node) = pool.at(cur)?;
+        cur = node.next;
+        Some(Entry {
+            ticks: node.ticks,
+            seq: node.seq,
+            slot,
+        })
+    })
 }
 
 /// Smallest bucket-ring size; the ring never shrinks below this.
@@ -67,7 +100,7 @@ const MAX_SHIFT: u32 = 40;
 const SCAN_LIMIT: u64 = 64;
 
 struct Calendar<E> {
-    pool: Pool<E>,
+    pool: Pool<Node<E>>,
     /// All pending entries whose day precedes `current_day`, sorted by
     /// `(ticks, seq)`; `front[cursor..]` is the unconsumed suffix.
     front: Vec<Entry>,
@@ -76,8 +109,15 @@ struct Calendar<E> {
     /// earlier day is in `front` — that invariant is what lets `peek_time`
     /// and `ready` take `&self`.
     current_day: u64,
-    /// Ring of unsorted buckets; day `d` hashes to `buckets[d & mask]`.
-    buckets: Vec<Vec<Entry>>,
+    /// Ring of bucket heads; day `d` hashes to `buckets[d & mask]`, whose
+    /// entries are chained, unsorted, through their pool slots' `next`.
+    ///
+    /// Every day in the ring lies in `current_day .. current_day + len`:
+    /// `place` files nothing further out (that is what `overflow` is for),
+    /// `refill` advances `current_day` only past days it has emptied, and
+    /// `resize` re-files everything. A window of `len` consecutive days
+    /// hashes onto `len` distinct buckets, so a chain holds one day only.
+    buckets: Vec<u32>,
     shift: u32,
     in_buckets: usize,
     /// Entries whose day falls beyond the ring's reach from `current_day`.
@@ -94,7 +134,7 @@ impl<E> Calendar<E> {
             front: Vec::new(),
             cursor: 0,
             current_day: 0,
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![NIL; MIN_BUCKETS],
             shift: INITIAL_SHIFT,
             in_buckets: 0,
             overflow: BTreeMap::new(),
@@ -111,6 +151,10 @@ impl<E> Calendar<E> {
         ticks >> self.shift
     }
 
+    fn bucket_of(&self, day: u64) -> usize {
+        usize::try_from(day & self.mask()).unwrap_or(0)
+    }
+
     /// Files an entry into front, ring, or overflow according to its day.
     /// Does not touch `len` and does not restore the front invariant.
     fn place(&mut self, e: Entry) {
@@ -120,9 +164,11 @@ impl<E> Calendar<E> {
             let pos = self.cursor + self.front[self.cursor..].partition_point(|x| x.key() < key);
             self.front.insert(pos, e);
         } else if day - self.current_day < self.buckets.len() as u64 {
-            let idx = usize::try_from(day & self.mask()).unwrap_or(0);
-            self.buckets[idx].push(e);
-            self.in_buckets += 1;
+            let idx = self.bucket_of(day);
+            if let Some(node) = self.pool.get_mut(e.slot) {
+                node.next = std::mem::replace(&mut self.buckets[idx], e.slot.index());
+                self.in_buckets += 1;
+            }
         } else {
             self.overflow.insert(e.key(), e.slot);
         }
@@ -135,31 +181,15 @@ impl<E> Calendar<E> {
         let mut d = self.current_day;
         let mut scanned = 0u64;
         loop {
-            let idx = usize::try_from(d & self.mask()).unwrap_or(0);
-            let shift = self.shift;
-            let b = &mut self.buckets[idx];
-            if !b.is_empty() {
-                if b.iter().all(|e| e.ticks >> shift == d) {
-                    // The whole bucket belongs to this day — the common
-                    // case once the ring outspans the event horizon, so no
-                    // later day aliases onto this slot. Move it wholesale:
-                    // one memcpy, and both buffers keep their capacity for
-                    // reuse (the front in particular must not restart at
-                    // exact capacity, or same-day pushes reallocate it).
-                    self.in_buckets -= b.len();
-                    self.front.append(b);
-                } else {
-                    let mut i = 0;
-                    while i < b.len() {
-                        if b[i].ticks >> shift == d {
-                            self.front.push(b.swap_remove(i));
-                            self.in_buckets -= 1;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-            }
+            // Unchain day `d`: the whole chain, because a bucket never
+            // holds two days at once (see `buckets`). The walk reads the
+            // very slots the next pops will take, which pulls them toward
+            // cache ahead of those pops.
+            let idx = self.bucket_of(d);
+            let head = std::mem::replace(&mut self.buckets[idx], NIL);
+            self.front.extend(chain(&self.pool, head));
+            self.in_buckets -= self.front.len();
+            debug_assert!(self.front.iter().all(|e| self.day_of(e.ticks) == d));
             while let Some((&(t, _), _)) = self.overflow.first_key_value() {
                 if t >> self.shift > d {
                     break;
@@ -181,12 +211,7 @@ impl<E> Calendar<E> {
             d = d.saturating_add(1);
             if scanned >= SCAN_LIMIT.min(self.buckets.len() as u64) {
                 // Sparse stretch: jump straight to the earliest pending day.
-                let bucket_min = self
-                    .buckets
-                    .iter()
-                    .flatten()
-                    .map(|e| e.ticks >> self.shift)
-                    .min();
+                let bucket_min = self.chained().map(|e| e.ticks >> self.shift).min();
                 let over_min = self
                     .overflow
                     .first_key_value()
@@ -199,6 +224,13 @@ impl<E> Calendar<E> {
                 scanned = 0;
             }
         }
+    }
+
+    /// Every entry in the ring, bucket by bucket along each chain.
+    fn chained(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.buckets
+            .iter()
+            .flat_map(|&head| chain(&self.pool, head))
     }
 
     /// Restores the front invariant after a mutation that may have consumed
@@ -214,7 +246,12 @@ impl<E> Calendar<E> {
     }
 
     fn push(&mut self, ticks: u64, seq: u64, make: impl FnOnce(Handle) -> E) -> Handle {
-        let slot = self.pool.insert_with(make);
+        let slot = self.pool.insert_with(|h| Node {
+            ticks,
+            seq,
+            next: NIL,
+            val: make(h),
+        });
         self.len += 1;
         self.place(Entry { ticks, seq, slot });
         self.maintain_front();
@@ -226,22 +263,14 @@ impl<E> Calendar<E> {
 
     fn pop(&mut self) -> Option<(u64, u64, E)> {
         let e = *self.front.get(self.cursor)?;
-        // The sorted front is the exact future pop order, so the payload a
-        // few pops ahead can be pulled toward cache while this pop's work
-        // retires — on multi-gigabyte pending sets the cold slot read is
-        // the dominant per-pop cost. `black_box` keeps the speculative
-        // read from being optimized away.
-        if let Some(ahead) = self.front.get(self.cursor + 4) {
-            std::hint::black_box(self.pool.get(ahead.slot).is_some());
-        }
-        let val = self.pool.take(e.slot)?;
+        let node = self.pool.take(e.slot)?;
         self.cursor += 1;
         self.len -= 1;
         self.maintain_front();
         if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 4 {
             self.resize(self.buckets.len() / 2);
         }
-        Some((e.ticks, e.seq, val))
+        Some((e.ticks, e.seq, node.val))
     }
 
     fn peek(&self) -> Option<&Entry> {
@@ -256,40 +285,49 @@ impl<E> Calendar<E> {
             let pos = self.cursor + rel;
             if self.front.get(pos).map(Entry::key) == Some(key) {
                 let e = self.front.remove(pos);
-                let val = self.pool.take(e.slot)?;
+                let node = self.pool.take(e.slot)?;
                 self.len -= 1;
                 self.maintain_front();
-                return Some(val);
+                return Some(node.val);
             }
             return None;
         }
         if day - self.current_day < self.buckets.len() as u64 {
-            let idx = usize::try_from(day & self.mask()).unwrap_or(0);
-            let b = &mut self.buckets[idx];
-            if let Some(i) = b.iter().position(|x| x.key() == (ticks, seq)) {
-                let e = b.swap_remove(i);
-                self.in_buckets -= 1;
-                let val = self.pool.take(e.slot)?;
-                self.len -= 1;
-                return Some(val);
+            let idx = self.bucket_of(day);
+            // Walk the chain with the link that points at `cur` in hand, so
+            // a hit anywhere — head, middle, tail — unlinks with one store.
+            let mut prev = NIL;
+            let mut cur = self.buckets[idx];
+            while let Some((slot, node)) = self.pool.at(cur) {
+                let next = node.next;
+                if (node.ticks, node.seq) == (ticks, seq) {
+                    match self.pool.at_mut(prev) {
+                        Some(before) => before.next = next,
+                        None => self.buckets[idx] = next,
+                    }
+                    self.in_buckets -= 1;
+                    let node = self.pool.take(slot)?;
+                    self.len -= 1;
+                    return Some(node.val);
+                }
+                prev = cur;
+                cur = next;
             }
         }
         // The entry may predate a window advance: pushed to overflow when
         // its day was out of the ring's reach, even if that day is within
         // reach now.
         let slot = self.overflow.remove(&(ticks, seq))?;
-        let val = self.pool.take(slot)?;
+        let node = self.pool.take(slot)?;
         self.len -= 1;
-        Some(val)
+        Some(node.val)
     }
 
     fn clear(&mut self) {
         self.pool.clear();
         self.front.clear();
         self.cursor = 0;
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.buckets.fill(NIL);
         self.in_buckets = 0;
         self.overflow.clear();
         self.len = 0;
@@ -303,9 +341,7 @@ impl<E> Calendar<E> {
         all.extend_from_slice(&self.front[self.cursor..]);
         self.front.clear();
         self.cursor = 0;
-        for b in &mut self.buckets {
-            all.append(b);
-        }
+        all.extend(self.chained());
         self.in_buckets = 0;
         while let Some(((t, s), slot)) = self.overflow.pop_first() {
             all.push(Entry {
@@ -316,7 +352,8 @@ impl<E> Calendar<E> {
         }
         debug_assert_eq!(all.len(), self.len);
         self.shift = estimate_shift(&mut all, self.shift);
-        self.buckets.resize_with(nbuckets, Vec::new);
+        self.buckets.clear();
+        self.buckets.resize(nbuckets, NIL);
         if let Some(min) = all.iter().map(|e| e.ticks).min() {
             self.current_day = min >> self.shift;
         }
@@ -456,7 +493,7 @@ impl<E> EventQueue<E> {
     /// The still-pending event stored under `h`, or `None` once it has
     /// fired, been removed, or the queue was cleared.
     pub fn get_mut(&mut self, h: Handle) -> Option<&mut E> {
-        self.cal.pool.get_mut(h)
+        self.cal.pool.get_mut(h).map(|node| &mut node.val)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -491,7 +528,7 @@ impl<E> EventQueue<E> {
             }
             c.pool
                 .get(e.slot)
-                .map(|p| (SimTime::from_ticks(e.ticks), EventSeq(e.seq), p))
+                .map(|node| (SimTime::from_ticks(e.ticks), EventSeq(e.seq), &node.val))
         })
     }
 
@@ -697,6 +734,141 @@ mod tests {
         assert_eq!(drained.depth, 0);
         assert_eq!(drained.pool_live, 0);
         assert!(drained.resizes >= s.resizes, "shrink also counts");
+    }
+
+    /// Walks every chain: each holds one day, filed under that day's
+    /// bucket and inside the ring's window, and together they hold exactly
+    /// the `in_buckets` that [`EventQueue::stats`] reports.
+    fn check_chains<E>(q: &EventQueue<E>) {
+        let c = &q.cal;
+        let mut chained = 0;
+        for (idx, &head) in c.buckets.iter().enumerate() {
+            let mut cur = head;
+            let mut day = None;
+            while let Some((_, node)) = c.pool.at(cur) {
+                let d = c.day_of(node.ticks);
+                assert_eq!(c.bucket_of(d), idx, "filed under its day's bucket");
+                assert!(d >= c.current_day && d - c.current_day < c.buckets.len() as u64);
+                assert_eq!(*day.get_or_insert(d), d, "one day per bucket");
+                chained += 1;
+                assert!(chained <= c.len, "a chain loops");
+                cur = node.next;
+            }
+        }
+        assert_eq!(q.stats().in_buckets, chained);
+        assert_eq!(c.front.len() - c.cursor + chained + c.overflow.len(), c.len);
+    }
+
+    #[test]
+    fn in_buckets_is_the_sum_of_chain_lengths() {
+        let day = 1u64 << INITIAL_SHIFT;
+        let at = |d: u64, off: u64| SimTime::from_ticks(d * day + off);
+        let mut q = EventQueue::new();
+
+        // Days 3, 19 and 35 hash onto one bucket of the 16-bucket ring.
+        // Only one of them is ever chained there: 35 waits in overflow
+        // until the window has moved past 19.
+        q.push(at(3, 0), 0u64);
+        q.push(at(19, 0), 1);
+        q.push(at(35, 0), 2);
+        check_chains(&q);
+        assert_eq!((q.stats().in_buckets, q.stats().overflow), (1, 1));
+        assert_eq!(q.pop(), Some((at(3, 0), 0)));
+        check_chains(&q);
+        q.push(at(35, 1), 3);
+        check_chains(&q);
+        assert_eq!(
+            q.stats().in_buckets,
+            1,
+            "35 is in reach once 19 is the front"
+        );
+        assert_eq!(q.pop(), Some((at(19, 0), 1)));
+        assert_eq!(q.pop(), Some((at(35, 0), 2)), "ring and overflow merge");
+        assert_eq!(q.pop(), Some((at(35, 1), 3)));
+        check_chains(&q);
+
+        // A five-long chain, last pushed first: unlink its head, a middle
+        // entry and its tail.
+        q.push(at(40, 0), 10);
+        let seqs: Vec<EventSeq> = (0..5).map(|i| q.push(at(44, i), 20 + i)).collect();
+        assert_eq!(q.stats().in_buckets, 5);
+        for (i, left) in [(4u64, 4), (2, 3), (0, 2)] {
+            assert_eq!(q.remove(at(44, i), seqs[i as usize]), Some(20 + i));
+            assert_eq!(q.remove(at(44, i), seqs[i as usize]), None);
+            check_chains(&q);
+            assert_eq!(q.stats().in_buckets, left);
+        }
+        // The slot freed last (entry 20's) now holds another event of the
+        // same chain; the old key still finds nothing there.
+        let cap = q.stats().pool_capacity;
+        q.push(at(44, 9), 29);
+        assert_eq!(q.stats().pool_capacity, cap, "recycled, not grown");
+        assert_eq!(q.remove(at(44, 0), seqs[0]), None);
+        check_chains(&q);
+
+        // Growth and shrink re-chain everything under a new day width.
+        for i in 0..2_000u64 {
+            q.push(at(41 + i % 8, i), 100 + i);
+            if i % 97 == 0 {
+                check_chains(&q);
+            }
+        }
+        assert!(q.stats().resizes > 0);
+        check_chains(&q);
+        while q.len() > 3 {
+            q.pop();
+            if q.len() % 97 == 0 {
+                check_chains(&q);
+            }
+        }
+        check_chains(&q);
+
+        // Clear empties every chain; the ring is reusable at once.
+        q.push(at(60, 0), 7);
+        q.clear();
+        check_chains(&q);
+        assert_eq!(q.stats().in_buckets, 0);
+        q.push(at(50, 0), 8);
+        q.push(at(52, 0), 9);
+        check_chains(&q);
+        assert_eq!(q.pop(), Some((at(50, 0), 8)));
+        assert_eq!(q.pop(), Some((at(52, 0), 9)));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn long_chains_on_the_smallest_ring_keep_order() {
+        // Thirty events pending, all one or two days ahead: the ring never
+        // grows past its 16 buckets and two of them carry every chain.
+        let day = 1u64 << INITIAL_SHIFT;
+        let mut q = EventQueue::new();
+        let mut x: u64 = 7;
+        let mut push = |q: &mut EventQueue<u64>, now: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let ahead = (now / day + 1 + (x >> 63)) * day + (x >> 20) % day;
+            q.push(SimTime::from_ticks(ahead), 0)
+        };
+        for _ in 0..30 {
+            push(&mut q, 0);
+        }
+        let mut last = (SimTime::ZERO, EventSeq(0));
+        let mut longest = 0;
+        for i in 0..200_000u64 {
+            let (at, seq, _) = q.pop_with_seq().expect("thirty pending");
+            assert!((at, seq) > last || i == 0, "pop order is (time, seq)");
+            last = (at, seq);
+            push(&mut q, at.as_ticks());
+            longest = longest.max(q.stats().in_buckets);
+            if i % 10_007 == 0 {
+                check_chains(&q);
+            }
+        }
+        let s = q.stats();
+        assert_eq!((s.buckets, s.resizes), (MIN_BUCKETS, 0));
+        assert!(longest >= 20, "chains stayed long: {longest}");
+        assert_eq!(s.pool_capacity, 30, "every push recycled a slot");
     }
 
     proptest! {

@@ -17,6 +17,13 @@
 //!   jump-to-minimum refill path;
 //! * interleaved pops/removals/clears — front-cursor maintenance, ring
 //!   growth and shrink mid-sequence.
+//!
+//! A bucket is a chain through the payload pool's slots, so one scripted
+//! sequence ([`chained_buckets_match_model_at_every_structural_edge`])
+//! walks the chain operations one by one: days that hash onto one bucket
+//! with refills between them, unlinking a chain's head, middle and tail,
+//! a key whose slot has been recycled since, ring growth and shrink under
+//! populated chains, and reuse after a clear.
 
 use std::collections::BTreeMap;
 
@@ -84,6 +91,8 @@ enum Cmd {
     Peek,
     /// Drop everything (sequence numbering continues).
     Clear,
+    /// Scripted sequences only: the ring's chains hold this many entries.
+    Chained(usize),
 }
 
 /// Decodes one raw generated tuple into a command. The opcode space is
@@ -157,11 +166,20 @@ fn run_differential(cmds: &[Cmd]) -> (usize, QueueStats) {
                 cal.clear();
                 model.map.clear();
             }
+            Cmd::Chained(n) => {
+                assert_eq!(cal.stats().in_buckets, *n, "entries chained in the ring");
+            }
         }
         assert_eq!(cal.len(), model.map.len());
         assert_eq!(cal.is_empty(), model.map.is_empty());
         assert_eq!(cal.peek_time(), model.peek_time());
         assert_eq!(cal.scheduled_total(), model.next_seq);
+        let s = cal.stats();
+        assert_eq!(
+            s.front + s.in_buckets + s.overflow,
+            s.depth,
+            "every pending entry is in exactly one structure"
+        );
         peak = peak.max(cal.len());
     }
 
@@ -206,6 +224,99 @@ fn long_seeded_sequence_matches_model_at_depth() {
         "ring grew and shrank: {} resizes",
         stats.resizes
     );
+}
+
+/// The chain operations, one by one, on a script (`Remove(i)` names the
+/// `i`-th push of the script; `Chained(n)` pins that the step before it
+/// really left `n` entries in the ring, not in the front or the overflow).
+#[test]
+fn chained_buckets_match_model_at_every_structural_edge() {
+    const DAY: u64 = 1 << 20;
+    let at = |day: u64, off: u64| Cmd::Push(day * DAY + off);
+    let mut cmds = vec![
+        // (a) Days 3, 19, 35 and 51 all hash onto bucket 3 of the initial
+        // 16-bucket ring. Pushed up front, the far ones wait in overflow;
+        // pushed again after each refill has moved the window, they chain
+        // onto the bucket the previous day has just left.
+        at(3, 0),  // 0
+        at(19, 0), // 1
+        at(35, 0), // 2
+        at(51, 0), // 3
+        Cmd::Chained(1),
+        Cmd::Pop,
+        Cmd::Chained(0),
+        at(35, 1), // 4
+        at(19, 1), // 5: the front's day
+        Cmd::Chained(1),
+        Cmd::Ready,
+        Cmd::Pop,
+        Cmd::Pop,
+        Cmd::Chained(0),
+        at(51, 1), // 6
+        at(35, 2), // 7: the front's day
+        Cmd::Chained(1),
+        Cmd::Pop,
+        Cmd::PopWithSeq,
+        Cmd::Pop,
+        at(51, 2), // 8: the front's day
+        Cmd::Pop,
+        Cmd::Pop,
+        Cmd::Pop,
+        Cmd::Pop,
+        // (b) A five-long chain on day 60 behind an anchor on day 55; the
+        // last pushed is the chain's head.
+        at(55, 0), // 9
+        at(60, 0), // 10: tail
+        at(60, 1), // 11
+        at(60, 2), // 12: middle
+        at(60, 3), // 13
+        at(60, 4), // 14: head
+        Cmd::Chained(5),
+        Cmd::Remove(14),
+        Cmd::Remove(12),
+        Cmd::Remove(10),
+        Cmd::Chained(2),
+        Cmd::Remove(12),
+        // The slot push 10 lived in is recycled by push 15; key 10 is gone
+        // all the same, and the newcomer is removable from the same chain.
+        at(60, 5), // 15
+        Cmd::Remove(10),
+        Cmd::Chained(3),
+        Cmd::Remove(15),
+        Cmd::Ready,
+        // (d) Clear with chains populated, then reuse: same days, new
+        // chains, and nothing of the old ones reachable.
+        at(61, 0), // 16
+        at(62, 0), // 17
+        Cmd::Chained(4),
+        Cmd::Clear,
+        Cmd::Chained(0),
+        Cmd::Peek,
+        Cmd::Remove(16),
+        at(58, 0), // 18
+        at(61, 1), // 19
+        at(62, 1), // 20
+        at(61, 2), // 21
+        Cmd::Chained(3),
+        Cmd::Remove(19),
+        Cmd::Chained(2),
+        Cmd::Pop,
+    ];
+    // (c) Growth over several doublings with a few days' worth of chains
+    // in the ring and removals along them, then a drain through every
+    // shrink.
+    let mut pushes = 22;
+    for i in 0..3_000u64 {
+        cmds.push(at(63 + i % 12, i * 7919 % DAY));
+        pushes += 1;
+        if i % 5 == 0 {
+            cmds.push(Cmd::Remove(pushes - 1 - (i as usize % 40).min(pushes - 1)));
+        }
+    }
+    cmds.extend((0..2_900).map(|_| Cmd::Pop));
+    let (peak, stats) = run_differential(&cmds);
+    assert!(peak >= 2_000, "growth phase reached depth {peak}");
+    assert!(stats.resizes >= 10, "{} ring rebuilds", stats.resizes);
 }
 
 proptest! {

@@ -72,11 +72,18 @@ pub enum MailMsg {
         from: MailName,
         /// Recipient.
         to: MailName,
+        /// Where the injector believes the host keeps `from`
+        /// ([`MailMsg::NO_SLOT_HINT`] when it has no idea). A hint only:
+        /// the host checks it against `from` before trusting it.
+        slot: u32,
     },
     /// Workload injection: a user on this host checks their mail.
     DoCheck {
         /// The checking user.
         user: MailName,
+        /// Where the injector believes the host keeps `user`; a checked
+        /// hint, as on [`MailMsg::DoSend`].
+        slot: u32,
     },
     /// UI -> server: accept this message for delivery.
     Submit {
@@ -200,6 +207,12 @@ pub enum MailMsg {
         /// pair a [`MailMsg::LocationUpdate`] would have carried.
         found: Option<(NodeId, SimTime)>,
     },
+}
+
+impl MailMsg {
+    /// The `slot` of a [`MailMsg::DoSend`] or [`MailMsg::DoCheck`] injected
+    /// without knowing where the host keeps the user: resolved by name.
+    pub const NO_SLOT_HINT: u32 = u32::MAX;
 }
 
 /// Shared run statistics (single-threaded simulation: `Rc<RefCell<_>>`).
@@ -465,8 +478,9 @@ pub struct HostActor {
     /// list is append-only: a user who migrated away leaves a slot with no
     /// `ui`.
     users: Vec<UserSlot>,
-    /// Name -> live slot, for what arrives by name (`DoSend`, `DoCheck`,
-    /// a reply whose `session` does not check out).
+    /// Name -> live slot, for what arrives without a slot that checks out
+    /// (a hint-less or stale `DoSend`/`DoCheck`, a reply whose `session`
+    /// does not match its name).
     slot_of: BTreeMap<MailName, usize>,
     // Actor bookkeeping uses ordered maps throughout: iteration order feeds
     // protocol decisions, and hash-order iteration would make replays
@@ -516,13 +530,15 @@ fn submit_order<'a>(
 }
 
 impl HostActor {
-    /// Adopts `ui` under `name`, giving it a slot on this host.
-    fn adopt_user(&mut self, name: MailName, ui: UiUser) {
+    /// Adopts `ui` under `name`, giving it a slot on this host; returns
+    /// the slot, as an injection may carry it.
+    fn adopt_user(&mut self, name: MailName, ui: UiUser) -> u32 {
         let slot = self.users.len();
         if let Some(old) = self.slot_of.insert(name.clone(), slot) {
             self.users[old].ui = None;
         }
         self.users.push(UserSlot { name, ui: Some(ui) });
+        u32::try_from(slot).unwrap_or(MailMsg::NO_SLOT_HINT)
     }
 
     /// Hands `name`'s interface state over to another host (§3.1.4).
@@ -531,13 +547,15 @@ impl HostActor {
         self.users[slot].ui.take()
     }
 
-    /// The live slot of `user`, whose reply echoed `session`. The token is
+    /// The live slot of `user`, given the slot a reply echoed as its
+    /// `session` or an injection carried as its `slot`. The token is
     /// trusted only as far as the name stored in that slot agrees with it
-    /// (one pointer compare: the echoed name is a clone of the slot's);
-    /// anything else — out of range, another user's slot, a slot vacated
-    /// by migration — is resolved by name, exactly as if no token existed.
-    fn slot_for(&self, session: u32, user: &MailName) -> Option<usize> {
-        let hinted = session as usize;
+    /// (one pointer compare: the name that travels with it is a clone of
+    /// the slot's); anything else — out of range, another user's slot, a
+    /// slot vacated by migration — is resolved by name, exactly as if no
+    /// token existed.
+    fn slot_for(&self, token: u32, user: &MailName) -> Option<usize> {
+        let hinted = token as usize;
         match self.users.get(hinted) {
             Some(slot) if slot.ui.is_some() && slot.name == *user => {
                 debug_assert_eq!(self.slot_of.get(user), Some(&hinted));
@@ -573,7 +591,7 @@ impl HostActor {
         }
     }
 
-    fn start_submit(&mut self, msg: Message, ctx: &mut Ctx<'_, MailMsg>) {
+    fn start_submit(&mut self, msg: Message, slot: u32, ctx: &mut Ctx<'_, MailMsg>) {
         self.spans.borrow_mut().open_keyed(
             msg.id.0,
             ctx.now(),
@@ -581,9 +599,8 @@ impl HostActor {
             site(self.node),
         );
         let Some(user) = self
-            .slot_of
-            .get(&msg.from)
-            .and_then(|&slot| self.users[slot].ui.as_ref())
+            .slot_for(slot, &msg.from)
+            .and_then(|slot| self.users[slot].ui.as_ref())
         else {
             // Sender not homed here; count as bounce at source.
             self.bounce_here(msg.id, BounceReason::UnknownRecipient, ctx.now());
@@ -768,13 +785,13 @@ impl Actor for HostActor {
 
     fn on_message(&mut self, from: ActorId, msg: MailMsg, ctx: &mut Ctx<'_, MailMsg>) {
         match msg {
-            MailMsg::DoSend { from, to } => {
+            MailMsg::DoSend { from, to, slot } => {
                 let id = self.id_gen.borrow_mut().next_id();
                 let m = Message::new(id, from, to, "msg", "body", ctx.now());
-                self.start_submit(m, ctx);
+                self.start_submit(m, slot, ctx);
             }
-            MailMsg::DoCheck { user } => {
-                if let Some(&slot) = self.slot_of.get(&user) {
+            MailMsg::DoCheck { user, slot } => {
+                if let Some(slot) = self.slot_for(slot, &user) {
                     self.start_check(slot, ctx);
                 }
             }
@@ -1727,8 +1744,11 @@ pub struct Deployment {
     pub directory: Directory,
     /// Shared run statistics.
     pub stats: SharedStats,
-    /// Users by name with their home host.
-    users: BTreeMap<MailName, NodeId>,
+    /// Users by name with their home host and the slot that host keeps
+    /// them in ([`MailMsg::NO_SLOT_HINT`] where it keeps none), which
+    /// [`Deployment::send_at`] and [`Deployment::check_at`] hand the host
+    /// so it need not look the name up again.
+    users: BTreeMap<MailName, (NodeId, u32)>,
     /// Host node -> actor id.
     host_actors: BTreeMap<NodeId, ActorId>,
     /// Host node -> region (for live migration naming).
@@ -1888,7 +1908,6 @@ impl Deployment {
 
         // Register users; each host's users are collected here so that
         // wiring a host does not search all users.
-        let mut users: BTreeMap<MailName, NodeId> = BTreeMap::new();
         let mut users_by_host: Vec<Vec<(MailName, AuthorityList)>> = Vec::new();
         for (&host, lists) in host_nodes.iter().zip(authorities) {
             let mut host_users = Vec::new();
@@ -1897,7 +1916,6 @@ impl Deployment {
                 directory
                     .register(name.clone(), host, authorities.clone())
                     .expect("unique generated names");
-                users.insert(name.clone(), host);
                 host_users.push((name, authorities));
             }
             users_by_host.push(host_users);
@@ -1961,6 +1979,7 @@ impl Deployment {
         }
 
         // Spawn host actors.
+        let mut users: BTreeMap<MailName, (NodeId, u32)> = BTreeMap::new();
         let mut host_actors = BTreeMap::new();
         for ((&h, host_users), contact) in host_nodes.iter().zip(users_by_host).zip(contact) {
             let mut actor = HostActor {
@@ -1979,7 +1998,8 @@ impl Deployment {
                 metrics: MetricsRegistry::new(),
             };
             for (name, authorities) in host_users {
-                actor.adopt_user(name, UiUser::new(authorities));
+                let slot = actor.adopt_user(name.clone(), UiUser::new(authorities));
+                users.insert(name, (h, slot));
             }
             let id = sim.add_actor(actor);
             assert_eq!(transport.actor_of(h), Ok(id), "host bound ahead of time");
@@ -2168,22 +2188,25 @@ impl Deployment {
         }
 
         // UI side: move the user's interface state to the new host actor.
-        let moved = self.users.remove(old_name).and_then(|old_host| {
+        let moved = self.users.remove(old_name).and_then(|(old_host, _)| {
             let old_aid = self.host_actors[&old_host];
             self.sim
                 .actor_mut::<HostActor>(old_aid)
                 .and_then(|h| h.release_user(old_name))
         });
+        // A name whose interface state did not move is still registered,
+        // hint-less: a send from it reaches the host and bounces at source.
+        let mut slot = MailMsg::NO_SLOT_HINT;
         if let Some(mut ui) = moved {
             // The move is also a fresh start for retrieval bookkeeping.
             ui.retrieval = None;
             ui.pending_check = false;
             let new_aid = self.host_actors[&new_host];
             if let Some(h) = self.sim.actor_mut::<HostActor>(new_aid) {
-                h.adopt_user(new_name.clone(), ui);
+                slot = h.adopt_user(new_name.clone(), ui);
             }
         }
-        self.users.insert(new_name.clone(), new_host);
+        self.users.insert(new_name.clone(), (new_host, slot));
 
         Ok(new_name)
     }
@@ -2213,7 +2236,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn send_at(&mut self, at: SimTime, from: &MailName, to: &MailName) {
-        let host = *self.users.get(from).expect("unknown sender");
+        let (host, slot) = *self.users.get(from).expect("unknown sender");
         let actor = self.host_actors[&host];
         let delay = at.duration_since(self.sim.now());
         self.sim.inject(
@@ -2221,6 +2244,7 @@ impl Deployment {
             MailMsg::DoSend {
                 from: from.clone(),
                 to: to.clone(),
+                slot,
             },
             delay,
         );
@@ -2236,11 +2260,14 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn check_at(&mut self, at: SimTime, user: &MailName) {
-        let host = *self.users.get(user).expect("unknown user");
+        let (host, slot) = *self.users.get(user).expect("unknown user");
         let actor = self.host_actors[&host];
         let delay = at.duration_since(self.sim.now());
-        self.sim
-            .inject(actor, MailMsg::DoCheck { user: user.clone() }, delay);
+        let check = MailMsg::DoCheck {
+            user: user.clone(),
+            slot,
+        };
+        self.sim.inject(actor, check, delay);
     }
 
     /// Injects a login of `user` at `host` at `at` (§3.2.2c). Sends and
@@ -2604,7 +2631,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[7].clone());
         d.send_at(t(1.0), &alice, &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(d.alerts_at(d.users[&bob], &bob), 1);
+        assert_eq!(d.alerts_at(d.users[&bob].0, &bob), 1);
     }
 
     #[test]
@@ -2736,7 +2763,7 @@ mod tests {
         let mut d = small_deployment(12);
         let names = d.user_names();
         let (alice, bob_old) = (names[0].clone(), names[4].clone());
-        let old_host = *d.users.get(&bob_old).unwrap();
+        let old_host = d.users[&bob_old].0;
 
         // Migrate bob to a different host at t=0.
         let f = lems_net::generators::fig1();
@@ -2772,7 +2799,7 @@ mod tests {
         let mut d = small_deployment(13);
         let names = d.user_names();
         let (alice, bob_old) = (names[0].clone(), names[4].clone());
-        let old_host = *d.users.get(&bob_old).unwrap();
+        let old_host = d.users[&bob_old].0;
         let f = lems_net::generators::fig1();
         let new_host = *f.topology.hosts().iter().find(|&&h| h != old_host).unwrap();
         let _ = d
@@ -2858,7 +2885,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
         let server = d.server_actor(primary).unwrap();
-        let host = d.host_actor(*d.users.get(&bob).unwrap()).unwrap();
+        let host = d.host_actor(d.users[&bob].0).unwrap();
 
         // Deliver cleanly, then make the server->host direction drop every
         // message until t=100: Retrieves arrive, replies vanish.
@@ -2908,7 +2935,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
         let server = d.server_actor(primary).unwrap();
-        let host = d.host_actor(*d.users.get(&bob).unwrap()).unwrap();
+        let host = d.host_actor(d.users[&bob].0).unwrap();
 
         d.send_at(t(1.0), &alice, &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
@@ -3008,7 +3035,7 @@ mod tests {
         let names = d.user_names();
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&alice).unwrap().authorities.primary();
-        let host_node = *d.users.get(&alice).unwrap();
+        let host_node = d.users[&alice].0;
         let host = d.host_actor(host_node).unwrap();
         let server = d.server_actor(primary).unwrap();
 
@@ -3198,8 +3225,8 @@ mod tests {
     fn housemates(d: &Deployment) -> (MailName, MailName, ActorId) {
         let names = d.user_names();
         let (a, b) = (names[0].clone(), names[1].clone());
-        assert_eq!(d.users[&a], d.users[&b], "generated names sort by host");
-        let host = d.host_actor(d.users[&a]).unwrap();
+        assert_eq!(d.users[&a].0, d.users[&b].0, "generated names sort by host");
+        let host = d.host_actor(d.users[&a].0).unwrap();
         (a, b, host)
     }
 
@@ -3347,7 +3374,7 @@ mod tests {
             server,
             MailMsg::Retrieve {
                 user: bob.clone(),
-                reply_to: d.users[&bob],
+                reply_to: d.users[&bob].0,
                 session: bob_session,
                 owner_slot: 0,
             },
@@ -3397,7 +3424,7 @@ mod tests {
             server,
             MailMsg::Retrieve {
                 user: bob.clone(),
-                reply_to: d.users[&bob],
+                reply_to: d.users[&bob].0,
                 session: bob_session,
                 owner_slot: 9_999,
             },
@@ -3440,7 +3467,7 @@ mod tests {
         assert!(d.sim.counters().duplicated.get() > 0);
         assert_eq!(d.mail_in_storage(), 0);
         for user in &names {
-            let host = d.host_actor(d.users[user]).unwrap();
+            let host = d.host_actor(d.users[user].0).unwrap();
             let authorities = d.directory.by_name(user).unwrap().authorities.clone();
             for &server in authorities.servers() {
                 let taught = learned(&d, host, user, server);
@@ -3511,5 +3538,154 @@ mod tests {
         assert_eq!(st.ledger_retrieved, st.ledger_submitted);
         drop(st);
         assert_eq!(d.mail_in_storage(), 0);
+    }
+
+    /// What a run leaves behind that an injected `slot` must not be able
+    /// to move: the kernel trace, the span log and the mail ledgers.
+    type Outcome = (
+        u64,
+        Vec<lems_sim::span::SpanEvent>,
+        BTreeSet<MessageId>,
+        BTreeSet<MessageId>,
+        BTreeMap<MessageId, BounceReason>,
+        u64,
+    );
+
+    /// One workload on `small_deployment(47)` in which every `DoSend` and
+    /// `DoCheck` carries `hint(slot)` in place of the slot the deployment
+    /// holds for the user: everyone sends and checks, one user migrates,
+    /// and their old name — whose true slot is by then a vacated one — is
+    /// sent from and checked at the old host.
+    fn run_injected_with(hint: impl Fn(u32) -> u32) -> Outcome {
+        let mut d = small_deployment(47);
+        d.sim.enable_trace(usize::MAX);
+        d.enable_spans();
+        let names = d.user_names();
+        let inject = |d: &mut Deployment, at: f64, host: NodeId, msg: MailMsg| {
+            let delay = t(at).duration_since(d.sim.now());
+            d.sim.inject(d.host_actors[&host], msg, delay);
+        };
+        let send = |d: &mut Deployment, at: f64, from: &MailName, to: &MailName| {
+            let (host, slot) = d.users[from];
+            let (from, to, slot) = (from.clone(), to.clone(), hint(slot));
+            inject(d, at, host, MailMsg::DoSend { from, to, slot });
+        };
+        let check = |d: &mut Deployment, at: f64, user: &MailName| {
+            let (host, slot) = d.users[user];
+            let (user, slot) = (user.clone(), hint(slot));
+            inject(d, at, host, MailMsg::DoCheck { user, slot });
+        };
+
+        for (i, to) in names.iter().enumerate() {
+            send(&mut d, 1.0 + i as f64, &names[(i + 5) % names.len()], to);
+            check(&mut d, 60.0 + i as f64, to);
+        }
+        d.sim.run_until(t(100.0));
+
+        let bob_old = names[4].clone();
+        let (old_host, old_slot) = d.users[&bob_old];
+        let new_host = *d.host_actors.keys().find(|&&h| h != old_host).unwrap();
+        let bob_new = d
+            .migrate_user_live(
+                &bob_old,
+                new_host,
+                Some("bob"),
+                SimDuration::from_units(500.0),
+            )
+            .unwrap();
+        assert_eq!(d.users[&bob_new], (new_host, 2), "a third slot there");
+        send(&mut d, 110.0, &names[0], &bob_old);
+        send(&mut d, 111.0, &bob_new, &names[0]);
+        check(&mut d, 170.0, &bob_new);
+        check(&mut d, 171.0, &names[0]);
+        // The old name at the old host: bounced at source, never checked.
+        let (from, to, slot) = (bob_old.clone(), names[0].clone(), hint(old_slot));
+        inject(&mut d, 112.0, old_host, MailMsg::DoSend { from, to, slot });
+        let (user, slot) = (bob_old.clone(), hint(old_slot));
+        inject(&mut d, 172.0, old_host, MailMsg::DoCheck { user, slot });
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+
+        let st = d.stats.borrow();
+        assert_eq!((st.submitted, st.retrieved, st.bounced), (14, 14, 1));
+        let spans = d.spans.borrow().events().to_vec();
+        (
+            d.sim.trace().digest(),
+            spans,
+            st.ledger_submitted.clone(),
+            st.ledger_retrieved.clone(),
+            st.ledger_bounced.clone(),
+            st.retrieval_polls.count(),
+        )
+    }
+
+    /// The injected slot is a hint and only a hint: none at all, another
+    /// user's, one out of range and (inside each run) one vacated by
+    /// migration all leave exactly the run the true slots leave.
+    #[test]
+    fn injected_slot_hints_resolve_as_by_name() {
+        let hinted = run_injected_with(|slot| slot);
+        assert!(hinted.1.len() > 100, "spans were recorded");
+        let by_name = run_injected_with(|_| MailMsg::NO_SLOT_HINT);
+        assert!(hinted == by_name, "no hint at all");
+        let forged = run_injected_with(|slot| slot ^ 1);
+        assert!(hinted == forged, "a housemate's slot");
+        let out_of_range = run_injected_with(|slot| slot + 1_000);
+        assert!(hinted == out_of_range, "a slot the host never had");
+    }
+
+    /// `send_at`/`check_at` are that hinted run: what the deployment hands
+    /// the host is the slot the host keeps the user in, before and after a
+    /// migration.
+    #[test]
+    fn deployment_hands_the_host_the_users_slot() {
+        let mut d = small_deployment(47);
+        let names = d.user_names();
+        let new_host = *d.host_actors.keys().next_back().unwrap();
+        let moved = d
+            .migrate_user_live(
+                &names[0],
+                new_host,
+                Some("moved"),
+                SimDuration::from_units(50.0),
+            )
+            .unwrap();
+        for name in d.user_names() {
+            let (host, slot) = d.users[&name];
+            let h: &HostActor = d.sim.actor(d.host_actors[&host]).unwrap();
+            assert_eq!(h.slot_of[&name], slot as usize, "{name}");
+            assert!(h.users[slot as usize].name == name);
+        }
+        assert_eq!(d.users[&moved], (new_host, 2));
+    }
+
+    /// A name the directory knows but no host serves can still be
+    /// migrated; it stays injectable, hint-less, and its mail bounces at
+    /// source.
+    #[test]
+    fn migrated_name_without_interface_state_bounces_at_source() {
+        let mut d = small_deployment(48);
+        let names = d.user_names();
+        let (home, _) = d.users[&names[0]];
+        let new_host = *d.host_actors.keys().find(|&&h| h != home).unwrap();
+        let ghost = MailName::new(names[0].region(), names[0].host(), "ghost").unwrap();
+        let authorities = d.directory.by_name(&names[0]).unwrap().authorities.clone();
+        d.directory
+            .register(ghost.clone(), home, authorities)
+            .unwrap();
+        let moved = d
+            .migrate_user_live(&ghost, new_host, None, SimDuration::from_units(50.0))
+            .unwrap();
+        assert_eq!(d.users[&moved], (new_host, MailMsg::NO_SLOT_HINT));
+
+        d.send_at(t(1.0), &moved, &names[1]);
+        d.check_at(t(2.0), &moved);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        let st = d.stats.borrow();
+        assert_eq!((st.submitted, st.bounced), (0, 1));
+        assert_eq!(
+            st.ledger_bounced.values().next(),
+            Some(&BounceReason::UnknownRecipient)
+        );
+        assert_eq!(st.retrieval_polls.count(), 0, "nobody to check for");
     }
 }

@@ -125,7 +125,11 @@ fn login_elsewhere_then_getmail_polls_one_server() {
 
     d.login_at(t(1.0), &bob, away);
     d.send_at(t(30.0), &alice, &bob);
-    let check = MailMsg::DoCheck { user: bob.clone() };
+    // The visited host keeps bob in a slot only it knows: inject by name.
+    let check = MailMsg::DoCheck {
+        user: bob.clone(),
+        slot: MailMsg::NO_SLOT_HINT,
+    };
     d.sim.inject(
         d.host_actor(away).unwrap(),
         check,
