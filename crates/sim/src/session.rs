@@ -15,9 +15,11 @@ use crate::time::SimDuration;
 /// Timeout/retransmit parameters for one peer exchange.
 ///
 /// Attempt `k` (0-based) times out after
-/// `min(base * backoff_factor^k, max_timeout)` plus a uniform jitter of up
-/// to `jitter_frac` of that value. Jitter decorrelates retransmissions from
-/// different senders so retry storms do not synchronise.
+/// `max(base, min(base * backoff_factor^k, max_timeout))` plus a uniform
+/// jitter of up to `jitter_frac` of that value: the cap bounds how far
+/// backoff grows, never the first timeout, which is the exchange's round
+/// trip. Jitter decorrelates retransmissions from different senders so
+/// retry storms do not synchronise.
 ///
 /// # Examples
 ///
@@ -42,15 +44,16 @@ pub struct RetryPolicy {
     pub max_attempts: u32,
     /// Multiplier applied to the timeout per attempt.
     pub backoff_factor: f64,
-    /// Upper bound for the backed-off timeout (before jitter).
+    /// Upper bound on backoff growth (before jitter). A `base` above it is
+    /// kept: a timeout shorter than the round trip would always fire.
     pub max_timeout: SimDuration,
     /// Uniform jitter as a fraction of the timeout (`0.1` = up to +10%).
     pub jitter_frac: f64,
 }
 
 impl RetryPolicy {
-    /// The default session discipline: 3 attempts, doubling timeout capped
-    /// at 60 time units, 10% jitter.
+    /// The default session discipline: 3 attempts, a timeout that doubles
+    /// up to 60 time units (or stays at a longer round trip), 10% jitter.
     pub fn default_session() -> Self {
         RetryPolicy {
             max_attempts: 3,
@@ -76,7 +79,8 @@ impl RetryPolicy {
     /// first-attempt timeout `base`.
     pub fn timeout(&self, base: SimDuration, attempt: u32, rng: &mut SimRng) -> SimDuration {
         let factor = self.backoff_factor.powi(attempt.min(63) as i32);
-        let backed = (base.as_units() * factor).min(self.max_timeout.as_units());
+        let base = base.as_units();
+        let backed = (base * factor).min(self.max_timeout.as_units()).max(base);
         let jitter = if self.jitter_frac > 0.0 {
             backed * self.jitter_frac * rng.unit()
         } else {
@@ -115,6 +119,11 @@ mod tests {
             policy.timeout(base, 2, &mut rng),
             SimDuration::from_units(10.0)
         );
+        // A base above the cap is the round trip: kept, and not grown.
+        let long = SimDuration::from_units(14.0);
+        for attempt in 0..3 {
+            assert_eq!(policy.timeout(long, attempt, &mut rng), long);
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@ use lems_store::DurabilityConfig;
 
 use crate::assign::{solve, Assignment, AssignmentProblem, BalanceOptions};
 use crate::cost::{CostModel, ServerSpec};
+use crate::getmail::{Check, GetMailState, Step};
 use crate::resolve::{Resolution, SyntaxResolver};
 
 /// Maximum server-to-server forwarding hops before a message bounces
@@ -310,8 +311,7 @@ struct UiUser {
     /// Per authority server, in list order: the owner slot its last
     /// `RetrieveReply` carried.
     owner_slots: Vec<u32>,
-    last_checking_time: SimTime,
-    previously_unavailable: BTreeSet<NodeId>,
+    getmail: GetMailState,
     retrieval: Option<RetrievalSession>,
     pending_check: bool,
 }
@@ -329,8 +329,7 @@ impl UiUser {
         UiUser {
             owner_slots: vec![NO_OWNER_SLOT; authorities.len()],
             authorities,
-            last_checking_time: SimTime::ZERO,
-            previously_unavailable: BTreeSet::new(),
+            getmail: GetMailState::new(),
             retrieval: None,
             pending_check: false,
         }
@@ -373,87 +372,16 @@ impl SessionConfig {
     }
 }
 
-/// An in-flight asynchronous GetMail walk. Holds no heap until a server
-/// that timed out on an earlier check needs sweeping.
+/// An in-flight asynchronous GetMail: the session layer around one
+/// [`Check`] of the user's [`GetMailState`].
 #[derive(Clone, Debug)]
 struct RetrievalSession {
-    /// How many servers of the user's authority list the walk phase has
-    /// probed: its next probe is `servers[walked]`.
-    walked: usize,
-    /// Servers to sweep afterwards (previously unavailable, not probed in
-    /// this walk).
-    sweep_remaining: Vec<NodeId>,
-    /// Servers the sweep probed. With `servers[..walked]`, every server
-    /// probed during this check.
-    swept: Vec<NodeId>,
-    polls: u32,
+    check: Check,
     current: Option<(NodeId, TimerId)>,
     /// Probes already sent to the current server (session-layer attempts).
     attempts: u32,
-    check_started: SimTime,
-    finished_walk_early: bool,
     /// The lifecycle span covering this check.
     span: SpanId,
-}
-
-impl RetrievalSession {
-    fn new(check_started: SimTime, span: SpanId) -> Self {
-        RetrievalSession {
-            walked: 0,
-            sweep_remaining: Vec::new(),
-            swept: Vec::new(),
-            polls: 0,
-            current: None,
-            attempts: 0,
-            check_started,
-            finished_walk_early: false,
-            span,
-        }
-    }
-
-    /// True if this check has already probed `server`.
-    fn probed(&self, servers: &[NodeId], server: NodeId) -> bool {
-        servers[..self.walked].contains(&server) || self.swept.contains(&server)
-    }
-
-    /// The next server to probe, or `None` when the check is complete: the
-    /// authority list `servers` in order until a reply ends the walk early,
-    /// then every server of `previously_unavailable` this check has not
-    /// probed yet.
-    ///
-    /// Each server returned is counted in `polls` — distinct servers
-    /// probed, the paper's GetMail cost metric; session-layer
-    /// retransmissions to the same server are counted in `retransmits`
-    /// instead.
-    fn next_server(
-        &mut self,
-        servers: &[NodeId],
-        previously_unavailable: &BTreeSet<NodeId>,
-    ) -> Option<NodeId> {
-        let walk_over = self.finished_walk_early || self.walked == servers.len();
-        let next = if walk_over {
-            if self.sweep_remaining.is_empty() {
-                self.sweep_remaining = previously_unavailable
-                    .iter()
-                    .copied()
-                    .filter(|&s| !self.probed(servers, s))
-                    .collect();
-            }
-            let next = loop {
-                match self.sweep_remaining.pop() {
-                    Some(s) if self.probed(servers, s) => {}
-                    other => break other,
-                }
-            };
-            self.swept.extend(next);
-            next
-        } else {
-            self.walked += 1;
-            Some(servers[self.walked - 1])
-        };
-        self.polls += u32::from(next.is_some());
-        next
-    }
 }
 
 /// An in-flight submission (connection-setup walk over the sender's
@@ -697,59 +625,31 @@ impl HostActor {
                 .borrow_mut()
                 .open(ctx.now(), SpanStage::CheckStarted, site(self.node));
         self.metrics.inc("checks_started");
-        user.retrieval = Some(RetrievalSession::new(ctx.now(), span));
+        user.retrieval = Some(RetrievalSession {
+            check: GetMailState::begin(ctx.now()),
+            current: None,
+            attempts: 0,
+            span,
+        });
         self.advance_retrieval(slot, ctx);
     }
 
-    /// Drives the session state machine: probe next server or finish.
+    /// Drives the user's GetMail: probe the next server or finish.
     fn advance_retrieval(&mut self, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
-        let node = self.node;
-        let UserSlot { name, ui } = &mut self.users[slot];
-        let Some(user) = ui.as_mut() else {
+        let Some(user) = self.users[slot].ui.as_mut() else {
             return;
         };
         let Some(session) = user.retrieval.as_mut() else {
             return;
         };
-
-        match session.next_server(user.authorities.servers(), &user.previously_unavailable) {
-            Some(server) => {
-                session.attempts = 1;
-                self.spans.borrow_mut().record(
-                    ctx.now(),
-                    session.span,
-                    SpanStage::Probe,
-                    site(node),
-                    site(server),
-                    0,
-                );
-                self.metrics.inc("retrieve_probes");
-                let base = {
-                    let rtt = self.transport.delay(node, server) * 2;
-                    rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK)
-                };
-                let timeout = self.retry.timeout(base, 0, ctx.rng());
-                self.transport.send(
-                    ctx,
-                    node,
-                    server,
-                    MailMsg::Retrieve {
-                        user: name.clone(),
-                        reply_to: node,
-                        session: slot as u32,
-                        owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
-                    },
-                    SimDuration::ZERO,
-                );
-                let timer = ctx.set_timer(timeout, RETRIEVE_TAG | slot as u64);
-                session.current = Some((server, timer));
-            }
-            None => {
-                // Session complete.
-                let polls = session.polls;
-                let started = session.check_started;
+        match user
+            .getmail
+            .next(&mut session.check, user.authorities.servers())
+        {
+            Step::Probe(server) => self.retrieve_probe(slot, server, 0, ctx),
+            Step::Done { polls } => {
+                let started = session.check.started();
                 let span = session.span;
-                user.last_checking_time = started;
                 user.retrieval = None;
                 self.stats
                     .borrow_mut()
@@ -759,7 +659,7 @@ impl HostActor {
                     ctx.now(),
                     span,
                     SpanStage::CheckDone,
-                    site(node),
+                    site(self.node),
                     NO_NODE,
                     u64::from(polls),
                 );
@@ -773,6 +673,59 @@ impl HostActor {
                 }
             }
         }
+    }
+
+    /// Sends one Retrieve probe (0-based `attempt`) to `server` for the
+    /// user in `slot` and arms the session timeout with backoff.
+    fn retrieve_probe(
+        &mut self,
+        slot: usize,
+        server: NodeId,
+        attempt: u32,
+        ctx: &mut Ctx<'_, MailMsg>,
+    ) {
+        let timeout = self
+            .retry
+            .timeout(self.timeout_for(server), attempt, ctx.rng());
+        let Some(UserSlot {
+            name,
+            ui: Some(user),
+        }) = self.users.get_mut(slot)
+        else {
+            return;
+        };
+        let Some(session) = user.retrieval.as_mut() else {
+            return;
+        };
+        if attempt == 0 {
+            self.metrics.inc("retrieve_probes");
+        } else {
+            self.stats.borrow_mut().retransmits += 1;
+            self.metrics.inc("retransmits");
+        }
+        self.spans.borrow_mut().record(
+            ctx.now(),
+            session.span,
+            SpanStage::Probe,
+            site(self.node),
+            site(server),
+            u64::from(attempt),
+        );
+        self.transport.send(
+            ctx,
+            self.node,
+            server,
+            MailMsg::Retrieve {
+                user: name.clone(),
+                reply_to: self.node,
+                session: slot as u32,
+                owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
+            },
+            SimDuration::ZERO,
+        );
+        let timer = ctx.set_timer(timeout, RETRIEVE_TAG | slot as u64);
+        session.current = Some((server, timer));
+        session.attempts = attempt + 1;
     }
 }
 
@@ -918,10 +871,8 @@ impl Actor for HostActor {
                     return;
                 };
                 ctx.cancel_timer(timer);
-                user.previously_unavailable.remove(&server);
-                if user.last_checking_time > last_start_time {
-                    session.finished_walk_early = true;
-                }
+                user.getmail
+                    .on_reply(&mut session.check, server, last_start_time);
                 self.advance_retrieval(slot, ctx);
             }
             // Server-bound traffic; a host receiving these ignores them.
@@ -966,12 +917,7 @@ impl HostActor {
     }
 
     fn on_retrieve_timeout(&mut self, id: TimerId, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
-        let node = self.node;
-        let Some(UserSlot {
-            name,
-            ui: Some(user),
-        }) = self.users.get_mut(slot)
-        else {
+        let Some(user) = self.users.get_mut(slot).and_then(|u| u.ui.as_mut()) else {
             return;
         };
         let Some(session) = user.retrieval.as_mut() else {
@@ -986,45 +932,14 @@ impl HostActor {
             return;
         }
         if self.retry.exhausted(session.attempts) {
-            // Retry budget spent: the server is unresponsive.
-            // Record it for future sweeps — the paper's
-            // PreviouslyUnavailableServers, now driven by real
-            // timeouts rather than oracle knowledge — and move on.
-            user.previously_unavailable.insert(server);
+            // Retry budget spent: the server is unresponsive. GetMail
+            // records it for a later sweep and moves on.
+            user.getmail.on_unreachable(server);
             self.advance_retrieval(slot, ctx);
         } else {
             // Retransmit to the same server with backoff.
             let attempt = session.attempts;
-            session.attempts += 1;
-            let base = {
-                let rtt = self.transport.delay(node, server) * 2;
-                rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK)
-            };
-            let timeout = self.retry.timeout(base, attempt, ctx.rng());
-            self.transport.send(
-                ctx,
-                node,
-                server,
-                MailMsg::Retrieve {
-                    user: name.clone(),
-                    reply_to: node,
-                    session: slot as u32,
-                    owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
-                },
-                SimDuration::ZERO,
-            );
-            let new_timer = ctx.set_timer(timeout, RETRIEVE_TAG | slot as u64);
-            session.current = Some((server, new_timer));
-            self.stats.borrow_mut().retransmits += 1;
-            self.metrics.inc("retransmits");
-            self.spans.borrow_mut().record(
-                ctx.now(),
-                session.span,
-                SpanStage::Probe,
-                site(node),
-                site(server),
-                u64::from(attempt),
-            );
+            self.retrieve_probe(slot, server, attempt, ctx);
         }
     }
 }
@@ -3122,103 +3037,6 @@ mod tests {
             )
         }
         assert_eq!(run(false), run(true));
-    }
-
-    /// The `VecDeque` + `BTreeSet` walk that [`RetrievalSession`] replaced,
-    /// kept as the oracle for `index_walk_matches_the_queue_and_set_walk`.
-    struct QueueSetWalk {
-        walk_remaining: VecDeque<NodeId>,
-        sweep_remaining: Vec<NodeId>,
-        probed: BTreeSet<NodeId>,
-        polls: u32,
-        finished_walk_early: bool,
-    }
-
-    impl QueueSetWalk {
-        fn next_server(&mut self, previously_unavailable: &BTreeSet<NodeId>) -> Option<NodeId> {
-            if (self.walk_remaining.is_empty() || self.finished_walk_early)
-                && self.sweep_remaining.is_empty()
-            {
-                self.sweep_remaining = previously_unavailable
-                    .iter()
-                    .copied()
-                    .filter(|s| !self.probed.contains(s))
-                    .collect();
-            }
-            let walk_next = if self.finished_walk_early {
-                None
-            } else {
-                self.walk_remaining.pop_front()
-            };
-            let next = walk_next.or_else(|| loop {
-                match self.sweep_remaining.pop() {
-                    Some(s) if self.probed.contains(&s) => {}
-                    other => break other,
-                }
-            });
-            if let Some(server) = next {
-                self.polls += 1;
-                self.probed.insert(server);
-            }
-            next
-        }
-    }
-
-    proptest::proptest! {
-        /// Same probe order, same `polls`, same `previously_unavailable`
-        /// afterwards, whatever the authority list, the servers that timed
-        /// out on earlier checks, and what each probe of this check meets:
-        /// a reply (0), a reply that ends the walk early (1), a timeout (2).
-        #[test]
-        fn index_walk_matches_the_queue_and_set_walk(
-            order in proptest::collection::vec(0u32..1_000, 8),
-            list_len in 1usize..=5,
-            unavailable in proptest::collection::vec(0usize..8, 0..6),
-            outcomes in proptest::collection::vec(0u8..3, 0..12),
-        ) {
-            use proptest::prelude::*;
-            // 1-5 distinct servers out of 8, in an order the sort keys pick.
-            let mut servers: Vec<NodeId> = (0..8).map(NodeId).collect();
-            servers.sort_by_key(|s| order[s.0]);
-            servers.truncate(list_len);
-            let unavailable: BTreeSet<NodeId> = unavailable.into_iter().map(NodeId).collect();
-
-            let mut new = RetrievalSession::new(SimTime::ZERO, SpanId(0));
-            let mut new_unavailable = unavailable.clone();
-            let mut old = QueueSetWalk {
-                walk_remaining: servers.iter().copied().collect(),
-                sweep_remaining: Vec::new(),
-                probed: BTreeSet::new(),
-                polls: 0,
-                finished_walk_early: false,
-            };
-            let mut old_unavailable = unavailable;
-
-            // Every server is probed at most once, so the walk ends.
-            let mut outcomes = outcomes.into_iter().chain(std::iter::repeat(0));
-            for _ in 0..=8 {
-                let probe = new.next_server(&servers, &new_unavailable);
-                prop_assert_eq!(probe, old.next_server(&old_unavailable));
-                let Some(server) = probe else { break };
-                match outcomes.next() {
-                    Some(2) => {
-                        new_unavailable.insert(server);
-                        old_unavailable.insert(server);
-                    }
-                    outcome => {
-                        new_unavailable.remove(&server);
-                        old_unavailable.remove(&server);
-                        if outcome == Some(1) {
-                            new.finished_walk_early = true;
-                            old.finished_walk_early = true;
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(new.next_server(&servers, &new_unavailable), None);
-            prop_assert_eq!(new.polls, old.polls);
-            prop_assert_eq!(new_unavailable, old_unavailable);
-        }
     }
 
     /// Two users of one host, and that host's actor id.

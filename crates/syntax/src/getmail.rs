@@ -22,6 +22,16 @@
 //! `PreviouslyUnavailableServers`. Under normal conditions (primary up
 //! continuously) this is exactly **one poll**, and §5 claims no messages
 //! are ever lost; `repro-getmail` measures both.
+//!
+//! The algorithm is written once, as a step machine over [`GetMailState`]:
+//! [`GetMailState::begin`] opens a [`Check`], [`GetMailState::next`] names
+//! the next server to probe or ends the check, and
+//! [`GetMailState::on_reply`] / [`GetMailState::on_unreachable`] report
+//! what the probe met. It runs two ways. [`GetMailState::get_mail`]
+//! probes an analytic [`Prober`] synchronously (the experiments'
+//! [`PlanStore`]). The host actor of [`crate::actors`] probes real servers
+//! over the network, and decides that a server is unreachable when its
+//! session timeouts and retransmissions run out.
 
 use std::collections::BTreeSet;
 
@@ -38,20 +48,66 @@ pub struct ProbeReply {
     pub messages: Vec<MessageId>,
 }
 
-/// The storage side GetMail talks to: either simulated servers or the
+/// The servers [`GetMailState::get_mail`] polls synchronously: the
 /// analytic [`PlanStore`] used by experiments.
-pub trait MailStore {
+pub trait Prober {
     /// Polls `server` at `now` on behalf of one user. Returns `None` when
     /// the server is down or unreachable; otherwise drains and returns the
     /// user's stored mail along with the server's `LastStartTime`.
     fn probe(&mut self, server: NodeId, now: SimTime) -> Option<ProbeReply>;
 }
 
-/// Per-user retrieval bookkeeping (lives in the user interface).
+/// Per-user retrieval bookkeeping (lives in the user interface): the
+/// paper's `LastCheckingTime` and `PreviouslyUnavailableServers`.
 #[derive(Clone, Debug, Default)]
 pub struct GetMailState {
     last_checking_time: SimTime,
     previously_unavailable: BTreeSet<NodeId>,
+}
+
+/// One GetMail in progress: how far the walk of the authority list and the
+/// sweep of previously unavailable servers have got. Holds no heap until a
+/// server that was unavailable at an earlier check needs sweeping.
+#[derive(Clone, Debug)]
+pub struct Check {
+    /// When the check began: the user's next `LastCheckingTime`.
+    started: SimTime,
+    /// How many servers of the authority list the walk has probed: its
+    /// next probe is `servers[walked]`.
+    walked: usize,
+    /// Servers to sweep after the walk (previously unavailable, not probed
+    /// in this walk).
+    sweep_remaining: Vec<NodeId>,
+    /// Servers the sweep probed. With `servers[..walked]`, every server
+    /// probed during this check.
+    swept: Vec<NodeId>,
+    polls: u32,
+    finished_walk_early: bool,
+}
+
+impl Check {
+    /// When the check began.
+    pub(crate) fn started(&self) -> SimTime {
+        self.started
+    }
+
+    /// True if this check has already probed `server`.
+    fn probed(&self, servers: &[NodeId], server: NodeId) -> bool {
+        servers[..self.walked].contains(&server) || self.swept.contains(&server)
+    }
+}
+
+/// What a [`Check`] does next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Probe this server, then report the outcome with
+    /// [`GetMailState::on_reply`] or [`GetMailState::on_unreachable`].
+    Probe(NodeId),
+    /// The check is complete after `polls` distinct servers.
+    Done {
+        /// Distinct servers probed: the paper's GetMail cost metric.
+        polls: u32,
+    },
 }
 
 /// What one retrieval accomplished.
@@ -62,10 +118,6 @@ pub struct RetrievalOutcome {
     pub polls: u32,
     /// Messages retrieved, in probe order.
     pub retrieved: Vec<MessageId>,
-    /// True if the walk reached the end of the authority list without the
-    /// early-exit condition firing (first check, or every server restarted
-    /// since the last check).
-    pub exhausted_list: bool,
 }
 
 impl GetMailState {
@@ -74,14 +126,74 @@ impl GetMailState {
         GetMailState::default()
     }
 
-    /// When the user last checked mail.
-    pub fn last_checking_time(&self) -> SimTime {
-        self.last_checking_time
+    /// Opens a check at `now`.
+    pub fn begin(now: SimTime) -> Check {
+        Check {
+            started: now,
+            walked: 0,
+            sweep_remaining: Vec::new(),
+            swept: Vec::new(),
+            polls: 0,
+            finished_walk_early: false,
+        }
     }
 
-    /// Servers recorded as previously unavailable.
-    pub fn previously_unavailable(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.previously_unavailable.iter().copied()
+    /// The next step of `check` over the authority list `servers`: the
+    /// list in order until a reply ends the walk early, then every
+    /// previously unavailable server this check has not probed, highest
+    /// node first. On [`Step::Done`] the check's start becomes the user's
+    /// `LastCheckingTime`.
+    ///
+    /// `servers` must be the same list for every step of one check.
+    pub fn next(&mut self, check: &mut Check, servers: &[NodeId]) -> Step {
+        let walk_over = check.finished_walk_early || check.walked == servers.len();
+        let next = if walk_over {
+            if check.sweep_remaining.is_empty() {
+                check.sweep_remaining = self
+                    .previously_unavailable
+                    .iter()
+                    .copied()
+                    .filter(|&s| !check.probed(servers, s))
+                    .collect();
+            }
+            let next = loop {
+                match check.sweep_remaining.pop() {
+                    Some(s) if check.probed(servers, s) => {}
+                    other => break other,
+                }
+            };
+            check.swept.extend(next);
+            next
+        } else {
+            check.walked += 1;
+            Some(servers[check.walked - 1])
+        };
+        match next {
+            Some(server) => {
+                check.polls += 1;
+                Step::Probe(server)
+            }
+            None => {
+                self.last_checking_time = check.started;
+                Step::Done { polls: check.polls }
+            }
+        }
+    }
+
+    /// `server` answered, with its `LastStartTime`.
+    pub fn on_reply(&mut self, check: &mut Check, server: NodeId, last_start_time: SimTime) {
+        self.previously_unavailable.remove(&server);
+        // Up since before the last check: every deposit since then landed
+        // here or earlier in the list.
+        if self.last_checking_time > last_start_time {
+            check.finished_walk_early = true;
+        }
+    }
+
+    /// `server` did not answer: it may buffer mail until a later check
+    /// sweeps it.
+    pub fn on_unreachable(&mut self, server: NodeId) {
+        self.previously_unavailable.insert(server);
     }
 
     /// Runs the paper's `GetMail` procedure at `now` over the user's
@@ -93,56 +205,24 @@ impl GetMailState {
     pub fn get_mail(
         &mut self,
         authorities: &[NodeId],
-        store: &mut impl MailStore,
+        prober: &mut impl Prober,
         now: SimTime,
     ) -> RetrievalOutcome {
         assert!(!authorities.is_empty(), "authority list must not be empty");
-        let current_checking_time = now;
-        let mut out = RetrievalOutcome::default();
-        let mut finished = false;
-        let mut probed_this_check: BTreeSet<NodeId> = BTreeSet::new();
-
-        for &server in authorities {
-            if finished {
-                break;
-            }
-            out.polls += 1;
-            probed_this_check.insert(server);
-            match store.probe(server, now) {
-                Some(reply) => {
-                    out.retrieved.extend(reply.messages);
-                    self.previously_unavailable.remove(&server);
-                    if self.last_checking_time > reply.last_start_time {
-                        finished = true;
+        let mut retrieved = Vec::new();
+        let mut check = Self::begin(now);
+        loop {
+            match self.next(&mut check, authorities) {
+                Step::Probe(server) => match prober.probe(server, now) {
+                    Some(reply) => {
+                        retrieved.extend(reply.messages);
+                        self.on_reply(&mut check, server, reply.last_start_time);
                     }
-                }
-                None => {
-                    self.previously_unavailable.insert(server);
-                }
+                    None => self.on_unreachable(server),
+                },
+                Step::Done { polls } => return RetrievalOutcome { polls, retrieved },
             }
         }
-        out.exhausted_list = !finished;
-
-        // Drain old mail from servers that were unavailable at earlier
-        // checks and are reachable again now. Servers already probed during
-        // the walk above are skipped: alive ones were drained there, dead
-        // ones stay recorded for next time.
-        let pending: Vec<NodeId> = self
-            .previously_unavailable
-            .iter()
-            .copied()
-            .filter(|s| !probed_this_check.contains(s))
-            .collect();
-        for server in pending {
-            out.polls += 1;
-            if let Some(reply) = store.probe(server, now) {
-                out.retrieved.extend(reply.messages);
-                self.previously_unavailable.remove(&server);
-            }
-        }
-
-        self.last_checking_time = current_checking_time;
-        out
     }
 }
 
@@ -154,22 +234,21 @@ impl GetMailState {
 /// no mailbox to poll.
 pub fn poll_all(
     authorities: &[NodeId],
-    store: &mut impl MailStore,
+    prober: &mut impl Prober,
     now: SimTime,
 ) -> RetrievalOutcome {
     assert!(!authorities.is_empty(), "authority list must not be empty");
     let mut out = RetrievalOutcome::default();
     for &server in authorities {
         out.polls += 1;
-        if let Some(reply) = store.probe(server, now) {
+        if let Some(reply) = prober.probe(server, now) {
             out.retrieved.extend(reply.messages);
         }
     }
-    out.exhausted_list = true;
     out
 }
 
-/// An analytic [`MailStore`] over a [`FailurePlan`]: servers are up or down
+/// An analytic [`Prober`] over a [`FailurePlan`]: servers are up or down
 /// exactly as the plan says, `LastStartTime` is derived from the plan's
 /// outages, and deposits follow the delivery rule (first alive server in
 /// the recipient's list).
@@ -250,7 +329,7 @@ impl PlanStore {
     }
 }
 
-impl MailStore for PlanStore {
+impl Prober for PlanStore {
     fn probe(&mut self, server: NodeId, now: SimTime) -> Option<ProbeReply> {
         if !self.is_up(server, now) {
             return None;
@@ -285,14 +364,12 @@ mod tests {
         // First check ever: walks the whole list (conservative).
         let first = st.get_mail(&auth, &mut store, t(1.0));
         assert_eq!(first.polls, 3);
-        assert!(first.exhausted_list);
         // From then on: one poll per check.
         for i in 2..10 {
             store.deposit(&auth, MessageId(i), t(i as f64 - 0.5));
             let out = st.get_mail(&auth, &mut store, t(i as f64));
             assert_eq!(out.polls, 1, "check {i}");
             assert_eq!(out.retrieved, vec![MessageId(i)]);
-            assert!(!out.exhausted_list);
         }
     }
 
@@ -317,10 +394,7 @@ mod tests {
         assert_eq!(out.retrieved, vec![MessageId(100)]);
         assert_eq!(out.polls, 2);
         // Primary is now in PreviouslyUnavailableServers.
-        assert_eq!(
-            st.previously_unavailable().collect::<Vec<_>>(),
-            vec![NodeId(0)]
-        );
+        assert_eq!(st.previously_unavailable, BTreeSet::from([NodeId(0)]));
 
         // After recovery, the next check probes the primary; its
         // LastStartTime (6.0) is newer than our last check (4.0), so the
@@ -328,7 +402,7 @@ mod tests {
         store.deposit(&auth, MessageId(101), t(7.0)); // lands on primary again
         let out = st.get_mail(&auth, &mut store, t(8.0));
         assert!(out.retrieved.contains(&MessageId(101)));
-        assert!(st.previously_unavailable().next().is_none());
+        assert!(st.previously_unavailable.is_empty());
         assert_eq!(store.in_storage(), 0, "no mail left behind");
     }
 
@@ -442,6 +516,166 @@ mod tests {
                 0,
                 "mail left in storage (trial {trial})"
             );
+        }
+    }
+
+    /// A [`PlanStore`] that records which servers were probed, in order.
+    struct Recording {
+        store: PlanStore,
+        probes: Vec<NodeId>,
+    }
+
+    impl Prober for Recording {
+        fn probe(&mut self, server: NodeId, now: SimTime) -> Option<ProbeReply> {
+            self.probes.push(server);
+            self.store.probe(server, now)
+        }
+    }
+
+    #[test]
+    fn a_sweep_of_two_servers_probes_the_higher_node_first() {
+        let mut plan = FailurePlan::new();
+        plan.add_outage(ActorId(0), t(2.0), t(6.0)).unwrap();
+        plan.add_outage(ActorId(1), t(3.0), t(8.0)).unwrap();
+        plan.add_outage(ActorId(2), t(3.0), t(8.0)).unwrap();
+        let mut rec = Recording {
+            store: PlanStore::new(plan),
+            probes: Vec::new(),
+        };
+        let auth = servers();
+        let mut st = GetMailState::new();
+        // The first check walks the list.
+        assert_eq!(st.get_mail(&auth, &mut rec, t(1.0)).polls, 3);
+        // Primary down, secondary still up: stored on n1, which then
+        // crashes with n2.
+        assert_eq!(
+            rec.store.deposit(&auth, MessageId(7), t(2.5)),
+            Some(NodeId(1))
+        );
+        // 4: everything down, all three recorded. 7: n0 restarted since the
+        // last check, so the walk goes on and meets n1 and n2 still down.
+        for at in [4.0, 7.0] {
+            let out = st.get_mail(&auth, &mut rec, t(at));
+            assert_eq!((out.polls, out.retrieved.len()), (3, 0), "check at {at}");
+        }
+        assert_eq!(
+            st.previously_unavailable,
+            BTreeSet::from([NodeId(1), NodeId(2)])
+        );
+        // 9: n0 has been up since before the last check, so the walk ends
+        // there and the sweep pops n2, then n1.
+        rec.probes.clear();
+        let out = st.get_mail(&auth, &mut rec, t(9.0));
+        assert_eq!(rec.probes, vec![NodeId(0), NodeId(2), NodeId(1)]);
+        assert_eq!(out.polls, 3);
+        assert_eq!(out.retrieved, vec![MessageId(7)]);
+        assert!(st.previously_unavailable.is_empty());
+    }
+
+    /// A `VecDeque` + `BTreeSet` walk, written apart from [`Check`] as the
+    /// oracle for `machine_matches_the_queue_and_set_walk`.
+    struct QueueSetWalk {
+        walk_remaining: std::collections::VecDeque<NodeId>,
+        sweep_remaining: Vec<NodeId>,
+        probed: BTreeSet<NodeId>,
+        polls: u32,
+        finished_walk_early: bool,
+    }
+
+    impl QueueSetWalk {
+        fn next_server(&mut self, previously_unavailable: &BTreeSet<NodeId>) -> Option<NodeId> {
+            if (self.walk_remaining.is_empty() || self.finished_walk_early)
+                && self.sweep_remaining.is_empty()
+            {
+                self.sweep_remaining = previously_unavailable
+                    .iter()
+                    .copied()
+                    .filter(|s| !self.probed.contains(s))
+                    .collect();
+            }
+            let walk_next = if self.finished_walk_early {
+                None
+            } else {
+                self.walk_remaining.pop_front()
+            };
+            let next = walk_next.or_else(|| loop {
+                match self.sweep_remaining.pop() {
+                    Some(s) if self.probed.contains(&s) => {}
+                    other => break other,
+                }
+            });
+            if let Some(server) = next {
+                self.polls += 1;
+                self.probed.insert(server);
+            }
+            next
+        }
+    }
+
+    proptest::proptest! {
+        /// Same probe order, same `polls`, same `previously_unavailable`
+        /// afterwards, whatever the authority list, the servers that timed
+        /// out on earlier checks, and what each probe of this check meets:
+        /// a reply (0), a reply that ends the walk early (1), a timeout (2).
+        #[test]
+        fn machine_matches_the_queue_and_set_walk(
+            order in proptest::collection::vec(0u32..1_000, 8),
+            list_len in 1usize..=5,
+            unavailable in proptest::collection::vec(0usize..8, 0..6),
+            outcomes in proptest::collection::vec(0u8..3, 0..12),
+        ) {
+            use proptest::prelude::*;
+            // 1-5 distinct servers out of 8, in an order the sort keys pick.
+            let mut servers: Vec<NodeId> = (0..8).map(NodeId).collect();
+            servers.sort_by_key(|s| order[s.0]);
+            servers.truncate(list_len);
+            let unavailable: BTreeSet<NodeId> = unavailable.into_iter().map(NodeId).collect();
+
+            // A server that started before the last check ends the walk;
+            // one that started after it does not.
+            let mut state = GetMailState {
+                last_checking_time: t(10.0),
+                previously_unavailable: unavailable.clone(),
+            };
+            let mut check = GetMailState::begin(t(20.0));
+            let mut old = QueueSetWalk {
+                walk_remaining: servers.iter().copied().collect(),
+                sweep_remaining: Vec::new(),
+                probed: BTreeSet::new(),
+                polls: 0,
+                finished_walk_early: false,
+            };
+            let mut old_unavailable = unavailable;
+
+            let mut outcomes = outcomes.into_iter().chain(std::iter::repeat(0));
+            let polls = loop {
+                let oracle = old.next_server(&old_unavailable);
+                let server = match state.next(&mut check, &servers) {
+                    Step::Done { polls } => {
+                        prop_assert_eq!(oracle, None);
+                        break polls;
+                    }
+                    Step::Probe(server) => server,
+                };
+                prop_assert_eq!(Some(server), oracle);
+                // Every server is probed at most once, so the check ends.
+                prop_assert!(old.polls <= 8);
+                match outcomes.next() {
+                    Some(2) => {
+                        state.on_unreachable(server);
+                        old_unavailable.insert(server);
+                    }
+                    outcome => {
+                        let early = outcome == Some(1);
+                        state.on_reply(&mut check, server, t(if early { 5.0 } else { 15.0 }));
+                        old_unavailable.remove(&server);
+                        old.finished_walk_early |= early;
+                    }
+                }
+            };
+            prop_assert_eq!(polls, old.polls);
+            prop_assert_eq!(state.previously_unavailable, old_unavailable);
+            prop_assert_eq!(state.last_checking_time, t(20.0));
         }
     }
 }

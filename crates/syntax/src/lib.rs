@@ -12,14 +12,16 @@
 //!   balancing loop (Table 2);
 //! * [`resolve`] — syntax-directed name resolution with region forwarding
 //!   (§3.1.2b);
-//! * [`getmail`] — the GetMail retrieval algorithm and the poll-everything
-//!   baseline (§3.1.2c), with the paper's "≈ one poll, no mail lost"
-//!   guarantees;
+//! * [`getmail`] — the GetMail retrieval algorithm (§3.1.2c), written once
+//!   as a step machine run two ways: by a synchronous loop over an
+//!   analytic store, with the poll-everything baseline and the paper's
+//!   "≈ one poll, no mail lost" guarantees, and by the host actor below;
 //! * [`actors`] — the full simulated system: host/user-interface and
 //!   server actors, connection setup with failover, store-and-forward
-//!   delivery, notifications, and asynchronous GetMail over real timeouts
-//!   — wired from a [`Placement`], so System 2 (`lems-locindep`) runs on
-//!   the same actors with a hashed placement and login tracking;
+//!   delivery, notifications, and the GetMail machine driven over real
+//!   timeouts and retransmissions — wired from a [`Placement`], so
+//!   System 2 (`lems-locindep`) runs on the same actors with a hashed
+//!   placement and login tracking;
 //! * [`groups`] — distribution lists with nested expansion (§4.3 group
 //!   naming — the conventional baseline System 3 replaces);
 //! * [`cache`] — the §4.1 "caching capability": LRU+TTL resolution
@@ -73,7 +75,7 @@ pub use assign::{
 };
 pub use cache::{CacheStats, ResolutionCache};
 pub use cost::{CostModel, ServerSpec};
-pub use getmail::{GetMailState, MailStore, PlanStore, ProbeReply, RetrievalOutcome};
+pub use getmail::{GetMailState, PlanStore, ProbeReply, Prober, RetrievalOutcome};
 pub use groups::{GroupError, GroupTable, Member};
 pub use migrate::{migrate_user, MigrationOutcome, Redirect, RedirectTable};
 pub use reconfig::{ReconfigReport, Reconfigurator};

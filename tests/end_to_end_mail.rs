@@ -127,6 +127,60 @@ fn generated_workload_with_failures_loses_nothing() {
     assert!(st.retrieval_polls.mean() < 2.5);
 }
 
+/// On a network with no faults no exchange times out, however long its
+/// round trip: the session cap bounds how far a timeout backs off, never
+/// the first timeout. Every inter-region link here is longer than half the
+/// cap, so each cross-region forward's round trip exceeds it.
+#[test]
+fn fault_free_long_haul_links_see_no_retransmits() {
+    let mut rng = SimRng::seed(4);
+    let topo = multi_region(
+        &mut rng,
+        &MultiRegionConfig {
+            regions: 3,
+            hosts_per_region: 2,
+            servers_per_region: 2,
+            inter_weight: (35.0, 40.0),
+            ..MultiRegionConfig::default()
+        },
+    );
+    let users: Vec<u32> = vec![1; topo.hosts().len()];
+    let config = DeploymentConfig {
+        seed: 4,
+        ..DeploymentConfig::default()
+    };
+    let cap = config.session.retry.max_timeout;
+    let mut d = Deployment::build(&topo, &users, &config);
+    let names = d.user_names();
+    let primary = |name| {
+        d.directory
+            .by_name(name)
+            .expect("registered")
+            .authorities
+            .servers()[0]
+    };
+    let mut sends = Vec::new();
+    for a in &names {
+        for b in names.iter().filter(|b| b.region() != a.region()) {
+            let one_way = d.transport.delay(primary(a), primary(b));
+            assert!(one_way * 2 > cap, "{a} -> {b}: {one_way:?} one way");
+            sends.push((a.clone(), b.clone()));
+        }
+    }
+    assert!(!sends.is_empty());
+    for (i, (a, b)) in sends.iter().enumerate() {
+        d.send_at(SimTime::from_units(1.0 + i as f64), a, b);
+    }
+    for (i, n) in names.iter().enumerate() {
+        d.check_at(SimTime::from_units(1000.0 + i as f64), n);
+    }
+    assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+    let st = d.stats.borrow();
+    assert_eq!(st.retransmits, 0);
+    assert_eq!(st.retrieved, sends.len() as u64);
+    assert_eq!(st.outstanding(), 0);
+}
+
 #[test]
 fn notifications_follow_deposits() {
     let mut d = build_world(3);
