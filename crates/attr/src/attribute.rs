@@ -170,6 +170,12 @@ impl Requester {
             Visibility::Private => false,
         }
     }
+
+    /// True if this requester belongs to the organization whose lowercase
+    /// form is `org_lower`.
+    pub(crate) fn belongs_to(&self, org_lower: &str) -> bool {
+        self.organization_lower.as_deref() == Some(org_lower)
+    }
 }
 
 /// One stored attribute: value plus visibility.
@@ -261,6 +267,21 @@ impl AttributeSet {
     /// Removes every value under `key`; returns how many were removed.
     pub fn remove(&mut self, key: &AttrKey) -> usize {
         self.attrs.drain(self.range(key)).count()
+    }
+
+    /// Every text value, in entry order.
+    pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
+        self.attrs.iter().filter_map(|(_, a)| match &a.value {
+            AttrValue::Text(text) => Some(text.as_str()),
+            AttrValue::Number(_) => None,
+        })
+    }
+
+    /// The entries, moved out in key order (the values of one key in the
+    /// order they were added): what `add`ing them back in this order
+    /// rebuilds.
+    pub(crate) fn into_entries(self) -> std::vec::IntoIter<(AttrKey, Attribute)> {
+        self.attrs.into_iter()
     }
 }
 

@@ -19,9 +19,15 @@
 /// Writes `s.to_lowercase()` into `out`, reusing its buffer.
 pub(crate) fn lower_into(s: &str, out: &mut String) {
     out.clear();
+    push_lower(s, out);
+}
+
+/// Appends `s.to_lowercase()` to `out`.
+pub(crate) fn push_lower(s: &str, out: &mut String) {
     if s.is_ascii() {
+        let start = out.len();
         out.push_str(s);
-        out.make_ascii_lowercase();
+        out[start..].make_ascii_lowercase();
     } else if s.contains('Σ') {
         // Final sigma is the one mapping that depends on the neighbouring
         // characters, and the tables that decide it are private to std.
@@ -88,35 +94,55 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
     levenshtein(&pattern, &long, usize::MAX, &mut Vec::new())
 }
 
-/// The Soundex code of `word` as four ASCII bytes (see [`soundex`]).
-pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
-    fn code(c: u8) -> u8 {
-        match c.to_ascii_lowercase() {
+/// [`SOUNDEX`]'s entry for a byte that is not an ASCII letter.
+const NOT_A_LETTER: u8 = 0;
+/// [`SOUNDEX`]'s entry for `h` and `w`, which neither code nor separate.
+const SILENT: u8 = 1;
+
+/// Per byte, its Soundex digit: `b'1'`–`b'6'` for a coded consonant,
+/// `b'0'` for a vowel or `y` (not coded, but separates two equal digits),
+/// [`SILENT`] for `h`/`w` and [`NOT_A_LETTER`] for anything else.
+const SOUNDEX: [u8; 256] = {
+    let mut table = [NOT_A_LETTER; 256];
+    let mut c = b'a';
+    while c <= b'z' {
+        let digit = match c {
             b'b' | b'f' | b'p' | b'v' => b'1',
             b'c' | b'g' | b'j' | b'k' | b'q' | b's' | b'x' | b'z' => b'2',
             b'd' | b't' => b'3',
             b'l' => b'4',
             b'm' | b'n' => b'5',
             b'r' => b'6',
-            _ => b'0', // vowels, h, w, y: not coded
-        }
+            b'h' | b'w' => SILENT,
+            _ => b'0',
+        };
+        table[c as usize] = digit;
+        table[c.to_ascii_uppercase() as usize] = digit;
+        c += 1;
     }
+    table
+};
+
+/// The Soundex code of `word` as four ASCII bytes (see [`soundex`]).
+pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
     // Only ASCII letters count, and no byte of a multi-byte character is
     // one, so the bytes can be walked directly.
-    let mut letters = word.bytes().filter(u8::is_ascii_alphabetic);
+    let mut letters = word
+        .bytes()
+        .map(|c| (c, SOUNDEX[usize::from(c)]))
+        .filter(|&(_, digit)| digit != NOT_A_LETTER);
     let mut out = *b"0000";
-    let Some(first) = letters.next() else {
+    let Some((first, digit)) = letters.next() else {
         return out;
     };
     out[0] = first.to_ascii_uppercase();
     let mut len = 1;
-    let mut last = code(first);
-    for c in letters {
+    let mut last = if digit == SILENT { b'0' } else { digit };
+    for (_, k) in letters {
         // h/w do not reset the previous code; vowels do.
-        if matches!(c.to_ascii_lowercase(), b'h' | b'w') {
+        if k == SILENT {
             continue;
         }
-        let k = code(c);
         if k != b'0' && k != last {
             out[len] = k;
             len += 1;
@@ -169,19 +195,21 @@ impl MatchQuality {
 /// The query side of a fuzzy match, with everything that depends on the
 /// query alone computed once.
 #[derive(Debug)]
-pub(crate) struct Needle<'q> {
-    query: &'q str,
-    /// The characters of the lowercased query.
+pub(crate) struct Needle {
+    /// The lowercased query.
+    lower: String,
+    /// Its characters.
     chars: Vec<char>,
     soundex: [u8; 4],
     max_edits: usize,
 }
 
-impl<'q> Needle<'q> {
-    pub(crate) fn new(query: &'q str, max_edits: usize) -> Self {
+impl Needle {
+    pub(crate) fn new(query: &str, max_edits: usize) -> Self {
+        let lower = query.to_lowercase();
         Needle {
-            query,
-            chars: query.to_lowercase().chars().collect(),
+            chars: lower.chars().collect(),
+            lower,
             soundex: soundex_code(query),
             max_edits,
         }
@@ -194,15 +222,15 @@ impl<'q> Needle<'q> {
     }
 
     /// Classifies `candidate`, whose lowercase form the caller supplies as
-    /// `lower` (spelling is compared on that; the exact and phonetic tiers
-    /// see `candidate` itself). `row` is the table's reusable buffer.
+    /// `lower` (case and spelling are compared on that; the phonetic tier
+    /// sees `candidate` itself). `row` is the table's reusable buffer.
     pub(crate) fn quality(
         &self,
         candidate: &str,
         lower: &str,
         row: &mut Vec<usize>,
     ) -> MatchQuality {
-        if self.query.eq_ignore_ascii_case(candidate) {
+        if self.lower == lower {
             MatchQuality::Exact
         } else if let Some(d) = self.within(lower, row) {
             MatchQuality::CloseSpelling(d)
@@ -226,6 +254,22 @@ pub fn classify(query: &str, candidate: &str, max_edits: usize) -> MatchQuality 
 #[cfg(test)]
 pub(crate) mod reference {
     use super::MatchQuality;
+
+    /// How two texts are compared where "equal, ignoring case" is meant:
+    /// `classify`'s exact tier and `Predicate::Equals`. The one thing the
+    /// kernels changed on purpose.
+    pub type TextEq = fn(&str, &str) -> bool;
+
+    /// What both did: ASCII-only folding, beside a spelling tier and
+    /// `Contains` that fold Unicode.
+    pub fn ascii_fold_eq(a: &str, b: &str) -> bool {
+        a.eq_ignore_ascii_case(b)
+    }
+
+    /// What both do now: the fold everything else always used.
+    pub fn unicode_fold_eq(a: &str, b: &str) -> bool {
+        a.to_lowercase() == b.to_lowercase()
+    }
 
     pub fn edit_distance(a: &str, b: &str) -> usize {
         let a: Vec<char> = a.to_lowercase().chars().collect();
@@ -287,8 +331,8 @@ pub(crate) mod reference {
         out
     }
 
-    pub fn classify(query: &str, candidate: &str, max_edits: usize) -> MatchQuality {
-        if query.eq_ignore_ascii_case(candidate) {
+    pub fn classify(query: &str, candidate: &str, max_edits: usize, exact: TextEq) -> MatchQuality {
+        if exact(query, candidate) {
             return MatchQuality::Exact;
         }
         let d = edit_distance(query, candidate);
@@ -345,6 +389,19 @@ mod tests {
         assert!(classify("a", "b", 1).is_match()); // distance 1
     }
 
+    #[test]
+    fn exact_folds_unicode_case() {
+        assert_eq!(classify("ÉCOLE", "école", 0), MatchQuality::Exact);
+        assert_eq!(classify("École", "ÉCOLE", 1), MatchQuality::Exact);
+        // The tier this one replaced folded ASCII only: one pair of the
+        // same word was exact, the other a spelling at distance 0.
+        let ascii = |q, c, k| reference::classify(q, c, k, reference::ascii_fold_eq);
+        assert_eq!(ascii("ÉCOLE", "école", 0), MatchQuality::CloseSpelling(0));
+        assert_eq!(ascii("École", "ÉCOLE", 1), MatchQuality::Exact);
+        // Either way it is a match: no search answer depends on the tier.
+        assert!(ascii("ÉCOLE", "école", 0).is_match());
+    }
+
     /// Words over the characters whose lowercase mapping is not one-to-one
     /// (`ß`, `İ`), depends on the neighbours (`Σ`) or lands in ASCII (the
     /// Kelvin sign), beside plain ASCII and a Latin-1 pair. Some are
@@ -388,12 +445,39 @@ mod tests {
             }
         }
 
-        /// The kernels are the matchers they replaced.
+        /// The kernels are the matchers they replaced, with the exact tier
+        /// folding as the spelling tier always did.
         #[test]
         fn kernels_match_the_reference(a in TRICKY, b in TRICKY, k in 0usize..4) {
             prop_assert_eq!(edit_distance(&a, &b), reference::edit_distance(&a, &b));
             prop_assert_eq!(soundex(&a), reference::soundex(&a));
-            prop_assert_eq!(classify(&a, &b, k), reference::classify(&a, &b, k));
+            prop_assert_eq!(
+                classify(&a, &b, k),
+                reference::classify(&a, &b, k, reference::unicode_fold_eq)
+            );
+            prop_assert_eq!(
+                classify(&a, &b, k).is_match(),
+                reference::classify(&a, &b, k, reference::ascii_fold_eq).is_match()
+            );
+        }
+
+        /// On ASCII text the two notions of case are one: `classify` is
+        /// the old one, unchanged.
+        #[test]
+        fn on_ascii_text_no_tier_moved(a in "[abrRtT 1]{0,6}", b in "[abrRtT 1]{0,6}", k in 0usize..4) {
+            prop_assert_eq!(
+                classify(&a, &b, k),
+                reference::classify(&a, &b, k, reference::ascii_fold_eq)
+            );
+        }
+
+        /// The table-driven Soundex is the one it replaced on every byte.
+        #[test]
+        fn soundex_reads_every_byte_as_the_reference(w in collection::vec(0u32..0x250, 0..10)) {
+            // Every ASCII byte, and two-byte characters whose bytes span the
+            // lead and continuation ranges.
+            let w: String = w.into_iter().filter_map(char::from_u32).collect();
+            prop_assert_eq!(soundex(&w), reference::soundex(&w));
         }
 
         /// Giving up early changes no answer, and one row carried across

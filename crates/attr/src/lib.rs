@@ -12,7 +12,8 @@
 //! * [`lookup`] — interactive directory lookup with
 //!   best-discriminator refinement suggestions (application i of §3.3);
 //! * [`query`] — the boolean query language over attributes;
-//! * [`registry`] — per-server attribute databases;
+//! * [`registry`] — per-server attribute databases, stored by column the
+//!   way a query reads them;
 //! * [`search`] — distributed search: broadcast the query over the
 //!   backbone+local MST, convergecast summary responses (§3.3.1A);
 //! * [`mod@distribute`] — mass distribution with the §3.3.1B

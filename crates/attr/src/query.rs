@@ -6,7 +6,8 @@
 //! supports fuzzy name predicates for the directory-lookup application.
 
 use crate::attribute::{AttrKey, AttrValue, AttributeSet, Requester, RequesterContext};
-use crate::fuzzy::{lower_into, Needle};
+use crate::fuzzy::Needle;
+use crate::registry::{Cell, Column, Table};
 
 /// A predicate over one attribute key.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -72,9 +73,9 @@ impl Query {
     }
 
     /// Evaluates the query against one user's attributes, as seen by
-    /// `ctx` (invisible attributes are as if absent). The query is readied
-    /// for this one profile; [`AttributeRegistry::search`] readies it once
-    /// for all of a registry's.
+    /// `ctx` (invisible attributes are as if absent): the evaluator
+    /// [`AttributeRegistry::search`] runs, over a registry of this one
+    /// profile.
     ///
     /// [`AttributeRegistry::search`]: crate::registry::AttributeRegistry::search
     ///
@@ -90,7 +91,11 @@ impl Query {
     /// assert!(q.eval(&a, &RequesterContext::default()));
     /// ```
     pub fn eval(&self, attrs: &AttributeSet, ctx: &RequesterContext) -> bool {
-        PreparedQuery::new(self, ctx).eval(attrs, &mut Scratch::default())
+        let mut table = Table::default();
+        table.push(attrs.clone());
+        let mut scratch = Scratch::default();
+        let rows = PreparedQuery::new(self, ctx).eval(&table, &mut scratch);
+        rows.first().is_some_and(|w| w & 1 == 1)
     }
 
     /// Number of predicate leaves (a crude cost measure for the
@@ -104,16 +109,16 @@ impl Query {
     }
 }
 
-/// A [`Predicate`] with its query side folded once. All three text
-/// predicates fold case the same way, with `str::to_lowercase`.
+/// A [`Predicate`] with its query side folded as the stored text is: all
+/// three text predicates compare `str::to_lowercase` forms.
 #[derive(Debug)]
-enum PreparedPredicate<'q> {
+enum PreparedPredicate {
     /// Holds the lowercased text.
     EqualsText(String),
     EqualsNumber(i64),
     /// Holds the lowercased substring.
     Contains(String),
-    Fuzzy(Needle<'q>),
+    Fuzzy(Needle),
     InRange {
         lo: i64,
         hi: i64,
@@ -121,8 +126,8 @@ enum PreparedPredicate<'q> {
     Exists,
 }
 
-impl<'q> PreparedPredicate<'q> {
-    fn new(predicate: &'q Predicate) -> Self {
+impl PreparedPredicate {
+    fn new(predicate: &Predicate) -> Self {
         match predicate {
             Predicate::Equals(AttrValue::Text(want)) => Self::EqualsText(want.to_lowercase()),
             Predicate::Equals(AttrValue::Number(want)) => Self::EqualsNumber(*want),
@@ -133,57 +138,85 @@ impl<'q> PreparedPredicate<'q> {
         }
     }
 
-    fn matches(&self, value: &AttrValue, scratch: &mut Scratch) -> bool {
-        match (self, value) {
-            (Self::Exists, _) => true,
-            (Self::EqualsNumber(want), AttrValue::Number(n)) => want == n,
-            (Self::InRange { lo, hi }, AttrValue::Number(n)) => lo <= n && n <= hi,
-            (Self::EqualsText(want), AttrValue::Text(text)) => {
-                lower_into(text, &mut scratch.lower);
-                scratch.lower == *want
+    /// Sets in `out` the row of every cell of `column` the requester sees
+    /// and this predicate holds for. A text predicate never matches a
+    /// number, nor a numeric one text.
+    fn mark(&self, column: &Column, pass: &mut Pass<'_>, out: &mut [u64]) {
+        let arena = pass.table.arena();
+        let text = |cell: Cell| cell.as_text(arena);
+        match self {
+            Self::Exists => mark(column, pass.visible, out, |_| true),
+            Self::EqualsNumber(want) => {
+                mark(column, pass.visible, out, |c| c.as_number() == Some(*want));
             }
-            (Self::Contains(sub), AttrValue::Text(text)) => {
-                lower_into(text, &mut scratch.lower);
-                scratch.lower.contains(sub.as_str())
+            Self::InRange { lo, hi } => mark(column, pass.visible, out, |c| {
+                c.as_number().is_some_and(|n| (*lo..=*hi).contains(&n))
+            }),
+            Self::EqualsText(want) => {
+                mark(column, pass.visible, out, |c| {
+                    text(c) == Some(want.as_str())
+                });
             }
-            (Self::Fuzzy(needle), AttrValue::Text(text)) => {
-                lower_into(text, &mut scratch.lower);
-                needle
-                    .quality(&scratch.lower, &scratch.lower, &mut scratch.row)
-                    .is_match()
+            Self::Contains(sub) => mark(column, pass.visible, out, |c| {
+                text(c).is_some_and(|t| t.contains(sub.as_str()))
+            }),
+            Self::Fuzzy(needle) => {
+                let edits = &mut *pass.edits;
+                mark(column, pass.visible, out, |c| {
+                    text(c).is_some_and(|t| needle.quality(t, t, edits).is_match())
+                });
             }
-            // A text predicate never matches a number, nor a numeric one text.
-            (Self::EqualsText(_) | Self::Contains(_) | Self::Fuzzy(_), AttrValue::Number(_))
-            | (Self::EqualsNumber(_) | Self::InRange { .. }, AttrValue::Text(_)) => false,
         }
     }
 }
 
-/// The buffers one evaluation pass reuses from value to value: after the
-/// first few profiles a pass allocates nothing.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// The lowercased form of the value (or organization) at hand.
-    lower: String,
-    /// The edit-distance table's row.
-    row: Vec<usize>,
+/// The loop under every predicate: one pass over one column's cells.
+fn mark(column: &Column, visible: &[bool], out: &mut [u64], mut holds: impl FnMut(Cell) -> bool) {
+    for &cell in column.cells() {
+        if visible[cell.audience()] && holds(cell) {
+            let row = cell.row();
+            out[row / 64] |= 1 << (row % 64);
+        }
+    }
 }
 
-/// A [`Query`] and its requester readied for a pass over many profiles:
+/// The buffers one evaluation reuses from registry to registry: after the
+/// largest registry a search allocates nothing more for them.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// One row bitset per level of the query, end to end.
+    rows: Vec<u64>,
+    /// Per audience of the registry at hand, whether the requester sees
+    /// it.
+    visible: Vec<bool>,
+    /// The edit-distance table's row.
+    edits: Vec<usize>,
+}
+
+/// A [`Query`] and its requester readied for a pass over many registries:
 /// every needle lowercased, every fuzzy query's characters and Soundex
 /// code computed, and the requester's organization folded, all once.
 #[derive(Debug)]
 pub(crate) struct PreparedQuery<'q> {
     root: Node<'q>,
     requester: Requester,
+    /// How many row bitsets an evaluation holds at once.
+    depth: usize,
 }
 
 #[derive(Debug)]
 enum Node<'q> {
-    Attr(&'q AttrKey, PreparedPredicate<'q>),
+    Attr(&'q AttrKey, PreparedPredicate),
     All(Vec<Node<'q>>),
     Any(Vec<Node<'q>>),
     Not(Box<Node<'q>>),
+}
+
+/// What a node reads besides its bitsets.
+struct Pass<'a> {
+    table: &'a Table,
+    visible: &'a [bool],
+    edits: &'a mut Vec<usize>,
 }
 
 impl<'q> Node<'q> {
@@ -196,59 +229,108 @@ impl<'q> Node<'q> {
         }
     }
 
-    fn eval(&self, attrs: &AttributeSet, requester: &Requester, scratch: &mut Scratch) -> bool {
+    fn depth(&self) -> usize {
         match self {
-            Node::Attr(key, predicate) => attrs.values(key).any(|a| {
-                requester.sees(&a.visibility, &mut scratch.lower)
-                    && predicate.matches(&a.value, scratch)
-            }),
-            Node::All(nodes) => nodes.iter().all(|n| n.eval(attrs, requester, scratch)),
-            Node::Any(nodes) => nodes.iter().any(|n| n.eval(attrs, requester, scratch)),
-            Node::Not(node) => !node.eval(attrs, requester, scratch),
+            Node::Attr(..) => 1,
+            Node::All(nodes) | Node::Any(nodes) => {
+                1 + nodes.iter().map(Node::depth).max().unwrap_or(0)
+            }
+            Node::Not(node) => node.depth(),
+        }
+    }
+
+    /// Writes the rows that satisfy this node into the first `words` of
+    /// `rows`, using the rest for its children. Dead rows and the bits past
+    /// the last row may come out either way; the root masks them.
+    fn eval(&self, pass: &mut Pass<'_>, rows: &mut [u64], words: usize) {
+        match self {
+            Node::Attr(key, predicate) => {
+                let out = &mut rows[..words];
+                out.fill(0);
+                if let Some(column) = pass.table.column(key) {
+                    predicate.mark(column, pass, out);
+                }
+            }
+            Node::All(nodes) => combine(nodes, pass, rows, words, !0, |w, b| *w &= b),
+            Node::Any(nodes) => combine(nodes, pass, rows, words, 0, |w, b| *w |= b),
+            Node::Not(node) => {
+                node.eval(pass, rows, words);
+                for w in &mut rows[..words] {
+                    *w = !*w;
+                }
+            }
+        }
+    }
+}
+
+/// `All` and `Any`: starting from `empty` (what they are without
+/// children), folds every child's rows in with `op`.
+fn combine(
+    nodes: &[Node<'_>],
+    pass: &mut Pass<'_>,
+    rows: &mut [u64],
+    words: usize,
+    empty: u64,
+    op: fn(&mut u64, u64),
+) {
+    let (out, below) = rows.split_at_mut(words);
+    out.fill(empty);
+    for node in nodes {
+        node.eval(pass, below, words);
+        for (w, &b) in out.iter_mut().zip(&*below) {
+            op(w, b);
         }
     }
 }
 
 impl<'q> PreparedQuery<'q> {
     pub(crate) fn new(query: &'q Query, ctx: &RequesterContext) -> Self {
+        let root = Node::new(query);
         PreparedQuery {
-            root: Node::new(query),
+            depth: root.depth(),
+            root,
             requester: Requester::new(ctx),
         }
     }
 
-    /// Evaluates the query against one user's attributes, as
-    /// [`Query::eval`] does.
-    pub(crate) fn eval(&self, attrs: &AttributeSet, scratch: &mut Scratch) -> bool {
-        self.root.eval(attrs, &self.requester, scratch)
+    /// The rows of `table` whose visible attributes satisfy the query, one
+    /// bit each (bit `r % 64` of word `r / 64`), dead rows clear.
+    pub(crate) fn eval<'s>(&self, table: &Table, scratch: &'s mut Scratch) -> &'s [u64] {
+        let live = table.live();
+        let words = live.len();
+        let Scratch {
+            rows,
+            visible,
+            edits,
+        } = scratch;
+        // Every node fills its own bitset before it is read.
+        rows.resize(self.depth * words, 0);
+        table.audiences(&self.requester, visible);
+        let mut pass = Pass {
+            table,
+            visible,
+            edits,
+        };
+        self.root.eval(&mut pass, rows, words);
+        for (w, &l) in rows.iter_mut().zip(live) {
+            *w &= l;
+        }
+        &rows[..words]
     }
 }
 
-/// The evaluator as it stood before [`PreparedQuery`]: a fresh lowercase
-/// copy of every value and needle per comparison, `fuzzy::classify` per
-/// fuzzy value, two folded organizations per restricted attribute. Kept as
-/// the oracle the prepared form is held to.
+/// The evaluator as it stood before [`PreparedQuery`]: a walk of one
+/// profile's attributes, a fresh lowercase copy of every value and needle
+/// per comparison, `fuzzy::classify` per fuzzy value, two folded
+/// organizations per restricted attribute. Kept as the oracle the column
+/// evaluator is held to.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{Predicate, Query};
     use crate::attribute::{AttrValue, AttributeSet, RequesterContext, Visibility};
     use crate::fuzzy::reference::classify;
+    pub use crate::fuzzy::reference::{ascii_fold_eq, unicode_fold_eq, TextEq};
     use crate::fuzzy::MatchQuality;
-
-    /// How `Predicate::Equals` compares two texts: the one thing the
-    /// prepared form changed on purpose.
-    pub type TextEq = fn(&str, &str) -> bool;
-
-    /// What `Equals` did: ASCII-only folding, beside two predicates that
-    /// fold Unicode.
-    pub fn ascii_fold_eq(a: &str, b: &str) -> bool {
-        a.eq_ignore_ascii_case(b)
-    }
-
-    /// What `Equals` does now: the fold `Contains` and `Fuzzy` always used.
-    pub fn unicode_fold_eq(a: &str, b: &str) -> bool {
-        a.to_lowercase() == b.to_lowercase()
-    }
 
     fn matches(predicate: &Predicate, value: &AttrValue, text_eq: TextEq) -> bool {
         match predicate {
@@ -262,7 +344,7 @@ mod reference {
                 .is_some_and(|t| t.contains(&sub.to_lowercase())),
             Predicate::Fuzzy { query, max_edits } => value
                 .as_text_lower()
-                .is_some_and(|t| classify(query, &t, *max_edits) != MatchQuality::None),
+                .is_some_and(|t| classify(query, &t, *max_edits, text_eq) != MatchQuality::None),
             Predicate::InRange { lo, hi } => {
                 value.as_number().is_some_and(|n| n >= *lo && n <= *hi)
             }
@@ -280,6 +362,8 @@ mod reference {
         }
     }
 
+    /// Whether `attrs` satisfies `q` as seen by `ctx`, with `Equals` and
+    /// the fuzzy exact tier comparing texts by `text_eq`.
     pub fn eval(q: &Query, attrs: &AttributeSet, ctx: &RequesterContext, text_eq: TextEq) -> bool {
         match q {
             Query::Attr(key, predicate) => attrs
@@ -293,10 +377,113 @@ mod reference {
     }
 }
 
+/// Generators for the differential tests here and in `registry`: a byte
+/// string read as a sequence of choices, over a few words so predicates
+/// do hit.
+#[cfg(test)]
+pub(crate) mod tape {
+    use super::{Predicate, Query};
+    use crate::attribute::{AttrKey, AttrValue, AttributeSet, RequesterContext, Visibility};
+
+    /// Reads a generated byte string as a sequence of choices.
+    pub(crate) struct Tape<'a>(std::slice::Iter<'a, u8>);
+
+    impl<'a> Tape<'a> {
+        pub(crate) fn new(choices: &'a [u8]) -> Self {
+            Tape(choices.iter())
+        }
+
+        /// True once every choice has been read.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.0.len() == 0
+        }
+
+        /// The next choice among `n` (the first, once the tape runs out).
+        pub(crate) fn pick(&mut self, n: usize) -> usize {
+            self.0.next().map_or(0, |&b| usize::from(b) % n)
+        }
+
+        fn word(&mut self, words: &[String]) -> String {
+            let word = &words[self.pick(words.len())];
+            match self.pick(3) {
+                0 => word.clone(),
+                1 => word.to_uppercase(),
+                _ => word.to_lowercase(),
+            }
+        }
+
+        fn key(&mut self) -> AttrKey {
+            match self.pick(4) {
+                0 => AttrKey::FirstName,
+                1 => AttrKey::Nickname,
+                2 => AttrKey::City,
+                _ => AttrKey::Custom("x".into()),
+            }
+        }
+
+        fn value(&mut self, words: &[String]) -> AttrValue {
+            match self.pick(4) {
+                0 => AttrValue::Number(self.pick(4) as i64),
+                _ => AttrValue::Text(self.word(words)),
+            }
+        }
+
+        /// Multi-valued keys, every kind of visibility.
+        pub(crate) fn profile(&mut self, words: &[String]) -> AttributeSet {
+            let mut attrs = AttributeSet::new();
+            for _ in 0..self.pick(7) {
+                let visibility = match self.pick(4) {
+                    0 => Visibility::Private,
+                    1 => Visibility::Organization(self.word(words)),
+                    _ => Visibility::Public,
+                };
+                attrs.add(self.key(), self.value(words), visibility);
+            }
+            attrs
+        }
+
+        pub(crate) fn requester(&mut self, words: &[String]) -> RequesterContext {
+            RequesterContext {
+                organization: (self.pick(3) > 0).then(|| self.word(words)),
+            }
+        }
+
+        pub(crate) fn query(&mut self, words: &[String], depth: usize) -> Query {
+            let children = |tape: &mut Self| {
+                (0..tape.pick(4))
+                    .map(|_| tape.query(words, depth + 1))
+                    .collect()
+            };
+            match self.pick(if depth < 3 { 8 } else { 5 }) {
+                0 => Query::Attr(self.key(), Predicate::Equals(self.value(words))),
+                1 => Query::Attr(self.key(), Predicate::Contains(self.word(words))),
+                2 => Query::Attr(
+                    self.key(),
+                    Predicate::Fuzzy {
+                        query: self.word(words),
+                        max_edits: self.pick(4),
+                    },
+                ),
+                3 => {
+                    let lo = self.pick(4) as i64;
+                    let hi = lo + self.pick(3) as i64 - 1;
+                    Query::Attr(self.key(), Predicate::InRange { lo, hi })
+                }
+                4 => Query::Attr(self.key(), Predicate::Exists),
+                5 => Query::All(children(self)),
+                6 => Query::Any(children(self)),
+                _ => Query::Not(Box::new(self.query(words, depth + 1))),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::tape::Tape;
     use super::*;
     use crate::attribute::Visibility;
+    use crate::registry::has;
     use proptest::prelude::*;
 
     fn profile() -> AttributeSet {
@@ -407,119 +594,39 @@ mod tests {
         ));
     }
 
-    /// Reads a generated byte string as a sequence of choices.
-    struct Tape<'a>(std::slice::Iter<'a, u8>);
-
-    impl Tape<'_> {
-        /// The next choice among `n` (the first, once the tape runs out).
-        fn pick(&mut self, n: usize) -> usize {
-            self.0.next().map_or(0, |&b| usize::from(b) % n)
-        }
-
-        fn word(&mut self, words: &[String]) -> String {
-            let word = &words[self.pick(words.len())];
-            match self.pick(3) {
-                0 => word.clone(),
-                1 => word.to_uppercase(),
-                _ => word.to_lowercase(),
-            }
-        }
-
-        fn key(&mut self) -> AttrKey {
-            match self.pick(4) {
-                0 => AttrKey::FirstName,
-                1 => AttrKey::Nickname,
-                2 => AttrKey::City,
-                _ => AttrKey::Custom("x".into()),
-            }
-        }
-
-        fn value(&mut self, words: &[String]) -> AttrValue {
-            match self.pick(4) {
-                0 => AttrValue::Number(self.pick(4) as i64),
-                _ => AttrValue::Text(self.word(words)),
-            }
-        }
-
-        /// Multi-valued keys, every kind of visibility.
-        fn profile(&mut self, words: &[String]) -> AttributeSet {
-            let mut attrs = AttributeSet::new();
-            for _ in 0..self.pick(7) {
-                let visibility = match self.pick(4) {
-                    0 => Visibility::Private,
-                    1 => Visibility::Organization(self.word(words)),
-                    _ => Visibility::Public,
-                };
-                attrs.add(self.key(), self.value(words), visibility);
-            }
-            attrs
-        }
-
-        fn requester(&mut self, words: &[String]) -> RequesterContext {
-            RequesterContext {
-                organization: (self.pick(3) > 0).then(|| self.word(words)),
-            }
-        }
-
-        fn query(&mut self, words: &[String], depth: usize) -> Query {
-            let children = |tape: &mut Self| {
-                (0..tape.pick(4))
-                    .map(|_| tape.query(words, depth + 1))
-                    .collect()
-            };
-            match self.pick(if depth < 3 { 8 } else { 5 }) {
-                0 => Query::Attr(self.key(), Predicate::Equals(self.value(words))),
-                1 => Query::Attr(self.key(), Predicate::Contains(self.word(words))),
-                2 => Query::Attr(
-                    self.key(),
-                    Predicate::Fuzzy {
-                        query: self.word(words),
-                        max_edits: self.pick(4),
-                    },
-                ),
-                3 => {
-                    let lo = self.pick(4) as i64;
-                    let hi = lo + self.pick(3) as i64 - 1;
-                    Query::Attr(self.key(), Predicate::InRange { lo, hi })
-                }
-                4 => Query::Attr(self.key(), Predicate::Exists),
-                5 => Query::All(children(self)),
-                6 => Query::Any(children(self)),
-                _ => Query::Not(Box::new(self.query(words, depth + 1))),
-            }
-        }
-    }
-
     /// One generated case: a query and a requester against four profiles,
     /// all drawing on the same few words so that predicates do hit. The
-    /// prepared query must answer as `reference::eval` does with `text_eq`
-    /// for `Equals`, whether its scratch is fresh or has been through
-    /// every earlier profile.
+    /// column evaluator must answer as `reference::eval` does with
+    /// `text_eq` for `Equals`: on each profile alone, and on a table that
+    /// grows by one profile per evaluation through one reused scratch.
     fn check_against_reference(words: &[String], choices: &[u8], text_eq: reference::TextEq) {
-        let mut tape = Tape(choices.iter());
+        let mut tape = Tape::new(choices);
         let query = tape.query(words, 0);
         let ctx = tape.requester(words);
         let prepared = PreparedQuery::new(&query, &ctx);
         let mut reused = Scratch::default();
+        let mut table = Table::default();
+        let mut wants = Vec::new();
         for _ in 0..4 {
             let profile = tape.profile(words);
             let want = reference::eval(&query, &profile, &ctx, text_eq);
             assert_eq!(
-                prepared.eval(&profile, &mut reused),
-                want,
-                "reused scratch: {query:?} as {ctx:?} on {profile:?}"
-            );
-            assert_eq!(
                 query.eval(&profile, &ctx),
                 want,
-                "fresh scratch: {query:?} as {ctx:?} on {profile:?}"
+                "one row: {query:?} as {ctx:?} on {profile:?}"
             );
+            table.push(profile);
+            wants.push(want);
+            let rows = prepared.eval(&table, &mut reused);
+            let got: Vec<bool> = (0..wants.len()).map(|r| has(rows, r)).collect();
+            assert_eq!(got, wants, "{} rows: {query:?} as {ctx:?}", wants.len());
+            assert_eq!(rows[0] >> wants.len(), 0, "bits past the last row");
         }
     }
 
     proptest! {
         /// On every text — `ß` and `İ` lowercase to two characters, `Σ` by
-        /// its neighbours, the Kelvin sign to ASCII `k` — the prepared
+        /// its neighbours, the Kelvin sign to ASCII `k` — the column
         /// evaluator is the old one with `Equals` folding as `Contains`
         /// and `Fuzzy` always did.
         #[test]
@@ -530,7 +637,7 @@ mod tests {
             check_against_reference(&words, &choices, reference::unicode_fold_eq);
         }
 
-        /// On ASCII text the two notions of case are one: the prepared
+        /// On ASCII text the two notions of case are one: the column
         /// evaluator is the old one, unchanged.
         #[test]
         fn on_ascii_text_no_answer_moved(

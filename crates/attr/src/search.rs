@@ -31,6 +31,9 @@ pub struct AttributeNetwork {
     /// walks.
     tree_adjacency: Vec<Vec<NodeId>>,
     registries: BTreeMap<NodeId, AttributeRegistry>,
+    /// The servers with a registry, in the order of each registry's
+    /// smallest name: the order a search visits them in.
+    by_first_name: Vec<NodeId>,
 }
 
 /// Result of one distributed search.
@@ -70,11 +73,18 @@ impl AttributeNetwork {
         }
         let two_level = build_two_level(&topology);
         let tree_adjacency = two_level.adjacency(&topology);
+        let mut firsts: Vec<_> = registries
+            .iter()
+            .map(|(&n, r)| (r.first_name(), n))
+            .collect();
+        firsts.sort_unstable();
+        let by_first_name = firsts.into_iter().map(|(_, n)| n).collect();
         AttributeNetwork {
             topology,
             two_level,
             tree_adjacency,
             registries,
+            by_first_name,
         }
     }
 
@@ -93,15 +103,18 @@ impl AttributeNetwork {
         self.registries.get(&server)
     }
 
-    /// Evaluates `query` once against every profile of every registry:
-    /// the match count of each node (what its convergecast summary
-    /// carries) and the matching users, registry by registry.
+    /// Evaluates `query` once against every registry: the match count of
+    /// each node (what its convergecast summary carries) and the matching
+    /// users, registry by registry, each registry's in name order.
     fn evaluate(&self, query: &Query, ctx: &RequesterContext) -> (Vec<u64>, Vec<&MailName>) {
         let prepared = PreparedQuery::new(query, ctx);
         let mut scratch = Scratch::default();
         let mut counts = vec![0; self.topology.node_count()];
         let mut hits = Vec::new();
-        for (node, registry) in &self.registries {
+        for node in &self.by_first_name {
+            let Some(registry) = self.registries.get(node) else {
+                continue;
+            };
             let before = hits.len();
             hits.extend(registry.hits(&prepared, &mut scratch));
             counts[node.0] = (hits.len() - before) as u64;
@@ -157,7 +170,10 @@ impl AttributeNetwork {
 /// The distinct users among `hits`. A user registered at two servers is
 /// one match, which is what lets `ground_truth_matches` expose it: the
 /// distributed count reports two. Each registry contributed a sorted run,
-/// which the stable sort merges instead of sorting afresh.
+/// which the stable sort merges instead of sorting afresh; and as the
+/// registries were visited in the order of their smallest names, the runs
+/// of registries whose name ranges do not interleave arrive in order, and
+/// the sort is one pass that finds them so.
 fn distinct(mut hits: Vec<&MailName>) -> Vec<&MailName> {
     hits.sort();
     hits.dedup();
@@ -268,6 +284,43 @@ mod tests {
         assert_eq!(out.matches, 6);
         assert_eq!(out.ground_truth_matches, 5);
         assert_eq!(net.central_matches(&q, &ctx).len(), 5);
+    }
+
+    /// Visiting registries by their smallest name is what makes the hits
+    /// arrive sorted when name ranges do not interleave; when they do, the
+    /// answer must not depend on it.
+    #[test]
+    fn interleaved_name_ranges_still_count_each_user_once() {
+        let net = network(6);
+        let servers = net.topology().servers();
+        let mut registries: BTreeMap<NodeId, AttributeRegistry> = servers
+            .iter()
+            .map(|&s| (s, net.registry(s).unwrap().clone()))
+            .collect();
+        for (server, names) in [
+            (servers[1], ["a.h.ann", "m.h.both", "z.h.zed"]),
+            (servers[4], ["b.h.bob", "m.h.both", "y.h.yan"]),
+        ] {
+            let registry = registries.get_mut(&server).unwrap();
+            for name in names {
+                let mut a = AttributeSet::new();
+                a.add(AttrKey::Expertise, "mail", Visibility::Public);
+                registry.upsert(name.parse().unwrap(), a);
+            }
+        }
+        let net = AttributeNetwork::new(net.topology().clone(), registries);
+
+        let q = Query::text_eq(AttrKey::Expertise, "mail");
+        let ctx = RequesterContext::default();
+        let out = net
+            .search(servers[0], &q, &ctx, &FailurePlan::new(), 6)
+            .unwrap();
+        // Six servers' own users, five new names, `m.h.both` at two servers.
+        assert_eq!(out.matches, 12);
+        assert_eq!(out.matches - out.ground_truth_matches, 1);
+        let central = net.central_matches(&q, &ctx);
+        assert_eq!(out.ground_truth_matches, central.len() as u64);
+        assert!(central.is_sorted());
     }
 
     #[test]

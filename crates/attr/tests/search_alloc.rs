@@ -1,14 +1,20 @@
-//! Pins the allocation cost of one attribute search.
+//! Pins the allocation cost of one attribute search, and of building the
+//! registries it searches.
 //!
 //! §3.3.1 prices a search at the tree it walks: the query goes down every
 //! edge once, each server searches its database, one summary comes back up
-//! every edge. Evaluating a profile must therefore allocate nothing — the
-//! query is prepared once and its scratch buffers are reused from value to
-//! value — which leaves two things that may: the broadcast world (actors,
-//! links, queue: proportional to the nodes of the tree) and the vector of
-//! hits as it doubles. Ten times the profiles on the same topology must
-//! cost the same allocations, give or take those doublings. Before the
-//! prepared evaluator a search allocated about twenty times per profile.
+//! every edge. Evaluating a registry must therefore allocate nothing — the
+//! query is prepared once and its row bitsets and scratch buffers are
+//! reused from registry to registry — which leaves two things that may: the
+//! broadcast world (actors, links, queue: proportional to the nodes of the
+//! tree) and the vector of hits as it doubles. Ten times the profiles on
+//! the same topology must cost the same allocations, give or take those
+//! doublings. Before the prepared evaluator a search allocated about twenty
+//! times per profile.
+//!
+//! A registry stores a profile by moving its values into per-key columns
+//! and copying their lowercase forms into one text arena: what allocates
+//! is a column's or the arena's growth, never a value or a profile.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -20,6 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lems_attr::attribute::{AttrKey, AttributeSet, RequesterContext, Visibility};
 use lems_attr::query::Query;
@@ -52,6 +59,16 @@ unsafe impl GlobalAlloc for Counting {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
+}
+
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads: each test holds this for its whole body, so no other
+/// test's allocations land inside its counted region.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others can still count.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 const FIRST: [&str; 4] = ["Ada", "Grace", "Alan", "Edsger"];
@@ -129,6 +146,7 @@ fn one_search(net: &AttributeNetwork) -> (u64, u64) {
 
 #[test]
 fn a_search_allocates_for_the_tree_not_for_the_profiles() {
+    let _serial = serial();
     let (small, large) = (network(50), network(500));
     let nodes = small.topology().node_count() as u64;
     let (small_allocs, small_hits) = one_search(&small);
@@ -136,10 +154,10 @@ fn a_search_allocates_for_the_tree_not_for_the_profiles() {
     let doublings = |hits: u64| u64::from(hits.next_power_of_two().ilog2());
 
     // allocations ≤ a·nodes + b·log₂(hits): the broadcast world is six
-    // allocations a node (131 in all on these 24 nodes: actor, links,
-    // waiting list, queue and timer slots), the hit vector doubles once
-    // per power of two, and the merge sort behind the distinct count
-    // takes one buffer.
+    // allocations a node (126 in all on these 24 nodes: actor, links,
+    // waiting list, queue and timer slots, and the evaluation's bitsets and
+    // scratch), the hit vector doubles once per power of two, and the merge
+    // sort behind the distinct count takes one buffer.
     for (allocs, hits) in [(small_allocs, small_hits), (large_allocs, large_hits)] {
         let budget = 6 * nodes + 2 * doublings(hits);
         assert!(
@@ -154,5 +172,52 @@ fn a_search_allocates_for_the_tree_not_for_the_profiles() {
         large_allocs <= small_allocs + growth,
         "{small_allocs} allocations for {small_hits} hits, {large_allocs} for {large_hits}: \
          more than the {growth} the hit vector accounts for"
+    );
+}
+
+#[test]
+fn a_registry_allocates_per_column_growth_not_per_profile() {
+    const PROFILES: usize = 5_000;
+    let _serial = serial();
+    let orgs = ["DEC", "dec", "AT&T"];
+    // What the callers allocate — names, attribute sets, their strings —
+    // is built before the count starts.
+    let mut rng = SimRng::seed(17).fork("upsert");
+    let profiles: Vec<(MailName, AttributeSet)> = (0..PROFILES)
+        .map(|k| {
+            let mut a = AttributeSet::new();
+            a.add(AttrKey::FirstName, *rng.pick(&FIRST), Visibility::Public);
+            a.add(AttrKey::LastName, *rng.pick(&LAST), Visibility::Public);
+            a.add(AttrKey::Nickname, *rng.pick(&FIRST), Visibility::Private);
+            a.add(
+                AttrKey::Organization,
+                *rng.pick(&orgs),
+                Visibility::Organization((*rng.pick(&orgs)).into()),
+            );
+            a.add(
+                AttrKey::Custom("years".into()),
+                k as i64,
+                Visibility::Public,
+            );
+            let name = MailName::new("r0", "h", &format!("u{k}")).expect("valid name");
+            (name, a)
+        })
+        .collect();
+
+    let mut registry = AttributeRegistry::new();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for (name, attrs) in profiles {
+        registry.upsert(name, attrs);
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(registry.len(), PROFILES);
+
+    // Five columns of cells and values, the text arena, the rows' names,
+    // their order and its prefixes each grow by doubling: a dozen steps
+    // apiece. Any allocation per value or per profile would be thousands.
+    let budget = (PROFILES / 16) as u64;
+    assert!(
+        allocs <= budget,
+        "building a registry of {PROFILES} profiles allocated {allocs} times (budget {budget})"
     );
 }
