@@ -14,9 +14,6 @@
 //!   the duplicate copy; retransmissions are likewise fresh sends.
 //! * **Failure alternation** — per actor, crash and recover events
 //!   strictly alternate, starting from the up state.
-//! * **Trace completeness** — a lossy (evicting) trace is rejected up
-//!   front rather than audited: a missing prefix would surface as fake
-//!   violations.
 //!
 //! On top of the stream-level laws, [`audit_deployment`] checks the
 //! System-1 domain ledgers: retrieved/bounced ids are subsets of
@@ -74,15 +71,6 @@ pub enum AuditViolation {
         /// Event time.
         at: SimTime,
     },
-    /// The trace evicted events; conservation cannot be judged.
-    LossyTrace {
-        /// Events recorded over the run.
-        recorded: u64,
-        /// Events actually retained.
-        retained: usize,
-        /// Events silently evicted (`recorded - retained`).
-        dropped: u64,
-    },
     /// A domain-level (ledger / storage) inconsistency.
     Domain(String),
 }
@@ -108,15 +96,6 @@ impl fmt::Display for AuditViolation {
             AuditViolation::RecoverWhileUp { actor, at } => {
                 write!(f, "recover of {actor} at [{at}] while not down")
             }
-            AuditViolation::LossyTrace {
-                recorded,
-                retained,
-                dropped,
-            } => write!(
-                f,
-                "trace is lossy ({recorded} events recorded, {retained} retained, \
-                 {dropped} dropped); audit with Trace::unbounded()"
-            ),
             AuditViolation::Domain(msg) => f.write_str(msg),
         }
     }
@@ -287,18 +266,8 @@ impl TraceAuditor {
     }
 }
 
-/// Audits a complete [`Trace`]. Rejects lossy traces outright.
+/// Audits a complete [`Trace`].
 pub fn audit_trace(trace: &Trace) -> AuditReport {
-    if trace.is_lossy() {
-        return AuditReport {
-            violations: vec![AuditViolation::LossyTrace {
-                recorded: trace.recorded_total(),
-                retained: trace.len(),
-                dropped: trace.dropped_events(),
-            }],
-            ..AuditReport::default()
-        };
-    }
     let mut auditor = TraceAuditor::new();
     auditor.observe_all(trace.events());
     auditor.finish()
@@ -571,22 +540,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lossy_trace_is_rejected() {
-        let mut tr = Trace::bounded(1);
-        tr.record(t(1.0), TraceKind::Send, ActorId(0), ActorId(1));
-        tr.record(t(1.0), TraceKind::Deliver, ActorId(0), ActorId(1));
-        let r = audit_trace(&tr);
-        assert!(matches!(
-            r.violations[..],
-            [AuditViolation::LossyTrace {
-                recorded: 2,
-                retained: 1,
-                dropped: 1
-            }]
-        ));
-    }
-
     /// Echoes every message back to its sender, `bounces` times.
     struct Echo {
         bounces: u32,
@@ -609,7 +562,7 @@ mod tests {
 
     #[test]
     fn live_engine_run_with_failures_audits_clean() {
-        let mut sim: ActorSim<u32> = ActorSim::new(7).with_trace(usize::MAX);
+        let mut sim: ActorSim<u32> = ActorSim::new(7).with_trace();
         let a = sim.add_actor(Echo { bounces: 5 });
         let b = sim.add_actor(Echo { bounces: 5 });
         sim.inject(a, 0, SimDuration::from_units(0.5));
@@ -627,7 +580,7 @@ mod tests {
 
     #[test]
     fn send_to_unknown_actor_still_conserves() {
-        let mut sim: ActorSim<u32> = ActorSim::new(7).with_trace(usize::MAX);
+        let mut sim: ActorSim<u32> = ActorSim::new(7).with_trace();
         let a = sim.add_actor(Echo { bounces: 0 });
         sim.inject(a, 0, SimDuration::ZERO);
         sim.inject(ActorId(99), 1, SimDuration::ZERO);

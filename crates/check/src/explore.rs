@@ -227,7 +227,7 @@ fn s1_steady_deployment(seed: u64) -> Deployment {
             ..DeploymentConfig::default()
         },
     );
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
     let names = d.user_names();
     // Three coincident submissions per user: every host actor has a 3-way
     // contended arrival group (3!^3 base schedules), and the submit/forward
@@ -301,7 +301,7 @@ fn s2_roam_deployment(seed: u64) -> Deployment {
         ..DeploymentConfig::default()
     };
     let mut d = roaming_deployment(&topo, &[1, 1, 1], 16, &cfg);
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
     let users = d.user_names();
     let homes: Vec<_> = users
         .iter()

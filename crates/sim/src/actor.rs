@@ -498,20 +498,19 @@ impl<M: 'static> ActorSim<M> {
         }
     }
 
-    /// Enables bounded in-memory event tracing (for debugging and tests).
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.core.trace = Trace::bounded(capacity);
+    /// Enables in-memory event tracing (for debugging and tests): the
+    /// trace keeps every event from here on.
+    pub fn with_trace(mut self) -> Self {
+        self.core.trace = Trace::unbounded();
         self
     }
 
     /// Enables tracing on an already-built engine, replacing any existing
     /// trace. Unlike [`ActorSim::with_trace`] this works after actors have
     /// been registered, so deployment builders that own the engine can have
-    /// tracing switched on by their callers. A `capacity` of `usize::MAX`
-    /// keeps the complete event history (see [`Trace::unbounded`]), which
-    /// trace auditors require.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.trace = Trace::bounded(capacity);
+    /// tracing switched on by their callers.
+    pub fn enable_trace(&mut self) {
+        self.core.trace = Trace::unbounded();
     }
 
     /// Enables the kernel profiler ([`prof`](crate::prof)). Profiling
@@ -568,7 +567,7 @@ impl<M: 'static> ActorSim<M> {
         &self.core.counters
     }
 
-    /// The bounded trace, if enabled.
+    /// The event trace (empty unless enabled).
     pub fn trace(&self) -> &Trace {
         &self.core.trace
     }
@@ -1119,7 +1118,7 @@ mod tests {
         plan.add_link_outage(relay, r, SimTime::ZERO, SimTime::from_units(10.0))
             .unwrap();
         sim.set_link_faults(plan);
-        sim.enable_trace(usize::MAX);
+        sim.enable_trace();
         // Injection reaches the relay (injections are exempt), but the
         // relay's forward crosses the dead link and is lost.
         sim.inject(relay, 5, unit(1.0));

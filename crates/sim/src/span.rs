@@ -254,8 +254,7 @@ impl fmt::Display for SpanEvent {
 ///
 /// Disabled by default (the engine's default everywhere): `open` returns
 /// [`NO_SPAN`] and `record` is a no-op, so the instrumented hot paths cost
-/// one branch. When bounded, eviction is *not* silent — `dropped_events`
-/// reports the loss and [`audit_spans`] refuses to certify a lossy log.
+/// one branch. Enabled, it keeps every event.
 ///
 /// # Examples
 ///
@@ -272,9 +271,7 @@ impl fmt::Display for SpanEvent {
 #[derive(Clone, Debug, Default)]
 pub struct SpanLog {
     enabled: bool,
-    capacity: usize,
     events: Vec<SpanEvent>,
-    dropped: u64,
     next: u64,
     /// External key (e.g. a message id) -> span, for events recorded by
     /// actors that only know the domain key.
@@ -289,21 +286,9 @@ impl SpanLog {
 
     /// A log that keeps every event.
     pub fn unbounded() -> Self {
-        SpanLog::bounded(usize::MAX)
-    }
-
-    /// A log that stops recording after `capacity` events, counting the
-    /// excess in [`SpanLog::dropped_events`]. Unlike the engine trace ring
-    /// this keeps the *prefix* — span conservation needs opens, which come
-    /// first.
-    pub fn bounded(capacity: usize) -> Self {
         SpanLog {
-            enabled: capacity > 0,
-            capacity,
-            events: Vec::new(),
-            dropped: 0,
-            next: 0,
-            by_key: BTreeMap::new(),
+            enabled: true,
+            ..SpanLog::default()
         }
     }
 
@@ -314,8 +299,6 @@ impl SpanLog {
 
     /// Rebuilds a log from previously exported events (e.g. a parsed
     /// trace dump) so [`audit_spans`] can run on the inspector side.
-    /// The rebuilt log is lossless by construction; if the original run
-    /// dropped events, that fact must be checked before export.
     pub fn from_events(events: Vec<SpanEvent>) -> Self {
         let next = events
             .iter()
@@ -324,9 +307,7 @@ impl SpanLog {
             .unwrap_or(0);
         SpanLog {
             enabled: true,
-            capacity: usize::MAX,
             events,
-            dropped: 0,
             next,
             by_key: BTreeMap::new(),
         }
@@ -340,7 +321,7 @@ impl SpanLog {
         }
         let id = SpanId(self.next);
         self.next += 1;
-        self.push(SpanEvent {
+        self.events.push(SpanEvent {
             at,
             span: id,
             stage,
@@ -380,7 +361,7 @@ impl SpanLog {
         if !self.enabled || span == NO_SPAN {
             return;
         }
-        self.push(SpanEvent {
+        self.events.push(SpanEvent {
             at,
             span,
             stage,
@@ -405,23 +386,9 @@ impl SpanLog {
         }
     }
 
-    fn push(&mut self, e: SpanEvent) {
-        if self.events.len() < self.capacity {
-            self.events.push(e);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
     /// The recorded events, in record order.
     pub fn events(&self) -> &[SpanEvent] {
         &self.events
-    }
-
-    /// Events lost to the capacity bound. Nonzero means [`audit_spans`]
-    /// cannot certify conservation.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
     }
 
     /// Number of spans ever opened.
@@ -438,11 +405,6 @@ impl SpanLog {
 /// A violation of the span conservation law.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SpanViolation {
-    /// The log dropped events; conservation cannot be judged.
-    LossyLog {
-        /// How many events were lost.
-        dropped: u64,
-    },
     /// An event referenced a span that was never opened.
     EventWithoutOpen {
         /// The orphaned span id.
@@ -476,9 +438,6 @@ pub enum SpanViolation {
 impl fmt::Display for SpanViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpanViolation::LossyLog { dropped } => {
-                write!(f, "span log dropped {dropped} event(s); cannot audit")
-            }
             SpanViolation::EventWithoutOpen { span } => {
                 write!(f, "span {span} has events but no opening stage")
             }
@@ -564,12 +523,6 @@ pub fn audit_spans(log: &SpanLog, require_terminal: bool) -> SpanAuditReport {
         opened: log.spans_opened(),
         ..SpanAuditReport::default()
     };
-    if log.dropped_events() > 0 {
-        report.violations.push(SpanViolation::LossyLog {
-            dropped: log.dropped_events(),
-        });
-        return report;
-    }
     let mut states: BTreeMap<SpanId, SpanState> = BTreeMap::new();
 
     for e in log.events() {
@@ -672,21 +625,6 @@ mod tests {
             assert_eq!(s, SpanId(i));
         }
         assert_eq!(log.spans_opened(), 5);
-    }
-
-    #[test]
-    fn bounded_log_counts_drops_and_fails_audit() {
-        let mut log = SpanLog::bounded(2);
-        let s = log.open(t(0.0), SpanStage::Submitted, 1);
-        log.record(t(1.0), s, SpanStage::Deposited, 2, NO_NODE, 0);
-        log.record(t(2.0), s, SpanStage::Retrieved, 3, NO_NODE, 0);
-        assert_eq!(log.events().len(), 2);
-        assert_eq!(log.dropped_events(), 1);
-        let report = audit_spans(&log, false);
-        assert_eq!(
-            report.violations,
-            vec![SpanViolation::LossyLog { dropped: 1 }]
-        );
     }
 
     fn clean_log() -> SpanLog {

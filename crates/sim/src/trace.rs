@@ -1,9 +1,9 @@
-//! Bounded in-memory event tracing.
+//! In-memory event tracing.
 //!
 //! Tracing is off by default (zero cost beyond a branch); tests and the
-//! debugging binaries enable it to inspect message flow.
-
-use std::collections::VecDeque;
+//! debugging binaries enable it to inspect message flow. An enabled trace
+//! keeps every event: the auditors that read it check conservation laws
+//! over the whole stream, which a missing prefix would break.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;
@@ -62,7 +62,7 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s.
+/// Every [`TraceEvent`] since the trace was enabled, or none.
 ///
 /// # Examples
 ///
@@ -71,18 +71,16 @@ impl std::fmt::Display for TraceEvent {
 /// use lems_sim::actor::ActorId;
 /// use lems_sim::time::SimTime;
 ///
-/// let mut t = Trace::bounded(2);
+/// let mut t = Trace::unbounded();
 /// t.record(SimTime::ZERO, TraceKind::Send, ActorId(0), ActorId(1));
 /// t.record(SimTime::ZERO, TraceKind::Deliver, ActorId(0), ActorId(1));
-/// t.record(SimTime::ZERO, TraceKind::Send, ActorId(1), ActorId(0));
-/// assert_eq!(t.events().count(), 2); // oldest evicted
+/// assert_eq!(t.events().count(), 2);
+/// assert_eq!(Trace::disabled().events().count(), 0);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    recorded: u64,
-    dropped: u64,
+    enabled: bool,
+    events: Vec<TraceEvent>,
 }
 
 impl Trace {
@@ -91,77 +89,45 @@ impl Trace {
         Trace::default()
     }
 
-    /// A trace keeping the most recent `capacity` events.
-    pub fn bounded(capacity: usize) -> Self {
-        Trace {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            recorded: 0,
-            dropped: 0,
-        }
-    }
-
-    /// A trace that keeps every event (no eviction). Auditors that verify
-    /// conservation laws over the stream need the complete history; a lossy
-    /// ring buffer would report false violations for evicted prefixes.
+    /// A trace that keeps every event.
     pub fn unbounded() -> Self {
-        Trace::bounded(usize::MAX)
+        Trace {
+            enabled: true,
+            events: Vec::new(),
+        }
     }
 
     /// True if this trace keeps events.
     pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// True if eviction has discarded at least one recorded event.
-    pub fn is_lossy(&self) -> bool {
-        self.dropped > 0
-    }
-
-    /// Events evicted by the ring buffer: recorded but no longer retained.
-    /// Any nonzero value means conservation auditors cannot trust this
-    /// trace — the missing prefix would surface as false violations.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped
+        self.enabled
     }
 
     /// Records an event (no-op when disabled).
     pub fn record(&mut self, at: SimTime, kind: TraceKind, from: ActorId, to: ActorId) {
-        if self.capacity == 0 {
-            return;
+        if self.enabled {
+            self.events.push(TraceEvent { at, kind, from, to });
         }
-        self.recorded += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(TraceEvent { at, kind, from, to });
     }
 
-    /// The retained events, oldest first.
+    /// The recorded events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
+        self.events.iter()
     }
 
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.events.len()
     }
 
-    /// True if no events are retained.
+    /// True if no events are recorded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.events.is_empty()
     }
 
-    /// Total events ever recorded (including evicted ones).
-    pub fn recorded_total(&self) -> u64 {
-        self.recorded
-    }
-
-    /// FNV-1a digest over the rendered event stream: each retained event's
+    /// FNV-1a digest over the rendered event stream: each event's
     /// `Display` form followed by a newline, hashed in order.
     ///
-    /// Two traces digest equal exactly when every retained event matches in
+    /// Two traces digest equal exactly when every event matches in
     /// order, timing, kind, and endpoints — the regression currency for
     /// kernel refactors (`tests/kernel_equivalence.rs` pins runs against
     /// digests captured on earlier engines). The rendering is streamed
@@ -197,26 +163,7 @@ mod tests {
         let mut t = Trace::disabled();
         t.record(SimTime::ZERO, TraceKind::Send, ActorId(0), ActorId(1));
         assert_eq!(t.events().count(), 0);
-        assert_eq!(t.recorded_total(), 0);
         assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn bounded_trace_evicts_oldest() {
-        let mut t = Trace::bounded(3);
-        for i in 0..5 {
-            t.record(
-                SimTime::from_ticks(i),
-                TraceKind::Deliver,
-                ActorId(0),
-                ActorId(1),
-            );
-        }
-        let times: Vec<u64> = t.events().map(|e| e.at.as_ticks()).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-        assert_eq!(t.recorded_total(), 5);
-        assert_eq!(t.dropped_events(), 2);
-        assert!(t.is_lossy());
     }
 
     #[test]
@@ -231,9 +178,6 @@ mod tests {
             );
         }
         assert_eq!(t.len(), 10_000);
-        assert_eq!(t.recorded_total(), 10_000);
-        assert_eq!(t.dropped_events(), 0);
-        assert!(!t.is_lossy());
         assert!(t.is_enabled());
     }
 

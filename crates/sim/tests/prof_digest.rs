@@ -98,7 +98,7 @@ fn assert_same(a: &Fingerprint, b: &Fingerprint, what: &str) {
 
 fn run(prof: bool) -> (Fingerprint, ActorSim<u64>) {
     let mut sim = ActorSim::new(SEED);
-    sim.enable_trace(usize::MAX);
+    sim.enable_trace();
     for _ in 0..N {
         sim.add_actor(Ring { n: N, doomed: None });
     }

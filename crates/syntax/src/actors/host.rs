@@ -1,0 +1,536 @@
+//! The user-interface actor: one per host, serving every user homed there.
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
+
+use lems_core::message::{BounceReason, Message, MessageId, MessageIdGen};
+use lems_core::name::MailName;
+use lems_core::store::NO_OWNER_SLOT;
+use lems_core::user::AuthorityList;
+use lems_net::graph::NodeId;
+use lems_sim::actor::{Actor, ActorId, Ctx, TimerId};
+use lems_sim::span::{SpanId, SpanStage, NO_NODE};
+
+use super::{site, Endpoint, Exchange, MailMsg, Timeout};
+use crate::getmail::{Check, GetMailState, Step};
+
+/// Per-user state kept by the host actor.
+#[derive(Clone, Debug)]
+pub(super) struct UiUser {
+    /// Never changed after [`UiUser::new`]: an in-flight
+    /// [`RetrievalSession`] indexes into it.
+    pub(super) authorities: AuthorityList,
+    /// Per authority server, in list order: the owner slot its last
+    /// `RetrieveReply` carried.
+    pub(super) owner_slots: Vec<u32>,
+    getmail: GetMailState,
+    pub(super) retrieval: Option<RetrievalSession>,
+    pub(super) pending_check: bool,
+}
+
+/// The owner slot `server` last taught the user with these `authorities`.
+pub(super) fn owner_slot_at(
+    authorities: &AuthorityList,
+    owner_slots: &[u32],
+    server: NodeId,
+) -> u32 {
+    authorities
+        .rank_of(server)
+        .map_or(NO_OWNER_SLOT, |rank| owner_slots[rank])
+}
+
+impl UiUser {
+    /// A user who has never checked mail.
+    pub(super) fn new(authorities: AuthorityList) -> Self {
+        UiUser {
+            owner_slots: vec![NO_OWNER_SLOT; authorities.len()],
+            authorities,
+            getmail: GetMailState::new(),
+            retrieval: None,
+            pending_check: false,
+        }
+    }
+}
+
+/// An in-flight asynchronous GetMail: the session layer around one
+/// [`Check`] of the user's [`GetMailState`].
+#[derive(Clone, Debug)]
+pub(super) struct RetrievalSession {
+    check: Check,
+    /// The probe of the server being asked; `None` between servers.
+    pub(super) current: Option<Exchange>,
+    /// The lifecycle span covering this check.
+    span: SpanId,
+}
+
+/// An in-flight submission (connection-setup walk over the sender's
+/// authority list).
+#[derive(Clone, Debug)]
+pub(super) struct SubmitTask {
+    msg: Message,
+    exchange: Exchange,
+    /// The servers not yet tried, in order.
+    remaining: VecDeque<NodeId>,
+}
+
+/// The user-interface actor for one host (serves every user homed there).
+pub struct HostActor {
+    pub(super) end: Endpoint,
+    /// Every user ever adopted, by slot. A slot index is what retrieval
+    /// timers carry as their tag and `Retrieve` as its `session`, so the
+    /// list is append-only: a user who migrated away leaves a slot with no
+    /// `ui`.
+    pub(super) users: Vec<UserSlot>,
+    /// Name -> live slot, for what arrives without a slot that checks out
+    /// (a hint-less or stale `DoSend`/`DoCheck`, a reply whose `session`
+    /// does not match its name).
+    pub(super) slot_of: BTreeMap<MailName, usize>,
+    // Actor bookkeeping uses ordered maps throughout: iteration order feeds
+    // protocol decisions, and hash-order iteration would make replays
+    // diverge between runs (`HashMap` is a `clippy.toml` ban here).
+    pub(super) submits: BTreeMap<MessageId, SubmitTask>,
+    /// Servers this host contacts before a user's own authority list,
+    /// nearest first (§3.2.2a: "a user always contacts the nearest active
+    /// server"). Empty under a §3.1.1 placement, where the user's list is
+    /// the whole connection-setup order.
+    pub(super) contact: Vec<NodeId>,
+    pub(super) id_gen: Rc<RefCell<MessageIdGen>>,
+    /// Notifications received (user -> count) — the alert signal of
+    /// §3.1.2c.
+    pub alerts: BTreeMap<MailName, u64>,
+}
+
+/// One adopted user of a host.
+pub(super) struct UserSlot {
+    pub(super) name: MailName,
+    /// `None` once the user has migrated away.
+    pub(super) ui: Option<UiUser>,
+}
+
+/// Timer tags say what a host timer is for without a side table: a submit
+/// timeout carries its message id, a retrieve timeout this bit plus the
+/// checking user's slot.
+const RETRIEVE_TAG: u64 = 1 << 63;
+
+/// Connection-setup order for a user of a host: the host's `contact`
+/// servers, then the user's own authority list.
+fn submit_order<'a>(
+    contact: &'a [NodeId],
+    authorities: &'a AuthorityList,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let own = authorities.servers().iter();
+    contact
+        .iter()
+        .chain(own.filter(move |s| !contact.contains(s)))
+        .copied()
+}
+
+impl HostActor {
+    /// Adopts `ui` under `name`, giving it a slot on this host; returns
+    /// the slot, as an injection may carry it.
+    pub(super) fn adopt_user(&mut self, name: MailName, ui: UiUser) -> u32 {
+        let slot = self.users.len();
+        if let Some(old) = self.slot_of.insert(name.clone(), slot) {
+            self.users[old].ui = None;
+        }
+        self.users.push(UserSlot { name, ui: Some(ui) });
+        u32::try_from(slot).unwrap_or(MailMsg::NO_SLOT_HINT)
+    }
+
+    /// Hands `name`'s interface state over to another host (§3.1.4).
+    pub(super) fn release_user(&mut self, name: &MailName) -> Option<UiUser> {
+        let slot = self.slot_of.remove(name)?;
+        self.users[slot].ui.take()
+    }
+
+    /// The live slot of `user`, given the slot a reply echoed as its
+    /// `session` or an injection carried as its `slot`. The token is
+    /// trusted only as far as the name stored in that slot agrees with it
+    /// (one pointer compare: the name that travels with it is a clone of
+    /// the slot's); anything else — out of range, another user's slot, a
+    /// slot vacated by migration — is resolved by name, exactly as if no
+    /// token existed.
+    pub(super) fn slot_for(&self, token: u32, user: &MailName) -> Option<usize> {
+        let hinted = token as usize;
+        match self.users.get(hinted) {
+            Some(slot) if slot.ui.is_some() && slot.name == *user => {
+                debug_assert_eq!(self.slot_of.get(user), Some(&hinted));
+                Some(hinted)
+            }
+            _ => self.slot_of.get(user).copied(),
+        }
+    }
+
+    fn start_submit(&mut self, msg: Message, slot: u32, ctx: &mut Ctx<'_, MailMsg>) {
+        self.end.spans.borrow_mut().open_keyed(
+            msg.id.0,
+            ctx.now(),
+            SpanStage::Submitted,
+            site(self.end.node),
+        );
+        let Some(user) = self
+            .slot_for(slot, &msg.from)
+            .and_then(|slot| self.users[slot].ui.as_ref())
+        else {
+            // Sender not homed here; count as bounce at source.
+            self.end
+                .bounce(msg.id, BounceReason::UnknownRecipient, ctx.now());
+            return;
+        };
+        let remaining: VecDeque<NodeId> = submit_order(&self.contact, &user.authorities).collect();
+        {
+            let mut st = self.end.stats.borrow_mut();
+            st.submitted += 1;
+            st.ledger_submitted.insert(msg.id);
+        }
+        self.end.metrics.inc("submitted");
+        self.submit_next(msg, remaining, ctx);
+    }
+
+    /// Submits `msg` to the next server of the walk, or bounces it when
+    /// none is left.
+    fn submit_next(
+        &mut self,
+        msg: Message,
+        mut remaining: VecDeque<NodeId>,
+        ctx: &mut Ctx<'_, MailMsg>,
+    ) {
+        let Some(server) = remaining.pop_front() else {
+            self.end
+                .bounce(msg.id, BounceReason::AllServersDown, ctx.now());
+            return;
+        };
+        self.submit_probe(msg, server, 0, remaining, ctx);
+    }
+
+    /// Sends one Submit probe (0-based `attempt`) to `server`.
+    fn submit_probe(
+        &mut self,
+        msg: Message,
+        server: NodeId,
+        attempt: u32,
+        remaining: VecDeque<NodeId>,
+        ctx: &mut Ctx<'_, MailMsg>,
+    ) {
+        self.end.stats.borrow_mut().submit_attempts += 1;
+        self.end.metrics.inc("submit_probes");
+        let request = MailMsg::Submit {
+            msg: msg.clone(),
+            reply_to: self.end.node,
+        };
+        let span = self.end.span_of(msg.id);
+        let exchange = self
+            .end
+            .probe(ctx, span, server, attempt, request, msg.id.0);
+        self.submits.insert(
+            msg.id,
+            SubmitTask {
+                msg,
+                exchange,
+                remaining,
+            },
+        );
+    }
+
+    fn start_check(&mut self, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(user) = self.users[slot].ui.as_mut() else {
+            return;
+        };
+        if user.retrieval.is_some() {
+            // A check is already running; coalesce (re-run when done).
+            user.pending_check = true;
+            return;
+        }
+        let span = self.end.spans.borrow_mut().open(
+            ctx.now(),
+            SpanStage::CheckStarted,
+            site(self.end.node),
+        );
+        self.end.metrics.inc("checks_started");
+        user.retrieval = Some(RetrievalSession {
+            check: GetMailState::begin(ctx.now()),
+            current: None,
+            span,
+        });
+        self.advance_retrieval(slot, ctx);
+    }
+
+    /// Drives the user's GetMail: probe the next server or finish.
+    fn advance_retrieval(&mut self, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(user) = self.users[slot].ui.as_mut() else {
+            return;
+        };
+        let Some(session) = user.retrieval.as_mut() else {
+            return;
+        };
+        match user
+            .getmail
+            .next(&mut session.check, user.authorities.servers())
+        {
+            Step::Probe(server) => self.retrieve_probe(slot, server, 0, ctx),
+            Step::Done { polls } => {
+                let started = session.check.started();
+                let span = session.span;
+                user.retrieval = None;
+                self.end
+                    .stats
+                    .borrow_mut()
+                    .retrieval_polls
+                    .observe(f64::from(polls));
+                self.end.spans.borrow_mut().record(
+                    ctx.now(),
+                    span,
+                    SpanStage::CheckDone,
+                    site(self.end.node),
+                    NO_NODE,
+                    u64::from(polls),
+                );
+                self.end.metrics.inc("checks_done");
+                self.end.metrics.observe(
+                    "check_latency",
+                    ctx.now().duration_since(started).as_units(),
+                );
+                if std::mem::take(&mut user.pending_check) {
+                    self.start_check(slot, ctx);
+                }
+            }
+        }
+    }
+
+    /// Sends one Retrieve probe (0-based `attempt`) to `server` for the
+    /// user in `slot`.
+    fn retrieve_probe(
+        &mut self,
+        slot: usize,
+        server: NodeId,
+        attempt: u32,
+        ctx: &mut Ctx<'_, MailMsg>,
+    ) {
+        let Some(UserSlot {
+            name,
+            ui: Some(user),
+        }) = self.users.get_mut(slot)
+        else {
+            return;
+        };
+        let Some(session) = user.retrieval.as_mut() else {
+            return;
+        };
+        if attempt == 0 {
+            self.end.metrics.inc("retrieve_probes");
+        }
+        let request = MailMsg::Retrieve {
+            user: name.clone(),
+            reply_to: self.end.node,
+            session: slot as u32,
+            owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
+        };
+        let tag = RETRIEVE_TAG | slot as u64;
+        session.current = Some(
+            self.end
+                .probe(ctx, session.span, server, attempt, request, tag),
+        );
+    }
+}
+
+impl Actor for HostActor {
+    type Msg = MailMsg;
+
+    fn kind(&self) -> &'static str {
+        "host"
+    }
+
+    fn on_message(&mut self, from: ActorId, msg: MailMsg, ctx: &mut Ctx<'_, MailMsg>) {
+        match msg {
+            MailMsg::DoSend { from, to, slot } => {
+                let id = self.id_gen.borrow_mut().next_id();
+                let m = Message::new(id, from, to, "msg", "body", ctx.now());
+                self.start_submit(m, slot, ctx);
+            }
+            MailMsg::DoCheck { user, slot } => {
+                if let Some(slot) = self.slot_for(slot, &user) {
+                    self.start_check(slot, ctx);
+                }
+            }
+            MailMsg::SubmitAck { id } => {
+                if let Some(task) = self.submits.remove(&id) {
+                    // Store-and-forward responsibility now rests with the
+                    // accepting server.
+                    self.end.accepted(ctx, id, &task.exchange);
+                }
+            }
+            MailMsg::Notify { user, id: _ } => {
+                *self.alerts.entry(user).or_insert(0) += 1;
+                self.end.metrics.inc("alerts");
+            }
+            MailMsg::DoLogin { user, authorities } => {
+                // Report to the server a submission would reach first.
+                if let Some(server) = submit_order(&self.contact, &authorities).next() {
+                    let report = MailMsg::LoginReport {
+                        user: user.clone(),
+                        host: self.end.node,
+                        at: ctx.now(),
+                    };
+                    self.end.send(ctx, server, report);
+                }
+                // "Any host in the region may be used": a visitor gets a
+                // session here, beside the one their home host keeps.
+                if !self.slot_of.contains_key(&user) {
+                    self.adopt_user(user, UiUser::new(authorities));
+                }
+            }
+            MailMsg::RetrieveReply {
+                user: user_name,
+                messages,
+                last_start_time,
+                session,
+                owner_slot,
+            } => {
+                let now = ctx.now();
+                let server_node = self.end.transport.node_of(from);
+                // Ack first, unconditionally — even for stale replies after
+                // a timeout. The messages are physically at this host, so
+                // the server must release its drain buffer; failing to ack
+                // a stale reply would make the server re-send (and the UI
+                // re-discard) them forever.
+                if !messages.is_empty() {
+                    if let Some(server_node) = server_node {
+                        let ack = MailMsg::RetrieveAck {
+                            user: user_name.clone(),
+                            ids: messages.iter().map(|m| m.id).collect(),
+                        };
+                        self.end.send(ctx, server_node, ack);
+                    }
+                }
+                // Ledger first, unconditionally: the server has already
+                // drained these messages from its mailbox and they are now
+                // physically at this host. Counting them only when the
+                // session bookkeeping still matches would strand drained
+                // mail on any stale-reply race (the exact loss class the
+                // trace auditor checks for).
+                {
+                    let server_site = server_node.map_or(NO_NODE, site);
+                    let mut st = self.end.stats.borrow_mut();
+                    let mut spans = self.end.spans.borrow_mut();
+                    for m in &messages {
+                        // Dedup by message id: a server that crashed while
+                        // forwarding re-routes its stored copy on recovery,
+                        // which can legally deposit the message on a second
+                        // authority server. The UI discards the duplicate
+                        // drain so at-least-once delivery still counts once.
+                        if st.ledger_retrieved.insert(m.id) {
+                            st.retrieved += 1;
+                            let latency = now.duration_since(m.submitted_at).as_units();
+                            st.end_to_end.observe(latency);
+                            self.end.metrics.inc("retrieved");
+                            self.end.metrics.observe("end_to_end", latency);
+                            // First terminal outcome wins the span: a host
+                            // that conservatively bounced after losing every
+                            // ack keeps that terminal even if the mail later
+                            // surfaces (the ledgers record both).
+                            if !st.ledger_bounced.contains_key(&m.id) {
+                                spans.record_keyed(
+                                    now,
+                                    m.id.0,
+                                    SpanStage::Retrieved,
+                                    site(self.end.node),
+                                    server_site,
+                                    0,
+                                );
+                            }
+                        }
+                    }
+                }
+                let Some(slot) = self.slot_for(session, &user_name) else {
+                    return;
+                };
+                let Some(user) = self.users[slot].ui.as_mut() else {
+                    return;
+                };
+                if let Some(rank) = server_node.and_then(|s| user.authorities.rank_of(s)) {
+                    user.owner_slots[rank] = owner_slot;
+                }
+                let Some(session) = user.retrieval.as_mut() else {
+                    return; // stale reply after timeout: already counted above
+                };
+                let Some(exchange) = session.current.take() else {
+                    return;
+                };
+                ctx.cancel_timer(exchange.timer);
+                user.getmail
+                    .on_reply(&mut session.check, exchange.peer, last_start_time);
+                self.advance_retrieval(slot, ctx);
+            }
+            // Server-bound traffic; a host receiving these ignores them.
+            MailMsg::Submit { .. }
+            | MailMsg::Forward { .. }
+            | MailMsg::ForwardAck { .. }
+            | MailMsg::Retrieve { .. }
+            | MailMsg::RetrieveAck { .. }
+            | MailMsg::LoginReport { .. }
+            | MailMsg::LocationUpdate { .. }
+            | MailMsg::WhereIs { .. }
+            | MailMsg::LocationReply { .. } => {}
+        }
+    }
+
+    fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+        if tag & RETRIEVE_TAG == 0 {
+            self.on_submit_timeout(id, MessageId(tag), ctx);
+        } else {
+            self.on_retrieve_timeout(id, (tag & !RETRIEVE_TAG) as usize, ctx);
+        }
+    }
+}
+
+/// A host never crashes, and each of its exchanges arms a timer only once
+/// the one before has fired or been cancelled: a timer that fires is its
+/// exchange's latest.
+const HOST_TIMERS_ARE_NEVER_STALE: &str = "a host timer outlived its probe";
+
+impl HostActor {
+    fn on_submit_timeout(&mut self, id: TimerId, mid: MessageId, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(task) = self.submits.remove(&mid) else {
+            return;
+        };
+        match task.exchange.on_timer(id, &self.end.retry) {
+            Timeout::Stale => {
+                debug_assert!(false, "{HOST_TIMERS_ARE_NEVER_STALE}");
+                self.submits.insert(mid, task);
+            }
+            Timeout::Retransmit(attempt) => {
+                let server = task.exchange.peer;
+                self.submit_probe(task.msg, server, attempt, task.remaining, ctx);
+            }
+            // Retry budget for this server spent: fall back to the next
+            // authority server.
+            Timeout::Exhausted => self.submit_next(task.msg, task.remaining, ctx),
+        }
+    }
+
+    fn on_retrieve_timeout(&mut self, id: TimerId, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(user) = self.users.get_mut(slot).and_then(|u| u.ui.as_mut()) else {
+            return;
+        };
+        let Some(session) = user.retrieval.as_mut() else {
+            return;
+        };
+        let Some(exchange) = session.current.take() else {
+            return;
+        };
+        match exchange.on_timer(id, &self.end.retry) {
+            Timeout::Stale => {
+                debug_assert!(false, "{HOST_TIMERS_ARE_NEVER_STALE}");
+                session.current = Some(exchange);
+            }
+            Timeout::Retransmit(attempt) => self.retrieve_probe(slot, exchange.peer, attempt, ctx),
+            // The server is unresponsive: GetMail records it for a later
+            // sweep and moves on.
+            Timeout::Exhausted => {
+                user.getmail.on_unreachable(exchange.peer);
+                self.advance_retrieval(slot, ctx);
+            }
+        }
+    }
+}

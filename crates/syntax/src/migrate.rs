@@ -143,20 +143,39 @@ pub fn migrate_user(
         .name
         .relocated(new_region_token, new_host_token)
         .map_err(|_| DirectoryError::UnknownName(old_name.clone()))?;
-
-    // "Adding the user to the new location, then deleting the user from
-    // the old location."
-    directory.register(new_name.clone(), new_home_host, new_authorities)?;
-    directory.unregister(old_name)?;
-
     let expires_at = now + redirect_ttl;
-    redirects.insert(old_name.clone(), new_name.clone(), expires_at);
-
+    rename(
+        directory,
+        redirects,
+        old_name,
+        &new_name,
+        new_home_host,
+        new_authorities,
+        expires_at,
+    )?;
     Ok(MigrationOutcome {
         old_name: old_name.clone(),
         new_name,
         redirect_expires_at: expires_at,
     })
+}
+
+/// Moves the user `old_name` to `new_name` at `new_home_host` — "adding
+/// the user to the new location, then deleting the user from the old
+/// location" — and redirects the old name until `expires_at`.
+pub(crate) fn rename(
+    directory: &mut Directory,
+    redirects: &mut RedirectTable,
+    old_name: &MailName,
+    new_name: &MailName,
+    new_home_host: NodeId,
+    new_authorities: AuthorityList,
+    expires_at: SimTime,
+) -> Result<(), DirectoryError> {
+    directory.register(new_name.clone(), new_home_host, new_authorities)?;
+    directory.unregister(old_name)?;
+    redirects.insert(old_name.clone(), new_name.clone(), expires_at);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -87,7 +87,7 @@ fn trace_stream(seed: u64, with_failures: bool) -> String {
             ..DeploymentConfig::default()
         },
     );
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
     if with_failures {
         let mut rng = SimRng::seed(seed).fork("determinism-failures");
         let plan = ServerFailurePlan::random(
@@ -160,7 +160,7 @@ fn chaos_trace_stream(seed: u64) -> String {
             ..DeploymentConfig::default()
         },
     );
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
     let isolated = vec![f.servers[0]];
     let mut others = f.hosts.clone();
     others.extend(f.servers.iter().skip(1).copied());

@@ -52,7 +52,7 @@ fn crash_workload(seed: u64, durability: DurabilityConfig) -> Deployment {
             ..DeploymentConfig::default()
         },
     );
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
     let names = d.user_names();
     let mut plan = ServerFailurePlan::new();
     plan.add(f.servers[0], t(10.0), t(30.0));

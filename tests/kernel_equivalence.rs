@@ -159,7 +159,7 @@ fn mesh_burst(sim: &mut ActorSim<Msg>) {
     }
     sim.inject(ActorId(999), with_ttl(0, 1), unit(1.0));
     sim.inject(ActorId(0), with_ttl(5, 12), unit(0.5));
-    sim.enable_trace(usize::MAX);
+    sim.enable_trace();
 }
 
 /// Arms periodic timers, re-arms across rounds, and cancels: one timer
@@ -229,7 +229,7 @@ fn timer_cancel(sim: &mut ActorSim<Msg>) {
             fired_tags: 0,
         });
     }
-    sim.enable_trace(usize::MAX);
+    sim.enable_trace();
 }
 
 /// Mesh actor that announces its recovery to two neighbours.
@@ -271,7 +271,7 @@ fn crash_churn(sim: &mut ActorSim<Msg>) {
         sim.schedule_crash(a, t(9.0 + 0.25 * i as f64));
         sim.schedule_recover(a, t(12.0 + 0.25 * i as f64));
     }
-    sim.enable_trace(usize::MAX);
+    sim.enable_trace();
 }
 
 /// `chaos-links`: the mesh under a lossy, duplicating, jittery default
@@ -287,7 +287,7 @@ fn chaos_links(sim: &mut ActorSim<Msg>) {
     plan.add_link_outage(ActorId(0), ActorId(1), t(1.0), t(4.0))
         .expect("window is well-formed");
     sim.set_link_faults(plan);
-    sim.enable_trace(usize::MAX);
+    sim.enable_trace();
 }
 
 /// The battery scenario names; [`battery`] builds each one.

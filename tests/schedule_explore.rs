@@ -40,7 +40,7 @@ fn steady_fig1(seed: u64) -> Deployment {
             ..DeploymentConfig::default()
         },
     );
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
     let names = d.user_names();
     for i in 0..names.len() {
         d.send_at(t(1.0 + i as f64), &names[i], &names[(i + 5) % names.len()]);
@@ -253,7 +253,7 @@ fn s1_crash_exploration_meets_acceptance_floor() {
 #[test]
 fn random_schedule_replays_byte_identically() {
     fn run(sched: Box<dyn lems_sim::sched::Scheduler>) -> (Vec<u32>, u64) {
-        let mut sim = ActorSim::new(5).with_trace(usize::MAX);
+        let mut sim = ActorSim::new(5).with_trace();
         let a = sim.add_actor(Recorder::default());
         for m in 0..5u32 {
             sim.inject(a, m, SimDuration::from_units(1.0));

@@ -61,7 +61,7 @@ fn getmail_under_outage_strands_nothing() {
             ..DeploymentConfig::default()
         },
     );
-    d.sim.enable_trace(usize::MAX);
+    d.sim.enable_trace();
 
     let mut plan = ServerFailurePlan::new();
     plan.add(
