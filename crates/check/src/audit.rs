@@ -15,23 +15,22 @@
 //! * **Failure alternation** — per actor, crash and recover events
 //!   strictly alternate, starting from the up state.
 //!
-//! On top of the stream-level laws, [`audit_deployment`] checks the
-//! System-1 domain ledgers: retrieved/bounced ids are subsets of
-//! submitted ids, nothing is both retrieved and bounced, outstanding
-//! mail equals mail physically in server storage at quiescence, and —
-//! for scenarios that end with every server up and every user polling —
-//! no delivered message is stranded.
+//! [`verdict`] is the one judgement of a finished run: those laws plus
+//! the mail ledgers by message id, span conservation, and the store
+//! recoveries. `lems-check audit` and `lems-check explore` hand every
+//! terminal run to it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use lems_core::message::MessageId;
 use lems_sim::actor::ActorId;
+use lems_sim::span::audit_spans;
 use lems_sim::time::SimTime;
 use lems_sim::trace::{Trace, TraceEvent, TraceKind};
 use lems_syntax::actors::Deployment;
 
-/// One broken invariant.
+/// One broken trace law.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditViolation {
     /// A send was never consumed by a deliver or drop.
@@ -71,8 +70,6 @@ pub enum AuditViolation {
         /// Event time.
         at: SimTime,
     },
-    /// A domain-level (ledger / storage) inconsistency.
-    Domain(String),
 }
 
 impl fmt::Display for AuditViolation {
@@ -96,7 +93,6 @@ impl fmt::Display for AuditViolation {
             AuditViolation::RecoverWhileUp { actor, at } => {
                 write!(f, "recover of {actor} at [{at}] while not down")
             }
-            AuditViolation::Domain(msg) => f.write_str(msg),
         }
     }
 }
@@ -273,129 +269,137 @@ pub fn audit_trace(trace: &Trace) -> AuditReport {
     auditor.finish()
 }
 
-/// Domain-level audit of a quiescent System-1 [`Deployment`].
+/// The judgement of a finished run, one line per broken clause (empty =
+/// clean). `quiesced` is whether the run drained within its event budget.
 ///
-/// Always checked:
+/// Every scenario ends with every server up and every user checking mail
+/// until quiet, so a finished run must have settled all of its mail. `d`
+/// must record its trace and spans from before the first injection (the
+/// [`scenarios`](crate::scenarios) builders switch both on).
 ///
-/// * retrieved and bounced ledgers are subsets of the submitted ledger,
-///   and disjoint from each other;
-/// * every outstanding id (submitted − retrieved − bounced) is physically
-///   present in server storage — at quiescence nothing is in flight, so
-///   a missing id is lost mail;
-/// * every stored id was submitted and not bounced. A stored id that was
-///   *retrieved* is tolerated: at-least-once submission over a lossy wire
-///   can legally deposit a message on two authority servers (the ack for
-///   the first deposit was lost), the UI dedups on retrieval, and the
-///   residue copy is indistinguishable from unread mail to the server
-///   holding it;
-/// * the transport counted no wiring errors (sends to unbound nodes).
-///
-/// With `expect_drained` (scenarios that end with every server up and
-/// every user checking mail until quiet), additionally:
-///
-/// * no unretrieved message is stranded in storage, and
-/// * every submitted message was retrieved or bounced.
-pub fn audit_deployment(d: &Deployment, expect_drained: bool) -> Vec<AuditViolation> {
+/// * **no-stuck-retry** — the run quiesced;
+/// * **trace conservation** — the laws of [`audit_trace`];
+/// * **id ledgers** — retrieved and bounced ids were submitted and are
+///   disjoint, and the counters agree with the ledgers; nothing is
+///   outstanding, and every stored id was submitted, not bounced, and
+///   retrieved. A stored *retrieved* id is tolerated: at-least-once
+///   submission over a lossy wire can legally deposit a message on two
+///   authority servers (the ack for the first deposit was lost), the UI
+///   dedups on retrieval, and the residue copy is indistinguishable from
+///   unread mail to the server holding it. The transport counted no
+///   wiring errors;
+/// * **span conservation** — every span reaches at most one terminal
+///   stage, exactly one if the run quiesced, and the spans count as many
+///   retransmissions as the session layer;
+/// * **durability** — no store recovery reports lost mail.
+pub fn verdict(d: &Deployment, quiesced: bool) -> Vec<String> {
     let mut out = Vec::new();
-    let stats = d.stats.borrow();
+    if !quiesced {
+        out.push(
+            "no-stuck-retry: event budget exhausted without quiescence \
+             (runaway retry loop?)"
+                .to_owned(),
+        );
+    }
+    out.extend(
+        audit_trace(d.sim.trace())
+            .violations
+            .iter()
+            .map(|v| format!("trace: {v}")),
+    );
 
+    let stats = d.stats.borrow();
     for id in &stats.ledger_retrieved {
         if !stats.ledger_submitted.contains(id) {
-            out.push(AuditViolation::Domain(format!(
-                "message {id:?} retrieved but never submitted"
-            )));
+            out.push(format!("message {id:?} retrieved but never submitted"));
         }
         if stats.ledger_bounced.contains_key(id) {
-            out.push(AuditViolation::Domain(format!(
-                "message {id:?} both retrieved and bounced"
-            )));
+            out.push(format!("message {id:?} both retrieved and bounced"));
         }
     }
     for id in stats.ledger_bounced.keys() {
         if !stats.ledger_submitted.contains(id) {
-            out.push(AuditViolation::Domain(format!(
-                "message {id:?} bounced but never submitted"
-            )));
+            out.push(format!("message {id:?} bounced but never submitted"));
         }
     }
-
-    // Counters must agree with the id ledgers: a drift means something
-    // was counted twice (e.g. a duplicate drain after a crash re-route)
-    // or not at all.
-    if stats.retrieved != stats.ledger_retrieved.len() as u64 {
-        out.push(AuditViolation::Domain(format!(
-            "retrieved counter ({}) disagrees with the retrieved ledger ({} unique ids)",
-            stats.retrieved,
-            stats.ledger_retrieved.len()
-        )));
-    }
-    if stats.submitted != stats.ledger_submitted.len() as u64 {
-        out.push(AuditViolation::Domain(format!(
-            "submitted counter ({}) disagrees with the submitted ledger ({} unique ids)",
-            stats.submitted,
-            stats.ledger_submitted.len()
-        )));
+    // A counter drifting from its ledger means something was counted
+    // twice (e.g. a duplicate drain after a crash re-route) or not at all.
+    for (what, counter, ids) in [
+        ("retrieved", stats.retrieved, stats.ledger_retrieved.len()),
+        ("submitted", stats.submitted, stats.ledger_submitted.len()),
+    ] {
+        if counter != ids as u64 {
+            out.push(format!(
+                "{what} counter ({counter}) disagrees with the {what} ledger ({ids} unique ids)"
+            ));
+        }
     }
 
     let stored = d.stranded_mail();
     let stored_ids: BTreeSet<MessageId> = stored.iter().map(|&(_, _, id, _)| id).collect();
-    let outstanding_ids: BTreeSet<MessageId> = stats
+    let outstanding: Vec<&MessageId> = stats
         .ledger_submitted
         .iter()
         .filter(|id| !stats.ledger_retrieved.contains(id) && !stats.ledger_bounced.contains_key(id))
-        .copied()
         .collect();
-
-    for id in &outstanding_ids {
+    for id in &outstanding {
         if !stored_ids.contains(id) {
-            out.push(AuditViolation::Domain(format!(
+            out.push(format!(
                 "outstanding message {id:?} is nowhere in server storage (lost)"
-            )));
+            ));
         }
+    }
+    if !outstanding.is_empty() {
+        out.push(format!(
+            "run left {} message(s) outstanding (submitted {} retrieved {} bounced {})",
+            outstanding.len(),
+            stats.ledger_submitted.len(),
+            stats.ledger_retrieved.len(),
+            stats.ledger_bounced.len()
+        ));
     }
     for id in &stored_ids {
         if !stats.ledger_submitted.contains(id) {
-            out.push(AuditViolation::Domain(format!(
-                "stored message {id:?} was never submitted"
-            )));
+            out.push(format!("stored message {id:?} was never submitted"));
         }
         if stats.ledger_bounced.contains_key(id) {
-            out.push(AuditViolation::Domain(format!(
+            out.push(format!(
                 "message {id:?} bounced yet still in server storage"
-            )));
+            ));
         }
     }
-
+    for (node, owner, id, auth) in &stored {
+        if !stats.ledger_retrieved.contains(id) {
+            out.push(format!(
+                "message {id:?} for {owner} stranded on server {node:?} (authorities {auth:?})"
+            ));
+        }
+    }
     let wiring = d.transport.wiring_errors();
     if wiring != 0 {
-        out.push(AuditViolation::Domain(format!(
+        out.push(format!(
             "transport counted {wiring} wiring error(s) (sends to unbound/unknown nodes)"
-        )));
+        ));
     }
 
-    if expect_drained {
-        if !outstanding_ids.is_empty() {
-            out.push(AuditViolation::Domain(format!(
-                "drained run left {} message(s) outstanding \
-                 (submitted {} retrieved {} bounced {})",
-                outstanding_ids.len(),
-                stats.ledger_submitted.len(),
-                stats.ledger_retrieved.len(),
-                stats.ledger_bounced.len()
-            )));
-        }
-        for (node, owner, id, auth) in &stored {
-            // Residue copies of already-retrieved mail are legal (see
-            // above); only unretrieved mail counts as stranded.
-            if !stats.ledger_retrieved.contains(id) {
-                out.push(AuditViolation::Domain(format!(
-                    "message {id:?} for {owner} stranded on server {node:?} \
-                     (authorities {auth:?})"
-                )));
-            }
-        }
+    let spans = audit_spans(&d.spans.borrow(), quiesced);
+    out.extend(spans.violations.iter().map(|v| format!("span: {v}")));
+    if spans.retransmits != stats.retransmits {
+        out.push(format!(
+            "span ledger disagrees with session stats: {} retransmit probe(s) \
+             recorded in spans, {} counted by the session layer",
+            spans.retransmits, stats.retransmits
+        ));
     }
 
+    for r in d.recoveries.borrow().iter() {
+        if r.lost_messages > 0 {
+            out.push(format!(
+                "store recovery at {} on n{} lost {} acked message(s) (backend {})",
+                r.at, r.site, r.lost_messages, r.backend
+            ));
+        }
+    }
     out
 }
 
@@ -576,6 +580,70 @@ mod tests {
         assert!(r.is_clean(), "{r}");
         assert!(r.sends > 0 && r.crashes == 1 && r.recoveries == 1);
         assert_eq!(r.sends, r.delivers + r.drops);
+    }
+
+    /// Each clause of the verdict catches a fault planted into an
+    /// otherwise clean run.
+    #[test]
+    fn verdict_reports_one_planted_fault_per_clause() {
+        use crate::scenarios::Scenario;
+        use lems_core::store::StoreRecovery;
+        use lems_sim::span::SpanStage;
+
+        let steady = || {
+            let o = Scenario::named("steady")
+                .expect("steady is an audit scenario")
+                .run(3);
+            assert!(o.is_clean(), "{:?}", o.violations);
+            o.deployment
+        };
+        let reports = |v: Vec<String>, needle: &str| {
+            assert!(
+                v.iter().any(|l| l.contains(needle)),
+                "`{needle}` not reported: {v:?}"
+            );
+        };
+
+        reports(verdict(&steady(), false), "no-stuck-retry");
+
+        let d = steady();
+        d.stats.borrow_mut().retrieved += 1;
+        reports(verdict(&d, true), "retrieved counter");
+
+        let d = steady();
+        {
+            let mut st = d.stats.borrow_mut();
+            let id = *st.ledger_retrieved.iter().next().expect("steady retrieves");
+            st.ledger_submitted.remove(&id);
+        }
+        reports(verdict(&d, true), "retrieved but never submitted");
+
+        let d = steady();
+        {
+            let mut log = d.spans.borrow_mut();
+            let e = *log
+                .events()
+                .iter()
+                .find(|e| e.stage == SpanStage::Retrieved)
+                .expect("steady retrieves");
+            log.record(e.at, e.span, e.stage, e.site, e.peer, e.detail);
+        }
+        reports(verdict(&d, true), "terminal stages");
+
+        let d = steady();
+        d.recoveries.borrow_mut().push(StoreRecovery {
+            at: d.sim.now(),
+            site: 0,
+            backend: "mem-volatile",
+            replayed_records: 0,
+            recovered_messages: 0,
+            recovered_pending: 0,
+            recovered_forwards: 0,
+            lost_messages: 1,
+            torn_bytes: 0,
+            segments: 0,
+        });
+        reports(verdict(&d, true), "lost 1 acked message");
     }
 
     #[test]

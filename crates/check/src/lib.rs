@@ -9,17 +9,19 @@
 //! * [`audit`] — a [`TraceAuditor`](audit::TraceAuditor) that consumes
 //!   [`lems_sim::trace`] event streams and asserts the engine's
 //!   conservation laws (every send terminates in exactly one deliver or
-//!   drop; crash/recover events alternate per actor), plus domain-level
-//!   ledger checks for System-1 deployments (mailbox deposits balance
-//!   retrievals, GetMail under injected failures never strands delivered
-//!   mail).
-//! * [`scenarios`] — reproducible deployment scenarios replayed by the
-//!   `lems-check -- audit` subcommand and by integration tests.
+//!   drop; crash/recover events alternate per actor), and
+//!   [`verdict`](audit::verdict), the one judgement of a finished run:
+//!   those laws plus the mail ledgers, span conservation and store
+//!   recoveries (nothing lost, nothing double-counted, nothing stranded).
+//! * [`scenarios`] — reproducible deployment scenarios as data: the
+//!   [`AUDIT`](scenarios::AUDIT) table the `lems-check -- audit`
+//!   subcommand runs once each, and the [`EXPLORE`](scenarios::EXPLORE)
+//!   table of tiny worlds the explorer drives.
 //! * [`explore`] — a small-scope schedule model checker: exhaustively
-//!   enumerates same-instant event interleavings of tiny System-1 and
-//!   System-2 deployments (via [`lems_sim::sched`]), auditing every
-//!   terminal trace and reporting failing schedules as replayable
-//!   branch-choice lists.
+//!   enumerates same-instant event interleavings of one scenario (via
+//!   [`lems_sim::sched`]), judging every terminal run with the same
+//!   verdict and reporting failing schedules as replayable branch-choice
+//!   lists.
 //!
 //! Run from the workspace root:
 //!

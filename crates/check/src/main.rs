@@ -11,39 +11,53 @@ use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use lems_check::audit::audit_trace;
 use lems_check::explore;
-use lems_check::scenarios;
+use lems_check::scenarios::{Scenario, AUDIT, EXPLORE};
+use lems_sim::span::audit_spans;
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 usage: lems-check <command> [options]
 
 commands:
-  audit [--seed <n>] [--chaos] [--durability] [--trace-out <path>] [name ...]
-                                  replay audit scenarios and check the
-                                  engine's conservation laws + mail ledgers
-                                  + message-lifecycle span conservation
-                                  (scenarios: steady, failover, random-failures,
-                                   chaos-lossy, chaos-partition, chaos-crash-loss,
-                                   durable-crash, durable-torn-tail,
-                                   durable-recrash;
-                                   --chaos runs just the chaos trio;
-                                   --durability runs just the WAL crash-recovery
-                                   trio and fails on any acked-deposit loss;
-                                   --trace-out writes each scenario's spans and
-                                   metrics as deterministic JSONL for lems-trace,
-                                   name-suffixed when several scenarios run;
-                                   default: all, seed 3)
+  audit [--seed <n>] [--trace-out <path>] [name ...]
+                                  run audit scenarios once each and judge
+                                  every run: the engine's conservation laws,
+                                  the mail ledgers, message-lifecycle span
+                                  conservation, no acked deposit lost
+                                  (default: all, seed 3; --trace-out writes
+                                   each scenario's spans and metrics as
+                                   deterministic JSONL for lems-trace,
+                                   name-suffixed when several scenarios run)
   explore [--seed <n>] [--max-schedules <n>] [--require-exhaustive] [name ...]
                                   small-scope schedule model checker: enumerate
                                   every same-instant interleaving of tiny
-                                  deployments, audit each terminal trace, and
-                                  print failing schedules as replayable
-                                  branch-choice lists
-                                  (scenarios: s1-steady, s1-crash, s2-roam, s2-crash;
-                                   default: all, seed 3;
+                                  deployments, judge each terminal run as
+                                  audit does, and print failing schedules as
+                                  replayable branch-choice lists
+                                  (default: all, seed 3;
                                    --require-exhaustive also fails runs the
                                    bounds truncated)
-";
+
+audit scenarios:
+{}
+explore scenarios:
+{}",
+        table(AUDIT),
+        table(EXPLORE)
+    )
+}
+
+/// One `name  description` line per scenario.
+fn table(scenarios: &[Scenario]) -> String {
+    let lines: Vec<String> = scenarios
+        .iter()
+        .map(|s| format!("  {:<18} {}\n", s.name, s.description))
+        .collect();
+    lines.concat()
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -51,20 +65,43 @@ fn main() -> ExitCode {
         Some("audit") => run_audit(&args[1..]),
         Some("explore") => run_explore(&args[1..]),
         Some("--help" | "-h") | None => {
-            print!("{USAGE}");
+            print!("{}", usage());
             ExitCode::from(if args.is_empty() { 2 } else { 0 })
         }
         Some(other) => {
-            eprintln!("lems-check: unknown command `{other}`\n{USAGE}");
+            eprintln!("lems-check: unknown command `{other}`\n{}", usage());
             ExitCode::from(2)
         }
     }
 }
 
+/// The entries of `scenarios` named in `wanted` (all of them when it is
+/// empty); `None`, after printing the table, when a name matches none.
+fn select(
+    command: &str,
+    scenarios: &'static [Scenario],
+    wanted: &[String],
+) -> Option<Vec<&'static Scenario>> {
+    if let Some(w) = wanted
+        .iter()
+        .find(|w| !scenarios.iter().any(|s| s.name == w.as_str()))
+    {
+        eprintln!(
+            "lems-check {command}: no scenario matches `{w}`; have:\n{}",
+            table(scenarios)
+        );
+        return None;
+    }
+    Some(
+        scenarios
+            .iter()
+            .filter(|s| wanted.is_empty() || wanted.iter().any(|w| w == s.name))
+            .collect(),
+    )
+}
+
 fn run_audit(args: &[String]) -> ExitCode {
     let mut seed = 3u64;
-    let mut chaos_only = false;
-    let mut durability_only = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -77,8 +114,6 @@ fn run_audit(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--chaos" => chaos_only = true,
-            "--durability" => durability_only = true,
             "--trace-out" => match it.next() {
                 Some(p) => trace_out = Some(PathBuf::from(p)),
                 None => {
@@ -89,47 +124,38 @@ fn run_audit(args: &[String]) -> ExitCode {
             name => wanted.push(name.to_owned()),
         }
     }
-
-    let all = if chaos_only {
-        scenarios::run_chaos(seed)
-    } else if durability_only {
-        scenarios::run_durability(seed)
-    } else {
-        scenarios::run_all(seed)
-    };
-    let outcomes: Vec<_> = all
-        .into_iter()
-        .filter(|o| wanted.is_empty() || wanted.iter().any(|w| w == o.name))
-        .collect();
-    if outcomes.is_empty() {
-        eprintln!(
-            "lems-check audit: no scenario matches {wanted:?} (have: steady, failover, \
-             random-failures, chaos-lossy, chaos-partition, chaos-crash-loss, \
-             durable-crash, durable-torn-tail, durable-recrash)"
-        );
+    let Some(chosen) = select("audit", AUDIT, &wanted) else {
         return ExitCode::from(2);
-    }
+    };
 
     let mut dirty = false;
-    for o in &outcomes {
-        println!("scenario `{}` (seed {seed}): {}", o.name, o.description);
+    for s in &chosen {
+        let o = s.run(seed);
+        let d = &o.deployment;
+        let stats = d.stats.borrow();
+        println!("scenario `{}` (seed {seed}): {}", s.name, s.description);
         println!(
             "  {} submitted, {} retrieved, {} bounced, {} retransmit(s), \
              {} wiring error(s); trace: {}",
-            o.submitted, o.retrieved, o.bounced, o.retransmits, o.wiring_errors, o.trace
+            stats.submitted,
+            stats.retrieved,
+            stats.bounced,
+            stats.retransmits,
+            d.transport.wiring_errors(),
+            audit_trace(d.sim.trace())
         );
-        println!("  spans: {}", o.span_report);
-        for line in o.violation_lines() {
+        println!("  spans: {}", audit_spans(&d.spans.borrow(), o.quiesced));
+        for line in &o.violations {
             println!("  violation: {line}");
             dirty = true;
         }
         if let Some(base) = &trace_out {
-            let path = if outcomes.len() == 1 {
+            let path = if chosen.len() == 1 {
                 base.clone()
             } else {
-                suffixed(base, o.name)
+                suffixed(base, s.name)
             };
-            match write_trace(o, &path) {
+            match write_trace(&o, &path) {
                 Ok(lines) => println!("  wrote {lines} line(s) to {}", path.display()),
                 Err(e) => {
                     eprintln!("lems-check audit: {e}");
@@ -142,7 +168,7 @@ fn run_audit(args: &[String]) -> ExitCode {
         println!("audit: violations found");
         ExitCode::FAILURE
     } else {
-        println!("audit: {} scenario(s) clean", outcomes.len());
+        println!("audit: {} scenario(s) clean", chosen.len());
         ExitCode::SUCCESS
     }
 }
@@ -159,17 +185,11 @@ fn suffixed(base: &std::path::Path, name: &str) -> PathBuf {
 }
 
 /// Exports one scenario's telemetry to `path`; returns the line count.
-fn write_trace(o: &scenarios::ScenarioOutcome, path: &std::path::Path) -> Result<usize, String> {
-    let text = lems_obs::export::export_jsonl(&lems_obs::export::RunTelemetry {
-        run: o.name,
-        seed: o.seed,
-        finished_at: o.finished_at,
-        spans: &o.spans,
-        recoveries: &o.recoveries,
-        scopes: &o.scopes,
-        store: &o.store,
-        profile: &o.profile,
-    })?;
+fn write_trace(
+    o: &lems_check::scenarios::ScenarioOutcome,
+    path: &std::path::Path,
+) -> Result<usize, String> {
+    let text = o.export_jsonl()?;
     let lines = text.lines().count();
     std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(lines)
@@ -201,22 +221,14 @@ fn run_explore(args: &[String]) -> ExitCode {
             name => wanted.push(name.to_owned()),
         }
     }
-
-    let outcomes: Vec<_> = explore::run_all(seed, bounds)
-        .into_iter()
-        .filter(|o| wanted.is_empty() || wanted.iter().any(|w| w == o.name))
-        .collect();
-    if outcomes.is_empty() {
-        eprintln!(
-            "lems-check explore: no scenario matches {wanted:?} \
-             (have: s1-steady, s1-crash, s2-roam, s2-crash)"
-        );
+    let Some(chosen) = select("explore", EXPLORE, &wanted) else {
         return ExitCode::from(2);
-    }
+    };
 
     let mut dirty = false;
-    for o in &outcomes {
-        println!("scenario `{}` (seed {seed}): {}", o.name, o.description);
+    for s in &chosen {
+        let o = explore::explore(s, seed, bounds);
+        println!("scenario `{}` (seed {seed}): {}", s.name, s.description);
         println!(
             "  {} schedule(s) explored, {} distinct outcome(s){}",
             o.schedules,
@@ -251,7 +263,7 @@ fn run_explore(args: &[String]) -> ExitCode {
         println!("explore: counterexample(s) or truncated run(s) found");
         ExitCode::FAILURE
     } else {
-        println!("explore: {} scenario(s) clean", outcomes.len());
+        println!("explore: {} scenario(s) clean", chosen.len());
         ExitCode::SUCCESS
     }
 }

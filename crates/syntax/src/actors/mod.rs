@@ -640,8 +640,8 @@ impl Deployment {
 
     /// Per-server store durability metrics, keyed `server:n<node>` in
     /// deterministic (BTreeMap node) order. Servers whose backend reports
-    /// nothing (the all-zero default of volatile stores) are skipped, so
-    /// a fully volatile deployment exports no store-metrics lines.
+    /// nothing (the all-zero default of the in-memory stores) are skipped,
+    /// so a deployment without a WAL exports no store-metrics lines.
     pub fn store_metrics_snapshot(&self) -> Vec<(String, StoreMetrics)> {
         let mut out = Vec::new();
         for (&node, &aid) in &self.server_actors {
@@ -1097,7 +1097,13 @@ impl ServerFailurePlan {
         for &s in servers {
             let mut t = SimTime::ZERO + rng.exp_duration(mtbf);
             while t < horizon {
-                let up = t + rng.exp_duration(mttr);
+                // An exponential draw can round down to zero ticks; stretch
+                // to one tick so the outage interval stays non-empty.
+                let mut down = rng.exp_duration(mttr);
+                if down.is_zero() {
+                    down = SimDuration::from_ticks(1);
+                }
+                let up = t + down;
                 plan.add(s, t, up);
                 t = up + rng.exp_duration(mtbf);
             }
@@ -1153,6 +1159,30 @@ mod tests {
             let rec = d.directory.by_name(n).unwrap();
             assert_eq!(rec.authorities.len(), 3);
         }
+    }
+
+    /// A repair draw that rounds to zero ticks is stretched to one, as
+    /// `FailurePlan::random` does, instead of handing `add` an empty
+    /// outage (which it rejects with a panic).
+    #[test]
+    fn random_plan_stretches_a_zero_tick_repair() {
+        let f = fig1();
+        let mut rng = lems_sim::rng::SimRng::seed(1);
+        let plan = ServerFailurePlan::random(
+            &mut rng,
+            &f.servers,
+            SimDuration::from_units(10.0),
+            SimDuration::from_ticks(1),
+            t(1000.0),
+        );
+        let lengths: Vec<u64> = plan
+            .outages
+            .values()
+            .flatten()
+            .map(|&(down, up)| up.as_ticks() - down.as_ticks())
+            .collect();
+        assert!(lengths.iter().all(|&l| l >= 1));
+        assert!(lengths.contains(&1), "some repair must round to a tick");
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! plan, and a persist/restore round trip of the storage layer must not
 //! perturb a run at all.
 
+use lems_check::audit::verdict;
 use lems_net::generators::fig1;
 use lems_sim::time::SimTime;
 use lems_store::{DurabilityConfig, SyncPolicy, WalConfig};
@@ -53,6 +54,7 @@ fn crash_workload(seed: u64, durability: DurabilityConfig) -> Deployment {
         },
     );
     d.sim.enable_trace();
+    d.enable_spans();
     let names = d.user_names();
     let mut plan = ServerFailurePlan::new();
     plan.add(f.servers[0], t(10.0), t(30.0));
@@ -164,18 +166,16 @@ fn persist_restore_round_trip_preserves_trace_digest() {
 fn volatile_backend_loses_acked_mail_under_identical_crash_plan() {
     let mut d = crash_workload(3, DurabilityConfig::Volatile);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-    let st = d.stats.borrow();
-    assert_eq!(st.submitted, 12);
-    assert!(
-        st.retrieved < st.submitted,
-        "a crash of volatile storage must lose mail ({} of {} retrieved)",
-        st.retrieved,
-        st.submitted
-    );
-    drop(st);
-    let recs = d.recoveries.borrow();
-    assert_eq!(recs[0].backend, "mem-volatile");
-    assert!(recs[0].lost_messages > 0);
+    let v = verdict(&d, true);
+    for loss in [
+        "nowhere in server storage (lost)",
+        "acked message(s) (backend mem-volatile)",
+    ] {
+        assert!(
+            v.iter().any(|l| l.contains(loss)),
+            "a crash of volatile storage must lose mail: `{loss}` not in {v:?}"
+        );
+    }
 }
 
 /// Acknowledge-before-sync is the same bug with extra steps: a WAL whose
@@ -189,9 +189,10 @@ fn manual_sync_wal_loses_unsynced_records_at_crash() {
     };
     let mut d = crash_workload(3, DurabilityConfig::Wal(cfg));
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-    let recs = d.recoveries.borrow();
+    let v = verdict(&d, true);
     assert!(
-        recs[0].lost_messages > 0,
-        "records never synced must not survive the crash"
+        v.iter()
+            .any(|l| l.contains("acked message(s) (backend wal)")),
+        "records never synced must not survive the crash: {v:?}"
     );
 }

@@ -230,7 +230,8 @@ fn s1_crash_exploration_meets_acceptance_floor() {
         max_schedules: 1_000,
         ..lems_check::explore::default_bounds()
     };
-    let o = lems_check::explore::s1_crash(3, bounds);
+    let s1_crash = lems_check::scenarios::Scenario::named("s1-crash").expect("an explore scenario");
+    let o = lems_check::explore::explore(s1_crash, 3, bounds);
     assert!(
         o.schedules >= 500,
         "only {} schedules explored",

@@ -5,30 +5,26 @@
 //! schema *and* regenerable bit-for-bit — so the exporter, the inspector,
 //! and the simulator can never silently drift apart.
 
-use lems_check::scenarios;
-use lems_obs::export::{export_jsonl, RunTelemetry};
+use lems_check::scenarios::{Scenario, ScenarioOutcome};
 use lems_obs::inspect::Dump;
+use lems_sim::span::audit_spans;
 
-fn export(o: &scenarios::ScenarioOutcome) -> String {
-    export_jsonl(&RunTelemetry {
-        run: o.name,
-        seed: o.seed,
-        finished_at: o.finished_at,
-        spans: &o.spans,
-        recoveries: &o.recoveries,
-        scopes: &o.scopes,
-        store: &o.store,
-        profile: &o.profile,
-    })
-    .expect("scenario telemetry must export")
+fn run(name: &str, seed: u64) -> ScenarioOutcome {
+    Scenario::named(name)
+        .unwrap_or_else(|| panic!("no scenario `{name}`"))
+        .run(seed)
+}
+
+fn export(o: &ScenarioOutcome) -> String {
+    o.export_jsonl().expect("scenario telemetry must export")
 }
 
 /// The acceptance criterion: same seed ⇒ byte-identical bytes, and the
 /// dump parses and audits clean on its own (no access to the run).
 #[test]
 fn seeded_export_is_byte_identical_across_runs() {
-    let a = export(&scenarios::chaos_lossy(3));
-    let b = export(&scenarios::chaos_lossy(3));
+    let a = export(&run("chaos-lossy", 3));
+    let b = export(&run("chaos-lossy", 3));
     assert_eq!(a, b, "same seed must export byte-identical JSONL");
 
     let dump = Dump::parse(&a).expect("dump parses");
@@ -43,16 +39,17 @@ fn seeded_export_is_byte_identical_across_runs() {
 /// inspector-side span audit reproduces the in-process report exactly.
 #[test]
 fn exported_audit_matches_in_process_audit() {
-    let o = scenarios::chaos_partition(7);
-    assert!(o.is_clean(), "{:?}", o.violation_lines());
+    let o = run("chaos-partition", 7);
+    assert!(o.is_clean(), "{:?}", o.violations);
     let dump = Dump::parse(&export(&o)).expect("dump parses");
     let report = dump.audit(true);
     assert!(report.is_clean(), "{:?}", report.violations);
-    assert_eq!(report.opened, o.span_report.opened);
-    assert_eq!(report.retrieved, o.span_report.retrieved);
-    assert_eq!(report.bounced, o.span_report.bounced);
-    assert_eq!(report.checks_done, o.span_report.checks_done);
-    assert_eq!(report.retransmits, o.span_report.retransmits);
+    let live = audit_spans(&o.deployment.spans.borrow(), true);
+    assert_eq!(report.opened, live.opened);
+    assert_eq!(report.retrieved, live.retrieved);
+    assert_eq!(report.bounced, live.bounced);
+    assert_eq!(report.checks_done, live.checks_done);
+    assert_eq!(report.retransmits, live.retransmits);
 }
 
 /// Golden-schema gate (mirrors `bench_schema.rs`): the committed dump
@@ -66,7 +63,7 @@ fn committed_golden_dump_is_current_and_regenerable() {
     assert_eq!(dump.run, "steady");
     assert!(dump.audit(true).is_clean());
 
-    let fresh = export(&scenarios::steady_exchange(3));
+    let fresh = export(&run("steady", 3));
     assert_eq!(
         fresh, committed,
         "schema or telemetry drift: regenerate with \
@@ -94,7 +91,7 @@ fn committed_recovery_dump_is_current_and_regenerable() {
     );
     assert_eq!(r.lost_messages, 0, "acked deposits survive the torn tail");
 
-    let fresh = export(&scenarios::durable_torn_tail(3));
+    let fresh = export(&run("durable-torn-tail", 3));
     assert_eq!(
         fresh, committed,
         "schema or telemetry drift: regenerate with \
@@ -135,7 +132,7 @@ fn committed_profile_dump_is_current_and_regenerable() {
         "wall-clock readings live in the side channel, never in the export"
     );
 
-    let fresh = export(&scenarios::chaos_partition(3));
+    let fresh = export(&run("chaos-partition", 3));
     assert_eq!(
         fresh, committed,
         "schema or telemetry drift: regenerate with \

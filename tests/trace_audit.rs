@@ -8,41 +8,48 @@
 use lems::net::generators::fig1;
 use lems::sim::time::SimTime;
 use lems::syntax::{Deployment, DeploymentConfig, ServerFailurePlan};
-use lems_check::audit::{audit_deployment, audit_trace};
-use lems_check::scenarios;
+use lems_check::audit::{audit_trace, verdict};
+use lems_check::scenarios::{Scenario, ScenarioOutcome};
 
 /// Every scenario here quiesces far below this; exhausting it means a
 /// stuck retry loop, which must fail the test rather than hang it.
 const EVENT_BUDGET: u64 = 2_000_000;
 
+fn run(name: &str, seed: u64) -> ScenarioOutcome {
+    Scenario::named(name)
+        .unwrap_or_else(|| panic!("no scenario `{name}`"))
+        .run(seed)
+}
+
 #[test]
 fn steady_scenario_conserves_every_message() {
     for seed in [1, 4, 9] {
-        let o = scenarios::steady_exchange(seed);
-        assert!(o.is_clean(), "seed {seed}: {:?}", o.violation_lines());
-        assert_eq!(o.retrieved, o.submitted - o.bounced, "seed {seed}");
+        let o = run("steady", seed);
+        assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
         // Conservation at the stream level: sends = delivers + drops.
-        assert_eq!(o.trace.sends, o.trace.delivers + o.trace.drops);
+        let trace = audit_trace(o.deployment.sim.trace());
+        assert_eq!(trace.sends, trace.delivers + trace.drops);
     }
 }
 
 #[test]
 fn failover_scenario_conserves_through_crash_and_recovery() {
     for seed in [1, 4, 9] {
-        let o = scenarios::primary_outage_failover(seed);
-        assert!(o.is_clean(), "seed {seed}: {:?}", o.violation_lines());
-        assert_eq!(o.trace.crashes, 1, "seed {seed}");
-        assert_eq!(o.trace.recoveries, 1, "seed {seed}");
-        assert_eq!(o.retrieved, o.submitted - o.bounced, "seed {seed}");
+        let o = run("failover", seed);
+        assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
+        let trace = audit_trace(o.deployment.sim.trace());
+        assert_eq!(trace.crashes, 1, "seed {seed}");
+        assert_eq!(trace.recoveries, 1, "seed {seed}");
     }
 }
 
 #[test]
 fn random_failure_scenario_conserves_across_seeds() {
     for seed in [2, 7] {
-        let o = scenarios::random_failures(seed);
-        assert!(o.is_clean(), "seed {seed}: {:?}", o.violation_lines());
-        assert_eq!(o.trace.crashes, o.trace.recoveries, "seed {seed}");
+        let o = run("random-failures", seed);
+        assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
+        let trace = audit_trace(o.deployment.sim.trace());
+        assert_eq!(trace.crashes, trace.recoveries, "seed {seed}");
     }
 }
 
@@ -62,6 +69,7 @@ fn getmail_under_outage_strands_nothing() {
         },
     );
     d.sim.enable_trace();
+    d.enable_spans();
 
     let mut plan = ServerFailurePlan::new();
     plan.add(
@@ -84,13 +92,11 @@ fn getmail_under_outage_strands_nothing() {
     d.check_at(t(60.0), &names[0]);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
-    let trace_report = audit_trace(d.sim.trace());
-    assert!(trace_report.is_clean(), "{trace_report}");
-    assert_eq!(trace_report.crashes, 1);
-    assert_eq!(trace_report.recoveries, 1);
-
-    let domain = audit_deployment(&d, true);
-    assert!(domain.is_empty(), "{domain:?}");
+    let violations = verdict(&d, true);
+    assert!(violations.is_empty(), "{violations:?}");
+    let trace = audit_trace(d.sim.trace());
+    assert_eq!(trace.crashes, 1);
+    assert_eq!(trace.recoveries, 1);
     let st = d.stats.borrow();
     assert_eq!(st.retrieved, 3, "all three deposits must be drained");
     assert_eq!(st.outstanding(), 0);
