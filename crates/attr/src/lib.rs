@@ -9,8 +9,6 @@
 //!   visibility (the paper's privacy requirement);
 //! * [`fuzzy`] — edit-distance and Soundex matching for misspelled-name
 //!   lookups;
-//! * [`lookup`] — interactive directory lookup with
-//!   best-discriminator refinement suggestions (application i of §3.3);
 //! * [`query`] — the boolean query language over attributes;
 //! * [`registry`] — per-server attribute databases, stored by column the
 //!   way a query reads them;
@@ -33,7 +31,6 @@
 pub mod attribute;
 pub mod distribute;
 pub mod fuzzy;
-pub mod lookup;
 pub mod query;
 pub mod registry;
 pub mod search;
@@ -41,7 +38,6 @@ pub mod search;
 pub use attribute::{AttrKey, AttrValue, Attribute, AttributeSet, RequesterContext, Visibility};
 pub use distribute::{distribute, estimate, DistributionEstimate, DistributionOutcome};
 pub use fuzzy::{classify, edit_distance, soundex, MatchQuality};
-pub use lookup::{LookupSession, LookupState};
 pub use query::{Predicate, Query};
 pub use registry::AttributeRegistry;
 pub use search::{AttributeNetwork, SearchOutcome};

@@ -6,7 +6,7 @@
 //! answers from its local registry.
 //!
 //! A registry is stored the way a search reads it (DESIGN.md §17). Its
-//! [`Table`] keeps one column per attribute key: a run of 16-byte cells,
+//! `Table` keeps one column per attribute key: a run of 16-byte cells,
 //! each naming its row, who may see it, and either the span of its
 //! lowercased text in one arena or its number. A predicate is one pass
 //! over one key's cells, with nothing to fold and no profile to reach

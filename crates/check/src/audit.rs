@@ -280,14 +280,14 @@ pub fn audit_trace(trace: &Trace) -> AuditReport {
 /// * **no-stuck-retry** — the run quiesced;
 /// * **trace conservation** — the laws of [`audit_trace`];
 /// * **id ledgers** — retrieved and bounced ids were submitted and are
-///   disjoint, and the counters agree with the ledgers; nothing is
-///   outstanding, and every stored id was submitted, not bounced, and
-///   retrieved. A stored *retrieved* id is tolerated: at-least-once
-///   submission over a lossy wire can legally deposit a message on two
-///   authority servers (the ack for the first deposit was lost), the UI
-///   dedups on retrieval, and the residue copy is indistinguishable from
-///   unread mail to the server holding it. The transport counted no
-///   wiring errors;
+///   disjoint, and the submitted, retrieved and bounced counters agree
+///   with their ledgers; nothing is outstanding, and every stored id was
+///   submitted, not bounced, and retrieved. A stored *retrieved* id is
+///   tolerated: at-least-once submission over a lossy wire can legally
+///   deposit a message on two authority servers (the ack for the first
+///   deposit was lost), the UI dedups on retrieval, and the residue copy
+///   is indistinguishable from unread mail to the server holding it. The
+///   transport counted no wiring errors;
 /// * **span conservation** — every span reaches at most one terminal
 ///   stage, exactly one if the run quiesced, and the spans count as many
 ///   retransmissions as the session layer;
@@ -327,6 +327,7 @@ pub fn verdict(d: &Deployment, quiesced: bool) -> Vec<String> {
     for (what, counter, ids) in [
         ("retrieved", stats.retrieved, stats.ledger_retrieved.len()),
         ("submitted", stats.submitted, stats.ledger_submitted.len()),
+        ("bounced", stats.bounced, stats.ledger_bounced.len()),
     ] {
         if counter != ids as u64 {
             out.push(format!(
@@ -591,9 +592,7 @@ mod tests {
         use lems_sim::span::SpanStage;
 
         let steady = || {
-            let o = Scenario::named("steady")
-                .expect("steady is an audit scenario")
-                .run(3);
+            let o = Scenario::named("steady").run(3);
             assert!(o.is_clean(), "{:?}", o.violations);
             o.deployment
         };
@@ -609,6 +608,10 @@ mod tests {
         let d = steady();
         d.stats.borrow_mut().retrieved += 1;
         reports(verdict(&d, true), "retrieved counter");
+
+        let d = steady();
+        d.stats.borrow_mut().bounced += 1;
+        reports(verdict(&d, true), "bounced counter");
 
         let d = steady();
         {

@@ -13,7 +13,7 @@
 //!
 //! A failing schedule is reported as a [`Counterexample`] carrying the
 //! branch-choice list; replaying it through
-//! [`ReplayScheduler`](lems_sim::sched::ReplayScheduler) reproduces the
+//! [`ReplayScheduler`] reproduces the
 //! violating run byte-identically, which the driver verifies before
 //! reporting.
 
@@ -44,7 +44,7 @@ pub fn default_bounds() -> ExploreBounds {
 #[derive(Clone, Debug)]
 pub struct Counterexample {
     /// Branch-choice list; replay with
-    /// [`ReplayScheduler`](lems_sim::sched::ReplayScheduler).
+    /// [`ReplayScheduler`].
     pub schedule: Schedule,
     /// The violated checks, rendered.
     pub violations: Vec<String>,
@@ -167,14 +167,10 @@ mod tests {
         }
     }
 
-    fn scenario(name: &str) -> &'static Scenario {
-        Scenario::named(name).unwrap_or_else(|| panic!("no scenario `{name}`"))
-    }
-
     #[test]
     fn s2_roam_and_crash_explore_clean() {
         for name in ["s2-roam", "s2-crash"] {
-            let o = explore(scenario(name), 3, bounds(20_000));
+            let o = explore(Scenario::named(name), 3, bounds(20_000));
             assert!(
                 o.is_clean(),
                 "{name}: counterexample {:?}",
@@ -193,7 +189,7 @@ mod tests {
     #[test]
     fn counterexamples_replay_byte_identically() {
         // Baseline: the FIFO schedule's terminal fingerprint.
-        let s1_steady = scenario("s1-steady");
+        let s1_steady = Scenario::named("s1-steady");
         let baseline = {
             let mut d = (s1_steady.build)(3);
             assert!(d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET));

@@ -119,8 +119,19 @@ pub static EXPLORE: &[Scenario] = &[
 
 impl Scenario {
     /// The entry of [`AUDIT`] or [`EXPLORE`] called `name`.
-    pub fn named(name: &str) -> Option<&'static Scenario> {
-        AUDIT.iter().chain(EXPLORE).find(|s| s.name == name)
+    ///
+    /// # Panics
+    ///
+    /// Panics if no scenario is called `name`: tests name scenarios
+    /// literally; the CLI looks names up in its own table and reports an
+    /// unknown one as a usage error.
+    #[expect(clippy::panic, reason = "an unknown literal name is a test bug")]
+    pub fn named(name: &str) -> &'static Scenario {
+        AUDIT
+            .iter()
+            .chain(EXPLORE)
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no scenario `{name}`"))
     }
 
     /// Builds the scenario at `seed`, runs it to quiescence within
@@ -635,15 +646,9 @@ mod tests {
     use super::*;
     use crate::audit::audit_trace;
 
-    fn run(name: &str, seed: u64) -> ScenarioOutcome {
-        Scenario::named(name)
-            .unwrap_or_else(|| panic!("no scenario `{name}`"))
-            .run(seed)
-    }
-
     #[test]
     fn steady_scenario_is_clean_and_nontrivial() {
-        let o = run("steady", 3);
+        let o = Scenario::named("steady").run(3);
         assert!(o.is_clean(), "{:?}", o.violations);
         let st = o.deployment.stats.borrow();
         assert!(st.submitted >= 12 && st.retrieved == st.submitted - st.bounced);
@@ -653,7 +658,7 @@ mod tests {
 
     #[test]
     fn failover_scenario_exercises_crash_paths_and_stays_clean() {
-        let o = run("failover", 3);
+        let o = Scenario::named("failover").run(3);
         assert!(o.is_clean(), "{:?}", o.violations);
         let trace = audit_trace(o.deployment.sim.trace());
         assert_eq!(trace.crashes, 1);
@@ -664,14 +669,14 @@ mod tests {
     #[test]
     fn random_failure_scenario_is_clean_across_seeds() {
         for seed in [1, 2] {
-            let o = run("random-failures", seed);
+            let o = Scenario::named("random-failures").run(seed);
             assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
         }
     }
 
     #[test]
     fn chaos_lossy_scenario_is_clean_and_actually_lossy() {
-        let o = run("chaos-lossy", 3);
+        let o = Scenario::named("chaos-lossy").run(3);
         assert!(o.is_clean(), "{:?}", o.violations);
         let trace = audit_trace(o.deployment.sim.trace());
         assert!(trace.link_drops > 0, "8% loss must drop something");
@@ -685,7 +690,7 @@ mod tests {
     /// completes with zero lost mail under the session layer...
     #[test]
     fn chaos_partition_scenario_loses_nothing() {
-        let o = run("chaos-partition", 7);
+        let o = Scenario::named("chaos-partition").run(7);
         assert!(o.is_clean(), "{:?}", o.violations);
         let trace = audit_trace(o.deployment.sim.trace());
         assert!(trace.link_drops > 0, "the partition must cut traffic");
@@ -715,7 +720,7 @@ mod tests {
     /// metric registries, and kernel-profiler samples.
     #[test]
     fn scenarios_carry_span_and_metric_evidence() {
-        let o = run("steady", 3);
+        let o = Scenario::named("steady").run(3);
         let d = &o.deployment;
         let spans = lems_sim::span::audit_spans(&d.spans.borrow(), true);
         let st = d.stats.borrow();
@@ -749,14 +754,14 @@ mod tests {
     #[test]
     fn durable_scenarios_carry_store_metrics() {
         for name in ["durable-crash", "durable-torn-tail", "durable-recrash"] {
-            let o = run(name, 3);
+            let o = Scenario::named(name).run(3);
             assert!(o.is_clean(), "{name}: {:?}", o.violations);
             assert!(
                 !o.deployment.recoveries.borrow().is_empty(),
                 "{name} recorded no store recovery"
             );
         }
-        let o = run("durable-crash", 3);
+        let o = Scenario::named("durable-crash").run(3);
         let store = o.deployment.store_metrics_snapshot();
         assert!(!store.is_empty(), "WAL servers must export store metrics");
         for (scope, m) in &store {
@@ -771,7 +776,7 @@ mod tests {
 
     #[test]
     fn chaos_crash_loss_scenario_is_clean() {
-        let o = run("chaos-crash-loss", 3);
+        let o = Scenario::named("chaos-crash-loss").run(3);
         assert!(o.is_clean(), "{:?}", o.violations);
         let trace = audit_trace(o.deployment.sim.trace());
         assert_eq!(trace.crashes, 1);

@@ -5,8 +5,6 @@
 //! ICDCS 1988):
 //!
 //! * [`name`] — hierarchical `region.host.user` names (§3.1.1);
-//! * [`hierarchy`] — the generalisation to "three or four" (or more)
-//!   levels with telephone-style longest-prefix zone resolution;
 //! * [`message`] — messages, ids, and delivery status;
 //! * [`mailbox`] — server-side stable storage for undelivered mail
 //!   (§3.1.2c);
@@ -35,7 +33,6 @@
 #![deny(unused_must_use)]
 
 pub mod directory;
-pub mod hierarchy;
 pub mod mailbox;
 pub mod message;
 pub mod name;
@@ -44,7 +41,6 @@ pub mod user;
 pub mod workload;
 
 pub use directory::{Directory, DirectoryError, ServerView};
-pub use hierarchy::{HierName, ZoneTable};
 pub use mailbox::{Mailbox, StoredMessage};
 pub use message::{BounceReason, DeliveryStatus, Message, MessageId, MessageIdGen};
 pub use name::{MailName, ParseNameError};

@@ -171,7 +171,8 @@ impl Mailbox {
         self.retrieved_total
     }
 
-    /// Messages ever reclaimed by [`Mailbox::expire_older_than`].
+    /// Messages ever reclaimed by
+    /// [`MailStore::expire_older_than`](crate::store::MailStore::expire_older_than).
     pub fn expired_total(&self) -> u64 {
         self.expired_total
     }

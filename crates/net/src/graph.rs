@@ -146,8 +146,9 @@ impl Edge {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::NotAnEndpoint`] if `n` is not an endpoint of
-    /// this edge.
+    /// Returns
+    /// [`NetError::NotAnEndpoint`](crate::error::NetError::NotAnEndpoint)
+    /// if `n` is not an endpoint of this edge.
     pub fn other(&self, n: NodeId) -> Result<NodeId, crate::error::NetError> {
         if n == self.a {
             Ok(self.b)

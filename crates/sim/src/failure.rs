@@ -13,6 +13,35 @@ use crate::actor::{ActorId, ActorSim};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
+/// One actor's `(down, up)` outage instants over `[0, horizon)`, in
+/// order: up intervals are exponential with mean `mtbf`, down intervals
+/// exponential with mean `mttr`. Both random plans draw through here, so
+/// a seed gives the same outages whichever plan type it builds. The draws
+/// come from `rng` lazily, up, down, up, …; exhaust the iterator before
+/// drawing for the next actor.
+pub fn exp_outages(
+    rng: &mut SimRng,
+    mtbf: SimDuration,
+    mttr: SimDuration,
+    horizon: SimTime,
+) -> impl Iterator<Item = (SimTime, SimTime)> + '_ {
+    let mut t = SimTime::ZERO + rng.exp_duration(mtbf);
+    std::iter::from_fn(move || {
+        if t >= horizon {
+            return None;
+        }
+        // An exponential draw can round down to zero ticks; stretch to one
+        // tick so the outage interval stays non-empty.
+        let mut down = rng.exp_duration(mttr);
+        if down.is_zero() {
+            down = SimDuration::from_ticks(1);
+        }
+        let outage = (t, t + down);
+        t = outage.1 + rng.exp_duration(mtbf);
+        Some(outage)
+    })
+}
+
 /// Why a failure or link-fault plan could not be constructed.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FailureError {
@@ -151,17 +180,8 @@ impl FailurePlan {
         }
         let mut plan = FailurePlan::new();
         for &actor in actors {
-            let mut t = SimTime::ZERO + rng.exp_duration(mtbf);
-            while t < horizon {
-                // An exponential draw can round down to zero ticks; stretch
-                // to one tick so the outage interval stays non-empty.
-                let mut down = rng.exp_duration(mttr);
-                if down.is_zero() {
-                    down = SimDuration::from_ticks(1);
-                }
-                let repair = t + down;
-                plan.add_outage(actor, t, repair)?;
-                t = repair + rng.exp_duration(mtbf);
+            for (down, up) in exp_outages(rng, mtbf, mttr, horizon) {
+                plan.add_outage(actor, down, up)?;
             }
         }
         Ok(plan)

@@ -124,7 +124,7 @@ struct Cell {
 ///   `capacity`).
 /// * `"queue"` — calendar-queue aggregates (`depth`, `front`,
 ///   `in-buckets`, `overflow`, `buckets`, `resizes`) and the depth
-///   timeline (`name == "depth-sample"`, one per [`SAMPLE_EVERY`]
+///   timeline (`name == "depth-sample"`, one per 1024
 ///   dispatches, `at` carrying the sample instant).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProfSample {

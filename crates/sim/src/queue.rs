@@ -14,7 +14,7 @@
 //! [`ready`](EventQueue::ready) view are O(1) and allocation-free. Pushes
 //! binary-insert into the front (same day) or link onto a bucket's chain
 //! (later day); days beyond the ring spill into a small ordered overflow
-//! map. Payloads live in a generation-checked [`Pool`](crate::pool::Pool)
+//! map. Payloads live in a generation-checked [`Pool`]
 //! beside their `(ticks, seq)` key and a `next` index, and a bucket is just
 //! the `u32` index of its first slot: the chain runs through the pool's own
 //! slots, so filing an event under a later day is two stores and never an

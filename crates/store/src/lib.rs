@@ -1,7 +1,7 @@
 //! # lems-store — log-structured mailbox persistence
 //!
 //! The write-ahead-log backend behind `lems-core`'s
-//! [`MailStore`](lems_core::store::MailStore) trait, plus the
+//! [`MailStore`] trait, plus the
 //! [`DurabilityConfig`] deployments use to pick a backend:
 //!
 //! * [`codec`] — checksummed, length-prefixed, schema-versioned record

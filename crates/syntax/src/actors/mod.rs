@@ -1084,8 +1084,9 @@ impl ServerFailurePlan {
         self.outages.entry(server).or_default().push((down, up));
     }
 
-    /// Random outages for the given servers (exponential MTBF/MTTR),
-    /// mirroring [`lems_sim::failure::FailurePlan::random`].
+    /// Random outages for the given servers (exponential MTBF/MTTR), drawn
+    /// by [`lems_sim::failure::exp_outages`] exactly as
+    /// [`lems_sim::failure::FailurePlan::random`] draws them.
     pub fn random(
         rng: &mut lems_sim::rng::SimRng,
         servers: &[NodeId],
@@ -1095,17 +1096,8 @@ impl ServerFailurePlan {
     ) -> Self {
         let mut plan = Self::new();
         for &s in servers {
-            let mut t = SimTime::ZERO + rng.exp_duration(mtbf);
-            while t < horizon {
-                // An exponential draw can round down to zero ticks; stretch
-                // to one tick so the outage interval stays non-empty.
-                let mut down = rng.exp_duration(mttr);
-                if down.is_zero() {
-                    down = SimDuration::from_ticks(1);
-                }
-                let up = t + down;
-                plan.add(s, t, up);
-                t = up + rng.exp_duration(mtbf);
+            for (down, up) in lems_sim::failure::exp_outages(rng, mtbf, mttr, horizon) {
+                plan.add(s, down, up);
             }
         }
         plan

@@ -26,11 +26,18 @@
 //!
 //! ## Scaling beyond the worked example
 //!
-//! [`balance`] re-evaluates the full objective on every tentative move —
-//! `O(hosts × servers)` per transfer — which is perfect for auditing the
-//! paper's 6-host example and hopeless at a million users. The scaled
-//! solver ([`balance_sync`], options in [`ScaleOptions`]) runs
-//! *synchronous passes* instead:
+//! [`balance`] judges each tentative move by its exact `O(1)` change of
+//! the objective ([`transfer_delta`]), so a trial costs the two
+//! `O(servers)` scans that find `S_min` and `S_max`, and the paper's rule
+//! runs at a million users. Recomputing the whole `O(hosts × servers)`
+//! sum before and after each move would cost more, and it would also
+//! decide wrongly: the two sums' round-off outweighs `COST_EPS`, so a
+//! move that changes nothing could pass as a gain.
+//!
+//! The scaled solver ([`balance_sync`], options in [`ScaleOptions`]) is a
+//! different rule, not a faster one. Near the ρ cutoff the paper's
+//! average-cost `S_min` stalls (see `propose_move`), and the scaled
+//! solver reaches lower-cost fixed points. It runs *synchronous passes*:
 //!
 //! 1. **Evaluate** — against loads frozen at the start of the pass, each
 //!    host independently proposes moving users off its most expensive
@@ -417,7 +424,7 @@ pub struct BalanceReport {
     pub passes: u64,
     /// Accepted user transfers (each of up to `batch` users).
     pub moves: u64,
-    /// Tentative transfers that were undone.
+    /// Tentative transfers that were refused (the paper's undo).
     pub undone: u64,
     /// Objective before balancing.
     pub initial_cost: f64,
@@ -431,9 +438,10 @@ pub struct BalanceReport {
 /// server with minimum `TC_ij` at current loads and `S_max` the
 /// maximum-cost server among those with `A_ik > 0`. If they differ and
 /// `S_min` is strictly cheaper, up to `batch` users move from `S_max` to
-/// `S_min`; the move is kept only if it lowers the total objective
-/// ("otherwise undo the previous action"). Passes repeat "until no more
-/// changes are needed".
+/// `S_min`; the move is made only if its exact change of the total
+/// objective ([`transfer_delta`]) is below `-COST_EPS` ("otherwise undo
+/// the previous action"). Passes repeat "until no more changes are
+/// needed".
 ///
 /// Termination: every kept move strictly decreases the objective, and the
 /// (finite) assignment space contains no infinite strictly-decreasing
@@ -485,16 +493,15 @@ pub fn balance(p: &AssignmentProblem, a: &mut Assignment, opts: BalanceOptions) 
                     if k == 0 {
                         break;
                     }
-                    let before = a.total_cost(p);
-                    a.transfer(i, s_max, s_min, k);
-                    let after = a.total_cost(p);
-                    if after < before - COST_EPS {
+                    // "Recompute costs" exactly: two total_cost sums
+                    // differ by more round-off than COST_EPS.
+                    if transfer_delta(p, a, i, s_max, s_min, k) < -COST_EPS {
+                        a.transfer(i, s_max, s_min, k);
                         report.moves += 1;
                         changed = true;
                         accepted = true;
                         break;
                     }
-                    a.transfer(i, s_min, s_max, k); // undo
                     report.undone += 1;
                     if k == 1 {
                         break;

@@ -22,12 +22,8 @@
 //!   timeouts and retransmissions — wired from a [`Placement`], so
 //!   System 2 (`lems-locindep`) runs on the same actors with a hashed
 //!   placement and login tracking;
-//! * [`groups`] — distribution lists with nested expansion (§4.3 group
-//!   naming — the conventional baseline System 3 replaces);
 //! * [`cache`] — the §4.1 "caching capability": LRU+TTL resolution
 //!   caching with reconfiguration-aware invalidation;
-//! * [`retention`] — the §3.1.2c archiving/clean-up policy protecting
-//!   server storage;
 //! * [`reconfig`] — add/delete users, hosts, servers with rebalancing
 //!   (§3.1.3);
 //! * [`migrate`] — rename + redirect + notify for migrating users
@@ -59,11 +55,9 @@ pub mod assign;
 pub mod cache;
 pub mod cost;
 pub mod getmail;
-pub mod groups;
 pub mod migrate;
 pub mod reconfig;
 pub mod resolve;
-pub mod retention;
 
 pub use actors::{
     ChaosError, DeliveryStats, Deployment, DeploymentConfig, LinkChaos, MailMsg, Partition,
@@ -76,8 +70,6 @@ pub use assign::{
 pub use cache::{CacheStats, ResolutionCache};
 pub use cost::{CostModel, ServerSpec};
 pub use getmail::{GetMailState, PlanStore, ProbeReply, Prober, RetrievalOutcome};
-pub use groups::{GroupError, GroupTable, Member};
 pub use migrate::{migrate_user, MigrationOutcome, Redirect, RedirectTable};
 pub use reconfig::{ReconfigReport, Reconfigurator};
 pub use resolve::{Resolution, SyntaxResolver};
-pub use retention::{sweep as retention_sweep, CleanupReport, RetentionPolicy};

@@ -190,3 +190,18 @@ fn digest_is_seed_sensitive() {
     assert_eq!(d(5), d(5));
     assert_ne!(d(5), d(6));
 }
+
+/// The paper rule keeps a move only if it strictly lowers the objective.
+/// On case 18, host 456's one-user move 28 → 31 changes the total by
+/// exactly zero, while recomputing the 1.47e9 total before and after
+/// reads −2.4e-7 of round-off. An accept test on the two sums takes that
+/// for a gain (551 moves); judged by its exact change the move is
+/// refused.
+#[test]
+fn paper_rule_refuses_a_zero_gain_move_on_case_18() {
+    let c = cases().into_iter().find(|c| c.seed == 18).expect("case 18");
+    let p = c.build();
+    let (a, report) = assign::solve(&p, assign::BalanceOptions::default());
+    assert_eq!(report.moves, 550);
+    assert_eq!(a.digest(), 0x5947_db9f_089d_e2e0);
+}

@@ -166,6 +166,7 @@ fn persist_restore_round_trip_preserves_trace_digest() {
 fn volatile_backend_loses_acked_mail_under_identical_crash_plan() {
     let mut d = crash_workload(3, DurabilityConfig::Volatile);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+    assert_eq!(d.stats.borrow().submitted, 12);
     let v = verdict(&d, true);
     for loss in [
         "nowhere in server storage (lost)",

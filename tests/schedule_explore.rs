@@ -230,7 +230,7 @@ fn s1_crash_exploration_meets_acceptance_floor() {
         max_schedules: 1_000,
         ..lems_check::explore::default_bounds()
     };
-    let s1_crash = lems_check::scenarios::Scenario::named("s1-crash").expect("an explore scenario");
+    let s1_crash = lems_check::scenarios::Scenario::named("s1-crash");
     let o = lems_check::explore::explore(s1_crash, 3, bounds);
     assert!(
         o.schedules >= 500,

@@ -9,12 +9,6 @@ use lems_check::scenarios::{Scenario, ScenarioOutcome};
 use lems_obs::inspect::Dump;
 use lems_sim::span::audit_spans;
 
-fn run(name: &str, seed: u64) -> ScenarioOutcome {
-    Scenario::named(name)
-        .unwrap_or_else(|| panic!("no scenario `{name}`"))
-        .run(seed)
-}
-
 fn export(o: &ScenarioOutcome) -> String {
     o.export_jsonl().expect("scenario telemetry must export")
 }
@@ -23,8 +17,8 @@ fn export(o: &ScenarioOutcome) -> String {
 /// dump parses and audits clean on its own (no access to the run).
 #[test]
 fn seeded_export_is_byte_identical_across_runs() {
-    let a = export(&run("chaos-lossy", 3));
-    let b = export(&run("chaos-lossy", 3));
+    let a = export(&Scenario::named("chaos-lossy").run(3));
+    let b = export(&Scenario::named("chaos-lossy").run(3));
     assert_eq!(a, b, "same seed must export byte-identical JSONL");
 
     let dump = Dump::parse(&a).expect("dump parses");
@@ -39,7 +33,7 @@ fn seeded_export_is_byte_identical_across_runs() {
 /// inspector-side span audit reproduces the in-process report exactly.
 #[test]
 fn exported_audit_matches_in_process_audit() {
-    let o = run("chaos-partition", 7);
+    let o = Scenario::named("chaos-partition").run(7);
     assert!(o.is_clean(), "{:?}", o.violations);
     let dump = Dump::parse(&export(&o)).expect("dump parses");
     let report = dump.audit(true);
@@ -63,7 +57,7 @@ fn committed_golden_dump_is_current_and_regenerable() {
     assert_eq!(dump.run, "steady");
     assert!(dump.audit(true).is_clean());
 
-    let fresh = export(&run("steady", 3));
+    let fresh = export(&Scenario::named("steady").run(3));
     assert_eq!(
         fresh, committed,
         "schema or telemetry drift: regenerate with \
@@ -91,7 +85,7 @@ fn committed_recovery_dump_is_current_and_regenerable() {
     );
     assert_eq!(r.lost_messages, 0, "acked deposits survive the torn tail");
 
-    let fresh = export(&run("durable-torn-tail", 3));
+    let fresh = export(&Scenario::named("durable-torn-tail").run(3));
     assert_eq!(
         fresh, committed,
         "schema or telemetry drift: regenerate with \
@@ -132,7 +126,7 @@ fn committed_profile_dump_is_current_and_regenerable() {
         "wall-clock readings live in the side channel, never in the export"
     );
 
-    let fresh = export(&run("chaos-partition", 3));
+    let fresh = export(&Scenario::named("chaos-partition").run(3));
     assert_eq!(
         fresh, committed,
         "schema or telemetry drift: regenerate with \

@@ -9,22 +9,16 @@ use lems::net::generators::fig1;
 use lems::sim::time::SimTime;
 use lems::syntax::{Deployment, DeploymentConfig, ServerFailurePlan};
 use lems_check::audit::{audit_trace, verdict};
-use lems_check::scenarios::{Scenario, ScenarioOutcome};
+use lems_check::scenarios::Scenario;
 
 /// Every scenario here quiesces far below this; exhausting it means a
 /// stuck retry loop, which must fail the test rather than hang it.
 const EVENT_BUDGET: u64 = 2_000_000;
 
-fn run(name: &str, seed: u64) -> ScenarioOutcome {
-    Scenario::named(name)
-        .unwrap_or_else(|| panic!("no scenario `{name}`"))
-        .run(seed)
-}
-
 #[test]
 fn steady_scenario_conserves_every_message() {
     for seed in [1, 4, 9] {
-        let o = run("steady", seed);
+        let o = Scenario::named("steady").run(seed);
         assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
         // Conservation at the stream level: sends = delivers + drops.
         let trace = audit_trace(o.deployment.sim.trace());
@@ -35,7 +29,7 @@ fn steady_scenario_conserves_every_message() {
 #[test]
 fn failover_scenario_conserves_through_crash_and_recovery() {
     for seed in [1, 4, 9] {
-        let o = run("failover", seed);
+        let o = Scenario::named("failover").run(seed);
         assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
         let trace = audit_trace(o.deployment.sim.trace());
         assert_eq!(trace.crashes, 1, "seed {seed}");
@@ -46,7 +40,7 @@ fn failover_scenario_conserves_through_crash_and_recovery() {
 #[test]
 fn random_failure_scenario_conserves_across_seeds() {
     for seed in [2, 7] {
-        let o = run("random-failures", seed);
+        let o = Scenario::named("random-failures").run(seed);
         assert!(o.is_clean(), "seed {seed}: {:?}", o.violations);
         let trace = audit_trace(o.deployment.sim.trace());
         assert_eq!(trace.crashes, trace.recoveries, "seed {seed}");
