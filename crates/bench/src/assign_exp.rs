@@ -6,7 +6,7 @@ use std::fmt::Write;
 use lems_net::generators::{fig1, table3, Fig1Scenario};
 use lems_net::graph::NodeId;
 use lems_syntax::assign::{
-    balance, initialize, server_ranking, Assignment, AssignmentProblem, BalanceOptions,
+    balance, initialize, server_rankings, Assignment, AssignmentProblem, BalanceOptions,
     BalanceReport,
 };
 use lems_syntax::cost::{CostModel, ServerSpec};
@@ -96,14 +96,7 @@ pub fn batch_ablation(batches: &[u32]) -> Vec<BatchRow> {
         .iter()
         .map(|&batch| {
             let mut a = initialize(&p);
-            let r = balance(
-                &p,
-                &mut a,
-                BalanceOptions {
-                    batch,
-                    ..BalanceOptions::default()
-                },
-            );
+            let r = balance(&p, &mut a, BalanceOptions { batch });
             BatchRow {
                 batch,
                 moves: r.moves,
@@ -189,7 +182,7 @@ pub fn add_server_reconvergence() -> ReconfigRow {
     let (_, p) = fig1_problem();
     let (a, _) = lems_syntax::assign::solve(&p, BalanceOptions::default());
     let cost_before = a.total_cost(&p);
-    let mut rec = Reconfigurator::new(p, a, BalanceOptions::default());
+    let mut rec = Reconfigurator::new(p, a);
     let report = rec.add_server(
         NodeId(100),
         ServerSpec::paper_example(),
@@ -211,9 +204,11 @@ pub fn add_server_reconvergence() -> ReconfigRow {
 pub fn fig1_rankings() -> Vec<(String, Vec<String>)> {
     let (f, p) = fig1_problem();
     let (a, _) = lems_syntax::assign::solve(&p, BalanceOptions::default());
-    (0..p.host_count())
-        .map(|i| {
-            let names: Vec<String> = server_ranking(&p, &a, i)
+    server_rankings(&p, &a, p.server_count())
+        .into_iter()
+        .enumerate()
+        .map(|(i, ranking)| {
+            let names: Vec<String> = ranking
                 .into_iter()
                 .map(|j| f.topology.name(p.servers[j].0).to_owned())
                 .collect();

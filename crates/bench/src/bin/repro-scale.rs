@@ -1,7 +1,8 @@
 //! SCALE: the §3.1.1 assignment pipeline at four sizes, Fig. 1 to a
 //! million users — convergence, balance and determinism digests of the
-//! scaled solver, then the authority lists and GetMail polls built off
-//! each final assignment. Everything printed is a function of the seed.
+//! solver `Deployment::build` runs, then the authority lists (drawn by its
+//! list rule) and GetMail polls built off each final assignment.
+//! Everything printed is a function of the seed.
 
 use lems_bench::render::{f1, f3, Report, Table};
 use lems_bench::scale_exp::{run_tier, LIST_LEN, SEED, TIERS};

@@ -2,12 +2,13 @@
 //! million users, behind `artifacts/repro-scale.txt`.
 //!
 //! Each size tier generates a deterministic multi-region topology, builds
-//! the shared [`CostMatrix`] once, runs the scaled solver, and then builds
+//! the shared [`CostMatrix`] once, runs the §3.1.1 solver, and then draws
 //! the §3.2.3 authority lists and samples GetMail retrievals off the final
-//! assignment. Every field of a [`TierRow`] is a pure function of the seed
-//! (the digests are the proof), so the table is pinned by bytes; how long
-//! the solver takes is the `syntax.assign_*` rows of the `benchmark/`
-//! ladder, not this module's business.
+//! assignment — the same solver and list rule `Deployment::build` runs.
+//! Every field of a [`TierRow`] is a pure function of the seed (the
+//! digests are the proof), so the table is pinned by bytes; how long the
+//! solver takes is the `syntax.assign_*` rows of the `benchmark/` ladder,
+//! not this module's business.
 //!
 //! [`CostMatrix`]: lems_net::cost_matrix::CostMatrix
 
@@ -19,9 +20,7 @@ use lems_net::topology::Topology;
 use lems_sim::failure::FailurePlan;
 use lems_sim::rng::SimRng;
 use lems_sim::time::SimTime;
-use lems_syntax::assign::{
-    authority_lists, balance_sync, initialize, AssignmentProblem, ScaleOptions,
-};
+use lems_syntax::assign::{authority_lists, solve, AssignmentProblem, BalanceOptions};
 use lems_syntax::cost::{CostModel, ServerSpec};
 use lems_syntax::getmail::{GetMailState, PlanStore};
 
@@ -111,7 +110,7 @@ pub struct TierRow {
     pub hosts: usize,
     /// Servers in the topology.
     pub servers: usize,
-    /// Synchronous passes to convergence.
+    /// Balancing passes to convergence.
     pub passes: u64,
     /// Accepted transfers.
     pub moves: u64,
@@ -125,7 +124,8 @@ pub struct TierRow {
     pub assign_digest: u64,
     /// Mean polls per retrieval over the sampled GetMail runs.
     pub polls_mean: f64,
-    /// FNV-1a fingerprint over every authority list's node ids.
+    /// FNV-1a fingerprint over every distinct authority list's node ids
+    /// (one per host and primary server).
     pub lists_digest: u64,
 }
 
@@ -179,8 +179,8 @@ fn lists_digest(lists: &[Vec<NodeId>]) -> u64 {
     h
 }
 
-/// Runs one tier end to end: topology → [`CostMatrix`] → `initialize` →
-/// `balance_sync` → `authority_lists` → sampled polls.
+/// Runs one tier end to end: topology → [`CostMatrix`] → `solve` →
+/// `authority_lists` → sampled polls.
 pub fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
     let (topology, users_per_host, server_spec) = tier_topology(spec, seed);
     let problem = AssignmentProblem::from_matrix(
@@ -191,8 +191,7 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
         CostModel::paper_example(),
     );
 
-    let mut assignment = initialize(&problem);
-    let report = balance_sync(&problem, &mut assignment, ScaleOptions::default());
+    let (assignment, report) = solve(&problem, BalanceOptions::default());
 
     let users = u64::from(problem.total_users());
     debug_assert_eq!(
@@ -207,7 +206,11 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
     let rho_max = rhos.clone().fold(0.0_f64, f64::max);
     let rho_min = rhos.fold(f64::INFINITY, f64::min);
 
-    let lists = authority_lists(&problem, &assignment, LIST_LEN);
+    let lists: Vec<Vec<NodeId>> = authority_lists(&problem, &assignment, LIST_LEN)
+        .into_iter()
+        .flatten()
+        .map(|(_, list)| list)
+        .collect();
 
     TierRow {
         label: spec.label,
@@ -225,7 +228,7 @@ pub fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
     }
 }
 
-/// Samples GetMail retrievals over up to 500 hosts' authority lists
+/// Samples GetMail retrievals over up to 500 of the authority lists
 /// (failure-free stores): deposit one message, retrieve it, record polls.
 /// The §5 claim is "approximately one" — this stays exactly 1.0 while
 /// every primary server is up.
@@ -234,12 +237,12 @@ fn sample_polls(lists: &[Vec<NodeId>], seed: u64) -> f64 {
     let samples = lists.len().min(500);
     let mut polls = 0u64;
     for s in 0..samples {
-        let host = if lists.len() <= 500 {
+        let pick = if lists.len() <= 500 {
             s
         } else {
             rng.index(lists.len())
         };
-        let servers = &lists[host];
+        let servers = &lists[pick];
         let mut store = PlanStore::new(FailurePlan::new());
         let mut state = GetMailState::new();
         // A user's very first check walks the whole list to establish the

@@ -382,25 +382,19 @@ pub struct Placement {
 
 impl Placement {
     /// The §3.1.1 placement: authority lists of `list_len` servers drawn
-    /// from a solved assignment; no contact servers, no tracking.
+    /// from a solved assignment by [`crate::assign::authority_lists`] (a
+    /// host's users take their lists in server-index order of their
+    /// primaries); no contact servers, no tracking.
     fn solved(problem: AssignmentProblem, assignment: Assignment, list_len: usize) -> Self {
-        let server_nodes: Vec<NodeId> = problem.servers.iter().map(|(n, _)| *n).collect();
-        let authorities = (0..problem.host_count())
-            .map(|i| {
-                let ranking = crate::assign::server_ranking(&problem, &assignment, i);
-                let list_for = |&primary_idx: &usize| {
-                    let mut list = vec![server_nodes[primary_idx]];
-                    for &j in &ranking {
-                        if list.len() >= list_len.max(1) {
-                            break;
-                        }
-                        if j != primary_idx {
-                            list.push(server_nodes[j]);
-                        }
-                    }
-                    AuthorityList::new(list)
-                };
-                assignment.server_of_users(i).iter().map(list_for).collect()
+        let authorities = crate::assign::authority_lists(&problem, &assignment, list_len)
+            .into_iter()
+            .map(|host_lists| {
+                host_lists
+                    .into_iter()
+                    .flat_map(|(users, list)| {
+                        std::iter::repeat_n(AuthorityList::new(list), users as usize)
+                    })
+                    .collect()
             })
             .collect();
         Placement {

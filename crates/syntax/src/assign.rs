@@ -34,33 +34,36 @@
 //! decide wrongly: the two sums' round-off outweighs `COST_EPS`, so a
 //! move that changes nothing could pass as a gain.
 //!
-//! The scaled solver ([`balance_sync`], options in [`ScaleOptions`]) is a
-//! different rule, not a faster one. Near the ρ cutoff the paper's
-//! average-cost `S_min` stalls (see `propose_move`), and the scaled
-//! solver reaches lower-cost fixed points. It runs *synchronous passes*:
+//! The rule can stop with a server still over capacity. `S_min` is the
+//! cheapest server by *average* cost, and a server just below the ρ
+//! cutoff looks cheap on average although one more user sends every
+//! resident's waiting time to β; the `S_max → S_min` move is then refused
+//! while farther, emptier servers go unused. The paper's last step checks
+//! for this ([`Assignment::overloaded`]).
 //!
-//! 1. **Evaluate** — against loads frozen at the start of the pass, each
-//!    host independently proposes moving users off its most expensive
-//!    current server to the destination with the best exact marginal
-//!    cost change;
-//! 2. **Merge** — proposals are applied in host-index order, each
-//!    re-validated against *current* loads with an `O(1)` exact cost
-//!    delta ([`transfer_delta`]) and dropped if it no longer improves
-//!    the objective.
+//! The solver is single-threaded: §3.1.1's one named speed-up is
+//! batching, and a thread fan-out of a per-host evaluate step measured
+//! 0.75–1.11× (DESIGN.md §13), so there is none.
 //!
-//! Both solvers are single-threaded: §3.1.1's one named speed-up is
-//! batching, and a thread fan-out of the evaluate step measured 0.75–1.11×
-//! (DESIGN.md §13), so there is none.
+//! ## Authority lists
+//!
+//! [`authority_lists`] draws each user's list from the solved assignment:
+//! the assigned server first ("the first server in the list is the
+//! primary server"), then the servers its host finds cheapest by `TC_ij`
+//! at the final loads.
 
 use lems_net::cost_matrix::CostMatrix;
 use lems_net::graph::NodeId;
-use lems_net::topology::{NodeKind, Topology};
+use lems_net::topology::Topology;
 
 use crate::cost::{CostModel, ServerSpec};
 
 /// Moves below this margin are treated as non-improving (guards against
-/// float round-off oscillation); shared by the classic and scaled solvers.
+/// float round-off oscillation).
 const COST_EPS: f64 = 1e-12;
+
+/// Safety bound on [`balance`]'s full passes over the hosts.
+const MAX_PASSES: u64 = 100_000;
 
 /// A host together with its user population (`N_i`).
 #[derive(Clone, Copy, Debug)]
@@ -152,39 +155,6 @@ impl AssignmentProblem {
             comm,
             model,
         }
-    }
-
-    /// Builds a problem where each server keeps its own spec, taken from
-    /// `specs` aligned with the topology's servers.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`AssignmentProblem::from_topology`], plus a
-    /// length mismatch between servers and `specs`.
-    pub fn from_topology_with_specs(
-        topology: &Topology,
-        users_per_host: &[u32],
-        specs: &[ServerSpec],
-        model: CostModel,
-    ) -> Self {
-        let mut p = Self::from_topology(
-            topology,
-            users_per_host,
-            specs
-                .first()
-                .copied()
-                .unwrap_or_else(ServerSpec::paper_example),
-            model,
-        );
-        assert_eq!(
-            p.servers.len(),
-            specs.len(),
-            "specs must align with the topology's servers"
-        );
-        for ((_, s), &spec) in p.servers.iter_mut().zip(specs) {
-            *s = spec;
-        }
-        p
     }
 
     /// Number of hosts.
@@ -318,17 +288,6 @@ impl Assignment {
             .collect()
     }
 
-    /// Expands host `i`'s row into one server index per user (users are
-    /// ordered by server index) — used to hand each individual user an
-    /// assignment.
-    pub fn server_of_users(&self, host: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (j, &k) in self.counts[host].iter().enumerate() {
-            out.extend(std::iter::repeat_n(j, k as usize));
-        }
-        out
-    }
-
     /// Non-zero rows as `(host index, server index, users)` — the layout of
     /// the paper's Tables 1–3.
     pub fn table_rows(&self) -> Vec<(usize, usize, u32)> {
@@ -404,16 +363,11 @@ pub struct BalanceOptions {
     /// Users moved per accepted transfer. The paper's base algorithm moves
     /// one; larger batches are the paper's suggested speed-up.
     pub batch: u32,
-    /// Safety bound on full passes over the hosts.
-    pub max_passes: u64,
 }
 
 impl Default for BalanceOptions {
     fn default() -> Self {
-        BalanceOptions {
-            batch: 1,
-            max_passes: 100_000,
-        }
+        BalanceOptions { batch: 1 }
     }
 }
 
@@ -445,7 +399,7 @@ pub struct BalanceReport {
 ///
 /// Termination: every kept move strictly decreases the objective, and the
 /// (finite) assignment space contains no infinite strictly-decreasing
-/// chain; `max_passes` is a belt-and-braces bound.
+/// chain; `MAX_PASSES` is a belt-and-braces bound.
 ///
 /// # Panics
 ///
@@ -458,7 +412,7 @@ pub fn balance(p: &AssignmentProblem, a: &mut Assignment, opts: BalanceOptions) 
         ..BalanceReport::default()
     };
 
-    for _pass in 0..opts.max_passes {
+    for _pass in 0..MAX_PASSES {
         report.passes += 1;
         let mut changed = false;
 
@@ -530,58 +484,6 @@ pub fn solve(p: &AssignmentProblem, opts: BalanceOptions) -> (Assignment, Balanc
     (a, report)
 }
 
-/// Options for the scaled synchronous solver ([`balance_sync`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ScaleOptions {
-    /// Users moved per accepted transfer (with a fall-back retry of 1, so
-    /// batching never changes which fixpoints are reachable, only speed).
-    pub batch: u32,
-    /// Safety bound on synchronous passes.
-    pub max_passes: u64,
-}
-
-impl Default for ScaleOptions {
-    fn default() -> Self {
-        ScaleOptions {
-            batch: 64,
-            max_passes: 100_000,
-        }
-    }
-}
-
-/// One host's proposed `S_max → S_min` transfer, computed against loads
-/// frozen at the start of a synchronous pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MoveProposal {
-    /// Proposing host.
-    pub host: usize,
-    /// Source server (`S_max`).
-    pub from: usize,
-    /// Destination server (`S_min`).
-    pub to: usize,
-    /// Users to move (`min(batch, A_ij)` at evaluation time).
-    pub users: u32,
-}
-
-/// Outcome of a scaled balancing run, including the per-pass objective
-/// trace used by the monotonicity invariants.
-#[derive(Clone, Debug, Default)]
-pub struct ScaleReport {
-    /// Synchronous passes executed.
-    pub passes: u64,
-    /// Accepted transfers.
-    pub moves: u64,
-    /// Proposals rejected at merge time (stale after earlier merges).
-    pub undone: u64,
-    /// Objective before balancing.
-    pub initial_cost: f64,
-    /// Objective after balancing.
-    pub final_cost: f64,
-    /// Objective after initialisation and after each pass
-    /// (`cost_trace[0] == initial_cost`, last element `== final_cost`).
-    pub cost_trace: Vec<f64>,
-}
-
 /// Exact `O(1)` objective change for moving `k` users of `host` from
 /// server `from` to server `to` at the assignment's *current* loads.
 ///
@@ -604,75 +506,6 @@ pub fn transfer_delta(
     comm_delta + load_delta
 }
 
-/// Host `host`'s best move against frozen pass-start state: `S_max` is
-/// the most expensive server currently holding its users (by the frozen
-/// average `TC_ij = C_ij·W1 + srv_term[j]`), the destination is the
-/// server with the best exact *marginal* cost change ([`transfer_delta`]
-/// at pass-start loads, `O(1)` per candidate). Ties break toward the
-/// lower server index.
-///
-/// The destination must be chosen by marginal — not average — cost: a
-/// server sitting just below the ρ cutoff looks cheap on average, but
-/// one more user pushes *every* resident user's waiting-time estimate to
-/// β, so its marginal cost is enormous. An average-cost argmin stalls on
-/// exactly that server while emptier (merely farther) servers go unused,
-/// leaving overload the solver could have drained.
-fn propose_move(
-    p: &AssignmentProblem,
-    a: &Assignment,
-    srv_term: &[f64],
-    dest_term1: &[f64],
-    host: usize,
-    batch: u32,
-) -> Option<MoveProposal> {
-    let row = p.comm.row(host);
-    let w1 = p.model.w_comm;
-    let mut s_max = None;
-    let mut tc_max = f64::NEG_INFINITY;
-    for (j, (&c, &t)) in row.iter().zip(srv_term).enumerate() {
-        if a.count(host, j) > 0 {
-            let tc = c * w1 + t;
-            if tc > tc_max {
-                tc_max = tc;
-                s_max = Some(j);
-            }
-        }
-    }
-    let s_max = s_max?;
-    // The source-side part of the one-user marginal delta is the same for
-    // every candidate destination, so the argmin only needs the
-    // destination-side unit terms — one mul-add per server, like the
-    // classic `TC` scan, not a full `transfer_delta` per candidate.
-    let mut to = None;
-    let mut d1_min = f64::INFINITY;
-    for (j, (&c, &t1)) in row.iter().zip(dest_term1).enumerate() {
-        if j == s_max {
-            continue;
-        }
-        let d1 = c * w1 + t1;
-        if d1 < d1_min {
-            d1_min = d1;
-            to = Some(j);
-        }
-    }
-    let to = to?;
-    let users = batch.min(a.count(host, s_max));
-    // Exact check only for the winner, at both granularities the merge
-    // step will try (whole batch, then a single user).
-    let d =
-        transfer_delta(p, a, host, s_max, to, users).min(transfer_delta(p, a, host, s_max, to, 1));
-    if d < -COST_EPS {
-        Some(MoveProposal {
-            host,
-            from: s_max,
-            to,
-            users,
-        })
-    } else {
-        None
-    }
-}
-
 /// The per-server term of `TC` at the assignment's current loads:
 /// `(Q(ρ_j) + z_j)·W2` for every server.
 fn server_terms(p: &AssignmentProblem, a: &Assignment) -> Vec<f64> {
@@ -684,107 +517,13 @@ fn server_terms(p: &AssignmentProblem, a: &Assignment) -> Vec<f64> {
         .collect()
 }
 
-/// The destination-side part of the one-user marginal cost at the
-/// assignment's current loads: `load_term(j, L_j + 1) − load_term(j, L_j)`
-/// for every server. This is what makes a server sitting just below the ρ
-/// cutoff expensive as a *destination* even though its average cost is
-/// still low — one more user sends every resident's waiting time to β.
-fn dest_unit_terms(p: &AssignmentProblem, a: &Assignment) -> Vec<f64> {
-    (0..p.server_count())
-        .map(|j| p.load_term(j, a.load(j) + 1) - p.load_term(j, a.load(j)))
-        .collect()
-}
-
-/// Deterministic merge: applies proposals in host-index order, each
-/// re-validated with [`transfer_delta`] against *current* loads (earlier
-/// merges may have invalidated it). Falls back from the batch size to a
-/// single user before giving up, mirroring [`balance`].
-fn merge_proposals(
-    p: &AssignmentProblem,
-    a: &mut Assignment,
-    proposals: &[MoveProposal],
-    report: &mut ScaleReport,
-) -> bool {
-    let mut changed = false;
-    for m in proposals {
-        let avail = a.count(m.host, m.from);
-        for k in [m.users.min(avail), 1] {
-            if k == 0 || k > avail {
-                break;
-            }
-            if transfer_delta(p, a, m.host, m.from, m.to, k) < -COST_EPS {
-                a.transfer(m.host, m.from, m.to, k);
-                report.moves += 1;
-                changed = true;
-                break;
-            }
-            report.undone += 1;
-            if k == 1 {
-                break;
-            }
-        }
-    }
-    changed
-}
-
-/// The scaled §3.1.1 solver: synchronous evaluate-then-merge passes (see
-/// the module docs) until a pass accepts no move.
-///
-/// # Panics
-///
-/// Panics if `opts.batch` is 0: no move could ever be tried.
-pub fn balance_sync(p: &AssignmentProblem, a: &mut Assignment, opts: ScaleOptions) -> ScaleReport {
-    assert!(opts.batch >= 1, "batch must be at least 1");
-    let initial = a.total_cost(p);
-    let mut report = ScaleReport {
-        initial_cost: initial,
-        final_cost: initial,
-        cost_trace: vec![initial],
-        ..ScaleReport::default()
-    };
-
-    for _pass in 0..opts.max_passes {
-        report.passes += 1;
-        let srv_term = server_terms(p, a);
-        let dest_term1 = dest_unit_terms(p, a);
-        let proposals: Vec<MoveProposal> = (0..p.host_count())
-            .filter_map(|i| propose_move(p, a, &srv_term, &dest_term1, i, opts.batch))
-            .collect();
-        let changed = merge_proposals(p, a, &proposals, &mut report);
-        report.final_cost = a.total_cost(p);
-        report.cost_trace.push(report.final_cost);
-        if !changed {
-            break;
-        }
-    }
-    report
-}
-
-/// Convenience: initialise then [`balance_sync`].
-pub fn solve_sync(p: &AssignmentProblem, opts: ScaleOptions) -> (Assignment, ScaleReport) {
-    let mut a = initialize(p);
-    let report = balance_sync(p, &mut a, opts);
-    (a, report)
-}
-
-/// Ranks all servers for host `i` by `TC_ij` at the final loads — the order
-/// in which authority lists are drawn ("the first server in the list is the
-/// primary server").
-pub fn server_ranking(p: &AssignmentProblem, a: &Assignment, host: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..p.server_count()).collect();
-    order.sort_by(|&x, &y| {
-        p.tc(host, x, a.load(x))
-            .total_cmp(&p.tc(host, y, a.load(y)))
-            .then(x.cmp(&y))
-    });
-    order
-}
-
-/// Top-`k` authority lists for every host: server *node ids* ranked by
-/// `TC_ij` at the final loads, truncated to `list_len` — the §3.2.3 lists
-/// GetMail polls. Shares the solver's precomputed per-server terms so the
-/// sort key is `O(1)` per comparison even at 500 servers.
-pub fn authority_lists(p: &AssignmentProblem, a: &Assignment, list_len: usize) -> Vec<Vec<NodeId>> {
+/// Every host's `depth` cheapest servers by `TC_ij` at `a`'s loads,
+/// cheapest first, ties toward the lower server index. The key is
+/// `C_ij·W1` plus the per-server term, bit for bit the value
+/// [`AssignmentProblem::tc`] computes; the per-server term is computed
+/// once for all hosts, so a comparison is one mul-add even at 500
+/// servers.
+pub fn server_rankings(p: &AssignmentProblem, a: &Assignment, depth: usize) -> Vec<Vec<usize>> {
     let srv_term = server_terms(p, a);
     let w1 = p.model.w_comm;
     (0..p.host_count())
@@ -796,21 +535,41 @@ pub fn authority_lists(p: &AssignmentProblem, a: &Assignment, list_len: usize) -
                     .total_cmp(&(row[y] * w1 + srv_term[y]))
                     .then(x.cmp(&y))
             });
-            order.truncate(list_len);
-            order.into_iter().map(|j| p.servers[j].0).collect()
+            order.truncate(depth);
+            order
         })
         .collect()
 }
 
-/// Checks that a topology has the hosts/servers the problem assumes —
-/// useful before reusing a problem after topology edits.
-pub fn consistent_with(p: &AssignmentProblem, topology: &Topology) -> bool {
-    p.hosts
+/// The §3.2.3 authority lists of a solved assignment. For host `i`, one
+/// `(users, list)` entry per server `j` with `A_ij > 0`, in server-index
+/// order: the `A_ij` users whose primary is `j` share the list of server
+/// *node ids* that starts with `j` and goes on with the host's
+/// next-cheapest servers ([`server_rankings`]), `list_len` servers in all
+/// (at least the primary).
+pub fn authority_lists(
+    p: &AssignmentProblem,
+    a: &Assignment,
+    list_len: usize,
+) -> Vec<Vec<(u32, Vec<NodeId>)>> {
+    let len = list_len.max(1);
+    server_rankings(p, a, len)
         .iter()
-        .all(|h| topology.kind(h.node) == NodeKind::Host)
-        && p.servers
-            .iter()
-            .all(|(n, _)| topology.kind(*n) == NodeKind::Server)
+        .enumerate()
+        .map(|(i, ranking)| {
+            (0..p.server_count())
+                .filter(|&j| a.count(i, j) > 0)
+                .map(|primary| {
+                    let list = std::iter::once(primary)
+                        .chain(ranking.iter().copied().filter(|&j| j != primary))
+                        .take(len)
+                        .map(|j| p.servers[j].0)
+                        .collect();
+                    (a.count(i, primary), list)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -896,14 +655,7 @@ mod tests {
         let mut a1 = initialize(&p);
         let r1 = balance(&p, &mut a1, BalanceOptions::default());
         let mut a8 = initialize(&p);
-        let r8 = balance(
-            &p,
-            &mut a8,
-            BalanceOptions {
-                batch: 8,
-                ..BalanceOptions::default()
-            },
-        );
+        let r8 = balance(&p, &mut a8, BalanceOptions { batch: 8 });
         assert!(r8.moves < r1.moves, "batched should use fewer moves");
         // Both end in comparable cost (within 5%).
         assert!((r8.final_cost - r1.final_cost).abs() / r1.final_cost < 0.05);
@@ -913,18 +665,12 @@ mod tests {
     fn ranking_puts_cheapest_first() {
         let p = fig1_problem();
         let (a, _) = solve(&p, BalanceOptions::default());
-        for i in 0..p.host_count() {
-            let rank = server_ranking(&p, &a, i);
+        let rankings = server_rankings(&p, &a, p.server_count());
+        for (i, rank) in rankings.iter().enumerate() {
+            assert_eq!(rank.len(), p.server_count());
             let costs: Vec<f64> = rank.iter().map(|&j| p.tc(i, j, a.load(j))).collect();
             assert!(costs.windows(2).all(|w| w[0] <= w[1]));
         }
-    }
-
-    #[test]
-    fn consistency_check() {
-        let f = fig1();
-        let p = fig1_problem();
-        assert!(consistent_with(&p, &f.topology));
     }
 
     #[test]
@@ -949,15 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_solver_reaches_a_fixpoint_on_fig1() {
-        let p = fig1_problem();
-        let (a, r) = solve_sync(&p, ScaleOptions::default());
-        assert_eq!(a.loads().iter().sum::<u32>(), 270);
-        assert!(a.overloaded(&p).is_empty());
-        assert!(r.final_cost < r.initial_cost);
-    }
-
-    #[test]
     fn transfer_delta_matches_full_recompute() {
         let p = fig1_problem();
         let mut a = initialize(&p);
@@ -974,18 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_cost_trace_is_monotone() {
-        let p = fig1_problem();
-        let (_, r) = solve_sync(&p, ScaleOptions::default());
-        assert_eq!(r.cost_trace.first(), Some(&r.initial_cost));
-        assert_eq!(r.cost_trace.last(), Some(&r.final_cost));
-        assert!(r
-            .cost_trace
-            .windows(2)
-            .all(|w| w[1] <= w[0] + 1e-9 * w[0].abs().max(1.0)));
-    }
-
-    #[test]
     fn digest_distinguishes_assignments() {
         let p = fig1_problem();
         let a = initialize(&p);
@@ -998,14 +723,28 @@ mod tests {
     #[test]
     fn authority_lists_rank_by_final_tc() {
         let p = fig1_problem();
-        let (a, _) = solve_sync(&p, ScaleOptions::default());
-        let lists = authority_lists(&p, &a, 2);
-        assert_eq!(lists.len(), p.host_count());
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(list.len(), 2);
-            let rank = server_ranking(&p, &a, i);
-            let expect: Vec<NodeId> = rank.iter().take(2).map(|&j| p.servers[j].0).collect();
-            assert_eq!(list, &expect, "host {i}");
+        let (a, _) = solve(&p, BalanceOptions::default());
+        let node = |j: usize| p.servers[j].0;
+        for len in [1, 2, p.server_count()] {
+            let lists = authority_lists(&p, &a, len);
+            assert_eq!(lists.len(), p.host_count());
+            for (i, host_lists) in lists.iter().enumerate() {
+                // The oracle ranks by `TC_ij` itself; the stable sort keeps
+                // ties in index order.
+                let mut by_tc: Vec<usize> = (0..p.server_count()).collect();
+                by_tc.sort_by(|&x, &y| p.tc(i, x, a.load(x)).total_cmp(&p.tc(i, y, a.load(y))));
+                // One list per server holding users of host i: that server
+                // first, then the others by ascending TC.
+                let expect: Vec<(u32, Vec<NodeId>)> = (0..p.server_count())
+                    .filter(|&j| a.count(i, j) > 0)
+                    .map(|primary| {
+                        let rest = by_tc.iter().copied().filter(|&j| j != primary);
+                        let list = std::iter::once(primary).chain(rest).take(len);
+                        (a.count(i, primary), list.map(node).collect())
+                    })
+                    .collect();
+                assert_eq!(host_lists, &expect, "host {i}, len {len}");
+            }
         }
     }
 

@@ -64,8 +64,7 @@ pub use actors::{
     Placement, ServerFailurePlan, SessionConfig,
 };
 pub use assign::{
-    balance, balance_sync, initialize, solve, solve_sync, Assignment, AssignmentProblem,
-    BalanceOptions, BalanceReport, ScaleOptions, ScaleReport,
+    balance, initialize, solve, Assignment, AssignmentProblem, BalanceOptions, BalanceReport,
 };
 pub use cache::{CacheStats, ResolutionCache};
 pub use cost::{CostModel, ServerSpec};

@@ -29,16 +29,14 @@ pub struct ReconfigReport {
 pub struct Reconfigurator {
     problem: AssignmentProblem,
     assignment: Assignment,
-    opts: BalanceOptions,
 }
 
 impl Reconfigurator {
     /// Wraps an existing problem/assignment pair.
-    pub fn new(problem: AssignmentProblem, assignment: Assignment, opts: BalanceOptions) -> Self {
+    pub fn new(problem: AssignmentProblem, assignment: Assignment) -> Self {
         Reconfigurator {
             problem,
             assignment,
-            opts,
         }
     }
 
@@ -50,6 +48,15 @@ impl Reconfigurator {
     /// The current assignment.
     pub fn assignment(&self) -> &Assignment {
         &self.assignment
+    }
+
+    /// Runs §3.1.1's [`balance`] with the paper's one-user moves.
+    fn rebalance(&mut self) -> BalanceReport {
+        balance(
+            &self.problem,
+            &mut self.assignment,
+            BalanceOptions::default(),
+        )
     }
 
     fn snapshot(&self) -> Vec<Vec<u32>> {
@@ -108,7 +115,7 @@ impl Reconfigurator {
             ..ReconfigReport::default()
         };
         if !self.assignment.overloaded(&self.problem).is_empty() {
-            report.rebalance = Some(balance(&self.problem, &mut self.assignment, self.opts));
+            report.rebalance = Some(self.rebalance());
             report.notified_servers = self.problem.server_count();
         }
         report.moved_users = self.moved_since(&before);
@@ -179,7 +186,7 @@ impl Reconfigurator {
             .unwrap_or(0);
         self.assignment.place(host, j, users);
         let before = self.snapshot();
-        let rebalance = balance(&self.problem, &mut self.assignment, self.opts);
+        let rebalance = self.rebalance();
         ReconfigReport {
             moved_users: self.moved_since(&before),
             notified_servers: self.problem.server_count(),
@@ -225,7 +232,7 @@ impl Reconfigurator {
         }
         self.assignment = shrunk;
         let before = self.snapshot();
-        let rebalance = balance(&self.problem, &mut self.assignment, self.opts);
+        let rebalance = self.rebalance();
         ReconfigReport {
             moved_users: self.moved_since(&before) + u64::from(users),
             notified_servers: self.problem.server_count(),
@@ -269,7 +276,7 @@ impl Reconfigurator {
         }
         self.assignment = grown;
         let before = self.snapshot();
-        let rebalance = balance(&self.problem, &mut self.assignment, self.opts);
+        let rebalance = self.rebalance();
         ReconfigReport {
             moved_users: self.moved_since(&before),
             notified_servers: notified,
@@ -338,7 +345,7 @@ impl Reconfigurator {
         }
         self.assignment = shrunk;
         let before = self.snapshot();
-        let rebalance = balance(&self.problem, &mut self.assignment, self.opts);
+        let rebalance = self.rebalance();
         ReconfigReport {
             moved_users: self.moved_since(&before) + displaced,
             notified_servers: self.problem.server_count(),
@@ -363,7 +370,7 @@ mod tests {
             CostModel::paper_example(),
         );
         let (a, _) = solve(&p, BalanceOptions::default());
-        Reconfigurator::new(p, a, BalanceOptions::default())
+        Reconfigurator::new(p, a)
     }
 
     #[test]
@@ -453,7 +460,7 @@ mod tests {
             CostModel::paper_example(),
         );
         let a = initialize(&p);
-        let mut r = Reconfigurator::new(p, a, BalanceOptions::default());
+        let mut r = Reconfigurator::new(p, a);
         r.add_users(5, 3);
         r.remove_users(0, 3);
         assert_eq!(r.assignment().loads().iter().sum::<u32>(), 270);

@@ -1,21 +1,29 @@
-//! Property-based invariants for the scaled §3.1.1 assignment solver and
-//! the §3.1.3 reconfiguration procedures:
+//! Property-based invariants for the §3.1.1 assignment solver and the
+//! §3.1.3 reconfiguration procedures:
 //!
 //! * every user is always assigned (per-host populations are conserved);
-//! * with capacity available, no server is left over `max_load`, and the
-//!   ρ ≤ 0.99 M/M/1 cap is respected;
-//! * the per-pass cost trace is monotonically non-increasing;
-//! * add-user / delete-user reconfiguration preserves all of the above.
+//! * balancing never raises the objective;
+//! * balancing stops at the rule's fixed point: no host's one-user
+//!   `S_max → S_min` move lowers the objective;
+//! * on the Fig. 1 network with capacity available, no server is left over
+//!   `max_load`, and with headroom the ρ ≤ 0.99 M/M/1 cap is respected —
+//!   on random topologies the rule can stop with a server over capacity
+//!   (`paper_rule_can_stop_with_a_server_over_capacity`);
+//! * add-user / delete-user reconfiguration preserves the above.
 
 use proptest::prelude::*;
 
 use lems::net::generators::{fig1, multi_region, MultiRegionConfig};
 use lems::sim::rng::SimRng;
-use lems::syntax::assign::ScaleOptions;
+use lems::syntax::assign::transfer_delta;
 use lems::syntax::{
-    initialize, solve_sync, Assignment, AssignmentProblem, BalanceOptions, CostModel,
-    Reconfigurator, ScaleReport, ServerSpec,
+    initialize, solve, Assignment, AssignmentProblem, BalanceOptions, CostModel, Reconfigurator,
+    ServerSpec,
 };
+
+/// The solver's margin below which a move is no gain (`assign`'s
+/// `COST_EPS`).
+const COST_EPS: f64 = 1e-12;
 
 fn fig1_problem(users: &[u32]) -> AssignmentProblem {
     let f = fig1();
@@ -63,28 +71,55 @@ fn populations_conserved(p: &AssignmentProblem, a: &Assignment) -> Result<(), St
     Ok(())
 }
 
-fn trace_monotone(report: &ScaleReport) -> Result<(), String> {
-    let mut prev = report.initial_cost;
-    for (pass, &c) in report.cost_trace.iter().enumerate() {
-        if c > prev + prev.abs() * 1e-9 + 1e-9 {
-            return Err(format!("pass {pass}: cost rose {prev} -> {c}"));
+/// The paper rule's stopping condition: for no host does moving one user
+/// from `S_max` (its costliest server holding its users) to a strictly
+/// cheaper `S_min` (its cheapest server) at the final loads lower the
+/// objective. Servers tied on `TC` propose no move.
+fn at_fixed_point(p: &AssignmentProblem, a: &Assignment) -> Result<(), String> {
+    for i in 0..p.host_count() {
+        let tc = |j: usize| p.tc(i, j, a.load(j));
+        let s_min = (0..p.server_count()).min_by(|&x, &y| tc(x).total_cmp(&tc(y)));
+        let s_max = (0..p.server_count())
+            .filter(|&j| a.count(i, j) > 0)
+            .max_by(|&x, &y| tc(x).total_cmp(&tc(y)));
+        if let (Some(to), Some(from)) = (s_min, s_max) {
+            let delta = transfer_delta(p, a, i, from, to, 1);
+            if tc(to) < tc(from) && delta < -COST_EPS {
+                return Err(format!(
+                    "host {i}: {from} -> {to} changes the cost by {delta}"
+                ));
+            }
         }
-        prev = c;
     }
     Ok(())
 }
 
+/// On seed 3 with five hosts a region the rule stops with server 5 over
+/// its capacity of 35, while server 2 holds one user: no host's
+/// `S_max → S_min` move lowers the objective. The paper's last step,
+/// `overloaded`, reports it.
+#[test]
+fn paper_rule_can_stop_with_a_server_over_capacity() {
+    let p = random_problem(3, 5);
+    let (a, report) = solve(&p, BalanceOptions::default());
+    assert!(p.servers.iter().all(|(_, s)| s.max_load == 35));
+    assert_eq!(a.loads(), &[30, 30, 1, 34, 34, 37]);
+    assert_eq!(a.overloaded(&p), vec![5]);
+    assert_eq!(report.moves, 69);
+    assert_eq!(a.digest(), 0x86e5_50c2_25b9_4d59);
+    assert_eq!(at_fixed_point(&p, &a), Ok(()));
+}
+
 proptest! {
-    /// Scaled-solver invariants on random Fig. 1 populations: users
-    /// conserved, monotone trace, and — with capacity available — no
-    /// overloaded server and ρ below the cutoff.
+    /// Solver invariants on random Fig. 1 populations: users conserved,
+    /// cost never raised, and — with capacity available — no overloaded
+    /// server and ρ below the cutoff.
     #[test]
     fn scaled_solver_invariants(users in proptest::collection::vec(1u32..45, 6)) {
         let p = fig1_problem(&users);
-        let (a, report) = solve_sync(&p, ScaleOptions::default());
+        let (a, report) = solve(&p, BalanceOptions::default());
         prop_assert!(populations_conserved(&p, &a).is_ok(),
             "{:?}", populations_conserved(&p, &a));
-        prop_assert!(trace_monotone(&report).is_ok(), "{:?}", trace_monotone(&report));
         prop_assert!(report.final_cost <= report.initial_cost + 1e-9);
         if p.total_users() <= p.total_capacity() {
             prop_assert!(a.overloaded(&p).is_empty(),
@@ -99,20 +134,19 @@ proptest! {
         }
     }
 
-    /// The same invariants on seeded random multi-region topologies.
+    /// On seeded random multi-region topologies: users conserved, cost
+    /// never raised, and the rule's fixed point reached. Overload is not
+    /// ruled out here (see `paper_rule_can_stop_with_a_server_over_capacity`).
     #[test]
     fn scaled_solver_invariants_on_random_topologies(
         seed in 0u64..4096, hosts_per_region in 4usize..12
     ) {
         let p = random_problem(seed, hosts_per_region);
-        let (a, report) = solve_sync(&p, ScaleOptions::default());
+        let (a, report) = solve(&p, BalanceOptions::default());
         prop_assert!(populations_conserved(&p, &a).is_ok(),
             "{:?}", populations_conserved(&p, &a));
-        prop_assert!(trace_monotone(&report).is_ok(), "{:?}", trace_monotone(&report));
-        prop_assert!(a.overloaded(&p).is_empty());
-        for j in 0..p.server_count() {
-            prop_assert!(a.utilization(&p, j) < p.model.rho_cutoff);
-        }
+        prop_assert!(report.final_cost <= report.initial_cost);
+        prop_assert!(at_fixed_point(&p, &a).is_ok(), "{:?}", at_fixed_point(&p, &a));
     }
 
     /// §3.1.3a add-user reconfiguration: populations stay consistent, and
@@ -124,8 +158,8 @@ proptest! {
         k in 1u32..40,
     ) {
         let p = fig1_problem(&users);
-        let (a, _) = solve_sync(&p, ScaleOptions::default());
-        let mut rc = Reconfigurator::new(p, a, BalanceOptions::default());
+        let (a, _) = solve(&p, BalanceOptions::default());
+        let mut rc = Reconfigurator::new(p, a);
         rc.add_users(host, k);
 
         let (p, a) = (rc.problem(), rc.assignment());
@@ -151,9 +185,9 @@ proptest! {
     ) {
         let k = (users[host] * frac / 5).max(1);
         let p = fig1_problem(&users);
-        let (a, _) = solve_sync(&p, ScaleOptions::default());
+        let (a, _) = solve(&p, BalanceOptions::default());
         let before_total: u32 = a.loads().iter().sum();
-        let mut rc = Reconfigurator::new(p, a, BalanceOptions::default());
+        let mut rc = Reconfigurator::new(p, a);
         rc.remove_users(host, k);
 
         let (p, a) = (rc.problem(), rc.assignment());
@@ -173,7 +207,7 @@ proptest! {
     ) {
         let p = fig1_problem(&users);
         let a = initialize(&p);
-        let mut rc = Reconfigurator::new(p, a, BalanceOptions::default());
+        let mut rc = Reconfigurator::new(p, a);
         rc.add_users(host, k);
         rc.remove_users(host, k);
         let (p, a) = (rc.problem(), rc.assignment());
