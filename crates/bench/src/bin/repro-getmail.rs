@@ -55,7 +55,7 @@ fn main() {
     ]);
 
     // `--trace-out <path>`: dump the full-stack run's spans and metrics
-    // for `lems-trace timeline/servers/summary/audit`.
+    // for `lems-trace report/audit/timeline`.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let trace_out = args
         .iter()

@@ -3,7 +3,7 @@
 
 use lems_bench::render::Report;
 use lems_eval::criteria::{rank, CriteriaWeights};
-use lems_eval::report::{comparison_table, to_json};
+use lems_eval::report::comparison_table;
 
 use lems_bench::scorecard_exp::scorecards;
 
@@ -44,7 +44,6 @@ fn main() {
         pairs.push((label.to_owned(), order.join("  >  ")));
     }
     report.kv(&pairs);
-    report.note(format!("JSON artifact:\n{}", to_json(&cards)));
 
     report.print();
 }

@@ -210,12 +210,15 @@ pub struct ActorMobilityRow {
 
 /// Runs the actor-based System-2 protocol at each mobility point.
 ///
-/// Login reports propagate cooperatively (`LocationUpdate` broadcasts), so
-/// consults stay near zero even under mobility *when logins precede
-/// mail*; the sweep therefore makes half the roamers log in only **after**
-/// their mail is sent, forcing the sub-group server to fall back to peer
-/// consultation or the primary-host default — the §3.2.2c "server has to
-/// consult with other local servers" path.
+/// Every user logs in at their primary host by t ≈ 2; at t = 50 the given
+/// fraction of them log in again at a random other host, all by t = 51;
+/// from t = 101 the first user mails each of the others. Every login thus
+/// precedes the mail, and login reports propagate cooperatively
+/// (`LocationUpdate` broadcasts), so the depositing server already holds
+/// each recipient's current host: alerts follow roamers off their primary
+/// host without a peer consultation. The sweep does not reach the §3.2.2c
+/// "server has to consult with other local servers" path: `repro-locindep`
+/// reads 0.000 consults per message at each of its three points.
 pub fn actor_mobility_sweep(fractions: &[f64], seed: u64) -> Vec<ActorMobilityRow> {
     use lems_sim::time::SimTime;
     use lems_syntax::DeploymentConfig;

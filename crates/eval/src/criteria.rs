@@ -11,12 +11,10 @@
 //! runs; [`Scorecard`] bundles all four for one system under one scenario
 //! so the C7 experiment can put the three designs side by side.
 
-use serde::{Deserialize, Serialize};
-
 /// §4.1: "connection set-up time, message transportation, message
 /// delivery, name resolution, message storage, caching capability, and
 /// receiving server notification for existence of mail."
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Efficiency {
     /// Mean attempts needed to reach a live server at submission.
     pub connection_attempts_mean: f64,
@@ -33,7 +31,7 @@ pub struct Efficiency {
 /// §4.2: "users can have confidence that their messages, once accepted
 /// for delivery, will be made available to the intended recipient or
 /// returned with proper error messages."
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Reliability {
     /// Fraction of submitted messages eventually retrieved.
     pub delivered_fraction: f64,
@@ -50,7 +48,7 @@ pub struct Reliability {
 /// §4.3: "the ability to provide wide range of functions, to minimize
 /// restrictions and constraints on users, and to adjust to changes in the
 /// system: user migration, group naming, system reconfiguration."
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Flexibility {
     /// Whether a within-region move forces a name change.
     pub move_requires_rename: bool,
@@ -64,7 +62,7 @@ pub struct Flexibility {
 }
 
 /// §4.4: "response time, storage space used, implementation overhead."
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Cost {
     /// Protocol messages sent per successfully delivered message.
     pub messages_per_delivery: f64,
@@ -75,7 +73,7 @@ pub struct Cost {
 }
 
 /// All four criteria for one system on one scenario.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Scorecard {
     /// System label (e.g. "syntax-directed").
     pub system: String,
@@ -142,7 +140,7 @@ impl Scorecard {
 ///
 /// Each criterion is first normalised across the compared scorecards to
 /// `[0, 1]` (1 = best), then combined by these weights.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CriteriaWeights {
     /// Weight on efficiency (lower latency/polls is better).
     pub efficiency: f64,
@@ -303,15 +301,5 @@ mod tests {
     #[test]
     fn empty_ranking_is_empty() {
         assert!(rank(&[], &CriteriaWeights::default()).is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut s = Scorecard::new("attribute-based", "broadcast");
-        s.flexibility.supports_group_naming = true;
-        s.efficiency.retrieval_polls_mean = 1.1;
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Scorecard = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`criteria`] — one struct per criterion plus the combined
 //!   [`criteria::Scorecard`];
-//! * [`report`] — side-by-side comparison tables and JSON export (the C7
-//!   experiment's output format).
+//! * [`report`] — the side-by-side comparison table (the C7 experiment's
+//!   output format).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,4 +25,4 @@ pub mod criteria;
 pub mod report;
 
 pub use criteria::{rank, Cost, CriteriaWeights, Efficiency, Flexibility, Reliability, Scorecard};
-pub use report::{comparison_table, to_json};
+pub use report::comparison_table;

@@ -20,7 +20,6 @@ use crate::criteria::Scorecard;
 /// assert!(table.contains("retrieval polls"));
 /// ```
 pub fn comparison_table(cards: &[Scorecard]) -> String {
-    let mut out = String::new();
     let label_width = 28;
     let col_width = cards
         .iter()
@@ -30,6 +29,9 @@ pub fn comparison_table(cards: &[Scorecard]) -> String {
         .max(14)
         + 2;
 
+    let mut scenarios: Vec<&str> = cards.iter().map(|c| c.scenario.as_str()).collect();
+    scenarios.dedup();
+    let mut out = format!("scenario: {}\n\n", scenarios.join(" | "));
     let mut header = String::new();
     for c in cards {
         let _ = write!(header, "{:>col_width$}", c.system);
@@ -38,108 +40,60 @@ pub fn comparison_table(cards: &[Scorecard]) -> String {
     out.push_str(&"-".repeat(label_width + col_width * cards.len()));
     out.push('\n');
 
-    let mut row = |label: &str, values: Vec<String>| {
-        let mut cols = String::new();
-        for v in values {
-            let _ = write!(cols, "{v:>col_width$}");
+    let mut row = |label: &str, value: fn(&Scorecard) -> String| {
+        let _ = write!(out, "{label:<label_width$}");
+        for c in cards {
+            let _ = write!(out, "{:>col_width$}", value(c));
         }
-        let _ = writeln!(out, "{label:<label_width$}{cols}");
+        out.push('\n');
     };
-
-    row(
-        "connection attempts",
-        cards
-            .iter()
-            .map(|c| format!("{:.3}", c.efficiency.connection_attempts_mean))
-            .collect(),
-    );
-    row(
-        "delivery latency (u)",
-        cards
-            .iter()
-            .map(|c| format!("{:.3}", c.efficiency.delivery_latency_mean))
-            .collect(),
-    );
-    row(
-        "end-to-end latency (u)",
-        cards
-            .iter()
-            .map(|c| format!("{:.3}", c.efficiency.end_to_end_latency_mean))
-            .collect(),
-    );
-    row(
-        "retrieval polls",
-        cards
-            .iter()
-            .map(|c| format!("{:.3}", c.efficiency.retrieval_polls_mean))
-            .collect(),
-    );
-    row(
-        "delivered fraction",
-        cards
-            .iter()
-            .map(|c| format!("{:.4}", c.reliability.delivered_fraction))
-            .collect(),
-    );
-    row(
-        "bounced fraction",
-        cards
-            .iter()
-            .map(|c| format!("{:.4}", c.reliability.bounced_fraction))
-            .collect(),
-    );
-    row(
-        "lost fraction",
-        cards
-            .iter()
-            .map(|c| format!("{:.4}", c.reliability.lost_fraction))
-            .collect(),
-    );
-    row(
-        "move requires rename",
-        cards
-            .iter()
-            .map(|c| c.flexibility.move_requires_rename.to_string())
-            .collect(),
-    );
-    row(
-        "group naming",
-        cards
-            .iter()
-            .map(|c| c.flexibility.supports_group_naming.to_string())
-            .collect(),
-    );
-    row(
-        "reconfig moved users",
-        cards
-            .iter()
-            .map(|c| c.flexibility.reconfig_moved_users.to_string())
-            .collect(),
-    );
-    row(
-        "msgs per delivery",
-        cards
-            .iter()
-            .map(|c| format!("{:.3}", c.cost.messages_per_delivery))
-            .collect(),
-    );
-    row(
-        "total comm (u)",
-        cards
-            .iter()
-            .map(|c| format!("{:.1}", c.cost.total_comm_units))
-            .collect(),
-    );
-
+    row("connection attempts", |c| {
+        format!("{:.3}", c.efficiency.connection_attempts_mean)
+    });
+    row("delivery latency (u)", |c| {
+        format!("{:.3}", c.efficiency.delivery_latency_mean)
+    });
+    row("end-to-end latency (u)", |c| {
+        format!("{:.3}", c.efficiency.end_to_end_latency_mean)
+    });
+    row("retrieval polls", |c| {
+        format!("{:.3}", c.efficiency.retrieval_polls_mean)
+    });
+    row("notification rate", |c| {
+        format!("{:.3}", c.efficiency.notification_rate)
+    });
+    row("delivered fraction", |c| {
+        format!("{:.4}", c.reliability.delivered_fraction)
+    });
+    row("bounced fraction", |c| {
+        format!("{:.4}", c.reliability.bounced_fraction)
+    });
+    row("lost fraction", |c| {
+        format!("{:.4}", c.reliability.lost_fraction)
+    });
+    row("availability (mean)", |c| {
+        format!("{:.4}", c.reliability.availability_mean)
+    });
+    row("move requires rename", |c| {
+        c.flexibility.move_requires_rename.to_string()
+    });
+    row("group naming", |c| {
+        c.flexibility.supports_group_naming.to_string()
+    });
+    row("reconfig moved users", |c| {
+        c.flexibility.reconfig_moved_users.to_string()
+    });
+    row("reconfig tables touched", |c| {
+        c.flexibility.reconfig_tables_touched.to_string()
+    });
+    row("msgs per delivery", |c| {
+        format!("{:.3}", c.cost.messages_per_delivery)
+    });
+    row("total comm (u)", |c| {
+        format!("{:.1}", c.cost.total_comm_units)
+    });
+    row("peak storage (msgs)", |c| c.cost.peak_storage.to_string());
     out
-}
-
-/// Serialises scorecards to pretty JSON (for EXPERIMENTS.md artifacts).
-/// Serialisation cannot fail for these types; a failure would surface as
-/// an error object rather than a panic.
-pub fn to_json(cards: &[Scorecard]) -> String {
-    serde_json::to_string_pretty(cards)
-        .unwrap_or_else(|e| format!("{{\"error\":\"serialisation failed: {e}\"}}"))
 }
 
 #[cfg(test)]
@@ -152,18 +106,15 @@ mod tests {
         a.efficiency.retrieval_polls_mean = 1.23;
         let mut b = Scorecard::new("attr", "s");
         b.flexibility.supports_group_naming = true;
+        b.cost.peak_storage = 18;
         let t = comparison_table(&[a, b]);
         assert!(t.contains("syntax") && t.contains("attr"));
         assert!(t.contains("1.230"));
         assert!(t.contains("group naming"));
-        assert!(t.lines().count() >= 12);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let cards = vec![Scorecard::new("a", "s"), Scorecard::new("b", "s")];
-        let json = to_json(&cards);
-        let back: Vec<Scorecard> = serde_json::from_str(&json).unwrap();
-        assert_eq!(cards, back);
+        assert!(t
+            .lines()
+            .any(|l| l.starts_with("peak storage") && l.ends_with(" 18")));
+        assert_eq!(t.matches("scenario: s\n").count(), 1, "{t}");
+        assert!(t.lines().count() >= 18);
     }
 }

@@ -8,7 +8,6 @@
 //!
 //! * [`subgroup`] — hash-based sub-group name resolution and the
 //!   rehash-to-reconfigure mechanism (§3.2.2b, §3.2.3c);
-//! * [`resolve`] — the per-server resolution procedure built on it;
 //! * [`tracking`] — cooperative user-location tracking among the region's
 //!   servers (§3.2.2c);
 //! * [`deploy`] — the running System-2 protocol: `lems-syntax`'s mail
@@ -40,7 +39,6 @@
 
 pub mod delivery;
 pub mod deploy;
-pub mod resolve;
 pub mod subgroup;
 pub mod tracking;
 
@@ -48,6 +46,5 @@ pub use delivery::{
     delivery_cost, rename_breakeven, CostParams, CrossRegionPolicy, DeliveryCost, UserLocation,
 };
 pub use deploy::roaming_deployment;
-pub use resolve::{LocIndepResolver, Resolution};
 pub use subgroup::{RehashReport, SubgroupMap};
 pub use tracking::{LocateOutcome, RegionTracker};

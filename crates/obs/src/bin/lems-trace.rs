@@ -1,27 +1,26 @@
 //! `lems-trace` — inspect deterministic telemetry dumps.
 //!
 //! ```text
-//! lems-trace timeline <dump.jsonl> --msg <span>   per-message lifecycle
-//! lems-trace servers  <dump.jsonl>                per-server counters/gauges
-//! lems-trace summary  <dump.jsonl>                totals + latency percentiles
+//! lems-trace report   <dump.jsonl>                the whole dump on one page
 //! lems-trace audit    <dump.jsonl> [--open-ok]    span conservation check
-//! lems-trace top      <dump.jsonl>                hottest actor/event cells
-//! lems-trace queues   <dump.jsonl>                event-queue depth over time
-//! lems-trace prom     <dump.jsonl>                Prometheus text snapshot
+//! lems-trace timeline <dump.jsonl> --msg <span>   per-message lifecycle
 //! ```
 //!
-//! `--msg` accepts `s3` or `3`. `audit` exits nonzero on any conservation
-//! violation; pass `--open-ok` when the dump comes from a run that was cut
-//! off before draining (open-ended spans are then not violations). `top`
-//! and `queues` need a dump from a profiled run (schema v3, `enable_prof`).
+//! `report` prints the run summary (recoveries, counter totals, latency
+//! percentiles), each scope's counters and gauges, and — for a dump from a
+//! profiled run — the hottest dispatch cells, the payload pool and the
+//! event queue's depth over time. `audit` exits nonzero on any
+//! conservation violation; pass `--open-ok` when the dump comes from a run
+//! that was cut off before draining (open-ended spans are then not
+//! violations). `--msg` accepts `s3` or `3`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use lems_obs::inspect::Dump;
 
-const USAGE: &str = "usage: lems-trace <timeline|servers|summary|audit|top|queues|prom> \
-                     <dump.jsonl> [--msg <span>] [--open-ok]";
+const USAGE: &str =
+    "usage: lems-trace <report|audit|timeline> <dump.jsonl> [--open-ok] [--msg <span>]";
 
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,24 +31,7 @@ fn run() -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let dump = Dump::parse(&text)?;
     match cmd {
-        "timeline" => {
-            let span = args
-                .iter()
-                .position(|a| a == "--msg")
-                .and_then(|i| args.get(i + 1))
-                .ok_or_else(|| format!("timeline needs --msg <span>\n{USAGE}"))?;
-            let id: u64 = span
-                .strip_prefix('s')
-                .unwrap_or(span)
-                .parse()
-                .map_err(|_| format!("`{span}` is not a span id (expected s<N> or N)"))?;
-            dump.timeline(id)
-        }
-        "servers" => Ok(dump.servers()),
-        "summary" => Ok(dump.summary()),
-        "top" => dump.top(),
-        "queues" => dump.queues(),
-        "prom" => Ok(dump.prom()),
+        "report" => Ok(dump.report()),
         "audit" => {
             let require_terminal = !args.iter().any(|a| a == "--open-ok");
             let report = dump.audit(require_terminal);
@@ -62,6 +44,19 @@ fn run() -> Result<String, String> {
             } else {
                 Err(out)
             }
+        }
+        "timeline" => {
+            let span = args
+                .iter()
+                .position(|a| a == "--msg")
+                .and_then(|i| args.get(i + 1))
+                .ok_or_else(|| format!("timeline needs --msg <span>\n{USAGE}"))?;
+            let id: u64 = span
+                .strip_prefix('s')
+                .unwrap_or(span)
+                .parse()
+                .map_err(|_| format!("`{span}` is not a span id (expected s<N> or N)"))?;
+            dump.timeline(id)
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }

@@ -1,6 +1,5 @@
-//! Reading telemetry dumps back: parsing, per-message timelines,
-//! per-server tables, latency summaries, and the exported-evidence span
-//! audit.
+//! Reading telemetry dumps back: parsing, per-message timelines, the
+//! one-page report, and the exported-evidence span audit.
 //!
 //! Everything here operates on the JSONL text alone — the inspector never
 //! needs the simulation that produced the dump, so `lems-trace` can
@@ -9,10 +8,12 @@
 use std::fmt::Write as _;
 
 use lems_core::store::StoreMetrics;
-use lems_sim::span::{audit_spans, SpanAuditReport, SpanEvent, SpanId, SpanLog, SpanStage};
-use lems_sim::time::SimTime;
+use lems_sim::span::{audit_spans, SpanAuditReport, SpanEvent, SpanLog};
 
-use crate::schema::{ObsLine, OBS_SCHEMA_VERSION};
+use crate::schema::{
+    read_counter, read_gauge, read_header, read_hist, read_metrics, read_profile, read_recovery,
+    read_span, Fields,
+};
 
 /// One parsed histogram line.
 #[derive(Clone, Debug, PartialEq)]
@@ -101,13 +102,16 @@ pub struct Dump {
 }
 
 impl Dump {
-    /// Parses JSONL text produced by [`crate::export::export_jsonl`].
+    /// Parses JSONL text produced by [`crate::export::export_jsonl`]: each
+    /// line goes to the reader of its kind in [`crate::schema`].
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending line on malformed JSON, a
-    /// header that is missing, not first, repeated or of another schema
-    /// version, or an unknown span stage.
+    /// Returns a message naming the offending line on a header that is
+    /// missing, not first, repeated or of another schema version, an
+    /// unknown record kind or span stage, or a line its kind's reader
+    /// does not accept (a missing, extra or reordered key, a value of the
+    /// wrong type, an escape the writer never prints, trailing bytes).
     pub fn parse(text: &str) -> Result<Dump, String> {
         let mut dump = Dump::default();
         let mut saw_header = false;
@@ -115,145 +119,31 @@ impl Dump {
             if raw.trim().is_empty() {
                 continue;
             }
-            let line: ObsLine =
-                serde_json::from_str(raw).map_err(|e| format!("line {}: {e}", i + 1))?;
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let (kind, f) = Fields::open(raw).map_err(at)?;
             // The header carries the schema version every later line is
             // read under, so it comes first and only once.
-            if saw_header == matches!(line, ObsLine::Header { .. }) {
+            if saw_header == (kind == "Header") {
                 let why = if saw_header {
                     "a second Header line"
                 } else {
                     "the first line must be the Header"
                 };
-                return Err(format!("line {}: {why}", i + 1));
+                return Err(at(why.to_owned()));
             }
-            match line {
-                ObsLine::Header {
-                    schema_version,
-                    run,
-                    seed,
-                    finished_at_ticks,
-                } => {
-                    if schema_version != OBS_SCHEMA_VERSION {
-                        return Err(format!(
-                            "line {}: schema version {schema_version}, \
-                             this inspector reads {OBS_SCHEMA_VERSION}",
-                            i + 1
-                        ));
-                    }
-                    dump.run = run;
-                    dump.seed = seed;
-                    dump.finished_at_ticks = finished_at_ticks;
+            match kind {
+                "Header" => {
+                    (dump.run, dump.seed, dump.finished_at_ticks) = read_header(f).map_err(at)?;
                     saw_header = true;
                 }
-                ObsLine::Span {
-                    at_ticks,
-                    span,
-                    stage,
-                    site,
-                    peer,
-                    detail,
-                } => {
-                    let stage = SpanStage::from_name(&stage)
-                        .ok_or_else(|| format!("line {}: unknown stage `{stage}`", i + 1))?;
-                    dump.spans.push(SpanEvent {
-                        at: SimTime::from_ticks(at_ticks),
-                        span: SpanId(span),
-                        stage,
-                        site,
-                        peer,
-                        detail,
-                    });
-                }
-                ObsLine::Recovery {
-                    at_ticks,
-                    site,
-                    backend,
-                    replayed_records,
-                    recovered_messages,
-                    recovered_pending,
-                    recovered_forwards,
-                    lost_messages,
-                    torn_bytes,
-                    segments,
-                } => dump.recoveries.push(RecoverySummary {
-                    at_ticks,
-                    site,
-                    backend,
-                    replayed_records,
-                    recovered_messages,
-                    recovered_pending,
-                    recovered_forwards,
-                    lost_messages,
-                    torn_bytes,
-                    segments,
-                }),
-                ObsLine::Counter { scope, name, value } => {
-                    dump.counters.push((scope, name, value));
-                }
-                ObsLine::Gauge {
-                    scope,
-                    name,
-                    current,
-                    average,
-                } => dump.gauges.push((scope, name, current, average)),
-                ObsLine::Hist {
-                    scope,
-                    name,
-                    count,
-                    mean,
-                    p50,
-                    p90,
-                    p99,
-                    max,
-                } => dump.hists.push(HistSummary {
-                    scope,
-                    name,
-                    count,
-                    mean,
-                    p50,
-                    p90,
-                    p99,
-                    max,
-                }),
-                ObsLine::Metrics {
-                    scope,
-                    appended_records,
-                    appended_bytes,
-                    fsyncs,
-                    rotations,
-                    compactions,
-                    compaction_chunks,
-                    replayed_records,
-                    replayed_bytes,
-                    io_errors,
-                } => dump.store.push((
-                    scope,
-                    StoreMetrics {
-                        appended_records,
-                        appended_bytes,
-                        fsyncs,
-                        rotations,
-                        compactions,
-                        compaction_chunks,
-                        replayed_records,
-                        replayed_bytes,
-                        io_errors,
-                    },
-                )),
-                ObsLine::Profile {
-                    scope,
-                    name,
-                    at_ticks,
-                    count,
-                    ticks,
-                } => dump.profile.push(ProfileLine {
-                    scope,
-                    name,
-                    at_ticks,
-                    count,
-                    ticks,
-                }),
+                "Span" => dump.spans.push(read_span(f).map_err(at)?),
+                "Recovery" => dump.recoveries.push(read_recovery(f).map_err(at)?),
+                "Counter" => dump.counters.push(read_counter(f).map_err(at)?),
+                "Gauge" => dump.gauges.push(read_gauge(f).map_err(at)?),
+                "Hist" => dump.hists.push(read_hist(f).map_err(at)?),
+                "Metrics" => dump.store.push(read_metrics(f).map_err(at)?),
+                "Profile" => dump.profile.push(read_profile(f).map_err(at)?),
+                other => return Err(at(format!("unknown record kind `{other}`"))),
             }
         }
         if !saw_header {
@@ -297,33 +187,32 @@ impl Dump {
         Ok(out)
     }
 
-    /// A per-scope table of every counter and gauge: the per-server view
-    /// (the paper's server-utilisation lens).
-    pub fn servers(&self) -> String {
+    /// Re-runs the span conservation audit on the exported events — the
+    /// same checker the simulator applies in-process, now on the dump as
+    /// the evidence.
+    pub fn audit(&self, require_terminal: bool) -> SpanAuditReport {
+        let log = SpanLog::from_events(self.spans.clone());
+        audit_spans(&log, require_terminal)
+    }
+
+    /// The whole dump on one page, in three sections: the run summary
+    /// (recoveries, fleet-wide counter totals, latency percentiles); each
+    /// scope's counters and gauges; and, when the run was profiled, the
+    /// dispatch cells ranked by sim-time busy attribution, the payload
+    /// pool and the event queue's health. A section with nothing to show
+    /// is left out.
+    pub fn report(&self) -> String {
         let mut out = String::new();
-        for scope in self.scopes() {
-            let _ = writeln!(out, "{scope}");
-            for (s, name, value) in &self.counters {
-                if s == scope {
-                    let _ = writeln!(out, "  {name} = {value}");
-                }
-            }
-            for (s, name, current, average) in &self.gauges {
-                if s == scope {
-                    let _ = writeln!(
-                        out,
-                        "  {name} = {current} (time-weighted mean {average:.3})"
-                    );
-                }
-            }
-        }
+        self.summary(&mut out);
+        self.scope_tables(&mut out);
+        self.profile_views(&mut out);
         out
     }
 
-    /// Latency percentiles plus fleet-wide counter totals.
-    pub fn summary(&self) -> String {
-        let mut out = format!(
-            "run `{}` seed {} finished at {} tick(s): {} span event(s)\n",
+    fn summary(&self, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "run `{}` seed {} finished at {} tick(s): {} span event(s)",
             self.run,
             self.seed,
             self.finished_at_ticks,
@@ -377,224 +266,102 @@ impl Dump {
                 );
             }
         }
-        out
     }
 
-    /// Re-runs the span conservation audit on the exported events — the
-    /// same checker the simulator applies in-process, now on the dump as
-    /// the evidence.
-    pub fn audit(&self, require_terminal: bool) -> SpanAuditReport {
-        let log = SpanLog::from_events(self.spans.clone());
-        audit_spans(&log, require_terminal)
-    }
-
-    /// The hottest (actor-kind, event-kind) dispatch cells, ranked by
-    /// sim-time busy attribution: where did the simulated time go?
-    ///
-    /// # Errors
-    ///
-    /// When the dump carries no profiler samples (the run did not enable
-    /// profiling).
-    pub fn top(&self) -> Result<String, String> {
-        let mut cells: Vec<&ProfileLine> = self
-            .profile
-            .iter()
-            .filter(|p| p.scope == "dispatch")
-            .collect();
-        if cells.is_empty() {
-            return Err(
-                "dump has no dispatch profile (was the run profiled? see enable_prof)".to_owned(),
-            );
+    /// Every counter and gauge under its scope: the per-server view (the
+    /// paper's server-utilisation lens).
+    fn scope_tables(&self, out: &mut String) {
+        for scope in self.scopes() {
+            let _ = writeln!(out, "{scope}");
+            for (s, name, value) in &self.counters {
+                if s == scope {
+                    let _ = writeln!(out, "  {name} = {value}");
+                }
+            }
+            for (s, name, current, average) in &self.gauges {
+                if s == scope {
+                    let _ = writeln!(
+                        out,
+                        "  {name} = {current} (time-weighted mean {average:.3})"
+                    );
+                }
+            }
         }
-        cells.sort_by(|a, b| {
-            (b.ticks, b.count)
-                .cmp(&(a.ticks, a.count))
-                .then(a.name.cmp(&b.name))
-        });
-        let total_ticks: u64 = cells.iter().map(|c| c.ticks).sum();
-        let total_count: u64 = cells.iter().map(|c| c.count).sum();
-        let mut out = format!(
-            "run `{}`: {} dispatch(es), {} busy tick(s) attributed\n",
-            self.run, total_count, total_ticks
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>10} {:>14} {:>7}",
-            "kind/event", "count", "busy ticks", "busy%"
-        );
-        for c in cells {
-            let share = if total_ticks == 0 {
-                0.0
-            } else {
-                100.0 * c.ticks as f64 / total_ticks as f64
-            };
+    }
+
+    /// Where the simulated time went, by (actor kind, event kind) cell; the
+    /// payload pool; the event queue's aggregates and depth over time.
+    fn profile_views(&self, out: &mut String) {
+        let samples = |scope: &'static str| self.profile.iter().filter(move |p| p.scope == scope);
+        let mut cells: Vec<&ProfileLine> = samples("dispatch").collect();
+        if !cells.is_empty() {
+            cells.sort_by(|a, b| {
+                (b.ticks, b.count)
+                    .cmp(&(a.ticks, a.count))
+                    .then(a.name.cmp(&b.name))
+            });
+            let total_ticks: u64 = cells.iter().map(|c| c.ticks).sum();
+            let total_count: u64 = cells.iter().map(|c| c.count).sum();
             let _ = writeln!(
                 out,
-                "  {:<28} {:>10} {:>14} {:>6.1}%",
-                c.name, c.count, c.ticks, share
+                "run `{}`: {} dispatch(es), {} busy tick(s) attributed",
+                self.run, total_count, total_ticks
             );
+            let _ = writeln!(
+                out,
+                "  {:<28} {:>10} {:>14} {:>7}",
+                "kind/event", "count", "busy ticks", "busy%"
+            );
+            for c in cells {
+                let share = if total_ticks == 0 {
+                    0.0
+                } else {
+                    100.0 * c.ticks as f64 / total_ticks as f64
+                };
+                let _ = writeln!(
+                    out,
+                    "  {:<28} {:>10} {:>14} {:>6.1}%",
+                    c.name, c.count, c.ticks, share
+                );
+            }
         }
-        let pool: Vec<&ProfileLine> = self.profile.iter().filter(|p| p.scope == "pool").collect();
-        if !pool.is_empty() {
+        if samples("pool").next().is_some() {
             let _ = writeln!(out, "pool");
-            for r in pool {
+            for r in samples("pool") {
                 let _ = writeln!(out, "  {} = {}", r.name, r.count);
             }
         }
-        Ok(out)
-    }
-
-    /// The event-queue health view: structure aggregates plus the
-    /// depth-over-time sample table.
-    ///
-    /// # Errors
-    ///
-    /// When the dump carries no queue profile samples.
-    pub fn queues(&self) -> Result<String, String> {
-        let aggs: Vec<&ProfileLine> = self
-            .profile
-            .iter()
-            .filter(|p| p.scope == "queue" && p.name != "depth-sample")
-            .collect();
-        let samples: Vec<&ProfileLine> = self
-            .profile
-            .iter()
-            .filter(|p| p.scope == "queue" && p.name == "depth-sample")
-            .collect();
-        if aggs.is_empty() && samples.is_empty() {
-            return Err(
-                "dump has no queue profile (was the run profiled? see enable_prof)".to_owned(),
-            );
+        let (depths, aggs): (Vec<&ProfileLine>, Vec<&ProfileLine>) =
+            samples("queue").partition(|p| p.name == "depth-sample");
+        if depths.is_empty() && aggs.is_empty() {
+            return;
         }
-        let mut out = format!("run `{}`: event-queue health\n", self.run);
+        let _ = writeln!(out, "run `{}`: event-queue health", self.run);
         for a in aggs {
             let _ = writeln!(out, "  {} = {}", a.name, a.count);
         }
-        if !samples.is_empty() {
-            let max = samples.iter().map(|s| s.count).max().unwrap_or(0).max(1);
+        if let Some(max) = depths.iter().map(|s| s.count).max() {
+            let max = max.max(1);
             let _ = writeln!(
                 out,
                 "  {:<14} {:>8}  depth over time",
                 "at (ticks)", "depth"
             );
-            for s in &samples {
+            for s in depths {
                 let bar = "#".repeat(((s.count * 40).div_ceil(max)) as usize);
                 let _ = writeln!(out, "  {:<14} {:>8}  {bar}", s.at_ticks, s.count);
             }
         }
-        Ok(out)
-    }
-
-    /// The whole dump as a Prometheus text-format snapshot: counters,
-    /// gauges, histogram summaries, store durability metrics, and profiler
-    /// aggregates as labelled families. Purely a rendering — values come
-    /// from the dump, so the snapshot is as deterministic as the run.
-    /// (Depth-timeline samples are omitted; they are a time series, not a
-    /// snapshot — see [`Dump::queues`].)
-    pub fn prom(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        if !self.counters.is_empty() {
-            out.push_str("# TYPE lems_counter counter\n");
-            for (scope, name, value) in &self.counters {
-                let _ = writeln!(
-                    out,
-                    "lems_counter{{scope=\"{}\",name=\"{}\"}} {value}",
-                    esc(scope),
-                    esc(name)
-                );
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("# TYPE lems_gauge gauge\n");
-            for (scope, name, current, _) in &self.gauges {
-                let _ = writeln!(
-                    out,
-                    "lems_gauge{{scope=\"{}\",name=\"{}\"}} {current}",
-                    esc(scope),
-                    esc(name)
-                );
-            }
-        }
-        if !self.hists.is_empty() {
-            out.push_str("# TYPE lems_latency summary\n");
-            for h in &self.hists {
-                let scope = esc(&h.scope);
-                let name = esc(&h.name);
-                for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
-                    let _ = writeln!(
-                        out,
-                        "lems_latency{{scope=\"{scope}\",name=\"{name}\",quantile=\"{q}\"}} {v}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "lems_latency_count{{scope=\"{scope}\",name=\"{name}\"}} {}",
-                    h.count
-                );
-            }
-        }
-        if !self.store.is_empty() {
-            out.push_str("# TYPE lems_store counter\n");
-            for (scope, m) in &self.store {
-                let scope = esc(scope);
-                for (name, value) in [
-                    ("appended_records", m.appended_records),
-                    ("appended_bytes", m.appended_bytes),
-                    ("fsyncs", m.fsyncs),
-                    ("rotations", m.rotations),
-                    ("compactions", m.compactions),
-                    ("compaction_chunks", m.compaction_chunks),
-                    ("replayed_records", m.replayed_records),
-                    ("replayed_bytes", m.replayed_bytes),
-                    ("io_errors", m.io_errors),
-                ] {
-                    let _ = writeln!(
-                        out,
-                        "lems_store{{scope=\"{scope}\",name=\"{name}\"}} {value}"
-                    );
-                }
-            }
-        }
-        let prof: Vec<&ProfileLine> = self
-            .profile
-            .iter()
-            .filter(|p| p.name != "depth-sample")
-            .collect();
-        if !prof.is_empty() {
-            out.push_str("# TYPE lems_prof counter\n");
-            for p in &prof {
-                let _ = writeln!(
-                    out,
-                    "lems_prof{{scope=\"{}\",name=\"{}\"}} {}",
-                    esc(&p.scope),
-                    esc(&p.name),
-                    p.count
-                );
-            }
-            out.push_str("# TYPE lems_prof_busy_ticks counter\n");
-            for p in &prof {
-                if p.scope == "dispatch" {
-                    let _ = writeln!(
-                        out,
-                        "lems_prof_busy_ticks{{scope=\"{}\",name=\"{}\"}} {}",
-                        esc(&p.scope),
-                        esc(&p.name),
-                        p.ticks
-                    );
-                }
-            }
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{export_jsonl, reference_jsonl, RunTelemetry};
+    use crate::export::{export_jsonl, RunTelemetry};
     use lems_sim::metrics::MetricsRegistry;
-    use lems_sim::span::NO_NODE;
+    use lems_sim::span::{SpanStage, NO_NODE};
+    use lems_sim::time::SimTime;
 
     fn t(u: f64) -> SimTime {
         SimTime::from_units(u)
@@ -708,24 +475,6 @@ mod tests {
         Dump::parse(&text).expect("parses")
     }
 
-    /// The exporter writes bytes without building a line; the typed
-    /// rendering it replaced says what those bytes must be, and the
-    /// reader gets the span log back event for event.
-    #[test]
-    fn export_equals_the_typed_rendering_and_parses_back() {
-        let run = demo_run();
-        let text = export_jsonl(&run.telemetry()).expect("exports");
-        assert_eq!(text, reference_jsonl(&run.telemetry()));
-        let kinds = [
-            "Header", "Span", "Recovery", "Counter", "Gauge", "Hist", "Metrics", "Profile",
-        ];
-        for kind in kinds {
-            assert!(text.contains(&format!("{{\"{kind}\":")), "no {kind} line");
-        }
-        let dump = Dump::parse(&text).expect("parses");
-        assert_eq!(dump.spans, run.log.events());
-    }
-
     #[test]
     fn round_trip_preserves_everything() {
         let d = demo_dump();
@@ -754,45 +503,29 @@ mod tests {
     #[test]
     fn top_ranks_dispatch_cells_by_busy_ticks() {
         let d = demo_dump();
-        let out = d.top().expect("profiled dump");
+        let out = d.report();
         let deliver = out.find("server/deliver").expect("hot cell present");
         let timer = out.find("host/timer").expect("cool cell present");
         assert!(deliver < timer, "rows must be ranked by busy ticks");
         assert!(out.contains("90.0%"), "busy share must be rendered:\n{out}");
-        // A dump with no profile refuses, naming the likely cause.
+        // A dump with no profile leaves the profiler's sections out.
         let mut bare = d.clone();
         bare.profile.clear();
-        assert!(bare.top().unwrap_err().contains("enable_prof"));
+        let out = bare.report();
+        assert!(
+            !out.contains("busy%") && !out.contains("event-queue"),
+            "{out}"
+        );
+        assert!(out.starts_with("run `demo` seed 7"), "{out}");
     }
 
     #[test]
     fn queues_renders_aggregates_and_depth_timeline() {
-        let d = demo_dump();
-        let out = d.queues().expect("profiled dump");
-        assert!(out.contains("depth = 0"));
-        assert!(out.contains("17"), "depth sample value:\n{out}");
-        assert!(out.contains('#'), "depth bar:\n{out}");
-        let mut bare = d.clone();
-        bare.profile.clear();
-        assert!(bare.queues().is_err());
-    }
-
-    #[test]
-    fn prom_snapshot_has_labelled_families() {
-        let d = demo_dump();
-        let out = d.prom();
-        assert!(out.contains("# TYPE lems_counter counter"));
-        assert!(out.contains("lems_counter{scope=\"server:n4\",name=\"deposited\"} 1"));
-        assert!(out.contains("lems_store{scope=\"server:n4\",name=\"fsyncs\"} 22"));
-        assert!(
-            out.contains("lems_prof_busy_ticks{scope=\"dispatch\",name=\"server/deliver\"} 9000")
-        );
-        assert!(
-            !out.contains("depth-sample"),
-            "timeline samples are not a snapshot"
-        );
-        // Rendering twice is byte-identical (pure function of the dump).
-        assert_eq!(out, d.prom());
+        let out = demo_dump().report();
+        let queue = out.find("event-queue health").expect("queue section");
+        assert!(out[queue..].contains("depth = 0"));
+        assert!(out[queue..].contains("17"), "depth sample value:\n{out}");
+        assert!(out[queue..].contains('#'), "depth bar:\n{out}");
     }
 
     #[test]
@@ -817,14 +550,21 @@ mod tests {
 
     #[test]
     fn summary_and_servers_render() {
-        let d = demo_dump();
-        let s = d.summary();
-        assert!(s.contains("deposited = 1"));
-        assert!(s.contains("recovery at 5000000 tick(s): n4 via wal"));
-        assert!(s.contains("server:n4/delivery_latency"));
-        let sv = d.servers();
-        assert!(sv.contains("server:n4"));
-        assert!(sv.contains("storage"));
+        let out = demo_dump().report();
+        assert!(out.contains("deposited = 1"));
+        assert!(out.contains("recovery at 5000000 tick(s): n4 via wal"));
+        assert!(out.contains("server:n4/delivery_latency"));
+        // The summary, then each scope's table, then the profiler's views.
+        let summary = out.find("span event(s)").expect("summary");
+        let scope = out.find("\nserver:n4\n").expect("scope table");
+        let storage = out
+            .find("storage = 1 (time-weighted mean")
+            .expect("gauge row");
+        let dispatch = out.find("busy tick(s) attributed").expect("dispatch view");
+        assert!(
+            summary < scope && scope < storage && storage < dispatch,
+            "{out}"
+        );
     }
 
     #[test]
@@ -850,5 +590,29 @@ mod tests {
         assert!(err.contains("line 1: the first line must be the Header"));
         let err = Dump::parse(&format!("\n{good}{counter}{good}")).expect_err("two headers");
         assert!(err.contains("line 4: a second Header line"));
+        // Each reader takes its writer's form and nothing else.
+        let c = |fields: &str| format!("{{\"Counter\":{{{fields}}}}}");
+        let cases = [
+            ("{\"Bogus\":{\"value\":1}}".to_owned(), "unknown record kind `Bogus`"),
+            (c("\"scope\":\"s\",\"name\":\"n\""), "expected key `value` at `}}`"),
+            (c("\"scope\":\"s\",\"name\":\"n\",\"value\":1,\"x\":2"), "expected `}}` at `,\"x\":2}}`"),
+            (c("\"name\":\"n\",\"scope\":\"s\",\"value\":1"), "expected key `scope`"),
+            (c("\"scope\":\"s\",\"name\":\"n\",\"value\":\"1\""), "`value`: expected a number at `\"1\"}}`"),
+            (c("\"scope\":\"s\",\"name\":\"n\",\"value\":-1"), "`value`: `-1` is not an unsigned integer"),
+            (c("\"scope\":\"s\",\"name\":\"n\",\"value\":1.5"), "`value`: `1.5` is not an unsigned integer"),
+            (c("\"scope\":\"s\",\"name\":\"n\",\"value\":18446744073709551616"), "`value`: `18446744073709551616` overflows u64"),
+            (c("\"scope\":\"\\q\",\"name\":\"n\",\"value\":1"), "`scope`: unknown escape `\\q"),
+            (c("\"scope\":\"\\u0041\",\"name\":\"n\",\"value\":1"), "`scope`: unknown escape `\\u0041"),
+            ("{\"Counter\":{\"scope\":\"s".to_owned(), "`scope`: unterminated string"),
+            (c("\"scope\":\"s\",\"name\":\"n\",\"value\":1") + " ", "bytes after `}}`: ` `"),
+            (
+                "{\"Span\":{\"at_ticks\":1,\"span\":0,\"stage\":\"nope\",\"site\":0,\"peer\":0,\"detail\":0}}".to_owned(),
+                "unknown stage `nope`",
+            ),
+        ];
+        for (line, why) in cases {
+            let err = Dump::parse(&format!("{good}{line}\n")).expect_err(&line);
+            assert!(err.contains(&format!("line 2: {why}")), "{line}: {err}");
+        }
     }
 }

@@ -6,14 +6,15 @@
 //! a schema-versioned JSONL document and reads such documents back for
 //! inspection:
 //!
-//! * [`schema`] — the [`ObsLine`] wire format (one JSON object per line);
+//! * [`schema`] — the wire format: each record kind's writer and reader,
+//!   side by side;
 //! * [`export`] — serialises a run's span log + metric registries, in an
 //!   order that is a pure function of the run (same seed ⇒ byte-identical
 //!   output, no wall clock anywhere);
-//! * [`inspect`] — parses a dump back into a typed [`inspect::Dump`] and
-//!   renders per-message timelines, per-server tables, latency summaries,
-//!   kernel-profiler views (`top`, `queues`), a Prometheus text snapshot,
-//!   and re-runs the span conservation audit on the exported evidence.
+//! * [`inspect`] — parses a dump back into a typed [`inspect::Dump`],
+//!   renders per-message timelines and a one-page report (summary,
+//!   per-scope tables, kernel-profiler views), and re-runs the span
+//!   conservation audit on the exported evidence.
 //!
 //! Schema v3 dumps also carry per-store durability metrics
 //! ([`lems_core::store::StoreMetrics`]) and kernel-profiler samples
@@ -22,16 +23,10 @@
 //! The `lems-trace` binary wraps [`inspect`] as a CLI:
 //!
 //! ```text
-//! lems-trace timeline spans.jsonl --msg s0
-//! lems-trace servers  spans.jsonl
-//! lems-trace summary  spans.jsonl
+//! lems-trace report   spans.jsonl
 //! lems-trace audit    spans.jsonl
-//! lems-trace top      spans.jsonl
-//! lems-trace queues   spans.jsonl
-//! lems-trace prom     spans.jsonl
+//! lems-trace timeline spans.jsonl --msg s0
 //! ```
-//!
-//! [`ObsLine`]: schema::ObsLine
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -74,6 +74,21 @@ pub enum SpanStage {
 }
 
 impl SpanStage {
+    /// Every stage, in the order [`SpanStage::name`] lists them.
+    pub const ALL: [SpanStage; 11] = [
+        SpanStage::Submitted,
+        SpanStage::CheckStarted,
+        SpanStage::Probe,
+        SpanStage::Accepted,
+        SpanStage::Resolved,
+        SpanStage::Forwarded,
+        SpanStage::Deposited,
+        SpanStage::Notified,
+        SpanStage::Retrieved,
+        SpanStage::Bounced,
+        SpanStage::CheckDone,
+    ];
+
     /// True for stages that open a span.
     pub fn is_opening(self) -> bool {
         matches!(self, SpanStage::Submitted | SpanStage::CheckStarted)
@@ -733,19 +748,7 @@ mod tests {
         ] {
             assert_eq!(ResolveCode::from_detail(code.as_detail()), Some(code));
         }
-        for stage in [
-            SpanStage::Submitted,
-            SpanStage::CheckStarted,
-            SpanStage::Probe,
-            SpanStage::Accepted,
-            SpanStage::Resolved,
-            SpanStage::Forwarded,
-            SpanStage::Deposited,
-            SpanStage::Notified,
-            SpanStage::Retrieved,
-            SpanStage::Bounced,
-            SpanStage::CheckDone,
-        ] {
+        for stage in SpanStage::ALL {
             assert_eq!(SpanStage::from_name(stage.name()), Some(stage));
         }
         assert_eq!(SpanStage::from_name("nope"), None);
