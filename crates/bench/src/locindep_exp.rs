@@ -8,7 +8,7 @@ use lems_locindep::delivery::{
 };
 use lems_locindep::tracking::RegionTracker;
 use lems_net::shortest_path::DistanceTable;
-use lems_net::topology::{RegionId, Topology};
+use lems_net::topology::RegionId;
 use lems_sim::rng::SimRng;
 
 use crate::mst_exp::distinct_world;
@@ -184,12 +184,6 @@ pub fn reconfig_comparison(seed: u64) -> ReconfigComparisonRow {
         rehash_moved_fraction: report.moved_fraction(),
         assignment_moved_fraction: r.moved_users as f64 / total_users,
     }
-}
-
-/// Sanity helper: the topology used in C5 (exposed for the example
-/// binaries).
-pub fn c5_world(seed: u64) -> Topology {
-    distinct_world(seed, 2, 3, 6)
 }
 
 /// One row of the *actor-measured* mobility sweep: the same question as

@@ -18,9 +18,7 @@ use lems_sim::linkfault::LinkProfile;
 use lems_sim::rng::SimRng;
 use lems_sim::time::{SimDuration, SimTime};
 use lems_store::{DurabilityConfig, WalConfig};
-use lems_syntax::actors::{
-    Deployment, DeploymentConfig, LinkChaos, ServerFailurePlan, SessionConfig,
-};
+use lems_syntax::actors::{Deployment, DeploymentConfig, LinkChaos, ServerFailurePlan};
 
 use crate::audit::verdict;
 
@@ -366,12 +364,6 @@ fn chaos_lossy(seed: u64) -> Deployment {
 /// server (windows [40,70) and [120,150)). Mail submitted into the
 /// partition must fail over to secondaries; nothing may be lost or
 /// stranded once the network heals and users drain.
-fn chaos_partition(seed: u64) -> Deployment {
-    chaos_partition_with(seed, SessionConfig::default())
-}
-
-/// The `chaos-partition` world under `session` — shared by the audited
-/// scenario and the session-off counterexample test.
 ///
 /// # Panics
 ///
@@ -381,12 +373,9 @@ fn chaos_partition(seed: u64) -> Deployment {
     clippy::expect_used,
     reason = "literal scenario parameters: a typo must abort the checker"
 )]
-fn chaos_partition_with(seed: u64, session: SessionConfig) -> Deployment {
+fn chaos_partition(seed: u64) -> Deployment {
     let f = fig1();
-    let mut d = fig1_deployment(&DeploymentConfig {
-        session,
-        ..config(seed)
-    });
+    let mut d = fig1_deployment(&config(seed));
     let names = d.user_names();
 
     let isolated = vec![f.servers[0]];
@@ -687,7 +676,7 @@ mod tests {
     }
 
     /// The acceptance criterion: ≥5% loss + jitter + a flapping partition
-    /// completes with zero lost mail under the session layer...
+    /// completes with zero lost mail under the session layer.
     #[test]
     fn chaos_partition_scenario_loses_nothing() {
         let o = Scenario::named("chaos-partition").run(7);
@@ -698,20 +687,6 @@ mod tests {
             o.deployment.stats.borrow().bounced,
             0,
             "failover should beat the retry budget"
-        );
-    }
-
-    /// ...and the same gauntlet with the session layer disabled
-    /// demonstrably loses mail — the robustness is load-bearing, not luck.
-    #[test]
-    fn chaos_partition_without_session_layer_loses_mail() {
-        let mut d = chaos_partition_with(7, SessionConfig::legacy());
-        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        let v = verdict(&d, true);
-        assert!(
-            v.iter()
-                .any(|l| l.contains("nowhere in server storage (lost)")),
-            "expected lost mail without retries: {v:?}"
         );
     }
 

@@ -143,11 +143,6 @@ impl Directory {
         self.users.get(id.0)
     }
 
-    /// Mutable access to a user's record by id.
-    pub fn by_id_mut(&mut self, id: UserId) -> Option<&mut UserRecord> {
-        self.users.get_mut(id.0)
-    }
-
     /// True if the name currently resolves.
     pub fn is_registered(&self, name: &MailName) -> bool {
         self.by_name.contains_key(name)

@@ -9,7 +9,7 @@
 
 use lems_sim::time::SimTime;
 
-use crate::message::{Message, MessageId};
+use crate::message::Message;
 use crate::name::MailName;
 
 /// One message as stored on a server.
@@ -45,19 +45,23 @@ pub struct StoredMessage {
 /// );
 /// store.deposit(m, SimTime::from_units(1.0));
 /// assert_eq!(store.mailboxes()[&owner].len(), 1);
-/// assert_eq!(store.drain_destructive(&owner).len(), 1);
+/// // A check reserves the mail; the mailbox is empty, the store still
+/// // holds the message until the check is acknowledged.
+/// let reserved = store.drain_reserve(&owner);
+/// assert_eq!(reserved.len(), 1);
 /// assert!(store.mailboxes()[&owner].is_empty());
+/// assert_eq!(store.release_drained(&owner, &[reserved[0].id]), 1);
+/// assert!(store.pending_drain()[&owner].is_empty());
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
 ///
 /// The mutators are private to this crate. A helper that takes
-/// `&mut Mailbox` cannot launder a removal past the store:
+/// `&mut Mailbox` cannot launder a drain past the store:
 ///
 /// ```compile_fail,E0624
 /// use lems_core::mailbox::Mailbox;
-/// use lems_core::message::MessageId;
-/// fn purge(mb: &mut Mailbox, id: MessageId) {
-///     mb.remove(id);
+/// fn purge(mb: &mut Mailbox) {
+///     mb.drain();
 /// }
 /// ```
 ///
@@ -85,16 +89,16 @@ pub struct StoredMessage {
 /// ```
 ///
 /// Ledger invariant: every deposited message leaves the mailbox through
-/// exactly one of retrieval (`drain`/`remove`) or expiry
-/// (`expire_older_than`), so at all times
+/// exactly one of retrieval (`drain`) or expiry (`expire_older_than`), so
+/// at all times
 ///
 /// ```text
 /// deposited_total == retrieved_total + expired_total + len()
 /// ```
 ///
 /// `retrieved_total` deliberately counts only messages handed to a user
-/// (drains and targeted removals); expiry is storage reclamation, not
-/// retrieval, and is ledgered separately in `expired_total`.
+/// (drains); expiry is storage reclamation, not retrieval, and is ledgered
+/// separately in `expired_total`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Mailbox {
     owner: MailName,
@@ -153,20 +157,13 @@ impl Mailbox {
         std::mem::take(&mut self.stored)
     }
 
-    /// Removes a single message by id, if present.
-    pub(crate) fn remove(&mut self, id: MessageId) -> Option<StoredMessage> {
-        let idx = self.stored.iter().position(|s| s.message.id == id)?;
-        self.retrieved_total += 1;
-        Some(self.stored.remove(idx))
-    }
-
     /// Messages ever deposited into this mailbox.
     pub fn deposited_total(&self) -> u64 {
         self.deposited_total
     }
 
-    /// Messages ever retrieved from this mailbox (drains + removals; expiry
-    /// is ledgered in [`Mailbox::expired_total`], not here).
+    /// Messages ever retrieved from this mailbox by drains (expiry is
+    /// ledgered in [`Mailbox::expired_total`], not here).
     pub fn retrieved_total(&self) -> u64 {
         self.retrieved_total
     }
@@ -203,7 +200,7 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MessageIdGen;
+    use crate::message::{MessageId, MessageIdGen};
 
     fn mk(owner: &str) -> Mailbox {
         Mailbox::new(owner.parse().unwrap())
@@ -238,36 +235,28 @@ mod tests {
         assert_eq!(mb.retrieved_total(), 3);
     }
 
-    #[test]
-    fn remove_by_id() {
-        let mut g = MessageIdGen::new();
-        let mut mb = mk("east.h.u");
-        mb.deposit(msg(&mut g, "east.h.u"), SimTime::ZERO);
-        mb.deposit(msg(&mut g, "east.h.u"), SimTime::ZERO);
-        assert!(mb.remove(MessageId(0)).is_some());
-        assert!(mb.remove(MessageId(0)).is_none());
-        assert_eq!(mb.len(), 1);
-        assert_eq!(mb.peek()[0].message.id, MessageId(1));
-    }
-
     /// Pins the ledger semantics: expiry is accounted in `expired_total`,
     /// never in `retrieved_total`, and the conservation identity
     /// `deposited == retrieved + expired + len` holds through a mixed
-    /// drain/remove/expire history.
+    /// history in which drains and expiry both remove messages.
     #[test]
     fn ledger_conserves_messages_across_drain_remove_expire() {
         let mut g = MessageIdGen::new();
         let mut mb = mk("east.h.u");
-        for i in 0..6 {
+        for i in 0..3 {
             mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
         }
-        assert!(mb.remove(MessageId(2)).is_some());
-        let expired = mb.expire_older_than(SimTime::from_units(2.0));
-        assert_eq!(expired, 2); // ids 0 and 1 (id 2 was already removed)
+        assert_eq!(mb.drain().len(), 3);
+        for i in 3..8 {
+            mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
+        }
+        let expired = mb.expire_older_than(SimTime::from_units(5.0));
+        assert_eq!(expired, 2); // ids 3 and 4
+        mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(8.0));
         let drained = mb.drain();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(mb.deposited_total(), 6);
-        assert_eq!(mb.retrieved_total(), 4); // 1 removal + 3 drained
+        assert_eq!(drained.len(), 4);
+        assert_eq!(mb.deposited_total(), 9);
+        assert_eq!(mb.retrieved_total(), 7); // 3 + 4 drained
         assert_eq!(mb.expired_total(), 2); // expiry is not retrieval
         assert_eq!(
             mb.deposited_total(),

@@ -314,17 +314,6 @@ impl StoreState {
         Some((reserved.clone(), hint_of(slot)))
     }
 
-    /// Legacy destructive retrieval: removes and returns `owner`'s stored
-    /// messages outright.
-    pub fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message> {
-        self.existing_mailbox_mut(owner)
-            .map(Mailbox::drain)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|s| s.message)
-            .collect()
-    }
-
     /// Releases acknowledged ids from `owner`'s reservation buffer,
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
@@ -339,13 +328,6 @@ impl StoreState {
         let before = pending.len();
         pending.retain(|m| acked.binary_search(&m.id).is_err());
         (before - pending.len()) as u64
-    }
-
-    /// Removes one message from `owner`'s mailbox by id.
-    pub fn remove(&mut self, owner: &MailName, id: MessageId) -> Option<Message> {
-        self.existing_mailbox_mut(owner)?
-            .remove(id)
-            .map(|s| s.message)
     }
 
     /// Expires messages deposited before `cutoff` from `owner`'s mailbox,
@@ -487,7 +469,7 @@ pub struct StoreMetrics {
     pub replayed_records: u64,
     /// Bytes scanned by recovery and persist/restore scans.
     pub replayed_bytes: u64,
-    /// I/O errors swallowed (mirrors [`MailStore::io_errors`]).
+    /// I/O errors swallowed instead of panicking inside an event handler.
     pub io_errors: u64,
 }
 
@@ -495,9 +477,9 @@ pub struct StoreMetrics {
 ///
 /// A server actor routes every durable-state mutation through this trait;
 /// the backend decides what survives [`MailStore::crash`]. Methods are
-/// infallible because simulated backends cannot fail; file-backed stores
-/// surface problems through [`MailStore::io_errors`] instead of panicking
-/// inside an event handler.
+/// infallible: a backend whose device can fail counts the failures in
+/// [`StoreMetrics::io_errors`] instead of panicking inside an event
+/// handler.
 pub trait MailStore: std::fmt::Debug {
     /// Stable backend name for telemetry.
     fn backend(&self) -> &'static str;
@@ -530,14 +512,8 @@ pub trait MailStore: std::fmt::Debug {
     /// right now. A crash and recovery may move every owner to a new slot.
     fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32);
 
-    /// Destructive retrieval: remove and return `owner`'s mail.
-    fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message>;
-
     /// Release acknowledged reserved ids; returns how many were released.
     fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64;
-
-    /// Remove one message by id from `owner`'s mailbox.
-    fn remove(&mut self, owner: &MailName, id: MessageId) -> Option<Message>;
 
     /// Expire messages deposited before `cutoff`; returns how many.
     fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize;
@@ -569,11 +545,6 @@ pub trait MailStore: std::fmt::Debug {
 
     /// Durable log bytes currently held (0 for in-memory backends).
     fn wal_bytes(&self) -> u64 {
-        0
-    }
-
-    /// I/O errors swallowed so far (always 0 for simulated backends).
-    fn io_errors(&self) -> u64 {
         0
     }
 
@@ -650,16 +621,8 @@ impl MailStore for MemStore {
         self.state.drain_reserve_at(owner, hint)
     }
 
-    fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message> {
-        self.state.drain_destructive(owner)
-    }
-
     fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
         self.state.release_drained(owner, ids)
-    }
-
-    fn remove(&mut self, owner: &MailName, id: MessageId) -> Option<Message> {
-        self.state.remove(owner, id)
     }
 
     fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize {

@@ -101,11 +101,6 @@ impl SubgroupMap {
         }
     }
 
-    /// Number of sub-groups.
-    pub fn group_count(&self) -> usize {
-        self.groups
-    }
-
     /// The region's servers.
     pub fn servers(&self) -> &[NodeId] {
         &self.servers

@@ -51,7 +51,6 @@ pub struct RegionTracker {
     servers: Vec<NodeId>,
     /// server -> (user -> current host)
     known: BTreeMap<NodeId, BTreeMap<MailName, NodeId>>,
-    logins: u64,
     total_consults: u64,
 }
 
@@ -67,7 +66,6 @@ impl RegionTracker {
         RegionTracker {
             servers,
             known,
-            logins: 0,
             total_consults: 0,
         }
     }
@@ -94,7 +92,6 @@ impl RegionTracker {
         if let Some(entry) = self.known.get_mut(&via_server) {
             entry.insert(user.clone(), host);
         }
-        self.logins += 1;
         // Remove stale knowledge elsewhere: the paper's servers "cooperate
         // to keep track of the movement of users".
         for (&s, map) in &mut self.known {
@@ -140,11 +137,6 @@ impl RegionTracker {
             host: None,
             consults,
         }
-    }
-
-    /// Total logins recorded.
-    pub fn login_count(&self) -> u64 {
-        self.logins
     }
 
     /// Total cross-server consultations performed by lookups.

@@ -86,7 +86,6 @@ pub struct GhsNode {
     best_wt: Option<Weight>,
     test_edge: Option<NodeId>,
     in_branch: Option<NodeId>,
-    halted: bool,
     stats: Rc<RefCell<GhsStats>>,
     /// Per-node telemetry: one counter per protocol message kind, plus
     /// `requeues` and `halted` — the per-actor view of [`GhsStats`].
@@ -118,7 +117,6 @@ impl GhsNode {
             best_wt: None,
             test_edge: None,
             in_branch: None,
-            halted: false,
             stats,
             metrics: MetricsRegistry::new(),
             pending: Vec::new(),
@@ -136,45 +134,6 @@ impl GhsNode {
             .collect();
         v.sort_unstable();
         v
-    }
-
-    /// True once this node has detected global termination (core nodes
-    /// only; other nodes simply quiesce).
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// One-line state summary for debugging stuck runs.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "n{} lvl={} frag={} phase={:?} fc={} test={:?} inb={:?} best={:?} edges={:?}",
-            self.node.0,
-            self.level,
-            self.fragment,
-            self.phase,
-            self.find_count,
-            self.test_edge.map(|n| n.0),
-            self.in_branch.map(|n| n.0),
-            self.best_edge.map(|n| n.0),
-            {
-                let mut v: Vec<(usize, char)> = self
-                    .edge_state
-                    .iter()
-                    .map(|(&n, &s)| {
-                        (
-                            n.0,
-                            match s {
-                                EdgeState::Basic => 'b',
-                                EdgeState::Branch => 'B',
-                                EdgeState::Rejected => 'r',
-                            },
-                        )
-                    })
-                    .collect();
-                v.sort_unstable();
-                v
-            }
-        )
     }
 
     /// This node's telemetry registry.
@@ -414,7 +373,6 @@ impl GhsNode {
                 (None, None) => {
                     // Minimum outgoing edge does not exist: the fragment
                     // spans the whole graph. Halt.
-                    self.halted = true;
                     self.stats.borrow_mut().halted_nodes += 1;
                     self.metrics.inc("halted");
                 }
@@ -636,19 +594,6 @@ impl GhsSim {
             merged.merge(&m);
         }
         merged
-    }
-
-    /// One-line state summaries for every node (debugging).
-    pub fn node_states(&self) -> Vec<String> {
-        self.actor_ids
-            .iter()
-            .map(|&aid| {
-                self.sim
-                    .actor::<GhsNode>(aid)
-                    .map(GhsNode::debug_state)
-                    .unwrap_or_default()
-            })
-            .collect()
     }
 
     /// Collects the result (callable once quiesced).

@@ -12,7 +12,9 @@
 //! event queue's depth over time. `audit` exits nonzero on any
 //! conservation violation; pass `--open-ok` when the dump comes from a run
 //! that was cut off before draining (open-ended spans are then not
-//! violations). `--msg` accepts `s3` or `3`.
+//! violations). `--msg` accepts `s3` or `3`. An unknown command, an
+//! option the command does not take or a stray argument exits nonzero with
+//! the usage text before any dump is read.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -22,19 +24,63 @@ use lems_obs::inspect::Dump;
 const USAGE: &str =
     "usage: lems-trace <report|audit|timeline> <dump.jsonl> [--open-ok] [--msg <span>]";
 
+/// What to show of the dump.
+enum Cmd {
+    Report,
+    Audit { open_ok: bool },
+    Timeline { span: u64 },
+}
+
+/// Reads the command line, refusing an unknown command, an option the
+/// command does not take and a stray argument before any file is read.
+fn parse(args: &[String]) -> Result<(Cmd, &str), String> {
+    let usage = |what: &str| format!("{what}\n{USAGE}");
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(USAGE.to_owned());
+    };
+    let cmd = cmd.as_str();
+    if !matches!(cmd, "report" | "audit" | "timeline") {
+        return Err(usage(&format!("unknown command `{cmd}`")));
+    }
+    let (mut path, mut open_ok, mut span) = (None, false, None);
+    let mut rest = rest.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        match (cmd, arg) {
+            ("audit", "--open-ok") => open_ok = true,
+            ("timeline", "--msg") => {
+                span = Some(rest.next().ok_or_else(|| usage("--msg needs a span"))?);
+            }
+            (_, a) if a.starts_with('-') => {
+                return Err(usage(&format!("unknown option `{a}` for `{cmd}`")))
+            }
+            (_, a) if path.is_none() => path = Some(a),
+            (_, a) => return Err(usage(&format!("unexpected argument `{a}`"))),
+        }
+    }
+    let path = path.ok_or_else(|| usage(&format!("`{cmd}` needs a dump")))?;
+    let cmd = match (cmd, span) {
+        ("report", _) => Cmd::Report,
+        ("audit", _) => Cmd::Audit { open_ok },
+        (_, None) => return Err(usage("timeline needs --msg <span>")),
+        (_, Some(span)) => {
+            let id = span.strip_prefix('s').unwrap_or(span).parse();
+            let id =
+                id.map_err(|_| usage(&format!("`{span}` is not a span id (expected s<N> or N)")))?;
+            Cmd::Timeline { span: id }
+        }
+    };
+    Ok((cmd, path))
+}
+
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, path) = match (args.first(), args.get(1)) {
-        (Some(c), Some(p)) => (c.as_str(), p.as_str()),
-        _ => return Err(USAGE.to_owned()),
-    };
+    let (cmd, path) = parse(&args)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let dump = Dump::parse(&text)?;
     match cmd {
-        "report" => Ok(dump.report()),
-        "audit" => {
-            let require_terminal = !args.iter().any(|a| a == "--open-ok");
-            let report = dump.audit(require_terminal);
+        Cmd::Report => Ok(dump.report()),
+        Cmd::Audit { open_ok } => {
+            let report = dump.audit(!open_ok);
             let mut out = format!("{report}\n");
             for v in &report.violations {
                 let _ = writeln!(out, "  violation: {v}");
@@ -45,20 +91,7 @@ fn run() -> Result<String, String> {
                 Err(out)
             }
         }
-        "timeline" => {
-            let span = args
-                .iter()
-                .position(|a| a == "--msg")
-                .and_then(|i| args.get(i + 1))
-                .ok_or_else(|| format!("timeline needs --msg <span>\n{USAGE}"))?;
-            let id: u64 = span
-                .strip_prefix('s')
-                .unwrap_or(span)
-                .parse()
-                .map_err(|_| format!("`{span}` is not a span id (expected s<N> or N)"))?;
-            dump.timeline(id)
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Cmd::Timeline { span } => dump.timeline(span),
     }
 }
 

@@ -12,6 +12,8 @@
 //! * [`actor`] — message-passing actors with timers, matching the delivery
 //!   model assumed by the paper (finite, in-sequence, error-free links);
 //! * [`failure`] — planned and random crash/repair injection;
+//! * [`linkfault`] — link outages, partitions, loss, duplication and delay
+//!   jitter;
 //! * [`sched`] — pluggable schedulers: FIFO replay, seeded schedule
 //!   fuzzing, and exhaustive small-scope interleaving exploration;
 //! * [`prof`] — a deterministic kernel profiler (dispatch attribution,
@@ -80,7 +82,6 @@ pub mod prof;
 pub mod queue;
 pub mod rng;
 pub mod sched;
-pub mod session;
 pub mod span;
 pub mod time;
 pub mod trace;
@@ -96,7 +97,6 @@ pub mod prelude {
         ExploreBounds, Explorer, FifoScheduler, RandomScheduler, ReplayScheduler, Schedule,
         Scheduler,
     };
-    pub use crate::session::RetryPolicy;
     pub use crate::span::{SpanEvent, SpanId, SpanLog, SpanStage};
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -199,16 +199,6 @@ impl LinkFaultPlan {
             .is_none_or(|list| !list.iter().any(|o| o.covers(t)))
     }
 
-    /// The outages recorded for the directed link (empty slice if none).
-    pub fn link_outages(&self, from: ActorId, to: ActorId) -> &[Outage] {
-        self.outages.get(&(from, to)).map_or(&[], Vec::as_slice)
-    }
-
-    /// Directed links with at least one outage.
-    pub fn affected_links(&self) -> impl Iterator<Item = (ActorId, ActorId)> + '_ {
-        self.outages.keys().copied()
-    }
-
     /// Stops drop/dup/jitter draws at `t` (outages are unaffected).
     pub fn set_stochastic_horizon(&mut self, t: SimTime) {
         self.stochastic_horizon = t;

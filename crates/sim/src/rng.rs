@@ -51,11 +51,6 @@ impl SimRng {
         SimRng::seed(seed).fork(label)
     }
 
-    /// The seed this stream (or its root) was created from.
-    pub fn root_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent labelled stream.
     ///
     /// Forking does not consume randomness from `self`, so the set of forks

@@ -6,9 +6,9 @@
 //!
 //! * [`codec`] — checksummed, length-prefixed, schema-versioned record
 //!   frames with torn-tail detection;
-//! * [`segment`] — the segment device abstraction: a simulated disk with
-//!   an explicit durable/volatile boundary ([`MemSegments`]) and a
-//!   file-per-segment directory device ([`FileSegments`]);
+//! * [`segment`] — the segment device abstraction and its one device, a
+//!   simulated disk with an explicit durable/volatile boundary
+//!   ([`MemSegments`]);
 //! * [`wal`] — [`WalStore`] itself: append-only logging, segment rotation,
 //!   chunked compaction, crash/recovery with exact replay.
 //!
@@ -38,7 +38,7 @@ pub mod wal;
 use lems_core::store::{MailStore, MemStore};
 
 pub use codec::{Record, WAL_SCHEMA_VERSION};
-pub use segment::{FileSegments, MemSegments, SegmentIo};
+pub use segment::{MemSegments, SegmentIo};
 pub use wal::{SyncPolicy, WalConfig, WalStore};
 
 /// Why a store operation or recovery failed.

@@ -1,14 +1,12 @@
 //! Segment devices: where WAL bytes actually live.
 //!
-//! The WAL is a sequence of numbered segments. [`SegmentIo`] abstracts the
-//! device so the same store logic runs against [`MemSegments`] (the
-//! simulated disk with an explicit durable/volatile boundary and torn-tail
-//! fault injection) and [`FileSegments`] (one file per segment in a
-//! directory, for use outside the simulator).
+//! The WAL is a sequence of numbered segments. [`SegmentIo`] is the device
+//! interface the store logic runs against; [`MemSegments`] is the one
+//! device — the simulated disk with an explicit durable/volatile boundary
+//! and torn-tail fault injection. A log lives as long as its device, so no
+//! log outlives the process that wrote it.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::PathBuf;
 
 use crate::StoreError;
 
@@ -31,8 +29,7 @@ pub trait SegmentIo: std::fmt::Debug {
     /// Simulated power loss: un-synced bytes vanish; when
     /// `torn_tail_bytes > 0` the tail of the newest segment additionally
     /// keeps that many bytes of unparsable garbage past the durable
-    /// boundary (the torn write that was in flight). Real devices ignore
-    /// this — their crash is process death.
+    /// boundary (the torn write that was in flight).
     fn crash(&mut self, torn_tail_bytes: usize);
 }
 
@@ -53,11 +50,6 @@ impl MemSegments {
     /// An empty device.
     pub fn new() -> Self {
         MemSegments::default()
-    }
-
-    /// Total bytes currently held (durable or not).
-    pub fn total_bytes(&self) -> u64 {
-        self.segs.values().map(|s| s.bytes.len() as u64).sum()
     }
 
     fn seg(&mut self, seq: u64) -> Result<&mut MemSeg, StoreError> {
@@ -128,92 +120,6 @@ impl SegmentIo for MemSegments {
                 }
             }
         }
-    }
-}
-
-/// One file per segment under a directory — the non-simulated device.
-///
-/// Named `wal-<seq>.seg`. Handles are opened per call; this prioritises
-/// simplicity over throughput (the simulator never uses this device).
-#[derive(Debug)]
-pub struct FileSegments {
-    dir: PathBuf,
-}
-
-impl FileSegments {
-    /// Opens (creating if needed) a segment directory.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| StoreError::Io(e.to_string()))?;
-        Ok(FileSegments { dir })
-    }
-
-    fn path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("wal-{seq:08}.seg"))
-    }
-}
-
-impl SegmentIo for FileSegments {
-    fn create(&mut self, seq: u64) -> Result<(), StoreError> {
-        std::fs::File::create(self.path(seq))
-            .map(|_| ())
-            .map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn append(&mut self, seq: u64, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(self.path(seq))
-            .map_err(|e| StoreError::Io(e.to_string()))?;
-        f.write_all(bytes)
-            .map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn sync(&mut self, seq: u64) -> Result<(), StoreError> {
-        std::fs::File::open(self.path(seq))
-            .and_then(|f| f.sync_all())
-            .map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn truncate(&mut self, seq: u64, len: u64) -> Result<(), StoreError> {
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(self.path(seq))
-            .and_then(|f| f.set_len(len))
-            .map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn delete(&mut self, seq: u64) -> Result<(), StoreError> {
-        std::fs::remove_file(self.path(seq)).map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn list(&self) -> Vec<u64> {
-        let mut seqs = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return seqs;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(num) = name
-                .strip_prefix("wal-")
-                .and_then(|rest| rest.strip_suffix(".seg"))
-            {
-                if let Ok(seq) = num.parse::<u64>() {
-                    seqs.push(seq);
-                }
-            }
-        }
-        seqs.sort_unstable();
-        seqs
-    }
-
-    fn read(&self, seq: u64) -> Result<Vec<u8>, StoreError> {
-        std::fs::read(self.path(seq)).map_err(|e| StoreError::Io(e.to_string()))
-    }
-
-    fn crash(&mut self, _torn_tail_bytes: usize) {
-        // A real device's crash is process death; nothing to simulate.
     }
 }
 

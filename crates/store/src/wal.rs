@@ -83,12 +83,8 @@ pub enum Applied {
     Deposited(bool),
     /// The reserved list a reliable drain returned.
     Reserved(Vec<Message>),
-    /// Messages a destructive drain removed.
-    Drained(Vec<Message>),
     /// Reserved messages released.
     Released(u64),
-    /// Message removed by id, if found.
-    Removed(Option<Message>),
     /// Messages reclaimed by expiry.
     Expired(usize),
 }
@@ -103,9 +99,7 @@ impl Applied {
         match self {
             Applied::None | Applied::Reserved(_) => true,
             Applied::Deposited(fresh) => *fresh,
-            Applied::Drained(messages) => !messages.is_empty(),
             Applied::Released(n) => *n > 0,
-            Applied::Removed(found) => found.is_some(),
             Applied::Expired(n) => *n > 0,
         }
     }
@@ -118,12 +112,10 @@ impl Applied {
 pub fn apply(state: &mut StoreState, record: Record) -> Applied {
     match record {
         Record::Deposit { message, at } => Applied::Deposited(state.deposit(message, at)),
-        Record::Remove { owner, id } => Applied::Removed(state.remove(&owner, id)),
         Record::Expire { owner, cutoff } => {
             Applied::Expired(state.expire_older_than(&owner, cutoff))
         }
         Record::DrainReserve { owner } => Applied::Reserved(state.drain_reserve(&owner)),
-        Record::DrainDestructive { owner } => Applied::Drained(state.drain_destructive(&owner)),
         Record::Release { owner, ids } => Applied::Released(state.release_drained(&owner, &ids)),
         Record::AcceptForward { message, hops_left } => {
             state.accept_forward(&message, hops_left);
@@ -533,15 +525,6 @@ impl MailStore for WalStore {
         answer
     }
 
-    fn drain_destructive(&mut self, owner: &MailName) -> Vec<Message> {
-        match self.log_and_apply(Record::DrainDestructive {
-            owner: owner.clone(),
-        }) {
-            Applied::Drained(v) => v,
-            _ => Vec::new(),
-        }
-    }
-
     fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
         match self.log_and_apply(Record::Release {
             owner: owner.clone(),
@@ -549,16 +532,6 @@ impl MailStore for WalStore {
         }) {
             Applied::Released(n) => n,
             _ => 0,
-        }
-    }
-
-    fn remove(&mut self, owner: &MailName, id: MessageId) -> Option<Message> {
-        match self.log_and_apply(Record::Remove {
-            owner: owner.clone(),
-            id,
-        }) {
-            Applied::Removed(m) => m,
-            _ => None,
         }
     }
 
@@ -644,10 +617,6 @@ impl MailStore for WalStore {
             }
         }
         total
-    }
-
-    fn io_errors(&self) -> u64 {
-        self.io_errors.get()
     }
 
     fn store_metrics(&self) -> StoreMetrics {
@@ -809,9 +778,7 @@ mod tests {
         // The duplicate acknowledgement, and every other miss.
         let settled = log_size(&s);
         assert_eq!(s.release_drained(&owner, &ids), 0);
-        assert_eq!(s.remove(&owner, ids[0]), None);
         assert_eq!(s.expire_older_than(&owner, SimTime::from_units(9.0)), 0);
-        assert!(s.drain_destructive(&owner).is_empty());
         let stranger: MailName = "east.h.nobody".parse().unwrap();
         assert_eq!(s.release_drained(&stranger, &ids), 0);
         assert!(!s.deposit(reserved[0].clone(), SimTime::from_units(2.0)));
@@ -983,12 +950,47 @@ mod tests {
         let first = s.io.read(0).unwrap().len() as u64;
         let all = s.wal_bytes();
         assert!(first > 0 && all > first);
-        assert_eq!(s.io_errors(), 0);
+        assert_eq!(s.store_metrics().io_errors, 0);
 
         broken.set(true);
         assert_eq!(s.wal_bytes(), all - first, "readable segments still sum");
-        assert_eq!(s.io_errors(), 1, "the failed read is counted, not hidden");
-        assert_eq!(s.store_metrics().io_errors, 1);
+        assert_eq!(
+            s.store_metrics().io_errors,
+            1,
+            "the failed read is counted, not hidden"
+        );
+    }
+
+    /// Tags 2 and 5 are retired — a removal by id (owner, id) and a
+    /// destructive drain (owner). A checksum-valid frame carrying either is
+    /// not a torn tail but corruption, and the log is refused.
+    #[test]
+    fn retired_record_tags_are_refused_as_corrupt() {
+        let owner = "east.h.u";
+        for (tag, id) in [(2u8, Some(7u64)), (5, None)] {
+            let mut payload = codec::WAL_SCHEMA_VERSION.to_le_bytes().to_vec();
+            payload.push(tag);
+            payload.extend_from_slice(&(owner.len() as u32).to_le_bytes());
+            payload.extend_from_slice(owner.as_bytes());
+            payload.extend(id.into_iter().flat_map(u64::to_le_bytes));
+            let mut frame = vec![codec::MAGIC];
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&codec::crc32(&payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            let mut io = MemSegments::new();
+            io.create(0).unwrap();
+            io.append(0, &frame).unwrap();
+            io.sync(0).unwrap();
+            assert_eq!(
+                WalStore::open(Box::new(io), WalConfig::default()).err(),
+                Some(StoreError::Corrupt {
+                    segment: 0,
+                    offset: 0,
+                    detail: format!("unknown record tag {tag}"),
+                }),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -494,7 +494,7 @@ impl HostActor {
         let Some(task) = self.submits.remove(&mid) else {
             return;
         };
-        match task.exchange.on_timer(id, &self.end.retry) {
+        match task.exchange.on_timer(id) {
             Timeout::Stale => {
                 debug_assert!(false, "{HOST_TIMERS_ARE_NEVER_STALE}");
                 self.submits.insert(mid, task);
@@ -519,7 +519,7 @@ impl HostActor {
         let Some(exchange) = session.current.take() else {
             return;
         };
-        match exchange.on_timer(id, &self.end.retry) {
+        match exchange.on_timer(id) {
             Timeout::Stale => {
                 debug_assert!(false, "{HOST_TIMERS_ARE_NEVER_STALE}");
                 session.current = Some(exchange);

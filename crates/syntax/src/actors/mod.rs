@@ -47,9 +47,9 @@ use lems_sim::actor::{ActorId, ActorSim, Ctx, TimerId};
 use lems_sim::failure::FailureError;
 use lems_sim::linkfault::{LinkFaultPlan, LinkProfile};
 use lems_sim::metrics::MetricsRegistry;
-use lems_sim::session::RetryPolicy;
+use lems_sim::rng::SimRng;
 use lems_sim::span::{BounceCode, SpanId, SpanLog, SpanStage, NO_NODE, NO_SPAN};
-use lems_sim::time::{SimDuration, SimTime};
+use lems_sim::time::{SimDuration, SimTime, TICKS_PER_UNIT};
 use lems_store::DurabilityConfig;
 
 use crate::assign::{solve, Assignment, AssignmentProblem, BalanceOptions};
@@ -71,6 +71,33 @@ pub const MAX_HOPS: u32 = 16;
 
 /// Extra slack added to every round-trip timeout, in time units.
 pub const TIMEOUT_SLACK: f64 = 2.0;
+
+/// Probes sent to one peer in an exchange — the first try and its
+/// retransmissions — before the exchange goes on to the next peer.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// What a peer's timeout is multiplied by per retransmission.
+pub const BACKOFF_FACTOR: f64 = 2.0;
+
+/// The bound on backoff growth, before jitter. A longer first timeout is
+/// kept: a timeout shorter than the round trip would always fire.
+pub const MAX_TIMEOUT: SimDuration = SimDuration::from_ticks(60 * TICKS_PER_UNIT);
+
+/// Uniform jitter as a fraction of the timeout (up to +10 %), so that
+/// retransmissions from different senders do not synchronise.
+pub const JITTER_FRAC: f64 = 0.1;
+
+/// The timeout armed for 0-based `attempt` of a probe whose first attempt
+/// waits `base`: `max(base, min(base * BACKOFF_FACTOR^attempt,
+/// MAX_TIMEOUT))` plus a jitter of up to [`JITTER_FRAC`] of that, one
+/// `rng.unit()` draw per call.
+fn timeout(base: SimDuration, attempt: u32, rng: &mut SimRng) -> SimDuration {
+    let factor = BACKOFF_FACTOR.powi(attempt.min(63) as i32);
+    let base = base.as_units();
+    let backed = (base * factor).min(MAX_TIMEOUT.as_units()).max(base);
+    let jitter = backed * JITTER_FRAC * rng.unit();
+    SimDuration::from_units(backed + jitter)
+}
 
 type SharedStats = Rc<RefCell<DeliveryStats>>;
 
@@ -105,7 +132,6 @@ fn bounce_code(reason: BounceReason) -> u64 {
 struct Endpoint {
     node: NodeId,
     transport: Rc<Transport>,
-    retry: RetryPolicy,
     /// A server's processing time: part of every round trip an exchange
     /// waits for.
     server_proc: f64,
@@ -141,10 +167,10 @@ enum Timeout {
 }
 
 impl Exchange {
-    fn on_timer(&self, id: TimerId, retry: &RetryPolicy) -> Timeout {
+    fn on_timer(&self, id: TimerId) -> Timeout {
         if self.timer != id {
             Timeout::Stale
-        } else if retry.exhausted(self.attempts) {
+        } else if self.attempts >= MAX_ATTEMPTS {
             Timeout::Exhausted
         } else {
             Timeout::Retransmit(self.attempts)
@@ -164,7 +190,6 @@ impl Endpoint {
         Endpoint {
             node,
             transport: Rc::clone(transport),
-            retry: cfg.session.retry,
             server_proc: cfg.server_spec.proc_time,
             send_delay,
             stats: Rc::clone(stats),
@@ -185,7 +210,7 @@ impl Endpoint {
 
     /// Sends 0-based `attempt` of `request` to `peer` and arms its timeout
     /// under `tag`: the round trip plus the server's processing and
-    /// [`TIMEOUT_SLACK`], backed off by the retry policy. Counts a
+    /// [`TIMEOUT_SLACK`], backed off by [`timeout`]. Counts a
     /// retransmission past the first attempt and records the probe on
     /// `span`.
     fn probe(
@@ -211,12 +236,12 @@ impl Endpoint {
         );
         let rtt = self.transport.delay(self.node, peer) * 2;
         let base = rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK);
-        let timeout = self.retry.timeout(base, attempt, ctx.rng());
+        let wait = timeout(base, attempt, ctx.rng());
         self.send(ctx, peer, request);
         Exchange {
             peer,
             attempts: attempt + 1,
-            timer: ctx.set_timer(timeout, tag),
+            timer: ctx.set_timer(wait, tag),
         }
     }
 
@@ -255,42 +280,6 @@ impl Endpoint {
     }
 }
 
-/// Session-layer configuration for a deployment: how request/response
-/// exchanges (submit, forward, retrieve) time out and retransmit, and
-/// whether retrieval uses the acked drain buffer.
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// Timeout/retransmit discipline per peer exchange.
-    pub retry: RetryPolicy,
-    /// When true (the default), servers keep drained messages in a stable
-    /// drain buffer until the host acks the `RetrieveReply`; a lost reply
-    /// is then recovered by a retransmitted `Retrieve`. When false the
-    /// drain is destructive (the pre-session behaviour): a lost reply
-    /// loses mail — kept so experiments can prove the session layer is
-    /// load-bearing.
-    pub reliable_retrieval: bool,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            retry: RetryPolicy::default_session(),
-            reliable_retrieval: true,
-        }
-    }
-}
-
-impl SessionConfig {
-    /// The pre-session behaviour: one attempt per server, destructive
-    /// drain. Demonstrably loses mail on lossy links.
-    pub fn legacy() -> Self {
-        SessionConfig {
-            retry: RetryPolicy::no_retry(),
-            reliable_retrieval: false,
-        }
-    }
-}
-
 /// Configuration for [`Deployment::build`].
 #[derive(Clone, Debug)]
 pub struct DeploymentConfig {
@@ -304,8 +293,6 @@ pub struct DeploymentConfig {
     pub balance: BalanceOptions,
     /// Engine seed.
     pub seed: u64,
-    /// Session-layer (timeout/retry/ack) behaviour.
-    pub session: SessionConfig,
     /// Mailbox persistence backend for every server.
     pub durability: DurabilityConfig,
 }
@@ -318,7 +305,6 @@ impl Default for DeploymentConfig {
             cost_model: CostModel::paper_example(),
             balance: BalanceOptions::default(),
             seed: 0,
-            session: SessionConfig::default(),
             durability: DurabilityConfig::default(),
         }
     }
@@ -445,9 +431,8 @@ impl Deployment {
     }
 
     /// Wires `placement` into running actors, users named by
-    /// [`Deployment::user_name`]. Of `cfg` only the seed, the session layer,
-    /// the durability backend and the servers' processing time are read
-    /// here.
+    /// [`Deployment::user_name`]. Of `cfg` only the seed, the durability
+    /// backend and the servers' processing time are read here.
     ///
     /// # Panics
     ///
@@ -550,7 +535,6 @@ impl Deployment {
                 lookups: BTreeMap::new(),
                 peers,
                 redirects: Rc::clone(&redirects),
-                reliable_retrieval: cfg.session.reliable_retrieval,
                 recoveries: Rc::clone(&recoveries),
             };
             let id = sim.add_actor(actor);
@@ -1116,6 +1100,65 @@ mod tests {
         SimTime::from_units(u)
     }
 
+    /// Whether `timeout` is the backed-off `backed` units plus a jitter of
+    /// at most [`JITTER_FRAC`] of them.
+    fn jittered(timeout: SimDuration, backed: f64) -> bool {
+        timeout >= SimDuration::from_units(backed)
+            && timeout <= SimDuration::from_units(backed * (1.0 + JITTER_FRAC))
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let mut rng = SimRng::seed(1).fork("t");
+        let base = SimDuration::from_units(20.0);
+        // 20, 40, then 80 and 160 held at the 60-unit cap.
+        for (attempt, backed) in [(0, 20.0), (1, 40.0), (2, 60.0), (3, 60.0)] {
+            let t = timeout(base, attempt, &mut rng);
+            assert!(jittered(t, backed), "attempt {attempt}: {t:?}");
+        }
+        // A base above the cap is the round trip: kept, and not grown.
+        let long = SimDuration::from_units(70.0);
+        for attempt in 0..4 {
+            let t = timeout(long, attempt, &mut rng);
+            assert!(jittered(t, 70.0), "attempt {attempt}: {t:?}");
+        }
+    }
+
+    #[test]
+    fn jitter_stays_within_fraction() {
+        let mut rng = SimRng::seed(9).fork("t");
+        let base = SimDuration::from_units(8.0);
+        let draws: Vec<SimDuration> = (0..100).map(|_| timeout(base, 0, &mut rng)).collect();
+        assert!(draws.iter().all(|&t| jittered(t, 8.0)), "{draws:?}");
+        assert!(draws.iter().any(|&t| t > base), "jitter is drawn");
+    }
+
+    #[test]
+    fn jitter_is_deterministic_per_seed() {
+        let base = SimDuration::from_units(5.0);
+        let draw = |seed: u64| {
+            let mut rng = SimRng::seed(seed).fork("t");
+            (0..10)
+                .map(|k| timeout(base, k, &mut rng))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(4), draw(4));
+        assert_ne!(draw(4), draw(5));
+    }
+
+    /// The fold of attempts 0 to 3 at one seed and base, in ticks: the
+    /// values the retry policy that preceded these constants produced
+    /// (3 attempts, ×2 backoff, 60-unit cap, 10 % jitter).
+    #[test]
+    fn timeout_fold_matches_the_captured_values() {
+        let mut rng = SimRng::seed(7).fork("session");
+        let base = SimDuration::from_units(10.0);
+        let ticks: Vec<u64> = (0..4)
+            .map(|k| timeout(base, k, &mut rng).as_ticks())
+            .collect();
+        assert_eq!(ticks, [10_955_820, 20_150_522, 42_461_368, 65_657_897]);
+    }
+
     fn small_deployment(seed: u64) -> Deployment {
         let f = fig1();
         // Small population to keep tests brisk: 2 users/host.
@@ -1482,53 +1525,6 @@ mod tests {
         assert_eq!(d.mail_in_storage(), 0);
     }
 
-    /// The same dropped-reply scenario under [`SessionConfig::legacy`]
-    /// demonstrably loses the mail — proof the session layer (not luck)
-    /// provides the guarantee above.
-    #[test]
-    fn legacy_session_loses_mail_on_dropped_reply() {
-        let f = fig1();
-        let mut d = Deployment::build(
-            &f.topology,
-            &[2, 2, 2, 2, 2, 2],
-            &DeploymentConfig {
-                seed: 22,
-                session: SessionConfig::legacy(),
-                ..DeploymentConfig::default()
-            },
-        );
-        let names = d.user_names();
-        let (alice, bob) = (names[0].clone(), names[1].clone());
-        let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
-        let server = d.server_actor(primary).unwrap();
-        let host = d.host_actor(d.users[&bob].0).unwrap();
-
-        d.send_at(t(1.0), &alice, &bob);
-        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(d.stats.borrow().deposited, 1);
-
-        let mut plan = LinkFaultPlan::new().with_stochastic_horizon(t(100.0));
-        plan.set_link_profile(
-            server,
-            host,
-            LinkProfile::new(1.0, 0.0, SimDuration::ZERO).unwrap(),
-        );
-        d.sim.set_link_faults(plan);
-
-        d.check_at(t(20.0), &bob);
-        d.check_at(t(200.0), &bob);
-        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-
-        let st = d.stats.borrow();
-        assert_eq!(
-            st.retrieved, 0,
-            "legacy destructive drain loses mail when the reply is dropped"
-        );
-        assert_eq!(st.outstanding(), 1, "the message is gone for good");
-        drop(st);
-        assert_eq!(d.mail_in_storage(), 0, "not in storage either: truly lost");
-    }
-
     /// Identical seeds and chaos plans produce byte-identical traces.
     #[test]
     fn chaos_runs_are_deterministic() {
@@ -1620,7 +1616,7 @@ mod tests {
         d.check_at(t(200.0), &bob); // after the horizon: clean retrieval
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
-        let budget = RetryPolicy::default_session().max_attempts;
+        let budget = MAX_ATTEMPTS;
         let st = d.stats.borrow();
         assert_eq!(st.retrieved, 1);
         assert_eq!(

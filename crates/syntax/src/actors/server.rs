@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use lems_core::message::{BounceReason, Message, MessageId};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, StoreRecovery, NO_OWNER_SLOT};
+use lems_core::store::{MailStore, StoreRecovery};
 use lems_net::graph::NodeId;
 use lems_sim::actor::{Actor, ActorId, Ctx, TimerId};
 use lems_sim::span::{ResolveCode, SpanStage, NO_NODE};
@@ -67,9 +67,6 @@ pub struct ServerActor {
     /// The §3.1.4 redirect table, shared across servers (migrated users'
     /// old names forward to their new names while the entry lives).
     pub(super) redirects: Rc<RefCell<crate::migrate::RedirectTable>>,
-    /// When true, retrieval drains move messages into the store's
-    /// reservation buffer and are only released on a `RetrieveAck`.
-    pub(super) reliable_retrieval: bool,
     /// Shared recovery-report log; one entry appended per
     /// [`Actor::on_recover`].
     pub(super) recoveries: SharedRecoveries,
@@ -375,24 +372,12 @@ impl Actor for ServerActor {
                 owner_slot,
             } => {
                 self.end.metrics.inc("retrieve_requests");
-                let (messages, owner_slot) = if self.reliable_retrieval {
-                    // Reserve the drain: messages move from the mailbox to
-                    // the (equally durable) drain buffer and are re-sent on
-                    // every Retrieve until the host acks them, so a lost
-                    // reply never loses mail. The storage gauge is only
-                    // decremented at ack time.
-                    self.store.drain_reserve_at(&user, owner_slot)
-                } else {
-                    // Legacy destructive drain: if the reply is lost on the
-                    // wire, so is the mail.
-                    let fresh = self.store.drain_destructive(&user);
-                    let mut st = self.end.stats.borrow_mut();
-                    st.in_storage_now = st.in_storage_now.saturating_sub(fresh.len() as u64);
-                    self.end
-                        .metrics
-                        .gauge_add(ctx.now(), "storage", -(fresh.len() as f64));
-                    (fresh, NO_OWNER_SLOT)
-                };
+                // Reserve the drain: messages move from the mailbox to the
+                // (equally durable) drain buffer and are re-sent on every
+                // Retrieve until the host acks them, so a lost reply never
+                // loses mail. The storage gauge is only decremented at ack
+                // time.
+                let (messages, owner_slot) = self.store.drain_reserve_at(&user, owner_slot);
                 self.end.send(
                     ctx,
                     reply_to,
@@ -462,7 +447,7 @@ impl Actor for ServerActor {
         let Some(task) = self.forwards.remove(&MessageId(tag)) else {
             return;
         };
-        match task.exchange.on_timer(id, &self.end.retry) {
+        match task.exchange.on_timer(id) {
             // Armed before a crash this server recovered from within the
             // timeout: the journal re-routed the message since, and its
             // timers cannot be cancelled while the process is down.

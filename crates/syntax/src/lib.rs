@@ -61,7 +61,7 @@ pub mod resolve;
 
 pub use actors::{
     ChaosError, DeliveryStats, Deployment, DeploymentConfig, LinkChaos, MailMsg, Partition,
-    Placement, ServerFailurePlan, SessionConfig,
+    Placement, ServerFailurePlan,
 };
 pub use assign::{
     balance, initialize, solve, Assignment, AssignmentProblem, BalanceOptions, BalanceReport,

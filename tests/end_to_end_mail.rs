@@ -7,6 +7,7 @@ use lems::core::UserId;
 use lems::net::generators::{multi_region, MultiRegionConfig};
 use lems::sim::rng::SimRng;
 use lems::sim::time::{SimDuration, SimTime};
+use lems::syntax::actors::MAX_TIMEOUT;
 use lems::syntax::{Deployment, DeploymentConfig, ServerFailurePlan};
 
 /// Every scenario here quiesces far below this; exhausting it means a
@@ -149,7 +150,6 @@ fn fault_free_long_haul_links_see_no_retransmits() {
         seed: 4,
         ..DeploymentConfig::default()
     };
-    let cap = config.session.retry.max_timeout;
     let mut d = Deployment::build(&topo, &users, &config);
     let names = d.user_names();
     let primary = |name| {
@@ -163,7 +163,7 @@ fn fault_free_long_haul_links_see_no_retransmits() {
     for a in &names {
         for b in names.iter().filter(|b| b.region() != a.region()) {
             let one_way = d.transport.delay(primary(a), primary(b));
-            assert!(one_way * 2 > cap, "{a} -> {b}: {one_way:?} one way");
+            assert!(one_way * 2 > MAX_TIMEOUT, "{a} -> {b}: {one_way:?} one way");
             sends.push((a.clone(), b.clone()));
         }
     }
