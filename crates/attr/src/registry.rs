@@ -348,22 +348,6 @@ impl Table {
     }
 }
 
-/// The first 16 bytes of `name`'s tokens joined by a zero byte, padded
-/// with zeros, as a big-endian integer. Names order as their `(region,
-/// host, user)` tuples do and a token holds no zero byte, so `a < b`
-/// implies `name_prefix(a) <= name_prefix(b)`: a bisection can compare
-/// these integers and fall back to names only where they tie.
-fn name_prefix(name: &MailName) -> u128 {
-    let mut bytes = [0; 16];
-    let mut at = 0;
-    for token in [name.region(), name.host(), name.user()] {
-        let n = token.len().min(bytes.len() - at);
-        bytes[at..at + n].copy_from_slice(&token.as_bytes()[..n]);
-        at = (at + n + 1).min(bytes.len());
-    }
-    u128::from_be_bytes(bytes)
-}
-
 /// One server's attribute database.
 ///
 /// # Examples
@@ -392,7 +376,9 @@ pub struct AttributeRegistry {
     names: Vec<MailName>,
     /// The live rows, in the order of their users' names.
     by_name: Vec<u32>,
-    /// The [`name_prefix`] of each user in `by_name`, in the same order.
+    /// The [`MailName::order_key`] of each user in `by_name`, in the same
+    /// order: a bisection compares these integers and falls back to names
+    /// only where they tie.
     prefixes: Vec<u128>,
 }
 
@@ -402,7 +388,7 @@ impl AttributeRegistry {
         AttributeRegistry::default()
     }
 
-    /// Where `user`, whose [`name_prefix`] is `prefix`, sits in the name
+    /// Where `user`, whose [`MailName::order_key`] is `prefix`, sits in the name
     /// order, or would.
     fn find(&self, user: &MailName, prefix: u128) -> Result<usize, usize> {
         let lo = self.prefixes.partition_point(|&p| p < prefix);
@@ -426,7 +412,7 @@ impl AttributeRegistry {
     /// If the registry's lowercased text would pass 4 GiB.
     pub fn upsert(&mut self, user: MailName, attrs: AttributeSet) {
         let row = self.table.push(attrs);
-        let prefix = name_prefix(&user);
+        let prefix = user.order_key();
         match self.find(&user, prefix) {
             Ok(at) => {
                 let old = mem::replace(&mut self.by_name[at], row);
@@ -443,7 +429,7 @@ impl AttributeRegistry {
 
     /// Removes a user's profile.
     pub fn remove(&mut self, user: &MailName) -> Option<AttributeSet> {
-        let at = self.find(user, name_prefix(user)).ok()?;
+        let at = self.find(user, user.order_key()).ok()?;
         self.prefixes.remove(at);
         let row = self.by_name.remove(at);
         let attrs = self.table.profile(row);
@@ -466,7 +452,7 @@ impl AttributeRegistry {
 
     /// The profile of `user`, if registered.
     pub fn profile(&self, user: &MailName) -> Option<AttributeSet> {
-        let at = self.find(user, name_prefix(user)).ok()?;
+        let at = self.find(user, user.order_key()).ok()?;
         Some(self.table.profile(self.by_name[at]))
     }
 
@@ -636,18 +622,6 @@ mod tests {
     }
 
     proptest! {
-        /// The prefix never orders two names against their order.
-        #[test]
-        fn name_prefixes_follow_name_order(
-            a in "[ab_-]{1,7}", b in "[ab_-]{1,7}", c in "[ab_-]{1,7}",
-            d in "[ab_-]{1,7}", e in "[ab_-]{1,7}", f in "[ab_-]{1,7}",
-        ) {
-            let x = MailName::new(&a, &b, &c).unwrap();
-            let y = MailName::new(&d, &e, &f).unwrap();
-            let (lo, hi) = if x <= y { (&x, &y) } else { (&y, &x) };
-            prop_assert!(name_prefix(lo) <= name_prefix(hi), "{lo} {hi}");
-        }
-
         /// Replacements and removals over multi-valued keys, numbers, a
         /// custom key, every kind of visibility and the words whose case
         /// does not map one-to-one.

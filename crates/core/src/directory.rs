@@ -12,7 +12,9 @@
 //! plus the region routing table), which is what resolution procedures in
 //! `lems-syntax` / `lems-locindep` consult.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
@@ -72,7 +74,9 @@ impl std::error::Error for DirectoryError {}
 pub struct Directory {
     users: Vec<UserRecord>,
     by_name: BTreeMap<MailName, UserId>,
-    region_names: HashMap<String, RegionId>,
+    /// Shared with every [`ServerView`] [`Directory::partition`] builds:
+    /// each server replicates the whole table, so they all read one copy.
+    region_names: Arc<HashMap<String, RegionId>>,
 }
 
 impl Directory {
@@ -83,7 +87,7 @@ impl Directory {
 
     /// Declares that the region token `name` denotes `region`.
     pub fn map_region(&mut self, name: &str, region: RegionId) {
-        self.region_names.insert(name.to_owned(), region);
+        Arc::make_mut(&mut self.region_names).insert(name.to_owned(), region);
     }
 
     /// Resolves a region token to its id.
@@ -102,20 +106,25 @@ impl Directory {
         home_host: NodeId,
         authorities: AuthorityList,
     ) -> Result<UserId, DirectoryError> {
-        if self.by_name.contains_key(&name) {
-            return Err(DirectoryError::DuplicateName(name));
-        }
         let id = UserId(self.users.len());
-        self.by_name.insert(name.clone(), id);
-        self.users
-            .push(UserRecord::new(id, name, home_host, authorities));
-        Ok(id)
+        match self.by_name.entry(name) {
+            Entry::Occupied(taken) => Err(DirectoryError::DuplicateName(taken.key().clone())),
+            Entry::Vacant(slot) => {
+                let name = slot.key().clone();
+                slot.insert(id);
+                self.users
+                    .push(UserRecord::new(id, name, home_host, authorities));
+                Ok(id)
+            }
+        }
     }
 
-    /// Removes a user by name, returning the record.
+    /// Removes a user by name, returning a copy of the record.
     ///
-    /// The dense id of the removed user is retired, not reused; lookups by
-    /// the stale id return `None` afterwards.
+    /// The dense id of the removed user is retired, not reused: the name no
+    /// longer resolves, but [`Directory::by_id`] on the stale id still
+    /// returns the last record (check [`Directory::is_registered`] for
+    /// liveness).
     ///
     /// # Errors
     ///
@@ -125,9 +134,8 @@ impl Directory {
             .by_name
             .remove(name)
             .ok_or_else(|| DirectoryError::UnknownName(name.clone()))?;
-        // Tombstone: replace the record's name with an impossible sentinel
-        // by keeping the slot but dropping the index entry. Cloning out the
-        // record keeps ids stable for everyone else.
+        // Only the name index entry goes: the record stays in its slot, so
+        // every other id keeps pointing at its own record.
         Ok(self.users[id.0].clone())
     }
 
@@ -185,28 +193,31 @@ impl Directory {
     /// Builds the per-server views: each server receives the records of
     /// users whose authority list includes it ("the databases are partially
     /// replicated to increase the availability and the reliability", §2).
+    ///
+    /// One pass over the records in name order fills every view; a
+    /// record's copies share its name and authority list with the
+    /// directory, and all views share one region table.
     pub fn partition(&self, servers: &[NodeId]) -> BTreeMap<NodeId, ServerView> {
-        let mut views: BTreeMap<NodeId, ServerView> = servers
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    ServerView {
-                        server: s,
-                        records: BTreeMap::new(),
-                        region_names: self.region_names.clone(),
-                    },
-                )
-            })
-            .collect();
+        let mut held: BTreeMap<NodeId, Vec<(MailName, UserRecord)>> =
+            servers.iter().map(|&s| (s, Vec::new())).collect();
         for rec in self.iter() {
-            for &s in rec.authorities.servers() {
-                if let Some(view) = views.get_mut(&s) {
-                    view.records.insert(rec.name.clone(), rec.clone());
+            for s in rec.authorities.servers() {
+                if let Some(records) = held.get_mut(s) {
+                    records.push((rec.name.clone(), rec.clone()));
                 }
             }
         }
-        views
+        held.into_iter()
+            .map(|(server, records)| {
+                let view = ServerView {
+                    server,
+                    // Already in name order: built in bulk, not by search.
+                    records: records.into_iter().collect(),
+                    region_names: Arc::clone(&self.region_names),
+                };
+                (server, view)
+            })
+            .collect()
     }
 }
 
@@ -217,7 +228,8 @@ impl Directory {
 pub struct ServerView {
     server: NodeId,
     records: BTreeMap<MailName, UserRecord>,
-    region_names: HashMap<String, RegionId>,
+    /// The directory's table, shared by every view of one partition.
+    region_names: Arc<HashMap<String, RegionId>>,
 }
 
 impl ServerView {
@@ -306,7 +318,19 @@ mod tests {
                 AuthorityList::new(vec![NodeId(0)]),
             )
             .unwrap_err();
-        assert!(matches!(err, DirectoryError::DuplicateName(_)));
+        let alice: MailName = "east.h1.alice".parse().unwrap();
+        assert_eq!(err, DirectoryError::DuplicateName(alice.clone()));
+        // The first registration stands, and the rejected name took no id.
+        assert_eq!(d.len(), 3);
+        assert_eq!(d.by_name(&alice).unwrap().home_host, NodeId(10));
+        let id = d
+            .register(
+                "east.h1.erin".parse().unwrap(),
+                NodeId(9),
+                AuthorityList::new(vec![NodeId(2)]),
+            )
+            .unwrap();
+        assert_eq!(id, UserId(3));
     }
 
     #[test]
@@ -318,6 +342,20 @@ mod tests {
         assert!(!d.is_registered(&name));
         assert_eq!(d.len(), 2);
         assert!(d.unregister(&name).is_err());
+    }
+
+    #[test]
+    fn a_stale_id_still_returns_the_last_record() {
+        let mut d = dir_with_users();
+        let name: MailName = "east.h1.bob".parse().unwrap();
+        let rec = d.unregister(&name).unwrap();
+        assert_eq!(d.by_id(rec.id), Some(&rec));
+        assert!(d.by_name(&name).is_none());
+        assert!(!d.is_registered(&d.by_id(rec.id).unwrap().name));
+        // The other ids are untouched.
+        let alice: MailName = "east.h1.alice".parse().unwrap();
+        let id = d.by_name(&alice).unwrap().id;
+        assert_eq!(d.by_id(id).unwrap().name, alice);
     }
 
     #[test]
@@ -340,6 +378,41 @@ mod tests {
         assert!(v0.is_authority_for(&"east.h1.alice".parse().unwrap()));
         assert!(!v0.is_authority_for(&"east.h1.bob".parse().unwrap()));
         assert_eq!(v0.region_of_name("west"), Some(RegionId(1)));
+    }
+
+    /// Each view holds exactly the records a per-record insertion would,
+    /// in name order, sharing the directory's names, lists and region
+    /// table.
+    #[test]
+    fn partition_shares_what_it_replicates() {
+        let mut d = dir_with_users();
+        d.register(
+            "west.h2.dave".parse().unwrap(),
+            NodeId(11),
+            AuthorityList::new(vec![NodeId(0), NodeId(2)]),
+        )
+        .unwrap();
+        let servers = [NodeId(2), NodeId(0), NodeId(1), NodeId(0), NodeId(7)];
+        let views = d.partition(&servers);
+        assert_eq!(
+            views.keys().copied().collect::<Vec<_>>(),
+            [NodeId(0), NodeId(1), NodeId(2), NodeId(7)]
+        );
+        for (&s, view) in &views {
+            assert_eq!(view.server(), s);
+            let want: Vec<&UserRecord> = d.iter().filter(|r| r.authorities.contains(s)).collect();
+            let got: Vec<&UserRecord> = view.records.values().collect();
+            assert_eq!(got, want, "n{}", s.0);
+            for rec in got {
+                let held = d.by_name(&rec.name).unwrap();
+                assert!(std::ptr::eq(
+                    rec.authorities.servers(),
+                    held.authorities.servers()
+                ));
+            }
+            assert!(Arc::ptr_eq(&view.region_names, &d.region_names));
+        }
+        assert_eq!(views[&NodeId(7)].record_count(), 0);
     }
 
     #[test]

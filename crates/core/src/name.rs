@@ -198,6 +198,32 @@ impl MailName {
         MailName::new(region, host, self.user())
     }
 
+    /// The first 16 bytes of the name's buffer, padded with zeros, as a
+    /// big-endian integer.
+    ///
+    /// Names order as their buffers do, and a zero byte sorts below the
+    /// separator and every token byte, so `a < b` implies `a.order_key() <=
+    /// b.order_key()`: a search over a name-ordered table can compare these
+    /// integers and fall back to names only where two keys tie (names that
+    /// agree on their first 16 bytes).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lems_core::name::MailName;
+    ///
+    /// let a: MailName = "east.vax1.alice".parse()?;
+    /// let b: MailName = "east.vax1.bob".parse()?;
+    /// assert!(a < b && a.order_key() < b.order_key());
+    /// # Ok::<(), lems_core::name::ParseNameError>(())
+    /// ```
+    pub fn order_key(&self) -> u128 {
+        let mut bytes = [0; 16];
+        let n = self.buf.len().min(bytes.len());
+        bytes[..n].copy_from_slice(&self.buf.as_bytes()[..n]);
+        u128::from_be_bytes(bytes)
+    }
+
     /// True if both names are in the same region.
     pub fn same_region(&self, other: &MailName) -> bool {
         self.region() == other.region()
@@ -231,6 +257,11 @@ impl PartialOrd for MailName {
 
 impl Ord for MailName {
     fn cmp(&self, other: &Self) -> Ordering {
+        // As in `eq`: a clone meets its original without reading either
+        // buffer.
+        if Arc::ptr_eq(&self.buf, &other.buf) {
+            return Ordering::Equal;
+        }
         self.buf.cmp(&other.buf)
     }
 }
@@ -370,7 +401,81 @@ mod tests {
         assert_agrees_with_tuple(["a", "b", "c"], ["a", "b", "c"]);
     }
 
+    #[test]
+    fn a_clone_compares_equal_as_a_separately_built_name_does() {
+        let n = MailName::new("east", "vax1", "alice").unwrap();
+        let clone = n.clone();
+        let rebuilt: MailName = "east.vax1.alice".parse().unwrap();
+        assert!(Arc::ptr_eq(&n.buf, &clone.buf));
+        assert!(!Arc::ptr_eq(&n.buf, &rebuilt.buf));
+        assert_eq!(n.cmp(&clone), Ordering::Equal);
+        assert_eq!(n.cmp(&rebuilt), Ordering::Equal);
+        assert_eq!(rebuilt.cmp(&clone), Ordering::Equal);
+        let other: MailName = "east.vax1.alicf".parse().unwrap();
+        assert_eq!(clone.cmp(&other), Ordering::Less);
+        assert_eq!(other.cmp(&clone), Ordering::Greater);
+    }
+
+    /// Names whose buffers agree on their first 16 bytes tie on the key,
+    /// whatever their order; names that differ there do not.
+    #[test]
+    fn order_keys_tie_on_a_shared_16_byte_prefix() {
+        let names: Vec<MailName> = [
+            "east.mailhost-17.alice",
+            "east.mailhost-17.alina",
+            "east.mailhost-17b.al",
+            "east.mailhost-1.a",
+            "east.mailhost-17.a",
+        ]
+        .iter()
+        .map(|n| n.parse().unwrap())
+        .collect();
+        // "east\x01mailhost-17" is 16 bytes: the first three tie.
+        assert_eq!(names[0].order_key(), names[1].order_key());
+        assert_eq!(names[1].order_key(), names[2].order_key());
+        assert!(names[0] < names[1] && names[1] < names[2]);
+        // A shorter buffer pads with zeros and sorts below its extensions.
+        assert!(names[3].order_key() < names[4].order_key());
+        assert_eq!(names[4].order_key(), names[0].order_key());
+        assert!(names[4] < names[0]);
+        let short: MailName = "a.b.c".parse().unwrap();
+        assert_eq!(
+            short.order_key(),
+            u128::from_be_bytes(*b"a\x01b\x01c\0\0\0\0\0\0\0\0\0\0\0")
+        );
+    }
+
     proptest! {
+        /// The order key never orders two names against their order.
+        /// Tokens are drawn from a four-letter alphabet so that equal
+        /// tokens, prefixes and 16-byte ties all occur.
+        #[test]
+        fn order_keys_follow_name_order(
+            a in "[ab_-]{1,7}", b in "[ab_-]{1,7}", c in "[ab_-]{1,7}",
+            d in "[ab_-]{1,7}", e in "[ab_-]{1,7}", f in "[ab_-]{1,7}",
+        ) {
+            let x = MailName::new(&a, &b, &c).unwrap();
+            let y = MailName::new(&d, &e, &f).unwrap();
+            let (lo, hi) = if x <= y { (&x, &y) } else { (&y, &x) };
+            prop_assert!(lo.order_key() <= hi.order_key(), "{lo} {hi}");
+        }
+
+        /// The same over names that share their first two tokens and tie
+        /// on the first 16 bytes: the key stays monotone, and equal keys
+        /// are exactly the pairs whose buffers agree that far.
+        #[test]
+        fn order_keys_follow_name_order_across_ties(
+            host in "[ab]{11,13}", u in "[ab_-]{1,7}", v in "[ab_-]{1,7}",
+        ) {
+            let x = MailName::new("r0", &host, &u).unwrap();
+            let y = MailName::new("r0", &host, &v).unwrap();
+            let (lo, hi) = if x <= y { (&x, &y) } else { (&y, &x) };
+            prop_assert!(lo.order_key() <= hi.order_key(), "{lo} {hi}");
+            let agree = lo.buf.as_bytes().iter().take(16).eq(hi.buf.as_bytes().iter().take(16))
+                && lo.buf.len().min(16) == hi.buf.len().min(16);
+            prop_assert_eq!(lo.order_key() == hi.order_key(), agree, "{} {}", lo, hi);
+        }
+
         /// `Ord`, `Eq` and `Hash` agree with the `(region, host, user)`
         /// tuple. Tokens are drawn so that prefixes and equal tokens occur.
         #[test]

@@ -1,6 +1,7 @@
 //! Users and their authority-server lists.
 
 use std::fmt;
+use std::sync::Arc;
 
 use lems_net::graph::NodeId;
 
@@ -35,9 +36,13 @@ impl fmt::Display for UserId {
 /// assert_eq!(list.len(), 3);
 /// assert_eq!(list.rank_of(NodeId(5)), Some(1));
 /// ```
+///
+/// A list is immutable and shared: every user of a host group typically
+/// has the same one, and every server replicating a user holds it, so
+/// `clone` bumps a reference count.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AuthorityList {
-    servers: Vec<NodeId>,
+    servers: Arc<[NodeId]>,
 }
 
 impl AuthorityList {
@@ -50,11 +55,14 @@ impl AuthorityList {
     /// entries would double-poll.
     pub fn new(servers: Vec<NodeId>) -> Self {
         assert!(!servers.is_empty(), "authority list must not be empty");
-        let mut seen = std::collections::HashSet::new();
-        for s in &servers {
-            assert!(seen.insert(*s), "duplicate authority server {s}");
+        // Lists are a handful of servers long: a quadratic scan beats
+        // hashing.
+        for (i, s) in servers.iter().enumerate() {
+            assert!(!servers[..i].contains(s), "duplicate authority server {s}");
         }
-        AuthorityList { servers }
+        AuthorityList {
+            servers: servers.into(),
+        }
     }
 
     /// The primary server.
@@ -148,6 +156,25 @@ mod tests {
         assert_eq!(l.rank_of(NodeId(9)), None);
         assert!(l.contains(NodeId(2)));
         assert!(!l.is_empty());
+    }
+
+    #[test]
+    fn clones_share_the_list_and_print_as_before() {
+        let l = AuthorityList::new(vec![NodeId(2), NodeId(7), NodeId(4)]);
+        let c = l.clone();
+        assert!(std::ptr::eq(l.servers(), c.servers()));
+        assert_eq!(c, AuthorityList::new(vec![NodeId(2), NodeId(7), NodeId(4)]));
+        assert_ne!(c, AuthorityList::new(vec![NodeId(2), NodeId(4), NodeId(7)]));
+        assert_eq!(
+            format!("{l:?}"),
+            "AuthorityList { servers: [NodeId(2), NodeId(7), NodeId(4)] }"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate authority server n5")]
+    fn a_duplicate_past_the_head_panics() {
+        let _ = AuthorityList::new(vec![NodeId(1), NodeId(5), NodeId(3), NodeId(5)]);
     }
 
     #[test]

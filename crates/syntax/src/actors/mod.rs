@@ -54,7 +54,7 @@ use lems_store::DurabilityConfig;
 
 use crate::assign::{solve, Assignment, AssignmentProblem, BalanceOptions};
 use crate::cost::{CostModel, ServerSpec};
-use crate::resolve::SyntaxResolver;
+use crate::resolve::{RegionIndex, SyntaxResolver};
 
 mod host;
 mod msg;
@@ -325,7 +325,7 @@ pub struct Deployment {
     /// them in ([`MailMsg::NO_SLOT_HINT`] where it keeps none), which
     /// [`Deployment::send_at`] and [`Deployment::check_at`] hand the host
     /// so it need not look the name up again.
-    users: BTreeMap<MailName, (NodeId, u32)>,
+    users: UserTable,
     /// Host node -> actor id.
     host_actors: BTreeMap<NodeId, ActorId>,
     /// Host node -> region (for live migration naming).
@@ -345,6 +345,82 @@ pub struct Deployment {
     pub spans: Rc<RefCell<SpanLog>>,
     /// Store-recovery reports, one per server recovery, in recovery order.
     pub recoveries: SharedRecoveries,
+}
+
+/// One row of a [`UserTable`].
+struct UserRow {
+    /// `name.order_key()`.
+    key: u128,
+    name: MailName,
+    host: NodeId,
+    slot: u32,
+}
+
+/// Every user by name, with their home host and host slot: one vector in
+/// name order, searched by [`MailName::order_key`]. A lookup compares
+/// integers and reads only the name it lands on — and not even that when
+/// the name asked for is a clone of the one stored, as every name
+/// [`Deployment::user_names`] hands out is.
+struct UserTable {
+    rows: Vec<UserRow>,
+}
+
+impl UserTable {
+    /// The table of `users`, whose names are distinct.
+    fn new(users: Vec<(MailName, NodeId, u32)>) -> Self {
+        let mut rows: Vec<UserRow> = users
+            .into_iter()
+            .map(|(name, host, slot)| UserRow {
+                key: name.order_key(),
+                name,
+                host,
+                slot,
+            })
+            .collect();
+        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.name.cmp(&b.name)));
+        UserTable { rows }
+    }
+
+    /// Where `name` sits in the name order, or would.
+    fn find(&self, name: &MailName) -> Result<usize, usize> {
+        let key = name.order_key();
+        self.rows
+            .binary_search_by(|row| row.key.cmp(&key).then_with(|| row.name.cmp(name)))
+    }
+
+    /// `name`'s home host and slot.
+    fn get(&self, name: &MailName) -> Option<(NodeId, u32)> {
+        let row = &self.rows[self.find(name).ok()?];
+        Some((row.host, row.slot))
+    }
+
+    /// Sets `name`'s home host and slot.
+    fn insert(&mut self, name: MailName, host: NodeId, slot: u32) {
+        match self.find(&name) {
+            Ok(at) => (self.rows[at].host, self.rows[at].slot) = (host, slot),
+            Err(at) => {
+                let key = name.order_key();
+                let row = UserRow {
+                    key,
+                    name,
+                    host,
+                    slot,
+                };
+                self.rows.insert(at, row);
+            }
+        }
+    }
+
+    /// Drops `name`, returning its home host and slot.
+    fn remove(&mut self, name: &MailName) -> Option<(NodeId, u32)> {
+        let row = self.rows.remove(self.find(name).ok()?);
+        Some((row.host, row.slot))
+    }
+
+    /// Every name, in order.
+    fn names(&self) -> impl Iterator<Item = &MailName> {
+        self.rows.iter().map(|row| &row.name)
+    }
 }
 
 /// Who serves whom: the input [`Deployment::wire`] turns into actors.
@@ -425,9 +501,14 @@ impl Deployment {
     /// Panics if the host's display name is not a valid name token.
     #[expect(clippy::expect_used, reason = "generator display names are valid")]
     pub fn user_name(topology: &Topology, host: NodeId, k: usize) -> MailName {
-        let region = format!("r{}", topology.region(host).0);
-        MailName::new(&region, topology.name(host), &format!("u{k}"))
-            .expect("generated names are valid")
+        use std::fmt::Write;
+        // Both generated tokens, back to back in one buffer.
+        let mut tokens = String::with_capacity(24);
+        write!(tokens, "r{}", topology.region(host).0).expect("a String takes any write");
+        let region_len = tokens.len();
+        write!(tokens, "u{k}").expect("a String takes any write");
+        let (region, user) = tokens.split_at(region_len);
+        MailName::new(region, topology.name(host), user).expect("generated names are valid")
     }
 
     /// Wires `placement` into running actors, users named by
@@ -438,7 +519,10 @@ impl Deployment {
     ///
     /// Panics if `placement`'s tables are not the size of its problem, or
     /// the problem's hosts and servers are not `topology`'s.
-    #[expect(clippy::expect_used, reason = "generated names are unique")]
+    #[expect(
+        clippy::expect_used,
+        reason = "generated names are unique, and the partition has every server's view"
+    )]
     pub fn wire(topology: &Topology, placement: Placement, cfg: &DeploymentConfig) -> Self {
         let Placement {
             problem,
@@ -491,8 +575,10 @@ impl Deployment {
             users_by_host.push(host_users);
         }
 
-        // Per-server views and region tables.
-        let views = directory.partition(&server_nodes);
+        // Per-server views and region tables. Each server's view is its
+        // own; each region's index is built once and shared by the
+        // region's servers.
+        let mut views = directory.partition(&server_nodes);
         let mut region_servers: BTreeMap<RegionId, Vec<NodeId>> = BTreeMap::new();
         for &s in &server_nodes {
             region_servers
@@ -500,15 +586,18 @@ impl Deployment {
                 .or_default()
                 .push(s);
         }
-        let mut region_index_by_region: BTreeMap<RegionId, BTreeMap<MailName, AuthorityList>> =
-            BTreeMap::new();
+        let mut by_region: BTreeMap<RegionId, Vec<(MailName, AuthorityList)>> = BTreeMap::new();
         for rec in directory.iter() {
-            let region = topology.region(rec.home_host);
-            region_index_by_region
-                .entry(region)
+            by_region
+                .entry(topology.region(rec.home_host))
                 .or_default()
-                .insert(rec.name.clone(), rec.authorities.clone());
+                .push((rec.name.clone(), rec.authorities.clone()));
         }
+        // Name order, so each index is built in bulk.
+        let region_index: BTreeMap<RegionId, Rc<RegionIndex>> = by_region
+            .into_iter()
+            .map(|(region, users)| (region, Rc::new(users.into_iter().collect())))
+            .collect();
 
         // Spawn server actors.
         let proc = SimDuration::from_units(cfg.server_spec.proc_time);
@@ -518,11 +607,8 @@ impl Deployment {
             let resolver = SyntaxResolver::new(
                 s,
                 region,
-                views[&s].clone(),
-                region_index_by_region
-                    .get(&region)
-                    .cloned()
-                    .unwrap_or_default(),
+                views.remove(&s).expect("partition holds a view per server"),
+                region_index.get(&region).cloned().unwrap_or_default(),
                 region_servers.clone(),
             );
             let actor = ServerActor {
@@ -543,7 +629,7 @@ impl Deployment {
         }
 
         // Spawn host actors.
-        let mut users: BTreeMap<MailName, (NodeId, u32)> = BTreeMap::new();
+        let mut users = Vec::with_capacity(directory.len());
         let mut host_actors = BTreeMap::new();
         for ((&h, host_users), contact) in host_nodes.iter().zip(users_by_host).zip(contact) {
             let mut actor = HostActor {
@@ -557,7 +643,7 @@ impl Deployment {
             };
             for (name, authorities) in host_users {
                 let slot = actor.adopt_user(name.clone(), UiUser::new(authorities));
-                users.insert(name, (h, slot));
+                users.push((name, h, slot));
             }
             let id = sim.add_actor(actor);
             assert_eq!(transport.actor_of(h), Ok(id), "host bound ahead of time");
@@ -577,7 +663,7 @@ impl Deployment {
             transport,
             directory,
             stats,
-            users,
+            users: UserTable::new(users),
             host_actors,
             host_region,
             host_names,
@@ -692,6 +778,8 @@ impl Deployment {
         )?;
 
         // Server-side tables: retire the old name, install the new one.
+        // Only the index of the new name's region learns it, so the other
+        // regions' servers keep sharing theirs.
         let server_ids: Vec<ActorId> = self.server_actors.values().copied().collect();
         let new_rec = self
             .directory
@@ -702,9 +790,11 @@ impl Deployment {
             if let Some(server) = self.sim.actor_mut::<ServerActor>(aid) {
                 server.resolver.remove_regional(old_name);
                 server.resolver.view_mut().remove(old_name);
-                server
-                    .resolver
-                    .upsert_regional(new_name.clone(), new_rec.authorities.clone());
+                if server.resolver.region() == *region {
+                    server
+                        .resolver
+                        .upsert_regional(new_name.clone(), new_rec.authorities.clone());
+                }
                 if new_rec.authorities.contains(server.end.node) {
                     server.resolver.view_mut().upsert(new_rec.clone());
                 }
@@ -730,14 +820,14 @@ impl Deployment {
                 slot = h.adopt_user(new_name.clone(), ui);
             }
         }
-        self.users.insert(new_name.clone(), (new_host, slot));
+        self.users.insert(new_name.clone(), new_host, slot);
 
         Ok(new_name)
     }
 
     /// All user names, ordered.
     pub fn user_names(&self) -> Vec<MailName> {
-        self.users.keys().cloned().collect()
+        self.users.names().cloned().collect()
     }
 
     /// The actor simulating `server`.
@@ -760,7 +850,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn send_at(&mut self, at: SimTime, from: &MailName, to: &MailName) {
-        let (host, slot) = *self.users.get(from).expect("unknown sender");
+        let (host, slot) = self.users.get(from).expect("unknown sender");
         let actor = self.host_actors[&host];
         let delay = at.duration_since(self.sim.now());
         self.sim.inject(
@@ -784,7 +874,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn check_at(&mut self, at: SimTime, user: &MailName) {
-        let (host, slot) = *self.users.get(user).expect("unknown user");
+        let (host, slot) = self.users.get(user).expect("unknown user");
         let actor = self.host_actors[&host];
         let delay = at.duration_since(self.sim.now());
         let check = MailMsg::DoCheck {
@@ -1086,6 +1176,7 @@ impl ServerFailurePlan {
 mod tests {
     use super::host::owner_slot_at;
     use super::*;
+    use crate::resolve::Resolution;
     use lems_core::store::NO_OWNER_SLOT;
     use lems_net::generators::fig1;
     use lems_sim::span::{SpanId, SpanStage};
@@ -1172,6 +1263,143 @@ mod tests {
         )
     }
 
+    /// Three regions of two servers, so every three-server authority list
+    /// reaches into a second region.
+    fn three_region_deployment() -> (Topology, Deployment) {
+        let mut rng = SimRng::seed(5).fork("topology");
+        let topology = lems_net::generators::multi_region(
+            &mut rng,
+            &lems_net::generators::MultiRegionConfig {
+                regions: 3,
+                hosts_per_region: 3,
+                servers_per_region: 2,
+                ..lems_net::generators::MultiRegionConfig::default()
+            },
+        );
+        let users = vec![4; topology.hosts().len()];
+        let d = Deployment::build(&topology, &users, &DeploymentConfig::default());
+        (topology, d)
+    }
+
+    /// What every server's resolver and notify lookup say about every
+    /// registered user is what the directory implies: the user's record
+    /// at an authority of the user's region, the user's list elsewhere in
+    /// that region, the region's servers from any other region; and the
+    /// record itself at every authority, whatever its region.
+    fn assert_wiring_matches_directory(d: &Deployment, topology: &Topology) {
+        let mut region_servers: BTreeMap<RegionId, Vec<NodeId>> = BTreeMap::new();
+        for s in topology.servers() {
+            region_servers
+                .entry(topology.region(s))
+                .or_default()
+                .push(s);
+        }
+        for (&s, &aid) in &d.server_actors {
+            let resolver = &d.sim.actor::<ServerActor>(aid).unwrap().resolver;
+            assert_eq!(resolver.region(), topology.region(s));
+            for rec in d.directory.iter() {
+                let home = topology.region(rec.home_host);
+                let authority = rec.authorities.contains(s);
+                let want = if resolver.region() != home {
+                    Resolution::ForwardToRegion {
+                        region: home,
+                        servers: &region_servers[&home],
+                    }
+                } else if authority {
+                    Resolution::LocalAuthority(rec)
+                } else {
+                    Resolution::RegionalAuthority(&rec.authorities)
+                };
+                assert_eq!(
+                    resolver.resolve(&rec.name),
+                    want,
+                    "{} at n{}",
+                    rec.name,
+                    s.0
+                );
+                let held = resolver.view().lookup(&rec.name);
+                assert_eq!(held, authority.then_some(rec), "{} at n{}", rec.name, s.0);
+            }
+            let held = d.directory.iter().filter(|r| r.authorities.contains(s));
+            assert_eq!(resolver.view().record_count(), held.count(), "n{}", s.0);
+        }
+    }
+
+    /// Whether each region's servers hold one shared index allocation.
+    fn region_index_shared(d: &Deployment) -> BTreeMap<RegionId, bool> {
+        let mut by_region: BTreeMap<RegionId, Vec<*const RegionIndex>> = BTreeMap::new();
+        for &aid in d.server_actors.values() {
+            let resolver = &d.sim.actor::<ServerActor>(aid).unwrap().resolver;
+            by_region
+                .entry(resolver.region())
+                .or_default()
+                .push(Rc::as_ptr(resolver.region_index()));
+        }
+        by_region
+            .into_iter()
+            .map(|(region, indexes)| (region, indexes.windows(2).all(|w| w[0] == w[1])))
+            .collect()
+    }
+
+    #[test]
+    fn wiring_resolves_as_the_directory_implies() {
+        let (topology, mut d) = three_region_deployment();
+        let crossing = d.directory.iter().any(|r| {
+            let home = topology.region(r.home_host);
+            r.authorities
+                .servers()
+                .iter()
+                .any(|&s| topology.region(s) != home)
+        });
+        assert!(crossing, "some authority list crosses regions");
+        assert_wiring_matches_directory(&d, &topology);
+        let all_shared = BTreeMap::from([
+            (RegionId(0), true),
+            (RegionId(1), true),
+            (RegionId(2), true),
+        ]);
+        assert_eq!(region_index_shared(&d), all_shared);
+
+        // Move a region-0 user to a region-1 host.
+        let old = d
+            .user_names()
+            .into_iter()
+            .find(|n| topology.region(d.directory.by_name(n).unwrap().home_host) == RegionId(0))
+            .unwrap();
+        let new_host = *topology
+            .hosts()
+            .iter()
+            .find(|&&h| topology.region(h) == RegionId(1))
+            .unwrap();
+        let new = d
+            .migrate_user_live(&old, new_host, Some("moved"), SimDuration::from_units(50.0))
+            .unwrap();
+        assert_eq!(
+            topology.region(d.directory.by_name(&new).unwrap().home_host),
+            RegionId(1)
+        );
+        assert_wiring_matches_directory(&d, &topology);
+        // The old name is gone from region 0's tables and forwards there
+        // from elsewhere.
+        for &aid in d.server_actors.values() {
+            let resolver = &d.sim.actor::<ServerActor>(aid).unwrap().resolver;
+            assert_eq!(resolver.view().lookup(&old), None);
+            match resolver.resolve(&old) {
+                Resolution::UnknownUser => assert_eq!(resolver.region(), RegionId(0)),
+                Resolution::ForwardToRegion { region, .. } => assert_eq!(region, RegionId(0)),
+                other => panic!("{old} resolves to {other:?}"),
+            }
+        }
+        // The two regions the migration touched hold one copy per server
+        // now; the third still shares one.
+        let after = BTreeMap::from([
+            (RegionId(0), false),
+            (RegionId(1), false),
+            (RegionId(2), true),
+        ]);
+        assert_eq!(region_index_shared(&d), after);
+    }
+
     /// Every queued event carries one: the §3.2.2c vocabulary must not
     /// widen what System 1 pays per event.
     #[test]
@@ -1240,7 +1468,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[7].clone());
         d.send_at(t(1.0), &alice, &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(d.alerts_at(d.users[&bob].0, &bob), 1);
+        assert_eq!(d.alerts_at(d.users.get(&bob).unwrap().0, &bob), 1);
     }
 
     #[test]
@@ -1372,7 +1600,7 @@ mod tests {
         let mut d = small_deployment(12);
         let names = d.user_names();
         let (alice, bob_old) = (names[0].clone(), names[4].clone());
-        let old_host = d.users[&bob_old].0;
+        let old_host = d.users.get(&bob_old).unwrap().0;
 
         // Migrate bob to a different host at t=0.
         let f = lems_net::generators::fig1();
@@ -1408,7 +1636,7 @@ mod tests {
         let mut d = small_deployment(13);
         let names = d.user_names();
         let (alice, bob_old) = (names[0].clone(), names[4].clone());
-        let old_host = d.users[&bob_old].0;
+        let old_host = d.users.get(&bob_old).unwrap().0;
         let f = lems_net::generators::fig1();
         let new_host = *f.topology.hosts().iter().find(|&&h| h != old_host).unwrap();
         let _ = d
@@ -1494,7 +1722,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
         let server = d.server_actor(primary).unwrap();
-        let host = d.host_actor(d.users[&bob].0).unwrap();
+        let host = d.host_actor(d.users.get(&bob).unwrap().0).unwrap();
 
         // Deliver cleanly, then make the server->host direction drop every
         // message until t=100: Retrieves arrive, replies vanish.
@@ -1597,7 +1825,7 @@ mod tests {
         let names = d.user_names();
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&alice).unwrap().authorities.primary();
-        let host_node = d.users[&alice].0;
+        let host_node = d.users.get(&alice).unwrap().0;
         let host = d.host_actor(host_node).unwrap();
         let server = d.server_actor(primary).unwrap();
 
@@ -1690,8 +1918,12 @@ mod tests {
     fn housemates(d: &Deployment) -> (MailName, MailName, ActorId) {
         let names = d.user_names();
         let (a, b) = (names[0].clone(), names[1].clone());
-        assert_eq!(d.users[&a].0, d.users[&b].0, "generated names sort by host");
-        let host = d.host_actor(d.users[&a].0).unwrap();
+        assert_eq!(
+            d.users.get(&a).unwrap().0,
+            d.users.get(&b).unwrap().0,
+            "generated names sort by host"
+        );
+        let host = d.host_actor(d.users.get(&a).unwrap().0).unwrap();
         (a, b, host)
     }
 
@@ -1842,7 +2074,7 @@ mod tests {
             server,
             MailMsg::Retrieve {
                 user: bob.clone(),
-                reply_to: d.users[&bob].0,
+                reply_to: d.users.get(&bob).unwrap().0,
                 session: bob_session,
                 owner_slot: 0,
             },
@@ -1892,7 +2124,7 @@ mod tests {
             server,
             MailMsg::Retrieve {
                 user: bob.clone(),
-                reply_to: d.users[&bob].0,
+                reply_to: d.users.get(&bob).unwrap().0,
                 session: bob_session,
                 owner_slot: 9_999,
             },
@@ -1935,7 +2167,7 @@ mod tests {
         assert!(d.sim.counters().duplicated.get() > 0);
         assert_eq!(d.mail_in_storage(), 0);
         for user in &names {
-            let host = d.host_actor(d.users[user].0).unwrap();
+            let host = d.host_actor(d.users.get(user).unwrap().0).unwrap();
             let authorities = d.directory.by_name(user).unwrap().authorities.clone();
             for &server in authorities.servers() {
                 let taught = learned(&d, host, user, server);
@@ -2034,12 +2266,12 @@ mod tests {
             d.sim.inject(d.host_actors[&host], msg, delay);
         };
         let send = |d: &mut Deployment, at: f64, from: &MailName, to: &MailName| {
-            let (host, slot) = d.users[from];
+            let (host, slot) = d.users.get(from).unwrap();
             let (from, to, slot) = (from.clone(), to.clone(), hint(slot));
             inject(d, at, host, MailMsg::DoSend { from, to, slot });
         };
         let check = |d: &mut Deployment, at: f64, user: &MailName| {
-            let (host, slot) = d.users[user];
+            let (host, slot) = d.users.get(user).unwrap();
             let (user, slot) = (user.clone(), hint(slot));
             inject(d, at, host, MailMsg::DoCheck { user, slot });
         };
@@ -2051,7 +2283,7 @@ mod tests {
         d.sim.run_until(t(100.0));
 
         let bob_old = names[4].clone();
-        let (old_host, old_slot) = d.users[&bob_old];
+        let (old_host, old_slot) = d.users.get(&bob_old).unwrap();
         let new_host = *d.host_actors.keys().find(|&&h| h != old_host).unwrap();
         let bob_new = d
             .migrate_user_live(
@@ -2061,7 +2293,11 @@ mod tests {
                 SimDuration::from_units(500.0),
             )
             .unwrap();
-        assert_eq!(d.users[&bob_new], (new_host, 2), "a third slot there");
+        assert_eq!(
+            d.users.get(&bob_new).unwrap(),
+            (new_host, 2),
+            "a third slot there"
+        );
         send(&mut d, 110.0, &names[0], &bob_old);
         send(&mut d, 111.0, &bob_new, &names[0]);
         check(&mut d, 170.0, &bob_new);
@@ -2118,12 +2354,12 @@ mod tests {
             )
             .unwrap();
         for name in d.user_names() {
-            let (host, slot) = d.users[&name];
+            let (host, slot) = d.users.get(&name).unwrap();
             let h: &HostActor = d.sim.actor(d.host_actors[&host]).unwrap();
             assert_eq!(h.slot_of[&name], slot as usize, "{name}");
             assert!(h.users[slot as usize].name == name);
         }
-        assert_eq!(d.users[&moved], (new_host, 2));
+        assert_eq!(d.users.get(&moved).unwrap(), (new_host, 2));
     }
 
     /// A name the directory knows but no host serves can still be
@@ -2133,7 +2369,7 @@ mod tests {
     fn migrated_name_without_interface_state_bounces_at_source() {
         let mut d = small_deployment(48);
         let names = d.user_names();
-        let (home, _) = d.users[&names[0]];
+        let (home, _) = d.users.get(&names[0]).unwrap();
         let new_host = *d.host_actors.keys().find(|&&h| h != home).unwrap();
         let ghost = MailName::new(names[0].region(), names[0].host(), "ghost").unwrap();
         let authorities = d.directory.by_name(&names[0]).unwrap().authorities.clone();
@@ -2143,7 +2379,10 @@ mod tests {
         let moved = d
             .migrate_user_live(&ghost, new_host, None, SimDuration::from_units(50.0))
             .unwrap();
-        assert_eq!(d.users[&moved], (new_host, MailMsg::NO_SLOT_HINT));
+        assert_eq!(
+            d.users.get(&moved).unwrap(),
+            (new_host, MailMsg::NO_SLOT_HINT)
+        );
 
         d.send_at(t(1.0), &moved, &names[1]);
         d.check_at(t(2.0), &moved);

@@ -10,6 +10,7 @@
 //! where the name resolution process continues."
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use lems_core::directory::ServerView;
 use lems_core::name::MailName;
@@ -42,6 +43,10 @@ pub enum Resolution<'a> {
     UnknownUser,
 }
 
+/// The authority list of every user of one region, by name: what each of
+/// the region's servers replicates.
+pub type RegionIndex = BTreeMap<MailName, AuthorityList>;
+
 /// One server's syntax-directed resolver.
 ///
 /// Knowledge model (§2, §3.1.2b): a server is authoritative for the names
@@ -49,12 +54,16 @@ pub enum Resolution<'a> {
 /// every user *of its own region* (so local names resolve in one step) and
 /// the server roster of every region (so foreign names forward in one
 /// step).
+///
+/// The region's servers all hold the same [`RegionIndex`], so a deployment
+/// builds it once and shares it; the first change a server makes to it
+/// gives that server its own copy.
 #[derive(Clone, Debug)]
 pub struct SyntaxResolver {
     server: NodeId,
     region: RegionId,
     view: ServerView,
-    region_index: BTreeMap<MailName, AuthorityList>,
+    region_index: Rc<RegionIndex>,
     region_servers: BTreeMap<RegionId, Vec<NodeId>>,
 }
 
@@ -64,7 +73,7 @@ impl SyntaxResolver {
         server: NodeId,
         region: RegionId,
         view: ServerView,
-        region_index: BTreeMap<MailName, AuthorityList>,
+        region_index: Rc<RegionIndex>,
         region_servers: BTreeMap<RegionId, Vec<NodeId>>,
     ) -> Self {
         SyntaxResolver {
@@ -96,15 +105,25 @@ impl SyntaxResolver {
         &self.view
     }
 
-    /// Adds or updates a local-region user's authority list (regional
-    /// replication maintenance).
-    pub fn upsert_regional(&mut self, name: MailName, authorities: AuthorityList) {
-        self.region_index.insert(name, authorities);
+    /// The replicated index of this server's region, shared with the
+    /// region's other servers until one of them changes it.
+    pub fn region_index(&self) -> &Rc<RegionIndex> {
+        &self.region_index
     }
 
-    /// Drops a local-region user (delete/migrate-away).
+    /// Adds or updates a local-region user's authority list (regional
+    /// replication maintenance). Copies a shared index first.
+    pub fn upsert_regional(&mut self, name: MailName, authorities: AuthorityList) {
+        Rc::make_mut(&mut self.region_index).insert(name, authorities);
+    }
+
+    /// Drops a local-region user (delete/migrate-away). Copies a shared
+    /// index first, unless `name` is not in it.
     pub fn remove_regional(&mut self, name: &MailName) -> Option<AuthorityList> {
-        self.region_index.remove(name)
+        if !self.region_index.contains_key(name) {
+            return None;
+        }
+        Rc::make_mut(&mut self.region_index).remove(name)
     }
 
     /// Updates the roster of servers for a region (add/delete server
@@ -168,10 +187,10 @@ mod tests {
         .unwrap();
         let views = dir.partition(&[NodeId(0), NodeId(1)]);
 
-        let mut region_index = BTreeMap::new();
-        for rec in dir.iter() {
-            region_index.insert(rec.name.clone(), rec.authorities.clone());
-        }
+        let region_index: RegionIndex = dir
+            .iter()
+            .map(|rec| (rec.name.clone(), rec.authorities.clone()))
+            .collect();
         let mut region_servers = BTreeMap::new();
         region_servers.insert(RegionId(0), vec![NodeId(0), NodeId(1)]);
         region_servers.insert(RegionId(1), vec![NodeId(5)]);
@@ -180,7 +199,7 @@ mod tests {
             NodeId(0),
             RegionId(0),
             views[&NodeId(0)].clone(),
-            region_index,
+            Rc::new(region_index),
             region_servers,
         )
     }
@@ -225,6 +244,23 @@ mod tests {
         let r = resolver();
         assert_eq!(r.resolve(&name("mars.h1.zed")), Resolution::UnknownRegion);
         assert_eq!(r.resolve(&name("east.h1.nobody")), Resolution::UnknownUser);
+    }
+
+    #[test]
+    fn changing_a_shared_index_copies_it_first() {
+        let mut r = resolver();
+        let peer = r.clone();
+        assert!(Rc::ptr_eq(r.region_index(), peer.region_index()));
+        // Removing a name the index lacks changes nothing, shares on.
+        assert_eq!(r.remove_regional(&name("east.h3.dave")), None);
+        assert!(Rc::ptr_eq(r.region_index(), peer.region_index()));
+        assert!(r.remove_regional(&name("east.h2.bob")).is_some());
+        assert!(!Rc::ptr_eq(r.region_index(), peer.region_index()));
+        assert_eq!(r.resolve(&name("east.h2.bob")), Resolution::UnknownUser);
+        assert!(matches!(
+            peer.resolve(&name("east.h2.bob")),
+            Resolution::RegionalAuthority(_)
+        ));
     }
 
     #[test]

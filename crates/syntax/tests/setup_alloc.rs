@@ -1,0 +1,87 @@
+//! Pins the allocation cost of wiring a deployment.
+//!
+//! §2 partially replicates the name database: every server holds the
+//! records of the users it is an authority for and the authority lists of
+//! every user of its region. `Deployment::build` builds each replicated
+//! table once and shares it — authority lists are reference-counted
+//! slices, a region's servers share one index, each server's view is moved
+//! out of the partition rather than copied — so set-up costs a few
+//! allocations per user, most of them the user's name and the host's
+//! per-user session state.
+//!
+//! The world is the benchmark ladder's shape, smaller: 5 regions of 12
+//! hosts and 2 servers, 50 users a host, 3 000 users in all. Before the
+//! tables were shared, building it allocated 58 157 times (19.4 per user):
+//! a fresh `Vec` and a hash set per authority-list copy, a clone of every
+//! view and of every region index per server. Shared, it allocates 16 031
+//! times (5.3 per user: the name and its formatting buffer, the host's
+//! per-user session state, and the table nodes); the budget of 6 per user
+//! leaves that an eighth of headroom, and a table copied per server again
+//! would overrun it.
+//!
+//! CI runs this against the release build (the claim is about optimised
+//! code); the budget holds in a debug build too.
+//!
+//! Lives in `tests/` (its own crate) because `lems-syntax` forbids the
+//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
+//! zero_alloc.rs` pattern.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lems_net::generators::{multi_region, MultiRegionConfig};
+use lems_sim::rng::SimRng;
+use lems_syntax::actors::{Deployment, DeploymentConfig};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+struct Counting;
+
+// SAFETY: delegates every operation verbatim to `System`; the counter is a
+// plain relaxed atomic with no allocation of its own.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Allocations per user `Deployment::build` may make.
+const BUDGET_PER_USER: u64 = 6;
+
+#[test]
+fn building_a_deployment_allocates_a_few_times_per_user() {
+    let topology = multi_region(
+        &mut SimRng::forked(0, "topology"),
+        &MultiRegionConfig {
+            regions: 5,
+            hosts_per_region: 12,
+            servers_per_region: 2,
+            ..MultiRegionConfig::default()
+        },
+    );
+    let users_per_host = vec![50; topology.hosts().len()];
+    let users: u64 = users_per_host.iter().map(|&n| u64::from(n)).sum();
+    let cfg = DeploymentConfig::default();
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let d = Deployment::build(&topology, &users_per_host, &cfg);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(d.user_names().len() as u64, users);
+    let budget = BUDGET_PER_USER * users;
+    assert!(
+        allocs <= budget,
+        "building {users} users allocated {allocs} times (budget {budget})"
+    );
+}
