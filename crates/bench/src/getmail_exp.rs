@@ -14,12 +14,13 @@ use lems_net::generators::fig1;
 use lems_net::graph::NodeId;
 use lems_sim::actor::ActorId;
 use lems_sim::failure::FailurePlan;
-use lems_sim::metrics::{MetricsRegistry, Summary};
+use lems_sim::metrics::Summary;
 use lems_sim::rng::SimRng;
-use lems_sim::span::SpanLog;
 use lems_sim::time::{SimDuration, SimTime};
 use lems_syntax::actors::{Deployment, DeploymentConfig, ServerFailurePlan};
 use lems_syntax::getmail::{poll_all, GetMailState, PlanStore};
+
+use crate::render::{f3, Report, Table};
 
 /// Generous per-run event budget: a non-quiescing run is a livelocked
 /// retry loop and aborts the experiment rather than hanging it.
@@ -27,40 +28,40 @@ const EVENT_BUDGET: u64 = 20_000_000;
 
 /// One row of the C1/C2 sweep.
 #[derive(Clone, Copy, Debug)]
-pub struct GetMailRow {
+struct GetMailRow {
     /// Target per-server availability (MTBF / (MTBF + MTTR)).
-    pub availability: f64,
+    availability: f64,
     /// Mean polls per retrieval, GetMail.
-    pub getmail_polls: f64,
+    getmail_polls: f64,
     /// Mean polls per retrieval, poll-all baseline.
-    pub pollall_polls: f64,
+    pollall_polls: f64,
     /// Messages deposited across the run.
-    pub deposited: u64,
+    deposited: u64,
     /// Messages retrieved (GetMail side).
-    pub retrieved: u64,
+    retrieved: u64,
     /// Messages silently lost (must be 0 — the §5 claim).
-    pub lost: u64,
+    lost: u64,
     /// Deposit attempts that bounced because every server was down.
-    pub undeliverable: u64,
+    undeliverable: u64,
 }
 
 /// Sweep configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct GetMailSweepConfig {
+struct GetMailSweepConfig {
     /// Authority servers per user.
-    pub servers: usize,
+    servers: usize,
     /// Independent users simulated per availability point.
-    pub users: usize,
+    users: usize,
     /// Scenario horizon, in time units.
-    pub horizon: f64,
+    horizon: f64,
     /// Mean time between mailbox checks.
-    pub check_interval: f64,
+    check_interval: f64,
     /// Mean time between deposits for a user.
-    pub deposit_interval: f64,
+    deposit_interval: f64,
     /// MTTR (repair time) in units; MTBF is derived from the availability.
-    pub mttr: f64,
+    mttr: f64,
     /// Base RNG seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Default for GetMailSweepConfig {
@@ -79,7 +80,7 @@ impl Default for GetMailSweepConfig {
 
 /// Runs the analytic sweep over the given availability targets. An
 /// availability of 1.0 means no failures at all ("normal conditions").
-pub fn sweep(availabilities: &[f64], cfg: &GetMailSweepConfig) -> Vec<GetMailRow> {
+fn sweep(availabilities: &[f64], cfg: &GetMailSweepConfig) -> Vec<GetMailRow> {
     availabilities
         .iter()
         .map(|&avail| one_point(avail, cfg))
@@ -187,50 +188,24 @@ fn one_point(availability: f64, cfg: &GetMailSweepConfig) -> GetMailRow {
 
 /// Result of the full-stack cross-check (C1 through the actor pipeline).
 #[derive(Clone, Copy, Debug)]
-pub struct FullStackRow {
+struct FullStackRow {
     /// Mean polls per retrieval measured end to end.
-    pub polls_mean: f64,
+    polls_mean: f64,
     /// Messages submitted.
-    pub submitted: u64,
+    submitted: u64,
     /// Messages retrieved.
-    pub retrieved: u64,
+    retrieved: u64,
     /// Messages bounced (sender notified — not lost).
-    pub bounced: u64,
+    bounced: u64,
     /// Messages unaccounted for at drain time.
-    pub outstanding: usize,
-    /// Messages still sitting in server mailboxes at drain time
-    /// (diagnoses whether outstanding mail is stranded in storage or
-    /// vanished in flight).
-    pub in_storage: usize,
-}
-
-/// Message-lifecycle telemetry captured alongside a [`full_stack_traced`]
-/// run, in the shape `lems-obs` exports: the complete span log plus the
-/// per-actor metric registries in deployment order.
-#[derive(Clone, Debug)]
-pub struct FullStackTelemetry {
-    /// The run's span log (lossless; recording is unbounded).
-    pub spans: SpanLog,
-    /// `(scope, registry)` pairs in deployment (node) order.
-    pub scopes: Vec<(String, MetricsRegistry)>,
-    /// Engine seed the run used.
-    pub seed: u64,
-    /// Simulated time at quiescence.
-    pub finished_at: SimTime,
+    outstanding: usize,
 }
 
 /// Runs the actor-based deployment on the Fig. 1 network with random
 /// server outages and periodic checks; the deliverable is the same
 /// polls/lost metrics as the analytic sweep, now including timeouts,
 /// forwarding, and store-and-forward effects.
-pub fn full_stack(availability: f64, seed: u64) -> FullStackRow {
-    full_stack_traced(availability, seed).0
-}
-
-/// [`full_stack`] plus the run's telemetry. Span recording draws no
-/// randomness and schedules nothing, so the measured row is identical to
-/// the untraced run's.
-pub fn full_stack_traced(availability: f64, seed: u64) -> (FullStackRow, FullStackTelemetry) {
+fn full_stack(availability: f64, seed: u64) -> FullStackRow {
     let f = fig1();
     let mut d = Deployment::build(
         &f.topology,
@@ -240,7 +215,6 @@ pub fn full_stack_traced(availability: f64, seed: u64) -> (FullStackRow, FullSta
             ..DeploymentConfig::default()
         },
     );
-    d.enable_spans();
     let names = d.user_names();
     let mut rng = SimRng::seed(seed).fork("full-stack");
 
@@ -287,24 +261,68 @@ pub fn full_stack_traced(availability: f64, seed: u64) -> (FullStackRow, FullSta
     }
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
-    let in_storage = d.mail_in_storage();
     let st = d.stats.borrow();
-    let row = FullStackRow {
+    FullStackRow {
         polls_mean: st.retrieval_polls.mean(),
         submitted: st.submitted,
         retrieved: st.retrieved,
         bounced: st.bounced,
         outstanding: st.outstanding(),
-        in_storage,
-    };
-    drop(st);
-    let telemetry = FullStackTelemetry {
-        spans: d.spans.borrow().clone(),
-        scopes: d.metrics_snapshot(),
-        seed,
-        finished_at: d.sim.now(),
-    };
-    (row, telemetry)
+    }
+}
+
+/// C1 + C2: GetMail polls per retrieval vs the poll-every-server
+/// baseline, across server availabilities, with the no-lost-mail ledger
+/// (§3.1.2c, §5: "the number of polls per retrieval request is
+/// approximately one under normal conditions" and "no messages will be
+/// lost even when some servers fail").
+pub(crate) fn report() -> Report {
+    let cfg = GetMailSweepConfig::default();
+    let mut report = Report::new(format!(
+        "C1/C2 — GetMail vs poll-all ({} users x {} units per point, {}-server authority lists)",
+        cfg.users, cfg.horizon, cfg.servers
+    ));
+
+    let availabilities = [1.0, 0.99, 0.95, 0.9, 0.8, 0.7];
+    let rows = sweep(&availabilities, &cfg);
+
+    let mut t = Table::new(vec![
+        "availability",
+        "getmail polls",
+        "poll-all polls",
+        "deposited",
+        "retrieved",
+        "lost",
+        "bounced-at-send",
+    ]);
+    for r in &rows {
+        t.row(vec![
+            f3(r.availability),
+            f3(r.getmail_polls),
+            f3(r.pollall_polls),
+            r.deposited.to_string(),
+            r.retrieved.to_string(),
+            r.lost.to_string(),
+            r.undeliverable.to_string(),
+        ]);
+    }
+    report.table(&t);
+    report.note("shape checks:");
+    report.note("  - polls -> 1 as availability -> 1 (paper: 'approximately one')");
+    report.note("  - poll-all always pays the full list length");
+    report.note("  - lost = 0 at every point (paper: 'no messages will be lost')");
+
+    report.note("full-stack cross-check (actor pipeline, Fig. 1 network, 95% availability):");
+    let fs = full_stack(0.95, 7);
+    report.kv(&[
+        ("polls/check".into(), format!("{:.3}", fs.polls_mean)),
+        ("submitted".into(), fs.submitted.to_string()),
+        ("retrieved".into(), fs.retrieved.to_string()),
+        ("bounced".into(), fs.bounced.to_string()),
+        ("unaccounted".into(), fs.outstanding.to_string()),
+    ]);
+
+    report
 }
 
 #[cfg(test)]

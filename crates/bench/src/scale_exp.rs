@@ -24,9 +24,11 @@ use lems_syntax::assign::{authority_lists, solve, AssignmentProblem, BalanceOpti
 use lems_syntax::cost::{CostModel, ServerSpec};
 use lems_syntax::getmail::{GetMailState, PlanStore};
 
+use crate::render::{f1, f3, Report, Table};
+
 /// How a tier's topology is generated.
 #[derive(Clone, Copy, Debug)]
-pub enum TierTopology {
+enum TierTopology {
     /// The paper's Fig. 1 worked example (6 hosts, 3 servers, 270 users).
     Fig1,
     /// A seeded multi-region network.
@@ -46,23 +48,23 @@ pub enum TierTopology {
 
 /// One size tier of the scale experiment.
 #[derive(Clone, Copy, Debug)]
-pub struct TierSpec {
+struct TierSpec {
     /// Tier label, the first column of both tables. It also names the
     /// tier's RNG fork, so renaming a tier moves its digests.
-    pub label: &'static str,
+    label: &'static str,
     /// Topology recipe.
-    pub topology: TierTopology,
+    topology: TierTopology,
 }
 
 /// Authority-list length used by every tier's GetMail stage.
-pub const LIST_LEN: usize = 3;
+const LIST_LEN: usize = 3;
 
-/// The seed `repro-scale` runs at.
-pub const SEED: u64 = 42;
+/// The seed the scale experiment runs at.
+const SEED: u64 = 42;
 
 /// The tier ladder: Fig. 1, then 50k, 200k and a million users (the last
 /// on 10k hosts and 500 servers).
-pub const TIERS: [TierSpec; 4] = [
+const TIERS: [TierSpec; 4] = [
     TierSpec {
         label: "fig1",
         topology: TierTopology::Fig1,
@@ -101,32 +103,32 @@ pub const TIERS: [TierSpec; 4] = [
 
 /// What one tier produced. Same `seed` ⇒ same row, field for field.
 #[derive(Clone, Debug, PartialEq)]
-pub struct TierRow {
+struct TierRow {
     /// Tier label.
-    pub label: &'static str,
+    label: &'static str,
     /// Total users assigned.
-    pub users: u64,
+    users: u64,
     /// Hosts in the topology.
-    pub hosts: usize,
+    hosts: usize,
     /// Servers in the topology.
-    pub servers: usize,
+    servers: usize,
     /// Balancing passes to convergence.
-    pub passes: u64,
+    passes: u64,
     /// Accepted transfers.
-    pub moves: u64,
+    moves: u64,
     /// Maximum final server utilisation ρ.
-    pub rho_max: f64,
+    rho_max: f64,
     /// Spread `max ρ − min ρ` across servers after balancing.
-    pub rho_spread: f64,
+    rho_spread: f64,
     /// Final objective `Σ A_ij · TC_ij`.
-    pub total_cost: f64,
+    total_cost: f64,
     /// FNV-1a fingerprint of the final assignment.
-    pub assign_digest: u64,
+    assign_digest: u64,
     /// Mean polls per retrieval over the sampled GetMail runs.
-    pub polls_mean: f64,
+    polls_mean: f64,
     /// FNV-1a fingerprint over every distinct authority list's node ids
     /// (one per host and primary server).
-    pub lists_digest: u64,
+    lists_digest: u64,
 }
 
 fn tier_topology(spec: &TierSpec, seed: u64) -> (Topology, Vec<u32>, ServerSpec) {
@@ -181,7 +183,7 @@ fn lists_digest(lists: &[Vec<NodeId>]) -> u64 {
 
 /// Runs one tier end to end: topology → [`CostMatrix`] → `solve` →
 /// `authority_lists` → sampled polls.
-pub fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
+fn run_tier(spec: &TierSpec, seed: u64) -> TierRow {
     let (topology, users_per_host, server_spec) = tier_topology(spec, seed);
     let problem = AssignmentProblem::from_matrix(
         &topology,
@@ -255,6 +257,63 @@ fn sample_polls(lists: &[Vec<NodeId>], seed: u64) -> f64 {
         polls += u64::from(out.polls);
     }
     polls as f64 / samples.max(1) as f64
+}
+
+/// SCALE: the §3.1.1 assignment pipeline at four sizes, Fig. 1 to a
+/// million users — convergence, balance and determinism digests of the
+/// solver `Deployment::build` runs, then the authority lists (drawn by its
+/// list rule) and GetMail polls built off each final assignment.
+/// Everything printed is a function of the seed.
+pub(crate) fn report() -> Report {
+    let rows: Vec<_> = TIERS.iter().map(|spec| run_tier(spec, SEED)).collect();
+
+    let mut report = Report::new(format!(
+        "SCALE — §3.1.1 assignment pipeline at size (seed {SEED})"
+    ));
+
+    let mut t = Table::new(vec![
+        "tier",
+        "users",
+        "hosts",
+        "servers",
+        "passes",
+        "moves",
+        "rho max",
+        "rho spread",
+        "total cost",
+        "digest",
+    ]);
+    for r in &rows {
+        t.row(vec![
+            r.label.to_owned(),
+            r.users.to_string(),
+            r.hosts.to_string(),
+            r.servers.to_string(),
+            r.passes.to_string(),
+            r.moves.to_string(),
+            f3(r.rho_max),
+            f3(r.rho_spread),
+            f1(r.total_cost),
+            format!("{:016x}", r.assign_digest),
+        ]);
+    }
+    report.table(&t);
+
+    report.note("authority lists and sampled GetMail retrievals off each final assignment:");
+    let mut g = Table::new(vec!["tier", "users", "list len", "polls mean", "digest"]);
+    for r in &rows {
+        g.row(vec![
+            r.label.to_owned(),
+            r.users.to_string(),
+            LIST_LEN.to_string(),
+            f3(r.polls_mean),
+            format!("{:016x}", r.lists_digest),
+        ]);
+    }
+    report.table(&g);
+    report.note("determinism contract: same seed => same digest (tests/assign_differential.rs)");
+
+    report
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@
 //! group naming support) — the same way the paper argues §3.2/§3.3
 //! relative to §3.1.
 
-use lems_eval::criteria::Scorecard;
 use lems_net::generators::fig1;
 use lems_sim::rng::SimRng;
 use lems_sim::time::{SimDuration, SimTime};
@@ -20,9 +19,11 @@ const EVENT_BUDGET: u64 = 20_000_000;
 
 use crate::locindep_exp::{mobility_sweep, reconfig_comparison};
 use crate::mst_exp::c3_sweep;
+use crate::render::Report;
+use crate::scorecard::{comparison_table, rank, CriteriaWeights, Scorecard};
 
 /// The measured + derived scorecards.
-pub fn scorecards(seed: u64) -> Vec<Scorecard> {
+fn scorecards(seed: u64) -> Vec<Scorecard> {
     let scenario = "fig1 workload, 95% server availability";
 
     // ---- System 1: measured through the actor pipeline. ----
@@ -106,7 +107,7 @@ pub fn scorecards(seed: u64) -> Vec<Scorecard> {
     locindep.efficiency.delivery_latency_mean *= overhead;
     locindep.efficiency.end_to_end_latency_mean *= overhead;
     locindep.flexibility.move_requires_rename = false; // the whole point
-    let rcmp = reconfig_comparison(seed);
+    let rcmp = reconfig_comparison();
     locindep.flexibility.reconfig_moved_users = (rcmp.rehash_moved_fraction * 270.0).round() as u64;
     locindep.cost.total_comm_units *= overhead;
 
@@ -127,6 +128,49 @@ pub fn scorecards(seed: u64) -> Vec<Scorecard> {
         c.validate().expect("scorecards must validate");
     }
     cards
+}
+
+/// C7: the §4 criteria scorecard — efficiency, reliability, flexibility,
+/// cost — for all three designs on a common scenario.
+pub(crate) fn report() -> Report {
+    let mut report = Report::new("C7 — §4 criteria scorecard");
+    let cards = scorecards(5);
+    report.note(comparison_table(&cards));
+    report.note("reading guide (the paper's trade-off in §4):");
+    report.note("  - syntax-directed: most efficient, least flexible (rename on every move);");
+    report.note("  - location-independent: small delivery overhead buys rename-free mobility");
+    report.note("    and cheap rehash reconfiguration;");
+    report.note("  - attribute-based: group naming and broadcast delivery; pays tree-building");
+    report.note("    and per-search costs.");
+    report.note("weighted rankings (min-max normalised within this comparison):");
+    let mut pairs = Vec::new();
+    for (label, weights) in [
+        ("equal weights", CriteriaWeights::default()),
+        (
+            "efficiency-first",
+            CriteriaWeights {
+                efficiency: 4.0,
+                ..CriteriaWeights::default()
+            },
+        ),
+        (
+            "flexibility-first",
+            CriteriaWeights {
+                flexibility: 4.0,
+                ..CriteriaWeights::default()
+            },
+        ),
+    ] {
+        let ranking = rank(&cards, &weights);
+        let order: Vec<String> = ranking
+            .iter()
+            .map(|&(i, s)| format!("{} ({:.2})", cards[i].system, s))
+            .collect();
+        pairs.push((label.to_owned(), order.join("  >  ")));
+    }
+    report.kv(&pairs);
+
+    report
 }
 
 #[cfg(test)]

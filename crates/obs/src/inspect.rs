@@ -3,7 +3,7 @@
 //!
 //! Everything here operates on the JSONL text alone — the inspector never
 //! needs the simulation that produced the dump, so `lems-trace` can
-//! examine dumps from any `repro-*` or `lems-check` run after the fact.
+//! examine dumps from any `lems-check audit --trace-out` run after the fact.
 
 use std::fmt::Write as _;
 

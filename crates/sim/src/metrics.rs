@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A monotonically increasing event counter.
 ///
@@ -117,11 +117,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-    }
-
-    /// Records a duration observation in paper time units.
-    pub fn observe_duration(&mut self, d: SimDuration) {
-        self.observe(d.as_units());
     }
 
     /// Number of observations.
@@ -361,11 +356,6 @@ impl LogHistogram {
         } else {
             self.overflow += 1;
         }
-    }
-
-    /// Records a duration observation in paper time units.
-    pub fn observe_duration(&mut self, d: SimDuration) {
-        self.observe(d.as_units());
     }
 
     /// The bucket index `x` falls into (may be `bins.len()` = overflow).

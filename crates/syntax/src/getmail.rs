@@ -21,7 +21,7 @@
 //! Finally it drains any alive servers left in
 //! `PreviouslyUnavailableServers`. Under normal conditions (primary up
 //! continuously) this is exactly **one poll**, and §5 claims no messages
-//! are ever lost; `repro-getmail` measures both.
+//! are ever lost; `repro getmail` measures both.
 //!
 //! The algorithm is written once, as a step machine over [`GetMailState`]:
 //! [`GetMailState::begin`] opens a [`Check`], [`GetMailState::next`] names

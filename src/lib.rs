@@ -29,8 +29,7 @@
 //!   multi-region topologies, transport;
 //! * [`core`] — names, messages, mailboxes, directories, workloads;
 //! * [`store`] — durable mailbox storage: pluggable `MailStore` backends
-//!   and the crash-recoverable write-ahead log;
-//! * [`eval`] — the paper's §4 evaluation criteria as a metrics framework.
+//!   and the crash-recoverable write-ahead log.
 //!
 //! ## Quickstart
 //!
@@ -48,9 +47,9 @@
 //! assert!(report.final_cost < report.initial_cost);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/` for
-//! the `repro-*` binaries that regenerate every table and figure of the
-//! paper (indexed in `DESIGN.md` and `EXPERIMENTS.md`).
+//! See `examples/` for runnable scenarios and `crates/bench/` for the
+//! `repro` binary that regenerates every table and figure of the paper
+//! (indexed in `DESIGN.md` and `EXPERIMENTS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +64,6 @@
 
 pub use lems_attr as attr;
 pub use lems_core as core;
-pub use lems_eval as eval;
 pub use lems_locindep as locindep;
 pub use lems_mst as mst;
 pub use lems_net as net;

@@ -1,6 +1,6 @@
 //! Differential harness for the §3.1.1 assignment solver (`solve`) on the
 //! two routes into it: the paper's Fig. 1 worked example built through the
-//! scale path (`CostMatrix` + `from_matrix`, as `repro-scale` builds it)
+//! scale path (`CostMatrix` + `from_matrix`, as `repro scale` builds it)
 //! must reproduce Table 1 and balance to the very assignment the
 //! `from_topology` route (as `Deployment::build` builds it) reaches, and
 //! the solved-assignment invariants must hold on 20 seeded random
