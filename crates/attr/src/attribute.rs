@@ -89,14 +89,6 @@ impl AttrValue {
             AttrValue::Number(_) => None,
         }
     }
-
-    /// Numeric content, if any.
-    pub fn as_number(&self) -> Option<i64> {
-        match self {
-            AttrValue::Number(n) => Some(*n),
-            AttrValue::Text(_) => None,
-        }
-    }
 }
 
 impl From<&str> for AttrValue {
@@ -241,19 +233,6 @@ impl AttributeSet {
         self.attrs[self.range(key)].iter().map(|(_, a)| a)
     }
 
-    /// Attributes under `key` visible to `ctx`.
-    pub fn visible_values<'a>(
-        &'a self,
-        key: &AttrKey,
-        ctx: &'a RequesterContext,
-    ) -> impl Iterator<Item = &'a AttrValue> {
-        let requester = Requester::new(ctx);
-        let mut scratch = String::new();
-        self.values(key)
-            .filter(move |a| requester.sees(&a.visibility, &mut scratch))
-            .map(|a| &a.value)
-    }
-
     /// Total stored attributes.
     pub fn len(&self) -> usize {
         self.attrs.len()
@@ -289,6 +268,15 @@ impl AttributeSet {
 mod tests {
     use super::*;
 
+    /// How many of `a`'s values under `key` `ctx` may see.
+    fn visible(a: &AttributeSet, key: &AttrKey, ctx: &RequesterContext) -> usize {
+        let requester = Requester::new(ctx);
+        let mut scratch = String::new();
+        a.values(key)
+            .filter(|x| requester.sees(&x.visibility, &mut scratch))
+            .count()
+    }
+
     #[test]
     fn multivalued_keys() {
         let mut a = AttributeSet::new();
@@ -314,13 +302,10 @@ mod tests {
         let insider = RequesterContext {
             organization: Some("at&t".into()),
         };
-        assert_eq!(a.visible_values(&AttrKey::JobTitle, &anon).count(), 1);
-        assert_eq!(a.visible_values(&AttrKey::Organization, &anon).count(), 0);
-        assert_eq!(
-            a.visible_values(&AttrKey::Organization, &insider).count(),
-            1
-        );
-        assert_eq!(a.visible_values(&AttrKey::Interest, &insider).count(), 0);
+        assert_eq!(visible(&a, &AttrKey::JobTitle, &anon), 1);
+        assert_eq!(visible(&a, &AttrKey::Organization, &anon), 0);
+        assert_eq!(visible(&a, &AttrKey::Organization, &insider), 1);
+        assert_eq!(visible(&a, &AttrKey::Interest, &insider), 0);
     }
 
     #[test]
@@ -335,7 +320,7 @@ mod tests {
             let ctx = RequesterContext {
                 organization: Some(org.into()),
             };
-            a.visible_values(&AttrKey::JobTitle, &ctx).count()
+            visible(&a, &AttrKey::JobTitle, &ctx)
         };
         assert_eq!(seen_by("éCOLE normale"), 1);
         assert_eq!(seen_by("Ecole Normale"), 0);
@@ -378,8 +363,7 @@ mod tests {
     #[test]
     fn value_conversions() {
         assert_eq!(AttrValue::from("Hi").as_text_lower(), Some("hi".into()));
-        assert_eq!(AttrValue::from(7i64).as_number(), Some(7));
-        assert_eq!(AttrValue::from("Hi").as_number(), None);
+        assert_eq!(AttrValue::from(7i64), AttrValue::Number(7));
     }
 
     #[test]

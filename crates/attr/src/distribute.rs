@@ -46,7 +46,7 @@ pub struct DistributionOutcome {
 
 /// Per-message processing charge used in the search-cost estimate, in
 /// cost units per predicate per region.
-pub const SEARCH_CHARGE_PER_LEAF: f64 = 0.1;
+pub(crate) const SEARCH_CHARGE_PER_LEAF: f64 = 0.1;
 
 /// Produces the §3.3.1B estimate for distributing from `root`.
 pub fn estimate(net: &AttributeNetwork, root: NodeId, query: &Query) -> DistributionEstimate {

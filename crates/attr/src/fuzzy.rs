@@ -13,8 +13,8 @@
 //! Each matcher has one kernel (`levenshtein`, `soundex_code`) working on
 //! borrowed buffers. A search evaluates a `Needle` — the query side,
 //! prepared once — against hundreds of thousands of stored values through
-//! one reused table row; the public [`edit_distance`], [`soundex`] and
-//! [`classify`] are the same kernels behind throw-away buffers.
+//! one reused table row; the public [`edit_distance`] and [`soundex`] are
+//! the same kernels behind throw-away buffers.
 
 /// Writes `s.to_lowercase()` into `out`, reusing its buffer.
 pub(crate) fn lower_into(s: &str, out: &mut String) {
@@ -174,7 +174,7 @@ pub fn soundex(word: &str) -> String {
 
 /// How close a candidate string is to a query string.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MatchQuality {
+pub(crate) enum MatchQuality {
     /// Exact (case-insensitive) match.
     Exact,
     /// Within the allowed edit distance.
@@ -187,7 +187,7 @@ pub enum MatchQuality {
 
 impl MatchQuality {
     /// True for anything better than [`MatchQuality::None`].
-    pub fn is_match(&self) -> bool {
+    pub(crate) fn is_match(&self) -> bool {
         !matches!(self, MatchQuality::None)
     }
 }
@@ -242,12 +242,6 @@ impl Needle {
     }
 }
 
-/// Classifies how well `candidate` matches `query`, allowing up to
-/// `max_edits` spelling errors before falling back to phonetic matching.
-pub fn classify(query: &str, candidate: &str, max_edits: usize) -> MatchQuality {
-    Needle::new(query, max_edits).quality(candidate, &candidate.to_lowercase(), &mut Vec::new())
-}
-
 /// The three matchers as they stood before the kernels above: a full
 /// two-row table over two fresh `Vec<char>`s, Soundex through a `String`.
 /// Kept as the oracle the kernels are held to.
@@ -258,20 +252,20 @@ pub(crate) mod reference {
     /// How two texts are compared where "equal, ignoring case" is meant:
     /// `classify`'s exact tier and `Predicate::Equals`. The one thing the
     /// kernels changed on purpose.
-    pub type TextEq = fn(&str, &str) -> bool;
+    pub(crate) type TextEq = fn(&str, &str) -> bool;
 
     /// What both did: ASCII-only folding, beside a spelling tier and
     /// `Contains` that fold Unicode.
-    pub fn ascii_fold_eq(a: &str, b: &str) -> bool {
+    pub(crate) fn ascii_fold_eq(a: &str, b: &str) -> bool {
         a.eq_ignore_ascii_case(b)
     }
 
     /// What both do now: the fold everything else always used.
-    pub fn unicode_fold_eq(a: &str, b: &str) -> bool {
+    pub(crate) fn unicode_fold_eq(a: &str, b: &str) -> bool {
         a.to_lowercase() == b.to_lowercase()
     }
 
-    pub fn edit_distance(a: &str, b: &str) -> usize {
+    pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
         let a: Vec<char> = a.to_lowercase().chars().collect();
         let b: Vec<char> = b.to_lowercase().chars().collect();
         if a.is_empty() {
@@ -293,7 +287,7 @@ pub(crate) mod reference {
         prev[b.len()]
     }
 
-    pub fn soundex(word: &str) -> String {
+    pub(crate) fn soundex(word: &str) -> String {
         fn code(c: char) -> u8 {
             match c.to_ascii_lowercase() {
                 'b' | 'f' | 'p' | 'v' => b'1',
@@ -331,7 +325,12 @@ pub(crate) mod reference {
         out
     }
 
-    pub fn classify(query: &str, candidate: &str, max_edits: usize, exact: TextEq) -> MatchQuality {
+    pub(crate) fn classify(
+        query: &str,
+        candidate: &str,
+        max_edits: usize,
+        exact: TextEq,
+    ) -> MatchQuality {
         if exact(query, candidate) {
             return MatchQuality::Exact;
         }
@@ -351,6 +350,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Classifies how well `candidate` matches `query`, allowing up to
+    /// `max_edits` spelling errors before falling back to phonetic matching.
+    fn classify(query: &str, candidate: &str, max_edits: usize) -> MatchQuality {
+        Needle::new(query, max_edits).quality(candidate, &candidate.to_lowercase(), &mut Vec::new())
+    }
+
     #[test]
     fn edit_distance_basics() {
         assert_eq!(edit_distance("", ""), 0);
@@ -358,6 +363,9 @@ mod tests {
         assert_eq!(edit_distance("", "xy"), 2);
         assert_eq!(edit_distance("kitten", "sitting"), 3);
         assert_eq!(edit_distance("CASE", "case"), 0);
+        assert_eq!(edit_distance("smith", "Smyth"), 1);
+        assert_eq!(edit_distance("jonson", "johnson"), 1);
+        assert_eq!(edit_distance("alice", "alice"), 0);
     }
 
     #[test]
@@ -374,6 +382,8 @@ mod tests {
             assert_eq!(soundex(word), code);
             assert_eq!(soundex_code(word), code.as_bytes(), "{word}");
         }
+        assert_eq!(soundex("Smith"), soundex("Smyth"));
+        assert_ne!(soundex("Smith"), soundex("Jones"));
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub mod query;
 pub mod registry;
 pub mod search;
 
-pub use attribute::{AttrKey, AttrValue, Attribute, AttributeSet, RequesterContext, Visibility};
-pub use distribute::{distribute, estimate, DistributionEstimate, DistributionOutcome};
-pub use fuzzy::{classify, edit_distance, soundex, MatchQuality};
+pub use attribute::{AttrKey, AttributeSet, RequesterContext, Visibility};
+pub use distribute::{distribute, estimate};
 pub use query::{Predicate, Query};
 pub use registry::AttributeRegistry;
-pub use search::{AttributeNetwork, SearchOutcome};
+pub use search::AttributeNetwork;

@@ -100,7 +100,7 @@ impl Query {
 
     /// Number of predicate leaves (a crude cost measure for the
     /// flow-control estimate).
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         match self {
             Query::Attr(..) => 1,
             Query::All(qs) | Query::Any(qs) => qs.iter().map(Query::leaf_count).sum(),
@@ -329,7 +329,7 @@ pub(crate) mod reference {
     use super::{Predicate, Query};
     use crate::attribute::{AttrValue, AttributeSet, RequesterContext, Visibility};
     use crate::fuzzy::reference::classify;
-    pub use crate::fuzzy::reference::{ascii_fold_eq, unicode_fold_eq, TextEq};
+    pub(crate) use crate::fuzzy::reference::{ascii_fold_eq, unicode_fold_eq, TextEq};
     use crate::fuzzy::MatchQuality;
 
     fn matches(predicate: &Predicate, value: &AttrValue, text_eq: TextEq) -> bool {
@@ -346,7 +346,7 @@ pub(crate) mod reference {
                 .as_text_lower()
                 .is_some_and(|t| classify(query, &t, *max_edits, text_eq) != MatchQuality::None),
             Predicate::InRange { lo, hi } => {
-                value.as_number().is_some_and(|n| n >= *lo && n <= *hi)
+                matches!(value, AttrValue::Number(n) if n >= lo && n <= hi)
             }
             Predicate::Exists => true,
         }
@@ -364,7 +364,12 @@ pub(crate) mod reference {
 
     /// Whether `attrs` satisfies `q` as seen by `ctx`, with `Equals` and
     /// the fuzzy exact tier comparing texts by `text_eq`.
-    pub fn eval(q: &Query, attrs: &AttributeSet, ctx: &RequesterContext, text_eq: TextEq) -> bool {
+    pub(crate) fn eval(
+        q: &Query,
+        attrs: &AttributeSet,
+        ctx: &RequesterContext,
+        text_eq: TextEq,
+    ) -> bool {
         match q {
             Query::Attr(key, predicate) => attrs
                 .values(key)

@@ -158,7 +158,7 @@ impl AttributeNetwork {
 
     /// The §3.3.1B cost table: per-region delivery cost as seen from the
     /// root's region.
-    pub fn cost_table(&self, root: NodeId) -> RegionCostTable {
+    pub(crate) fn cost_table(&self, root: NodeId) -> RegionCostTable {
         lems_mst::broadcast::region_cost_table(
             &self.topology,
             &self.two_level,

@@ -238,7 +238,7 @@ impl TraceAuditor {
     }
 
     /// Consumes a whole stream.
-    pub fn observe_all<'a>(&mut self, events: impl IntoIterator<Item = &'a TraceEvent>) {
+    pub(crate) fn observe_all<'a>(&mut self, events: impl IntoIterator<Item = &'a TraceEvent>) {
         for ev in events {
             self.observe(ev);
         }

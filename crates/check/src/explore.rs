@@ -9,7 +9,7 @@
 //! §8). Every terminal run is judged by [`verdict`], the same function
 //! that judges the audit scenarios; under exploration its no-stuck-retry
 //! clause is deadlock/livelock detection (a retry loop that never
-//! converges under some ordering exhausts [`RUN_EVENT_BUDGET`]).
+//! converges under some ordering exhausts `RUN_EVENT_BUDGET`).
 //!
 //! A failing schedule is reported as a [`Counterexample`] carrying the
 //! branch-choice list; replaying it through
@@ -27,7 +27,7 @@ use crate::scenarios::Scenario;
 
 /// Per-run event budget. Explore deployments are tiny (2–3 servers, a
 /// handful of messages); a run that needs more events than this is stuck.
-pub const RUN_EVENT_BUDGET: u64 = 200_000;
+pub(crate) const RUN_EVENT_BUDGET: u64 = 200_000;
 
 /// Default bounds for one exploration: deep enough to exhaust the shipped
 /// scenarios without truncation, with a hard schedule budget so CI cannot

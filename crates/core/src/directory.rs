@@ -122,9 +122,7 @@ impl Directory {
     /// Removes a user by name, returning a copy of the record.
     ///
     /// The dense id of the removed user is retired, not reused: the name no
-    /// longer resolves, but [`Directory::by_id`] on the stale id still
-    /// returns the last record (check [`Directory::is_registered`] for
-    /// liveness).
+    /// longer resolves (check [`Directory::is_registered`] for liveness).
     ///
     /// # Errors
     ///
@@ -142,13 +140,6 @@ impl Directory {
     /// Looks a user up by name.
     pub fn by_name(&self, name: &MailName) -> Option<&UserRecord> {
         self.by_name.get(name).map(|&id| &self.users[id.0])
-    }
-
-    /// Looks a user up by id (stale ids of unregistered users still resolve
-    /// to their last record; use [`Directory::is_registered`] to check
-    /// liveness).
-    pub fn by_id(&self, id: UserId) -> Option<&UserRecord> {
-        self.users.get(id.0)
     }
 
     /// True if the name currently resolves.
@@ -169,25 +160,6 @@ impl Directory {
     /// Iterates registered records in name order.
     pub fn iter(&self) -> impl Iterator<Item = &UserRecord> {
         self.by_name.values().map(|&id| &self.users[id.0])
-    }
-
-    /// All registered users whose authority list contains `server` — the
-    /// population that must be reassigned when `server` is deleted
-    /// (§3.1.3c).
-    pub fn users_of_server(&self, server: NodeId) -> Vec<UserId> {
-        self.iter()
-            .filter(|r| r.authorities.contains(server))
-            .map(|r| r.id)
-            .collect()
-    }
-
-    /// All registered users homed on `host` — the population affected when
-    /// `host` is removed (§3.1.3b).
-    pub fn users_of_host(&self, host: NodeId) -> Vec<UserId> {
-        self.iter()
-            .filter(|r| r.home_host == host)
-            .map(|r| r.id)
-            .collect()
     }
 
     /// Builds the per-server views: each server receives the records of
@@ -241,11 +213,6 @@ impl ServerView {
     /// Resolves a name this server is authoritative for.
     pub fn lookup(&self, name: &MailName) -> Option<&UserRecord> {
         self.records.get(name)
-    }
-
-    /// True if this server is an authority for `name`.
-    pub fn is_authority_for(&self, name: &MailName) -> bool {
-        self.records.contains_key(name)
     }
 
     /// Region token resolution (fully replicated on every server).
@@ -304,7 +271,6 @@ mod tests {
         assert_eq!(d.len(), 3);
         let alice = d.by_name(&"east.h1.alice".parse().unwrap()).unwrap();
         assert_eq!(alice.home_host, NodeId(10));
-        assert_eq!(d.by_id(alice.id).unwrap().name, alice.name);
         assert!(d.by_name(&"east.h1.nobody".parse().unwrap()).is_none());
     }
 
@@ -345,29 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_id_still_returns_the_last_record() {
-        let mut d = dir_with_users();
-        let name: MailName = "east.h1.bob".parse().unwrap();
-        let rec = d.unregister(&name).unwrap();
-        assert_eq!(d.by_id(rec.id), Some(&rec));
-        assert!(d.by_name(&name).is_none());
-        assert!(!d.is_registered(&d.by_id(rec.id).unwrap().name));
-        // The other ids are untouched.
-        let alice: MailName = "east.h1.alice".parse().unwrap();
-        let id = d.by_name(&alice).unwrap().id;
-        assert_eq!(d.by_id(id).unwrap().name, alice);
-    }
-
-    #[test]
-    fn population_queries() {
-        let d = dir_with_users();
-        assert_eq!(d.users_of_server(NodeId(0)).len(), 2); // alice, carol
-        assert_eq!(d.users_of_server(NodeId(1)).len(), 2); // alice, bob
-        assert_eq!(d.users_of_host(NodeId(10)).len(), 2);
-        assert_eq!(d.users_of_host(NodeId(99)).len(), 0);
-    }
-
-    #[test]
     fn partition_replicates_by_authority() {
         let d = dir_with_users();
         let views = d.partition(&[NodeId(0), NodeId(1), NodeId(2)]);
@@ -375,8 +318,8 @@ mod tests {
         assert_eq!(views[&NodeId(1)].record_count(), 2);
         assert_eq!(views[&NodeId(2)].record_count(), 1);
         let v0 = &views[&NodeId(0)];
-        assert!(v0.is_authority_for(&"east.h1.alice".parse().unwrap()));
-        assert!(!v0.is_authority_for(&"east.h1.bob".parse().unwrap()));
+        assert!(v0.lookup(&"east.h1.alice".parse().unwrap()).is_some());
+        assert!(v0.lookup(&"east.h1.bob".parse().unwrap()).is_none());
         assert_eq!(v0.region_of_name("west"), Some(RegionId(1)));
     }
 
@@ -422,8 +365,8 @@ mod tests {
         let v = views.get_mut(&NodeId(0)).unwrap();
         let name: MailName = "east.h1.alice".parse().unwrap();
         let rec = v.remove(&name).unwrap();
-        assert!(!v.is_authority_for(&name));
+        assert!(v.lookup(&name).is_none());
         v.upsert(rec);
-        assert!(v.is_authority_for(&name));
+        assert!(v.lookup(&name).is_some());
     }
 }

@@ -8,9 +8,9 @@
 //! * [`message`] — messages, ids, and delivery status;
 //! * [`mailbox`] — server-side stable storage for undelivered mail
 //!   (§3.1.2c);
-//! * [`store`] — the [`MailStore`] persistence trait behind those
-//!   mailboxes, with the in-memory backends (the write-ahead-log backend
-//!   lives in `lems-store`);
+//! * [`store`] — the [`MailStore`](store::MailStore) persistence trait
+//!   behind those mailboxes, with the in-memory backends (the
+//!   write-ahead-log backend lives in `lems-store`);
 //! * [`user`] — users and their ordered authority-server lists;
 //! * [`directory`] — the partitioned, partially replicated name database
 //!   (§2) and per-server views of it;
@@ -40,13 +40,7 @@ pub mod store;
 pub mod user;
 pub mod workload;
 
-pub use directory::{Directory, DirectoryError, ServerView};
-pub use mailbox::{Mailbox, StoredMessage};
-pub use message::{BounceReason, DeliveryStatus, Message, MessageId, MessageIdGen};
-pub use name::{MailName, ParseNameError};
-pub use store::{MailStore, MemStore, RecoveryReport, StoreRecovery, StoreState};
-pub use user::{AuthorityList, UserId, UserRecord};
-pub use workload::{
-    generate, generate_mobility, MobilityConfig, MobilitySchedule, Workload, WorkloadConfig,
-    WorkloadEvent,
-};
+pub use directory::{Directory, DirectoryError};
+pub use message::MessageId;
+pub use name::MailName;
+pub use user::{AuthorityList, UserId};

@@ -96,16 +96,6 @@ impl Message {
             ..MessageData::clone(&self.0)
         }))
     }
-
-    /// Approximate wire size in bytes (headers + body), used by cost
-    /// accounting.
-    pub fn wire_size(&self) -> usize {
-        self.from.to_string().len()
-            + self.to.to_string().len()
-            + self.subject.len()
-            + self.body.len()
-            + 64 // fixed envelope overhead
-    }
 }
 
 impl std::ops::Deref for Message {
@@ -193,7 +183,6 @@ mod tests {
             "hello bob",
             SimTime::from_units(1.0),
         );
-        assert!(m.wire_size() > 64);
         let s = m.to_string();
         assert!(s.contains("m7") && s.contains("alice") && s.contains("bob"));
     }

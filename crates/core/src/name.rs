@@ -37,7 +37,7 @@ pub enum ParseNameError {
         /// The offending character.
         ch: char,
     },
-    /// The three tokens together exceed [`MAX_NAME_BYTES`].
+    /// The three tokens together exceed 65 535 bytes.
     TooLong {
         /// Combined byte length of the tokens.
         bytes: usize,
@@ -45,7 +45,7 @@ pub enum ParseNameError {
 }
 
 /// Longest name accepted, as the combined byte length of its tokens.
-pub const MAX_NAME_BYTES: usize = u16::MAX as usize;
+pub(crate) const MAX_NAME_BYTES: usize = u16::MAX as usize;
 
 impl fmt::Display for ParseNameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -150,7 +150,7 @@ impl MailName {
     ///
     /// Returns [`ParseNameError`] if any token is empty or contains a
     /// character outside `[A-Za-z0-9_-]`, or if the tokens together are
-    /// longer than [`MAX_NAME_BYTES`].
+    /// longer than 65 535 bytes.
     pub fn new(region: &str, host: &str, user: &str) -> Result<Self, ParseNameError> {
         validate_token(region, NameLevel::Region)?;
         validate_token(host, NameLevel::Host)?;
@@ -222,18 +222,6 @@ impl MailName {
         let n = self.buf.len().min(bytes.len());
         bytes[..n].copy_from_slice(&self.buf.as_bytes()[..n]);
         u128::from_be_bytes(bytes)
-    }
-
-    /// True if both names are in the same region.
-    pub fn same_region(&self, other: &MailName) -> bool {
-        self.region() == other.region()
-    }
-
-    /// True if both names share region and host.
-    pub fn same_host(&self, other: &MailName) -> bool {
-        // The shared prefix `region SEP host SEP` ends where the user starts.
-        self.buf.as_bytes()[..self.user_start as usize]
-            == other.buf.as_bytes()[..other.user_start as usize]
     }
 }
 
@@ -358,10 +346,11 @@ mod tests {
         let n: MailName = "east.vax1.alice".parse().unwrap();
         let m = n.relocated("west", "sun3").unwrap();
         assert_eq!(m.to_string(), "west.sun3.alice");
-        assert!(!n.same_region(&m));
+        assert_ne!(n.region(), m.region());
         let p = n.relocated("east", "sun3").unwrap();
-        assert!(n.same_region(&p));
-        assert!(!n.same_host(&p));
+        assert_eq!(n.region(), p.region());
+        assert_ne!(n.host(), p.host());
+        assert_eq!(n.user(), p.user());
     }
 
     #[test]

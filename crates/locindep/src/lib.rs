@@ -10,7 +10,7 @@
 //!   rehash-to-reconfigure mechanism (§3.2.2b, §3.2.3c);
 //! * [`tracking`] — cooperative user-location tracking among the region's
 //!   servers (§3.2.2c);
-//! * [`deploy`] — the running System-2 protocol: `lems-syntax`'s mail
+//! * `deploy` — the running System-2 protocol: `lems-syntax`'s mail
 //!   path wired with a hashed placement and login tracking;
 //! * [`delivery`] — delivery-cost accounting, including the
 //!   remote-access / redirect / rename trade-off for cross-region moves
@@ -38,13 +38,10 @@
 )]
 
 pub mod delivery;
-pub mod deploy;
+pub(crate) mod deploy;
 pub mod subgroup;
 pub mod tracking;
 
-pub use delivery::{
-    delivery_cost, rename_breakeven, CostParams, CrossRegionPolicy, DeliveryCost, UserLocation,
-};
 pub use deploy::roaming_deployment;
-pub use subgroup::{RehashReport, SubgroupMap};
-pub use tracking::{LocateOutcome, RegionTracker};
+pub use subgroup::SubgroupMap;
+pub use tracking::RegionTracker;

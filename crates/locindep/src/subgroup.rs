@@ -107,22 +107,13 @@ impl SubgroupMap {
     }
 
     /// The sub-group a name hashes into.
-    pub fn group_of(&self, name: &MailName) -> usize {
+    pub(crate) fn group_of(&self, name: &MailName) -> usize {
         (name_hash(name) % self.groups as u64) as usize
     }
 
     /// The server managing a name's sub-group.
     pub fn server_of(&self, name: &MailName) -> NodeId {
         self.group_server[self.group_of(name)]
-    }
-
-    /// The server managing sub-group `group`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn server_of_group(&self, group: usize) -> NodeId {
-        self.group_server[group]
     }
 
     /// Rebuilds the layout for a new server roster ("changing the hashing
@@ -226,7 +217,7 @@ mod tests {
         assert!(report.moved_fraction() < 1.0);
         for g in 0..12 {
             let moved = report.moved_groups.contains(&g);
-            let changed = before.server_of_group(g) != map.server_of_group(g);
+            let changed = before.group_server[g] != map.group_server[g];
             assert_eq!(moved, changed, "group {g}");
         }
     }

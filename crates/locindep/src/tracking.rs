@@ -51,7 +51,6 @@ pub struct RegionTracker {
     servers: Vec<NodeId>,
     /// server -> (user -> current host)
     known: BTreeMap<NodeId, BTreeMap<MailName, NodeId>>,
-    total_consults: u64,
 }
 
 impl RegionTracker {
@@ -63,11 +62,7 @@ impl RegionTracker {
     pub fn new(servers: Vec<NodeId>) -> Self {
         assert!(!servers.is_empty(), "region needs at least one server");
         let known = servers.iter().map(|&s| (s, BTreeMap::new())).collect();
-        RegionTracker {
-            servers,
-            known,
-            total_consults: 0,
-        }
+        RegionTracker { servers, known }
     }
 
     /// The region's servers.
@@ -101,17 +96,10 @@ impl RegionTracker {
         }
     }
 
-    /// Records a logout/disconnect observed through `via_server`.
-    pub fn logout(&mut self, user: &MailName, via_server: NodeId) {
-        if let Some(map) = self.known.get_mut(&via_server) {
-            map.remove(user);
-        }
-    }
-
     /// Looks up `user`'s current host starting from `from_server`,
     /// consulting the region's other servers in roster order until one
     /// knows. Counts consults (0 if `from_server` knew).
-    pub fn locate(&mut self, user: &MailName, from_server: NodeId) -> LocateOutcome {
+    pub fn locate(&self, user: &MailName, from_server: NodeId) -> LocateOutcome {
         if let Some(&host) = self.known.get(&from_server).and_then(|m| m.get(user)) {
             return LocateOutcome {
                 host: Some(host),
@@ -125,23 +113,16 @@ impl RegionTracker {
             }
             consults += 1;
             if let Some(&host) = self.known.get(&s).and_then(|m| m.get(user)) {
-                self.total_consults += u64::from(consults);
                 return LocateOutcome {
                     host: Some(host),
                     consults,
                 };
             }
         }
-        self.total_consults += u64::from(consults);
         LocateOutcome {
             host: None,
             consults,
         }
-    }
-
-    /// Total cross-server consultations performed by lookups.
-    pub fn consult_count(&self) -> u64 {
-        self.total_consults
     }
 }
 
@@ -166,7 +147,6 @@ mod tests {
                 consults: 0
             }
         );
-        assert_eq!(t.consult_count(), 0);
     }
 
     #[test]
@@ -193,19 +173,10 @@ mod tests {
 
     #[test]
     fn unknown_user_consults_everyone() {
-        let mut t = RegionTracker::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let t = RegionTracker::new(vec![NodeId(0), NodeId(1), NodeId(2)]);
         let out = t.locate(&name("east.h1.ghost"), NodeId(1));
         assert_eq!(out.host, None);
         assert_eq!(out.consults, 2);
-    }
-
-    #[test]
-    fn logout_forgets() {
-        let mut t = RegionTracker::new(vec![NodeId(0), NodeId(1)]);
-        let u = name("east.h1.alice");
-        t.login(&u, NodeId(5), NodeId(0));
-        t.logout(&u, NodeId(0));
-        assert_eq!(t.locate(&u, NodeId(0)).host, None);
     }
 
     #[test]

@@ -207,13 +207,13 @@ fn subtree_timeouts(links: &[Vec<Link>], root: NodeId, grace: SimDuration) -> Ve
 /// processes O(nodes) messages plus bounded retry timers, so any
 /// legitimate run sits orders of magnitude below this; exhausting it
 /// means a non-converging retry loop, reported as a failed broadcast.
-pub const BROADCAST_EVENT_BUDGET: u64 = 1_000_000;
+pub(crate) const BROADCAST_EVENT_BUDGET: u64 = 1_000_000;
 
 /// Runs the broadcast/convergecast protocol over `tree_adjacency` (a
 /// spanning tree of `g`), with failures from `plan` (indexed by node id).
 ///
 /// Returns `None` if the root itself is down for the whole run, or if the
-/// run exceeds [`BROADCAST_EVENT_BUDGET`] events without quiescing (a
+/// run exceeds a budget of a million events without quiescing (a
 /// livelocked retry loop rather than a finishing protocol).
 ///
 /// # Panics

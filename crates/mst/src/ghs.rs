@@ -524,7 +524,11 @@ impl GhsSim {
     /// # Panics
     ///
     /// As [`GhsSim::start`], plus an empty initiator set.
-    pub fn start_with_initiators(g: &Graph, seed: u64, initiators: Option<&[NodeId]>) -> Self {
+    pub(crate) fn start_with_initiators(
+        g: &Graph,
+        seed: u64,
+        initiators: Option<&[NodeId]>,
+    ) -> Self {
         assert!(g.node_count() >= 2, "GHS needs at least two nodes");
         assert!(g.is_connected(), "GHS requires a connected graph");
         assert!(
@@ -570,7 +574,7 @@ impl GhsSim {
     }
 
     /// Runs up to `max_events`; returns true on quiescence.
-    pub fn run_bounded(&mut self, max_events: u64) -> bool {
+    pub(crate) fn run_bounded(&mut self, max_events: u64) -> bool {
         self.sim.run_to_quiescence_bounded(max_events)
     }
 
@@ -597,7 +601,7 @@ impl GhsSim {
     }
 
     /// Collects the result (callable once quiesced).
-    pub fn into_run(self) -> GhsRun {
+    pub(crate) fn into_run(self) -> GhsRun {
         let mut edge_set = std::collections::BTreeSet::<(NodeId, NodeId)>::new();
         for (i, &aid) in self.actor_ids.iter().enumerate() {
             let Some(node) = self.sim.actor::<GhsNode>(aid) else {

@@ -4,7 +4,7 @@
 //! *"Designing Large Electronic Mail Systems"*, Bahaa-El-Din & Yuen,
 //! ICDCS 1988):
 //!
-//! * [`messages`] — the Gallager–Humblet–Spira message alphabet;
+//! * `messages` — the Gallager–Humblet–Spira message alphabet;
 //! * [`ghs`] — a faithful implementation of the distributed GHS MST
 //!   algorithm \[GAL83\] over the `lems-sim` actor engine, verified
 //!   edge-for-edge against centralized Kruskal;
@@ -41,12 +41,4 @@
 pub mod backbone;
 pub mod broadcast;
 pub mod ghs;
-pub mod messages;
-
-pub use backbone::{build_two_level, build_two_level_distributed, flat_mst_weight, TwoLevelMst};
-pub use broadcast::{
-    cost_comparison, region_cost_table, simulate_broadcast, Aggregate, BroadcastConfig,
-    BroadcastOutcome, CostComparison, RegionCostTable,
-};
-pub use ghs::{run_ghs, GhsNode, GhsRun, GhsSim, GhsStats};
-pub use messages::{FragmentId, GhsMsg, NodePhase};
+pub(crate) mod messages;

@@ -4,7 +4,7 @@ use lems_net::graph::Weight;
 
 /// A fragment is identified by the weight of its core edge (weights are
 /// distinct, so this is unambiguous).
-pub type FragmentId = u64;
+pub(crate) type FragmentId = u64;
 
 /// The `S` parameter of `Initiate`: whether the receiving subtree should
 /// search for the minimum outgoing edge.

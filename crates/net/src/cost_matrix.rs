@@ -72,27 +72,6 @@ impl CostMatrix {
         }
     }
 
-    /// Builds a matrix from explicit host-major rows (used by tests and by
-    /// callers that already have `C_ij` from another source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows are ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let servers = rows.first().map_or(0, Vec::len);
-        let hosts = rows.len();
-        let mut costs = Vec::with_capacity(hosts * servers);
-        for row in rows {
-            assert_eq!(row.len(), servers, "ragged cost matrix rows");
-            costs.extend_from_slice(row);
-        }
-        CostMatrix {
-            hosts,
-            servers,
-            costs,
-        }
-    }
-
     /// Number of hosts (rows).
     pub fn host_count(&self) -> usize {
         self.hosts
@@ -123,11 +102,6 @@ impl CostMatrix {
     /// Panics if `host` is out of range.
     pub fn row(&self, host: usize) -> &[f64] {
         &self.costs[host * self.servers..(host + 1) * self.servers]
-    }
-
-    /// The raw flat storage, host-major.
-    pub fn as_flat(&self) -> &[f64] {
-        &self.costs
     }
 
     /// Appends a host row (§3.1.3b add-host reconfiguration).
@@ -238,17 +212,25 @@ mod tests {
         }
     }
 
+    /// Rows `[1, 2]` and `[3, 4]`.
+    fn two_by_two() -> CostMatrix {
+        CostMatrix {
+            hosts: 2,
+            servers: 2,
+            costs: vec![1.0, 2.0, 3.0, 4.0],
+        }
+    }
+
     #[test]
     fn index_sugar_reads_rows() {
-        let m = CostMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let m = two_by_two();
         assert_eq!(m[0][1], 2.0);
         assert_eq!(m[1], [3.0, 4.0]);
-        assert_eq!(m.as_flat(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn push_and_remove_rows_and_cols() {
-        let mut m = CostMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let mut m = two_by_two();
         m.push_host_row(&[5.0, 6.0]);
         assert_eq!(m.host_count(), 3);
         assert_eq!(m[2], [5.0, 6.0]);
@@ -263,12 +245,6 @@ mod tests {
         assert_eq!(m.server_count(), 2);
         assert_eq!(m[0], [2.0, 7.0]);
         assert_eq!(m[1], [6.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_panic() {
-        let _ = CostMatrix::from_rows(&[vec![1.0], vec![2.0, 3.0]]);
     }
 
     #[test]

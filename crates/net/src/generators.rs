@@ -260,20 +260,6 @@ pub fn multi_region(rng: &mut SimRng, cfg: &MultiRegionConfig) -> Topology {
     t
 }
 
-/// A single-region star: `n` hosts around one server. The degenerate
-/// baseline topology (centralized name service, as in CSNET's single name
-/// server, §2).
-pub fn star(n_hosts: usize) -> Topology {
-    let mut t = Topology::new();
-    let r = RegionId(0);
-    let s = t.add_server(r, "S0");
-    for i in 0..n_hosts {
-        let h = t.add_host(r, &format!("H{i}"));
-        t.link(h, s, Weight::UNIT);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,15 +333,6 @@ mod tests {
             ..MultiRegionConfig::default()
         };
         let t = multi_region(&mut rng, &cfg);
-        assert!(t.is_connected());
-    }
-
-    #[test]
-    fn star_shape() {
-        let t = star(5);
-        assert_eq!(t.hosts().len(), 5);
-        assert_eq!(t.servers().len(), 1);
-        assert_eq!(t.graph().edge_count(), 5);
         assert!(t.is_connected());
     }
 }

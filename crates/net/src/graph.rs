@@ -174,12 +174,10 @@ impl Edge {
 /// # Examples
 ///
 /// ```
-/// use lems_net::graph::{Graph, Weight};
+/// use lems_net::graph::{Graph, NodeId, Weight};
 ///
-/// let mut g = Graph::new();
-/// let a = g.add_node();
-/// let b = g.add_node();
-/// let c = g.add_node();
+/// let mut g = Graph::with_nodes(3);
+/// let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
 /// g.add_edge(a, b, Weight::UNIT);
 /// g.add_edge(b, c, Weight::from_units(2.0));
 /// assert_eq!(g.node_count(), 3);
@@ -211,7 +209,7 @@ impl Graph {
     }
 
     /// Adds a node; returns its id.
-    pub fn add_node(&mut self) -> NodeId {
+    pub(crate) fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.adj.len());
         self.adj.push(Vec::new());
         id

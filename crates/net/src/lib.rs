@@ -12,7 +12,7 @@
 //! * [`cost_matrix`] — the flat host→server block of that table, built
 //!   once (one parallel Dijkstra per server) and shared by assignment,
 //!   reconfiguration, and GetMail authority-list construction;
-//! * [`mst`] — centralized Kruskal/Prim spanning trees, the verification
+//! * [`mst`] — centralized Kruskal spanning trees, the verification
 //!   oracle for the distributed GHS algorithm in `lems-mst`;
 //! * [`topology`] — hosts, servers, and regions on top of the graph;
 //! * [`generators`] — the paper's Fig. 1 / Table 3 worked examples and
@@ -40,6 +40,5 @@ pub mod shortest_path;
 pub mod topology;
 pub mod transport;
 
-pub use error::NetError;
-pub use graph::{Edge, EdgeId, Graph, NodeId, Weight};
+pub use graph::NodeId;
 pub use topology::{NodeKind, RegionId, Topology};

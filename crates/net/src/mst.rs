@@ -1,4 +1,4 @@
-//! Centralized minimum-spanning-tree algorithms (Kruskal and Prim).
+//! Centralized minimum spanning trees (Kruskal; the tests hold it to Prim).
 //!
 //! These serve two roles: a verification oracle for the *distributed* GHS
 //! implementation in `lems-mst` (both must produce the identical edge set on
@@ -145,51 +145,51 @@ pub fn kruskal(g: &Graph) -> SpanningTree {
     SpanningTree { edges, weight }
 }
 
-/// Prim's algorithm from an arbitrary root (node 0). Only defined on
-/// connected graphs.
-///
-/// # Panics
-///
-/// Panics if `g` is empty or not connected.
-pub fn prim(g: &Graph) -> SpanningTree {
-    assert!(g.node_count() > 0, "prim requires a non-empty graph");
-    let mut in_tree = vec![false; g.node_count()];
-    in_tree[0] = true;
-    let mut edges = Vec::new();
-    let mut weight = Weight::ZERO;
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(Weight, EdgeId)>> =
-        std::collections::BinaryHeap::new();
-    for (_, eid) in g.neighbors(NodeId(0)) {
-        heap.push(std::cmp::Reverse((g.edge(eid).weight, eid)));
-    }
-    while let Some(std::cmp::Reverse((w, eid))) = heap.pop() {
-        let e = g.edge(eid);
-        let fresh = match (in_tree[e.a.0], in_tree[e.b.0]) {
-            (true, false) => Some(e.b),
-            (false, true) => Some(e.a),
-            _ => None,
-        };
-        let Some(v) = fresh else { continue };
-        in_tree[v.0] = true;
-        edges.push(eid);
-        weight = weight.saturating_add(w);
-        for (_, ne) in g.neighbors(v) {
-            heap.push(std::cmp::Reverse((g.edge(ne).weight, ne)));
-        }
-    }
-    assert!(
-        edges.len() + 1 == g.node_count(),
-        "prim requires a connected graph"
-    );
-    edges.sort_unstable();
-    SpanningTree { edges, weight }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lems_sim::rng::SimRng;
     use proptest::prelude::*;
+
+    /// Prim's algorithm from an arbitrary root (node 0), Kruskal's
+    /// cross-check. Only defined on connected graphs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is empty or not connected.
+    fn prim(g: &Graph) -> SpanningTree {
+        assert!(g.node_count() > 0, "prim requires a non-empty graph");
+        let mut in_tree = vec![false; g.node_count()];
+        in_tree[0] = true;
+        let mut edges = Vec::new();
+        let mut weight = Weight::ZERO;
+        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(Weight, EdgeId)>> =
+            std::collections::BinaryHeap::new();
+        for (_, eid) in g.neighbors(NodeId(0)) {
+            heap.push(std::cmp::Reverse((g.edge(eid).weight, eid)));
+        }
+        while let Some(std::cmp::Reverse((w, eid))) = heap.pop() {
+            let e = g.edge(eid);
+            let fresh = match (in_tree[e.a.0], in_tree[e.b.0]) {
+                (true, false) => Some(e.b),
+                (false, true) => Some(e.a),
+                _ => None,
+            };
+            let Some(v) = fresh else { continue };
+            in_tree[v.0] = true;
+            edges.push(eid);
+            weight = weight.saturating_add(w);
+            for (_, ne) in g.neighbors(v) {
+                heap.push(std::cmp::Reverse((g.edge(ne).weight, ne)));
+            }
+        }
+        assert!(
+            edges.len() + 1 == g.node_count(),
+            "prim requires a connected graph"
+        );
+        edges.sort_unstable();
+        SpanningTree { edges, weight }
+    }
 
     #[test]
     fn union_find_basics() {

@@ -14,7 +14,6 @@ use crate::graph::{Graph, NodeId, Weight};
 pub struct ShortestPaths {
     source: NodeId,
     dist: Vec<Weight>,
-    prev: Vec<Option<NodeId>>,
 }
 
 impl ShortestPaths {
@@ -27,36 +26,6 @@ impl ShortestPaths {
     /// unreachable).
     pub fn distance(&self, n: NodeId) -> Weight {
         self.dist[n.0]
-    }
-
-    /// True if `n` is reachable from the source.
-    pub fn is_reachable(&self, n: NodeId) -> bool {
-        !self.dist[n.0].is_infinite()
-    }
-
-    /// The shortest path from the source to `dest`, inclusive of both
-    /// endpoints, or `None` if unreachable.
-    pub fn path_to(&self, dest: NodeId) -> Option<Vec<NodeId>> {
-        if self.dist[dest.0].is_infinite() {
-            return None;
-        }
-        let mut path = vec![dest];
-        let mut cur = dest;
-        while let Some(p) = self.prev[cur.0] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        debug_assert_eq!(path.first(), Some(&self.source));
-        Some(path)
-    }
-
-    /// The first hop on the shortest path toward `dest` (i.e. the neighbor
-    /// of the source to forward through), or `None` if `dest` is the source
-    /// or unreachable.
-    pub fn next_hop(&self, dest: NodeId) -> Option<NodeId> {
-        let path = self.path_to(dest)?;
-        path.get(1).copied()
     }
 }
 
@@ -76,7 +45,7 @@ impl ShortestPaths {
 /// g.add_edge(NodeId(1), NodeId(2), Weight::UNIT);
 /// let sp = dijkstra(&g, NodeId(0));
 /// assert_eq!(sp.distance(NodeId(2)), Weight::from_units(2.0));
-/// assert_eq!(sp.path_to(NodeId(2)).unwrap(), vec![NodeId(0), NodeId(1), NodeId(2)]);
+/// assert_eq!(sp.distance(NodeId(1)), Weight::UNIT);
 /// ```
 ///
 /// # Panics
@@ -86,7 +55,6 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
     assert!(source.0 < g.node_count(), "unknown source {source}");
     let n = g.node_count();
     let mut dist = vec![Weight::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
     let mut done = vec![false; n];
     dist[source.0] = Weight::ZERO;
 
@@ -103,13 +71,12 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
             let nd = d.saturating_add(g.edge(eid).weight);
             if nd < dist[v.0] {
                 dist[v.0] = nd;
-                prev[v.0] = Some(NodeId(u));
                 heap.push(std::cmp::Reverse((nd, v.0)));
             }
         }
     }
 
-    ShortestPaths { source, dist, prev }
+    ShortestPaths { source, dist }
 }
 
 /// All-pairs shortest-path distances (repeated Dijkstra; suitable for the
@@ -148,12 +115,6 @@ impl DistanceTable {
     pub fn node_count(&self) -> usize {
         self.n
     }
-
-    /// The largest finite distance in the table (the graph's weighted
-    /// diameter), or `None` for an empty/disconnected table.
-    pub fn diameter(&self) -> Option<Weight> {
-        self.dist.iter().copied().filter(|w| !w.is_infinite()).max()
-    }
 }
 
 #[cfg(test)]
@@ -177,8 +138,6 @@ mod tests {
         for i in 0..5 {
             assert_eq!(sp.distance(NodeId(i)), Weight::from_units(i as f64));
         }
-        assert_eq!(sp.next_hop(NodeId(4)), Some(NodeId(1)));
-        assert_eq!(sp.next_hop(NodeId(0)), None);
     }
 
     #[test]
@@ -186,8 +145,6 @@ mod tests {
         let mut g = line_graph(3);
         let lonely = g.add_node();
         let sp = dijkstra(&g, NodeId(0));
-        assert!(!sp.is_reachable(lonely));
-        assert_eq!(sp.path_to(lonely), None);
         assert!(sp.distance(lonely).is_infinite());
     }
 
@@ -199,10 +156,6 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), Weight::from_units(2.0));
         let sp = dijkstra(&g, NodeId(0));
         assert_eq!(sp.distance(NodeId(2)), Weight::from_units(3.0));
-        assert_eq!(
-            sp.path_to(NodeId(2)).unwrap(),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
-        );
     }
 
     #[test]
@@ -214,7 +167,12 @@ mod tests {
                 assert_eq!(t.distance(a, b), t.distance(b, a));
             }
         }
-        assert_eq!(t.diameter(), Some(Weight::from_units(3.0)));
+        let diameter = g
+            .nodes()
+            .flat_map(|a| g.nodes().map(move |b| (a, b)))
+            .map(|(a, b)| t.distance(a, b))
+            .max();
+        assert_eq!(diameter, Some(Weight::from_units(3.0)));
     }
 
     fn random_connected(rng: &mut SimRng, n: usize, extra: usize) -> Graph {
@@ -263,22 +221,41 @@ mod tests {
             }
         }
 
-        /// Path endpoints and cost agree with reported distances.
+        /// Dijkstra and the all-pairs table agree with Floyd–Warshall
+        /// computed here from the edge list: every distance is the weight
+        /// of a shortest walk in the graph.
         #[test]
-        fn paths_are_consistent(seed in 0u64..50) {
+        fn distances_match_floyd_warshall(seed in 0u64..50) {
             let mut rng = SimRng::seed(seed);
             let g = random_connected(&mut rng, 10, 5);
-            let sp = dijkstra(&g, NodeId(0));
-            for dest in g.nodes() {
-                let path = sp.path_to(dest).unwrap();
-                prop_assert_eq!(path[0], NodeId(0));
-                prop_assert_eq!(*path.last().unwrap(), dest);
-                let mut cost = Weight::ZERO;
-                for w in path.windows(2) {
-                    let eid = g.edge_between(w[0], w[1]).unwrap();
-                    cost = cost.saturating_add(g.edge(eid).weight);
+            let n = g.node_count();
+            let mut fw = vec![vec![Weight::INFINITY; n]; n];
+            for (i, row) in fw.iter_mut().enumerate() {
+                row[i] = Weight::ZERO;
+            }
+            for e in g.edges() {
+                let (a, b) = (e.a.0, e.b.0);
+                fw[a][b] = fw[a][b].min(e.weight);
+                fw[b][a] = fw[b][a].min(e.weight);
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        let via = fw[i][k].saturating_add(fw[k][j]);
+                        if via < fw[i][j] {
+                            fw[i][j] = via;
+                        }
+                    }
                 }
-                prop_assert_eq!(cost, sp.distance(dest));
+            }
+            let table = DistanceTable::build(&g);
+            for s in g.nodes() {
+                let sp = dijkstra(&g, s);
+                prop_assert_eq!(sp.source(), s);
+                for v in g.nodes() {
+                    prop_assert_eq!(sp.distance(v), fw[s.0][v.0]);
+                    prop_assert_eq!(table.distance(s, v), fw[s.0][v.0]);
+                }
             }
         }
     }

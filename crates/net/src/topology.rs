@@ -6,7 +6,7 @@
 //! level of the `region.host.user` hierarchy. A [`Topology`] carries that
 //! structure on top of [`Graph`].
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::graph::{EdgeId, Graph, NodeId, Weight};
@@ -66,7 +66,8 @@ pub struct Topology {
     kinds: Vec<NodeKind>,
     regions: Vec<RegionId>,
     names: Vec<String>,
-    by_name: HashMap<String, NodeId>,
+    /// Every name given so far, to refuse a duplicate.
+    taken: HashSet<String>,
 }
 
 impl Topology {
@@ -76,15 +77,12 @@ impl Topology {
     }
 
     fn add_node(&mut self, kind: NodeKind, region: RegionId, name: &str) -> NodeId {
-        assert!(
-            !self.by_name.contains_key(name),
-            "duplicate node name {name:?}"
-        );
+        let fresh = self.taken.insert(name.to_owned());
+        assert!(fresh, "duplicate node name {name:?}");
         let id = self.graph.add_node();
         self.kinds.push(kind);
         self.regions.push(region);
         self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
         id
     }
 
@@ -134,11 +132,6 @@ impl Topology {
     /// The display name of `n`.
     pub fn name(&self, n: NodeId) -> &str {
         &self.names[n.0]
-    }
-
-    /// Looks a node up by display name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
     }
 
     /// Number of nodes.
@@ -261,8 +254,7 @@ mod tests {
     #[test]
     fn name_lookup() {
         let t = two_region_topology();
-        assert_eq!(t.node_by_name("H1"), Some(NodeId(3)));
-        assert_eq!(t.node_by_name("nope"), None);
+        assert_eq!(t.name(NodeId(3)), "H1");
         assert_eq!(t.name(NodeId(0)), "S0");
     }
 
@@ -278,8 +270,7 @@ mod tests {
     fn distances_use_links() {
         let t = two_region_topology();
         let d = t.distances();
-        let h0 = t.node_by_name("H0").unwrap();
-        let h1 = t.node_by_name("H1").unwrap();
+        let (h0, h1) = (NodeId(1), NodeId(3));
         assert_eq!(d.distance(h0, h1), Weight::from_units(7.0));
     }
 }

@@ -11,7 +11,7 @@
 //! seeded run exports byte-identical bytes every time.
 //!
 //! The dump is written once: [`export_jsonl`] appends every record from
-//! its source to one pre-sized buffer through [`crate::schema`]'s
+//! its source to one pre-sized buffer through `crate::schema`'s
 //! writers, with no typed line, value tree or per-field `String` in
 //! between (DESIGN.md §18).
 

@@ -103,7 +103,7 @@ pub struct Dump {
 
 impl Dump {
     /// Parses JSONL text produced by [`crate::export::export_jsonl`]: each
-    /// line goes to the reader of its kind in [`crate::schema`].
+    /// line goes to the reader of its kind in `crate::schema`.
     ///
     /// # Errors
     ///

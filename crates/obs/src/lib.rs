@@ -6,7 +6,7 @@
 //! a schema-versioned JSONL document and reads such documents back for
 //! inspection:
 //!
-//! * [`schema`] — the wire format: each record kind's writer and reader,
+//! * `schema` — the wire format: each record kind's writer and reader,
 //!   side by side;
 //! * [`export`] — serialises a run's span log + metric registries, in an
 //!   order that is a pure function of the run (same seed ⇒ byte-identical
@@ -41,4 +41,4 @@
 
 pub mod export;
 pub mod inspect;
-pub mod schema;
+pub(crate) mod schema;

@@ -32,7 +32,7 @@ use crate::inspect::{HistSummary, ProfileLine, RecoverySummary};
 /// History: v1 — header/span/metric lines; v2 — store-recovery lines
 /// between the span block and the metric block; v3 — per-store
 /// durability metrics and kernel profiler samples after the metric block.
-pub const OBS_SCHEMA_VERSION: u32 = 3;
+pub(crate) const OBS_SCHEMA_VERSION: u32 = 3;
 
 /// First line of every dump: what produced it.
 pub(crate) fn write_header(out: &mut Vec<u8>, run: &str, seed: u64, finished_at_ticks: u64) {

@@ -435,15 +435,6 @@ impl<M> Ctx<'_, M> {
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.core.rng
     }
-
-    /// True if `actor` is currently crashed.
-    ///
-    /// Real mail software cannot ask this oracle; it exists for workload
-    /// drivers and for assertions in tests. Protocol actors should rely on
-    /// timeouts instead.
-    pub fn is_down(&self, actor: ActorId) -> bool {
-        self.core.down.get(actor.0).copied().unwrap_or(false)
-    }
 }
 
 /// The deterministic actor simulation engine.
@@ -476,7 +467,7 @@ impl<M> Ctx<'_, M> {
 /// let a = sim.add_actor(Pinger { peer: None, bounces: 0 });
 /// let b = sim.add_actor(Pinger { peer: Some(a), bounces: 0 });
 /// # let _ = b;
-/// sim.run_to_quiescence();
+/// assert!(sim.run_to_quiescence_bounded(1_000));
 /// assert_eq!(sim.now(), SimTime::from_units(6.0));
 /// ```
 pub struct ActorSim<M> {
@@ -595,11 +586,6 @@ impl<M: 'static> ActorSim<M> {
         self.core.scheduler = Some(scheduler);
     }
 
-    /// The installed link-fault plan, if any.
-    pub fn link_faults(&self) -> Option<&LinkFaultPlan> {
-        self.core.link_faults.as_ref()
-    }
-
     /// Schedules `actor` to crash at `at` (no-op if already down then).
     pub fn schedule_crash(&mut self, actor: ActorId, at: SimTime) {
         self.core.queue.push(at, Ev::Crash { actor });
@@ -608,11 +594,6 @@ impl<M: 'static> ActorSim<M> {
     /// Schedules `actor` to recover at `at` (no-op if already up then).
     pub fn schedule_recover(&mut self, actor: ActorId, at: SimTime) {
         self.core.queue.push(at, Ev::Recover { actor });
-    }
-
-    /// True if `actor` is currently crashed.
-    pub fn is_down(&self, actor: ActorId) -> bool {
-        self.core.down.get(actor.0).copied().unwrap_or(false)
     }
 
     /// Immutable access to an actor's state (for assertions and metrics).
@@ -750,7 +731,6 @@ impl<M: 'static> ActorSim<M> {
     /// Runs until the queue is empty or the next event is later than
     /// `deadline`; the clock then rests at `min(deadline, last event time)`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.core.prof.wall_start();
         self.start_pending();
         while let Some(t) = self.core.queue.peek_time() {
             if t > deadline {
@@ -761,26 +741,11 @@ impl<M: 'static> ActorSim<M> {
         if self.core.now < deadline {
             self.core.now = deadline;
         }
-        self.core.prof.wall_stop();
-    }
-
-    /// Runs until no events remain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u64::MAX` events are processed (practically:
-    /// never), protecting against livelock in misbehaving actors via the
-    /// explicit [`ActorSim::run_to_quiescence_bounded`] variant instead.
-    pub fn run_to_quiescence(&mut self) {
-        self.core.prof.wall_start();
-        while self.step() {}
-        self.core.prof.wall_stop();
     }
 
     /// Runs until quiescence or until `max_events` have been processed.
     /// Returns `true` if the simulation quiesced.
     pub fn run_to_quiescence_bounded(&mut self, max_events: u64) -> bool {
-        self.core.prof.wall_start();
         let mut quiesced = false;
         for _ in 0..max_events {
             if !self.step() {
@@ -788,7 +753,6 @@ impl<M: 'static> ActorSim<M> {
                 break;
             }
         }
-        self.core.prof.wall_stop();
         quiesced || self.core.queue.is_empty()
     }
 }
@@ -807,6 +771,9 @@ impl<M> std::fmt::Debug for ActorSim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Event budget for the unit tests' runs; each quiesces far below it.
+    const BUDGET: u64 = 1_000_000;
 
     #[derive(Default)]
     struct Recorder {
@@ -838,7 +805,7 @@ mod tests {
         let r = sim.add_actor(Recorder::default());
         sim.inject(r, 10, unit(2.0));
         sim.inject(r, 20, unit(1.0));
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let rec: &Recorder = sim.actor(r).unwrap();
         assert_eq!(
             rec.seen,
@@ -884,7 +851,7 @@ mod tests {
         assert_eq!(l.log, vec!["start", "message"]);
 
         sim.inject(early, 3, unit(3.0));
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         for (id, expect) in [
             (early, vec!["start", "timer", "message", "message"]),
             (late, vec!["start", "message", "timer"]),
@@ -913,7 +880,7 @@ mod tests {
         let mut sim = ActorSim::new(1);
         let r = sim.add_actor(Recorder::default());
         let _ = sim.add_actor(BurstSender { target: r });
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let rec: &Recorder = sim.actor(r).unwrap();
         assert_eq!(rec.seen[0].1, 1);
         assert_eq!(rec.seen[1].1, 2);
@@ -928,7 +895,7 @@ mod tests {
         sim.schedule_recover(r, SimTime::from_units(3.0));
         sim.inject(r, 99, unit(2.0)); // lands while down -> dropped
         sim.inject(r, 7, unit(4.0)); // lands after recovery
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let rec: &Recorder = sim.actor(r).unwrap();
         assert_eq!(rec.seen.len(), 1);
         assert_eq!(rec.seen[0].1, 7);
@@ -954,7 +921,7 @@ mod tests {
     fn cancelled_timers_do_not_fire() {
         let mut sim = ActorSim::new(1);
         let _ = sim.add_actor(TimerSetter);
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.counters().timers_fired.get(), 1);
         assert_eq!(sim.counters().timers_suppressed.get(), 1);
     }
@@ -989,10 +956,10 @@ mod tests {
         let mut sim = ActorSim::new(1);
         let a = sim.add_actor(Rearm::default());
         sim.inject(a, None, SimDuration::ZERO);
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let id = sim.actor::<Rearm>(a).unwrap().first.unwrap();
         sim.inject(a, Some(id), SimDuration::ZERO);
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.actor::<Rearm>(a).unwrap().fired, vec![1]);
         assert_eq!(sim.counters().timers_suppressed.get(), 0);
         assert_eq!(sim.queue_stats().pool_live, 0, "nothing left behind");
@@ -1011,7 +978,7 @@ mod tests {
         assert!(sim.step() && sim.step());
         let stale = sim.actor::<Rearm>(a).unwrap().first.unwrap();
         sim.inject(a, Some(stale), SimDuration::ZERO);
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.actor::<Rearm>(a).unwrap().fired, vec![1, 2]);
         assert_eq!(sim.counters().timers_suppressed.get(), 0);
         assert_eq!(
@@ -1030,14 +997,14 @@ mod tests {
         assert!(sim.step());
         let id = sim.actor::<Rearm>(owner).unwrap().first.unwrap();
         sim.inject(other, Some(id), SimDuration::ZERO);
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.actor::<Rearm>(owner).unwrap().fired, vec![1]);
         // The owner itself can.
         sim.inject(owner, None, SimDuration::ZERO);
         assert!(sim.step());
         let id = sim.actor::<Rearm>(owner).unwrap().first.unwrap();
         sim.inject(owner, Some(id), SimDuration::ZERO);
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.actor::<Rearm>(owner).unwrap().fired, vec![1]);
         assert_eq!(sim.counters().timers_suppressed.get(), 1);
     }
@@ -1071,7 +1038,7 @@ mod tests {
             for (i, d) in delays.into_iter().enumerate() {
                 sim.inject(r, i as u32, unit(d));
             }
-            sim.run_to_quiescence();
+            assert!(sim.run_to_quiescence_bounded(BUDGET));
             (sim.counters().delivered.get(), sim.now())
         }
         assert_eq!(run(9), run(9));
@@ -1093,7 +1060,7 @@ mod tests {
     fn unknown_destination_is_counted() {
         let mut sim: ActorSim<u32> = ActorSim::new(1);
         sim.inject(ActorId(999), 1, unit(1.0));
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.counters().dropped_unknown.get(), 1);
     }
 
@@ -1124,7 +1091,7 @@ mod tests {
         sim.inject(relay, 5, unit(1.0));
         // After the outage lifts, the same route works.
         sim.inject(relay, 6, unit(11.0));
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let rec: &Recorder = sim.actor(r).unwrap();
         assert_eq!(rec.seen.len(), 1);
         assert_eq!(rec.seen[0].1, 6);
@@ -1161,7 +1128,7 @@ mod tests {
         for i in 0..10 {
             sim.inject(relay, i, unit(i as f64));
         }
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let rec: &Recorder = sim.actor(r).unwrap();
         assert!(rec.seen.is_empty());
         assert_eq!(sim.counters().dropped_link.get(), 10);
@@ -1178,7 +1145,7 @@ mod tests {
                 .with_default_profile(LinkProfile::new(0.0, 1.0, SimDuration::ZERO).unwrap()),
         );
         sim.inject(relay, 7, unit(1.0));
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let rec: &Recorder = sim.actor(r).unwrap();
         assert_eq!(rec.seen.len(), 2, "original + duplicate");
         assert_eq!(sim.counters().duplicated.get(), 1);
@@ -1205,7 +1172,7 @@ mod tests {
             LinkFaultPlan::new()
                 .with_default_profile(LinkProfile::new(1.0, 0.0, SimDuration::ZERO).unwrap()),
         );
-        sim.run_to_quiescence();
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
         let looper: &SelfLooper = sim.actor(a).unwrap();
         assert_eq!(looper.got, 3);
         assert_eq!(sim.counters().dropped_link.get(), 0);
@@ -1224,7 +1191,7 @@ mod tests {
             for i in 0..200 {
                 sim.inject(relay, i, unit(i as f64 * 0.1));
             }
-            sim.run_to_quiescence();
+            assert!(sim.run_to_quiescence_bounded(BUDGET));
             (
                 sim.counters().delivered.get(),
                 sim.counters().dropped_link.get(),

@@ -33,7 +33,8 @@
 //! # Examples
 //!
 //! ```
-//! use lems_sim::prelude::*;
+//! use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
+//! use lems_sim::time::SimDuration;
 //!
 //! struct Echo;
 //! impl Actor for Echo {
@@ -48,7 +49,7 @@
 //! let mut sim = ActorSim::new(7);
 //! let echo = sim.add_actor(Echo);
 //! sim.inject(echo, "ping", SimDuration::from_units(0.5));
-//! sim.run_to_quiescence();
+//! assert!(sim.run_to_quiescence_bounded(1_000));
 //! assert_eq!(sim.counters().delivered.get(), 1);
 //! ```
 
@@ -85,18 +86,3 @@ pub mod sched;
 pub mod span;
 pub mod time;
 pub mod trace;
-
-/// Convenient glob-import of the most used simulation types.
-pub mod prelude {
-    pub use crate::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
-    pub use crate::failure::{FailureError, FailurePlan};
-    pub use crate::linkfault::{LinkFaultPlan, LinkProfile};
-    pub use crate::metrics::{Counter, LogHistogram, MetricsRegistry, Summary, TimeWeighted};
-    pub use crate::rng::SimRng;
-    pub use crate::sched::{
-        ExploreBounds, Explorer, FifoScheduler, RandomScheduler, ReplayScheduler, Schedule,
-        Scheduler,
-    };
-    pub use crate::span::{SpanEvent, SpanId, SpanLog, SpanStage};
-    pub use crate::time::{SimDuration, SimTime};
-}

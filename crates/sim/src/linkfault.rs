@@ -56,11 +56,6 @@ impl LinkProfile {
             jitter,
         })
     }
-
-    /// True if this profile never alters traffic.
-    pub fn is_lossless(&self) -> bool {
-        self.drop_prob == 0.0 && self.dup_prob == 0.0 && self.jitter.is_zero()
-    }
 }
 
 /// Faults for the message-passing substrate: per-link outages/partitions
@@ -83,20 +78,20 @@ impl LinkProfile {
 /// use lems_sim::linkfault::{LinkFaultPlan, LinkProfile};
 /// use lems_sim::time::{SimDuration, SimTime};
 ///
-/// let mut plan = LinkFaultPlan::new();
-/// plan.set_default_profile(
-///     LinkProfile::new(0.05, 0.01, SimDuration::from_units(0.5)).unwrap(),
-/// );
-/// plan.add_link_outage_bidi(
-///     ActorId(0),
-///     ActorId(1),
+/// let lossy = LinkProfile::new(0.05, 0.01, SimDuration::from_units(0.5)).unwrap();
+/// let mut plan = LinkFaultPlan::new().with_default_profile(lossy);
+/// plan.set_link_profile(ActorId(0), ActorId(2), LinkProfile::lossless());
+/// // Cut {0} from {1, 2} in both directions over [10, 20).
+/// plan.add_partition(
+///     &[ActorId(0)],
+///     &[ActorId(1), ActorId(2)],
 ///     SimTime::from_units(10.0),
 ///     SimTime::from_units(20.0),
 /// )
 /// .unwrap();
-/// assert!(!plan.is_link_up(ActorId(0), ActorId(1), SimTime::from_units(15.0)));
-/// assert!(plan.is_link_up(ActorId(0), ActorId(1), SimTime::from_units(20.0)));
-/// assert!(plan.is_link_up(ActorId(0), ActorId(2), SimTime::from_units(15.0)));
+/// assert_eq!(plan.outage_count(), 4);
+/// assert_eq!(plan.profile(ActorId(0), ActorId(1)), lossy);
+/// assert_eq!(plan.profile(ActorId(0), ActorId(2)), LinkProfile::lossless());
 /// ```
 #[derive(Clone, Debug)]
 pub struct LinkFaultPlan {
@@ -124,13 +119,6 @@ impl LinkFaultPlan {
     }
 
     /// Sets the profile applied to every link without an override.
-    pub fn set_default_profile(&mut self, profile: LinkProfile) {
-        self.default_profile = profile;
-    }
-
-    /// Builder-style variant of [`set_default_profile`].
-    ///
-    /// [`set_default_profile`]: LinkFaultPlan::set_default_profile
     pub fn with_default_profile(mut self, profile: LinkProfile) -> Self {
         self.default_profile = profile;
         self
@@ -163,7 +151,7 @@ impl LinkFaultPlan {
     }
 
     /// Cuts both directions between `a` and `b` over `[down_at, up_at)`.
-    pub fn add_link_outage_bidi(
+    pub(crate) fn add_link_outage_bidi(
         &mut self,
         a: ActorId,
         b: ActorId,
@@ -193,41 +181,26 @@ impl LinkFaultPlan {
     }
 
     /// True if the directed link `from -> to` carries traffic at `t`.
-    pub fn is_link_up(&self, from: ActorId, to: ActorId, t: SimTime) -> bool {
+    pub(crate) fn is_link_up(&self, from: ActorId, to: ActorId, t: SimTime) -> bool {
         self.outages
             .get(&(from, to))
             .is_none_or(|list| !list.iter().any(|o| o.covers(t)))
     }
 
     /// Stops drop/dup/jitter draws at `t` (outages are unaffected).
-    pub fn set_stochastic_horizon(&mut self, t: SimTime) {
-        self.stochastic_horizon = t;
-    }
-
-    /// Builder-style variant of [`set_stochastic_horizon`].
-    ///
-    /// [`set_stochastic_horizon`]: LinkFaultPlan::set_stochastic_horizon
     pub fn with_stochastic_horizon(mut self, t: SimTime) -> Self {
         self.stochastic_horizon = t;
         self
     }
 
     /// True if stochastic effects (drop/dup/jitter) apply at `t`.
-    pub fn stochastic_active(&self, t: SimTime) -> bool {
+    pub(crate) fn stochastic_active(&self, t: SimTime) -> bool {
         t < self.stochastic_horizon
     }
 
     /// Total number of directed link outages.
     pub fn outage_count(&self) -> usize {
         self.outages.values().map(Vec::len).sum()
-    }
-
-    /// True if this plan never alters traffic: no outages, a lossless
-    /// default profile, and no lossy overrides.
-    pub fn is_noop(&self) -> bool {
-        self.outages.is_empty()
-            && self.default_profile.is_lossless()
-            && self.overrides.values().all(LinkProfile::is_lossless)
     }
 }
 
@@ -244,9 +217,7 @@ mod tests {
         assert!(LinkProfile::new(1.5, 0.0, SimDuration::ZERO).is_err());
         assert!(LinkProfile::new(0.0, -0.1, SimDuration::ZERO).is_err());
         assert!(LinkProfile::new(0.0, f64::NAN, SimDuration::ZERO).is_err());
-        let p = LinkProfile::new(0.05, 0.01, SimDuration::from_units(1.0)).unwrap();
-        assert!(!p.is_lossless());
-        assert!(LinkProfile::lossless().is_lossless());
+        assert!(LinkProfile::new(0.05, 0.01, SimDuration::from_units(1.0)).is_ok());
     }
 
     #[test]
@@ -257,7 +228,6 @@ mod tests {
         assert!(!plan.is_link_up(ActorId(0), ActorId(1), t(1.5)));
         assert!(plan.is_link_up(ActorId(1), ActorId(0), t(1.5)));
         assert_eq!(plan.outage_count(), 1);
-        assert!(!plan.is_noop());
     }
 
     #[test]
@@ -288,9 +258,9 @@ mod tests {
 
     #[test]
     fn horizon_gates_stochastic_effects_only() {
-        let mut plan = LinkFaultPlan::new();
-        plan.set_default_profile(LinkProfile::new(0.5, 0.0, SimDuration::ZERO).unwrap());
-        plan.set_stochastic_horizon(t(10.0));
+        let mut plan = LinkFaultPlan::new()
+            .with_default_profile(LinkProfile::new(0.5, 0.0, SimDuration::ZERO).unwrap())
+            .with_stochastic_horizon(t(10.0));
         plan.add_link_outage(ActorId(0), ActorId(1), t(12.0), t(14.0))
             .unwrap();
         assert!(plan.stochastic_active(t(9.9)));

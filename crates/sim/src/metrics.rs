@@ -134,7 +134,7 @@ impl Summary {
     }
 
     /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -143,7 +143,7 @@ impl Summary {
     }
 
     /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -431,7 +431,7 @@ impl LogHistogram {
     }
 
     /// True if `other` has the same bucket layout and can merge losslessly.
-    pub fn same_layout(&self, other: &LogHistogram) -> bool {
+    pub(crate) fn same_layout(&self, other: &LogHistogram) -> bool {
         self.bins.len() == other.bins.len()
             && self.first_edge == other.first_edge
             && self.growth == other.growth
@@ -441,7 +441,7 @@ impl LogHistogram {
     ///
     /// # Panics
     ///
-    /// Panics if the layouts differ (see [`LogHistogram::same_layout`]).
+    /// Panics if the layouts differ (bucket count, first edge or growth).
     pub fn merge(&mut self, other: &LogHistogram) {
         assert!(
             self.same_layout(other),

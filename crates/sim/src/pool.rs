@@ -42,7 +42,7 @@ struct Slot<T> {
 /// steady state is *all hits*: `crates/sim/tests/zero_alloc.rs` pins the
 /// counter form of its counting-allocator proof against these.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     /// Inserts served by recycling a freed slot.
     pub hits: u64,
     /// Inserts that found no free slot.
@@ -103,7 +103,7 @@ impl<T> Pool<T> {
     }
 
     /// An empty pool with room for `capacity` values before reallocating.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Pool {
             slots: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
@@ -121,7 +121,7 @@ impl<T> Pool<T> {
     /// Stores the value `make` builds from the handle it will live under —
     /// for values that must know their own handle (a timer event carries
     /// the id that cancels it).
-    pub fn insert_with(&mut self, make: impl FnOnce(Handle) -> T) -> Handle {
+    pub(crate) fn insert_with(&mut self, make: impl FnOnce(Handle) -> T) -> Handle {
         self.live += 1;
         if let Some(index) = self.free.pop() {
             self.hits += 1;
@@ -156,7 +156,7 @@ impl<T> Pool<T> {
     }
 
     /// Mutably borrows the value behind `h`, or `None` when stale.
-    pub fn get_mut(&mut self, h: Handle) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, h: Handle) -> Option<&mut T> {
         self.slots
             .get_mut(h.index as usize)
             .filter(|s| s.gen == h.gen)
@@ -191,23 +191,8 @@ impl<T> Pool<T> {
         Some(val)
     }
 
-    /// Number of live values.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no values are live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Slots allocated (live + recyclable) — the pool's high-water mark.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Allocation-behaviour counters accumulated since construction.
-    pub fn stats(&self) -> PoolStats {
+    pub(crate) fn stats(&self) -> PoolStats {
         PoolStats {
             hits: self.hits,
             misses: self.misses,
@@ -219,7 +204,7 @@ impl<T> Pool<T> {
 
     /// Drops every live value and recycles all slots (generations advance,
     /// so handles issued before the clear are all dead).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.free.clear();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             if slot.val.take().is_some() {
@@ -248,11 +233,11 @@ mod tests {
     fn insert_get_take_round_trip() {
         let mut p = Pool::new();
         let h = p.insert(42u64);
-        assert_eq!(p.len(), 1);
+        assert_eq!(p.stats().live, 1);
         assert_eq!(p.get(h), Some(&42));
         *p.get_mut(h).unwrap() = 43;
         assert_eq!(p.take(h), Some(43));
-        assert!(p.is_empty());
+        assert_eq!(p.stats().live, 0);
         assert_eq!(p.take(h), None, "double-take refused");
     }
 
@@ -260,29 +245,36 @@ mod tests {
     fn stale_handles_are_refused_after_recycling() {
         let mut p = Pool::new();
         let a = p.insert("a");
+        let live = p.insert("live");
         assert_eq!(p.take(a), Some("a"));
+        assert_eq!(p.get(a), None, "taken handles are dead");
         let b = p.insert("b");
         // Same slot, new generation.
         assert_eq!(p.get(a), None);
         assert_eq!(p.get_mut(a), None);
         assert_eq!(p.take(a), None);
         assert_eq!(p.get(b), Some(&"b"));
-        assert_eq!(p.capacity(), 1, "slot was recycled, not re-allocated");
+        assert_eq!(p.get(live), Some(&"live"), "the neighbour is untouched");
+        assert_eq!(p.stats().capacity, 2, "slot was recycled, not re-allocated");
     }
 
     #[test]
     fn steady_state_recycles_without_growth() {
         let mut p = Pool::new();
         let mut handles: Vec<Handle> = (0..64).map(|i| p.insert(i)).collect();
-        let peak = p.capacity();
+        let peak = p.stats().capacity;
         for round in 0..1000u32 {
             let h = handles.remove(0);
             let v = p.take(h).expect("live handle");
             assert_eq!(p.get(h), None);
             handles.push(p.insert(v + round));
         }
-        assert_eq!(p.capacity(), peak, "steady churn must not grow the slab");
-        assert_eq!(p.len(), 64);
+        assert_eq!(
+            p.stats().capacity,
+            peak,
+            "steady churn must not grow the slab"
+        );
+        assert_eq!(p.stats().live, 64);
     }
 
     #[test]
@@ -309,13 +301,13 @@ mod tests {
         let mut p = Pool::new();
         let hs: Vec<Handle> = (0..8).map(|i| p.insert(i)).collect();
         p.clear();
-        assert!(p.is_empty());
+        assert_eq!(p.stats().live, 0);
         for h in hs {
             assert_eq!(p.get(h), None);
         }
         // Slots are recyclable after clear.
         let h = p.insert(99);
         assert_eq!(p.get(h), Some(&99));
-        assert_eq!(p.capacity(), 8);
+        assert_eq!(p.stats().capacity, 8);
     }
 }

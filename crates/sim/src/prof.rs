@@ -21,19 +21,8 @@
 //! Same-instant followers absorb zero. Summed over a run this decomposes
 //! total simulated time across the actor kinds that consumed it.
 //!
-//! Wall-clock readings live in a separate [`Wall`] side channel lapped
-//! around the run loops — two `Instant` reads per run call, never per
-//! event. The side channel is deliberately *not* part of
-//! [`Prof::samples`]: nothing wall-clock-derived can reach a deterministic
-//! artifact. This module is the single vetted wall-clock site in the
-//! crate: the `Instant` ban of `crates/sim/clippy.toml` is waived here
-//! and nowhere else.
-
-#![expect(
-    clippy::disallowed_types,
-    reason = "`Wall` laps whole run calls and never enters `Prof::samples` \
-              (tests/prof_digest.rs pins digests identical with profiling on and off)"
-)]
+//! The profiler reads no clock: wall time is measured from outside, on
+//! the `benchmark/` ladder.
 
 use crate::queue::QueueStats;
 use crate::time::SimTime;
@@ -140,39 +129,6 @@ pub struct ProfSample {
     pub ticks: u64,
 }
 
-/// Wall-clock side channel: total real time spent inside profiled run
-/// loops.
-///
-/// This is the **only** wall-clock reader in `lems-sim`, and its readings
-/// never enter [`Prof::samples`] — they surface separately (e.g. as bench
-/// report notes) so deterministic artifacts stay pure functions of the
-/// seed. Laps wrap whole run calls, not events, so the cost is two
-/// `Instant` reads per `run_*` invocation.
-#[derive(Default, Debug)]
-pub struct Wall {
-    nanos: u128,
-    started: Option<std::time::Instant>,
-}
-
-impl Wall {
-    fn start(&mut self) {
-        if self.started.is_none() {
-            self.started = Some(std::time::Instant::now());
-        }
-    }
-
-    fn stop(&mut self) {
-        if let Some(s) = self.started.take() {
-            self.nanos += s.elapsed().as_nanos();
-        }
-    }
-
-    /// Total nanoseconds accumulated across completed laps.
-    pub fn nanos(&self) -> u128 {
-        self.nanos
-    }
-}
-
 /// The kernel profiler. Owned by the engine core; disabled (and free
 /// beyond one branch per event) until `enable_prof` is called on the
 /// engine.
@@ -194,7 +150,7 @@ impl Wall {
 /// let a = sim.add_actor(Echo);
 /// sim.enable_prof();
 /// sim.inject(a, (), SimDuration::from_units(1.0));
-/// sim.run_to_quiescence();
+/// assert!(sim.run_to_quiescence_bounded(1_000));
 /// let samples = sim.profile_samples();
 /// assert!(samples
 ///     .iter()
@@ -218,13 +174,12 @@ pub struct Prof {
     last_now: SimTime,
     dispatches: u64,
     queue_samples: Vec<(SimTime, u64)>,
-    wall: Wall,
 }
 
 impl Prof {
     /// True once profiling has been switched on.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -279,28 +234,9 @@ impl Prof {
         }
     }
 
-    pub(crate) fn wall_start(&mut self) {
-        if self.enabled {
-            self.wall.start();
-        }
-    }
-
-    pub(crate) fn wall_stop(&mut self) {
-        if self.enabled {
-            self.wall.stop();
-        }
-    }
-
     /// Total events the profiler has attributed.
     pub fn dispatches(&self) -> u64 {
         self.dispatches
-    }
-
-    /// Wall-clock nanoseconds spent inside profiled run loops — the
-    /// non-deterministic side channel, surfaced separately from
-    /// [`Prof::samples`] by design.
-    pub fn wall_nanos(&self) -> u128 {
-        self.wall.nanos()
     }
 
     /// Renders the profiler state as a deterministic, ordered sample list:
@@ -385,7 +321,6 @@ mod tests {
         p.dispatch(0, ProfEvent::Deliver, SimTime::from_ticks(5), 1);
         assert_eq!(p.dispatches(), 0);
         assert!(p.samples(QueueStats::default()).is_empty());
-        assert_eq!(p.wall_nanos(), 0);
     }
 
     #[test]
@@ -439,18 +374,5 @@ mod tests {
             .collect();
         assert_eq!(depth_samples.len(), 2);
         assert_eq!(depth_samples[0].at, SimTime::from_ticks(SAMPLE_EVERY - 1));
-    }
-
-    #[test]
-    fn wall_side_channel_accumulates_only_when_enabled() {
-        let mut p = Prof::default();
-        p.wall_start();
-        p.wall_stop();
-        assert_eq!(p.wall_nanos(), 0, "disabled prof must not read the clock");
-        p.enable();
-        p.wall_start();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        p.wall_stop();
-        assert!(p.wall_nanos() > 0);
     }
 }

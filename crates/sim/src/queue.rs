@@ -14,7 +14,7 @@
 //! [`ready`](EventQueue::ready) view are O(1) and allocation-free. Pushes
 //! binary-insert into the front (same day) or link onto a bucket's chain
 //! (later day); days beyond the ring spill into a small ordered overflow
-//! map. Payloads live in a generation-checked [`Pool`]
+//! map. Payloads live in a generation-checked `Pool`
 //! beside their `(ticks, seq)` key and a `next` index, and a bucket is just
 //! the `u32` index of its first slot: the chain runs through the pool's own
 //! slots, so filing an event under a later day is two stores and never an
@@ -480,7 +480,7 @@ impl<E> EventQueue<E> {
     /// stored under, and returns that handle: [`EventQueue::get_mut`]
     /// reaches the pending event through it until the event is popped or
     /// removed, after which the handle is dead.
-    pub fn push_with(&mut self, at: SimTime, make: impl FnOnce(Handle) -> E) -> Handle {
+    pub(crate) fn push_with(&mut self, at: SimTime, make: impl FnOnce(Handle) -> E) -> Handle {
         self.schedule(at, make).1
     }
 

@@ -357,7 +357,8 @@ impl Scheduler for ExploreScheduler {
 /// # Examples
 ///
 /// ```
-/// use lems_sim::prelude::*;
+/// use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
+/// use lems_sim::time::SimDuration;
 /// use lems_sim::sched::{Explorer, ExploreBounds};
 ///
 /// struct Sink;

@@ -90,12 +90,12 @@ impl SpanStage {
     ];
 
     /// True for stages that open a span.
-    pub fn is_opening(self) -> bool {
+    pub(crate) fn is_opening(self) -> bool {
         matches!(self, SpanStage::Submitted | SpanStage::CheckStarted)
     }
 
     /// True for stages that terminate a span.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(
             self,
             SpanStage::Retrieved | SpanStage::Bounced | SpanStage::CheckDone
@@ -165,16 +165,6 @@ impl BounceCode {
         }
     }
 
-    /// Decodes a [`SpanEvent::detail`] value.
-    pub fn from_detail(d: u64) -> Option<BounceCode> {
-        Some(match d {
-            0 => BounceCode::UnknownRecipient,
-            1 => BounceCode::AllServersDown,
-            2 => BounceCode::RegionUnreachable,
-            _ => return None,
-        })
-    }
-
     /// Stable lowercase name for rendering.
     pub fn name(self) -> &'static str {
         match self {
@@ -207,17 +197,6 @@ impl ResolveCode {
             ResolveCode::ForwardToRegion => 2,
             ResolveCode::Failed => 3,
         }
-    }
-
-    /// Decodes a [`SpanEvent::detail`] value.
-    pub fn from_detail(d: u64) -> Option<ResolveCode> {
-        Some(match d {
-            0 => ResolveCode::LocalAuthority,
-            1 => ResolveCode::RegionalAuthority,
-            2 => ResolveCode::ForwardToRegion,
-            3 => ResolveCode::Failed,
-            _ => return None,
-        })
     }
 
     /// Stable lowercase name for rendering.
@@ -305,11 +284,6 @@ impl SpanLog {
             enabled: true,
             ..SpanLog::default()
         }
-    }
-
-    /// True if this log records events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Rebuilds a log from previously exported events (e.g. a parsed
@@ -407,7 +381,7 @@ impl SpanLog {
     }
 
     /// Number of spans ever opened.
-    pub fn spans_opened(&self) -> u64 {
+    pub(crate) fn spans_opened(&self) -> u64 {
         self.next
     }
 
@@ -614,7 +588,6 @@ mod tests {
         assert_eq!(s, NO_SPAN);
         log.record(t(1.0), s, SpanStage::Retrieved, 2, NO_NODE, 0);
         assert!(log.is_empty());
-        assert!(!log.is_enabled());
         assert_eq!(log.spans_opened(), 0);
     }
 
@@ -732,22 +705,22 @@ mod tests {
 
     #[test]
     fn codes_round_trip() {
-        for code in [
+        // Each code has its own detail value.
+        let bounce = [
             BounceCode::UnknownRecipient,
             BounceCode::AllServersDown,
             BounceCode::RegionUnreachable,
-        ] {
-            assert_eq!(BounceCode::from_detail(code.as_detail()), Some(code));
-        }
-        assert_eq!(BounceCode::from_detail(77), None);
-        for code in [
+        ]
+        .map(BounceCode::as_detail);
+        assert_eq!(bounce, [0, 1, 2]);
+        let resolve = [
             ResolveCode::LocalAuthority,
             ResolveCode::RegionalAuthority,
             ResolveCode::ForwardToRegion,
             ResolveCode::Failed,
-        ] {
-            assert_eq!(ResolveCode::from_detail(code.as_detail()), Some(code));
-        }
+        ]
+        .map(ResolveCode::as_detail);
+        assert_eq!(resolve, [0, 1, 2, 3]);
         for stage in SpanStage::ALL {
             assert_eq!(SpanStage::from_name(stage.name()), Some(stage));
         }

@@ -135,13 +135,8 @@ impl SimDuration {
     }
 
     /// True if this is the zero-length duration.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
     }
 
     /// Saturating subtraction (clamps at zero).
@@ -281,7 +276,6 @@ mod tests {
         assert_eq!(d / 4, SimDuration::from_units(0.5));
         assert!(SimDuration::ZERO.is_zero());
         assert!(!d.is_zero());
-        assert_eq!(d.checked_sub(SimDuration::from_units(3.0)), None);
         assert_eq!(
             d.saturating_sub(SimDuration::from_units(3.0)),
             SimDuration::ZERO

@@ -97,11 +97,6 @@ impl Trace {
         }
     }
 
-    /// True if this trace keeps events.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event (no-op when disabled).
     pub fn record(&mut self, at: SimTime, kind: TraceKind, from: ActorId, to: ActorId) {
         if self.enabled {
@@ -163,7 +158,6 @@ mod tests {
         let mut t = Trace::disabled();
         t.record(SimTime::ZERO, TraceKind::Send, ActorId(0), ActorId(1));
         assert_eq!(t.events().count(), 0);
-        assert!(!t.is_enabled());
     }
 
     #[test]
@@ -178,7 +172,6 @@ mod tests {
             );
         }
         assert_eq!(t.len(), 10_000);
-        assert!(t.is_enabled());
     }
 
     #[test]

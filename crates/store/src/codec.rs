@@ -21,14 +21,14 @@ use lems_sim::time::SimTime;
 use crate::StoreError;
 
 /// First byte of every frame.
-pub const MAGIC: u8 = 0xA7;
+pub(crate) const MAGIC: u8 = 0xA7;
 /// Frame header bytes (magic + len + crc).
-pub const HEADER_BYTES: usize = 9;
+pub(crate) const HEADER_BYTES: usize = 9;
 /// On-log schema version; bump on any record-format change.
-pub const WAL_SCHEMA_VERSION: u16 = 1;
+pub(crate) const WAL_SCHEMA_VERSION: u16 = 1;
 /// Upper bound on a single payload; longer declared lengths are treated as
 /// tail garbage, not allocation requests.
-pub const MAX_PAYLOAD_BYTES: u32 = 1 << 28;
+pub(crate) const MAX_PAYLOAD_BYTES: u32 = 1 << 28;
 
 /// One durable operation (or compaction-snapshot chunk) on the log.
 #[derive(Clone, Debug, PartialEq)]
@@ -172,7 +172,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
@@ -454,18 +454,11 @@ fn decode_body(tag: u8, r: &mut Reader<'_>) -> Decode<Record> {
     Ok(rec)
 }
 
-/// Encodes `record` as one complete frame.
-pub fn encode_frame(record: &Record) -> Vec<u8> {
-    let mut frame = Vec::new();
-    encode_frame_into(record, &mut frame);
-    frame
-}
-
 /// Encodes `record` as one complete frame into `frame`, replacing what it
 /// held: the header is reserved, the payload written behind it, and length
 /// and checksum patched in — a caller that keeps `frame` between records
 /// stops allocating once it has grown to the largest of them.
-pub fn encode_frame_into(record: &Record, frame: &mut Vec<u8>) {
+pub(crate) fn encode_frame_into(record: &Record, frame: &mut Vec<u8>) {
     frame.clear();
     frame.push(MAGIC);
     frame.extend_from_slice(&[0; HEADER_BYTES - 1]);
@@ -513,7 +506,7 @@ pub enum FrameOutcome {
 
 /// Decodes the next frame from `bytes` (the unconsumed suffix of one
 /// segment).
-pub fn decode_frame(bytes: &[u8]) -> FrameOutcome {
+pub(crate) fn decode_frame(bytes: &[u8]) -> FrameOutcome {
     if bytes.is_empty() {
         return FrameOutcome::End;
     }
@@ -767,6 +760,13 @@ mod reference {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One complete frame for `record`.
+    fn encode_frame(record: &Record) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame_into(record, &mut frame);
+        frame
+    }
 
     fn msg(id: u64) -> Message {
         Message::new(

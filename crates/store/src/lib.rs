@@ -37,8 +37,7 @@ pub mod wal;
 
 use lems_core::store::{MailStore, MemStore};
 
-pub use codec::{Record, WAL_SCHEMA_VERSION};
-pub use segment::{MemSegments, SegmentIo};
+pub use segment::MemSegments;
 pub use wal::{SyncPolicy, WalConfig, WalStore};
 
 /// Why a store operation or recovery failed.
@@ -102,16 +101,22 @@ pub enum DurabilityConfig {
 }
 
 /// Builds a fresh backend for one server per `cfg`.
+///
+/// # Panics
+///
+/// Panics if a fresh in-memory device cannot be opened as a WAL, which
+/// `MemSegments` never refuses.
+#[expect(
+    clippy::expect_used,
+    reason = "a fresh MemSegments always opens; a fallback would report the wrong backend"
+)]
 pub fn make_store(cfg: &DurabilityConfig) -> Box<dyn MailStore> {
     match cfg {
         DurabilityConfig::Ideal => Box::new(MemStore::stable()),
         DurabilityConfig::Volatile => Box::new(MemStore::volatile()),
-        DurabilityConfig::Wal(wal_cfg) => {
-            // A fresh in-memory device can always be opened.
-            match WalStore::open(Box::new(MemSegments::new()), wal_cfg.clone()) {
-                Ok(store) => Box::new(store),
-                Err(_) => Box::new(MemStore::stable()),
-            }
-        }
+        DurabilityConfig::Wal(wal_cfg) => Box::new(
+            WalStore::open(Box::new(MemSegments::new()), wal_cfg.clone())
+                .expect("a fresh in-memory WAL device opens"),
+        ),
     }
 }

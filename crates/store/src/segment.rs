@@ -157,9 +157,11 @@ mod tests {
 
     #[test]
     fn mem_torn_tail_tears_real_unsynced_bytes_when_present() {
-        let frame = crate::codec::encode_frame(&crate::codec::Record::SettleForward {
+        let mut frame = Vec::new();
+        let record = crate::codec::Record::SettleForward {
             id: lems_core::message::MessageId(1),
-        });
+        };
+        crate::codec::encode_frame_into(&record, &mut frame);
         let mut io = MemSegments::new();
         io.create(0).unwrap();
         io.append(0, &frame).unwrap();

@@ -202,7 +202,6 @@ pub struct WalStore {
     /// Bytes scanned by recovery and persist/restore scans (lifetime).
     replayed_bytes: u64,
     pre_crash_storage: Option<u64>,
-    last_recovery: Option<RecoveryReport>,
 }
 
 impl WalStore {
@@ -210,8 +209,7 @@ impl WalStore {
     ///
     /// A fresh device starts empty at segment 0; a device with history
     /// recovers exactly like a post-crash restart (including torn-tail
-    /// trimming), and the result is recorded in
-    /// [`WalStore::last_recovery`].
+    /// trimming).
     pub fn open(io: Box<dyn SegmentIo>, cfg: WalConfig) -> Result<Self, StoreError> {
         let mut store = WalStore {
             cfg,
@@ -230,20 +228,13 @@ impl WalStore {
             replayed_records: 0,
             replayed_bytes: 0,
             pre_crash_storage: None,
-            last_recovery: None,
         };
         if store.io.list().is_empty() {
             store.io.create(0)?;
         } else {
-            let report = store.reopen()?;
-            store.last_recovery = Some(report);
+            store.reopen()?;
         }
         Ok(store)
-    }
-
-    /// The report from the replay [`WalStore::open`] performed, if any.
-    pub fn last_recovery(&self) -> Option<&RecoveryReport> {
-        self.last_recovery.as_ref()
     }
 
     /// Records appended over this store's lifetime (excluding snapshots).

@@ -2,7 +2,7 @@
 //! over the `lems-sim` engine — the one mail path of Systems 1 and 2.
 //!
 //! This module wires the pure algorithms — server assignment
-//! ([`crate::assign`]), syntax-directed resolution ([`crate::resolve`]),
+//! ([`crate::assign`]), syntax-directed resolution (`crate::resolve`),
 //! and GetMail ([`crate::getmail`]) — into a running message-passing
 //! system with the three delivery phases of §3.1.2:
 //!
@@ -67,17 +67,17 @@ pub use server::ServerActor;
 
 /// Maximum server-to-server forwarding hops before a message bounces
 /// (loop protection).
-pub const MAX_HOPS: u32 = 16;
+pub(crate) const MAX_HOPS: u32 = 16;
 
 /// Extra slack added to every round-trip timeout, in time units.
 pub const TIMEOUT_SLACK: f64 = 2.0;
 
 /// Probes sent to one peer in an exchange — the first try and its
 /// retransmissions — before the exchange goes on to the next peer.
-pub const MAX_ATTEMPTS: u32 = 3;
+pub(crate) const MAX_ATTEMPTS: u32 = 3;
 
 /// What a peer's timeout is multiplied by per retransmission.
-pub const BACKOFF_FACTOR: f64 = 2.0;
+pub(crate) const BACKOFF_FACTOR: f64 = 2.0;
 
 /// The bound on backoff growth, before jitter. A longer first timeout is
 /// kept: a timeout shorter than the round trip would always fire.
@@ -85,7 +85,7 @@ pub const MAX_TIMEOUT: SimDuration = SimDuration::from_ticks(60 * TICKS_PER_UNIT
 
 /// Uniform jitter as a fraction of the timeout (up to +10 %), so that
 /// retransmissions from different senders do not synchronise.
-pub const JITTER_FRAC: f64 = 0.1;
+pub(crate) const JITTER_FRAC: f64 = 0.1;
 
 /// The timeout armed for 0-based `attempt` of a probe whose first attempt
 /// waits `base`: `max(base, min(base * BACKOFF_FACTOR^attempt,
@@ -605,7 +605,6 @@ impl Deployment {
         for (&s, peers) in server_nodes.iter().zip(peers) {
             let region = topology.region(s);
             let resolver = SyntaxResolver::new(
-                s,
                 region,
                 views.remove(&s).expect("partition holds a view per server"),
                 region_index.get(&region).cloned().unwrap_or_default(),
@@ -828,11 +827,6 @@ impl Deployment {
     /// All user names, ordered.
     pub fn user_names(&self) -> Vec<MailName> {
         self.users.names().cloned().collect()
-    }
-
-    /// The actor simulating `server`.
-    pub fn server_actor(&self, server: NodeId) -> Option<ActorId> {
-        self.server_actors.get(&server).copied()
     }
 
     /// The actor simulating `host`.
@@ -1333,7 +1327,7 @@ mod tests {
             by_region
                 .entry(resolver.region())
                 .or_default()
-                .push(Rc::as_ptr(resolver.region_index()));
+                .push(Rc::as_ptr(&resolver.region_index));
         }
         by_region
             .into_iter()
@@ -1568,7 +1562,7 @@ mod tests {
         let names = d.user_names();
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
-        let server_actor = d.server_actor(primary).unwrap();
+        let server_actor = d.server_actors[&primary];
 
         d.send_at(t(1.0), &alice, &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
@@ -1721,7 +1715,7 @@ mod tests {
         let names = d.user_names();
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
-        let server = d.server_actor(primary).unwrap();
+        let server = d.server_actors[&primary];
         let host = d.host_actor(d.users.get(&bob).unwrap().0).unwrap();
 
         // Deliver cleanly, then make the server->host direction drop every
@@ -1827,7 +1821,7 @@ mod tests {
         let primary = d.directory.by_name(&alice).unwrap().authorities.primary();
         let host_node = d.users.get(&alice).unwrap().0;
         let host = d.host_actor(host_node).unwrap();
-        let server = d.server_actor(primary).unwrap();
+        let server = d.server_actors[&primary];
 
         // Every Submit to alice's primary vanishes until t=100; the
         // session layer must burn its whole per-server retry budget
@@ -2036,7 +2030,7 @@ mod tests {
     /// Where `server`'s store keeps `user`, asked the hint-less way. Only
     /// for a user with nothing new to drain: then asking changes nothing.
     fn kept_at(d: &mut Deployment, server: NodeId, user: &MailName) -> u32 {
-        let actor = d.server_actor(server).unwrap();
+        let actor = d.server_actors[&server];
         let s: &mut ServerActor = d.sim.actor_mut(actor).unwrap();
         let (mail, slot) = s.store.drain_reserve_at(user, NO_OWNER_SLOT);
         assert!(mail.is_empty(), "only ask for an idle user");
@@ -2058,7 +2052,7 @@ mod tests {
         d.send_at(t(1.0), &names[5], &alice);
         d.send_at(t(2.0), &names[5], &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        let server = d.server_actor(primary).unwrap();
+        let server = d.server_actors[&primary];
         let held = |d: &Deployment, who: &MailName| {
             let s: &ServerActor = d.sim.actor(server).unwrap();
             (
@@ -2118,7 +2112,7 @@ mod tests {
         d.apply_server_failures(&plan);
 
         // Out of range: the store is empty when bob first asks.
-        let server = d.server_actor(primary).unwrap();
+        let server = d.server_actors[&primary];
         let bob_session = d.sim.actor::<HostActor>(host).unwrap().slot_of[&bob] as u32;
         d.sim.inject(
             server,

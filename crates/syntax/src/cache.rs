@@ -148,15 +148,6 @@ impl ResolutionCache {
         );
     }
 
-    /// Drops one entry (e.g. after a migration renamed the user).
-    pub fn invalidate(&mut self, name: &MailName) -> bool {
-        let removed = self.entries.remove(name).is_some();
-        if removed {
-            self.stats.invalidations += 1;
-        }
-        removed
-    }
-
     /// Drops every entry whose list mentions `server` — the
     /// reconfiguration hook for server removal (§3.1.3c).
     pub fn invalidate_server(&mut self, server: lems_net::graph::NodeId) -> usize {
@@ -267,8 +258,6 @@ mod tests {
     fn explicit_invalidation_and_clear() {
         let mut c = ResolutionCache::new(4, SimDuration::from_units(1000.0));
         c.put(name(0), list(0), t(0.0));
-        assert!(c.invalidate(&name(0)));
-        assert!(!c.invalidate(&name(0)));
         c.put(name(1), list(1), t(0.0));
         c.put(name(2), list(2), t(0.0));
         c.clear();

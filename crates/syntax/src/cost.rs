@@ -23,8 +23,8 @@
 /// use lems_syntax::cost::CostModel;
 ///
 /// let m = CostModel::paper_example();
-/// // A host one hop (1 time unit) from an idle server:
-/// let tc = m.connection_cost(1.0, 0, 100, 0.5);
+/// // A host one hop (1 time unit) over an idle channel from an idle server:
+/// let tc = m.connection_cost_with_channel(1.0, 0.0, 0, 100, 0.5);
 /// assert_eq!(tc, 1.0 * 4.0 + (0.0 + 0.5) * 1.0);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -97,7 +97,7 @@ impl CostModel {
     /// # Panics
     ///
     /// Panics if `max_load == 0`.
-    pub fn queueing_delay(&self, load: u32, max_load: u32) -> f64 {
+    pub(crate) fn queueing_delay(&self, load: u32, max_load: u32) -> f64 {
         assert!(max_load > 0, "server capacity must be positive");
         let rho = f64::from(load) / f64::from(max_load);
         if rho < self.rho_cutoff {
@@ -110,7 +110,7 @@ impl CostModel {
     /// `TC_ij` for a host at communication distance `comm_units` from a
     /// server currently carrying `load` of `max_load` users, with average
     /// processing time `proc_time` (`z`).
-    pub fn connection_cost(
+    pub(crate) fn connection_cost(
         &self,
         comm_units: f64,
         load: u32,
@@ -124,8 +124,8 @@ impl CostModel {
     /// delays by having approximate queuing delays that is a function of
     /// the channel utilization" (§3.1.1). The communication term is
     /// inflated by the same M/M/1 factor evaluated at the channel's
-    /// utilisation; at `channel_rho = 0` this reduces exactly to
-    /// [`CostModel::connection_cost`].
+    /// utilisation; at `channel_rho = 0` this reduces exactly to the
+    /// zero-load cost `comm_units·W1 + (q + z)·W2` the solver uses.
     ///
     /// # Panics
     ///

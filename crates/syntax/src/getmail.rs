@@ -24,9 +24,9 @@
 //! are ever lost; `repro getmail` measures both.
 //!
 //! The algorithm is written once, as a step machine over [`GetMailState`]:
-//! [`GetMailState::begin`] opens a [`Check`], [`GetMailState::next`] names
+//! `GetMailState::begin` opens a [`Check`], [`GetMailState::next`] names
 //! the next server to probe or ends the check, and
-//! [`GetMailState::on_reply`] / [`GetMailState::on_unreachable`] report
+//! `GetMailState::on_reply` / `GetMailState::on_unreachable` report
 //! what the probe met. It runs two ways. [`GetMailState::get_mail`]
 //! probes an analytic [`Prober`] synchronously (the experiments'
 //! [`PlanStore`]). The host actor of [`crate::actors`] probes real servers
@@ -101,7 +101,7 @@ impl Check {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Probe this server, then report the outcome with
-    /// [`GetMailState::on_reply`] or [`GetMailState::on_unreachable`].
+    /// `GetMailState::on_reply` or `GetMailState::on_unreachable`.
     Probe(NodeId),
     /// The check is complete after `polls` distinct servers.
     Done {
@@ -127,7 +127,7 @@ impl GetMailState {
     }
 
     /// Opens a check at `now`.
-    pub fn begin(now: SimTime) -> Check {
+    pub(crate) fn begin(now: SimTime) -> Check {
         Check {
             started: now,
             walked: 0,
@@ -181,7 +181,7 @@ impl GetMailState {
     }
 
     /// `server` answered, with its `LastStartTime`.
-    pub fn on_reply(&mut self, check: &mut Check, server: NodeId, last_start_time: SimTime) {
+    pub(crate) fn on_reply(&mut self, check: &mut Check, server: NodeId, last_start_time: SimTime) {
         self.previously_unavailable.remove(&server);
         // Up since before the last check: every deposit since then landed
         // here or earlier in the list.
@@ -192,7 +192,7 @@ impl GetMailState {
 
     /// `server` did not answer: it may buffer mail until a later check
     /// sweeps it.
-    pub fn on_unreachable(&mut self, server: NodeId) {
+    pub(crate) fn on_unreachable(&mut self, server: NodeId) {
         self.previously_unavailable.insert(server);
     }
 
@@ -260,7 +260,6 @@ pub struct PlanStore {
     /// NodeId -> ActorId mapping is identity here: experiments index
     /// servers directly by node.
     stored: std::collections::BTreeMap<NodeId, Vec<MessageId>>,
-    deposited: u64,
     lost: u64,
 }
 
@@ -271,7 +270,6 @@ impl PlanStore {
         PlanStore {
             plan,
             stored: std::collections::BTreeMap::new(),
-            deposited: 0,
             lost: 0,
         }
     }
@@ -282,7 +280,7 @@ impl PlanStore {
 
     /// `LastStartTime` of `server` as of `at`: the end of the latest outage
     /// that finished at or before `at` (or time zero if none).
-    pub fn last_start_time(&self, server: NodeId, at: SimTime) -> SimTime {
+    pub(crate) fn last_start_time(&self, server: NodeId, at: SimTime) -> SimTime {
         self.plan
             .outages(lems_sim::actor::ActorId(server.0))
             .iter()
@@ -304,17 +302,11 @@ impl PlanStore {
         for &s in authorities {
             if self.is_up(s, at) {
                 self.stored.entry(s).or_default().push(id);
-                self.deposited += 1;
                 return Some(s);
             }
         }
         self.lost += 1;
         None
-    }
-
-    /// Messages successfully deposited so far.
-    pub fn deposited_count(&self) -> u64 {
-        self.deposited
     }
 
     /// Deposit attempts that found every server down (bounced, not lost in
@@ -451,7 +443,6 @@ mod tests {
         let auth = servers();
         assert_eq!(store.deposit(&auth, MessageId(5), t(2.0)), None);
         assert_eq!(store.undeliverable_count(), 1);
-        assert_eq!(store.deposited_count(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`assign`] — the load-balancing server-assignment algorithm:
 //!   nearest-server initialisation (Tables 1, 3) plus the iterative
 //!   balancing loop (Table 2);
-//! * [`resolve`] — syntax-directed name resolution with region forwarding
+//! * `resolve` — syntax-directed name resolution with region forwarding
 //!   (§3.1.2b);
 //! * [`getmail`] — the GetMail retrieval algorithm (§3.1.2c), written once
 //!   as a step machine run two ways: by a synchronous loop over an
@@ -19,14 +19,14 @@
 //! * [`actors`] — the full simulated system: host/user-interface and
 //!   server actors, connection setup with failover, store-and-forward
 //!   delivery, notifications, and the GetMail machine driven over real
-//!   timeouts and retransmissions — wired from a [`Placement`], so
-//!   System 2 (`lems-locindep`) runs on the same actors with a hashed
-//!   placement and login tracking;
+//!   timeouts and retransmissions — wired from a
+//!   [`Placement`](actors::Placement), so System 2 (`lems-locindep`) runs
+//!   on the same actors with a hashed placement and login tracking;
 //! * [`cache`] — the §4.1 "caching capability": LRU+TTL resolution
 //!   caching with reconfiguration-aware invalidation;
 //! * [`reconfig`] — add/delete users, hosts, servers with rebalancing
 //!   (§3.1.3);
-//! * [`migrate`] — rename + redirect + notify for migrating users
+//! * `migrate` — rename + redirect + notify for migrating users
 //!   (§3.1.4).
 
 #![forbid(unsafe_code)]
@@ -55,20 +55,12 @@ pub mod assign;
 pub mod cache;
 pub mod cost;
 pub mod getmail;
-pub mod migrate;
+pub(crate) mod migrate;
 pub mod reconfig;
-pub mod resolve;
+pub(crate) mod resolve;
 
-pub use actors::{
-    ChaosError, DeliveryStats, Deployment, DeploymentConfig, LinkChaos, MailMsg, Partition,
-    Placement, ServerFailurePlan,
-};
-pub use assign::{
-    balance, initialize, solve, Assignment, AssignmentProblem, BalanceOptions, BalanceReport,
-};
-pub use cache::{CacheStats, ResolutionCache};
+pub use actors::{Deployment, DeploymentConfig, LinkChaos, MailMsg, ServerFailurePlan};
+pub use assign::{initialize, solve, Assignment, AssignmentProblem, BalanceOptions};
 pub use cost::{CostModel, ServerSpec};
-pub use getmail::{GetMailState, PlanStore, ProbeReply, Prober, RetrievalOutcome};
-pub use migrate::{migrate_user, MigrationOutcome, Redirect, RedirectTable};
-pub use reconfig::{ReconfigReport, Reconfigurator};
-pub use resolve::{Resolution, SyntaxResolver};
+pub use migrate::{migrate_user, RedirectTable};
+pub use reconfig::Reconfigurator;

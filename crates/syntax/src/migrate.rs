@@ -33,7 +33,7 @@ pub struct Redirect {
 /// # Examples
 ///
 /// ```
-/// use lems_syntax::migrate::RedirectTable;
+/// use lems_syntax::RedirectTable;
 /// use lems_sim::time::SimTime;
 ///
 /// let mut t = RedirectTable::new();

@@ -22,7 +22,7 @@ use lems_net::topology::RegionId;
 /// resolver's tables: one step is one table walk, and the caller needs no
 /// second lookup to act on the answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Resolution<'a> {
+pub(crate) enum Resolution<'a> {
     /// This server is an authority for the name: deliver here. Carries the
     /// record this server holds for the user.
     LocalAuthority(&'a UserRecord),
@@ -45,7 +45,7 @@ pub enum Resolution<'a> {
 
 /// The authority list of every user of one region, by name: what each of
 /// the region's servers replicates.
-pub type RegionIndex = BTreeMap<MailName, AuthorityList>;
+pub(crate) type RegionIndex = BTreeMap<MailName, AuthorityList>;
 
 /// One server's syntax-directed resolver.
 ///
@@ -59,25 +59,23 @@ pub type RegionIndex = BTreeMap<MailName, AuthorityList>;
 /// builds it once and shares it; the first change a server makes to it
 /// gives that server its own copy.
 #[derive(Clone, Debug)]
-pub struct SyntaxResolver {
-    server: NodeId,
+pub(crate) struct SyntaxResolver {
     region: RegionId,
     view: ServerView,
-    region_index: Rc<RegionIndex>,
+    /// Shared with the region's other servers until one of them changes it.
+    pub(crate) region_index: Rc<RegionIndex>,
     region_servers: BTreeMap<RegionId, Vec<NodeId>>,
 }
 
 impl SyntaxResolver {
-    /// Builds a resolver for `server` in `region`.
-    pub fn new(
-        server: NodeId,
+    /// Builds a resolver for a server in `region`.
+    pub(crate) fn new(
         region: RegionId,
         view: ServerView,
         region_index: Rc<RegionIndex>,
         region_servers: BTreeMap<RegionId, Vec<NodeId>>,
     ) -> Self {
         SyntaxResolver {
-            server,
             region,
             view,
             region_index,
@@ -85,56 +83,38 @@ impl SyntaxResolver {
         }
     }
 
-    /// The server this resolver runs on.
-    pub fn server(&self) -> NodeId {
-        self.server
-    }
-
     /// The server's region.
-    pub fn region(&self) -> RegionId {
+    pub(crate) fn region(&self) -> RegionId {
         self.region
     }
 
     /// This server's authoritative view (mutable, for reconfiguration).
-    pub fn view_mut(&mut self) -> &mut ServerView {
+    pub(crate) fn view_mut(&mut self) -> &mut ServerView {
         &mut self.view
     }
 
     /// This server's authoritative view.
-    pub fn view(&self) -> &ServerView {
+    pub(crate) fn view(&self) -> &ServerView {
         &self.view
-    }
-
-    /// The replicated index of this server's region, shared with the
-    /// region's other servers until one of them changes it.
-    pub fn region_index(&self) -> &Rc<RegionIndex> {
-        &self.region_index
     }
 
     /// Adds or updates a local-region user's authority list (regional
     /// replication maintenance). Copies a shared index first.
-    pub fn upsert_regional(&mut self, name: MailName, authorities: AuthorityList) {
+    pub(crate) fn upsert_regional(&mut self, name: MailName, authorities: AuthorityList) {
         Rc::make_mut(&mut self.region_index).insert(name, authorities);
     }
 
     /// Drops a local-region user (delete/migrate-away). Copies a shared
     /// index first, unless `name` is not in it.
-    pub fn remove_regional(&mut self, name: &MailName) -> Option<AuthorityList> {
+    pub(crate) fn remove_regional(&mut self, name: &MailName) -> Option<AuthorityList> {
         if !self.region_index.contains_key(name) {
             return None;
         }
         Rc::make_mut(&mut self.region_index).remove(name)
     }
 
-    /// Updates the roster of servers for a region (add/delete server
-    /// reconfiguration: "some changes are made to tables in all servers",
-    /// §3.1.3c).
-    pub fn set_region_servers(&mut self, region: RegionId, servers: Vec<NodeId>) {
-        self.region_servers.insert(region, servers);
-    }
-
     /// Resolves `name` one step, per §3.1.2b.
-    pub fn resolve(&self, name: &MailName) -> Resolution<'_> {
+    pub(crate) fn resolve(&self, name: &MailName) -> Resolution<'_> {
         let Some(target_region) = self.view.region_of_name(name.region()) else {
             return Resolution::UnknownRegion;
         };
@@ -196,7 +176,6 @@ mod tests {
         region_servers.insert(RegionId(1), vec![NodeId(5)]);
 
         SyntaxResolver::new(
-            NodeId(0),
             RegionId(0),
             views[&NodeId(0)].clone(),
             Rc::new(region_index),
@@ -250,12 +229,12 @@ mod tests {
     fn changing_a_shared_index_copies_it_first() {
         let mut r = resolver();
         let peer = r.clone();
-        assert!(Rc::ptr_eq(r.region_index(), peer.region_index()));
+        assert!(Rc::ptr_eq(&r.region_index, &peer.region_index));
         // Removing a name the index lacks changes nothing, shares on.
         assert_eq!(r.remove_regional(&name("east.h3.dave")), None);
-        assert!(Rc::ptr_eq(r.region_index(), peer.region_index()));
+        assert!(Rc::ptr_eq(&r.region_index, &peer.region_index));
         assert!(r.remove_regional(&name("east.h2.bob")).is_some());
-        assert!(!Rc::ptr_eq(r.region_index(), peer.region_index()));
+        assert!(!Rc::ptr_eq(&r.region_index, &peer.region_index));
         assert_eq!(r.resolve(&name("east.h2.bob")), Resolution::UnknownUser);
         assert!(matches!(
             peer.resolve(&name("east.h2.bob")),
@@ -273,13 +252,5 @@ mod tests {
         ));
         r.remove_regional(&name("east.h3.dave"));
         assert_eq!(r.resolve(&name("east.h3.dave")), Resolution::UnknownUser);
-
-        r.set_region_servers(RegionId(1), vec![NodeId(6), NodeId(7)]);
-        match r.resolve(&name("west.h9.carol")) {
-            Resolution::ForwardToRegion { servers, .. } => {
-                assert_eq!(servers, vec![NodeId(6), NodeId(7)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -9,8 +9,9 @@
 
 use lems::core::MessageId;
 use lems::net::NodeId;
+use lems::sim::actor::ActorId;
 use lems::sim::failure::FailurePlan;
-use lems::sim::prelude::*;
+use lems::sim::time::SimTime;
 use lems::syntax::getmail::{poll_all, GetMailState, PlanStore};
 
 fn main() {
