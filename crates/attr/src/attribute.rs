@@ -16,8 +16,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::fuzzy::lower_into;
-
 /// The attribute vocabulary.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum AttrKey {
@@ -127,14 +125,6 @@ pub struct RequesterContext {
     pub organization: Option<String>,
 }
 
-impl Visibility {
-    /// True if a requester in `ctx` may see an attribute with this
-    /// visibility (organizations compare case-insensitively).
-    pub fn allows(&self, ctx: &RequesterContext) -> bool {
-        Requester::new(ctx).sees(self, &mut String::new())
-    }
-}
-
 /// A [`RequesterContext`] folded once, for a pass over many attributes.
 #[derive(Debug)]
 pub(crate) struct Requester {
@@ -145,21 +135,6 @@ impl Requester {
     pub(crate) fn new(ctx: &RequesterContext) -> Self {
         Requester {
             organization_lower: ctx.organization.as_deref().map(str::to_lowercase),
-        }
-    }
-
-    /// True if this requester may see an attribute of `visibility`;
-    /// `scratch` is overwritten.
-    pub(crate) fn sees(&self, visibility: &Visibility, scratch: &mut String) -> bool {
-        match visibility {
-            Visibility::Public => true,
-            Visibility::Organization(org) => {
-                self.organization_lower.as_deref().is_some_and(|mine| {
-                    lower_into(org, scratch);
-                    scratch == mine
-                })
-            }
-            Visibility::Private => false,
         }
     }
 
@@ -174,9 +149,9 @@ impl Requester {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Attribute {
     /// The value.
-    pub value: AttrValue,
+    pub(crate) value: AttrValue,
     /// Who may see it.
-    pub visibility: Visibility,
+    pub(crate) visibility: Visibility,
 }
 
 /// A user's attribute set (multi-valued per key: a user may register
@@ -243,11 +218,6 @@ impl AttributeSet {
         self.attrs.is_empty()
     }
 
-    /// Removes every value under `key`; returns how many were removed.
-    pub fn remove(&mut self, key: &AttrKey) -> usize {
-        self.attrs.drain(self.range(key)).count()
-    }
-
     /// Every text value, in entry order.
     pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
         self.attrs.iter().filter_map(|(_, a)| match &a.value {
@@ -267,14 +237,11 @@ impl AttributeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{Predicate, Query};
 
-    /// How many of `a`'s values under `key` `ctx` may see.
-    fn visible(a: &AttributeSet, key: &AttrKey, ctx: &RequesterContext) -> usize {
-        let requester = Requester::new(ctx);
-        let mut scratch = String::new();
-        a.values(key)
-            .filter(|x| requester.sees(&x.visibility, &mut scratch))
-            .count()
+    /// Whether `ctx` may see any of `a`'s values under `key`.
+    fn visible(a: &AttributeSet, key: &AttrKey, ctx: &RequesterContext) -> bool {
+        Query::Attr(key.clone(), Predicate::Exists).eval(a, ctx)
     }
 
     #[test]
@@ -283,8 +250,6 @@ mod tests {
         a.add(AttrKey::Nickname, "Bill", Visibility::Public);
         a.add(AttrKey::Nickname, "Will", Visibility::Public);
         assert_eq!(a.values(&AttrKey::Nickname).count(), 2);
-        assert_eq!(a.remove(&AttrKey::Nickname), 2);
-        assert_eq!(a.values(&AttrKey::Nickname).count(), 0);
     }
 
     #[test]
@@ -302,10 +267,10 @@ mod tests {
         let insider = RequesterContext {
             organization: Some("at&t".into()),
         };
-        assert_eq!(visible(&a, &AttrKey::JobTitle, &anon), 1);
-        assert_eq!(visible(&a, &AttrKey::Organization, &anon), 0);
-        assert_eq!(visible(&a, &AttrKey::Organization, &insider), 1);
-        assert_eq!(visible(&a, &AttrKey::Interest, &insider), 0);
+        assert!(visible(&a, &AttrKey::JobTitle, &anon));
+        assert!(!visible(&a, &AttrKey::Organization, &anon));
+        assert!(visible(&a, &AttrKey::Organization, &insider));
+        assert!(!visible(&a, &AttrKey::Interest, &insider));
     }
 
     #[test]
@@ -322,8 +287,8 @@ mod tests {
             };
             visible(&a, &AttrKey::JobTitle, &ctx)
         };
-        assert_eq!(seen_by("éCOLE normale"), 1);
-        assert_eq!(seen_by("Ecole Normale"), 0);
+        assert!(seen_by("éCOLE normale"));
+        assert!(!seen_by("Ecole Normale"));
     }
 
     #[test]
@@ -353,10 +318,7 @@ mod tests {
         b.add(AttrKey::Interest, "bernoulli numbers", Visibility::Public);
         b.add(AttrKey::FirstName, "Ada", Visibility::Public);
         assert_eq!(a, b);
-
-        assert_eq!(a.remove(&AttrKey::Interest), 3);
-        assert_eq!(a.remove(&AttrKey::Interest), 0);
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.len(), 5);
         assert_eq!(a.values(&AttrKey::City).count(), 1);
     }
 

@@ -95,19 +95,11 @@ pub(crate) struct Column {
     key: AttrKey,
     /// In row order; a row's cells in the order its values were added.
     cells: Vec<Cell>,
-    /// The value of each cell as it was given: what `profile` hands back.
-    values: Vec<AttrValue>,
 }
 
 impl Column {
     pub(crate) fn cells(&self) -> &[Cell] {
         &self.cells
-    }
-
-    /// Where `row`'s cells sit.
-    fn of_row(&self, row: u32) -> Range<usize> {
-        let start = self.cells.partition_point(|c| c.row < row);
-        start..start + self.cells[start..].partition_point(|c| c.row == row)
     }
 }
 
@@ -150,17 +142,6 @@ impl Organizations {
         };
         FIRST_ORGANIZATION + i
     }
-
-    /// The visibility `cell` was stored with.
-    fn visibility(&self, cell: Cell) -> Visibility {
-        match cell.tag >> 1 {
-            PUBLIC => Visibility::Public,
-            PRIVATE => Visibility::Private,
-            org => {
-                Visibility::Organization(self.names[(org - FIRST_ORGANIZATION) as usize].0.clone())
-            }
-        }
-    }
 }
 
 /// Attribute sets stored by column: rows, no names.
@@ -183,8 +164,8 @@ pub(crate) fn has(bits: &[u64], row: usize) -> bool {
 }
 
 impl Table {
-    /// Stores `attrs` as a new row and returns it. The values are moved
-    /// in; what is copied is each text's lowercase form, into the arena.
+    /// Stores `attrs` as a new row and returns it. What is kept of a text
+    /// is its lowercase form, copied into the arena.
     ///
     /// # Panics
     ///
@@ -232,13 +213,10 @@ impl Table {
                 let column = Column {
                     key,
                     cells: Vec::new(),
-                    values: Vec::new(),
                 };
                 self.columns.insert(at, column);
             }
-            let column = &mut self.columns[at];
-            column.cells.push(cell);
-            column.values.push(value);
+            self.columns[at].cells.push(cell);
         }
         assert!(
             u32::try_from(self.arena.len()).is_ok() && row < DROPPED,
@@ -278,19 +256,6 @@ impl Table {
         visible.extend(orgs.iter().map(|(_, lower)| requester.belongs_to(lower)));
     }
 
-    /// `row`'s attribute set, as it was stored.
-    fn profile(&self, row: u32) -> AttributeSet {
-        let mut attrs = AttributeSet::new();
-        for column in &self.columns {
-            let at = column.of_row(row);
-            for (&cell, value) in column.cells[at.clone()].iter().zip(&column.values[at]) {
-                let visibility = self.organizations.visibility(cell);
-                attrs.add(column.key.clone(), value.clone(), visibility);
-            }
-        }
-        attrs
-    }
-
     /// Marks `row` dead: no search finds it from now on.
     fn kill(&mut self, row: u32) {
         self.live[row as usize / 64] &= !(1 << (row % 64));
@@ -318,9 +283,7 @@ impl Table {
         }
         let mut arena = String::new();
         for column in &mut self.columns {
-            let cells = mem::take(&mut column.cells);
-            let values = mem::take(&mut column.values);
-            for (cell, value) in cells.into_iter().zip(values) {
+            for cell in mem::take(&mut column.cells) {
                 let row = renumber[cell.row()];
                 if row == DROPPED {
                     continue;
@@ -332,7 +295,6 @@ impl Table {
                     cell.data = span_bits(start..arena.len());
                 }
                 column.cells.push(cell);
-                column.values.push(value);
             }
         }
         self.columns.retain(|c| !c.cells.is_empty());
@@ -427,17 +389,6 @@ impl AttributeRegistry {
         self.compact_if_sparse();
     }
 
-    /// Removes a user's profile.
-    pub fn remove(&mut self, user: &MailName) -> Option<AttributeSet> {
-        let at = self.find(user, user.order_key()).ok()?;
-        self.prefixes.remove(at);
-        let row = self.by_name.remove(at);
-        let attrs = self.table.profile(row);
-        self.table.kill(row);
-        self.compact_if_sparse();
-        Some(attrs)
-    }
-
     fn compact_if_sparse(&mut self) {
         if !self.table.is_sparse() {
             return;
@@ -448,12 +399,6 @@ impl AttributeRegistry {
         for row in &mut self.by_name {
             *row = renumber[*row as usize];
         }
-    }
-
-    /// The profile of `user`, if registered.
-    pub fn profile(&self, user: &MailName) -> Option<AttributeSet> {
-        let at = self.find(user, user.order_key()).ok()?;
-        Some(self.table.profile(self.by_name[at]))
     }
 
     /// Number of registered profiles.
@@ -546,33 +491,23 @@ mod tests {
     }
 
     #[test]
-    fn upsert_and_remove() {
-        let mut r = reg();
-        assert_eq!(r.len(), 3);
-        let name: MailName = "east.h1.bob".parse().unwrap();
-        assert!(r.profile(&name).is_some());
-        assert!(r.remove(&name).is_some());
-        assert!(r.profile(&name).is_none());
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
     fn maintenance_is_an_upsert() {
         let mut r = reg();
-        let name: MailName = "east.h1.alice".parse().unwrap();
-        let mut attrs = r.profile(&name).unwrap();
+        let mut attrs = AttributeSet::new();
+        attrs.add(AttrKey::Expertise, "databases", Visibility::Public);
         attrs.add(AttrKey::City, "Boston", Visibility::Public);
-        r.upsert(name.clone(), attrs.clone());
+        r.upsert("east.h1.alice".parse().unwrap(), attrs);
+        let anon = RequesterContext::default();
         let q = Query::text_eq(AttrKey::City, "boston");
-        assert_eq!(r.count_matches(&q, &RequesterContext::default()), 1);
-        assert_eq!(r.profile(&name), Some(attrs));
+        assert_eq!(r.count_matches(&q, &anon), 1);
+        let q = Query::text_eq(AttrKey::Expertise, "databases");
+        assert_eq!(r.count_matches(&q, &anon), 1);
         assert_eq!(r.len(), 3);
     }
 
-    /// Names spread over the alphabet, few enough that upserts replace and
-    /// removals hit: one token a prefix of another's, and three names
-    /// whose first 16 bytes agree, so their prefixes tie.
+    /// Names spread over the alphabet, few enough that upserts replace:
+    /// one token a prefix of another's, and three names whose first 16
+    /// bytes agree, so their prefixes tie.
     const NAMES: [&str; 8] = [
         "a.h.ann",
         "b.h.bo",
@@ -584,10 +519,9 @@ mod tests {
         "z.h.zed",
     ];
 
-    /// The registry a sequence of operations leaves, beside the map it
-    /// stands for, after every operation: `search` returns the model's
-    /// matches in name order, `count_matches` their number, `profile` the
-    /// set last upserted, `len` the model's.
+    /// The registry a sequence of upserts leaves, beside the map it stands
+    /// for, after every upsert: `search` returns the model's matches in
+    /// name order, `count_matches` their number, `len` the model's.
     fn check_against_model(words: &[String], choices: &[u8]) {
         let names: Vec<MailName> = NAMES.iter().map(|n| n.parse().unwrap()).collect();
         let mut tape = Tape::new(choices);
@@ -598,17 +532,10 @@ mod tests {
         let mut model: BTreeMap<MailName, AttributeSet> = BTreeMap::new();
         while !tape.is_empty() {
             let name = &names[tape.pick(names.len())];
-            if tape.pick(4) == 0 {
-                assert_eq!(registry.remove(name), model.remove(name), "remove {name}");
-            } else {
-                let attrs = tape.profile(words);
-                registry.upsert(name.clone(), attrs.clone());
-                model.insert(name.clone(), attrs);
-            }
+            let attrs = tape.profile(words);
+            registry.upsert(name.clone(), attrs.clone());
+            model.insert(name.clone(), attrs);
             assert_eq!(registry.len(), model.len());
-            for name in &names {
-                assert_eq!(registry.profile(name).as_ref(), model.get(name), "{name}");
-            }
             for (query, ctx) in &queries {
                 let want: Vec<&MailName> = model
                     .iter()
@@ -622,9 +549,9 @@ mod tests {
     }
 
     proptest! {
-        /// Replacements and removals over multi-valued keys, numbers, a
-        /// custom key, every kind of visibility and the words whose case
-        /// does not map one-to-one.
+        /// Replacements over multi-valued keys, numbers, a custom key,
+        /// every kind of visibility and the words whose case does not map
+        /// one-to-one.
         #[test]
         fn the_column_registry_is_a_map_of_attribute_sets(
             words in collection::vec("[akAK ßİΣσςéÉ\u{212a}]{0,4}", 5),
@@ -659,13 +586,5 @@ mod tests {
             &RequesterContext::default(),
         );
         assert_eq!(hit, [&names[2]]);
-        // The sixth removal leaves four dead rows beside two live ones.
-        for name in &names[..6] {
-            assert!(r.remove(name).is_some());
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.table.rows, 2);
-        assert_eq!(r.table.arena(), "n4-6n4-7");
-        assert_eq!(r.first_name(), Some(&names[6]));
     }
 }

@@ -212,9 +212,9 @@ fn a_registry_allocates_per_column_growth_not_per_profile() {
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(registry.len(), PROFILES);
 
-    // Five columns of cells and values, the text arena, the rows' names,
-    // their order and its prefixes each grow by doubling: a dozen steps
-    // apiece. Any allocation per value or per profile would be thousands.
+    // Five columns of cells, the text arena, the rows' names, their
+    // order and its prefixes each grow by doubling: a dozen steps apiece.
+    // Any allocation per value or per profile would be thousands.
     let budget = (PROFILES / 16) as u64;
     assert!(
         allocs <= budget,

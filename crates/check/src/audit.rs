@@ -101,7 +101,7 @@ impl fmt::Display for AuditViolation {
 #[derive(Clone, Debug, Default)]
 pub struct AuditReport {
     /// Broken invariants, in detection order.
-    pub violations: Vec<AuditViolation>,
+    pub(crate) violations: Vec<AuditViolation>,
     /// Sends observed.
     pub sends: u64,
     /// Delivers observed.
@@ -109,7 +109,7 @@ pub struct AuditReport {
     /// Drops observed.
     pub drops: u64,
     /// Messages lost on the wire (link outages, probabilistic loss).
-    pub link_drops: u64,
+    pub(crate) link_drops: u64,
     /// Crashes observed.
     pub crashes: u64,
     /// Recoveries observed.
@@ -118,7 +118,7 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// True when every invariant held.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 }
@@ -145,8 +145,8 @@ impl fmt::Display for AuditReport {
 
 /// Streaming auditor over [`TraceEvent`]s.
 ///
-/// Feed events in stream order via [`observe`](TraceAuditor::observe),
-/// then call [`finish`](TraceAuditor::finish) to flush end-of-stream
+/// Feed events in stream order via `observe`,
+/// then call `finish` to flush end-of-stream
 /// checks (dangling sends).
 #[derive(Debug, Default)]
 pub struct TraceAuditor {
@@ -160,12 +160,12 @@ pub struct TraceAuditor {
 
 impl TraceAuditor {
     /// A fresh auditor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TraceAuditor::default()
     }
 
     /// Consumes one event.
-    pub fn observe(&mut self, ev: &TraceEvent) {
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) {
         match ev.kind {
             TraceKind::Send => {
                 self.report.sends += 1;
@@ -245,7 +245,7 @@ impl TraceAuditor {
     }
 
     /// Flushes end-of-stream checks and returns the report.
-    pub fn finish(mut self) -> AuditReport {
+    pub(crate) fn finish(mut self) -> AuditReport {
         for (&(from, to), per_time) in &self.pending {
             for (&at, &count) in per_time {
                 if count > 0 {

@@ -57,8 +57,6 @@ pub struct Counterexample {
 /// The verdict of exploring one scenario.
 #[derive(Clone, Debug)]
 pub struct ExploreOutcome {
-    /// The scenario explored.
-    pub scenario: &'static Scenario,
     /// Schedules (distinct interleavings) enumerated.
     pub schedules: u64,
     /// Distinct terminal fingerprints (trace digest + ledger state) seen
@@ -124,7 +122,6 @@ fn drive(
         }
     }
     ExploreOutcome {
-        scenario,
         schedules: ex.schedules_run(),
         distinct_outcomes: distinct.len(),
         truncated: ex.truncated(),

@@ -25,7 +25,7 @@ use crate::audit::verdict;
 /// Event budget for one audit run: chaos plans can in principle make a
 /// retry loop diverge, so scenarios run bounded and report budget
 /// exhaustion as a violation instead of hanging the audit.
-pub const EVENT_BUDGET: u64 = 2_000_000;
+pub(crate) const EVENT_BUDGET: u64 = 2_000_000;
 
 /// One reproducible scenario.
 #[derive(Clone, Copy, Debug)]
@@ -35,7 +35,7 @@ pub struct Scenario {
     /// One-line human description.
     pub description: &'static str,
     /// Builds the deployment for a seed, workload injected, not yet run.
-    pub build: fn(u64) -> Deployment,
+    pub(crate) build: fn(u64) -> Deployment,
 }
 
 /// The scenarios `lems-check audit` runs, once each.
@@ -133,7 +133,7 @@ impl Scenario {
     }
 
     /// Builds the scenario at `seed`, runs it to quiescence within
-    /// [`EVENT_BUDGET`] under the engine's FIFO schedule, and judges it.
+    /// `EVENT_BUDGET` under the engine's FIFO schedule, and judges it.
     pub fn run(&'static self, seed: u64) -> ScenarioOutcome {
         let mut deployment = (self.build)(seed);
         let quiesced = deployment.sim.run_to_quiescence_bounded(EVENT_BUDGET);
@@ -151,12 +151,12 @@ impl Scenario {
 /// One finished scenario run and its verdict.
 pub struct ScenarioOutcome {
     /// The scenario that ran.
-    pub scenario: &'static Scenario,
+    pub(crate) scenario: &'static Scenario,
     /// Engine seed the scenario ran with.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The deployment as the run left it.
     pub deployment: Deployment,
-    /// Whether the run drained within [`EVENT_BUDGET`].
+    /// Whether the run drained within `EVENT_BUDGET`.
     pub quiesced: bool,
     /// What [`verdict`] reported (empty = clean).
     pub violations: Vec<String>,

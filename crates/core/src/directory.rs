@@ -182,7 +182,6 @@ impl Directory {
         held.into_iter()
             .map(|(server, records)| {
                 let view = ServerView {
-                    server,
                     // Already in name order: built in bulk, not by search.
                     records: records.into_iter().collect(),
                     region_names: Arc::clone(&self.region_names),
@@ -198,18 +197,12 @@ impl Directory {
 /// replicates.
 #[derive(Clone, Debug)]
 pub struct ServerView {
-    server: NodeId,
     records: BTreeMap<MailName, UserRecord>,
     /// The directory's table, shared by every view of one partition.
     region_names: Arc<HashMap<String, RegionId>>,
 }
 
 impl ServerView {
-    /// The server this view belongs to.
-    pub fn server(&self) -> NodeId {
-        self.server
-    }
-
     /// Resolves a name this server is authoritative for.
     pub fn lookup(&self, name: &MailName) -> Option<&UserRecord> {
         self.records.get(name)
@@ -342,7 +335,6 @@ mod tests {
             [NodeId(0), NodeId(1), NodeId(2), NodeId(7)]
         );
         for (&s, view) in &views {
-            assert_eq!(view.server(), s);
             let want: Vec<&UserRecord> = d.iter().filter(|r| r.authorities.contains(s)).collect();
             let got: Vec<&UserRecord> = view.records.values().collect();
             assert_eq!(got, want, "n{}", s.0);

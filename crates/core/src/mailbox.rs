@@ -120,11 +120,6 @@ impl Mailbox {
         }
     }
 
-    /// The owning user.
-    pub fn owner(&self) -> &MailName {
-        &self.owner
-    }
-
     /// Stores a message.
     pub(crate) fn deposit(&mut self, message: Message, now: SimTime) {
         self.deposited_total += 1;

@@ -122,20 +122,6 @@ impl fmt::Display for Message {
     }
 }
 
-/// Where a message currently stands in its lifecycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DeliveryStatus {
-    /// Accepted by a mail server, waiting for resolution/forwarding.
-    Accepted,
-    /// Deposited in a recipient's server-side mailbox.
-    Deposited,
-    /// Retrieved by the recipient's user interface.
-    Retrieved,
-    /// Returned to the sender with an error (§4.2: "made available to the
-    /// intended recipient or returned with proper error messages").
-    Bounced(BounceReason),
-}
-
 /// Why a message bounced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BounceReason {
@@ -192,10 +178,6 @@ mod tests {
         assert_eq!(
             BounceReason::UnknownRecipient.to_string(),
             "unknown recipient"
-        );
-        assert_eq!(
-            DeliveryStatus::Bounced(BounceReason::AllServersDown),
-            DeliveryStatus::Bounced(BounceReason::AllServersDown)
         );
     }
 }

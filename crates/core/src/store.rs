@@ -494,9 +494,6 @@ pub trait MailStore: std::fmt::Debug {
     /// Deposits `message`; returns `false` for a duplicate id (dedup).
     fn deposit(&mut self, message: Message, now: SimTime) -> bool;
 
-    /// True when `id` has ever been deposited here.
-    fn is_deposited(&self, id: MessageId) -> bool;
-
     /// Reliable retrieval: reserve `owner`'s mail, return the reserved list.
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message>;
 
@@ -585,11 +582,6 @@ impl MemStore {
             lost_at_crash: 0,
         }
     }
-
-    /// Read-only view of the full durable state (tests and audits).
-    pub fn state(&self) -> &StoreState {
-        &self.state
-    }
 }
 
 impl MailStore for MemStore {
@@ -607,10 +599,6 @@ impl MailStore for MemStore {
 
     fn deposit(&mut self, message: Message, now: SimTime) -> bool {
         self.state.deposit(message, now)
-    }
-
-    fn is_deposited(&self, id: MessageId) -> bool {
-        self.state.is_deposited(id)
     }
 
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
@@ -695,7 +683,7 @@ mod tests {
         let m = msg(&mut g, "east.h.u");
         assert!(s.deposit(m.clone(), SimTime::ZERO));
         assert!(!s.deposit(m, SimTime::ZERO));
-        assert_eq!(s.state().storage_messages(), 1);
+        assert_eq!(s.state.storage_messages(), 1);
     }
 
     #[test]
@@ -709,12 +697,12 @@ mod tests {
         let reserved = s.drain_reserve(&owner);
         assert_eq!(reserved.len(), 3);
         // Un-acked: still held in the reservation buffer.
-        assert_eq!(s.state().storage_messages(), 3);
+        assert_eq!(s.state.storage_messages(), 3);
         // A second reserve returns the same outstanding batch.
         assert_eq!(s.drain_reserve(&owner).len(), 3);
         let released = s.release_drained(&owner, &[reserved[0].id, reserved[2].id]);
         assert_eq!(released, 2);
-        assert_eq!(s.state().storage_messages(), 1);
+        assert_eq!(s.state.storage_messages(), 1);
     }
 
     #[test]
@@ -725,7 +713,7 @@ mod tests {
             s.deposit(msg(&mut g, "east.h.u"), SimTime::ZERO);
         }
         s.crash(SimTime::from_units(5.0));
-        assert_eq!(s.state().storage_messages(), 0);
+        assert_eq!(s.state.storage_messages(), 0);
         let report = s.recover(SimTime::from_units(6.0));
         assert_eq!(report.lost_messages, 4);
         assert_eq!(report.recovered_messages, 0);
@@ -800,13 +788,9 @@ mod tests {
         // First contact by hint: a stranger gets the next slot, whatever
         // slot they claimed.
         let carol: MailName = "east.h.carol".parse().unwrap();
-        assert_eq!(s.state().idle_drain(&carol, a), None);
+        assert_eq!(s.state.idle_drain(&carol, a), None);
         assert_eq!(s.drain_reserve_at(&carol, a), (Vec::new(), 2));
-        assert_eq!(s.state().idle_drain(&carol, a), Some((Vec::new(), 2)));
-        assert_eq!(
-            s.state().pending()[&alice].len(),
-            1,
-            "alice's box untouched"
-        );
+        assert_eq!(s.state.idle_drain(&carol, a), Some((Vec::new(), 2)));
+        assert_eq!(s.state.pending()[&alice].len(), 1, "alice's box untouched");
     }
 }

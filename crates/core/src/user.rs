@@ -95,15 +95,6 @@ impl AuthorityList {
     pub fn contains(&self, server: NodeId) -> bool {
         self.rank_of(server).is_some()
     }
-
-    /// Replaces the list (reassignment during reconfiguration, §3.1.3c).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`AuthorityList::new`].
-    pub fn reassign(&mut self, servers: Vec<NodeId>) {
-        *self = AuthorityList::new(servers);
-    }
 }
 
 /// A registered mail user.
@@ -121,7 +112,12 @@ pub struct UserRecord {
 
 impl UserRecord {
     /// Creates a record.
-    pub fn new(id: UserId, name: MailName, home_host: NodeId, authorities: AuthorityList) -> Self {
+    pub(crate) fn new(
+        id: UserId,
+        name: MailName,
+        home_host: NodeId,
+        authorities: AuthorityList,
+    ) -> Self {
         UserRecord {
             id,
             name,
@@ -187,14 +183,6 @@ mod tests {
     #[should_panic(expected = "duplicate authority server")]
     fn duplicate_servers_panic() {
         let _ = AuthorityList::new(vec![NodeId(1), NodeId(1)]);
-    }
-
-    #[test]
-    fn reassignment_replaces_servers() {
-        let mut l = AuthorityList::new(vec![NodeId(1)]);
-        l.reassign(vec![NodeId(4), NodeId(5)]);
-        assert_eq!(l.primary(), NodeId(4));
-        assert_eq!(l.len(), 2);
     }
 
     #[test]

@@ -54,13 +54,13 @@ pub enum CrossRegionPolicy {
 pub struct CostParams {
     /// Communication cost of one server consultation, per unit of
     /// distance (a request/response round trip = 2).
-    pub consult_round_trip_factor: f64,
+    pub(crate) consult_round_trip_factor: f64,
     /// Packets exchanged per message under remote access (interactive
     /// echo traffic — tens of packets per message read).
-    pub remote_access_packets: f64,
+    pub(crate) remote_access_packets: f64,
     /// One-time cost of a rename migration, in comm units: updating
     /// directories in both regions and notifying correspondents.
-    pub rename_migration_cost: f64,
+    pub(crate) rename_migration_cost: f64,
 }
 
 impl Default for CostParams {
@@ -77,12 +77,12 @@ impl Default for CostParams {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeliveryCost {
     /// Sender's server to recipient's (old-name) authority server.
-    pub forward_units: f64,
+    pub(crate) forward_units: f64,
     /// Location lookup among the region's servers.
     pub consult_units: f64,
     /// Authority server to the recipient's current host (notification +
     /// retrieval path), including any cross-region relay.
-    pub last_mile_units: f64,
+    pub(crate) last_mile_units: f64,
 }
 
 impl DeliveryCost {

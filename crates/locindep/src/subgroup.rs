@@ -142,9 +142,9 @@ impl SubgroupMap {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RehashReport {
     /// Sub-groups whose managing server changed.
-    pub moved_groups: Vec<usize>,
+    pub(crate) moved_groups: Vec<usize>,
     /// Total sub-groups in the layout.
-    pub total_groups: usize,
+    pub(crate) total_groups: usize,
 }
 
 impl RehashReport {

@@ -65,11 +65,6 @@ impl RegionTracker {
         RegionTracker { servers, known }
     }
 
-    /// The region's servers.
-    pub fn servers(&self) -> &[NodeId] {
-        &self.servers
-    }
-
     /// Records a login: `user` connected from `host` through
     /// `via_server` (their nearest active server). Any stale entry at
     /// other servers is superseded lazily — locate prefers the freshest

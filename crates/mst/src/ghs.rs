@@ -25,7 +25,6 @@ use std::rc::Rc;
 
 use lems_net::graph::{Graph, NodeId, Weight};
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
-use lems_sim::metrics::MetricsRegistry;
 
 use crate::messages::{FragmentId, GhsMsg, NodePhase};
 
@@ -50,7 +49,7 @@ pub struct GhsStats {
     /// change before they could be processed).
     pub requeues: u64,
     /// Nodes that have locally detected termination.
-    pub halted_nodes: usize,
+    pub(crate) halted_nodes: usize,
 }
 
 impl GhsStats {
@@ -65,9 +64,9 @@ impl GhsStats {
 #[derive(Clone, Copy, Debug)]
 pub struct Env {
     /// The neighbor that sent this message.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// The protocol message.
-    pub msg: GhsMsg,
+    pub(crate) msg: GhsMsg,
 }
 
 /// One GHS node.
@@ -87,9 +86,6 @@ pub struct GhsNode {
     test_edge: Option<NodeId>,
     in_branch: Option<NodeId>,
     stats: Rc<RefCell<GhsStats>>,
-    /// Per-node telemetry: one counter per protocol message kind, plus
-    /// `requeues` and `halted` — the per-actor view of [`GhsStats`].
-    metrics: MetricsRegistry,
     /// Messages waiting for a local state change ("place received message
     /// on end of queue" in \[GAL83\]); retried after every handled message.
     pending: Vec<Env>,
@@ -118,14 +114,13 @@ impl GhsNode {
             test_edge: None,
             in_branch: None,
             stats,
-            metrics: MetricsRegistry::new(),
             pending: Vec::new(),
             spontaneous: true,
         }
     }
 
     /// Edges currently marked Branch (the node's view of the MST).
-    pub fn branches(&self) -> Vec<NodeId> {
+    pub(crate) fn branches(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self
             .edge_state
             .iter()
@@ -136,14 +131,8 @@ impl GhsNode {
         v
     }
 
-    /// This node's telemetry registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     fn send(&mut self, ctx: &mut Ctx<'_, Env>, to: NodeId, msg: GhsMsg) {
         *self.stats.borrow_mut().sent.entry(msg.kind()).or_insert(0) += 1;
-        self.metrics.inc(msg.kind());
         // Node i is actor i (asserted at spawn), and the automaton only
         // ever addresses a neighbor.
         let delay = self.weights[&to].as_duration();
@@ -156,7 +145,6 @@ impl GhsNode {
 
     fn defer(&mut self, from: NodeId, msg: GhsMsg) {
         self.stats.borrow_mut().requeues += 1;
-        self.metrics.inc("requeues");
         self.pending.push(Env { from, msg });
     }
 
@@ -374,7 +362,6 @@ impl GhsNode {
                     // Minimum outgoing edge does not exist: the fragment
                     // spans the whole graph. Halt.
                     self.stats.borrow_mut().halted_nodes += 1;
-                    self.metrics.inc("halted");
                 }
                 (Some(their), Some(ours)) if their > ours => self.change_root(ctx),
                 (None, Some(_)) => self.change_root(ctx),
@@ -463,9 +450,6 @@ pub struct GhsRun {
     pub total_weight: Weight,
     /// Protocol statistics.
     pub stats: GhsStats,
-    /// Per-node telemetry folded into one registry (per-kind message
-    /// counters agree with [`GhsStats::sent`]).
-    pub metrics: MetricsRegistry,
     /// Virtual time at quiescence.
     pub finished_at: lems_sim::time::SimTime,
 }
@@ -514,7 +498,7 @@ impl GhsSim {
     ///
     /// Panics if `g` has fewer than 2 nodes, is disconnected, or has
     /// duplicate edge weights.
-    pub fn start(g: &Graph, seed: u64) -> Self {
+    pub(crate) fn start(g: &Graph, seed: u64) -> Self {
         Self::start_with_initiators(g, seed, None)
     }
 
@@ -578,28 +562,6 @@ impl GhsSim {
         self.sim.run_to_quiescence_bounded(max_events)
     }
 
-    /// Per-node metrics registries under stable `node:n<id>` scope names.
-    pub fn metrics_snapshot(&self) -> Vec<(String, MetricsRegistry)> {
-        self.actor_ids
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &aid)| {
-                self.sim
-                    .actor::<GhsNode>(aid)
-                    .map(|n| (format!("node:n{i}"), n.metrics().clone()))
-            })
-            .collect()
-    }
-
-    /// All per-node registries folded into one run-wide aggregate.
-    pub fn merged_metrics(&self) -> MetricsRegistry {
-        let mut merged = MetricsRegistry::new();
-        for (_, m) in self.metrics_snapshot() {
-            merged.merge(&m);
-        }
-        merged
-    }
-
     /// Collects the result (callable once quiesced).
     pub(crate) fn into_run(self) -> GhsRun {
         let mut edge_set = std::collections::BTreeSet::<(NodeId, NodeId)>::new();
@@ -619,13 +581,11 @@ impl GhsSim {
         let edges: Vec<(NodeId, NodeId)> = edge_set.into_iter().collect();
         let total_weight = edges.iter().map(|&(a, b)| self.weights[&(a, b)]).sum();
 
-        let metrics = self.merged_metrics();
         let stats = self.stats.borrow().clone();
         GhsRun {
             edges,
             total_weight,
             stats,
-            metrics,
             finished_at: self.sim.now(),
         }
     }
@@ -656,13 +616,6 @@ mod tests {
         assert_eq!(ghs_set, kruskal_set);
         // Exactly one core pair halts.
         assert!(run.stats.halted_nodes >= 1, "no node detected termination");
-        // The per-node registries, merged, must agree with the shared
-        // stats ledger kind-for-kind.
-        for (&kind, &n) in &run.stats.sent {
-            assert_eq!(run.metrics.counter(kind), n, "kind {kind}");
-        }
-        assert_eq!(run.metrics.counter("requeues"), run.stats.requeues);
-        assert_eq!(run.metrics.counter("halted"), run.stats.halted_nodes as u64);
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub(crate) type FragmentId = u64;
 /// The `S` parameter of `Initiate`: whether the receiving subtree should
 /// search for the minimum outgoing edge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NodePhase {
+pub(crate) enum NodePhase {
     /// Searching for the minimum outgoing edge.
     Find,
     /// Search finished (or not started).
@@ -18,7 +18,7 @@ pub enum NodePhase {
 
 /// The seven GHS message types, exchanged only between direct neighbors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GhsMsg {
+pub(crate) enum GhsMsg {
     /// Merge/absorb request sent over the sender's minimum-weight basic
     /// edge.
     Connect {
@@ -57,7 +57,7 @@ pub enum GhsMsg {
 
 impl GhsMsg {
     /// Short tag for per-type statistics.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             GhsMsg::Connect { .. } => "connect",
             GhsMsg::Initiate { .. } => "initiate",

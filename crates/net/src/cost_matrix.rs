@@ -104,17 +104,6 @@ impl CostMatrix {
         &self.costs[host * self.servers..(host + 1) * self.servers]
     }
 
-    /// Appends a host row (§3.1.3b add-host reconfiguration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is misaligned with the servers.
-    pub fn push_host_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.servers, "host row must cover every server");
-        self.costs.extend_from_slice(row);
-        self.hosts += 1;
-    }
-
     /// Removes host `i`'s row (§3.1.3b delete-host reconfiguration).
     ///
     /// # Panics
@@ -231,20 +220,16 @@ mod tests {
     #[test]
     fn push_and_remove_rows_and_cols() {
         let mut m = two_by_two();
-        m.push_host_row(&[5.0, 6.0]);
-        assert_eq!(m.host_count(), 3);
-        assert_eq!(m[2], [5.0, 6.0]);
-        m.push_server_col(&[7.0, 8.0, 9.0]);
+        m.push_server_col(&[7.0, 8.0]);
         assert_eq!(m.server_count(), 3);
         assert_eq!(m[0], [1.0, 2.0, 7.0]);
-        assert_eq!(m[2], [5.0, 6.0, 9.0]);
-        m.remove_host_row(1);
-        assert_eq!(m.host_count(), 2);
-        assert_eq!(m[1], [5.0, 6.0, 9.0]);
+        assert_eq!(m[1], [3.0, 4.0, 8.0]);
+        m.remove_host_row(0);
+        assert_eq!(m.host_count(), 1);
+        assert_eq!(m[0], [3.0, 4.0, 8.0]);
         m.remove_server_col(0);
         assert_eq!(m.server_count(), 2);
-        assert_eq!(m[0], [2.0, 7.0]);
-        assert_eq!(m[1], [6.0, 9.0]);
+        assert_eq!(m[0], [4.0, 8.0]);
     }
 
     #[test]

@@ -21,15 +21,6 @@ pub enum NetError {
     UnboundNode(NodeId),
     /// The node (or actor) already has a binding.
     AlreadyBound(NodeId),
-    /// The node is not an endpoint of the edge in question.
-    NotAnEndpoint {
-        /// The node that was asked about.
-        node: NodeId,
-        /// One endpoint of the edge.
-        a: NodeId,
-        /// The other endpoint of the edge.
-        b: NodeId,
-    },
     /// No path exists between the two nodes.
     Disconnected(NodeId, NodeId),
 }
@@ -40,9 +31,6 @@ impl fmt::Display for NetError {
             NetError::UnknownNode(n) => write!(f, "unknown node {n}"),
             NetError::UnboundNode(n) => write!(f, "node {n} has no bound actor"),
             NetError::AlreadyBound(n) => write!(f, "node {n} is already bound"),
-            NetError::NotAnEndpoint { node, a, b } => {
-                write!(f, "{node} is not an endpoint of edge {a}-{b}")
-            }
             NetError::Disconnected(a, b) => write!(f, "no path between {a} and {b}"),
         }
     }
@@ -59,15 +47,6 @@ mod tests {
         assert_eq!(
             NetError::Disconnected(NodeId(1), NodeId(2)).to_string(),
             "no path between n1 and n2"
-        );
-        assert_eq!(
-            NetError::NotAnEndpoint {
-                node: NodeId(3),
-                a: NodeId(0),
-                b: NodeId(1)
-            }
-            .to_string(),
-            "n3 is not an endpoint of edge n0-n1"
         );
     }
 }

@@ -50,9 +50,9 @@ pub struct Weight(pub u64);
 
 impl Weight {
     /// Zero cost.
-    pub const ZERO: Weight = Weight(0);
+    pub(crate) const ZERO: Weight = Weight(0);
     /// Effectively infinite cost (used as "unreachable" sentinel).
-    pub const INFINITY: Weight = Weight(u64::MAX);
+    pub(crate) const INFINITY: Weight = Weight(u64::MAX);
 
     /// A weight of exactly one paper time unit.
     pub const UNIT: Weight = Weight(TICKS_PER_UNIT);
@@ -79,7 +79,7 @@ impl Weight {
     ///
     /// # Panics
     ///
-    /// Panics on [`Weight::INFINITY`]: an unreachable destination has no
+    /// Panics on `Weight::INFINITY`: an unreachable destination has no
     /// delay.
     pub fn as_duration(self) -> SimDuration {
         assert!(self != Weight::INFINITY, "infinite weight has no duration");
@@ -87,7 +87,7 @@ impl Weight {
     }
 
     /// Saturating addition, treating [`Weight::INFINITY`] as absorbing.
-    pub fn saturating_add(self, rhs: Weight) -> Weight {
+    pub(crate) fn saturating_add(self, rhs: Weight) -> Weight {
         Weight(self.0.saturating_add(rhs.0))
     }
 
@@ -141,29 +141,6 @@ pub struct Edge {
     pub weight: Weight,
 }
 
-impl Edge {
-    /// The endpoint opposite to `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns
-    /// [`NetError::NotAnEndpoint`](crate::error::NetError::NotAnEndpoint)
-    /// if `n` is not an endpoint of this edge.
-    pub fn other(&self, n: NodeId) -> Result<NodeId, crate::error::NetError> {
-        if n == self.a {
-            Ok(self.b)
-        } else if n == self.b {
-            Ok(self.a)
-        } else {
-            Err(crate::error::NetError::NotAnEndpoint {
-                node: n,
-                a: self.a,
-                b: self.b,
-            })
-        }
-    }
-}
-
 /// An undirected weighted graph with stable node and edge ids.
 ///
 /// Nodes are dense indices `0..node_count()`. Removal is not supported at
@@ -195,7 +172,7 @@ pub struct Graph {
 
 impl Graph {
     /// Creates an empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Graph::default()
     }
 
@@ -287,16 +264,6 @@ impl Graph {
         self.adj[n.0].iter().copied()
     }
 
-    /// Degree of `n`.
-    pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.0].len()
-    }
-
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> Weight {
-        self.edges.iter().map(|e| e.weight).sum()
-    }
-
     /// True if every node can reach every other (an empty graph counts as
     /// connected).
     pub fn is_connected(&self) -> bool {
@@ -373,10 +340,7 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), Weight::from_units(2.0));
         assert_eq!(g.edge_between(NodeId(1), NodeId(0)), Some(e0));
         assert_eq!(g.edge_between(NodeId(0), NodeId(3)), None);
-        assert_eq!(g.degree(NodeId(1)), 2);
-        assert_eq!(g.edge(e0).other(NodeId(0)), Ok(NodeId(1)));
-        assert!(g.edge(e0).other(NodeId(3)).is_err());
-        assert_eq!(g.total_weight(), Weight::from_units(3.0));
+        assert_eq!(g.neighbors(NodeId(1)).count(), 2);
         assert!(!g.is_connected()); // node 3 isolated
     }
 

@@ -26,7 +26,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         if self.parent[x] != x {
             let root = self.find(self.parent[x]);
             self.parent[x] = root;
@@ -51,11 +51,6 @@ impl UnionFind {
         }
         self.components -= 1;
         true
-    }
-
-    /// True if `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Number of disjoint sets remaining.
@@ -91,12 +86,6 @@ impl SpanningTree {
     /// True for an empty tree.
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
-    }
-
-    /// True if this tree spans all of `g` (i.e. `g` is connected and the
-    /// tree has `n-1` edges).
-    pub fn spans(&self, g: &Graph) -> bool {
-        g.node_count() != 0 && self.edges.len() + 1 == g.node_count()
     }
 
     /// Adjacency restricted to tree edges: node -> tree neighbors.
@@ -197,8 +186,8 @@ mod tests {
         assert_eq!(uf.component_count(), 4);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         assert_eq!(uf.component_count(), 3);
     }
 
@@ -232,7 +221,6 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), Weight::UNIT);
         let t = kruskal(&g);
         assert_eq!(t.len(), 2);
-        assert!(!t.spans(&g));
     }
 
     #[test]
@@ -281,7 +269,7 @@ mod tests {
             let k = kruskal(&g);
             let p = prim(&g);
             prop_assert_eq!(&k, &p);
-            prop_assert!(k.spans(&g));
+            prop_assert_eq!(k.len() + 1, g.node_count());
 
             // Exchange check: every non-tree edge closes a cycle whose tree
             // edges are all at most as heavy (cut property corollary).

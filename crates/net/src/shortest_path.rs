@@ -12,17 +12,11 @@ use crate::graph::{Graph, NodeId, Weight};
 /// The result of a single-source shortest-path run.
 #[derive(Clone, Debug)]
 pub struct ShortestPaths {
-    source: NodeId,
     dist: Vec<Weight>,
 }
 
 impl ShortestPaths {
-    /// The source node of this run.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Distance from the source to `n` ([`Weight::INFINITY`] when
+    /// Distance from the source to `n` (`Weight::INFINITY` when
     /// unreachable).
     pub fn distance(&self, n: NodeId) -> Weight {
         self.dist[n.0]
@@ -76,7 +70,7 @@ pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
         }
     }
 
-    ShortestPaths { source, dist }
+    ShortestPaths { dist }
 }
 
 /// All-pairs shortest-path distances (repeated Dijkstra; suitable for the
@@ -109,11 +103,6 @@ impl DistanceTable {
     pub fn distance(&self, a: NodeId, b: NodeId) -> Weight {
         assert!(a.0 < self.n && b.0 < self.n, "node out of range");
         self.dist[a.0 * self.n + b.0]
-    }
-
-    /// Number of nodes covered.
-    pub fn node_count(&self) -> usize {
-        self.n
     }
 }
 
@@ -251,7 +240,6 @@ mod tests {
             let table = DistanceTable::build(&g);
             for s in g.nodes() {
                 let sp = dijkstra(&g, s);
-                prop_assert_eq!(sp.source(), s);
                 for v in g.nodes() {
                     prop_assert_eq!(sp.distance(v), fw[s.0][v.0]);
                     prop_assert_eq!(table.distance(s, v), fw[s.0][v.0]);

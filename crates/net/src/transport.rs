@@ -109,11 +109,6 @@ impl Transport {
         w.as_duration()
     }
 
-    /// The distance table (for cost computations).
-    pub fn distances(&self) -> &DistanceTable {
-        &self.dist
-    }
-
     /// Sends `msg` from the actor at `from` to the actor at `to` with the
     /// end-to-end shortest-path delay plus `extra` (processing time and the
     /// like).

@@ -19,46 +19,46 @@ use crate::schema::{
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistSummary {
     /// Scope the histogram belongs to.
-    pub scope: String,
+    pub(crate) scope: String,
     /// Histogram name.
-    pub name: String,
+    pub(crate) name: String,
     /// Observations recorded.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Mean of the raw observations.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// 50th percentile.
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 90th percentile.
-    pub p90: f64,
+    pub(crate) p90: f64,
     /// 99th percentile.
-    pub p99: f64,
+    pub(crate) p99: f64,
     /// Exact maximum.
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 /// One parsed store-recovery line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoverySummary {
     /// Recovery time in ticks.
-    pub at_ticks: u64,
+    pub(crate) at_ticks: u64,
     /// Node that recovered.
-    pub site: u64,
+    pub(crate) site: u64,
     /// Backend that performed recovery.
     pub backend: String,
     /// WAL records replayed.
     pub replayed_records: u64,
     /// Mailbox messages present after recovery.
-    pub recovered_messages: u64,
+    pub(crate) recovered_messages: u64,
     /// Drained-but-unacked messages present after recovery.
-    pub recovered_pending: u64,
+    pub(crate) recovered_pending: u64,
     /// Unsettled forwards re-routed after recovery.
-    pub recovered_forwards: u64,
+    pub(crate) recovered_forwards: u64,
     /// Stored messages the crash destroyed.
     pub lost_messages: u64,
     /// Torn-tail bytes truncated during replay.
     pub torn_bytes: u64,
     /// Live WAL segments after recovery.
-    pub segments: u64,
+    pub(crate) segments: u64,
 }
 
 /// One parsed kernel-profiler sample line.
@@ -69,11 +69,11 @@ pub struct ProfileLine {
     /// Sample name within the scope.
     pub name: String,
     /// Sim time the sample refers to, in ticks (0 for run aggregates).
-    pub at_ticks: u64,
+    pub(crate) at_ticks: u64,
     /// Primary value: a count or a level.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sim-time ticks attributed to the sample.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
 }
 
 /// A fully parsed telemetry dump.
@@ -84,7 +84,7 @@ pub struct Dump {
     /// Engine seed from the header.
     pub seed: u64,
     /// Simulated finish time from the header, in ticks.
-    pub finished_at_ticks: u64,
+    pub(crate) finished_at_ticks: u64,
     /// Span events, in record order.
     pub spans: Vec<SpanEvent>,
     /// Store-recovery reports, in recovery order.
@@ -92,11 +92,11 @@ pub struct Dump {
     /// `(scope, name, value)` counters, in dump order.
     pub counters: Vec<(String, String, u64)>,
     /// `(scope, name, current, average)` gauges, in dump order.
-    pub gauges: Vec<(String, String, f64, f64)>,
+    pub(crate) gauges: Vec<(String, String, f64, f64)>,
     /// Histogram summaries, in dump order.
-    pub hists: Vec<HistSummary>,
+    pub(crate) hists: Vec<HistSummary>,
     /// `(scope, metrics)` per-store durability counters, in dump order.
-    pub store: Vec<(String, StoreMetrics)>,
+    pub(crate) store: Vec<(String, StoreMetrics)>,
     /// Kernel-profiler samples, in dump order.
     pub profile: Vec<ProfileLine>,
 }
@@ -153,7 +153,7 @@ impl Dump {
     }
 
     /// The distinct scopes, in first-appearance order.
-    pub fn scopes(&self) -> Vec<&str> {
+    pub(crate) fn scopes(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
         let names = self
             .counters

@@ -3,13 +3,13 @@
 //! The paper's reliability story (ordered authority-server lists, the
 //! GetMail recovery bookkeeping, convergecast timeouts) only matters when
 //! servers actually fail. A [`FailurePlan`] is an explicit, inspectable list
-//! of outages that can be applied to an [`ActorSim`] and also queried
+//! of outages that an experiment schedules onto its simulation and queries
 //! analytically (e.g. "was server 3 up at time 17.5?"), so experiments can
 //! cross-check simulated behaviour against ground truth.
 
 use std::collections::BTreeMap;
 
-use crate::actor::{ActorId, ActorSim};
+use crate::actor::ActorId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -85,7 +85,7 @@ pub struct Outage {
 
 impl Outage {
     /// Creates an outage, rejecting empty or inverted intervals.
-    pub fn new(down_at: SimTime, up_at: SimTime) -> Result<Self, FailureError> {
+    pub(crate) fn new(down_at: SimTime, up_at: SimTime) -> Result<Self, FailureError> {
         if up_at <= down_at {
             return Err(FailureError::EmptyOutage { down_at, up_at });
         }
@@ -93,13 +93,8 @@ impl Outage {
     }
 
     /// True if `t` falls inside the outage.
-    pub fn covers(&self, t: SimTime) -> bool {
+    pub(crate) fn covers(&self, t: SimTime) -> bool {
         t >= self.down_at && t < self.up_at
-    }
-
-    /// Length of the outage (saturating for never-repaired outages).
-    pub fn duration(&self) -> SimDuration {
-        self.up_at.duration_since(self.down_at)
     }
 }
 
@@ -182,41 +177,6 @@ impl FailurePlan {
     pub fn affected_actors(&self) -> impl Iterator<Item = ActorId> + '_ {
         self.outages.keys().copied()
     }
-
-    /// Fraction of `[0, horizon)` that `actor` spends up.
-    pub fn availability(&self, actor: ActorId, horizon: SimTime) -> f64 {
-        let total = horizon.as_units();
-        if total <= 0.0 {
-            return 1.0;
-        }
-        let down: f64 = self
-            .outages(actor)
-            .iter()
-            .map(|o| {
-                let start = o.down_at.min(horizon);
-                let end = o.up_at.min(horizon);
-                end.duration_since(start).as_units()
-            })
-            .sum();
-        ((total - down) / total).clamp(0.0, 1.0)
-    }
-
-    /// Schedules every outage onto the simulation engine.
-    pub fn apply<M: 'static>(&self, sim: &mut ActorSim<M>) {
-        for (&actor, list) in &self.outages {
-            for o in list {
-                sim.schedule_crash(actor, o.down_at);
-                if o.up_at < SimTime::MAX {
-                    sim.schedule_recover(actor, o.up_at);
-                }
-            }
-        }
-    }
-
-    /// Total number of outages across all actors.
-    pub fn outage_count(&self) -> usize {
-        self.outages.values().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -235,16 +195,6 @@ mod tests {
         assert!(o.covers(t(1.0)));
         assert!(o.covers(t(1.99)));
         assert!(!o.covers(t(2.0)));
-        assert_eq!(o.duration(), SimDuration::from_units(1.0));
-    }
-
-    #[test]
-    fn availability_accounts_for_truncation() {
-        let mut p = FailurePlan::new();
-        let a = ActorId(0);
-        p.add_outage(a, t(8.0), t(20.0)).unwrap(); // truncated by horizon 10 -> 2 down
-        assert!((p.availability(a, t(10.0)) - 0.8).abs() < 1e-9);
-        assert_eq!(p.availability(ActorId(9), t(10.0)), 1.0);
     }
 
     #[test]
@@ -255,35 +205,18 @@ mod tests {
         let mttr = SimDuration::from_units(10.0);
         let horizon = t(10_000.0);
         let plan = FailurePlan::random(&mut rng, &actors, mtbf, mttr, horizon).unwrap();
-        let avg: f64 = actors
-            .iter()
-            .map(|&a| plan.availability(a, horizon))
-            .sum::<f64>()
-            / actors.len() as f64;
+        // Fraction of `[0, horizon)` each actor spends up.
+        let up = |a: ActorId| {
+            let down: f64 = plan
+                .outages(a)
+                .iter()
+                .map(|o| o.up_at.min(horizon).duration_since(o.down_at).as_units())
+                .sum();
+            1.0 - down / horizon.as_units()
+        };
+        let avg: f64 = actors.iter().map(|&a| up(a)).sum::<f64>() / actors.len() as f64;
         // Expected availability = mtbf / (mtbf + mttr) = 0.9.
         assert!((avg - 0.9).abs() < 0.02, "avg availability {avg}");
-    }
-
-    #[test]
-    fn apply_schedules_crashes_on_engine() {
-        use crate::actor::{Actor, Ctx};
-        struct Nop;
-        impl Actor for Nop {
-            type Msg = ();
-            fn on_message(&mut self, _f: ActorId, _m: (), _c: &mut Ctx<'_, ()>) {}
-        }
-        let mut sim = ActorSim::new(1);
-        let a = sim.add_actor(Nop);
-        let mut plan = FailurePlan::new();
-        plan.add_outage(a, t(1.0), t(2.0)).unwrap();
-        plan.apply(&mut sim);
-        sim.inject(a, (), SimDuration::from_units(1.5)); // lands while down
-        sim.inject(a, (), SimDuration::from_units(3.0)); // lands after recovery
-        sim.run_until(t(4.0));
-        assert_eq!(sim.counters().crashes.get(), 1);
-        assert_eq!(sim.counters().recoveries.get(), 1);
-        assert_eq!(sim.counters().dropped_down.get(), 1);
-        assert_eq!(sim.counters().delivered.get(), 1);
     }
 
     proptest! {

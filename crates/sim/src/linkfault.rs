@@ -30,11 +30,11 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct LinkProfile {
     /// Probability that a message is lost on the wire.
-    pub drop_prob: f64,
+    pub(crate) drop_prob: f64,
     /// Probability that a delivered message arrives twice.
-    pub dup_prob: f64,
+    pub(crate) dup_prob: f64,
     /// Maximum extra delay, drawn uniformly from `[0, jitter]`.
-    pub jitter: SimDuration,
+    pub(crate) jitter: SimDuration,
 }
 
 impl LinkProfile {

@@ -8,7 +8,7 @@
 //! Each instrumented actor owns one [`MetricsRegistry`]; a deployment
 //! collects the per-actor registries under scope names like `server:n4`
 //! and [`MetricsRegistry::merge`] folds them into fleet-wide aggregates —
-//! counters add, histograms add bucket-wise (see [`LogHistogram::merge`]);
+//! counters add, histograms add bucket-wise (see `LogHistogram::merge`);
 //! merging is associative and commutative, so the fold order is free.
 //!
 //! Keys are `&'static str` and each table is kept sorted by name, so
@@ -35,11 +35,6 @@ use crate::time::SimTime;
 pub struct Counter(u64);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
     /// Increments by one.
     pub fn inc(&mut self) {
         self.0 += 1;
@@ -156,26 +151,6 @@ impl Summary {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -242,7 +217,7 @@ impl TimeWeighted {
     }
 
     /// Adds `delta` to the current value at instant `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
+    pub(crate) fn add(&mut self, now: SimTime, delta: f64) {
         let next = self.current + delta;
         self.set(now, next);
     }
@@ -307,7 +282,7 @@ impl LogHistogram {
     ///
     /// Panics if `buckets == 0`, `first_edge` is not positive and finite,
     /// or `growth <= 1`.
-    pub fn new(first_edge: f64, growth: f64, buckets: usize) -> Self {
+    pub(crate) fn new(first_edge: f64, growth: f64, buckets: usize) -> Self {
         assert!(buckets > 0, "log histogram needs at least one bucket");
         assert!(
             first_edge > 0.0 && first_edge.is_finite(),
@@ -378,19 +353,9 @@ impl LogHistogram {
         self.count
     }
 
-    /// Observations beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Per-bucket counts.
     pub fn bins(&self) -> &[u64] {
         &self.bins
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Mean of all observations (0.0 when empty).
@@ -442,7 +407,7 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics if the layouts differ (bucket count, first edge or growth).
-    pub fn merge(&mut self, other: &LogHistogram) {
+    pub(crate) fn merge(&mut self, other: &LogHistogram) {
         assert!(
             self.same_layout(other),
             "LogHistogram::merge requires identical bucket layouts"
@@ -598,11 +563,6 @@ impl MetricsRegistry {
         self.histograms.iter()
     }
 
-    /// True if nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.0.is_empty() && self.gauges.0.is_empty() && self.histograms.0.is_empty()
-    }
-
     /// Folds `other` into this registry: counters add and histograms merge
     /// bucket-wise. Gauges are *not* merged — a time-weighted average of
     /// one server's storage has no meaning summed with another's — so the
@@ -637,7 +597,7 @@ mod tests {
 
     #[test]
     fn counter_basics() {
-        let mut c = Counter::new();
+        let mut c = Counter::default();
         assert_eq!(c.get(), 0);
         c.inc();
         c.add(4);
@@ -655,27 +615,6 @@ mod tests {
         assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        for &x in &data {
-            whole.observe(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &data[..37] {
-            left.observe(x);
-        }
-        for &x in &data[37..] {
-            right.observe(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]
@@ -715,21 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_variance_merge_of_disjoint_halves() {
-        // Merging [0,0,0,0] and [10,10,10,10]: mean 5, variance 25.
-        let mut lo = Summary::new();
-        let mut hi = Summary::new();
-        for _ in 0..4 {
-            lo.observe(0.0);
-            hi.observe(10.0);
-        }
-        lo.merge(&hi);
-        assert_eq!(lo.count(), 8);
-        assert!((lo.mean() - 5.0).abs() < 1e-12);
-        assert!((lo.variance() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn log_histogram_exact_quantiles_and_max() {
         // Powers of two land exactly on bucket boundaries of a growth-2
         // layout: value 2^k falls in the bucket whose upper edge is
@@ -739,7 +663,6 @@ mod tests {
             h.observe(f64::from(1u32 << k)); // 1, 2, 4, ..., 512
         }
         assert_eq!(h.count(), 10);
-        assert_eq!(h.overflow(), 0);
         assert_eq!(h.max(), Some(512.0));
         // Rank 5 of 10 (q=0.5) is value 16 -> bucket edge 32.
         assert_eq!(h.quantile(0.5), Some(32.0));
@@ -776,14 +699,11 @@ mod tests {
         right.merge(&bc);
         assert_eq!(left.bins(), right.bins());
         assert_eq!(left.count(), right.count());
-        assert_eq!(left.overflow(), right.overflow());
         assert_eq!(left.max(), right.max());
-        assert!((left.sum() - right.sum()).abs() < 1e-6);
         // And both equal observing the whole stream directly.
         let whole = mk(&[0.1, 1.0, 7.0, 2.0, 2.0, 90.0, 0.4, 400.0, 1e6]);
         assert_eq!(left.bins(), whole.bins());
         assert_eq!(left.count(), whole.count());
-        assert_eq!(left.overflow(), whole.overflow());
         assert_eq!(left.max(), whole.max());
         for q in [0.5, 0.9, 0.99] {
             assert_eq!(left.quantile(q), whole.quantile(q), "q={q}");

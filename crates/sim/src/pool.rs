@@ -44,15 +44,15 @@ struct Slot<T> {
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub(crate) struct PoolStats {
     /// Inserts served by recycling a freed slot.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Inserts that found no free slot.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Slots appended to the slab.
-    pub grows: u64,
+    pub(crate) grows: u64,
     /// Values currently live.
-    pub live: usize,
+    pub(crate) live: usize,
     /// Slots allocated (live + recyclable) — the high-water mark.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
 }
 
 /// A slab of `T` with free-list recycling and generation-checked handles.

@@ -10,7 +10,7 @@
 //!
 //! # Determinism
 //!
-//! Everything exported through [`Prof::samples`] is a pure function of sim
+//! Everything exported through `Prof::samples` is a pure function of sim
 //! time and event counts: enabling the profiler changes **no** output byte
 //! of a run — trace digests, span logs, and metrics are identical with
 //! profiling on or off (pinned by `crates/sim/tests/prof_digest.rs`).
@@ -63,7 +63,7 @@ impl ProfEvent {
     ];
 
     /// Stable label used in exported sample names.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ProfEvent::Deliver => "deliver",
             ProfEvent::DropDown => "drop-down",
@@ -245,7 +245,7 @@ impl Prof {
     /// engine's current queue structure snapshot.
     ///
     /// Empty when profiling is disabled.
-    pub fn samples(&self, queue: QueueStats) -> Vec<ProfSample> {
+    pub(crate) fn samples(&self, queue: QueueStats) -> Vec<ProfSample> {
         if !self.enabled {
             return Vec::new();
         }

@@ -405,11 +405,11 @@ pub struct QueueStats {
     /// Entries in the far-future overflow map.
     pub overflow: usize,
     /// Bucket-ring size.
-    pub buckets: usize,
+    pub(crate) buckets: usize,
     /// Ring rebuilds (growth or shrink) since construction.
     pub resizes: u64,
     /// Payload-pool live values.
-    pub pool_live: usize,
+    pub(crate) pool_live: usize,
     /// Payload-pool slot high-water mark.
     pub pool_capacity: usize,
     /// Payload-pool inserts served by recycling.
@@ -492,7 +492,7 @@ impl<E> EventQueue<E> {
 
     /// The still-pending event stored under `h`, or `None` once it has
     /// fired, been removed, or the queue was cleared.
-    pub fn get_mut(&mut self, h: Handle) -> Option<&mut E> {
+    pub(crate) fn get_mut(&mut self, h: Handle) -> Option<&mut E> {
         self.cal.pool.get_mut(h).map(|node| &mut node.val)
     }
 

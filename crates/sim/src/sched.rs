@@ -73,16 +73,16 @@ pub enum ReadyKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReadyEvent {
     /// The event's position in global scheduling order.
-    pub seq: EventSeq,
+    pub(crate) seq: EventSeq,
     /// The instant the event fires (identical for all candidates).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The kind of event.
-    pub kind: ReadyKind,
+    pub(crate) kind: ReadyKind,
     /// The actor the event acts on (delivery destination, timer owner,
     /// crash/recovery subject).
-    pub target: ActorId,
+    pub(crate) target: ActorId,
     /// The sender for deliveries; for other kinds, equal to `target`.
-    pub from: ActorId,
+    pub(crate) from: ActorId,
 }
 
 /// Picks which of several same-instant ready events fires next.

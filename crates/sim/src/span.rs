@@ -164,15 +164,6 @@ impl BounceCode {
             BounceCode::RegionUnreachable => 2,
         }
     }
-
-    /// Stable lowercase name for rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            BounceCode::UnknownRecipient => "unknown-recipient",
-            BounceCode::AllServersDown => "all-servers-down",
-            BounceCode::RegionUnreachable => "region-unreachable",
-        }
-    }
 }
 
 /// `detail` codes for [`SpanStage::Resolved`].
@@ -196,16 +187,6 @@ impl ResolveCode {
             ResolveCode::RegionalAuthority => 1,
             ResolveCode::ForwardToRegion => 2,
             ResolveCode::Failed => 3,
-        }
-    }
-
-    /// Stable lowercase name for rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolveCode::LocalAuthority => "local-authority",
-            ResolveCode::RegionalAuthority => "regional-authority",
-            ResolveCode::ForwardToRegion => "forward-to-region",
-            ResolveCode::Failed => "failed",
         }
     }
 }
@@ -384,11 +365,6 @@ impl SpanLog {
     pub(crate) fn spans_opened(&self) -> u64 {
         self.next
     }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// A violation of the span conservation law.
@@ -460,7 +436,7 @@ pub struct SpanAuditReport {
     /// Spans that reached [`SpanStage::CheckDone`].
     pub checks_done: u64,
     /// Spans still open (no terminal stage).
-    pub open_ended: u64,
+    pub(crate) open_ended: u64,
     /// Session-layer retransmissions: [`SpanStage::Probe`] events with a
     /// non-zero attempt number.
     pub retransmits: u64,
@@ -587,7 +563,7 @@ mod tests {
         let s = log.open(t(0.0), SpanStage::Submitted, 1);
         assert_eq!(s, NO_SPAN);
         log.record(t(1.0), s, SpanStage::Retrieved, 2, NO_NODE, 0);
-        assert!(log.is_empty());
+        assert!(log.events().is_empty());
         assert_eq!(log.spans_opened(), 0);
     }
 

@@ -102,8 +102,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration; useful as an "infinite" timeout.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from a raw tick count.
     pub const fn from_ticks(ticks: u64) -> Self {
@@ -137,11 +135,6 @@ impl SimDuration {
     /// True if this is the zero-length duration.
     pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction (clamps at zero).
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -276,10 +269,7 @@ mod tests {
         assert_eq!(d / 4, SimDuration::from_units(0.5));
         assert!(SimDuration::ZERO.is_zero());
         assert!(!d.is_zero());
-        assert_eq!(
-            d.saturating_sub(SimDuration::from_units(3.0)),
-            SimDuration::ZERO
-        );
+        assert_eq!(d - SimDuration::from_units(3.0), SimDuration::ZERO);
     }
 
     #[test]

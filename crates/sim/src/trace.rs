@@ -109,16 +109,6 @@ impl Trace {
         self.events.iter()
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// FNV-1a digest over the rendered event stream: each event's
     /// `Display` form followed by a newline, hashed in order.
     ///
@@ -171,7 +161,7 @@ mod tests {
                 ActorId(1),
             );
         }
-        assert_eq!(t.len(), 10_000);
+        assert_eq!(t.events().count(), 10_000);
     }
 
     #[test]

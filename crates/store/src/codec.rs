@@ -623,11 +623,11 @@ pub struct SegmentReplay {
     /// Records applied.
     pub records: u64,
     /// Bytes of valid frames from the start of the segment.
-    pub valid_len: usize,
+    pub(crate) valid_len: usize,
     /// Of those, the bytes of operation records — what counts towards
     /// [`WalConfig::segment_bytes`](crate::WalConfig::segment_bytes);
     /// compaction's snapshot chunks do not.
-    pub op_bytes: u64,
+    pub(crate) op_bytes: u64,
     /// Unparsable-tail diagnostic, when the segment did not end cleanly.
     pub tail: Option<String>,
 }

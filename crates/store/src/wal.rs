@@ -248,7 +248,7 @@ impl WalStore {
     }
 
     /// Live segment count.
-    pub fn segments(&self) -> u64 {
+    pub(crate) fn segments(&self) -> u64 {
         self.io.list().len() as u64
     }
 
@@ -493,10 +493,6 @@ impl MailStore for WalStore {
         )
     }
 
-    fn is_deposited(&self, id: MessageId) -> bool {
-        self.state.is_deposited(id)
-    }
-
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
         self.drain_reserve_at(owner, NO_OWNER_SLOT).0
     }
@@ -660,7 +656,7 @@ mod tests {
         assert_eq!(report.lost_messages, 0);
         assert_eq!(report.replayed_records, 10);
         // Dedup ledger survived too: re-deposit is refused.
-        assert!(s.is_deposited(MessageId(0)));
+        assert!(s.state().is_deposited(MessageId(0)));
     }
 
     #[test]

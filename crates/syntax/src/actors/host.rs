@@ -98,7 +98,7 @@ pub struct HostActor {
     pub(super) id_gen: Rc<RefCell<MessageIdGen>>,
     /// Notifications received (user -> count) — the alert signal of
     /// §3.1.2c.
-    pub alerts: BTreeMap<MailName, u64>,
+    pub(crate) alerts: BTreeMap<MailName, u64>,
 }
 
 /// One adopted user of a host.

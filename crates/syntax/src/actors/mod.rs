@@ -334,12 +334,10 @@ pub struct Deployment {
     host_names: BTreeMap<NodeId, String>,
     /// Server node -> actor id.
     server_actors: BTreeMap<NodeId, ActorId>,
-    /// The placement's per-host, per-server user counts.
-    pub assignment: Assignment,
     /// The assignment problem (for inspecting costs).
     pub problem: AssignmentProblem,
     /// The §3.1.4 redirect table shared with every server actor.
-    pub redirects: Rc<RefCell<crate::migrate::RedirectTable>>,
+    pub(crate) redirects: Rc<RefCell<crate::migrate::RedirectTable>>,
     /// The lifecycle-span log shared with every actor (disabled until
     /// [`Deployment::enable_spans`]).
     pub spans: Rc<RefCell<SpanLog>>,
@@ -526,7 +524,7 @@ impl Deployment {
     pub fn wire(topology: &Topology, placement: Placement, cfg: &DeploymentConfig) -> Self {
         let Placement {
             problem,
-            assignment,
+            assignment: _,
             authorities,
             contact,
             peers,
@@ -667,7 +665,6 @@ impl Deployment {
             host_region,
             host_names,
             server_actors,
-            assignment,
             problem,
             redirects,
             spans,
@@ -1039,13 +1036,13 @@ impl Deployment {
 #[derive(Clone, Debug)]
 pub struct Partition {
     /// Nodes on one side of the cut.
-    pub side_a: Vec<NodeId>,
+    pub(crate) side_a: Vec<NodeId>,
     /// Nodes on the other side.
-    pub side_b: Vec<NodeId>,
+    pub(crate) side_b: Vec<NodeId>,
     /// When the partition begins.
-    pub down_at: SimTime,
+    pub(crate) down_at: SimTime,
     /// When the partition heals.
-    pub up_at: SimTime,
+    pub(crate) up_at: SimTime,
 }
 
 /// A node-addressed chaos plan for [`Deployment::apply_link_chaos`]:
@@ -1053,12 +1050,12 @@ pub struct Partition {
 #[derive(Clone, Debug)]
 pub struct LinkChaos {
     /// Loss/duplication/jitter applied to every link.
-    pub profile: LinkProfile,
+    pub(crate) profile: LinkProfile,
     /// Stochastic faults cease at this time so runs can drain cleanly
     /// (scheduled partitions are unaffected).
-    pub stochastic_horizon: SimTime,
+    pub(crate) stochastic_horizon: SimTime,
     /// Scheduled partitions (repeat with different windows to flap).
-    pub partitions: Vec<Partition>,
+    pub(crate) partitions: Vec<Partition>,
 }
 
 impl LinkChaos {

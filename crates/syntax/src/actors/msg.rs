@@ -196,7 +196,7 @@ pub struct DeliveryStats {
     /// record of the recipient.
     pub unknown_location: u64,
     /// Messages currently sitting in server storage (live gauge).
-    pub in_storage_now: u64,
+    pub(crate) in_storage_now: u64,
     /// Largest value `in_storage_now` ever reached (§4.4 "storage space
     /// used").
     pub peak_storage: u64,

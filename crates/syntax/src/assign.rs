@@ -234,7 +234,7 @@ impl Assignment {
     /// # Panics
     ///
     /// Panics if fewer than `k` users of `host` are on `from`.
-    pub fn transfer(&mut self, host: usize, from: usize, to: usize, k: u32) {
+    pub(crate) fn transfer(&mut self, host: usize, from: usize, to: usize, k: u32) {
         assert!(
             self.counts[host][from] >= k,
             "host {host} has only {} users on server {from}, cannot move {k}",
@@ -259,7 +259,7 @@ impl Assignment {
     /// # Panics
     ///
     /// Panics if fewer than `k` users are placed there.
-    pub fn remove(&mut self, host: usize, server: usize, k: u32) {
+    pub(crate) fn remove(&mut self, host: usize, server: usize, k: u32) {
         assert!(self.counts[host][server] >= k, "not enough users to remove");
         self.counts[host][server] -= k;
         self.loads[server] -= k;

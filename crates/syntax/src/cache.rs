@@ -59,13 +59,13 @@ pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that missed (absent or expired).
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
     /// Entries dropped because they had expired.
-    pub expirations: u64,
+    pub(crate) expirations: u64,
     /// Entries removed by explicit invalidation.
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
 }
 
 impl CacheStats {
@@ -164,22 +164,6 @@ impl ResolutionCache {
         victims.len()
     }
 
-    /// Drops everything (wholesale reconfiguration).
-    pub fn clear(&mut self) {
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-    }
-
-    /// Current number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -222,7 +206,7 @@ mod tests {
         assert!(c.get(&name(0), t(9.9)).is_some());
         assert!(c.get(&name(0), t(10.0)).is_none(), "expired at exactly ttl");
         assert_eq!(c.stats().expirations, 1);
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -250,19 +234,8 @@ mod tests {
         c.put(name(1), AuthorityList::new(vec![NodeId(3)]), t(0.0));
         c.put(name(2), AuthorityList::new(vec![NodeId(2)]), t(0.0));
         assert_eq!(c.invalidate_server(NodeId(2)), 2);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
         assert!(c.get(&name(1), t(1.0)).is_some());
-    }
-
-    #[test]
-    fn explicit_invalidation_and_clear() {
-        let mut c = ResolutionCache::new(4, SimDuration::from_units(1000.0));
-        c.put(name(0), list(0), t(0.0));
-        c.put(name(1), list(1), t(0.0));
-        c.put(name(2), list(2), t(0.0));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats().invalidations, 3);
     }
 
     #[test]
@@ -280,7 +253,7 @@ mod tests {
             for (i, (user, at)) in ops.into_iter().enumerate() {
                 let now = SimTime::from_ticks(at + i as u64);
                 c.put(name(user), list(user), now);
-                prop_assert!(c.len() <= 5);
+                prop_assert!(c.entries.len() <= 5);
                 prop_assert!(c.get(&name(user), now).is_some());
             }
         }

@@ -52,16 +52,6 @@ impl CostModel {
         }
     }
 
-    /// A model that prices communication and processing equally.
-    pub fn balanced() -> Self {
-        CostModel {
-            w_comm: 1.0,
-            w_proc: 1.0,
-            rho_cutoff: 0.99,
-            beta: 1.0e6,
-        }
-    }
-
     /// Validates the constants.
     ///
     /// # Errors
@@ -69,7 +59,7 @@ impl CostModel {
     /// Returns a description of the first violated constraint: weights must
     /// be non-negative and finite, `rho_cutoff` in `(0, 1)`, `beta`
     /// positive.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, v) in [("w_comm", self.w_comm), ("w_proc", self.w_proc)] {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("{name} must be finite and >= 0, got {v}"));

@@ -24,7 +24,7 @@
 //! are ever lost; `repro getmail` measures both.
 //!
 //! The algorithm is written once, as a step machine over [`GetMailState`]:
-//! `GetMailState::begin` opens a [`Check`], [`GetMailState::next`] names
+//! `GetMailState::begin` opens a [`Check`], `GetMailState::next` names
 //! the next server to probe or ends the check, and
 //! `GetMailState::on_reply` / `GetMailState::on_unreachable` report
 //! what the probe met. It runs two ways. [`GetMailState::get_mail`]
@@ -43,9 +43,9 @@ use lems_sim::time::SimTime;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProbeReply {
     /// The server's `LastStartTime`: when it last recovered or booted.
-    pub last_start_time: SimTime,
+    pub(crate) last_start_time: SimTime,
     /// The stored messages for the user, drained by the probe.
-    pub messages: Vec<MessageId>,
+    pub(crate) messages: Vec<MessageId>,
 }
 
 /// The servers [`GetMailState::get_mail`] polls synchronously: the
@@ -145,7 +145,7 @@ impl GetMailState {
     /// `LastCheckingTime`.
     ///
     /// `servers` must be the same list for every step of one check.
-    pub fn next(&mut self, check: &mut Check, servers: &[NodeId]) -> Step {
+    pub(crate) fn next(&mut self, check: &mut Check, servers: &[NodeId]) -> Step {
         let walk_over = check.finished_walk_early || check.walked == servers.len();
         let next = if walk_over {
             if check.sweep_remaining.is_empty() {

@@ -20,12 +20,12 @@ use lems_sim::time::SimTime;
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Redirect {
     /// The name mail may still be addressed to.
-    pub old_name: MailName,
+    pub(crate) old_name: MailName,
     /// Where it should go now.
     pub new_name: MailName,
     /// The entry is honoured until this instant, after which mail to the
     /// old name bounces with a name-change notification.
-    pub expires_at: SimTime,
+    pub(crate) expires_at: SimTime,
 }
 
 /// The old region's table of migrated users.
@@ -88,11 +88,6 @@ impl RedirectTable {
         before - self.entries.len()
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when no entries remain.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -107,12 +102,8 @@ impl RedirectTable {
 /// Result of migrating one user.
 #[derive(Clone, Debug)]
 pub struct MigrationOutcome {
-    /// The retired name.
-    pub old_name: MailName,
     /// The new name at the new location.
     pub new_name: MailName,
-    /// The redirect left behind.
-    pub redirect_expires_at: SimTime,
 }
 
 /// Performs the §3.1.4 migration: register the user under a new
@@ -153,11 +144,7 @@ pub fn migrate_user(
         new_authorities,
         expires_at,
     )?;
-    Ok(MigrationOutcome {
-        old_name: old_name.clone(),
-        new_name,
-        redirect_expires_at: expires_at,
-    })
+    Ok(MigrationOutcome { new_name })
 }
 
 /// Moves the user `old_name` to `new_name` at `new_home_host` — "adding

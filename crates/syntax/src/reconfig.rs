@@ -1,5 +1,6 @@
-//! Reconfiguration procedures of §3.1.3: adding and deleting users, hosts,
-//! and servers, with re-balancing through the §3.1.1 assignment algorithm.
+//! Reconfiguration procedures of §3.1.3: adding and deleting users and
+//! servers, and deleting hosts, with re-balancing through the §3.1.1
+//! assignment algorithm.
 //!
 //! Reconfiguration operates on the assignment state (`AssignmentProblem` +
 //! `Assignment`); pushing the resulting authority-list changes into a
@@ -8,9 +9,7 @@
 
 use lems_net::graph::NodeId;
 
-use crate::assign::{
-    balance, Assignment, AssignmentProblem, BalanceOptions, BalanceReport, HostSpec,
-};
+use crate::assign::{balance, Assignment, AssignmentProblem, BalanceOptions, BalanceReport};
 use crate::cost::ServerSpec;
 
 /// What a reconfiguration step did.
@@ -19,9 +18,9 @@ pub struct ReconfigReport {
     /// Users whose server assignment changed.
     pub moved_users: u64,
     /// Servers that had to be told about the change (table updates).
-    pub notified_servers: usize,
+    pub(crate) notified_servers: usize,
     /// The balancing pass that followed, if one ran.
-    pub rebalance: Option<BalanceReport>,
+    pub(crate) rebalance: Option<BalanceReport>,
 }
 
 /// Assignment state plus the operations of §3.1.3.
@@ -151,46 +150,6 @@ impl Reconfigurator {
             moved_users: u64::from(k),
             notified_servers: 1,
             ..ReconfigReport::default()
-        }
-    }
-
-    /// §3.1.3b: adds a host with `users` users; `comm_row[j]` is its
-    /// zero-load distance to server `j`. The new load is distributed by
-    /// nearest-server placement followed by balancing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `comm_row` is misaligned with the servers.
-    pub fn add_host(&mut self, node: NodeId, users: u32, comm_row: &[f64]) -> ReconfigReport {
-        assert_eq!(
-            comm_row.len(),
-            self.problem.server_count(),
-            "comm_row must cover every server"
-        );
-        self.problem.hosts.push(HostSpec { node, users });
-        self.problem.comm.push_host_row(comm_row);
-        // Grow the assignment matrix by rebuilding shape-compatibly.
-        let mut grown = Assignment::empty(&self.problem);
-        for i in 0..self.problem.host_count() - 1 {
-            for j in 0..self.problem.server_count() {
-                let c = self.assignment.count(i, j);
-                if c > 0 {
-                    grown.place(i, j, c);
-                }
-            }
-        }
-        self.assignment = grown;
-        let host = self.problem.host_count() - 1;
-        let j = (0..self.problem.server_count())
-            .min_by(|&x, &y| self.problem.comm[host][x].total_cmp(&self.problem.comm[host][y]))
-            .unwrap_or(0);
-        self.assignment.place(host, j, users);
-        let before = self.snapshot();
-        let rebalance = self.rebalance();
-        ReconfigReport {
-            moved_users: self.moved_since(&before),
-            notified_servers: self.problem.server_count(),
-            rebalance: Some(rebalance),
         }
     }
 
@@ -402,17 +361,14 @@ mod tests {
     }
 
     #[test]
-    fn add_and_remove_host_preserve_population_balance() {
+    fn remove_host_preserves_population_balance() {
         let mut r = reconf();
-        let rep = r.add_host(NodeId(99), 30, &[2.0, 1.0, 2.0]);
+        let users = r.problem().hosts[5].users;
+        let rep = r.remove_host(5);
         assert!(rep.rebalance.is_some());
-        assert_eq!(r.assignment().loads().iter().sum::<u32>(), 300);
-        assert_eq!(r.problem().host_count(), 7);
-
-        let rep = r.remove_host(6);
-        assert!(rep.moved_users >= 30);
-        assert_eq!(r.assignment().loads().iter().sum::<u32>(), 270);
-        assert_eq!(r.problem().host_count(), 6);
+        assert!(rep.moved_users >= u64::from(users));
+        assert_eq!(r.assignment().loads().iter().sum::<u32>(), 270 - users);
+        assert_eq!(r.problem().host_count(), 5);
     }
 
     #[test]
