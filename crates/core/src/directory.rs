@@ -213,6 +213,11 @@ impl ServerView {
         self.region_names.get(name).copied()
     }
 
+    /// The names of the records held, in name order.
+    pub fn names(&self) -> impl Iterator<Item = &MailName> {
+        self.records.keys()
+    }
+
     /// Number of records held.
     pub fn record_count(&self) -> usize {
         self.records.len()

@@ -10,7 +10,6 @@
 use lems_sim::time::SimTime;
 
 use crate::message::Message;
-use crate::name::MailName;
 
 /// One message as stored on a server.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -71,7 +70,7 @@ pub struct StoredMessage {
 /// use std::collections::BTreeMap;
 /// use lems_core::{mailbox::Mailbox, MailName};
 /// fn seed(boxes: &mut BTreeMap<MailName, Mailbox>, owner: MailName) {
-///     boxes.entry(owner.clone()).or_insert_with(|| Mailbox::new(owner));
+///     boxes.entry(owner).or_insert_with(Mailbox::new);
 /// }
 /// ```
 ///
@@ -101,7 +100,6 @@ pub struct StoredMessage {
 /// separately in `expired_total`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Mailbox {
-    owner: MailName,
     stored: Vec<StoredMessage>,
     deposited_total: u64,
     retrieved_total: u64,
@@ -109,10 +107,9 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// Creates an empty mailbox for `owner`.
-    pub(crate) fn new(owner: MailName) -> Self {
+    /// Creates an empty mailbox.
+    pub(crate) fn new() -> Self {
         Mailbox {
-            owner,
             stored: Vec::new(),
             deposited_total: 0,
             retrieved_total: 0,
@@ -197,10 +194,6 @@ mod tests {
     use super::*;
     use crate::message::{MessageId, MessageIdGen};
 
-    fn mk(owner: &str) -> Mailbox {
-        Mailbox::new(owner.parse().unwrap())
-    }
-
     fn msg(gen: &mut MessageIdGen, to: &str) -> Message {
         Message::new(
             gen.next_id(),
@@ -215,7 +208,7 @@ mod tests {
     #[test]
     fn deposit_and_drain_fifo() {
         let mut g = MessageIdGen::new();
-        let mut mb = mk("east.h.u");
+        let mut mb = Mailbox::new();
         for i in 0..3 {
             mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
         }
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn ledger_conserves_messages_across_drain_remove_expire() {
         let mut g = MessageIdGen::new();
-        let mut mb = mk("east.h.u");
+        let mut mb = Mailbox::new();
         for i in 0..3 {
             mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
         }
@@ -262,7 +255,7 @@ mod tests {
     #[test]
     fn expiry_removes_old_messages() {
         let mut g = MessageIdGen::new();
-        let mut mb = mk("east.h.u");
+        let mut mb = Mailbox::new();
         mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(1.0));
         mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(5.0));
         let removed = mb.expire_older_than(SimTime::from_units(3.0));

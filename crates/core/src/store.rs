@@ -42,20 +42,25 @@ pub const NO_OWNER_SLOT: u32 = u32::MAX;
 /// live operation did, which is what makes recovery exact.
 ///
 /// Two states are equal when they hold the same owners with the same
-/// contents, whatever order the owners first appeared in: a state replayed
-/// from a compaction snapshot (written in name order) equals the live one
-/// it was taken from.
+/// contents, whatever order the owners first appeared in and whatever
+/// roster each was wired with: a state replayed from a compaction snapshot
+/// (written in name order) equals the live one it was taken from.
 #[derive(Clone, Debug, Default)]
 pub struct StoreState {
-    /// What this server holds per user, one entry for the mailbox and the
-    /// reservation buffer both, in first-contact order. Append-only, so an
-    /// index into it (a *slot*) names the same user for as long as this
-    /// state lives. Read through [`StoreState::mailboxes`] /
-    /// [`StoreState::pending`].
+    /// One row per user this server keeps state for. Slots `0..roster`
+    /// are the users the server was wired with ([`StoreState::seed_roster`]),
+    /// in name order and found by bisection; the rest are owners met off
+    /// the roster, in first-contact order. Rows are never reordered or
+    /// removed, so an index into this (a *slot*) names the same user for
+    /// as long as this state lives. Read through
+    /// [`StoreState::mailboxes`] / [`StoreState::pending`].
     owners: Vec<OwnerEntry>,
-    /// Name -> slot, for whoever arrives without a slot or with a wrong
-    /// one; also the name order the views and snapshots are written in.
-    slot_of: BTreeMap<MailName, usize>,
+    /// How many leading rows are the roster.
+    roster: usize,
+    /// Name -> slot for the owners past the roster, for whoever arrives
+    /// without a slot or with a wrong one; also their name order, which
+    /// the views and snapshots merge with the roster's.
+    off_roster: BTreeMap<MailName, usize>,
     /// Forwards this server has acknowledged upstream but not yet settled
     /// downstream, keyed by message id, with the hop budget they carried.
     pub forwards: BTreeMap<MessageId, (Message, u32)>,
@@ -68,27 +73,48 @@ impl PartialEq for StoreState {
     fn eq(&self, other: &Self) -> bool {
         self.forwards == other.forwards
             && self.deposited == other.deposited
-            && self.in_name_order().eq(other.in_name_order())
+            && self
+                .in_name_order()
+                .filter(|entry| entry.holds_something())
+                .eq(other
+                    .in_name_order()
+                    .filter(|entry| entry.holds_something()))
     }
 }
 
-/// One user's durable state. The two `Option`s are two independent facts a
-/// snapshot records: a mailbox exists once the user was ever deposited to,
-/// a reservation buffer (possibly empty) once they ever checked. An entry
-/// is only created to set one of them, and neither is ever unset.
+/// One user's row. It records two independent facts a snapshot keeps: a
+/// mailbox exists once the user was ever deposited to, a reservation
+/// buffer (possibly empty) once they ever checked. A roster user's row
+/// exists from wiring with neither; an off-roster row is created to set
+/// one of them. Neither fact is ever unset, except by a crash that wipes
+/// the whole state.
 #[derive(Clone, Debug, PartialEq)]
 struct OwnerEntry {
     name: MailName,
-    /// Stable storage of §3.1.2c.
+    /// The user has checked here, so they have a reservation buffer.
+    checked: bool,
+    /// The mailbox and the buffer's contents, allocated only while the
+    /// user holds something: `None` when they were never deposited to and
+    /// their buffer is empty.
+    held: Option<Box<Held>>,
+}
+
+/// What an [`OwnerEntry`] holds once it holds anything.
+#[derive(Clone, Debug, PartialEq)]
+struct Held {
+    /// Stable storage of §3.1.2c; `None` until the first deposit.
     mailbox: Option<Mailbox>,
     /// Messages handed to a retrieval session but not yet acknowledged
     /// (the reliable-retrieval reservation buffer).
-    reserved: Option<Vec<Message>>,
+    reserved: Vec<Message>,
 }
+
+/// The reservation buffer of an owner who has checked and holds nothing.
+static NO_MESSAGES: Vec<Message> = Vec::new();
 
 /// A read-only, name-ordered view of one kind of per-user state
 /// ([`StoreState::mailboxes`], [`StoreState::pending`]): the users that
-/// have it, skipping those that only have the other kind.
+/// have it, skipping those that only have the other kind or neither.
 #[derive(Clone, Copy, Debug)]
 pub struct OwnerView<'a, T> {
     state: &'a StoreState,
@@ -144,7 +170,7 @@ impl StoreState {
     pub fn mailboxes(&self) -> Mailboxes<'_> {
         OwnerView {
             state: self,
-            pick: |entry| entry.mailbox.as_ref(),
+            pick: |entry| entry.held.as_ref()?.mailbox.as_ref(),
         }
     }
 
@@ -152,63 +178,116 @@ impl StoreState {
     pub fn pending(&self) -> PendingDrain<'_> {
         OwnerView {
             state: self,
-            pick: |entry| entry.reserved.as_ref(),
+            pick: |entry| {
+                entry
+                    .checked
+                    .then(|| entry.held.as_ref().map_or(&NO_MESSAGES, |h| &h.reserved))
+            },
         }
     }
 
-    /// Every entry, by owner name.
+    /// Wires this state with `roster`, the users the server keeps mail
+    /// for (§3.1.1: those whose authority list names it): they take slots
+    /// `0..n` in name order, rows that hold nothing until the user checks
+    /// or is deposited to. Whatever the state already holds keeps its
+    /// contents; only slots move.
+    pub fn seed_roster<'a>(&mut self, roster: impl IntoIterator<Item = &'a MailName>) {
+        let before = std::mem::take(&mut self.owners);
+        self.owners = roster
+            .into_iter()
+            .map(|name| OwnerEntry::new(name.clone()))
+            .collect();
+        self.owners.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        self.owners.dedup_by(|a, b| a.name == b.name);
+        self.roster = self.owners.len();
+        self.off_roster.clear();
+        for entry in before.into_iter().filter(OwnerEntry::holds_something) {
+            let slot = self.slot_or_adopt(&entry.name, NO_OWNER_SLOT);
+            self.owners[slot] = entry;
+        }
+    }
+
+    /// A state that holds nothing, wired with this one's roster: what a
+    /// crash leaves in memory, and where a log replay starts.
+    pub fn emptied(&self) -> StoreState {
+        let roster = &self.owners[..self.roster];
+        StoreState {
+            owners: roster
+                .iter()
+                .map(|e| OwnerEntry::new(e.name.clone()))
+                .collect(),
+            roster: self.roster,
+            ..StoreState::default()
+        }
+    }
+
+    /// Every row, by owner name: the roster merged with the owners past it.
     fn in_name_order(&self) -> impl Iterator<Item = &OwnerEntry> {
-        self.slot_of.values().map(|&slot| &self.owners[slot])
+        let mut roster = self.owners[..self.roster].iter().peekable();
+        let mut rest = self
+            .off_roster
+            .values()
+            .map(|&slot| &self.owners[slot])
+            .peekable();
+        std::iter::from_fn(move || match (roster.peek(), rest.peek()) {
+            (Some(a), Some(b)) if b.name.cmp(&a.name).is_lt() => rest.next(),
+            (Some(_), _) => roster.next(),
+            (None, _) => rest.next(),
+        })
+    }
+
+    /// `owner`'s slot, found by name.
+    fn find(&self, owner: &MailName) -> Option<usize> {
+        match self.owners[..self.roster].binary_search_by(|entry| entry.name.cmp(owner)) {
+            Ok(slot) => Some(slot),
+            Err(_) => self.off_roster.get(owner).copied(),
+        }
     }
 
     /// `hint` as a slot, when the slot it names holds `owner`. The hint is
     /// trusted only as far as the name stored there agrees with it;
     /// anything else — [`NO_OWNER_SLOT`] or any other index out of range,
-    /// another user's slot, a slot of a state that a crash has since
-    /// rebuilt — is no hint at all.
+    /// another user's slot, an off-roster slot of a state that a crash has
+    /// since rebuilt (roster slots survive a crash) — is no hint at all.
     fn hinted(&self, owner: &MailName, hint: u32) -> Option<usize> {
         let slot = hint as usize;
         if self.owners.get(slot)?.name != *owner {
             return None;
         }
-        debug_assert_eq!(self.slot_of.get(owner), Some(&slot));
+        debug_assert_eq!(self.find(owner), Some(slot));
         Some(slot)
     }
 
-    /// Where `owner`'s entry is, if they have one: by hint, else by name
+    /// Where `owner`'s row is, if they have one: by hint, else by name
     /// exactly as if no hint existed.
     fn slot(&self, owner: &MailName, hint: u32) -> Option<usize> {
-        self.hinted(owner, hint)
-            .or_else(|| self.slot_of.get(owner).copied())
+        self.hinted(owner, hint).or_else(|| self.find(owner))
     }
 
-    /// Where `owner`'s entry is; on first contact they get the next slot
-    /// and an entry with neither half.
+    /// Where `owner`'s row is; an owner off the roster gets the next slot
+    /// on first contact, and a row that holds nothing.
     fn slot_or_adopt(&mut self, owner: &MailName, hint: u32) -> usize {
-        if let Some(slot) = self.hinted(owner, hint) {
+        if let Some(slot) = self.slot(owner, hint) {
             return slot;
         }
-        *self.slot_of.entry(owner.clone()).or_insert_with(|| {
-            self.owners.push(OwnerEntry {
-                name: owner.clone(),
-                mailbox: None,
-                reserved: None,
-            });
-            self.owners.len() - 1
-        })
+        let slot = self.owners.len();
+        self.owners.push(OwnerEntry::new(owner.clone()));
+        self.off_roster.insert(owner.clone(), slot);
+        slot
     }
 
-    /// `owner`'s entry, if one exists.
+    /// `owner`'s row, if one exists.
     fn entry(&self, owner: &MailName) -> Option<&OwnerEntry> {
-        Some(&self.owners[*self.slot_of.get(owner)?])
+        Some(&self.owners[self.find(owner)?])
     }
 
-    /// `owner`'s entry, if one exists.
+    /// `owner`'s row, if one exists.
     fn existing_entry_mut(&mut self, owner: &MailName) -> Option<&mut OwnerEntry> {
-        Some(&mut self.owners[*self.slot_of.get(owner)?])
+        let slot = self.find(owner)?;
+        Some(&mut self.owners[slot])
     }
 
-    /// `owner`'s entry, created on first contact.
+    /// `owner`'s row, created on first contact.
     fn entry_mut(&mut self, owner: &MailName) -> &mut OwnerEntry {
         let slot = self.slot_or_adopt(owner, NO_OWNER_SLOT);
         &mut self.owners[slot]
@@ -217,13 +296,18 @@ impl StoreState {
     /// `owner`'s mailbox, created on first use.
     fn mailbox_mut(&mut self, owner: &MailName) -> &mut Mailbox {
         self.entry_mut(owner)
+            .held_mut()
             .mailbox
-            .get_or_insert_with(|| Mailbox::new(owner.clone()))
+            .get_or_insert_with(Mailbox::new)
     }
 
     /// `owner`'s mailbox, if one exists.
     fn existing_mailbox_mut(&mut self, owner: &MailName) -> Option<&mut Mailbox> {
-        self.existing_entry_mut(owner)?.mailbox.as_mut()
+        self.existing_entry_mut(owner)?
+            .held
+            .as_mut()?
+            .mailbox
+            .as_mut()
     }
 
     /// Restores one snapshot chunk of `owner`'s mailbox during recovery
@@ -260,10 +344,11 @@ impl StoreState {
     /// recovery replay. An empty chunk still creates the (empty) buffer:
     /// that the user has checked before is part of the recorded state.
     pub fn restore_snapshot_pending(&mut self, owner: &MailName, messages: Vec<Message>) {
-        self.entry_mut(owner)
-            .reserved
-            .get_or_insert_with(Vec::new)
-            .extend(messages);
+        let entry = self.entry_mut(owner);
+        entry.checked = true;
+        if !messages.is_empty() {
+            entry.held_mut().reserved.extend(messages);
+        }
     }
 
     /// Deposits `message` into its recipient's mailbox at `now`. Returns
@@ -291,9 +376,9 @@ impl StoreState {
     }
 
     /// [`StoreState::drain_reserve`] for a caller that may know where
-    /// `owner`'s entry is: returns the reserved list and the entry's slot,
+    /// `owner`'s row is: returns the reserved list and the row's slot,
     /// to be passed as `hint` next time. A hint that checks out saves the
-    /// name walk; one that does not costs nothing but that walk (see
+    /// name search; one that does not costs nothing but that search (see
     /// [`MailStore::drain_reserve_at`] for what a hint may and may not do).
     pub fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
         let slot = self.slot_or_adopt(owner, hint);
@@ -303,31 +388,46 @@ impl StoreState {
     /// What [`StoreState::drain_reserve_at`] would return, when it would
     /// change nothing: `owner` has checked before and nothing has been
     /// deposited since. `None` when the drain has work to do — a first
-    /// contact, which creates the reservation buffer, included.
+    /// check, which creates the reservation buffer, included.
     pub fn idle_drain(&self, owner: &MailName, hint: u32) -> Option<(Vec<Message>, u32)> {
         let slot = self.slot(owner, hint)?;
         let entry = &self.owners[slot];
-        let reserved = entry.reserved.as_ref()?;
-        if entry.mailbox.as_ref().is_some_and(|mb| !mb.is_empty()) {
+        if !entry.checked {
             return None;
         }
-        Some((reserved.clone(), hint_of(slot)))
+        let Some(held) = entry.held.as_ref() else {
+            return Some((Vec::new(), hint_of(slot)));
+        };
+        if held.mailbox.as_ref().is_some_and(|mb| !mb.is_empty()) {
+            return None;
+        }
+        Some((held.reserved.clone(), hint_of(slot)))
     }
 
     /// Releases acknowledged ids from `owner`'s reservation buffer,
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let Some(pending) = self
-            .existing_entry_mut(owner)
-            .and_then(|entry| entry.reserved.as_mut())
-        else {
+        let Some(entry) = self.existing_entry_mut(owner) else {
+            return 0;
+        };
+        let Some(held) = entry.held.as_mut() else {
             return 0;
         };
         let mut acked = ids.to_vec();
         acked.sort_unstable();
-        let before = pending.len();
-        pending.retain(|m| acked.binary_search(&m.id).is_err());
-        (before - pending.len()) as u64
+        let before = held.reserved.len();
+        held.reserved
+            .retain(|m| acked.binary_search(&m.id).is_err());
+        let released = (before - held.reserved.len()) as u64;
+        if held.reserved.is_empty() {
+            // An acknowledged buffer keeps no capacity: most users who
+            // were ever sent mail hold none most of the time.
+            held.reserved = Vec::new();
+            if held.mailbox.is_none() {
+                entry.held = None;
+            }
+        }
+        released
     }
 
     /// Expires messages deposited before `cutoff` from `owner`'s mailbox,
@@ -380,16 +480,50 @@ fn hint_of(slot: usize) -> u32 {
 }
 
 impl OwnerEntry {
+    /// A row for `name` that holds nothing.
+    fn new(name: MailName) -> Self {
+        OwnerEntry {
+            name,
+            checked: false,
+            held: None,
+        }
+    }
+
+    /// True when a snapshot records anything for this row.
+    fn holds_something(&self) -> bool {
+        self.checked || self.held.is_some()
+    }
+
+    /// What the row holds, allocated on first use.
+    fn held_mut(&mut self) -> &mut Held {
+        self.held.get_or_insert_with(|| {
+            Box::new(Held {
+                mailbox: None,
+                reserved: Vec::new(),
+            })
+        })
+    }
+
     /// Moves everything in the mailbox into the reservation buffer and
     /// returns the full reserved list. The (possibly empty) buffer is
     /// created even when nothing is stored: it is part of the state a
     /// snapshot records.
     fn reserve(&mut self) -> Vec<Message> {
-        let reserved = self.reserved.get_or_insert_with(Vec::new);
-        if let Some(mailbox) = self.mailbox.as_mut() {
-            reserved.extend(mailbox.drain().into_iter().map(|s| s.message));
+        self.checked = true;
+        let Some(held) = self.held.as_mut() else {
+            return Vec::new();
+        };
+        if let Some(mailbox) = held.mailbox.as_mut() {
+            let drained = mailbox.drain().into_iter().map(|s| s.message);
+            if held.reserved.is_empty() {
+                // Collected in place: the buffer takes over the mailbox's
+                // allocation instead of making its own.
+                held.reserved = drained.collect();
+            } else {
+                held.reserved.extend(drained);
+            }
         }
-        reserved.clone()
+        held.reserved.clone()
     }
 }
 
@@ -490,6 +624,11 @@ pub trait MailStore: std::fmt::Debug {
     fn preserves_volatile(&self) -> bool {
         false
     }
+
+    /// Wires the store with the users it keeps mail for, as
+    /// [`StoreState::seed_roster`] does; the roster outlives a crash.
+    /// What the store holds is unchanged, and no record is logged.
+    fn seed_roster(&mut self, roster: &mut dyn Iterator<Item = &MailName>);
 
     /// Deposits `message`; returns `false` for a duplicate id (dedup).
     fn deposit(&mut self, message: Message, now: SimTime) -> bool;
@@ -597,6 +736,10 @@ impl MailStore for MemStore {
         self.stable
     }
 
+    fn seed_roster(&mut self, roster: &mut dyn Iterator<Item = &MailName>) {
+        self.state.seed_roster(roster);
+    }
+
     fn deposit(&mut self, message: Message, now: SimTime) -> bool {
         self.state.deposit(message, now)
     }
@@ -636,7 +779,7 @@ impl MailStore for MemStore {
     fn crash(&mut self, _now: SimTime) {
         if !self.stable {
             self.lost_at_crash = self.state.storage_messages();
-            self.state = StoreState::default();
+            self.state = self.state.emptied();
         }
     }
 
@@ -764,7 +907,57 @@ mod tests {
         assert_ne!(live, replayed, "a's mail moved to the reservation buffer");
     }
 
-    /// A hint saves the name walk and decides nothing else: forged, stale
+    /// A row is a name, a flag and a pointer: what a user holds is boxed
+    /// apart, and only once they hold it.
+    #[test]
+    fn an_owner_row_fits_in_40_bytes() {
+        assert!(std::mem::size_of::<OwnerEntry>() <= 40);
+    }
+
+    /// Roster owners keep the slots wiring gave them, in name order and
+    /// through a crash that wipes everything else; owners off the roster
+    /// take the slots after it, in the order they are met, afresh after
+    /// the crash.
+    #[test]
+    fn roster_slots_outlive_a_crash_and_others_follow_them() {
+        let mut g = MessageIdGen::new();
+        let name = |s: &str| s.parse::<MailName>().unwrap();
+        let roster = [name("east.h.dave"), name("east.h.bob")];
+        let mut s = MemStore::volatile();
+        s.seed_roster(&mut roster.iter());
+        let slot_of = |s: &mut MemStore, who: &str| s.drain_reserve_at(&name(who), NO_OWNER_SLOT).1;
+
+        s.deposit(msg(&mut g, "east.h.erin"), SimTime::ZERO);
+        assert_eq!(
+            [
+                slot_of(&mut s, "east.h.bob"),
+                slot_of(&mut s, "east.h.dave"),
+                slot_of(&mut s, "east.h.erin"),
+                slot_of(&mut s, "east.h.carol"),
+            ],
+            [0, 1, 2, 3]
+        );
+        assert_eq!(
+            s.pending_drain().keys().collect::<Vec<_>>(),
+            [
+                &name("east.h.bob"),
+                &name("east.h.carol"),
+                &name("east.h.dave"),
+                &name("east.h.erin")
+            ],
+            "the views merge both kinds in name order"
+        );
+
+        s.crash(SimTime::from_units(1.0));
+        s.recover(SimTime::from_units(2.0));
+        assert_eq!(s.pending_drain().iter().count(), 0, "nothing held");
+        assert_eq!(slot_of(&mut s, "east.h.carol"), 2, "carol is met first now");
+        assert_eq!(slot_of(&mut s, "east.h.dave"), 1);
+        assert_eq!(slot_of(&mut s, "east.h.erin"), 3);
+        assert_eq!(slot_of(&mut s, "east.h.bob"), 0);
+    }
+
+    /// A hint saves the name search and decides nothing else: forged, stale
     /// and out-of-range hints all reach the owner they name.
     #[test]
     fn owner_slot_hint_is_checked_against_the_name() {

@@ -268,6 +268,7 @@ impl WalStore {
     fn replay(&self) -> Result<Replay, StoreError> {
         let seqs = self.io.list();
         let mut out = Replay {
+            state: self.state.emptied(),
             segments: seqs.len() as u64,
             ..Replay::default()
         };
@@ -483,6 +484,11 @@ impl MailStore for WalStore {
         "wal"
     }
 
+    fn seed_roster(&mut self, roster: &mut dyn Iterator<Item = &MailName>) {
+        // Slots are not logged: replay starts from the roster again.
+        self.state.seed_roster(roster);
+    }
+
     fn deposit(&mut self, message: Message, now: SimTime) -> bool {
         if self.state.is_deposited(message.id) {
             return false;
@@ -562,7 +568,7 @@ impl MailStore for WalStore {
         // (plus any injected torn tail).
         self.pre_crash_storage = Some(self.state.storage_messages());
         self.io.crash(self.cfg.torn_tail_bytes);
-        self.state = StoreState::default();
+        self.state = self.state.emptied();
     }
 
     fn recover(&mut self, _now: SimTime) -> RecoveryReport {

@@ -1,0 +1,507 @@
+//! The store held to a plain model: a name-ordered map from owner to the
+//! two facts a snapshot records, a mailbox (once deposited to) and a
+//! reservation buffer (once checked).
+//!
+//! Three stores run every script side by side, each wired with the same
+//! roster (the owners a server's authority lists name) and each beside
+//! its own copy of the model: a bare `StoreState`, which also takes
+//! snapshot restores and a re-seeded roster; a volatile `MemStore`, whose
+//! crash empties its model too; and a `WalStore` that compacts often, is
+//! crashed and recovered, and after every step is replayed from its log
+//! into a state that must equal the live one. Owners on and off the roster
+//! are drained with hints that are right, stale, another owner's, or
+//! none. After every step each store must show the model's views in name
+//! order, an empty buffer for an owner who checked and holds nothing, and
+//! `idle_drain` answers where the model says a drain would change nothing.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use lems_core::message::{Message, MessageId};
+use lems_core::name::MailName;
+use lems_core::store::{MailStore, Mailboxes, MemStore, PendingDrain, StoreState, NO_OWNER_SLOT};
+use lems_sim::time::SimTime;
+use lems_store::{MemSegments, SyncPolicy, WalConfig, WalStore};
+use proptest::prelude::*;
+
+const USERS: &[&str] = &[
+    "east.vax1.alice",
+    "east.vax1.bob",
+    "east.vax2.carol",
+    "north.pc1.dave",
+    "north.pc1.erin",
+    "south.pc2.frank",
+    "west.sun1.grace",
+    "west.sun1.heidi",
+];
+
+fn user(i: usize) -> MailName {
+    USERS[i % USERS.len()].parse().unwrap()
+}
+
+/// The users whose bit is set in `mask`.
+fn roster(mask: u8) -> Vec<MailName> {
+    (0..USERS.len())
+        .filter(|i| mask & (1 << i) != 0)
+        .map(user)
+        .collect()
+}
+
+/// A mailbox as the model keeps it.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct ModelBox {
+    stored: Vec<(Message, SimTime)>,
+    deposited: u64,
+    retrieved: u64,
+    expired: u64,
+}
+
+/// What a store holds: per owner, a mailbox once deposited to and a
+/// reservation buffer once checked; and the ids ever deposited.
+#[derive(Clone, Debug, Default)]
+struct Model {
+    owners: BTreeMap<MailName, (Option<ModelBox>, Option<Vec<Message>>)>,
+    deposited: BTreeSet<MessageId>,
+}
+
+impl Model {
+    fn deposit(&mut self, m: &Message, at: SimTime) -> bool {
+        if !self.deposited.insert(m.id) {
+            return false;
+        }
+        self.restore_chunk(&m.to, &[(m.clone(), at)]);
+        true
+    }
+
+    fn restore_chunk(&mut self, owner: &MailName, messages: &[(Message, SimTime)]) {
+        let mb = self.mailbox(owner);
+        mb.deposited += messages.len() as u64;
+        mb.stored.extend(messages.iter().cloned());
+    }
+
+    fn mailbox(&mut self, owner: &MailName) -> &mut ModelBox {
+        let entry = self.owners.entry(owner.clone()).or_default();
+        entry.0.get_or_insert_with(ModelBox::default)
+    }
+
+    fn drain(&mut self, owner: &MailName) -> Vec<Message> {
+        let (mb, pending) = self.owners.entry(owner.clone()).or_default();
+        let pending = pending.get_or_insert_with(Vec::new);
+        if let Some(mb) = mb {
+            mb.retrieved += mb.stored.len() as u64;
+            pending.extend(mb.stored.drain(..).map(|(m, _)| m));
+        }
+        pending.clone()
+    }
+
+    /// What `idle_drain` must answer: the buffer, when the owner has
+    /// checked and nothing waits in the mailbox.
+    fn idle(&self, owner: &MailName) -> Option<Vec<Message>> {
+        let (mb, pending) = self.owners.get(owner)?;
+        if mb.as_ref().is_some_and(|mb| !mb.stored.is_empty()) {
+            return None;
+        }
+        pending.clone()
+    }
+
+    fn release(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
+        let Some((_, Some(pending))) = self.owners.get_mut(owner) else {
+            return 0;
+        };
+        let before = pending.len();
+        pending.retain(|m| !ids.contains(&m.id));
+        (before - pending.len()) as u64
+    }
+
+    fn expire(&mut self, owner: &MailName, cutoff: SimTime) -> usize {
+        let Some((Some(mb), _)) = self.owners.get_mut(owner) else {
+            return 0;
+        };
+        let before = mb.stored.len();
+        mb.stored.retain(|&(_, at)| at >= cutoff);
+        let n = before - mb.stored.len();
+        mb.expired += n as u64;
+        n
+    }
+
+    /// The state a compaction snapshot of this model replays to.
+    fn snapshot(&self) -> StoreState {
+        let mut state = StoreState::default();
+        for (owner, (mb, pending)) in &self.owners {
+            if let Some(mb) = mb {
+                state.restore_snapshot_chunk(owner, mb.stored.iter().cloned());
+                state.restore_snapshot_ledger(owner, mb.deposited, mb.retrieved, mb.expired);
+            }
+            if let Some(pending) = pending {
+                state.restore_snapshot_pending(owner, pending.clone());
+            }
+        }
+        state.deposited.clone_from(&self.deposited);
+        state
+    }
+
+    /// The reserved messages of `owner`, if any.
+    fn reserved(&self, owner: &MailName) -> Vec<MessageId> {
+        match self.owners.get(owner) {
+            Some((_, Some(pending))) => pending.iter().map(|m| m.id).collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// A store's two views against the model: both in name order, each
+/// skipping the owners that lack its half.
+fn assert_views(mailboxes: &Mailboxes<'_>, pending: &PendingDrain<'_>, model: &Model, who: &str) {
+    let boxes: Vec<(MailName, ModelBox)> = mailboxes
+        .iter()
+        .map(|(owner, mb)| {
+            let stored = mb
+                .peek()
+                .iter()
+                .map(|s| (s.message.clone(), s.deposited_at))
+                .collect();
+            let seen = ModelBox {
+                stored,
+                deposited: mb.deposited_total(),
+                retrieved: mb.retrieved_total(),
+                expired: mb.expired_total(),
+            };
+            (owner.clone(), seen)
+        })
+        .collect();
+    let want: Vec<(MailName, ModelBox)> = model
+        .owners
+        .iter()
+        .filter_map(|(owner, (mb, _))| Some((owner.clone(), mb.clone()?)))
+        .collect();
+    assert_eq!(boxes, want, "{who}: mailboxes");
+
+    let buffers: Vec<(&MailName, &Vec<Message>)> = pending.iter().collect();
+    let want: Vec<(&MailName, &Vec<Message>)> = model
+        .owners
+        .iter()
+        .filter_map(|(owner, (_, pending))| Some((owner, pending.as_ref()?)))
+        .collect();
+    assert_eq!(buffers, want, "{who}: reservation buffers");
+    for (owner, (mb, buffer)) in &model.owners {
+        let holds_nothing = mb.is_none() && buffer.as_ref().is_some_and(Vec::is_empty);
+        if holds_nothing {
+            assert_eq!(
+                pending.get(owner),
+                Some(&Vec::new()),
+                "{who}: {owner} checked and holds nothing"
+            );
+        }
+    }
+}
+
+/// `idle_drain` of every user against the model, with no hint; a slot it
+/// names is where a hint-less drain finds the owner.
+fn assert_idle(state: &StoreState, model: &Model, roster: &[MailName], who: &str) {
+    for i in 0..USERS.len() {
+        let owner = user(i);
+        let idle = state.idle_drain(&owner, NO_OWNER_SLOT);
+        assert_eq!(
+            idle.as_ref().map(|(mail, _)| mail),
+            model.idle(&owner).as_ref(),
+            "{who}: idle_drain of {owner}"
+        );
+        if let (Some((_, slot)), Some(rank)) = (idle, roster.iter().position(|n| *n == owner)) {
+            assert_eq!(slot as usize, rank, "{who}: {owner} keeps its roster slot");
+        }
+    }
+}
+
+/// One store under test with its model and what it has taught of slots.
+struct Subject {
+    model: Model,
+    /// Per user: the slot the store last answered with.
+    taught: BTreeMap<usize, u32>,
+    /// Per user: the slot it answered before that one.
+    stale: BTreeMap<usize, u32>,
+}
+
+impl Subject {
+    fn new() -> Self {
+        Subject {
+            model: Model::default(),
+            taught: BTreeMap::new(),
+            stale: BTreeMap::new(),
+        }
+    }
+
+    /// The hint a drain of `who` carries, by `kind`: the slot last taught,
+    /// a stale one, another user's, none, or a made-up one.
+    fn hint(&self, who: usize, kind: u8, val: u32) -> u32 {
+        let of = |map: &BTreeMap<usize, u32>, u: usize| map.get(&u).copied();
+        match kind % 5 {
+            0 => of(&self.taught, who),
+            1 => of(&self.stale, who),
+            2 => of(
+                &self.taught,
+                (who + 1 + val as usize % (USERS.len() - 1)) % USERS.len(),
+            ),
+            3 => None,
+            _ => Some(val),
+        }
+        .unwrap_or(NO_OWNER_SLOT)
+    }
+
+    fn learn(&mut self, who: usize, slot: u32) {
+        if let Some(old) = self.taught.insert(who, slot) {
+            if old != slot {
+                self.stale.insert(who, old);
+            }
+        }
+    }
+}
+
+/// One scripted step, `(op, user, val)`.
+type Op = (u8, usize, u32);
+
+struct Run {
+    roster: Vec<MailName>,
+    next_id: u64,
+    /// The last message deposited, for a duplicate delivery.
+    last: Option<Message>,
+    state: StoreState,
+    volatile: MemStore,
+    wal: WalStore,
+    subjects: [Subject; 3],
+}
+
+const STATE: usize = 0;
+const VOLATILE: usize = 1;
+const WAL: usize = 2;
+
+impl Run {
+    fn new(mask: u8) -> Self {
+        let roster = roster(mask);
+        let mut state = StoreState::default();
+        state.seed_roster(&roster);
+        let mut volatile = MemStore::volatile();
+        volatile.seed_roster(&mut roster.iter());
+        let cfg = WalConfig {
+            segment_bytes: 256,
+            chunk_messages: 2,
+            max_segments: 2,
+            sync: SyncPolicy::PerRecord,
+            ..WalConfig::default()
+        };
+        let mut wal = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+        wal.seed_roster(&mut roster.iter());
+        Run {
+            roster,
+            next_id: 0,
+            last: None,
+            state,
+            volatile,
+            wal,
+            subjects: [Subject::new(), Subject::new(), Subject::new()],
+        }
+    }
+
+    /// The store of subject `i`, one of [`VOLATILE`] and [`WAL`].
+    fn store<'a>(
+        volatile: &'a mut MemStore,
+        wal: &'a mut WalStore,
+        i: usize,
+    ) -> &'a mut dyn MailStore {
+        if i == VOLATILE {
+            volatile
+        } else {
+            wal
+        }
+    }
+
+    fn step(&mut self, (op, who, val): Op) {
+        let owner = user(who);
+        let now = SimTime::from_units(f64::from(val % 50));
+        match op {
+            // Deposits dominate, as in real traffic; a few are duplicates.
+            0..=3 => {
+                let m = match (&self.last, val % 7) {
+                    (Some(last), 0) => last.clone(),
+                    _ => {
+                        self.next_id += 1;
+                        Message::new(MessageId(self.next_id), user(who + 1), owner, "s", "b", now)
+                    }
+                };
+                let fresh = self.subjects[STATE].model.deposit(&m, now);
+                assert_eq!(self.state.deposit(m.clone(), now), fresh);
+                for i in [VOLATILE, WAL] {
+                    let fresh = self.subjects[i].model.deposit(&m, now);
+                    let store = Self::store(&mut self.volatile, &mut self.wal, i);
+                    assert_eq!(store.deposit(m.clone(), now), fresh);
+                }
+                self.last = Some(m);
+            }
+            // A drain with a hint of some kind.
+            4..=6 => {
+                let kind = op + (val % 3) as u8;
+                let subject = &mut self.subjects[STATE];
+                let hint = subject.hint(who, kind, val % 12);
+                let want = subject.model.drain(&owner);
+                let (mail, slot) = self.state.drain_reserve_at(&owner, hint);
+                assert_eq!(mail, want, "state: drain of {owner}");
+                subject.learn(who, slot);
+                assert_eq!(self.state.idle_drain(&owner, hint), Some((mail, slot)));
+                for i in [VOLATILE, WAL] {
+                    let subject = &mut self.subjects[i];
+                    let hint = subject.hint(who, kind, val % 12);
+                    let want = subject.model.drain(&owner);
+                    let store = Self::store(&mut self.volatile, &mut self.wal, i);
+                    let (mail, slot) = store.drain_reserve_at(&owner, hint);
+                    assert_eq!(mail, want, "store {i}: drain of {owner}");
+                    subject.learn(who, slot);
+                }
+                let (_, slot) = self.wal.state().idle_drain(&owner, NO_OWNER_SLOT).unwrap();
+                assert_eq!(self.subjects[WAL].taught[&who], slot);
+            }
+            // An acknowledgement of part of the buffer, and ids it never held.
+            7 => {
+                for (i, subject) in self.subjects.iter_mut().enumerate() {
+                    let mut ids = subject.model.reserved(&owner);
+                    ids.truncate(1 + val as usize % 3);
+                    ids.push(MessageId(u64::from(val) + 1_000));
+                    let want = subject.model.release(&owner, &ids);
+                    let got = match i {
+                        STATE => self.state.release_drained(&owner, &ids),
+                        VOLATILE => self.volatile.release_drained(&owner, &ids),
+                        _ => self.wal.release_drained(&owner, &ids),
+                    };
+                    assert_eq!(got, want, "store {i}: release for {owner}");
+                }
+            }
+            8 => {
+                for (i, subject) in self.subjects.iter_mut().enumerate() {
+                    let want = subject.model.expire(&owner, now);
+                    let got = match i {
+                        STATE => self.state.expire_older_than(&owner, now),
+                        VOLATILE => self.volatile.expire_older_than(&owner, now),
+                        _ => self.wal.expire_older_than(&owner, now),
+                    };
+                    assert_eq!(got, want, "store {i}: expiry for {owner}");
+                }
+            }
+            // Snapshot restores, as a replay applies them.
+            9 => {
+                self.next_id += 1;
+                let m = Message::new(
+                    MessageId(self.next_id),
+                    user(who + 1),
+                    owner.clone(),
+                    "s",
+                    "b",
+                    now,
+                );
+                let chunk = vec![(m, now)];
+                self.subjects[STATE].model.restore_chunk(&owner, &chunk);
+                self.state.restore_snapshot_chunk(&owner, chunk);
+            }
+            10 => {
+                let (d, r, e) = (u64::from(val), u64::from(val % 5), u64::from(val % 3));
+                let mb = self.subjects[STATE].model.mailbox(&owner);
+                (mb.deposited, mb.retrieved, mb.expired) = (d, r, e);
+                self.state.restore_snapshot_ledger(&owner, d, r, e);
+            }
+            // A buffer chunk: empty (the owner had checked), or a message
+            // reserved for someone who may hold no mailbox.
+            11 => {
+                let mut messages = Vec::new();
+                if val % 3 != 0 {
+                    self.next_id += 1;
+                    let id = MessageId(self.next_id);
+                    messages.push(Message::new(
+                        id,
+                        user(who + 1),
+                        owner.clone(),
+                        "s",
+                        "b",
+                        now,
+                    ));
+                }
+                let entry = self.subjects[STATE].model.owners.entry(owner.clone());
+                entry
+                    .or_default()
+                    .1
+                    .get_or_insert_with(Vec::new)
+                    .extend(messages.iter().cloned());
+                self.state.restore_snapshot_pending(&owner, messages);
+            }
+            // Wired again, with another roster: contents stay.
+            12 => {
+                self.roster = roster(val as u8);
+                self.state.seed_roster(&self.roster);
+                for i in [VOLATILE, WAL] {
+                    let store = Self::store(&mut self.volatile, &mut self.wal, i);
+                    store.seed_roster(&mut self.roster.iter());
+                }
+            }
+            // The volatile store forgets everything but its roster.
+            13 => {
+                self.volatile.crash(now);
+                self.volatile.recover(now);
+                self.subjects[VOLATILE].model = Model::default();
+            }
+            // The WAL store comes back as its log says.
+            _ => {
+                self.wal.crash(now);
+                let report = self.wal.recover(now);
+                assert_eq!(report.lost_messages, 0);
+            }
+        }
+        self.check();
+    }
+
+    fn check(&mut self) {
+        // Rows that hold nothing, the roster and the slots are no part of
+        // what a state is: the model written as a snapshot, with no
+        // roster, is the same state.
+        assert_eq!(self.state, self.subjects[STATE].model.snapshot());
+        let (state, volatile, wal) = (&self.state, &self.volatile, &self.wal);
+        let models = &self.subjects;
+        assert_views(
+            &state.mailboxes(),
+            &state.pending(),
+            &models[STATE].model,
+            "state",
+        );
+        let (boxes, pending) = (volatile.mailboxes(), volatile.pending_drain());
+        assert_views(&boxes, &pending, &models[VOLATILE].model, "volatile");
+        assert_views(
+            &wal.mailboxes(),
+            &wal.pending_drain(),
+            &models[WAL].model,
+            "wal",
+        );
+        assert_idle(
+            &self.state,
+            &self.subjects[STATE].model,
+            &self.roster,
+            "state",
+        );
+        assert_idle(
+            self.wal.state(),
+            &self.subjects[WAL].model,
+            &self.roster,
+            "wal",
+        );
+        // The log replays to the live state.
+        let live = self.wal.state().clone();
+        assert!(self.wal.persist_restore().is_some());
+        assert_eq!(self.wal.state(), &live, "replayed state");
+    }
+}
+
+proptest! {
+    #[test]
+    fn the_store_is_its_model(
+        mask in 0u8..=255,
+        ops in proptest::collection::vec((0u8..16, 0usize..8, 0u32..64), 1..48),
+    ) {
+        let mut run = Run::new(mask);
+        for op in ops {
+            run.step(op);
+        }
+    }
+}

@@ -22,29 +22,39 @@ pub(super) struct UiUser {
     /// [`RetrievalSession`] indexes into it.
     pub(super) authorities: AuthorityList,
     /// Per authority server, in list order: the owner slot its last
-    /// `RetrieveReply` carried.
-    pub(super) owner_slots: Vec<u32>,
+    /// `RetrieveReply` carried. Kept for the first [`HINTED_SERVERS`]
+    /// only, inline, so the row allocates nothing of its own.
+    pub(super) owner_slots: [u32; HINTED_SERVERS],
     getmail: GetMailState,
-    pub(super) retrieval: Option<RetrievalSession>,
+    /// The check in flight, as its index in the host's [`Sessions`]: a
+    /// session exists only while a check runs, so the user's row does not
+    /// carry one.
+    pub(super) retrieval: Option<u32>,
     pub(super) pending_check: bool,
 }
+
+/// How many servers of a user's authority list the host keeps owner
+/// slots for. GetMail seldom walks past the third; a server further down
+/// is asked without a hint and finds the user by name.
+const HINTED_SERVERS: usize = 3;
 
 /// The owner slot `server` last taught the user with these `authorities`.
 pub(super) fn owner_slot_at(
     authorities: &AuthorityList,
-    owner_slots: &[u32],
+    owner_slots: &[u32; HINTED_SERVERS],
     server: NodeId,
 ) -> u32 {
     authorities
         .rank_of(server)
-        .map_or(NO_OWNER_SLOT, |rank| owner_slots[rank])
+        .and_then(|rank| owner_slots.get(rank).copied())
+        .unwrap_or(NO_OWNER_SLOT)
 }
 
 impl UiUser {
     /// A user who has never checked mail.
     pub(super) fn new(authorities: AuthorityList) -> Self {
         UiUser {
-            owner_slots: vec![NO_OWNER_SLOT; authorities.len()],
+            owner_slots: [NO_OWNER_SLOT; HINTED_SERVERS],
             authorities,
             getmail: GetMailState::new(),
             retrieval: None,
@@ -62,6 +72,46 @@ pub(super) struct RetrievalSession {
     pub(super) current: Option<Exchange>,
     /// The lifecycle span covering this check.
     span: SpanId,
+}
+
+/// The retrieval sessions in flight on one host. A check takes a free
+/// entry and gives it back when it finishes, so once the table has grown
+/// to the most checks the host ever ran at once, starting one allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(super) struct Sessions {
+    entries: Vec<Option<RetrievalSession>>,
+    /// Indices of the `None` entries.
+    free: Vec<u32>,
+}
+
+impl Sessions {
+    /// Stores `session`; returns its index.
+    fn open(&mut self, session: RetrievalSession) -> u32 {
+        if let Some(id) = self.free.pop() {
+            self.entries[id as usize] = Some(session);
+            return id;
+        }
+        self.entries.push(Some(session));
+        (self.entries.len() - 1) as u32
+    }
+
+    /// The session at `id`, if one is open there.
+    #[cfg(test)]
+    pub(super) fn get(&self, id: u32) -> Option<&RetrievalSession> {
+        self.entries.get(id as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: u32) -> Option<&mut RetrievalSession> {
+        self.entries.get_mut(id as usize)?.as_mut()
+    }
+
+    /// Ends the session at `id`, freeing its entry.
+    fn close(&mut self, id: u32) -> Option<RetrievalSession> {
+        let session = self.entries.get_mut(id as usize)?.take()?;
+        self.free.push(id);
+        Some(session)
+    }
 }
 
 /// An in-flight submission (connection-setup walk over the sender's
@@ -86,6 +136,8 @@ pub struct HostActor {
     /// (a hint-less or stale `DoSend`/`DoCheck`, a reply whose `session`
     /// does not match its name).
     pub(super) slot_of: BTreeMap<MailName, usize>,
+    /// The checks in flight, one per user who is checking.
+    pub(super) sessions: Sessions,
     // Actor bookkeeping uses ordered maps throughout: iteration order feeds
     // protocol decisions, and hash-order iteration would make replays
     // diverge between runs (`HashMap` is a `clippy.toml` ban here).
@@ -132,16 +184,27 @@ impl HostActor {
     pub(super) fn adopt_user(&mut self, name: MailName, ui: UiUser) -> u32 {
         let slot = self.users.len();
         if let Some(old) = self.slot_of.insert(name.clone(), slot) {
-            self.users[old].ui = None;
+            self.vacate(old);
         }
         self.users.push(UserSlot { name, ui: Some(ui) });
         u32::try_from(slot).unwrap_or(MailMsg::NO_SLOT_HINT)
     }
 
-    /// Hands `name`'s interface state over to another host (§3.1.4).
+    /// Hands `name`'s interface state over to another host (§3.1.4),
+    /// ending any check they had in flight here.
     pub(super) fn release_user(&mut self, name: &MailName) -> Option<UiUser> {
         let slot = self.slot_of.remove(name)?;
-        self.users[slot].ui.take()
+        self.vacate(slot)
+    }
+
+    /// Takes the user out of `slot`, closing their session if they have
+    /// one.
+    fn vacate(&mut self, slot: usize) -> Option<UiUser> {
+        let mut ui = self.users[slot].ui.take()?;
+        if let Some(id) = ui.retrieval.take() {
+            self.sessions.close(id);
+        }
+        Some(ui)
     }
 
     /// The live slot of `user`, given the slot a reply echoed as its
@@ -248,11 +311,11 @@ impl HostActor {
             site(self.end.node),
         );
         self.end.metrics.inc("checks_started");
-        user.retrieval = Some(RetrievalSession {
+        user.retrieval = Some(self.sessions.open(RetrievalSession {
             check: GetMailState::begin(ctx.now()),
             current: None,
             span,
-        });
+        }));
         self.advance_retrieval(slot, ctx);
     }
 
@@ -261,7 +324,10 @@ impl HostActor {
         let Some(user) = self.users[slot].ui.as_mut() else {
             return;
         };
-        let Some(session) = user.retrieval.as_mut() else {
+        let Some(id) = user.retrieval else {
+            return;
+        };
+        let Some(session) = self.sessions.get_mut(id) else {
             return;
         };
         match user
@@ -273,6 +339,7 @@ impl HostActor {
                 let started = session.check.started();
                 let span = session.span;
                 user.retrieval = None;
+                self.sessions.close(id);
                 self.end
                     .stats
                     .borrow_mut()
@@ -314,7 +381,7 @@ impl HostActor {
         else {
             return;
         };
-        let Some(session) = user.retrieval.as_mut() else {
+        let Some(session) = user.retrieval.and_then(|id| self.sessions.get_mut(id)) else {
             return;
         };
         if attempt == 0 {
@@ -448,10 +515,13 @@ impl Actor for HostActor {
                 let Some(user) = self.users[slot].ui.as_mut() else {
                     return;
                 };
-                if let Some(rank) = server_node.and_then(|s| user.authorities.rank_of(s)) {
-                    user.owner_slots[rank] = owner_slot;
+                if let Some(taught) = server_node
+                    .and_then(|s| user.authorities.rank_of(s))
+                    .and_then(|rank| user.owner_slots.get_mut(rank))
+                {
+                    *taught = owner_slot;
                 }
-                let Some(session) = user.retrieval.as_mut() else {
+                let Some(session) = user.retrieval.and_then(|id| self.sessions.get_mut(id)) else {
                     return; // stale reply after timeout: already counted above
                 };
                 let Some(exchange) = session.current.take() else {
@@ -513,7 +583,7 @@ impl HostActor {
         let Some(user) = self.users.get_mut(slot).and_then(|u| u.ui.as_mut()) else {
             return;
         };
-        let Some(session) = user.retrieval.as_mut() else {
+        let Some(session) = user.retrieval.and_then(|id| self.sessions.get_mut(id)) else {
             return;
         };
         let Some(exchange) = session.current.take() else {

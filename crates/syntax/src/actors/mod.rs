@@ -61,7 +61,7 @@ mod msg;
 mod server;
 
 pub use host::HostActor;
-use host::UiUser;
+use host::{Sessions, UiUser};
 pub use msg::{DeliveryStats, MailMsg};
 pub use server::ServerActor;
 
@@ -602,16 +602,20 @@ impl Deployment {
         let mut server_actors = BTreeMap::new();
         for (&s, peers) in server_nodes.iter().zip(peers) {
             let region = topology.region(s);
+            let view = views.remove(&s).expect("partition holds a view per server");
+            // The store keeps mail for exactly the users the view holds.
+            let mut store = lems_store::make_store(&cfg.durability);
+            store.seed_roster(&mut view.names());
             let resolver = SyntaxResolver::new(
                 region,
-                views.remove(&s).expect("partition holds a view per server"),
+                view,
                 region_index.get(&region).cloned().unwrap_or_default(),
                 region_servers.clone(),
             );
             let actor = ServerActor {
                 end: Endpoint::new(s, &transport, cfg, &stats, &spans, proc),
                 resolver,
-                store: lems_store::make_store(&cfg.durability),
+                store,
                 last_start_time: SimTime::ZERO,
                 forwards: BTreeMap::new(),
                 locations: BTreeMap::new(),
@@ -631,8 +635,9 @@ impl Deployment {
         for ((&h, host_users), contact) in host_nodes.iter().zip(users_by_host).zip(contact) {
             let mut actor = HostActor {
                 end: Endpoint::new(h, &transport, cfg, &stats, &spans, SimDuration::ZERO),
-                users: Vec::new(),
+                users: Vec::with_capacity(host_users.len()),
                 slot_of: BTreeMap::new(),
+                sessions: Sessions::default(),
                 submits: BTreeMap::new(),
                 contact,
                 id_gen: Rc::clone(&id_gen),
@@ -808,8 +813,8 @@ impl Deployment {
         // hint-less: a send from it reaches the host and bounces at source.
         let mut slot = MailMsg::NO_SLOT_HINT;
         if let Some(mut ui) = moved {
-            // The move is also a fresh start for retrieval bookkeeping.
-            ui.retrieval = None;
+            // The move is also a fresh start for retrieval bookkeeping
+            // (releasing the user ended any check in flight).
             ui.pending_check = false;
             let new_aid = self.host_actors[&new_host];
             if let Some(h) = self.sim.actor_mut::<HostActor>(new_aid) {
@@ -1918,6 +1923,13 @@ mod tests {
         (a, b, host)
     }
 
+    /// A host's row for a user carries no session and no heap of its
+    /// own: a session lives in the host's table while a check runs.
+    #[test]
+    fn a_host_user_row_fits_in_96_bytes() {
+        assert!(std::mem::size_of::<host::UserSlot>() <= 96);
+    }
+
     #[test]
     fn session_token_is_checked_against_the_name() {
         let mut d = small_deployment(41);
@@ -1961,7 +1973,7 @@ mod tests {
             let h: &HostActor = d.sim.actor(host).unwrap();
             let ui = h.users[h.slot_of[who]].ui.as_ref().unwrap();
             ui.retrieval
-                .as_ref()
+                .and_then(|id| h.sessions.get(id))
                 .and_then(|s| s.current)
                 .map(|c| c.peer)
         };
@@ -2059,7 +2071,7 @@ mod tests {
         };
         assert_eq!((held(&d, &alice), held(&d, &bob)), ((1, None), (1, None)));
 
-        // Alice's box was created first: slot 0 of this store.
+        // Alice sorts first: slot 0 of this store's roster.
         let bob_session = d.sim.actor::<HostActor>(host).unwrap().slot_of[&bob] as u32;
         d.sim.inject(
             server,
@@ -2087,11 +2099,23 @@ mod tests {
         );
     }
 
-    /// A slot the store never had, and one a crash took away (a volatile
-    /// store forgets every owner), both resolve by name; each reply teaches
-    /// the slot that is right now.
+    /// Where `server`'s roster puts `user`: their rank among the users
+    /// whose authority list names the server, by name.
+    fn roster_slot(d: &Deployment, server: NodeId, user: &MailName) -> u32 {
+        let held = d
+            .directory
+            .iter()
+            .filter(|r| r.authorities.contains(server));
+        let rank = held.map(|r| &r.name).position(|name| name == user);
+        rank.unwrap() as u32
+    }
+
+    /// A slot the store never had resolves by name, and the reply teaches
+    /// the user's roster slot. A crash of a volatile store forgets all it
+    /// holds but not its roster, so what the host learned before the crash
+    /// is still where the store keeps the user after it.
     #[test]
-    fn out_of_range_and_vacated_owner_slots_resolve_by_name() {
+    fn out_of_range_owner_slot_resolves_by_name_and_roster_slots_survive_a_crash() {
         let f = fig1();
         let mut d = Deployment::build(
             &f.topology,
@@ -2104,11 +2128,16 @@ mod tests {
         );
         let (alice, bob, host) = housemates(&d);
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
+        let (a, b) = (
+            roster_slot(&d, primary, &alice),
+            roster_slot(&d, primary, &bob),
+        );
+        assert_eq!((a, b), (0, 1), "the two smallest names");
         let mut plan = ServerFailurePlan::new();
         plan.add(primary, t(100.0), t(110.0));
         d.apply_server_failures(&plan);
 
-        // Out of range: the store is empty when bob first asks.
+        // Out of range: no store has a slot 9 999.
         let server = d.server_actors[&primary];
         let bob_session = d.sim.actor::<HostActor>(host).unwrap().slot_of[&bob] as u32;
         d.sim.inject(
@@ -2123,17 +2152,17 @@ mod tests {
         );
         d.check_at(t(10.0), &alice);
         d.sim.run_until(t(90.0));
-        assert_eq!(learned(&d, host, &bob, primary), 0);
-        assert_eq!(learned(&d, host, &alice, primary), 1);
+        assert_eq!(learned(&d, host, &bob, primary), b);
+        assert_eq!(learned(&d, host, &alice, primary), a);
 
-        // The crash empties the store; alice comes back first and takes
-        // the slot bob's hint still names.
+        // The crash empties the store; bob comes back last, and is still
+        // found where his hint says.
         d.check_at(t(120.0), &alice);
         d.check_at(t(130.0), &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(learned(&d, host, &alice, primary), 0);
-        assert_eq!(learned(&d, host, &bob, primary), 1);
-        assert_eq!(kept_at(&mut d, primary, &bob), 1);
+        assert_eq!(learned(&d, host, &alice, primary), a);
+        assert_eq!(learned(&d, host, &bob, primary), b);
+        assert_eq!(kept_at(&mut d, primary, &bob), b);
         assert_eq!(d.stats.borrow().retrieval_polls.count(), 3);
     }
 
@@ -2168,12 +2197,12 @@ mod tests {
         }
     }
 
-    /// A WAL store that crashes comes back with its owners where the log
-    /// puts them — after a compaction, in name order. The first `Retrieve`
-    /// with the pre-crash hint (now alice's slot) still returns bob's mail,
-    /// and teaches the slot the next one finds him in.
+    /// A WAL store that crashes comes back with its roster where wiring
+    /// put it, whatever order the log met the owners in: the slot a reply
+    /// taught before the crash finds bob's mail after the replay, and the
+    /// replies after it teach the same slot again.
     #[test]
-    fn stale_owner_slot_after_wal_recovery_is_retaught() {
+    fn roster_owner_slot_survives_wal_recovery() {
         let f = fig1();
         let mut d = Deployment::build(
             &f.topology,
@@ -2193,6 +2222,10 @@ mod tests {
         let (alice, bob, host) = housemates(&d);
         let names = d.user_names();
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
+        let (a, b) = (
+            roster_slot(&d, primary, &alice),
+            roster_slot(&d, primary, &bob),
+        );
         let mut plan = ServerFailurePlan::new();
         plan.add(primary, t(150.0), t(160.0));
         d.apply_server_failures(&plan);
@@ -2205,9 +2238,13 @@ mod tests {
         d.send_at(t(100.0), &names[5], &bob);
         d.sim.run_until(t(170.0));
         assert_eq!(d.recoveries.borrow().len(), 1);
-        assert_eq!(learned(&d, host, &bob, primary), 0, "the pre-crash hint");
-        assert_eq!(learned(&d, host, &alice, primary), 1);
-        assert_eq!(kept_at(&mut d, primary, &alice), 0, "alice sorts first");
+        assert_eq!(learned(&d, host, &bob, primary), b, "the pre-crash hint");
+        assert_eq!(learned(&d, host, &alice, primary), a);
+        assert_eq!(
+            kept_at(&mut d, primary, &alice),
+            a,
+            "kept through the crash"
+        );
 
         d.check_at(t(200.0), &bob);
         d.sim.run_until(t(290.0));
@@ -2216,14 +2253,13 @@ mod tests {
             3,
             "bob's second message arrived"
         );
-        assert_eq!(learned(&d, host, &bob, primary), 1, "re-taught");
+        assert_eq!(learned(&d, host, &bob, primary), b);
 
-        // The next one is found where the hint says.
         d.send_at(t(300.0), &names[5], &bob);
         d.check_at(t(350.0), &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(learned(&d, host, &bob, primary), 1);
-        assert_eq!(kept_at(&mut d, primary, &bob), 1);
+        assert_eq!(learned(&d, host, &bob, primary), b);
+        assert_eq!(kept_at(&mut d, primary, &bob), b);
         let st = d.stats.borrow();
         assert_eq!((st.retrieved, st.bounced), (4, 0));
         assert_eq!(st.ledger_retrieved, st.ledger_submitted);

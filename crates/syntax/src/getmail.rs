@@ -72,15 +72,14 @@ pub struct GetMailState {
 pub struct Check {
     /// When the check began: the user's next `LastCheckingTime`.
     started: SimTime,
+    /// The sweep after the walk: `sweep[..swept]` are the servers it
+    /// probed, in order; the rest are previously unavailable servers not
+    /// yet probed, highest node first.
+    sweep: Vec<NodeId>,
     /// How many servers of the authority list the walk has probed: its
     /// next probe is `servers[walked]`.
     walked: usize,
-    /// Servers to sweep after the walk (previously unavailable, not probed
-    /// in this walk).
-    sweep_remaining: Vec<NodeId>,
-    /// Servers the sweep probed. With `servers[..walked]`, every server
-    /// probed during this check.
-    swept: Vec<NodeId>,
+    swept: usize,
     polls: u32,
     finished_walk_early: bool,
 }
@@ -91,9 +90,10 @@ impl Check {
         self.started
     }
 
-    /// True if this check has already probed `server`.
+    /// True if this check has already probed `server`: in the walk or in
+    /// the sweep.
     fn probed(&self, servers: &[NodeId], server: NodeId) -> bool {
-        servers[..self.walked].contains(&server) || self.swept.contains(&server)
+        servers[..self.walked].contains(&server) || self.sweep[..self.swept].contains(&server)
     }
 }
 
@@ -130,9 +130,9 @@ impl GetMailState {
     pub(crate) fn begin(now: SimTime) -> Check {
         Check {
             started: now,
+            sweep: Vec::new(),
             walked: 0,
-            sweep_remaining: Vec::new(),
-            swept: Vec::new(),
+            swept: 0,
             polls: 0,
             finished_walk_early: false,
         }
@@ -148,21 +148,17 @@ impl GetMailState {
     pub(crate) fn next(&mut self, check: &mut Check, servers: &[NodeId]) -> Step {
         let walk_over = check.finished_walk_early || check.walked == servers.len();
         let next = if walk_over {
-            if check.sweep_remaining.is_empty() {
-                check.sweep_remaining = self
-                    .previously_unavailable
-                    .iter()
-                    .copied()
-                    .filter(|&s| !check.probed(servers, s))
-                    .collect();
-            }
-            let next = loop {
-                match check.sweep_remaining.pop() {
-                    Some(s) if check.probed(servers, s) => {}
-                    other => break other,
+            if check.swept == check.sweep.len() {
+                for &s in self.previously_unavailable.iter().rev() {
+                    if !check.probed(servers, s) {
+                        check.sweep.push(s);
+                    }
                 }
-            };
-            check.swept.extend(next);
+            }
+            let next = check.sweep.get(check.swept).copied();
+            if next.is_some() {
+                check.swept += 1;
+            }
             next
         } else {
             check.walked += 1;

@@ -2,12 +2,14 @@
 //!
 //! The paper's protocol result is that GetMail polls about one server per
 //! check, which makes "a user checks and finds nothing" the operation a
-//! mail system runs most. Once every table entry a check touches exists
-//! (the store's per-user entry, the kernel's FIFO clamp rows), a further
-//! empty check must not allocate: the host finds the user by the slot the
-//! injection carries, the session walks the authority list by index, the
-//! server's drain returns an unallocated `Vec`, and cancelling the timeout
-//! flips a flag in the pooled timer event.
+//! mail system runs most. The store's row for the user is wired at build
+//! (each server's roster); once every other table entry a check touches
+//! exists (the kernel's FIFO clamp rows, the host's session table), a
+//! further empty check must not allocate: the host finds the user by the
+//! slot the injection carries and the session in a free entry of its
+//! table, the session walks the authority list by index, the server's
+//! drain returns an unallocated `Vec`, and cancelling the timeout flips a
+//! flag in the pooled timer event.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -110,8 +112,9 @@ fn warmed_up_empty_check_allocates_almost_nothing() {
     // The slack is for the calendar queue: the schedule is injected up
     // front, so the ring shrinks several times as it drains and each
     // rebuild allocates a scratch vector and the new bucket array (11
-    // allocations at this seed; one allocation per check would read
-    // 2 000). While every bucket was a vector of its own the rebuilds
+    // allocations at this seed, and one more where a host's session table
+    // grows past the most checks it ran at once during the warm-up; one
+    // allocation per check would read 2 000). While every bucket was a vector of its own the rebuilds
     // regrew those too and the same run read 374; before the slot-indexed
     // check path, 4 374: a `VecDeque` and a `BTreeSet` node per session,
     // and the cancelled-timer set's rehashes.

@@ -6,17 +6,19 @@
 //! table once and shares it — authority lists are reference-counted
 //! slices, a region's servers share one index, each server's view is moved
 //! out of the partition rather than copied — so set-up costs a few
-//! allocations per user, most of them the user's name and the host's
-//! per-user session state.
+//! allocations per user, most of them the user's name and the nodes of
+//! the tables that find users by name.
 //!
 //! The world is the benchmark ladder's shape, smaller: 5 regions of 12
 //! hosts and 2 servers, 50 users a host, 3 000 users in all. Before the
 //! tables were shared, building it allocated 58 157 times (19.4 per user):
 //! a fresh `Vec` and a hash set per authority-list copy, a clone of every
-//! view and of every region index per server. Shared, it allocates 16 031
+//! view and of every region index per server. Shared, it allocated 16 031
 //! times (5.3 per user: the name and its formatting buffer, the host's
-//! per-user session state, and the table nodes); the budget of 6 per user
-//! leaves that an eighth of headroom, and a table copied per server again
+//! per-user session state, and the table nodes). Since the host's row
+//! keeps its owner slots inline it allocates 12 721 times (4.2 per user);
+//! each server's store is wired with its roster in one allocation. The
+//! budget of 6 per user leaves room, and a table copied per server again
 //! would overrun it.
 //!
 //! CI runs this against the release build (the claim is about optimised
