@@ -41,8 +41,8 @@ pub const NO_OWNER_SLOT: u32 = u32::MAX;
 /// once: a log record replayed during recovery calls the same method the
 /// live operation did, which is what makes recovery exact.
 ///
-/// Two states are equal when they hold the same owners with the same
-/// contents, whatever order the owners first appeared in and whatever
+/// Two states are equal when they hold the same messages for the same
+/// owners, whatever order the owners first appeared in and whatever
 /// roster each was wired with: a state replayed from a compaction snapshot
 /// (written in name order) equals the live one it was taken from.
 #[derive(Clone, Debug, Default)]
@@ -73,48 +73,35 @@ impl PartialEq for StoreState {
     fn eq(&self, other: &Self) -> bool {
         self.forwards == other.forwards
             && self.deposited == other.deposited
-            && self
-                .in_name_order()
-                .filter(|entry| entry.holds_something())
-                .eq(other
-                    .in_name_order()
-                    .filter(|entry| entry.holds_something()))
+            && self.mailboxes().iter().eq(other.mailboxes().iter())
+            && self.pending().iter().eq(other.pending().iter())
     }
 }
 
-/// One user's row. It records two independent facts a snapshot keeps: a
-/// mailbox exists once the user was ever deposited to, a reservation
-/// buffer (possibly empty) once they ever checked. A roster user's row
-/// exists from wiring with neither; an off-roster row is created to set
-/// one of them. Neither fact is ever unset, except by a crash that wipes
-/// the whole state.
+/// One user's row: a name, and the messages the server holds for them.
+/// A roster user's row exists from wiring; an off-roster row is created
+/// by the first deposit or snapshot chunk for its owner.
 #[derive(Clone, Debug, PartialEq)]
 struct OwnerEntry {
     name: MailName,
-    /// The user has checked here, so they have a reservation buffer.
-    checked: bool,
-    /// The mailbox and the buffer's contents, allocated only while the
-    /// user holds something: `None` when they were never deposited to and
-    /// their buffer is empty.
+    /// The mailbox and the reservation buffer, allocated by the row's
+    /// first deposit and kept from then on, empty or not.
     held: Option<Box<Held>>,
 }
 
-/// What an [`OwnerEntry`] holds once it holds anything.
+/// What an [`OwnerEntry`] holds.
 #[derive(Clone, Debug, PartialEq)]
 struct Held {
-    /// Stable storage of §3.1.2c; `None` until the first deposit.
-    mailbox: Option<Mailbox>,
+    /// Stable storage of §3.1.2c.
+    mailbox: Mailbox,
     /// Messages handed to a retrieval session but not yet acknowledged
     /// (the reliable-retrieval reservation buffer).
     reserved: Vec<Message>,
 }
 
-/// The reservation buffer of an owner who has checked and holds nothing.
-static NO_MESSAGES: Vec<Message> = Vec::new();
-
 /// A read-only, name-ordered view of one kind of per-user state
-/// ([`StoreState::mailboxes`], [`StoreState::pending`]): the users that
-/// have it, skipping those that only have the other kind or neither.
+/// ([`StoreState::mailboxes`], [`StoreState::pending`]): the users who
+/// hold messages of that kind, skipping the rest.
 #[derive(Clone, Copy, Debug)]
 pub struct OwnerView<'a, T> {
     state: &'a StoreState,
@@ -166,30 +153,27 @@ impl<T> std::ops::Index<&MailName> for OwnerView<'_, T> {
 }
 
 impl StoreState {
-    /// Per-user mailboxes (stable storage of §3.1.2c).
+    /// Per-user mailboxes (stable storage of §3.1.2c) that hold mail.
     pub fn mailboxes(&self) -> Mailboxes<'_> {
         OwnerView {
             state: self,
-            pick: |entry| entry.held.as_ref()?.mailbox.as_ref(),
+            pick: |entry| Some(&entry.held.as_ref()?.mailbox).filter(|mb| !mb.is_empty()),
         }
     }
 
-    /// Per-user reservation buffers: drained but not yet acknowledged.
+    /// Per-user reservation buffers that hold mail: drained but not yet
+    /// acknowledged.
     pub fn pending(&self) -> PendingDrain<'_> {
         OwnerView {
             state: self,
-            pick: |entry| {
-                entry
-                    .checked
-                    .then(|| entry.held.as_ref().map_or(&NO_MESSAGES, |h| &h.reserved))
-            },
+            pick: |entry| Some(&entry.held.as_ref()?.reserved).filter(|r| !r.is_empty()),
         }
     }
 
     /// Wires this state with `roster`, the users the server keeps mail
     /// for (§3.1.1: those whose authority list names it): they take slots
-    /// `0..n` in name order, rows that hold nothing until the user checks
-    /// or is deposited to. Whatever the state already holds keeps its
+    /// `0..n` in name order, rows that hold nothing until the user is
+    /// deposited to. Whatever the state already holds keeps its
     /// contents; only slots move.
     pub fn seed_roster<'a>(&mut self, roster: impl IntoIterator<Item = &'a MailName>) {
         let before = std::mem::take(&mut self.owners);
@@ -281,74 +265,31 @@ impl StoreState {
         Some(&self.owners[self.find(owner)?])
     }
 
-    /// `owner`'s row, if one exists.
-    fn existing_entry_mut(&mut self, owner: &MailName) -> Option<&mut OwnerEntry> {
-        let slot = self.find(owner)?;
-        Some(&mut self.owners[slot])
-    }
-
-    /// `owner`'s row, created on first contact.
-    fn entry_mut(&mut self, owner: &MailName) -> &mut OwnerEntry {
+    /// What `owner` holds, their row and its box created on first use.
+    fn held_mut(&mut self, owner: &MailName) -> &mut Held {
         let slot = self.slot_or_adopt(owner, NO_OWNER_SLOT);
-        &mut self.owners[slot]
-    }
-
-    /// `owner`'s mailbox, created on first use.
-    fn mailbox_mut(&mut self, owner: &MailName) -> &mut Mailbox {
-        self.entry_mut(owner)
-            .held_mut()
-            .mailbox
-            .get_or_insert_with(Mailbox::new)
-    }
-
-    /// `owner`'s mailbox, if one exists.
-    fn existing_mailbox_mut(&mut self, owner: &MailName) -> Option<&mut Mailbox> {
-        self.existing_entry_mut(owner)?
-            .held
-            .as_mut()?
-            .mailbox
-            .as_mut()
+        self.owners[slot].held_mut()
     }
 
     /// Restores one snapshot chunk of `owner`'s mailbox during recovery
-    /// replay: re-deposits each message at its original deposit time,
-    /// creating the mailbox if needed. Bypasses the dedup ledger —
-    /// snapshot chunks are authoritative, and the ledger is restored
-    /// separately (`Record::SnapshotDeposited`).
+    /// replay: re-deposits each message at its original deposit time.
+    /// Bypasses the dedup ledger — snapshot chunks are authoritative, and
+    /// the ledger is restored separately (`Record::SnapshotDeposited`).
     pub fn restore_snapshot_chunk(
         &mut self,
         owner: &MailName,
         messages: impl IntoIterator<Item = (Message, SimTime)>,
     ) {
-        let mb = self.mailbox_mut(owner);
+        let mb = &mut self.held_mut(owner).mailbox;
         for (m, at) in messages {
             mb.deposit(m, at);
         }
     }
 
-    /// Overwrites `owner`'s lifetime ledger counters from snapshot
-    /// metadata (written after the owner's chunks: the counter bumps the
-    /// chunk re-deposits made are replaced with the true history).
-    pub fn restore_snapshot_ledger(
-        &mut self,
-        owner: &MailName,
-        deposited: u64,
-        retrieved: u64,
-        expired: u64,
-    ) {
-        self.mailbox_mut(owner)
-            .restore_ledger(deposited, retrieved, expired);
-    }
-
     /// Restores one snapshot chunk of `owner`'s reservation buffer during
-    /// recovery replay. An empty chunk still creates the (empty) buffer:
-    /// that the user has checked before is part of the recorded state.
+    /// recovery replay.
     pub fn restore_snapshot_pending(&mut self, owner: &MailName, messages: Vec<Message>) {
-        let entry = self.entry_mut(owner);
-        entry.checked = true;
-        if !messages.is_empty() {
-            entry.held_mut().reserved.extend(messages);
-        }
+        self.held_mut(owner).reserved.extend(messages);
     }
 
     /// Deposits `message` into its recipient's mailbox at `now`. Returns
@@ -358,7 +299,7 @@ impl StoreState {
             return false;
         }
         let to = message.to.clone();
-        self.mailbox_mut(&to).deposit(message, now);
+        self.held_mut(&to).mailbox.deposit(message, now);
         true
     }
 
@@ -377,40 +318,38 @@ impl StoreState {
 
     /// [`StoreState::drain_reserve`] for a caller that may know where
     /// `owner`'s row is: returns the reserved list and the row's slot,
-    /// to be passed as `hint` next time. A hint that checks out saves the
+    /// to be passed as `hint` next time ([`NO_OWNER_SLOT`] when `owner`
+    /// has no row, and so holds nothing). A hint that checks out saves the
     /// name search; one that does not costs nothing but that search (see
     /// [`MailStore::drain_reserve_at`] for what a hint may and may not do).
     pub fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
-        let slot = self.slot_or_adopt(owner, hint);
-        (self.owners[slot].reserve(), hint_of(slot))
+        match self.slot(owner, hint) {
+            Some(slot) => (self.owners[slot].reserve(), hint_of(slot)),
+            None => (Vec::new(), NO_OWNER_SLOT),
+        }
     }
 
     /// What [`StoreState::drain_reserve_at`] would return, when it would
-    /// change nothing: `owner` has checked before and nothing has been
-    /// deposited since. `None` when the drain has work to do — a first
-    /// check, which creates the reservation buffer, included.
+    /// change nothing: no mail waits in `owner`'s mailbox. `None` when the
+    /// drain has mail to move.
     pub fn idle_drain(&self, owner: &MailName, hint: u32) -> Option<(Vec<Message>, u32)> {
-        let slot = self.slot(owner, hint)?;
-        let entry = &self.owners[slot];
-        if !entry.checked {
-            return None;
-        }
-        let Some(held) = entry.held.as_ref() else {
-            return Some((Vec::new(), hint_of(slot)));
+        let Some(slot) = self.slot(owner, hint) else {
+            return Some((Vec::new(), NO_OWNER_SLOT));
         };
-        if held.mailbox.as_ref().is_some_and(|mb| !mb.is_empty()) {
-            return None;
+        match self.owners[slot].held.as_deref() {
+            None => Some((Vec::new(), hint_of(slot))),
+            Some(held) if held.mailbox.is_empty() => Some((held.reserved.clone(), hint_of(slot))),
+            Some(_) => None,
         }
-        Some((held.reserved.clone(), hint_of(slot)))
     }
 
     /// Releases acknowledged ids from `owner`'s reservation buffer,
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let Some(entry) = self.existing_entry_mut(owner) else {
+        let Some(slot) = self.find(owner) else {
             return 0;
         };
-        let Some(held) = entry.held.as_mut() else {
+        let Some(held) = self.owners[slot].held.as_deref_mut() else {
             return 0;
         };
         let mut acked = ids.to_vec();
@@ -423,18 +362,8 @@ impl StoreState {
             // An acknowledged buffer keeps no capacity: most users who
             // were ever sent mail hold none most of the time.
             held.reserved = Vec::new();
-            if held.mailbox.is_none() {
-                entry.held = None;
-            }
         }
         released
-    }
-
-    /// Expires messages deposited before `cutoff` from `owner`'s mailbox,
-    /// returning how many were reclaimed.
-    pub fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize {
-        self.existing_mailbox_mut(owner)
-            .map_or(0, |m| m.expire_older_than(cutoff))
     }
 
     /// Records that this server accepted responsibility for forwarding
@@ -482,46 +411,39 @@ fn hint_of(slot: usize) -> u32 {
 impl OwnerEntry {
     /// A row for `name` that holds nothing.
     fn new(name: MailName) -> Self {
-        OwnerEntry {
-            name,
-            checked: false,
-            held: None,
-        }
+        OwnerEntry { name, held: None }
     }
 
-    /// True when a snapshot records anything for this row.
+    /// True when the row holds a message, in its mailbox or its buffer.
     fn holds_something(&self) -> bool {
-        self.checked || self.held.is_some()
+        self.held
+            .as_deref()
+            .is_some_and(|held| !held.mailbox.is_empty() || !held.reserved.is_empty())
     }
 
     /// What the row holds, allocated on first use.
     fn held_mut(&mut self) -> &mut Held {
         self.held.get_or_insert_with(|| {
             Box::new(Held {
-                mailbox: None,
+                mailbox: Mailbox::new(),
                 reserved: Vec::new(),
             })
         })
     }
 
     /// Moves everything in the mailbox into the reservation buffer and
-    /// returns the full reserved list. The (possibly empty) buffer is
-    /// created even when nothing is stored: it is part of the state a
-    /// snapshot records.
+    /// returns the full reserved list.
     fn reserve(&mut self) -> Vec<Message> {
-        self.checked = true;
-        let Some(held) = self.held.as_mut() else {
+        let Some(held) = self.held.as_deref_mut() else {
             return Vec::new();
         };
-        if let Some(mailbox) = held.mailbox.as_mut() {
-            let drained = mailbox.drain().into_iter().map(|s| s.message);
-            if held.reserved.is_empty() {
-                // Collected in place: the buffer takes over the mailbox's
-                // allocation instead of making its own.
-                held.reserved = drained.collect();
-            } else {
-                held.reserved.extend(drained);
-            }
+        let drained = held.mailbox.drain().into_iter().map(|s| s.message);
+        if held.reserved.is_empty() {
+            // Collected in place: the buffer takes over the mailbox's
+            // allocation instead of making its own.
+            held.reserved = drained.collect();
+        } else {
+            held.reserved.extend(drained);
         }
         held.reserved.clone()
     }
@@ -639,7 +561,8 @@ pub trait MailStore: std::fmt::Debug {
     /// [`MailStore::drain_reserve`] for a caller that resolves `owner`
     /// once: returns the reserved list and the slot the store keeps
     /// `owner` in, which the caller may pass back as `hint` on its next
-    /// call ([`NO_OWNER_SLOT`] when it holds none).
+    /// call ([`NO_OWNER_SLOT`] when it holds none, or when the store keeps
+    /// no row for `owner`, who then holds nothing here).
     ///
     /// The hint is only a hint. The store uses it when the slot it names
     /// holds `owner` and otherwise finds `owner` by name, so a stale,
@@ -651,19 +574,16 @@ pub trait MailStore: std::fmt::Debug {
     /// Release acknowledged reserved ids; returns how many were released.
     fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64;
 
-    /// Expire messages deposited before `cutoff`; returns how many.
-    fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize;
-
     /// Journal acceptance of a forward (message + remaining hop budget).
     fn accept_forward(&mut self, message: &Message, hops_left: u32);
 
     /// Discharge an accepted forward.
     fn settle_forward(&mut self, id: MessageId);
 
-    /// Current mailboxes (read-only view for audits and metrics).
+    /// Mailboxes that hold mail (read-only view for audits and metrics).
     fn mailboxes(&self) -> Mailboxes<'_>;
 
-    /// Current reservation buffers (read-only view).
+    /// Reservation buffers that hold mail (read-only view).
     fn pending_drain(&self) -> PendingDrain<'_>;
 
     /// The server crashed at `now`: apply the backend's loss model.
@@ -754,10 +674,6 @@ impl MailStore for MemStore {
 
     fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
         self.state.release_drained(owner, ids)
-    }
-
-    fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize {
-        self.state.expire_older_than(owner, cutoff)
     }
 
     fn accept_forward(&mut self, message: &Message, hops_left: u32) {
@@ -882,15 +798,17 @@ mod tests {
     fn equality_and_views_follow_names_not_slots() {
         let mut g = MessageIdGen::new();
         let (a, b, c) = ("east.h.a", "east.h.b", "east.h.c");
-        let (ma, mc) = (msg(&mut g, a), msg(&mut g, c));
+        let (ma, mb, mc) = (msg(&mut g, a), msg(&mut g, b), msg(&mut g, c));
         let name = |s: &str| s.parse::<MailName>().unwrap();
 
         let mut live = StoreState::default();
         live.deposit(mc.clone(), SimTime::ZERO);
+        live.deposit(mb.clone(), SimTime::ZERO);
         live.drain_reserve(&name(b));
         live.deposit(ma.clone(), SimTime::ZERO);
         let mut replayed = StoreState::default();
         replayed.deposit(ma, SimTime::ZERO);
+        replayed.deposit(mb, SimTime::ZERO);
         replayed.drain_reserve(&name(b));
         replayed.deposit(mc, SimTime::ZERO);
 
@@ -900,15 +818,16 @@ mod tests {
         assert_eq!(keys(&replayed), keys(&live));
         assert_eq!(live.pending().keys().collect::<Vec<_>>(), [&name(b)]);
         // ... though each keeps its owners where they first appeared.
-        assert_eq!(live.idle_drain(&name(b), NO_OWNER_SLOT).unwrap().1, 1);
-        assert_eq!(replayed.drain_reserve_at(&name(c), 0).1, 2);
+        assert_eq!(live.drain_reserve_at(&name(a), NO_OWNER_SLOT).1, 2);
+        assert_eq!(replayed.drain_reserve_at(&name(a), 2).1, 0);
+        assert_eq!(live, replayed);
 
-        replayed.drain_reserve(&name(a));
-        assert_ne!(live, replayed, "a's mail moved to the reservation buffer");
+        replayed.drain_reserve(&name(c));
+        assert_ne!(live, replayed, "c's mail moved to the reservation buffer");
     }
 
-    /// A row is a name, a flag and a pointer: what a user holds is boxed
-    /// apart, and only once they hold it.
+    /// A row is a name and a pointer: what a user holds is boxed apart,
+    /// and only once they are deposited to.
     #[test]
     fn an_owner_row_fits_in_40_bytes() {
         assert!(std::mem::size_of::<OwnerEntry>() <= 40);
@@ -916,8 +835,8 @@ mod tests {
 
     /// Roster owners keep the slots wiring gave them, in name order and
     /// through a crash that wipes everything else; owners off the roster
-    /// take the slots after it, in the order they are met, afresh after
-    /// the crash.
+    /// take the slots after it, in the order their first deposit meets
+    /// them, afresh after the crash.
     #[test]
     fn roster_slots_outlive_a_crash_and_others_follow_them() {
         let mut g = MessageIdGen::new();
@@ -927,7 +846,9 @@ mod tests {
         s.seed_roster(&mut roster.iter());
         let slot_of = |s: &mut MemStore, who: &str| s.drain_reserve_at(&name(who), NO_OWNER_SLOT).1;
 
-        s.deposit(msg(&mut g, "east.h.erin"), SimTime::ZERO);
+        for who in ["erin", "carol", "bob", "dave"] {
+            s.deposit(msg(&mut g, &format!("east.h.{who}")), SimTime::ZERO);
+        }
         assert_eq!(
             [
                 slot_of(&mut s, "east.h.bob"),
@@ -951,6 +872,10 @@ mod tests {
         s.crash(SimTime::from_units(1.0));
         s.recover(SimTime::from_units(2.0));
         assert_eq!(s.pending_drain().iter().count(), 0, "nothing held");
+        assert_eq!(slot_of(&mut s, "east.h.carol"), NO_OWNER_SLOT, "no row");
+        for who in ["carol", "erin"] {
+            s.deposit(msg(&mut g, &format!("east.h.{who}")), SimTime::ZERO);
+        }
         assert_eq!(slot_of(&mut s, "east.h.carol"), 2, "carol is met first now");
         assert_eq!(slot_of(&mut s, "east.h.dave"), 1);
         assert_eq!(slot_of(&mut s, "east.h.erin"), 3);
@@ -978,12 +903,15 @@ mod tests {
         // The honest hint and the absurd one answer alike.
         assert_eq!(s.drain_reserve_at(&bob, b), s.drain_reserve_at(&bob, 7_000));
         assert_eq!(s.drain_reserve_at(&alice, b).1, a);
-        // First contact by hint: a stranger gets the next slot, whatever
-        // slot they claimed.
+        // A stranger holds nothing, whatever slot they claim: the answer
+        // names no slot, and none is taken until their first deposit.
         let carol: MailName = "east.h.carol".parse().unwrap();
+        let nothing = (Vec::new(), NO_OWNER_SLOT);
+        assert_eq!(s.state.idle_drain(&carol, a), Some(nothing.clone()));
+        assert_eq!(s.drain_reserve_at(&carol, a), nothing);
+        s.deposit(msg(&mut g, "east.h.carol"), SimTime::ZERO);
         assert_eq!(s.state.idle_drain(&carol, a), None);
-        assert_eq!(s.drain_reserve_at(&carol, a), (Vec::new(), 2));
-        assert_eq!(s.state.idle_drain(&carol, a), Some((Vec::new(), 2)));
+        assert_eq!(s.drain_reserve_at(&carol, a).1, 2);
         assert_eq!(s.state.pending()[&alice].len(), 1, "alice's box untouched");
     }
 }

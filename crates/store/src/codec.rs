@@ -37,15 +37,8 @@ pub enum Record {
     Deposit {
         /// The stored message.
         message: Message,
-        /// Deposit time (drives expiry on replay).
+        /// Deposit time.
         at: SimTime,
-    },
-    /// Expiry sweep over one mailbox.
-    Expire {
-        /// Mailbox owner.
-        owner: MailName,
-        /// Messages deposited before this instant were reclaimed.
-        cutoff: SimTime,
     },
     /// Reliable retrieval reserved the whole mailbox.
     DrainReserve {
@@ -78,18 +71,6 @@ pub enum Record {
         /// Stored messages with their deposit times.
         messages: Vec<(Message, SimTime)>,
     },
-    /// Compaction record: one mailbox's ledger counters (written after its
-    /// chunks so replay can overwrite the counter bumps chunk deposits made).
-    SnapshotMeta {
-        /// Mailbox owner.
-        owner: MailName,
-        /// Lifetime deposits.
-        deposited: u64,
-        /// Lifetime retrievals.
-        retrieved: u64,
-        /// Lifetime expirations.
-        expired: u64,
-    },
     /// Compaction chunk: a slice of one reservation buffer.
     SnapshotPending {
         /// Mailbox owner.
@@ -110,28 +91,27 @@ pub enum Record {
 }
 
 impl Record {
-    /// The record's wire tag. Tags 2 and 5 are retired — they were a
-    /// removal by id and a destructive drain, which nothing writes any
-    /// more — and are never reused: a frame carrying either decodes as
-    /// corrupt (`unknown record tag`).
+    /// The record's wire tag. Tags 2, 3, 5 and 10 are retired — they
+    /// were a removal by id, an expiry sweep, a destructive drain and a
+    /// mailbox's lifetime counters, which nothing writes any more — and
+    /// are never reused: a frame carrying one decodes as corrupt
+    /// (`unknown record tag`).
     fn tag(&self) -> u8 {
         match self {
             Record::Deposit { .. } => 1,
-            Record::Expire { .. } => 3,
             Record::DrainReserve { .. } => 4,
             Record::Release { .. } => 6,
             Record::AcceptForward { .. } => 7,
             Record::SettleForward { .. } => 8,
             Record::SnapshotMailbox { .. } => 9,
-            Record::SnapshotMeta { .. } => 10,
             Record::SnapshotPending { .. } => 11,
             Record::SnapshotForwards { .. } => 12,
             Record::SnapshotDeposited { .. } => 13,
         }
     }
 
-    /// True for the chunks compaction writes (tags 9–13, the `Snapshot*`
-    /// variants), false for an operation.
+    /// True for the chunks compaction writes (tags 9 and 11–13, the
+    /// `Snapshot*` variants), false for an operation.
     fn is_snapshot(&self) -> bool {
         self.tag() >= 9
     }
@@ -314,10 +294,6 @@ fn encode_body(record: &Record, w: &mut Writer<'_>) {
             w.message(message);
             w.time(*at);
         }
-        Record::Expire { owner, cutoff } => {
-            w.name(owner);
-            w.time(*cutoff);
-        }
         Record::DrainReserve { owner } => {
             w.name(owner);
         }
@@ -342,17 +318,6 @@ fn encode_body(record: &Record, w: &mut Writer<'_>) {
                 w.message(m);
                 w.time(*at);
             }
-        }
-        Record::SnapshotMeta {
-            owner,
-            deposited,
-            retrieved,
-            expired,
-        } => {
-            w.name(owner);
-            w.u64(*deposited);
-            w.u64(*retrieved);
-            w.u64(*expired);
         }
         Record::SnapshotPending { owner, messages } => {
             w.name(owner);
@@ -383,10 +348,6 @@ fn decode_body(tag: u8, r: &mut Reader<'_>) -> Decode<Record> {
             message: r.message()?,
             at: r.time()?,
         },
-        3 => Record::Expire {
-            owner: r.name()?,
-            cutoff: r.time()?,
-        },
         4 => Record::DrainReserve { owner: r.name()? },
         6 => {
             let owner = r.name()?;
@@ -415,12 +376,6 @@ fn decode_body(tag: u8, r: &mut Reader<'_>) -> Decode<Record> {
             }
             Record::SnapshotMailbox { owner, messages }
         }
-        10 => Record::SnapshotMeta {
-            owner: r.name()?,
-            deposited: r.u64()?,
-            retrieved: r.u64()?,
-            expired: r.u64()?,
-        },
         11 => {
             let owner = r.name()?;
             let n = r.u32()? as usize;
@@ -685,10 +640,6 @@ mod reference {
                 message(&mut p, m);
                 u64(&mut p, at.as_ticks());
             }
-            Record::Expire { owner, cutoff } => {
-                name(&mut p, owner);
-                u64(&mut p, cutoff.as_ticks());
-            }
             Record::DrainReserve { owner } => {
                 name(&mut p, owner);
             }
@@ -714,17 +665,6 @@ mod reference {
                     message(&mut p, m);
                     u64(&mut p, at.as_ticks());
                 }
-            }
-            Record::SnapshotMeta {
-                owner,
-                deposited,
-                retrieved,
-                expired,
-            } => {
-                name(&mut p, owner);
-                u64(&mut p, *deposited);
-                u64(&mut p, *retrieved);
-                u64(&mut p, *expired);
             }
             Record::SnapshotPending { owner, messages } => {
                 name(&mut p, owner);
@@ -793,10 +733,6 @@ mod tests {
                 message: msg(1),
                 at: SimTime::from_units(2.0),
             },
-            Record::Expire {
-                owner: owner.clone(),
-                cutoff: SimTime::from_units(9.0),
-            },
             Record::DrainReserve {
                 owner: owner.clone(),
             },
@@ -812,12 +748,6 @@ mod tests {
             Record::SnapshotMailbox {
                 owner: owner.clone(),
                 messages: vec![(msg(3), SimTime::from_units(4.0))],
-            },
-            Record::SnapshotMeta {
-                owner: owner.clone(),
-                deposited: 10,
-                retrieved: 6,
-                expired: 1,
             },
             Record::SnapshotPending {
                 owner,
@@ -916,8 +846,8 @@ mod tests {
         (0..rng.below(4)).map(|_| item(rng)).collect()
     }
 
-    /// The wire tags in use: 1 to 13 but the retired 2 and 5.
-    const TAGS: [u8; 11] = [1, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13];
+    /// The wire tags in use: 1 to 13 but the retired 2, 3, 5 and 10.
+    const TAGS: [u8; 9] = [1, 4, 6, 7, 8, 9, 11, 12, 13];
 
     /// A record of the variant with wire tag `tag`, one of [`TAGS`].
     fn arb_record(rng: &mut TestRng, tag: u8) -> Record {
@@ -926,10 +856,6 @@ mod tests {
             1 => Record::Deposit {
                 message: arb_message(rng),
                 at: arb_time(rng),
-            },
-            3 => Record::Expire {
-                owner: arb_name(rng),
-                cutoff: arb_time(rng),
             },
             4 => Record::DrainReserve {
                 owner: arb_name(rng),
@@ -946,12 +872,6 @@ mod tests {
             9 => Record::SnapshotMailbox {
                 owner: arb_name(rng),
                 messages: arb_vec(rng, |rng| (arb_message(rng), arb_time(rng))),
-            },
-            10 => Record::SnapshotMeta {
-                owner: arb_name(rng),
-                deposited: rng.next_u64(),
-                retrieved: rng.next_u64(),
-                expired: rng.next_u64(),
             },
             11 => Record::SnapshotPending {
                 owner: arb_name(rng),

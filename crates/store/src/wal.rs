@@ -85,22 +85,19 @@ pub enum Applied {
     Reserved(Vec<Message>),
     /// Reserved messages released.
     Released(u64),
-    /// Messages reclaimed by expiry.
-    Expired(usize),
 }
 
 impl Applied {
     /// False when the outcome shows the record found nothing to do.
     /// Outcomes that cannot show it count as changes ([`Applied::None`];
-    /// [`Applied::Reserved`], since a first check reserves nothing and
-    /// still creates the buffer): [`WalStore`] asks the state before it
-    /// builds a record of those kinds.
+    /// [`Applied::Reserved`], since a repeated check returns the list the
+    /// last one moved): [`WalStore`] asks the state before it builds a
+    /// record of those kinds.
     fn changed_state(&self) -> bool {
         match self {
             Applied::None | Applied::Reserved(_) => true,
             Applied::Deposited(fresh) => *fresh,
             Applied::Released(n) => *n > 0,
-            Applied::Expired(n) => *n > 0,
         }
     }
 }
@@ -112,9 +109,6 @@ impl Applied {
 pub fn apply(state: &mut StoreState, record: Record) -> Applied {
     match record {
         Record::Deposit { message, at } => Applied::Deposited(state.deposit(message, at)),
-        Record::Expire { owner, cutoff } => {
-            Applied::Expired(state.expire_older_than(&owner, cutoff))
-        }
         Record::DrainReserve { owner } => Applied::Reserved(state.drain_reserve(&owner)),
         Record::Release { owner, ids } => Applied::Released(state.release_drained(&owner, &ids)),
         Record::AcceptForward { message, hops_left } => {
@@ -127,15 +121,6 @@ pub fn apply(state: &mut StoreState, record: Record) -> Applied {
         }
         Record::SnapshotMailbox { owner, messages } => {
             state.restore_snapshot_chunk(&owner, messages);
-            Applied::None
-        }
-        Record::SnapshotMeta {
-            owner,
-            deposited,
-            retrieved,
-            expired,
-        } => {
-            state.restore_snapshot_ledger(&owner, deposited, retrieved, expired);
             Applied::None
         }
         Record::SnapshotPending { owner, messages } => {
@@ -384,7 +369,7 @@ impl WalStore {
         let chunk = self.cfg.chunk_messages.max(1);
         let mut records: Vec<Record> = Vec::new();
         for (owner, mb) in self.state.mailboxes().iter() {
-            for slice in mb.peek().chunks(chunk).filter(|slice| !slice.is_empty()) {
+            for slice in mb.peek().chunks(chunk) {
                 records.push(Record::SnapshotMailbox {
                     owner: owner.clone(),
                     messages: slice
@@ -393,22 +378,8 @@ impl WalStore {
                         .collect(),
                 });
             }
-            records.push(Record::SnapshotMeta {
-                owner: owner.clone(),
-                deposited: mb.deposited_total(),
-                retrieved: mb.retrieved_total(),
-                expired: mb.expired_total(),
-            });
         }
         for (owner, pending) in self.state.pending().iter() {
-            if pending.is_empty() {
-                // A drained-but-fully-acked buffer is still part of the
-                // state shape; replay must recreate the (empty) entry.
-                records.push(Record::SnapshotPending {
-                    owner: owner.clone(),
-                    messages: Vec::new(),
-                });
-            }
             for slice in pending.chunks(chunk) {
                 records.push(Record::SnapshotPending {
                     owner: owner.clone(),
@@ -504,13 +475,13 @@ impl MailStore for WalStore {
     }
 
     fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
-        // The common check: the user has checked before and nothing has
-        // arrived since. Nothing moves, so nothing is logged.
+        // The common check: nothing has arrived since the last one.
+        // Nothing moves, so nothing is logged.
         if let Some(answer) = self.state.idle_drain(owner, hint) {
             return answer;
         }
-        // Mail moves, or the buffer is created: the owner is resolved
-        // once, by hint, in the method replay will reach by name.
+        // Mail moves: the owner is resolved once, by hint, in the method
+        // replay will reach by name.
         let answer = self.state.drain_reserve_at(owner, hint);
         self.log_applied(&Record::DrainReserve {
             owner: owner.clone(),
@@ -524,16 +495,6 @@ impl MailStore for WalStore {
             ids: ids.to_vec(),
         }) {
             Applied::Released(n) => n,
-            _ => 0,
-        }
-    }
-
-    fn expire_older_than(&mut self, owner: &MailName, cutoff: SimTime) -> usize {
-        match self.log_and_apply(Record::Expire {
-            owner: owner.clone(),
-            cutoff,
-        }) {
-            Applied::Expired(n) => n,
             _ => 0,
         }
     }
@@ -716,7 +677,7 @@ mod tests {
         for i in 0..200 {
             s.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
         }
-        // Retrieval traffic so the snapshot covers pending + ledger too.
+        // Retrieval traffic so the snapshot covers pending too.
         let owner: MailName = "east.h.u".parse().unwrap();
         let reserved = s.drain_reserve(&owner);
         let keep: Vec<MessageId> = reserved.iter().take(50).map(|m| m.id).collect();
@@ -745,33 +706,32 @@ mod tests {
         let mut s = mk(WalConfig::default());
         let owner: MailName = "east.h.u".parse().unwrap();
 
-        // First contact creates the reservation buffer a snapshot records:
-        // logged, though nothing was there to reserve.
+        // A first check by an owner who holds nothing changes nothing, so
+        // it writes nothing; nor do the checks after it.
         assert!(s.drain_reserve(&owner).is_empty());
-        assert_eq!(s.records_appended(), 1);
-        let quiet = log_size(&s);
+        assert_eq!(log_size(&s), (0, 0, 0), "a first check is not logged");
         for _ in 0..100 {
             assert!(s.drain_reserve(&owner).is_empty());
         }
-        assert_eq!(log_size(&s), quiet, "idle checks leave the log alone");
+        assert_eq!(log_size(&s), (0, 0, 0), "idle checks leave the log alone");
 
         // A check that finds mail is logged; so is its acknowledgement.
         s.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(1.0));
         let reserved = s.drain_reserve(&owner);
         assert_eq!(reserved.len(), 1);
-        assert_eq!(s.records_appended(), 3);
+        assert_eq!(s.records_appended(), 2);
         // Unacknowledged, the same list comes back, from memory.
         let held = log_size(&s);
         assert_eq!(s.drain_reserve(&owner), reserved);
         assert_eq!(log_size(&s), held);
         let ids = [reserved[0].id];
         assert_eq!(s.release_drained(&owner, &ids), 1);
-        assert_eq!(s.records_appended(), 4);
+        assert_eq!(s.records_appended(), 3);
 
         // The duplicate acknowledgement, and every other miss.
         let settled = log_size(&s);
         assert_eq!(s.release_drained(&owner, &ids), 0);
-        assert_eq!(s.expire_older_than(&owner, SimTime::from_units(9.0)), 0);
+        assert!(s.drain_reserve(&owner).is_empty());
         let stranger: MailName = "east.h.nobody".parse().unwrap();
         assert_eq!(s.release_drained(&stranger, &ids), 0);
         assert!(!s.deposit(reserved[0].clone(), SimTime::from_units(2.0)));
@@ -782,7 +742,7 @@ mod tests {
         let live = s.state().clone();
         s.crash(SimTime::from_units(3.0));
         let report = s.recover(SimTime::from_units(4.0));
-        assert_eq!(report.replayed_records, 4);
+        assert_eq!(report.replayed_records, 3);
         assert_eq!(s.state(), &live);
     }
 
@@ -954,18 +914,25 @@ mod tests {
         );
     }
 
-    /// Tags 2 and 5 are retired — a removal by id (owner, id) and a
-    /// destructive drain (owner). A checksum-valid frame carrying either is
-    /// not a torn tail but corruption, and the log is refused.
+    /// Tags 2, 3, 5 and 10 are retired — a removal by id (owner, id), an
+    /// expiry sweep (owner, cutoff), a destructive drain (owner) and a
+    /// mailbox's lifetime counters (owner and three `u64`s). A
+    /// checksum-valid frame carrying one is not a torn tail but
+    /// corruption, and the log is refused.
     #[test]
     fn retired_record_tags_are_refused_as_corrupt() {
         let owner = "east.h.u";
-        for (tag, id) in [(2u8, Some(7u64)), (5, None)] {
+        for (tag, words) in [
+            (2u8, &[7u64][..]),
+            (3, &[9_000]),
+            (5, &[]),
+            (10, &[10, 6, 1]),
+        ] {
             let mut payload = codec::WAL_SCHEMA_VERSION.to_le_bytes().to_vec();
             payload.push(tag);
             payload.extend_from_slice(&(owner.len() as u32).to_le_bytes());
             payload.extend_from_slice(owner.as_bytes());
-            payload.extend(id.into_iter().flat_map(u64::to_le_bytes));
+            payload.extend(words.iter().flat_map(|w| w.to_le_bytes()));
             let mut frame = vec![codec::MAGIC];
             frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             frame.extend_from_slice(&codec::crc32(&payload).to_le_bytes());

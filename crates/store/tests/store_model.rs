@@ -1,6 +1,6 @@
 //! The store held to a plain model: a name-ordered map from owner to the
-//! two facts a snapshot records, a mailbox (once deposited to) and a
-//! reservation buffer (once checked).
+//! messages a store holds for them, in a mailbox and in a reservation
+//! buffer.
 //!
 //! Three stores run every script side by side, each wired with the same
 //! roster (the owners a server's authority lists name) and each beside
@@ -11,8 +11,8 @@
 //! into a state that must equal the live one. Owners on and off the roster
 //! are drained with hints that are right, stale, another owner's, or
 //! none. After every step each store must show the model's views in name
-//! order, an empty buffer for an owner who checked and holds nothing, and
-//! `idle_drain` answers where the model says a drain would change nothing.
+//! order, with no entry for an owner who holds nothing, and `idle_drain`
+//! answers where the model says a drain would change nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,20 +46,18 @@ fn roster(mask: u8) -> Vec<MailName> {
         .collect()
 }
 
-/// A mailbox as the model keeps it.
+/// What one owner holds, as the model keeps it.
 #[derive(Clone, Debug, Default, PartialEq)]
-struct ModelBox {
-    stored: Vec<(Message, SimTime)>,
-    deposited: u64,
-    retrieved: u64,
-    expired: u64,
+struct Held {
+    mailbox: Vec<(Message, SimTime)>,
+    reserved: Vec<Message>,
 }
 
-/// What a store holds: per owner, a mailbox once deposited to and a
-/// reservation buffer once checked; and the ids ever deposited.
+/// What a store holds: per owner, a mailbox and a reservation buffer; and
+/// the ids ever deposited.
 #[derive(Clone, Debug, Default)]
 struct Model {
-    owners: BTreeMap<MailName, (Option<ModelBox>, Option<Vec<Message>>)>,
+    owners: BTreeMap<MailName, Held>,
     deposited: BTreeSet<MessageId>,
 }
 
@@ -73,67 +71,42 @@ impl Model {
     }
 
     fn restore_chunk(&mut self, owner: &MailName, messages: &[(Message, SimTime)]) {
-        let mb = self.mailbox(owner);
-        mb.deposited += messages.len() as u64;
-        mb.stored.extend(messages.iter().cloned());
-    }
-
-    fn mailbox(&mut self, owner: &MailName) -> &mut ModelBox {
-        let entry = self.owners.entry(owner.clone()).or_default();
-        entry.0.get_or_insert_with(ModelBox::default)
+        let held = self.owners.entry(owner.clone()).or_default();
+        held.mailbox.extend(messages.iter().cloned());
     }
 
     fn drain(&mut self, owner: &MailName) -> Vec<Message> {
-        let (mb, pending) = self.owners.entry(owner.clone()).or_default();
-        let pending = pending.get_or_insert_with(Vec::new);
-        if let Some(mb) = mb {
-            mb.retrieved += mb.stored.len() as u64;
-            pending.extend(mb.stored.drain(..).map(|(m, _)| m));
-        }
-        pending.clone()
+        let Some(held) = self.owners.get_mut(owner) else {
+            return Vec::new();
+        };
+        held.reserved.extend(held.mailbox.drain(..).map(|(m, _)| m));
+        held.reserved.clone()
     }
 
-    /// What `idle_drain` must answer: the buffer, when the owner has
-    /// checked and nothing waits in the mailbox.
+    /// What `idle_drain` must answer: the buffer, when nothing waits in
+    /// the mailbox.
     fn idle(&self, owner: &MailName) -> Option<Vec<Message>> {
-        let (mb, pending) = self.owners.get(owner)?;
-        if mb.as_ref().is_some_and(|mb| !mb.stored.is_empty()) {
-            return None;
+        match self.owners.get(owner) {
+            Some(held) if !held.mailbox.is_empty() => None,
+            held => Some(held.map(|h| h.reserved.clone()).unwrap_or_default()),
         }
-        pending.clone()
     }
 
     fn release(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let Some((_, Some(pending))) = self.owners.get_mut(owner) else {
+        let Some(held) = self.owners.get_mut(owner) else {
             return 0;
         };
-        let before = pending.len();
-        pending.retain(|m| !ids.contains(&m.id));
-        (before - pending.len()) as u64
-    }
-
-    fn expire(&mut self, owner: &MailName, cutoff: SimTime) -> usize {
-        let Some((Some(mb), _)) = self.owners.get_mut(owner) else {
-            return 0;
-        };
-        let before = mb.stored.len();
-        mb.stored.retain(|&(_, at)| at >= cutoff);
-        let n = before - mb.stored.len();
-        mb.expired += n as u64;
-        n
+        let before = held.reserved.len();
+        held.reserved.retain(|m| !ids.contains(&m.id));
+        (before - held.reserved.len()) as u64
     }
 
     /// The state a compaction snapshot of this model replays to.
     fn snapshot(&self) -> StoreState {
         let mut state = StoreState::default();
-        for (owner, (mb, pending)) in &self.owners {
-            if let Some(mb) = mb {
-                state.restore_snapshot_chunk(owner, mb.stored.iter().cloned());
-                state.restore_snapshot_ledger(owner, mb.deposited, mb.retrieved, mb.expired);
-            }
-            if let Some(pending) = pending {
-                state.restore_snapshot_pending(owner, pending.clone());
-            }
+        for (owner, held) in &self.owners {
+            state.restore_snapshot_chunk(owner, held.mailbox.iter().cloned());
+            state.restore_snapshot_pending(owner, held.reserved.clone());
         }
         state.deposited.clone_from(&self.deposited);
         state
@@ -141,17 +114,17 @@ impl Model {
 
     /// The reserved messages of `owner`, if any.
     fn reserved(&self, owner: &MailName) -> Vec<MessageId> {
-        match self.owners.get(owner) {
-            Some((_, Some(pending))) => pending.iter().map(|m| m.id).collect(),
-            _ => Vec::new(),
-        }
+        self.owners
+            .get(owner)
+            .map(|held| held.reserved.iter().map(|m| m.id).collect())
+            .unwrap_or_default()
     }
 }
 
 /// A store's two views against the model: both in name order, each
-/// skipping the owners that lack its half.
+/// listing only the owners who hold messages of its kind.
 fn assert_views(mailboxes: &Mailboxes<'_>, pending: &PendingDrain<'_>, model: &Model, who: &str) {
-    let boxes: Vec<(MailName, ModelBox)> = mailboxes
+    let boxes: Vec<(&MailName, Vec<(Message, SimTime)>)> = mailboxes
         .iter()
         .map(|(owner, mb)| {
             let stored = mb
@@ -159,19 +132,14 @@ fn assert_views(mailboxes: &Mailboxes<'_>, pending: &PendingDrain<'_>, model: &M
                 .iter()
                 .map(|s| (s.message.clone(), s.deposited_at))
                 .collect();
-            let seen = ModelBox {
-                stored,
-                deposited: mb.deposited_total(),
-                retrieved: mb.retrieved_total(),
-                expired: mb.expired_total(),
-            };
-            (owner.clone(), seen)
+            (owner, stored)
         })
         .collect();
-    let want: Vec<(MailName, ModelBox)> = model
+    let want: Vec<(&MailName, Vec<(Message, SimTime)>)> = model
         .owners
         .iter()
-        .filter_map(|(owner, (mb, _))| Some((owner.clone(), mb.clone()?)))
+        .filter(|(_, held)| !held.mailbox.is_empty())
+        .map(|(owner, held)| (owner, held.mailbox.clone()))
         .collect();
     assert_eq!(boxes, want, "{who}: mailboxes");
 
@@ -179,19 +147,10 @@ fn assert_views(mailboxes: &Mailboxes<'_>, pending: &PendingDrain<'_>, model: &M
     let want: Vec<(&MailName, &Vec<Message>)> = model
         .owners
         .iter()
-        .filter_map(|(owner, (_, pending))| Some((owner, pending.as_ref()?)))
+        .filter(|(_, held)| !held.reserved.is_empty())
+        .map(|(owner, held)| (owner, &held.reserved))
         .collect();
     assert_eq!(buffers, want, "{who}: reservation buffers");
-    for (owner, (mb, buffer)) in &model.owners {
-        let holds_nothing = mb.is_none() && buffer.as_ref().is_some_and(Vec::is_empty);
-        if holds_nothing {
-            assert_eq!(
-                pending.get(owner),
-                Some(&Vec::new()),
-                "{who}: {owner} checked and holds nothing"
-            );
-        }
-    }
 }
 
 /// `idle_drain` of every user against the model, with no hint; a slot it
@@ -372,19 +331,8 @@ impl Run {
                     assert_eq!(got, want, "store {i}: release for {owner}");
                 }
             }
-            8 => {
-                for (i, subject) in self.subjects.iter_mut().enumerate() {
-                    let want = subject.model.expire(&owner, now);
-                    let got = match i {
-                        STATE => self.state.expire_older_than(&owner, now),
-                        VOLATILE => self.volatile.expire_older_than(&owner, now),
-                        _ => self.wal.expire_older_than(&owner, now),
-                    };
-                    assert_eq!(got, want, "store {i}: expiry for {owner}");
-                }
-            }
             // Snapshot restores, as a replay applies them.
-            9 => {
+            8 => {
                 self.next_id += 1;
                 let m = Message::new(
                     MessageId(self.next_id),
@@ -398,15 +346,9 @@ impl Run {
                 self.subjects[STATE].model.restore_chunk(&owner, &chunk);
                 self.state.restore_snapshot_chunk(&owner, chunk);
             }
-            10 => {
-                let (d, r, e) = (u64::from(val), u64::from(val % 5), u64::from(val % 3));
-                let mb = self.subjects[STATE].model.mailbox(&owner);
-                (mb.deposited, mb.retrieved, mb.expired) = (d, r, e);
-                self.state.restore_snapshot_ledger(&owner, d, r, e);
-            }
-            // A buffer chunk: empty (the owner had checked), or a message
+            // A buffer chunk: empty, which restores nothing, or a message
             // reserved for someone who may hold no mailbox.
-            11 => {
+            9 => {
                 let mut messages = Vec::new();
                 if val % 3 != 0 {
                     self.next_id += 1;
@@ -421,15 +363,11 @@ impl Run {
                     ));
                 }
                 let entry = self.subjects[STATE].model.owners.entry(owner.clone());
-                entry
-                    .or_default()
-                    .1
-                    .get_or_insert_with(Vec::new)
-                    .extend(messages.iter().cloned());
+                entry.or_default().reserved.extend(messages.iter().cloned());
                 self.state.restore_snapshot_pending(&owner, messages);
             }
             // Wired again, with another roster: contents stay.
-            12 => {
+            10 => {
                 self.roster = roster(val as u8);
                 self.state.seed_roster(&self.roster);
                 for i in [VOLATILE, WAL] {
@@ -438,7 +376,7 @@ impl Run {
                 }
             }
             // The volatile store forgets everything but its roster.
-            13 => {
+            11 => {
                 self.volatile.crash(now);
                 self.volatile.recover(now);
                 self.subjects[VOLATILE].model = Model::default();
@@ -497,7 +435,7 @@ proptest! {
     #[test]
     fn the_store_is_its_model(
         mask in 0u8..=255,
-        ops in proptest::collection::vec((0u8..16, 0usize..8, 0u32..64), 1..48),
+        ops in proptest::collection::vec((0u8..14, 0usize..8, 0u32..64), 1..48),
     ) {
         let mut run = Run::new(mask);
         for op in ops {

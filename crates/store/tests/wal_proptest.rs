@@ -1,5 +1,5 @@
 //! Property tests for the WAL codec and recovery (ISSUE 7 satellite):
-//! arbitrary deposit/drain/release/expire/forward sequences round-trip
+//! arbitrary deposit/drain/release/forward sequences round-trip
 //! through append → crash-at-every-byte-prefix → recover, and the
 //! recovered state always equals an in-memory oracle.
 
@@ -69,22 +69,15 @@ fn run_op(
             );
         }
         5 => {
-            let owner = user(who);
-            assert_eq!(
-                store.expire_older_than(&owner, now),
-                oracle.expire_older_than(&owner, now)
-            );
-        }
-        6 => {
             let m = message(gen, who, val);
             store.accept_forward(&m, (val % 16) as u32);
             oracle.accept_forward(&m, (val % 16) as u32);
         }
-        7 => {
+        6 => {
             store.settle_forward(MessageId(val));
             oracle.settle_forward(MessageId(val));
         }
-        8 => {
+        7 => {
             // A check straight after a check: the second one is idle.
             let owner = user(who);
             for _ in 0..2 {
@@ -153,61 +146,63 @@ fn crash_at_every_prefix(ops: &[(u8, u64, u64)]) -> (Vec<u8>, StoreState) {
 /// to (bob), and one with both (carol): `(op, user, val)` as `run_op`
 /// reads them.
 const SHAPE_SCRIPT: &[(u8, u64, u64)] = &[
-    (3, 0, 1), // alice checks: an empty reservation buffer, no mailbox
-    (0, 1, 2), // bob is deposited to (id 0): a mailbox, no buffer
+    (3, 0, 1), // alice checks and finds nothing: no change, no record
+    (0, 1, 2), // bob is deposited to (id 0)
     (0, 2, 3), // carol is deposited to (id 1) ...
     (3, 2, 4), // ... checks ...
-    (4, 2, 1), // ... and acks ids 1-3: mailbox and (empty) buffer
+    (4, 2, 1), // ... and acks ids 1-3: she holds nothing for a while
     (0, 1, 5), // bob again (id 2)
     (3, 0, 6), // alice again
     (0, 2, 7), // carol holds one undrained message (id 3)
 ];
 
-/// Length of the log `SHAPE_SCRIPT` writes: the 604 bytes every layout of
-/// `StoreState` has written for it, less the one record that changes
-/// nothing — alice's second check, a 31-byte `DrainReserve` (9 of header,
-/// 3 of version and tag, 4 + 15 of name).
-const SHAPE_SCRIPT_LOG_BYTES: usize = 573;
+/// Length of the log `SHAPE_SCRIPT` writes: the 604 bytes of a log that
+/// records every operation, less the two records that change nothing —
+/// alice's two checks, each a 31-byte `DrainReserve` (9 of header, 3 of
+/// version and tag, 4 + 15 of name). 573 while her first check still
+/// wrote one, to record that she had a (empty) reservation buffer.
+const SHAPE_SCRIPT_LOG_BYTES: usize = 542;
 
 /// Total segment bytes after `SHAPE_SCRIPT` × 12 through a WAL that
 /// rotates every 256 bytes and compacts past two segments — snapshot
-/// records included, so this pins what compaction writes for an entry
-/// with only one of its two halves. 6 203 while every operation was logged
-/// (and still, with the no-op check switched off); alice's 23 idle checks
-/// and carol's 10 acknowledgements that release nothing (from the third
-/// round on she holds no id in 1..=3) are no longer written, which moves
-/// where the segments rotate.
-const SHAPE_SCRIPT_COMPACTED_BYTES: u64 = 6160;
+/// records included, so this pins what compaction writes. None of alice's
+/// 24 checks and none of carol's 10 acknowledgements that release nothing
+/// (from the third round on she holds no id in 1..=3) are written. 6 160
+/// while compaction also wrote each mailbox's lifetime counters and an
+/// empty buffer for a user who had checked: the last snapshot has lost
+/// bob's and carol's 54-byte counter records and alice's 35-byte empty
+/// `SnapshotPending` (9 + 3 + 4 + 15, and 4 for the count), 143 bytes;
+/// the segments rotate and compact where they did.
+const SHAPE_SCRIPT_COMPACTED_BYTES: u64 = 6017;
 
-/// Which of its two halves each user's store entry has.
-fn assert_shape(state: &StoreState) {
+/// Alice only ever checked, so nothing of her is held, and no record
+/// names her; bob and carol hold mail.
+fn assert_shape(state: &StoreState, bytes: &[u8]) {
     let (alice, bob, carol) = (user(0), user(1), user(2));
+    assert!(state.mailboxes().get(&alice).is_none());
+    assert!(state.pending().get(&alice).is_none());
+    let name = alice.to_string();
     assert!(
-        state.mailboxes().get(&alice).is_none(),
-        "never deposited to"
+        !bytes.windows(name.len()).any(|w| w == name.as_bytes()),
+        "no record names a user who only checked"
     );
-    assert_eq!(state.pending().get(&alice), Some(&Vec::new()));
-    assert!(state.mailboxes().get(&bob).is_some());
-    assert!(state.pending().get(&bob).is_none(), "never checked");
-    assert!(state.mailboxes().get(&carol).is_some());
-    assert!(state.pending().get(&carol).is_some());
     assert_eq!(
         state.mailboxes().keys().collect::<Vec<_>>(),
         [&bob, &carol],
-        "views skip entries that lack their half, in name order"
+        "the view lists those who hold mail, in name order"
     );
-    assert_eq!(state.pending().keys().collect::<Vec<_>>(), [&alice, &carol]);
 }
 
 #[test]
-fn checked_only_and_deposited_only_users_survive_every_prefix() {
+fn an_only_checked_user_leaves_no_trace_in_any_prefix() {
     let (bytes, state) = crash_at_every_prefix(SHAPE_SCRIPT);
-    assert_shape(&state);
+    assert_shape(&state, &bytes);
+    assert_eq!(state.pending().iter().count(), 0, "carol acked her mail");
     assert_eq!(bytes.len(), SHAPE_SCRIPT_LOG_BYTES);
 }
 
 #[test]
-fn checked_only_and_deposited_only_users_survive_compaction() {
+fn an_only_checked_user_leaves_no_trace_through_compaction() {
     let cfg = WalConfig {
         segment_bytes: 256,
         chunk_messages: 2,
@@ -224,8 +219,17 @@ fn checked_only_and_deposited_only_users_survive_compaction() {
         }
     }
     assert!(store.compactions() > 0, "small segments must compact");
-    assert_shape(store.state());
-    assert_eq!(store.records_appended(), 12 * 8 - 23 - 10);
+    // The last compaction dropped every older segment: the active one,
+    // numbered by the rotations so far, is the whole log.
+    let active = store.read_segment(store.store_metrics().rotations).unwrap();
+    assert_eq!(active.len() as u64, store.wal_bytes());
+    assert_shape(store.state(), &active);
+    assert_eq!(
+        store.state().pending().keys().collect::<Vec<_>>(),
+        [&user(2)],
+        "carol's later mail waits for an acknowledgement"
+    );
+    assert_eq!(store.records_appended(), 12 * 8 - 24 - 10);
     assert_eq!(store.wal_bytes(), SHAPE_SCRIPT_COMPACTED_BYTES);
 
     let live = store.state().clone();
@@ -249,7 +253,7 @@ proptest! {
     /// oracle.
     #[test]
     fn crash_at_every_prefix_recovers_record_boundary_state(
-        ops in proptest::collection::vec((0u8..10, 0u64..6, 0u64..40), 1..24)
+        ops in proptest::collection::vec((0u8..9, 0u64..6, 0u64..40), 1..24)
     ) {
         crash_at_every_prefix(&ops);
     }
@@ -258,7 +262,7 @@ proptest! {
     /// a clean crash/recover cycle always reproduces the oracle exactly.
     #[test]
     fn rotated_compacted_wal_recovers_oracle_state(
-        ops in proptest::collection::vec((0u8..10, 0u64..6, 0u64..40), 1..40)
+        ops in proptest::collection::vec((0u8..9, 0u64..6, 0u64..40), 1..40)
     ) {
         let cfg = WalConfig {
             segment_bytes: 384,
