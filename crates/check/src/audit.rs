@@ -394,10 +394,10 @@ pub fn verdict(d: &Deployment, quiesced: bool) -> Vec<String> {
     }
 
     for r in d.recoveries.borrow().iter() {
-        if r.lost_messages > 0 {
+        if r.report.lost_messages > 0 {
             out.push(format!(
                 "store recovery at {} on n{} lost {} acked message(s) (backend {})",
-                r.at, r.site, r.lost_messages, r.backend
+                r.at, r.site, r.report.lost_messages, r.report.backend
             ));
         }
     }
@@ -588,7 +588,7 @@ mod tests {
     #[test]
     fn verdict_reports_one_planted_fault_per_clause() {
         use crate::scenarios::Scenario;
-        use lems_core::store::StoreRecovery;
+        use lems_core::store::{RecoveryReport, StoreRecovery};
         use lems_sim::span::SpanStage;
 
         let steady = || {
@@ -637,14 +637,11 @@ mod tests {
         d.recoveries.borrow_mut().push(StoreRecovery {
             at: d.sim.now(),
             site: 0,
-            backend: "mem-volatile",
-            replayed_records: 0,
-            recovered_messages: 0,
-            recovered_pending: 0,
-            recovered_forwards: 0,
-            lost_messages: 1,
-            torn_bytes: 0,
-            segments: 0,
+            report: RecoveryReport {
+                backend: "mem-volatile",
+                lost_messages: 1,
+                ..RecoveryReport::default()
+            },
         });
         reports(verdict(&d, true), "lost 1 acked message");
     }

@@ -7,43 +7,32 @@
 //! crashes (the server is down, not wiped), which is exactly the property
 //! the GetMail algorithm relies on.
 
-use lems_sim::time::SimTime;
-
 use crate::message::Message;
-
-/// One message as stored on a server.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StoredMessage {
-    /// The message itself.
-    pub message: Message,
-    /// When the server deposited it.
-    pub deposited_at: SimTime,
-}
 
 /// A user's mailbox on one server: the messages deposited for them and
 /// not yet reserved by a check.
 ///
 /// Mailboxes are created and mutated only by the [`store`](crate::store)
 /// module: outside `lems-core` a `Mailbox` is a read-only view reached
-/// through [`MailStore::mailboxes`](crate::store::MailStore::mailboxes),
+/// through [`StoreState::mailboxes`](crate::store::StoreState::mailboxes),
 /// so durable state cannot move except through the store interface.
 ///
 /// # Examples
 ///
 /// ```
 /// use lems_core::message::{Message, MessageId};
-/// use lems_core::store::{MailStore, MemStore};
+/// use lems_core::store::StoreState;
 /// use lems_sim::time::SimTime;
 ///
 /// let owner: lems_core::MailName = "east.vax1.alice".parse()?;
-/// let mut store = MemStore::stable();
+/// let mut store = StoreState::default();
 /// let m = Message::new(
 ///     MessageId(0),
 ///     "east.vax1.bob".parse()?,
 ///     owner.clone(),
 ///     "hi", "body", SimTime::ZERO,
 /// );
-/// store.deposit(m, SimTime::from_units(1.0));
+/// store.deposit(m);
 /// assert_eq!(store.mailboxes()[&owner].len(), 1);
 /// // A check reserves the mail; the mailbox is empty, the store still
 /// // holds the message until the check is acknowledged.
@@ -51,7 +40,7 @@ pub struct StoredMessage {
 /// assert_eq!(reserved.len(), 1);
 /// assert!(store.mailboxes().get(&owner).is_none());
 /// assert_eq!(store.release_drained(&owner, &[reserved[0].id]), 1);
-/// assert!(store.pending_drain().get(&owner).is_none());
+/// assert!(store.pending().get(&owner).is_none());
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```
 ///
@@ -89,7 +78,7 @@ pub struct StoredMessage {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Mailbox {
-    stored: Vec<StoredMessage>,
+    stored: Vec<Message>,
 }
 
 impl Mailbox {
@@ -99,11 +88,8 @@ impl Mailbox {
     }
 
     /// Stores a message.
-    pub(crate) fn deposit(&mut self, message: Message, now: SimTime) {
-        self.stored.push(StoredMessage {
-            message,
-            deposited_at: now,
-        });
+    pub(crate) fn deposit(&mut self, message: Message) {
+        self.stored.push(message);
     }
 
     /// Number of messages currently stored.
@@ -118,13 +104,13 @@ impl Mailbox {
 
     /// Messages currently stored, oldest first, without removing them
     /// (the "retain a copy on the server" option of §3.1.2c).
-    pub fn peek(&self) -> &[StoredMessage] {
+    pub fn peek(&self) -> &[Message] {
         &self.stored
     }
 
     /// Removes and returns all stored messages, oldest first — the normal
     /// retrieval path.
-    pub(crate) fn drain(&mut self) -> Vec<StoredMessage> {
+    pub(crate) fn drain(&mut self) -> Vec<Message> {
         std::mem::take(&mut self.stored)
     }
 }
@@ -133,6 +119,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use crate::message::MessageIdGen;
+    use lems_sim::time::SimTime;
 
     fn msg(gen: &mut MessageIdGen, to: &str) -> Message {
         Message::new(
@@ -149,13 +136,13 @@ mod tests {
     fn deposit_and_drain_fifo() {
         let mut g = MessageIdGen::new();
         let mut mb = Mailbox::new();
-        for i in 0..3 {
-            mb.deposit(msg(&mut g, "east.h.u"), SimTime::from_units(i as f64));
+        for _ in 0..3 {
+            mb.deposit(msg(&mut g, "east.h.u"));
         }
         assert_eq!(mb.len(), 3);
         let out = mb.drain();
         assert_eq!(
-            out.iter().map(|s| s.message.id.0).collect::<Vec<_>>(),
+            out.iter().map(|m| m.id.0).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
         assert!(mb.is_empty());

@@ -1,4 +1,5 @@
-//! Pluggable mailbox persistence — the [`MailStore`] trait.
+//! Mailbox persistence — the [`MailStore`] trait and the [`StoreState`]
+//! behind it.
 //!
 //! §3.1.2c makes servers custodians of undelivered mail, and the GetMail
 //! protocol assumes a crashed server comes back with its mailboxes intact.
@@ -7,18 +8,18 @@
 //! module makes the assumption explicit and falsifiable. Everything a
 //! server must not lose across a crash — mailboxes, the reserved
 //! (drained-but-unacknowledged) retrieval buffer, the accepted-but-unsettled
-//! forward set, and the deposit dedup ledger — lives behind [`MailStore`],
-//! and each backend decides what actually survives:
+//! forward set, and the deposit dedup ledger — is one [`StoreState`]
+//! behind [`MailStore`], and one rule decides what a crash keeps of it.
+//! The one implementation, `Store` in `lems-store`, has three such rules:
 //!
-//! * [`MemStore::stable`] — the historical fiat-stable store (backend
-//!   `"mem-stable"`): nothing is ever lost, crash and recovery are no-ops.
-//! * [`MemStore::volatile`] — RAM only (backend `"mem-volatile"`): a crash
-//!   wipes everything. This is the counterexample backend that justifies
-//!   the write-ahead log.
-//! * `WalStore` (in `lems-store`) — an append-only, checksummed,
-//!   schema-versioned write-ahead log with segment rotation and chunked
-//!   compaction; a crash keeps exactly the synced prefix (plus an optional
-//!   injected torn tail) and recovery replays it.
+//! * `"mem-stable"` — the historical fiat-stable store: nothing is ever
+//!   lost, crash and recovery are no-ops.
+//! * `"mem-volatile"` — RAM only: a crash wipes everything. This is the
+//!   counterexample that justifies the write-ahead log.
+//! * `"wal"` — an append-only, checksummed, schema-versioned write-ahead
+//!   log with segment rotation and chunked compaction; a crash keeps
+//!   exactly the synced prefix (plus an optional injected torn tail) and
+//!   recovery replays it.
 
 #![deny(clippy::let_underscore_must_use)]
 
@@ -36,10 +37,11 @@ pub const NO_OWNER_SLOT: u32 = u32::MAX;
 
 /// The durable state a server entrusts to its store.
 ///
-/// Both backends (and the WAL replay path) mutate their state exclusively
-/// through this struct's methods, so "what an operation means" is defined
-/// once: a log record replayed during recovery calls the same method the
-/// live operation did, which is what makes recovery exact.
+/// The store (and its log replay) mutates its state exclusively through
+/// this struct's methods, so "what an operation means" is defined once: a
+/// log record replayed during recovery calls the same method the live
+/// operation did, which is what makes recovery exact. Each mutator
+/// reports whether it changed anything, and only a change is logged.
 ///
 /// Two states are equal when they hold the same messages for the same
 /// owners, whatever order the owners first appeared in and whatever
@@ -272,17 +274,13 @@ impl StoreState {
     }
 
     /// Restores one snapshot chunk of `owner`'s mailbox during recovery
-    /// replay: re-deposits each message at its original deposit time.
-    /// Bypasses the dedup ledger — snapshot chunks are authoritative, and
-    /// the ledger is restored separately (`Record::SnapshotDeposited`).
-    pub fn restore_snapshot_chunk(
-        &mut self,
-        owner: &MailName,
-        messages: impl IntoIterator<Item = (Message, SimTime)>,
-    ) {
+    /// replay: re-deposits each message, oldest first. Bypasses the dedup
+    /// ledger — snapshot chunks are authoritative, and the ledger is
+    /// restored separately (`Record::SnapshotDeposited`).
+    pub fn restore_snapshot_chunk(&mut self, owner: &MailName, messages: Vec<Message>) {
         let mb = &mut self.held_mut(owner).mailbox;
-        for (m, at) in messages {
-            mb.deposit(m, at);
+        for m in messages {
+            mb.deposit(m);
         }
     }
 
@@ -292,20 +290,15 @@ impl StoreState {
         self.held_mut(owner).reserved.extend(messages);
     }
 
-    /// Deposits `message` into its recipient's mailbox at `now`. Returns
-    /// `false` (and stores nothing) when the id was already deposited.
-    pub fn deposit(&mut self, message: Message, now: SimTime) -> bool {
+    /// Deposits `message` into its recipient's mailbox. Returns `false`
+    /// (and stores nothing) when the id was already deposited.
+    pub fn deposit(&mut self, message: Message) -> bool {
         if !self.deposited.insert(message.id) {
             return false;
         }
         let to = message.to.clone();
-        self.held_mut(&to).mailbox.deposit(message, now);
+        self.held_mut(&to).mailbox.deposit(message);
         true
-    }
-
-    /// True when `id` has ever been deposited here.
-    pub fn is_deposited(&self, id: MessageId) -> bool {
-        self.deposited.contains(&id)
     }
 
     /// Reliable retrieval: moves everything in `owner`'s mailbox into the
@@ -437,11 +430,11 @@ impl OwnerEntry {
         let Some(held) = self.held.as_deref_mut() else {
             return Vec::new();
         };
-        let drained = held.mailbox.drain().into_iter().map(|s| s.message);
+        let drained = held.mailbox.drain();
         if held.reserved.is_empty() {
-            // Collected in place: the buffer takes over the mailbox's
-            // allocation instead of making its own.
-            held.reserved = drained.collect();
+            // The buffer takes over the mailbox's allocation instead of
+            // making its own.
+            held.reserved = drained;
         } else {
             held.reserved.extend(drained);
         }
@@ -449,8 +442,8 @@ impl OwnerEntry {
     }
 }
 
-/// What a backend reconstructed when it came back from a crash.
-#[derive(Clone, Debug, Default)]
+/// What a store reconstructed when it came back from a crash.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Backend name (`"mem-stable"`, `"mem-volatile"`, `"wal"`).
     pub backend: &'static str,
@@ -468,10 +461,6 @@ pub struct RecoveryReport {
     pub torn_bytes: u64,
     /// Log segments scanned during replay.
     pub segments: u64,
-    /// Unsettled forwards the server must re-route, in message-id order.
-    /// Empty for backends whose process state survives by fiat (the actor
-    /// keeps its own in-flight bookkeeping in that case).
-    pub unsettled: Vec<(Message, u32)>,
 }
 
 /// A recovery event as surfaced to telemetry (one per server recovery).
@@ -481,22 +470,8 @@ pub struct StoreRecovery {
     pub at: SimTime,
     /// Recovering server's node id.
     pub site: u64,
-    /// Backend name.
-    pub backend: &'static str,
-    /// Log records replayed.
-    pub replayed_records: u64,
-    /// Mailbox messages present after recovery.
-    pub recovered_messages: u64,
-    /// Reserved messages present after recovery.
-    pub recovered_pending: u64,
-    /// Unsettled forwards re-routed after recovery.
-    pub recovered_forwards: u64,
-    /// Messages known lost across the crash.
-    pub lost_messages: u64,
-    /// Torn-tail bytes discarded during replay.
-    pub torn_bytes: u64,
-    /// Log segments scanned.
-    pub segments: u64,
+    /// What its store reconstructed.
+    pub report: RecoveryReport,
 }
 
 /// Cumulative I/O-health counters for one store backend.
@@ -506,7 +481,7 @@ pub struct StoreRecovery {
 /// the log grows); the recovery numbers size the §3.1.2c custodian
 /// promise (how much scan work a crash costs). All counters are lifetime
 /// totals derived from operation counts — exporting them perturbs
-/// nothing. In-memory backends report all zeros.
+/// nothing. A store without a log reports all zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Log records appended (live writes, not replay).
@@ -529,11 +504,11 @@ pub struct StoreMetrics {
     pub io_errors: u64,
 }
 
-/// Mailbox persistence backend.
+/// Mailbox persistence.
 ///
 /// A server actor routes every durable-state mutation through this trait;
-/// the backend decides what survives [`MailStore::crash`]. Methods are
-/// infallible: a backend whose device can fail counts the failures in
+/// the store decides what survives [`MailStore::crash`]. Methods are
+/// infallible: a store whose device can fail counts the failures in
 /// [`StoreMetrics::io_errors`] instead of panicking inside an event
 /// handler.
 pub trait MailStore: std::fmt::Debug {
@@ -542,10 +517,8 @@ pub trait MailStore: std::fmt::Debug {
 
     /// True when the server process's volatile protocol state (retry
     /// timers, in-flight bookkeeping) also survives a crash by fiat —
-    /// only the historical `"mem-stable"` backend says yes.
-    fn preserves_volatile(&self) -> bool {
-        false
-    }
+    /// only the historical `"mem-stable"` store says yes.
+    fn preserves_volatile(&self) -> bool;
 
     /// Wires the store with the users it keeps mail for, as
     /// [`StoreState::seed_roster`] does; the roster outlives a crash.
@@ -553,6 +526,7 @@ pub trait MailStore: std::fmt::Debug {
     fn seed_roster(&mut self, roster: &mut dyn Iterator<Item = &MailName>);
 
     /// Deposits `message`; returns `false` for a duplicate id (dedup).
+    /// `now` is when the server took it, which no store keeps.
     fn deposit(&mut self, message: Message, now: SimTime) -> bool;
 
     /// Reliable retrieval: reserve `owner`'s mail, return the reserved list.
@@ -586,137 +560,26 @@ pub trait MailStore: std::fmt::Debug {
     /// Reservation buffers that hold mail (read-only view).
     fn pending_drain(&self) -> PendingDrain<'_>;
 
-    /// The server crashed at `now`: apply the backend's loss model.
+    /// The server crashed at `now`: apply the store's loss model.
     fn crash(&mut self, now: SimTime);
 
-    /// The server recovered at `now`: rebuild state, report what survived.
-    fn recover(&mut self, now: SimTime) -> RecoveryReport;
+    /// The server recovered at `now`: rebuild state, report what
+    /// survived, and hand back the unsettled forwards the server must
+    /// re-route, in message-id order. None are handed back when the
+    /// server's process state survives by fiat (the actor keeps its own
+    /// in-flight bookkeeping then).
+    fn recover(&mut self, now: SimTime) -> (RecoveryReport, Vec<(Message, u32)>);
 
     /// Persist everything durable and rebuild in-memory state from it, as
     /// if the store were closed and reopened cleanly. Returns `None` for
-    /// backends with nothing to round-trip.
-    fn persist_restore(&mut self) -> Option<RecoveryReport> {
-        None
-    }
+    /// a store with nothing to round-trip.
+    fn persist_restore(&mut self) -> Option<RecoveryReport>;
 
-    /// Durable log bytes currently held (0 for in-memory backends).
-    fn wal_bytes(&self) -> u64 {
-        0
-    }
+    /// Durable log bytes currently held (0 without a log).
+    fn wal_bytes(&self) -> u64;
 
-    /// Cumulative I/O-health counters (all zeros for in-memory backends).
-    fn store_metrics(&self) -> StoreMetrics {
-        StoreMetrics::default()
-    }
-}
-
-/// In-memory backend: the historical store made explicit.
-///
-/// With `stable: true` it reproduces the fiat-stable behaviour the
-/// simulation always had (crash loses nothing). With `stable: false` it
-/// models a server that kept mail in RAM: a crash wipes mailboxes,
-/// reservations, the forward journal, and the dedup ledger.
-#[derive(Debug, Default)]
-pub struct MemStore {
-    state: StoreState,
-    stable: bool,
-    lost_at_crash: u64,
-}
-
-impl MemStore {
-    /// The fiat-stable backend (`"mem-stable"`): historical behaviour.
-    pub fn stable() -> Self {
-        MemStore {
-            state: StoreState::default(),
-            stable: true,
-            lost_at_crash: 0,
-        }
-    }
-
-    /// The RAM-only backend (`"mem-volatile"`): crashes lose everything.
-    pub fn volatile() -> Self {
-        MemStore {
-            state: StoreState::default(),
-            stable: false,
-            lost_at_crash: 0,
-        }
-    }
-}
-
-impl MailStore for MemStore {
-    fn backend(&self) -> &'static str {
-        if self.stable {
-            "mem-stable"
-        } else {
-            "mem-volatile"
-        }
-    }
-
-    fn preserves_volatile(&self) -> bool {
-        self.stable
-    }
-
-    fn seed_roster(&mut self, roster: &mut dyn Iterator<Item = &MailName>) {
-        self.state.seed_roster(roster);
-    }
-
-    fn deposit(&mut self, message: Message, now: SimTime) -> bool {
-        self.state.deposit(message, now)
-    }
-
-    fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        self.state.drain_reserve(owner)
-    }
-
-    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
-        self.state.drain_reserve_at(owner, hint)
-    }
-
-    fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        self.state.release_drained(owner, ids)
-    }
-
-    fn accept_forward(&mut self, message: &Message, hops_left: u32) {
-        self.state.accept_forward(message, hops_left);
-    }
-
-    fn settle_forward(&mut self, id: MessageId) {
-        self.state.settle_forward(id);
-    }
-
-    fn mailboxes(&self) -> Mailboxes<'_> {
-        self.state.mailboxes()
-    }
-
-    fn pending_drain(&self) -> PendingDrain<'_> {
-        self.state.pending()
-    }
-
-    fn crash(&mut self, _now: SimTime) {
-        if !self.stable {
-            self.lost_at_crash = self.state.storage_messages();
-            self.state = self.state.emptied();
-        }
-    }
-
-    fn recover(&mut self, _now: SimTime) -> RecoveryReport {
-        let lost = std::mem::take(&mut self.lost_at_crash);
-        RecoveryReport {
-            backend: self.backend(),
-            replayed_records: 0,
-            recovered_messages: self.state.mailbox_messages() as u64,
-            recovered_pending: self.state.pending_messages() as u64,
-            recovered_forwards: if self.stable {
-                self.state.forwards.len() as u64
-            } else {
-                0
-            },
-            lost_messages: lost,
-            torn_bytes: 0,
-            segments: 0,
-            unsettled: Vec::new(),
-        }
-    }
+    /// Cumulative I/O-health counters (all zeros without a log).
+    fn store_metrics(&self) -> StoreMetrics;
 }
 
 #[cfg(test)]
@@ -738,57 +601,30 @@ mod tests {
     #[test]
     fn deposit_dedups_by_id() {
         let mut g = MessageIdGen::new();
-        let mut s = MemStore::stable();
+        let mut s = StoreState::default();
         let m = msg(&mut g, "east.h.u");
-        assert!(s.deposit(m.clone(), SimTime::ZERO));
-        assert!(!s.deposit(m, SimTime::ZERO));
-        assert_eq!(s.state.storage_messages(), 1);
+        assert!(s.deposit(m.clone()));
+        assert!(!s.deposit(m));
+        assert_eq!(s.storage_messages(), 1);
     }
 
     #[test]
     fn drain_reserve_then_release_settles_storage() {
         let mut g = MessageIdGen::new();
-        let mut s = MemStore::stable();
+        let mut s = StoreState::default();
         let owner: MailName = "east.h.u".parse().unwrap();
         for _ in 0..3 {
-            s.deposit(msg(&mut g, "east.h.u"), SimTime::ZERO);
+            s.deposit(msg(&mut g, "east.h.u"));
         }
         let reserved = s.drain_reserve(&owner);
         assert_eq!(reserved.len(), 3);
         // Un-acked: still held in the reservation buffer.
-        assert_eq!(s.state.storage_messages(), 3);
+        assert_eq!(s.storage_messages(), 3);
         // A second reserve returns the same outstanding batch.
         assert_eq!(s.drain_reserve(&owner).len(), 3);
         let released = s.release_drained(&owner, &[reserved[0].id, reserved[2].id]);
         assert_eq!(released, 2);
-        assert_eq!(s.state.storage_messages(), 1);
-    }
-
-    #[test]
-    fn volatile_crash_wipes_state_and_reports_loss() {
-        let mut g = MessageIdGen::new();
-        let mut s = MemStore::volatile();
-        for _ in 0..4 {
-            s.deposit(msg(&mut g, "east.h.u"), SimTime::ZERO);
-        }
-        s.crash(SimTime::from_units(5.0));
-        assert_eq!(s.state.storage_messages(), 0);
-        let report = s.recover(SimTime::from_units(6.0));
-        assert_eq!(report.lost_messages, 4);
-        assert_eq!(report.recovered_messages, 0);
-    }
-
-    #[test]
-    fn stable_crash_recover_is_a_no_op() {
-        let mut g = MessageIdGen::new();
-        let mut s = MemStore::stable();
-        for _ in 0..4 {
-            s.deposit(msg(&mut g, "east.h.u"), SimTime::ZERO);
-        }
-        s.crash(SimTime::from_units(5.0));
-        let report = s.recover(SimTime::from_units(6.0));
-        assert_eq!(report.lost_messages, 0);
-        assert_eq!(report.recovered_messages, 4);
+        assert_eq!(s.storage_messages(), 1);
     }
 
     /// Owners equal whatever order they first appeared in, and the views
@@ -802,15 +638,15 @@ mod tests {
         let name = |s: &str| s.parse::<MailName>().unwrap();
 
         let mut live = StoreState::default();
-        live.deposit(mc.clone(), SimTime::ZERO);
-        live.deposit(mb.clone(), SimTime::ZERO);
+        live.deposit(mc.clone());
+        live.deposit(mb.clone());
         live.drain_reserve(&name(b));
-        live.deposit(ma.clone(), SimTime::ZERO);
+        live.deposit(ma.clone());
         let mut replayed = StoreState::default();
-        replayed.deposit(ma, SimTime::ZERO);
-        replayed.deposit(mb, SimTime::ZERO);
+        replayed.deposit(ma);
+        replayed.deposit(mb);
         replayed.drain_reserve(&name(b));
-        replayed.deposit(mc, SimTime::ZERO);
+        replayed.deposit(mc);
 
         assert_eq!(live, replayed);
         let keys = |s: &StoreState| s.mailboxes().keys().cloned().collect::<Vec<_>>();
@@ -833,65 +669,16 @@ mod tests {
         assert!(std::mem::size_of::<OwnerEntry>() <= 40);
     }
 
-    /// Roster owners keep the slots wiring gave them, in name order and
-    /// through a crash that wipes everything else; owners off the roster
-    /// take the slots after it, in the order their first deposit meets
-    /// them, afresh after the crash.
-    #[test]
-    fn roster_slots_outlive_a_crash_and_others_follow_them() {
-        let mut g = MessageIdGen::new();
-        let name = |s: &str| s.parse::<MailName>().unwrap();
-        let roster = [name("east.h.dave"), name("east.h.bob")];
-        let mut s = MemStore::volatile();
-        s.seed_roster(&mut roster.iter());
-        let slot_of = |s: &mut MemStore, who: &str| s.drain_reserve_at(&name(who), NO_OWNER_SLOT).1;
-
-        for who in ["erin", "carol", "bob", "dave"] {
-            s.deposit(msg(&mut g, &format!("east.h.{who}")), SimTime::ZERO);
-        }
-        assert_eq!(
-            [
-                slot_of(&mut s, "east.h.bob"),
-                slot_of(&mut s, "east.h.dave"),
-                slot_of(&mut s, "east.h.erin"),
-                slot_of(&mut s, "east.h.carol"),
-            ],
-            [0, 1, 2, 3]
-        );
-        assert_eq!(
-            s.pending_drain().keys().collect::<Vec<_>>(),
-            [
-                &name("east.h.bob"),
-                &name("east.h.carol"),
-                &name("east.h.dave"),
-                &name("east.h.erin")
-            ],
-            "the views merge both kinds in name order"
-        );
-
-        s.crash(SimTime::from_units(1.0));
-        s.recover(SimTime::from_units(2.0));
-        assert_eq!(s.pending_drain().iter().count(), 0, "nothing held");
-        assert_eq!(slot_of(&mut s, "east.h.carol"), NO_OWNER_SLOT, "no row");
-        for who in ["carol", "erin"] {
-            s.deposit(msg(&mut g, &format!("east.h.{who}")), SimTime::ZERO);
-        }
-        assert_eq!(slot_of(&mut s, "east.h.carol"), 2, "carol is met first now");
-        assert_eq!(slot_of(&mut s, "east.h.dave"), 1);
-        assert_eq!(slot_of(&mut s, "east.h.erin"), 3);
-        assert_eq!(slot_of(&mut s, "east.h.bob"), 0);
-    }
-
     /// A hint saves the name search and decides nothing else: forged, stale
     /// and out-of-range hints all reach the owner they name.
     #[test]
     fn owner_slot_hint_is_checked_against_the_name() {
         let mut g = MessageIdGen::new();
-        let mut s = MemStore::stable();
+        let mut s = StoreState::default();
         let alice: MailName = "east.h.alice".parse().unwrap();
         let bob: MailName = "east.h.bob".parse().unwrap();
-        s.deposit(msg(&mut g, "east.h.alice"), SimTime::ZERO);
-        s.deposit(msg(&mut g, "east.h.bob"), SimTime::ZERO);
+        s.deposit(msg(&mut g, "east.h.alice"));
+        s.deposit(msg(&mut g, "east.h.bob"));
 
         let (mail, a) = s.drain_reserve_at(&alice, NO_OWNER_SLOT);
         assert_eq!((mail.len(), a), (1, 0));
@@ -907,11 +694,11 @@ mod tests {
         // names no slot, and none is taken until their first deposit.
         let carol: MailName = "east.h.carol".parse().unwrap();
         let nothing = (Vec::new(), NO_OWNER_SLOT);
-        assert_eq!(s.state.idle_drain(&carol, a), Some(nothing.clone()));
+        assert_eq!(s.idle_drain(&carol, a), Some(nothing.clone()));
         assert_eq!(s.drain_reserve_at(&carol, a), nothing);
-        s.deposit(msg(&mut g, "east.h.carol"), SimTime::ZERO);
-        assert_eq!(s.state.idle_drain(&carol, a), None);
+        s.deposit(msg(&mut g, "east.h.carol"));
+        assert_eq!(s.idle_drain(&carol, a), None);
         assert_eq!(s.drain_reserve_at(&carol, a).1, 2);
-        assert_eq!(s.state.pending()[&alice].len(), 1, "alice's box untouched");
+        assert_eq!(s.pending()[&alice].len(), 1, "alice's box untouched");
     }
 }

@@ -109,6 +109,7 @@ pub fn export_jsonl(run: &RunTelemetry<'_>) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::inspect::Dump;
+    use lems_core::store::RecoveryReport;
     use lems_sim::span::{SpanEvent, SpanId, SpanStage, NO_NODE};
     use lems_sim::time::SimDuration;
 
@@ -305,14 +306,16 @@ mod tests {
             .map(|i| StoreRecovery {
                 at: SimTime::from_ticks(edge_int(i + 3)),
                 site: edge_int(i),
-                backend: EDGE_TEXT[2 * i + 1],
-                replayed_records: edge_int(i + 1),
-                recovered_messages: edge_int(i + 2),
-                recovered_pending: edge_int(i + 3),
-                recovered_forwards: edge_int(i),
-                lost_messages: edge_int(i + 1),
-                torn_bytes: edge_int(i + 2),
-                segments: edge_int(i + 3),
+                report: RecoveryReport {
+                    backend: EDGE_TEXT[2 * i + 1],
+                    replayed_records: edge_int(i + 1),
+                    recovered_messages: edge_int(i + 2),
+                    recovered_pending: edge_int(i + 3),
+                    recovered_forwards: edge_int(i),
+                    lost_messages: edge_int(i + 1),
+                    torn_bytes: edge_int(i + 2),
+                    segments: edge_int(i + 3),
+                },
             })
             .collect();
         let scopes: Vec<(String, MetricsRegistry)> = EDGE_TEXT

@@ -408,14 +408,16 @@ mod tests {
         let recoveries = vec![lems_core::store::StoreRecovery {
             at: t(5.0),
             site: 4,
-            backend: "wal",
-            replayed_records: 12,
-            recovered_messages: 1,
-            recovered_pending: 0,
-            recovered_forwards: 0,
-            lost_messages: 0,
-            torn_bytes: 7,
-            segments: 1,
+            report: lems_core::store::RecoveryReport {
+                backend: "wal",
+                replayed_records: 12,
+                recovered_messages: 1,
+                recovered_pending: 0,
+                recovered_forwards: 0,
+                lost_messages: 0,
+                torn_bytes: 7,
+                segments: 1,
+            },
         }];
         let store = vec![(
             "server:n4".to_owned(),

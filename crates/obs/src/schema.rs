@@ -90,10 +90,11 @@ pub(crate) fn read_span(mut f: Fields<'_>) -> Result<SpanEvent, String> {
 
 /// One mailbox-store recovery (a server coming back from a crash), in
 /// recovery order.
-pub(crate) fn write_recovery(out: &mut Vec<u8>, r: &StoreRecovery) {
+pub(crate) fn write_recovery(out: &mut Vec<u8>, recovery: &StoreRecovery) {
     let mut l = Line::open(out, "Recovery");
-    l.u64("at_ticks", r.at.as_ticks());
-    l.u64("site", r.site);
+    l.u64("at_ticks", recovery.at.as_ticks());
+    l.u64("site", recovery.site);
+    let r = &recovery.report;
     l.str("backend", r.backend);
     l.u64("replayed_records", r.replayed_records);
     l.u64("recovered_messages", r.recovered_messages);
@@ -520,6 +521,7 @@ fn excerpt(s: &str) -> &str {
 mod tests {
     use super::*;
     use crate::inspect::Dump;
+    use lems_core::store::RecoveryReport;
     use proptest::prelude::*;
 
     /// Edge inputs: every character class the escaping treats specially
@@ -762,14 +764,16 @@ mod tests {
             write_recovery(&mut out, &StoreRecovery {
                 at: SimTime::from_ticks(r.at_ticks),
                 site: r.site,
-                backend: leak(&r.backend),
-                replayed_records: r.replayed_records,
-                recovered_messages: r.recovered_messages,
-                recovered_pending: r.recovered_pending,
-                recovered_forwards: r.recovered_forwards,
-                lost_messages: r.lost_messages,
-                torn_bytes: r.torn_bytes,
-                segments: r.segments,
+                report: RecoveryReport {
+                    backend: leak(&r.backend),
+                    replayed_records: r.replayed_records,
+                    recovered_messages: r.recovered_messages,
+                    recovered_pending: r.recovered_pending,
+                    recovered_forwards: r.recovered_forwards,
+                    lost_messages: r.lost_messages,
+                    torn_bytes: r.torn_bytes,
+                    segments: r.segments,
+                },
             });
             write_counter(&mut out, &counter.0, &counter.1, counter.2);
             write_gauge(&mut out, &text[2], &text[1], gauge).expect("finite");

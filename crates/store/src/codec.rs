@@ -24,8 +24,9 @@ use crate::StoreError;
 pub(crate) const MAGIC: u8 = 0xA7;
 /// Frame header bytes (magic + len + crc).
 pub(crate) const HEADER_BYTES: usize = 9;
-/// On-log schema version; bump on any record-format change.
-pub(crate) const WAL_SCHEMA_VERSION: u16 = 1;
+/// On-log schema version; bump on any record-format change. Version 1
+/// carried each deposit's time in `Deposit` and `SnapshotMailbox`.
+pub(crate) const WAL_SCHEMA_VERSION: u16 = 2;
 /// Upper bound on a single payload; longer declared lengths are treated as
 /// tail garbage, not allocation requests.
 pub(crate) const MAX_PAYLOAD_BYTES: u32 = 1 << 28;
@@ -37,8 +38,6 @@ pub enum Record {
     Deposit {
         /// The stored message.
         message: Message,
-        /// Deposit time.
-        at: SimTime,
     },
     /// Reliable retrieval reserved the whole mailbox.
     DrainReserve {
@@ -68,8 +67,8 @@ pub enum Record {
     SnapshotMailbox {
         /// Mailbox owner.
         owner: MailName,
-        /// Stored messages with their deposit times.
-        messages: Vec<(Message, SimTime)>,
+        /// Stored messages, oldest first.
+        messages: Vec<Message>,
     },
     /// Compaction chunk: a slice of one reservation buffer.
     SnapshotPending {
@@ -290,9 +289,8 @@ impl<'a> Reader<'a> {
 
 fn encode_body(record: &Record, w: &mut Writer<'_>) {
     match record {
-        Record::Deposit { message, at } => {
+        Record::Deposit { message } => {
             w.message(message);
-            w.time(*at);
         }
         Record::DrainReserve { owner } => {
             w.name(owner);
@@ -311,15 +309,8 @@ fn encode_body(record: &Record, w: &mut Writer<'_>) {
         Record::SettleForward { id } => {
             w.u64(id.0);
         }
-        Record::SnapshotMailbox { owner, messages } => {
-            w.name(owner);
-            w.u32(messages.len() as u32);
-            for (m, at) in messages {
-                w.message(m);
-                w.time(*at);
-            }
-        }
-        Record::SnapshotPending { owner, messages } => {
+        Record::SnapshotMailbox { owner, messages }
+        | Record::SnapshotPending { owner, messages } => {
             w.name(owner);
             w.u32(messages.len() as u32);
             for m in messages {
@@ -346,7 +337,6 @@ fn decode_body(tag: u8, r: &mut Reader<'_>) -> Decode<Record> {
     let rec = match tag {
         1 => Record::Deposit {
             message: r.message()?,
-            at: r.time()?,
         },
         4 => Record::DrainReserve { owner: r.name()? },
         6 => {
@@ -365,25 +355,18 @@ fn decode_body(tag: u8, r: &mut Reader<'_>) -> Decode<Record> {
         8 => Record::SettleForward {
             id: MessageId(r.u64()?),
         },
-        9 => {
-            let owner = r.name()?;
-            let n = r.u32()? as usize;
-            let mut messages = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let m = r.message()?;
-                let at = r.time()?;
-                messages.push((m, at));
-            }
-            Record::SnapshotMailbox { owner, messages }
-        }
-        11 => {
+        9 | 11 => {
             let owner = r.name()?;
             let n = r.u32()? as usize;
             let mut messages = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 messages.push(r.message()?);
             }
-            Record::SnapshotPending { owner, messages }
+            if tag == 9 {
+                Record::SnapshotMailbox { owner, messages }
+            } else {
+                Record::SnapshotPending { owner, messages }
+            }
         }
         12 => {
             let n = r.u32()? as usize;
@@ -446,7 +429,7 @@ pub enum FrameOutcome {
         /// Why the tail failed to parse.
         detail: String,
     },
-    /// Checksum passed but the payload is from a newer schema.
+    /// Checksum passed but the payload is from another schema.
     Version {
         /// Version found on the log.
         found: u16,
@@ -499,7 +482,7 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> FrameOutcome {
         Ok(v) => v,
         Err(detail) => return FrameOutcome::Corrupt { detail },
     };
-    if version > WAL_SCHEMA_VERSION {
+    if version != WAL_SCHEMA_VERSION {
         return FrameOutcome::Version { found: version };
     }
     let tag = match r.u8() {
@@ -636,10 +619,7 @@ mod reference {
         p.extend_from_slice(&WAL_SCHEMA_VERSION.to_le_bytes());
         p.push(record.tag());
         match record {
-            Record::Deposit { message: m, at } => {
-                message(&mut p, m);
-                u64(&mut p, at.as_ticks());
-            }
+            Record::Deposit { message: m } => message(&mut p, m),
             Record::DrainReserve { owner } => {
                 name(&mut p, owner);
             }
@@ -658,15 +638,8 @@ mod reference {
                 p.extend_from_slice(&hops_left.to_le_bytes());
             }
             Record::SettleForward { id } => u64(&mut p, id.0),
-            Record::SnapshotMailbox { owner, messages } => {
-                name(&mut p, owner);
-                count(&mut p, messages.len());
-                for (m, at) in messages {
-                    message(&mut p, m);
-                    u64(&mut p, at.as_ticks());
-                }
-            }
-            Record::SnapshotPending { owner, messages } => {
+            Record::SnapshotMailbox { owner, messages }
+            | Record::SnapshotPending { owner, messages } => {
                 name(&mut p, owner);
                 count(&mut p, messages.len());
                 for m in messages {
@@ -729,10 +702,7 @@ mod tests {
     fn every_record_kind_round_trips() {
         let owner: MailName = "west.h.b".parse().unwrap();
         let records = vec![
-            Record::Deposit {
-                message: msg(1),
-                at: SimTime::from_units(2.0),
-            },
+            Record::Deposit { message: msg(1) },
             Record::DrainReserve {
                 owner: owner.clone(),
             },
@@ -747,7 +717,7 @@ mod tests {
             Record::SettleForward { id: MessageId(2) },
             Record::SnapshotMailbox {
                 owner: owner.clone(),
-                messages: vec![(msg(3), SimTime::from_units(4.0))],
+                messages: vec![msg(3)],
             },
             Record::SnapshotPending {
                 owner,
@@ -774,10 +744,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_a_tail_at_every_prefix() {
-        let frame = encode_frame(&Record::Deposit {
-            message: msg(9),
-            at: SimTime::ZERO,
-        });
+        let frame = encode_frame(&Record::Deposit { message: msg(9) });
         for cut in 1..frame.len() {
             match decode_frame(&frame[..cut]) {
                 FrameOutcome::Tail { .. } => {}
@@ -797,20 +764,23 @@ mod tests {
         }
     }
 
+    /// A frame of any other schema is refused as such, older ones too:
+    /// a version-1 `SettleForward` reads the same, but its `Deposit`
+    /// carried the time this version dropped.
     #[test]
-    fn future_schema_version_is_rejected() {
+    fn other_schema_versions_are_rejected() {
         let rec = Record::SettleForward { id: MessageId(5) };
-        let mut frame = encode_frame(&rec);
-        // Rewrite the payload version and re-checksum so only the version
-        // check can object.
-        let v = (WAL_SCHEMA_VERSION + 1).to_le_bytes();
-        frame[HEADER_BYTES] = v[0];
-        frame[HEADER_BYTES + 1] = v[1];
-        let crc = crc32(&frame[HEADER_BYTES..]).to_le_bytes();
-        frame[5..9].copy_from_slice(&crc);
-        match decode_frame(&frame) {
-            FrameOutcome::Version { found } => assert_eq!(found, WAL_SCHEMA_VERSION + 1),
-            other => panic!("expected version rejection, got {other:?}"),
+        for version in [WAL_SCHEMA_VERSION - 1, WAL_SCHEMA_VERSION + 1] {
+            let mut frame = encode_frame(&rec);
+            // Rewrite the payload version and re-checksum so only the
+            // version check can object.
+            frame[HEADER_BYTES..HEADER_BYTES + 2].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&frame[HEADER_BYTES..]).to_le_bytes();
+            frame[5..9].copy_from_slice(&crc);
+            match decode_frame(&frame) {
+                FrameOutcome::Version { found } => assert_eq!(found, version),
+                other => panic!("expected version rejection, got {other:?}"),
+            }
         }
     }
 
@@ -855,7 +825,6 @@ mod tests {
         let record = match tag {
             1 => Record::Deposit {
                 message: arb_message(rng),
-                at: arb_time(rng),
             },
             4 => Record::DrainReserve {
                 owner: arb_name(rng),
@@ -871,7 +840,7 @@ mod tests {
             8 => Record::SettleForward { id: id(rng) },
             9 => Record::SnapshotMailbox {
                 owner: arb_name(rng),
-                messages: arb_vec(rng, |rng| (arb_message(rng), arb_time(rng))),
+                messages: arb_vec(rng, arb_message),
             },
             11 => Record::SnapshotPending {
                 owner: arb_name(rng),

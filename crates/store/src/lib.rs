@@ -1,16 +1,18 @@
-//! # lems-store — log-structured mailbox persistence
+//! # lems-store — mailbox persistence
 //!
-//! The write-ahead-log backend behind `lems-core`'s
-//! [`MailStore`] trait, plus the
-//! [`DurabilityConfig`] deployments use to pick a backend:
+//! [`Store`], the one implementation of `lems-core`'s [`MailStore`]
+//! trait, plus the [`DurabilityConfig`] that picks what a crash keeps of
+//! it: everything, nothing, or a write-ahead log's durable prefix.
 //!
 //! * [`codec`] — checksummed, length-prefixed, schema-versioned record
 //!   frames with torn-tail detection;
-//! * [`segment`] — the segment device abstraction and its one device, a
+//! * `segment` — the segment device abstraction and its one device, a
 //!   simulated disk with an explicit durable/volatile boundary
-//!   ([`MemSegments`]);
-//! * [`wal`] — [`WalStore`] itself: append-only logging, segment rotation,
-//!   chunked compaction, crash/recovery with exact replay.
+//!   (`MemSegments`);
+//! * [`wal`] — the log: append-only records, segment rotation, chunked
+//!   compaction, exact replay;
+//! * `store` — [`Store`]: the state, its mode, and the rule that a write
+//!   is logged only when the state reports that it changed something.
 //!
 //! The durability claim this crate exists to make falsifiable: with
 //! [`SyncPolicy::PerRecord`], every acknowledged deposit survives a server
@@ -32,13 +34,14 @@
 #![deny(unused_must_use)]
 
 pub mod codec;
-pub mod segment;
+mod segment;
+mod store;
 pub mod wal;
 
-use lems_core::store::{MailStore, MemStore};
+use lems_core::store::MailStore;
 
-pub use segment::MemSegments;
-pub use wal::{SyncPolicy, WalConfig, WalStore};
+pub use store::Store;
+pub use wal::{SyncPolicy, WalConfig};
 
 /// Why a store operation or recovery failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,11 +58,12 @@ pub enum StoreError {
         /// What failed.
         detail: String,
     },
-    /// The log was written by a newer schema than this build supports.
+    /// The log was written by another schema than the one this build
+    /// replays.
     SchemaVersion {
         /// Version found on the log.
         found: u16,
-        /// Newest version this build can replay.
+        /// The one version this build can replay.
         supported: u16,
     },
 }
@@ -78,7 +82,7 @@ impl std::fmt::Display for StoreError {
             ),
             StoreError::SchemaVersion { found, supported } => write!(
                 f,
-                "wal schema version {found} is newer than supported {supported}"
+                "wal schema version {found} is not the supported {supported}"
             ),
         }
     }
@@ -86,7 +90,7 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Which persistence backend a deployment's servers use.
+/// What a crash keeps of a deployment's stores.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum DurabilityConfig {
     /// Fiat-stable in-memory storage — the historical simulation model:
@@ -100,23 +104,7 @@ pub enum DurabilityConfig {
     Wal(WalConfig),
 }
 
-/// Builds a fresh backend for one server per `cfg`.
-///
-/// # Panics
-///
-/// Panics if a fresh in-memory device cannot be opened as a WAL, which
-/// `MemSegments` never refuses.
-#[expect(
-    clippy::expect_used,
-    reason = "a fresh MemSegments always opens; a fallback would report the wrong backend"
-)]
+/// A fresh [`Store`] for one server per `cfg`, behind the trait.
 pub fn make_store(cfg: &DurabilityConfig) -> Box<dyn MailStore> {
-    match cfg {
-        DurabilityConfig::Ideal => Box::new(MemStore::stable()),
-        DurabilityConfig::Volatile => Box::new(MemStore::volatile()),
-        DurabilityConfig::Wal(wal_cfg) => Box::new(
-            WalStore::open(Box::new(MemSegments::new()), wal_cfg.clone())
-                .expect("a fresh in-memory WAL device opens"),
-        ),
-    }
+    Box::new(Store::new(cfg))
 }

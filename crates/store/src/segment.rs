@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use crate::StoreError;
 
 /// A numbered-segment append-only device.
-pub trait SegmentIo: std::fmt::Debug {
+pub(crate) trait SegmentIo: std::fmt::Debug {
     /// Creates (or truncates) segment `seq`.
     fn create(&mut self, seq: u64) -> Result<(), StoreError>;
     /// Appends bytes to segment `seq`.
@@ -42,13 +42,13 @@ struct MemSeg {
 /// The simulated disk: per-segment byte buffers with a durable-length
 /// watermark advanced only by [`SegmentIo::sync`].
 #[derive(Clone, Debug, Default)]
-pub struct MemSegments {
+pub(crate) struct MemSegments {
     segs: BTreeMap<u64, MemSeg>,
 }
 
 impl MemSegments {
     /// An empty device.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemSegments::default()
     }
 

@@ -2,13 +2,15 @@
 //! messages a store holds for them, in a mailbox and in a reservation
 //! buffer.
 //!
-//! Three stores run every script side by side, each wired with the same
+//! Four subjects run every script side by side, each wired with the same
 //! roster (the owners a server's authority lists name) and each beside
 //! its own copy of the model: a bare `StoreState`, which also takes
-//! snapshot restores and a re-seeded roster; a volatile `MemStore`, whose
-//! crash empties its model too; and a `WalStore` that compacts often, is
-//! crashed and recovered, and after every step is replayed from its log
-//! into a state that must equal the live one. Owners on and off the roster
+//! snapshot restores and a re-seeded roster; and a `Store` in each of its
+//! three modes — a volatile one, whose crash empties its model too; a
+//! stable one, whose crash leaves its model as it was; and a WAL one that
+//! compacts often, is crashed and recovered, and after every step is
+//! replayed from its log into a state that must equal the live one.
+//! Owners on and off the roster
 //! are drained with hints that are right, stale, another owner's, or
 //! none. After every step each store must show the model's views in name
 //! order, with no entry for an owner who holds nothing, and `idle_drain`
@@ -18,9 +20,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, Mailboxes, MemStore, PendingDrain, StoreState, NO_OWNER_SLOT};
+use lems_core::store::{MailStore, Mailboxes, PendingDrain, StoreState, NO_OWNER_SLOT};
 use lems_sim::time::SimTime;
-use lems_store::{MemSegments, SyncPolicy, WalConfig, WalStore};
+use lems_store::{DurabilityConfig, Store, SyncPolicy, WalConfig};
 use proptest::prelude::*;
 
 const USERS: &[&str] = &[
@@ -49,7 +51,7 @@ fn roster(mask: u8) -> Vec<MailName> {
 /// What one owner holds, as the model keeps it.
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Held {
-    mailbox: Vec<(Message, SimTime)>,
+    mailbox: Vec<Message>,
     reserved: Vec<Message>,
 }
 
@@ -62,15 +64,15 @@ struct Model {
 }
 
 impl Model {
-    fn deposit(&mut self, m: &Message, at: SimTime) -> bool {
+    fn deposit(&mut self, m: &Message) -> bool {
         if !self.deposited.insert(m.id) {
             return false;
         }
-        self.restore_chunk(&m.to, &[(m.clone(), at)]);
+        self.restore_chunk(&m.to, std::slice::from_ref(m));
         true
     }
 
-    fn restore_chunk(&mut self, owner: &MailName, messages: &[(Message, SimTime)]) {
+    fn restore_chunk(&mut self, owner: &MailName, messages: &[Message]) {
         let held = self.owners.entry(owner.clone()).or_default();
         held.mailbox.extend(messages.iter().cloned());
     }
@@ -79,7 +81,7 @@ impl Model {
         let Some(held) = self.owners.get_mut(owner) else {
             return Vec::new();
         };
-        held.reserved.extend(held.mailbox.drain(..).map(|(m, _)| m));
+        held.reserved.append(&mut held.mailbox);
         held.reserved.clone()
     }
 
@@ -105,7 +107,7 @@ impl Model {
     fn snapshot(&self) -> StoreState {
         let mut state = StoreState::default();
         for (owner, held) in &self.owners {
-            state.restore_snapshot_chunk(owner, held.mailbox.iter().cloned());
+            state.restore_snapshot_chunk(owner, held.mailbox.clone());
             state.restore_snapshot_pending(owner, held.reserved.clone());
         }
         state.deposited.clone_from(&self.deposited);
@@ -124,22 +126,15 @@ impl Model {
 /// A store's two views against the model: both in name order, each
 /// listing only the owners who hold messages of its kind.
 fn assert_views(mailboxes: &Mailboxes<'_>, pending: &PendingDrain<'_>, model: &Model, who: &str) {
-    let boxes: Vec<(&MailName, Vec<(Message, SimTime)>)> = mailboxes
+    let boxes: Vec<(&MailName, &[Message])> = mailboxes
         .iter()
-        .map(|(owner, mb)| {
-            let stored = mb
-                .peek()
-                .iter()
-                .map(|s| (s.message.clone(), s.deposited_at))
-                .collect();
-            (owner, stored)
-        })
+        .map(|(owner, mb)| (owner, mb.peek()))
         .collect();
-    let want: Vec<(&MailName, Vec<(Message, SimTime)>)> = model
+    let want: Vec<(&MailName, &[Message])> = model
         .owners
         .iter()
         .filter(|(_, held)| !held.mailbox.is_empty())
-        .map(|(owner, held)| (owner, held.mailbox.clone()))
+        .map(|(owner, held)| (owner, &held.mailbox[..]))
         .collect();
     assert_eq!(boxes, want, "{who}: mailboxes");
 
@@ -223,22 +218,24 @@ struct Run {
     /// The last message deposited, for a duplicate delivery.
     last: Option<Message>,
     state: StoreState,
-    volatile: MemStore,
-    wal: WalStore,
-    subjects: [Subject; 3],
+    /// The stores of subjects [`VOLATILE`], [`STABLE`] and [`WAL`], in
+    /// that order.
+    stores: [Store; 3],
+    subjects: [Subject; 4],
 }
 
 const STATE: usize = 0;
 const VOLATILE: usize = 1;
-const WAL: usize = 2;
+const STABLE: usize = 2;
+const WAL: usize = 3;
+/// The subjects that are stores.
+const STORES: [usize; 3] = [VOLATILE, STABLE, WAL];
 
 impl Run {
     fn new(mask: u8) -> Self {
         let roster = roster(mask);
         let mut state = StoreState::default();
         state.seed_roster(&roster);
-        let mut volatile = MemStore::volatile();
-        volatile.seed_roster(&mut roster.iter());
         let cfg = WalConfig {
             segment_bytes: 256,
             chunk_messages: 2,
@@ -246,30 +243,28 @@ impl Run {
             sync: SyncPolicy::PerRecord,
             ..WalConfig::default()
         };
-        let mut wal = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
-        wal.seed_roster(&mut roster.iter());
+        let mut stores = [
+            DurabilityConfig::Volatile,
+            DurabilityConfig::Ideal,
+            DurabilityConfig::Wal(cfg),
+        ]
+        .map(|cfg| Store::new(&cfg));
+        for store in &mut stores {
+            store.seed_roster(&mut roster.iter());
+        }
         Run {
             roster,
             next_id: 0,
             last: None,
             state,
-            volatile,
-            wal,
-            subjects: [Subject::new(), Subject::new(), Subject::new()],
+            stores,
+            subjects: [(); 4].map(|()| Subject::new()),
         }
     }
 
-    /// The store of subject `i`, one of [`VOLATILE`] and [`WAL`].
-    fn store<'a>(
-        volatile: &'a mut MemStore,
-        wal: &'a mut WalStore,
-        i: usize,
-    ) -> &'a mut dyn MailStore {
-        if i == VOLATILE {
-            volatile
-        } else {
-            wal
-        }
+    /// The store of subject `i`, one of [`STORES`].
+    fn store(&mut self, i: usize) -> &mut Store {
+        &mut self.stores[i - 1]
     }
 
     fn step(&mut self, (op, who, val): Op) {
@@ -285,12 +280,11 @@ impl Run {
                         Message::new(MessageId(self.next_id), user(who + 1), owner, "s", "b", now)
                     }
                 };
-                let fresh = self.subjects[STATE].model.deposit(&m, now);
-                assert_eq!(self.state.deposit(m.clone(), now), fresh);
-                for i in [VOLATILE, WAL] {
-                    let fresh = self.subjects[i].model.deposit(&m, now);
-                    let store = Self::store(&mut self.volatile, &mut self.wal, i);
-                    assert_eq!(store.deposit(m.clone(), now), fresh);
+                let fresh = self.subjects[STATE].model.deposit(&m);
+                assert_eq!(self.state.deposit(m.clone()), fresh);
+                for i in STORES {
+                    let fresh = self.subjects[i].model.deposit(&m);
+                    assert_eq!(self.store(i).deposit(m.clone(), now), fresh);
                 }
                 self.last = Some(m);
             }
@@ -304,31 +298,31 @@ impl Run {
                 assert_eq!(mail, want, "state: drain of {owner}");
                 subject.learn(who, slot);
                 assert_eq!(self.state.idle_drain(&owner, hint), Some((mail, slot)));
-                for i in [VOLATILE, WAL] {
+                for i in STORES {
                     let subject = &mut self.subjects[i];
                     let hint = subject.hint(who, kind, val % 12);
                     let want = subject.model.drain(&owner);
-                    let store = Self::store(&mut self.volatile, &mut self.wal, i);
+                    let store = &mut self.stores[i - 1];
                     let (mail, slot) = store.drain_reserve_at(&owner, hint);
                     assert_eq!(mail, want, "store {i}: drain of {owner}");
                     subject.learn(who, slot);
+                    let (_, slot) = store.state().idle_drain(&owner, NO_OWNER_SLOT).unwrap();
+                    assert_eq!(subject.taught[&who], slot, "store {i}: slot of {owner}");
                 }
-                let (_, slot) = self.wal.state().idle_drain(&owner, NO_OWNER_SLOT).unwrap();
-                assert_eq!(self.subjects[WAL].taught[&who], slot);
             }
             // An acknowledgement of part of the buffer, and ids it never held.
             7 => {
-                for (i, subject) in self.subjects.iter_mut().enumerate() {
+                for i in [STATE].into_iter().chain(STORES) {
+                    let subject = &mut self.subjects[i];
                     let mut ids = subject.model.reserved(&owner);
                     ids.truncate(1 + val as usize % 3);
                     ids.push(MessageId(u64::from(val) + 1_000));
                     let want = subject.model.release(&owner, &ids);
                     let got = match i {
                         STATE => self.state.release_drained(&owner, &ids),
-                        VOLATILE => self.volatile.release_drained(&owner, &ids),
-                        _ => self.wal.release_drained(&owner, &ids),
+                        _ => self.stores[i - 1].release_drained(&owner, &ids),
                     };
-                    assert_eq!(got, want, "store {i}: release for {owner}");
+                    assert_eq!(got, want, "subject {i}: release for {owner}");
                 }
             }
             // Snapshot restores, as a replay applies them.
@@ -342,7 +336,7 @@ impl Run {
                     "b",
                     now,
                 );
-                let chunk = vec![(m, now)];
+                let chunk = vec![m];
                 self.subjects[STATE].model.restore_chunk(&owner, &chunk);
                 self.state.restore_snapshot_chunk(&owner, chunk);
             }
@@ -370,21 +364,29 @@ impl Run {
             10 => {
                 self.roster = roster(val as u8);
                 self.state.seed_roster(&self.roster);
-                for i in [VOLATILE, WAL] {
-                    let store = Self::store(&mut self.volatile, &mut self.wal, i);
+                for store in &mut self.stores {
                     store.seed_roster(&mut self.roster.iter());
                 }
             }
-            // The volatile store forgets everything but its roster.
+            // The volatile store forgets everything but its roster; the
+            // stable one, nothing.
             11 => {
-                self.volatile.crash(now);
-                self.volatile.recover(now);
+                for i in [VOLATILE, STABLE] {
+                    let store = self.store(i);
+                    store.crash(now);
+                    let (report, unsettled) = store.recover(now);
+                    assert!(unsettled.is_empty(), "store {i}: no forwards");
+                    if i == STABLE {
+                        assert_eq!(report.lost_messages, 0);
+                    }
+                }
                 self.subjects[VOLATILE].model = Model::default();
             }
             // The WAL store comes back as its log says.
             _ => {
-                self.wal.crash(now);
-                let report = self.wal.recover(now);
+                let wal = self.store(WAL);
+                wal.crash(now);
+                let (report, _) = wal.recover(now);
                 assert_eq!(report.lost_messages, 0);
             }
         }
@@ -396,38 +398,25 @@ impl Run {
         // what a state is: the model written as a snapshot, with no
         // roster, is the same state.
         assert_eq!(self.state, self.subjects[STATE].model.snapshot());
-        let (state, volatile, wal) = (&self.state, &self.volatile, &self.wal);
-        let models = &self.subjects;
+        let model = &self.subjects[STATE].model;
         assert_views(
-            &state.mailboxes(),
-            &state.pending(),
-            &models[STATE].model,
+            &self.state.mailboxes(),
+            &self.state.pending(),
+            model,
             "state",
         );
-        let (boxes, pending) = (volatile.mailboxes(), volatile.pending_drain());
-        assert_views(&boxes, &pending, &models[VOLATILE].model, "volatile");
-        assert_views(
-            &wal.mailboxes(),
-            &wal.pending_drain(),
-            &models[WAL].model,
-            "wal",
-        );
-        assert_idle(
-            &self.state,
-            &self.subjects[STATE].model,
-            &self.roster,
-            "state",
-        );
-        assert_idle(
-            self.wal.state(),
-            &self.subjects[WAL].model,
-            &self.roster,
-            "wal",
-        );
+        assert_idle(&self.state, model, &self.roster, "state");
+        for i in STORES {
+            let (store, model) = (&self.stores[i - 1], &self.subjects[i].model);
+            let who = store.backend();
+            assert_views(&store.mailboxes(), &store.pending_drain(), model, who);
+            assert_idle(store.state(), model, &self.roster, who);
+        }
         // The log replays to the live state.
-        let live = self.wal.state().clone();
-        assert!(self.wal.persist_restore().is_some());
-        assert_eq!(self.wal.state(), &live, "replayed state");
+        let wal = self.store(WAL);
+        let live = wal.state().clone();
+        assert!(wal.persist_restore().is_some());
+        assert_eq!(wal.state(), &live, "replayed state");
     }
 }
 

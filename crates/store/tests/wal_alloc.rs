@@ -1,11 +1,13 @@
-//! Pins what the WAL store allocates per operation once it is warm.
+//! Pins what the store allocates per operation once it is warm, with a
+//! log and without one.
 //!
 //! A server's store runs four operations per delivered message — deposit,
 //! the check that finds it, the acknowledgement, and (far more often than
 //! any of those) the check that finds nothing. The last must cost nothing
 //! at all: no record is built, no frame encoded, no byte appended. The
-//! other three encode into the store's one frame buffer and allocate only
-//! what the state itself keeps or hands out.
+//! other three encode into the log's one frame buffer and allocate only
+//! what the state itself keeps or hands out; a store without a log builds
+//! no record at all.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -21,7 +23,7 @@ use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
 use lems_core::store::MailStore;
 use lems_sim::time::SimTime;
-use lems_store::{MemSegments, WalConfig, WalStore};
+use lems_store::{DurabilityConfig, Store, WalConfig};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -56,15 +58,17 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
 const OWNERS: usize = 50;
 const CYCLES: usize = 2_000;
 
-#[test]
-fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
-    // One segment for the whole run: rotation and compaction have their
-    // own tests, and their cost is per segment, not per operation.
-    let cfg = WalConfig {
-        segment_bytes: u64::MAX,
-        ..WalConfig::default()
-    };
-    let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+/// What one subject allocated, once warm: over [`CYCLES`] idle checks,
+/// and over [`CYCLES`] deposit/check/acknowledgement cycles.
+struct Spent {
+    idle: u64,
+    busy: u64,
+}
+
+/// Warms `store` up, then counts what its idle checks and its cycles
+/// allocate. Every cycle must log exactly three records, and an idle
+/// check none.
+fn spend(store: &mut Store) -> Spent {
     let owners: Vec<MailName> = (0..OWNERS)
         .map(|i| format!("east.h{}.u{i}", i % 7).parse().unwrap())
         .collect();
@@ -81,7 +85,7 @@ fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
     };
     // One delivered message: deposit, the check that finds it, the ack.
     let mut ids = Vec::with_capacity(1);
-    let mut cycle = |store: &mut WalStore, m: Message| {
+    let mut cycle = |store: &mut Store, m: Message| {
         let owner = m.to.clone();
         let now = m.submitted_at;
         assert!(store.deposit(m, now));
@@ -90,13 +94,15 @@ fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
         ids.extend(reserved.iter().map(|m| m.id));
         assert_eq!(store.release_drained(&owner, &ids), 1);
     };
+    let appended = |store: &Store| store.store_metrics().appended_records;
+    let logs = store.backend() == "wal";
 
     // Warm-up: every owner's entry, mailbox and buffers exist and the
     // frame buffer has seen its largest record.
     for id in 0..2 * OWNERS {
-        cycle(&mut store, message(id));
+        cycle(store, message(id));
     }
-    let appended = store.records_appended();
+    let before = appended(store);
 
     // The check that finds nothing, hint-less and hinted: nothing at all.
     let idle = allocs_in(|| {
@@ -107,17 +113,36 @@ fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
             assert!(mail.is_empty() && slot as usize == round % OWNERS);
         }
     });
-    assert_eq!(idle, 0, "{CYCLES} idle checks allocated {idle} times");
-    assert_eq!(store.records_appended(), appended, "and logged nothing");
+    assert_eq!(appended(store), before, "idle checks log nothing");
 
     // Messages are built outside the measurement: they are the caller's.
     let messages: Vec<Message> = (2 * OWNERS..2 * OWNERS + CYCLES).map(message).collect();
     let busy = allocs_in(|| {
         for m in messages {
-            cycle(&mut store, m);
+            cycle(store, m);
         }
     });
-    assert_eq!(store.records_appended(), appended + 3 * CYCLES as u64);
+    let logged = if logs { 3 * CYCLES as u64 } else { 0 };
+    assert_eq!(appended(store), before + logged);
+    Spent { idle, busy }
+}
+
+/// Both subjects run in one test: the counting allocator is global, and
+/// a second test would run beside this one and pollute both counts.
+#[test]
+fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
+    // One segment for the whole run: rotation and compaction have their
+    // own tests, and their cost is per segment, not per operation.
+    let cfg = WalConfig {
+        segment_bytes: u64::MAX,
+        ..WalConfig::default()
+    };
+    let wal = spend(&mut Store::new(&DurabilityConfig::Wal(cfg)));
+    assert_eq!(
+        wal.idle, 0,
+        "{CYCLES} idle checks allocated {} times",
+        wal.idle
+    );
     // Per cycle: the mailbox's `Vec` regrows from empty after the drain
     // took it (1), the reserved list is handed out as a clone (1), the
     // acknowledgement is sorted in a copy and logged from one (2); the
@@ -126,7 +151,24 @@ fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
     // parent of this test 50 335 (25.2 each), and five per idle check.
     let budget = 5 * CYCLES as u64;
     assert!(
-        busy <= budget,
-        "{CYCLES} deposit/drain/release cycles allocated {busy} times (budget {budget})"
+        wal.busy <= budget,
+        "{CYCLES} WAL deposit/drain/release cycles allocated {} times (budget {budget})",
+        wal.busy
+    );
+
+    // The log-less store builds no record: what is left is the state's
+    // own regrown mailbox, handed-out clone, sorted acknowledgement and
+    // ledger growth. 6 333 measured for 2 000 cycles (3.2 each).
+    let stable = spend(&mut Store::new(&DurabilityConfig::Ideal));
+    assert_eq!(
+        stable.idle, 0,
+        "{CYCLES} idle checks allocated {} times",
+        stable.idle
+    );
+    let budget = 4 * CYCLES as u64;
+    assert!(
+        stable.busy <= budget,
+        "{CYCLES} mem-stable deposit/drain/release cycles allocated {} times (budget {budget})",
+        stable.busy
     );
 }

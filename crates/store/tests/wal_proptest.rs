@@ -8,8 +8,8 @@ use lems_core::name::MailName;
 use lems_core::store::{MailStore, StoreState};
 use lems_sim::time::SimTime;
 use lems_store::codec;
-use lems_store::segment::MemSegments;
-use lems_store::wal::{apply, SyncPolicy, WalConfig, WalStore};
+use lems_store::wal::{apply, SyncPolicy, WalConfig};
+use lems_store::{DurabilityConfig, Store};
 use proptest::prelude::*;
 
 const USERS: &[&str] = &[
@@ -38,7 +38,7 @@ fn message(gen: &mut MessageIdGen, to: u64, at: u64) -> Message {
 
 /// One scripted operation, decoded from a `(op, user, val)` triple.
 fn run_op(
-    store: &mut dyn MailStore,
+    store: &mut Store,
     oracle: &mut StoreState,
     gen: &mut MessageIdGen,
     op: u8,
@@ -51,7 +51,7 @@ fn run_op(
         0..=2 => {
             let m = message(gen, who, val);
             store.deposit(m.clone(), now);
-            oracle.deposit(m, now);
+            oracle.deposit(m);
         }
         3 => {
             let owner = user(who);
@@ -109,7 +109,7 @@ fn crash_at_every_prefix(ops: &[(u8, u64, u64)]) -> (Vec<u8>, StoreState) {
         sync: SyncPolicy::PerRecord,
         ..WalConfig::default()
     };
-    let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+    let mut store = Store::new(&DurabilityConfig::Wal(cfg));
     let mut oracle = StoreState::default();
     let mut gen = MessageIdGen::new();
     for (op, who, val) in ops {
@@ -159,21 +159,34 @@ const SHAPE_SCRIPT: &[(u8, u64, u64)] = &[
 /// Length of the log `SHAPE_SCRIPT` writes: the 604 bytes of a log that
 /// records every operation, less the two records that change nothing —
 /// alice's two checks, each a 31-byte `DrainReserve` (9 of header, 3 of
-/// version and tag, 4 + 15 of name). 573 while her first check still
-/// wrote one, to record that she had a (empty) reservation buffer.
-const SHAPE_SCRIPT_LOG_BYTES: usize = 542;
+/// version and tag, 4 + 15 of name) — and less the deposit time each of
+/// the four `Deposit` records carried until schema version 2, 8 bytes
+/// apiece: 604 − 62 − 32. 542 with the time, and 573 while her first
+/// check still wrote one, to record that she had a (empty) reservation
+/// buffer.
+const SHAPE_SCRIPT_LOG_BYTES: usize = 510;
 
 /// Total segment bytes after `SHAPE_SCRIPT` × 12 through a WAL that
 /// rotates every 256 bytes and compacts past two segments — snapshot
 /// records included, so this pins what compaction writes. None of alice's
 /// 24 checks and none of carol's 10 acknowledgements that release nothing
-/// (from the third round on she holds no id in 1..=3) are written. 6 160
-/// while compaction also wrote each mailbox's lifetime counters and an
-/// empty buffer for a user who had checked: the last snapshot has lost
-/// bob's and carol's 54-byte counter records and alice's 35-byte empty
-/// `SnapshotPending` (9 + 3 + 4 + 15, and 4 for the count), 143 bytes;
-/// the segments rotate and compact where they did.
-const SHAPE_SCRIPT_COMPACTED_BYTES: u64 = 6017;
+/// (from the third round on she holds no id in 1..=3) are written.
+///
+/// 6 017 while each stored message carried its deposit time: the last
+/// segment then held a snapshot of bob's 23 waiting messages, then two
+/// `Deposit` records, and lost 8 bytes on each of those 25 (6 017 − 200
+/// = 5 817). Smaller records fill segments later — 16 rotations where
+/// there were 20 — so the last compaction now lands one step earlier,
+/// before carol's last check: her two messages are snapshotted in her
+/// mailbox instead of at the end of her buffer (223 bytes either way),
+/// and her check follows as a 31-byte `DrainReserve` (5 817 + 31).
+///
+/// 6 160 before that, while compaction also wrote each mailbox's lifetime
+/// counters and an empty buffer for a user who had checked: the last
+/// snapshot lost bob's and carol's 54-byte counter records and alice's
+/// 35-byte empty `SnapshotPending` (9 + 3 + 4 + 15, and 4 for the count),
+/// 143 bytes; the segments rotated and compacted where they did.
+const SHAPE_SCRIPT_COMPACTED_BYTES: u64 = 5848;
 
 /// Alice only ever checked, so nothing of her is held, and no record
 /// names her; bob and carol hold mail.
@@ -210,7 +223,7 @@ fn an_only_checked_user_leaves_no_trace_through_compaction() {
         sync: SyncPolicy::PerRecord,
         ..WalConfig::default()
     };
-    let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+    let mut store = Store::new(&DurabilityConfig::Wal(cfg));
     let mut oracle = StoreState::default();
     let mut gen = MessageIdGen::new();
     for _ in 0..12 {
@@ -218,7 +231,10 @@ fn an_only_checked_user_leaves_no_trace_through_compaction() {
             run_op(&mut store, &mut oracle, &mut gen, op, who, val);
         }
     }
-    assert!(store.compactions() > 0, "small segments must compact");
+    assert!(
+        store.store_metrics().compactions > 0,
+        "small segments must compact"
+    );
     // The last compaction dropped every older segment: the active one,
     // numbered by the rotations so far, is the whole log.
     let active = store.read_segment(store.store_metrics().rotations).unwrap();
@@ -229,12 +245,12 @@ fn an_only_checked_user_leaves_no_trace_through_compaction() {
         [&user(2)],
         "carol's later mail waits for an acknowledgement"
     );
-    assert_eq!(store.records_appended(), 12 * 8 - 24 - 10);
+    assert_eq!(store.store_metrics().appended_records, 12 * 8 - 24 - 10);
     assert_eq!(store.wal_bytes(), SHAPE_SCRIPT_COMPACTED_BYTES);
 
     let live = store.state().clone();
     store.crash(SimTime::from_units(1000.0));
-    let report = store.recover(SimTime::from_units(1001.0));
+    let (report, _) = store.recover(SimTime::from_units(1001.0));
     assert_eq!(report.lost_messages, 0);
     assert_eq!(
         store.state(),
@@ -271,14 +287,14 @@ proptest! {
             sync: SyncPolicy::PerRecord,
             ..WalConfig::default()
         };
-        let mut store = WalStore::open(Box::new(MemSegments::new()), cfg).unwrap();
+        let mut store = Store::new(&DurabilityConfig::Wal(cfg));
         let mut oracle = StoreState::default();
         let mut gen = MessageIdGen::new();
         for (op, who, val) in &ops {
             run_op(&mut store, &mut oracle, &mut gen, *op, *who, *val);
         }
         store.crash(SimTime::from_units(1000.0));
-        let report = store.recover(SimTime::from_units(1001.0));
+        let (report, _) = store.recover(SimTime::from_units(1001.0));
         prop_assert_eq!(report.lost_messages, 0);
         prop_assert_eq!(store.state(), &oracle);
     }

@@ -37,7 +37,7 @@ use lems_core::directory::Directory;
 use lems_core::mailbox::Mailbox;
 use lems_core::message::{BounceReason, MessageId, MessageIdGen};
 use lems_core::name::MailName;
-use lems_core::store::{StoreMetrics, StoreRecovery};
+use lems_core::store::{MailStore, StoreMetrics, StoreRecovery};
 use lems_core::user::AuthorityList;
 use lems_net::error::NetError;
 use lems_net::graph::NodeId;
@@ -50,7 +50,7 @@ use lems_sim::metrics::MetricsRegistry;
 use lems_sim::rng::SimRng;
 use lems_sim::span::{BounceCode, SpanId, SpanLog, SpanStage, NO_NODE, NO_SPAN};
 use lems_sim::time::{SimDuration, SimTime, TICKS_PER_UNIT};
-use lems_store::DurabilityConfig;
+use lems_store::{DurabilityConfig, Store};
 
 use crate::assign::{solve, Assignment, AssignmentProblem, BalanceOptions};
 use crate::cost::{CostModel, ServerSpec};
@@ -604,7 +604,7 @@ impl Deployment {
             let region = topology.region(s);
             let view = views.remove(&s).expect("partition holds a view per server");
             // The store keeps mail for exactly the users the view holds.
-            let mut store = lems_store::make_store(&cfg.durability);
+            let mut store = Store::new(&cfg.durability);
             store.seed_roster(&mut view.names());
             let resolver = SyntaxResolver::new(
                 region,
@@ -957,13 +957,13 @@ impl Deployment {
         for (&node, &aid) in &self.server_actors {
             if let Some(s) = self.sim.actor::<ServerActor>(aid) {
                 for (owner, mb) in s.store.mailboxes().iter() {
-                    for stored in mb.peek() {
+                    for message in mb.peek() {
                         let auth = self
                             .directory
                             .by_name(owner)
                             .map(|r| r.authorities.servers().to_vec())
                             .unwrap_or_default();
-                        out.push((node, owner.clone(), stored.message.id, auth));
+                        out.push((node, owner.clone(), message.id, auth));
                     }
                 }
                 // Drained-but-unacked mail is still the server's to lose.
@@ -1575,7 +1575,7 @@ mod tests {
         assert_eq!(stored.len(), 1);
         let dup = {
             let s: &ServerActor = d.sim.actor(server_actor).unwrap();
-            s.store.mailboxes()[&bob].peek()[0].message.clone()
+            s.store.mailboxes()[&bob].peek()[0].clone()
         };
         d.sim.inject(
             server_actor,

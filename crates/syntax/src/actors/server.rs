@@ -11,6 +11,7 @@ use lems_net::graph::NodeId;
 use lems_sim::actor::{Actor, ActorId, Ctx, TimerId};
 use lems_sim::span::{ResolveCode, SpanStage, NO_NODE};
 use lems_sim::time::SimTime;
+use lems_store::Store;
 
 use super::{site, Endpoint, Exchange, MailMsg, SharedRecoveries, Timeout, MAX_HOPS};
 use crate::resolve::{Resolution, SyntaxResolver};
@@ -39,11 +40,11 @@ pub struct ServerActor {
     pub(super) resolver: SyntaxResolver,
     /// The server's durable state — mailboxes, drained-but-unacked
     /// reservation buffers, the store-before-forward journal, and the
-    /// deposit dedup ledger — behind the [`MailStore`] trait so the same
-    /// actor runs against fiat-stable memory ([`DurabilityConfig::Ideal`]),
-    /// RAM that a crash wipes ([`DurabilityConfig::Volatile`]), or a
-    /// write-ahead log ([`DurabilityConfig::Wal`]).
-    pub(super) store: Box<dyn MailStore>,
+    /// deposit dedup ledger — in one [`Store`], whose mode says what a
+    /// crash keeps: everything by fiat ([`DurabilityConfig::Ideal`]),
+    /// nothing ([`DurabilityConfig::Volatile`]), or a write-ahead log's
+    /// durable prefix ([`DurabilityConfig::Wal`]).
+    pub(super) store: Store,
     pub(super) last_start_time: SimTime,
     /// Retry bookkeeping (probe timers, attempt counts, remaining
     /// candidates) for accepted-but-not-yet-settled messages. This map is
@@ -499,7 +500,7 @@ impl Actor for ServerActor {
         // from failure or been initialised."
         self.last_start_time = ctx.now();
         let now = ctx.now();
-        let mut report = self.store.recover(now);
+        let (report, unsettled) = self.store.recover(now);
         if report.lost_messages > 0 {
             // The backend lost stored mail (volatile RAM, or a WAL with a
             // sync policy weaker than per-record): reconcile the occupancy
@@ -510,18 +511,10 @@ impl Actor for ServerActor {
                 .metrics
                 .gauge_add(now, "storage", -(report.lost_messages as f64));
         }
-        let unsettled = std::mem::take(&mut report.unsettled);
         self.recoveries.borrow_mut().push(StoreRecovery {
             at: now,
             site: site(self.end.node),
-            backend: report.backend,
-            replayed_records: report.replayed_records,
-            recovered_messages: report.recovered_messages,
-            recovered_pending: report.recovered_pending,
-            recovered_forwards: report.recovered_forwards,
-            lost_messages: report.lost_messages,
-            torn_bytes: report.torn_bytes,
-            segments: report.segments,
+            report,
         });
         // Crash recovery for accepted-but-undeposited mail: any forward
         // that was in flight when we went down may have been dropped (and

@@ -28,8 +28,9 @@
 //! * [`net`] — weighted graphs, shortest paths, centralized MSTs,
 //!   multi-region topologies, transport;
 //! * [`core`] — names, messages, mailboxes, directories, workloads;
-//! * [`store`] — durable mailbox storage: pluggable `MailStore` backends
-//!   and the crash-recoverable write-ahead log.
+//! * [`store`] — durable mailbox storage: the one `MailStore`, `Store`,
+//!   whose mode says what a crash keeps (everything, nothing, or the
+//!   durable prefix of its crash-recoverable write-ahead log).
 //!
 //! ## Quickstart
 //!

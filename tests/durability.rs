@@ -100,10 +100,10 @@ fn wal_crash_trace_is_byte_identical_to_ideal_model() {
     assert!(wal.wal_bytes() > 0, "the WAL backend must actually log");
     let recs = wal.recoveries.borrow();
     assert_eq!(recs.len(), 1);
-    assert_eq!(recs[0].backend, "wal");
-    assert!(recs[0].replayed_records > 0);
-    assert_eq!(recs[0].lost_messages, 0);
-    assert!(ideal.recoveries.borrow()[0].replayed_records == 0);
+    assert_eq!(recs[0].report.backend, "wal");
+    assert!(recs[0].report.replayed_records > 0);
+    assert_eq!(recs[0].report.lost_messages, 0);
+    assert!(ideal.recoveries.borrow()[0].report.replayed_records == 0);
 }
 
 /// Same seed, same WAL config ⇒ same bytes: the durability layer draws no
@@ -136,10 +136,10 @@ fn torn_tail_recovery_matches_ideal_model() {
     );
     let recs = wal.recoveries.borrow();
     assert!(
-        recs[0].torn_bytes > 0,
+        recs[0].report.torn_bytes > 0,
         "the crash must actually have left a torn tail to truncate"
     );
-    assert_eq!(recs[0].lost_messages, 0);
+    assert_eq!(recs[0].report.lost_messages, 0);
 }
 
 /// Stopping mid-run, persisting every server's WAL, rebuilding state from

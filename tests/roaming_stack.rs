@@ -188,8 +188,8 @@ fn subgroup_server_crash_on_wal_loses_nothing() {
 
     let recoveries = d.recoveries.borrow();
     assert_eq!(recoveries.len(), 1, "one crash, one recovery");
-    assert_eq!(recoveries[0].recovered_messages, served.len() as u64);
-    assert_eq!(recoveries[0].lost_messages, 0);
+    assert_eq!(recoveries[0].report.recovered_messages, served.len() as u64);
+    assert_eq!(recoveries[0].report.lost_messages, 0);
     let st = d.stats.borrow();
     assert_eq!(st.submitted, 2 * served.len() as u64);
     assert!(st.retransmits > 0, "the outage must have been felt");
