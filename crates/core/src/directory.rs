@@ -20,6 +20,7 @@ use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
 
 use crate::name::MailName;
+use crate::store::NO_OWNER_SLOT;
 use crate::user::{AuthorityList, UserId, UserRecord};
 
 /// Error from directory operations.
@@ -168,27 +169,71 @@ impl Directory {
     ///
     /// One pass over the records in name order fills every view; a
     /// record's copies share its name and authority list with the
-    /// directory, and all views share one region table.
-    pub fn partition(&self, servers: &[NodeId]) -> BTreeMap<NodeId, ServerView> {
-        let mut held: BTreeMap<NodeId, Vec<(MailName, UserRecord)>> =
+    /// directory, and all views share one region table. The pass also
+    /// notes where each record lands: a view's length when a record is
+    /// pushed onto it is that record's index there, and so the roster
+    /// slot of a store seeded with the view's names
+    /// ([`Partition::slots_of`]).
+    pub fn partition(&self, servers: &[NodeId]) -> Partition {
+        let mut held: BTreeMap<NodeId, Vec<UserRecord>> =
             servers.iter().map(|&s| (s, Vec::new())).collect();
+        let mut starts = Vec::with_capacity(self.users.len() + 1);
+        starts.push(0);
+        for rec in &self.users {
+            starts.push(starts[starts.len() - 1] + rec.authorities.len());
+        }
+        let mut slots = vec![NO_OWNER_SLOT; starts[starts.len() - 1]];
         for rec in self.iter() {
-            for s in rec.authorities.servers() {
+            for (rank, s) in rec.authorities.servers().iter().enumerate() {
                 if let Some(records) = held.get_mut(s) {
-                    records.push((rec.name.clone(), rec.clone()));
+                    slots[starts[rec.id.0] + rank] =
+                        u32::try_from(records.len()).unwrap_or(NO_OWNER_SLOT);
+                    records.push(rec.clone());
                 }
             }
         }
-        held.into_iter()
+        let views = held
+            .into_iter()
             .map(|(server, records)| {
                 let view = ServerView {
                     // Already in name order: built in bulk, not by search.
-                    records: records.into_iter().collect(),
+                    records,
                     region_names: Arc::clone(&self.region_names),
                 };
                 (server, view)
             })
-            .collect()
+            .collect();
+        Partition {
+            views,
+            slots,
+            starts,
+        }
+    }
+}
+
+/// What [`Directory::partition`] builds: every server's view, and where
+/// each user's record sits in the views of their authority servers.
+#[derive(Debug)]
+pub struct Partition {
+    /// The view of each partitioned server.
+    pub views: BTreeMap<NodeId, ServerView>,
+    /// Every user's slots, in id order, each user's in list order.
+    slots: Vec<u32>,
+    /// Where each user's run of `slots` starts, by id; one entry more.
+    starts: Vec<usize>,
+}
+
+impl Partition {
+    /// Where each of `user`'s authority servers, by rank in their list,
+    /// holds their record: its index in that server's view, which is the
+    /// slot a store seeded with the view's names keeps them in.
+    /// [`NO_OWNER_SLOT`] for a server that was not partitioned; empty
+    /// for an id the directory never gave.
+    pub fn slots_of(&self, user: UserId) -> &[u32] {
+        match (self.starts.get(user.0), self.starts.get(user.0 + 1)) {
+            (Some(&start), Some(&end)) => &self.slots[start..end],
+            _ => &[],
+        }
     }
 }
 
@@ -197,7 +242,10 @@ impl Directory {
 /// replicates.
 #[derive(Clone, Debug)]
 pub struct ServerView {
-    records: BTreeMap<MailName, UserRecord>,
+    /// In name order, one per name. At wiring a record's index is the
+    /// slot the server's store keeps the user in; a reconfiguration moves
+    /// indices, and the store's hint check then finds the user by name.
+    records: Vec<UserRecord>,
     /// The directory's table, shared by every view of one partition.
     region_names: Arc<HashMap<String, RegionId>>,
 }
@@ -205,7 +253,23 @@ pub struct ServerView {
 impl ServerView {
     /// Resolves a name this server is authoritative for.
     pub fn lookup(&self, name: &MailName) -> Option<&UserRecord> {
-        self.records.get(name)
+        self.find(name).map(|(_, record)| record)
+    }
+
+    /// [`ServerView::lookup`], with the record's index: the roster slot
+    /// the server's store was wired to keep the user in (a hint only,
+    /// once a reconfiguration has moved the view).
+    pub fn find(&self, name: &MailName) -> Option<(u32, &UserRecord)> {
+        let Ok(at) = self.position(name) else {
+            return None;
+        };
+        let slot = u32::try_from(at).unwrap_or(NO_OWNER_SLOT);
+        Some((slot, &self.records[at]))
+    }
+
+    /// Where `name` sits in the name order, or would.
+    fn position(&self, name: &MailName) -> Result<usize, usize> {
+        self.records.binary_search_by(|r| r.name.cmp(name))
     }
 
     /// Region token resolution (fully replicated on every server).
@@ -215,7 +279,7 @@ impl ServerView {
 
     /// The names of the records held, in name order.
     pub fn names(&self) -> impl Iterator<Item = &MailName> {
-        self.records.keys()
+        self.records.iter().map(|r| &r.name)
     }
 
     /// Number of records held.
@@ -225,12 +289,18 @@ impl ServerView {
 
     /// Adds/updates a record (reconfiguration push).
     pub fn upsert(&mut self, record: UserRecord) {
-        self.records.insert(record.name.clone(), record);
+        match self.position(&record.name) {
+            Ok(at) => self.records[at] = record,
+            Err(at) => self.records.insert(at, record),
+        }
     }
 
     /// Drops a record (user deleted or reassigned away).
     pub fn remove(&mut self, name: &MailName) -> Option<UserRecord> {
-        self.records.remove(name)
+        let Ok(at) = self.position(name) else {
+            return None;
+        };
+        Some(self.records.remove(at))
     }
 }
 
@@ -311,7 +381,7 @@ mod tests {
     #[test]
     fn partition_replicates_by_authority() {
         let d = dir_with_users();
-        let views = d.partition(&[NodeId(0), NodeId(1), NodeId(2)]);
+        let views = d.partition(&[NodeId(0), NodeId(1), NodeId(2)]).views;
         assert_eq!(views[&NodeId(0)].record_count(), 2);
         assert_eq!(views[&NodeId(1)].record_count(), 2);
         assert_eq!(views[&NodeId(2)].record_count(), 1);
@@ -334,14 +404,14 @@ mod tests {
         )
         .unwrap();
         let servers = [NodeId(2), NodeId(0), NodeId(1), NodeId(0), NodeId(7)];
-        let views = d.partition(&servers);
+        let views = d.partition(&servers).views;
         assert_eq!(
             views.keys().copied().collect::<Vec<_>>(),
             [NodeId(0), NodeId(1), NodeId(2), NodeId(7)]
         );
         for (&s, view) in &views {
             let want: Vec<&UserRecord> = d.iter().filter(|r| r.authorities.contains(s)).collect();
-            let got: Vec<&UserRecord> = view.records.values().collect();
+            let got: Vec<&UserRecord> = view.records.iter().collect();
             assert_eq!(got, want, "n{}", s.0);
             for rec in got {
                 let held = d.by_name(&rec.name).unwrap();
@@ -355,15 +425,46 @@ mod tests {
         assert_eq!(views[&NodeId(7)].record_count(), 0);
     }
 
+    /// A user's slot at each authority is their record's index in that
+    /// server's view, in list order; a server left out of the partition
+    /// gives none.
+    #[test]
+    fn partition_returns_each_users_index_in_each_view() {
+        let d = dir_with_users();
+        let part = d.partition(&[NodeId(0), NodeId(1)]);
+        for rec in d.iter() {
+            let slots = part.slots_of(rec.id);
+            assert_eq!(slots.len(), rec.authorities.len(), "{}", rec.name);
+            for (&s, &slot) in rec.authorities.servers().iter().zip(slots) {
+                let want = part.views.get(&s).map_or(NO_OWNER_SLOT, |view| {
+                    view.names().position(|n| *n == rec.name).unwrap() as u32
+                });
+                assert_eq!(slot, want, "{} at n{}", rec.name, s.0);
+                if let Some(view) = part.views.get(&s) {
+                    assert_eq!(view.find(&rec.name), Some((slot, rec)));
+                }
+            }
+        }
+        // carol's primary, n2, was not partitioned; n0 holds alice first.
+        let carol = d.by_name(&"west.h2.carol".parse().unwrap()).unwrap();
+        assert_eq!(part.slots_of(carol.id), [NO_OWNER_SLOT, 1]);
+        assert_eq!(part.slots_of(UserId(9)), [] as [u32; 0]);
+    }
+
     #[test]
     fn server_view_mutation() {
         let d = dir_with_users();
-        let mut views = d.partition(&[NodeId(0)]);
+        let mut views = d.partition(&[NodeId(0)]).views;
         let v = views.get_mut(&NodeId(0)).unwrap();
         let name: MailName = "east.h1.alice".parse().unwrap();
         let rec = v.remove(&name).unwrap();
         assert!(v.lookup(&name).is_none());
+        assert_eq!(v.find(&"west.h2.carol".parse().unwrap()).unwrap().0, 0);
+        v.upsert(rec.clone());
         v.upsert(rec);
-        assert!(v.lookup(&name).is_some());
+        assert_eq!(v.record_count(), 2, "an upsert of a held name replaces it");
+        assert_eq!(v.find(&name).unwrap().0, 0);
+        let names: Vec<&MailName> = v.names().collect();
+        assert!(names.is_sorted(), "{names:?}");
     }
 }

@@ -31,8 +31,9 @@ use crate::mailbox::Mailbox;
 use crate::message::{Message, MessageId};
 use crate::name::MailName;
 
-/// What a [`MailStore::drain_reserve_at`] caller passes when it holds no
-/// slot for the owner: never the index of one.
+/// What a caller of [`MailStore::drain_reserve_at`], `deposit_at` or
+/// `release_drained_at` passes when it holds no slot for the owner: never
+/// the index of one.
 pub const NO_OWNER_SLOT: u32 = u32::MAX;
 
 /// The durable state a server entrusts to its store.
@@ -293,11 +294,19 @@ impl StoreState {
     /// Deposits `message` into its recipient's mailbox. Returns `false`
     /// (and stores nothing) when the id was already deposited.
     pub fn deposit(&mut self, message: Message) -> bool {
+        self.deposit_at(message, NO_OWNER_SLOT)
+    }
+
+    /// [`StoreState::deposit`] for a caller that may know where the
+    /// recipient's row is: `hint` is checked against the name as
+    /// [`StoreState::drain_reserve_at`] checks it, and a wrong one costs
+    /// the name search and nothing else.
+    pub fn deposit_at(&mut self, message: Message, hint: u32) -> bool {
         if !self.deposited.insert(message.id) {
             return false;
         }
-        let to = message.to.clone();
-        self.held_mut(&to).mailbox.deposit(message);
+        let slot = self.slot_or_adopt(&message.to, hint);
+        self.owners[slot].held_mut().mailbox.deposit(message);
         true
     }
 
@@ -339,7 +348,14 @@ impl StoreState {
     /// Releases acknowledged ids from `owner`'s reservation buffer,
     /// returning how many were released.
     pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let Some(slot) = self.find(owner) else {
+        self.release_drained_at(owner, ids, NO_OWNER_SLOT)
+    }
+
+    /// [`StoreState::release_drained`] with a checked `hint` of where
+    /// `owner`'s row is, as [`StoreState::drain_reserve_at`] takes one: a
+    /// hint that names another owner's row releases nothing from it.
+    pub fn release_drained_at(&mut self, owner: &MailName, ids: &[MessageId], hint: u32) -> u64 {
+        let Some(slot) = self.slot(owner, hint) else {
             return 0;
         };
         let Some(held) = self.owners[slot].held.as_deref_mut() else {
@@ -527,10 +543,19 @@ pub trait MailStore: std::fmt::Debug {
 
     /// Deposits `message`; returns `false` for a duplicate id (dedup).
     /// `now` is when the server took it, which no store keeps.
-    fn deposit(&mut self, message: Message, now: SimTime) -> bool;
+    fn deposit(&mut self, message: Message, now: SimTime) -> bool {
+        self.deposit_at(message, now, NO_OWNER_SLOT)
+    }
+
+    /// [`MailStore::deposit`] with a hint of the slot the store keeps the
+    /// recipient in, checked as [`MailStore::drain_reserve_at`] checks
+    /// its own.
+    fn deposit_at(&mut self, message: Message, now: SimTime, hint: u32) -> bool;
 
     /// Reliable retrieval: reserve `owner`'s mail, return the reserved list.
-    fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message>;
+    fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
+        self.drain_reserve_at(owner, NO_OWNER_SLOT).0
+    }
 
     /// [`MailStore::drain_reserve`] for a caller that resolves `owner`
     /// once: returns the reserved list and the slot the store keeps
@@ -546,7 +571,15 @@ pub trait MailStore: std::fmt::Debug {
     fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32);
 
     /// Release acknowledged reserved ids; returns how many were released.
-    fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64;
+    fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
+        self.release_drained_at(owner, ids, NO_OWNER_SLOT)
+    }
+
+    /// [`MailStore::release_drained`] with a hint of `owner`'s slot, such
+    /// as the one the drain answered with, checked as
+    /// [`MailStore::drain_reserve_at`] checks its own: a hint that names
+    /// another owner's slot releases nothing of theirs.
+    fn release_drained_at(&mut self, owner: &MailName, ids: &[MessageId], hint: u32) -> u64;
 
     /// Journal acceptance of a forward (message + remaining hop budget).
     fn accept_forward(&mut self, message: &Message, hops_left: u32);
@@ -700,5 +733,20 @@ mod tests {
         assert_eq!(s.idle_drain(&carol, a), None);
         assert_eq!(s.drain_reserve_at(&carol, a).1, 2);
         assert_eq!(s.pending()[&alice].len(), 1, "alice's box untouched");
+
+        // Deposits and releases take the same hints, with the same check:
+        // bob's mail under alice's slot lands in bob's box, and bob's ack
+        // under it releases none of alice's buffer.
+        let to_bob = msg(&mut g, "east.h.bob");
+        assert!(s.deposit_at(to_bob.clone(), a));
+        assert!(!s.deposit_at(to_bob, b), "dedup stands whatever the hint");
+        assert_eq!(s.mailboxes()[&bob].len(), 1);
+        assert_eq!(s.mailboxes().get(&alice), None);
+        let alices = s.pending()[&alice][0].id;
+        assert_eq!(s.release_drained_at(&bob, &[alices], a), 0);
+        let bobs = s.pending()[&bob][0].id;
+        assert_eq!(s.release_drained_at(&bob, &[alices, bobs], 9_999), 1);
+        assert_eq!(s.pending()[&alice].len(), 1, "alice's buffer untouched");
+        assert_eq!(s.release_drained_at(&carol, &[alices], a), 0);
     }
 }

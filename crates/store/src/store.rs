@@ -11,7 +11,7 @@
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
 use lems_core::store::{
-    MailStore, Mailboxes, PendingDrain, RecoveryReport, StoreMetrics, StoreState, NO_OWNER_SLOT,
+    MailStore, Mailboxes, PendingDrain, RecoveryReport, StoreMetrics, StoreState,
 };
 use lems_sim::time::SimTime;
 
@@ -153,16 +153,12 @@ impl MailStore for Store {
         self.state.seed_roster(roster);
     }
 
-    fn deposit(&mut self, message: Message, _now: SimTime) -> bool {
-        let fresh = self.state.deposit(message.clone());
+    fn deposit_at(&mut self, message: Message, _now: SimTime, hint: u32) -> bool {
+        let fresh = self.state.deposit_at(message.clone(), hint);
         if fresh {
             self.log(|| Record::Deposit { message });
         }
         fresh
-    }
-
-    fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        self.drain_reserve_at(owner, NO_OWNER_SLOT).0
     }
 
     fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
@@ -180,8 +176,9 @@ impl MailStore for Store {
         answer
     }
 
-    fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        let released = self.state.release_drained(owner, ids);
+    fn release_drained_at(&mut self, owner: &MailName, ids: &[MessageId], hint: u32) -> u64 {
+        // Found by hint here; replay finds the owner by name.
+        let released = self.state.release_drained_at(owner, ids, hint);
         if released > 0 {
             self.log(|| Record::Release {
                 owner: owner.clone(),
@@ -286,6 +283,7 @@ impl MailStore for Store {
 mod tests {
     use super::*;
     use lems_core::message::MessageIdGen;
+    use lems_core::store::NO_OWNER_SLOT;
 
     fn msg(g: &mut MessageIdGen, to: &str) -> Message {
         Message::new(

@@ -10,11 +10,14 @@
 //! stable one, whose crash leaves its model as it was; and a WAL one that
 //! compacts often, is crashed and recovered, and after every step is
 //! replayed from its log into a state that must equal the live one.
-//! Owners on and off the roster
-//! are drained with hints that are right, stale, another owner's, or
-//! none. After every step each store must show the model's views in name
-//! order, with no entry for an owner who holds nothing, and `idle_drain`
-//! answers where the model says a drain would change nothing.
+//! Owners on and off the roster are drained, deposited to and
+//! acknowledged with hints that are right, stale (taught before a crash
+//! or a re-seeded roster moved the owner), another owner's, made up, out
+//! of range, or none; an acknowledgement also lists another owner's
+//! reserved ids, as a forged one would. After every step each store must
+//! show the model's views in name order, with no entry for an owner who
+//! holds nothing, and `idle_drain` answers where the model says a drain
+//! would change nothing.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -183,11 +186,12 @@ impl Subject {
         }
     }
 
-    /// The hint a drain of `who` carries, by `kind`: the slot last taught,
-    /// a stale one, another user's, none, or a made-up one.
+    /// The hint an operation on `who` carries, by `kind`: the slot last
+    /// taught, a stale one, another user's, none, a made-up one, or one
+    /// past any slot a store of these users can have.
     fn hint(&self, who: usize, kind: u8, val: u32) -> u32 {
         let of = |map: &BTreeMap<usize, u32>, u: usize| map.get(&u).copied();
-        match kind % 5 {
+        match kind % 6 {
             0 => of(&self.taught, who),
             1 => of(&self.stale, who),
             2 => of(
@@ -195,7 +199,8 @@ impl Subject {
                 (who + 1 + val as usize % (USERS.len() - 1)) % USERS.len(),
             ),
             3 => None,
-            _ => Some(val),
+            4 => Some(val),
+            _ => Some(USERS.len() as u32 + val),
         }
         .unwrap_or(NO_OWNER_SLOT)
     }
@@ -272,19 +277,34 @@ impl Run {
         let now = SimTime::from_units(f64::from(val % 50));
         match op {
             // Deposits dominate, as in real traffic; a few are duplicates.
+            // Half carry no hint, half one of any kind.
             0..=3 => {
                 let m = match (&self.last, val % 7) {
                     (Some(last), 0) => last.clone(),
                     _ => {
                         self.next_id += 1;
-                        Message::new(MessageId(self.next_id), user(who + 1), owner, "s", "b", now)
+                        Message::new(
+                            MessageId(self.next_id),
+                            user(who + 1),
+                            owner.clone(),
+                            "s",
+                            "b",
+                            now,
+                        )
                     }
                 };
-                let fresh = self.subjects[STATE].model.deposit(&m);
-                assert_eq!(self.state.deposit(m.clone()), fresh);
-                for i in STORES {
-                    let fresh = self.subjects[i].model.deposit(&m);
-                    assert_eq!(self.store(i).deposit(m.clone(), now), fresh);
+                let hinted = op >= 2;
+                for i in [STATE].into_iter().chain(STORES) {
+                    let subject = &mut self.subjects[i];
+                    let hint = subject.hint(who, op + (val % 5) as u8, val % 12);
+                    let fresh = subject.model.deposit(&m);
+                    let got = match (i, hinted) {
+                        (STATE, false) => self.state.deposit(m.clone()),
+                        (STATE, true) => self.state.deposit_at(m.clone(), hint),
+                        (_, false) => self.stores[i - 1].deposit(m.clone(), now),
+                        (_, true) => self.stores[i - 1].deposit_at(m.clone(), now, hint),
+                    };
+                    assert_eq!(got, fresh, "subject {i}: deposit to {owner}");
                 }
                 self.last = Some(m);
             }
@@ -310,17 +330,24 @@ impl Run {
                     assert_eq!(subject.taught[&who], slot, "store {i}: slot of {owner}");
                 }
             }
-            // An acknowledgement of part of the buffer, and ids it never held.
-            7 => {
+            // An acknowledgement of part of the buffer, ids it never held
+            // and, as a forged one would, ids of another owner's buffer;
+            // without a hint, or with one of any kind.
+            7 | 14 => {
+                let other = user(who + 1 + val as usize % (USERS.len() - 1));
                 for i in [STATE].into_iter().chain(STORES) {
                     let subject = &mut self.subjects[i];
+                    let hint = subject.hint(who, (val % 6) as u8, val % 12);
                     let mut ids = subject.model.reserved(&owner);
                     ids.truncate(1 + val as usize % 3);
                     ids.push(MessageId(u64::from(val) + 1_000));
+                    ids.extend(subject.model.reserved(&other));
                     let want = subject.model.release(&owner, &ids);
-                    let got = match i {
-                        STATE => self.state.release_drained(&owner, &ids),
-                        _ => self.stores[i - 1].release_drained(&owner, &ids),
+                    let got = match (i, op) {
+                        (STATE, 7) => self.state.release_drained(&owner, &ids),
+                        (STATE, _) => self.state.release_drained_at(&owner, &ids, hint),
+                        (_, 7) => self.stores[i - 1].release_drained(&owner, &ids),
+                        (_, _) => self.stores[i - 1].release_drained_at(&owner, &ids, hint),
                     };
                     assert_eq!(got, want, "subject {i}: release for {owner}");
                 }
@@ -424,7 +451,7 @@ proptest! {
     #[test]
     fn the_store_is_its_model(
         mask in 0u8..=255,
-        ops in proptest::collection::vec((0u8..14, 0usize..8, 0u32..64), 1..48),
+        ops in proptest::collection::vec((0u8..15, 0usize..8, 0u32..64), 1..48),
     ) {
         let mut run = Run::new(mask);
         for op in ops {

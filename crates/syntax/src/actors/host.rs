@@ -22,8 +22,9 @@ pub(super) struct UiUser {
     /// [`RetrievalSession`] indexes into it.
     pub(super) authorities: AuthorityList,
     /// Per authority server, in list order: the owner slot its last
-    /// `RetrieveReply` carried. Kept for the first [`HINTED_SERVERS`]
-    /// only, inline, so the row allocates nothing of its own.
+    /// `RetrieveReply` carried, or before any the roster slot wiring gave
+    /// it. Kept for the first [`HINTED_SERVERS`] only, inline, so the row
+    /// allocates nothing of its own.
     pub(super) owner_slots: [u32; HINTED_SERVERS],
     getmail: GetMailState,
     /// The check in flight, as its index in the host's [`Sessions`]: a
@@ -51,10 +52,22 @@ pub(super) fn owner_slot_at(
 }
 
 impl UiUser {
-    /// A user who has never checked mail.
+    /// A user who has never checked mail, whose host has been told no
+    /// owner slots.
     pub(super) fn new(authorities: AuthorityList) -> Self {
+        UiUser::wired(authorities, &[])
+    }
+
+    /// A user who has never checked mail, whose authority server of each
+    /// rank keeps them in slot `roster_slots[rank]`
+    /// ([`Partition::slots_of`](lems_core::directory::Partition::slots_of)).
+    pub(super) fn wired(authorities: AuthorityList, roster_slots: &[u32]) -> Self {
+        let mut owner_slots = [NO_OWNER_SLOT; HINTED_SERVERS];
+        for (slot, &wired) in owner_slots.iter_mut().zip(roster_slots) {
+            *slot = wired;
+        }
         UiUser {
-            owner_slots: [NO_OWNER_SLOT; HINTED_SERVERS],
+            owner_slots,
             authorities,
             getmail: GetMailState::new(),
             retrieval: None,
@@ -466,6 +479,7 @@ impl Actor for HostActor {
                         let ack = MailMsg::RetrieveAck {
                             user: user_name.clone(),
                             ids: messages.iter().map(|m| m.id).collect(),
+                            owner_slot,
                         };
                         self.end.send(ctx, server_node, ack);
                     }

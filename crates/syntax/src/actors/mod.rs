@@ -38,7 +38,7 @@ use lems_core::mailbox::Mailbox;
 use lems_core::message::{BounceReason, MessageId, MessageIdGen};
 use lems_core::name::MailName;
 use lems_core::store::{MailStore, StoreMetrics, StoreRecovery};
-use lems_core::user::AuthorityList;
+use lems_core::user::{AuthorityList, UserId};
 use lems_net::error::NetError;
 use lems_net::graph::NodeId;
 use lems_net::topology::{RegionId, Topology};
@@ -560,23 +560,24 @@ impl Deployment {
 
         // Register users; each host's users are collected here so that
         // wiring a host does not search all users.
-        let mut users_by_host: Vec<Vec<(MailName, AuthorityList)>> = Vec::new();
+        let mut users_by_host: Vec<Vec<(MailName, AuthorityList, UserId)>> = Vec::new();
         for (&host, lists) in host_nodes.iter().zip(authorities) {
             let mut host_users = Vec::new();
             for (k, authorities) in lists.into_iter().enumerate() {
                 let name = Self::user_name(topology, host, k);
-                directory
+                let id = directory
                     .register(name.clone(), host, authorities.clone())
                     .expect("unique generated names");
-                host_users.push((name, authorities));
+                host_users.push((name, authorities, id));
             }
             users_by_host.push(host_users);
         }
 
         // Per-server views and region tables. Each server's view is its
         // own; each region's index is built once and shared by the
-        // region's servers.
-        let mut views = directory.partition(&server_nodes);
+        // region's servers. The partition also says where each view holds
+        // each of its users, which is where the server's store will.
+        let mut partition = directory.partition(&server_nodes);
         let mut region_servers: BTreeMap<RegionId, Vec<NodeId>> = BTreeMap::new();
         for &s in &server_nodes {
             region_servers
@@ -602,7 +603,10 @@ impl Deployment {
         let mut server_actors = BTreeMap::new();
         for (&s, peers) in server_nodes.iter().zip(peers) {
             let region = topology.region(s);
-            let view = views.remove(&s).expect("partition holds a view per server");
+            let view = partition
+                .views
+                .remove(&s)
+                .expect("partition holds a view per server");
             // The store keeps mail for exactly the users the view holds.
             let mut store = Store::new(&cfg.durability);
             store.seed_roster(&mut view.names());
@@ -643,8 +647,9 @@ impl Deployment {
                 id_gen: Rc::clone(&id_gen),
                 alerts: BTreeMap::new(),
             };
-            for (name, authorities) in host_users {
-                let slot = actor.adopt_user(name.clone(), UiUser::new(authorities));
+            for (name, authorities, id) in host_users {
+                let ui = UiUser::wired(authorities, partition.slots_of(id));
+                let slot = actor.adopt_user(name.clone(), ui);
                 users.push((name, h, slot));
             }
             let id = sim.add_actor(actor);
@@ -1279,7 +1284,8 @@ mod tests {
 
     /// What every server's resolver and notify lookup say about every
     /// registered user is what the directory implies: the user's record
-    /// at an authority of the user's region, the user's list elsewhere in
+    /// and their rank among the users the server holds at an authority of
+    /// the user's region, the user's list elsewhere in
     /// that region, the region's servers from any other region; and the
     /// record itself at every authority, whatever its region.
     fn assert_wiring_matches_directory(d: &Deployment, topology: &Topology) {
@@ -1302,7 +1308,10 @@ mod tests {
                         servers: &region_servers[&home],
                     }
                 } else if authority {
-                    Resolution::LocalAuthority(rec)
+                    Resolution::LocalAuthority {
+                        slot: roster_slot(d, s, &rec.name),
+                        record: rec,
+                    }
                 } else {
                     Resolution::RegionalAuthority(&rec.authorities)
                 };
@@ -2092,16 +2101,168 @@ mod tests {
             "bob's mail reserved for bob"
         );
 
-        // The reply re-teaches the host where bob really is.
+        // The reply re-teaches the host where bob really is. Alice never
+        // checked: her host holds the roster slot wiring gave it.
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
         assert_eq!(learned(&d, host, &bob, primary), 1);
-        assert_eq!(learned(&d, host, &alice, primary), NO_OWNER_SLOT);
+        assert_eq!(learned(&d, host, &alice, primary), 0);
         let st = d.stats.borrow();
         assert_eq!(st.retrieved, 1);
         assert!(
             st.ledger_retrieved.iter().all(|id| id.0 == 1),
             "bob's message"
         );
+    }
+
+    /// The server-side twin of `forged_owner_slot_cannot_drain_another_users_box`
+    /// for the acknowledgement: a `RetrieveAck` for bob carrying the slot
+    /// of alice's buffer releases bob's messages and none of hers.
+    #[test]
+    fn forged_ack_owner_slot_cannot_release_another_users_buffer() {
+        let mut d = small_deployment(44);
+        let (alice, bob, _) = housemates(&d);
+        let names = d.user_names();
+        let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
+        d.send_at(t(1.0), &names[5], &alice);
+        d.send_at(t(2.0), &names[5], &bob);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        let server = d.server_actors[&primary];
+        // Both drains reserved and unacknowledged, as if both replies were
+        // in flight.
+        let (alice_slot, alices, bobs) = {
+            let s: &mut ServerActor = d.sim.actor_mut(server).unwrap();
+            let (hers, alice_slot) = s.store.drain_reserve_at(&alice, NO_OWNER_SLOT);
+            let (his, _) = s.store.drain_reserve_at(&bob, NO_OWNER_SLOT);
+            assert_eq!((hers.len(), his.len()), (1, 1));
+            (alice_slot, hers[0].id, his[0].id)
+        };
+        assert_eq!(alice_slot, 0, "alice sorts first");
+        let pending = |d: &Deployment, who: &MailName| {
+            let s: &ServerActor = d.sim.actor(server).unwrap();
+            s.store.pending_drain().get(who).map(Vec::len)
+        };
+        let ack = |user: &MailName, ids: Vec<MessageId>| MailMsg::RetrieveAck {
+            user: user.clone(),
+            ids,
+            owner_slot: alice_slot,
+        };
+
+        // Bob acknowledging alice's message under her slot: nothing goes.
+        d.sim
+            .inject(server, ack(&bob, vec![alices]), SimDuration::ZERO);
+        assert!(d.sim.step());
+        assert_eq!((pending(&d, &alice), pending(&d, &bob)), (Some(1), Some(1)));
+        // Bob acknowledging both under her slot: his own goes, hers stays.
+        d.sim
+            .inject(server, ack(&bob, vec![alices, bobs]), SimDuration::ZERO);
+        assert!(d.sim.step());
+        assert_eq!((pending(&d, &alice), pending(&d, &bob)), (Some(1), None));
+        assert_eq!(d.mail_in_storage(), 1, "alice's message, still held");
+    }
+
+    /// Wiring hands each host the slot where each authority server's store
+    /// keeps each of its users, before anyone checks mail: a first check
+    /// reaches the user's row by index, and so does every later one.
+    #[test]
+    fn wiring_teaches_each_host_its_users_roster_slots() {
+        let (_, d) = three_region_deployment();
+        let mut hinted = 0;
+        for user in d.user_names() {
+            let host = d.host_actor(d.users.get(&user).unwrap().0).unwrap();
+            let authorities = d.directory.by_name(&user).unwrap().authorities.clone();
+            for &server in authorities.servers().iter().take(3) {
+                let wired = roster_slot(&d, server, &user);
+                assert_eq!(
+                    learned(&d, host, &user, server),
+                    wired,
+                    "{user} at {server}"
+                );
+                let kept = d.sim.actor::<ServerActor>(d.server_actors[&server]);
+                let idle = kept.unwrap().store.state().idle_drain(&user, NO_OWNER_SLOT);
+                assert_eq!(
+                    idle.map(|(_, slot)| slot),
+                    Some(wired),
+                    "{user} at {server}"
+                );
+                hinted += 1;
+            }
+        }
+        assert_eq!(hinted, 3 * d.user_names().len());
+    }
+
+    /// One workload on `small_deployment(49)` after `overwrite` has
+    /// rewritten every host's owner slots, given each user's wired slots
+    /// and those of the next user of the same host: everyone sends and
+    /// checks twice, one user migrates (their slots now name another
+    /// user's row), and a server crashes between the rounds.
+    fn run_with_owner_slots(overwrite: impl Fn(&[u32; 3], &[u32; 3]) -> [u32; 3]) -> Outcome {
+        let mut d = small_deployment(49);
+        d.sim.enable_trace();
+        d.enable_spans();
+        for &aid in d.host_actors.values() {
+            let h: &mut HostActor = d.sim.actor_mut(aid).unwrap();
+            let wired: Vec<[u32; 3]> = h
+                .users
+                .iter()
+                .map(|u| u.ui.as_ref().unwrap().owner_slots)
+                .collect();
+            for (i, user) in h.users.iter_mut().enumerate() {
+                let next = &wired[(i + 1) % wired.len()];
+                let ui = user.ui.as_mut().unwrap();
+                ui.owner_slots = overwrite(&wired[i], next);
+            }
+        }
+        let names = d.user_names();
+        let mut plan = ServerFailurePlan::new();
+        plan.add(*d.server_actors.keys().next().unwrap(), t(100.0), t(140.0));
+        d.apply_server_failures(&plan);
+        for (i, to) in names.iter().enumerate() {
+            d.send_at(t(1.0 + i as f64), &names[(i + 5) % names.len()], to);
+            d.check_at(t(60.0 + i as f64), to);
+        }
+        d.sim.run_until(t(90.0));
+        let moved = d
+            .migrate_user_live(
+                &names[4],
+                *d.host_actors.keys().next_back().unwrap(),
+                Some("moved"),
+                SimDuration::from_units(500.0),
+            )
+            .unwrap();
+        let names = d.user_names();
+        for (i, to) in names.iter().enumerate() {
+            d.send_at(t(150.0 + i as f64), &names[(i + 7) % names.len()], to);
+            d.check_at(t(220.0 + i as f64), to);
+        }
+        d.send_at(t(170.0), &names[0], &moved);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+
+        let st = d.stats.borrow();
+        assert_eq!(st.ledger_retrieved, st.ledger_submitted);
+        let spans = d.spans.borrow().events().to_vec();
+        (
+            d.sim.trace().digest(),
+            spans,
+            st.ledger_submitted.clone(),
+            st.ledger_retrieved.clone(),
+            st.ledger_bounced.clone(),
+            st.retrieval_polls.count(),
+        )
+    }
+
+    /// The slots wiring hands the hosts are hints and only hints: none at
+    /// all, a housemate's and out-of-range ones all leave exactly the run
+    /// the wired slots leave.
+    #[test]
+    fn wired_owner_slots_resolve_as_by_name() {
+        let wired = run_with_owner_slots(|own, _| *own);
+        assert!(wired.1.len() > 100, "spans were recorded");
+        let none = run_with_owner_slots(|_, _| [NO_OWNER_SLOT; 3]);
+        assert!(wired == none, "no slots at all");
+        let housemate = run_with_owner_slots(|_, next| *next);
+        assert!(wired == housemate, "a housemate's slots");
+        let out_of_range = run_with_owner_slots(|own, _| own.map(|s| s.saturating_add(1_000)));
+        assert!(wired == out_of_range, "slots no store has");
     }
 
     /// Where `server`'s roster puts `user`: their rank among the users

@@ -104,6 +104,9 @@ pub enum MailMsg {
         user: MailName,
         /// Ids received by the host.
         ids: Vec<MessageId>,
+        /// The `owner_slot` of the reply being acknowledged, echoed: a hint
+        /// the store checks against `user` before releasing anything.
+        owner_slot: u32,
     },
     /// Workload injection: `user` logs on at this host (§3.2.2c), which
     /// starts serving them if it does not already.

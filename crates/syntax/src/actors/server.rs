@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use lems_core::message::{BounceReason, Message, MessageId};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, StoreRecovery};
+use lems_core::store::{MailStore, StoreRecovery, NO_OWNER_SLOT};
 use lems_net::graph::NodeId;
 use lems_sim::actor::{Actor, ActorId, Ctx, TimerId};
 use lems_sim::span::{ResolveCode, SpanStage, NO_NODE};
@@ -24,6 +24,18 @@ pub(super) struct ForwardTask {
     /// The candidates not yet tried, in order.
     remaining: VecDeque<NodeId>,
     hops_left: u32,
+}
+
+/// What [`ServerActor::route`] found of a recipient this server is an
+/// authority for, carried to the deposit so that it searches for neither
+/// again.
+#[derive(Clone, Copy, Debug)]
+struct Local {
+    /// Where the view holds the recipient: the slot the store was wired to
+    /// keep them in, a hint the store checks against the name.
+    slot: u32,
+    /// The recipient's home host, from the record this server holds.
+    home: NodeId,
 }
 
 /// A deposited message whose alert awaits a peer's [`MailMsg::LocationReply`].
@@ -76,12 +88,15 @@ pub struct ServerActor {
 impl ServerActor {
     /// Deposit into the local mailbox + notify the recipient's home host.
     /// Duplicate ids (forward retransmissions) are dropped silently.
-    fn deposit(&mut self, msg: Message, ctx: &mut Ctx<'_, MailMsg>) {
+    /// `local` is what resolution found of the recipient here, when the
+    /// deposit follows it directly.
+    fn deposit(&mut self, msg: Message, local: Option<Local>, ctx: &mut Ctx<'_, MailMsg>) {
         let now = ctx.now();
         let latency = now.duration_since(msg.submitted_at).as_units();
         let user = msg.to.clone();
         let id = msg.id;
-        if !self.store.deposit(msg, now) {
+        let hint = local.map_or(NO_OWNER_SLOT, |l| l.slot);
+        if !self.store.deposit_at(msg, now, hint) {
             return;
         }
         {
@@ -109,7 +124,8 @@ impl ServerActor {
             ),
             "deposit for a live name at a server that is not its authority"
         );
-        self.notify(id, Lookup { user, asked: 0 }, ctx);
+        let home = local.map(|l| l.home);
+        self.notify(id, Lookup { user, asked: 0 }, home, ctx);
     }
 
     /// Sends the alert signal for deposited message `id`: to the user's
@@ -119,13 +135,18 @@ impl ServerActor {
     /// §3.2.2c). A deposit only ever happens at an authority; the one way
     /// to find no record is a walk that outlived the name (the user
     /// migrated away mid-flight), and then nobody is left to alert.
-    fn notify(&mut self, id: MessageId, mut lookup: Lookup, ctx: &mut Ctx<'_, MailMsg>) {
-        let Some(home) = self
-            .resolver
-            .view()
-            .lookup(&lookup.user)
-            .map(|r| r.home_host)
-        else {
+    /// `home` is that record's home host when the caller has just
+    /// resolved it; otherwise the record is looked up.
+    fn notify(
+        &mut self,
+        id: MessageId,
+        mut lookup: Lookup,
+        home: Option<NodeId>,
+        ctx: &mut Ctx<'_, MailMsg>,
+    ) {
+        let view = self.resolver.view();
+        let home = home.or_else(|| view.lookup(&lookup.user).map(|r| r.home_host));
+        let Some(home) = home else {
             self.end.stats.borrow_mut().unknown_location += 1;
             self.end.metrics.inc("unknown_location");
             return;
@@ -213,15 +234,19 @@ impl ServerActor {
             return;
         }
         match self.resolver.resolve(&msg.to) {
-            Resolution::LocalAuthority(rec) => {
+            Resolution::LocalAuthority { slot, record } => {
                 self.resolved(ctx, msg.id, ResolveCode::LocalAuthority);
-                let candidates = rec.authorities.servers().iter().copied().collect();
-                self.forward_next(msg, candidates, hops_left - 1, ctx);
+                let candidates = record.authorities.servers().iter().copied().collect();
+                let local = Local {
+                    slot,
+                    home: record.home_host,
+                };
+                self.forward_next(msg, candidates, hops_left - 1, Some(local), ctx);
             }
             Resolution::RegionalAuthority(list) => {
                 self.resolved(ctx, msg.id, ResolveCode::RegionalAuthority);
                 let candidates = list.servers().iter().copied().collect();
-                self.forward_next(msg, candidates, hops_left - 1, ctx);
+                self.forward_next(msg, candidates, hops_left - 1, None, ctx);
             }
             Resolution::ForwardToRegion { servers, .. } => {
                 self.resolved(ctx, msg.id, ResolveCode::ForwardToRegion);
@@ -229,7 +254,7 @@ impl ServerActor {
                 // recipient region": try them nearest-first.
                 let mut candidates = servers.to_vec();
                 candidates.sort_by_key(|&s| self.end.transport.delay(self.end.node, s));
-                self.forward_next(msg, candidates.into(), hops_left - 1, ctx);
+                self.forward_next(msg, candidates.into(), hops_left - 1, None, ctx);
             }
             Resolution::UnknownRegion => {
                 self.resolved(ctx, msg.id, ResolveCode::Failed);
@@ -257,11 +282,15 @@ impl ServerActor {
         }
     }
 
+    /// Walks `msg` on to the next of the `remaining` candidates: a deposit
+    /// when this server is next, a forward otherwise. `local` is what
+    /// `route` found of the recipient here, if it resolved them as local.
     fn forward_next(
         &mut self,
         msg: Message,
         mut remaining: VecDeque<NodeId>,
         hops_left: u32,
+        local: Option<Local>,
         ctx: &mut Ctx<'_, MailMsg>,
     ) {
         let Some(target) = remaining.pop_front() else {
@@ -273,7 +302,7 @@ impl ServerActor {
             // walk: deposit here. The mailbox record supersedes the
             // journal entry.
             self.store.settle_forward(msg.id);
-            self.deposit(msg, ctx);
+            self.deposit(msg, local, ctx);
             return;
         }
         self.forward_probe(msg, target, 0, remaining, hops_left, ctx);
@@ -391,8 +420,12 @@ impl Actor for ServerActor {
                     },
                 );
             }
-            MailMsg::RetrieveAck { user, ids } => {
-                let released = self.store.release_drained(&user, &ids);
+            MailMsg::RetrieveAck {
+                user,
+                ids,
+                owner_slot,
+            } => {
+                let released = self.store.release_drained_at(&user, &ids, owner_slot);
                 if released > 0 {
                     let mut st = self.end.stats.borrow_mut();
                     st.in_storage_now = st.in_storage_now.saturating_sub(released);
@@ -429,7 +462,7 @@ impl Actor for ServerActor {
                     if let Some((host, at)) = found {
                         self.record_location(lookup.user.clone(), host, at);
                     }
-                    self.notify(pending, lookup, ctx);
+                    self.notify(pending, lookup, None, ctx);
                 }
             }
             // Host-bound traffic; a server receiving these ignores them.
@@ -466,7 +499,9 @@ impl Actor for ServerActor {
                     ctx,
                 );
             }
-            Timeout::Exhausted => self.forward_next(task.msg, task.remaining, task.hops_left, ctx),
+            Timeout::Exhausted => {
+                self.forward_next(task.msg, task.remaining, task.hops_left, None, ctx);
+            }
         }
     }
 
@@ -546,7 +581,7 @@ impl Actor for ServerActor {
         // death) lost its question or its answer while we were down:
         // alert where the table now says, else ask on.
         for (id, lookup) in std::mem::take(&mut self.lookups) {
-            self.notify(id, lookup, ctx);
+            self.notify(id, lookup, None, ctx);
         }
     }
 }

@@ -23,9 +23,14 @@ use lems_net::topology::RegionId;
 /// second lookup to act on the answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Resolution<'a> {
-    /// This server is an authority for the name: deliver here. Carries the
-    /// record this server holds for the user.
-    LocalAuthority(&'a UserRecord),
+    /// This server is an authority for the name: deliver here.
+    LocalAuthority {
+        /// Where this server's view holds the user: the slot its store was
+        /// wired to keep them in, a hint the store checks.
+        slot: u32,
+        /// The record this server holds for the user.
+        record: &'a UserRecord,
+    },
     /// The name belongs to this region; its authority servers are known
     /// directly (regional replication).
     RegionalAuthority(&'a AuthorityList),
@@ -119,8 +124,8 @@ impl SyntaxResolver {
             return Resolution::UnknownRegion;
         };
         if target_region == self.region {
-            if let Some(record) = self.view.lookup(name) {
-                return Resolution::LocalAuthority(record);
+            if let Some((slot, record)) = self.view.find(name) {
+                return Resolution::LocalAuthority { slot, record };
             }
             match self.region_index.get(name) {
                 Some(list) => Resolution::RegionalAuthority(list),
@@ -165,7 +170,7 @@ mod tests {
             AuthorityList::new(vec![NodeId(1)]),
         )
         .unwrap();
-        let views = dir.partition(&[NodeId(0), NodeId(1)]);
+        let views = dir.partition(&[NodeId(0), NodeId(1)]).views;
 
         let region_index: RegionIndex = dir
             .iter()
@@ -187,9 +192,10 @@ mod tests {
     fn local_authority_resolves_immediately() {
         let r = resolver();
         match r.resolve(&name("east.h1.alice")) {
-            Resolution::LocalAuthority(rec) => {
-                assert_eq!(rec.name, name("east.h1.alice"));
-                assert_eq!(rec.home_host, NodeId(10));
+            Resolution::LocalAuthority { slot, record } => {
+                assert_eq!(slot, 0, "the first name server 0 holds");
+                assert_eq!(record.name, name("east.h1.alice"));
+                assert_eq!(record.home_host, NodeId(10));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -15,8 +15,9 @@
 //! quiescence. While a store learned its owners one first check at a
 //! time, in 120-byte entries and a name map, and every host row carried
 //! an inline session and a vector of owner slots, the deployment then held
-//! 1 802 bytes per user; wired with rosters it holds 1 169. The budget of
-//! 1 400 lies between.
+//! 1 802 bytes per user; wired with rosters it held 1 156, and with each
+//! server's view a name-sorted vector of records (no name kept twice) it
+//! holds 1 131. The budget of 1 400 lies between.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.

@@ -16,10 +16,16 @@
 //! view and of every region index per server. Shared, it allocated 16 031
 //! times (5.3 per user: the name and its formatting buffer, the host's
 //! per-user session state, and the table nodes). Since the host's row
-//! keeps its owner slots inline it allocates 12 721 times (4.2 per user);
-//! each server's store is wired with its roster in one allocation. The
-//! budget of 6 per user leaves room, and a table copied per server again
-//! would overrun it.
+//! keeps its owner slots inline it allocated 12 711 times (4.2 per user);
+//! each server's store is wired with its roster in one allocation. Since
+//! a server's view is a name-sorted vector of records rather than a
+//! B-tree, which the partition fills in one pass and which doubles as the
+//! store's roster order, it allocates 11 861 times (4.0 per user): the
+//! name and its formatting buffer, the host's row, the region indexes'
+//! nodes, and a few growth steps per view. The budget of 5 per user
+//! leaves about one allocation per user of room: the host's row taking a
+//! heap allocation of its own again, say for its wired slots, would
+//! spend all of it.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -59,7 +65,7 @@ unsafe impl GlobalAlloc for Counting {
 }
 
 /// Allocations per user `Deployment::build` may make.
-const BUDGET_PER_USER: u64 = 6;
+const BUDGET_PER_USER: u64 = 5;
 
 #[test]
 fn building_a_deployment_allocates_a_few_times_per_user() {
