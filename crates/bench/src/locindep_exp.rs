@@ -9,6 +9,7 @@ use lems_locindep::delivery::{
 use lems_locindep::tracking::RegionTracker;
 use lems_net::shortest_path::DistanceTable;
 use lems_net::topology::RegionId;
+use lems_sim::metrics::LogHistogram;
 use lems_sim::rng::SimRng;
 
 use crate::mst_exp::distinct_world;
@@ -256,12 +257,15 @@ fn actor_mobility_sweep(fractions: &[f64], seed: u64) -> Vec<ActorMobilityRow> {
             }
             assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
+            let merged = d.merged_metrics();
             let st = d.stats.borrow();
             ActorMobilityRow {
                 moved_fraction: frac,
                 consults_per_message: st.consults as f64 / st.deposited.max(1) as f64,
                 roaming_notifications: st.notifications - st.notified_at_primary,
-                notify_latency: st.delivery_latency.mean(),
+                notify_latency: merged
+                    .histogram("delivery_latency")
+                    .map_or(0.0, LogHistogram::mean),
             }
         })
         .collect()

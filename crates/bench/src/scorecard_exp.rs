@@ -9,6 +9,7 @@
 //! relative to §3.1.
 
 use lems_net::generators::fig1;
+use lems_sim::metrics::LogHistogram;
 use lems_sim::rng::SimRng;
 use lems_sim::time::{SimDuration, SimTime};
 use lems_syntax::actors::{Deployment, DeploymentConfig, ServerFailurePlan};
@@ -71,12 +72,14 @@ fn scorecards(seed: u64) -> Vec<Scorecard> {
     }
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
+    let merged = d.merged_metrics();
+    let mean = |name: &str| merged.histogram(name).map_or(0.0, LogHistogram::mean);
     let st = d.stats.borrow();
     let submitted = st.submitted.max(1) as f64;
     let mut syntax = Scorecard::new("syntax-directed", scenario);
     syntax.efficiency.connection_attempts_mean = st.submit_attempts as f64 / submitted;
-    syntax.efficiency.delivery_latency_mean = st.delivery_latency.mean();
-    syntax.efficiency.end_to_end_latency_mean = st.end_to_end.mean();
+    syntax.efficiency.delivery_latency_mean = mean("delivery_latency");
+    syntax.efficiency.end_to_end_latency_mean = mean("end_to_end");
     syntax.efficiency.retrieval_polls_mean = st.retrieval_polls.mean();
     syntax.efficiency.notification_rate = if st.deposited > 0 {
         st.notifications as f64 / st.deposited as f64
@@ -95,7 +98,7 @@ fn scorecards(seed: u64) -> Vec<Scorecard> {
     syntax.cost.messages_per_delivery =
         (st.submit_attempts + st.forward_attempts + st.notifications) as f64
             / st.deposited.max(1) as f64;
-    syntax.cost.total_comm_units = st.delivery_latency.mean() * st.deposited as f64;
+    syntax.cost.total_comm_units = syntax.efficiency.delivery_latency_mean * st.deposited as f64;
     syntax.cost.peak_storage = st.peak_storage;
     drop(st);
 

@@ -21,7 +21,7 @@ use crate::message::Message;
 ///
 /// ```
 /// use lems_core::message::{Message, MessageId};
-/// use lems_core::store::StoreState;
+/// use lems_core::store::{StoreState, NO_OWNER_SLOT};
 /// use lems_sim::time::SimTime;
 ///
 /// let owner: lems_core::MailName = "east.vax1.alice".parse()?;
@@ -32,14 +32,15 @@ use crate::message::Message;
 ///     owner.clone(),
 ///     "hi", "body", SimTime::ZERO,
 /// );
-/// store.deposit(m);
+/// store.deposit_at(m, NO_OWNER_SLOT);
 /// assert_eq!(store.mailboxes()[&owner].len(), 1);
 /// // A check reserves the mail; the mailbox is empty, the store still
 /// // holds the message until the check is acknowledged.
-/// let reserved = store.drain_reserve(&owner);
-/// assert_eq!(reserved.len(), 1);
+/// let (reserved, moved) = store.drain_reserve_at(&owner, NO_OWNER_SLOT);
+/// assert_eq!((reserved.len(), moved), (1, true));
 /// assert!(store.mailboxes().get(&owner).is_none());
-/// assert_eq!(store.release_drained(&owner, &[reserved[0].id]), 1);
+/// let acked = [reserved[0].id];
+/// assert_eq!(store.release_drained_at(&owner, &acked, NO_OWNER_SLOT), 1);
 /// assert!(store.pending().get(&owner).is_none());
 /// # Ok::<(), lems_core::name::ParseNameError>(())
 /// ```

@@ -292,15 +292,11 @@ impl StoreState {
     }
 
     /// Deposits `message` into its recipient's mailbox. Returns `false`
-    /// (and stores nothing) when the id was already deposited.
-    pub fn deposit(&mut self, message: Message) -> bool {
-        self.deposit_at(message, NO_OWNER_SLOT)
-    }
-
-    /// [`StoreState::deposit`] for a caller that may know where the
-    /// recipient's row is: `hint` is checked against the name as
-    /// [`StoreState::drain_reserve_at`] checks it, and a wrong one costs
-    /// the name search and nothing else.
+    /// (and stores nothing) when the id was already deposited. `hint` is
+    /// where the caller believes the recipient's row is
+    /// ([`NO_OWNER_SLOT`] when it holds none), checked against the name
+    /// as every hint is: a wrong one costs the name search and nothing
+    /// else.
     pub fn deposit_at(&mut self, message: Message, hint: u32) -> bool {
         if !self.deposited.insert(message.id) {
             return false;
@@ -312,48 +308,29 @@ impl StoreState {
 
     /// Reliable retrieval: moves everything in `owner`'s mailbox into the
     /// reservation buffer and returns the full reserved list (older
-    /// reservations first). Nothing is released until
-    /// [`StoreState::release_drained`].
-    pub fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        self.drain_reserve_at(owner, NO_OWNER_SLOT).0
-    }
-
-    /// [`StoreState::drain_reserve`] for a caller that may know where
-    /// `owner`'s row is: returns the reserved list and the row's slot,
-    /// to be passed as `hint` next time ([`NO_OWNER_SLOT`] when `owner`
-    /// has no row, and so holds nothing). A hint that checks out saves the
-    /// name search; one that does not costs nothing but that search (see
-    /// [`MailStore::drain_reserve_at`] for what a hint may and may not do).
-    pub fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
+    /// reservations first), with whether any mail moved. Nothing is
+    /// released until [`StoreState::release_drained_at`]. `owner` is
+    /// found once, by the checked `hint` (see
+    /// [`MailStore::drain_reserve_at`] for what a hint may and may not
+    /// do).
+    pub fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, bool) {
         match self.slot(owner, hint) {
-            Some(slot) => (self.owners[slot].reserve(), hint_of(slot)),
-            None => (Vec::new(), NO_OWNER_SLOT),
+            Some(slot) => self.owners[slot].reserve(),
+            None => (Vec::new(), false),
         }
     }
 
-    /// What [`StoreState::drain_reserve_at`] would return, when it would
-    /// change nothing: no mail waits in `owner`'s mailbox. `None` when the
-    /// drain has mail to move.
-    pub fn idle_drain(&self, owner: &MailName, hint: u32) -> Option<(Vec<Message>, u32)> {
-        let Some(slot) = self.slot(owner, hint) else {
-            return Some((Vec::new(), NO_OWNER_SLOT));
-        };
-        match self.owners[slot].held.as_deref() {
-            None => Some((Vec::new(), hint_of(slot))),
-            Some(held) if held.mailbox.is_empty() => Some((held.reserved.clone(), hint_of(slot))),
-            Some(_) => None,
-        }
+    /// The slot `owner`'s row is in, if they have one: what a right hint
+    /// names ([`NO_OWNER_SLOT`] for a row past any `u32`). Changes nothing.
+    pub fn slot_of(&self, owner: &MailName) -> Option<u32> {
+        self.find(owner)
+            .map(|slot| u32::try_from(slot).unwrap_or(NO_OWNER_SLOT))
     }
 
     /// Releases acknowledged ids from `owner`'s reservation buffer,
-    /// returning how many were released.
-    pub fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
-        self.release_drained_at(owner, ids, NO_OWNER_SLOT)
-    }
-
-    /// [`StoreState::release_drained`] with a checked `hint` of where
-    /// `owner`'s row is, as [`StoreState::drain_reserve_at`] takes one: a
-    /// hint that names another owner's row releases nothing from it.
+    /// returning how many were released. `hint` is checked as
+    /// [`StoreState::drain_reserve_at`] checks it: a hint that names
+    /// another owner's row releases nothing from it.
     pub fn release_drained_at(&mut self, owner: &MailName, ids: &[MessageId], hint: u32) -> u64 {
         let Some(slot) = self.slot(owner, hint) else {
             return 0;
@@ -411,12 +388,6 @@ impl StoreState {
     }
 }
 
-/// `slot` as a hint. A slot past `u32` cannot be hinted at and is found by
-/// name every time.
-fn hint_of(slot: usize) -> u32 {
-    u32::try_from(slot).unwrap_or(NO_OWNER_SLOT)
-}
-
 impl OwnerEntry {
     /// A row for `name` that holds nothing.
     fn new(name: MailName) -> Self {
@@ -441,12 +412,13 @@ impl OwnerEntry {
     }
 
     /// Moves everything in the mailbox into the reservation buffer and
-    /// returns the full reserved list.
-    fn reserve(&mut self) -> Vec<Message> {
+    /// returns the full reserved list, with whether any mail moved.
+    fn reserve(&mut self) -> (Vec<Message>, bool) {
         let Some(held) = self.held.as_deref_mut() else {
-            return Vec::new();
+            return (Vec::new(), false);
         };
         let drained = held.mailbox.drain();
+        let moved = !drained.is_empty();
         if held.reserved.is_empty() {
             // The buffer takes over the mailbox's allocation instead of
             // making its own.
@@ -454,7 +426,7 @@ impl OwnerEntry {
         } else {
             held.reserved.extend(drained);
         }
-        held.reserved.clone()
+        (held.reserved.clone(), moved)
     }
 }
 
@@ -543,6 +515,10 @@ pub trait MailStore: std::fmt::Debug {
 
     /// Deposits `message`; returns `false` for a duplicate id (dedup).
     /// `now` is when the server took it, which no store keeps.
+    ///
+    /// This and the other two hint-less methods are kept only for the
+    /// benchmark's store replay, their one caller outside tests (ROADMAP
+    /// items 2(l) and 20).
     fn deposit(&mut self, message: Message, now: SimTime) -> bool {
         self.deposit_at(message, now, NO_OWNER_SLOT)
     }
@@ -552,33 +528,33 @@ pub trait MailStore: std::fmt::Debug {
     /// its own.
     fn deposit_at(&mut self, message: Message, now: SimTime, hint: u32) -> bool;
 
-    /// Reliable retrieval: reserve `owner`'s mail, return the reserved list.
+    /// [`MailStore::drain_reserve_at`] without a hint.
     fn drain_reserve(&mut self, owner: &MailName) -> Vec<Message> {
-        self.drain_reserve_at(owner, NO_OWNER_SLOT).0
+        self.drain_reserve_at(owner, NO_OWNER_SLOT)
     }
 
-    /// [`MailStore::drain_reserve`] for a caller that resolves `owner`
-    /// once: returns the reserved list and the slot the store keeps
-    /// `owner` in, which the caller may pass back as `hint` on its next
-    /// call ([`NO_OWNER_SLOT`] when it holds none, or when the store keeps
-    /// no row for `owner`, who then holds nothing here).
+    /// Reliable retrieval: reserve `owner`'s mail, return the reserved
+    /// list. `hint` is the slot the caller believes the store keeps
+    /// `owner` in: the roster slot wiring handed out
+    /// ([`Partition::slots_of`](crate::directory::Partition::slots_of)),
+    /// or [`NO_OWNER_SLOT`] for none.
     ///
     /// The hint is only a hint. The store uses it when the slot it names
     /// holds `owner` and otherwise finds `owner` by name, so a stale,
     /// forged or out-of-range hint costs a name walk and can never reach
-    /// another user's mail; the answer always carries the slot that is
-    /// right now. A crash and recovery may move every owner to a new slot.
-    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32);
+    /// another user's mail. Roster slots outlive a crash; an owner off
+    /// the roster has no slot wiring could hand out, and is found by name.
+    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> Vec<Message>;
 
-    /// Release acknowledged reserved ids; returns how many were released.
+    /// [`MailStore::release_drained_at`] without a hint.
     fn release_drained(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
         self.release_drained_at(owner, ids, NO_OWNER_SLOT)
     }
 
-    /// [`MailStore::release_drained`] with a hint of `owner`'s slot, such
-    /// as the one the drain answered with, checked as
-    /// [`MailStore::drain_reserve_at`] checks its own: a hint that names
-    /// another owner's slot releases nothing of theirs.
+    /// Release acknowledged reserved ids; returns how many were released.
+    /// `hint` is checked as [`MailStore::drain_reserve_at`] checks its
+    /// own: a hint that names another owner's slot releases nothing of
+    /// theirs.
     fn release_drained_at(&mut self, owner: &MailName, ids: &[MessageId], hint: u32) -> u64;
 
     /// Journal acceptance of a forward (message + remaining hop budget).
@@ -636,8 +612,8 @@ mod tests {
         let mut g = MessageIdGen::new();
         let mut s = StoreState::default();
         let m = msg(&mut g, "east.h.u");
-        assert!(s.deposit(m.clone()));
-        assert!(!s.deposit(m));
+        assert!(s.deposit_at(m.clone(), NO_OWNER_SLOT));
+        assert!(!s.deposit_at(m, NO_OWNER_SLOT));
         assert_eq!(s.storage_messages(), 1);
     }
 
@@ -647,15 +623,20 @@ mod tests {
         let mut s = StoreState::default();
         let owner: MailName = "east.h.u".parse().unwrap();
         for _ in 0..3 {
-            s.deposit(msg(&mut g, "east.h.u"));
+            s.deposit_at(msg(&mut g, "east.h.u"), NO_OWNER_SLOT);
         }
-        let reserved = s.drain_reserve(&owner);
-        assert_eq!(reserved.len(), 3);
+        let (reserved, moved) = s.drain_reserve_at(&owner, NO_OWNER_SLOT);
+        assert_eq!((reserved.len(), moved), (3, true));
         // Un-acked: still held in the reservation buffer.
         assert_eq!(s.storage_messages(), 3);
-        // A second reserve returns the same outstanding batch.
-        assert_eq!(s.drain_reserve(&owner).len(), 3);
-        let released = s.release_drained(&owner, &[reserved[0].id, reserved[2].id]);
+        // A second reserve returns the same outstanding batch, and moves
+        // nothing.
+        assert_eq!(
+            s.drain_reserve_at(&owner, NO_OWNER_SLOT),
+            (reserved.clone(), false)
+        );
+        let released =
+            s.release_drained_at(&owner, &[reserved[0].id, reserved[2].id], NO_OWNER_SLOT);
         assert_eq!(released, 2);
         assert_eq!(s.storage_messages(), 1);
     }
@@ -671,15 +652,15 @@ mod tests {
         let name = |s: &str| s.parse::<MailName>().unwrap();
 
         let mut live = StoreState::default();
-        live.deposit(mc.clone());
-        live.deposit(mb.clone());
-        live.drain_reserve(&name(b));
-        live.deposit(ma.clone());
+        live.deposit_at(mc.clone(), NO_OWNER_SLOT);
+        live.deposit_at(mb.clone(), NO_OWNER_SLOT);
+        live.drain_reserve_at(&name(b), NO_OWNER_SLOT);
+        live.deposit_at(ma.clone(), NO_OWNER_SLOT);
         let mut replayed = StoreState::default();
-        replayed.deposit(ma);
-        replayed.deposit(mb);
-        replayed.drain_reserve(&name(b));
-        replayed.deposit(mc);
+        replayed.deposit_at(ma, NO_OWNER_SLOT);
+        replayed.deposit_at(mb, NO_OWNER_SLOT);
+        replayed.drain_reserve_at(&name(b), NO_OWNER_SLOT);
+        replayed.deposit_at(mc, NO_OWNER_SLOT);
 
         assert_eq!(live, replayed);
         let keys = |s: &StoreState| s.mailboxes().keys().cloned().collect::<Vec<_>>();
@@ -687,11 +668,10 @@ mod tests {
         assert_eq!(keys(&replayed), keys(&live));
         assert_eq!(live.pending().keys().collect::<Vec<_>>(), [&name(b)]);
         // ... though each keeps its owners where they first appeared.
-        assert_eq!(live.drain_reserve_at(&name(a), NO_OWNER_SLOT).1, 2);
-        assert_eq!(replayed.drain_reserve_at(&name(a), 2).1, 0);
-        assert_eq!(live, replayed);
+        assert_eq!(live.slot_of(&name(a)), Some(2));
+        assert_eq!(replayed.slot_of(&name(a)), Some(0));
 
-        replayed.drain_reserve(&name(c));
+        replayed.drain_reserve_at(&name(c), NO_OWNER_SLOT);
         assert_ne!(live, replayed, "c's mail moved to the reservation buffer");
     }
 
@@ -710,28 +690,27 @@ mod tests {
         let mut s = StoreState::default();
         let alice: MailName = "east.h.alice".parse().unwrap();
         let bob: MailName = "east.h.bob".parse().unwrap();
-        s.deposit(msg(&mut g, "east.h.alice"));
-        s.deposit(msg(&mut g, "east.h.bob"));
+        s.deposit_at(msg(&mut g, "east.h.alice"), NO_OWNER_SLOT);
+        s.deposit_at(msg(&mut g, "east.h.bob"), NO_OWNER_SLOT);
+        let (a, b) = (0, 1);
+        assert_eq!((s.slot_of(&alice), s.slot_of(&bob)), (Some(a), Some(b)));
 
-        let (mail, a) = s.drain_reserve_at(&alice, NO_OWNER_SLOT);
-        assert_eq!((mail.len(), a), (1, 0));
-        // Bob, claiming alice's slot, gets bob's mail and bob's slot.
-        let (mail, b) = s.drain_reserve_at(&bob, a);
-        assert_eq!(mail.len(), 1);
+        let (mail, moved) = s.drain_reserve_at(&alice, NO_OWNER_SLOT);
+        assert_eq!((mail.len(), moved), (1, true));
+        // Bob, claiming alice's slot, gets bob's mail.
+        let (mail, moved) = s.drain_reserve_at(&bob, a);
+        assert_eq!((mail.len(), moved), (1, true));
         assert_eq!(mail[0].to, bob);
-        assert_eq!(b, 1);
         // The honest hint and the absurd one answer alike.
         assert_eq!(s.drain_reserve_at(&bob, b), s.drain_reserve_at(&bob, 7_000));
-        assert_eq!(s.drain_reserve_at(&alice, b).1, a);
-        // A stranger holds nothing, whatever slot they claim: the answer
-        // names no slot, and none is taken until their first deposit.
+        // A stranger holds nothing, whatever slot they claim: nothing
+        // moves, and no slot is taken until their first deposit.
         let carol: MailName = "east.h.carol".parse().unwrap();
-        let nothing = (Vec::new(), NO_OWNER_SLOT);
-        assert_eq!(s.idle_drain(&carol, a), Some(nothing.clone()));
-        assert_eq!(s.drain_reserve_at(&carol, a), nothing);
-        s.deposit(msg(&mut g, "east.h.carol"));
-        assert_eq!(s.idle_drain(&carol, a), None);
-        assert_eq!(s.drain_reserve_at(&carol, a).1, 2);
+        assert_eq!(s.drain_reserve_at(&carol, a), (Vec::new(), false));
+        assert_eq!(s.slot_of(&carol), None);
+        s.deposit_at(msg(&mut g, "east.h.carol"), a);
+        assert_eq!(s.slot_of(&carol), Some(2));
+        assert!(s.drain_reserve_at(&carol, a).1, "carol's mail moved");
         assert_eq!(s.pending()[&alice].len(), 1, "alice's box untouched");
 
         // Deposits and releases take the same hints, with the same check:

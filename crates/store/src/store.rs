@@ -161,19 +161,16 @@ impl MailStore for Store {
         fresh
     }
 
-    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> (Vec<Message>, u32) {
-        // The common check: nothing has arrived since the last one.
-        // Nothing moves, so nothing is logged.
-        if let Some(answer) = self.state.idle_drain(owner, hint) {
-            return answer;
+    fn drain_reserve_at(&mut self, owner: &MailName, hint: u32) -> Vec<Message> {
+        // Found by hint here; replay finds the owner by name. The common
+        // check finds nothing new, moves nothing and logs nothing.
+        let (reserved, moved) = self.state.drain_reserve_at(owner, hint);
+        if moved {
+            self.log(|| Record::DrainReserve {
+                owner: owner.clone(),
+            });
         }
-        // Mail moves: the owner is resolved once, by hint, in the method
-        // replay will reach by name.
-        let answer = self.state.drain_reserve_at(owner, hint);
-        self.log(|| Record::DrainReserve {
-            owner: owner.clone(),
-        });
-        answer
+        reserved
     }
 
     fn release_drained_at(&mut self, owner: &MailName, ids: &[MessageId], hint: u32) -> u64 {
@@ -283,7 +280,6 @@ impl MailStore for Store {
 mod tests {
     use super::*;
     use lems_core::message::MessageIdGen;
-    use lems_core::store::NO_OWNER_SLOT;
 
     fn msg(g: &mut MessageIdGen, to: &str) -> Message {
         Message::new(
@@ -334,19 +330,15 @@ mod tests {
         let roster = [name("east.h.dave"), name("east.h.bob")];
         let mut s = Store::new(&DurabilityConfig::Volatile);
         s.seed_roster(&mut roster.iter());
-        let slot_of = |s: &mut Store, who: &str| s.drain_reserve_at(&name(who), NO_OWNER_SLOT).1;
+        let slot_of = |s: &Store, who: &str| s.state().slot_of(&name(who));
 
         for who in ["erin", "carol", "bob", "dave"] {
             s.deposit(msg(&mut g, &format!("east.h.{who}")), SimTime::ZERO);
+            s.drain_reserve(&name(&format!("east.h.{who}")));
         }
         assert_eq!(
-            [
-                slot_of(&mut s, "east.h.bob"),
-                slot_of(&mut s, "east.h.dave"),
-                slot_of(&mut s, "east.h.erin"),
-                slot_of(&mut s, "east.h.carol"),
-            ],
-            [0, 1, 2, 3]
+            ["bob", "dave", "erin", "carol"].map(|who| slot_of(&s, &format!("east.h.{who}"))),
+            [0, 1, 2, 3].map(Some)
         );
         assert_eq!(
             s.pending_drain().keys().collect::<Vec<_>>(),
@@ -362,13 +354,14 @@ mod tests {
         s.crash(SimTime::from_units(1.0));
         s.recover(SimTime::from_units(2.0));
         assert_eq!(s.pending_drain().iter().count(), 0, "nothing held");
-        assert_eq!(slot_of(&mut s, "east.h.carol"), NO_OWNER_SLOT, "no row");
+        assert_eq!(slot_of(&s, "east.h.carol"), None, "no row");
         for who in ["carol", "erin"] {
             s.deposit(msg(&mut g, &format!("east.h.{who}")), SimTime::ZERO);
         }
-        assert_eq!(slot_of(&mut s, "east.h.carol"), 2, "carol is met first now");
-        assert_eq!(slot_of(&mut s, "east.h.dave"), 1);
-        assert_eq!(slot_of(&mut s, "east.h.erin"), 3);
-        assert_eq!(slot_of(&mut s, "east.h.bob"), 0);
+        assert_eq!(
+            ["bob", "dave", "carol", "erin"].map(|who| slot_of(&s, &format!("east.h.{who}"))),
+            [0, 1, 2, 3].map(Some),
+            "carol is met first now"
+        );
     }
 }

@@ -25,7 +25,7 @@
 use std::cell::Cell;
 
 use lems_core::message::{Message, MessageId};
-use lems_core::store::{StoreMetrics, StoreState};
+use lems_core::store::{StoreMetrics, StoreState, NO_OWNER_SLOT};
 
 use crate::codec::{self, Record};
 use crate::segment::SegmentIo;
@@ -80,13 +80,13 @@ impl Default for WalConfig {
 pub fn apply(state: &mut StoreState, record: Record) {
     match record {
         Record::Deposit { message } => {
-            state.deposit(message);
+            state.deposit_at(message, NO_OWNER_SLOT);
         }
         Record::DrainReserve { owner } => {
-            state.drain_reserve(&owner);
+            state.drain_reserve_at(&owner, NO_OWNER_SLOT);
         }
         Record::Release { owner, ids } => {
-            state.release_drained(&owner, &ids);
+            state.release_drained_at(&owner, &ids, NO_OWNER_SLOT);
         }
         Record::AcceptForward { message, hops_left } => {
             state.accept_forward(&message, hops_left);

@@ -11,13 +11,16 @@
 //! compacts often, is crashed and recovered, and after every step is
 //! replayed from its log into a state that must equal the live one.
 //! Owners on and off the roster are drained, deposited to and
-//! acknowledged with hints that are right, stale (taught before a crash
-//! or a re-seeded roster moved the owner), another owner's, made up, out
-//! of range, or none; an acknowledgement also lists another owner's
-//! reserved ids, as a forged one would. After every step each store must
-//! show the model's views in name order, with no entry for an owner who
-//! holds nothing, and `idle_drain` answers where the model says a drain
-//! would change nothing.
+//! acknowledged with hints drawn from the roster, as wiring hands them
+//! out: right (the owner's rank, or for an owner off the roster the row
+//! the store holds), stale (their rank before the roster was re-seeded),
+//! another owner's rank, made up, out of range, or none; an
+//! acknowledgement also lists another owner's reserved ids, as a forged
+//! one would. A drain must report mail moved exactly when the model's
+//! mailbox held some, and the WAL store must log it exactly then. After
+//! every step each store must show the model's views in name order, with
+//! no entry for an owner who holds nothing, and keep each roster owner in
+//! the slot of their rank.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -80,21 +83,14 @@ impl Model {
         held.mailbox.extend(messages.iter().cloned());
     }
 
-    fn drain(&mut self, owner: &MailName) -> Vec<Message> {
+    /// The reserved list, and whether any mail moved into it.
+    fn drain(&mut self, owner: &MailName) -> (Vec<Message>, bool) {
         let Some(held) = self.owners.get_mut(owner) else {
-            return Vec::new();
+            return (Vec::new(), false);
         };
+        let moved = !held.mailbox.is_empty();
         held.reserved.append(&mut held.mailbox);
-        held.reserved.clone()
-    }
-
-    /// What `idle_drain` must answer: the buffer, when nothing waits in
-    /// the mailbox.
-    fn idle(&self, owner: &MailName) -> Option<Vec<Message>> {
-        match self.owners.get(owner) {
-            Some(held) if !held.mailbox.is_empty() => None,
-            held => Some(held.map(|h| h.reserved.clone()).unwrap_or_default()),
-        }
+        (held.reserved.clone(), moved)
     }
 
     fn release(&mut self, owner: &MailName, ids: &[MessageId]) -> u64 {
@@ -115,6 +111,13 @@ impl Model {
         }
         state.deposited.clone_from(&self.deposited);
         state
+    }
+
+    /// True when `owner` holds a message, in their mailbox or buffer.
+    fn holds(&self, owner: &MailName) -> bool {
+        self.owners
+            .get(owner)
+            .is_some_and(|held| !held.mailbox.is_empty() || !held.reserved.is_empty())
     }
 
     /// The reserved messages of `owner`, if any.
@@ -151,65 +154,19 @@ fn assert_views(mailboxes: &Mailboxes<'_>, pending: &PendingDrain<'_>, model: &M
     assert_eq!(buffers, want, "{who}: reservation buffers");
 }
 
-/// `idle_drain` of every user against the model, with no hint; a slot it
-/// names is where a hint-less drain finds the owner.
-fn assert_idle(state: &StoreState, model: &Model, roster: &[MailName], who: &str) {
+/// Every user's row against the roster: a roster owner is in the slot of
+/// their rank, an owner off it who holds mail in a slot past the roster,
+/// and anyone else in no slot or one past the roster.
+fn assert_slots(state: &StoreState, model: &Model, roster: &[MailName], who: &str) {
     for i in 0..USERS.len() {
         let owner = user(i);
-        let idle = state.idle_drain(&owner, NO_OWNER_SLOT);
-        assert_eq!(
-            idle.as_ref().map(|(mail, _)| mail),
-            model.idle(&owner).as_ref(),
-            "{who}: idle_drain of {owner}"
-        );
-        if let (Some((_, slot)), Some(rank)) = (idle, roster.iter().position(|n| *n == owner)) {
-            assert_eq!(slot as usize, rank, "{who}: {owner} keeps its roster slot");
-        }
-    }
-}
-
-/// One store under test with its model and what it has taught of slots.
-struct Subject {
-    model: Model,
-    /// Per user: the slot the store last answered with.
-    taught: BTreeMap<usize, u32>,
-    /// Per user: the slot it answered before that one.
-    stale: BTreeMap<usize, u32>,
-}
-
-impl Subject {
-    fn new() -> Self {
-        Subject {
-            model: Model::default(),
-            taught: BTreeMap::new(),
-            stale: BTreeMap::new(),
-        }
-    }
-
-    /// The hint an operation on `who` carries, by `kind`: the slot last
-    /// taught, a stale one, another user's, none, a made-up one, or one
-    /// past any slot a store of these users can have.
-    fn hint(&self, who: usize, kind: u8, val: u32) -> u32 {
-        let of = |map: &BTreeMap<usize, u32>, u: usize| map.get(&u).copied();
-        match kind % 6 {
-            0 => of(&self.taught, who),
-            1 => of(&self.stale, who),
-            2 => of(
-                &self.taught,
-                (who + 1 + val as usize % (USERS.len() - 1)) % USERS.len(),
-            ),
-            3 => None,
-            4 => Some(val),
-            _ => Some(USERS.len() as u32 + val),
-        }
-        .unwrap_or(NO_OWNER_SLOT)
-    }
-
-    fn learn(&mut self, who: usize, slot: u32) {
-        if let Some(old) = self.taught.insert(who, slot) {
-            if old != slot {
-                self.stale.insert(who, old);
+        let slot = state.slot_of(&owner).map(|slot| slot as usize);
+        match roster.iter().position(|n| *n == owner) {
+            Some(rank) => assert_eq!(slot, Some(rank), "{who}: {owner} keeps its roster slot"),
+            None if model.holds(&owner) => {
+                assert!(slot >= Some(roster.len()), "{who}: {owner} has a row");
             }
+            None => assert!(slot.is_none_or(|s| s >= roster.len()), "{who}: {owner}"),
         }
     }
 }
@@ -219,6 +176,8 @@ type Op = (u8, usize, u32);
 
 struct Run {
     roster: Vec<MailName>,
+    /// The roster before the last re-seed, for stale hints.
+    old_roster: Vec<MailName>,
     next_id: u64,
     /// The last message deposited, for a duplicate delivery.
     last: Option<Message>,
@@ -226,7 +185,8 @@ struct Run {
     /// The stores of subjects [`VOLATILE`], [`STABLE`] and [`WAL`], in
     /// that order.
     stores: [Store; 3],
-    subjects: [Subject; 4],
+    /// Each subject's model, by subject.
+    models: [Model; 4],
 }
 
 const STATE: usize = 0;
@@ -258,18 +218,51 @@ impl Run {
             store.seed_roster(&mut roster.iter());
         }
         Run {
+            old_roster: roster.clone(),
             roster,
             next_id: 0,
             last: None,
             state,
             stores,
-            subjects: [(); 4].map(|()| Subject::new()),
+            models: Default::default(),
         }
     }
 
     /// The store of subject `i`, one of [`STORES`].
     fn store(&mut self, i: usize) -> &mut Store {
         &mut self.stores[i - 1]
+    }
+
+    /// The state of subject `i`.
+    fn state_of(&self, i: usize) -> &StoreState {
+        match i {
+            STATE => &self.state,
+            _ => self.stores[i - 1].state(),
+        }
+    }
+
+    /// The hint an operation on `who` carries at subject `i`, by `kind`:
+    /// the right one (the roster rank wiring hands out, or for an owner
+    /// off the roster the row the subject holds), a stale one (the rank
+    /// before the last re-seed), another owner's rank, none, a made-up
+    /// one, or one past any slot a store of these users can have.
+    fn hint(&self, i: usize, who: usize, kind: u8, val: u32) -> u32 {
+        let rank = |roster: &[MailName], u: usize| {
+            let at = roster.iter().position(|n| *n == user(u));
+            at.map(|rank| rank as u32)
+        };
+        match kind % 6 {
+            0 => rank(&self.roster, who).or_else(|| self.state_of(i).slot_of(&user(who))),
+            1 => rank(&self.old_roster, who),
+            2 => rank(
+                &self.roster,
+                (who + 1 + val as usize % (USERS.len() - 1)) % USERS.len(),
+            ),
+            3 => None,
+            4 => Some(val),
+            _ => Some(USERS.len() as u32 + val),
+        }
+        .unwrap_or(NO_OWNER_SLOT)
     }
 
     fn step(&mut self, (op, who, val): Op) {
@@ -295,11 +288,10 @@ impl Run {
                 };
                 let hinted = op >= 2;
                 for i in [STATE].into_iter().chain(STORES) {
-                    let subject = &mut self.subjects[i];
-                    let hint = subject.hint(who, op + (val % 5) as u8, val % 12);
-                    let fresh = subject.model.deposit(&m);
+                    let hint = self.hint(i, who, op + (val % 5) as u8, val % 12);
+                    let fresh = self.models[i].deposit(&m);
                     let got = match (i, hinted) {
-                        (STATE, false) => self.state.deposit(m.clone()),
+                        (STATE, false) => self.state.deposit_at(m.clone(), NO_OWNER_SLOT),
                         (STATE, true) => self.state.deposit_at(m.clone(), hint),
                         (_, false) => self.stores[i - 1].deposit(m.clone(), now),
                         (_, true) => self.stores[i - 1].deposit_at(m.clone(), now, hint),
@@ -308,26 +300,33 @@ impl Run {
                 }
                 self.last = Some(m);
             }
-            // A drain with a hint of some kind.
+            // A drain with a hint of some kind; mail moves only out of a
+            // mailbox that holds some, and a second drain moves nothing.
             4..=6 => {
                 let kind = op + (val % 3) as u8;
-                let subject = &mut self.subjects[STATE];
-                let hint = subject.hint(who, kind, val % 12);
-                let want = subject.model.drain(&owner);
-                let (mail, slot) = self.state.drain_reserve_at(&owner, hint);
-                assert_eq!(mail, want, "state: drain of {owner}");
-                subject.learn(who, slot);
-                assert_eq!(self.state.idle_drain(&owner, hint), Some((mail, slot)));
+                let hint = self.hint(STATE, who, kind, val % 12);
+                let want = self.models[STATE].drain(&owner);
+                let got = self.state.drain_reserve_at(&owner, hint);
+                assert_eq!(got, want, "state: drain of {owner}");
+                let again = self.state.drain_reserve_at(&owner, hint);
+                assert_eq!(again, (got.0, false), "state: drain of {owner} again");
                 for i in STORES {
-                    let subject = &mut self.subjects[i];
-                    let hint = subject.hint(who, kind, val % 12);
-                    let want = subject.model.drain(&owner);
+                    let hint = self.hint(i, who, kind, val % 12);
+                    let (want, moved) = self.models[i].drain(&owner);
                     let store = &mut self.stores[i - 1];
-                    let (mail, slot) = store.drain_reserve_at(&owner, hint);
-                    assert_eq!(mail, want, "store {i}: drain of {owner}");
-                    subject.learn(who, slot);
-                    let (_, slot) = store.state().idle_drain(&owner, NO_OWNER_SLOT).unwrap();
-                    assert_eq!(subject.taught[&who], slot, "store {i}: slot of {owner}");
+                    let appended = store.store_metrics().appended_records;
+                    assert_eq!(
+                        store.drain_reserve_at(&owner, hint),
+                        want,
+                        "store {i}: drain of {owner}"
+                    );
+                    if i == WAL {
+                        let logged = store.store_metrics().appended_records > appended;
+                        assert_eq!(
+                            logged, moved,
+                            "wal: a drain of {owner} is logged iff mail moved"
+                        );
+                    }
                 }
             }
             // An acknowledgement of part of the buffer, ids it never held
@@ -336,15 +335,15 @@ impl Run {
             7 | 14 => {
                 let other = user(who + 1 + val as usize % (USERS.len() - 1));
                 for i in [STATE].into_iter().chain(STORES) {
-                    let subject = &mut self.subjects[i];
-                    let hint = subject.hint(who, (val % 6) as u8, val % 12);
-                    let mut ids = subject.model.reserved(&owner);
+                    let hint = self.hint(i, who, (val % 6) as u8, val % 12);
+                    let model = &mut self.models[i];
+                    let mut ids = model.reserved(&owner);
                     ids.truncate(1 + val as usize % 3);
                     ids.push(MessageId(u64::from(val) + 1_000));
-                    ids.extend(subject.model.reserved(&other));
-                    let want = subject.model.release(&owner, &ids);
+                    ids.extend(model.reserved(&other));
+                    let want = model.release(&owner, &ids);
                     let got = match (i, op) {
-                        (STATE, 7) => self.state.release_drained(&owner, &ids),
+                        (STATE, 7) => self.state.release_drained_at(&owner, &ids, NO_OWNER_SLOT),
                         (STATE, _) => self.state.release_drained_at(&owner, &ids, hint),
                         (_, 7) => self.stores[i - 1].release_drained(&owner, &ids),
                         (_, _) => self.stores[i - 1].release_drained_at(&owner, &ids, hint),
@@ -364,7 +363,7 @@ impl Run {
                     now,
                 );
                 let chunk = vec![m];
-                self.subjects[STATE].model.restore_chunk(&owner, &chunk);
+                self.models[STATE].restore_chunk(&owner, &chunk);
                 self.state.restore_snapshot_chunk(&owner, chunk);
             }
             // A buffer chunk: empty, which restores nothing, or a message
@@ -383,13 +382,13 @@ impl Run {
                         now,
                     ));
                 }
-                let entry = self.subjects[STATE].model.owners.entry(owner.clone());
+                let entry = self.models[STATE].owners.entry(owner.clone());
                 entry.or_default().reserved.extend(messages.iter().cloned());
                 self.state.restore_snapshot_pending(&owner, messages);
             }
             // Wired again, with another roster: contents stay.
             10 => {
-                self.roster = roster(val as u8);
+                self.old_roster = std::mem::replace(&mut self.roster, roster(val as u8));
                 self.state.seed_roster(&self.roster);
                 for store in &mut self.stores {
                     store.seed_roster(&mut self.roster.iter());
@@ -407,7 +406,7 @@ impl Run {
                         assert_eq!(report.lost_messages, 0);
                     }
                 }
-                self.subjects[VOLATILE].model = Model::default();
+                self.models[VOLATILE] = Model::default();
             }
             // The WAL store comes back as its log says.
             _ => {
@@ -424,20 +423,20 @@ impl Run {
         // Rows that hold nothing, the roster and the slots are no part of
         // what a state is: the model written as a snapshot, with no
         // roster, is the same state.
-        assert_eq!(self.state, self.subjects[STATE].model.snapshot());
-        let model = &self.subjects[STATE].model;
+        assert_eq!(self.state, self.models[STATE].snapshot());
+        let model = &self.models[STATE];
         assert_views(
             &self.state.mailboxes(),
             &self.state.pending(),
             model,
             "state",
         );
-        assert_idle(&self.state, model, &self.roster, "state");
+        assert_slots(&self.state, model, &self.roster, "state");
         for i in STORES {
-            let (store, model) = (&self.stores[i - 1], &self.subjects[i].model);
+            let (store, model) = (&self.stores[i - 1], &self.models[i]);
             let who = store.backend();
             assert_views(&store.mailboxes(), &store.pending_drain(), model, who);
-            assert_idle(store.state(), model, &self.roster, who);
+            assert_slots(store.state(), model, &self.roster, who);
         }
         // The log replays to the live state.
         let wal = self.store(WAL);

@@ -103,14 +103,18 @@ fn spend(store: &mut Store) -> Spent {
         cycle(store, message(id));
     }
     let before = appended(store);
+    // Owners take slots in the order their first deposit met them.
+    for (slot, owner) in owners.iter().enumerate() {
+        assert_eq!(store.state().slot_of(owner), Some(slot as u32));
+    }
 
     // The check that finds nothing, hint-less and hinted: nothing at all.
     let idle = allocs_in(|| {
         for round in 0..CYCLES {
             let owner = &owners[round % OWNERS];
             assert!(store.drain_reserve(owner).is_empty());
-            let (mail, slot) = store.drain_reserve_at(owner, (round % OWNERS) as u32);
-            assert!(mail.is_empty() && slot as usize == round % OWNERS);
+            let hint = (round % OWNERS) as u32;
+            assert!(store.drain_reserve_at(owner, hint).is_empty());
         }
     });
     assert_eq!(appended(store), before, "idle checks log nothing");

@@ -5,7 +5,7 @@
 
 use lems_core::message::{Message, MessageId, MessageIdGen};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, StoreState};
+use lems_core::store::{MailStore, StoreState, NO_OWNER_SLOT};
 use lems_sim::time::SimTime;
 use lems_store::codec;
 use lems_store::wal::{apply, SyncPolicy, WalConfig};
@@ -51,12 +51,12 @@ fn run_op(
         0..=2 => {
             let m = message(gen, who, val);
             store.deposit(m.clone(), now);
-            oracle.deposit(m);
+            oracle.deposit_at(m, NO_OWNER_SLOT);
         }
         3 => {
             let owner = user(who);
             let a = store.drain_reserve(&owner);
-            let b = oracle.drain_reserve(&owner);
+            let b = oracle.drain_reserve_at(&owner, NO_OWNER_SLOT).0;
             assert_eq!(a, b, "live drain must match oracle");
         }
         4 => {
@@ -65,7 +65,7 @@ fn run_op(
             let ids: Vec<MessageId> = (val..val + 3).map(MessageId).collect();
             assert_eq!(
                 store.release_drained(&owner, &ids),
-                oracle.release_drained(&owner, &ids)
+                oracle.release_drained_at(&owner, &ids, NO_OWNER_SLOT)
             );
         }
         5 => {
@@ -81,7 +81,10 @@ fn run_op(
             // A check straight after a check: the second one is idle.
             let owner = user(who);
             for _ in 0..2 {
-                assert_eq!(store.drain_reserve(&owner), oracle.drain_reserve(&owner));
+                assert_eq!(
+                    store.drain_reserve(&owner),
+                    oracle.drain_reserve_at(&owner, NO_OWNER_SLOT).0
+                );
             }
         }
         _ => {
@@ -89,11 +92,14 @@ fn run_op(
             // duplicate, which releases nothing.
             let owner = user(who);
             let drained = store.drain_reserve(&owner);
-            assert_eq!(drained, oracle.drain_reserve(&owner));
+            assert_eq!(drained, oracle.drain_reserve_at(&owner, NO_OWNER_SLOT).0);
             let ids: Vec<MessageId> = drained.iter().map(|m| m.id).collect();
             for released in [ids.len() as u64, 0] {
                 assert_eq!(store.release_drained(&owner, &ids), released);
-                assert_eq!(oracle.release_drained(&owner, &ids), released);
+                assert_eq!(
+                    oracle.release_drained_at(&owner, &ids, NO_OWNER_SLOT),
+                    released
+                );
             }
         }
     }

@@ -18,13 +18,13 @@ use crate::getmail::{Check, GetMailState, Step};
 /// Per-user state kept by the host actor.
 #[derive(Clone, Debug)]
 pub(super) struct UiUser {
-    /// Never changed after [`UiUser::new`]: an in-flight
+    /// Never changed after [`UiUser::wired`]: an in-flight
     /// [`RetrievalSession`] indexes into it.
     pub(super) authorities: AuthorityList,
-    /// Per authority server, in list order: the owner slot its last
-    /// `RetrieveReply` carried, or before any the roster slot wiring gave
-    /// it. Kept for the first [`HINTED_SERVERS`] only, inline, so the row
-    /// allocates nothing of its own.
+    /// Per authority server, in list order: the roster slot wiring gave
+    /// it ([`NO_OWNER_SLOT`] for a user wiring did not place here, or one
+    /// who migrated). Kept for the first [`HINTED_SERVERS`] only, inline,
+    /// so the row allocates nothing of its own.
     pub(super) owner_slots: [u32; HINTED_SERVERS],
     getmail: GetMailState,
     /// The check in flight, as its index in the host's [`Sessions`]: a
@@ -39,25 +39,7 @@ pub(super) struct UiUser {
 /// is asked without a hint and finds the user by name.
 const HINTED_SERVERS: usize = 3;
 
-/// The owner slot `server` last taught the user with these `authorities`.
-pub(super) fn owner_slot_at(
-    authorities: &AuthorityList,
-    owner_slots: &[u32; HINTED_SERVERS],
-    server: NodeId,
-) -> u32 {
-    authorities
-        .rank_of(server)
-        .and_then(|rank| owner_slots.get(rank).copied())
-        .unwrap_or(NO_OWNER_SLOT)
-}
-
 impl UiUser {
-    /// A user who has never checked mail, whose host has been told no
-    /// owner slots.
-    pub(super) fn new(authorities: AuthorityList) -> Self {
-        UiUser::wired(authorities, &[])
-    }
-
     /// A user who has never checked mail, whose authority server of each
     /// rank keeps them in slot `roster_slots[rank]`
     /// ([`Partition::slots_of`](lems_core::directory::Partition::slots_of)).
@@ -73,6 +55,14 @@ impl UiUser {
             retrieval: None,
             pending_check: false,
         }
+    }
+
+    /// The owner slot wiring gave `server` for this user.
+    pub(super) fn owner_slot_at(&self, server: NodeId) -> u32 {
+        self.authorities
+            .rank_of(server)
+            .and_then(|rank| self.owner_slots.get(rank).copied())
+            .unwrap_or(NO_OWNER_SLOT)
     }
 }
 
@@ -404,7 +394,7 @@ impl HostActor {
             user: name.clone(),
             reply_to: self.end.node,
             session: slot as u32,
-            owner_slot: owner_slot_at(&user.authorities, &user.owner_slots, server),
+            owner_slot: user.owner_slot_at(server),
         };
         let tag = RETRIEVE_TAG | slot as u64;
         session.current = Some(
@@ -457,7 +447,7 @@ impl Actor for HostActor {
                 // "Any host in the region may be used": a visitor gets a
                 // session here, beside the one their home host keeps.
                 if !self.slot_of.contains_key(&user) {
-                    self.adopt_user(user, UiUser::new(authorities));
+                    self.adopt_user(user, UiUser::wired(authorities, &[]));
                 }
             }
             MailMsg::RetrieveReply {
@@ -465,10 +455,10 @@ impl Actor for HostActor {
                 messages,
                 last_start_time,
                 session,
-                owner_slot,
             } => {
                 let now = ctx.now();
                 let server_node = self.end.transport.node_of(from);
+                let slot = self.slot_for(session, &user_name);
                 // Ack first, unconditionally — even for stale replies after
                 // a timeout. The messages are physically at this host, so
                 // the server must release its drain buffer; failing to ack
@@ -476,6 +466,9 @@ impl Actor for HostActor {
                 // re-discard) them forever.
                 if !messages.is_empty() {
                     if let Some(server_node) = server_node {
+                        let owner_slot = slot
+                            .and_then(|slot| self.users[slot].ui.as_ref())
+                            .map_or(NO_OWNER_SLOT, |user| user.owner_slot_at(server_node));
                         let ack = MailMsg::RetrieveAck {
                             user: user_name.clone(),
                             ids: messages.iter().map(|m| m.id).collect(),
@@ -503,7 +496,6 @@ impl Actor for HostActor {
                         if st.ledger_retrieved.insert(m.id) {
                             st.retrieved += 1;
                             let latency = now.duration_since(m.submitted_at).as_units();
-                            st.end_to_end.observe(latency);
                             self.end.metrics.inc("retrieved");
                             self.end.metrics.observe("end_to_end", latency);
                             // First terminal outcome wins the span: a host
@@ -523,18 +515,12 @@ impl Actor for HostActor {
                         }
                     }
                 }
-                let Some(slot) = self.slot_for(session, &user_name) else {
+                let Some(slot) = slot else {
                     return;
                 };
                 let Some(user) = self.users[slot].ui.as_mut() else {
                     return;
                 };
-                if let Some(taught) = server_node
-                    .and_then(|s| user.authorities.rank_of(s))
-                    .and_then(|rank| user.owner_slots.get_mut(rank))
-                {
-                    *taught = owner_slot;
-                }
                 let Some(session) = user.retrieval.and_then(|id| self.sessions.get_mut(id)) else {
                     return; // stale reply after timeout: already counted above
                 };

@@ -37,7 +37,7 @@ use lems_core::directory::Directory;
 use lems_core::mailbox::Mailbox;
 use lems_core::message::{BounceReason, MessageId, MessageIdGen};
 use lems_core::name::MailName;
-use lems_core::store::{MailStore, StoreMetrics, StoreRecovery};
+use lems_core::store::{MailStore, StoreMetrics, StoreRecovery, NO_OWNER_SLOT};
 use lems_core::user::{AuthorityList, UserId};
 use lems_net::error::NetError;
 use lems_net::graph::NodeId;
@@ -819,8 +819,11 @@ impl Deployment {
         let mut slot = MailMsg::NO_SLOT_HINT;
         if let Some(mut ui) = moved {
             // The move is also a fresh start for retrieval bookkeeping
-            // (releasing the user ended any check in flight).
+            // (releasing the user ended any check in flight). The wired
+            // slots name the old name's rows: the new name is found by
+            // name.
             ui.pending_check = false;
+            ui.owner_slots.fill(NO_OWNER_SLOT);
             let new_aid = self.host_actors[&new_host];
             if let Some(h) = self.sim.actor_mut::<HostActor>(new_aid) {
                 slot = h.adopt_user(new_name.clone(), ui);
@@ -1175,10 +1178,8 @@ impl ServerFailurePlan {
 
 #[cfg(test)]
 mod tests {
-    use super::host::owner_slot_at;
     use super::*;
     use crate::resolve::Resolution;
-    use lems_core::store::NO_OWNER_SLOT;
     use lems_net::generators::fig1;
     use lems_sim::span::{SpanId, SpanStage};
     use lems_store::WalConfig;
@@ -1462,7 +1463,8 @@ mod tests {
         assert_eq!(st.retrieved, 1);
         assert_eq!(st.bounced, 0);
         assert_eq!(st.outstanding(), 0);
-        assert!(st.end_to_end.mean() > 0.0);
+        let end_to_end = d.merged_metrics().histogram("end_to_end").unwrap().mean();
+        assert!(end_to_end > 0.0);
         assert_eq!(d.mail_in_storage(), 0);
     }
 
@@ -1813,9 +1815,7 @@ mod tests {
         assert_eq!(merged.counter("deposited"), st.deposited);
         assert_eq!(merged.counter("retrieved"), st.retrieved);
         assert_eq!(merged.counter("retransmits"), st.retransmits);
-        let lat = merged.histogram("delivery_latency").unwrap();
-        assert_eq!(lat.count(), 1);
-        assert!((lat.mean() - st.delivery_latency.mean()).abs() < 1e-9);
+        assert_eq!(merged.histogram("delivery_latency").unwrap().count(), 1);
     }
 
     /// Session-layer retry accounting under a deterministic link-fault
@@ -1997,7 +1997,6 @@ mod tests {
                 messages: Vec::new(),
                 last_start_time: SimTime::ZERO,
                 session: alice_slot as u32,
-                owner_slot: NO_OWNER_SLOT,
             },
             SimDuration::ZERO,
         );
@@ -2038,21 +2037,18 @@ mod tests {
         assert_eq!(d.mail_in_storage(), 0);
     }
 
-    /// What `host` has learned of where `server` keeps `user`.
-    fn learned(d: &Deployment, host: ActorId, user: &MailName, server: NodeId) -> u32 {
+    /// Where `host` holds that `server` keeps `user`: the slot its
+    /// `Retrieve` and `RetrieveAck` to that server carry.
+    fn host_slot(d: &Deployment, host: ActorId, user: &MailName, server: NodeId) -> u32 {
         let h: &HostActor = d.sim.actor(host).unwrap();
         let ui = h.users[h.slot_of[user]].ui.as_ref().unwrap();
-        owner_slot_at(&ui.authorities, &ui.owner_slots, server)
+        ui.owner_slot_at(server)
     }
 
-    /// Where `server`'s store keeps `user`, asked the hint-less way. Only
-    /// for a user with nothing new to drain: then asking changes nothing.
-    fn kept_at(d: &mut Deployment, server: NodeId, user: &MailName) -> u32 {
-        let actor = d.server_actors[&server];
-        let s: &mut ServerActor = d.sim.actor_mut(actor).unwrap();
-        let (mail, slot) = s.store.drain_reserve_at(user, NO_OWNER_SLOT);
-        assert!(mail.is_empty(), "only ask for an idle user");
-        slot
+    /// Where `server`'s store keeps `user` ([`NO_OWNER_SLOT`] for no row).
+    fn kept_at(d: &Deployment, server: NodeId, user: &MailName) -> u32 {
+        let s: &ServerActor = d.sim.actor(d.server_actors[&server]).unwrap();
+        s.store.state().slot_of(user).unwrap_or(NO_OWNER_SLOT)
     }
 
     /// The server-side twin of `forged_session_cannot_credit_another_user`:
@@ -2101,11 +2097,11 @@ mod tests {
             "bob's mail reserved for bob"
         );
 
-        // The reply re-teaches the host where bob really is. Alice never
-        // checked: her host holds the roster slot wiring gave it.
+        // The forgery teaches the host nothing: it holds the roster slots
+        // wiring gave it, for bob and for alice.
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(learned(&d, host, &bob, primary), 1);
-        assert_eq!(learned(&d, host, &alice, primary), 0);
+        assert_eq!(host_slot(&d, host, &bob, primary), 1);
+        assert_eq!(host_slot(&d, host, &alice, primary), 0);
         let st = d.stats.borrow();
         assert_eq!(st.retrieved, 1);
         assert!(
@@ -2131,9 +2127,10 @@ mod tests {
         // in flight.
         let (alice_slot, alices, bobs) = {
             let s: &mut ServerActor = d.sim.actor_mut(server).unwrap();
-            let (hers, alice_slot) = s.store.drain_reserve_at(&alice, NO_OWNER_SLOT);
-            let (his, _) = s.store.drain_reserve_at(&bob, NO_OWNER_SLOT);
+            let hers = s.store.drain_reserve_at(&alice, NO_OWNER_SLOT);
+            let his = s.store.drain_reserve_at(&bob, NO_OWNER_SLOT);
             assert_eq!((hers.len(), his.len()), (1, 1));
+            let alice_slot = s.store.state().slot_of(&alice).unwrap();
             (alice_slot, hers[0].id, his[0].id)
         };
         assert_eq!(alice_slot, 0, "alice sorts first");
@@ -2173,17 +2170,11 @@ mod tests {
             for &server in authorities.servers().iter().take(3) {
                 let wired = roster_slot(&d, server, &user);
                 assert_eq!(
-                    learned(&d, host, &user, server),
+                    host_slot(&d, host, &user, server),
                     wired,
                     "{user} at {server}"
                 );
-                let kept = d.sim.actor::<ServerActor>(d.server_actors[&server]);
-                let idle = kept.unwrap().store.state().idle_drain(&user, NO_OWNER_SLOT);
-                assert_eq!(
-                    idle.map(|(_, slot)| slot),
-                    Some(wired),
-                    "{user} at {server}"
-                );
+                assert_eq!(kept_at(&d, server, &user), wired, "{user} at {server}");
                 hinted += 1;
             }
         }
@@ -2193,8 +2184,8 @@ mod tests {
     /// One workload on `small_deployment(49)` after `overwrite` has
     /// rewritten every host's owner slots, given each user's wired slots
     /// and those of the next user of the same host: everyone sends and
-    /// checks twice, one user migrates (their slots now name another
-    /// user's row), and a server crashes between the rounds.
+    /// checks twice, one user migrates (their new name has no slots), and
+    /// a server crashes between the rounds.
     fn run_with_owner_slots(overwrite: impl Fn(&[u32; 3], &[u32; 3]) -> [u32; 3]) -> Outcome {
         let mut d = small_deployment(49);
         d.sim.enable_trace();
@@ -2276,10 +2267,10 @@ mod tests {
         rank.unwrap() as u32
     }
 
-    /// A slot the store never had resolves by name, and the reply teaches
-    /// the user's roster slot. A crash of a volatile store forgets all it
-    /// holds but not its roster, so what the host learned before the crash
-    /// is still where the store keeps the user after it.
+    /// A slot the store never had resolves by name, and leaves the host
+    /// holding the roster slots wiring gave it. A crash of a volatile store
+    /// forgets all it holds but not its roster, so those slots are still
+    /// where the store keeps the users after it.
     #[test]
     fn out_of_range_owner_slot_resolves_by_name_and_roster_slots_survive_a_crash() {
         let f = fig1();
@@ -2318,25 +2309,26 @@ mod tests {
         );
         d.check_at(t(10.0), &alice);
         d.sim.run_until(t(90.0));
-        assert_eq!(learned(&d, host, &bob, primary), b);
-        assert_eq!(learned(&d, host, &alice, primary), a);
+        assert_eq!(host_slot(&d, host, &bob, primary), b);
+        assert_eq!(host_slot(&d, host, &alice, primary), a);
 
         // The crash empties the store; bob comes back last, and is still
         // found where his hint says.
         d.check_at(t(120.0), &alice);
         d.check_at(t(130.0), &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(learned(&d, host, &alice, primary), a);
-        assert_eq!(learned(&d, host, &bob, primary), b);
-        assert_eq!(kept_at(&mut d, primary, &bob), b);
+        assert_eq!(host_slot(&d, host, &alice, primary), a);
+        assert_eq!(host_slot(&d, host, &bob, primary), b);
+        assert_eq!(kept_at(&d, primary, &bob), b);
         assert_eq!(d.stats.borrow().retrieval_polls.count(), 3);
     }
 
     /// The twin of `duplicated_replies_resolve_as_by_name`: replies that
-    /// arrive twice, late and out of order all carry the slot the store
-    /// answered with, so whichever lands last the host holds the right one.
+    /// arrive twice, late and out of order carry no slot, so whichever
+    /// lands last the host holds what wiring gave it, which is where each
+    /// store keeps the user.
     #[test]
-    fn duplicated_replies_teach_the_same_owner_slot() {
+    fn duplicated_replies_leave_the_wired_owner_slots() {
         let mut d = small_deployment(43);
         let names = d.user_names();
         let chaos = LinkChaos::new(
@@ -2356,17 +2348,70 @@ mod tests {
             let host = d.host_actor(d.users.get(user).unwrap().0).unwrap();
             let authorities = d.directory.by_name(user).unwrap().authorities.clone();
             for &server in authorities.servers() {
-                let taught = learned(&d, host, user, server);
-                assert_ne!(taught, NO_OWNER_SLOT, "the first check walks every server");
-                assert_eq!(taught, kept_at(&mut d, server, user), "{user} at {server}");
+                let held = host_slot(&d, host, user, server);
+                assert_ne!(held, NO_OWNER_SLOT, "wiring placed every user");
+                assert_eq!(held, kept_at(&d, server, user), "{user} at {server}");
             }
         }
     }
 
+    /// Wiring is the only source of a host's owner slots. A user who
+    /// migrated holds none (the wired ones name the old name's rows), nor
+    /// does a visitor at the host they logged in at; both check mail, are
+    /// found by name, and leave every host holding what it held before.
+    #[test]
+    fn replies_leave_every_hosts_owner_slots_as_wired() {
+        let mut d = small_deployment(50);
+        let names = d.user_names();
+        let held = |d: &Deployment| {
+            let mut held = Vec::new();
+            for (&host, &aid) in &d.host_actors {
+                for u in &d.sim.actor::<HostActor>(aid).unwrap().users {
+                    let ui = u.ui.as_ref();
+                    held.extend(ui.map(|ui| (host, u.name.clone(), ui.owner_slots)));
+                }
+            }
+            held
+        };
+        let (old_host, _) = d.users.get(&names[4]).unwrap();
+        let new_host = *d.host_actors.keys().find(|&&h| h != old_host).unwrap();
+        let ttl = SimDuration::from_units(500.0);
+        let moved = d.migrate_user_live(&names[4], new_host, Some("moved"), ttl);
+        let moved = moved.unwrap();
+        let visitor = names[1].clone();
+        let (home, _) = d.users.get(&visitor).unwrap();
+        let away = *d.host_actors.keys().find(|&&h| h != home).unwrap();
+        d.login_at(t(1.0), &visitor, away);
+        d.sim.run_until(t(2.0));
+        let wired = held(&d);
+        let none = [NO_OWNER_SLOT; 3];
+        assert!(wired.contains(&(new_host, moved.clone(), none)));
+        assert!(wired.contains(&(away, visitor.clone(), none)));
+        assert!(!wired.contains(&(home, visitor.clone(), none)));
+
+        d.send_at(t(10.0), &names[0], &moved);
+        d.send_at(t(11.0), &names[0], &visitor);
+        d.check_at(t(60.0), &moved);
+        let check = MailMsg::DoCheck {
+            user: visitor.clone(),
+            slot: MailMsg::NO_SLOT_HINT,
+        };
+        let delay = t(61.0).duration_since(d.sim.now());
+        d.sim.inject(d.host_actors[&away], check, delay);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+
+        assert_eq!(held(&d), wired, "no host's slots moved");
+        let st = d.stats.borrow();
+        assert_eq!((st.retrieved, st.retrieval_polls.count()), (2, 2));
+        assert_eq!(st.ledger_retrieved, st.ledger_submitted);
+        drop(st);
+        assert_eq!(d.mail_in_storage(), 0);
+    }
+
     /// A WAL store that crashes comes back with its roster where wiring
-    /// put it, whatever order the log met the owners in: the slot a reply
-    /// taught before the crash finds bob's mail after the replay, and the
-    /// replies after it teach the same slot again.
+    /// put it, whatever order the log met the owners in: the slot wiring
+    /// gave the host finds bob's mail before the crash and after the
+    /// replay.
     #[test]
     fn roster_owner_slot_survives_wal_recovery() {
         let f = fig1();
@@ -2404,13 +2449,9 @@ mod tests {
         d.send_at(t(100.0), &names[5], &bob);
         d.sim.run_until(t(170.0));
         assert_eq!(d.recoveries.borrow().len(), 1);
-        assert_eq!(learned(&d, host, &bob, primary), b, "the pre-crash hint");
-        assert_eq!(learned(&d, host, &alice, primary), a);
-        assert_eq!(
-            kept_at(&mut d, primary, &alice),
-            a,
-            "kept through the crash"
-        );
+        assert_eq!(host_slot(&d, host, &bob, primary), b, "the wired hint");
+        assert_eq!(host_slot(&d, host, &alice, primary), a);
+        assert_eq!(kept_at(&d, primary, &alice), a, "kept through the crash");
 
         d.check_at(t(200.0), &bob);
         d.sim.run_until(t(290.0));
@@ -2419,13 +2460,13 @@ mod tests {
             3,
             "bob's second message arrived"
         );
-        assert_eq!(learned(&d, host, &bob, primary), b);
+        assert_eq!(host_slot(&d, host, &bob, primary), b);
 
         d.send_at(t(300.0), &names[5], &bob);
         d.check_at(t(350.0), &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(learned(&d, host, &bob, primary), b);
-        assert_eq!(kept_at(&mut d, primary, &bob), b);
+        assert_eq!(host_slot(&d, host, &bob, primary), b);
+        assert_eq!(kept_at(&d, primary, &bob), b);
         let st = d.stats.borrow();
         assert_eq!((st.retrieved, st.bounced), (4, 0));
         assert_eq!(st.ledger_retrieved, st.ledger_submitted);

@@ -75,9 +75,9 @@ pub enum MailMsg {
         /// Opaque to the server, which echoes it in the reply: where the
         /// host keeps this user's session.
         session: u32,
-        /// Where this server's last reply said it keeps `user`
-        /// ([`NO_OWNER_SLOT`](lems_core::store::NO_OWNER_SLOT) before any). A hint only: the store checks
-        /// it against `user` before trusting it.
+        /// Where wiring said this server's store keeps `user`, if anywhere
+        /// ([`NO_OWNER_SLOT`](lems_core::store::NO_OWNER_SLOT)). A hint
+        /// only: the store checks it against `user` before trusting it.
         owner_slot: u32,
     },
     /// Server -> UI: stored mail plus the server's `LastStartTime`.
@@ -91,9 +91,6 @@ pub enum MailMsg {
         /// The request's `session`, echoed. A hint only: the host checks
         /// it against `user` before trusting it.
         session: u32,
-        /// Where the server's store keeps `user` now, for the host to send
-        /// back with its next [`MailMsg::Retrieve`] to this server.
-        owner_slot: u32,
     },
     /// UI -> server: the listed drained messages arrived safely; the
     /// server may release its drain buffer for them. Without this ack a
@@ -104,8 +101,9 @@ pub enum MailMsg {
         user: MailName,
         /// Ids received by the host.
         ids: Vec<MessageId>,
-        /// The `owner_slot` of the reply being acknowledged, echoed: a hint
-        /// the store checks against `user` before releasing anything.
+        /// The `owner_slot` the host's [`MailMsg::Retrieve`] to this
+        /// server carries: a hint the store checks against `user` before
+        /// releasing anything.
         owner_slot: u32,
     },
     /// Workload injection: `user` logs on at this host (§3.2.2c), which
@@ -203,10 +201,6 @@ pub struct DeliveryStats {
     /// Largest value `in_storage_now` ever reached (§4.4 "storage space
     /// used").
     pub peak_storage: u64,
-    /// Submission-to-deposit latency, in time units.
-    pub delivery_latency: Summary,
-    /// Submission-to-retrieval latency, in time units.
-    pub end_to_end: Summary,
     /// Probes per completed GetMail retrieval.
     pub retrieval_polls: Summary,
     /// Ledger: ids submitted.

@@ -102,7 +102,6 @@ impl ServerActor {
         {
             let mut st = self.end.stats.borrow_mut();
             st.deposited += 1;
-            st.delivery_latency.observe(latency);
             st.in_storage_now += 1;
             st.peak_storage = st.peak_storage.max(st.in_storage_now);
         }
@@ -407,7 +406,7 @@ impl Actor for ServerActor {
                 // Retrieve until the host acks them, so a lost reply never
                 // loses mail. The storage gauge is only decremented at ack
                 // time.
-                let (messages, owner_slot) = self.store.drain_reserve_at(&user, owner_slot);
+                let messages = self.store.drain_reserve_at(&user, owner_slot);
                 self.end.send(
                     ctx,
                     reply_to,
@@ -416,7 +415,6 @@ impl Actor for ServerActor {
                         messages,
                         last_start_time: self.last_start_time,
                         session,
-                        owner_slot,
                     },
                 );
             }

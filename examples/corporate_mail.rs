@@ -7,6 +7,7 @@
 //! ```
 
 use lems::net::generators::fig1;
+use lems::sim::metrics::LogHistogram;
 use lems::sim::rng::SimRng;
 use lems::sim::time::{SimDuration, SimTime};
 use lems::syntax::{Deployment, DeploymentConfig, ServerFailurePlan};
@@ -68,6 +69,8 @@ fn main() {
         "the day did not quiesce within 2M events: a retry loop is livelocked"
     );
 
+    let latency = mail.merged_metrics();
+    let mean = |name: &str| latency.histogram(name).map_or(0.0, LogHistogram::mean);
     let st = mail.stats.borrow();
     println!("submitted:           {}", st.submitted);
     println!("retrieved:           {}", st.retrieved);
@@ -80,8 +83,8 @@ fn main() {
     println!("polls per check:     {:.3}", st.retrieval_polls.mean());
     println!(
         "delivery latency:    {:.2} units (mean), end-to-end {:.1} units",
-        st.delivery_latency.mean(),
-        st.end_to_end.mean()
+        mean("delivery_latency"),
+        mean("end_to_end")
     );
     assert_eq!(st.outstanding(), 0, "the paper's no-loss guarantee");
     println!("\nok: no message was silently lost despite {outage_count} outages.");

@@ -6,6 +6,7 @@
 //! ```
 
 use lems::net::generators::fig1;
+use lems::sim::metrics::LogHistogram;
 use lems::sim::time::SimTime;
 use lems::syntax::{Deployment, DeploymentConfig};
 
@@ -37,14 +38,15 @@ fn main() {
         "one send and one check did not quiesce within 100k events"
     );
 
+    let end_to_end = mail
+        .merged_metrics()
+        .histogram("end_to_end")
+        .map_or(0.0, LogHistogram::mean);
     let stats = mail.stats.borrow();
     println!("submitted: {}", stats.submitted);
     println!("deposited: {}", stats.deposited);
     println!("retrieved: {}", stats.retrieved);
-    println!(
-        "end-to-end latency: {:.2} time units",
-        stats.end_to_end.mean()
-    );
+    println!("end-to-end latency: {end_to_end:.2} time units");
     println!(
         "retrieval polls (first check walks the whole list): {}",
         stats.retrieval_polls.mean()
