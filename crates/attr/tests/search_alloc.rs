@@ -24,9 +24,8 @@
 //! zero_alloc.rs` pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use lems_attr::attribute::{AttrKey, AttributeSet, RequesterContext, Visibility};
 use lems_attr::query::Query;
@@ -38,7 +37,12 @@ use lems_net::topology::{NodeKind, Topology};
 use lems_sim::failure::FailurePlan;
 use lems_sim::rng::SimRng;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The code measured runs on the
+    /// test's own thread, so nothing another thread of the test binary
+    /// allocates reaches the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -46,29 +50,20 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// plain relaxed atomic with no allocation of its own.
+// `const`-initialised thread-local `Cell` without a destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
-}
-
-/// The counter is process-wide and the test harness runs tests on
-/// parallel threads: each test holds this for its whole body, so no other
-/// test's allocations land inside its counted region.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the others can still count.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 const FIRST: [&str; 4] = ["Ada", "Grace", "Alan", "Edsger"];
@@ -135,9 +130,9 @@ fn one_search(net: &AttributeNetwork) -> (u64, u64) {
         organization: Some("DEC".into()),
     };
     let plan = FailurePlan::new();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let out = net.search(root, &query, &ctx, &plan, 17);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.with(Cell::get) - before;
     let out = out.expect("a failure-free search completes");
     assert_eq!(out.matches, out.ground_truth_matches);
     assert!(out.matches > 0, "the query exercises no profile");
@@ -146,7 +141,6 @@ fn one_search(net: &AttributeNetwork) -> (u64, u64) {
 
 #[test]
 fn a_search_allocates_for_the_tree_not_for_the_profiles() {
-    let _serial = serial();
     let (small, large) = (network(50), network(500));
     let nodes = small.topology().node_count() as u64;
     let (small_allocs, small_hits) = one_search(&small);
@@ -178,7 +172,6 @@ fn a_search_allocates_for_the_tree_not_for_the_profiles() {
 #[test]
 fn a_registry_allocates_per_column_growth_not_per_profile() {
     const PROFILES: usize = 5_000;
-    let _serial = serial();
     let orgs = ["DEC", "dec", "AT&T"];
     // What the callers allocate — names, attribute sets, their strings —
     // is built before the count starts.
@@ -205,11 +198,11 @@ fn a_registry_allocates_per_column_growth_not_per_profile() {
         .collect();
 
     let mut registry = AttributeRegistry::new();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     for (name, attrs) in profiles {
         registry.upsert(name, attrs);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(registry.len(), PROFILES);
 
     // Five columns of cells, the text arena, the rows' names, their

@@ -140,6 +140,16 @@ pub fn generate(
     population: &[(UserId, RegionId)],
     cfg: &WorkloadConfig,
 ) -> Workload {
+    generate_counting_scans(rng, population, cfg).0
+}
+
+/// [`generate`], and how many of its recipient draws fell back to the
+/// weight scan ([`WeightTable::scans`]).
+fn generate_counting_scans(
+    rng: &mut SimRng,
+    population: &[(UserId, RegionId)],
+    cfg: &WorkloadConfig,
+) -> (Workload, u64) {
     assert!(
         population.len() >= 2,
         "workload needs at least two users, got {}",
@@ -222,11 +232,13 @@ pub fn generate(
     }
 
     events.sort_by_key(WorkloadEvent::at);
-    Workload {
+    let scans = everyone.1.scans() + regions.values().map(|(_, t)| t.scans()).sum::<u64>();
+    let workload = Workload {
         events,
         sends,
         checks,
-    }
+    };
+    (workload, scans)
 }
 
 /// A user-mobility schedule for System-2 experiments: who logs in where,
@@ -303,6 +315,92 @@ mod tests {
 
     fn pop(n: usize, regions: usize) -> Vec<(UserId, RegionId)> {
         (0..n).map(|i| (UserId(i), RegionId(i % regions))).collect()
+    }
+
+    /// FNV-1a over every event's time, kind and users.
+    fn digest(wl: &Workload) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        for e in wl.events() {
+            match *e {
+                WorkloadEvent::Send { at, from, to } => {
+                    eat(at.as_ticks());
+                    eat(from.0 as u64);
+                    eat(to.0 as u64);
+                }
+                WorkloadEvent::CheckMail { at, user } => {
+                    eat(at.as_ticks());
+                    eat(u64::MAX);
+                    eat(user.0 as u64);
+                }
+            }
+        }
+        h
+    }
+
+    /// The default rates, which the benchmark's `s1-steady-25k` uses: a
+    /// send every 50 units, a check every 20, Zipf 0.8, four fifths of the
+    /// mail inside the sender's region.
+    fn steady(horizon: f64) -> WorkloadConfig {
+        WorkloadConfig {
+            horizon: SimTime::from_units(horizon),
+            ..WorkloadConfig::default()
+        }
+    }
+
+    /// The events of three configurations, pinned to the digests the
+    /// generator gave when every draw scanned its weights.
+    #[test]
+    fn generated_events_match_their_pinned_digests() {
+        let steady_2k = generate(&mut SimRng::seed(42), &pop(2_000, 20), &steady(40.0));
+        let hot = WorkloadConfig {
+            mean_interarrival: SimDuration::from_units(5.0),
+            local_bias: 0.5,
+            zipf_exponent: 1.0,
+            horizon: SimTime::from_units(20.0),
+            ..WorkloadConfig::default()
+        };
+        let hot_5k = generate(&mut SimRng::seed(7), &pop(5_000, 7), &hot);
+        let global = WorkloadConfig {
+            local_bias: 0.0,
+            zipf_exponent: 1.2,
+            horizon: SimTime::from_units(5_000.0),
+            ..WorkloadConfig::default()
+        };
+        let global_300 = generate(&mut SimRng::seed(3), &pop(300, 1), &global);
+        assert_eq!(
+            (digest(&steady_2k), steady_2k.len()),
+            (0xef22_b72f_c7b0_438f, 5_453)
+        );
+        assert_eq!(
+            (digest(&hot_5k), hot_5k.len()),
+            (0xbe10_90b0_d0c2_2900, 24_935)
+        );
+        assert_eq!(
+            (digest(&global_300), global_300.len()),
+            (0x0aea_050f_30b1_803d, 104_639)
+        );
+    }
+
+    /// 400 000 users in 20 regions at the default rates: the events are the
+    /// ones every draw scanning gave, and fewer than one draw in a
+    /// thousand falls back to the scan (each send draws at least once).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow in a debug build; run with --release")]
+    fn generate_at_400k_users_is_pinned_and_rarely_scans() {
+        let (wl, scans) =
+            generate_counting_scans(&mut SimRng::seed(42), &pop(400_000, 20), &steady(20.0));
+        assert_eq!((digest(&wl), wl.len()), (0x6ee9_e7f9_2bf9_0f1d, 559_826));
+        assert!(
+            scans * 1_000 < wl.send_count() as u64,
+            "{scans} scans for {} sends",
+            wl.send_count()
+        );
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //! zero_alloc.rs` pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lems_obs::export::{export_jsonl, RunTelemetry};
 use lems_sim::span::{SpanLog, SpanStage, NO_NODE};
 use lems_sim::time::SimTime;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The code measured runs on the
+    /// test's own thread, so nothing another thread of the test binary
+    /// allocates reaches the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -30,17 +35,18 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// plain relaxed atomic with no allocation of its own.
+// `const`-initialised thread-local `Cell` without a destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -67,9 +73,9 @@ fn export_allocs(events: u64) -> u64 {
         store: &[],
         profile: &[],
     };
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let text = export_jsonl(&run);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.with(Cell::get) - before;
     let text = text.expect("a lossless log exports");
     assert_eq!(text.lines().count() as u64, 1 + events);
     allocs

@@ -13,26 +13,38 @@
 //! `unsafe` that a `GlobalAlloc` impl requires.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
 use lems_sim::queue::EventQueue;
 use lems_sim::time::{SimDuration, SimTime};
 
-/// System allocator with an allocation counter (deallocations and
-/// reallocations are counted too — a steady state must not churn at all).
-struct CountingAlloc {
-    allocs: AtomicU64,
-    deallocs: AtomicU64,
-    reallocs: AtomicU64,
+/// An allocation counter (deallocations and reallocations are counted
+/// too — a steady state must not churn at all).
+#[derive(Clone, Copy)]
+struct Counts {
+    allocs: u64,
+    deallocs: u64,
+    reallocs: u64,
 }
 
-static COUNTS: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-    deallocs: AtomicU64::new(0),
-    reallocs: AtomicU64::new(0),
-};
+thread_local! {
+    /// What this thread allocated. The code measured runs on the test's
+    /// own thread, so nothing another thread of the test binary allocates
+    /// reaches the counts.
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts { allocs: 0, deallocs: 0, reallocs: 0 })
+    };
+}
+
+/// Applies `f` to this thread's counts.
+fn count(f: impl FnOnce(&mut Counts)) {
+    COUNTS.with(|counts| {
+        let mut c = counts.get();
+        f(&mut c);
+        counts.set(c);
+    });
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -40,44 +52,31 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counters are
-// plain relaxed atomics with no allocation of their own.
+// a `const`-initialised thread-local `Cell` without a destructor, so
+// touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        COUNTS.allocs.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.allocs += 1);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        COUNTS.deallocs.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.deallocs += 1);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        COUNTS.reallocs.fetch_add(1, Ordering::Relaxed);
+        count(|c| c.reallocs += 1);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// The counters are process-wide and the test harness runs tests on
-/// parallel threads: each test holds this for its whole body, so no other
-/// test's allocations land inside its counted region.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed test poisons the lock; the others can still count.
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Snapshot of (allocs, deallocs, reallocs).
 fn snapshot() -> (u64, u64, u64) {
-    (
-        COUNTS.allocs.load(Ordering::Relaxed),
-        COUNTS.deallocs.load(Ordering::Relaxed),
-        COUNTS.reallocs.load(Ordering::Relaxed),
-    )
+    let c = COUNTS.with(Cell::get);
+    (c.allocs, c.deallocs, c.reallocs)
 }
 
 #[test]
 fn queue_steady_state_allocates_nothing() {
-    let _serial = serial();
     // Steady churn: a bounded pending set cycling through pushes and pops
     // with small bounded delays, so every push lands in the current bucket
     // window and every slot comes off the pool's free list. The pending
@@ -127,7 +126,6 @@ fn queue_steady_state_allocates_nothing() {
 fn cold_ring_allocates_per_doubling_not_per_bucket() {
     const EVENTS: u64 = 100_000;
     const DAYS: u64 = 25_000;
-    let _serial = serial();
     // No warm-up: every bucket the ring ever has is met for the first time
     // inside the counted region. With the payload pool pre-sized, what is
     // left to allocate is the ring's rebuilds on the way up and down (one
@@ -179,7 +177,6 @@ impl Actor for Pong {
 
 #[test]
 fn actor_dispatch_steady_state_allocates_nothing() {
-    let _serial = serial();
     let mut sim: ActorSim<u64> = ActorSim::new(42);
     let a = sim.add_actor(Pong { peer: 1, got: 0 });
     let _b = sim.add_actor(Pong { peer: 0, got: 0 });

@@ -17,7 +17,7 @@
 //! check_path_alloc.rs` pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
@@ -25,7 +25,12 @@ use lems_core::store::MailStore;
 use lems_sim::time::SimTime;
 use lems_store::{DurabilityConfig, Store, WalConfig};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The code measured runs on the
+    /// test's own thread, so nothing another thread of the test binary
+    /// allocates reaches the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -33,26 +38,27 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// plain relaxed atomic with no allocation of its own.
+// `const`-initialised thread-local `Cell` without a destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 /// Allocations made while `f` runs.
 fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 const OWNERS: usize = 50;
@@ -131,8 +137,7 @@ fn spend(store: &mut Store) -> Spent {
     Spent { idle, busy }
 }
 
-/// Both subjects run in one test: the counting allocator is global, and
-/// a second test would run beside this one and pollute both counts.
+/// The WAL store, then the log-less one.
 #[test]
 fn warmed_up_wal_cycle_stays_within_its_allocation_budget() {
     // One segment for the whole run: rotation and compaction have their

@@ -350,33 +350,79 @@ struct UserRow {
     /// `name.order_key()`.
     key: u128,
     name: MailName,
+    /// The home host.
     host: NodeId,
+    /// The home host's actor.
+    actor: ActorId,
+    /// Where the home host keeps the user.
     slot: u32,
 }
 
-/// Every user by name, with their home host and host slot: one vector in
-/// name order, searched by [`MailName::order_key`]. A lookup compares
-/// integers and reads only the name it lands on — and not even that when
-/// the name asked for is a clone of the one stored, as every name
-/// [`Deployment::user_names`] hands out is.
+/// An empty bucket of [`UserTable::index`].
+const NO_ROW: u32 = u32::MAX;
+
+/// Every user by name, with their home host, its actor and the host's
+/// slot: one vector in name order, and a hash index from
+/// [`MailName::order_key`] to the first row holding each key. A lookup
+/// hashes the key, compares integers along a short probe and reads only
+/// the name it lands on — and not even that when the name asked for is a
+/// clone of the one stored, as every name [`Deployment::user_names`] hands
+/// out is. Names that share their first 16 bytes share a key; past the
+/// first of them a lookup bisects the rows.
 struct UserTable {
     rows: Vec<UserRow>,
+    /// Open addressing with linear probes: a bucket holds a row number or
+    /// [`NO_ROW`], and at least half the buckets are empty, so every probe
+    /// ends. Rebuilt whenever a row moves.
+    index: Vec<u32>,
 }
 
 impl UserTable {
     /// The table of `users`, whose names are distinct.
-    fn new(users: Vec<(MailName, NodeId, u32)>) -> Self {
+    fn new(users: Vec<(MailName, NodeId, ActorId, u32)>) -> Self {
         let mut rows: Vec<UserRow> = users
             .into_iter()
-            .map(|(name, host, slot)| UserRow {
+            .map(|(name, host, actor, slot)| UserRow {
                 key: name.order_key(),
                 name,
                 host,
+                actor,
                 slot,
             })
             .collect();
         rows.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.name.cmp(&b.name)));
-        UserTable { rows }
+        let mut table = UserTable {
+            rows,
+            index: Vec::new(),
+        };
+        table.reindex();
+        table
+    }
+
+    /// `key`'s home bucket in an index of `mask + 1` buckets.
+    fn bucket(key: u128, mask: usize) -> usize {
+        // Fold the halves, then Fibonacci-hash: the product's high bits
+        // depend on every bit of the key.
+        let folded = (key >> 64) as u64 ^ key as u64;
+        (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+    }
+
+    /// Rebuilds the index over the rows as they now stand.
+    fn reindex(&mut self) {
+        let buckets = (2 * self.rows.len()).max(1).next_power_of_two();
+        let mask = buckets - 1;
+        self.index.clear();
+        self.index.resize(buckets, NO_ROW);
+        for (at, row) in self.rows.iter().enumerate() {
+            if at > 0 && self.rows[at - 1].key == row.key {
+                continue;
+            }
+            let mut h = Self::bucket(row.key, mask);
+            while self.index[h] != NO_ROW {
+                h = (h + 1) & mask;
+            }
+            self.index[h] = at as u32;
+        }
     }
 
     /// Where `name` sits in the name order, or would.
@@ -386,33 +432,61 @@ impl UserTable {
             .binary_search_by(|row| row.key.cmp(&key).then_with(|| row.name.cmp(name)))
     }
 
-    /// `name`'s home host and slot.
-    fn get(&self, name: &MailName) -> Option<(NodeId, u32)> {
-        let row = &self.rows[self.find(name).ok()?];
-        Some((row.host, row.slot))
+    /// `name`'s row number: through the index, and by bisection where the
+    /// first row with `name`'s key holds another name.
+    fn position(&self, name: &MailName) -> Option<usize> {
+        let key = name.order_key();
+        let mask = self.index.len() - 1;
+        let mut h = Self::bucket(key, mask);
+        loop {
+            let at = self.index[h];
+            if at == NO_ROW {
+                return None;
+            }
+            let row = &self.rows[at as usize];
+            if row.key == key {
+                return if row.name == *name {
+                    Some(at as usize)
+                } else {
+                    self.find(name).ok()
+                };
+            }
+            h = (h + 1) & mask;
+        }
     }
 
-    /// Sets `name`'s home host and slot.
-    fn insert(&mut self, name: MailName, host: NodeId, slot: u32) {
+    /// `name`'s row.
+    fn get(&self, name: &MailName) -> Option<&UserRow> {
+        Some(&self.rows[self.position(name)?])
+    }
+
+    /// Sets `name`'s home host, its actor and the host's slot.
+    fn insert(&mut self, name: MailName, host: NodeId, actor: ActorId, slot: u32) {
         match self.find(&name) {
-            Ok(at) => (self.rows[at].host, self.rows[at].slot) = (host, slot),
+            Ok(at) => {
+                let row = &mut self.rows[at];
+                (row.host, row.actor, row.slot) = (host, actor, slot);
+            }
             Err(at) => {
                 let key = name.order_key();
                 let row = UserRow {
                     key,
                     name,
                     host,
+                    actor,
                     slot,
                 };
                 self.rows.insert(at, row);
+                self.reindex();
             }
         }
     }
 
-    /// Drops `name`, returning its home host and slot.
-    fn remove(&mut self, name: &MailName) -> Option<(NodeId, u32)> {
-        let row = self.rows.remove(self.find(name).ok()?);
-        Some((row.host, row.slot))
+    /// Drops `name`, returning its row.
+    fn remove(&mut self, name: &MailName) -> Option<UserRow> {
+        let row = self.rows.remove(self.position(name)?);
+        self.reindex();
+        Some(row)
     }
 
     /// Every name, in order.
@@ -647,13 +721,14 @@ impl Deployment {
                 id_gen: Rc::clone(&id_gen),
                 alerts: BTreeMap::new(),
             };
-            for (name, authorities, id) in host_users {
-                let ui = UiUser::wired(authorities, partition.slots_of(id));
-                let slot = actor.adopt_user(name.clone(), ui);
-                users.push((name, h, slot));
-            }
-            let id = sim.add_actor(actor);
+            let id = ActorId(sim.actor_count());
             assert_eq!(transport.actor_of(h), Ok(id), "host bound ahead of time");
+            for (name, authorities, user) in host_users {
+                let ui = UiUser::wired(authorities, partition.slots_of(user));
+                let slot = actor.adopt_user(name.clone(), ui);
+                users.push((name, h, id, slot));
+            }
+            assert_eq!(sim.add_actor(actor), id, "actors are numbered in order");
             host_actors.insert(h, id);
         }
 
@@ -808,15 +883,15 @@ impl Deployment {
         }
 
         // UI side: move the user's interface state to the new host actor.
-        let moved = self.users.remove(old_name).and_then(|(old_host, _)| {
-            let old_aid = self.host_actors[&old_host];
+        let moved = self.users.remove(old_name).and_then(|old| {
             self.sim
-                .actor_mut::<HostActor>(old_aid)
+                .actor_mut::<HostActor>(old.actor)
                 .and_then(|h| h.release_user(old_name))
         });
         // A name whose interface state did not move is still registered,
         // hint-less: a send from it reaches the host and bounces at source.
         let mut slot = MailMsg::NO_SLOT_HINT;
+        let new_aid = self.host_actors[&new_host];
         if let Some(mut ui) = moved {
             // The move is also a fresh start for retrieval bookkeeping
             // (releasing the user ended any check in flight). The wired
@@ -824,12 +899,11 @@ impl Deployment {
             // name.
             ui.pending_check = false;
             ui.owner_slots.fill(NO_OWNER_SLOT);
-            let new_aid = self.host_actors[&new_host];
             if let Some(h) = self.sim.actor_mut::<HostActor>(new_aid) {
                 slot = h.adopt_user(new_name.clone(), ui);
             }
         }
-        self.users.insert(new_name.clone(), new_host, slot);
+        self.users.insert(new_name.clone(), new_host, new_aid, slot);
 
         Ok(new_name)
     }
@@ -854,8 +928,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn send_at(&mut self, at: SimTime, from: &MailName, to: &MailName) {
-        let (host, slot) = self.users.get(from).expect("unknown sender");
-        let actor = self.host_actors[&host];
+        let &UserRow { actor, slot, .. } = self.users.get(from).expect("unknown sender");
         let delay = at.duration_since(self.sim.now());
         self.sim.inject(
             actor,
@@ -878,8 +951,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn check_at(&mut self, at: SimTime, user: &MailName) {
-        let (host, slot) = self.users.get(user).expect("unknown user");
-        let actor = self.host_actors[&host];
+        let &UserRow { actor, slot, .. } = self.users.get(user).expect("unknown user");
         let delay = at.duration_since(self.sim.now());
         let check = MailMsg::DoCheck {
             user: user.clone(),
@@ -1252,6 +1324,12 @@ mod tests {
         assert_eq!(ticks, [10_955_820, 20_150_522, 42_461_368, 65_657_897]);
     }
 
+    /// `name`'s home host and the slot it keeps them in.
+    fn home_of(d: &Deployment, name: &MailName) -> (NodeId, u32) {
+        let row = d.users.get(name).unwrap();
+        (row.host, row.slot)
+    }
+
     fn small_deployment(seed: u64) -> Deployment {
         let f = fig1();
         // Small population to keep tests brisk: 2 users/host.
@@ -1475,7 +1553,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[7].clone());
         d.send_at(t(1.0), &alice, &bob);
         assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-        assert_eq!(d.alerts_at(d.users.get(&bob).unwrap().0, &bob), 1);
+        assert_eq!(d.alerts_at(home_of(&d, &bob).0, &bob), 1);
     }
 
     #[test]
@@ -1607,7 +1685,7 @@ mod tests {
         let mut d = small_deployment(12);
         let names = d.user_names();
         let (alice, bob_old) = (names[0].clone(), names[4].clone());
-        let old_host = d.users.get(&bob_old).unwrap().0;
+        let old_host = home_of(&d, &bob_old).0;
 
         // Migrate bob to a different host at t=0.
         let f = lems_net::generators::fig1();
@@ -1643,7 +1721,7 @@ mod tests {
         let mut d = small_deployment(13);
         let names = d.user_names();
         let (alice, bob_old) = (names[0].clone(), names[4].clone());
-        let old_host = d.users.get(&bob_old).unwrap().0;
+        let old_host = home_of(&d, &bob_old).0;
         let f = lems_net::generators::fig1();
         let new_host = *f.topology.hosts().iter().find(|&&h| h != old_host).unwrap();
         let _ = d
@@ -1729,7 +1807,7 @@ mod tests {
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&bob).unwrap().authorities.primary();
         let server = d.server_actors[&primary];
-        let host = d.host_actor(d.users.get(&bob).unwrap().0).unwrap();
+        let host = d.host_actor(home_of(&d, &bob).0).unwrap();
 
         // Deliver cleanly, then make the server->host direction drop every
         // message until t=100: Retrieves arrive, replies vanish.
@@ -1830,7 +1908,7 @@ mod tests {
         let names = d.user_names();
         let (alice, bob) = (names[0].clone(), names[1].clone());
         let primary = d.directory.by_name(&alice).unwrap().authorities.primary();
-        let host_node = d.users.get(&alice).unwrap().0;
+        let host_node = home_of(&d, &alice).0;
         let host = d.host_actor(host_node).unwrap();
         let server = d.server_actors[&primary];
 
@@ -1924,11 +2002,11 @@ mod tests {
         let names = d.user_names();
         let (a, b) = (names[0].clone(), names[1].clone());
         assert_eq!(
-            d.users.get(&a).unwrap().0,
-            d.users.get(&b).unwrap().0,
+            home_of(d, &a).0,
+            home_of(d, &b).0,
             "generated names sort by host"
         );
-        let host = d.host_actor(d.users.get(&a).unwrap().0).unwrap();
+        let host = d.host_actor(home_of(d, &a).0).unwrap();
         (a, b, host)
     }
 
@@ -2083,7 +2161,7 @@ mod tests {
             server,
             MailMsg::Retrieve {
                 user: bob.clone(),
-                reply_to: d.users.get(&bob).unwrap().0,
+                reply_to: home_of(&d, &bob).0,
                 session: bob_session,
                 owner_slot: 0,
             },
@@ -2165,7 +2243,7 @@ mod tests {
         let (_, d) = three_region_deployment();
         let mut hinted = 0;
         for user in d.user_names() {
-            let host = d.host_actor(d.users.get(&user).unwrap().0).unwrap();
+            let host = d.host_actor(home_of(&d, &user).0).unwrap();
             let authorities = d.directory.by_name(&user).unwrap().authorities.clone();
             for &server in authorities.servers().iter().take(3) {
                 let wired = roster_slot(&d, server, &user);
@@ -2301,7 +2379,7 @@ mod tests {
             server,
             MailMsg::Retrieve {
                 user: bob.clone(),
-                reply_to: d.users.get(&bob).unwrap().0,
+                reply_to: home_of(&d, &bob).0,
                 session: bob_session,
                 owner_slot: 9_999,
             },
@@ -2345,7 +2423,7 @@ mod tests {
         assert!(d.sim.counters().duplicated.get() > 0);
         assert_eq!(d.mail_in_storage(), 0);
         for user in &names {
-            let host = d.host_actor(d.users.get(user).unwrap().0).unwrap();
+            let host = d.host_actor(home_of(&d, user).0).unwrap();
             let authorities = d.directory.by_name(user).unwrap().authorities.clone();
             for &server in authorities.servers() {
                 let held = host_slot(&d, host, user, server);
@@ -2373,13 +2451,13 @@ mod tests {
             }
             held
         };
-        let (old_host, _) = d.users.get(&names[4]).unwrap();
+        let (old_host, _) = home_of(&d, &names[4]);
         let new_host = *d.host_actors.keys().find(|&&h| h != old_host).unwrap();
         let ttl = SimDuration::from_units(500.0);
         let moved = d.migrate_user_live(&names[4], new_host, Some("moved"), ttl);
         let moved = moved.unwrap();
         let visitor = names[1].clone();
-        let (home, _) = d.users.get(&visitor).unwrap();
+        let (home, _) = home_of(&d, &visitor);
         let away = *d.host_actors.keys().find(|&&h| h != home).unwrap();
         d.login_at(t(1.0), &visitor, away);
         d.sim.run_until(t(2.0));
@@ -2500,12 +2578,12 @@ mod tests {
             d.sim.inject(d.host_actors[&host], msg, delay);
         };
         let send = |d: &mut Deployment, at: f64, from: &MailName, to: &MailName| {
-            let (host, slot) = d.users.get(from).unwrap();
+            let (host, slot) = home_of(d, from);
             let (from, to, slot) = (from.clone(), to.clone(), hint(slot));
             inject(d, at, host, MailMsg::DoSend { from, to, slot });
         };
         let check = |d: &mut Deployment, at: f64, user: &MailName| {
-            let (host, slot) = d.users.get(user).unwrap();
+            let (host, slot) = home_of(d, user);
             let (user, slot) = (user.clone(), hint(slot));
             inject(d, at, host, MailMsg::DoCheck { user, slot });
         };
@@ -2517,7 +2595,7 @@ mod tests {
         d.sim.run_until(t(100.0));
 
         let bob_old = names[4].clone();
-        let (old_host, old_slot) = d.users.get(&bob_old).unwrap();
+        let (old_host, old_slot) = home_of(&d, &bob_old);
         let new_host = *d.host_actors.keys().find(|&&h| h != old_host).unwrap();
         let bob_new = d
             .migrate_user_live(
@@ -2527,11 +2605,7 @@ mod tests {
                 SimDuration::from_units(500.0),
             )
             .unwrap();
-        assert_eq!(
-            d.users.get(&bob_new).unwrap(),
-            (new_host, 2),
-            "a third slot there"
-        );
+        assert_eq!(home_of(&d, &bob_new), (new_host, 2), "a third slot there");
         send(&mut d, 110.0, &names[0], &bob_old);
         send(&mut d, 111.0, &bob_new, &names[0]);
         check(&mut d, 170.0, &bob_new);
@@ -2588,12 +2662,12 @@ mod tests {
             )
             .unwrap();
         for name in d.user_names() {
-            let (host, slot) = d.users.get(&name).unwrap();
+            let (host, slot) = home_of(&d, &name);
             let h: &HostActor = d.sim.actor(d.host_actors[&host]).unwrap();
             assert_eq!(h.slot_of[&name], slot as usize, "{name}");
             assert!(h.users[slot as usize].name == name);
         }
-        assert_eq!(d.users.get(&moved).unwrap(), (new_host, 2));
+        assert_eq!(home_of(&d, &moved), (new_host, 2));
     }
 
     /// A name the directory knows but no host serves can still be
@@ -2603,7 +2677,7 @@ mod tests {
     fn migrated_name_without_interface_state_bounces_at_source() {
         let mut d = small_deployment(48);
         let names = d.user_names();
-        let (home, _) = d.users.get(&names[0]).unwrap();
+        let (home, _) = home_of(&d, &names[0]);
         let new_host = *d.host_actors.keys().find(|&&h| h != home).unwrap();
         let ghost = MailName::new(names[0].region(), names[0].host(), "ghost").unwrap();
         let authorities = d.directory.by_name(&names[0]).unwrap().authorities.clone();
@@ -2613,10 +2687,7 @@ mod tests {
         let moved = d
             .migrate_user_live(&ghost, new_host, None, SimDuration::from_units(50.0))
             .unwrap();
-        assert_eq!(
-            d.users.get(&moved).unwrap(),
-            (new_host, MailMsg::NO_SLOT_HINT)
-        );
+        assert_eq!(home_of(&d, &moved), (new_host, MailMsg::NO_SLOT_HINT));
 
         d.send_at(t(1.0), &moved, &names[1]);
         d.check_at(t(2.0), &moved);
@@ -2628,5 +2699,138 @@ mod tests {
             Some(&BounceReason::UnknownRecipient)
         );
         assert_eq!(st.retrieval_polls.count(), 0, "nobody to check for");
+    }
+
+    /// Two hosts whose names agree on their first 13 bytes, two users
+    /// each: all four user names share their first 16 bytes, so all four
+    /// share one `order_key`.
+    fn shared_key_deployment() -> Deployment {
+        let mut topology = Topology::new();
+        let r = RegionId(0);
+        let servers = ["S1", "S2", "S3"].map(|s| topology.add_server(r, s));
+        let a = topology.add_host(r, "longhostname-a");
+        let b = topology.add_host(r, "longhostname-b");
+        let w = lems_net::graph::Weight::UNIT;
+        topology.link(a, servers[0], w);
+        topology.link(b, servers[2], w);
+        topology.link(servers[0], servers[1], w);
+        topology.link(servers[1], servers[2], w);
+        let d = Deployment::build(&topology, &[2, 2], &DeploymentConfig::default());
+        let names = d.user_names();
+        assert_eq!(names.len(), 4);
+        assert!(names.iter().all(|n| n.order_key() == names[0].order_key()));
+        d
+    }
+
+    /// Names sharing an `order_key` across two hosts: each is found at its
+    /// own host and slot, and the sends and checks `send_at` / `check_at`
+    /// inject for it reach that host — an injection at the other host
+    /// would bounce at source and retrieve nothing.
+    #[test]
+    fn names_sharing_a_key_reach_their_own_host_and_slot() {
+        let mut d = shared_key_deployment();
+        let names = d.user_names();
+        for name in &names {
+            let (host, slot) = home_of(&d, name);
+            assert_eq!(d.host_names[&host], name.host(), "{name}");
+            let h: &HostActor = d.sim.actor(d.host_actors[&host]).unwrap();
+            assert_eq!(h.slot_of[name], slot as usize, "{name}");
+        }
+        for (k, from) in names.iter().enumerate() {
+            let to = &names[(k + 1) % names.len()];
+            d.send_at(t(1.0 + k as f64), from, to);
+        }
+        for (k, user) in names.iter().enumerate() {
+            d.check_at(t(100.0 + k as f64), user);
+        }
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        let st = d.stats.borrow();
+        assert_eq!((st.submitted, st.bounced, st.retrieved), (4, 0, 4));
+    }
+
+    /// A live migration retires the old name from the lookup and installs
+    /// the new one — here the first name of a shared key, the one the
+    /// index points at, so the index moves on to the next.
+    #[test]
+    fn migration_retires_the_old_name_and_resolves_the_new() {
+        let mut d = shared_key_deployment();
+        let names = d.user_names();
+        let old = &names[0];
+        let (home, _) = home_of(&d, old);
+        let away = *d.host_actors.keys().find(|&&h| h != home).unwrap();
+        let new = d
+            .migrate_user_live(old, away, Some("u9"), SimDuration::from_units(50.0))
+            .unwrap();
+        assert!(d.users.get(old).is_none());
+        assert!(!d.user_names().contains(old));
+        let (host, slot) = home_of(&d, &new);
+        let h: &HostActor = d.sim.actor(d.host_actors[&away]).unwrap();
+        assert_eq!((host, h.slot_of[&new]), (away, slot as usize));
+        for name in &names[1..] {
+            let (host, slot) = home_of(&d, name);
+            let h: &HostActor = d.sim.actor(d.host_actors[&host]).unwrap();
+            assert_eq!(h.slot_of[name], slot as usize, "{name}");
+        }
+    }
+
+    /// The table's index stays in step with its rows: after each removal
+    /// and each insertion every name present resolves to its own row and
+    /// every name absent resolves to none — short names with keys of their
+    /// own and long ones sharing a key alike.
+    #[test]
+    fn user_table_index_follows_every_insert_and_remove() {
+        let names: Vec<MailName> = [
+            "r0.h1.u1",
+            "r0.h1.u2",
+            "r0.longhostname-a.u1",
+            "r0.longhostname-a.u2",
+            "r0.longhostname-b.u1",
+            "r1.h1.u1",
+        ]
+        .iter()
+        .map(|n| n.parse().unwrap())
+        .collect();
+        let row = |k: usize| (NodeId(k), ActorId(k), k as u32);
+        let mut table = UserTable::new(Vec::new());
+        let mut present = vec![false; names.len()];
+        let check = |table: &UserTable, present: &[bool]| {
+            for (k, name) in names.iter().enumerate() {
+                let found = table.get(name).map(|r| (r.host, r.actor, r.slot));
+                assert_eq!(found, present[k].then(|| row(k)), "{name}");
+            }
+        };
+        // Insert in an order unlike the name order, then remove likewise.
+        let order = [3, 0, 5, 2, 4, 1];
+        for &k in &order {
+            let (host, actor, slot) = row(k);
+            table.insert(names[k].clone(), host, actor, slot);
+            present[k] = true;
+            check(&table, &present);
+        }
+        for &k in order.iter().rev() {
+            assert!(table.remove(&names[k]).is_some());
+            assert!(table.remove(&names[k]).is_none());
+            present[k] = false;
+            check(&table, &present);
+        }
+    }
+
+    /// An unknown name — one sharing the known names' key too — is a
+    /// driver bug, not a quiet miss.
+    #[test]
+    #[should_panic(expected = "unknown sender")]
+    fn an_unknown_sender_panics() {
+        let mut d = shared_key_deployment();
+        let stranger: MailName = "r0.longhostname-c.u0".parse().unwrap();
+        let known = d.user_names()[0].clone();
+        d.send_at(t(1.0), &stranger, &known);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown user")]
+    fn an_unknown_user_check_panics() {
+        let mut d = small_deployment(49);
+        let stranger: MailName = "r9.nowhere.u0".parse().unwrap();
+        d.check_at(t(1.0), &stranger);
     }
 }

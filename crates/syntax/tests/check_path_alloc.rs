@@ -19,14 +19,18 @@
 //! zero_alloc.rs` pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::cell::Cell;
 
 use lems_net::generators::fig1;
 use lems_sim::time::SimTime;
 use lems_syntax::actors::{Deployment, DeploymentConfig};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The code measured runs on the
+    /// test's own thread, so nothing another thread of the test binary
+    /// allocates reaches the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -34,27 +38,24 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// plain relaxed atomic with no allocation of its own.
+// `const`-initialised thread-local `Cell` without a destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 /// Further empty checks measured after the warm-up.
 const CHECKS: u64 = 2_000;
-
-/// The counter is process-wide and the harness runs tests on parallel
-/// threads: each test holds this for its whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Allocations during a run of [`CHECKS`] warmed-up empty checks on the
 /// Figure-1 world with `per_host` users on each of its six hosts.
@@ -95,9 +96,9 @@ fn warmed_up_empty_checks(per_host: u32) -> u64 {
     // Injecting allocates (the queue grows to hold the schedule); only the
     // run is measured.
     let until = schedule(&mut d, CHECKS);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     d.sim.run_until(until);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.with(Cell::get) - before;
 
     let st = d.stats.borrow();
     assert_eq!(st.retrieval_polls.count() - polls_before, CHECKS);
@@ -107,7 +108,6 @@ fn warmed_up_empty_checks(per_host: u32) -> u64 {
 
 #[test]
 fn warmed_up_empty_check_allocates_almost_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let allocs = warmed_up_empty_checks(2);
     // The slack is for the calendar queue: the schedule is injected up
     // front, so the ring shrinks several times as it drains and each
@@ -132,7 +132,6 @@ fn warmed_up_empty_check_allocates_almost_nothing() {
 /// population allocate no more.
 #[test]
 fn injected_check_with_a_good_hint_does_not_grow_with_population() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let few = warmed_up_empty_checks(2);
     let many = warmed_up_empty_checks(200);
     assert!(

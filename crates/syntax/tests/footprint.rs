@@ -27,15 +27,24 @@
 //! zero_alloc.rs` pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::cell::Cell;
 
 use lems_net::generators::{multi_region, MultiRegionConfig};
 use lems_sim::rng::SimRng;
 use lems_sim::time::SimTime;
 use lems_syntax::actors::{Deployment, DeploymentConfig};
 
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicI64 = AtomicI64::new(0);
+thread_local! {
+    /// Bytes this thread allocated and has not yet freed. The code
+    /// measured runs on the test's own thread, so nothing another thread
+    /// of the test binary allocates or frees reaches the count.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Moves this thread's live-byte count by `bytes`.
+fn count(bytes: i64) {
+    LIVE.with(|live| live.set(live.get() + bytes));
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -43,18 +52,19 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// plain relaxed atomic with no allocation of its own.
+// `const`-initialised thread-local `Cell` without a destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        count(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        count(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        count(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -79,14 +89,14 @@ fn a_deployment_keeps_what_its_users_hold() {
     let users_per_host = vec![50; topology.hosts().len()];
     let cfg = DeploymentConfig::default();
 
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = LIVE.with(Cell::get);
     let mut d = Deployment::build(&topology, &users_per_host, &cfg);
     let names = d.user_names();
     for (i, user) in names.iter().enumerate() {
         d.check_at(SimTime::from_units(1.0 + i as f64 * 0.1), user);
     }
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-    let live = LIVE.load(Ordering::Relaxed) - before;
+    let live = LIVE.with(Cell::get) - before;
 
     let users = names.len() as i64;
     assert_eq!(users, 3_000);

@@ -35,13 +35,18 @@
 //! zero_alloc.rs` pattern.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lems_net::generators::{multi_region, MultiRegionConfig};
 use lems_sim::rng::SimRng;
 use lems_syntax::actors::{Deployment, DeploymentConfig};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The code measured runs on the
+    /// test's own thread, so nothing another thread of the test binary
+    /// allocates reaches the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
@@ -49,17 +54,18 @@ static GLOBAL: Counting = Counting;
 struct Counting;
 
 // SAFETY: delegates every operation verbatim to `System`; the counter is a
-// plain relaxed atomic with no allocation of its own.
+// `const`-initialised thread-local `Cell` without a destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -82,9 +88,9 @@ fn building_a_deployment_allocates_a_few_times_per_user() {
     let users: u64 = users_per_host.iter().map(|&n| u64::from(n)).sum();
     let cfg = DeploymentConfig::default();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let d = Deployment::build(&topology, &users_per_host, &cfg);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = ALLOCS.with(Cell::get) - before;
 
     assert_eq!(d.user_names().len() as u64, users);
     let budget = BUDGET_PER_USER * users;
