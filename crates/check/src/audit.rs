@@ -274,8 +274,9 @@ pub fn audit_trace(trace: &Trace) -> AuditReport {
 ///
 /// Every scenario ends with every server up and every user checking mail
 /// until quiet, so a finished run must have settled all of its mail. `d`
-/// must record its trace and spans from before the first injection (the
-/// [`scenarios`](crate::scenarios) builders switch both on).
+/// must record its trace and spans from before the first injection
+/// ([`RunSpec::build`](crate::scenarios::RunSpec::build) switches both
+/// on).
 ///
 /// * **no-stuck-retry** — the run quiesced;
 /// * **trace conservation** — the laws of [`audit_trace`];

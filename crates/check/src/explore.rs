@@ -92,7 +92,7 @@ fn drive(
     bounds: ExploreBounds,
     check: impl Fn(&Deployment, bool) -> Vec<String>,
 ) -> ExploreOutcome {
-    let build = || (scenario.build)(seed);
+    let build = || scenario.spec.build(seed);
     let mut ex = Explorer::new(bounds);
     let mut distinct: BTreeSet<u64> = BTreeSet::new();
     let mut counterexample: Option<Counterexample> = None;
@@ -188,7 +188,7 @@ mod tests {
         // Baseline: the FIFO schedule's terminal fingerprint.
         let s1_steady = Scenario::named("s1-steady");
         let baseline = {
-            let mut d = (s1_steady.build)(3);
+            let mut d = s1_steady.spec.build(3);
             assert!(d.sim.run_to_quiescence_bounded(RUN_EVENT_BUDGET));
             fingerprint(&d)
         };

@@ -13,10 +13,12 @@
 //!   [`verdict`](audit::verdict), the one judgement of a finished run:
 //!   those laws plus the mail ledgers, span conservation and store
 //!   recoveries (nothing lost, nothing double-counted, nothing stranded).
-//! * [`scenarios`] — reproducible deployment scenarios as data: the
-//!   [`AUDIT`](scenarios::AUDIT) table the `lems-check -- audit`
-//!   subcommand runs once each, and the [`EXPLORE`](scenarios::EXPLORE)
-//!   table of tiny worlds the explorer drives.
+//! * [`scenarios`] — reproducible runs as data:
+//!   [`RunSpec`](scenarios::RunSpec), one run written down; the
+//!   [`AUDIT`](scenarios::AUDIT) table of named specs the `lems-check --
+//!   audit` subcommand runs once each; and the
+//!   [`EXPLORE`](scenarios::EXPLORE) table of tiny worlds the explorer
+//!   drives.
 //! * [`explore`] — a small-scope schedule model checker: exhaustively
 //!   enumerates same-instant event interleavings of one scenario (via
 //!   [`lems_sim::sched`]), judging every terminal run with the same

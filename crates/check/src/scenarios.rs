@@ -1,11 +1,15 @@
-//! The scenarios `lems-check` runs, as data.
+//! The runs `lems-check` judges, as data.
 //!
-//! A [`Scenario`] is a name, a description and a builder that wires a
-//! deployment with trace, spans and the kernel profiler on and applies
-//! its workload, outages and chaos without running it. [`AUDIT`] holds
-//! the scenarios `lems-check audit` runs once each; [`EXPLORE`] the tiny
-//! worlds `lems-check explore` drives through every schedule. Both hand
-//! every terminal run to [`verdict`].
+//! A [`RunSpec`] is one run written down: the world, the durability of
+//! its stores, server outages (fixed, or drawn from the seed), link chaos
+//! and the timed workload. [`RunSpec::build`] wires it at a seed, with
+//! trace, spans and the kernel profiler on, without running it; it is the
+//! only code here that builds a [`Deployment`] or injects into one. A
+//! [`Scenario`] is a named spec: [`AUDIT`] holds the scenarios
+//! `lems-check audit` runs once each, [`EXPLORE`] the tiny worlds
+//! `lems-check explore` drives through every schedule, and both hand
+//! every terminal run to [`verdict`]. A variant of a row is written with
+//! struct-update syntax: `RunSpec { durability, ..row.spec.clone() }`.
 //!
 //! The scenarios are seeds-in, verdict-out: replaying one with the same
 //! seed reproduces the identical event stream, which is what makes a
@@ -17,7 +21,7 @@ use lems_obs::export::{export_jsonl, RunTelemetry};
 use lems_sim::linkfault::LinkProfile;
 use lems_sim::rng::SimRng;
 use lems_sim::time::{SimDuration, SimTime};
-use lems_store::{DurabilityConfig, WalConfig};
+use lems_store::{DurabilityConfig, SyncPolicy, WalConfig};
 use lems_syntax::actors::{Deployment, DeploymentConfig, LinkChaos, ServerFailurePlan};
 
 use crate::audit::verdict;
@@ -27,67 +31,471 @@ use crate::audit::verdict;
 /// exhaustion as a violation instead of hanging the audit.
 pub(crate) const EVENT_BUDGET: u64 = 2_000_000;
 
-/// One reproducible scenario.
+/// One run as plain data. Times are in units; servers are indices into
+/// the topology's servers, users indices into
+/// [`Deployment::user_names`].
+#[derive(Clone, Debug)]
+pub struct RunSpec<'a> {
+    /// The topology and its users.
+    pub world: World<'a>,
+    /// What a crash keeps of every server's store.
+    pub durability: DurabilityConfig,
+    /// Server outages at fixed times.
+    pub outages: &'a [Outage],
+    /// Exponential outages on every server, drawn from the seed.
+    pub random_outages: Option<RandomOutages>,
+    /// Faults on every link, and partitions.
+    pub chaos: Option<Chaos<'a>>,
+    /// The workload, injected in this order, which is the order
+    /// same-instant events fire in.
+    pub events: &'a [Event<'a>],
+}
+
+/// The topology a run is wired on, with its users.
 #[derive(Clone, Copy, Debug)]
+pub enum World<'a> {
+    /// Fig. 1 with `users_per_host[i]` users on its host `H(i+1)`.
+    Fig1(&'a [u32]),
+    /// System 2 at explorable size: one region of three hosts with one
+    /// user each and two servers, hashed into 16 sub-groups, the topology
+    /// drawn from the seed's `explore-s2-topo` fork.
+    Roaming,
+}
+
+/// `Outage(server, down, up)`: server `server` is down in `[down, up)`;
+/// as a partition, it is cut off from every other node instead.
+#[derive(Clone, Copy, Debug)]
+pub struct Outage(pub usize, pub f64, pub f64);
+
+/// Exponential outages (mean time between failures `mtbf`, to repair
+/// `mttr`) on every server until `horizon`, drawn from the seed's
+/// `check-failures` fork.
+#[derive(Clone, Copy, Debug)]
+pub struct RandomOutages {
+    /// Mean time between failures.
+    pub mtbf: f64,
+    /// Mean time to repair.
+    pub mttr: f64,
+    /// No outage begins after this.
+    pub horizon: f64,
+}
+
+/// Until `until`, every wire send is lost with probability `loss`,
+/// duplicated with probability `duplicate` and delayed by up to `jitter`;
+/// each of `partitions` cuts its server off over its window.
+#[derive(Clone, Copy, Debug)]
+pub struct Chaos<'a> {
+    /// Loss probability.
+    pub loss: f64,
+    /// Duplication probability.
+    pub duplicate: f64,
+    /// Largest extra delay.
+    pub jitter: f64,
+    /// The wire heals here (partitions keep their own windows).
+    pub until: f64,
+    /// Windows in which a server is cut off from every other node.
+    pub partitions: &'a [Outage],
+}
+
+/// One timed injection, or a wave of them.
+#[derive(Clone, Copy, Debug)]
+pub enum Event<'a> {
+    /// `Send(at, from, to)`: user `from` mails user `to`.
+    Send(f64, usize, usize),
+    /// `Check(at, user)`: `user` checks their mail.
+    Check(f64, usize),
+    /// `Login(at, user, host_of)`: `user` logs in at the home host of
+    /// user `host_of` (§3.2.2c).
+    Login(f64, usize, usize),
+    /// Every user in turn takes each step.
+    Wave(&'a [Step]),
+    /// A wave timed from the end of the last outage (from the random
+    /// horizon when none was drawn): the drain sweep after every server
+    /// is back up.
+    Drain(&'a [Step]),
+}
+
+/// What user `i` does in a wave; recipients wrap around the users.
+#[derive(Clone, Copy, Debug)]
+pub enum Step {
+    /// `Send(at, per_user, to)`: user `i` mails user `i + to` at
+    /// `at + per_user·i`.
+    Send(f64, f64, usize),
+    /// `Sends(rounds, every, at, per_user, to)`: user `i` mails user
+    /// `i + to + k` at `at + every·k + per_user·i`, for each `k` in
+    /// `0..rounds`.
+    Sends(usize, f64, f64, f64, usize),
+    /// `Check(at, per_user)`: user `i` checks at `at + per_user·i`.
+    Check(f64, f64),
+}
+
+fn t(u: f64) -> SimTime {
+    SimTime::from_units(u)
+}
+
+impl RunSpec<'_> {
+    /// Wires the run at `seed` and applies its chaos, its outages and its
+    /// events, in that order, without running it. Trace, spans and the
+    /// kernel profiler are on before the first injection, so a verdict
+    /// sees the whole history; none of them draws randomness or schedules
+    /// anything, so the event stream is the same with them off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index names no server or user, a probability is out
+    /// of range or an outage ends before it begins: a typo in a spec must
+    /// abort the checker loudly, not judge a half-built run.
+    #[expect(
+        clippy::expect_used,
+        reason = "a typo in a literal spec must abort the checker"
+    )]
+    pub fn build(&self, seed: u64) -> Deployment {
+        let cfg = DeploymentConfig {
+            seed,
+            durability: self.durability.clone(),
+            ..DeploymentConfig::default()
+        };
+        let (topology, mut d) = match self.world {
+            World::Fig1(users_per_host) => {
+                let topology = fig1().topology;
+                let d = Deployment::build(&topology, users_per_host, &cfg);
+                (topology, d)
+            }
+            World::Roaming => {
+                let topology = multi_region(
+                    &mut SimRng::seed(seed).fork("explore-s2-topo"),
+                    &MultiRegionConfig {
+                        regions: 1,
+                        hosts_per_region: 3,
+                        servers_per_region: 2,
+                        ..MultiRegionConfig::default()
+                    },
+                );
+                let d = roaming_deployment(&topology, &[1, 1, 1], 16, &cfg);
+                (topology, d)
+            }
+        };
+        d.sim.enable_trace();
+        d.enable_spans();
+        // Feeds the Profile block of `--trace-out` dumps.
+        d.sim.enable_prof();
+
+        let servers = topology.servers();
+        if let Some(c) = self.chaos {
+            let jitter = SimDuration::from_units(c.jitter);
+            let profile =
+                LinkProfile::new(c.loss, c.duplicate, jitter).expect("valid probabilities");
+            let mut chaos = LinkChaos::new(profile, t(c.until));
+            for &Outage(server, down, up) in c.partitions {
+                let cut = servers[server];
+                let mut others = topology.hosts();
+                others.extend(servers.iter().copied().filter(|&s| s != cut));
+                chaos = chaos.partition(vec![cut], others, t(down), t(up));
+            }
+            d.apply_link_chaos(&chaos)
+                .expect("the topology's nodes are bound");
+        }
+        let mut plan = ServerFailurePlan::new();
+        if let Some(r) = self.random_outages {
+            plan = ServerFailurePlan::random(
+                &mut SimRng::seed(seed).fork("check-failures"),
+                &servers,
+                SimDuration::from_units(r.mtbf),
+                SimDuration::from_units(r.mttr),
+                t(r.horizon),
+            );
+        }
+        for &Outage(server, down, up) in self.outages {
+            plan.add(servers[server], t(down), t(up));
+        }
+        let last_up = plan.outages.values().flatten().map(|&(_, up)| up).max();
+        let healed = last_up.unwrap_or(t(self.random_outages.map_or(0.0, |r| r.horizon)));
+        d.apply_server_failures(&plan);
+
+        let names = d.user_names();
+        for event in self.events {
+            let (start, steps) = match *event {
+                Event::Send(at, from, to) => {
+                    d.send_at(t(at), &names[from], &names[to]);
+                    continue;
+                }
+                Event::Check(at, user) => {
+                    d.check_at(t(at), &names[user]);
+                    continue;
+                }
+                Event::Login(at, user, host_of) => {
+                    let home = d.directory.by_name(&names[host_of]).expect("a wired user");
+                    let host = home.home_host;
+                    d.login_at(t(at), &names[user], host);
+                    continue;
+                }
+                Event::Wave(steps) => (SimTime::ZERO, steps),
+                Event::Drain(steps) => (healed, steps),
+            };
+            let at = |units: f64| start + SimDuration::from_units(units);
+            for (i, name) in names.iter().enumerate() {
+                for step in steps {
+                    let (rounds, every, first, per_user, to) = match *step {
+                        Step::Send(first, per_user, to) => (1, 0.0, first, per_user, to),
+                        Step::Sends(rounds, every, first, per_user, to) => {
+                            (rounds, every, first, per_user, to)
+                        }
+                        Step::Check(first, per_user) => {
+                            d.check_at(at(first + per_user * i as f64), name);
+                            continue;
+                        }
+                    };
+                    for k in 0..rounds {
+                        let units = first + every * k as f64 + per_user * i as f64;
+                        d.send_at(at(units), name, &names[(i + to + k) % names.len()]);
+                    }
+                }
+            }
+        }
+        d
+    }
+}
+
+/// One reproducible scenario.
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Stable scenario name (CLI selector, telemetry run name).
     pub name: &'static str,
     /// One-line human description.
     pub description: &'static str,
-    /// Builds the deployment for a seed, workload injected, not yet run.
-    pub(crate) build: fn(u64) -> Deployment,
+    /// The run, built afresh for each seed (and each explored schedule).
+    pub spec: RunSpec<'static>,
 }
+
+/// Fig. 1 with two users on each host, Ideal stores, no fault and no
+/// workload: the world most rows start from.
+const FIG1: RunSpec<'static> = RunSpec {
+    world: World::Fig1(&[2, 2, 2, 2, 2, 2]),
+    durability: DurabilityConfig::Ideal,
+    outages: &[],
+    random_outages: None,
+    chaos: None,
+    events: &[],
+};
+
+/// Small segments, so rotation and chunked compaction happen inside a
+/// short audited run.
+const SMALL_WAL: WalConfig = WalConfig {
+    segment_bytes: 8 * 1024,
+    chunk_messages: 8,
+    max_segments: 3,
+    sync: SyncPolicy::PerRecord,
+    torn_tail_bytes: 0,
+};
+
+/// [`SMALL_WAL`] whose crash leaves 13 bytes of torn write past the
+/// durable end of the newest segment, for recovery to truncate.
+const TORN_WAL: DurabilityConfig = DurabilityConfig::Wal(WalConfig {
+    torn_tail_bytes: 13,
+    ..SMALL_WAL
+});
+
+/// Crash mid-deposit on a WAL: the first server goes down in `[10, 30)`
+/// while mail is in flight, its WAL replays on recovery, and every acked
+/// deposit must still reach its recipient.
+const DURABLE_CRASH: RunSpec<'static> = RunSpec {
+    durability: DurabilityConfig::Wal(SMALL_WAL),
+    outages: &[Outage(0, 10.0, 30.0)],
+    events: &[
+        Event::Wave(&[Step::Send(5.0, 2.0, 3)]),
+        Event::Wave(&[Step::Check(60.0, 1.0), Step::Check(120.0, 1.0)]),
+    ],
+    ..FIG1
+};
 
 /// The scenarios `lems-check audit` runs, once each.
 pub static AUDIT: &[Scenario] = &[
+    // The baseline: every user mails a distant peer, everyone checks
+    // afterwards. If this reports a violation, the engine is miswired.
     Scenario {
         name: "steady",
         description: "Fig. 1 topology, no failures: ring of sends, then everyone checks",
-        build: steady,
+        spec: RunSpec {
+            events: &[
+                Event::Wave(&[Step::Send(1.0, 1.0, 5)]),
+                Event::Wave(&[Step::Check(100.0, 1.0)]),
+            ],
+            ..FIG1
+        },
     },
+    // The actor-level analogue of `examples/failure_drill.rs`. Sends
+    // straddle the outage; checks during it see timeouts and
+    // secondaries, checks after recovery drain what failed over
+    // (crash/recover tracing, drops on the downed server, the §3.1.2c
+    // `LastStartTime` walk, store-and-forward recovery).
     Scenario {
         name: "failover",
         description: "Fig. 1 primary server down in [10, 30): failover, recovery, drain",
-        build: failover,
+        spec: RunSpec {
+            outages: &[Outage(0, 10.0, 30.0)],
+            events: &[
+                Event::Wave(&[Step::Send(5.0, 2.0, 3)]),
+                Event::Wave(&[Step::Check(15.0, 1.0)]),
+                Event::Wave(&[Step::Check(60.0, 1.0), Step::Check(120.0, 1.0)]),
+            ],
+            ..FIG1
+        },
     },
+    // Spread-out load over a 600-unit horizon of random outages, then
+    // drain sweeps strictly after every server is back up.
     Scenario {
         name: "random-failures",
         description: "Fig. 1 with random server outages (MTBF 120, MTTR 15): load + drain",
-        build: random_failures,
+        spec: RunSpec {
+            random_outages: Some(RandomOutages {
+                mtbf: 120.0,
+                mttr: 15.0,
+                horizon: 600.0,
+            }),
+            events: &[
+                Event::Wave(&[
+                    Step::Sends(8, 70.0, 3.0, 5.0, 1),
+                    Step::Check(200.0, 1.0),
+                    Step::Check(400.0, 1.0),
+                ]),
+                Event::Drain(&[Step::Check(50.0, 1.0), Step::Check(150.0, 1.0)]),
+            ],
+            ..FIG1
+        },
     },
+    // The session layer (timeout, retransmit, backoff, acked retrieval)
+    // must deliver everything despite the loss. Checks run after the
+    // wire heals, so the drain itself is clean; two sweeps catch mail
+    // parked in drain buffers.
     Scenario {
         name: "chaos-lossy",
         description: "Fig. 1 with 8% loss, 2% duplication, jitter until t=300: load + drain",
-        build: chaos_lossy,
+        spec: RunSpec {
+            chaos: Some(Chaos {
+                loss: 0.08,
+                duplicate: 0.02,
+                jitter: 1.0,
+                until: 300.0,
+                partitions: &[],
+            }),
+            events: &[
+                Event::Wave(&[Step::Sends(4, 60.0, 2.0, 3.0, 1)]),
+                Event::Wave(&[Step::Check(350.0, 1.0), Step::Check(450.0, 1.0)]),
+            ],
+            ..FIG1
+        },
     },
+    // The acceptance gauntlet: sends land before, inside and between two
+    // windows that isolate the first server, so mail must fail over;
+    // check waves run while the wire is still lossy (where acked
+    // retrieval earns its keep), then clean drain sweeps after it heals.
     Scenario {
         name: "chaos-partition",
         description: "Fig. 1 with 5% loss + jitter and a flapping partition of server 0",
-        build: chaos_partition,
+        spec: RunSpec {
+            chaos: Some(Chaos {
+                loss: 0.05,
+                duplicate: 0.01,
+                jitter: 1.0,
+                until: 300.0,
+                partitions: &[Outage(0, 40.0, 70.0), Outage(0, 120.0, 150.0)],
+            }),
+            events: &[
+                Event::Wave(&[Step::Sends(3, 50.0, 10.0, 2.0, 5)]),
+                Event::Wave(&[
+                    Step::Check(200.0, 1.0),
+                    Step::Check(240.0, 1.0),
+                    Step::Check(350.0, 1.0),
+                    Step::Check(450.0, 1.0),
+                ]),
+            ],
+            ..FIG1
+        },
     },
+    // Compound failure: drops at a down server and on the wire both
+    // consume sends in the trace, and the ledgers must still balance.
     Scenario {
         name: "chaos-crash-loss",
         description: "Fig. 1 with a server crash in [50, 90) under 5% link loss + jitter",
-        build: chaos_crash_loss,
+        spec: RunSpec {
+            chaos: Some(Chaos {
+                loss: 0.05,
+                duplicate: 0.0,
+                jitter: 0.5,
+                until: 300.0,
+                partitions: &[],
+            }),
+            outages: &[Outage(1, 50.0, 90.0)],
+            events: &[
+                Event::Wave(&[Step::Sends(3, 40.0, 5.0, 3.0, 2)]),
+                Event::Wave(&[Step::Check(350.0, 1.0), Step::Check(450.0, 1.0)]),
+            ],
+            ..FIG1
+        },
     },
     Scenario {
         name: "durable-crash",
         description: "WAL-backed Fig. 1, server 0 crashes in [10, 30) mid-deposit: replay, drain",
-        build: durable_crash,
+        spec: DURABLE_CRASH,
     },
     Scenario {
         name: "durable-torn-tail",
         description: "WAL-backed Fig. 1, crash in [10, 30) leaves a torn segment tail: \
                       truncate, replay, drain",
-        build: durable_torn_tail,
+        spec: RunSpec {
+            durability: TORN_WAL,
+            ..DURABLE_CRASH
+        },
     },
+    // The second recovery replays a log that already holds one
+    // recovery's worth of re-routing; nothing may be lost across either.
     Scenario {
         name: "durable-recrash",
         description: "WAL-backed Fig. 1, server 0 crashes twice ([10, 25) and [45, 60)): \
                       recover, re-crash, drain",
-        build: durable_recrash,
+        spec: RunSpec {
+            durability: TORN_WAL,
+            outages: &[Outage(0, 10.0, 25.0), Outage(0, 45.0, 60.0)],
+            events: &[
+                Event::Wave(&[Step::Send(5.0, 4.0, 3), Step::Send(40.0, 2.0, 7)]),
+                Event::Wave(&[Step::Check(90.0, 1.0), Step::Check(150.0, 1.0)]),
+            ],
+            ..FIG1
+        },
     },
 ];
+
+/// System-1 at explorable size: Fig. 1's three-server chain with one user
+/// on each of the first three hosts. Each user submits three mails at
+/// the same instant, so every host has a 3-way contended arrival group
+/// (3!³ base schedules) and the submit/forward traffic races further
+/// downstream; then everyone checks.
+const S1_STEADY: RunSpec<'static> = RunSpec {
+    world: World::Fig1(&[1, 1, 1, 0, 0, 0]),
+    events: &[
+        Event::Wave(&[Step::Sends(3, 0.0, 1.0, 0.0, 1)]),
+        Event::Wave(&[Step::Check(120.0, 1.0), Step::Check(200.0, 1.0)]),
+    ],
+    ..FIG1
+};
+
+/// System-2 at explorable size. Everyone logs in at the same instant at
+/// their neighbour's host, so location knowledge matters, and mail races
+/// the `LocationUpdate` broadcasts: the orderings where mail outruns the
+/// update are the ones a single seed rarely hits.
+const S2_ROAM: RunSpec<'static> = RunSpec {
+    world: World::Roaming,
+    events: &[
+        Event::Login(1.0, 0, 1),
+        Event::Login(1.0, 1, 2),
+        Event::Login(1.0, 2, 0),
+        Event::Send(1.0, 0, 1),
+        Event::Send(1.0, 0, 2),
+        Event::Send(1.0, 1, 2),
+        Event::Wave(&[Step::Check(120.0, 1.0)]),
+    ],
+    ..FIG1
+};
 
 /// The scenarios `lems-check explore` drives through every schedule:
 /// small enough that every interleaving of their same-instant events can
@@ -96,22 +504,33 @@ pub static EXPLORE: &[Scenario] = &[
     Scenario {
         name: "s1-steady",
         description: "System-1, 3 servers, 3 users, coincident send bursts, no failures",
-        build: s1_steady,
+        spec: S1_STEADY,
     },
+    // The first server, primary for the user hosts, dies with traffic in
+    // flight and recovers before the check waves.
     Scenario {
         name: "s1-crash",
         description: "System-1, 3 servers, coincident send bursts, server 0 down in [6, 40)",
-        build: s1_crash,
+        spec: RunSpec {
+            outages: &[Outage(0, 6.0, 40.0)],
+            ..S1_STEADY
+        },
     },
     Scenario {
         name: "s2-roam",
         description: "System-2, 2 servers, 3 roaming users: logins race mail routing",
-        build: s2_roam,
+        spec: S2_ROAM,
     },
+    // The first server, a sub-group's only authority and a tracking
+    // peer, dies with submissions accepted and login reports, location
+    // updates and forwards in flight, and recovers before the checks.
     Scenario {
         name: "s2-crash",
         description: "System-2, 2 servers, 3 roaming users, server 0 down in [4, 40)",
-        build: s2_crash,
+        spec: RunSpec {
+            outages: &[Outage(0, 4.0, 40.0)],
+            ..S2_ROAM
+        },
     },
 ];
 
@@ -135,7 +554,7 @@ impl Scenario {
     /// Builds the scenario at `seed`, runs it to quiescence within
     /// `EVENT_BUDGET` under the engine's FIFO schedule, and judges it.
     pub fn run(&'static self, seed: u64) -> ScenarioOutcome {
-        let mut deployment = (self.build)(seed);
+        let mut deployment = self.spec.build(seed);
         let quiesced = deployment.sim.run_to_quiescence_bounded(EVENT_BUDGET);
         let violations = verdict(&deployment, quiesced);
         ScenarioOutcome {
@@ -187,447 +606,6 @@ impl ScenarioOutcome {
             profile: &d.sim.profile_samples(),
         })
     }
-}
-
-fn t(u: f64) -> SimTime {
-    SimTime::from_units(u)
-}
-
-/// Switches on every evidence stream before the first injection, so the
-/// verdict sees the whole history. None of them draws randomness or
-/// schedules anything: the event stream is the same with them off.
-fn observed(mut d: Deployment) -> Deployment {
-    d.sim.enable_trace();
-    d.enable_spans();
-    // Feeds the Profile block of `--trace-out` dumps.
-    d.sim.enable_prof();
-    d
-}
-
-/// The Fig. 1 topology with two users on each host.
-fn fig1_deployment(cfg: &DeploymentConfig) -> Deployment {
-    observed(Deployment::build(
-        &fig1().topology,
-        &[2, 2, 2, 2, 2, 2],
-        cfg,
-    ))
-}
-
-fn config(seed: u64) -> DeploymentConfig {
-    DeploymentConfig {
-        seed,
-        ..DeploymentConfig::default()
-    }
-}
-
-/// Steady-state exchange on the Fig. 1 topology: no failures, every user
-/// mails a distant peer, everyone checks mail afterwards. The baseline —
-/// if this reports a violation, the engine itself is miswired.
-fn steady(seed: u64) -> Deployment {
-    let mut d = fig1_deployment(&config(seed));
-    let names = d.user_names();
-    for i in 0..names.len() {
-        d.send_at(t(1.0 + i as f64), &names[i], &names[(i + 5) % names.len()]);
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(100.0 + i as f64), n);
-    }
-    d
-}
-
-/// The actor-level analogue of `examples/failure_drill.rs`: the first
-/// Fig. 1 server is down in `[10, 30)`, mail submitted during the outage
-/// fails over to secondaries, users check both during the outage and
-/// after recovery, and drain sweeps run once everything is healed.
-/// Exercises crash/recover tracing, message drops on the downed server,
-/// the §3.1.2c `LastStartTime` walk, and the store-and-forward recovery
-/// path — nothing may be lost or stranded.
-fn failover(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = fig1_deployment(&config(seed));
-    let names = d.user_names();
-
-    let mut plan = ServerFailurePlan::new();
-    plan.add(f.servers[0], t(10.0), t(30.0));
-    d.apply_server_failures(&plan);
-
-    // Sends straddle the outage: before (settled), during (failover),
-    // and just after recovery (catch-up traffic).
-    for i in 0..names.len() {
-        d.send_at(
-            t(5.0 + 2.0 * i as f64),
-            &names[i],
-            &names[(i + 3) % names.len()],
-        );
-    }
-    // Checks during the outage see timeouts and secondaries...
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(15.0 + i as f64), n);
-    }
-    // ...and checks after recovery drain whatever failed over.
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(60.0 + i as f64), n);
-        d.check_at(t(120.0 + i as f64), n);
-    }
-    d
-}
-
-/// Random exponential outages across all three Fig. 1 servers (MTBF 120,
-/// MTTR 15 over a 600-unit horizon) under a spread-out send/check load,
-/// with drain sweeps scheduled after the last outage heals.
-fn random_failures(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = fig1_deployment(&config(seed));
-    let names = d.user_names();
-
-    let mut rng = SimRng::seed(seed).fork("check-failures");
-    let plan = ServerFailurePlan::random(
-        &mut rng,
-        &f.servers,
-        SimDuration::from_units(120.0),
-        SimDuration::from_units(15.0),
-        t(600.0),
-    );
-    let last_up = plan
-        .outages
-        .values()
-        .flatten()
-        .map(|&(_, up)| up)
-        .max()
-        .unwrap_or(t(600.0));
-    d.apply_server_failures(&plan);
-
-    for i in 0..names.len() {
-        for k in 0..8u64 {
-            d.send_at(
-                t(3.0 + 70.0 * k as f64 + 5.0 * i as f64),
-                &names[i],
-                &names[(i + 1 + k as usize) % names.len()],
-            );
-        }
-        d.check_at(t(200.0 + i as f64), &names[i]);
-        d.check_at(t(400.0 + i as f64), &names[i]);
-    }
-    // Drain sweeps strictly after every server is back up.
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(last_up + SimDuration::from_units(50.0 + i as f64), n);
-        d.check_at(last_up + SimDuration::from_units(150.0 + i as f64), n);
-    }
-    d
-}
-
-/// A lossy, jittery wire under steady load: every link drops 8% of
-/// traffic and duplicates 2% with up to one unit of jitter until t=300,
-/// after which the network heals and users drain their mailboxes. The
-/// session layer (timeout/retransmit/backoff + ack'd retrieval) must
-/// deliver everything despite the loss.
-///
-/// # Panics
-///
-/// Panics if the scenario's literal fault parameters are invalid or
-/// name unbound Fig. 1 nodes — a typo in the scenario definition must
-/// abort the checker loudly, not audit a half-built deployment.
-#[expect(
-    clippy::expect_used,
-    reason = "literal scenario parameters: a typo must abort the checker"
-)]
-fn chaos_lossy(seed: u64) -> Deployment {
-    let mut d = fig1_deployment(&config(seed));
-    let names = d.user_names();
-    let chaos = LinkChaos::new(
-        LinkProfile::new(0.08, 0.02, SimDuration::from_units(1.0))
-            .expect("probabilities are in range"),
-        t(300.0),
-    );
-    d.apply_link_chaos(&chaos).expect("fig1 nodes are bound");
-
-    for i in 0..names.len() {
-        for k in 0..4u64 {
-            d.send_at(
-                t(2.0 + 60.0 * k as f64 + 3.0 * i as f64),
-                &names[i],
-                &names[(i + 1 + k as usize) % names.len()],
-            );
-        }
-    }
-    // Checks run after the stochastic horizon so the drain itself is
-    // clean; two sweeps catch mail parked in drain buffers.
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(350.0 + i as f64), n);
-        d.check_at(t(450.0 + i as f64), n);
-    }
-    d
-}
-
-/// The acceptance gauntlet: ≥5% probabilistic loss with jitter on every
-/// link *plus* a flapping partition that repeatedly isolates the first
-/// server (windows [40,70) and [120,150)). Mail submitted into the
-/// partition must fail over to secondaries; nothing may be lost or
-/// stranded once the network heals and users drain.
-///
-/// # Panics
-///
-/// Panics if the scenario's literal fault parameters are invalid or
-/// name unbound Fig. 1 nodes (a typo in the scenario definition).
-#[expect(
-    clippy::expect_used,
-    reason = "literal scenario parameters: a typo must abort the checker"
-)]
-fn chaos_partition(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = fig1_deployment(&config(seed));
-    let names = d.user_names();
-
-    let isolated = vec![f.servers[0]];
-    let mut others: Vec<_> = f.hosts.clone();
-    others.extend(f.servers.iter().skip(1).copied());
-    let chaos = LinkChaos::new(
-        LinkProfile::new(0.05, 0.01, SimDuration::from_units(1.0))
-            .expect("probabilities are in range"),
-        t(300.0),
-    )
-    .partition(isolated.clone(), others.clone(), t(40.0), t(70.0))
-    .partition(isolated, others, t(120.0), t(150.0));
-    d.apply_link_chaos(&chaos).expect("fig1 nodes are bound");
-
-    // Sends land before, inside, and between the partition windows.
-    for i in 0..names.len() {
-        for k in 0..3u64 {
-            d.send_at(
-                t(10.0 + 50.0 * k as f64 + 2.0 * i as f64),
-                &names[i],
-                &names[(i + 5 + k as usize) % names.len()],
-            );
-        }
-    }
-    // Check waves while the wire is still lossy (the ack'd-retrieval
-    // path earns its keep here), then clean drain sweeps after the
-    // horizon.
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(200.0 + i as f64), n);
-        d.check_at(t(240.0 + i as f64), n);
-        d.check_at(t(350.0 + i as f64), n);
-        d.check_at(t(450.0 + i as f64), n);
-    }
-    d
-}
-
-/// Compound failure: a crashed server in `[50, 90)` *while* every link
-/// drops 5% of traffic with jitter. Exercises the interaction between
-/// actor-level drops (down server) and link-level loss — both consume
-/// sends in the trace, and the ledgers must still balance.
-///
-/// # Panics
-///
-/// Panics if the scenario's literal fault parameters are invalid or
-/// name unbound Fig. 1 nodes (a typo in the scenario definition).
-#[expect(
-    clippy::expect_used,
-    reason = "literal scenario parameters: a typo must abort the checker"
-)]
-fn chaos_crash_loss(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = fig1_deployment(&config(seed));
-    let names = d.user_names();
-
-    let chaos = LinkChaos::new(
-        LinkProfile::new(0.05, 0.0, SimDuration::from_units(0.5))
-            .expect("probabilities are in range"),
-        t(300.0),
-    );
-    d.apply_link_chaos(&chaos).expect("fig1 nodes are bound");
-    let mut plan = ServerFailurePlan::new();
-    plan.add(f.servers[1], t(50.0), t(90.0));
-    d.apply_server_failures(&plan);
-
-    for i in 0..names.len() {
-        for k in 0..3u64 {
-            d.send_at(
-                t(5.0 + 40.0 * k as f64 + 3.0 * i as f64),
-                &names[i],
-                &names[(i + 2 + k as usize) % names.len()],
-            );
-        }
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(350.0 + i as f64), n);
-        d.check_at(t(450.0 + i as f64), n);
-    }
-    d
-}
-
-/// A Fig. 1 deployment whose servers log to a WAL with small segments, so
-/// rotation and chunked compaction actually happen inside a short audited
-/// run, and a crash leaves `torn_tail_bytes` of garbage past the durable
-/// boundary of the newest segment.
-fn fig1_on_wal(seed: u64, torn_tail_bytes: usize) -> Deployment {
-    fig1_deployment(&DeploymentConfig {
-        durability: DurabilityConfig::Wal(WalConfig {
-            segment_bytes: 8 * 1024,
-            chunk_messages: 8,
-            max_segments: 3,
-            torn_tail_bytes,
-            ..WalConfig::default()
-        }),
-        ..config(seed)
-    })
-}
-
-/// Crash-mid-deposit on a WAL: the first Fig. 1 server goes down in
-/// `[10, 30)` while mail is in flight, its WAL replays on recovery, and
-/// every acked deposit must still reach its recipient.
-fn wal_crash_mid_deposit(seed: u64, torn_tail_bytes: usize) -> Deployment {
-    let f = fig1();
-    let mut d = fig1_on_wal(seed, torn_tail_bytes);
-    let names = d.user_names();
-    let mut plan = ServerFailurePlan::new();
-    plan.add(f.servers[0], t(10.0), t(30.0));
-    d.apply_server_failures(&plan);
-    for i in 0..names.len() {
-        d.send_at(
-            t(5.0 + 2.0 * i as f64),
-            &names[i],
-            &names[(i + 3) % names.len()],
-        );
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(60.0 + i as f64), n);
-        d.check_at(t(120.0 + i as f64), n);
-    }
-    d
-}
-
-/// [`wal_crash_mid_deposit`] with a clean crash: the same verdict the
-/// in-memory scenarios get proves the replay lost nothing.
-fn durable_crash(seed: u64) -> Deployment {
-    wal_crash_mid_deposit(seed, 0)
-}
-
-/// As `durable-crash`, but the crash additionally leaves a torn write.
-/// Recovery must truncate the torn tail and still lose nothing.
-fn durable_torn_tail(seed: u64) -> Deployment {
-    wal_crash_mid_deposit(seed, 13)
-}
-
-/// Recover-then-re-crash: the same WAL-backed server goes down twice
-/// (`[10, 25)` and `[45, 60)`), so the second recovery replays a log that
-/// already contains one recovery's worth of re-routing. Nothing may be
-/// lost across either cycle.
-fn durable_recrash(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = fig1_on_wal(seed, 13);
-    let names = d.user_names();
-    let mut plan = ServerFailurePlan::new();
-    plan.add(f.servers[0], t(10.0), t(25.0));
-    plan.add(f.servers[0], t(45.0), t(60.0));
-    d.apply_server_failures(&plan);
-    for i in 0..names.len() {
-        d.send_at(
-            t(5.0 + 4.0 * i as f64),
-            &names[i],
-            &names[(i + 3) % names.len()],
-        );
-        d.send_at(
-            t(40.0 + 2.0 * i as f64),
-            &names[i],
-            &names[(i + 7) % names.len()],
-        );
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(90.0 + i as f64), n);
-        d.check_at(t(150.0 + i as f64), n);
-    }
-    d
-}
-
-/// System-1 steady exchange, shrunk to explorable size: the Fig. 1
-/// topology's 3-server chain with one user on each of the first three
-/// hosts. Each user fires a burst of *simultaneous* sends (simultaneity is
-/// what creates schedule branch points), then everyone checks mail.
-fn s1_steady(seed: u64) -> Deployment {
-    let mut d = observed(Deployment::build(
-        &fig1().topology,
-        &[1, 1, 1, 0, 0, 0],
-        &config(seed),
-    ));
-    let names = d.user_names();
-    // Three coincident submissions per user: every host actor has a 3-way
-    // contended arrival group (3!^3 base schedules), and the submit/forward
-    // traffic they fan out into races organically further downstream.
-    for (i, from) in names.iter().enumerate() {
-        for k in 1..=3usize {
-            d.send_at(t(1.0), from, &names[(i + k) % names.len()]);
-        }
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(120.0 + i as f64), n);
-        d.check_at(t(200.0 + i as f64), n);
-    }
-    d
-}
-
-/// The same shrunken System-1 deployment plus one crash point — the
-/// first server (primary authority for the user hosts) dies at t=6 with
-/// traffic in flight and recovers at t=40, before the check waves. Every
-/// interleaving of the send bursts, the submit/forward races, and the
-/// crash must conserve mail.
-fn s1_crash(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = s1_steady(seed);
-    let mut plan = ServerFailurePlan::new();
-    plan.add(f.servers[0], t(6.0), t(40.0));
-    d.apply_server_failures(&plan);
-    d
-}
-
-/// System-2 (location-independent addressing) shrunk to explorable size:
-/// one region, three hosts, two sub-group servers. Users log in and fire
-/// sends at the same instant, racing the `LocationUpdate` broadcasts
-/// against mail routing — the orderings where mail outruns the location
-/// update are exactly the ones a single seed rarely hits.
-fn s2_roam(seed: u64) -> Deployment {
-    let mut rng = SimRng::seed(seed).fork("explore-s2-topo");
-    let topo = multi_region(
-        &mut rng,
-        &MultiRegionConfig {
-            regions: 1,
-            hosts_per_region: 3,
-            servers_per_region: 2,
-            ..MultiRegionConfig::default()
-        },
-    );
-    let mut d = observed(roaming_deployment(&topo, &[1, 1, 1], 16, &config(seed)));
-    let users = d.user_names();
-    let homes: Vec<_> = users
-        .iter()
-        .filter_map(|u| Some(d.directory.by_name(u)?.home_host))
-        .collect();
-    // Everyone logs in at the same instant — at their *neighbour's* host,
-    // so location knowledge matters — and the first user immediately
-    // mails the other two, racing the location broadcasts.
-    for (i, u) in users.iter().enumerate() {
-        d.login_at(t(1.0), u, homes[(i + 1) % homes.len()]);
-    }
-    d.send_at(t(1.0), &users[0], &users[1]);
-    d.send_at(t(1.0), &users[0], &users[2]);
-    d.send_at(t(1.0), &users[1], &users[2]);
-    for (i, u) in users.iter().enumerate() {
-        d.check_at(t(120.0 + i as f64), u);
-    }
-    d
-}
-
-/// The twin of `s1-crash` on the System-2 world: the first server — a
-/// sub-group's only authority and a tracking peer — dies at t=4 with
-/// submissions accepted and login reports, location updates and forwards
-/// in flight, and recovers at t=40, before the check wave.
-fn s2_crash(seed: u64) -> Deployment {
-    let mut d = s2_roam(seed);
-    let first = d.problem.servers[0].0;
-    let mut plan = ServerFailurePlan::new();
-    plan.add(first, t(4.0), t(40.0));
-    d.apply_server_failures(&plan);
-    d
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub mod store;
 pub mod user;
 pub mod workload;
 
-pub use directory::{Directory, DirectoryError};
+pub use directory::DirectoryError;
 pub use message::MessageId;
 pub use name::MailName;
-pub use user::{AuthorityList, UserId};
+pub use user::UserId;

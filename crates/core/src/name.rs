@@ -188,16 +188,6 @@ impl MailName {
         &self.buf[self.user_start as usize..]
     }
 
-    /// A copy of this name relocated to a new region and host — the rename
-    /// a migrating user performs under syntax-directed naming (§3.1.4).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseNameError`] if the new tokens are invalid.
-    pub fn relocated(&self, region: &str, host: &str) -> Result<MailName, ParseNameError> {
-        MailName::new(region, host, self.user())
-    }
-
     /// The first 16 bytes of the name's buffer, padded with zeros, as a
     /// big-endian integer.
     ///
@@ -339,18 +329,6 @@ mod tests {
                 bytes: MAX_NAME_BYTES + 2
             })
         );
-    }
-
-    #[test]
-    fn relocation_keeps_user_token() {
-        let n: MailName = "east.vax1.alice".parse().unwrap();
-        let m = n.relocated("west", "sun3").unwrap();
-        assert_eq!(m.to_string(), "west.sun3.alice");
-        assert_ne!(n.region(), m.region());
-        let p = n.relocated("east", "sun3").unwrap();
-        assert_eq!(n.region(), p.region());
-        assert_ne!(n.host(), p.host());
-        assert_eq!(n.user(), p.user());
     }
 
     #[test]

@@ -59,8 +59,7 @@ pub(crate) mod migrate;
 pub mod reconfig;
 pub(crate) mod resolve;
 
-pub use actors::{Deployment, DeploymentConfig, LinkChaos, MailMsg, ServerFailurePlan};
+pub use actors::{Deployment, DeploymentConfig, MailMsg, ServerFailurePlan};
 pub use assign::{initialize, solve, Assignment, AssignmentProblem, BalanceOptions};
 pub use cost::{CostModel, ServerSpec};
-pub use migrate::{migrate_user, RedirectTable};
 pub use reconfig::Reconfigurator;

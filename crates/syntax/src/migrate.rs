@@ -18,36 +18,17 @@ use lems_sim::time::SimTime;
 
 /// A forwarding entry left behind at the old location.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Redirect {
-    /// The name mail may still be addressed to.
-    pub(crate) old_name: MailName,
-    /// Where it should go now.
-    pub new_name: MailName,
+pub(crate) struct Redirect {
+    /// Where mail to the old name should go now.
+    pub(crate) new_name: MailName,
     /// The entry is honoured until this instant, after which mail to the
     /// old name bounces with a name-change notification.
-    pub(crate) expires_at: SimTime,
+    expires_at: SimTime,
 }
 
-/// The old region's table of migrated users.
-///
-/// # Examples
-///
-/// ```
-/// use lems_syntax::RedirectTable;
-/// use lems_sim::time::SimTime;
-///
-/// let mut t = RedirectTable::new();
-/// let old = "east.h1.alice".parse()?;
-/// let new = "west.h9.alice".parse()?;
-/// t.insert(old, new, SimTime::from_units(100.0));
-/// let hit = t.lookup(&"east.h1.alice".parse()?, SimTime::from_units(50.0));
-/// assert!(hit.is_some());
-/// let miss = t.lookup(&"east.h1.alice".parse()?, SimTime::from_units(150.0));
-/// assert!(miss.is_none());
-/// # Ok::<(), lems_core::name::ParseNameError>(())
-/// ```
+/// The old region's table of migrated users, keyed by old name.
 #[derive(Clone, Debug, Default)]
-pub struct RedirectTable {
+pub(crate) struct RedirectTable {
     entries: BTreeMap<MailName, Redirect>,
     /// Senders notified of name changes (old name -> notification count).
     notifications: BTreeMap<MailName, u64>,
@@ -55,16 +36,15 @@ pub struct RedirectTable {
 
 impl RedirectTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RedirectTable::default()
     }
 
     /// Installs a redirect.
-    pub fn insert(&mut self, old_name: MailName, new_name: MailName, expires_at: SimTime) {
+    fn insert(&mut self, old_name: MailName, new_name: MailName, expires_at: SimTime) {
         self.entries.insert(
-            old_name.clone(),
+            old_name,
             Redirect {
-                old_name,
                 new_name,
                 expires_at,
             },
@@ -73,7 +53,7 @@ impl RedirectTable {
 
     /// Looks up a still-valid redirect; records a sender notification on
     /// every hit ("the senders are notified about the name changes").
-    pub fn lookup(&mut self, name: &MailName, now: SimTime) -> Option<&Redirect> {
+    pub(crate) fn lookup(&mut self, name: &MailName, now: SimTime) -> Option<&Redirect> {
         let hit = self.entries.get(name).filter(|r| now < r.expires_at);
         if hit.is_some() {
             *self.notifications.entry(name.clone()).or_insert(0) += 1;
@@ -81,70 +61,11 @@ impl RedirectTable {
         hit
     }
 
-    /// Drops expired entries, returning how many were removed.
-    pub fn expire(&mut self, now: SimTime) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, r| now < r.expires_at);
-        before - self.entries.len()
-    }
-
-    /// True when no entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// How many redirected lookups have hit `old_name`.
-    pub fn notification_count(&self, old_name: &MailName) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn notification_count(&self, old_name: &MailName) -> u64 {
         self.notifications.get(old_name).copied().unwrap_or(0)
     }
-}
-
-/// Result of migrating one user.
-#[derive(Clone, Debug)]
-pub struct MigrationOutcome {
-    /// The new name at the new location.
-    pub new_name: MailName,
-}
-
-/// Performs the §3.1.4 migration: register the user under a new
-/// location-dependent name, retire the old name, and leave a redirect for
-/// `redirect_ttl` worth of time.
-///
-/// # Errors
-///
-/// Returns the directory's error if the old name is unknown or the new
-/// name is taken; the directory is left unchanged on error.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's migration inputs
-pub fn migrate_user(
-    directory: &mut Directory,
-    redirects: &mut RedirectTable,
-    old_name: &MailName,
-    new_region_token: &str,
-    new_host_token: &str,
-    new_home_host: NodeId,
-    new_authorities: AuthorityList,
-    now: SimTime,
-    redirect_ttl: lems_sim::time::SimDuration,
-) -> Result<MigrationOutcome, DirectoryError> {
-    let old = directory
-        .by_name(old_name)
-        .ok_or_else(|| DirectoryError::UnknownName(old_name.clone()))?
-        .clone();
-    let new_name = old
-        .name
-        .relocated(new_region_token, new_host_token)
-        .map_err(|_| DirectoryError::UnknownName(old_name.clone()))?;
-    let expires_at = now + redirect_ttl;
-    rename(
-        directory,
-        redirects,
-        old_name,
-        &new_name,
-        new_home_host,
-        new_authorities,
-        expires_at,
-    )?;
-    Ok(MigrationOutcome { new_name })
 }
 
 /// Moves the user `old_name` to `new_name` at `new_home_host` — "adding
@@ -168,6 +89,7 @@ pub(crate) fn rename(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actors::{Deployment, DeploymentConfig};
     use lems_sim::time::SimDuration;
 
     fn t(u: f64) -> SimTime {
@@ -191,51 +113,38 @@ mod tests {
     fn migration_renames_and_redirects() {
         let (mut d, mut r) = setup();
         let old: MailName = "east.h1.alice".parse().unwrap();
-        let out = migrate_user(
-            &mut d,
-            &mut r,
-            &old,
-            "west",
-            "h9",
-            NodeId(20),
-            AuthorityList::new(vec![NodeId(5)]),
-            t(10.0),
-            SimDuration::from_units(50.0),
-        )
-        .unwrap();
-        assert_eq!(out.new_name.to_string(), "west.h9.alice");
+        let new: MailName = "west.h9.alice".parse().unwrap();
+        let authorities = AuthorityList::new(vec![NodeId(5)]);
+        rename(&mut d, &mut r, &old, &new, NodeId(20), authorities, t(60.0)).unwrap();
         assert!(!d.is_registered(&old));
-        assert!(d.is_registered(&out.new_name));
+        assert_eq!(d.by_name(&new).unwrap().home_host, NodeId(20));
 
-        // Mail to the old name redirects while the entry is live …
+        // Mail to the old name redirects while the entry is live, and
+        // the sender is notified …
         let hit = r.lookup(&old, t(30.0)).cloned().unwrap();
-        assert_eq!(hit.new_name, out.new_name);
+        assert_eq!(hit.new_name, new);
         assert_eq!(r.notification_count(&old), 1);
         // … and stops after expiry.
         assert!(r.lookup(&old, t(70.0)).is_none());
-        assert_eq!(r.expire(t(70.0)), 1);
-        assert!(r.is_empty());
+        assert_eq!(r.notification_count(&old), 1);
     }
 
+    /// The live migration looks the old name up before it touches
+    /// anything: an unknown one changes neither the directory nor the
+    /// redirects.
     #[test]
     fn migrating_unknown_user_fails_cleanly() {
-        let (mut d, mut r) = setup();
-        let ghost: MailName = "east.h1.ghost".parse().unwrap();
-        let err = migrate_user(
-            &mut d,
-            &mut r,
-            &ghost,
-            "west",
-            "h9",
-            NodeId(20),
-            AuthorityList::new(vec![NodeId(5)]),
-            t(1.0),
-            SimDuration::from_units(10.0),
-        )
-        .unwrap_err();
+        let f = lems_net::generators::fig1();
+        let cfg = DeploymentConfig::default();
+        let mut d = Deployment::build(&f.topology, &[1, 1, 0, 0, 0, 0], &cfg);
+        let ghost: MailName = "r0.H1.ghost".parse().unwrap();
+        let ttl = SimDuration::from_units(10.0);
+        let err = d
+            .migrate_user_live(&ghost, f.hosts[1], None, ttl)
+            .unwrap_err();
         assert!(matches!(err, DirectoryError::UnknownName(_)));
-        assert_eq!(d.len(), 1);
-        assert!(r.is_empty());
+        assert_eq!(d.directory.len(), 2);
+        assert!(d.redirects.borrow_mut().lookup(&ghost, t(1.0)).is_none());
     }
 
     #[test]
@@ -248,23 +157,15 @@ mod tests {
         )
         .unwrap();
         let old: MailName = "east.h1.alice".parse().unwrap();
-        let err = migrate_user(
-            &mut d,
-            &mut r,
-            &old,
-            "west",
-            "h9",
-            NodeId(20),
-            AuthorityList::new(vec![NodeId(5)]),
-            t(1.0),
-            SimDuration::from_units(10.0),
-        )
-        .unwrap_err();
+        let new: MailName = "west.h9.alice".parse().unwrap();
+        let authorities = AuthorityList::new(vec![NodeId(5)]);
+        let err = rename(&mut d, &mut r, &old, &new, NodeId(20), authorities, t(11.0)).unwrap_err();
         assert!(matches!(err, DirectoryError::DuplicateName(_)));
         assert!(
             d.is_registered(&old),
             "old name must survive a failed migration"
         );
-        assert!(r.is_empty());
+        assert_eq!(d.by_name(&new).unwrap().home_host, NodeId(21));
+        assert!(r.lookup(&old, t(1.0)).is_none());
     }
 }

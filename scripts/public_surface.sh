@@ -12,7 +12,6 @@ set -u
 expected='lems-sim: pool
 lems-net: dijkstra
 lems-syntax: connection_cost_with_channel
-lems-syntax: migrate_user_live
 lems-syntax: remove_host
 lems-syntax: remove_server
 lems-attr: edit_distance

@@ -3,10 +3,9 @@
 
 use lems::net::generators::{multi_region, MultiRegionConfig};
 use lems::net::graph::Weight;
-use lems::sim::linkfault::LinkProfile;
 use lems::sim::rng::SimRng;
-use lems::sim::time::{SimDuration, SimTime};
-use lems::syntax::{Deployment, DeploymentConfig, LinkChaos, ServerFailurePlan};
+use lems::sim::time::SimTime;
+use lems_check::scenarios::{Chaos, Event, Outage, RandomOutages, RunSpec, Scenario, Step};
 
 /// Every scenario here quiesces far below this; exhausting it means a
 /// stuck retry loop, which must fail the test rather than hang it.
@@ -45,26 +44,7 @@ fn ghs_runs_are_deterministic() {
 }
 
 fn deployment_fingerprint(seed: u64) -> (u64, u64, SimTime) {
-    let f = lems::net::generators::fig1();
-    let mut d = Deployment::build(
-        &f.topology,
-        &[2, 2, 2, 2, 2, 2],
-        &DeploymentConfig {
-            seed,
-            ..DeploymentConfig::default()
-        },
-    );
-    let names = d.user_names();
-    for i in 0..names.len() {
-        d.send_at(
-            SimTime::from_units(1.0 + i as f64),
-            &names[i],
-            &names[(i + 5) % names.len()],
-        );
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(SimTime::from_units(100.0 + i as f64), n);
-    }
+    let mut d = Scenario::named("steady").spec.build(seed);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     let st = d.stats.borrow();
     (st.retrieved, st.deposited, d.sim.now())
@@ -75,41 +55,10 @@ fn full_deployments_replay_exactly() {
     assert_eq!(deployment_fingerprint(3), deployment_fingerprint(3));
 }
 
-/// Renders the complete engine trace of a fig1 deployment run — with
-/// optional server failures — as one string, one event per line.
-fn trace_stream(seed: u64, with_failures: bool) -> String {
-    let f = lems::net::generators::fig1();
-    let mut d = Deployment::build(
-        &f.topology,
-        &[2, 2, 2, 2, 2, 2],
-        &DeploymentConfig {
-            seed,
-            ..DeploymentConfig::default()
-        },
-    );
-    d.sim.enable_trace();
-    if with_failures {
-        let mut rng = SimRng::seed(seed).fork("determinism-failures");
-        let plan = ServerFailurePlan::random(
-            &mut rng,
-            &f.servers,
-            SimDuration::from_units(60.0),
-            SimDuration::from_units(10.0),
-            SimTime::from_units(120.0),
-        );
-        d.apply_server_failures(&plan);
-    }
-    let names = d.user_names();
-    for i in 0..names.len() {
-        d.send_at(
-            SimTime::from_units(1.0 + i as f64),
-            &names[i],
-            &names[(i + 5) % names.len()],
-        );
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(SimTime::from_units(200.0 + i as f64), n);
-    }
+/// Renders the complete engine trace of `spec` at `seed` as one string,
+/// one event per line.
+fn trace_stream(spec: &RunSpec<'_>, seed: u64) -> String {
+    let mut d = spec.build(seed);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     let lines: Vec<String> = d
         .sim
@@ -125,12 +74,24 @@ fn trace_stream(seed: u64, with_failures: bool) -> String {
     lines.join("\n")
 }
 
+/// `steady`'s sends, with the checks later.
+fn late_checks() -> RunSpec<'static> {
+    RunSpec {
+        events: &[
+            Event::Wave(&[Step::Send(1.0, 1.0, 5)]),
+            Event::Wave(&[Step::Check(200.0, 1.0)]),
+        ],
+        ..Scenario::named("steady").spec.clone()
+    }
+}
+
 #[test]
 fn trace_streams_replay_byte_identically() {
+    let spec = late_checks();
     for seed in [3, 11] {
         assert_eq!(
-            trace_stream(seed, false),
-            trace_stream(seed, false),
+            trace_stream(&spec, seed),
+            trace_stream(&spec, seed),
             "seed {seed}: steady trace diverged between runs"
         );
     }
@@ -138,76 +99,50 @@ fn trace_streams_replay_byte_identically() {
 
 #[test]
 fn trace_streams_replay_byte_identically_under_failures() {
+    let spec = RunSpec {
+        random_outages: Some(RandomOutages {
+            mtbf: 60.0,
+            mttr: 10.0,
+            horizon: 120.0,
+        }),
+        ..late_checks()
+    };
     for seed in [3, 11] {
         assert_eq!(
-            trace_stream(seed, true),
-            trace_stream(seed, true),
+            trace_stream(&spec, seed),
+            trace_stream(&spec, seed),
             "seed {seed}: failure-injected trace diverged between runs"
         );
     }
 }
 
-/// Renders the complete engine trace of a fig1 run under link-level chaos
-/// — probabilistic drop/duplication/jitter plus a flapping partition — as
-/// one string, one event per line.
-fn chaos_trace_stream(seed: u64) -> String {
-    let f = lems::net::generators::fig1();
-    let mut d = Deployment::build(
-        &f.topology,
-        &[2, 2, 2, 2, 2, 2],
-        &DeploymentConfig {
-            seed,
-            ..DeploymentConfig::default()
-        },
-    );
-    d.sim.enable_trace();
-    let isolated = vec![f.servers[0]];
-    let mut others = f.hosts.clone();
-    others.extend(f.servers.iter().skip(1).copied());
-    let chaos = LinkChaos::new(
-        LinkProfile::new(0.10, 0.03, SimDuration::from_units(1.0))
-            .expect("probabilities are in range"),
-        SimTime::from_units(250.0),
-    )
-    .partition(
-        isolated,
-        others,
-        SimTime::from_units(40.0),
-        SimTime::from_units(80.0),
-    );
-    d.apply_link_chaos(&chaos).expect("fig1 nodes are bound");
-    let names = d.user_names();
-    for i in 0..names.len() {
-        d.send_at(
-            SimTime::from_units(1.0 + 3.0 * i as f64),
-            &names[i],
-            &names[(i + 5) % names.len()],
-        );
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(SimTime::from_units(300.0 + i as f64), n);
-    }
-    assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-    let stream: String = d
-        .sim
-        .trace()
-        .events()
-        .map(std::string::ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        stream.contains("link-drop"),
-        "chaos trace has no link-drop events — faults were not active"
-    );
-    stream
-}
-
+/// Link-level chaos — probabilistic drop, duplication and jitter plus a
+/// partition of the first server — under staggered sends.
 #[test]
 fn trace_streams_replay_byte_identically_under_link_faults() {
+    let spec = RunSpec {
+        chaos: Some(Chaos {
+            loss: 0.10,
+            duplicate: 0.03,
+            jitter: 1.0,
+            until: 250.0,
+            partitions: &[Outage(0, 40.0, 80.0)],
+        }),
+        events: &[
+            Event::Wave(&[Step::Send(1.0, 3.0, 5)]),
+            Event::Wave(&[Step::Check(300.0, 1.0)]),
+        ],
+        ..Scenario::named("steady").spec.clone()
+    };
     for seed in [3, 11] {
+        let stream = trace_stream(&spec, seed);
+        assert!(
+            stream.contains("link-drop"),
+            "chaos trace has no link-drop events — faults were not active"
+        );
         assert_eq!(
-            chaos_trace_stream(seed),
-            chaos_trace_stream(seed),
+            stream,
+            trace_stream(&spec, seed),
             "seed {seed}: link-fault trace diverged between runs"
         );
     }

@@ -6,16 +6,11 @@
 //! perturb a run at all.
 
 use lems_check::audit::verdict;
-use lems_net::generators::fig1;
+use lems_check::scenarios::{RunSpec, Scenario};
 use lems_sim::time::SimTime;
 use lems_store::{DurabilityConfig, SyncPolicy, WalConfig};
-use lems_syntax::actors::{Deployment, DeploymentConfig, ServerFailurePlan};
 
 const EVENT_BUDGET: u64 = 2_000_000;
-
-fn t(u: f64) -> SimTime {
-    SimTime::from_units(u)
-}
 
 /// FNV-1a over the rendered trace (same digest as `schedule_explore`).
 fn trace_digest(trace: &lems_sim::trace::Trace) -> u64 {
@@ -29,48 +24,12 @@ fn trace_digest(trace: &lems_sim::trace::Trace) -> u64 {
     h
 }
 
-/// Small segments so rotation + compaction run inside the test window.
-fn wal_cfg() -> WalConfig {
-    WalConfig {
-        segment_bytes: 8 * 1024,
-        chunk_messages: 8,
-        max_segments: 3,
-        ..WalConfig::default()
-    }
-}
-
-/// The shared crash plan: Fig. 1, server 0 down in [10, 30) while mail is
-/// in flight, deposits landing on it before the crash, users draining
-/// well after recovery.
-fn crash_workload(seed: u64, durability: DurabilityConfig) -> Deployment {
-    let f = fig1();
-    let mut d = Deployment::build(
-        &f.topology,
-        &[2, 2, 2, 2, 2, 2],
-        &DeploymentConfig {
-            seed,
-            durability,
-            ..DeploymentConfig::default()
-        },
-    );
-    d.sim.enable_trace();
-    d.enable_spans();
-    let names = d.user_names();
-    let mut plan = ServerFailurePlan::new();
-    plan.add(f.servers[0], t(10.0), t(30.0));
-    d.apply_server_failures(&plan);
-    for i in 0..names.len() {
-        d.send_at(
-            t(5.0 + 2.0 * i as f64),
-            &names[i],
-            &names[(i + 3) % names.len()],
-        );
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(60.0 + i as f64), n);
-        d.check_at(t(120.0 + i as f64), n);
-    }
-    d
+/// The shared crash plan, `durable-crash`'s: Fig. 1, server 0 down in
+/// [10, 30) while mail is in flight, deposits landing on it before the
+/// crash, users draining well after recovery; its WAL has small segments
+/// so rotation and compaction run inside the test window.
+fn durable_crash() -> &'static RunSpec<'static> {
+    &Scenario::named("durable-crash").spec
 }
 
 /// The headline claim: with per-record sync, WAL recovery reconstructs the
@@ -79,11 +38,15 @@ fn crash_workload(seed: u64, durability: DurabilityConfig) -> Deployment {
 /// model where the crash never destroyed anything.
 #[test]
 fn wal_crash_trace_is_byte_identical_to_ideal_model() {
-    let mut ideal = crash_workload(3, DurabilityConfig::Ideal);
+    let ideal_spec = RunSpec {
+        durability: DurabilityConfig::Ideal,
+        ..*durable_crash()
+    };
+    let mut ideal = ideal_spec.build(3);
     assert!(ideal.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     let ideal_digest = trace_digest(ideal.sim.trace());
 
-    let mut wal = crash_workload(3, DurabilityConfig::Wal(wal_cfg()));
+    let mut wal = durable_crash().build(3);
     assert!(wal.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     let wal_digest = trace_digest(wal.sim.trace());
 
@@ -110,9 +73,9 @@ fn wal_crash_trace_is_byte_identical_to_ideal_model() {
 /// randomness and schedules nothing of its own.
 #[test]
 fn wal_run_replays_byte_identically() {
-    let mut a = crash_workload(7, DurabilityConfig::Wal(wal_cfg()));
+    let mut a = durable_crash().build(7);
     assert!(a.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-    let mut b = crash_workload(7, DurabilityConfig::Wal(wal_cfg()));
+    let mut b = durable_crash().build(7);
     assert!(b.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     assert_eq!(trace_digest(a.sim.trace()), trace_digest(b.sim.trace()));
 }
@@ -121,14 +84,14 @@ fn wal_run_replays_byte_identically() {
 /// nothing: the schedule still matches the fiat-stable model.
 #[test]
 fn torn_tail_recovery_matches_ideal_model() {
-    let mut ideal = crash_workload(11, DurabilityConfig::Ideal);
+    let ideal_spec = RunSpec {
+        durability: DurabilityConfig::Ideal,
+        ..*durable_crash()
+    };
+    let mut ideal = ideal_spec.build(11);
     assert!(ideal.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
-    let cfg = WalConfig {
-        torn_tail_bytes: 13,
-        ..wal_cfg()
-    };
-    let mut wal = crash_workload(11, DurabilityConfig::Wal(cfg));
+    let mut wal = Scenario::named("durable-torn-tail").spec.build(11);
     assert!(wal.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     assert_eq!(
         trace_digest(ideal.sim.trace()),
@@ -147,12 +110,12 @@ fn torn_tail_recovery_matches_ideal_model() {
 /// reconstructs the exact in-memory state.
 #[test]
 fn persist_restore_round_trip_preserves_trace_digest() {
-    let mut straight = crash_workload(5, DurabilityConfig::Wal(wal_cfg()));
+    let mut straight = durable_crash().build(5);
     assert!(straight.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     let expected = trace_digest(straight.sim.trace());
 
-    let mut resumed = crash_workload(5, DurabilityConfig::Wal(wal_cfg()));
-    resumed.sim.run_until(t(45.0));
+    let mut resumed = durable_crash().build(5);
+    resumed.sim.run_until(SimTime::from_units(45.0));
     let restored = resumed.persist_restore_stores();
     assert_eq!(restored, 3, "all three Fig. 1 servers round-trip");
     assert!(resumed.sim.run_to_quiescence_bounded(EVENT_BUDGET));
@@ -164,7 +127,11 @@ fn persist_restore_round_trip_preserves_trace_digest() {
 /// never retrieve them.
 #[test]
 fn volatile_backend_loses_acked_mail_under_identical_crash_plan() {
-    let mut d = crash_workload(3, DurabilityConfig::Volatile);
+    let volatile = RunSpec {
+        durability: DurabilityConfig::Volatile,
+        ..*durable_crash()
+    };
+    let mut d = volatile.build(3);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     assert_eq!(d.stats.borrow().submitted, 12);
     let v = verdict(&d, true);
@@ -184,11 +151,17 @@ fn volatile_backend_loses_acked_mail_under_identical_crash_plan() {
 /// at the crash, exactly like volatile RAM.
 #[test]
 fn manual_sync_wal_loses_unsynced_records_at_crash() {
-    let cfg = WalConfig {
-        sync: SyncPolicy::Manual,
-        ..wal_cfg()
+    let DurabilityConfig::Wal(small) = durable_crash().durability.clone() else {
+        panic!("durable-crash runs on a WAL");
     };
-    let mut d = crash_workload(3, DurabilityConfig::Wal(cfg));
+    let manual = RunSpec {
+        durability: DurabilityConfig::Wal(WalConfig {
+            sync: SyncPolicy::Manual,
+            ..small
+        }),
+        ..*durable_crash()
+    };
+    let mut d = manual.build(3);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     let v = verdict(&d, true);
     assert!(

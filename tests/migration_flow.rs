@@ -2,70 +2,62 @@
 //! System-2 tracking — §3.1.4 (rename + redirect) and §3.2.4 (free
 //! within-region movement) side by side.
 
-use lems::core::{AuthorityList, Directory, MailName};
+use lems::core::{DirectoryError, MailName};
 use lems::locindep::{RegionTracker, SubgroupMap};
+use lems::net::generators::fig1;
 use lems::net::NodeId;
-use lems::net::RegionId;
 use lems::sim::time::{SimDuration, SimTime};
-use lems::syntax::{migrate_user, RedirectTable};
+use lems::syntax::Deployment;
+use lems_check::audit::verdict;
+use lems_check::scenarios::{RunSpec, Scenario};
 
-fn setup_directory() -> Directory {
-    let mut d = Directory::new();
-    d.map_region("east", RegionId(0));
-    d.map_region("west", RegionId(1));
-    for (name, host, servers) in [
-        ("east.h1.alice", 10, vec![0, 1]),
-        ("east.h2.bob", 11, vec![1, 2]),
-        ("west.h9.carol", 20, vec![5, 6]),
-    ] {
-        d.register(
-            name.parse().unwrap(),
-            NodeId(host),
-            AuthorityList::new(servers.into_iter().map(NodeId).collect()),
-        )
-        .unwrap();
-    }
-    d
+/// Every run here quiesces far below this.
+const EVENT_BUDGET: u64 = 2_000_000;
+
+fn t(u: f64) -> SimTime {
+    SimTime::from_units(u)
 }
 
+/// `steady`'s world — Fig. 1, two users on each host, `r0.H1.u0` first —
+/// with no workload yet.
+fn fig1_world(seed: u64) -> Deployment {
+    RunSpec {
+        events: &[],
+        ..Scenario::named("steady").spec.clone()
+    }
+    .build(seed)
+}
+
+/// §3.1.4 on the live system: `r0.H1.u0` moves to `H5` under a new
+/// name; mail still addressed to the old name is redirected to the new one
+/// and retrieved there.
 #[test]
 fn system1_migration_renames_and_mail_follows_redirect() {
-    let mut dir = setup_directory();
-    let mut redirects = RedirectTable::new();
-    let old: MailName = "east.h1.alice".parse().unwrap();
+    let f = fig1();
+    let mut d = fig1_world(3);
+    let names = d.user_names();
+    let old = names[0].clone();
+    let ttl = SimDuration::from_units(200.0);
+    let new = d
+        .migrate_user_live(&old, f.hosts[4], Some("moved"), ttl)
+        .unwrap();
 
-    let out = migrate_user(
-        &mut dir,
-        &mut redirects,
-        &old,
-        "west",
-        "h8",
-        NodeId(21),
-        AuthorityList::new(vec![NodeId(5)]),
-        SimTime::from_units(100.0),
-        SimDuration::from_units(200.0),
-    )
-    .unwrap();
+    // The old name is retired; the new one lives at the new host.
+    assert_eq!(new.to_string(), "r0.H5.moved");
+    assert!(!d.directory.is_registered(&old));
+    assert_eq!(d.directory.by_name(&new).unwrap().home_host, f.hosts[4]);
 
-    // The old name is retired; the new one resolves in the new region.
-    assert!(!dir.is_registered(&old));
-    let rec = dir.by_name(&out.new_name).unwrap();
-    assert_eq!(rec.home_host, NodeId(21));
-    assert_eq!(dir.region_of_name(out.new_name.region()), Some(RegionId(1)));
-
-    // Mail sent to the old name is redirected while the entry is live,
-    // and the sender is notified each time.
-    for i in 0..3 {
-        let hit = redirects
-            .lookup(&old, SimTime::from_units(150.0 + i as f64))
-            .expect("redirect live");
-        assert_eq!(hit.new_name, out.new_name);
+    // Senders still write to the old name while the redirect is live.
+    for (i, from) in names[1..4].iter().enumerate() {
+        d.send_at(t(1.0 + i as f64), from, &old);
     }
-    assert_eq!(redirects.notification_count(&old), 3);
-
-    // After expiry, the old name is gone for good.
-    assert!(redirects.lookup(&old, SimTime::from_units(301.0)).is_none());
-    assert_eq!(redirects.expire(SimTime::from_units(301.0)), 1);
+    d.check_at(t(100.0), &new);
+    let quiesced = d.sim.run_to_quiescence_bounded(EVENT_BUDGET);
+    let violations = verdict(&d, quiesced);
+    assert!(violations.is_empty(), "{violations:?}");
+    let st = d.stats.borrow();
+    assert_eq!(st.bounced, 0, "old-name mail must redirect, not bounce");
+    assert_eq!(st.retrieved, 3);
 }
 
 #[test]
@@ -85,35 +77,29 @@ fn system2_within_region_move_needs_no_rename() {
     assert_eq!(found.host, Some(NodeId(15)));
 }
 
+/// A migration to a taken name fails with `DuplicateName` and changes
+/// nothing: the directory and the old user are as they were, and mail to
+/// the old name still reaches them.
 #[test]
 fn failed_migration_is_atomic() {
-    let mut dir = setup_directory();
-    let mut redirects = RedirectTable::new();
-    // Target name already taken.
-    dir.register(
-        "west.h8.alice".parse().unwrap(),
-        NodeId(30),
-        AuthorityList::new(vec![NodeId(5)]),
-    )
-    .unwrap();
-    let old: MailName = "east.h1.alice".parse().unwrap();
-    let before_len = dir.len();
+    let f = fig1();
+    let mut d = fig1_world(3);
+    let old: MailName = "r0.H1.u0".parse().unwrap();
+    let before = d.user_names();
+    let ttl = SimDuration::from_units(10.0);
 
-    let err = migrate_user(
-        &mut dir,
-        &mut redirects,
-        &old,
-        "west",
-        "h8",
-        NodeId(21),
-        AuthorityList::new(vec![NodeId(5)]),
-        SimTime::from_units(1.0),
-        SimDuration::from_units(10.0),
-    )
-    .unwrap_err();
+    // `r0.H2.u0` is taken.
+    let err = d
+        .migrate_user_live(&old, f.hosts[1], None, ttl)
+        .unwrap_err();
 
-    assert!(matches!(err, lems::core::DirectoryError::DuplicateName(_)));
-    assert!(dir.is_registered(&old), "old registration must survive");
-    assert_eq!(dir.len(), before_len);
-    assert!(redirects.is_empty(), "no stray redirect on failure");
+    assert!(matches!(err, DirectoryError::DuplicateName(_)));
+    assert_eq!(d.user_names(), before);
+    assert_eq!(d.directory.len(), before.len());
+    assert_eq!(d.directory.by_name(&old).unwrap().home_host, f.hosts[0]);
+    d.send_at(t(1.0), &before[1], &old);
+    d.check_at(t(100.0), &old);
+    let quiesced = d.sim.run_to_quiescence_bounded(EVENT_BUDGET);
+    assert!(verdict(&d, quiesced).is_empty());
+    assert_eq!(d.stats.borrow().retrieved, 1);
 }

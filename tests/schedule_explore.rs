@@ -5,17 +5,12 @@
 
 use std::collections::BTreeSet;
 
-use lems_net::generators::fig1;
+use lems_check::scenarios::Scenario;
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
 use lems_sim::sched::{ExploreBounds, Explorer, FifoScheduler, RandomScheduler, ReplayScheduler};
-use lems_sim::time::{SimDuration, SimTime};
-use lems_syntax::actors::{Deployment, DeploymentConfig};
+use lems_sim::time::SimDuration;
 
 const EVENT_BUDGET: u64 = 2_000_000;
-
-fn t(u: f64) -> SimTime {
-    SimTime::from_units(u)
-}
 
 /// FNV-1a over the rendered trace: any change to event order, timing, or
 /// content changes the digest.
@@ -30,27 +25,6 @@ fn trace_digest(trace: &lems_sim::trace::Trace) -> u64 {
     h
 }
 
-fn steady_fig1(seed: u64) -> Deployment {
-    let f = fig1();
-    let mut d = Deployment::build(
-        &f.topology,
-        &[2, 2, 2, 2, 2, 2],
-        &DeploymentConfig {
-            seed,
-            ..DeploymentConfig::default()
-        },
-    );
-    d.sim.enable_trace();
-    let names = d.user_names();
-    for i in 0..names.len() {
-        d.send_at(t(1.0 + i as f64), &names[i], &names[(i + 5) % names.len()]);
-    }
-    for (i, n) in names.iter().enumerate() {
-        d.check_at(t(100.0 + i as f64), n);
-    }
-    d
-}
-
 /// The digest of the steady Fig. 1 run, recorded before the engine had a
 /// scheduler hook and reproduced by every kernel since (the calendar
 /// queue included; it is `audit/steady@3` in `GOLDEN_kernel_digests.txt`).
@@ -58,7 +32,7 @@ fn steady_fig1(seed: u64) -> Deployment {
 /// byte.
 #[test]
 fn fifo_scheduler_trace_is_byte_identical_to_pre_refactor_engine() {
-    let mut d = steady_fig1(3);
+    let mut d = Scenario::named("steady").spec.build(3);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     assert_eq!(trace_digest(d.sim.trace()), 0x42ce_873a_7a5b_8ce9);
 }
@@ -67,7 +41,7 @@ fn fifo_scheduler_trace_is_byte_identical_to_pre_refactor_engine() {
 /// path (ready-set construction + choose) must not perturb event order.
 #[test]
 fn installed_fifo_scheduler_matches_default_engine_order() {
-    let mut d = steady_fig1(3);
+    let mut d = Scenario::named("steady").spec.build(3);
     d.sim.set_scheduler(Box::new(FifoScheduler));
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
     assert_eq!(trace_digest(d.sim.trace()), 0x42ce_873a_7a5b_8ce9);
@@ -230,7 +204,7 @@ fn s1_crash_exploration_meets_acceptance_floor() {
         max_schedules: 1_000,
         ..lems_check::explore::default_bounds()
     };
-    let s1_crash = lems_check::scenarios::Scenario::named("s1-crash");
+    let s1_crash = Scenario::named("s1-crash");
     let o = lems_check::explore::explore(s1_crash, 3, bounds);
     assert!(
         o.schedules >= 500,

@@ -5,11 +5,8 @@
 //! The scenarios live in `lems_check::scenarios` so the same runs are
 //! reproducible from the CLI: `cargo run -p lems-check -- audit`.
 
-use lems::net::generators::fig1;
-use lems::sim::time::SimTime;
-use lems::syntax::{Deployment, DeploymentConfig, ServerFailurePlan};
 use lems_check::audit::{audit_trace, verdict};
-use lems_check::scenarios::Scenario;
+use lems_check::scenarios::{Event, RunSpec, Scenario};
 
 /// Every scenario here quiesces far below this; exhausting it means a
 /// stuck retry loop, which must fail the test rather than hang it.
@@ -47,43 +44,26 @@ fn random_failure_scenario_conserves_across_seeds() {
     }
 }
 
-/// The actor-level failure drill from `examples/failure_drill.rs`,
-/// audited directly (not via the scenarios module): deposits land while
-/// the primary is down, and GetMail must still drain everything once it
-/// recovers — no delivered message may be stranded.
+/// The actor-level failure drill from `examples/failure_drill.rs` on
+/// `failover`'s outage (the first server down in [10, 30)): deposits for
+/// user 0 land before, during and after it (the drill's t=5 / 12 / 20),
+/// user 0 checks during it and after recovery (the drill's 15 / 35 / 40),
+/// and GetMail must drain everything — no delivered message may be
+/// stranded.
 #[test]
 fn getmail_under_outage_strands_nothing() {
-    let f = fig1();
-    let mut d = Deployment::build(
-        &f.topology,
-        &[2, 2, 2, 2, 2, 2],
-        &DeploymentConfig {
-            seed: 5,
-            ..DeploymentConfig::default()
-        },
-    );
-    d.sim.enable_trace();
-    d.enable_spans();
-
-    let mut plan = ServerFailurePlan::new();
-    plan.add(
-        f.servers[0],
-        SimTime::from_units(10.0),
-        SimTime::from_units(30.0),
-    );
-    d.apply_server_failures(&plan);
-
-    let names = d.user_names();
-    let t = SimTime::from_units;
-    // Deposits before, during, and after the outage (cf. the drill's
-    // t=5 / t=12 / t=20 deposits), against user 0.
-    d.send_at(t(5.0), &names[1], &names[0]);
-    d.send_at(t(12.0), &names[2], &names[0]);
-    d.send_at(t(20.0), &names[3], &names[0]);
-    // Checks during the outage and after recovery (drill's 15/35/40).
-    d.check_at(t(15.0), &names[0]);
-    d.check_at(t(35.0), &names[0]);
-    d.check_at(t(60.0), &names[0]);
+    let drill = RunSpec {
+        events: &[
+            Event::Send(5.0, 1, 0),
+            Event::Send(12.0, 2, 0),
+            Event::Send(20.0, 3, 0),
+            Event::Check(15.0, 0),
+            Event::Check(35.0, 0),
+            Event::Check(60.0, 0),
+        ],
+        ..Scenario::named("failover").spec.clone()
+    };
+    let mut d = drill.build(5);
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
 
     let violations = verdict(&d, true);
