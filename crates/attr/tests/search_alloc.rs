@@ -20,11 +20,9 @@
 //! code); the budget holds in a debug build too.
 //!
 //! Lives in `tests/` (its own crate) because `lems-attr` forbids the
-//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
-//! zero_alloc.rs` pattern.
+//! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
+//! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use lems_attr::attribute::{AttrKey, AttributeSet, RequesterContext, Visibility};
@@ -37,34 +35,8 @@ use lems_net::topology::{NodeKind, Topology};
 use lems_sim::failure::FailurePlan;
 use lems_sim::rng::SimRng;
 
-thread_local! {
-    /// Allocations made by this thread. The code measured runs on the
-    /// test's own thread, so nothing another thread of the test binary
-    /// allocates reaches the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-struct Counting;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is a
-// `const`-initialised thread-local `Cell` without a destructor, so
-// touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 const FIRST: [&str; 4] = ["Ada", "Grace", "Alan", "Edsger"];
 const LAST: [&str; 4] = ["Johnson", "Jonsson", "Hopper", "Turing"];
@@ -130,9 +102,9 @@ fn one_search(net: &AttributeNetwork) -> (u64, u64) {
         organization: Some("DEC".into()),
     };
     let plan = FailurePlan::new();
-    let before = ALLOCS.with(Cell::get);
+    let before = counting_alloc::allocations();
     let out = net.search(root, &query, &ctx, &plan, 17);
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = counting_alloc::allocations() - before;
     let out = out.expect("a failure-free search completes");
     assert_eq!(out.matches, out.ground_truth_matches);
     assert!(out.matches > 0, "the query exercises no profile");
@@ -198,11 +170,11 @@ fn a_registry_allocates_per_column_growth_not_per_profile() {
         .collect();
 
     let mut registry = AttributeRegistry::new();
-    let before = ALLOCS.with(Cell::get);
+    let before = counting_alloc::allocations();
     for (name, attrs) in profiles {
         registry.upsert(name, attrs);
     }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = counting_alloc::allocations() - before;
     assert_eq!(registry.len(), PROFILES);
 
     // Five columns of cells, the text arena, the rows' names, their

@@ -13,7 +13,7 @@
 //!   write-ahead-log backend lives in `lems-store`);
 //! * [`user`] — users and their ordered authority-server lists;
 //! * [`directory`] — the partitioned, partially replicated name database
-//!   (§2) and per-server views of it;
+//!   (§2): one table per region, which the region's servers share;
 //! * [`workload`] — synthetic Poisson/Zipf mail traffic for experiments.
 //!
 //! System-specific machinery lives in `lems-syntax` (System 1),

@@ -536,7 +536,7 @@ pub trait MailStore: std::fmt::Debug {
     /// Reliable retrieval: reserve `owner`'s mail, return the reserved
     /// list. `hint` is the slot the caller believes the store keeps
     /// `owner` in: the roster slot wiring handed out
-    /// ([`Partition::slots_of`](crate::directory::Partition::slots_of)),
+    /// ([`Directory::find`](crate::directory::Directory::find)),
     /// or [`NO_OWNER_SLOT`] for none.
     ///
     /// The hint is only a hint. The store uses it when the slot it names

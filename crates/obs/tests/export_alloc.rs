@@ -12,44 +12,15 @@
 //! code); the budget holds in a debug build too.
 //!
 //! Lives in `tests/` (its own crate) because `lems-obs` forbids the
-//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
-//! zero_alloc.rs` pattern.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
+//! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
 use lems_obs::export::{export_jsonl, RunTelemetry};
 use lems_sim::span::{SpanLog, SpanStage, NO_NODE};
 use lems_sim::time::SimTime;
 
-thread_local! {
-    /// Allocations made by this thread. The code measured runs on the
-    /// test's own thread, so nothing another thread of the test binary
-    /// allocates reaches the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-struct Counting;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is a
-// `const`-initialised thread-local `Cell` without a destructor, so
-// touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Allocations of exporting a spans-only run of `events` span events,
 /// shaped like mail: a submit, a probe to a far node, a retrieval.
@@ -73,9 +44,9 @@ fn export_allocs(events: u64) -> u64 {
         store: &[],
         profile: &[],
     };
-    let before = ALLOCS.with(Cell::get);
+    let before = counting_alloc::allocations();
     let text = export_jsonl(&run);
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = counting_alloc::allocations() - before;
     let text = text.expect("a lossless log exports");
     assert_eq!(text.lines().count() as u64, 1 + events);
     allocs

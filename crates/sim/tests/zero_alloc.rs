@@ -9,69 +9,20 @@
 //! a regression that reintroduces a per-event `Box`, clone, or rehash fails
 //! here, not in a profiler.
 //!
-//! Lives in `tests/` (its own crate) because `lems-sim` itself forbids the
-//! `unsafe` that a `GlobalAlloc` impl requires.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Lives in `tests/` (its own crate) because `lems-sim` forbids the
+//! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
+//! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
 use lems_sim::queue::EventQueue;
 use lems_sim::time::{SimDuration, SimTime};
 
-/// An allocation counter (deallocations and reallocations are counted
-/// too — a steady state must not churn at all).
-#[derive(Clone, Copy)]
-struct Counts {
-    allocs: u64,
-    deallocs: u64,
-    reallocs: u64,
-}
-
-thread_local! {
-    /// What this thread allocated. The code measured runs on the test's
-    /// own thread, so nothing another thread of the test binary allocates
-    /// reaches the counts.
-    static COUNTS: Cell<Counts> = const {
-        Cell::new(Counts { allocs: 0, deallocs: 0, reallocs: 0 })
-    };
-}
-
-/// Applies `f` to this thread's counts.
-fn count(f: impl FnOnce(&mut Counts)) {
-    COUNTS.with(|counts| {
-        let mut c = counts.get();
-        f(&mut c);
-        counts.set(c);
-    });
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-struct Counting;
-
-// SAFETY: delegates every operation verbatim to `System`; the counters are
-// a `const`-initialised thread-local `Cell` without a destructor, so
-// touching them never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(|c| c.allocs += 1);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(|c| c.deallocs += 1);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(|c| c.reallocs += 1);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Snapshot of (allocs, deallocs, reallocs).
 fn snapshot() -> (u64, u64, u64) {
-    let c = COUNTS.with(Cell::get);
+    let c = counting_alloc::counts();
     (c.allocs, c.deallocs, c.reallocs)
 }
 

@@ -13,11 +13,8 @@
 //! code); the budget holds in a debug build too.
 //!
 //! Lives in `tests/` (its own crate) because `lems-store` forbids the
-//! `unsafe` a `GlobalAlloc` impl requires — the `crates/syntax/tests/
-//! check_path_alloc.rs` pattern.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
+//! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
 use lems_core::message::{Message, MessageId};
 use lems_core::name::MailName;
@@ -25,40 +22,14 @@ use lems_core::store::MailStore;
 use lems_sim::time::SimTime;
 use lems_store::{DurabilityConfig, Store, WalConfig};
 
-thread_local! {
-    /// Allocations made by this thread. The code measured runs on the
-    /// test's own thread, so nothing another thread of the test binary
-    /// allocates reaches the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-struct Counting;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is a
-// `const`-initialised thread-local `Cell` without a destructor, so
-// touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Allocations made while `f` runs.
 fn allocs_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    let before = counting_alloc::allocations();
     f();
-    ALLOCS.with(Cell::get) - before
+    counting_alloc::allocations() - before
 }
 
 const OWNERS: usize = 50;

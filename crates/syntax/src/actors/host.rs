@@ -42,7 +42,7 @@ const HINTED_SERVERS: usize = 3;
 impl UiUser {
     /// A user who has never checked mail, whose authority server of each
     /// rank keeps them in slot `roster_slots[rank]`
-    /// ([`Partition::slots_of`](lems_core::directory::Partition::slots_of)).
+    /// ([`Directory::find`](lems_core::directory::Directory::find)).
     pub(super) fn wired(authorities: AuthorityList, roster_slots: &[u32]) -> Self {
         let mut owner_slots = [NO_OWNER_SLOT; HINTED_SERVERS];
         for (slot, &wired) in owner_slots.iter_mut().zip(roster_slots) {

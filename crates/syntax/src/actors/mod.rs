@@ -32,13 +32,14 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use lems_core::directory::Directory;
 use lems_core::mailbox::Mailbox;
 use lems_core::message::{BounceReason, MessageId, MessageIdGen};
 use lems_core::name::MailName;
 use lems_core::store::{MailStore, StoreMetrics, StoreRecovery, NO_OWNER_SLOT};
-use lems_core::user::{AuthorityList, UserId};
+use lems_core::user::AuthorityList;
 use lems_net::error::NetError;
 use lems_net::graph::NodeId;
 use lems_net::topology::{RegionId, Topology};
@@ -54,7 +55,7 @@ use lems_store::{DurabilityConfig, Store};
 
 use crate::assign::{solve, Assignment, AssignmentProblem, BalanceOptions};
 use crate::cost::{CostModel, ServerSpec};
-use crate::resolve::{RegionIndex, SyntaxResolver};
+use crate::resolve::SyntaxResolver;
 
 mod host;
 mod msg;
@@ -321,11 +322,12 @@ pub struct Deployment {
     pub directory: Directory,
     /// Shared run statistics.
     pub stats: SharedStats,
-    /// Users by name with their home host and the slot that host keeps
-    /// them in ([`MailMsg::NO_SLOT_HINT`] where it keeps none), which
+    /// By user id: the home host's actor and the slot that host keeps the
+    /// user in ([`MailMsg::NO_SLOT_HINT`] where it keeps none), which
     /// [`Deployment::send_at`] and [`Deployment::check_at`] hand the host
-    /// so it need not look the name up again.
-    users: UserTable,
+    /// so it need not look the name up again. `None` for an id no host
+    /// was wired or migrated with.
+    hosts: Vec<Option<(ActorId, u32)>>,
     /// Host node -> actor id.
     host_actors: BTreeMap<NodeId, ActorId>,
     /// Host node -> region (for live migration naming).
@@ -343,156 +345,6 @@ pub struct Deployment {
     pub spans: Rc<RefCell<SpanLog>>,
     /// Store-recovery reports, one per server recovery, in recovery order.
     pub recoveries: SharedRecoveries,
-}
-
-/// One row of a [`UserTable`].
-struct UserRow {
-    /// `name.order_key()`.
-    key: u128,
-    name: MailName,
-    /// The home host.
-    host: NodeId,
-    /// The home host's actor.
-    actor: ActorId,
-    /// Where the home host keeps the user.
-    slot: u32,
-}
-
-/// An empty bucket of [`UserTable::index`].
-const NO_ROW: u32 = u32::MAX;
-
-/// Every user by name, with their home host, its actor and the host's
-/// slot: one vector in name order, and a hash index from
-/// [`MailName::order_key`] to the first row holding each key. A lookup
-/// hashes the key, compares integers along a short probe and reads only
-/// the name it lands on — and not even that when the name asked for is a
-/// clone of the one stored, as every name [`Deployment::user_names`] hands
-/// out is. Names that share their first 16 bytes share a key; past the
-/// first of them a lookup bisects the rows.
-struct UserTable {
-    rows: Vec<UserRow>,
-    /// Open addressing with linear probes: a bucket holds a row number or
-    /// [`NO_ROW`], and at least half the buckets are empty, so every probe
-    /// ends. Rebuilt whenever a row moves.
-    index: Vec<u32>,
-}
-
-impl UserTable {
-    /// The table of `users`, whose names are distinct.
-    fn new(users: Vec<(MailName, NodeId, ActorId, u32)>) -> Self {
-        let mut rows: Vec<UserRow> = users
-            .into_iter()
-            .map(|(name, host, actor, slot)| UserRow {
-                key: name.order_key(),
-                name,
-                host,
-                actor,
-                slot,
-            })
-            .collect();
-        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key).then_with(|| a.name.cmp(&b.name)));
-        let mut table = UserTable {
-            rows,
-            index: Vec::new(),
-        };
-        table.reindex();
-        table
-    }
-
-    /// `key`'s home bucket in an index of `mask + 1` buckets.
-    fn bucket(key: u128, mask: usize) -> usize {
-        // Fold the halves, then Fibonacci-hash: the product's high bits
-        // depend on every bit of the key.
-        let folded = (key >> 64) as u64 ^ key as u64;
-        (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-    }
-
-    /// Rebuilds the index over the rows as they now stand.
-    fn reindex(&mut self) {
-        let buckets = (2 * self.rows.len()).max(1).next_power_of_two();
-        let mask = buckets - 1;
-        self.index.clear();
-        self.index.resize(buckets, NO_ROW);
-        for (at, row) in self.rows.iter().enumerate() {
-            if at > 0 && self.rows[at - 1].key == row.key {
-                continue;
-            }
-            let mut h = Self::bucket(row.key, mask);
-            while self.index[h] != NO_ROW {
-                h = (h + 1) & mask;
-            }
-            self.index[h] = at as u32;
-        }
-    }
-
-    /// Where `name` sits in the name order, or would.
-    fn find(&self, name: &MailName) -> Result<usize, usize> {
-        let key = name.order_key();
-        self.rows
-            .binary_search_by(|row| row.key.cmp(&key).then_with(|| row.name.cmp(name)))
-    }
-
-    /// `name`'s row number: through the index, and by bisection where the
-    /// first row with `name`'s key holds another name.
-    fn position(&self, name: &MailName) -> Option<usize> {
-        let key = name.order_key();
-        let mask = self.index.len() - 1;
-        let mut h = Self::bucket(key, mask);
-        loop {
-            let at = self.index[h];
-            if at == NO_ROW {
-                return None;
-            }
-            let row = &self.rows[at as usize];
-            if row.key == key {
-                return if row.name == *name {
-                    Some(at as usize)
-                } else {
-                    self.find(name).ok()
-                };
-            }
-            h = (h + 1) & mask;
-        }
-    }
-
-    /// `name`'s row.
-    fn get(&self, name: &MailName) -> Option<&UserRow> {
-        Some(&self.rows[self.position(name)?])
-    }
-
-    /// Sets `name`'s home host, its actor and the host's slot.
-    fn insert(&mut self, name: MailName, host: NodeId, actor: ActorId, slot: u32) {
-        match self.find(&name) {
-            Ok(at) => {
-                let row = &mut self.rows[at];
-                (row.host, row.actor, row.slot) = (host, actor, slot);
-            }
-            Err(at) => {
-                let key = name.order_key();
-                let row = UserRow {
-                    key,
-                    name,
-                    host,
-                    actor,
-                    slot,
-                };
-                self.rows.insert(at, row);
-                self.reindex();
-            }
-        }
-    }
-
-    /// Drops `name`, returning its row.
-    fn remove(&mut self, name: &MailName) -> Option<UserRow> {
-        let row = self.rows.remove(self.position(name)?);
-        self.reindex();
-        Some(row)
-    }
-
-    /// Every name, in order.
-    fn names(&self) -> impl Iterator<Item = &MailName> {
-        self.rows.iter().map(|row| &row.name)
-    }
 }
 
 /// Who serves whom: the input [`Deployment::wire`] turns into actors.
@@ -593,7 +445,7 @@ impl Deployment {
     /// the problem's hosts and servers are not `topology`'s.
     #[expect(
         clippy::expect_used,
-        reason = "generated names are unique, and the partition has every server's view"
+        reason = "generated names are unique, and every server's region is mapped"
     )]
     pub fn wire(topology: &Topology, placement: Placement, cfg: &DeploymentConfig) -> Self {
         let Placement {
@@ -622,6 +474,9 @@ impl Deployment {
             && contact.len() == host_nodes.len()
             && peers.len() == server_nodes.len();
         assert!(aligned, "placement misaligned with its problem");
+        for &s in &server_nodes {
+            directory.add_server(topology.region(s), s);
+        }
 
         // Actors hold the transport from birth, so it is bound before they
         // exist: the engine numbers actors in registration order, servers
@@ -634,62 +489,43 @@ impl Deployment {
 
         // Register users; each host's users are collected here so that
         // wiring a host does not search all users.
-        let mut users_by_host: Vec<Vec<(MailName, AuthorityList, UserId)>> = Vec::new();
-        for (&host, lists) in host_nodes.iter().zip(authorities) {
-            let mut host_users = Vec::new();
-            for (k, authorities) in lists.into_iter().enumerate() {
-                let name = Self::user_name(topology, host, k);
-                let id = directory
-                    .register(name.clone(), host, authorities.clone())
-                    .expect("unique generated names");
-                host_users.push((name, authorities, id));
-            }
-            users_by_host.push(host_users);
-        }
-
-        // Per-server views and region tables. Each server's view is its
-        // own; each region's index is built once and shared by the
-        // region's servers. The partition also says where each view holds
-        // each of its users, which is where the server's store will.
-        let mut partition = directory.partition(&server_nodes);
-        let mut region_servers: BTreeMap<RegionId, Vec<NodeId>> = BTreeMap::new();
-        for &s in &server_nodes {
-            region_servers
-                .entry(topology.region(s))
-                .or_default()
-                .push(s);
-        }
-        let mut by_region: BTreeMap<RegionId, Vec<(MailName, AuthorityList)>> = BTreeMap::new();
-        for rec in directory.iter() {
-            by_region
-                .entry(topology.region(rec.home_host))
-                .or_default()
-                .push((rec.name.clone(), rec.authorities.clone()));
-        }
-        // Name order, so each index is built in bulk.
-        let region_index: BTreeMap<RegionId, Rc<RegionIndex>> = by_region
-            .into_iter()
-            .map(|(region, users)| (region, Rc::new(users.into_iter().collect())))
+        let users_by_host: Vec<Vec<(MailName, AuthorityList)>> = host_nodes
+            .iter()
+            .zip(authorities)
+            .map(|(&host, lists)| {
+                let named = lists.into_iter().enumerate();
+                named
+                    .map(|(k, list)| (Self::user_name(topology, host, k), list))
+                    .collect()
+            })
             .collect();
+        let registered = host_nodes
+            .iter()
+            .zip(&users_by_host)
+            .flat_map(|(&host, users)| {
+                users
+                    .iter()
+                    .map(move |(name, list)| (name.clone(), host, list.clone()))
+            });
+        directory
+            .register_all(registered)
+            .expect("unique generated names");
+
+        // Each server's roster — the users it keeps mail for — and, in each
+        // user's row, the slot each of their servers keeps them in. The
+        // directory's tables are shared from here on, not copied.
+        let rosters = directory.partition();
 
         // Spawn server actors.
         let proc = SimDuration::from_units(cfg.server_spec.proc_time);
         let mut server_actors = BTreeMap::new();
         for (&s, peers) in server_nodes.iter().zip(peers) {
             let region = topology.region(s);
-            let view = partition
-                .views
-                .remove(&s)
-                .expect("partition holds a view per server");
-            // The store keeps mail for exactly the users the view holds.
             let mut store = Store::new(&cfg.durability);
-            store.seed_roster(&mut view.names());
-            let resolver = SyntaxResolver::new(
-                region,
-                view,
-                region_index.get(&region).cloned().unwrap_or_default(),
-                region_servers.clone(),
-            );
+            store.seed_roster(&mut rosters[&s].iter());
+            let table = directory.table(region).expect("every region is mapped");
+            let regions = Arc::clone(directory.regions());
+            let resolver = SyntaxResolver::new(s, region, Arc::clone(table), regions);
             let actor = ServerActor {
                 end: Endpoint::new(s, &transport, cfg, &stats, &spans, proc),
                 resolver,
@@ -706,9 +542,10 @@ impl Deployment {
             assert_eq!(transport.actor_of(s), Ok(id), "server bound ahead of time");
             server_actors.insert(s, id);
         }
+        drop(rosters);
 
         // Spawn host actors.
-        let mut users = Vec::with_capacity(directory.len());
+        let mut hosts = vec![None; directory.len()];
         let mut host_actors = BTreeMap::new();
         for ((&h, host_users), contact) in host_nodes.iter().zip(users_by_host).zip(contact) {
             let mut actor = HostActor {
@@ -721,15 +558,15 @@ impl Deployment {
                 id_gen: Rc::clone(&id_gen),
                 alerts: BTreeMap::new(),
             };
-            let id = ActorId(sim.actor_count());
-            assert_eq!(transport.actor_of(h), Ok(id), "host bound ahead of time");
-            for (name, authorities, user) in host_users {
-                let ui = UiUser::wired(authorities, partition.slots_of(user));
-                let slot = actor.adopt_user(name.clone(), ui);
-                users.push((name, h, id, slot));
+            let aid = ActorId(sim.actor_count());
+            assert_eq!(transport.actor_of(h), Ok(aid), "host bound ahead of time");
+            for (name, authorities) in host_users {
+                let (record, slots) = directory.find(&name).expect("registered above");
+                let (id, ui) = (record.id, UiUser::wired(authorities, slots));
+                hosts[id.0] = Some((aid, actor.adopt_user(name, ui)));
             }
-            assert_eq!(sim.add_actor(actor), id, "actors are numbered in order");
-            host_actors.insert(h, id);
+            assert_eq!(sim.add_actor(actor), aid, "actors are numbered in order");
+            host_actors.insert(h, aid);
         }
 
         let host_region = host_nodes
@@ -745,7 +582,7 @@ impl Deployment {
             transport,
             directory,
             stats,
-            users: UserTable::new(users),
+            hosts,
             host_actors,
             host_region,
             host_names,
@@ -814,8 +651,9 @@ impl Deployment {
 
     /// Performs the §3.1.4 migration *live*: renames the user in the
     /// directory, installs a redirect for `redirect_ttl`, moves the user's
-    /// mailbox-access state to the new host's user interface, and updates
-    /// every server's resolution tables. Mail subsequently sent to the old
+    /// mailbox-access state to the new host's user interface, and hands
+    /// the servers of the two regions whose tables changed the directory's
+    /// new ones. Mail subsequently sent to the old
     /// name is redirected and delivered under the new name until the
     /// redirect expires.
     ///
@@ -848,7 +686,7 @@ impl Deployment {
         let user_token = new_user_token.unwrap_or(old_name.user());
         let new_name = MailName::new(&format!("r{}", region.0), host_token, user_token)
             .map_err(|_| unknown())?;
-        crate::migrate::rename(
+        let new_id = crate::migrate::rename(
             &mut self.directory,
             &mut self.redirects.borrow_mut(),
             old_name,
@@ -858,34 +696,26 @@ impl Deployment {
             self.sim.now() + redirect_ttl,
         )?;
 
-        // Server-side tables: retire the old name, install the new one.
-        // Only the index of the new name's region learns it, so the other
-        // regions' servers keep sharing theirs.
-        let server_ids: Vec<ActorId> = self.server_actors.values().copied().collect();
-        let new_rec = self
-            .directory
-            .by_name(&new_name)
-            .ok_or_else(|| lems_core::directory::DirectoryError::UnknownName(new_name.clone()))?
-            .clone();
-        for aid in server_ids {
-            if let Some(server) = self.sim.actor_mut::<ServerActor>(aid) {
-                server.resolver.remove_regional(old_name);
-                server.resolver.view_mut().remove(old_name);
-                if server.resolver.region() == *region {
-                    server
-                        .resolver
-                        .upsert_regional(new_name.clone(), new_rec.authorities.clone());
-                }
-                if new_rec.authorities.contains(server.end.node) {
-                    server.resolver.view_mut().upsert(new_rec.clone());
+        // The rename edited the tables of the old and the new name's
+        // regions: hand each region's servers the directory's table.
+        let old_region = self.directory.region_of_name(old_name.region());
+        for region in [old_region, Some(*region)].into_iter().flatten() {
+            let Some(table) = self.directory.table(region) else {
+                continue;
+            };
+            for server in self.directory.regions().servers(region) {
+                let aid = self.server_actors[server];
+                if let Some(actor) = self.sim.actor_mut::<ServerActor>(aid) {
+                    actor.resolver.table = Arc::clone(table);
                 }
             }
         }
 
         // UI side: move the user's interface state to the new host actor.
-        let moved = self.users.remove(old_name).and_then(|old| {
+        let old = self.hosts.get_mut(rec.id.0).and_then(Option::take);
+        let moved = old.and_then(|(aid, _)| {
             self.sim
-                .actor_mut::<HostActor>(old.actor)
+                .actor_mut::<HostActor>(aid)
                 .and_then(|h| h.release_user(old_name))
         });
         // A name whose interface state did not move is still registered,
@@ -903,14 +733,23 @@ impl Deployment {
                 slot = h.adopt_user(new_name.clone(), ui);
             }
         }
-        self.users.insert(new_name.clone(), new_host, new_aid, slot);
+        if self.hosts.len() <= new_id.0 {
+            self.hosts.resize(new_id.0 + 1, None);
+        }
+        self.hosts[new_id.0] = Some((new_aid, slot));
 
         Ok(new_name)
     }
 
     /// All user names, ordered.
     pub fn user_names(&self) -> Vec<MailName> {
-        self.users.names().cloned().collect()
+        self.directory.iter().map(|r| r.name.clone()).collect()
+    }
+
+    /// The actor of `user`'s home host, and the slot it keeps them in.
+    fn home(&self, user: &MailName) -> Option<(ActorId, u32)> {
+        let id = self.directory.by_name(user)?.id;
+        self.hosts.get(id.0).copied().flatten()
     }
 
     /// The actor simulating `host`.
@@ -928,7 +767,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn send_at(&mut self, at: SimTime, from: &MailName, to: &MailName) {
-        let &UserRow { actor, slot, .. } = self.users.get(from).expect("unknown sender");
+        let (actor, slot) = self.home(from).expect("unknown sender");
         let delay = at.duration_since(self.sim.now());
         self.sim.inject(
             actor,
@@ -951,7 +790,7 @@ impl Deployment {
         reason = "injecting for an unknown user is a driver bug"
     )]
     pub fn check_at(&mut self, at: SimTime, user: &MailName) {
-        let &UserRow { actor, slot, .. } = self.users.get(user).expect("unknown user");
+        let (actor, slot) = self.home(user).expect("unknown user");
         let delay = at.duration_since(self.sim.now());
         let check = MailMsg::DoCheck {
             user: user.clone(),
@@ -1326,8 +1165,8 @@ mod tests {
 
     /// `name`'s home host and the slot it keeps them in.
     fn home_of(d: &Deployment, name: &MailName) -> (NodeId, u32) {
-        let row = d.users.get(name).unwrap();
-        (row.host, row.slot)
+        let host = d.directory.by_name(name).unwrap().home_host;
+        (host, d.home(name).unwrap().1)
     }
 
     fn small_deployment(seed: u64) -> Deployment {
@@ -1361,13 +1200,18 @@ mod tests {
         (topology, d)
     }
 
-    /// What every server's resolver and notify lookup say about every
-    /// registered user is what the directory implies: the user's record
-    /// and their rank among the users the server holds at an authority of
-    /// the user's region, the user's list elsewhere in
-    /// that region, the region's servers from any other region; and the
-    /// record itself at every authority, whatever its region.
-    fn assert_wiring_matches_directory(d: &Deployment, topology: &Topology) {
+    /// What every server's resolver says about every registered user is
+    /// what the directory implies: at an authority of the user's region,
+    /// the user's record and the slot the server's store keeps them in;
+    /// the user's list elsewhere in that region; the region's servers from
+    /// any other region. And each store's roster is the users whose list
+    /// names its server, as wired: `moved` is a user named since, whom no
+    /// roster holds.
+    fn assert_wiring_matches_directory(
+        d: &Deployment,
+        topology: &Topology,
+        moved: Option<&MailName>,
+    ) {
         let mut region_servers: BTreeMap<RegionId, Vec<NodeId>> = BTreeMap::new();
         for s in topology.servers() {
             region_servers
@@ -1376,11 +1220,13 @@ mod tests {
                 .push(s);
         }
         for (&s, &aid) in &d.server_actors {
-            let resolver = &d.sim.actor::<ServerActor>(aid).unwrap().resolver;
+            let server = d.sim.actor::<ServerActor>(aid).unwrap();
+            let (resolver, roster) = (&server.resolver, server.store.state());
             assert_eq!(resolver.region(), topology.region(s));
             for rec in d.directory.iter() {
                 let home = topology.region(rec.home_host);
                 let authority = rec.authorities.contains(s);
+                let slot = roster.slot_of(&rec.name);
                 let want = if resolver.region() != home {
                     Resolution::ForwardToRegion {
                         region: home,
@@ -1388,41 +1234,31 @@ mod tests {
                     }
                 } else if authority {
                     Resolution::LocalAuthority {
-                        slot: roster_slot(d, s, &rec.name),
+                        slot: slot.unwrap_or(NO_OWNER_SLOT),
                         record: rec,
                     }
                 } else {
                     Resolution::RegionalAuthority(&rec.authorities)
                 };
-                assert_eq!(
-                    resolver.resolve(&rec.name),
-                    want,
-                    "{} at n{}",
-                    rec.name,
-                    s.0
-                );
-                let held = resolver.view().lookup(&rec.name);
-                assert_eq!(held, authority.then_some(rec), "{} at n{}", rec.name, s.0);
+                let at = format!("{} at n{}", rec.name, s.0);
+                assert_eq!(resolver.resolve(&rec.name), want, "{at}");
+                let wired = authority && moved != Some(&rec.name);
+                assert_eq!(slot.is_some(), wired, "{at}");
             }
-            let held = d.directory.iter().filter(|r| r.authorities.contains(s));
-            assert_eq!(resolver.view().record_count(), held.count(), "n{}", s.0);
         }
     }
 
-    /// Whether each region's servers hold one shared index allocation.
-    fn region_index_shared(d: &Deployment) -> BTreeMap<RegionId, bool> {
-        let mut by_region: BTreeMap<RegionId, Vec<*const RegionIndex>> = BTreeMap::new();
+    /// Whether each region's table is one allocation, shared by the
+    /// directory and every server of the region.
+    fn region_tables_shared(d: &Deployment) -> BTreeMap<RegionId, bool> {
+        let mut shared = BTreeMap::new();
         for &aid in d.server_actors.values() {
             let resolver = &d.sim.actor::<ServerActor>(aid).unwrap().resolver;
-            by_region
-                .entry(resolver.region())
-                .or_default()
-                .push(Rc::as_ptr(&resolver.region_index));
+            let table = d.directory.table(resolver.region()).unwrap();
+            let all = shared.entry(resolver.region()).or_insert(true);
+            *all &= Arc::ptr_eq(&resolver.table, table);
         }
-        by_region
-            .into_iter()
-            .map(|(region, indexes)| (region, indexes.windows(2).all(|w| w[0] == w[1])))
-            .collect()
+        shared
     }
 
     #[test]
@@ -1436,13 +1272,13 @@ mod tests {
                 .any(|&s| topology.region(s) != home)
         });
         assert!(crossing, "some authority list crosses regions");
-        assert_wiring_matches_directory(&d, &topology);
+        assert_wiring_matches_directory(&d, &topology, None);
         let all_shared = BTreeMap::from([
             (RegionId(0), true),
             (RegionId(1), true),
             (RegionId(2), true),
         ]);
-        assert_eq!(region_index_shared(&d), all_shared);
+        assert_eq!(region_tables_shared(&d), all_shared);
 
         // Move a region-0 user to a region-1 host.
         let old = d
@@ -1462,26 +1298,28 @@ mod tests {
             topology.region(d.directory.by_name(&new).unwrap().home_host),
             RegionId(1)
         );
-        assert_wiring_matches_directory(&d, &topology);
-        // The old name is gone from region 0's tables and forwards there
-        // from elsewhere.
+        assert_wiring_matches_directory(&d, &topology, Some(&new));
+        // The old name is gone from region 0's table and forwards there
+        // from elsewhere; the rosters still hold it where wiring put it.
         for &aid in d.server_actors.values() {
-            let resolver = &d.sim.actor::<ServerActor>(aid).unwrap().resolver;
-            assert_eq!(resolver.view().lookup(&old), None);
+            let server = d.sim.actor::<ServerActor>(aid).unwrap();
+            let resolver = &server.resolver;
+            let authority = d
+                .directory
+                .by_name(&new)
+                .unwrap()
+                .authorities
+                .contains(server.end.node);
+            assert_eq!(server.store.state().slot_of(&old).is_some(), authority);
             match resolver.resolve(&old) {
                 Resolution::UnknownUser => assert_eq!(resolver.region(), RegionId(0)),
                 Resolution::ForwardToRegion { region, .. } => assert_eq!(region, RegionId(0)),
                 other => panic!("{old} resolves to {other:?}"),
             }
         }
-        // The two regions the migration touched hold one copy per server
-        // now; the third still shares one.
-        let after = BTreeMap::from([
-            (RegionId(0), false),
-            (RegionId(1), false),
-            (RegionId(2), true),
-        ]);
-        assert_eq!(region_index_shared(&d), after);
+        // The migration changed two regions' tables, and every region is
+        // still one table, shared by the directory and its servers.
+        assert_eq!(region_tables_shared(&d), all_shared);
     }
 
     /// Every queued event carries one: the §3.2.2c vocabulary must not
@@ -2761,7 +2599,7 @@ mod tests {
         let new = d
             .migrate_user_live(old, away, Some("u9"), SimDuration::from_units(50.0))
             .unwrap();
-        assert!(d.users.get(old).is_none());
+        assert!(d.home(old).is_none());
         assert!(!d.user_names().contains(old));
         let (host, slot) = home_of(&d, &new);
         let h: &HostActor = d.sim.actor(d.host_actors[&away]).unwrap();
@@ -2770,48 +2608,6 @@ mod tests {
             let (host, slot) = home_of(&d, name);
             let h: &HostActor = d.sim.actor(d.host_actors[&host]).unwrap();
             assert_eq!(h.slot_of[name], slot as usize, "{name}");
-        }
-    }
-
-    /// The table's index stays in step with its rows: after each removal
-    /// and each insertion every name present resolves to its own row and
-    /// every name absent resolves to none — short names with keys of their
-    /// own and long ones sharing a key alike.
-    #[test]
-    fn user_table_index_follows_every_insert_and_remove() {
-        let names: Vec<MailName> = [
-            "r0.h1.u1",
-            "r0.h1.u2",
-            "r0.longhostname-a.u1",
-            "r0.longhostname-a.u2",
-            "r0.longhostname-b.u1",
-            "r1.h1.u1",
-        ]
-        .iter()
-        .map(|n| n.parse().unwrap())
-        .collect();
-        let row = |k: usize| (NodeId(k), ActorId(k), k as u32);
-        let mut table = UserTable::new(Vec::new());
-        let mut present = vec![false; names.len()];
-        let check = |table: &UserTable, present: &[bool]| {
-            for (k, name) in names.iter().enumerate() {
-                let found = table.get(name).map(|r| (r.host, r.actor, r.slot));
-                assert_eq!(found, present[k].then(|| row(k)), "{name}");
-            }
-        };
-        // Insert in an order unlike the name order, then remove likewise.
-        let order = [3, 0, 5, 2, 4, 1];
-        for &k in &order {
-            let (host, actor, slot) = row(k);
-            table.insert(names[k].clone(), host, actor, slot);
-            present[k] = true;
-            check(&table, &present);
-        }
-        for &k in order.iter().rev() {
-            assert!(table.remove(&names[k]).is_some());
-            assert!(table.remove(&names[k]).is_none());
-            present[k] = false;
-            check(&table, &present);
         }
     }
 

@@ -31,10 +31,10 @@ pub(super) struct ForwardTask {
 /// again.
 #[derive(Clone, Copy, Debug)]
 struct Local {
-    /// Where the view holds the recipient: the slot the store was wired to
-    /// keep them in, a hint the store checks against the name.
+    /// The slot the store was wired to keep the recipient in, a hint the
+    /// store checks against the name.
     slot: u32,
-    /// The recipient's home host, from the record this server holds.
+    /// The recipient's home host, from their record.
     home: NodeId,
 }
 
@@ -129,11 +129,12 @@ impl ServerActor {
 
     /// Sends the alert signal for deposited message `id`: to the user's
     /// known location, else — after asking each peer in turn — to the home
-    /// host in the record this server holds as the user's authority ("from
-    /// the user name, the primary location of the user can be obtained",
-    /// §3.2.2c). A deposit only ever happens at an authority; the one way
-    /// to find no record is a walk that outlived the name (the user
-    /// migrated away mid-flight), and then nobody is left to alert.
+    /// host in the user's record ("from the user name, the primary location
+    /// of the user can be obtained", §3.2.2c), which the region's table
+    /// holds: a deposit only ever happens at an authority of the user's
+    /// region. The one way to find no record is a walk that outlived the
+    /// name (the user migrated away mid-flight), and then nobody is left
+    /// to alert.
     /// `home` is that record's home host when the caller has just
     /// resolved it; otherwise the record is looked up.
     fn notify(
@@ -143,8 +144,7 @@ impl ServerActor {
         home: Option<NodeId>,
         ctx: &mut Ctx<'_, MailMsg>,
     ) {
-        let view = self.resolver.view();
-        let home = home.or_else(|| view.lookup(&lookup.user).map(|r| r.home_host));
+        let home = home.or_else(|| Some(self.resolver.record(&lookup.user)?.home_host));
         let Some(home) = home else {
             self.end.stats.borrow_mut().unknown_location += 1;
             self.end.metrics.inc("unknown_location");

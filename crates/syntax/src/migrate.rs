@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use lems_core::directory::{Directory, DirectoryError};
 use lems_core::name::MailName;
-use lems_core::user::AuthorityList;
+use lems_core::user::{AuthorityList, UserId};
 use lems_net::graph::NodeId;
 use lems_sim::time::SimTime;
 
@@ -70,7 +70,8 @@ impl RedirectTable {
 
 /// Moves the user `old_name` to `new_name` at `new_home_host` — "adding
 /// the user to the new location, then deleting the user from the old
-/// location" — and redirects the old name until `expires_at`.
+/// location" — and redirects the old name until `expires_at`. Returns the
+/// new name's id.
 pub(crate) fn rename(
     directory: &mut Directory,
     redirects: &mut RedirectTable,
@@ -79,11 +80,11 @@ pub(crate) fn rename(
     new_home_host: NodeId,
     new_authorities: AuthorityList,
     expires_at: SimTime,
-) -> Result<(), DirectoryError> {
-    directory.register(new_name.clone(), new_home_host, new_authorities)?;
+) -> Result<UserId, DirectoryError> {
+    let id = directory.register(new_name.clone(), new_home_host, new_authorities)?;
     directory.unregister(old_name)?;
     redirects.insert(old_name.clone(), new_name.clone(), expires_at);
-    Ok(())
+    Ok(id)
 }
 
 #[cfg(test)]

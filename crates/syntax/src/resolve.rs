@@ -9,11 +9,11 @@
 //! message is transmitted to one of the servers in the recipient region
 //! where the name resolution process continues."
 
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use lems_core::directory::ServerView;
+use lems_core::directory::{RegionTable, Regions};
 use lems_core::name::MailName;
+use lems_core::store::NO_OWNER_SLOT;
 use lems_core::user::{AuthorityList, UserRecord};
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
@@ -25,10 +25,10 @@ use lems_net::topology::RegionId;
 pub(crate) enum Resolution<'a> {
     /// This server is an authority for the name: deliver here.
     LocalAuthority {
-        /// Where this server's view holds the user: the slot its store was
-        /// wired to keep them in, a hint the store checks.
+        /// The slot this server's store was wired to keep the user in, a
+        /// hint the store checks.
         slot: u32,
-        /// The record this server holds for the user.
+        /// The user's record.
         record: &'a UserRecord,
     },
     /// The name belongs to this region; its authority servers are known
@@ -48,97 +48,74 @@ pub(crate) enum Resolution<'a> {
     UnknownUser,
 }
 
-/// The authority list of every user of one region, by name: what each of
-/// the region's servers replicates.
-pub(crate) type RegionIndex = BTreeMap<MailName, AuthorityList>;
-
 /// One server's syntax-directed resolver.
 ///
-/// Knowledge model (§2, §3.1.2b): a server is authoritative for the names
-/// in its [`ServerView`]; it additionally replicates the authority lists of
-/// every user *of its own region* (so local names resolve in one step) and
-/// the server roster of every region (so foreign names forward in one
-/// step).
-///
-/// The region's servers all hold the same [`RegionIndex`], so a deployment
-/// builds it once and shares it; the first change a server makes to it
-/// gives that server its own copy.
+/// Knowledge model (§2, §3.1.2b): a server replicates the records of
+/// every user *of its own region* (so local names resolve in one step,
+/// and it knows which of them it is an authority for) and the server
+/// roster of every region (so foreign names forward in one step). Both
+/// are the directory's own tables, shared by reference: the region's
+/// [`RegionTable`] with the region's other servers, the [`Regions`] with
+/// every server.
 #[derive(Clone, Debug)]
 pub(crate) struct SyntaxResolver {
+    node: NodeId,
     region: RegionId,
-    view: ServerView,
-    /// Shared with the region's other servers until one of them changes it.
-    pub(crate) region_index: Rc<RegionIndex>,
-    region_servers: BTreeMap<RegionId, Vec<NodeId>>,
+    /// The directory's table of this server's region.
+    pub(crate) table: Arc<RegionTable>,
+    regions: Arc<Regions>,
 }
 
 impl SyntaxResolver {
-    /// Builds a resolver for a server in `region`.
+    /// Builds the resolver of server `node` in `region`.
     pub(crate) fn new(
+        node: NodeId,
         region: RegionId,
-        view: ServerView,
-        region_index: Rc<RegionIndex>,
-        region_servers: BTreeMap<RegionId, Vec<NodeId>>,
+        table: Arc<RegionTable>,
+        regions: Arc<Regions>,
     ) -> Self {
         SyntaxResolver {
+            node,
             region,
-            view,
-            region_index,
-            region_servers,
+            table,
+            regions,
         }
     }
 
     /// The server's region.
+    #[cfg(test)]
     pub(crate) fn region(&self) -> RegionId {
         self.region
     }
 
-    /// This server's authoritative view (mutable, for reconfiguration).
-    pub(crate) fn view_mut(&mut self) -> &mut ServerView {
-        &mut self.view
-    }
-
-    /// This server's authoritative view.
-    pub(crate) fn view(&self) -> &ServerView {
-        &self.view
-    }
-
-    /// Adds or updates a local-region user's authority list (regional
-    /// replication maintenance). Copies a shared index first.
-    pub(crate) fn upsert_regional(&mut self, name: MailName, authorities: AuthorityList) {
-        Rc::make_mut(&mut self.region_index).insert(name, authorities);
-    }
-
-    /// Drops a local-region user (delete/migrate-away). Copies a shared
-    /// index first, unless `name` is not in it.
-    pub(crate) fn remove_regional(&mut self, name: &MailName) -> Option<AuthorityList> {
-        if !self.region_index.contains_key(name) {
-            return None;
-        }
-        Rc::make_mut(&mut self.region_index).remove(name)
+    /// The record of `name`, a user of this server's region.
+    pub(crate) fn record(&self, name: &MailName) -> Option<&UserRecord> {
+        self.table.find(name).map(|(record, _)| record)
     }
 
     /// Resolves `name` one step, per §3.1.2b.
     pub(crate) fn resolve(&self, name: &MailName) -> Resolution<'_> {
-        let Some(target_region) = self.view.region_of_name(name.region()) else {
+        let Some(target_region) = self.regions.region_of_name(name.region()) else {
             return Resolution::UnknownRegion;
         };
-        if target_region == self.region {
-            if let Some((slot, record)) = self.view.find(name) {
-                return Resolution::LocalAuthority { slot, record };
-            }
-            match self.region_index.get(name) {
-                Some(list) => Resolution::RegionalAuthority(list),
-                None => Resolution::UnknownUser,
-            }
-        } else {
-            match self.region_servers.get(&target_region) {
-                Some(servers) if !servers.is_empty() => Resolution::ForwardToRegion {
+        if target_region != self.region {
+            return match self.regions.servers(target_region) {
+                [] => Resolution::UnknownRegion,
+                servers => Resolution::ForwardToRegion {
                     region: target_region,
                     servers,
                 },
-                _ => Resolution::UnknownRegion,
-            }
+            };
+        }
+        let Some((record, slots)) = self.table.find(name) else {
+            return Resolution::UnknownUser;
+        };
+        match record.authorities.rank_of(self.node) {
+            Some(rank) => Resolution::LocalAuthority {
+                slot: slots.get(rank).copied().unwrap_or(NO_OWNER_SLOT),
+                record,
+            },
+            None => Resolution::RegionalAuthority(&record.authorities),
         }
     }
 }
@@ -152,10 +129,14 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn resolver() -> SyntaxResolver {
+    /// The directory, and the resolver of its server 0.
+    fn resolver() -> (Directory, SyntaxResolver) {
         let mut dir = Directory::new();
         dir.map_region("east", RegionId(0));
         dir.map_region("west", RegionId(1));
+        for (region, s) in [(0, 0), (0, 1), (1, 5)] {
+            dir.add_server(RegionId(region), NodeId(s));
+        }
         dir.register(
             name("east.h1.alice"),
             NodeId(10),
@@ -163,34 +144,22 @@ mod tests {
         )
         .unwrap();
         // Bob's authorities exclude server 0, so server 0 must resolve him
-        // through the regional index.
+        // through the regional table.
         dir.register(
             name("east.h2.bob"),
             NodeId(11),
             AuthorityList::new(vec![NodeId(1)]),
         )
         .unwrap();
-        let views = dir.partition(&[NodeId(0), NodeId(1)]).views;
-
-        let region_index: RegionIndex = dir
-            .iter()
-            .map(|rec| (rec.name.clone(), rec.authorities.clone()))
-            .collect();
-        let mut region_servers = BTreeMap::new();
-        region_servers.insert(RegionId(0), vec![NodeId(0), NodeId(1)]);
-        region_servers.insert(RegionId(1), vec![NodeId(5)]);
-
-        SyntaxResolver::new(
-            RegionId(0),
-            views[&NodeId(0)].clone(),
-            Rc::new(region_index),
-            region_servers,
-        )
+        dir.partition();
+        let table = Arc::clone(dir.table(RegionId(0)).unwrap());
+        let r = SyntaxResolver::new(NodeId(0), RegionId(0), table, Arc::clone(dir.regions()));
+        (dir, r)
     }
 
     #[test]
     fn local_authority_resolves_immediately() {
-        let r = resolver();
+        let (_, r) = resolver();
         match r.resolve(&name("east.h1.alice")) {
             Resolution::LocalAuthority { slot, record } => {
                 assert_eq!(slot, 0, "the first name server 0 holds");
@@ -203,7 +172,7 @@ mod tests {
 
     #[test]
     fn regional_name_resolves_to_authority_list() {
-        let r = resolver();
+        let (_, r) = resolver();
         match r.resolve(&name("east.h2.bob")) {
             Resolution::RegionalAuthority(list) => {
                 assert_eq!(list.primary(), NodeId(1));
@@ -214,7 +183,7 @@ mod tests {
 
     #[test]
     fn foreign_region_forwards() {
-        let r = resolver();
+        let (_, r) = resolver();
         match r.resolve(&name("west.h9.carol")) {
             Resolution::ForwardToRegion { region, servers } => {
                 assert_eq!(region, RegionId(1));
@@ -226,37 +195,49 @@ mod tests {
 
     #[test]
     fn unknown_region_and_user() {
-        let r = resolver();
+        let (_, r) = resolver();
         assert_eq!(r.resolve(&name("mars.h1.zed")), Resolution::UnknownRegion);
         assert_eq!(r.resolve(&name("east.h1.nobody")), Resolution::UnknownUser);
     }
 
+    /// The resolver reads the directory's table itself; a change to the
+    /// directory copies the shared table first, so the resolver answers
+    /// from the old one until it is handed the new.
     #[test]
     fn changing_a_shared_index_copies_it_first() {
-        let mut r = resolver();
-        let peer = r.clone();
-        assert!(Rc::ptr_eq(&r.region_index, &peer.region_index));
-        // Removing a name the index lacks changes nothing, shares on.
-        assert_eq!(r.remove_regional(&name("east.h3.dave")), None);
-        assert!(Rc::ptr_eq(&r.region_index, &peer.region_index));
-        assert!(r.remove_regional(&name("east.h2.bob")).is_some());
-        assert!(!Rc::ptr_eq(&r.region_index, &peer.region_index));
-        assert_eq!(r.resolve(&name("east.h2.bob")), Resolution::UnknownUser);
+        let (mut dir, mut r) = resolver();
+        assert!(Arc::ptr_eq(&r.table, dir.table(RegionId(0)).unwrap()));
+        // Removing a name the table lacks changes nothing, shares on.
+        assert!(dir.unregister(&name("east.h3.dave")).is_err());
+        assert!(Arc::ptr_eq(&r.table, dir.table(RegionId(0)).unwrap()));
+        dir.unregister(&name("east.h2.bob")).unwrap();
+        assert!(!Arc::ptr_eq(&r.table, dir.table(RegionId(0)).unwrap()));
         assert!(matches!(
-            peer.resolve(&name("east.h2.bob")),
+            r.resolve(&name("east.h2.bob")),
             Resolution::RegionalAuthority(_)
         ));
+        r.table = Arc::clone(dir.table(RegionId(0)).unwrap());
+        assert_eq!(r.resolve(&name("east.h2.bob")), Resolution::UnknownUser);
     }
 
+    /// A user registered after wiring resolves, with no slot to hint,
+    /// once the resolver holds the directory's table again.
     #[test]
     fn reconfiguration_updates_tables() {
-        let mut r = resolver();
-        r.upsert_regional(name("east.h3.dave"), AuthorityList::new(vec![NodeId(1)]));
+        let (mut dir, mut r) = resolver();
+        let dave = name("east.h3.dave");
+        let list = AuthorityList::new(vec![NodeId(0)]);
+        dir.register(dave.clone(), NodeId(12), list).unwrap();
+        r.table = Arc::clone(dir.table(RegionId(0)).unwrap());
         assert!(matches!(
-            r.resolve(&name("east.h3.dave")),
-            Resolution::RegionalAuthority(_)
+            r.resolve(&dave),
+            Resolution::LocalAuthority {
+                slot: NO_OWNER_SLOT,
+                ..
+            }
         ));
-        r.remove_regional(&name("east.h3.dave"));
-        assert_eq!(r.resolve(&name("east.h3.dave")), Resolution::UnknownUser);
+        dir.unregister(&dave).unwrap();
+        r.table = Arc::clone(dir.table(RegionId(0)).unwrap());
+        assert_eq!(r.resolve(&dave), Resolution::UnknownUser);
     }
 }

@@ -15,44 +15,15 @@
 //! code); the budget holds in a debug build too.
 //!
 //! Lives in `tests/` (its own crate) because `lems-syntax` forbids the
-//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
-//! zero_alloc.rs` pattern.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
+//! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
 use lems_net::generators::fig1;
 use lems_sim::time::SimTime;
 use lems_syntax::actors::{Deployment, DeploymentConfig};
 
-thread_local! {
-    /// Allocations made by this thread. The code measured runs on the
-    /// test's own thread, so nothing another thread of the test binary
-    /// allocates reaches the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-struct Counting;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is a
-// `const`-initialised thread-local `Cell` without a destructor, so
-// touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Further empty checks measured after the warm-up.
 const CHECKS: u64 = 2_000;
@@ -96,9 +67,9 @@ fn warmed_up_empty_checks(per_host: u32) -> u64 {
     // Injecting allocates (the queue grows to hold the schedule); only the
     // run is measured.
     let until = schedule(&mut d, CHECKS);
-    let before = ALLOCS.with(Cell::get);
+    let before = counting_alloc::allocations();
     d.sim.run_until(until);
-    let allocs = ALLOCS.with(Cell::get) - before;
+    let allocs = counting_alloc::allocations() - before;
 
     let st = d.stats.borrow();
     assert_eq!(st.retrieval_polls.count() - polls_before, CHECKS);

@@ -16,58 +16,25 @@
 //! time, in 120-byte entries and a name map, and every host row carried
 //! an inline session and a vector of owner slots, the deployment then held
 //! 1 802 bytes per user; wired with rosters it held 1 156, and with each
-//! server's view a name-sorted vector of records (no name kept twice) it
-//! holds 1 131. The budget of 1 400 lies between.
+//! server's view a name-sorted vector of records 1 131 (1 142 with the
+//! deployment's own user index). Now that each user is one record in one
+//! table of their region, which the directory and the region's servers
+//! share, it holds 784. The budget of 1 400 stands.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
 //!
 //! Lives in `tests/` (its own crate) because `lems-syntax` forbids the
-//! `unsafe` a `GlobalAlloc` impl requires — the `crates/sim/tests/
-//! zero_alloc.rs` pattern.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
+//! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
 use lems_net::generators::{multi_region, MultiRegionConfig};
 use lems_sim::rng::SimRng;
 use lems_sim::time::SimTime;
 use lems_syntax::actors::{Deployment, DeploymentConfig};
 
-thread_local! {
-    /// Bytes this thread allocated and has not yet freed. The code
-    /// measured runs on the test's own thread, so nothing another thread
-    /// of the test binary allocates or frees reaches the count.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-}
-
-/// Moves this thread's live-byte count by `bytes`.
-fn count(bytes: i64) {
-    LIVE.with(|live| live.set(live.get() + bytes));
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-struct Counting;
-
-// SAFETY: delegates every operation verbatim to `System`; the counter is a
-// `const`-initialised thread-local `Cell` without a destructor, so
-// touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Live heap bytes per user the quiescent deployment may hold.
 const BUDGET_PER_USER: i64 = 1_400;
@@ -89,14 +56,14 @@ fn a_deployment_keeps_what_its_users_hold() {
     let users_per_host = vec![50; topology.hosts().len()];
     let cfg = DeploymentConfig::default();
 
-    let before = LIVE.with(Cell::get);
+    let before = counting_alloc::live_bytes();
     let mut d = Deployment::build(&topology, &users_per_host, &cfg);
     let names = d.user_names();
     for (i, user) in names.iter().enumerate() {
         d.check_at(SimTime::from_units(1.0 + i as f64 * 0.1), user);
     }
     assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
-    let live = LIVE.with(Cell::get) - before;
+    let live = counting_alloc::live_bytes() - before;
 
     let users = names.len() as i64;
     assert_eq!(users, 3_000);
