@@ -10,11 +10,14 @@
 //! Soundex phonetic code (mail-era technology, fitting the paper's
 //! vintage).
 //!
-//! Each matcher has one kernel (`levenshtein`, `soundex_code`) working on
-//! borrowed buffers. A search evaluates a `Needle` — the query side,
-//! prepared once — against hundreds of thousands of stored values through
-//! one reused table row; the public [`edit_distance`] and [`soundex`] are
-//! the same kernels behind throw-away buffers.
+//! Each matcher has one kernel: `Pattern::distance`, bit-parallel over
+//! the query's characters in 64-row blocks, and `soundex_bytes`, which
+//! produces a code a byte at a time. A search evaluates a `Needle` — the
+//! query side, its match masks and Soundex code prepared once — against
+//! hundreds of thousands of stored values through one reused column
+//! state, and stops comparing Soundex codes at the first byte that
+//! differs; the public [`edit_distance`] and [`soundex`] are the same
+//! kernels behind throw-away buffers.
 
 /// Appends `s.to_lowercase()` to `out`.
 pub(crate) fn push_lower(s: &str, out: &mut String) {
@@ -31,46 +34,160 @@ pub(crate) fn push_lower(s: &str, out: &mut String) {
     }
 }
 
-/// Levenshtein distance between `pattern` and the characters of `text`,
-/// exactly as given (callers fold case first) — or, once the distance is
-/// known to exceed `limit`, some lower bound of it that does.
-/// O(|pattern|·|text|) time; the table is kept in `row`, one row as long
-/// as the pattern.
-fn levenshtein(pattern: &[char], text: &str, limit: usize, row: &mut Vec<usize>) -> usize {
-    // The distance is at least the difference in length.
-    let gap = pattern.len().abs_diff(text.chars().count());
-    if gap > limit {
-        return gap;
-    }
-    row.clear();
-    row.extend(0..=pattern.len());
-    for (i, ct) in text.chars().enumerate() {
-        // `row` holds the previous row ahead of the cell being written and
-        // this one behind it; `diagonal` and `left` are the two overwritten
-        // neighbours still needed.
-        let mut diagonal = i;
-        let mut left = i + 1;
-        row[0] = left;
-        let mut row_min = left;
-        for (&cp, cell) in pattern.iter().zip(&mut row[1..]) {
-            let up = *cell;
-            left = (up + 1).min(left + 1).min(diagonal + usize::from(cp != ct));
-            *cell = left;
-            diagonal = up;
-            row_min = row_min.min(left);
-        }
-        // Every cell of a later row is reached from this one by steps that
-        // cost 0 or 1, so the answer is no smaller than this row's minimum.
-        if row_min > limit {
-            return row_min;
-        }
-    }
-    row[pattern.len()]
+/// Rows in one block of the edit-distance kernel: one bit each of a `u64`.
+const BLOCK: usize = 64;
+
+/// The characters of an edit-distance pattern as Myers' match masks
+/// (`Peq`): per character `c` and per 64-row block of the pattern, the bits
+/// of the rows that hold `c`. What [`Pattern::distance`] reads per text
+/// character is one row of `blocks` words.
+#[derive(Debug)]
+struct Pattern {
+    /// Characters in the pattern: the rows of the table.
+    len: usize,
+    /// ⌈`len` / 64⌉.
+    blocks: usize,
+    /// The bit of the pattern's last row in its block.
+    last_row: u64,
+    /// `blocks` words per character: the 128 ASCII ones by code point,
+    /// then one per entry of `wide`, then a zero row for every other
+    /// character.
+    masks: Vec<u64>,
+    /// The pattern's non-ASCII characters, sorted, each once.
+    wide: Vec<char>,
 }
 
-/// Levenshtein edit distance between two strings (case-insensitive).
-/// O(|a|·|b|) time; beside the lowercased copies of both strings, the
-/// table is kept as one row as long as the shorter of them.
+impl Pattern {
+    /// The masks of `pattern`'s characters, as given (callers fold case
+    /// first).
+    fn new(pattern: &str) -> Self {
+        let mut wide: Vec<char> = pattern.chars().filter(|c| !c.is_ascii()).collect();
+        wide.sort_unstable();
+        wide.dedup();
+        let len = pattern.chars().count();
+        let blocks = len.div_ceil(BLOCK);
+        let mut this = Pattern {
+            len,
+            blocks,
+            last_row: 1 << ((len + BLOCK - 1) % BLOCK),
+            masks: vec![0; (128 + wide.len() + 1) * blocks],
+            wide,
+        };
+        for (i, c) in pattern.chars().enumerate() {
+            let row = this.row(c);
+            this.masks[row * blocks + i / BLOCK] |= 1 << (i % BLOCK);
+        }
+        this
+    }
+
+    /// The row of `masks` that holds `c`'s bits.
+    fn row(&self, c: char) -> usize {
+        if c.is_ascii() {
+            return c as usize;
+        }
+        128 + self.wide.binary_search(&c).unwrap_or(self.wide.len())
+    }
+
+    /// Levenshtein distance between the pattern and the characters of
+    /// `text`, exactly as given (callers fold case first) — or, once the
+    /// distance is known to exceed `limit`, some lower bound of it that
+    /// does. The bit-parallel kernel of Myers (JACM 1999) in Hyyrö's form
+    /// for the distance between whole strings (2003), blocked so that any
+    /// pattern length runs through it: O(⌈|pattern|/64⌉·|text|) word
+    /// operations. The first block's state is held in locals and the
+    /// others' in `columns`, so for a pattern of up to 64 characters a text
+    /// character costs one load of its mask and a dozen word operations.
+    fn distance(&self, text: &str, limit: usize, columns: &mut Vec<Block>) -> usize {
+        if self.len == 0 {
+            return text.chars().count();
+        }
+        // A text has at most as many characters as bytes, so its bytes
+        // bound below what is left of the distance.
+        let bytes = text.as_bytes();
+        if bytes.len().saturating_add(limit) < self.len {
+            return self.len - bytes.len();
+        }
+        columns.clear();
+        columns.resize(self.blocks - 1, Block::LEFT_EDGE);
+        let mut first = Block::LEFT_EDGE;
+        let last_of = |b: usize| {
+            if b + 1 == self.blocks {
+                self.last_row
+            } else {
+                1 << (BLOCK - 1)
+            }
+        };
+        let first_last = last_of(0);
+        // The last row, D[len][j]: `len` at the left edge.
+        let mut score = self.len;
+        let mut at = 0;
+        while let Some(&byte) = bytes.get(at) {
+            let row = if byte.is_ascii() {
+                at += 1;
+                usize::from(byte)
+            } else {
+                let Some(c) = text[at..].chars().next() else {
+                    break;
+                };
+                at += c.len_utf8();
+                self.row(c)
+            };
+            let eq = &self.masks[row * self.blocks..][..self.blocks];
+            // The top edge, D[0][j] = j, steps by one per column; each block
+            // hands the step along its last row to the block below.
+            let mut carry = first.advance(eq[0], 1, first_last);
+            for (b, (column, &eq)) in columns.iter_mut().zip(&eq[1..]).enumerate() {
+                carry = column.advance(eq, carry, last_of(b + 1));
+            }
+            score = score.wrapping_add_signed(carry);
+            // Each character still to come moves the last row by at most
+            // one, and no more of them are left than bytes.
+            let left = bytes.len() - at;
+            if score.saturating_sub(left) > limit {
+                return score - left;
+            }
+        }
+        score
+    }
+}
+
+/// One 64-row block of the current column of the edit-distance table, as
+/// Myers' vertical deltas: bit `i` of `plus` (of `minus`) is set where row
+/// `i` is one more (one less) than the row above it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Block {
+    plus: u64,
+    minus: u64,
+}
+
+impl Block {
+    /// The left edge, D[i][0] = i: every row one more than the one above.
+    const LEFT_EDGE: Block = Block { plus: !0, minus: 0 };
+
+    /// Moves this block one column right, where `eq` marks the rows whose
+    /// pattern character is the column's text character and `carry` is the
+    /// horizontal delta (−1, 0 or +1) of the row above the block. Returns
+    /// the horizontal delta of the row marked by `last`.
+    fn advance(&mut self, eq: u64, carry: isize, last: u64) -> isize {
+        let Block { plus, minus } = *self;
+        let xv = eq | minus;
+        let eq = eq | u64::from(carry < 0);
+        let xh = ((eq & plus).wrapping_add(plus) ^ plus) | eq;
+        let h_plus = minus | !(xh | plus);
+        let h_minus = plus & xh;
+        let out = isize::from(h_plus & last != 0) - isize::from(h_minus & last != 0);
+        let h_plus = (h_plus << 1) | u64::from(carry > 0);
+        let h_minus = (h_minus << 1) | u64::from(carry < 0);
+        self.plus = h_minus | !(xv | h_plus);
+        self.minus = h_plus & xv;
+        out
+    }
+}
+
+/// Levenshtein edit distance between two strings (case-insensitive): the
+/// search's bit-parallel kernel, with no limit and the shorter string as
+/// the pattern. O(⌈min/64⌉·max) word operations on the lowercased copies
+/// of both strings.
 ///
 /// # Examples
 ///
@@ -84,8 +201,7 @@ fn levenshtein(pattern: &[char], text: &str, limit: usize, row: &mut Vec<usize>)
 pub fn edit_distance(a: &str, b: &str) -> usize {
     let (a, b) = (a.to_lowercase(), b.to_lowercase());
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let pattern: Vec<char> = short.chars().collect();
-    levenshtein(&pattern, &long, usize::MAX, &mut Vec::new())
+    Pattern::new(&short).distance(&long, usize::MAX, &mut Vec::new())
 }
 
 /// [`SOUNDEX`]'s entry for a byte that is not an ASCII letter.
@@ -117,19 +233,23 @@ const SOUNDEX: [u8; 256] = {
     table
 };
 
-/// The Soundex code of `word` as four ASCII bytes (see [`soundex`]).
-pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
+/// Produces the Soundex code of `word` (see [`soundex`]) a byte at a
+/// time, handing each to `take` with its position and stopping at the
+/// first one refused (`None`). Otherwise returns how many bytes were
+/// produced; the rest of the four are `b'0'`.
+fn soundex_bytes(word: &str, mut take: impl FnMut(usize, u8) -> bool) -> Option<usize> {
     // Only ASCII letters count, and no byte of a multi-byte character is
     // one, so the bytes can be walked directly.
     let mut letters = word
         .bytes()
         .map(|c| (c, SOUNDEX[usize::from(c)]))
         .filter(|&(_, digit)| digit != NOT_A_LETTER);
-    let mut out = *b"0000";
     let Some((first, digit)) = letters.next() else {
-        return out;
+        return Some(0);
     };
-    out[0] = first.to_ascii_uppercase();
+    if !take(0, first.to_ascii_uppercase()) {
+        return None;
+    }
     let mut len = 1;
     let mut last = if digit == SILENT { b'0' } else { digit };
     for (_, k) in letters {
@@ -138,7 +258,9 @@ pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
             continue;
         }
         if k != b'0' && k != last {
-            out[len] = k;
+            if !take(len, k) {
+                return None;
+            }
             len += 1;
             if len == 4 {
                 break;
@@ -146,6 +268,16 @@ pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
         }
         last = k;
     }
+    Some(len)
+}
+
+/// The Soundex code of `word` as four ASCII bytes (see [`soundex`]).
+pub(crate) fn soundex_code(word: &str) -> [u8; 4] {
+    let mut out = *b"0000";
+    soundex_bytes(word, |i, b| {
+        out[i] = b;
+        true
+    });
     out
 }
 
@@ -190,48 +322,51 @@ impl MatchQuality {
 /// query alone computed once.
 #[derive(Debug)]
 pub(crate) struct Needle {
-    /// The lowercased query.
-    lower: String,
-    /// Its characters.
-    chars: Vec<char>,
+    /// The match masks of the lowercased query's characters.
+    pattern: Pattern,
     soundex: [u8; 4],
     max_edits: usize,
 }
 
 impl Needle {
     pub(crate) fn new(query: &str, max_edits: usize) -> Self {
-        let lower = query.to_lowercase();
         Needle {
-            chars: lower.chars().collect(),
-            lower,
+            pattern: Pattern::new(&query.to_lowercase()),
             soundex: soundex_code(query),
             max_edits,
         }
     }
 
     /// The edit distance to `lower`, if it is within `max_edits`.
-    fn within(&self, lower: &str, row: &mut Vec<usize>) -> Option<usize> {
+    fn within(&self, lower: &str, columns: &mut Vec<Block>) -> Option<usize> {
         let k = self.max_edits;
-        Some(levenshtein(&self.chars, lower, k, row)).filter(|&d| d <= k)
+        Some(self.pattern.distance(lower, k, columns)).filter(|&d| d <= k)
+    }
+
+    /// Whether `candidate`'s Soundex code is the query's, decided at the
+    /// first byte that differs — for most names, the first letter.
+    fn sounds_like(&self, candidate: &str) -> bool {
+        let code = &self.soundex;
+        soundex_bytes(candidate, |i, b| code[i] == b)
+            .is_some_and(|len| code[len..].iter().all(|&b| b == b'0'))
     }
 
     /// Classifies `candidate`, whose lowercase form the caller supplies as
     /// `lower` (case and spelling are compared on that; the phonetic tier
-    /// sees `candidate` itself). `row` is the table's reusable buffer.
+    /// sees `candidate` itself). `columns` is the kernel's reusable state.
+    /// The exact tier is the spelling tier at distance 0: the only string
+    /// no edit away from the lowercased query is the lowercased query.
     pub(crate) fn quality(
         &self,
         candidate: &str,
         lower: &str,
-        row: &mut Vec<usize>,
+        columns: &mut Vec<Block>,
     ) -> MatchQuality {
-        if self.lower == lower {
-            MatchQuality::Exact
-        } else if let Some(d) = self.within(lower, row) {
-            MatchQuality::CloseSpelling(d)
-        } else if self.soundex == soundex_code(candidate) {
-            MatchQuality::SoundsAlike
-        } else {
-            MatchQuality::None
+        match self.within(lower, columns) {
+            Some(0) => MatchQuality::Exact,
+            Some(d) => MatchQuality::CloseSpelling(d),
+            None if self.sounds_like(candidate) => MatchQuality::SoundsAlike,
+            None => MatchQuality::None,
         }
     }
 }
@@ -485,8 +620,8 @@ mod tests {
             prop_assert_eq!(soundex(&w), reference::soundex(&w));
         }
 
-        /// Giving up early changes no answer, and one row carried across
-        /// candidates answers as a fresh one does.
+        /// Giving up early changes no answer, and one column state carried
+        /// across candidates answers as a fresh one does.
         #[test]
         fn within_is_edit_distance_at_most_k(
             query in TRICKY,
@@ -501,6 +636,105 @@ mod tests {
                 let lower = c.to_lowercase();
                 prop_assert_eq!(needle.within(&lower, &mut reused), want);
                 prop_assert_eq!(needle.within(&lower, &mut Vec::new()), want);
+            }
+        }
+
+        /// The bit-parallel kernel is the DP oracle: exact up to `limit`, a
+        /// lower bound above it beyond, for every limit the search uses and
+        /// none, on strings that cross one and two 64-character block
+        /// boundaries and on near copies of them.
+        #[test]
+        fn the_kernel_is_the_dp_oracle(
+            a in "[abß İΣ\u{212a}k]{0,140}",
+            unrelated in "[abß İΣ\u{212a}k]{0,140}",
+            edits in collection::vec((0usize..3, 0usize..200, "[abß İΣ\u{212a}k]"), 0..6),
+        ) {
+            let near = mutate(&a, &edits);
+            for b in [&near, &unrelated, &String::new()] {
+                let d = reference::edit_distance(&a, b);
+                prop_assert_eq!(edit_distance(&a, b), d);
+                prop_assert_eq!(edit_distance(b, &a), d);
+                for (pattern, text) in [(&a, b), (b, &a)] {
+                    let pattern = Pattern::new(&pattern.to_lowercase());
+                    let text = text.to_lowercase();
+                    let mut columns = Vec::new();
+                    for limit in [0, 1, 2, 3, 4, usize::MAX] {
+                        let got = pattern.distance(&text, limit, &mut columns);
+                        if d <= limit {
+                            prop_assert_eq!(got, d, "limit {}", limit);
+                        } else {
+                            prop_assert!(limit < got && got <= d, "{} for {} at limit {}", got, d, limit);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Comparing Soundex codes as they are produced is comparing them
+        /// whole, on words whose codes often agree: `h`/`w` between equal
+        /// digits, vowels that separate them, digits and other non-letters
+        /// that do not count, codes shorter than four.
+        #[test]
+        fn sounding_alike_is_equal_codes(
+            query in "[rRbBlmhwaeyT1 -]{0,8}",
+            candidates in collection::vec("[rRbBlmhwaeyT1 -]{0,8}", 1..8),
+        ) {
+            let needle = Needle::new(&query, 0);
+            // The query itself, and words that differ from it only at the
+            // end, where its code may end or go on.
+            let near = [
+                query.to_uppercase(),
+                query.chars().skip(1).collect(),
+                query.chars().take(query.chars().count().saturating_sub(1)).collect(),
+                format!("{query}l"),
+                format!("{query}am"),
+            ];
+            for c in candidates.iter().chain(&near).chain([&query]) {
+                prop_assert_eq!(
+                    needle.sounds_like(c),
+                    needle.soundex == soundex_code(c),
+                    "{:?} against {:?}", query, c
+                );
+            }
+        }
+    }
+
+    /// `a` with each `(kind, position, character)` of `edits` applied in
+    /// turn: 0 substitutes, 1 inserts, 2 deletes, at `position` modulo the
+    /// length.
+    fn mutate(a: &str, edits: &[(usize, usize, String)]) -> String {
+        let mut chars: Vec<char> = a.chars().collect();
+        for (kind, at, with) in edits {
+            let c = with.chars().next().unwrap();
+            let at = at % (chars.len() + 1);
+            match kind {
+                0 if at < chars.len() => chars[at] = c,
+                1 => chars.insert(at, c),
+                _ if at < chars.len() => {
+                    chars.remove(at);
+                }
+                _ => {}
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    #[test]
+    fn the_kernel_crosses_block_boundaries() {
+        for n in [63, 64, 65, 127, 128, 129, 200] {
+            let a = "ab".repeat(n).chars().take(n).collect::<String>();
+            for b in [
+                a.clone(),
+                format!("{a}x"),
+                format!("x{a}"),
+                a[1..].to_owned(),
+                a[..n - 1].to_owned(),
+                a.replace('a', "b"),
+                "ΣßİK".repeat(n / 4),
+            ] {
+                let d = reference::edit_distance(&a, &b);
+                assert_eq!(edit_distance(&a, &b), d, "{n}: {a} / {b}");
+                assert_eq!(edit_distance(&b, &a), d, "{n}: {b} / {a}");
             }
         }
     }

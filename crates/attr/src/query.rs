@@ -6,7 +6,7 @@
 //! supports fuzzy name predicates for the directory-lookup application.
 
 use crate::attribute::{AttrKey, AttrValue, AttributeSet, Requester, RequesterContext};
-use crate::fuzzy::Needle;
+use crate::fuzzy::{Block, Needle};
 use crate::registry::{Cell, Column, Table};
 
 /// A predicate over one attribute key.
@@ -116,8 +116,7 @@ enum PreparedPredicate {
     /// Holds the lowercased text.
     EqualsText(String),
     EqualsNumber(i64),
-    /// Holds the lowercased substring.
-    Contains(String),
+    Contains(Substring),
     Fuzzy(Needle),
     InRange {
         lo: i64,
@@ -131,7 +130,7 @@ impl PreparedPredicate {
         match predicate {
             Predicate::Equals(AttrValue::Text(want)) => Self::EqualsText(want.to_lowercase()),
             Predicate::Equals(AttrValue::Number(want)) => Self::EqualsNumber(*want),
-            Predicate::Contains(sub) => Self::Contains(sub.to_lowercase()),
+            Predicate::Contains(sub) => Self::Contains(Substring::new(&sub.to_lowercase())),
             Predicate::Fuzzy { query, max_edits } => Self::Fuzzy(Needle::new(query, *max_edits)),
             Predicate::InRange { lo, hi } => Self::InRange { lo: *lo, hi: *hi },
             Predicate::Exists => Self::Exists,
@@ -158,13 +157,80 @@ impl PreparedPredicate {
                 });
             }
             Self::Contains(sub) => mark(column, pass.visible, out, |c| {
-                text(c).is_some_and(|t| t.contains(sub.as_str()))
+                text(c).is_some_and(|t| sub.is_in(t))
             }),
             Self::Fuzzy(needle) => {
-                let edits = &mut *pass.edits;
+                let columns = &mut *pass.columns;
                 mark(column, pass.visible, out, |c| {
-                    text(c).is_some_and(|t| needle.quality(t, t, edits).is_match())
+                    text(c).is_some_and(|t| needle.quality(t, t, columns).is_match())
                 });
+            }
+        }
+    }
+}
+
+/// A substring search prepared once: the lowercased needle's bytes with
+/// their Knuth–Morris–Pratt failure links. [`Substring::is_in`] reads each
+/// byte of a text once and follows at most as many links as it has read,
+/// so a cell costs time linear in its length whatever the texts are —
+/// which `str::contains` also guarantees, but by building a Two-Way
+/// searcher per call.
+#[derive(Debug)]
+struct Substring {
+    /// Per byte `needle[i]`: the byte, and the length of the longest proper
+    /// prefix of `needle[..=i]` that is also its suffix.
+    steps: Vec<(u8, usize)>,
+}
+
+impl Substring {
+    fn new(needle: &str) -> Self {
+        let bytes = needle.as_bytes();
+        let mut steps: Vec<(u8, usize)> = Vec::with_capacity(bytes.len());
+        let mut k = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            if i > 0 {
+                while k > 0 && bytes[k] != b {
+                    k = steps[k - 1].1;
+                }
+                if bytes[k] == b {
+                    k += 1;
+                }
+            }
+            steps.push((b, k));
+        }
+        Substring { steps }
+    }
+
+    /// Whether the needle occurs in `text`, byte for byte (a UTF-8 needle
+    /// can only match a text at a character boundary).
+    fn is_in(&self, text: &str) -> bool {
+        let steps = &self.steps;
+        let Some(&(first, _)) = steps.first() else {
+            return true;
+        };
+        let mut bytes = text.as_bytes().iter();
+        // The first `k` bytes of the needle end where the text has got to.
+        let mut k = 0;
+        loop {
+            if k == 0 {
+                // Nothing matched: on to the next byte that starts the needle.
+                if bytes.position(|&b| b == first).is_none() {
+                    return false;
+                }
+                k = 1;
+            } else {
+                let Some(&b) = bytes.next() else {
+                    return false;
+                };
+                while k > 0 && steps[k].0 != b {
+                    k = steps[k - 1].1;
+                }
+                if steps[k].0 == b {
+                    k += 1;
+                }
+            }
+            if k == steps.len() {
+                return true;
             }
         }
     }
@@ -189,13 +255,15 @@ pub(crate) struct Scratch {
     /// Per audience of the registry at hand, whether the requester sees
     /// it.
     visible: Vec<bool>,
-    /// The edit-distance table's row.
-    edits: Vec<usize>,
+    /// The edit-distance kernel's state below its first 64 rows: a block
+    /// per further 64 characters of the longest fuzzy query.
+    columns: Vec<Block>,
 }
 
 /// A [`Query`] and its requester readied for a pass over many registries:
-/// every needle lowercased, every fuzzy query's characters and Soundex
-/// code computed, and the requester's organization folded, all once.
+/// every needle lowercased, every substring's failure links and every
+/// fuzzy query's match masks and Soundex code computed, and the
+/// requester's organization folded, all once.
 #[derive(Debug)]
 pub(crate) struct PreparedQuery<'q> {
     root: Node<'q>,
@@ -216,7 +284,7 @@ enum Node<'q> {
 struct Pass<'a> {
     table: &'a Table,
     visible: &'a [bool],
-    edits: &'a mut Vec<usize>,
+    columns: &'a mut Vec<Block>,
 }
 
 impl<'q> Node<'q> {
@@ -301,7 +369,7 @@ impl<'q> PreparedQuery<'q> {
         let Scratch {
             rows,
             visible,
-            edits,
+            columns,
         } = scratch;
         // Every node fills its own bitset before it is read.
         rows.resize(self.depth * words, 0);
@@ -309,7 +377,7 @@ impl<'q> PreparedQuery<'q> {
         let mut pass = Pass {
             table,
             visible,
-            edits,
+            columns,
         };
         self.root.eval(&mut pass, rows, words);
         for (w, &l) in rows.iter_mut().zip(live) {
@@ -640,6 +708,24 @@ mod tests {
             choices in collection::vec(0u8..=255, 96),
         ) {
             check_against_reference(&words, &choices, reference::unicode_fold_eq);
+        }
+
+        /// The prepared substring search is `str::contains`, over a
+        /// two-letter alphabet where a needle's prefixes overlap its
+        /// suffixes and a partial match has to fall back along them, and
+        /// over two-byte characters.
+        #[test]
+        fn the_substring_search_is_str_contains(
+            needle in "[ab]{0,7}",
+            texts in collection::vec("[ab]{0,24}", 1..8),
+            wide in "[aé]{0,4}",
+            wide_text in "[aéb]{0,12}",
+        ) {
+            let sub = Substring::new(&needle);
+            for text in &texts {
+                prop_assert_eq!(sub.is_in(text), text.contains(&needle), "{:?} in {:?}", needle, text);
+            }
+            prop_assert_eq!(Substring::new(&wide).is_in(&wide_text), wide_text.contains(&wide));
         }
 
         /// On ASCII text the two notions of case are one: the column

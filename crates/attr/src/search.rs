@@ -104,13 +104,26 @@ impl AttributeNetwork {
     }
 
     /// Evaluates `query` once against every registry: the match count of
-    /// each node (what its convergecast summary carries) and the matching
-    /// users, registry by registry, each registry's in name order.
+    /// each node (what its convergecast summary carries) and the distinct
+    /// matching users, in name order.
+    ///
+    /// Each registry holds a name once and yields its hits in name order,
+    /// so its hits are a strictly increasing run; and as the registries are
+    /// visited in the order of their smallest names, the runs follow one
+    /// another whenever the registries' name ranges do not interleave (one
+    /// server per `region.host`). Then the hits are already the answer,
+    /// which one comparison per registry confirms: the first hit of each
+    /// run against the last one before it. A run that does not start
+    /// strictly after it (interleaved ranges, or a user registered at two
+    /// servers) leaves the hits to be sorted and deduplicated. A user
+    /// registered at two servers is thus one user here and two matches in
+    /// the counts: the surplus `ground_truth_matches` exposes.
     fn evaluate(&self, query: &Query, ctx: &RequesterContext) -> (Vec<u64>, Vec<&MailName>) {
         let prepared = PreparedQuery::new(query, ctx);
         let mut scratch = Scratch::default();
         let mut counts = vec![0; self.topology.node_count()];
-        let mut hits = Vec::new();
+        let mut hits: Vec<&MailName> = Vec::new();
+        let mut in_order = true;
         for node in &self.by_first_name {
             let Some(registry) = self.registries.get(node) else {
                 continue;
@@ -118,6 +131,13 @@ impl AttributeNetwork {
             let before = hits.len();
             hits.extend(registry.hits(&prepared, &mut scratch));
             counts[node.0] = (hits.len() - before) as u64;
+            if let (Some(last), Some(first)) = (before.checked_sub(1), hits.get(before)) {
+                in_order &= hits[last] < *first;
+            }
+        }
+        if !in_order {
+            hits.sort_unstable();
+            hits.dedup();
         }
         (counts, hits)
     }
@@ -126,7 +146,7 @@ impl AttributeNetwork {
     /// truth — what a failure-free search would find).
     pub fn central_matches(&self, query: &Query, ctx: &RequesterContext) -> Vec<MailName> {
         let (_, hits) = self.evaluate(query, ctx);
-        distinct(hits).into_iter().cloned().collect()
+        hits.into_iter().cloned().collect()
     }
 
     /// Runs the distributed search from `root` under `plan`'s failures.
@@ -152,7 +172,7 @@ impl AttributeNetwork {
             responded: out.aggregate.responded,
             unavailable: out.aggregate.unavailable,
             completed_at: out.completed_at,
-            ground_truth_matches: distinct(hits).len() as u64,
+            ground_truth_matches: hits.len() as u64,
         })
     }
 
@@ -165,19 +185,6 @@ impl AttributeNetwork {
             self.topology.region(root),
         )
     }
-}
-
-/// The distinct users among `hits`. A user registered at two servers is
-/// one match, which is what lets `ground_truth_matches` expose it: the
-/// distributed count reports two. Each registry contributed a sorted run,
-/// which the stable sort merges instead of sorting afresh; and as the
-/// registries were visited in the order of their smallest names, the runs
-/// of registries whose name ranges do not interleave arrive in order, and
-/// the sort is one pass that finds them so.
-fn distinct(mut hits: Vec<&MailName>) -> Vec<&MailName> {
-    hits.sort();
-    hits.dedup();
-    hits
 }
 
 #[cfg(test)]

@@ -141,6 +141,57 @@ fn a_search_allocates_for_the_tree_not_for_the_profiles() {
     );
 }
 
+/// `(allocations, matches)` of one failure-free search for `query` by an
+/// anonymous requester.
+fn search_for(net: &AttributeNetwork, query: &Query) -> (u64, u64) {
+    let root = net.topology().servers()[0];
+    let ctx = RequesterContext::default();
+    let plan = FailurePlan::new();
+    let before = counting_alloc::allocations();
+    let out = net.search(root, query, &ctx, &plan, 17);
+    let allocs = counting_alloc::allocations() - before;
+    let out = out.expect("a failure-free search completes");
+    assert_eq!(out.matches, out.ground_truth_matches);
+    assert!(out.matches > 0, "{query:?} exercises no profile");
+    (allocs, out.matches)
+}
+
+/// The edit-distance kernel keeps one block of its state in locals and
+/// any further blocks in the search's scratch, and looks a non-ASCII
+/// character's mask up in a table prepared with the query: neither a
+/// needle of more than 64 characters (within reach of every name, so that
+/// every cell runs every block) nor a non-ASCII one allocates per profile.
+#[test]
+fn every_kernel_path_allocates_for_the_tree_not_for_the_profiles() {
+    let long = "jonson".repeat(12);
+    assert!(long.chars().count() > 64);
+    let queries = [
+        Query::name_like(&long, long.len()),
+        Query::name_like("Jönsson", 1),
+    ];
+    let (small, large) = (network(50), network(500));
+    let nodes = small.topology().node_count() as u64;
+    let doublings = |hits: u64| u64::from(hits.next_power_of_two().ilog2());
+    for query in &queries {
+        let (small_allocs, small_hits) = search_for(&small, query);
+        let (large_allocs, large_hits) = search_for(&large, query);
+        for (allocs, hits) in [(small_allocs, small_hits), (large_allocs, large_hits)] {
+            let budget = 6 * nodes + 2 * doublings(hits);
+            assert!(
+                allocs <= budget,
+                "{query:?}: {hits} hits over {nodes} nodes allocated {allocs} times \
+                 (budget {budget})"
+            );
+        }
+        let growth = doublings(large_hits) - doublings(small_hits);
+        assert!(
+            large_allocs <= small_allocs + growth,
+            "{query:?}: {small_allocs} allocations for {small_hits} hits, {large_allocs} for \
+             {large_hits}: more than the {growth} the hit vector accounts for"
+        );
+    }
+}
+
 #[test]
 fn a_registry_allocates_per_column_growth_not_per_profile() {
     const PROFILES: usize = 5_000;

@@ -248,10 +248,15 @@ pub struct SpanLog {
     enabled: bool,
     events: Vec<SpanEvent>,
     next: u64,
-    /// External key (e.g. a message id) -> span, for events recorded by
-    /// actors that only know the domain key.
-    by_key: BTreeMap<u64, SpanId>,
+    /// The span of each external key (e.g. a message id), indexed by the
+    /// key, for events recorded by actors that only know the domain key;
+    /// [`NO_SPAN`] where no span was opened under it.
+    by_key: Vec<SpanId>,
 }
+
+/// How far [`SpanLog::open_keyed`] lets a key run ahead of the spans the
+/// log has opened.
+const MAX_KEY_LEAD: u64 = 1 << 20;
 
 impl SpanLog {
     /// A log that records nothing ([`NO_SPAN`] for every open).
@@ -279,7 +284,7 @@ impl SpanLog {
             enabled: true,
             events,
             next,
-            by_key: BTreeMap::new(),
+            by_key: Vec::new(),
         }
     }
 
@@ -304,17 +309,37 @@ impl SpanLog {
 
     /// Opens a new span and associates it with external key `key` so later
     /// events can find it via [`SpanLog::span_of`].
+    ///
+    /// Keys are dense from 0, as `MessageIdGen` hands them out: the log
+    /// keeps one slot per key up to the largest, in any order and with any
+    /// gaps, so a key should not run far ahead of the spans opened.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is more than 2²⁰ past the number of spans this log
+    /// has opened: a key that is no dense index would otherwise grow the
+    /// table without bound.
     pub fn open_keyed(&mut self, key: u64, at: SimTime, stage: SpanStage, site: u64) -> SpanId {
         let id = self.open(at, stage, site);
         if self.enabled {
-            self.by_key.insert(key, id);
+            assert!(
+                key < self.next + MAX_KEY_LEAD,
+                "span key {key} is no dense index: {} spans opened",
+                self.next
+            );
+            let slot = key as usize;
+            if slot >= self.by_key.len() {
+                self.by_key.resize(slot + 1, NO_SPAN);
+            }
+            self.by_key[slot] = id;
         }
         id
     }
 
     /// The span registered under `key`, if any.
     pub fn span_of(&self, key: u64) -> Option<SpanId> {
-        self.by_key.get(&key).copied()
+        let &id = self.by_key.get(usize::try_from(key).ok()?)?;
+        (id != NO_SPAN).then_some(id)
     }
 
     /// Records an event on an existing span (no-op when disabled or when
@@ -579,6 +604,36 @@ mod tests {
         log.record_keyed(t(1.0), 10, SpanStage::Deposited, 5, NO_NODE, 0);
         assert_eq!(log.events().len(), 3);
         assert_eq!(log.events()[2].span, a);
+    }
+
+    #[test]
+    fn keys_index_a_dense_table() {
+        let mut log = SpanLog::unbounded();
+        // Out of order, with a gap at 2 and nothing past 4.
+        let four = log.open_keyed(4, t(0.0), SpanStage::Submitted, 1);
+        let zero = log.open_keyed(0, t(0.5), SpanStage::Submitted, 1);
+        let three = log.open_keyed(3, t(1.0), SpanStage::Submitted, 1);
+        let one = log.open_keyed(1, t(1.5), SpanStage::Submitted, 1);
+        for (key, span) in [(0, zero), (1, one), (3, three), (4, four)] {
+            assert_eq!(log.span_of(key), Some(span), "key {key}");
+        }
+        assert_eq!(log.span_of(2), None, "a gap was never opened");
+        assert_eq!(log.span_of(5), None, "past the end");
+        assert_eq!(log.span_of(u64::MAX), None);
+        // An event on a key never opened goes nowhere.
+        log.record_keyed(t(2.0), 2, SpanStage::Deposited, 5, NO_NODE, 0);
+        assert_eq!(log.events().len(), 4);
+        // A disabled log keeps no table at all.
+        let mut off = SpanLog::disabled();
+        off.open_keyed(u64::MAX, t(0.0), SpanStage::Submitted, 1);
+        assert_eq!(off.span_of(u64::MAX), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "no dense index")]
+    fn an_absurd_key_fails_loudly() {
+        let mut log = SpanLog::unbounded();
+        log.open_keyed(1 << 40, t(0.0), SpanStage::Submitted, 1);
     }
 
     #[test]
