@@ -22,7 +22,7 @@ use std::sync::Arc;
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
 
-use crate::name::MailName;
+use crate::name::{prefix_key, MailName};
 use crate::store::NO_OWNER_SLOT;
 use crate::user::{AuthorityList, UserId, UserRecord};
 
@@ -53,14 +53,57 @@ impl std::error::Error for DirectoryError {}
 /// token denotes, and each region's servers, in the order they were added.
 #[derive(Clone, Debug, Default)]
 pub struct Regions {
-    tokens: BTreeMap<String, RegionId>,
+    /// `(prefix_key(token), token, region)`, in the order the tokens were
+    /// first mapped.
+    tokens: Vec<(u128, Box<str>, RegionId)>,
+    /// Open addressing over `tokens` by key, as in [`RegionTable`]: a
+    /// bucket holds a row number or [`NO_ROW`], and at least half the
+    /// buckets are empty.
+    index: Vec<u32>,
     servers: BTreeMap<RegionId, Vec<NodeId>>,
 }
 
 impl Regions {
     /// Resolves a region token to its id.
     pub fn region_of_name(&self, token: &str) -> Option<RegionId> {
-        self.tokens.get(token).copied()
+        let row = self.row_of(token)?;
+        Some(self.tokens[row].2)
+    }
+
+    /// The row of `token`: its key finds it, and the token itself is read
+    /// only past 16 bytes, where two keys can tie (two tokens of one
+    /// length up to 16 bytes with one key are equal).
+    fn row_of(&self, token: &str) -> Option<usize> {
+        let key = prefix_key(token);
+        let mask = self.index.len().checked_sub(1)?;
+        let mut h = bucket(key, mask);
+        loop {
+            let row = *self.index.get(h)?;
+            let (k, t, _) = self.tokens.get(row as usize)?;
+            if *k == key && t.len() == token.len() && (token.len() <= 16 || **t == *token) {
+                return Some(row as usize);
+            }
+            h = (h + 1) & mask;
+        }
+    }
+
+    /// Makes `token` denote `region`, in place of any region it denoted.
+    fn map(&mut self, token: &str, region: RegionId) {
+        if let Some(row) = self.row_of(token) {
+            self.tokens[row].2 = region;
+            return;
+        }
+        self.tokens.push((prefix_key(token), token.into(), region));
+        let mask = (2 * self.tokens.len()).next_power_of_two() - 1;
+        self.index.clear();
+        self.index.resize(mask + 1, NO_ROW);
+        for (row, &(key, _, _)) in self.tokens.iter().enumerate() {
+            let mut h = bucket(key, mask);
+            while self.index[h] != NO_ROW {
+                h = (h + 1) & mask;
+            }
+            self.index[h] = row as u32;
+        }
     }
 
     /// The servers of `region`; none for a region without any.
@@ -69,8 +112,18 @@ impl Regions {
     }
 }
 
-/// An empty bucket of [`RegionTable::index`].
+/// An empty bucket of [`RegionTable::index`] and [`Regions::index`].
 const NO_ROW: u32 = u32::MAX;
+
+/// `key`'s home bucket in an index of `mask + 1` buckets: the top bits of
+/// the Fibonacci product of the key's folded halves, which depend on every
+/// bit of the key. (A key of a few bytes, a region token's, sets only its
+/// top bits, so the product's low bits are all zero.)
+fn bucket(key: u128, mask: usize) -> usize {
+    let folded = (key >> 64) as u64 ^ key as u64;
+    let product = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (product >> (64 - mask.count_ones()).min(63)) as usize & mask
+}
 
 /// One user of a [`RegionTable`].
 #[derive(Clone, Debug)]
@@ -126,14 +179,6 @@ impl RegionTable {
         Some((&row.record, slots))
     }
 
-    /// `key`'s home bucket in an index of `mask + 1` buckets.
-    fn bucket(key: u128, mask: usize) -> usize {
-        // Fold the halves, then Fibonacci-hash: the product's high bits
-        // depend on every bit of the key.
-        let folded = (key >> 64) as u64 ^ key as u64;
-        (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
-    }
-
     /// Rebuilds the index over the rows as they now stand.
     fn reindex(&mut self) {
         let buckets = (2 * self.rows.len()).max(1).next_power_of_two();
@@ -144,7 +189,7 @@ impl RegionTable {
             if at > 0 && self.rows[at - 1].key == row.key {
                 continue;
             }
-            let mut h = Self::bucket(row.key, mask);
+            let mut h = bucket(row.key, mask);
             while self.index[h] != NO_ROW {
                 h = (h + 1) & mask;
             }
@@ -164,7 +209,7 @@ impl RegionTable {
     fn position(&self, name: &MailName) -> Option<usize> {
         let key = name.order_key();
         let mask = self.index.len().checked_sub(1)?;
-        let mut h = Self::bucket(key, mask);
+        let mut h = bucket(key, mask);
         loop {
             let at = self.index[h];
             if at == NO_ROW {
@@ -231,9 +276,7 @@ impl Directory {
 
     /// Declares that the region token `name` denotes `region`.
     pub fn map_region(&mut self, name: &str, region: RegionId) {
-        Arc::make_mut(&mut self.regions)
-            .tokens
-            .insert(name.to_owned(), region);
+        Arc::make_mut(&mut self.regions).map(name, region);
         if self.tables.len() <= region.0 {
             self.tables.resize_with(region.0 + 1, Arc::default);
         }
@@ -639,6 +682,45 @@ mod tests {
             .unwrap();
         assert_eq!(d.find(&erin).unwrap().1, [] as [u32; 0]);
         assert_eq!(d.find(&name("east.h1.bob")).unwrap().1, [1]);
+    }
+
+    /// Region tokens resolve as a map of strings would: tokens that are
+    /// prefixes of one another (`r1`, `r10`, `r100`), tokens whose first
+    /// 16 bytes agree, the empty token, a token mapped again, and tokens
+    /// never mapped.
+    #[test]
+    fn region_tokens_resolve_as_a_string_map_does() {
+        let tokens = [
+            "r1",
+            "r10",
+            "r100",
+            "r",
+            "",
+            "r2",
+            "east",
+            "region-with-a-long-name-a",
+            "region-with-a-long-name-b",
+            "region-with-a-long-name",
+            "region-with-a-lo",
+        ];
+        assert_eq!(prefix_key(tokens[7]), prefix_key(tokens[8]));
+        assert_eq!(prefix_key(tokens[7]), prefix_key(tokens[10]));
+        let mut regions = Regions::default();
+        let mut model: BTreeMap<&str, RegionId> = BTreeMap::new();
+        // Map in an order unlike the token order, remapping some.
+        for (step, k) in [8, 1, 4, 0, 10, 7, 2, 1, 6, 3, 8].into_iter().enumerate() {
+            regions.map(tokens[k], RegionId(step));
+            model.insert(tokens[k], RegionId(step));
+            for token in tokens.iter().chain(&["r1000", "region-with-a-long-name-c"]) {
+                let want = model.get(token).copied();
+                assert_eq!(
+                    regions.region_of_name(token),
+                    want,
+                    "{token:?} at step {step}"
+                );
+            }
+        }
+        assert_eq!(regions.tokens.len(), model.len());
     }
 
     /// A table's index stays in step with its rows: after each removal

@@ -208,11 +208,26 @@ impl MailName {
     /// # Ok::<(), lems_core::name::ParseNameError>(())
     /// ```
     pub fn order_key(&self) -> u128 {
-        let mut bytes = [0; 16];
-        let n = self.buf.len().min(bytes.len());
-        bytes[..n].copy_from_slice(&self.buf.as_bytes()[..n]);
-        u128::from_be_bytes(bytes)
+        prefix_key(&self.buf)
     }
+}
+
+/// The first 16 bytes of `s`, padded with zeros, as a big-endian integer:
+/// strings order no earlier than their keys do, and two strings of one
+/// length up to 16 bytes share a key only if they are equal.
+pub(crate) fn prefix_key(s: &str) -> u128 {
+    let b = s.as_bytes();
+    let mut bytes = [0; 16];
+    if let Some(head) = b.get(..16) {
+        bytes.copy_from_slice(head);
+        return u128::from_be_bytes(bytes);
+    }
+    // Shorter: shift the bytes in one by one. (A copy of a variable
+    // length into `bytes` is a `memcpy` call, which costs more than the
+    // few bytes of a region token.)
+    let key = b.iter().fold(0u128, |key, &x| key << 8 | u128::from(x));
+    // The empty string's 128-bit shift overflows; its key is 0 either way.
+    key.checked_shl(8 * (16 - b.len() as u32)).unwrap_or(0)
 }
 
 // The offsets follow from the buffer (the separator occurs nowhere else),
@@ -385,6 +400,21 @@ mod tests {
 
     /// Names whose buffers agree on their first 16 bytes tie on the key,
     /// whatever their order; names that differ there do not.
+    #[test]
+    fn prefix_keys_are_the_first_16_bytes_padded_with_zeros() {
+        let text = "abcdefghijklmnopqrst";
+        for n in 0..=text.len() {
+            let mut bytes = [0; 16];
+            let head = &text.as_bytes()[..n.min(16)];
+            bytes[..head.len()].copy_from_slice(head);
+            assert_eq!(
+                prefix_key(&text[..n]),
+                u128::from_be_bytes(bytes),
+                "{n} bytes"
+            );
+        }
+    }
+
     #[test]
     fn order_keys_tie_on_a_shared_16_byte_prefix() {
         let names: Vec<MailName> = [

@@ -21,7 +21,7 @@ use crate::linkfault::LinkFaultPlan;
 use crate::metrics::Counter;
 use crate::pool::Handle;
 use crate::prof::{Prof, ProfEvent, ProfSample};
-use crate::queue::{EventQueue, QueueStats};
+use crate::queue::{EventQueue, EventSeq, QueueStats};
 use crate::rng::SimRng;
 use crate::sched::{ReadyEvent, ReadyKind, Scheduler};
 use crate::time::{SimDuration, SimTime};
@@ -47,7 +47,7 @@ impl std::fmt::Display for ActorId {
     }
 }
 
-/// Handle to a pending timer, used for cancellation.
+/// Handle to a pending timer, used to cancel or remove it.
 ///
 /// Ordered by arming order, so actors can key deterministic (`BTreeMap`)
 /// bookkeeping tables by timer.
@@ -80,8 +80,9 @@ pub trait Actor: std::any::Any {
     /// Invoked for each delivered message.
     fn on_message(&mut self, from: ActorId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
 
-    /// Invoked when a timer set via [`Ctx::set_timer`] fires. `tag` is the
-    /// caller-chosen discriminant passed at arm time.
+    /// Invoked when a timer set via [`Ctx::set_timer`] or
+    /// [`Ctx::set_timer_at`] fires. `tag` is the caller-chosen
+    /// discriminant passed at arm time.
     fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, Self::Msg>) {
         let _ = (id, tag, ctx);
     }
@@ -296,15 +297,22 @@ impl<M> Core<M> {
     }
 
     fn set_timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) -> TimerId {
-        let seq = self.next_timer;
+        let seq = self.queue.reserve();
+        self.set_timer_at(actor, self.now + delay, seq, tag)
+    }
+
+    /// Arms `actor`'s timer at `at` under the queue sequence number `seq`.
+    fn set_timer_at(&mut self, actor: ActorId, at: SimTime, seq: EventSeq, tag: u64) -> TimerId {
+        debug_assert!(at >= self.now, "a timer armed in the past");
+        let timer = self.next_timer;
         self.next_timer += 1;
-        let slot = self.queue.push_with(self.now + delay, |slot| Ev::Timer {
+        let slot = self.queue.push_reserved_with(at, seq, |slot| Ev::Timer {
             actor,
-            id: TimerId { seq, slot },
+            id: TimerId { seq: timer, slot },
             tag,
             cancelled: false,
         });
-        TimerId { seq, slot }
+        TimerId { seq: timer, slot }
     }
 
     /// Marks `actor`'s pending timer `id` cancelled where it sits in the
@@ -320,6 +328,17 @@ impl<M> Core<M> {
             if *owner == actor && *pending == id {
                 *cancelled = true;
             }
+        }
+    }
+
+    /// Takes `actor`'s pending timer `id` out of the queue.
+    fn remove_timer(&mut self, actor: ActorId, id: TimerId) {
+        let pending = matches!(
+            self.queue.get_mut(id.slot),
+            Some(Ev::Timer { actor: owner, id: pending, .. }) if *owner == actor && *pending == id
+        );
+        if pending {
+            self.queue.remove_handle(id.slot);
         }
     }
 
@@ -425,9 +444,35 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Cancels a pending timer. Cancelling an already-fired or foreign timer
-    /// is a no-op.
+    /// is a no-op. The timer still pops at its instant and is counted in
+    /// [`SimCounters::timers_suppressed`] — the MST broadcast's per-node
+    /// timeouts are cancelled this way. An actor that re-arms one timer
+    /// over and over takes the superseded one out instead
+    /// ([`Ctx::remove_timer`]).
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.core.cancel_timer(self.me, id);
+    }
+
+    /// Takes the kernel's next event sequence number for a timer armed
+    /// later by [`Ctx::set_timer_at`]. Sequence numbers break ties between
+    /// events of one instant, so such a timer fires exactly where one
+    /// armed by [`Ctx::set_timer`] at the reservation would have.
+    pub fn reserve_seq(&mut self) -> EventSeq {
+        self.core.queue.reserve()
+    }
+
+    /// Arms a timer that fires at `at` (not before now) under `seq`, a
+    /// number from [`Ctx::reserve_seq`] that no other pending event holds,
+    /// delivering `tag` to [`Actor::on_timer`].
+    pub fn set_timer_at(&mut self, at: SimTime, seq: EventSeq, tag: u64) -> TimerId {
+        self.core.set_timer_at(self.me, at, seq, tag)
+    }
+
+    /// Takes a pending timer out of the queue: unlike a cancelled one, it
+    /// never pops and is counted nowhere. Its sequence number may then be
+    /// armed again. Removing an already-fired or foreign timer is a no-op.
+    pub fn remove_timer(&mut self, id: TimerId) {
+        self.core.remove_timer(self.me, id);
     }
 
     /// Deterministic randomness: a single stream scoped to the whole

@@ -3,6 +3,9 @@
 //!
 //! Two events scheduled for the same instant fire in the order they were
 //! scheduled. This is what makes same-seed runs byte-for-byte reproducible.
+//! A sequence number can also be taken ahead of its event
+//! ([`EventQueue::reserve`]); the event pushed under it later
+//! ([`EventQueue::push_reserved`]) sorts as if it had been pushed then.
 //!
 //! # Structure
 //!
@@ -473,21 +476,41 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at `at`. Returns the sequence number
     /// assigned to the event (useful for cancellation bookkeeping).
     pub fn push(&mut self, at: SimTime, event: E) -> EventSeq {
-        self.schedule(at, |_| event).0
+        let seq = self.reserve();
+        self.cal.push(at.as_ticks(), seq.0, |_| event);
+        seq
     }
 
-    /// Schedules the event `make` builds from the pool [`Handle`] it is
-    /// stored under, and returns that handle: [`EventQueue::get_mut`]
-    /// reaches the pending event through it until the event is popped or
-    /// removed, after which the handle is dead.
-    pub(crate) fn push_with(&mut self, at: SimTime, make: impl FnOnce(Handle) -> E) -> Handle {
-        self.schedule(at, make).1
-    }
-
-    fn schedule(&mut self, at: SimTime, make: impl FnOnce(Handle) -> E) -> (EventSeq, Handle) {
-        let seq = self.next_seq;
+    /// Takes the next sequence number without scheduling anything. An
+    /// event pushed later under it ([`EventQueue::push_reserved`]) pops
+    /// exactly where one pushed now would have: among events of its
+    /// instant, after those scheduled before the reservation and before
+    /// those scheduled after it.
+    pub fn reserve(&mut self) -> EventSeq {
+        let seq = EventSeq(self.next_seq);
         self.next_seq += 1;
-        (EventSeq(seq), self.cal.push(at.as_ticks(), seq, make))
+        seq
+    }
+
+    /// Schedules `event` to fire at `at` under `seq`, a number taken by
+    /// [`EventQueue::reserve`] and not yet used: two pending events never
+    /// share a `(time, seq)` key.
+    pub fn push_reserved(&mut self, at: SimTime, seq: EventSeq, event: E) {
+        self.push_reserved_with(at, seq, |_| event);
+    }
+
+    /// [`EventQueue::push_reserved`] for the event `make` builds from the
+    /// pool [`Handle`] it is stored under, which it returns:
+    /// [`EventQueue::get_mut`] reaches the pending event through it until
+    /// the event is popped or removed, after which the handle is dead.
+    pub(crate) fn push_reserved_with(
+        &mut self,
+        at: SimTime,
+        seq: EventSeq,
+        make: impl FnOnce(Handle) -> E,
+    ) -> Handle {
+        debug_assert!(seq.0 < self.next_seq, "an unreserved sequence number");
+        self.cal.push(at.as_ticks(), seq.0, make)
     }
 
     /// The still-pending event stored under `h`, or `None` once it has
@@ -536,6 +559,13 @@ impl<E> EventQueue<E> {
     /// Used by schedulers to fire a ready event other than the head.
     pub fn remove(&mut self, at: SimTime, seq: EventSeq) -> Option<E> {
         self.cal.remove(at.as_ticks(), seq.0)
+    }
+
+    /// Removes the still-pending event stored under `h`; `None` once it
+    /// has fired or been removed.
+    pub(crate) fn remove_handle(&mut self, h: Handle) -> Option<E> {
+        let (ticks, seq) = self.cal.pool.get(h).map(|node| (node.ticks, node.seq))?;
+        self.cal.remove(ticks, seq)
     }
 
     /// Number of pending events.

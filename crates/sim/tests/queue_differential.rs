@@ -18,6 +18,11 @@
 //! * interleaved pops/removals/clears — front-cursor maintenance, ring
 //!   growth and shrink mid-sequence.
 //!
+//! The actor kernel pushes some events under sequence numbers it reserved
+//! earlier ([`EventQueue::reserve`], [`EventQueue::push_reserved`]);
+//! [`reserved_pushes_match`] interleaves those with ordinary pushes and
+//! pops, many of them at the instant last popped.
+//!
 //! A bucket is a chain through the payload pool's slots, so one scripted
 //! sequence ([`chained_buckets_match_model_at_every_structural_edge`])
 //! walks the chain operations one by one: days that hash onto one bucket
@@ -41,9 +46,14 @@ struct Model {
 
 impl Model {
     fn push(&mut self, at: SimTime, payload: u64) -> EventSeq {
+        let seq = self.reserve();
+        self.map.insert((at, seq), payload);
+        seq
+    }
+
+    fn reserve(&mut self) -> EventSeq {
         let seq = EventSeq(self.next_seq);
         self.next_seq += 1;
-        self.map.insert((at, seq), payload);
         seq
     }
 
@@ -93,6 +103,12 @@ enum Cmd {
     Clear,
     /// Scripted sequences only: the ring's chains hold this many entries.
     Chained(usize),
+    /// Take a sequence number for a later `PushReserved`.
+    Reserve,
+    /// Schedule the next payload this many ticks after the instant last
+    /// popped, under an outstanding reservation picked by index (none
+    /// outstanding: nothing happens).
+    PushReserved { pick: usize, ahead: u64 },
 }
 
 /// Decodes one raw generated tuple into a command. The opcode space is
@@ -131,6 +147,9 @@ fn run_differential(cmds: &[Cmd]) -> (usize, QueueStats) {
     let mut payload: u64 = 0;
     let mut history: Vec<(SimTime, EventSeq)> = Vec::new();
     let mut peak = 0;
+    // Reservations not yet used, and the instant last popped.
+    let mut reserved: Vec<EventSeq> = Vec::new();
+    let mut now = SimTime::ZERO;
 
     for c in cmds {
         match c {
@@ -143,10 +162,14 @@ fn run_differential(cmds: &[Cmd]) -> (usize, QueueStats) {
                 payload += 1;
             }
             Cmd::Pop => {
-                assert_eq!(cal.pop(), model.pop());
+                let popped = model.pop();
+                assert_eq!(cal.pop(), popped);
+                now = popped.map_or(now, |(at, _)| at);
             }
             Cmd::PopWithSeq => {
-                assert_eq!(cal.pop_with_seq(), model.pop_with_seq());
+                let popped = model.pop_with_seq();
+                assert_eq!(cal.pop_with_seq(), popped);
+                now = popped.map_or(now, |(at, _, _)| at);
             }
             Cmd::Remove(i) => {
                 if !history.is_empty() {
@@ -168,6 +191,21 @@ fn run_differential(cmds: &[Cmd]) -> (usize, QueueStats) {
             }
             Cmd::Chained(n) => {
                 assert_eq!(cal.stats().in_buckets, *n, "entries chained in the ring");
+            }
+            Cmd::Reserve => {
+                let seq = cal.reserve();
+                assert_eq!(seq, model.reserve(), "seq assignment must match");
+                reserved.push(seq);
+            }
+            Cmd::PushReserved { pick, ahead } => {
+                if !reserved.is_empty() {
+                    let seq = reserved.swap_remove(pick % reserved.len());
+                    let at = SimTime::from_ticks(now.as_ticks().saturating_add(*ahead));
+                    cal.push_reserved(at, seq, payload);
+                    model.map.insert((at, seq), payload);
+                    history.push((at, seq));
+                    payload += 1;
+                }
             }
         }
         assert_eq!(cal.len(), model.map.len());
@@ -363,6 +401,31 @@ proptest! {
                 } else {
                     Cmd::Pop
                 }
+            })
+            .collect();
+        run_differential(&cmds);
+    }
+
+    /// Pushes under reserved sequence numbers interleave with ordinary
+    /// pushes and pops: a third of the reserved pushes land at the
+    /// instant last popped, among events pushed after the reservation,
+    /// and the rest up to three initial-width days later.
+    #[test]
+    fn reserved_pushes_match(
+        raw in proptest::collection::vec((0u32..10, 0u64..=u64::MAX, 0usize..64), 1..400),
+    ) {
+        let cmds: Vec<Cmd> = raw
+            .into_iter()
+            .map(|(op, r, pick)| match op {
+                0 | 1 => Cmd::Push(r % 3_000_000),
+                2 | 3 => Cmd::Reserve,
+                4 | 5 => Cmd::PushReserved {
+                    pick,
+                    ahead: if r.is_multiple_of(3) { 0 } else { r % 3_000_000 },
+                },
+                6 | 7 => Cmd::PopWithSeq,
+                8 => Cmd::Remove(pick),
+                _ => Cmd::Ready,
             })
             .collect();
         run_differential(&cmds);

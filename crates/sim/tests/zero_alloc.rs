@@ -13,7 +13,7 @@
 //! `unsafe` a `GlobalAlloc` impl requires; the counting allocator is
 //! `tests/support/counting_alloc.rs`, shared by every allocation budget.
 
-use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
+use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
 use lems_sim::queue::EventQueue;
 use lems_sim::time::{SimDuration, SimTime};
 
@@ -161,4 +161,70 @@ fn actor_dispatch_steady_state_allocates_nothing() {
     );
     assert!(pool_after.pool_hits > pool_before.pool_hits + 100_000);
     assert_eq!(pool_after.pool_capacity, pool_before.pool_capacity);
+}
+
+/// Ping-pong pair whose every delivery, after sending on, re-arms its one
+/// timer under a sequence number reserved then — the retransmission wake
+/// of the mail actors: the pending one is taken out of the queue, and one
+/// delivery in seven arms it to fire before the next delivery comes.
+struct Rearm {
+    peer: usize,
+    pending: Option<TimerId>,
+    fired: u64,
+}
+
+impl Actor for Rearm {
+    type Msg = u64;
+    fn on_message(&mut self, _from: ActorId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+        ctx.send(ActorId(self.peer), msg + 1, SimDuration::from_ticks(3));
+        let seq = ctx.reserve_seq();
+        if let Some(old) = self.pending.take() {
+            ctx.remove_timer(old);
+        }
+        let ahead = if msg.is_multiple_of(7) { 1 } else { 40 };
+        let at = ctx.now() + SimDuration::from_ticks(ahead);
+        self.pending = Some(ctx.set_timer_at(at, seq, 0));
+    }
+    fn on_timer(&mut self, _id: TimerId, _tag: u64, _ctx: &mut Ctx<'_, u64>) {
+        self.pending = None;
+        self.fired += 1;
+    }
+}
+
+#[test]
+fn timers_armed_under_reserved_numbers_allocate_nothing() {
+    const PAIRS: usize = 32;
+    let mut sim: ActorSim<u64> = ActorSim::new(42);
+    for pair in 0..PAIRS {
+        for peer in [2 * pair + 1, 2 * pair] {
+            sim.add_actor(Rearm {
+                peer,
+                pending: None,
+                fired: 0,
+            });
+        }
+        sim.inject(
+            ActorId(2 * pair),
+            0,
+            SimDuration::from_ticks(1 + pair as u64),
+        );
+    }
+    sim.run_until(SimTime::from_ticks(30_000));
+
+    let before = snapshot();
+    let fired_before = sim.counters().timers_fired.get();
+    sim.run_until(SimTime::from_ticks(90_000));
+    let after = snapshot();
+    let fired = sim.counters().timers_fired.get() - fired_before;
+    assert!(sim.counters().delivered.get() > 100_000);
+    assert!(fired > 10_000, "only {fired} timers fired");
+    assert_eq!(sim.counters().timers_suppressed.get(), 0);
+    let owned: u64 = (0..2 * PAIRS)
+        .map(|i| sim.actor::<Rearm>(ActorId(i)).map_or(0, |r| r.fired))
+        .sum();
+    assert_eq!(owned, sim.counters().timers_fired.get());
+    assert_eq!(
+        before, after,
+        "arming under reserved numbers must not touch the allocator"
+    );
 }

@@ -131,7 +131,7 @@ pub(super) struct SubmitTask {
 pub struct HostActor {
     pub(super) end: Endpoint,
     /// Every user ever adopted, by slot. A slot index is what retrieval
-    /// timers carry as their tag and `Retrieve` as its `session`, so the
+    /// deadlines carry in their tag and `Retrieve` as its `session`, so the
     /// list is append-only: a user who migrated away leaves a slot with no
     /// `ui`.
     pub(super) users: Vec<UserSlot>,
@@ -163,8 +163,8 @@ pub(super) struct UserSlot {
     pub(super) ui: Option<UiUser>,
 }
 
-/// Timer tags say what a host timer is for without a side table: a submit
-/// timeout carries its message id, a retrieve timeout this bit plus the
+/// Deadline tags say what a host exchange is for without a side table: a
+/// submit's carries its message id, a retrieval probe's this bit plus the
 /// checking user's slot.
 const RETRIEVE_TAG: u64 = 1 << 63;
 
@@ -204,8 +204,9 @@ impl HostActor {
     /// one.
     fn vacate(&mut self, slot: usize) -> Option<UiUser> {
         let mut ui = self.users[slot].ui.take()?;
-        if let Some(id) = ui.retrieval.take() {
-            self.sessions.close(id);
+        let session = ui.retrieval.take().and_then(|id| self.sessions.close(id));
+        if let Some(exchange) = session.and_then(|s| s.current) {
+            self.end.close(&exchange);
         }
         Some(ui)
     }
@@ -527,7 +528,7 @@ impl Actor for HostActor {
                 let Some(exchange) = session.current.take() else {
                     return;
                 };
-                ctx.cancel_timer(exchange.timer);
+                self.end.close(&exchange);
                 user.getmail
                     .on_reply(&mut session.check, exchange.peer, last_start_time);
                 self.advance_retrieval(slot, ctx);
@@ -545,30 +546,31 @@ impl Actor for HostActor {
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
-        if tag & RETRIEVE_TAG == 0 {
-            self.on_submit_timeout(id, MessageId(tag), ctx);
-        } else {
-            self.on_retrieve_timeout(id, (tag & !RETRIEVE_TAG) as usize, ctx);
+    fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+        if let Some(tag) = self.end.deadlines.fire(id) {
+            if tag & RETRIEVE_TAG == 0 {
+                self.on_submit_timeout(MessageId(tag), ctx);
+            } else {
+                self.on_retrieve_timeout((tag & !RETRIEVE_TAG) as usize, ctx);
+            }
         }
+        self.end.deadlines.rearm(ctx);
+    }
+
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, MailMsg>) {
+        // No deployment crashes a host; one that is crashed keeps its
+        // exchanges, and the timeouts that came due while it was down are
+        // lost, as a kernel timer of their own would have been.
+        self.end.deadlines.recover(ctx);
     }
 }
 
-/// A host never crashes, and each of its exchanges arms a timer only once
-/// the one before has fired or been cancelled: a timer that fires is its
-/// exchange's latest.
-const HOST_TIMERS_ARE_NEVER_STALE: &str = "a host timer outlived its probe";
-
 impl HostActor {
-    fn on_submit_timeout(&mut self, id: TimerId, mid: MessageId, ctx: &mut Ctx<'_, MailMsg>) {
+    fn on_submit_timeout(&mut self, mid: MessageId, ctx: &mut Ctx<'_, MailMsg>) {
         let Some(task) = self.submits.remove(&mid) else {
             return;
         };
-        match task.exchange.on_timer(id) {
-            Timeout::Stale => {
-                debug_assert!(false, "{HOST_TIMERS_ARE_NEVER_STALE}");
-                self.submits.insert(mid, task);
-            }
+        match task.exchange.timed_out() {
             Timeout::Retransmit(attempt) => {
                 let server = task.exchange.peer;
                 self.submit_probe(task.msg, server, attempt, task.remaining, ctx);
@@ -579,7 +581,7 @@ impl HostActor {
         }
     }
 
-    fn on_retrieve_timeout(&mut self, id: TimerId, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
+    fn on_retrieve_timeout(&mut self, slot: usize, ctx: &mut Ctx<'_, MailMsg>) {
         let Some(user) = self.users.get_mut(slot).and_then(|u| u.ui.as_mut()) else {
             return;
         };
@@ -589,11 +591,7 @@ impl HostActor {
         let Some(exchange) = session.current.take() else {
             return;
         };
-        match exchange.on_timer(id) {
-            Timeout::Stale => {
-                debug_assert!(false, "{HOST_TIMERS_ARE_NEVER_STALE}");
-                session.current = Some(exchange);
-            }
+        match exchange.timed_out() {
             Timeout::Retransmit(attempt) => self.retrieve_probe(slot, exchange.peer, attempt, ctx),
             // The server is unresponsive: GetMail records it for a later
             // sweep and moves on.

@@ -48,6 +48,7 @@ use lems_sim::actor::{ActorId, ActorSim, Ctx, TimerId};
 use lems_sim::failure::FailureError;
 use lems_sim::linkfault::{LinkFaultPlan, LinkProfile};
 use lems_sim::metrics::MetricsRegistry;
+use lems_sim::queue::EventSeq;
 use lems_sim::rng::SimRng;
 use lems_sim::span::{BounceCode, SpanId, SpanLog, SpanStage, NO_NODE, NO_SPAN};
 use lems_sim::time::{SimDuration, SimTime, TICKS_PER_UNIT};
@@ -139,6 +140,9 @@ struct Endpoint {
     /// What this actor adds to everything it sends: a server's processing
     /// time, nothing at a host.
     send_delay: SimDuration,
+    /// When each open exchange times out, and the one kernel timer that
+    /// wakes this actor for the earliest.
+    deadlines: Deadlines,
     stats: SharedStats,
     spans: SharedSpans,
     /// This actor's telemetry; collected by [`Deployment::metrics_snapshot`].
@@ -149,18 +153,16 @@ struct Endpoint {
 
 /// One request/response exchange of §3.1.2 in flight — a submit, a
 /// forward or a GetMail probe: the peer asked, how many probes it has been
-/// sent, and the timer the latest one armed.
+/// sent, and where the latest one's deadline is kept.
 #[derive(Clone, Copy, Debug)]
 struct Exchange {
     peer: NodeId,
     attempts: u32,
-    timer: TimerId,
+    deadline: DeadlineRef,
 }
 
-/// What a fired timer means to the exchange it was armed for.
+/// What the deadline of an exchange's latest probe means when it passes.
 enum Timeout {
-    /// An earlier probe armed it, and the exchange has moved past it.
-    Stale,
     /// The peer has not answered: send it this 0-based attempt.
     Retransmit(u32),
     /// The peer spent its retry budget: go on to the next one.
@@ -168,14 +170,221 @@ enum Timeout {
 }
 
 impl Exchange {
-    fn on_timer(&self, id: TimerId) -> Timeout {
-        if self.timer != id {
-            Timeout::Stale
-        } else if self.attempts >= MAX_ATTEMPTS {
+    fn timed_out(&self) -> Timeout {
+        if self.attempts >= MAX_ATTEMPTS {
             Timeout::Exhausted
         } else {
             Timeout::Retransmit(self.attempts)
         }
+    }
+}
+
+/// An open deadline in its endpoint's [`Deadlines`]: the row, and the
+/// kernel sequence number reserved for the timeout. No two deadlines
+/// share a number, so a reference to a closed deadline finds its row free
+/// or reused under another number.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct DeadlineRef {
+    row: u32,
+    seq: EventSeq,
+}
+
+/// One row of [`Deadlines`]: when an exchange times out, the sequence
+/// number its timeout fires under, and the tag that names the exchange to
+/// its actor — or, in a free row, the next free row.
+#[derive(Clone, Copy, Debug)]
+struct Deadline {
+    at: SimTime,
+    seq: EventSeq,
+    tag: u64,
+}
+
+/// The end of [`Deadlines`]' free list.
+const NO_ROW: u32 = u32::MAX;
+
+impl Deadline {
+    /// A free row, linked to free row `next`: its key is above every open
+    /// row's.
+    fn free(next: u32) -> Self {
+        Deadline {
+            at: SimTime::MAX,
+            seq: FREE_SEQ,
+            tag: u64::from(next),
+        }
+    }
+
+    fn key(&self) -> (SimTime, EventSeq) {
+        (self.at, self.seq)
+    }
+}
+
+/// The sequence number of a free row, which no reservation returns.
+const FREE_SEQ: EventSeq = EventSeq(u64::MAX);
+
+/// Rows a table is wired with: a host opens one per user that checks or
+/// sends, and 64 cover a host of 50 users whose checks all overlap, so
+/// that few tables grow during a run.
+const WIRED_ROWS: usize = 64;
+
+/// The actor's one kernel timer: the row and key it was armed for, and
+/// its id while it is pending (`None` from the moment it fires until
+/// [`Deadlines::rearm`]).
+#[derive(Clone, Copy, Debug)]
+struct Wake {
+    row: u32,
+    key: (SimTime, EventSeq),
+    timer: Option<TimerId>,
+}
+
+/// The deadlines of an actor's open exchanges, woken for by one kernel
+/// timer (RFC 6298 §5 keeps one retransmission timer per connection).
+///
+/// Opening a deadline reserves the kernel sequence number a timer armed
+/// there and then would take, and the wake is armed under the reserved
+/// number of the earliest open deadline: every timeout fires at the very
+/// `(time, seq)` place a timer of its own would have had. Closing one is a
+/// row write that never reaches the kernel; a wake whose deadline was
+/// closed fires idle and re-arms for the earliest still open.
+///
+/// Invariant between handlers: the wake is pending at a key no later than
+/// any open deadline's, and no wake is pending when none is open.
+#[derive(Debug)]
+struct Deadlines {
+    /// Open rows and free ones, the free ones chained through their tags.
+    rows: Vec<Deadline>,
+    /// The first free row, or [`NO_ROW`].
+    free: u32,
+    wake: Option<Wake>,
+}
+
+impl Deadlines {
+    fn new() -> Self {
+        Deadlines {
+            rows: Vec::with_capacity(WIRED_ROWS),
+            free: NO_ROW,
+            wake: None,
+        }
+    }
+
+    /// Opens a deadline at `at` for the exchange `tag` names.
+    fn open(&mut self, ctx: &mut Ctx<'_, MailMsg>, at: SimTime, tag: u64) -> DeadlineRef {
+        let seq = ctx.reserve_seq();
+        let deadline = Deadline { at, seq, tag };
+        let row = match self.rows.get_mut(self.free as usize) {
+            Some(free) => {
+                let row = self.free;
+                self.free = free.tag as u32;
+                *free = deadline;
+                row
+            }
+            None => {
+                self.rows.push(deadline);
+                (self.rows.len() - 1) as u32
+            }
+        };
+        // A pending wake that comes later gives way. (While a fired wake
+        // is being handled its key is the instant's, before any new one.)
+        match self.wake {
+            Some(wake) if wake.key <= deadline.key() => {}
+            wake => {
+                if let Some(superseded) = wake.and_then(|w| w.timer) {
+                    ctx.remove_timer(superseded);
+                }
+                self.arm(ctx, row);
+            }
+        }
+        DeadlineRef { row, seq }
+    }
+
+    /// Closes `deadline` if it is still open.
+    fn close(&mut self, deadline: DeadlineRef) {
+        if let Some(open) = self.rows.get_mut(deadline.row as usize) {
+            if open.seq == deadline.seq {
+                *open = Deadline::free(self.free);
+                self.free = deadline.row;
+            }
+        }
+    }
+
+    /// The wake `id` fired: closes the deadline it was armed for and
+    /// returns that deadline's tag, or `None` when the deadline had been
+    /// closed already or `id` is not the pending wake (one armed before a
+    /// crash). [`Deadlines::rearm`] must follow.
+    fn fire(&mut self, id: TimerId) -> Option<u64> {
+        let wake = self.wake.as_mut()?;
+        if wake.timer != Some(id) {
+            return None;
+        }
+        wake.timer = None;
+        let due = DeadlineRef {
+            row: wake.row,
+            seq: wake.key.1,
+        };
+        let tag = self.rows[due.row as usize].tag;
+        let open = self.rows[due.row as usize].seq == due.seq;
+        self.close(due);
+        open.then_some(tag)
+    }
+
+    /// After a wake was handled: arms the next one at the earliest open
+    /// deadline, if any. A no-op while a wake is pending.
+    fn rearm(&mut self, ctx: &mut Ctx<'_, MailMsg>) {
+        if !matches!(self.wake, Some(Wake { timer: None, .. })) {
+            return;
+        }
+        self.wake = None;
+        let earliest = self
+            .rows
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, d)| d.key())
+            .filter(|(_, d)| d.seq != FREE_SEQ);
+        if let Some((row, _)) = earliest {
+            self.arm(ctx, row as u32);
+        }
+    }
+
+    fn arm(&mut self, ctx: &mut Ctx<'_, MailMsg>, row: u32) {
+        let d = self.rows[row as usize];
+        let timer = ctx.set_timer_at(d.at, d.seq, 0);
+        self.wake = Some(Wake {
+            row,
+            key: d.key(),
+            timer: Some(timer),
+        });
+    }
+
+    /// After a crash the table was kept through: the kernel suppressed
+    /// the timeouts that came due while the actor was down, the wake's
+    /// among them if it did. Forgets those deadlines (an instant's worth
+    /// early: one due at the recovery's own tick may still have been
+    /// pending) and re-arms for the earliest left.
+    fn recover(&mut self, ctx: &mut Ctx<'_, MailMsg>) {
+        let now = ctx.now();
+        for row in 0..self.rows.len() {
+            let d = self.rows[row];
+            if d.seq != FREE_SEQ && d.at <= now {
+                self.close(DeadlineRef {
+                    row: row as u32,
+                    seq: d.seq,
+                });
+            }
+        }
+        if let Some(wake) = self.wake.as_mut().filter(|w| w.key.0 <= now) {
+            if let Some(pending) = wake.timer.take() {
+                ctx.remove_timer(pending);
+            }
+            self.rearm(ctx);
+        }
+    }
+
+    /// Forgets every deadline and the wake: a crash, whose pending wake
+    /// the kernel suppresses while the actor is down and this table
+    /// ignores afterwards.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.free = NO_ROW;
+        self.wake = None;
     }
 }
 
@@ -193,6 +402,7 @@ impl Endpoint {
             transport: Rc::clone(transport),
             server_proc: cfg.server_spec.proc_time,
             send_delay,
+            deadlines: Deadlines::new(),
             stats: Rc::clone(stats),
             spans: Rc::clone(spans),
             metrics: MetricsRegistry::new(),
@@ -209,9 +419,9 @@ impl Endpoint {
         self.spans.borrow().span_of(id.0).unwrap_or(NO_SPAN)
     }
 
-    /// Sends 0-based `attempt` of `request` to `peer` and arms its timeout
-    /// under `tag`: the round trip plus the server's processing and
-    /// [`TIMEOUT_SLACK`], backed off by [`timeout`]. Counts a
+    /// Sends 0-based `attempt` of `request` to `peer` and opens its
+    /// deadline under `tag`: the round trip plus the server's processing
+    /// and [`TIMEOUT_SLACK`], backed off by [`timeout`]. Counts a
     /// retransmission past the first attempt and records the probe on
     /// `span`.
     fn probe(
@@ -237,18 +447,23 @@ impl Endpoint {
         );
         let rtt = self.transport.delay(self.node, peer) * 2;
         let base = rtt + SimDuration::from_units(self.server_proc + TIMEOUT_SLACK);
-        let wait = timeout(base, attempt, ctx.rng());
+        let at = ctx.now() + timeout(base, attempt, ctx.rng());
         self.send(ctx, peer, request);
         Exchange {
             peer,
             attempts: attempt + 1,
-            timer: ctx.set_timer(wait, tag),
+            deadline: self.deadlines.open(ctx, at, tag),
         }
     }
 
+    /// The exchange ended before its deadline.
+    fn close(&mut self, exchange: &Exchange) {
+        self.deadlines.close(exchange.deadline);
+    }
+
     /// The peer of `exchange` took custody of message `id`.
-    fn accepted(&self, ctx: &mut Ctx<'_, MailMsg>, id: MessageId, exchange: &Exchange) {
-        ctx.cancel_timer(exchange.timer);
+    fn accepted(&mut self, ctx: &Ctx<'_, MailMsg>, id: MessageId, exchange: &Exchange) {
+        self.close(exchange);
         self.spans.borrow_mut().record_keyed(
             ctx.now(),
             id.0,
@@ -1161,6 +1376,347 @@ mod tests {
             .map(|k| timeout(base, k, &mut rng).as_ticks())
             .collect();
         assert_eq!(ticks, [10_955_820, 20_150_522, 42_461_368, 65_657_897]);
+    }
+
+    /// What the deadline-table actor does when message `n` arrives: the
+    /// `n`-th entry of its plan.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Open a deadline at this instant under this tag.
+        Open(f64, u64),
+        /// Close the deadline opened under this tag.
+        Close(u64),
+        /// Close again the deadline closed under this tag.
+        Reclose(u64),
+        /// Send itself message `n`, arriving at this instant.
+        Ping(f64, u64),
+    }
+
+    /// What the deadline-table actor saw, in order.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Seen {
+        Expired(u64),
+        Ping(u64),
+    }
+    use Seen::{Expired, Ping};
+
+    /// A [`Deadlines`] table alone in an actor, driven by a plan of
+    /// [`Step`]s, logging every timeout and message with its instant.
+    struct TableActor {
+        table: Deadlines,
+        plan: Vec<Vec<Step>>,
+        open: BTreeMap<u64, DeadlineRef>,
+        closed: BTreeMap<u64, DeadlineRef>,
+        log: Vec<(f64, Seen)>,
+    }
+
+    fn ping(n: u64) -> MailMsg {
+        let user = "r0.h.u".parse().unwrap();
+        MailMsg::Notify {
+            user,
+            id: MessageId(n),
+        }
+    }
+
+    impl lems_sim::actor::Actor for TableActor {
+        type Msg = MailMsg;
+
+        fn on_message(&mut self, _from: ActorId, msg: MailMsg, ctx: &mut Ctx<'_, MailMsg>) {
+            let MailMsg::Notify { id, .. } = msg else {
+                return;
+            };
+            self.log.push((ctx.now().as_units(), Ping(id.0)));
+            let steps = self.plan.get(id.0 as usize).cloned().unwrap_or_default();
+            for step in steps {
+                match step {
+                    Step::Open(at, tag) => {
+                        let deadline = self.table.open(ctx, t(at), tag);
+                        self.open.insert(tag, deadline);
+                    }
+                    Step::Close(tag) => {
+                        if let Some(deadline) = self.open.remove(&tag) {
+                            self.table.close(deadline);
+                            self.closed.insert(tag, deadline);
+                        }
+                    }
+                    Step::Reclose(tag) => {
+                        if let Some(&deadline) = self.closed.get(&tag) {
+                            self.table.close(deadline);
+                        }
+                    }
+                    Step::Ping(at, n) => {
+                        let delay = t(at).duration_since(ctx.now());
+                        ctx.send_self(ping(n), delay);
+                    }
+                }
+            }
+        }
+
+        fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+            if let Some(tag) = self.table.fire(id) {
+                self.log.push((ctx.now().as_units(), Expired(tag)));
+                self.open.remove(&tag);
+            }
+            self.table.rearm(ctx);
+        }
+
+        fn on_crash(&mut self, _now: SimTime) {
+            self.table.clear();
+            self.open.clear();
+        }
+    }
+
+    /// The deadlines of `table` still open.
+    fn open_rows(table: &Deadlines) -> usize {
+        table.rows.iter().filter(|d| d.seq != FREE_SEQ).count()
+    }
+
+    /// A simulation of one [`TableActor`] with `plan`, message 0 injected
+    /// at time 0; not yet run.
+    fn table_sim(plan: Vec<Vec<Step>>) -> (ActorSim<MailMsg>, ActorId) {
+        let mut sim = ActorSim::new(1);
+        let actor = sim.add_actor(TableActor {
+            table: Deadlines::new(),
+            plan,
+            open: BTreeMap::new(),
+            closed: BTreeMap::new(),
+            log: Vec::new(),
+        });
+        sim.inject(actor, ping(0), SimDuration::ZERO);
+        (sim, actor)
+    }
+
+    /// Runs `sim` to quiescence; returns the actor's log and its kernel
+    /// timer counts `(fired, suppressed)`, having checked that the table
+    /// ended empty with no wake.
+    fn run_table(mut sim: ActorSim<MailMsg>, actor: ActorId) -> (Vec<(f64, Seen)>, u64, u64) {
+        assert!(sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        let a = sim.actor::<TableActor>(actor).unwrap();
+        assert_eq!(open_rows(&a.table), 0);
+        assert!(a.table.wake.is_none(), "a wake outlived the deadlines");
+        let c = sim.counters();
+        (
+            a.log.clone(),
+            c.timers_fired.get(),
+            c.timers_suppressed.get(),
+        )
+    }
+
+    #[test]
+    fn deadlines_opened_out_of_order_time_out_in_order() {
+        let plan = vec![vec![
+            Step::Open(30.0, 1),
+            Step::Open(10.0, 2),
+            Step::Open(20.0, 3),
+        ]];
+        let (sim, actor) = table_sim(plan);
+        let (log, fired, suppressed) = run_table(sim, actor);
+        assert_eq!(
+            log,
+            [
+                (0.0, Ping(0)),
+                (10.0, Expired(2)),
+                (20.0, Expired(3)),
+                (30.0, Expired(1)),
+            ]
+        );
+        // One wake per timeout: the one armed for 30 gave way to 10's.
+        assert_eq!((fired, suppressed), (3, 0));
+    }
+
+    #[test]
+    fn closing_the_woken_deadline_costs_one_idle_wake_then_a_rearm() {
+        let plan = vec![
+            vec![Step::Open(10.0, 1), Step::Open(20.0, 2), Step::Ping(5.0, 1)],
+            vec![Step::Close(1)],
+        ];
+        let (mut sim, actor) = table_sim(plan);
+        sim.run_until(t(15.0));
+        assert_eq!(sim.counters().timers_fired.get(), 1, "the idle wake at 10");
+        let a = sim.actor::<TableActor>(actor).unwrap();
+        assert_eq!(a.log.len(), 2, "no timeout at 10: {:?}", a.log);
+        let wake = a.table.wake.unwrap();
+        assert_eq!(wake.key.0, t(20.0), "re-armed for the deadline left");
+        assert!(wake.timer.is_some());
+        let (log, fired, suppressed) = run_table(sim, actor);
+        assert_eq!(log, [(0.0, Ping(0)), (5.0, Ping(1)), (20.0, Expired(2))]);
+        assert_eq!((fired, suppressed), (2, 0));
+    }
+
+    /// A closed deadline's row is reused by the next one opened; closing
+    /// the old deadline again must leave the new one open.
+    #[test]
+    fn a_closed_deadline_cannot_close_the_row_it_freed() {
+        let plan = vec![vec![
+            Step::Open(10.0, 1),
+            Step::Close(1),
+            Step::Open(20.0, 2),
+            Step::Reclose(1),
+        ]];
+        let (sim, actor) = table_sim(plan);
+        let (log, fired, _) = run_table(sim, actor);
+        assert_eq!(log, [(0.0, Ping(0)), (20.0, Expired(2))]);
+        assert_eq!(fired, 2, "the wake for 10 fires idle");
+    }
+
+    #[test]
+    fn an_earlier_deadline_supersedes_the_wake() {
+        let plan = vec![
+            vec![Step::Open(20.0, 1), Step::Ping(1.0, 1)],
+            vec![Step::Open(10.0, 2)],
+        ];
+        let (sim, actor) = table_sim(plan);
+        let (log, fired, suppressed) = run_table(sim, actor);
+        assert_eq!(
+            log,
+            [
+                (0.0, Ping(0)),
+                (1.0, Ping(1)),
+                (10.0, Expired(2)),
+                (20.0, Expired(1)),
+            ]
+        );
+        // The wake armed for 20 first was taken out, not left to pop: the
+        // one re-armed there after 10 is the only event at its key.
+        assert_eq!((fired, suppressed), (2, 0));
+    }
+
+    /// Two deadlines on one tick with messages scheduled between and after
+    /// them: each timeout fires at the sequence number reserved when its
+    /// deadline was opened, so the events alternate as they were
+    /// scheduled, though the second wake is armed only when the first
+    /// has fired.
+    #[test]
+    fn deadlines_on_one_tick_fire_in_the_order_they_were_opened() {
+        let plan = vec![vec![
+            Step::Open(10.0, 1),
+            Step::Ping(10.0, 1),
+            Step::Open(10.0, 2),
+            Step::Ping(10.0, 2),
+        ]];
+        let (sim, actor) = table_sim(plan);
+        let (log, fired, _) = run_table(sim, actor);
+        assert_eq!(
+            log,
+            [
+                (0.0, Ping(0)),
+                (10.0, Expired(1)),
+                (10.0, Ping(1)),
+                (10.0, Expired(2)),
+                (10.0, Ping(2)),
+            ]
+        );
+        assert_eq!(fired, 2);
+    }
+
+    /// A crash clears the table: the wake pending across a short outage
+    /// pops after recovery and is ignored; one pending across a longer
+    /// outage is suppressed; a deadline opened after recovery times out.
+    #[test]
+    fn a_crash_clears_the_table_and_its_wake() {
+        for (up, suppressed_wakes) in [(6.0, 0), (11.0, 1)] {
+            let plan = vec![
+                vec![Step::Open(10.0, 1), Step::Open(12.0, 2)],
+                vec![Step::Open(14.0, 3)],
+            ];
+            let (mut sim, actor) = table_sim(plan);
+            sim.schedule_crash(actor, t(5.0));
+            sim.schedule_recover(actor, t(up));
+            sim.inject(actor, ping(1), SimDuration::from_units(up + 0.5));
+            let (log, fired, suppressed) = run_table(sim, actor);
+            assert_eq!(
+                log,
+                [(0.0, Ping(0)), (up + 0.5, Ping(1)), (14.0, Expired(3))]
+            );
+            assert_eq!(
+                (fired, suppressed),
+                (2 - suppressed_wakes, suppressed_wakes)
+            );
+        }
+    }
+
+    /// The deadline table of server actor `aid`.
+    fn table(d: &Deployment, aid: ActorId) -> &Deadlines {
+        &d.sim.actor::<ServerActor>(aid).unwrap().end.deadlines
+    }
+
+    /// A host keeps its table through a crash, and a timeout that comes
+    /// due after the recovery fires as its own timer would have: a submit
+    /// waiting on a downed primary across a short crash fails over. One
+    /// that came due while the host was down is lost, as its timer was,
+    /// and the host still times out the exchanges it opens afterwards.
+    #[test]
+    fn a_host_crash_loses_only_the_timeouts_due_while_it_was_down() {
+        let run = |down: f64, up: f64| {
+            let mut d = small_deployment(5);
+            let names = d.user_names();
+            let (alice, bob) = (names[0].clone(), names[1].clone());
+            let list = d.directory.by_name(&alice).unwrap().authorities.clone();
+            let home = d.directory.by_name(&alice).unwrap().home_host;
+            let host = d.host_actor(home).unwrap();
+            let mut plan = ServerFailurePlan::new();
+            plan.add(list.primary(), t(0.5), t(1_000.0));
+            d.apply_server_failures(&plan);
+            d.send_at(t(1.0), &alice, &bob);
+            d.sim.schedule_crash(host, t(down));
+            d.sim.schedule_recover(host, t(up));
+            d.send_at(t(up + 1.0), &alice, &bob);
+            assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+            let table = &d.sim.actor::<HostActor>(host).unwrap().end.deadlines;
+            assert!(table.wake.is_none() && open_rows(table) == 0);
+            let st = d.stats.borrow();
+            (st.submitted, st.deposited)
+        };
+        // Down for a tenth of a unit, well inside the first probe's
+        // timeout of more than two units: both messages fail over.
+        assert_eq!(run(1.5, 1.6), (2, 2));
+        // Down past every timeout of the first submit: it is stranded at
+        // the host; the second fails over.
+        assert_eq!(run(1.5, 200.0), (2, 1));
+    }
+
+    /// A server that crashes with forwards in flight forgets their
+    /// deadlines at once: recovery re-routes every one of them.
+    #[test]
+    fn a_server_crash_clears_its_deadline_table() {
+        let mut d = small_deployment(5);
+        let names = d.user_names();
+        let (alice, bob) = names
+            .iter()
+            .flat_map(|a| names.iter().map(move |b| (a, b)))
+            .find(|(a, b)| {
+                let primary = |n: &MailName| d.directory.by_name(n).unwrap().authorities.primary();
+                primary(a) != primary(b)
+            })
+            .map(|(a, b)| (a.clone(), b.clone()))
+            .unwrap();
+        let list = d.directory.by_name(&bob).unwrap().authorities.clone();
+        let accepting = d.directory.by_name(&alice).unwrap().authorities.primary();
+        let mut plan = ServerFailurePlan::new();
+        plan.add(list.primary(), t(0.5), t(100.0));
+        d.apply_server_failures(&plan);
+        d.send_at(t(1.0), &alice, &bob);
+        let aid = d.server_actors[&accepting];
+        while open_rows(table(&d, aid)) == 0 {
+            assert!(d.sim.step(), "the accepting server forwards");
+        }
+        assert!(table(&d, aid).wake.is_some());
+        let crashes = d.sim.counters().crashes.get();
+        d.sim.schedule_crash(aid, d.sim.now());
+        d.sim
+            .schedule_recover(aid, d.sim.now() + SimDuration::from_units(1.0));
+        while d.sim.counters().crashes.get() == crashes {
+            assert!(d.sim.step(), "the crash is scheduled");
+        }
+        assert_eq!(open_rows(table(&d, aid)), 0);
+        assert!(table(&d, aid).wake.is_none());
+        d.check_at(t(200.0), &bob);
+        assert!(d.sim.run_to_quiescence_bounded(EVENT_BUDGET));
+        assert_eq!(
+            d.stats.borrow().retrieved,
+            1,
+            "recovery re-routed the forward"
+        );
     }
 
     /// `name`'s home host and the slot it keeps them in.

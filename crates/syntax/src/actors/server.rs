@@ -58,7 +58,7 @@ pub struct ServerActor {
     /// durable prefix ([`DurabilityConfig::Wal`]).
     pub(super) store: Store,
     pub(super) last_start_time: SimTime,
-    /// Retry bookkeeping (probe timers, attempt counts, remaining
+    /// Retry bookkeeping (probe deadlines, attempt counts, remaining
     /// candidates) for accepted-but-not-yet-settled messages. This map is
     /// *process* state; the durable custody record lives in the store's
     /// forward journal (a store-and-forward server stores *before* it
@@ -335,10 +335,10 @@ impl ServerActor {
         }
         self.end.stats.borrow_mut().forward_attempts += 1;
         self.end.metrics.inc("forward_probes");
-        // Cancel a superseded probe's timer (a duplicate Forward of the
-        // same message can overwrite the task) so it cannot fire later.
+        // Close a superseded probe's deadline (a duplicate Forward of the
+        // same message can overwrite the task) so it cannot time out later.
         if let Some(old) = self.forwards.get(&msg.id) {
-            ctx.cancel_timer(old.exchange.timer);
+            self.end.close(&old.exchange);
         }
         let request = MailMsg::Forward {
             msg: msg.clone(),
@@ -358,6 +358,30 @@ impl ServerActor {
                 hops_left,
             },
         );
+    }
+
+    /// Forward timeout: retransmit to the same candidate until the session
+    /// budget is spent, then cascade to the next one.
+    fn on_forward_timeout(&mut self, id: MessageId, ctx: &mut Ctx<'_, MailMsg>) {
+        let Some(task) = self.forwards.remove(&id) else {
+            return;
+        };
+        match task.exchange.timed_out() {
+            Timeout::Retransmit(attempt) => {
+                let target = task.exchange.peer;
+                self.forward_probe(
+                    task.msg,
+                    target,
+                    attempt,
+                    task.remaining,
+                    task.hops_left,
+                    ctx,
+                );
+            }
+            Timeout::Exhausted => {
+                self.forward_next(task.msg, task.remaining, task.hops_left, None, ctx);
+            }
+        }
     }
 }
 
@@ -473,34 +497,11 @@ impl Actor for ServerActor {
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
-        // Forward timeout: retransmit to the same candidate until the
-        // session budget is spent, then cascade to the next one.
-        let Some(task) = self.forwards.remove(&MessageId(tag)) else {
-            return;
-        };
-        match task.exchange.on_timer(id) {
-            // Armed before a crash this server recovered from within the
-            // timeout: the journal re-routed the message since, and its
-            // timers cannot be cancelled while the process is down.
-            Timeout::Stale => {
-                self.forwards.insert(task.msg.id, task);
-            }
-            Timeout::Retransmit(attempt) => {
-                let target = task.exchange.peer;
-                self.forward_probe(
-                    task.msg,
-                    target,
-                    attempt,
-                    task.remaining,
-                    task.hops_left,
-                    ctx,
-                );
-            }
-            Timeout::Exhausted => {
-                self.forward_next(task.msg, task.remaining, task.hops_left, None, ctx);
-            }
+    fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+        if let Some(tag) = self.end.deadlines.fire(id) {
+            self.on_forward_timeout(MessageId(tag), ctx);
         }
+        self.end.deadlines.rearm(ctx);
     }
 
     fn on_crash(&mut self, now: SimTime) {
@@ -510,13 +511,15 @@ impl Actor for ServerActor {
         // storage; the WAL backend loses its un-synced log suffix. The
         // store records the damage so `on_recover` can report it.
         self.store.crash(now);
+        // Every forward is re-routed on recovery, so no deadline armed
+        // before the crash may time out after it. The kernel suppresses
+        // the pending wake while the server is down; one that comes due
+        // after a short outage is no longer the table's and is ignored.
+        self.end.deadlines.clear();
         if !self.store.preserves_volatile() {
             // Real process death: the retry bookkeeping dies with the
             // process. Recovery re-routes from the store's forward journal
-            // instead. (Timers cannot be cancelled here — no scheduler
-            // access — but a stale timer firing after recovery finds no
-            // task under its tag and does nothing, and timers are not
-            // traced, so this cannot perturb the event trace.)
+            // instead.
             self.forwards.clear();
             self.locations.clear();
             self.lookups.clear();
@@ -551,8 +554,8 @@ impl Actor for ServerActor {
         });
         // Crash recovery for accepted-but-undeposited mail: any forward
         // that was in flight when we went down may have been dropped (and
-        // its retry timer was suppressed while we were crashed), so walk
-        // each stored message through resolution again from the top.
+        // the crash forgot its deadline), so walk each stored message
+        // through resolution again from the top.
         // Re-delivery to a server that already holds the message is
         // harmless — deposit dedups on message id.
         if self.store.preserves_volatile() {
@@ -561,7 +564,6 @@ impl Actor for ServerActor {
             let pending: Vec<ForwardTask> =
                 std::mem::take(&mut self.forwards).into_values().collect();
             for task in pending {
-                ctx.cancel_timer(task.exchange.timer);
                 self.route(task.msg, task.hops_left.max(1), ctx);
             }
         } else {

@@ -8,8 +8,9 @@
 //! further empty check must not allocate: the host finds the user by the
 //! slot the injection carries and the session in a free entry of its
 //! table, the session walks the authority list by index, the server's
-//! drain returns an unallocated `Vec`, and cancelling the timeout flips a
-//! flag in the pooled timer event.
+//! drain returns an unallocated `Vec`, the probe's deadline takes a free
+//! row of the host's deadline table, and the reply closes that row
+//! without reaching the event queue.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -82,10 +83,13 @@ fn warmed_up_empty_check_allocates_almost_nothing() {
     let allocs = warmed_up_empty_checks(2);
     // The slack is for the calendar queue: the schedule is injected up
     // front, so the ring shrinks several times as it drains and each
-    // rebuild allocates a scratch vector and the new bucket array (11
+    // rebuild allocates a scratch vector and the new bucket array (13
     // allocations at this seed, and one more where a host's session table
     // grows past the most checks it ran at once during the warm-up; one
-    // allocation per check would read 2 000). While every bucket was a vector of its own the rebuilds
+    // allocation per check would read 2 000). It read 11 while every
+    // probe armed a timer of its own: the queue's sorted front then
+    // reached 64 entries in the warm-up, and now grows from 8 to 16 in
+    // the measured checks. While every bucket was a vector of its own the rebuilds
     // regrew those too and the same run read 374; before the slot-indexed
     // check path, 4 374: a `VecDeque` and a `BTreeSet` node per session,
     // and the cancelled-timer set's rehashes.
