@@ -218,14 +218,6 @@ impl AttributeSet {
         self.attrs.is_empty()
     }
 
-    /// Every text value, in entry order.
-    pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
-        self.attrs.iter().filter_map(|(_, a)| match &a.value {
-            AttrValue::Text(text) => Some(text.as_str()),
-            AttrValue::Number(_) => None,
-        })
-    }
-
     /// The entries, moved out in key order (the values of one key in the
     /// order they were added): what `add`ing them back in this order
     /// rebuilds.

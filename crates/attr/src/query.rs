@@ -141,30 +141,25 @@ impl PreparedPredicate {
     /// and this predicate holds for. A text predicate never matches a
     /// number, nor a numeric one text.
     fn mark(&self, column: &Column, pass: &mut Pass<'_>, out: &mut [u64]) {
-        let arena = pass.table.arena();
-        let text = |cell: Cell| cell.as_text(arena);
+        let Pass {
+            visible,
+            verdicts,
+            columns,
+            ..
+        } = pass;
         match self {
-            Self::Exists => mark(column, pass.visible, out, |_| true),
+            Self::Exists => mark(column, visible, out, |_| true),
             Self::EqualsNumber(want) => {
-                mark(column, pass.visible, out, |c| c.as_number() == Some(*want));
+                mark(column, visible, out, |c| c.as_number() == Some(*want));
             }
-            Self::InRange { lo, hi } => mark(column, pass.visible, out, |c| {
+            Self::InRange { lo, hi } => mark(column, visible, out, |c| {
                 c.as_number().is_some_and(|n| (*lo..=*hi).contains(&n))
             }),
-            Self::EqualsText(want) => {
-                mark(column, pass.visible, out, |c| {
-                    text(c) == Some(want.as_str())
-                });
-            }
-            Self::Contains(sub) => mark(column, pass.visible, out, |c| {
-                text(c).is_some_and(|t| sub.is_in(t))
+            Self::EqualsText(want) => judge(column, visible, verdicts, out, |t| t == want),
+            Self::Contains(sub) => judge(column, visible, verdicts, out, |t| sub.is_in(t)),
+            Self::Fuzzy(needle) => judge(column, visible, verdicts, out, |t| {
+                needle.quality(t, t, columns).is_match()
             }),
-            Self::Fuzzy(needle) => {
-                let columns = &mut *pass.columns;
-                mark(column, pass.visible, out, |c| {
-                    text(c).is_some_and(|t| needle.quality(t, t, columns).is_match())
-                });
-            }
         }
     }
 }
@@ -246,6 +241,23 @@ fn mark(column: &Column, visible: &[bool], out: &mut [u64], mut holds: impl FnMu
     }
 }
 
+/// A text predicate: `holds` is judged once per distinct text of `column`,
+/// into `verdicts` by value id, and the pass over the cells reads each
+/// text cell's verdict.
+fn judge(
+    column: &Column,
+    visible: &[bool],
+    verdicts: &mut Vec<bool>,
+    out: &mut [u64],
+    holds: impl FnMut(&str) -> bool,
+) {
+    verdicts.clear();
+    verdicts.extend(column.texts().map(holds));
+    mark(column, visible, out, |c| {
+        c.value().is_some_and(|v| verdicts[v])
+    });
+}
+
 /// The buffers one evaluation reuses from registry to registry: after the
 /// largest registry a search allocates nothing more for them.
 #[derive(Debug, Default)]
@@ -255,6 +267,9 @@ pub(crate) struct Scratch {
     /// Per audience of the registry at hand, whether the requester sees
     /// it.
     visible: Vec<bool>,
+    /// Per distinct text of the column at hand, whether the text predicate
+    /// at hand holds for it.
+    verdicts: Vec<bool>,
     /// The edit-distance kernel's state below its first 64 rows: a block
     /// per further 64 characters of the longest fuzzy query.
     columns: Vec<Block>,
@@ -284,6 +299,7 @@ enum Node<'q> {
 struct Pass<'a> {
     table: &'a Table,
     visible: &'a [bool],
+    verdicts: &'a mut Vec<bool>,
     columns: &'a mut Vec<Block>,
 }
 
@@ -369,6 +385,7 @@ impl<'q> PreparedQuery<'q> {
         let Scratch {
             rows,
             visible,
+            verdicts,
             columns,
         } = scratch;
         // Every node fills its own bitset before it is read.
@@ -377,6 +394,7 @@ impl<'q> PreparedQuery<'q> {
         let mut pass = Pass {
             table,
             visible,
+            verdicts,
             columns,
         };
         self.root.eval(&mut pass, rows, words);

@@ -7,17 +7,17 @@
 //!
 //! A registry is stored the way a search reads it (DESIGN.md §17). Its
 //! `Table` keeps one column per attribute key: a run of 16-byte cells,
-//! each naming its row, who may see it, and either the span of its
-//! lowercased text in one arena or its number. A predicate is one pass
-//! over one key's cells, with nothing to fold and no profile to reach
-//! through a pointer; a query turns a table into a bitset of rows
-//! (`PreparedQuery::eval`), and the name index turns the set bits into
-//! users, in name order.
+//! each naming its row, who may see it, and either its number or the id
+//! of its text in the column's dictionary, which holds each distinct
+//! lowercased text once. A text predicate is judged once per distinct
+//! value, then one pass over the key's cells reads each cell's verdict,
+//! with nothing to fold and no profile to reach through a pointer; a query
+//! turns a table into a bitset of rows (`PreparedQuery::eval`), and the
+//! name index turns the set bits into users, in name order.
 
 use std::mem;
-use std::ops::Range;
 
-use lems_core::name::MailName;
+use lems_core::name::{bucket, prefix_key, MailName};
 
 use crate::attribute::{
     AttrKey, AttrValue, Attribute, AttributeSet, Requester, RequesterContext, Visibility,
@@ -36,39 +36,21 @@ const FIRST_ORGANIZATION: u32 = 2;
 /// What [`Table::compact`] maps a dropped row to.
 const DROPPED: u32 = u32::MAX;
 
+/// An empty bucket of [`Dictionary::index`], and what compaction maps a
+/// value no live cell uses to.
+const NO_VALUE: u32 = u32::MAX;
+
 /// One stored value as a search reads it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Cell {
     row: u32,
     /// The audience, shifted left once; the low bit is set for a number.
     tag: u32,
-    /// A number's bits, or the span of a text's lowercase form in the
-    /// arena: start in the high half, end in the low.
+    /// A number's bits, or the id of a text in its column's dictionary.
     data: u64,
 }
 
-/// A text cell's `data`.
-fn span_bits(span: Range<usize>) -> u64 {
-    (span.start as u64) << 32 | span.end as u64
-}
-
 impl Cell {
-    fn of_text(row: u32, audience: u32, span: Range<usize>) -> Self {
-        Cell {
-            row,
-            tag: audience << 1,
-            data: span_bits(span),
-        }
-    }
-
-    fn of_number(row: u32, audience: u32, n: i64) -> Self {
-        Cell {
-            row,
-            tag: audience << 1 | 1,
-            data: n as u64,
-        }
-    }
-
     pub(crate) fn row(self) -> usize {
         self.row as usize
     }
@@ -82,10 +64,142 @@ impl Cell {
         (self.tag & 1 == 1).then_some(self.data as i64)
     }
 
-    /// The lowercased text, if this is a text cell of a table whose arena
-    /// is `arena`.
-    pub(crate) fn as_text(self, arena: &str) -> Option<&str> {
-        (self.tag & 1 == 0).then(|| &arena[(self.data >> 32) as usize..self.data as u32 as usize])
+    /// The id of a text cell's value: its place in [`Column::texts`].
+    pub(crate) fn value(self) -> Option<usize> {
+        (self.tag & 1 == 0).then_some(self.data as usize)
+    }
+}
+
+/// `0x01` in every byte of a [`prefix_key`].
+const ONES: u128 = u128::MAX / 0xFF;
+/// The top bit of every byte: clear in the key of an ASCII string.
+const TOP_BITS: u128 = ONES * 0x80;
+
+/// The key of an ASCII string's lowercase form, from the string's own
+/// [`prefix_key`]: every byte in `A..=Z` gains `0x20`, all sixteen at once.
+/// (A byte below `0x80` plus `0x3F` carries into its top bit exactly when
+/// it is at least `A`, plus `0x25` when it is past `Z`, and never into the
+/// next byte.)
+fn ascii_lower(key: u128) -> u128 {
+    let from_a = key + ONES * 0x3F;
+    let past_z = key + ONES * 0x25;
+    key | (from_a & !past_z & TOP_BITS) >> 2
+}
+
+/// One distinct text of a column.
+#[derive(Clone, Copy, Debug)]
+struct Value {
+    /// [`prefix_key`] of the lowercased text.
+    key: u128,
+    /// Its span in [`Dictionary::text`].
+    start: u32,
+    end: u32,
+}
+
+/// The distinct lowercased texts of one column, each kept once and known
+/// by its id, the order it was first stored in.
+#[derive(Clone, Debug, Default)]
+struct Dictionary {
+    /// Every distinct text, end to end.
+    text: String,
+    /// By id.
+    values: Vec<Value>,
+    /// Open addressing with linear probes from [`bucket`] of a value's
+    /// key: a bucket holds an id or [`NO_VALUE`], and at least half the
+    /// buckets are empty, so every probe ends. Rebuilt as it doubles.
+    index: Vec<u32>,
+}
+
+impl Dictionary {
+    fn text_of(&self, value: Value) -> &str {
+        &self.text[value.start as usize..value.end as usize]
+    }
+
+    /// The id of `text`'s lowercase form, stored now if it is new.
+    fn intern(&mut self, text: &str) -> u32 {
+        let key = prefix_key(text);
+        // A text of up to 16 bytes is all in its key.
+        let ascii = if text.len() <= 16 {
+            key & TOP_BITS == 0
+        } else {
+            text.is_ascii()
+        };
+        if ascii {
+            // Folded in the key: nothing is copied for a text already held.
+            let key = ascii_lower(key);
+            if let Some(id) = self.find(key, text.len(), |held| held.eq_ignore_ascii_case(text)) {
+                return id;
+            }
+            let start = self.text.len();
+            self.text.push_str(text);
+            self.text[start..].make_ascii_lowercase();
+            return self.insert(key, start);
+        }
+        let start = self.text.len();
+        push_lower(text, &mut self.text);
+        let lower = &self.text[start..];
+        let key = prefix_key(lower);
+        if let Some(id) = self.find(key, lower.len(), |held| held == lower) {
+            self.text.truncate(start);
+            return id;
+        }
+        self.insert(key, start)
+    }
+
+    /// The id of the text whose key is `key` and length `len`, if held;
+    /// past 16 bytes, keys can tie and `same` tells the held text apart.
+    fn find(&self, key: u128, len: usize, same: impl Fn(&str) -> bool) -> Option<u32> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut h = bucket(key, mask);
+        loop {
+            let id = self.index[h];
+            // An empty bucket, `NO_VALUE`, names no value: the text is new.
+            let value = *self.values.get(id as usize)?;
+            if value.key == key
+                && (value.end - value.start) as usize == len
+                && (len <= 16 || same(self.text_of(value)))
+            {
+                return Some(id);
+            }
+            h = (h + 1) & mask;
+        }
+    }
+
+    /// Stores the lowercased text from `start` to the end of `text`, which
+    /// no id holds yet, under the next id.
+    fn insert(&mut self, key: u128, start: usize) -> u32 {
+        let id = self.values.len() as u32;
+        self.values.push(Value {
+            key,
+            start: start as u32,
+            end: self.text.len() as u32,
+        });
+        if 2 * self.values.len() > self.index.len() {
+            self.reindex();
+        } else {
+            self.place(id);
+        }
+        id
+    }
+
+    /// Files `id` in the first empty bucket of its probe.
+    fn place(&mut self, id: u32) {
+        let mask = self.index.len() - 1;
+        let mut h = bucket(self.values[id as usize].key, mask);
+        while self.index[h] != NO_VALUE {
+            h = (h + 1) & mask;
+        }
+        self.index[h] = id;
+    }
+
+    /// Rebuilds the index at twice the values, rounded up to a power of two.
+    fn reindex(&mut self) {
+        self.index.clear();
+        self.index
+            .resize((2 * self.values.len()).next_power_of_two(), NO_VALUE);
+        for id in 0..self.values.len() as u32 {
+            self.place(id);
+        }
     }
 }
 
@@ -95,11 +209,19 @@ pub(crate) struct Column {
     key: AttrKey,
     /// In row order; a row's cells in the order its values were added.
     cells: Vec<Cell>,
+    /// The texts the text cells' ids name.
+    dictionary: Dictionary,
 }
 
 impl Column {
     pub(crate) fn cells(&self) -> &[Cell] {
         &self.cells
+    }
+
+    /// The column's distinct texts, lowercased, in the order of their ids.
+    pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
+        let dictionary = &self.dictionary;
+        dictionary.values.iter().map(|&v| dictionary.text_of(v))
     }
 }
 
@@ -149,8 +271,6 @@ impl Organizations {
 pub(crate) struct Table {
     /// One per key, in key order.
     columns: Vec<Column>,
-    /// The lowercase form of every stored text, end to end.
-    arena: String,
     organizations: Organizations,
     /// One bit per row, set while the row holds a profile.
     live: Vec<u64>,
@@ -165,47 +285,22 @@ pub(crate) fn has(bits: &[u64], row: usize) -> bool {
 
 impl Table {
     /// Stores `attrs` as a new row and returns it. What is kept of a text
-    /// is its lowercase form, copied into the arena.
+    /// is the id of its lowercase form in its column's dictionary.
     ///
     /// # Panics
     ///
-    /// If the arena would pass 4 GiB or the rows 2³² − 1.
+    /// If a column's distinct text would reach 4 GiB or the rows 2³² − 1.
     pub(crate) fn push(&mut self, attrs: AttributeSet) -> u32 {
         let row = self.rows;
-        // A profile's texts are usually all ASCII: then they are checked
-        // and lowercased together, in one pass each, and as folding ASCII
-        // keeps every length, each span follows from the last. Otherwise
-        // each text is folded on its own below.
-        let first = self.arena.len();
-        for text in attrs.texts() {
-            self.arena.push_str(text);
-        }
-        let ascii = self.arena[first..].is_ascii();
-        if ascii {
-            self.arena[first..].make_ascii_lowercase();
-        } else {
-            self.arena.truncate(first);
-        }
-        let mut next = first;
+        assert!(
+            row < DROPPED,
+            "an attribute registry holds at most 2³² − 1 rows"
+        );
         // The entries come in key order, as the columns are kept: each
         // entry's column is at or after the previous entry's.
         let mut at = 0;
         for (key, Attribute { value, visibility }) in attrs.into_entries() {
             let audience = self.organizations.audience(visibility);
-            let cell = match &value {
-                AttrValue::Text(text) => {
-                    let span = if ascii {
-                        next..next + text.len()
-                    } else {
-                        let start = self.arena.len();
-                        push_lower(text, &mut self.arena);
-                        start..self.arena.len()
-                    };
-                    next = span.end;
-                    Cell::of_text(row, audience, span)
-                }
-                AttrValue::Number(n) => Cell::of_number(row, audience, *n),
-            };
             while self.columns.get(at).is_some_and(|c| c.key < key) {
                 at += 1;
             }
@@ -213,15 +308,24 @@ impl Table {
                 let column = Column {
                     key,
                     cells: Vec::new(),
+                    dictionary: Dictionary::default(),
                 };
                 self.columns.insert(at, column);
             }
-            self.columns[at].cells.push(cell);
+            let column = &mut self.columns[at];
+            let (tag, data) = match value {
+                AttrValue::Text(text) => {
+                    let id = column.dictionary.intern(&text);
+                    assert!(
+                        column.dictionary.text.len() < u32::MAX as usize,
+                        "an attribute registry holds less than 4 GiB of distinct text per key"
+                    );
+                    (audience << 1, u64::from(id))
+                }
+                AttrValue::Number(n) => (audience << 1 | 1, n as u64),
+            };
+            column.cells.push(Cell { row, tag, data });
         }
-        assert!(
-            u32::try_from(self.arena.len()).is_ok() && row < DROPPED,
-            "an attribute registry holds at most 4 GiB of text in 2³² − 1 rows"
-        );
         if row.is_multiple_of(64) {
             self.live.push(0);
         }
@@ -234,11 +338,6 @@ impl Table {
     pub(crate) fn column(&self, key: &AttrKey) -> Option<&Column> {
         let at = self.columns.binary_search_by(|c| c.key.cmp(key)).ok()?;
         Some(&self.columns[at])
-    }
-
-    /// The text every text cell's span points into.
-    pub(crate) fn arena(&self) -> &str {
-        &self.arena
     }
 
     /// One bit per row, set for the rows that hold a profile.
@@ -267,9 +366,10 @@ impl Table {
         self.dead > self.rows - self.dead
     }
 
-    /// Drops the dead rows, their cells and their text, and renumbers the
-    /// live rows in order. Returns each old row's new number, or
-    /// [`DROPPED`].
+    /// Drops the dead rows, their cells and the texts only they held, and
+    /// renumbers the live rows in order and each column's texts in the
+    /// order the live cells first name them. Returns each old row's new
+    /// number, or [`DROPPED`].
     fn compact(&mut self) -> Vec<u32> {
         let mut renumber = Vec::with_capacity(self.rows as usize);
         let mut kept = 0;
@@ -281,24 +381,28 @@ impl Table {
                 renumber.push(DROPPED);
             }
         }
-        let mut arena = String::new();
         for column in &mut self.columns {
+            let old = mem::take(&mut column.dictionary);
+            let mut ids = vec![NO_VALUE; old.values.len()];
             for cell in mem::take(&mut column.cells) {
                 let row = renumber[cell.row()];
                 if row == DROPPED {
                     continue;
                 }
                 let mut cell = Cell { row, ..cell };
-                if let Some(text) = cell.as_text(&self.arena) {
-                    let start = arena.len();
-                    arena.push_str(text);
-                    cell.data = span_bits(start..arena.len());
+                if let Some(id) = cell.value() {
+                    if ids[id] == NO_VALUE {
+                        let value = old.values[id];
+                        let start = column.dictionary.text.len();
+                        column.dictionary.text.push_str(old.text_of(value));
+                        ids[id] = column.dictionary.insert(value.key, start);
+                    }
+                    cell.data = u64::from(ids[id]);
                 }
                 column.cells.push(cell);
             }
         }
         self.columns.retain(|c| !c.cells.is_empty());
-        self.arena = arena;
         self.live.clear();
         self.live.resize((kept as usize).div_ceil(64), 0);
         for row in 0..kept as usize {
@@ -371,7 +475,7 @@ impl AttributeRegistry {
     ///
     /// # Panics
     ///
-    /// If the registry's lowercased text would pass 4 GiB.
+    /// If the distinct lowercased text under one key would reach 4 GiB.
     pub fn upsert(&mut self, user: MailName, attrs: AttributeSet) {
         let row = self.table.push(attrs);
         let prefix = user.order_key();
@@ -453,8 +557,8 @@ mod tests {
 
     use super::*;
     use crate::fuzzy::reference::unicode_fold_eq;
-    use crate::query::reference;
     use crate::query::tape::Tape;
+    use crate::query::{reference, Predicate};
 
     fn reg() -> AttributeRegistry {
         let mut r = AttributeRegistry::new();
@@ -561,6 +665,155 @@ mod tests {
         }
     }
 
+    /// The dictionary of `key` in `r`'s table.
+    fn dictionary<'a>(r: &'a AttributeRegistry, key: &AttrKey) -> &'a Dictionary {
+        &r.table
+            .column(key)
+            .expect("the key has a column")
+            .dictionary
+    }
+
+    #[test]
+    fn case_and_unicode_variants_fold_to_one_value() {
+        let mut r = AttributeRegistry::new();
+        let variants = ["K", "É", "k", "ß", "\u{212a}", "é", "ẞ", "K"];
+        for (i, text) in variants.iter().enumerate() {
+            let mut a = AttributeSet::new();
+            a.add(AttrKey::City, *text, Visibility::Public);
+            r.upsert(format!("r.h.u{i}").parse().unwrap(), a);
+        }
+        let held = dictionary(&r, &AttrKey::City);
+        assert_eq!(held.text, "kéß");
+        assert_eq!(held.values.len(), 3);
+        let column = r.table.column(&AttrKey::City).unwrap();
+        let ids: Vec<Option<usize>> = column.cells().iter().map(|c| c.value()).collect();
+        let want = [0, 1, 0, 2, 0, 1, 2, 0].map(Some);
+        assert_eq!(ids, want);
+        let anon = RequesterContext::default();
+        for (text, hits) in [("k", 4), ("\u{212a}", 4), ("É", 2), ("ß", 2)] {
+            assert_eq!(
+                r.count_matches(&Query::text_eq(AttrKey::City, text), &anon),
+                hits,
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn ascii_keys_fold_as_their_text_does() {
+        for text in [
+            "",
+            "A",
+            "Za",
+            "@[`{",
+            "MAIL routing",
+            "ABCDEFGHIJKLMNOP",
+            "xyzXYZ 09",
+        ] {
+            let lower = text.to_ascii_lowercase();
+            assert_eq!(
+                ascii_lower(prefix_key(text)),
+                prefix_key(&lower),
+                "{text:?}"
+            );
+        }
+    }
+
+    /// Ten thousand distinct nicknames in mixed case, half of them longer
+    /// than 16 bytes and sharing their first 16 with 49 others, so that
+    /// their keys tie and only their bytes tell them apart: the index
+    /// doubles past every size on the way, and the registry answers as
+    /// the reference evaluator does on every profile.
+    #[test]
+    fn ten_thousand_distinct_values_answer_as_the_reference() {
+        const VALUES: usize = 10_000;
+        let nickname = |k: usize| {
+            let text = if k.is_multiple_of(2) {
+                format!("n{k}")
+            } else {
+                format!("{:03}-long-prefix-{k}", k / 100)
+            };
+            if k.is_multiple_of(3) {
+                text.to_uppercase()
+            } else {
+                text
+            }
+        };
+        let mut r = AttributeRegistry::new();
+        let mut model = Vec::new();
+        for k in 0..VALUES {
+            let mut a = AttributeSet::new();
+            a.add(AttrKey::Nickname, nickname(k), Visibility::Public);
+            // Every value again, in the other case: nothing new is stored.
+            a.add(
+                AttrKey::Nickname,
+                nickname(k).to_lowercase(),
+                Visibility::Public,
+            );
+            let name: MailName = format!("r.h.u{k:05}").parse().unwrap();
+            r.upsert(name.clone(), a.clone());
+            model.push((name, a));
+        }
+        let held = dictionary(&r, &AttrKey::Nickname);
+        assert_eq!(held.values.len(), VALUES);
+        assert_eq!(held.index.len(), (2 * VALUES).next_power_of_two());
+        let anon = RequesterContext::default();
+        let fuzzy = |query: &str| {
+            Query::Attr(
+                AttrKey::Nickname,
+                Predicate::Fuzzy {
+                    query: query.into(),
+                    max_edits: 1,
+                },
+            )
+        };
+        for query in [
+            Query::text_eq(AttrKey::Nickname, "N9990"),
+            Query::text_eq(AttrKey::Nickname, "041-LONG-PREFIX-4111"),
+            Query::text_eq(AttrKey::Nickname, "004-Long-Prefix-411"),
+            fuzzy("041-long-prefix-411"),
+            Query::Attr(AttrKey::Nickname, Predicate::Contains("X-99".into())),
+            fuzzy("n123"),
+            fuzzy("099-long-prefix-990"),
+        ] {
+            let want: Vec<&MailName> = model
+                .iter()
+                .filter(|(_, a)| reference::eval(&query, a, &anon, unicode_fold_eq))
+                .map(|(name, _)| name)
+                .collect();
+            assert!(!want.is_empty(), "{query:?} matches nothing");
+            assert_eq!(r.search(&query, &anon), want, "{query:?}");
+        }
+    }
+
+    /// One user whose nickname is new at every upsert: each replaced
+    /// row's text goes at the compaction that drops the row, so the
+    /// dictionary never holds more than twice the live text.
+    #[test]
+    fn churn_keeps_the_dictionary_near_the_live_values() {
+        let user: MailName = "r.h.churner".parse().unwrap();
+        let mut r = AttributeRegistry::new();
+        for i in 0..1_000 {
+            let nickname = format!("Nick-{i}");
+            let mut a = AttributeSet::new();
+            a.add(AttrKey::Nickname, nickname.as_str(), Visibility::Public);
+            r.upsert(user.clone(), a);
+            let held = dictionary(&r, &AttrKey::Nickname);
+            assert!(
+                held.text.len() <= 2 * nickname.len(),
+                "{} bytes held for a live value of {}",
+                held.text.len(),
+                nickname.len()
+            );
+            assert!(held.values.len() <= 2);
+        }
+        let hit = r.search(
+            &Query::text_eq(AttrKey::Nickname, "nick-999"),
+            &RequesterContext::default(),
+        );
+        assert_eq!(hit, [&user]);
+    }
+
     #[test]
     fn compaction_keeps_names_rows_and_text_in_step() {
         let mut r = AttributeRegistry::new();
@@ -574,13 +827,20 @@ mod tests {
                     Visibility::Public,
                 );
                 a.add(AttrKey::Custom("n".into()), i as i64, Visibility::Private);
+                let city = if i.is_multiple_of(2) {
+                    "Boston"
+                } else {
+                    "BOSTON"
+                };
+                a.add(AttrKey::City, city, Visibility::Public);
                 r.upsert(name.clone(), a);
             }
         }
         // Every replacement killed a row; compaction kept the table within
-        // twice the live rows.
+        // twice the live rows, and one value for the city every row holds.
         assert!(r.table.rows as usize <= 2 * names.len());
         assert_eq!(r.names.len(), r.table.rows as usize);
+        assert_eq!(dictionary(&r, &AttrKey::City).text, "boston");
         let hit = r.search(
             &Query::text_eq(AttrKey::Nickname, "n4-2"),
             &RequesterContext::default(),

@@ -4,7 +4,8 @@
 //! §3.3.1 prices a search at the tree it walks: the query goes down every
 //! edge once, each server searches its database, one summary comes back up
 //! every edge. Evaluating a registry must therefore allocate nothing — the
-//! query is prepared once and its row bitsets and scratch buffers are
+//! query is prepared once, and its row bitsets, the requester's audiences
+//! and a text predicate's verdicts per distinct value live in one scratch
 //! reused from registry to registry — which leaves two things that may: the
 //! broadcast world (actors, links, queue: proportional to the nodes of the
 //! tree) and the vector of hits as it doubles. Ten times the profiles on
@@ -12,9 +13,11 @@
 //! doublings. Before the prepared evaluator a search allocated about twenty
 //! times per profile.
 //!
-//! A registry stores a profile by moving its values into per-key columns
-//! and copying their lowercase forms into one text arena: what allocates
-//! is a column's or the arena's growth, never a value or a profile.
+//! A registry stores a profile by moving its values into per-key columns;
+//! a text is kept as the id of its lowercase form in the column's
+//! dictionary, which stores each distinct form once. What allocates is a
+//! column's growth and its dictionary's index doubling, never a value or a
+//! profile.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -26,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use lems_attr::attribute::{AttrKey, AttributeSet, RequesterContext, Visibility};
-use lems_attr::query::Query;
+use lems_attr::query::{Predicate, Query};
 use lems_attr::registry::AttributeRegistry;
 use lems_attr::search::AttributeNetwork;
 use lems_core::name::MailName;
@@ -192,6 +195,47 @@ fn every_kernel_path_allocates_for_the_tree_not_for_the_profiles() {
     }
 }
 
+/// Evaluation alone, without the broadcast: `central_matches` over all
+/// eight registries allocates what it does over the first of them, but for
+/// the hit vector's further doublings. The scratch — row bitsets, the
+/// audiences, and the verdicts of the fuzzy, equality and substring
+/// predicates per distinct value — is sized by the first registry and
+/// reused by every later one.
+#[test]
+fn evaluation_allocates_nothing_past_the_first_registry() {
+    let all = network(50);
+    let t = all.topology();
+    let first = t.servers()[0];
+    let registry = all.registry(first).expect("every server has one").clone();
+    let one = AttributeNetwork::new(t.clone(), BTreeMap::from([(first, registry)]));
+    let query = Query::All(vec![
+        Query::name_like("jonson", 1),
+        Query::text_eq(AttrKey::Organization, "DEC"),
+        Query::Attr(AttrKey::LastName, Predicate::Contains("SON".into())),
+    ]);
+    let ctx = RequesterContext {
+        organization: Some("dec".into()),
+    };
+    let evaluate = |net: &AttributeNetwork| {
+        let before = counting_alloc::allocations();
+        let hits = net.central_matches(&query, &ctx).len() as u64;
+        (counting_alloc::allocations() - before, hits)
+    };
+    let (one_allocs, one_hits) = evaluate(&one);
+    let (all_allocs, all_hits) = evaluate(&all);
+    let doublings = |hits: u64| u64::from(hits.next_power_of_two().ilog2());
+    assert!(
+        one_hits >= 4 && all_hits > 4 * one_hits,
+        "{one_hits} and {all_hits} hits"
+    );
+    let growth = doublings(all_hits) - doublings(one_hits);
+    assert!(
+        all_allocs <= one_allocs + growth,
+        "{one_allocs} allocations over one registry, {all_allocs} over eight: more than the \
+         {growth} the hit vector accounts for"
+    );
+}
+
 #[test]
 fn a_registry_allocates_per_column_growth_not_per_profile() {
     const PROFILES: usize = 5_000;
@@ -228,9 +272,10 @@ fn a_registry_allocates_per_column_growth_not_per_profile() {
     let allocs = counting_alloc::allocations() - before;
     assert_eq!(registry.len(), PROFILES);
 
-    // Five columns of cells, the text arena, the rows' names, their
-    // order and its prefixes each grow by doubling: a dozen steps apiece.
-    // Any allocation per value or per profile would be thousands.
+    // Five columns of cells, the four text columns' dictionaries (each
+    // holding two to four distinct texts), the rows' names, their order
+    // and its prefixes each grow by doubling: a dozen steps apiece. Any
+    // allocation per value or per profile would be thousands.
     let budget = (PROFILES / 16) as u64;
     assert!(
         allocs <= budget,

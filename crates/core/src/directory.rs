@@ -22,7 +22,7 @@ use std::sync::Arc;
 use lems_net::graph::NodeId;
 use lems_net::topology::RegionId;
 
-use crate::name::{prefix_key, MailName};
+use crate::name::{bucket, prefix_key, MailName};
 use crate::store::NO_OWNER_SLOT;
 use crate::user::{AuthorityList, UserId, UserRecord};
 
@@ -114,16 +114,6 @@ impl Regions {
 
 /// An empty bucket of [`RegionTable::index`] and [`Regions::index`].
 const NO_ROW: u32 = u32::MAX;
-
-/// `key`'s home bucket in an index of `mask + 1` buckets: the top bits of
-/// the Fibonacci product of the key's folded halves, which depend on every
-/// bit of the key. (A key of a few bytes, a region token's, sets only its
-/// top bits, so the product's low bits are all zero.)
-fn bucket(key: u128, mask: usize) -> usize {
-    let folded = (key >> 64) as u64 ^ key as u64;
-    let product = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (product >> (64 - mask.count_ones()).min(63)) as usize & mask
-}
 
 /// One user of a [`RegionTable`].
 #[derive(Clone, Debug)]

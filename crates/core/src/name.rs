@@ -215,19 +215,39 @@ impl MailName {
 /// The first 16 bytes of `s`, padded with zeros, as a big-endian integer:
 /// strings order no earlier than their keys do, and two strings of one
 /// length up to 16 bytes share a key only if they are equal.
-pub(crate) fn prefix_key(s: &str) -> u128 {
+pub fn prefix_key(s: &str) -> u128 {
     let b = s.as_bytes();
-    let mut bytes = [0; 16];
-    if let Some(head) = b.get(..16) {
-        bytes.copy_from_slice(head);
-        return u128::from_be_bytes(bytes);
+    let n = b.len();
+    if let Some(head) = b.first_chunk::<16>() {
+        return u128::from_be_bytes(*head);
     }
-    // Shorter: shift the bytes in one by one. (A copy of a variable
-    // length into `bytes` is a `memcpy` call, which costs more than the
-    // few bytes of a region token.)
+    // Shorter: its first and last 8 (or 4) bytes, read as two integers
+    // that overlap, cover it, and shifting the overlap out of the second
+    // leaves each byte once. (A copy of a variable length into a zeroed
+    // buffer is a `memcpy` call, and shifting the bytes in one by one a
+    // chain of 128-bit shifts: each costs more than these four loads.)
+    if let (Some(head), Some(tail)) = (b.first_chunk::<8>(), b.last_chunk::<8>()) {
+        let rest = (u128::from(u64::from_be_bytes(*tail)) << (8 * (16 - n))) as u64;
+        return u128::from(u64::from_be_bytes(*head)) << 64 | u128::from(rest);
+    }
+    if let (Some(head), Some(tail)) = (b.first_chunk::<4>(), b.last_chunk::<4>()) {
+        let rest = (u64::from(u32::from_be_bytes(*tail)) << (8 * (8 - n))) as u32;
+        return (u128::from(u32::from_be_bytes(*head)) << 32 | u128::from(rest)) << 64;
+    }
     let key = b.iter().fold(0u128, |key, &x| key << 8 | u128::from(x));
     // The empty string's 128-bit shift overflows; its key is 0 either way.
-    key.checked_shl(8 * (16 - b.len() as u32)).unwrap_or(0)
+    key.checked_shl(8 * (16 - n as u32)).unwrap_or(0)
+}
+
+/// `key`'s home bucket in an open-addressed index of `mask + 1` buckets (a
+/// power of two): the top bits of the Fibonacci product of the key's
+/// folded halves, which depend on every bit of the key. (A key of a few
+/// bytes, a region token's, sets only its top bits, so the product's low
+/// bits are all zero.)
+pub fn bucket(key: u128, mask: usize) -> usize {
+    let folded = (key >> 64) as u64 ^ key as u64;
+    let product = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (product >> (64 - mask.count_ones()).min(63)) as usize & mask
 }
 
 // The offsets follow from the buffer (the separator occurs nowhere else),

@@ -27,8 +27,9 @@
 //! it, keeping inserts and pops amortized O(1).
 //!
 //! What allocates, then, is the pool's slab growing to the peak pending
-//! count, the `front` vector growing to the busiest day, and the O(log n)
-//! ring rebuilds — nothing per bucket and nothing per event
+//! count, the `front` vector growing to about twice the most events of one
+//! day pending at once (it drops its consumed prefix before it grows), and
+//! the O(log n) ring rebuilds — nothing per bucket and nothing per event
 //! (`tests/zero_alloc.rs` counts it on a cold ring).
 //!
 //! Pop order is exactly `(time, sequence)`; `tests/queue_differential.rs`
@@ -163,6 +164,17 @@ impl<E> Calendar<E> {
     fn place(&mut self, e: Entry) {
         let day = self.day_of(e.ticks);
         if day < self.current_day {
+            // A full front that is mostly consumed drops what it has
+            // consumed instead of growing: a queue with too few events
+            // pending to ever resize stays on one day, and its front would
+            // otherwise grow by every event of that day. The suffix moved
+            // is no longer than the prefix dropped, and refilling the room
+            // freed takes as many pushes, so this is amortized O(1).
+            let full = self.front.len() == self.front.capacity();
+            if full && self.cursor > 0 && 2 * self.cursor >= self.front.len() {
+                self.front.drain(..self.cursor);
+                self.cursor = 0;
+            }
             let key = e.key();
             let pos = self.cursor + self.front[self.cursor..].partition_point(|x| x.key() < key);
             self.front.insert(pos, e);

@@ -163,6 +163,32 @@ fn actor_dispatch_steady_state_allocates_nothing() {
     assert_eq!(pool_after.pool_capacity, pool_before.pool_capacity);
 }
 
+/// Two balls between two actors: never 32 events pending, so the ring
+/// never resizes, keeps its first day width, and every event of the run
+/// lands in that one day's sorted front. The front drops the prefix it
+/// has consumed before it grows, so it stays as long as the pending set.
+#[test]
+fn a_queue_that_never_resizes_allocates_nothing() {
+    let mut sim: ActorSim<u64> = ActorSim::new(42);
+    let a = sim.add_actor(Pong { peer: 1, got: 0 });
+    let _b = sim.add_actor(Pong { peer: 0, got: 0 });
+    for k in 0..2 {
+        sim.inject(a, k, SimDuration::from_ticks(1 + k));
+    }
+    sim.run_until(SimTime::from_ticks(3_000));
+
+    let before = snapshot();
+    let resizes = sim.queue_stats().resizes;
+    sim.run_until(SimTime::from_ticks(300_000));
+    let after = snapshot();
+    assert!(sim.counters().delivered.get() > 100_000);
+    assert_eq!(sim.queue_stats().resizes, resizes);
+    assert_eq!(
+        before, after,
+        "a front kept on one day must not grow with the day's events"
+    );
+}
+
 /// Ping-pong pair whose every delivery, after sending on, re-arms its one
 /// timer under a sequence number reserved then — the retransmission wake
 /// of the mail actors: the pending one is taken out of the queue, and one
