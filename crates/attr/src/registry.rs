@@ -534,6 +534,30 @@ impl AttributeRegistry {
             .map(|&row| &self.names[row as usize])
     }
 
+    /// How many users satisfy `query`, and the first and last of them in
+    /// name order: what [`hits`](Self::hits) would count and yield first
+    /// and last, without the walk between. The rows' bitset has one bit
+    /// per hit (dead rows are clear), so the count is its popcount.
+    pub(crate) fn hit_ends<'a>(
+        &'a self,
+        query: &PreparedQuery<'_>,
+        scratch: &mut Scratch,
+    ) -> (u64, Option<(&'a MailName, &'a MailName)>) {
+        let rows = query.eval(&self.table, scratch);
+        let count = count_rows(rows);
+        if count == 0 {
+            return (0, None);
+        }
+        let hit = |row: &&u32| has(rows, **row as usize);
+        let ends = self
+            .by_name
+            .iter()
+            .find(hit)
+            .zip(self.by_name.iter().rfind(hit));
+        let name = |&row: &u32| &self.names[row as usize];
+        (count, ends.map(|(first, last)| (name(first), name(last))))
+    }
+
     /// Users whose visible attributes satisfy `query`, in name order.
     pub fn search(&self, query: &Query, ctx: &RequesterContext) -> Vec<&MailName> {
         let mut scratch = Scratch::default();
@@ -544,9 +568,13 @@ impl AttributeRegistry {
     /// Number of matches only (what convergecast summaries carry).
     pub fn count_matches(&self, query: &Query, ctx: &RequesterContext) -> u64 {
         let mut scratch = Scratch::default();
-        let rows = PreparedQuery::new(query, ctx).eval(&self.table, &mut scratch);
-        rows.iter().map(|w| u64::from(w.count_ones())).sum()
+        count_rows(PreparedQuery::new(query, ctx).eval(&self.table, &mut scratch))
     }
+}
+
+/// The number of set bits in `rows`.
+fn count_rows(rows: &[u64]) -> u64 {
+    rows.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 #[cfg(test)]
@@ -662,6 +690,66 @@ mod tests {
             choices in collection::vec(0u8..=255, 400),
         ) {
             check_against_model(&words, &choices);
+        }
+    }
+
+    /// The count path against the hit walk, on one registry: the count,
+    /// the first hit and the last hit of `hit_ends` are what `hits` counts,
+    /// yields first and yields last.
+    fn check_hit_ends(registry: &AttributeRegistry, query: &Query, ctx: &RequesterContext) {
+        let prepared = PreparedQuery::new(query, ctx);
+        let mut scratch = Scratch::default();
+        let walked: Vec<&MailName> = registry.hits(&prepared, &mut scratch).collect();
+        let (count, ends) = registry.hit_ends(&prepared, &mut scratch);
+        assert_eq!(count, walked.len() as u64, "{query:?} as {ctx:?}");
+        let want = walked.first().copied().zip(walked.last().copied());
+        assert_eq!(ends, want, "{query:?} as {ctx:?}");
+    }
+
+    proptest! {
+        /// From the empty registry on, through 250 upserts over a hundred
+        /// names: the first hundred add a user each, so the row bitset
+        /// spans two words; the rest replace rows and kill the old ones
+        /// until dead rows outnumber live ones and the table compacts.
+        /// After every upsert, random queries and one that no profile can
+        /// match count what the hit walk yields, between the same ends.
+        #[test]
+        fn counting_hits_agrees_with_walking_them(
+            words in collection::vec("[akAK ßİΣσςéÉ\u{212a}]{0,4}", 5),
+            choices in collection::vec(0u8..=255, 4_000),
+        ) {
+            const UPSERTS: usize = 250;
+            let names: Vec<MailName> = NAMES
+                .iter()
+                .map(ToString::to_string)
+                .chain((NAMES.len()..100).map(|k| format!("r.h.u{k:02}")))
+                .map(|n| n.parse().unwrap())
+                .collect();
+            let mut tape = Tape::new(&choices);
+            let mut queries: Vec<(Query, RequesterContext)> = (0..3)
+                .map(|_| (tape.query(&words, 0), tape.requester(&words)))
+                .collect();
+            // No generated word is as long as `nowhere`.
+            let nothing = Query::text_eq(AttrKey::City, "nowhere");
+            queries.push((nothing, RequesterContext::default()));
+            let mut registry = AttributeRegistry::new();
+            for (query, ctx) in &queries {
+                check_hit_ends(&registry, query, ctx);
+            }
+            let mut compactions = 0;
+            for i in 0..UPSERTS {
+                let rows = registry.table.rows;
+                // A stride coprime with the hundred names visits each once
+                // a round.
+                let name = &names[i * 7 % names.len()];
+                registry.upsert(name.clone(), tape.profile(&words));
+                compactions += usize::from(registry.table.rows <= rows);
+                for (query, ctx) in &queries {
+                    check_hit_ends(&registry, query, ctx);
+                }
+            }
+            prop_assert!(compactions >= 1, "no compaction");
+            prop_assert!(registry.table.live().len() >= 2, "one bitset word");
         }
     }
 

@@ -15,7 +15,7 @@ use lems_sim::failure::FailurePlan;
 use lems_sim::time::{SimDuration, SimTime};
 
 use lems_mst::backbone::{build_two_level, TwoLevelMst};
-use lems_mst::broadcast::{simulate_broadcast, BroadcastConfig, RegionCostTable};
+use lems_mst::broadcast::{BroadcastConfig, PreparedTree, RegionCostTable};
 
 use crate::attribute::RequesterContext;
 use crate::query::{PreparedQuery, Query, Scratch};
@@ -27,14 +27,21 @@ use crate::registry::AttributeRegistry;
 pub struct AttributeNetwork {
     topology: Topology,
     two_level: TwoLevelMst,
-    /// `two_level`'s edges as per-node neighbor lists: what a broadcast
+    /// `two_level`'s edges wired as each node's links: what a broadcast
     /// walks.
-    tree_adjacency: Vec<Vec<NodeId>>,
+    tree: PreparedTree,
     registries: BTreeMap<NodeId, AttributeRegistry>,
     /// The servers with a registry, in the order of each registry's
     /// smallest name: the order a search visits them in.
     by_first_name: Vec<NodeId>,
 }
+
+// A network may be shared across threads or copied whole: the tree it
+// shares with every broadcast's nodes is held by `Arc`, not `Rc`.
+const _: () = {
+    const fn shareable<T: Send + Sync + Clone>() {}
+    shareable::<AttributeNetwork>();
+};
 
 /// Result of one distributed search.
 #[derive(Clone, Debug)]
@@ -72,7 +79,7 @@ impl AttributeNetwork {
             panic!("registry keyed by {stray}, which is not a node of the topology");
         }
         let two_level = build_two_level(&topology);
-        let tree_adjacency = two_level.adjacency(&topology);
+        let tree = PreparedTree::new(topology.graph(), &two_level.adjacency(&topology));
         let mut firsts: Vec<_> = registries
             .iter()
             .map(|(&n, r)| (r.first_name(), n))
@@ -82,7 +89,7 @@ impl AttributeNetwork {
         AttributeNetwork {
             topology,
             two_level,
-            tree_adjacency,
+            tree,
             registries,
             by_first_name,
         }
@@ -142,6 +149,42 @@ impl AttributeNetwork {
         (counts, hits)
     }
 
+    /// Evaluates `query` once against every registry, as
+    /// [`evaluate`](Self::evaluate) does, and counts what it would list:
+    /// the match count of each node and the number of distinct matching
+    /// users.
+    ///
+    /// A registry counts its hits and names only the first and last of
+    /// them; the runs follow one another, and the hits are distinct, when
+    /// each run's first hit is past the last hit before it, the comparison
+    /// `evaluate` makes. Then the distinct users are the counts' sum. At
+    /// the first run that is not (interleaved ranges, or a user registered
+    /// at two servers), only the names can tell the users apart, and
+    /// `evaluate` lists them.
+    fn count(&self, query: &Query, ctx: &RequesterContext) -> (Vec<u64>, u64) {
+        let prepared = PreparedQuery::new(query, ctx);
+        let mut scratch = Scratch::default();
+        let mut counts = vec![0; self.topology.node_count()];
+        let mut distinct = 0;
+        let mut last_hit: Option<&MailName> = None;
+        for node in &self.by_first_name {
+            let Some(registry) = self.registries.get(node) else {
+                continue;
+            };
+            let (count, ends) = registry.hit_ends(&prepared, &mut scratch);
+            if let Some((first, last)) = ends {
+                if last_hit.is_some_and(|before| before >= first) {
+                    let (counts, hits) = self.evaluate(query, ctx);
+                    return (counts, hits.len() as u64);
+                }
+                last_hit = Some(last);
+            }
+            counts[node.0] = count;
+            distinct += count;
+        }
+        (counts, distinct)
+    }
+
     /// Users matching `query` across all registries (centralized ground
     /// truth — what a failure-free search would find).
     pub fn central_matches(&self, query: &Query, ctx: &RequesterContext) -> Vec<MailName> {
@@ -159,20 +202,20 @@ impl AttributeNetwork {
         plan: &FailurePlan,
         seed: u64,
     ) -> Option<SearchOutcome> {
-        let (local_matches, hits) = self.evaluate(query, ctx);
+        let (local_matches, distinct) = self.count(query, ctx);
         let cfg = BroadcastConfig {
             root,
             local_matches,
             grace: SimDuration::from_units(2.0),
             seed,
         };
-        let out = simulate_broadcast(self.topology.graph(), &self.tree_adjacency, &cfg, plan)?;
+        let out = self.tree.broadcast(&cfg, plan)?;
         Some(SearchOutcome {
             matches: out.aggregate.matches,
             responded: out.aggregate.responded,
             unavailable: out.aggregate.unavailable,
             completed_at: out.completed_at,
-            ground_truth_matches: hits.len() as u64,
+            ground_truth_matches: distinct,
         })
     }
 

@@ -2,16 +2,18 @@
 //! registries it searches.
 //!
 //! §3.3.1 prices a search at the tree it walks: the query goes down every
-//! edge once, each server searches its database, one summary comes back up
-//! every edge. Evaluating a registry must therefore allocate nothing — the
-//! query is prepared once, and its row bitsets, the requester's audiences
-//! and a text predicate's verdicts per distinct value live in one scratch
-//! reused from registry to registry — which leaves two things that may: the
-//! broadcast world (actors, links, queue: proportional to the nodes of the
-//! tree) and the vector of hits as it doubles. Ten times the profiles on
-//! the same topology must cost the same allocations, give or take those
-//! doublings. Before the prepared evaluator a search allocated about twenty
-//! times per profile.
+//! edge once, each server searches its database, one summary — a count —
+//! comes back up every edge. Evaluating a registry must therefore allocate
+//! nothing — the query is prepared once, and its row bitsets, the
+//! requester's audiences and a text predicate's verdicts per distinct
+//! value live in one scratch reused from registry to registry — and a
+//! search counts its hits without listing them, which leaves one thing
+//! that may: the broadcast world (actors, waiting lists, queue: in
+//! proportion to the nodes of the tree; the tree's links are wired once,
+//! with the network). Ten times the profiles on the same topology must
+//! cost exactly the same allocations. Before the prepared evaluator a
+//! search allocated about twenty times per profile; before it counted, the
+//! vector of hits doubled on top.
 //!
 //! A registry stores a profile by moving its values into per-key columns;
 //! a text is kept as the id of its lowercase form in the column's
@@ -120,27 +122,22 @@ fn a_search_allocates_for_the_tree_not_for_the_profiles() {
     let nodes = small.topology().node_count() as u64;
     let (small_allocs, small_hits) = one_search(&small);
     let (large_allocs, large_hits) = one_search(&large);
-    let doublings = |hits: u64| u64::from(hits.next_power_of_two().ilog2());
 
-    // allocations ≤ a·nodes + b·log₂(hits): the broadcast world is six
-    // allocations a node (126 in all on these 24 nodes: actor, links,
-    // waiting list, queue and timer slots, and the evaluation's bitsets and
-    // scratch), the hit vector doubles once per power of two, and the merge
-    // sort behind the distinct count takes one buffer.
+    // allocations ≤ a·nodes: the broadcast world is four allocations a
+    // node (90 in all on these 24 nodes: actor, waiting list, queue and
+    // timer slots, the timeouts, and the evaluation's counts, bitsets and
+    // scratch).
     for (allocs, hits) in [(small_allocs, small_hits), (large_allocs, large_hits)] {
-        let budget = 6 * nodes + 2 * doublings(hits);
+        let budget = 4 * nodes;
         assert!(
             allocs <= budget,
             "a search with {hits} hits over {nodes} nodes allocated {allocs} times (budget {budget})"
         );
     }
-    // Ten times the profiles: the same allocations, up to the hit vector's
-    // growth (3 doublings and the sort buffer leaving the stack here).
-    let growth = doublings(large_hits) - doublings(small_hits) + 2;
-    assert!(
-        large_allocs <= small_allocs + growth,
-        "{small_allocs} allocations for {small_hits} hits, {large_allocs} for {large_hits}: \
-         more than the {growth} the hit vector accounts for"
+    // Ten times the profiles: the same allocations, exactly.
+    assert_eq!(
+        large_allocs, small_allocs,
+        "{small_allocs} allocations for {small_hits} hits, {large_allocs} for {large_hits}"
     );
 }
 
@@ -174,30 +171,29 @@ fn every_kernel_path_allocates_for_the_tree_not_for_the_profiles() {
     ];
     let (small, large) = (network(50), network(500));
     let nodes = small.topology().node_count() as u64;
-    let doublings = |hits: u64| u64::from(hits.next_power_of_two().ilog2());
     for query in &queries {
         let (small_allocs, small_hits) = search_for(&small, query);
         let (large_allocs, large_hits) = search_for(&large, query);
         for (allocs, hits) in [(small_allocs, small_hits), (large_allocs, large_hits)] {
-            let budget = 6 * nodes + 2 * doublings(hits);
+            let budget = 4 * nodes;
             assert!(
                 allocs <= budget,
                 "{query:?}: {hits} hits over {nodes} nodes allocated {allocs} times \
                  (budget {budget})"
             );
         }
-        let growth = doublings(large_hits) - doublings(small_hits);
-        assert!(
-            large_allocs <= small_allocs + growth,
+        assert_eq!(
+            large_allocs, small_allocs,
             "{query:?}: {small_allocs} allocations for {small_hits} hits, {large_allocs} for \
-             {large_hits}: more than the {growth} the hit vector accounts for"
+             {large_hits}"
         );
     }
 }
 
-/// Evaluation alone, without the broadcast: `central_matches` over all
-/// eight registries allocates what it does over the first of them, but for
-/// the hit vector's further doublings. The scratch — row bitsets, the
+/// Evaluation alone, without the broadcast, and listing its hits:
+/// `central_matches` over all eight registries allocates what it does over
+/// the first of them, but for the hit vector's further doublings (a
+/// search, which counts, has none). The scratch — row bitsets, the
 /// audiences, and the verdicts of the fuzzy, equality and substring
 /// predicates per distinct value — is sized by the first registry and
 /// reused by every later one.

@@ -15,6 +15,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 #[cfg(test)]
 use lems_net::graph::Weight;
@@ -56,11 +57,32 @@ pub enum BcastMsg {
 /// edge to it.
 type Link = (ActorId, SimDuration);
 
+/// Every node's tree links, node after node: node `i`'s are
+/// `links[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug)]
+struct Links {
+    links: Vec<Link>,
+    offsets: Vec<usize>,
+}
+
+impl Links {
+    fn of(&self, node: usize) -> &[Link] {
+        &self.links[self.offsets[node]..self.offsets[node + 1]]
+    }
+
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
 /// One tree node in the broadcast/convergecast protocol. The protocol is
 /// hop-by-hop, so a node knows its own tree links and nothing else of the
 /// network.
 struct BcastNode {
-    links: Vec<Link>,
+    /// The tree's links, shared by every node; this node's are
+    /// `links.of(node)`.
+    links: Arc<Links>,
+    node: usize,
     /// Matches this node contributes (its local search result).
     local_matches: u64,
     /// Per-child aggregation state for the in-flight query.
@@ -105,10 +127,11 @@ impl Actor for BcastNode {
         match msg {
             BcastMsg::Query => {
                 // The injected query comes from no neighbour: no parent.
-                self.parent = self.links.iter().copied().find(|&(n, _)| n == from);
+                let links = self.links.of(self.node);
+                self.parent = links.iter().copied().find(|&(n, _)| n == from);
                 self.acc = Aggregate::default();
                 self.waiting_children.clear();
-                for &(child, delay) in &self.links {
+                for &(child, delay) in links {
                     if child != from {
                         self.waiting_children.push(child);
                         ctx.send(child, BcastMsg::Query, delay);
@@ -148,7 +171,8 @@ pub struct BroadcastOutcome {
     pub completed_at: SimTime,
 }
 
-/// Configuration for [`simulate_broadcast`].
+/// Configuration for one broadcast ([`PreparedTree::broadcast`],
+/// [`simulate_broadcast`]).
 #[derive(Clone, Debug)]
 pub struct BroadcastConfig {
     /// The node initiating the query.
@@ -166,8 +190,8 @@ pub struct BroadcastConfig {
 
 /// Computes each node's timeout from the tree `links` oriented at `root`
 /// (node `i` is actor `i`).
-fn subtree_timeouts(links: &[Vec<Link>], root: NodeId, grace: SimDuration) -> Vec<SimDuration> {
-    let n = links.len();
+fn subtree_timeouts(links: &Links, root: NodeId, grace: SimDuration) -> Vec<SimDuration> {
+    let n = links.node_count();
     // Orient the tree: compute order by DFS from root.
     let mut parent: Vec<Option<usize>> = vec![None; n];
     let mut order = Vec::with_capacity(n);
@@ -176,7 +200,7 @@ fn subtree_timeouts(links: &[Vec<Link>], root: NodeId, grace: SimDuration) -> Ve
     seen[root.0] = true;
     while let Some(u) = stack.pop() {
         order.push(u);
-        for &(ActorId(v), _) in &links[u] {
+        for &(ActorId(v), _) in links.of(u) {
             if !seen[v] {
                 seen[v] = true;
                 parent[v] = Some(u);
@@ -188,7 +212,7 @@ fn subtree_timeouts(links: &[Vec<Link>], root: NodeId, grace: SimDuration) -> Ve
     let mut path_delay = vec![SimDuration::ZERO; n];
     let mut height = vec![0u32; n];
     for &u in order.iter().rev() {
-        for &(ActorId(v), delay) in &links[u] {
+        for &(ActorId(v), delay) in links.of(u) {
             if parent[v] == Some(u) {
                 let d = delay + path_delay[v];
                 if d > path_delay[u] {
@@ -209,8 +233,118 @@ fn subtree_timeouts(links: &[Vec<Link>], root: NodeId, grace: SimDuration) -> Ve
 /// means a non-converging retry loop, reported as a failed broadcast.
 pub(crate) const BROADCAST_EVENT_BUDGET: u64 = 1_000_000;
 
+/// A spanning tree wired for broadcasts: each node's tree links with the
+/// delay across each, looked up in the graph once. The tree of a network
+/// does not change from one broadcast to the next, so a caller that runs
+/// many keeps one and [`broadcast`](Self::broadcast)s over it; cloning
+/// it shares the links.
+#[derive(Clone, Debug)]
+pub struct PreparedTree {
+    links: Arc<Links>,
+}
+
+impl PreparedTree {
+    /// Wires `tree_adjacency`, a spanning tree of `g` as per-node
+    /// neighbour lists (node `i` is actor `i` of every broadcast).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adjacency is not shaped for `g`, or names a pair of
+    /// nodes `g` has no edge between.
+    #[expect(
+        clippy::panic,
+        reason = "a tree edge the graph lacks is a caller bug, not a run outcome"
+    )]
+    pub fn new(g: &Graph, tree_adjacency: &[Vec<NodeId>]) -> Self {
+        assert_eq!(
+            tree_adjacency.len(),
+            g.node_count(),
+            "adjacency must cover every node"
+        );
+        let mut links = Vec::with_capacity(tree_adjacency.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(g.node_count() + 1);
+        offsets.push(0);
+        for u in g.nodes() {
+            for &v in &tree_adjacency[u.0] {
+                match g.edge_between(u, v) {
+                    Some(eid) => links.push((ActorId(v.0), g.edge(eid).weight.as_duration())),
+                    None => panic!("tree adjacency names {u}-{v}, which is not an edge"),
+                }
+            }
+            offsets.push(links.len());
+        }
+        PreparedTree {
+            links: Arc::new(Links { links, offsets }),
+        }
+    }
+
+    /// Runs the broadcast/convergecast protocol over this tree, with
+    /// failures from `plan` (indexed by node id).
+    ///
+    /// Returns `None` if the root itself is down for the whole run, or if
+    /// the run exceeds a budget of a million events without quiescing (a
+    /// livelocked retry loop rather than a finishing protocol).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine does not hand actor ids out in registration
+    /// order: node `i` must be actor `i`.
+    pub fn broadcast(&self, cfg: &BroadcastConfig, plan: &FailurePlan) -> Option<BroadcastOutcome> {
+        let n = self.links.node_count();
+        let timeouts = subtree_timeouts(&self.links, cfg.root, cfg.grace);
+        let result: Rc<RefCell<Option<(Aggregate, SimTime)>>> = Rc::new(RefCell::new(None));
+
+        // Node i is actor i: the engine is fresh and hands ids out in
+        // registration order (asserted below). Each node is given its own
+        // tree links and nothing else.
+        let mut sim: ActorSim<BcastMsg> = ActorSim::new(cfg.seed);
+        for (node, &timeout) in timeouts.iter().enumerate() {
+            let aid = sim.add_actor(BcastNode {
+                links: Arc::clone(&self.links),
+                node,
+                local_matches: cfg.local_matches.get(node).copied().unwrap_or(0),
+                parent: None,
+                waiting_children: Vec::new(),
+                acc: Aggregate::default(),
+                timer: None,
+                timeout,
+                result: Rc::clone(&result),
+                is_root: node == cfg.root.0,
+            });
+            assert_eq!(aid, ActorId(node), "node i is actor i");
+        }
+
+        // Apply failures (the plan is indexed by node id, which is the actor id).
+        for actor in plan.affected_actors() {
+            if actor.0 < n {
+                for o in plan.outages(actor) {
+                    sim.schedule_crash(actor, o.down_at);
+                    sim.schedule_recover(actor, o.up_at);
+                }
+            }
+        }
+
+        sim.inject(
+            ActorId(cfg.root.0),
+            BcastMsg::Query,
+            SimDuration::from_units(0.001),
+        );
+        if !sim.run_to_quiescence_bounded(BROADCAST_EVENT_BUDGET) {
+            return None;
+        }
+
+        let out = result.borrow();
+        out.map(|(aggregate, completed_at)| BroadcastOutcome {
+            aggregate,
+            completed_at,
+        })
+    }
+}
+
 /// Runs the broadcast/convergecast protocol over `tree_adjacency` (a
-/// spanning tree of `g`), with failures from `plan` (indexed by node id).
+/// spanning tree of `g`), with failures from `plan` (indexed by node id):
+/// [`PreparedTree::new`] then [`PreparedTree::broadcast`], for a caller
+/// that broadcasts over a tree once.
 ///
 /// Returns `None` if the root itself is down for the whole run, or if the
 /// run exceeds a budget of a million events without quiescing (a
@@ -220,79 +354,13 @@ pub(crate) const BROADCAST_EVENT_BUDGET: u64 = 1_000_000;
 ///
 /// Panics if the adjacency is not shaped for `g`, or names a pair of nodes
 /// `g` has no edge between.
-#[expect(
-    clippy::panic,
-    reason = "a tree edge the graph lacks is a caller bug, not a run outcome"
-)]
 pub fn simulate_broadcast(
     g: &Graph,
     tree_adjacency: &[Vec<NodeId>],
     cfg: &BroadcastConfig,
     plan: &FailurePlan,
 ) -> Option<BroadcastOutcome> {
-    assert_eq!(
-        tree_adjacency.len(),
-        g.node_count(),
-        "adjacency must cover every node"
-    );
-    // Node i is actor i: the engine is fresh and hands ids out in
-    // registration order (asserted below). Each node is given the delays of
-    // its own tree edges and nothing else.
-    let links: Vec<Vec<Link>> = g
-        .nodes()
-        .map(|u| {
-            tree_adjacency[u.0]
-                .iter()
-                .map(|&v| match g.edge_between(u, v) {
-                    Some(eid) => (ActorId(v.0), g.edge(eid).weight.as_duration()),
-                    None => panic!("tree adjacency names {u}-{v}, which is not an edge"),
-                })
-                .collect()
-        })
-        .collect();
-    let timeouts = subtree_timeouts(&links, cfg.root, cfg.grace);
-    let result: Rc<RefCell<Option<(Aggregate, SimTime)>>> = Rc::new(RefCell::new(None));
-
-    let mut sim: ActorSim<BcastMsg> = ActorSim::new(cfg.seed);
-    for (n, links) in g.nodes().zip(links) {
-        let aid = sim.add_actor(BcastNode {
-            links,
-            local_matches: cfg.local_matches.get(n.0).copied().unwrap_or(0),
-            parent: None,
-            waiting_children: Vec::new(),
-            acc: Aggregate::default(),
-            timer: None,
-            timeout: timeouts[n.0],
-            result: Rc::clone(&result),
-            is_root: n == cfg.root,
-        });
-        assert_eq!(aid, ActorId(n.0), "node i is actor i");
-    }
-
-    // Apply failures (the plan is indexed by node id, which is the actor id).
-    for actor in plan.affected_actors() {
-        if actor.0 < g.node_count() {
-            for o in plan.outages(actor) {
-                sim.schedule_crash(actor, o.down_at);
-                sim.schedule_recover(actor, o.up_at);
-            }
-        }
-    }
-
-    sim.inject(
-        ActorId(cfg.root.0),
-        BcastMsg::Query,
-        SimDuration::from_units(0.001),
-    );
-    if !sim.run_to_quiescence_bounded(BROADCAST_EVENT_BUDGET) {
-        return None;
-    }
-
-    let out = result.borrow();
-    out.map(|(aggregate, completed_at)| BroadcastOutcome {
-        aggregate,
-        completed_at,
-    })
+    PreparedTree::new(g, tree_adjacency).broadcast(cfg, plan)
 }
 
 /// Pure cost comparison (§3.3.1B): "the total cost of traversing the MST
@@ -487,6 +555,72 @@ mod tests {
             seed: 3,
         };
         assert_eq!(simulate_broadcast(&g, &adj, &cfg, &plan), None);
+    }
+
+    /// One tree wired once and broadcast over again and again, from
+    /// several roots and under random outages (some with the root down
+    /// throughout), answers as a tree wired afresh for every run: nothing
+    /// of one broadcast outlives it.
+    #[test]
+    fn a_prepared_tree_answers_as_one_wired_afresh() {
+        use crate::backbone::build_two_level;
+        use lems_net::generators::{multi_region, MultiRegionConfig};
+        use lems_sim::rng::SimRng;
+
+        let mut rng = SimRng::seed(11);
+        let cfg = MultiRegionConfig {
+            regions: 4,
+            hosts_per_region: 5,
+            servers_per_region: 3,
+            ..MultiRegionConfig::default()
+        };
+        let t = multi_region(&mut rng, &cfg);
+        let g = t.graph();
+        let adjacency = build_two_level(&t).adjacency(&t);
+        let tree = PreparedTree::new(g, &adjacency);
+        let local_matches: Vec<u64> = g.nodes().map(|n| n.0 as u64 % 3).collect();
+        let (mut lost, mut root_down) = (0, 0);
+        for round in 0..24 {
+            let root = t.servers()[round % t.servers().len()];
+            let others: Vec<ActorId> = g
+                .nodes()
+                .filter(|&n| n != root)
+                .map(|n| ActorId(n.0))
+                .collect();
+            let mut plan = match round % 4 {
+                0 => FailurePlan::new(),
+                _ => FailurePlan::random(
+                    &mut rng,
+                    &others,
+                    SimDuration::from_units(400.0),
+                    SimDuration::from_units(40.0),
+                    SimTime::from_units(400.0),
+                )
+                .unwrap(),
+            };
+            if round % 8 == 5 {
+                plan.add_outage(ActorId(root.0), SimTime::ZERO, SimTime::from_units(1e9))
+                    .unwrap();
+            }
+            let cfg = BroadcastConfig {
+                root,
+                local_matches: local_matches.clone(),
+                grace: SimDuration::from_units(2.0),
+                seed: round as u64,
+            };
+            let prepared = tree.broadcast(&cfg, &plan);
+            assert_eq!(
+                prepared,
+                simulate_broadcast(g, &adjacency, &cfg, &plan),
+                "round {round}"
+            );
+            match prepared {
+                Some(out) => lost += u64::from(out.aggregate.unavailable > 0),
+                None => root_down += 1,
+            }
+        }
+        assert_eq!(root_down, 3);
+        assert!(lost > 0, "no outage cost a subtree");
     }
 
     #[test]
