@@ -568,7 +568,8 @@ mod tests {
 
     #[test]
     fn live_engine_run_with_failures_audits_clean() {
-        let mut sim: ActorSim<u32> = ActorSim::new(7).with_trace();
+        let mut sim: ActorSim<u32> = ActorSim::new(7);
+        sim.enable_trace();
         let a = sim.add_actor(Echo { bounces: 5 });
         let b = sim.add_actor(Echo { bounces: 5 });
         sim.inject(a, 0, SimDuration::from_units(0.5));
@@ -649,7 +650,8 @@ mod tests {
 
     #[test]
     fn send_to_unknown_actor_still_conserves() {
-        let mut sim: ActorSim<u32> = ActorSim::new(7).with_trace();
+        let mut sim: ActorSim<u32> = ActorSim::new(7);
+        sim.enable_trace();
         let a = sim.add_actor(Echo { bounces: 0 });
         sim.inject(a, 0, SimDuration::ZERO);
         sim.inject(ActorId(99), 1, SimDuration::ZERO);

@@ -12,9 +12,7 @@
 //! MST broadcast against flooding and per-recipient unicast (the paper's
 //! efficiency argument for using the MST).
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -85,7 +83,8 @@ struct BcastNode {
     node: usize,
     /// Matches this node contributes (its local search result).
     local_matches: u64,
-    /// Per-child aggregation state for the in-flight query.
+    /// Per-child aggregation state for the in-flight query. The root's
+    /// query comes from no tree neighbour, so it alone has no parent.
     parent: Option<Link>,
     waiting_children: Vec<ActorId>,
     acc: Aggregate,
@@ -94,22 +93,20 @@ struct BcastNode {
     /// (precomputed per node from its subtree depth).
     timeout: SimDuration,
     /// Filled in at the root when the convergecast completes.
-    result: Rc<RefCell<Option<(Aggregate, SimTime)>>>,
-    is_root: bool,
+    result: Option<(Aggregate, SimTime)>,
 }
 
 impl BcastNode {
     fn finish(&mut self, ctx: &mut Ctx<'_, BcastMsg>) {
         if let Some(t) = self.timer.take() {
-            ctx.cancel_timer(t);
+            ctx.remove_timer(t);
         }
         let mut out = self.acc;
         out.responded += 1;
         out.matches += self.local_matches;
-        if self.is_root {
-            *self.result.borrow_mut() = Some((out, ctx.now()));
-        } else if let Some((parent, delay)) = self.parent {
-            ctx.send(parent, BcastMsg::Response(out), delay);
+        match self.parent {
+            Some((parent, delay)) => ctx.send(parent, BcastMsg::Response(out), delay),
+            None => self.result = Some((out, ctx.now())),
         }
     }
 
@@ -138,7 +135,7 @@ impl Actor for BcastNode {
                     }
                 }
                 if !self.waiting_children.is_empty() {
-                    self.timer = Some(ctx.set_timer(self.timeout, 0));
+                    self.timer = Some(ctx.set_timer(self.timeout));
                 }
                 self.maybe_finish(ctx);
             }
@@ -152,7 +149,7 @@ impl Actor for BcastNode {
         }
     }
 
-    fn on_timer(&mut self, _id: TimerId, _tag: u64, ctx: &mut Ctx<'_, BcastMsg>) {
+    fn on_timer(&mut self, _id: TimerId, ctx: &mut Ctx<'_, BcastMsg>) {
         // Children that have not answered are marked unavailable, as the
         // paper prescribes.
         self.timer = None;
@@ -290,9 +287,20 @@ impl PreparedTree {
     /// Panics if the engine does not hand actor ids out in registration
     /// order: node `i` must be actor `i`.
     pub fn broadcast(&self, cfg: &BroadcastConfig, plan: &FailurePlan) -> Option<BroadcastOutcome> {
+        let sim = self.run(cfg, plan)?;
+        let root: &BcastNode = sim.actor(ActorId(cfg.root.0))?;
+        let (aggregate, completed_at) = root.result?;
+        Some(BroadcastOutcome {
+            aggregate,
+            completed_at,
+        })
+    }
+
+    /// Builds one broadcast's engine and runs it: `None` if the run does
+    /// not quiesce within [`BROADCAST_EVENT_BUDGET`].
+    fn run(&self, cfg: &BroadcastConfig, plan: &FailurePlan) -> Option<ActorSim<BcastMsg>> {
         let n = self.links.node_count();
         let timeouts = subtree_timeouts(&self.links, cfg.root, cfg.grace);
-        let result: Rc<RefCell<Option<(Aggregate, SimTime)>>> = Rc::new(RefCell::new(None));
 
         // Node i is actor i: the engine is fresh and hands ids out in
         // registration order (asserted below). Each node is given its own
@@ -308,8 +316,7 @@ impl PreparedTree {
                 acc: Aggregate::default(),
                 timer: None,
                 timeout,
-                result: Rc::clone(&result),
-                is_root: node == cfg.root.0,
+                result: None,
             });
             assert_eq!(aid, ActorId(node), "node i is actor i");
         }
@@ -329,15 +336,8 @@ impl PreparedTree {
             BcastMsg::Query,
             SimDuration::from_units(0.001),
         );
-        if !sim.run_to_quiescence_bounded(BROADCAST_EVENT_BUDGET) {
-            return None;
-        }
-
-        let out = result.borrow();
-        out.map(|(aggregate, completed_at)| BroadcastOutcome {
-            aggregate,
-            completed_at,
-        })
+        sim.run_to_quiescence_bounded(BROADCAST_EVENT_BUDGET)
+            .then_some(sim)
     }
 }
 
@@ -539,6 +539,79 @@ mod tests {
         assert_eq!(out.aggregate.responded, 3); // 0,1,2
         assert_eq!(out.aggregate.matches, 3);
         assert_eq!(out.aggregate.unavailable, 1); // node 2 marked its child
+    }
+
+    /// Runs one broadcast over `adjacency` from `root` and hands back its
+    /// quiesced engine.
+    fn engine(
+        g: &Graph,
+        adjacency: &[Vec<NodeId>],
+        root: NodeId,
+        plan: &FailurePlan,
+    ) -> ActorSim<BcastMsg> {
+        let cfg = BroadcastConfig {
+            root,
+            local_matches: vec![1; g.node_count()],
+            grace: SimDuration::from_units(2.0),
+            seed: 5,
+        };
+        PreparedTree::new(g, adjacency)
+            .run(&cfg, plan)
+            .expect("the broadcast must quiesce")
+    }
+
+    /// Every node takes its timeout out of the queue as it finishes, so a
+    /// fault-free broadcast pops its query's deliveries and nothing else:
+    /// one down and one up each tree edge, plus the injection.
+    #[test]
+    fn a_fault_free_broadcast_pops_no_timer() {
+        use crate::backbone::build_two_level;
+        use lems_net::generators::{multi_region, MultiRegionConfig};
+        use lems_sim::rng::SimRng;
+
+        let path = chain(6);
+        let t = multi_region(
+            &mut SimRng::seed(11),
+            &MultiRegionConfig {
+                regions: 4,
+                hosts_per_region: 5,
+                servers_per_region: 3,
+                ..MultiRegionConfig::default()
+            },
+        );
+        for (g, adjacency, root) in [
+            (&path, tree_adj(&path), NodeId(0)),
+            (t.graph(), build_two_level(&t).adjacency(&t), t.servers()[0]),
+        ] {
+            let sim = engine(g, &adjacency, root, &FailurePlan::new());
+            let n = g.node_count() as u64;
+            let c = sim.counters();
+            assert_eq!(c.delivered.get(), 2 * (n - 1) + 1);
+            assert_eq!((c.timers_fired.get(), c.timers_suppressed.get()), (0, 0));
+            let root = sim.actor::<BcastNode>(ActorId(root.0)).unwrap();
+            assert_eq!(root.result.map(|(agg, _)| agg.responded), Some(n));
+        }
+    }
+
+    /// Under `dead_subtree_is_marked_unavailable`'s plan exactly one
+    /// timer fires: that of the dead node's parent, which marks it.
+    #[test]
+    fn a_dead_node_fires_only_its_parents_timer() {
+        let g = chain(6);
+        let mut plan = FailurePlan::new();
+        plan.add_outage(ActorId(3), SimTime::ZERO, SimTime::from_units(1e9))
+            .unwrap();
+        let sim = engine(&g, &tree_adj(&g), NodeId(0), &plan);
+        assert_eq!(sim.counters().timers_fired.get(), 1);
+        assert_eq!(sim.counters().timers_suppressed.get(), 0);
+        // Node 2 heard nothing from its one child: only its own timeout
+        // finishes it.
+        let parent = sim.actor::<BcastNode>(ActorId(2)).unwrap();
+        let marked = Aggregate {
+            unavailable: 1,
+            ..Aggregate::default()
+        };
+        assert_eq!((parent.acc, parent.timer), (marked, None));
     }
 
     #[test]

@@ -47,13 +47,10 @@ impl std::fmt::Display for ActorId {
     }
 }
 
-/// Handle to a pending timer, used to cancel or remove it.
-///
-/// Ordered by arming order, so actors can key deterministic (`BTreeMap`)
-/// bookkeeping tables by timer.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Handle to a pending timer, used to remove it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerId {
-    /// Arming order; unique per engine, and first so it decides `Ord`.
+    /// Arming order; unique per engine, so a stale id never matches.
     seq: u64,
     /// Where the pending timer event sits in the queue's payload pool.
     /// Generation-checked: dead once the timer has popped, even if the
@@ -81,10 +78,9 @@ pub trait Actor: std::any::Any {
     fn on_message(&mut self, from: ActorId, msg: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>);
 
     /// Invoked when a timer set via [`Ctx::set_timer`] or
-    /// [`Ctx::set_timer_at`] fires. `tag` is the caller-chosen
-    /// discriminant passed at arm time.
-    fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Ctx<'_, Self::Msg>) {
-        let _ = (id, tag, ctx);
+    /// [`Ctx::set_timer_at`] fires; `id` is the one arming returned.
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, Self::Msg>) {
+        let _ = (id, ctx);
     }
 
     /// Invoked at the instant the actor crashes, before it stops receiving
@@ -94,8 +90,9 @@ pub trait Actor: std::any::Any {
         let _ = now;
     }
 
-    /// Invoked when the actor recovers. Timers do not survive a crash; this
-    /// is the place to re-arm them.
+    /// Invoked when the actor recovers. Timers that came due while the
+    /// actor was down were suppressed; later ones still fire. This is the
+    /// place to re-arm the former.
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
         let _ = ctx;
     }
@@ -110,25 +107,10 @@ pub trait Actor: std::any::Any {
 }
 
 enum Ev<M> {
-    Deliver {
-        from: ActorId,
-        to: ActorId,
-        msg: M,
-    },
-    Timer {
-        actor: ActorId,
-        id: TimerId,
-        tag: u64,
-        /// Set by [`Ctx::cancel_timer`]; the event still pops at its
-        /// instant and is counted as suppressed.
-        cancelled: bool,
-    },
-    Crash {
-        actor: ActorId,
-    },
-    Recover {
-        actor: ActorId,
-    },
+    Deliver { from: ActorId, to: ActorId, msg: M },
+    Timer { actor: ActorId, id: TimerId },
+    Crash { actor: ActorId },
+    Recover { actor: ActorId },
 }
 
 /// Hasher for the `(from, to)` FIFO-clamp table: one multiply-xor round per
@@ -182,7 +164,7 @@ pub struct SimCounters {
     pub duplicated: Counter,
     /// Timers that fired and reached a live actor.
     pub timers_fired: Counter,
-    /// Timers suppressed by cancellation or by a crash.
+    /// Timers that came due while their actor was down.
     pub timers_suppressed: Counter,
     /// Crash events applied.
     pub crashes: Counter,
@@ -296,46 +278,29 @@ impl<M> Core<M> {
         self.enqueue(from, to, msg, delay);
     }
 
-    fn set_timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) -> TimerId {
+    fn set_timer(&mut self, actor: ActorId, delay: SimDuration) -> TimerId {
         let seq = self.queue.reserve();
-        self.set_timer_at(actor, self.now + delay, seq, tag)
+        self.set_timer_at(actor, self.now + delay, seq)
     }
 
     /// Arms `actor`'s timer at `at` under the queue sequence number `seq`.
-    fn set_timer_at(&mut self, actor: ActorId, at: SimTime, seq: EventSeq, tag: u64) -> TimerId {
+    fn set_timer_at(&mut self, actor: ActorId, at: SimTime, seq: EventSeq) -> TimerId {
         debug_assert!(at >= self.now, "a timer armed in the past");
         let timer = self.next_timer;
         self.next_timer += 1;
         let slot = self.queue.push_reserved_with(at, seq, |slot| Ev::Timer {
             actor,
             id: TimerId { seq: timer, slot },
-            tag,
-            cancelled: false,
         });
         TimerId { seq: timer, slot }
     }
 
-    /// Marks `actor`'s pending timer `id` cancelled where it sits in the
-    /// queue. A fired timer's handle is dead, so its id reaches nothing.
-    fn cancel_timer(&mut self, actor: ActorId, id: TimerId) {
-        if let Some(Ev::Timer {
-            actor: owner,
-            id: pending,
-            cancelled,
-            ..
-        }) = self.queue.get_mut(id.slot)
-        {
-            if *owner == actor && *pending == id {
-                *cancelled = true;
-            }
-        }
-    }
-
-    /// Takes `actor`'s pending timer `id` out of the queue.
+    /// Takes `actor`'s pending timer `id` out of the queue. A fired
+    /// timer's handle is dead, so its id reaches nothing.
     fn remove_timer(&mut self, actor: ActorId, id: TimerId) {
         let pending = matches!(
-            self.queue.get_mut(id.slot),
-            Some(Ev::Timer { actor: owner, id: pending, .. }) if *owner == actor && *pending == id
+            self.queue.get(id.slot),
+            Some(Ev::Timer { actor: owner, id: pending }) if *owner == actor && *pending == id
         );
         if pending {
             self.queue.remove_handle(id.slot);
@@ -437,20 +402,9 @@ impl<M> Ctx<'_, M> {
         self.core.enqueue(self.me, self.me, msg, delay);
     }
 
-    /// Arms a timer that fires after `delay`, delivering `tag` to
-    /// [`Actor::on_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        self.core.set_timer(self.me, delay, tag)
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or foreign timer
-    /// is a no-op. The timer still pops at its instant and is counted in
-    /// [`SimCounters::timers_suppressed`] — the MST broadcast's per-node
-    /// timeouts are cancelled this way. An actor that re-arms one timer
-    /// over and over takes the superseded one out instead
-    /// ([`Ctx::remove_timer`]).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancel_timer(self.me, id);
+    /// Arms a timer that calls [`Actor::on_timer`] after `delay`.
+    pub fn set_timer(&mut self, delay: SimDuration) -> TimerId {
+        self.core.set_timer(self.me, delay)
     }
 
     /// Takes the kernel's next event sequence number for a timer armed
@@ -461,16 +415,16 @@ impl<M> Ctx<'_, M> {
         self.core.queue.reserve()
     }
 
-    /// Arms a timer that fires at `at` (not before now) under `seq`, a
-    /// number from [`Ctx::reserve_seq`] that no other pending event holds,
-    /// delivering `tag` to [`Actor::on_timer`].
-    pub fn set_timer_at(&mut self, at: SimTime, seq: EventSeq, tag: u64) -> TimerId {
-        self.core.set_timer_at(self.me, at, seq, tag)
+    /// Arms a timer that calls [`Actor::on_timer`] at `at` (not before
+    /// now) under `seq`, a number from [`Ctx::reserve_seq`] that no other
+    /// pending event holds.
+    pub fn set_timer_at(&mut self, at: SimTime, seq: EventSeq) -> TimerId {
+        self.core.set_timer_at(self.me, at, seq)
     }
 
-    /// Takes a pending timer out of the queue: unlike a cancelled one, it
-    /// never pops and is counted nowhere. Its sequence number may then be
-    /// armed again. Removing an already-fired or foreign timer is a no-op.
+    /// Stops a pending timer by taking it out of the queue: it never pops
+    /// and is counted nowhere. Its sequence number may then be armed
+    /// again. Removing an already-fired or foreign timer is a no-op.
     pub fn remove_timer(&mut self, id: TimerId) {
         self.core.remove_timer(self.me, id);
     }
@@ -534,17 +488,8 @@ impl<M: 'static> ActorSim<M> {
         }
     }
 
-    /// Enables in-memory event tracing (for debugging and tests): the
-    /// trace keeps every event from here on.
-    pub fn with_trace(mut self) -> Self {
-        self.core.trace = Trace::unbounded();
-        self
-    }
-
-    /// Enables tracing on an already-built engine, replacing any existing
-    /// trace. Unlike [`ActorSim::with_trace`] this works after actors have
-    /// been registered, so deployment builders that own the engine can have
-    /// tracing switched on by their callers.
+    /// Enables in-memory event tracing (for debugging and tests), replacing
+    /// any existing trace: the trace keeps every event from here on.
     pub fn enable_trace(&mut self) {
         self.core.trace = Trace::unbounded();
     }
@@ -722,18 +667,13 @@ impl<M: 'static> ActorSim<M> {
                     Some((to.0, ProfEvent::Deliver))
                 }
             }
-            Ev::Timer {
-                actor,
-                id,
-                tag,
-                cancelled,
-            } => {
-                if cancelled || actor.0 >= self.actors.len() || self.core.down[actor.0] {
+            Ev::Timer { actor, id } => {
+                if actor.0 >= self.actors.len() || self.core.down[actor.0] {
                     self.core.counters.timers_suppressed.inc();
                     Some((actor.0, ProfEvent::TimerSuppressed))
                 } else {
                     self.core.counters.timers_fired.inc();
-                    self.with_actor(actor, |a, ctx| a.on_timer(id, tag, ctx));
+                    self.with_actor(actor, |a, ctx| a.on_timer(id, ctx));
                     Some((actor.0, ProfEvent::TimerFired))
                 }
             }
@@ -774,7 +714,8 @@ impl<M: 'static> ActorSim<M> {
     }
 
     /// Runs until the queue is empty or the next event is later than
-    /// `deadline`; the clock then rests at `min(deadline, last event time)`.
+    /// `deadline`; the clock then rests at `deadline` (or where it was, if
+    /// that is later).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.start_pending();
         while let Some(t) = self.core.queue.peek_time() {
@@ -823,7 +764,6 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         seen: Vec<(SimTime, u32)>,
-        timer_tags: Vec<u64>,
         recovered: u32,
     }
 
@@ -831,9 +771,6 @@ mod tests {
         type Msg = u32;
         fn on_message(&mut self, _from: ActorId, msg: u32, ctx: &mut Ctx<'_, u32>) {
             self.seen.push((ctx.now(), msg));
-        }
-        fn on_timer(&mut self, _id: TimerId, tag: u64, _ctx: &mut Ctx<'_, u32>) {
-            self.timer_tags.push(tag);
         }
         fn on_recover(&mut self, _ctx: &mut Ctx<'_, u32>) {
             self.recovered += 1;
@@ -870,12 +807,12 @@ mod tests {
         type Msg = u32;
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
             self.log.push("start");
-            ctx.set_timer(unit(1.0), 0);
+            ctx.set_timer(unit(1.0));
         }
         fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {
             self.log.push("message");
         }
-        fn on_timer(&mut self, _id: TimerId, _tag: u64, _c: &mut Ctx<'_, u32>) {
+        fn on_timer(&mut self, _id: TimerId, _c: &mut Ctx<'_, u32>) {
             self.log.push("timer");
         }
     }
@@ -954,10 +891,9 @@ mod tests {
     impl Actor for TimerSetter {
         type Msg = u32;
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            let keep = ctx.set_timer(unit(1.0), 1);
-            let cancel = ctx.set_timer(unit(2.0), 2);
-            ctx.cancel_timer(cancel);
-            let _ = keep;
+            let _keep = ctx.set_timer(unit(1.0));
+            let stop = ctx.set_timer(unit(2.0));
+            ctx.remove_timer(stop);
         }
         fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {}
     }
@@ -968,12 +904,47 @@ mod tests {
         let _ = sim.add_actor(TimerSetter);
         assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.counters().timers_fired.get(), 1);
+        assert_eq!(
+            sim.counters().timers_suppressed.get(),
+            0,
+            "removed, not popped"
+        );
+        assert_eq!(sim.now(), SimTime::from_units(1.0));
+    }
+
+    /// Arms a timer at 1 and one at 4 from `on_start`, and logs when each
+    /// fires.
+    #[derive(Default)]
+    struct TwoTimers {
+        fired: Vec<SimTime>,
+    }
+    impl Actor for TwoTimers {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            ctx.set_timer(unit(1.0));
+            ctx.set_timer(unit(4.0));
+        }
+        fn on_message(&mut self, _f: ActorId, _m: u32, _c: &mut Ctx<'_, u32>) {}
+        fn on_timer(&mut self, _id: TimerId, ctx: &mut Ctx<'_, u32>) {
+            self.fired.push(ctx.now());
+        }
+    }
+
+    #[test]
+    fn a_crash_suppresses_only_the_timers_due_while_down() {
+        let mut sim = ActorSim::new(1);
+        let a = sim.add_actor(TwoTimers::default());
+        sim.schedule_crash(a, SimTime::from_units(0.5));
+        sim.schedule_recover(a, SimTime::from_units(2.0));
+        assert!(sim.run_to_quiescence_bounded(BUDGET));
+        let fired = &sim.actor::<TwoTimers>(a).unwrap().fired;
+        assert_eq!(fired, &vec![SimTime::from_units(4.0)]);
         assert_eq!(sim.counters().timers_suppressed.get(), 1);
     }
 
-    /// Message 0 arms timer 1; any other message cancels that timer's id
-    /// (a foreign id when sent to a second instance). With `chain`, timer
-    /// 1's handler arms timer 2.
+    /// Message `None` arms timer 1; `Some(id)` removes that id (a foreign
+    /// id when sent to a second instance). With `chain`, timer 1's
+    /// handler arms timer 2.
     #[derive(Default)]
     struct Rearm {
         chain: bool,
@@ -984,14 +955,15 @@ mod tests {
         type Msg = Option<TimerId>;
         fn on_message(&mut self, _f: ActorId, m: Self::Msg, ctx: &mut Ctx<'_, Self::Msg>) {
             match m {
-                None => self.first = Some(ctx.set_timer(unit(1.0), 1)),
-                Some(id) => ctx.cancel_timer(id),
+                None => self.first = Some(ctx.set_timer(unit(1.0))),
+                Some(id) => ctx.remove_timer(id),
             }
         }
-        fn on_timer(&mut self, _id: TimerId, tag: u64, ctx: &mut Ctx<'_, Self::Msg>) {
-            self.fired.push(tag);
-            if self.chain && tag == 1 {
-                ctx.set_timer(unit(5.0), 2);
+        fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, Self::Msg>) {
+            let first = self.first == Some(id);
+            self.fired.push(if first { 1 } else { 2 });
+            if self.chain && first {
+                ctx.set_timer(unit(5.0));
             }
         }
     }
@@ -1029,7 +1001,7 @@ mod tests {
         assert_eq!(
             sim.queue_stats().pool_capacity,
             2,
-            "timers 1 and 2 shared a slot; the cancel message took the second"
+            "timers 1 and 2 shared a slot; the remove message took the second"
         );
     }
 
@@ -1051,7 +1023,12 @@ mod tests {
         sim.inject(owner, Some(id), SimDuration::ZERO);
         assert!(sim.run_to_quiescence_bounded(BUDGET));
         assert_eq!(sim.actor::<Rearm>(owner).unwrap().fired, vec![1]);
-        assert_eq!(sim.counters().timers_suppressed.get(), 1);
+        assert_eq!(sim.counters().timers_fired.get(), 1);
+        assert_eq!(
+            sim.queue_stats().pool_live,
+            0,
+            "the owner's removal took it out"
+        );
     }
 
     #[test]

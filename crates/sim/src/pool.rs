@@ -120,7 +120,7 @@ impl<T> Pool<T> {
 
     /// Stores the value `make` builds from the handle it will live under —
     /// for values that must know their own handle (a timer event carries
-    /// the id that cancels it).
+    /// the id that removes it).
     pub(crate) fn insert_with(&mut self, make: impl FnOnce(Handle) -> T) -> Handle {
         self.live += 1;
         if let Some(index) = self.free.pop() {

@@ -41,7 +41,7 @@ pub enum ProfEvent {
     DropUnknown,
     /// A timer fired and reached a live actor's `on_timer`.
     TimerFired,
-    /// A timer was suppressed (cancelled, unknown target, or target down).
+    /// A timer was suppressed (unknown target, or target down).
     TimerSuppressed,
     /// A crash event was applied.
     Crash,

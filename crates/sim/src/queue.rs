@@ -486,7 +486,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` to fire at `at`. Returns the sequence number
-    /// assigned to the event (useful for cancellation bookkeeping).
+    /// assigned to the event.
     pub fn push(&mut self, at: SimTime, event: E) -> EventSeq {
         let seq = self.reserve();
         self.cal.push(at.as_ticks(), seq.0, |_| event);
@@ -513,7 +513,7 @@ impl<E> EventQueue<E> {
 
     /// [`EventQueue::push_reserved`] for the event `make` builds from the
     /// pool [`Handle`] it is stored under, which it returns:
-    /// [`EventQueue::get_mut`] reaches the pending event through it until
+    /// [`EventQueue::get`] reaches the pending event through it until
     /// the event is popped or removed, after which the handle is dead.
     pub(crate) fn push_reserved_with(
         &mut self,
@@ -527,8 +527,8 @@ impl<E> EventQueue<E> {
 
     /// The still-pending event stored under `h`, or `None` once it has
     /// fired, been removed, or the queue was cleared.
-    pub(crate) fn get_mut(&mut self, h: Handle) -> Option<&mut E> {
-        self.cal.pool.get_mut(h).map(|node| &mut node.val)
+    pub(crate) fn get(&self, h: Handle) -> Option<&E> {
+        self.cal.pool.get(h).map(|node| &node.val)
     }
 
     /// Removes and returns the earliest event, or `None` when empty.

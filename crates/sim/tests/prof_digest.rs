@@ -12,10 +12,12 @@ fn unit(u: f64) -> SimDuration {
     SimDuration::from_units(u)
 }
 
-/// Forwards a TTL-carrying token around a ring; also arms one timer that
-/// fires and one that it cancels, so every dispatch class shows up.
+/// Forwards a TTL-carrying token around a ring; also arms a keeper timer
+/// whose handler removes a later doomed one. The crashed actor's timers
+/// come due while it is down, so every dispatch class shows up.
 struct Ring {
     n: usize,
+    keeper: Option<TimerId>,
     doomed: Option<TimerId>,
 }
 
@@ -24,8 +26,8 @@ impl Actor for Ring {
     fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
         let next = ActorId((ctx.me().0 + 1) % self.n);
         ctx.send(next, 24, unit(0.5));
-        let _keeper = ctx.set_timer(unit(2.0), 1);
-        self.doomed = Some(ctx.set_timer(unit(3.0), 2));
+        self.keeper = Some(ctx.set_timer(unit(2.0)));
+        self.doomed = Some(ctx.set_timer(unit(3.0)));
     }
     fn on_message(&mut self, _f: ActorId, ttl: u64, ctx: &mut Ctx<'_, u64>) {
         if ttl > 0 {
@@ -33,10 +35,10 @@ impl Actor for Ring {
             ctx.send(next, ttl - 1, unit(0.5));
         }
     }
-    fn on_timer(&mut self, _id: TimerId, tag: u64, ctx: &mut Ctx<'_, u64>) {
-        if tag == 1 {
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, u64>) {
+        if self.keeper == Some(id) {
             if let Some(d) = self.doomed.take() {
-                ctx.cancel_timer(d);
+                ctx.remove_timer(d);
             }
         }
     }
@@ -100,7 +102,11 @@ fn run(prof: bool) -> (Fingerprint, ActorSim<u64>) {
     let mut sim = ActorSim::new(SEED);
     sim.enable_trace();
     for _ in 0..N {
-        sim.add_actor(Ring { n: N, doomed: None });
+        sim.add_actor(Ring {
+            n: N,
+            keeper: None,
+            doomed: None,
+        });
     }
     if prof {
         sim.enable_prof();

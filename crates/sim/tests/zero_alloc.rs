@@ -209,9 +209,9 @@ impl Actor for Rearm {
         }
         let ahead = if msg.is_multiple_of(7) { 1 } else { 40 };
         let at = ctx.now() + SimDuration::from_ticks(ahead);
-        self.pending = Some(ctx.set_timer_at(at, seq, 0));
+        self.pending = Some(ctx.set_timer_at(at, seq));
     }
-    fn on_timer(&mut self, _id: TimerId, _tag: u64, _ctx: &mut Ctx<'_, u64>) {
+    fn on_timer(&mut self, _id: TimerId, _ctx: &mut Ctx<'_, u64>) {
         self.pending = None;
         self.fired += 1;
     }

@@ -546,7 +546,7 @@ impl Actor for HostActor {
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, MailMsg>) {
         if let Some(tag) = self.end.deadlines.fire(id) {
             if tag & RETRIEVE_TAG == 0 {
                 self.on_submit_timeout(MessageId(tag), ctx);

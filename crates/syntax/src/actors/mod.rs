@@ -346,7 +346,7 @@ impl Deadlines {
 
     fn arm(&mut self, ctx: &mut Ctx<'_, MailMsg>, row: u32) {
         let d = self.rows[row as usize];
-        let timer = ctx.set_timer_at(d.at, d.seq, 0);
+        let timer = ctx.set_timer_at(d.at, d.seq);
         self.wake = Some(Wake {
             row,
             key: d.key(),
@@ -1452,7 +1452,7 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+        fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, MailMsg>) {
             if let Some(tag) = self.table.fire(id) {
                 self.log.push((ctx.now().as_units(), Expired(tag)));
                 self.open.remove(&tag);

@@ -497,7 +497,7 @@ impl Actor for ServerActor {
         }
     }
 
-    fn on_timer(&mut self, id: TimerId, _tag: u64, ctx: &mut Ctx<'_, MailMsg>) {
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, MailMsg>) {
         if let Some(tag) = self.end.deadlines.fire(id) {
             self.on_forward_timeout(MessageId(tag), ctx);
         }

@@ -14,7 +14,7 @@
 //!    replayed on the current kernel must digest equal to the committed
 //!    values.
 //! 2. **Kernel battery** — small kernel-level scenarios that between them
-//!    cover every engine feature (FIFO lanes, timers + cancellation,
+//!    cover every engine feature (FIFO lanes, timers + removal,
 //!    crash/recover windows, link faults with drop/dup/jitter), so a
 //!    divergence points at the feature rather than at a mail protocol.
 //!
@@ -25,7 +25,7 @@
 //! cargo test --test kernel_equivalence -- --ignored regenerate_golden_digests
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use lems_check::scenarios::{Scenario, AUDIT, EXPLORE};
@@ -59,7 +59,8 @@ fn load_golden() -> BTreeMap<String, u64> {
         let (name, hex) = line.split_once(' ').expect("golden line is `name 0xHEX`");
         let digest = u64::from_str_radix(hex.trim().trim_start_matches("0x"), 16)
             .expect("golden digest parses as hex");
-        out.insert(name.to_owned(), digest);
+        let fresh = out.insert(name.to_owned(), digest).is_none();
+        assert!(fresh, "`{name}` is pinned twice");
     }
     out
 }
@@ -79,7 +80,7 @@ fn assert_pinned(golden: &BTreeMap<String, u64>, name: &str, digest: u64) {
 // Kernel battery.
 //
 // These exercise every engine feature: same-instant contention on FIFO
-// lanes, self-sends, timers armed/cancelled (including a cancellation by a
+// lanes, self-sends, timers armed/removed (including a removal by a
 // same-instant earlier timer), crash and recovery windows with traffic in
 // flight, and link faults drawing drop/dup/jitter decisions from the
 // engine's fault stream.
@@ -161,45 +162,58 @@ fn mesh_burst(sim: &mut ActorSim<Msg>) {
     sim.enable_trace();
 }
 
-/// Arms periodic timers, re-arms across rounds, and cancels: one timer
-/// cancelled at arm time, and a same-instant pair where the earlier-seq
-/// timer's handler cancels the later-seq one *at the same instant*.
+/// Arms periodic timers, re-arms across rounds, and removes: one timer
+/// removed at arm time, and a same-instant pair where the earlier-seq
+/// timer's handler removes the later-seq one *at the same instant*.
 struct TimerActor {
     n: usize,
     rounds: u64,
+    /// Every timer this actor has armed, with its role.
+    armed: Vec<(TimerId, u64)>,
     doomed: Option<TimerId>,
-    fired_tags: u64,
 }
 
 const TAG_TICK: u64 = 0;
 const TAG_KILLER: u64 = 1;
 const TAG_DOOMED: u64 = 2;
 
+impl TimerActor {
+    fn arm(&mut self, ctx: &mut Ctx<'_, Msg>, delay: SimDuration, tag: u64) -> TimerId {
+        let id = ctx.set_timer(delay);
+        self.armed.push((id, tag));
+        id
+    }
+}
+
 impl Actor for TimerActor {
     type Msg = Msg;
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let me = ctx.me().0 as f64;
-        ctx.set_timer(unit(1.0 + 0.25 * me), TAG_TICK);
-        // Armed and immediately cancelled: must be suppressed at t=2.
-        let stillborn = ctx.set_timer(unit(2.0), TAG_DOOMED);
-        ctx.cancel_timer(stillborn);
+        self.arm(ctx, unit(1.0 + 0.25 * me), TAG_TICK);
+        // Armed and removed at once: must never pop.
+        let stillborn = self.arm(ctx, unit(2.0), TAG_DOOMED);
+        ctx.remove_timer(stillborn);
         // Same-instant pair: KILLER (earlier seq) fires first at t=3 and
-        // cancels DOOMED (later seq, same instant).
-        ctx.set_timer(unit(3.0), TAG_KILLER);
-        self.doomed = Some(ctx.set_timer(unit(3.0), TAG_DOOMED));
+        // removes DOOMED (later seq, same instant).
+        self.arm(ctx, unit(3.0), TAG_KILLER);
+        self.doomed = Some(self.arm(ctx, unit(3.0), TAG_DOOMED));
     }
-    fn on_timer(&mut self, _id: TimerId, tag: u64, ctx: &mut Ctx<'_, Msg>) {
-        self.fired_tags = self.fired_tags.wrapping_mul(31).wrapping_add(tag + 1);
+    fn on_timer(&mut self, id: TimerId, ctx: &mut Ctx<'_, Msg>) {
+        let tag = self
+            .armed
+            .iter()
+            .find(|&&(armed, _)| armed == id)
+            .map(|&(_, tag)| tag);
         match tag {
-            TAG_TICK if self.rounds < 6 => {
+            Some(TAG_TICK) if self.rounds < 6 => {
                 self.rounds += 1;
                 let me = ctx.me().0;
-                ctx.send(ActorId((me + 1) % self.n), with_ttl(tag, 2), unit(0.5));
-                ctx.set_timer(unit(1.0), TAG_TICK);
+                ctx.send(ActorId((me + 1) % self.n), with_ttl(TAG_TICK, 2), unit(0.5));
+                self.arm(ctx, unit(1.0), TAG_TICK);
             }
-            TAG_KILLER => {
+            Some(TAG_KILLER) => {
                 if let Some(doomed) = self.doomed.take() {
-                    ctx.cancel_timer(doomed);
+                    ctx.remove_timer(doomed);
                 }
             }
             _ => {}
@@ -218,14 +232,14 @@ impl Actor for TimerActor {
     }
 }
 
-/// `timer-cancel`: 6 timer actors ticking, re-arming, and cancelling.
-fn timer_cancel(sim: &mut ActorSim<Msg>) {
+/// `timer-remove`: 6 timer actors ticking, re-arming, and removing.
+fn timer_remove(sim: &mut ActorSim<Msg>) {
     for _ in 0..6 {
         sim.add_actor(TimerActor {
             n: 6,
             rounds: 0,
+            armed: Vec::new(),
             doomed: None,
-            fired_tags: 0,
         });
     }
     sim.enable_trace();
@@ -290,14 +304,14 @@ fn chaos_links(sim: &mut ActorSim<Msg>) {
 }
 
 /// The battery scenario names; [`battery`] builds each one.
-const BATTERY: [&str; 4] = ["mesh-burst", "timer-cancel", "crash-churn", "chaos-links"];
+const BATTERY: [&str; 4] = ["mesh-burst", "timer-remove", "crash-churn", "chaos-links"];
 
 /// Builds the named battery scenario.
 fn battery(name: &str, seed: u64) -> ActorSim<Msg> {
     let mut sim = ActorSim::new(seed);
     match name {
         "mesh-burst" => mesh_burst(&mut sim),
-        "timer-cancel" => timer_cancel(&mut sim),
+        "timer-remove" => timer_remove(&mut sim),
         "crash-churn" => crash_churn(&mut sim),
         "chaos-links" => chaos_links(&mut sim),
         other => panic!("unknown battery scenario `{other}`"),
@@ -390,6 +404,27 @@ fn kernel_battery_matches_pre_refactor_digests() {
     }
 }
 
+/// The golden file pins exactly the scenarios of `AUDIT`, `EXPLORE` and
+/// `BATTERY` at `SEEDS`: a renamed or deleted scenario leaves no orphan
+/// pin behind.
+#[test]
+fn golden_file_names_exactly_the_pinned_scenarios() {
+    let mut expected = BTreeSet::new();
+    for seed in SEEDS {
+        for s in AUDIT {
+            expected.insert(format!("audit/{}@{seed}", s.name));
+        }
+        for s in EXPLORE {
+            expected.insert(format!("explore/{}@{seed}", s.name));
+        }
+        for name in BATTERY {
+            expected.insert(format!("battery/{name}@{seed}"));
+        }
+    }
+    let pinned: BTreeSet<String> = load_golden().into_keys().collect();
+    assert_eq!(pinned, expected);
+}
+
 /// Rewrites `GOLDEN_kernel_digests.txt` from the current engine. Ignored:
 /// run explicitly, review the diff, and commit it only for an intentional
 /// semantic change.
@@ -400,6 +435,11 @@ fn regenerate_golden_digests() {
         "# Kernel trace digests captured on the pre-refactor engine".to_owned(),
         "# (BTreeMap event queue, sequential dispatch, PR 8 HEAD).".to_owned(),
         "# tests/kernel_equivalence.rs pins every later kernel against these.".to_owned(),
+        "# Re-pinned since: battery/timer-remove@3 and @7 (once timer-cancel),".to_owned(),
+        "# when the kernel's cancel-and-suppress path was deleted. The scenario".to_owned(),
+        "# removes the timers it cancelled, and a removed timer never pops: its".to_owned(),
+        "# trace digest, timers_fired (48) and end tick (9 250 000) held, and".to_owned(),
+        "# timers_suppressed went 12 -> 0.".to_owned(),
         "# Regenerate (intentional semantic changes only):".to_owned(),
         "#   cargo test --test kernel_equivalence -- --ignored regenerate_golden_digests"
             .to_owned(),

@@ -228,7 +228,8 @@ fn s1_crash_exploration_meets_acceptance_floor() {
 #[test]
 fn random_schedule_replays_byte_identically() {
     fn run(sched: Box<dyn lems_sim::sched::Scheduler>) -> (Vec<u32>, u64) {
-        let mut sim = ActorSim::new(5).with_trace();
+        let mut sim = ActorSim::new(5);
+        sim.enable_trace();
         let a = sim.add_actor(Recorder::default());
         for m in 0..5u32 {
             sim.inject(a, m, SimDuration::from_units(1.0));
