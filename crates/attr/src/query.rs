@@ -7,7 +7,7 @@
 
 use crate::attribute::{AttrKey, AttrValue, AttributeSet, Requester, RequesterContext};
 use crate::fuzzy::{Block, Needle};
-use crate::registry::{Cell, Column, Table};
+use crate::registry::{Column, Entry, Table};
 
 /// A predicate over one attribute key.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -142,22 +142,18 @@ impl PreparedPredicate {
     /// number, nor a numeric one text.
     fn mark(&self, column: &Column, pass: &mut Pass<'_>, out: &mut [u64]) {
         let Pass {
-            visible,
-            verdicts,
-            columns,
-            ..
+            visible, columns, ..
         } = pass;
         match self {
-            Self::Exists => mark(column, visible, out, |_| true),
-            Self::EqualsNumber(want) => {
-                mark(column, visible, out, |c| c.as_number() == Some(*want));
+            Self::Exists => {
+                mark(column, visible, out, |_| true);
+                judge(column, visible, out, |_| true);
             }
-            Self::InRange { lo, hi } => mark(column, visible, out, |c| {
-                c.as_number().is_some_and(|n| (*lo..=*hi).contains(&n))
-            }),
-            Self::EqualsText(want) => judge(column, visible, verdicts, out, |t| t == want),
-            Self::Contains(sub) => judge(column, visible, verdicts, out, |t| sub.is_in(t)),
-            Self::Fuzzy(needle) => judge(column, visible, verdicts, out, |t| {
+            Self::EqualsNumber(want) => mark(column, visible, out, |n| n == *want),
+            Self::InRange { lo, hi } => mark(column, visible, out, |n| (*lo..=*hi).contains(&n)),
+            Self::EqualsText(want) => judge(column, visible, out, |t| t == want),
+            Self::Contains(sub) => judge(column, visible, out, |t| sub.is_in(t)),
+            Self::Fuzzy(needle) => judge(column, visible, out, |t| {
                 needle.quality(t, t, columns).is_match()
             }),
         }
@@ -231,35 +227,43 @@ impl Substring {
     }
 }
 
-/// The loop under every predicate: one pass over one column's cells.
-fn mark(column: &Column, visible: &[bool], out: &mut [u64], mut holds: impl FnMut(Cell) -> bool) {
+/// A number predicate: one pass over the number cells of `column`.
+fn mark(column: &Column, visible: &[bool], out: &mut [u64], holds: impl Fn(i64) -> bool) {
     for &cell in column.cells() {
-        if visible[cell.audience()] && holds(cell) {
-            let row = cell.row();
-            out[row / 64] |= 1 << (row % 64);
+        if visible[cell.audience()] && holds(cell.number()) {
+            set(out, cell.row());
         }
     }
 }
 
 /// A text predicate: `holds` is judged once per distinct text of `column`,
-/// into `verdicts` by value id, and the pass over the cells reads each
-/// text cell's verdict.
-fn judge(
-    column: &Column,
-    visible: &[bool],
-    verdicts: &mut Vec<bool>,
-    out: &mut [u64],
-    holds: impl FnMut(&str) -> bool,
-) {
-    verdicts.clear();
-    verdicts.extend(column.texts().map(holds));
-    mark(column, visible, out, |c| {
-        c.value().is_some_and(|v| verdicts[v])
-    });
+/// and the posting of each text it holds for is read, no other.
+fn judge(column: &Column, visible: &[bool], out: &mut [u64], mut holds: impl FnMut(&str) -> bool) {
+    let mut post = |entry: Entry| {
+        if visible[entry.audience()] {
+            set(out, entry.row());
+        }
+    };
+    for (text, posting) in column.texts() {
+        if holds(text) {
+            post(posting.first());
+            for &entry in posting.more() {
+                post(entry);
+            }
+        }
+    }
+}
+
+/// Sets bit `row` of `out`.
+fn set(out: &mut [u64], row: usize) {
+    out[row / 64] |= 1 << (row % 64);
 }
 
 /// The buffers one evaluation reuses from registry to registry: after the
-/// largest registry a search allocates nothing more for them.
+/// largest registry a search allocates nothing more for them. A text
+/// predicate needs none of its own: it judges each distinct value of a
+/// column and reads the postings of those it holds for straight into the
+/// row bitset.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// One row bitset per level of the query, end to end.
@@ -267,9 +271,6 @@ pub(crate) struct Scratch {
     /// Per audience of the registry at hand, whether the requester sees
     /// it.
     visible: Vec<bool>,
-    /// Per distinct text of the column at hand, whether the text predicate
-    /// at hand holds for it.
-    verdicts: Vec<bool>,
     /// The edit-distance kernel's state below its first 64 rows: a block
     /// per further 64 characters of the longest fuzzy query.
     columns: Vec<Block>,
@@ -299,7 +300,6 @@ enum Node<'q> {
 struct Pass<'a> {
     table: &'a Table,
     visible: &'a [bool],
-    verdicts: &'a mut Vec<bool>,
     columns: &'a mut Vec<Block>,
 }
 
@@ -385,7 +385,6 @@ impl<'q> PreparedQuery<'q> {
         let Scratch {
             rows,
             visible,
-            verdicts,
             columns,
         } = scratch;
         // Every node fills its own bitset before it is read.
@@ -394,7 +393,6 @@ impl<'q> PreparedQuery<'q> {
         let mut pass = Pass {
             table,
             visible,
-            verdicts,
             columns,
         };
         self.root.eval(&mut pass, rows, words);

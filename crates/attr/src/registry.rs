@@ -6,14 +6,15 @@
 //! answers from its local registry.
 //!
 //! A registry is stored the way a search reads it (DESIGN.md §17). Its
-//! `Table` keeps one column per attribute key: a run of 16-byte cells,
-//! each naming its row, who may see it, and either its number or the id
-//! of its text in the column's dictionary, which holds each distinct
-//! lowercased text once. A text predicate is judged once per distinct
-//! value, then one pass over the key's cells reads each cell's verdict,
-//! with nothing to fold and no profile to reach through a pointer; a query
-//! turns a table into a bitset of rows (`PreparedQuery::eval`), and the
-//! name index turns the set bits into users, in name order.
+//! `Table` keeps one column per attribute key. A column's numbers are a
+//! run of cells, each naming its row, who may see it and the number. Its
+//! texts are a dictionary, which holds each distinct lowercased text once,
+//! and beside each value its posting: the `(row, audience)` entries of the
+//! cells that hold it, in row order. A text predicate is judged once per
+//! distinct value, and only the postings of the values it holds for are
+//! read, with nothing to fold and no profile to reach through a pointer; a
+//! query turns a table into a bitset of rows (`PreparedQuery::eval`), and
+//! the name index turns the set bits into users, in name order.
 
 use std::mem;
 
@@ -36,18 +37,15 @@ const FIRST_ORGANIZATION: u32 = 2;
 /// What [`Table::compact`] maps a dropped row to.
 const DROPPED: u32 = u32::MAX;
 
-/// An empty bucket of [`Dictionary::index`], and what compaction maps a
-/// value no live cell uses to.
+/// An empty bucket of [`Dictionary::index`].
 const NO_VALUE: u32 = u32::MAX;
 
-/// One stored value as a search reads it.
+/// One stored number as a search reads it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Cell {
     row: u32,
-    /// The audience, shifted left once; the low bit is set for a number.
-    tag: u32,
-    /// A number's bits, or the id of a text in its column's dictionary.
-    data: u64,
+    audience: u32,
+    number: i64,
 }
 
 impl Cell {
@@ -57,16 +55,67 @@ impl Cell {
 
     /// Index of this cell's audience in what [`Table::audiences`] writes.
     pub(crate) fn audience(self) -> usize {
-        (self.tag >> 1) as usize
+        self.audience as usize
     }
 
-    pub(crate) fn as_number(self) -> Option<i64> {
-        (self.tag & 1 == 1).then_some(self.data as i64)
+    pub(crate) fn number(self) -> i64 {
+        self.number
+    }
+}
+
+/// One text cell as its value's posting lists it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Entry {
+    row: u32,
+    audience: u32,
+}
+
+impl Entry {
+    pub(crate) fn row(self) -> usize {
+        self.row as usize
     }
 
-    /// The id of a text cell's value: its place in [`Column::texts`].
-    pub(crate) fn value(self) -> Option<usize> {
-        (self.tag & 1 == 0).then_some(self.data as usize)
+    /// Index of this cell's audience in what [`Table::audiences`] writes.
+    pub(crate) fn audience(self) -> usize {
+        self.audience as usize
+    }
+}
+
+/// The text cells that hold one value, in row order (a row that holds the
+/// value twice, twice). The first is held inline, so a value that one row
+/// holds allocates nothing.
+#[derive(Clone, Debug)]
+pub(crate) struct Posting {
+    first: Entry,
+    more: Vec<Entry>,
+}
+
+impl Posting {
+    pub(crate) fn first(&self) -> Entry {
+        self.first
+    }
+
+    /// Every entry after the first.
+    pub(crate) fn more(&self) -> &[Entry] {
+        &self.more
+    }
+
+    /// Gives each entry its row's new number and drops the entries of
+    /// [`DROPPED`] rows, keeping the order; false if none is left.
+    fn renumber(&mut self, renumber: &[u32]) -> bool {
+        let keep = |entry: &mut Entry| {
+            entry.row = renumber[entry.row()];
+            entry.row != DROPPED
+        };
+        self.more.retain_mut(keep);
+        if keep(&mut self.first) {
+            return true;
+        }
+        if self.more.is_empty() {
+            return false;
+        }
+        self.first = self.more.remove(0);
+        true
     }
 }
 
@@ -207,10 +256,13 @@ impl Dictionary {
 #[derive(Clone, Debug)]
 pub(crate) struct Column {
     key: AttrKey,
-    /// In row order; a row's cells in the order its values were added.
+    /// The number cells, in row order; a row's in the order its values
+    /// were added.
     cells: Vec<Cell>,
-    /// The texts the text cells' ids name.
+    /// The distinct texts, by id.
     dictionary: Dictionary,
+    /// By value id: the text cells that hold the value.
+    postings: Vec<Posting>,
 }
 
 impl Column {
@@ -218,10 +270,51 @@ impl Column {
         &self.cells
     }
 
-    /// The column's distinct texts, lowercased, in the order of their ids.
-    pub(crate) fn texts(&self) -> impl Iterator<Item = &str> {
+    /// The column's distinct texts, lowercased, each with its posting, in
+    /// the order of their ids.
+    pub(crate) fn texts(&self) -> impl Iterator<Item = (&str, &Posting)> {
         let dictionary = &self.dictionary;
-        dictionary.values.iter().map(|&v| dictionary.text_of(v))
+        let texts = dictionary.values.iter().map(|&v| dictionary.text_of(v));
+        texts.zip(&self.postings)
+    }
+
+    /// Adds `entry`, a cell of the newest row, to the posting of value
+    /// `id`; a new value's posting starts with it.
+    fn post(&mut self, id: u32, entry: Entry) {
+        match self.postings.get_mut(id as usize) {
+            Some(posting) => posting.more.push(entry),
+            None => self.postings.push(Posting {
+                first: entry,
+                more: Vec::new(),
+            }),
+        }
+    }
+
+    /// Renumbers the rows of every cell and posting entry by `renumber`,
+    /// dropping those of [`DROPPED`] rows and the values no live row holds;
+    /// the values left keep their order and take the ids from 0 up.
+    fn compact(&mut self, renumber: &[u32]) {
+        self.cells.retain_mut(|cell| {
+            cell.row = renumber[cell.row()];
+            cell.row != DROPPED
+        });
+        let old = mem::take(&mut self.dictionary);
+        let mut id = 0;
+        self.postings.retain_mut(|posting| {
+            let value = old.values[id];
+            id += 1;
+            if !posting.renumber(renumber) {
+                return false;
+            }
+            let start = self.dictionary.text.len();
+            self.dictionary.text.push_str(old.text_of(value));
+            self.dictionary.insert(value.key, start);
+            true
+        });
+    }
+
+    fn is_empty(&self) -> bool {
+        self.cells.is_empty() && self.postings.is_empty()
     }
 }
 
@@ -285,7 +378,8 @@ pub(crate) fn has(bits: &[u64], row: usize) -> bool {
 
 impl Table {
     /// Stores `attrs` as a new row and returns it. What is kept of a text
-    /// is the id of its lowercase form in its column's dictionary.
+    /// is an entry in the posting of its lowercase form, which its
+    /// column's dictionary holds once.
     ///
     /// # Panics
     ///
@@ -309,22 +403,26 @@ impl Table {
                     key,
                     cells: Vec::new(),
                     dictionary: Dictionary::default(),
+                    postings: Vec::new(),
                 };
                 self.columns.insert(at, column);
             }
             let column = &mut self.columns[at];
-            let (tag, data) = match value {
+            match value {
                 AttrValue::Text(text) => {
                     let id = column.dictionary.intern(&text);
                     assert!(
                         column.dictionary.text.len() < u32::MAX as usize,
                         "an attribute registry holds less than 4 GiB of distinct text per key"
                     );
-                    (audience << 1, u64::from(id))
+                    column.post(id, Entry { row, audience });
                 }
-                AttrValue::Number(n) => (audience << 1 | 1, n as u64),
-            };
-            column.cells.push(Cell { row, tag, data });
+                AttrValue::Number(number) => column.cells.push(Cell {
+                    row,
+                    audience,
+                    number,
+                }),
+            }
         }
         if row.is_multiple_of(64) {
             self.live.push(0);
@@ -368,8 +466,8 @@ impl Table {
 
     /// Drops the dead rows, their cells and the texts only they held, and
     /// renumbers the live rows in order and each column's texts in the
-    /// order the live cells first name them. Returns each old row's new
-    /// number, or [`DROPPED`].
+    /// order of their old ids. Returns each old row's new number, or
+    /// [`DROPPED`].
     fn compact(&mut self) -> Vec<u32> {
         let mut renumber = Vec::with_capacity(self.rows as usize);
         let mut kept = 0;
@@ -382,27 +480,9 @@ impl Table {
             }
         }
         for column in &mut self.columns {
-            let old = mem::take(&mut column.dictionary);
-            let mut ids = vec![NO_VALUE; old.values.len()];
-            for cell in mem::take(&mut column.cells) {
-                let row = renumber[cell.row()];
-                if row == DROPPED {
-                    continue;
-                }
-                let mut cell = Cell { row, ..cell };
-                if let Some(id) = cell.value() {
-                    if ids[id] == NO_VALUE {
-                        let value = old.values[id];
-                        let start = column.dictionary.text.len();
-                        column.dictionary.text.push_str(old.text_of(value));
-                        ids[id] = column.dictionary.insert(value.key, start);
-                    }
-                    cell.data = u64::from(ids[id]);
-                }
-                column.cells.push(cell);
-            }
+            column.compact(&renumber);
         }
-        self.columns.retain(|c| !c.cells.is_empty());
+        self.columns.retain(|c| !c.is_empty());
         self.live.clear();
         self.live.resize((kept as usize).div_ceil(64), 0);
         for row in 0..kept as usize {
@@ -753,6 +833,12 @@ mod tests {
         }
     }
 
+    /// The rows of `posting`'s entries, in its order.
+    fn posted_rows(posting: &Posting) -> Vec<usize> {
+        let more = posting.more().iter().map(|e| e.row());
+        std::iter::once(posting.first().row()).chain(more).collect()
+    }
+
     /// The dictionary of `key` in `r`'s table.
     fn dictionary<'a>(r: &'a AttributeRegistry, key: &AttrKey) -> &'a Dictionary {
         &r.table
@@ -774,9 +860,8 @@ mod tests {
         assert_eq!(held.text, "kéß");
         assert_eq!(held.values.len(), 3);
         let column = r.table.column(&AttrKey::City).unwrap();
-        let ids: Vec<Option<usize>> = column.cells().iter().map(|c| c.value()).collect();
-        let want = [0, 1, 0, 2, 0, 1, 2, 0].map(Some);
-        assert_eq!(ids, want);
+        let rows: Vec<Vec<usize>> = column.texts().map(|(_, p)| posted_rows(p)).collect();
+        assert_eq!(rows, [vec![0, 2, 4, 7], vec![1, 5], vec![3, 6]]);
         let anon = RequesterContext::default();
         for (text, hits) in [("k", 4), ("\u{212a}", 4), ("É", 2), ("ß", 2)] {
             assert_eq!(
@@ -900,6 +985,98 @@ mod tests {
             &RequesterContext::default(),
         );
         assert_eq!(hit, [&user]);
+    }
+
+    /// What a table's postings must be after any upsert: each value's
+    /// entries in row order, within the rows; right after a compaction,
+    /// every entry's row live and so every value held by a live row.
+    fn check_postings(table: &Table, compacted: bool) {
+        for column in &table.columns {
+            for (text, posting) in column.texts() {
+                let rows = posted_rows(posting);
+                assert!(rows.is_sorted(), "{text:?} posted out of order: {rows:?}");
+                assert!(rows.iter().all(|&r| r < table.rows as usize), "{text:?}");
+                if compacted {
+                    let dead = rows.iter().find(|&&r| !has(table.live(), r));
+                    assert_eq!(dead, None, "{text:?} keeps a dead row");
+                }
+            }
+        }
+    }
+
+    /// Postings through replacements and compactions, against the
+    /// reference evaluator after every upsert. One value, `boston`, is
+    /// held under all three kinds of visibility and twice by every third
+    /// row (in two cases and two audiences); a custom key mixes numbers and
+    /// texts, one row holding both; every nickname is new each round, so a
+    /// compaction has values to drop.
+    #[test]
+    fn postings_follow_replacements_through_compaction() {
+        let names: Vec<MailName> = (0..12)
+            .map(|i| format!("r.h.u{i:02}").parse().unwrap())
+            .collect();
+        let mix = AttrKey::Custom("mix".into());
+        let visibility = |k: usize| match k % 3 {
+            0 => Visibility::Public,
+            1 => Visibility::Organization("DEC".into()),
+            _ => Visibility::Private,
+        };
+        let queries = [
+            Query::text_eq(AttrKey::City, "BOSTON"),
+            Query::Attr(AttrKey::City, Predicate::Contains("ost".into())),
+            Query::Attr(AttrKey::City, Predicate::Exists),
+            Query::Attr(mix.clone(), Predicate::Exists),
+            Query::Attr(mix.clone(), Predicate::Equals(AttrValue::Number(4))),
+            Query::text_eq(mix.clone(), "T1"),
+            Query::Attr(mix.clone(), Predicate::InRange { lo: 2, hi: 6 }),
+            Query::text_eq(AttrKey::Nickname, "n3-7"),
+            Query::Not(Box::new(Query::Attr(mix.clone(), Predicate::Exists))),
+        ];
+        let requesters = [None, Some("dec"), Some("IBM")].map(|org| RequesterContext {
+            organization: org.map(Into::into),
+        });
+        let mut registry = AttributeRegistry::new();
+        let mut model: BTreeMap<MailName, AttributeSet> = BTreeMap::new();
+        let mut compactions = 0;
+        for round in 0..4 {
+            for (i, name) in names.iter().enumerate() {
+                let mut a = AttributeSet::new();
+                a.add(AttrKey::City, "Boston", visibility(i + round));
+                if i.is_multiple_of(3) {
+                    a.add(AttrKey::City, "BOSTON", visibility(i + round + 1));
+                }
+                if i.is_multiple_of(2) {
+                    a.add(mix.clone(), (i + round) as i64, visibility(i));
+                }
+                if !i.is_multiple_of(2) || i.is_multiple_of(5) {
+                    a.add(mix.clone(), format!("t{}", i % 3), visibility(i + 1));
+                }
+                a.add(
+                    AttrKey::Nickname,
+                    format!("n{round}-{i}"),
+                    Visibility::Public,
+                );
+                let rows = registry.table.rows;
+                registry.upsert(name.clone(), a.clone());
+                model.insert(name.clone(), a);
+                let compacted = registry.table.rows <= rows;
+                compactions += usize::from(compacted);
+                check_postings(&registry.table, compacted);
+                for query in &queries {
+                    for ctx in &requesters {
+                        let want: Vec<&MailName> = model
+                            .iter()
+                            .filter(|(_, a)| reference::eval(query, a, ctx, unicode_fold_eq))
+                            .map(|(name, _)| name)
+                            .collect();
+                        assert_eq!(registry.search(query, ctx), want, "{query:?} as {ctx:?}");
+                    }
+                }
+            }
+        }
+        assert!(compactions >= 2, "{compactions} compactions");
+        // One round's nicknames are live; a compaction dropped the rest.
+        assert!(dictionary(&registry, &AttrKey::Nickname).values.len() <= 2 * names.len());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! §3.3.1 prices a search at the tree it walks: the query goes down every
 //! edge once, each server searches its database, one summary — a count —
 //! comes back up every edge. Evaluating a registry must therefore allocate
-//! nothing — the query is prepared once, and its row bitsets, the
-//! requester's audiences and a text predicate's verdicts per distinct
-//! value live in one scratch reused from registry to registry — and a
-//! search counts its hits without listing them, which leaves one thing
+//! nothing — the query is prepared once, its row bitsets and the
+//! requester's audiences live in one scratch reused from registry to
+//! registry, and a text predicate reads the postings it holds for straight
+//! into a bitset — and a search counts its hits without listing them,
+//! which leaves one thing
 //! that may: the broadcast world (actors, waiting lists, queue: in
 //! proportion to the nodes of the tree; the tree's links are wired once,
 //! with the network). Ten times the profiles on the same topology must
@@ -15,11 +16,13 @@
 //! search allocated about twenty times per profile; before it counted, the
 //! vector of hits doubled on top.
 //!
-//! A registry stores a profile by moving its values into per-key columns;
-//! a text is kept as the id of its lowercase form in the column's
-//! dictionary, which stores each distinct form once. What allocates is a
-//! column's growth and its dictionary's index doubling, never a value or a
-//! profile.
+//! A registry stores a profile by moving its values into per-key columns:
+//! a number into the column's cells, a text as an entry in the posting of
+//! its lowercase form, which the column's dictionary stores once. A
+//! posting holds its first entry inline, so a value one row holds
+//! allocates nothing of its own. What allocates is a column's growth, its
+//! dictionary's index doubling and a repeated value's posting doubling,
+//! never a profile, nor a value that does not repeat.
 //!
 //! CI runs this against the release build (the claim is about optimised
 //! code); the budget holds in a debug build too.
@@ -124,7 +127,7 @@ fn a_search_allocates_for_the_tree_not_for_the_profiles() {
     let (large_allocs, large_hits) = one_search(&large);
 
     // allocations ≤ a·nodes: the broadcast world is four allocations a
-    // node (90 in all on these 24 nodes: actor, waiting list, queue and
+    // node (88 in all on these 24 nodes: actor, waiting list, queue and
     // timer slots, the timeouts, and the evaluation's counts, bitsets and
     // scratch).
     for (allocs, hits) in [(small_allocs, small_hits), (large_allocs, large_hits)] {
@@ -193,10 +196,10 @@ fn every_kernel_path_allocates_for_the_tree_not_for_the_profiles() {
 /// Evaluation alone, without the broadcast, and listing its hits:
 /// `central_matches` over all eight registries allocates what it does over
 /// the first of them, but for the hit vector's further doublings (a
-/// search, which counts, has none). The scratch — row bitsets, the
-/// audiences, and the verdicts of the fuzzy, equality and substring
-/// predicates per distinct value — is sized by the first registry and
-/// reused by every later one.
+/// search, which counts, has none). The scratch — row bitsets and the
+/// audiences; the fuzzy, equality and substring predicates write the
+/// postings they hold for into the bitsets and need nothing more — is
+/// sized by the first registry and reused by every later one.
 #[test]
 fn evaluation_allocates_nothing_past_the_first_registry() {
     let all = network(50);
@@ -268,13 +271,58 @@ fn a_registry_allocates_per_column_growth_not_per_profile() {
     let allocs = counting_alloc::allocations() - before;
     assert_eq!(registry.len(), PROFILES);
 
-    // Five columns of cells, the four text columns' dictionaries (each
-    // holding two to four distinct texts), the rows' names, their order
-    // and its prefixes each grow by doubling: a dozen steps apiece. Any
-    // allocation per value or per profile would be thousands.
+    // The number column's cells, the four text columns' dictionaries
+    // (each holding two to four distinct texts) and the postings of their
+    // values, the rows' names, their order and its prefixes each grow by
+    // doubling: a dozen steps apiece. Any allocation per value or per
+    // profile would be thousands.
     let budget = (PROFILES / 16) as u64;
     assert!(
         allocs <= budget,
         "building a registry of {PROFILES} profiles allocated {allocs} times (budget {budget})"
+    );
+}
+
+/// The same budget where no value repeats: every profile's nickname is its
+/// own, half of them longer than the 16 bytes a dictionary key holds. A
+/// value one row holds keeps that row inline in its posting, so what
+/// allocates is still the dictionary's and the postings' growth by
+/// doubling, not a value.
+#[test]
+fn a_registry_of_unique_values_allocates_per_column_growth_not_per_value() {
+    const PROFILES: usize = 5_000;
+    let profiles: Vec<(MailName, AttributeSet)> = (0..PROFILES)
+        .map(|k| {
+            let nickname = if k.is_multiple_of(2) {
+                format!("nick-{k}")
+            } else {
+                format!("a-longer-nickname-{k}")
+            };
+            let mut a = AttributeSet::new();
+            a.add(AttrKey::Nickname, nickname, Visibility::Public);
+            let name = MailName::new("r0", "h", &format!("u{k}")).expect("valid name");
+            (name, a)
+        })
+        .collect();
+
+    let mut registry = AttributeRegistry::new();
+    let before = counting_alloc::allocations();
+    for (name, attrs) in profiles {
+        registry.upsert(name, attrs);
+    }
+    let allocs = counting_alloc::allocations() - before;
+    assert_eq!(registry.len(), PROFILES);
+    let anon = RequesterContext::default();
+    let long = Query::text_eq(AttrKey::Nickname, "A-Longer-Nickname-4999");
+    assert_eq!(registry.count_matches(&long, &anon), 1);
+
+    // One column: its dictionary's text, values and index, its postings,
+    // and the rows' names, their order and its prefixes, each growing by
+    // doubling. An allocation per value would be five thousand.
+    let budget = (PROFILES / 16) as u64;
+    assert!(
+        allocs <= budget,
+        "building a registry of {PROFILES} unique nicknames allocated {allocs} times \
+         (budget {budget})"
     );
 }
